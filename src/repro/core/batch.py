@@ -35,11 +35,15 @@ Three structural shortcuts keep the per-message cost near the floor, each
 with its own equivalence argument:
 
 * **Bulk sends** bypass :meth:`~repro.network.transport.Transport.send`
-  when the delay is a positive constant, tracing is off and no edge has
-  ever flipped: the FIFO clamp provably never binds under a constant delay
-  (per-link delivery times are monotone in send times), every believed
-  neighbour exists (discovery only reports real edges and none was ever
-  removed), and the delay bound was validated once at registration.
+  when the delay is a positive constant, tracing is off and every believed
+  neighbour of the ticking node is adjacent in the graph *now* (one C-level
+  subset test per node): the FIFO clamp provably never binds under a
+  constant delay (per-link delivery times are monotone in send times) and
+  the delay bound was validated once at registration.  A node that still
+  believes in a removed edge sends through ``Transport.send`` instead, at
+  its position in send order, which books the ``dropped_no_edge`` and the
+  absence discovery exactly; the burst built so far is pushed first, so
+  every burst's constituents keep contiguous sequence numbers.
 * **Burst records** (:data:`~repro.sim.events.KIND_DELIVER_BURST`): all
   sends of one tick run share one delivery time, so they travel as a
   single heap record carrying parallel ``u``/``v``/``payload`` lists in
@@ -47,8 +51,9 @@ with its own equivalence argument:
   sequence numbers, so the burst -- ordered by its first constituent's
   position -- interleaves with any other same-time records exactly as the
   individual records would have; the dispatch handler re-expands the
-  cardinality into ``events_dispatched``/per-kind tallies and the
-  delivered counter.
+  cardinality into ``events_dispatched``/per-kind tallies, applies the
+  Section 3.2 drop rule to each constituent in record order and hands the
+  survivors to :meth:`NodeArrayTable.deliver_burst`.
 * **Lazy lost-timer re-arm**: instead of cancel-plus-push per message, the
   live ``lost`` record's deadline slot is advanced in place and the queue
   re-inserts it if the stale heap entry ever surfaces (see
@@ -131,7 +136,7 @@ class NodeArrayTable:
         "b_intercept",
         "b_slope",
         "send_delay",
-        "_ups_sorted",
+        "adj",
     )
 
     def __init__(
@@ -162,13 +167,11 @@ class NodeArrayTable:
         #: valid positive constant (set by :func:`build_node_array_table`),
         #: else ``None``; gates the bulk-send path.
         self.send_delay: float | None = None
-        #: Per-node cached ``(sorted(upsilon), (node_id,) * k)`` send
-        #: template; only consulted while ``edge_flips == 0``, where the
-        #: believed-neighbour set grows monotonically, so a length match
-        #: proves the cache current.
-        self._ups_sorted: list[tuple[list[int], tuple[int, ...]] | None] = (
-            [None] * len(drivers)
-        )
+        #: Live adjacency sets indexed by node id (the graph mutates them
+        #: in place); the bulk-send path tests each ticking node's
+        #: believed neighbours against them.
+        graph = transport.graph
+        self.adj: list[set[int]] = [graph.neighbors(d.node_id) for d in drivers]
 
     # ------------------------------------------------------------------ #
     # Batch handlers
@@ -177,10 +180,10 @@ class NodeArrayTable:
     def deliver_batch(self, records: list[ScheduledEvent]) -> None:
         """Execute a same-timestamp run of individual ``KIND_DELIVER`` records.
 
-        Called by :meth:`Transport._handle_deliver_batch` *after* its
-        per-call guards (no tracing, no churn ever observed) ruled out the
-        drop path, so every record is a plain delivery ``u -> v`` of an
-        ``(L, Lmax)`` update.
+        Called by :meth:`Transport._handle_deliver_batch` with tracing off
+        and the records whose link failed in flight already dropped, so
+        every record is a plain delivery ``u -> v`` of an ``(L, Lmax)``
+        update.
         """
         dest_msgs: dict[int, list[Any]] = {}
         get = dest_msgs.get
@@ -362,182 +365,41 @@ class NodeArrayTable:
         constants (see module docstring), so nothing a tick handler
         schedules can land at the current timestamp.  Mixed-key runs (any
         ``lost`` timer present) replay scalar dispatch in record order --
-        already a win over per-event kernel turns; all-tick runs run one
-        fused loop: per record sync + payload capture + sends (in scalar
-        order -- sends consume sequence numbers in record order) + tick
-        re-arm, then the burst push, then vectorized AdjustClock.  Payloads
-        are captured *before* AdjustClock exactly as the scalar handler
-        reads them, the re-arm deadline depends only on the post-sync
-        ``H``, and hoisting AdjustClock after the re-arms is sound because
-        it touches only core state the re-arms never read; the re-arm
-        records land in a different priority class from the burst, so the
-        permuted sequence numbers are unobservable.  Each tick record is
+        already a win over per-event kernel turns; all-tick runs go through
+        :meth:`_tick_phase` and then re-arm.  The re-arm records land in a
+        different priority class from the bursts, so the permuted sequence
+        numbers are unobservable.
+
+        When every deadline of the run coincides (a rate class in lockstep
+        -- the steady state here), the class's pending ticks collapse into
+        a single group record: one heap entry instead of one per node, and
+        on every later cycle the group re-pushes itself with the same
+        driver list (see :meth:`handle_tick_group`).  The constituents
+        would have held contiguous sequence numbers in this tie class, so
+        the group -- ordered by its first constituent's position --
+        preserves scalar tie order.  Otherwise each tick record is
         re-pushed *in place* (it just fired, its payload is already
         correct, and the kernel skips requeued records when recycling).
-        When the bulk-send guards hold (no tracing, no edge flip ever),
-        the run's sends travel as one burst record; otherwise each send
-        goes through :meth:`Transport.send` unchanged.
         """
         for ev in records:
             if ev.b != _TICK:
                 for rec in records:
                     rec.a._fire_timer(rec.b)
                 return
-        sim = self.sim
-        now = sim.now
-        cores = self.cores
-        rates = self.rates
-        transport = self.transport
-        queue = sim.queue
-        free = queue._free
-        heap = queue._heap
-        heappush = heapq.heappush
-        delayv = self.send_delay
-        bulk = (
-            delayv is not None
-            and transport.edge_flips == 0
-            and transport._trace is None
-            and transport._tracer is None
-        )
-        send = transport.send
-        ups_sorted = self._ups_sorted
-        ti = self.tick_interval
-        u_list: list[int] = []
-        v_list: list[int] = []
-        p_list: list[Any] = []
-        uext = u_list.extend
-        vext = v_list.extend
-        pext = p_list.extend
-        tick_cores: list[DCSACore] = []
-        capp = tick_cores.append
-        fts: list[float] = []
-        ftapp = fts.append
-        seq = queue._seq
-        for ev in records:
-            d = ev.a
-            nid = d.node_id
-            core = cores[nid]
-            h = rates[nid] * now
-            dh = h - core.h_last
-            if dh != 0.0:
-                core._L += dh
-                core._Lmax += dh
-                for row in core.gamma._rows.values():
-                    row.l_est += dh
-                core.h_last = h
-            d._t_last = now
-            ups = core.upsilon
-            if ups:
-                payload = (core._L, core._Lmax)
-                if bulk:
-                    k = len(ups)
-                    entry = ups_sorted[nid]
-                    if entry is None or len(entry[0]) != k:
-                        entry = (sorted(ups), (nid,) * k)
-                        ups_sorted[nid] = entry
-                    # Scalar _send bumps the counter at emission time; the
-                    # batch bypasses the effect list, so count here.
-                    core.messages_sent += k
-                    uext(entry[1])
-                    vext(entry[0])
-                    pext((payload,) * k)
-                else:
-                    # Transport.send consumes sequence numbers itself:
-                    # hand the counter over and take it back after.
-                    queue._seq = seq
-                    for v in sorted(ups):
-                        core.messages_sent += 1
-                        send(nid, v, payload)
-                    seq = queue._seq
-            fire_t = (h + ti) / rates[nid]
-            if fire_t < now:
-                fire_t = now
-            ftapp(fire_t)
-            capp(core)
-        if u_list:
-            card = len(u_list)
-            t_del = now + delayv  # type: ignore[operator]
-            if free:
-                rec = free.pop()
-                rec.time = t_del
-                rec.priority = PRIORITY_DELIVERY
-                rec.seq = seq
-                rec.kind = KIND_DELIVER_BURST
-                rec.fn = None
-                rec.a = u_list
-                rec.b = v_list
-                rec.c = p_list
-                rec.d = now
-                rec.e = card
-                rec.cancelled = False
-                rec.gen += 1
-                rec.label = "deliver+"
-            else:
-                queue.allocations += 1
-                rec = ScheduledEvent(
-                    t_del, PRIORITY_DELIVERY, seq, None, "deliver+",
-                    kind=KIND_DELIVER_BURST, a=u_list, b=v_list, c=p_list,
-                    d=now, e=card,
-                )
-            rec.queued = True
-            heappush(heap, (t_del, PRIORITY_DELIVERY, seq, rec))
-            seq += 1
-            queue._live += 1
-            transport.stats.sent += card
-        # Tick re-arm.  When every deadline of the run coincides (a rate
-        # class in lockstep -- the steady state here), the class's pending
-        # ticks collapse into a single group record: one heap entry instead
-        # of one per node, and on every later cycle the group re-pushes
-        # itself with the same driver list (see :meth:`handle_tick_group`).
-        # The constituents would have held contiguous sequence numbers in
-        # this tie class (deliveries land in a different priority class),
-        # so the group -- ordered by its first constituent's position --
-        # preserves scalar tie order.
-        if len(records) > 1 and fts.count(fts[0]) == len(fts):
-            ft0 = fts[0]
-            grp_card = len(records)
-            if free:
-                grp = free.pop()
-                grp.time = ft0
-                grp.priority = PRIORITY_TIMER
-                grp.seq = seq
-                grp.kind = KIND_TICK_BURST
-                grp.fn = None
-                grp.a = [ev.a for ev in records]
-                grp.b = None
-                grp.c = None
-                grp.d = None
-                grp.e = grp_card
-                grp.cancelled = False
-                grp.gen += 1
-                grp.label = "tick+"
-            else:
-                queue.allocations += 1
-                grp = ScheduledEvent(
-                    ft0, PRIORITY_TIMER, seq, None, "tick+",
-                    kind=KIND_TICK_BURST, a=[ev.a for ev in records],
-                    e=grp_card,
-                )
-            grp.queued = True
-            heappush(heap, (ft0, PRIORITY_TIMER, seq, grp))
-            seq += 1
-            for ev in records:
-                ev.a._timers[_TICK] = grp
-            queue._live += 1
+        drivers = [ev.a for ev in records]
+        ft0, same = self._tick_phase(drivers)
+        queue = self.sim.queue
+        if same and len(records) > 1:
+            grp = queue.push_typed(
+                ft0, PRIORITY_TIMER, KIND_TICK_BURST, drivers, None, None,
+                None, None, "tick+", e=len(records),
+            )
+            for d in drivers:
+                d._timers[_TICK] = grp
         else:
-            for ev, ft in zip(records, fts):
-                # The record just fired and still carries the right
-                # kind/payload/label, so re-push it as-is (only lost
-                # re-arms ever set the lazy-deadline slot ``c``).
-                ev.time = ft
-                ev.seq = seq
-                ev.queued = True
-                heappush(heap, (ft, PRIORITY_TIMER, seq, ev))
-                seq += 1
+            for ev in records:
+                queue.repush(ev, self._tick_deadline(ev.a))
                 ev.a._timers[_TICK] = ev
-            queue._live += len(records)
-        queue._seq = seq
-        adjust_clocks_batch(tick_cores)
 
     def handle_tick_group(self, ev: ScheduledEvent) -> None:
         """Execute one tick-group record (see :data:`KIND_TICK_BURST`).
@@ -552,26 +414,55 @@ class NodeArrayTable:
         group).  If the deadlines ever diverge, the group dissolves back
         into individual records.
         """
-        sim = self.sim
-        now = sim.now
+        drivers = ev.a
+        ft0, same = self._tick_phase(drivers)
+        queue = self.sim.queue
+        if same:
+            queue.repush(ev, ft0)
+        else:
+            for d in drivers:
+                d._timers[_TICK] = queue.push_typed(
+                    self._tick_deadline(d), PRIORITY_TIMER, KIND_TIMER, d,
+                    _TICK, None, None, None, "timer",
+                )
+
+    def _tick_deadline(self, d: "ClockSyncNode") -> float:
+        """Real time of ``d``'s next tick, from its post-sync ``H``."""
+        nid = d.node_id
+        fire_t = (self.cores[nid].h_last + self.tick_interval) / self.rates[nid]
+        now = self.sim.now
+        return fire_t if fire_t > now else now
+
+    def _tick_phase(self, drivers: "list[ClockSyncNode]") -> tuple[float, bool]:
+        """Sync, send and AdjustClock for one run of ticking ``drivers``.
+
+        One fused loop: per driver sync + payload capture + sends, in
+        scalar order (sends consume sequence numbers in record order),
+        then the burst push, then vectorized AdjustClock.  Payloads are
+        captured *before* AdjustClock exactly as the scalar handler reads
+        them; hoisting AdjustClock across drivers is sound because it
+        touches only core state that neither another driver's sends nor
+        the callers' re-arms read.
+
+        A driver whose believed neighbours are all adjacent (and tracing
+        is off) appends its sends to the run's burst; any other driver
+        sends through :meth:`Transport.send`, which applies the no-edge
+        drop rule per message, after the burst built so far is pushed
+        (see module docstring).  Returns the first driver's next tick
+        deadline and whether every driver's deadline equals it.
+        """
+        now = self.sim.now
         cores = self.cores
         rates = self.rates
+        adj = self.adj
         transport = self.transport
-        queue = sim.queue
-        free = queue._free
-        heap = queue._heap
-        heappush = heapq.heappush
-        delayv = self.send_delay
         bulk = (
-            delayv is not None
-            and transport.edge_flips == 0
+            self.send_delay is not None
             and transport._trace is None
             and transport._tracer is None
         )
         send = transport.send
-        ups_sorted = self._ups_sorted
         ti = self.tick_interval
-        drivers_list = ev.a
         u_list: list[int] = []
         v_list: list[int] = []
         p_list: list[Any] = []
@@ -580,10 +471,9 @@ class NodeArrayTable:
         pext = p_list.extend
         tick_cores: list[DCSACore] = []
         capp = tick_cores.append
-        seq = queue._seq
         ft0 = -1.0
         same = True
-        for d in drivers_list:
+        for d in drivers:
             nid = d.node_id
             core = cores[nid]
             h = rates[nid] * now
@@ -598,22 +488,23 @@ class NodeArrayTable:
             ups = core.upsilon
             if ups:
                 payload = (core._L, core._Lmax)
-                if bulk:
+                if bulk and ups <= adj[nid]:
                     k = len(ups)
-                    entry = ups_sorted[nid]
-                    if entry is None or len(entry[0]) != k:
-                        entry = (sorted(ups), (nid,) * k)
-                        ups_sorted[nid] = entry
+                    # Scalar _send bumps the counter at emission time; the
+                    # batch bypasses the effect list, so count here.
                     core.messages_sent += k
-                    uext(entry[1])
-                    vext(entry[0])
+                    uext((nid,) * k)
+                    vext(sorted(ups))
                     pext((payload,) * k)
                 else:
-                    queue._seq = seq
+                    if u_list:
+                        self._push_burst(u_list[:], v_list[:], p_list[:])
+                        u_list.clear()
+                        v_list.clear()
+                        p_list.clear()
                     for v in sorted(ups):
                         core.messages_sent += 1
                         send(nid, v, payload)
-                    seq = queue._seq
             fire_t = (h + ti) / rates[nid]
             if fire_t < now:
                 fire_t = now
@@ -623,81 +514,20 @@ class NodeArrayTable:
                 same = False
             capp(core)
         if u_list:
-            card = len(u_list)
-            t_del = now + delayv  # type: ignore[operator]
-            if free:
-                rec = free.pop()
-                rec.time = t_del
-                rec.priority = PRIORITY_DELIVERY
-                rec.seq = seq
-                rec.kind = KIND_DELIVER_BURST
-                rec.fn = None
-                rec.a = u_list
-                rec.b = v_list
-                rec.c = p_list
-                rec.d = now
-                rec.e = card
-                rec.cancelled = False
-                rec.gen += 1
-                rec.label = "deliver+"
-            else:
-                queue.allocations += 1
-                rec = ScheduledEvent(
-                    t_del, PRIORITY_DELIVERY, seq, None, "deliver+",
-                    kind=KIND_DELIVER_BURST, a=u_list, b=v_list, c=p_list,
-                    d=now, e=card,
-                )
-            rec.queued = True
-            heappush(heap, (t_del, PRIORITY_DELIVERY, seq, rec))
-            seq += 1
-            queue._live += 1
-            transport.stats.sent += card
-        if same:
-            # Steady state: re-push the group itself at the shared
-            # deadline; every driver's ``_timers`` entry already points at
-            # it.
-            ev.time = ft0
-            ev.seq = seq
-            ev.queued = True
-            heappush(heap, (ft0, PRIORITY_TIMER, seq, ev))
-            seq += 1
-            queue._live += 1
-        else:
-            # Deadlines diverged: dissolve into individual tick records.
-            for d in drivers_list:
-                nid = d.node_id
-                core = cores[nid]
-                fire_t = (core.h_last + ti) / rates[nid]
-                if fire_t < now:
-                    fire_t = now
-                if free:
-                    rec = free.pop()
-                    rec.time = fire_t
-                    rec.priority = PRIORITY_TIMER
-                    rec.seq = seq
-                    rec.kind = KIND_TIMER
-                    rec.fn = None
-                    rec.a = d
-                    rec.b = _TICK
-                    rec.c = None
-                    rec.d = None
-                    rec.e = None
-                    rec.cancelled = False
-                    rec.gen += 1
-                    rec.label = "timer"
-                else:
-                    queue.allocations += 1
-                    rec = ScheduledEvent(
-                        fire_t, PRIORITY_TIMER, seq, None, "timer",
-                        kind=KIND_TIMER, a=d, b=_TICK,
-                    )
-                rec.queued = True
-                heappush(heap, (fire_t, PRIORITY_TIMER, seq, rec))
-                seq += 1
-                d._timers[_TICK] = rec
-            queue._live += len(drivers_list)
-        queue._seq = seq
+            self._push_burst(u_list, v_list, p_list)
         adjust_clocks_batch(tick_cores)
+        return ft0, same
+
+    def _push_burst(self, us: list[int], vs: list[int], payloads: list[Any]) -> None:
+        """Schedule one burst record for sends emitted at the current time."""
+        now = self.sim.now
+        card = len(us)
+        self.sim.queue.push_typed(
+            now + self.send_delay,  # type: ignore[operator]
+            PRIORITY_DELIVERY, KIND_DELIVER_BURST, us, vs, payloads, now,
+            None, "deliver+", e=card,
+        )
+        self.transport.stats.sent += card
 
     # ------------------------------------------------------------------ #
     # Dense reads (oracle sampling)

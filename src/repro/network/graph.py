@@ -10,7 +10,8 @@ model-level predicates the analysis needs are answerable after the fact:
 * ``exists_throughout(u, v, t1, t2)`` -- the premise of the dynamic local
   skew definition (Definition 3.4);
 * ``removed_during(u, v, t1, t2)`` -- used by the transport to decide whether
-  an in-flight message crossed a removed edge;
+  an in-flight message crossed a removed edge (``never_removed(us, vs)`` is
+  its bulk pre-filter);
 * ``edges_existing_throughout(t1, t2)`` -- the static subgraph
   ``G[t1,t2]`` of Definition 3.1 (T-interval connectivity).
 
@@ -22,7 +23,7 @@ it); both are enforced.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = ["DynamicGraph", "GraphError", "edge_key"]
 
@@ -237,6 +238,20 @@ class DynamicGraph:
             if not flags[i]:
                 return True
         return False
+
+    def never_removed(self, us: Sequence[int], vs: Sequence[int]) -> bool:
+        """Whether no edge ``{us[i], vs[i]}`` has ever seen a remove event.
+
+        Two C-level set scans, one per orientation of the canonical key.
+        An edge that was present at some earlier time and has never been
+        removed is still present, so the transport clears a whole delivery
+        burst with this one call and falls back to per-message
+        :meth:`removed_during` checks only when it answers ``False``.
+        """
+        ever = self._ever_removed
+        return not ever or (
+            ever.isdisjoint(zip(us, vs)) and ever.isdisjoint(zip(vs, us))
+        )
 
     def exists_throughout(self, u: int, v: int, t1: float, t2: float) -> bool:
         """Whether the edge exists at ``t1`` and is never removed in ``[t1, t2]``.

@@ -39,7 +39,8 @@ Nodes registered with the transport must provide three callbacks::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Protocol
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Protocol, Sequence
 
 from ..sim.events import (
     KIND_DELIVER,
@@ -329,25 +330,57 @@ class Transport:
         never send, so nothing they do can insert a record *inside* the
         run -- but the array fast path additionally requires a valid
         :class:`~repro.core.batch.NodeArrayTable` (built lazily on first
-        use, after ``t = 0`` wiring), no tracing, and a topology that has
-        never mutated (``edge_flips == 0`` implies no delivery can hit the
-        drop path).  Anything else replays the run through the scalar
-        delivery in record order, which is exact.
+        use, after ``t = 0`` wiring) and no tracing; the drop rule is
+        applied per record first (see :meth:`_drop_failed`).  Anything
+        else replays the run through the scalar delivery in record order,
+        which is exact.
         """
         table = self._ensure_batch_table()
-        if (
-            table is not False
-            and self.edge_flips == 0
-            and self._trace is None
-            and self._tracer is None
-        ):
+        if table is not False and self._trace is None and self._tracer is None:
             assert not isinstance(table, bool)
+            dead = self._drop_failed(
+                [ev.a for ev in records],
+                [ev.b for ev in records],
+                [ev.d for ev in records],
+            )
+            if dead:
+                records = [ev for i, ev in enumerate(records) if i not in dead]
             table.deliver_batch(records)
             self.stats.delivered += len(records)
             return
         deliver = self._deliver
         for ev in records:
             deliver(ev.a, ev.b, ev.c, ev.d, ev.e)
+
+    def _drop_failed(
+        self, us: Sequence[int], vs: Sequence[int], send_times: Iterable[float]
+    ) -> Collection[int]:
+        """Apply the Section 3.2 drop rule to same-timestamp deliveries.
+
+        Evaluates :meth:`_deliver`'s predicate (edge absent now, or removed
+        while the message was in flight) for each ``us[i] -> vs[i]`` sent
+        at ``send_times[i]`` and accounts for every drop in record order
+        (``dropped_removed`` + absence discovery); returns the dropped
+        positions.  Every message here was sent over a present edge, so a
+        run touching no ever-removed edge is cleared in one graph call.
+
+        Accounting for the drops before the survivors are delivered
+        permutes sequence numbers only across priority classes: drops push
+        discoveries (``PRIORITY_DELIVERY``), deliveries push lost timers
+        (``PRIORITY_TIMER``), and each class keeps its own relative order.
+        """
+        if self.graph.never_removed(us, vs):
+            return ()
+        now = self.sim.now
+        has_edge = self._has_edge
+        removed_during = self._removed_during
+        dead: set[int] = set()
+        for i, (u, v, st) in enumerate(zip(us, vs, send_times)):
+            if not has_edge(u, v) or removed_during(u, v, st, now):
+                self.stats.dropped_removed += 1
+                self._schedule_absence_discovery(u, v, send_time=st)
+                dead.add(i)
+        return dead
 
     def _ensure_batch_table(self) -> "NodeArrayTable | bool":
         """Build (once) and cache the batch dispatch table (see module doc)."""
@@ -408,7 +441,9 @@ class Transport:
         A burst stands for ``ev.e`` consecutive individual deliveries (see
         :mod:`repro.sim.events`); the kernel counted the record as one
         dispatch, so re-expand the cardinality into the dispatch tallies
-        before delivering.
+        before delivering.  Each constituent is subject to the drop rule
+        like an individual record (see :meth:`_drop_failed`); the
+        survivors take the array path.
         """
         sim = self.sim
         card = ev.e
@@ -417,25 +452,29 @@ class Transport:
         if kind_counts is not None:
             kind_counts[KIND_DELIVER_BURST] -= 1
             kind_counts[KIND_DELIVER] += card
-        table = self._batch_table
-        if (
-            table is not None
-            and table is not False
-            and self.edge_flips == 0
-            and self._trace is None
-            and self._tracer is None
-        ):
-            assert not isinstance(table, bool)
-            table.deliver_burst(ev.a, ev.b, ev.c)
-            self.stats.delivered += card
-            return
-        # Churn happened while the burst was in flight: replay the
-        # constituents through the scalar delivery, which applies the
-        # per-message drop checks exactly as individual records would.
         us = ev.a
         vs = ev.b
         payloads = ev.c
         send_time = ev.d
+        table = self._batch_table
+        if (
+            table is not None
+            and table is not False
+            and self._trace is None
+            and self._tracer is None
+        ):
+            assert not isinstance(table, bool)
+            dead = self._drop_failed(us, vs, repeat(send_time))
+            if dead:
+                live = [i for i in range(card) if i not in dead]
+                us = [us[i] for i in live]
+                vs = [vs[i] for i in live]
+                payloads = [payloads[i] for i in live]
+            table.deliver_burst(us, vs, payloads)
+            self.stats.delivered += len(us)
+            return
+        # An observer was attached while the burst was in flight: replay
+        # the constituents through the scalar delivery in record order.
         deliver = self._deliver
         for i in range(card):
             deliver(us[i], vs[i], payloads[i], send_time, -1)

@@ -402,9 +402,11 @@ class ParTransport(Transport):
             self._dispatch_deliver_record(ev)
 
     def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
-        # Bursts only exist when churn is absent (the batch table declines
-        # under shadows), so the base scalar fallback is unreachable; the
-        # context is still set defensively for it.
+        # The base handler applies the drop rule to each constituent, and
+        # a drop pushes a keyed absence discovery, so the context must be
+        # set.  Scripted churn keeps the table (and with it bursts) away,
+        # but an edge flipped by any other route can land under a burst
+        # already in flight.
         self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
         self._gc = 0
         super()._handle_deliver_burst(ev)
@@ -469,7 +471,7 @@ class ParNodeArrayTable(NodeArrayTable):
     individual keyed records, remote destinations become envelopes.
     """
 
-    __slots__ = ("lo", "hi", "frontier", "par_transport")
+    __slots__ = ("lo", "hi", "frontier", "par_transport", "_ups_sorted")
 
     def __init__(
         self,
@@ -501,7 +503,13 @@ class ParNodeArrayTable(NodeArrayTable):
         self.b_intercept = c0._b_intercept
         self.b_slope = c0._b_slope
         self.send_delay = None
-        self._ups_sorted = [None] * len(drivers)
+        #: Per-node cached ``(sorted(upsilon), (node_id,) * k)`` send
+        #: template; only consulted while ``edge_flips == 0``, where the
+        #: believed-neighbour set grows monotonically, so a length match
+        #: proves the cache current.
+        self._ups_sorted: list[tuple[list[int], tuple[int, ...]] | None] = (
+            [None] * len(drivers)
+        )
         self.lo = lo
         self.hi = hi
         self.frontier = frontier

@@ -5,19 +5,25 @@ kernel enabled, every run metric -- skews, jumps (count *and* float
 total), per-node protocol state, message counters, dispatch tallies --
 is bit-identical to the scalar kernel on the same config.  The tests
 here pin that contract on the batch workloads (where the vectorized
-phases actually engage), on a churn workload (where the kernel must
-*fall back* per record), and at the unit level for the queue's pop-run
-API and the vectorized AdjustClock.
+phases actually engage), under topology churn (where the array path must
+stay engaged and apply the drop rule per message), and at the unit level
+for the queue's pop-run API and the vectorized AdjustClock.
 """
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import replace
 
-from repro.core.batch import build_node_array_table
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.batch import NodeArrayTable, build_node_array_table
 from repro.core.dcsa import adjust_clocks_batch
 from repro.harness import configs
 from repro.harness.runner import Experiment
+from repro.network.churn import ScriptedChurn
+from repro.network.discovery import ConstantDiscovery
 from repro.sim import simulator as simulator_mod
 from repro.sim.events import (
     KIND_DELIVER,
@@ -78,6 +84,43 @@ def _fingerprint(exp, res):
     }
 
 
+#: Long-lived chords plus ring-edge outages on the batch-eligible ring.
+#: Ticks fire every ~0.5 and messages fly for 0.5, so every removal catches
+#: messages in flight (``dropped_removed``), and removals are discovered
+#: 2.0 later, so the endpoints keep sending meanwhile (``dropped_no_edge``).
+CHURN_SCRIPT = [
+    (2.3, "add", 5, 20),
+    (3.1, "add", 10, 30),
+    (6.37, "remove", 7, 8),
+    (9.8, "add", 7, 8),
+    (12.05, "remove", 30, 31),
+    (13.6, "add", 30, 31),
+    (17.2, "add", 2, 40),
+    (21.45, "remove", 5, 20),
+    (24.9, "remove", 40, 41),
+    (28.3, "add", 40, 41),
+    (33.15, "remove", 10, 30),
+]
+
+
+def _churned_sync_ring(script=CHURN_SCRIPT, n=48, horizon=40.0, **overrides):
+    cfg = configs.huge_sync_ring(n, horizon=horizon)
+    return replace(cfg, churn=[ScriptedChurn(script)], **overrides)
+
+
+def _spy_deliver_burst(monkeypatch):
+    """Record ``(now, us, vs)`` of every ``NodeArrayTable.deliver_burst``."""
+    calls = []
+    original = NodeArrayTable.deliver_burst
+
+    def spy(self, us, vs, payloads):
+        calls.append((self.sim.now, list(us), list(vs)))
+        original(self, us, vs, payloads)
+
+    monkeypatch.setattr(NodeArrayTable, "deliver_burst", spy)
+    return calls
+
+
 PARITY_WORKLOADS = [
     ("sync_ring", lambda: configs.huge_sync_ring(64, horizon=120.0)),
     ("sync_grid", lambda: configs.huge_sync_grid(8, 8, horizon=60.0)),
@@ -102,10 +145,42 @@ class TestParity:
         table = exp.transport._batch_table
         assert table is not None and table is not False
 
-    def test_churn_workload_falls_back_but_agrees(self, monkeypatch):
-        """Churn defeats the bulk-send shortcut; record-order replay holds."""
-        exp, _ = _run(configs.huge_churn_ring(64, horizon=60.0), True, monkeypatch)
-        assert exp.transport.edge_flips > 0
+    def test_churn_keeps_array_path_and_agrees(self, monkeypatch):
+        """Churn must not evict the array path, and both drop kinds hold."""
+        exp_s, res_s = _run(_churned_sync_ring(), False, monkeypatch)
+        bursts = _spy_deliver_burst(monkeypatch)
+        exp_b, res_b = _run(_churned_sync_ring(), True, monkeypatch)
+        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+        assert res_b.transport_stats["dropped_no_edge"] > 0
+        assert res_b.transport_stats["dropped_removed"] > 0
+        assert exp_b.sim.batch_dispatches > 0
+        first_flip = CHURN_SCRIPT[0][0]
+        late = [t for t, _us, _vs in bursts if t > first_flip]
+        assert len(late) > 100  # still the steady-state path, not a one-off
+
+    def test_regrown_upsilon_sends_to_new_neighbours(self, monkeypatch):
+        """Upsilon shrinking then regrowing to its old size is not stale.
+
+        Node 0 believes in ``{1, 15}``, loses 1 and gains 5: the believed
+        set has two members before and after, so a send template
+        validated by length alone would keep addressing node 1.
+        """
+        script = [(3.2, "remove", 0, 1), (3.3, "add", 0, 5)]
+        bursts = _spy_deliver_burst(monkeypatch)
+        exp, res = _run(
+            _churned_sync_ring(script, n=16, horizon=12.0), True, monkeypatch
+        )
+        assert exp.nodes[0].core.upsilon == {5, 15}
+        settled = [
+            (u, v)
+            for t, us, vs in bursts
+            if t > 6.5  # both changes discovered by 5.3, last stale send lands by 5.8
+            for u, v in zip(us, vs)
+            if u == 0
+        ]
+        assert set(settled) == {(0, 5), (0, 15)}
+        # Only sends made while the removal was still undiscovered dropped.
+        assert 0 < res.transport_stats["dropped_no_edge"] <= 2 * 5
 
 
 class TestGating:
@@ -244,6 +319,64 @@ class TestAdjustClocksBatch:
         before = self._snap([cores[0]])
         adjust_clocks_batch(cores)  # empty Gamma: min over nothing = no-op
         assert self._snap([cores[0]])[0][:2] == before[0][:2]
+
+
+_N = 12  # ring size of the churn property (batch-eligible population)
+
+_churn_ops = st.lists(
+    st.tuples(
+        st.floats(0.01, 1.5, allow_nan=False, allow_infinity=False),
+        st.integers(0, _N - 1),
+        st.integers(0, _N - 1),
+    ).filter(lambda op: op[1] != op[2]),
+    max_size=24,
+)
+
+
+def _script_from_ops(ops):
+    """Turn ``(dt, u, v)`` draws into a legal flip script on the ``_N``-ring.
+
+    Each op flips edge ``{u, v}`` relative to its current state at a
+    strictly later time than the previous one (an edge cannot change twice
+    at one instant), so ring edges suffer outages and chords come and go.
+    """
+    ring = configs.huge_sync_ring(_N).initial_edges
+    present = {(min(u, v), max(u, v)) for u, v in ring}
+    t = 1.0
+    script = []
+    for dt, u, v in ops:
+        t += dt
+        edge = (min(u, v), max(u, v))
+        if edge in present:
+            present.discard(edge)
+            script.append((t, "remove", *edge))
+        else:
+            present.add(edge)
+            script.append((t, "add", *edge))
+    return script
+
+
+@pytest.mark.slow
+@settings(max_examples=40, deadline=None)
+@given(ops=_churn_ops, tie=st.booleans())
+# Discovery latency == delay: the absence discovery of a failed send ties
+# on (time, priority) with the deliveries of the same tick run.
+@example(ops=[(0.3, 3, 4), (0.2, 1, 7), (1.1, 3, 4), (0.6, 1, 7)], tie=True)
+def test_property_random_flip_scripts_bit_identical(ops, tie):
+    """Property: any add/remove script, scalar == batch, bitwise."""
+    overrides = {}
+    if tie:
+        overrides["discovery_spec"] = lambda params, rng: ConstantDiscovery(
+            0.5 * params.max_delay
+        )
+    script = _script_from_ops(ops)
+    with pytest.MonkeyPatch.context() as mp:
+        make = lambda: _churned_sync_ring(script, n=_N, horizon=25.0, **overrides)
+        exp_s, res_s = _run(make(), False, mp)
+        exp_b, res_b = _run(make(), True, mp)
+    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+    table = exp_b.transport._batch_table
+    assert table is not None and table is not False
 
 
 @pytest.mark.slow

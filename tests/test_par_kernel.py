@@ -24,7 +24,14 @@ from repro.harness import configs
 from repro.harness.registry import OracleRef, RuntimeRef
 from repro.harness.runner import Experiment, ExperimentConfig, run_experiment
 from repro.network.churn import ScriptedChurn
-from repro.sim.par import genuine_shard_reason, run_par
+from repro.sim.events import KIND_DELIVER, PRIORITY_DELIVERY
+from repro.sim.par import (
+    ParNodeArrayTable,
+    _barrier_plan,
+    _build_worker_experiment,
+    genuine_shard_reason,
+    run_par,
+)
 from repro.sim.partition import crossing_counts, partition_ranges
 from repro.telemetry.registry import get_registry
 
@@ -278,6 +285,67 @@ def test_random_partitions_replay_bitwise(data):
     res = run_par(cfg, 2)
     assert res.par_fallback_reason is None
     assert _fingerprint(cfg, res) == _fingerprint(cfg, serial)
+
+
+def test_first_flip_under_burst_in_flight_shards_2():
+    """The first edge flip lands while a shard's burst is in flight.
+
+    Scripted churn in the config would keep the shard tables (and so
+    bursts) away, so the config is churn-free and the removal is scheduled
+    straight onto each replica: two in-process shards are driven through
+    the barrier/envelope exchange of ``_worker_main``.  The burst sent
+    before the flip is then dispatched by ``ParTransport`` through the
+    base handler, which must drop exactly the constituents crossing the
+    removed edge -- under a keyed absence discovery -- and deliver the
+    rest, bit-identically to serial.
+    """
+    flip = [(3.3, "remove", 10, 11)]  # interior to shard 0: no shadow needed
+    cfg = _ring_cfg(horizon=12.0)
+    n = cfg.params.n
+    ranges = partition_ranges(n, 2, cfg.initial_edges)
+    assert ranges == [(0, 24), (24, 48)]
+    owner = [w for w, (lo, hi) in enumerate(ranges) for _ in range(lo, hi)]
+    shards = []
+    for lo, hi in ranges:
+        frontier = frozenset({lo, hi - 1})
+        sim, transport, graph, nodes = _build_worker_experiment(
+            cfg, lo, hi, frontier
+        )
+        ScriptedChurn(flip).install(sim, graph)
+        shards.append((sim, transport, nodes))
+    barriers, _samples = _barrier_plan(cfg, cfg.sample_interval, False)
+    for b in barriers:
+        outbound = []
+        for sim, transport, _nodes in shards:
+            sim.run_until(b)
+            outbound.extend(transport._envelopes)
+            transport._envelopes = []
+        for t_d, key, u, v, payload, st in outbound:
+            shards[owner[v]][0].queue.push_keyed(
+                t_d, PRIORITY_DELIVERY, key, KIND_DELIVER, u, v, payload, st,
+                None, "deliver", e=-2,
+            )
+    transport0 = shards[0][1]
+    assert isinstance(transport0._batch_table, ParNodeArrayTable)
+    # Two tick rounds (~3.0 and ~3.25, delay 0.5) were in flight in bursts,
+    # both directions, when the edge went at 3.3.
+    assert transport0.stats.dropped_removed == 4
+
+    serial = Experiment(replace(cfg, churn=[ScriptedChurn(flip)])).run()
+    merged = {i: nd for _s, _t, nodes in shards for i, nd in nodes.items()}
+    h = float(cfg.horizon)
+    for i in range(n):
+        a, b = merged[i], serial.nodes[i]
+        assert repr(a.logical_clock(h)) == repr(b.logical_clock(h)), i
+        assert repr(a.max_estimate(h)) == repr(b.max_estimate(h)), i
+        assert (a.jumps, repr(a.total_jump), a.messages_sent) == (
+            b.jumps, repr(b.total_jump), b.messages_sent
+        ), i
+    stats = {
+        f: sum(t.stats.as_dict()[f] for _s, t, _n in shards)
+        for f in serial.transport_stats
+    }
+    assert stats == dict(serial.transport_stats)
 
 
 # --------------------------------------------------------------------- #
