@@ -78,7 +78,7 @@ no such gate -- delivery handlers never send.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, AbstractSet, Any, Sequence, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -120,7 +120,11 @@ class NodeArrayTable:
     """Dense, validated driver/core/rate columns for batch execution.
 
     Construct via :func:`build_node_array_table`, which performs the
-    validity checks; the constructor itself only snapshots.
+    validity checks; the constructor itself only snapshots.  The table
+    covers the id range ``ids`` -- the whole population in a serial run, a
+    shard's range under :mod:`repro.sim.par`, whose subclass changes only
+    which senders may bulk-send (``adj``) and the context in which
+    :meth:`_send_each` / :meth:`_push_burst` push.
     """
 
     __slots__ = (
@@ -137,29 +141,38 @@ class NodeArrayTable:
         "b_slope",
         "send_delay",
         "adj",
+        "ids",
     )
 
     def __init__(
         self,
         sim: Simulator,
         transport: "Transport",
-        drivers: "list[ClockSyncNode]",
+        drivers: "Sequence[ClockSyncNode | None]",
         rates: list[float],
+        ids: range,
     ) -> None:
         self.sim = sim
         self.transport = transport
-        self.drivers = drivers
-        self.cores: list[DCSACore] = [d.core for d in drivers]  # type: ignore[misc]
+        #: The validated node-id range.  ``drivers``/``cores``/``rates``/
+        #: ``adj`` are indexed by node id, so a table over part of the
+        #: population (a shard) has holes outside ``ids``.
+        self.ids = ids
+        self.drivers = cast("list[ClockSyncNode]", list(drivers))
+        self.cores = cast(
+            "list[DCSACore]", [d.core if d is not None else None for d in drivers]
+        )
         #: Constant hardware rates; the plain list serves the scalar loops,
-        #: the array the fused oracle reads.
+        #: the array (over ``ids``) the fused oracle reads.
         self.rates = rates
-        self.rates_arr: npt.NDArray[np.float64] = np.asarray(rates, dtype=np.float64)
-        params = self.cores[0].params
-        self.tick_interval = params.tick_interval
-        self.delta_t_prime = params.delta_t_prime
+        self.rates_arr: npt.NDArray[np.float64] = np.asarray(
+            rates[ids.start : ids.stop], dtype=np.float64
+        )
         #: ``B`` function coefficients, shared by every core (the builder
         #: verified a single ``params`` object).
-        c0 = self.cores[0]
+        c0 = self.cores[ids.start]
+        self.tick_interval = c0.params.tick_interval
+        self.delta_t_prime = c0.params.delta_t_prime
         self.b0 = c0._b0
         self.b_intercept = c0._b_intercept
         self.b_slope = c0._b_slope
@@ -168,10 +181,13 @@ class NodeArrayTable:
         #: else ``None``; gates the bulk-send path.
         self.send_delay: float | None = None
         #: Live adjacency sets indexed by node id (the graph mutates them
-        #: in place); the bulk-send path tests each ticking node's
-        #: believed neighbours against them.
+        #: in place); a ticking node bulk-sends iff its believed neighbours
+        #: are a subset of its entry.
         graph = transport.graph
-        self.adj: list[set[int]] = [graph.neighbors(d.node_id) for d in drivers]
+        self.adj: list[AbstractSet[int]] = [
+            graph.neighbors(i) if i in ids else frozenset()
+            for i in range(len(drivers))
+        ]
 
     # ------------------------------------------------------------------ #
     # Batch handlers
@@ -364,11 +380,11 @@ class NodeArrayTable:
         Only reached when the delay and discovery policies are positive
         constants (see module docstring), so nothing a tick handler
         schedules can land at the current timestamp.  Mixed-key runs (any
-        ``lost`` timer present) replay scalar dispatch in record order --
-        already a win over per-event kernel turns; all-tick runs go through
-        :meth:`_tick_phase` and then re-arm.  The re-arm records land in a
-        different priority class from the bursts, so the permuted sequence
-        numbers are unobservable.
+        ``lost`` timer present) replay the kernel's scalar timer handler in
+        record order -- already a win over per-event kernel turns; all-tick
+        runs go through :meth:`_tick_phase` and then re-arm.  The re-arm
+        records land in a different priority class from the bursts, so the
+        permuted sequence numbers are unobservable.
 
         When every deadline of the run coincides (a rate class in lockstep
         -- the steady state here), the class's pending ticks collapse into
@@ -383,21 +399,29 @@ class NodeArrayTable:
         """
         for ev in records:
             if ev.b != _TICK:
+                fire = self.sim._handlers[KIND_TIMER]
+                assert fire is not None
                 for rec in records:
-                    rec.a._fire_timer(rec.b)
+                    fire(rec)
                 return
         drivers = [ev.a for ev in records]
         ft0, same = self._tick_phase(drivers)
-        queue = self.sim.queue
+        sim = self.sim
+        queue = sim.queue
+        # Re-armed records carry their arm time in ``d`` (and individual
+        # ones the in-run phase bit in ``e``) exactly as
+        # :meth:`ClockSyncNode._arm_timer` stamps them.
         if same and len(records) > 1:
             grp = queue.push_typed(
                 ft0, PRIORITY_TIMER, KIND_TICK_BURST, drivers, None, None,
-                None, None, "tick+", e=len(records),
+                sim.now, None, "tick+", e=len(records),
             )
             for d in drivers:
                 d._timers[_TICK] = grp
         else:
             for ev in records:
+                ev.d = sim.now
+                ev.e = 1
                 queue.repush(ev, self._tick_deadline(ev.a))
                 ev.a._timers[_TICK] = ev
 
@@ -416,14 +440,16 @@ class NodeArrayTable:
         """
         drivers = ev.a
         ft0, same = self._tick_phase(drivers)
-        queue = self.sim.queue
+        sim = self.sim
+        queue = sim.queue
         if same:
+            ev.d = sim.now
             queue.repush(ev, ft0)
         else:
             for d in drivers:
                 d._timers[_TICK] = queue.push_typed(
                     self._tick_deadline(d), PRIORITY_TIMER, KIND_TIMER, d,
-                    _TICK, None, None, None, "timer",
+                    _TICK, None, sim.now, None, "timer", e=1,
                 )
 
     def _tick_deadline(self, d: "ClockSyncNode") -> float:
@@ -461,7 +487,6 @@ class NodeArrayTable:
             and transport._trace is None
             and transport._tracer is None
         )
-        send = transport.send
         ti = self.tick_interval
         u_list: list[int] = []
         v_list: list[int] = []
@@ -502,9 +527,7 @@ class NodeArrayTable:
                         u_list.clear()
                         v_list.clear()
                         p_list.clear()
-                    for v in sorted(ups):
-                        core.messages_sent += 1
-                        send(nid, v, payload)
+                    self._send_each(nid, payload)
             fire_t = (h + ti) / rates[nid]
             if fire_t < now:
                 fire_t = now
@@ -518,11 +541,19 @@ class NodeArrayTable:
         adjust_clocks_batch(tick_cores)
         return ft0, same
 
+    def _send_each(self, nid: int, payload: Any) -> None:
+        """Send ``payload`` from ``nid`` to each believed neighbour, per message."""
+        core = self.cores[nid]
+        send = self.transport.send
+        for v in sorted(core.upsilon):
+            core.messages_sent += 1
+            send(nid, v, payload)
+
     def _push_burst(self, us: list[int], vs: list[int], payloads: list[Any]) -> None:
         """Schedule one burst record for sends emitted at the current time."""
         now = self.sim.now
         card = len(us)
-        self.sim.queue.push_typed(
+        self.transport._push(
             now + self.send_delay,  # type: ignore[operator]
             PRIORITY_DELIVERY, KIND_DELIVER_BURST, us, vs, payloads, now,
             None, "deliver+", e=card,
@@ -534,39 +565,47 @@ class NodeArrayTable:
     # ------------------------------------------------------------------ #
 
     def clock_column(self, t: float) -> npt.NDArray[np.float64]:
-        """``L_u(t)`` for every node as a dense array (scalar association).
+        """``L_u(t)`` for every node of ``ids`` as a dense array.
 
         Matches ``core.logical_clock_at(rate * t)`` bitwise: the fused
         expression evaluates ``L + (h - h_last)`` elementwise in the same
         order.
         """
-        n = len(self.cores)
-        L = np.fromiter((c._L for c in self.cores), np.float64, count=n)
-        hl = np.fromiter((c.h_last for c in self.cores), np.float64, count=n)
+        cores = self.cores[self.ids.start : self.ids.stop]
+        n = len(cores)
+        L = np.fromiter((c._L for c in cores), np.float64, count=n)
+        hl = np.fromiter((c.h_last for c in cores), np.float64, count=n)
         h = self.rates_arr * t
         result: npt.NDArray[np.float64] = L + (h - hl)
         return result
 
     def max_estimate_column(self, t: float) -> npt.NDArray[np.float64]:
-        """``Lmax_u(t)`` for every node as a dense array (scalar association)."""
-        n = len(self.cores)
-        lm = np.fromiter((c._Lmax for c in self.cores), np.float64, count=n)
-        hl = np.fromiter((c.h_last for c in self.cores), np.float64, count=n)
+        """``Lmax_u(t)`` for every node of ``ids`` as a dense array."""
+        cores = self.cores[self.ids.start : self.ids.stop]
+        n = len(cores)
+        lm = np.fromiter((c._Lmax for c in cores), np.float64, count=n)
+        hl = np.fromiter((c.h_last for c in cores), np.float64, count=n)
         h = self.rates_arr * t
         result: npt.NDArray[np.float64] = lm + (h - hl)
         return result
 
 
 def build_node_array_table(
-    sim: Simulator, transport: "Transport"
+    sim: Simulator,
+    transport: "Transport",
+    ids: range | None = None,
+    table_cls: type[NodeArrayTable] = NodeArrayTable,
 ) -> NodeArrayTable | None:
     """Validate the execution for batch dispatch and build the dense table.
 
-    Returns the table (cached under ``sim.subsystems["node_array_table"]``)
-    when every driver is a plain DCSA node on a constant-rate clock with no
-    observers attached, or ``None`` (cached as ``False`` by the caller)
-    otherwise.  Called lazily on the first batch run -- after ``t = 0``
-    wiring, so adversary clock swaps and tracer attachments are visible.
+    Returns a ``table_cls`` over the node ids ``ids`` (the whole population
+    by default, which is also cached under
+    ``sim.subsystems["node_array_table"]``; a partial table is not -- other
+    readers must not mistake it for a full one) when every driver in the
+    range is a plain DCSA node on a constant-rate clock with no observers
+    attached, or ``None`` (cached as ``False`` by the caller) otherwise.
+    Called lazily on the first batch run -- after ``t = 0`` wiring, so
+    adversary clock swaps and tracer attachments are visible.
 
     When additionally the delay policy is a valid positive constant, the
     table's :attr:`~NodeArrayTable.send_delay` is set, enabling the
@@ -589,6 +628,12 @@ def build_node_array_table(
     if not drivers:
         _decline("node table is empty")
         return None
+    whole = range(len(drivers))
+    if ids is None:
+        ids = whole
+    elif not ids or ids.stop > len(drivers):
+        _decline("node table does not cover the requested id range")
+        return None
     node_seq = transport._node_seq
     if len(node_seq) != len(drivers):
         _decline("transport and node table disagree on the node population")
@@ -596,11 +641,11 @@ def build_node_array_table(
     if transport._trace is not None or transport._tracer is not None:
         _decline("tracing is active on the transport")
         return None
-    checked: "list[ClockSyncNode]" = []
-    rates: list[float] = []
+    rates = [0.0] * len(drivers)
     params: Any = None
-    for i, d in enumerate(drivers):
-        if d is None or (i >= len(node_seq) or node_seq[i] is not d):
+    for i in ids:
+        d = drivers[i]
+        if d is None or node_seq[i] is not d:
             _decline(f"node id {i} has no registered driver")
             return None
         if type(d.core) is not DCSACore:
@@ -623,14 +668,14 @@ def build_node_array_table(
         elif d.core.params is not params:
             _decline(f"node {i} does not share the population's SystemParams")
             return None
-        checked.append(d)
-        rates.append(clock.rate)
-    table = NodeArrayTable(sim, transport, checked, rates)
+        rates[i] = clock.rate
+    table = table_cls(sim, transport, drivers, rates, ids)
     delay = transport.delay_policy
     if (
         type(delay) is ConstantDelay
         and 0.0 < delay.value <= transport.max_delay + 1e-9
     ):
         table.send_delay = delay.value
-    sim.subsystems[SUBSYSTEM_KEY] = table
+    if ids == whole:
+        sim.subsystems[SUBSYSTEM_KEY] = table
     return table

@@ -40,7 +40,15 @@ Nodes registered with the transport must provide three callbacks::
 from __future__ import annotations
 
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Collection, Iterable, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Collection,
+    Iterable,
+    Protocol,
+    Sequence,
+)
 
 from ..sim.events import (
     KIND_DELIVER,
@@ -160,7 +168,11 @@ class Transport:
         # Pre-bound hot-path callables (saves attribute chains per message).
         self._has_edge = graph.has_edge
         self._removed_during = graph.removed_during
-        self._push = sim.queue.push_typed
+        #: The one seam every ``PRIORITY_DELIVERY`` push goes through
+        #: (messages, discoveries, the batch table's bursts): a
+        #: ``push_typed``-shaped callable.  The sharded backend rebinds it
+        #: to key and route each record (see :mod:`repro.sim.par`).
+        self._push: Callable[..., ScheduledEvent | None] = sim.queue.push_typed
         #: Batch-dispatch table: ``None`` until first use, ``False`` when
         #: the execution was checked and found batch-incompatible (the
         #: verdict cannot change mid-run, so it is cached), else the built
@@ -398,16 +410,18 @@ class Transport:
 
         Registered only under the constant-policy gate (see ``__init__``),
         which makes pre-popping sound; the array fast path additionally
-        needs a valid table, else the run replays scalar timer dispatch in
-        record order, which is exact.
+        needs a valid table, else the run replays the kernel's scalar timer
+        handler in record order, which is exact.
         """
         table = self._ensure_batch_table()
         if table is not False:
             assert not isinstance(table, bool)
             table.handle_timer_batch(records)
             return
+        fire = self.sim._handlers[KIND_TIMER]
+        assert fire is not None
         for rec in records:
-            rec.a._fire_timer(rec.b)
+            fire(rec)
 
     def _handle_tick_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_TICK_BURST`` records.
@@ -576,7 +590,7 @@ class Transport:
                 f"discovery latency {lat!r} outside [0, {self.discovery_bound}]"
             )
         fire_at = max(change_time + lat, self.sim.now)
-        self.sim.queue.push_typed(
+        self._push(
             fire_at, PRIORITY_DELIVERY, KIND_DISCOVER, node_id, other, added,
             False, None, "discover",
         )
@@ -592,7 +606,7 @@ class Transport:
         lat = self.discovery_policy.latency(u, v, False, send_time)
         fire_at = min(send_time + lat, send_time + self.discovery_bound)
         fire_at = max(fire_at, self.sim.now)
-        self.sim.queue.push_typed(
+        self._push(
             fire_at, PRIORITY_DELIVERY, KIND_DISCOVER, u, v, False, True,
             None, "discover",
         )

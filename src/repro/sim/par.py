@@ -50,7 +50,8 @@ prefixes (``ParTransport._gp``) are:
   flattened heap position;
 * timer dispatch: ``(t, 2, arm_time, phase, node_id)`` -- arm time and a
   setup/run phase bit ride in the timer record's free ``d``/``e`` slots
-  (see :meth:`repro.core.node.ClockSyncNode._arm_timer`); under constant
+  (see :meth:`repro.core.node.ClockSyncNode._arm_timer`; the batch
+  table's re-arms stamp the same slots); under constant
   rates and unstaggered ticks this tuple ranks timer dispatches exactly as
   their serial sequence numbers would.
 
@@ -71,14 +72,21 @@ silently drops, the sender counts ``dropped_removed`` and schedules the
 discovery.
 
 **Batch kernel under shards.**  The dense-array fast path runs per shard
-through :class:`ParNodeArrayTable` with one extra routing rule: burst
-records may only carry *interior* destinations (local nodes with no
-remote union-edge neighbour).  Frontier destinations get individual keyed
-records -- an incoming envelope could sort between two of a burst's
-constituents, and per-destination interleaving must stay exact; interior
-destinations can never receive envelopes, and deliveries to distinct
-destinations commute.  Scripted churn forces the scalar path (the gate
-records a reason), which is exact by construction.
+through the serial :class:`~repro.core.batch.NodeArrayTable` tick phase;
+:class:`ParNodeArrayTable` changes only *which senders may bulk-send*.  A
+*plain* sender -- every neighbour local and off the frontier (the local
+nodes with a remote union-edge neighbour) -- appends its sends to the
+run's burst exactly as in serial.  Any other (boundary) sender first
+flushes the burst built so far and then sends each message through the
+transport, where the keyed push seam (:meth:`ParTransport._push_routed`)
+turns it into a local keyed record or an envelope.  The flush is what
+keeps key order exact: senders tick in key order, so a burst only ever
+holds a contiguous key range and sits at its first constituent's
+position, and no local record can sort inside it.  An envelope can -- but
+envelopes only reach frontier destinations, bursts only carry interior
+ones, and deliveries to distinct destinations commute.  Scripted churn
+forces the scalar path (the gate records a reason), which is exact by
+construction.
 """
 
 from __future__ import annotations
@@ -91,29 +99,23 @@ import traceback
 from dataclasses import replace
 from multiprocessing.connection import Connection
 from multiprocessing.sharedctypes import RawArray
-from typing import TYPE_CHECKING, Any, Callable, cast
+from typing import TYPE_CHECKING, Any, Callable, Sequence, cast
 
 import numpy as np
 
-from ..core.batch import REASON_KEY, NodeArrayTable
-from ..core.dcsa import adjust_clocks_batch
-from ..core.protocol import DCSACore
-from ..network.channels import ConstantDelay
+from ..core.batch import REASON_KEY, NodeArrayTable, build_node_array_table
 from ..network.churn import ScriptedChurn
 from ..network.graph import DynamicGraph
 from ..network.transport import Transport
-from .clocks import ConstantRateClock, validate_drift
+from .clocks import validate_drift
 from .events import (
     KIND_DELIVER,
-    KIND_DELIVER_BURST,
-    KIND_DISCOVER,
     KIND_PAR_SHADOW,
     KIND_TICK_BURST,
     KIND_TIMER,
     KIND_TOPOLOGY,
     N_KINDS,
     PRIORITY_DELIVERY,
-    PRIORITY_TIMER,
     ScheduledEvent,
 )
 from .partition import partition_ranges
@@ -130,7 +132,6 @@ __all__ = [
     "ParTransport",
     "ParNodeArrayTable",
     "ShmNodeView",
-    "build_par_table",
 ]
 
 #: Global provenance key: a tuple comparable against every other key of its
@@ -146,6 +147,9 @@ _TICK = "tick"
 #: Barrier-count cap: a genuine sharded run pays one IPC round trip per
 #: window, so a pathological horizon/delay ratio falls back to serial.
 _MAX_WINDOWS = 2_000_000
+
+#: What a pipe end raises once the process at the other end is gone.
+_PIPE_DEAD = (EOFError, BrokenPipeError, ConnectionResetError)
 
 _STAT_FIELDS = (
     "sent",
@@ -243,8 +247,8 @@ class ParTransport(Transport):
         self._lo = lo
         self._hi = hi
         #: Local nodes with at least one remote union-edge neighbour; only
-        #: these can receive envelopes, so only these are excluded from
-        #: burst aggregation.
+        #: these can receive envelopes, so they and their neighbours send
+        #: per message instead of into bursts.
         self._frontier = frontier
         #: Whether cross-shard sends leave sender-side shadow records
         #: (needed only when churn can drop in-flight messages).
@@ -258,113 +262,78 @@ class ParTransport(Transport):
             max_delay=max_delay,
             discovery_bound=discovery_bound,
         )
+        self._push_keyed = sim.queue.push_keyed
+        self._push = self._push_routed
         sim.set_handler(KIND_PAR_SHADOW, self._handle_par_shadow)
 
     # ------------------------------------------------------------------ #
-    # Sending
+    # The delivery-push seam
     # ------------------------------------------------------------------ #
 
-    def send(self, u: int, v: int, payload: Any) -> None:
-        """Keyed mirror of :meth:`Transport.send` (tracing is gated off)."""
-        now = self.sim.now
-        self.stats.sent += 1
-        if not self._has_edge(u, v):
-            self.stats.dropped_no_edge += 1
-            self._schedule_absence_discovery(u, v, send_time=now)
-            return
-        delay = self.delay_policy.delay(u, v, now)
-        if delay < 0.0 or delay > self.max_delay + 1e-9:
-            raise ValueError(
-                f"delay policy produced {delay!r} outside [0, {self.max_delay}]"
-            )
-        t_deliver = now + delay
-        link = (u, v)
-        fifo = self._fifo_last
-        prev = fifo.get(link, 0.0)
-        if t_deliver < prev:
-            t_deliver = prev  # FIFO clamp; see Transport.send
-        fifo[link] = t_deliver
+    def _push_routed(
+        self,
+        time: float,
+        priority: int,
+        kind: int,
+        a: Any = None,
+        b: Any = None,
+        c: Any = None,
+        d: Any = None,
+        fn: Callable[..., Any] | None = None,
+        label: str = "",
+        e: Any = None,
+    ) -> None:
+        """``push_typed``-shaped sink for every ``PRIORITY_DELIVERY`` push.
+
+        Consumes the next provenance key of the current dispatch context
+        and pushes the record under it -- except a message to a remote
+        destination, which becomes an envelope (plus, under churn, a
+        sender-side shadow at the same global position; see module
+        docstring).  Serial consumes a sequence number exactly where the
+        base transport calls this, so the keys rank as serial seqs would.
+        """
         key = self._gp + (self._gc,)
         self._gc += 1
-        if self._lo <= v < self._hi:
-            self.sim.queue.push_keyed(
-                t_deliver, PRIORITY_DELIVERY, key, KIND_DELIVER, u, v, payload,
-                now, None, "deliver", e=-1,
+        if kind != KIND_DELIVER or self._lo <= b < self._hi:
+            self._push_keyed(time, priority, key, kind, a, b, c, d, fn, label, e)
+            return
+        self._envelopes.append((time, key, a, b, c, d))
+        if self._shadows:
+            self._push_keyed(
+                time, priority, key, KIND_PAR_SHADOW, a, b, c, d, None, "shadow"
             )
-        else:
-            self._envelopes.append((t_deliver, key, u, v, payload, now))
-            if self._shadows:
-                # Sender-side drop-predicate mirror at the same global
-                # position as the remote delivery (see module docstring).
-                self.sim.queue.push_keyed(
-                    t_deliver, PRIORITY_DELIVERY, key, KIND_PAR_SHADOW, u, v,
-                    payload, now, None, "shadow",
-                )
 
-    # ------------------------------------------------------------------ #
-    # Discovery
-    # ------------------------------------------------------------------ #
+    def _enter(self, ev: ScheduledEvent) -> None:
+        """Dispatch context of a keyed record: pushes it emits (a greeting,
+        an absence discovery) extend the record's own global position."""
+        self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
+        self._gc = 0
 
     def _schedule_discovery(
         self, node_id: int, other: int, *, added: bool, change_time: float
     ) -> None:
-        # The key is consumed BEFORE the locality skip: every shard then
-        # burns the same counter values for both endpoints of a topology
-        # event, so a given discovery carries the same key in the one
-        # shard that actually pushes it.
-        key = self._gp + (self._gc,)
-        self._gc += 1
         if node_id not in self._nodes:
+            # Burn the key the owning shard consumes: every shard then
+            # draws the same counter values for both endpoints of a
+            # topology event, so a given discovery carries the same key in
+            # the one shard that actually pushes it.
+            self._gc += 1
             return
-        lat = self.discovery_policy.latency(node_id, other, added, change_time)
-        if lat < 0.0 or lat > self.discovery_bound + 1e-9:
-            raise ValueError(
-                f"discovery latency {lat!r} outside [0, {self.discovery_bound}]"
-            )
-        fire_at = max(change_time + lat, self.sim.now)
-        self.sim.queue.push_keyed(
-            fire_at, PRIORITY_DELIVERY, key, KIND_DISCOVER, node_id, other,
-            added, False, None, "discover",
-        )
-
-    def _schedule_absence_discovery(
-        self, u: int, v: int, *, send_time: float
-    ) -> None:
-        # Absence discoveries only ever originate where the sender is
-        # local, and serial consumes a sequence number only when it
-        # actually pushes -- so the dedup check precedes key consumption.
-        if u not in self._nodes:
-            return
-        pair = (u, v)
-        if pair in self._pending_absence:
-            return
-        self._pending_absence.add(pair)
-        key = self._gp + (self._gc,)
-        self._gc += 1
-        lat = self.discovery_policy.latency(u, v, False, send_time)
-        fire_at = min(send_time + lat, send_time + self.discovery_bound)
-        if fire_at < self.sim.now:
-            fire_at = self.sim.now
-        self.sim.queue.push_keyed(
-            fire_at, PRIORITY_DELIVERY, key, KIND_DISCOVER, u, v, False, True,
-            None, "discover",
+        super()._schedule_discovery(
+            node_id, other, added=added, change_time=change_time
         )
 
     def _handle_discover(self, ev: ScheduledEvent) -> None:
-        # Sends emitted while handling the discovery (greeting a new
-        # neighbour) extend the discovery's own global position.
-        self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
-        self._gc = 0
+        self._enter(ev)
         super()._handle_discover(ev)
 
     # ------------------------------------------------------------------ #
     # Delivery
     # ------------------------------------------------------------------ #
 
-    def _dispatch_deliver_record(self, ev: ScheduledEvent) -> None:
+    def _handle_deliver(self, ev: ScheduledEvent) -> None:
         """Scalar delivery of one keyed record (local or envelope)."""
-        self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
-        self._gc = 0
+        self._enter(ev)
         if ev.e == -2:
             # Merged envelope: the sender-side shadow (or nothing, when no
             # churn exists) owns the drop accounting; the receiver only
@@ -381,25 +350,24 @@ class ParTransport(Transport):
         else:
             self._deliver(ev.a, ev.b, ev.c, ev.d, -1)
 
-    def _handle_deliver(self, ev: ScheduledEvent) -> None:
-        self._dispatch_deliver_record(ev)
-
     def _handle_deliver_batch(self, records: list[ScheduledEvent]) -> None:
         table = self._ensure_batch_table()
         if (
             table is not False
-            and self.edge_flips == 0
             and self._trace is None
             and self._tracer is None
+            and self.graph.never_removed(
+                [ev.a for ev in records], [ev.b for ev in records]
+            )
         ):
             assert not isinstance(table, bool)
-            # Envelope records (e=-2) ride the fast path too: with no edge
-            # flip ever, the drop predicate is False for every record.
+            # Envelope records (e=-2) ride the fast path too: over edges
+            # never removed, the drop predicate is False for every record.
             table.deliver_batch(records)
             self.stats.delivered += len(records)
             return
         for ev in records:
-            self._dispatch_deliver_record(ev)
+            self._handle_deliver(ev)
 
     def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
         # The base handler applies the drop rule to each constituent, and
@@ -407,35 +375,18 @@ class ParTransport(Transport):
         # set.  Scripted churn keeps the table (and with it bursts) away,
         # but an edge flipped by any other route can land under a burst
         # already in flight.
-        self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
-        self._gc = 0
+        self._enter(ev)
         super()._handle_deliver_burst(ev)
 
     def _handle_par_shadow(self, ev: ScheduledEvent) -> None:
         """Sender-side drop check of a cross-shard delivery (see module doc)."""
-        self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
-        self._gc = 0
+        self._enter(ev)
         u, v = ev.a, ev.b
         if not self._has_edge(u, v) or self._removed_during(
             u, v, ev.d, self.sim.now
         ):
             self.stats.dropped_removed += 1
             self._schedule_absence_discovery(u, v, send_time=ev.d)
-
-    # ------------------------------------------------------------------ #
-    # Timers
-    # ------------------------------------------------------------------ #
-
-    def _handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
-        table = self._ensure_batch_table()
-        if table is not False:
-            assert not isinstance(table, bool)
-            table.handle_timer_batch(records)
-            return
-        for rec in records:
-            self._gp = (self.sim.now, 2, rec.d, rec.e, rec.a.node_id)
-            self._gc = 0
-            rec.a._fire_timer(rec.b)
 
     # ------------------------------------------------------------------ #
     # Batch table
@@ -452,8 +403,8 @@ class ParTransport(Transport):
                 )
                 table = False
             else:
-                built = build_par_table(
-                    self.sim, self, self._lo, self._hi, self._frontier
+                built = build_node_array_table(
+                    self.sim, self, range(self._lo, self._hi), ParNodeArrayTable
                 )
                 table = built if built is not None else False
             self._batch_table = table
@@ -461,290 +412,58 @@ class ParTransport(Transport):
 
 
 class ParNodeArrayTable(NodeArrayTable):
-    """Shard-local dense batch table with frontier/envelope routing.
+    """Shard-local dense batch table: the serial tick phase, boundary-aware.
 
-    Mirrors :class:`~repro.core.batch.NodeArrayTable` over the shard's
-    node range -- the inherited column lists are full-length with ``None``
-    holes outside ``[lo, hi)`` so global node ids index directly -- and
-    replaces the send fan-out of the timer handlers: interior local
-    destinations aggregate into one keyed burst, frontier locals get
-    individual keyed records, remote destinations become envelopes.
+    A :class:`~repro.core.batch.NodeArrayTable` over the shard's id range
+    (the id-indexed columns have holes outside it) that differs from the
+    serial table in one input and one hook: only *plain* senders keep
+    their live adjacency entry and may therefore bulk-send, and every
+    group of sends first sets the transport's provenance context to the
+    ticking node's timer position (see module docstring).
     """
 
-    __slots__ = ("lo", "hi", "frontier", "par_transport", "_ups_sorted")
+    __slots__ = ()
+
+    transport: ParTransport
 
     def __init__(
         self,
         sim: Simulator,
         transport: ParTransport,
-        drivers: "list[ClockSyncNode | None]",
+        drivers: "Sequence[ClockSyncNode | None]",
         rates: list[float],
-        lo: int,
-        hi: int,
-        frontier: frozenset[int],
+        ids: range,
     ) -> None:
-        # Deliberately no super().__init__: the base snapshots cores for
-        # every driver slot, and remote slots are holes here.
-        self.sim = sim
-        self.transport = transport
-        self.par_transport = transport
-        self.drivers = cast("list[ClockSyncNode]", drivers)
-        self.cores = cast(
-            "list[DCSACore]",
-            [d.core if d is not None else None for d in drivers],
-        )
-        self.rates = rates
-        self.rates_arr = np.asarray(rates[lo:hi], dtype=np.float64)
-        c0 = self.cores[lo]
-        params = c0.params
-        self.tick_interval = params.tick_interval
-        self.delta_t_prime = params.delta_t_prime
-        self.b0 = c0._b0
-        self.b_intercept = c0._b_intercept
-        self.b_slope = c0._b_slope
-        self.send_delay = None
-        #: Per-node cached ``(sorted(upsilon), (node_id,) * k)`` send
-        #: template; only consulted while ``edge_flips == 0``, where the
-        #: believed-neighbour set grows monotonically, so a length match
-        #: proves the cache current.
-        self._ups_sorted: list[tuple[list[int], tuple[int, ...]] | None] = (
-            [None] * len(drivers)
-        )
-        self.lo = lo
-        self.hi = hi
-        self.frontier = frontier
+        super().__init__(sim, transport, drivers, rates, ids)
+        frontier = transport._frontier
+        adj = self.adj
+        for i in ids:
+            if any(v not in ids or v in frontier for v in adj[i]):
+                # Boundary sender: no believed-neighbour set is a subset of
+                # the empty set, so it always sends per message.
+                adj[i] = frozenset()
 
-    # ------------------------------------------------------------------ #
-    # Timer batch (keyed fan-out)
-    # ------------------------------------------------------------------ #
+    def _enter_tick(self, nid: int) -> None:
+        """Provenance context of ``nid``'s tick: ``(t, 2, arm, phase, nid)``.
 
-    def handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
-        """Keyed mirror of :meth:`NodeArrayTable.handle_timer_batch`."""
-        transport = self.par_transport
-        sim = self.sim
-        now = sim.now
-        delayv = self.send_delay
-        if (
-            delayv is None
-            or transport.edge_flips != 0
-            or any(ev.b != _TICK for ev in records)
-        ):
-            # Mixed or non-bulk run: scalar replay in record order, each
-            # dispatch under its own timer provenance context.
-            for rec in records:
-                transport._gp = (now, 2, rec.d, rec.e, rec.a.node_id)
-                transport._gc = 0
-                rec.a._fire_timer(rec.b)
-            return
-        cores = self.cores
-        rates = self.rates
-        queue = sim.queue
-        push_keyed = queue.push_keyed
-        lo = self.lo
-        hi = self.hi
-        frontier = self.frontier
-        ups_sorted = self._ups_sorted
-        ti = self.tick_interval
-        envelopes = transport._envelopes
-        t_del = now + delayv
-        u_list: list[int] = []
-        v_list: list[int] = []
-        p_list: list[Any] = []
-        burst_key: GKey | None = None
-        tick_cores: list[DCSACore] = []
-        fts: list[float] = []
-        sent = 0
-        for ev in records:
-            d = ev.a
-            nid = d.node_id
-            core = cores[nid]
-            h = rates[nid] * now
-            dh = h - core.h_last
-            if dh != 0.0:
-                core._L += dh
-                core._Lmax += dh
-                for row in core.gamma._rows.values():
-                    row.l_est += dh
-                core.h_last = h
-            d._t_last = now
-            ups = core.upsilon
-            if ups:
-                payload = (core._L, core._Lmax)
-                k = len(ups)
-                entry = ups_sorted[nid]
-                if entry is None or len(entry[0]) != k:
-                    entry = (sorted(ups), (nid,) * k)
-                    ups_sorted[nid] = entry
-                core.messages_sent += k
-                sent += k
-                gp: GKey = (now, 2, ev.d, ev.e, nid)
-                ctr = 0
-                for v in entry[0]:
-                    key = gp + (ctr,)
-                    ctr += 1
-                    if v < lo or v >= hi:
-                        envelopes.append((t_del, key, nid, v, payload, now))
-                    elif v in frontier:
-                        # Frontier destination: an envelope could sort
-                        # between burst constituents aimed at it, so it
-                        # must stay an individual record.
-                        push_keyed(
-                            t_del, PRIORITY_DELIVERY, key, KIND_DELIVER, nid,
-                            v, payload, now, None, "deliver", e=-1,
-                        )
-                    else:
-                        if burst_key is None:
-                            burst_key = key
-                        u_list.append(nid)
-                        v_list.append(v)
-                        p_list.append(payload)
-            fire_t = (h + ti) / rates[nid]
-            if fire_t < now:
-                fire_t = now
-            fts.append(fire_t)
-            tick_cores.append(core)
-        transport.stats.sent += sent
-        if u_list:
-            assert burst_key is not None
-            push_keyed(
-                t_del, PRIORITY_DELIVERY, burst_key, KIND_DELIVER_BURST,
-                u_list, v_list, p_list, now, None, "deliver+", e=len(u_list),
-            )
-        # Tick re-arm (timer class, integer seqs -- never merged across
-        # shards).  Group records store the arm time in d and the
-        # cardinality in e; individual re-pushes refresh (d, e) so the
-        # next dispatch's provenance prefix is exact.
-        if len(records) > 1 and fts.count(fts[0]) == len(fts):
-            grp = queue.push_typed(
-                fts[0], PRIORITY_TIMER, KIND_TICK_BURST,
-                [ev.a for ev in records], None, None, now, None, "tick+",
-                e=len(records),
-            )
-            for ev in records:
-                ev.a._timers[_TICK] = grp
-        else:
-            for ev, ft in zip(records, fts):
-                ev.d = now
-                ev.e = 1
-                queue.repush(ev, ft)
-                ev.a._timers[_TICK] = ev
-        adjust_clocks_batch(tick_cores)
+        The firing record is still the driver's live tick entry (re-arms
+        happen after the tick phase); a group record stores its arm time
+        in ``d`` like an individual one, and groups only form in-run.
+        """
+        rec = self.drivers[nid]._timers[_TICK]
+        phase = 1 if rec.kind == KIND_TICK_BURST else rec.e
+        transport = self.transport
+        transport._gp = (self.sim.now, 2, rec.d, phase, nid)
+        transport._gc = 0
 
-    def handle_tick_group(self, ev: ScheduledEvent) -> None:
-        """Keyed mirror of :meth:`NodeArrayTable.handle_tick_group`."""
-        transport = self.par_transport
-        sim = self.sim
-        now = sim.now
-        delayv = self.send_delay
-        cores = self.cores
-        rates = self.rates
-        queue = sim.queue
-        push_keyed = queue.push_keyed
-        lo = self.lo
-        hi = self.hi
-        frontier = self.frontier
-        ups_sorted = self._ups_sorted
-        ti = self.tick_interval
-        envelopes = transport._envelopes
-        bulk = delayv is not None and transport.edge_flips == 0
-        drivers_list = ev.a
-        arm = ev.d
-        u_list: list[int] = []
-        v_list: list[int] = []
-        p_list: list[Any] = []
-        burst_key: GKey | None = None
-        tick_cores: list[DCSACore] = []
-        sent = 0
-        ft0 = -1.0
-        same = True
-        for d in drivers_list:
-            nid = d.node_id
-            core = cores[nid]
-            h = rates[nid] * now
-            dh = h - core.h_last
-            if dh != 0.0:
-                core._L += dh
-                core._Lmax += dh
-                for row in core.gamma._rows.values():
-                    row.l_est += dh
-                core.h_last = h
-            d._t_last = now
-            ups = core.upsilon
-            if ups:
-                payload = (core._L, core._Lmax)
-                gp: GKey = (now, 2, arm, 1, nid)
-                if bulk:
-                    k = len(ups)
-                    entry = ups_sorted[nid]
-                    if entry is None or len(entry[0]) != k:
-                        entry = (sorted(ups), (nid,) * k)
-                        ups_sorted[nid] = entry
-                    core.messages_sent += k
-                    sent += k
-                    t_del = now + cast(float, delayv)
-                    ctr = 0
-                    for v in entry[0]:
-                        key = gp + (ctr,)
-                        ctr += 1
-                        if v < lo or v >= hi:
-                            envelopes.append((t_del, key, nid, v, payload, now))
-                        elif v in frontier:
-                            push_keyed(
-                                t_del, PRIORITY_DELIVERY, key, KIND_DELIVER,
-                                nid, v, payload, now, None, "deliver", e=-1,
-                            )
-                        else:
-                            if burst_key is None:
-                                burst_key = key
-                            u_list.append(nid)
-                            v_list.append(v)
-                            p_list.append(payload)
-                else:
-                    # Defensive (groups only form while bulk held and no
-                    # churn exists in table mode): full keyed send path.
-                    transport._gp = gp
-                    transport._gc = 0
-                    for v in sorted(ups):
-                        core.messages_sent += 1
-                        transport.send(nid, v, payload)
-            fire_t = (h + ti) / rates[nid]
-            if fire_t < now:
-                fire_t = now
-            if ft0 < 0.0:
-                ft0 = fire_t
-            elif fire_t != ft0:
-                same = False
-            tick_cores.append(core)
-        transport.stats.sent += sent
-        if u_list:
-            assert burst_key is not None and delayv is not None
-            push_keyed(
-                now + delayv, PRIORITY_DELIVERY, burst_key,
-                KIND_DELIVER_BURST, u_list, v_list, p_list, now, None,
-                "deliver+", e=len(u_list),
-            )
-        if same:
-            # Steady state: the group re-pushes itself with a fresh arm
-            # time; every driver's timer entry already aliases it.
-            ev.d = now
-            queue.repush(ev, ft0)
-        else:
-            for d in drivers_list:
-                nid = d.node_id
-                core = cores[nid]
-                fire_t = (core.h_last + ti) / rates[nid]
-                if fire_t < now:
-                    fire_t = now
-                rec = queue.push_typed(
-                    fire_t, PRIORITY_TIMER, KIND_TIMER, d, _TICK, None, now,
-                    None, "timer", e=1,
-                )
-                d._timers[_TICK] = rec
-        adjust_clocks_batch(tick_cores)
+    def _send_each(self, nid: int, payload: Any) -> None:
+        self._enter_tick(nid)
+        super()._send_each(nid, payload)
 
-    # ------------------------------------------------------------------ #
-    # Dense sample writes
-    # ------------------------------------------------------------------ #
+    def _push_burst(self, us: list[int], vs: list[int], payloads: list[Any]) -> None:
+        # A burst sits at its first constituent's global position.
+        self._enter_tick(us[0])
+        super()._push_burst(us, vs, payloads)
 
     def write_sample_columns(
         self,
@@ -752,91 +471,10 @@ class ParNodeArrayTable(NodeArrayTable):
         out_clock: "np.ndarray[Any, np.dtype[np.float64]]",
         out_max: "np.ndarray[Any, np.dtype[np.float64]]",
     ) -> None:
-        """Write ``L_u(t)``/``Lmax_u(t)`` for the shard's range into shm.
-
-        Bitwise equal to the per-node reader loop: the fused expression
-        evaluates ``L + (h - h_last)`` elementwise in the same association
-        order as ``core.logical_clock_at(rate * t)`` (the
-        :meth:`~repro.core.batch.NodeArrayTable.clock_column` contract).
-        """
-        lo = self.lo
-        hi = self.hi
-        m = hi - lo
-        cores = self.cores[lo:hi]
-        L = np.fromiter((c._L for c in cores), np.float64, count=m)
-        lm = np.fromiter((c._Lmax for c in cores), np.float64, count=m)
-        hl = np.fromiter((c.h_last for c in cores), np.float64, count=m)
-        h = self.rates_arr * t
-        out_clock[lo:hi] = L + (h - hl)
-        out_max[lo:hi] = lm + (h - hl)
-
-
-def build_par_table(
-    sim: Simulator,
-    transport: ParTransport,
-    lo: int,
-    hi: int,
-    frontier: frozenset[int],
-) -> ParNodeArrayTable | None:
-    """Shard-local analogue of :func:`~repro.core.batch.build_node_array_table`.
-
-    Validates only the shard's own drivers (remote slots stay holes) and
-    never publishes under the base table's subsystem key -- partial
-    coverage must not be mistaken for a full table by other readers.
-    Decline reasons land under the shared ``REASON_KEY``.
-    """
-
-    def _decline(reason: str) -> None:
-        sim.subsystems.setdefault(REASON_KEY, reason)
-
-    node_table = sim.subsystems.get("node_table")
-    if node_table is None:
-        _decline("no dense node table attached to the simulator")
-        return None
-    drivers: "list[ClockSyncNode | None]" = node_table.drivers
-    if len(drivers) < hi:
-        _decline("node table does not cover the shard's id range")
-        return None
-    if transport._trace is not None or transport._tracer is not None:
-        _decline("tracing is active on the transport")
-        return None
-    node_seq = transport._node_seq
-    rates = [0.0] * len(drivers)
-    params: Any = None
-    for i in range(lo, hi):
-        d = drivers[i]
-        if d is None or i >= len(node_seq) or node_seq[i] is not d:
-            _decline(f"node id {i} has no registered driver")
-            return None
-        if type(d.core) is not DCSACore:
-            _decline(
-                f"node {i} runs {type(d.core).__name__}, not a plain DCSACore"
-            )
-            return None
-        clock = d.clock
-        if type(clock) is not ConstantRateClock or clock.rate <= 0.0:
-            _decline(
-                f"node {i} clock is {type(clock).__name__}, not a "
-                "positive-rate ConstantRateClock"
-            )
-            return None
-        if d.effect_log is not None or d._tracer is not None or d.trace.enabled:
-            _decline(f"node {i} has a per-event observer attached")
-            return None
-        if params is None:
-            params = d.core.params
-        elif d.core.params is not params:
-            _decline(f"node {i} does not share the population's SystemParams")
-            return None
-        rates[i] = clock.rate
-    table = ParNodeArrayTable(sim, transport, drivers, rates, lo, hi, frontier)
-    delay = transport.delay_policy
-    if (
-        type(delay) is ConstantDelay
-        and 0.0 < delay.value <= transport.max_delay + 1e-9
-    ):
-        table.send_delay = delay.value
-    return table
+        """Write ``L_u(t)``/``Lmax_u(t)`` for the shard's range into shm."""
+        ids = self.ids
+        out_clock[ids.start : ids.stop] = self.clock_column(t)
+        out_max[ids.start : ids.stop] = self.max_estimate_column(t)
 
 
 # ---------------------------------------------------------------------- #
@@ -1268,6 +906,26 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
     conns: list[Connection] = []
     procs: list[Any] = []
     dones: list[dict[str, Any]] = [{} for _ in range(k)]
+
+    def _lost(w: int, j: int) -> RuntimeError:
+        """A worker's pipe broke: name the shard instead of a bare EOF."""
+        procs[w].join(timeout=5.0)  # reap it so the exit code is known
+        a, b = ranges[w]
+        return RuntimeError(
+            f"parallel shard worker {w} (nodes [{a}, {b})) died in window "
+            f"{j} of {len(barriers)}: exitcode {procs[w].exitcode} "
+            "(negative = killed by that signal)"
+        )
+
+    def _recv(w: int, j: int) -> Any:
+        try:
+            msg = conns[w].recv()
+        except _PIPE_DEAD as exc:
+            raise _lost(w, j) from exc
+        if msg[0] == "err":
+            raise RuntimeError(f"parallel shard worker {w} failed:\n{msg[1]}")
+        return msg
+
     try:
         for w, (a, b) in enumerate(ranges):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -1288,12 +946,8 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
         for j, b in enumerate(barriers):
             cur_window[0] = j
             outs: list[list[Envelope]] = []
-            for w, conn in enumerate(conns):
-                msg = conn.recv()
-                if msg[0] == "err":
-                    raise RuntimeError(
-                        f"parallel shard worker {w} failed:\n{msg[1]}"
-                    )
+            for w in range(k):
+                msg = _recv(w, j)
                 telem[w] = msg[3]
                 outs.append(msg[2])
             coord_sim.run_until(b)
@@ -1301,15 +955,13 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
             for out in outs:
                 for env in out:
                     inboxes[shard_of[env[3]]].append(env)
-            for conn, inbox in zip(conns, inboxes):
-                conn.send(inbox)
-        for w, conn in enumerate(conns):
-            msg = conn.recv()
-            if msg[0] == "err":
-                raise RuntimeError(
-                    f"parallel shard worker {w} failed:\n{msg[1]}"
-                )
-            dones[w] = msg[1]
+            for w, inbox in enumerate(inboxes):
+                try:
+                    conns[w].send(inbox)
+                except _PIPE_DEAD as exc:
+                    raise _lost(w, j) from exc
+        for w in range(k):
+            dones[w] = _recv(w, len(barriers))[1]
         for proc in procs:
             proc.join(timeout=30.0)
     finally:

@@ -13,6 +13,11 @@ telemetry get unit coverage alongside.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import re
+import signal
+import time
 from dataclasses import replace
 
 import pytest
@@ -277,12 +282,17 @@ def test_random_partitions_replay_bitwise(data):
         n=n,
         initial_edges=edge_list,
         churn=churn,
+        # Dissolving tick groups, per-node rates and multi-cut partitions
+        # all go through the one shared tick phase.
+        clock_spec=data.draw(
+            st.sampled_from(["split", "alternating", "uniform"]), label="clocks"
+        ),
         horizon=25.0,
         seed=data.draw(st.integers(0, 2**20), label="seed"),
     )
     assert genuine_shard_reason(cfg) is None
     serial = Experiment(cfg).run()
-    res = run_par(cfg, 2)
+    res = run_par(cfg, data.draw(st.integers(2, 4), label="shards"))
     assert res.par_fallback_reason is None
     assert _fingerprint(cfg, res) == _fingerprint(cfg, serial)
 
@@ -361,16 +371,35 @@ def test_first_flip_under_burst_in_flight_shards_2():
     ],
     ids=["static_path", "backbone_churn"],
 )
-def test_golden_workloads_bitwise_under_shards_env(make, monkeypatch):
+def test_golden_workloads_fall_back_to_serial_under_shards_env(make, monkeypatch):
+    """The golden workloads (uniform delay, staggered ticks, recorder on)
+    cannot shard: ``REPRO_SHARDS`` must decline by name and run serial."""
     cfg = make()
     baseline = run_experiment(cfg)
     for k in ("1", "2", "4"):
         monkeypatch.setenv("REPRO_SHARDS", k)
         res = run_experiment(make())
+        # REPRO_SHARDS=1 does not reroute at all; K >= 2 reroutes and declines.
+        assert (res.par_fallback_reason is not None) == (k != "1")
+        assert res.par_shards is None
         assert res.max_global_skew == baseline.max_global_skew
         assert res.max_local_skew == baseline.max_local_skew
         assert res.total_jumps() == baseline.total_jumps()
         assert res.events_dispatched == baseline.events_dispatched
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_sync_grid_bitwise_under_shards_env(shards, monkeypatch):
+    """A genuinely sharded grid: each cut's frontier is a whole row, where
+    the ring cases above only ever have a two-node frontier."""
+    cfg = configs.huge_sync_grid(6, 8, horizon=20.0, seed=3)
+    serial = run_experiment(cfg)
+    monkeypatch.setenv("REPRO_SHARDS", str(shards))
+    res = run_experiment(cfg)
+    assert res.par_fallback_reason is None
+    assert res.par_shards == shards
+    assert res.batch_gate_reason is None
+    assert _fingerprint(cfg, res) == _fingerprint(cfg, serial)
 
 
 # --------------------------------------------------------------------- #
@@ -433,3 +462,49 @@ class TestTelemetry:
         snap = reg.snapshot()
         assert not any(k.startswith("par.") for k in snap["counters"])
         assert not any(k.startswith("par.") for k in snap["gauges"])
+
+
+# --------------------------------------------------------------------- #
+# Fault injection: a worker dies mid-run
+# --------------------------------------------------------------------- #
+
+
+def test_killed_worker_raises_error_naming_the_shard():
+    """SIGKILL one shard worker a few windows in: the coordinator must
+    raise an error naming the shard, its node range and the exit code --
+    not a bare ``EOFError`` -- promptly, and leave no child behind."""
+    cfg = _ring_cfg(n=256, horizon=20000.0)  # far longer than the test allows
+    ranges = partition_ranges(256, 2, cfg.initial_edges)
+    reg = get_registry()
+    reg.reset()
+    reg.enable()
+
+    def kill_once_running(_signum, _frame):
+        kids = multiprocessing.active_children()
+        window = reg.snapshot()["gauges"].get("par.window", 0)
+        if len(kids) == 2 and window >= 3:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            os.kill(kids[0].pid, signal.SIGKILL)
+
+    previous = signal.signal(signal.SIGALRM, kill_once_running)
+    signal.setitimer(signal.ITIMER_REAL, 0.05, 0.05)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError) as excinfo:
+            run_par(cfg, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+        reg.disable()
+        reg.reset()
+    assert time.monotonic() - t0 < 10.0
+    found = re.search(
+        r"shard worker (\d+) \(nodes \[(\d+), (\d+)\)\) died in window (\d+)"
+        r".*exitcode -9",
+        str(excinfo.value),
+    )
+    assert found is not None, str(excinfo.value)
+    w, lo, hi, window = map(int, found.groups())
+    assert ranges[w] == (lo, hi)
+    assert window >= 3
+    assert multiprocessing.active_children() == []
