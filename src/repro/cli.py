@@ -496,6 +496,16 @@ def _check_one(
     return report.ok, summary, result, elapsed
 
 
+def _kernel_payload(result: Any) -> dict[str, Any]:
+    """Which dispatch path ran (``None`` = no decline / not sharded), so
+    scripts can assert it instead of inferring it from the speed."""
+    return {
+        "batch_gate_reason": result.batch_gate_reason,
+        "par_fallback_reason": result.par_fallback_reason,
+        "par_shards": result.par_shards,
+    }
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from .harness.runner import run_experiment
 
@@ -575,6 +585,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "messages_delivered": result.transport_stats["delivered"],
             "jumps": result.total_jumps(),
             "oracle_ok": report.ok if report is not None else None,
+            "kernel": _kernel_payload(result),
         }
         if report is not None:
             payload.update(report.to_metrics())
@@ -847,6 +858,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             "checks": report.checks,
             "violations": report.violation_count,
             "spans": len(result.spans),
+            "kernel": _kernel_payload(result),
             "reports": [rep.to_dict() for rep in reports],
         }
         if args.trace_out:

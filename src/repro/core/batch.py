@@ -35,9 +35,9 @@ Three structural shortcuts keep the per-message cost near the floor, each
 with its own equivalence argument:
 
 * **Bulk sends** bypass :meth:`~repro.network.transport.Transport.send`
-  when the delay is a positive constant, tracing is off and every believed
-  neighbour of the ticking node is adjacent in the graph *now* (one C-level
-  subset test per node): the FIFO clamp provably never binds under a
+  when the delay is a positive constant and every believed neighbour of
+  the ticking node is adjacent in the graph *now* (one C-level subset test
+  per node): the FIFO clamp provably never binds under a
   constant delay (per-link delivery times are monotone in send times) and
   the delay bound was validated once at registration.  A node that still
   believes in a removed edge sends through ``Transport.send`` instead, at
@@ -64,20 +64,36 @@ with its own equivalence argument:
 
 The table only builds -- and the batch handlers only engage -- when the
 execution provably fits the fast path; anything else (baseline cores,
-drifting clock types, effect logs, tracing, adversaries that swap clocks)
-falls back to scalar dispatch with no behavioural difference.  The timer
-batch handler additionally requires *positive constant* delay and
-discovery policies: with a zero or randomized delay, a tick's send could
-schedule a same-timestamp delivery that scalar dispatch would run *before*
-the remaining timers of the run, which pre-popping cannot honour.  That
-gate is decided at transport construction from the policy types alone
-(see :class:`~repro.network.transport.Transport`); deliver batches need
-no such gate -- delivery handlers never send.
+drifting clock types, effect logs, the structured ``TraceRecorder``,
+adversaries that swap clocks) falls back to scalar dispatch with no
+behavioural difference.  The timer batch handler additionally requires
+*positive constant* delay and discovery policies: with a zero or
+randomized delay, a tick's send could schedule a same-timestamp delivery
+that scalar dispatch would run *before* the remaining timers of the run,
+which pre-popping cannot honour.  That gate is decided at transport
+construction from the policy types alone (see
+:class:`~repro.network.transport.Transport`); deliver batches need no
+such gate -- delivery handlers never send.
+
+**Causal tracing rides along.**  The span
+:class:`~repro.tracing.context.Tracer` is a passenger of this path, not a
+gate on it: the handlers write the *per-message* rows the scalar kernel
+would have written -- a ``SPAN_TIMER`` row per ticking driver, one
+optimistically-closed ``SPAN_FLIGHT`` row per send parented on it, a
+``SPAN_JUMP`` row per applied jump parented on the delivering flight or
+the firing timer -- so a traced batch run yields the scalar run's span
+multiset (ids differ only because jump rows are grouped per destination
+and a tick run's jumps follow its sends).  A burst record carries its
+constituents' flight span ids in the observer slot ``e``, which physics
+never reads.  Untraced, each phase pays one hoisted ``tracer is None``
+test (per driver in the tick loop, per applied jump in the delivery
+loop), never one per message.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import length_hint
 from typing import TYPE_CHECKING, AbstractSet, Any, Sequence, cast
 
 import numpy as np
@@ -93,12 +109,14 @@ from ..sim.events import (
     ScheduledEvent,
 )
 from ..sim.simulator import Simulator
+from ..tracing.spans import SPAN_FLIGHT, SPAN_TIMER, STATUS_DONE
 from .dcsa import adjust_clocks_batch
 from .estimates import NeighborEstimate
 from .protocol import DCSACore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..network.transport import Transport
+    from ..tracing.context import Tracer
     from .node import ClockSyncNode
 
 __all__ = ["NodeArrayTable", "build_node_array_table", "REASON_KEY"]
@@ -114,6 +132,25 @@ SUBSYSTEM_KEY = "node_array_table"
 REASON_KEY = "node_array_table_reason"
 
 _TICK = "tick"
+
+
+#: The traced side of a delivery run: the destinations and flight span ids
+#: of its messages, parallel lists in record order.  A record pushed before
+#: the tracer was attached carries ``None`` for its id.
+_Flights = tuple[Sequence[int], Sequence[int | None]]
+
+
+def _sids_by_dest(
+    vs: Sequence[int], sids: Sequence[int | None]
+) -> dict[int, list[int]]:
+    """Flight span ids grouped per destination, in record order.
+
+    Parallel to the message pairs of ``_process_dest_msgs``' ``dest_msgs``.
+    """
+    out: dict[int, list[int]] = {}
+    for v, sid in zip(vs, sids):
+        out.setdefault(v, []).append(-1 if sid is None else sid)
+    return out
 
 
 class NodeArrayTable:
@@ -196,10 +233,10 @@ class NodeArrayTable:
     def deliver_batch(self, records: list[ScheduledEvent]) -> None:
         """Execute a same-timestamp run of individual ``KIND_DELIVER`` records.
 
-        Called by :meth:`Transport._handle_deliver_batch` with tracing off
-        and the records whose link failed in flight already dropped, so
-        every record is a plain delivery ``u -> v`` of an ``(L, Lmax)``
-        update.
+        Called by :meth:`Transport._handle_deliver_batch` with the records
+        whose link failed in flight already dropped, so every record is a
+        plain delivery ``u -> v`` of an ``(L, Lmax)`` update (its flight
+        span id, when traced, in the observer slot ``e``).
         """
         dest_msgs: dict[int, list[Any]] = {}
         get = dest_msgs.get
@@ -211,12 +248,22 @@ class NodeArrayTable:
             else:
                 lst.append(ev.a)
                 lst.append(ev.c)
-        self._process_dest_msgs(dest_msgs)
+        flights = None
+        if self.transport._tracer is not None:
+            flights = [ev.b for ev in records], [ev.e for ev in records]
+        self._process_dest_msgs(dest_msgs, flights)
 
     def deliver_burst(
-        self, us: list[int], vs: list[int], payloads: list[Any]
+        self,
+        us: list[int],
+        vs: list[int],
+        payloads: list[Any],
+        sids: list[int] | None,
     ) -> None:
-        """Execute one burst record's constituent deliveries (see module doc)."""
+        """Execute one burst record's constituent deliveries (see module doc).
+
+        ``sids`` are the constituents' flight span ids (``None`` untraced).
+        """
         dest_msgs: dict[int, list[Any]] = {}
         get = dest_msgs.get
         for u, v, payload in zip(us, vs, payloads):
@@ -226,9 +273,11 @@ class NodeArrayTable:
             else:
                 lst.append(u)
                 lst.append(payload)
-        self._process_dest_msgs(dest_msgs)
+        self._process_dest_msgs(dest_msgs, None if sids is None else (vs, sids))
 
-    def _process_dest_msgs(self, dest_msgs: dict[int, list[Any]]) -> None:
+    def _process_dest_msgs(
+        self, dest_msgs: dict[int, list[Any]], flights: _Flights | None
+    ) -> None:
         """Apply same-timestamp deliveries grouped per destination.
 
         ``dest_msgs[v]`` is the flat list ``[u0, payload0, u1, payload1,
@@ -254,7 +303,14 @@ class NodeArrayTable:
           the current message refreshes (bitwise equal to the scalar
           recomputation: same operations, same operands), and the running
           scalar ``min`` equals ``min()`` over the candidate table.
+
+        When traced, ``flights`` names the run's messages; an applied jump
+        writes its ``SPAN_JUMP`` row parented on the delivering flight,
+        looked up per destination (:func:`_sids_by_dest`, built on the
+        run's first jump -- a run that applies none pays nothing).
         """
+        tracer = None if flights is None else self.transport._tracer
+        dest_sids: dict[int, list[int]] | None = None
         sim = self.sim
         now = sim.now
         cores = self.cores
@@ -332,6 +388,16 @@ class NodeArrayTable:
                 if lmax < ceiling:
                     ceiling = lmax
                 if ceiling > L:
+                    if tracer is not None:
+                        # The delivering message's position, read off the
+                        # pair iterator (exact for list iterators) so the
+                        # untraced loop carries no per-message index.
+                        if dest_sids is None:
+                            assert flights is not None
+                            dest_sids = _sids_by_dest(*flights)
+                        done = (len(msgs) - length_hint(it)) >> 1
+                        tracer.current = dest_sids[v][done - 1]
+                        tracer.jump(v, now, ceiling - L)
                     core.total_jump += ceiling - L
                     core.jumps += 1
                     L = ceiling
@@ -373,6 +439,8 @@ class NodeArrayTable:
             core._Lmax = lmax
         queue._seq = seq
         queue._live += pushed
+        if tracer is not None:
+            tracer.current = -1
 
     def handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
         """Execute a same-timestamp run of ``KIND_TIMER`` records.
@@ -470,27 +538,35 @@ class NodeArrayTable:
         touches only core state that neither another driver's sends nor
         the callers' re-arms read.
 
-        A driver whose believed neighbours are all adjacent (and tracing
-        is off) appends its sends to the run's burst; any other driver
-        sends through :meth:`Transport.send`, which applies the no-edge
-        drop rule per message, after the burst built so far is pushed
-        (see module docstring).  Returns the first driver's next tick
-        deadline and whether every driver's deadline equals it.
+        A driver whose believed neighbours are all adjacent appends its
+        sends to the run's burst; any other driver sends through
+        :meth:`Transport.send`, which applies the no-edge drop rule per
+        message, after the burst built so far is pushed (see module
+        docstring).  Returns the first driver's next tick deadline and
+        whether every driver's deadline equals it.
+
+        When traced, each driver's ``SPAN_TIMER`` row and the flight rows
+        of its bulk sends are written here (:meth:`_trace_tick`); the
+        timer's span id stays ``tracer.current`` across
+        :meth:`_send_each`, so per-message sends parent on it as under
+        scalar dispatch, and the jumps AdjustClock applied are read back
+        off the cores afterwards.
         """
         now = self.sim.now
         cores = self.cores
         rates = self.rates
         adj = self.adj
-        transport = self.transport
-        bulk = (
-            self.send_delay is not None
-            and transport._trace is None
-            and transport._tracer is None
-        )
+        tracer = self.transport._tracer
+        delay = self.send_delay
+        t_deliver = now if delay is None else now + delay
         ti = self.tick_interval
         u_list: list[int] = []
         v_list: list[int] = []
         p_list: list[Any] = []
+        #: Flight span ids of the burst under construction, timer span id
+        #: per ticking driver (both traced runs only).
+        s_list: list[int] = []
+        timer_sids: list[int] = []
         uext = u_list.extend
         vext = v_list.extend
         pext = p_list.extend
@@ -511,22 +587,36 @@ class NodeArrayTable:
                 core.h_last = h
             d._t_last = now
             ups = core.upsilon
+            # The bulk-send destinations, or ``None`` when this driver
+            # must send per message.
+            dests = (
+                sorted(ups) if delay is not None and ups <= adj[nid] else None
+            )
+            if tracer is not None:
+                tracer.current = self._trace_tick(
+                    tracer, nid, dests or (), t_deliver, s_list
+                )
+                timer_sids.append(tracer.current)
             if ups:
                 payload = (core._L, core._Lmax)
-                if bulk and ups <= adj[nid]:
-                    k = len(ups)
+                if dests is not None:
+                    k = len(dests)
                     # Scalar _send bumps the counter at emission time; the
                     # batch bypasses the effect list, so count here.
                     core.messages_sent += k
                     uext((nid,) * k)
-                    vext(sorted(ups))
+                    vext(dests)
                     pext((payload,) * k)
                 else:
                     if u_list:
-                        self._push_burst(u_list[:], v_list[:], p_list[:])
+                        self._push_burst(
+                            u_list[:], v_list[:], p_list[:],
+                            s_list[:] if tracer is not None else None,
+                        )
                         u_list.clear()
                         v_list.clear()
                         p_list.clear()
+                        s_list.clear()
                     self._send_each(nid, payload)
             fire_t = (h + ti) / rates[nid]
             if fire_t < now:
@@ -537,9 +627,59 @@ class NodeArrayTable:
                 same = False
             capp(core)
         if u_list:
-            self._push_burst(u_list, v_list, p_list)
+            self._push_burst(
+                u_list, v_list, p_list, s_list if tracer is not None else None
+            )
+        if tracer is None:
+            adjust_clocks_batch(tick_cores)
+            return ft0, same
+        # AdjustClock applies at most one jump per core: the row's delta is
+        # the scalar ``new_value - L`` on the same two operands.
+        before = [core._L for core in tick_cores]
         adjust_clocks_batch(tick_cores)
+        for core, l_old, sid in zip(tick_cores, before, timer_sids):
+            if core._L != l_old:
+                tracer.current = sid
+                tracer.jump(core.node_id, now, core._L - l_old)
+        tracer.current = -1
         return ft0, same
+
+    def _trace_tick(
+        self,
+        tracer: "Tracer",
+        nid: int,
+        dests: Sequence[int],
+        t1: float,
+        sids: list[int],
+    ) -> int:
+        """Write ``nid``'s ``SPAN_TIMER`` row and its bulk sends' flight rows.
+
+        One ``list.extend`` per driver: the timer row, then one
+        optimistically-closed flight row per destination parented on it
+        (``Transport.send``'s row; ``t1`` is the delivery time).  Appends
+        the flights' span ids to ``sids`` and returns the timer's.
+        """
+        now = self.sim.now
+        data = tracer.data
+        sid = len(data) >> 3
+        if sid + len(dests) >= tracer.capacity:
+            # The table fills up within this driver's rows: go row by row
+            # so every refused row is counted, as under scalar dispatch.
+            tracer.timer_fired(nid, now)
+            sid = tracer.current
+            sids.extend(
+                tracer.table.append(
+                    SPAN_FLIGHT, nid, v, now, t1, sid, STATUS_DONE
+                )
+                for v in dests
+            )
+            return sid
+        rows: list[Any] = [SPAN_TIMER, nid, -1, now, now, -1, STATUS_DONE, 0.0]
+        for v in dests:
+            rows += (SPAN_FLIGHT, nid, v, now, t1, sid, STATUS_DONE, 0.0)
+        data.extend(rows)
+        sids.extend(range(sid + 1, sid + 1 + len(dests)))
+        return sid
 
     def _send_each(self, nid: int, payload: Any) -> None:
         """Send ``payload`` from ``nid`` to each believed neighbour, per message."""
@@ -549,16 +689,25 @@ class NodeArrayTable:
             core.messages_sent += 1
             send(nid, v, payload)
 
-    def _push_burst(self, us: list[int], vs: list[int], payloads: list[Any]) -> None:
-        """Schedule one burst record for sends emitted at the current time."""
+    def _push_burst(
+        self,
+        us: list[int],
+        vs: list[int],
+        payloads: list[Any],
+        sids: list[int] | None,
+    ) -> None:
+        """Schedule one burst record for sends emitted at the current time.
+
+        ``sids`` (the constituents' flight span ids, ``None`` untraced)
+        ride in the record's observer slot.
+        """
         now = self.sim.now
-        card = len(us)
         self.transport._push(
             now + self.send_delay,  # type: ignore[operator]
             PRIORITY_DELIVERY, KIND_DELIVER_BURST, us, vs, payloads, now,
-            None, "deliver+", e=card,
+            None, "deliver+", e=sids,
         )
-        self.transport.stats.sent += card
+        self.transport.stats.sent += len(us)
 
     # ------------------------------------------------------------------ #
     # Dense reads (oracle sampling)
@@ -602,10 +751,11 @@ def build_node_array_table(
     by default, which is also cached under
     ``sim.subsystems["node_array_table"]``; a partial table is not -- other
     readers must not mistake it for a full one) when every driver in the
-    range is a plain DCSA node on a constant-rate clock with no observers
-    attached, or ``None`` (cached as ``False`` by the caller) otherwise.
-    Called lazily on the first batch run -- after ``t = 0`` wiring, so
-    adversary clock swaps and tracer attachments are visible.
+    range is a plain DCSA node on a constant-rate clock with neither an
+    effect log nor the structured ``TraceRecorder`` attached (the span
+    tracer is no gate; see module docstring), or ``None`` (cached as
+    ``False`` by the caller) otherwise.  Called lazily on the first batch
+    run -- after ``t = 0`` wiring, so adversary clock swaps are visible.
 
     When additionally the delay policy is a valid positive constant, the
     table's :attr:`~NodeArrayTable.send_delay` is set, enabling the
@@ -638,8 +788,8 @@ def build_node_array_table(
     if len(node_seq) != len(drivers):
         _decline("transport and node table disagree on the node population")
         return None
-    if transport._trace is not None or transport._tracer is not None:
-        _decline("tracing is active on the transport")
+    if transport._trace is not None:
+        _decline("structured TraceRecorder is enabled (cfg.trace)")
         return None
     rates = [0.0] * len(drivers)
     params: Any = None
@@ -660,8 +810,11 @@ def build_node_array_table(
                 "positive-rate ConstantRateClock"
             )
             return None
-        if d.effect_log is not None or d._tracer is not None or d.trace.enabled:
-            _decline(f"node {i} has a per-event observer attached")
+        if d.effect_log is not None:
+            _decline(f"node {i} has an effect log attached")
+            return None
+        if d.trace.enabled:
+            _decline("structured TraceRecorder is enabled (cfg.trace)")
             return None
         if params is None:
             params = d.core.params

@@ -83,9 +83,10 @@ def adjust_clocks_batch(cores: list[DCSACore]) -> None:
     and no pending jump.
 
     Callers must only use this outside driver effect dispatch (the batch
-    kernel bypasses the effect list entirely); trace recording of jumps is
-    the caller's responsibility and is disabled on the batch path (the
-    table refuses to build when tracing is active).
+    kernel bypasses the effect list entirely); recording the jumps is the
+    caller's responsibility -- at most one per core and call, so the batch
+    tick phase reads them back as the change in ``L`` and writes one
+    ``SPAN_JUMP`` row each when causal tracing is on.
     """
     n = len(cores)
     if n == 0:

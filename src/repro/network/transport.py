@@ -342,18 +342,18 @@ class Transport:
         never send, so nothing they do can insert a record *inside* the
         run -- but the array fast path additionally requires a valid
         :class:`~repro.core.batch.NodeArrayTable` (built lazily on first
-        use, after ``t = 0`` wiring) and no tracing; the drop rule is
-        applied per record first (see :meth:`_drop_failed`).  Anything
-        else replays the run through the scalar delivery in record order,
-        which is exact.
+        use, after ``t = 0`` wiring); the drop rule is applied per record
+        first (see :meth:`_drop_failed`).  Anything else replays the run
+        through the scalar delivery in record order, which is exact.
         """
         table = self._ensure_batch_table()
-        if table is not False and self._trace is None and self._tracer is None:
+        if table is not False:
             assert not isinstance(table, bool)
             dead = self._drop_failed(
                 [ev.a for ev in records],
                 [ev.b for ev in records],
                 [ev.d for ev in records],
+                None if self._tracer is None else [ev.e for ev in records],
             )
             if dead:
                 records = [ev for i, ev in enumerate(records) if i not in dead]
@@ -365,16 +365,22 @@ class Transport:
             deliver(ev.a, ev.b, ev.c, ev.d, ev.e)
 
     def _drop_failed(
-        self, us: Sequence[int], vs: Sequence[int], send_times: Iterable[float]
+        self,
+        us: Sequence[int],
+        vs: Sequence[int],
+        send_times: Iterable[float],
+        sids: "Sequence[int | None] | None" = None,
     ) -> Collection[int]:
         """Apply the Section 3.2 drop rule to same-timestamp deliveries.
 
         Evaluates :meth:`_deliver`'s predicate (edge absent now, or removed
         while the message was in flight) for each ``us[i] -> vs[i]`` sent
         at ``send_times[i]`` and accounts for every drop in record order
-        (``dropped_removed`` + absence discovery); returns the dropped
-        positions.  Every message here was sent over a present edge, so a
-        run touching no ever-removed edge is cleared in one graph call.
+        (``dropped_removed`` + absence discovery, and -- when traced, with
+        ``sids`` the messages' flight span ids -- the span closed
+        ``STATUS_DROPPED`` now); returns the dropped positions.  Every
+        message here was sent over a present edge, so a run touching no
+        ever-removed edge is cleared in one graph call.
 
         Accounting for the drops before the survivors are delivered
         permutes sequence numbers only across priority classes: drops push
@@ -386,10 +392,15 @@ class Transport:
         now = self.sim.now
         has_edge = self._has_edge
         removed_during = self._removed_during
+        tracer = self._tracer
         dead: set[int] = set()
         for i, (u, v, st) in enumerate(zip(us, vs, send_times)):
             if not has_edge(u, v) or removed_during(u, v, st, now):
                 self.stats.dropped_removed += 1
+                if sids is not None:
+                    sid = sids[i]
+                    if sid is not None and tracer is not None:
+                        tracer.flight_drop(sid, now)
                 self._schedule_absence_discovery(u, v, send_time=st)
                 dead.add(i)
         return dead
@@ -452,46 +463,38 @@ class Transport:
     def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DELIVER_BURST`` records.
 
-        A burst stands for ``ev.e`` consecutive individual deliveries (see
-        :mod:`repro.sim.events`); the kernel counted the record as one
-        dispatch, so re-expand the cardinality into the dispatch tallies
-        before delivering.  Each constituent is subject to the drop rule
-        like an individual record (see :meth:`_drop_failed`); the
-        survivors take the array path.
+        A burst stands for ``len(ev.a)`` consecutive individual deliveries
+        (see :mod:`repro.sim.events`); the kernel counted the record as
+        one dispatch, so re-expand the cardinality into the dispatch
+        tallies before delivering.  Each constituent is subject to the
+        drop rule like an individual record (see :meth:`_drop_failed`);
+        the survivors take the array path.  Bursts are only ever created
+        by the batch table's tick phase, so the table is always built and
+        valid here.
         """
         sim = self.sim
-        card = ev.e
+        us = ev.a
+        vs = ev.b
+        payloads = ev.c
+        sids = ev.e
+        card = len(us)
         sim.events_dispatched += card - 1
         kind_counts = sim.kind_counts
         if kind_counts is not None:
             kind_counts[KIND_DELIVER_BURST] -= 1
             kind_counts[KIND_DELIVER] += card
-        us = ev.a
-        vs = ev.b
-        payloads = ev.c
-        send_time = ev.d
         table = self._batch_table
-        if (
-            table is not None
-            and table is not False
-            and self._trace is None
-            and self._tracer is None
-        ):
-            assert not isinstance(table, bool)
-            dead = self._drop_failed(us, vs, repeat(send_time))
-            if dead:
-                live = [i for i in range(card) if i not in dead]
-                us = [us[i] for i in live]
-                vs = [vs[i] for i in live]
-                payloads = [payloads[i] for i in live]
-            table.deliver_burst(us, vs, payloads)
-            self.stats.delivered += len(us)
-            return
-        # An observer was attached while the burst was in flight: replay
-        # the constituents through the scalar delivery in record order.
-        deliver = self._deliver
-        for i in range(card):
-            deliver(us[i], vs[i], payloads[i], send_time, -1)
+        assert table is not None and table is not False
+        dead = self._drop_failed(us, vs, repeat(ev.d), sids)
+        if dead:
+            live = [i for i in range(card) if i not in dead]
+            us = [us[i] for i in live]
+            vs = [vs[i] for i in live]
+            payloads = [payloads[i] for i in live]
+            if sids is not None:
+                sids = [sids[i] for i in live]
+        table.deliver_burst(us, vs, payloads, sids)
+        self.stats.delivered += len(us)
 
     def _handle_deliver_burst_run(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for runs of burst records (rare tie case)."""
@@ -538,15 +541,15 @@ class Transport:
 
         Flight spans are recorded optimistically ``STATUS_DONE`` at send
         time (see :meth:`send`); messages the horizon caught mid-flight
-        never delivered, so walk the remaining event queue -- O(pending),
-        a few hundred records -- and patch those spans.  A message whose
-        edge has already failed would have been dropped at delivery time
-        (the same check :meth:`_deliver` applies), so its span is closed
-        ``STATUS_DROPPED`` at the horizon -- leaving it ``PENDING`` would
-        strand a flight aimed at a node track that may no longer exist in
-        the Perfetto export.  Everything else stays genuinely in flight
-        and becomes ``STATUS_PENDING``.  The harness calls this once after
-        the run.
+        never delivered, so walk the remaining event queue -- O(pending)
+        records, burst constituents included -- and patch those spans.  A
+        message whose edge has already failed would have been dropped at
+        delivery time (the same check :meth:`_deliver` applies), so its
+        span is closed ``STATUS_DROPPED`` at the horizon -- leaving it
+        ``PENDING`` would strand a flight aimed at a node track that may no
+        longer exist in the Perfetto export.  Everything else stays
+        genuinely in flight and becomes ``STATUS_PENDING``.  The harness
+        calls this once after the run.
         """
         tracer = self._tracer
         if tracer is None:
@@ -555,11 +558,18 @@ class Transport:
         now = self.sim.now
         for ev in self.sim.queue.live_events():
             if ev.kind == KIND_DELIVER:
-                sid = ev.e
+                flights: Iterable[tuple[int, int, int | None]] = (
+                    (ev.a, ev.b, ev.e),
+                )
+            elif ev.kind == KIND_DELIVER_BURST and ev.e is not None:
+                flights = zip(ev.a, ev.b, ev.e)
+            else:
+                continue
+            for u, v, sid in flights:
                 if sid is not None and sid >= 0:
                     base = sid << 3
-                    if not self._has_edge(ev.a, ev.b) or self._removed_during(
-                        ev.a, ev.b, ev.d, now
+                    if not self._has_edge(u, v) or self._removed_during(
+                        u, v, ev.d, now
                     ):
                         data[base + 4] = now
                         data[base + 6] = STATUS_DROPPED

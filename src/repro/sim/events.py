@@ -75,11 +75,12 @@ KIND_SAMPLE = 4
 #: d=absence(bool)`` (absence = the dedicated failed-send discovery path).
 KIND_DISCOVER = 5
 #: Aggregated same-timestamp message deliveries (batch kernel only; see
-#: :mod:`repro.core.batch`).  One record stands for ``e`` constituent
+#: :mod:`repro.core.batch`).  One record stands for ``len(a)`` constituent
 #: deliveries sharing one delivery time: ``a=[u...], b=[v...], c=[payload...]``
-#: (parallel lists in send order), ``d=send_time``, ``e=cardinality``.  The
-#: dispatch handler accounts the constituents so ``events_dispatched`` and
-#: per-kind tallies match the equivalent individual-record execution.
+#: (parallel lists in send order), ``d=send_time``, ``e=[flight span id...]``
+#: (``None`` when causal tracing is off).  The dispatch handler accounts the
+#: constituents so ``events_dispatched`` and per-kind tallies match the
+#: equivalent individual-record execution.
 KIND_DELIVER_BURST = 6
 #: Aggregated same-deadline tick timers (batch kernel only; see
 #: :mod:`repro.core.batch`).  One record stands for the pending ``tick``
@@ -141,10 +142,13 @@ class ScheduledEvent:
         queue re-inserts the record at ``c`` if the stale heap entry
         surfaces first (see :meth:`repro.sim.queue.EventQueue.pop_until`).
     e:
-        Observer side-channel slot (``None`` when unused).  ``KIND_DELIVER``
-        records carry the open flight's trace span id here when causal
-        tracing is active; physics never reads it, which is what keeps the
-        tracer's presence invisible to execution order and RNG draws.
+        Side-channel slot (``None`` when unused).  Delivery records carry
+        their flights' trace span ids here when causal tracing is active
+        -- one id on a ``KIND_DELIVER`` record, a list parallel to the
+        constituents on a ``KIND_DELIVER_BURST`` -- and physics never reads
+        them, which is what keeps the tracer's presence invisible to
+        execution order and RNG draws.  Timer records use the slot for the
+        arm phase / group cardinality instead (see ``KIND_TICK_BURST``).
     cancelled:
         Set by :meth:`EventQueue.cancel`; cancelled events are skipped.
     queued:

@@ -354,8 +354,6 @@ class ParTransport(Transport):
         table = self._ensure_batch_table()
         if (
             table is not False
-            and self._trace is None
-            and self._tracer is None
             and self.graph.never_removed(
                 [ev.a for ev in records], [ev.b for ev in records]
             )
@@ -460,10 +458,16 @@ class ParNodeArrayTable(NodeArrayTable):
         self._enter_tick(nid)
         super()._send_each(nid, payload)
 
-    def _push_burst(self, us: list[int], vs: list[int], payloads: list[Any]) -> None:
+    def _push_burst(
+        self,
+        us: list[int],
+        vs: list[int],
+        payloads: list[Any],
+        sids: list[int] | None,
+    ) -> None:
         # A burst sits at its first constituent's global position.
         self._enter_tick(us[0])
-        super()._push_burst(us, vs, payloads)
+        super()._push_burst(us, vs, payloads, sids)
 
     def write_sample_columns(
         self,

@@ -113,9 +113,9 @@ def _spy_deliver_burst(monkeypatch):
     calls = []
     original = NodeArrayTable.deliver_burst
 
-    def spy(self, us, vs, payloads):
+    def spy(self, us, vs, payloads, sids):
         calls.append((self.sim.now, list(us), list(vs)))
-        original(self, us, vs, payloads)
+        original(self, us, vs, payloads, sids)
 
     monkeypatch.setattr(NodeArrayTable, "deliver_burst", spy)
     return calls

@@ -410,6 +410,29 @@ class TestRunCommand:
         assert payload["oracle_ok"] is True
         assert payload["oracle_checks"] > 0
 
+    def test_run_json_names_the_kernel_that_ran(self, capsys, tmp_path):
+        # A traced batch-eligible run stays on the array path, and the
+        # JSON says so: scripts assert the path instead of guessing it.
+        code, out, _ = run_cli(
+            capsys, "run", "huge_sync_ring", "--set", "n=64", "horizon=5",
+            "--trace-out", str(tmp_path / "t.json"), "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kernel"] == {
+            "batch_gate_reason": None,
+            "par_fallback_reason": None,
+            "par_shards": None,
+        }
+        assert payload["trace"]["flights"] == payload["messages_sent"]
+        # A population the array path cannot serve declines, and says why.
+        code, out, _ = run_cli(
+            capsys, "run", "huge_sync_ring", "--set", "n=16", "horizon=5",
+            "algorithm=max", "--json",
+        )
+        assert code == 0
+        assert "MaxSyncCore" in json.loads(out)["kernel"]["batch_gate_reason"]
+
     def test_run_invalid_params_exit_two(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "huge_ring", "--set", "n=6", "horizon=10", "b0=0.4"

@@ -10,6 +10,9 @@ The load-bearing guarantees:
   dropped / still-in-flight statuses reconcile exactly with the
   transport's own counters (including the end-of-run fixup for the
   optimistically-closed spans of messages the horizon caught mid-air).
+* **Kernel parity** — a traced run on the struct-of-arrays batch path
+  writes the same per-message span multiset as the traced scalar run
+  (``canonical_spans``), and tracing never changes which kernel runs.
 * **Export** — the Chrome-trace JSON validates (``ph``/``ts`` on every
   event) and carries at least one flow event per delivered message.
 * **Forensics** — on a seeded broken-bound DelayAdversary run,
@@ -20,11 +23,26 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from test_batch_kernel import (
+    PARITY_WORKLOADS,
+    _churn_ops,
+    _churned_sync_ring,
+    _fingerprint,
+    _N,
+    _run,
+    _script_from_ops,
+)
 
 from repro.harness import configs, run_experiment
 from repro.harness.registry import OracleRef
+from repro.harness.runner import Experiment
+from repro.sim import simulator as simulator_mod
+from repro.sim.events import KIND_DELIVER_BURST
 from repro.sim.tracing import TraceRecorder
 from repro.tracing import (
     SPAN_DISCOVER,
@@ -155,6 +173,8 @@ WORKLOADS = [
     ("static_path", lambda: configs.static_path(8, horizon=60.0, seed=3)),
     ("backbone_churn", lambda: configs.backbone_churn(8, horizon=60.0, seed=5)),
     ("adversarial_drift", lambda: configs.adversarial_drift(8, horizon=60.0, seed=7)),
+    # Batch-eligible: traced-vs-untraced identity on the array path too.
+    ("huge_sync_ring", lambda: configs.huge_sync_ring(256, horizon=20.0)),
 ]
 
 
@@ -275,6 +295,158 @@ class TestSimTracing:
 
 
 # --------------------------------------------------------------------- #
+# Kernel parity: the tracer rides the batch path
+# --------------------------------------------------------------------- #
+
+
+def canonical_spans(table):
+    """The span table as a kernel-independent sorted row list.
+
+    Rows sort by their content ``(t0, kind, node, peer, t1, status,
+    detail)`` -- ties by the parent's content -- and each ``parent`` is
+    rewritten to its parent's sorted position, so two tables holding the
+    same happens-before DAG compare equal whatever order their rows were
+    written in.
+    """
+    rows = list(table.rows())
+
+    def content(s):
+        return (s.t0, s.kind, s.node, s.peer, s.t1, s.status, s.detail)
+
+    def key(i):
+        s = rows[i]
+        return content(s) + (content(rows[s.parent]) if s.parent >= 0 else (),)
+
+    order = sorted(range(len(rows)), key=key)
+    position = {sid: pos for pos, sid in enumerate(order)}
+    return [
+        content(rows[i]) + (position.get(rows[i].parent, -1),) for i in order
+    ]
+
+
+def _run_traced(cfg, batch, monkeypatch, **session_kwargs):
+    with trace_session(**session_kwargs) as tr:
+        exp, res = _run(cfg, batch, monkeypatch)
+    return exp, res, tr.table
+
+
+def _flight_status_counts(table):
+    kinds, status = table.kind, table.status
+    return Counter(
+        status[i] for i in range(len(table)) if kinds[i] == SPAN_FLIGHT
+    )
+
+
+SPAN_PARITY_WORKLOADS = [
+    ("sync_ring", lambda: configs.huge_sync_ring(64, horizon=40.0)),
+    # Two rate classes: real jump rows on both delivery and tick paths.
+    ("sync_grid", lambda: configs.huge_sync_grid(8, 8, horizon=40.0)),
+    # Send-time fails, in-flight drops, discover rows, scalar lost-timer
+    # replays inside mixed runs.
+    ("churned_ring", lambda: _churned_sync_ring()),
+]
+
+
+class TestBatchKernelSpans:
+    @pytest.mark.parametrize(
+        "name,make",
+        SPAN_PARITY_WORKLOADS,
+        ids=[w[0] for w in SPAN_PARITY_WORKLOADS],
+    )
+    def test_batch_spans_equal_scalar_spans(self, name, make, monkeypatch):
+        exp_s, res_s, table_s = _run_traced(make(), False, monkeypatch)
+        exp_b, res_b, table_b = _run_traced(make(), True, monkeypatch)
+        assert res_b.batch_gate_reason is None
+        assert exp_b.sim.batch_dispatches > 0
+        assert canonical_spans(table_b) == canonical_spans(table_s)
+        assert table_b.dropped == 0 and table_s.dropped == 0
+        assert all(p < i for i, p in enumerate(table_b.parent))
+        assert table_b.count(SPAN_JUMP) > 0
+        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+
+    def test_capacity_overflow_counts_agree(self, monkeypatch):
+        """A full table degrades to counting, identically on both kernels."""
+        cfg = lambda: configs.huge_sync_grid(8, 8, horizon=20.0)
+        exp_s, res_s, table_s = _run_traced(cfg(), False, monkeypatch, capacity=1000)
+        exp_b, res_b, table_b = _run_traced(cfg(), True, monkeypatch, capacity=1000)
+        assert len(table_s) == len(table_b) == 1000
+        assert table_b.dropped == table_s.dropped > 0
+        assert res_b.batch_gate_reason is None
+        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+        # The capped tracer did not change the physics either.
+        exp_u, res_u = _run(cfg(), True, monkeypatch)
+        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_u, res_u)
+
+    def test_horizon_inside_a_burst_finalizes_every_constituent(self, monkeypatch):
+        """Flights still inside a queued burst are re-marked at the horizon.
+
+        The horizon (12.3) cuts both rate classes' delivery waves (sent at
+        11.88 and 12.12, due 0.5 later), and edge {30, 31} fails at 12.2
+        under them: those two flights are doomed (``DROPPED`` at the
+        horizon), every other one is genuinely ``PENDING`` -- none may keep
+        the optimistic ``DONE`` it was written with.
+        """
+        script = [
+            (2.3, "add", 5, 20),
+            (6.37, "remove", 7, 8),
+            (9.8, "add", 7, 8),
+            (12.2, "remove", 30, 31),
+        ]
+        cfg = lambda: _churned_sync_ring(script, horizon=12.3)
+        _, res_s, table_s = _run_traced(cfg(), False, monkeypatch)
+        exp_b, res_b, table_b = _run_traced(cfg(), True, monkeypatch)
+        assert any(
+            ev.kind == KIND_DELIVER_BURST for ev in exp_b.sim.queue.live_events()
+        )
+        by_status = _flight_status_counts(table_b)
+        assert by_status == _flight_status_counts(table_s)
+        st = res_b.transport_stats
+        assert by_status[STATUS_DONE] == st["delivered"]
+        assert by_status[STATUS_PENDING] > 0
+        doomed = by_status[STATUS_DROPPED] - (
+            st["dropped_no_edge"] + st["dropped_removed"]
+        )
+        assert doomed == 2
+        assert canonical_spans(table_b) == canonical_spans(table_s)
+
+    @pytest.mark.parametrize(
+        "name,make", PARITY_WORKLOADS, ids=[w[0] for w in PARITY_WORKLOADS]
+    )
+    def test_tracing_does_not_change_which_kernel_runs(
+        self, name, make, monkeypatch
+    ):
+        exp_u, res_u = _run(make(), True, monkeypatch)
+        exp_t, res_t, _ = _run_traced(make(), True, monkeypatch)
+        assert res_t.batch_gate_reason == res_u.batch_gate_reason
+        assert exp_t.sim.batch_dispatches == exp_u.sim.batch_dispatches > 0
+        assert _fingerprint(exp_t, res_t) == _fingerprint(exp_u, res_u)
+
+    def test_remaining_observer_declines_name_the_observer(self, monkeypatch):
+        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+        cfg = configs.huge_sync_ring(16, horizon=5.0)
+        assert run_experiment(replace(cfg, trace=True)).batch_gate_reason == (
+            "structured TraceRecorder is enabled (cfg.trace)"
+        )
+        exp = Experiment(cfg)
+        exp.nodes[3].effect_log = []
+        assert exp.run().batch_gate_reason == "node 3 has an effect log attached"
+
+
+@settings(max_examples=15, deadline=None)
+@given(ops=_churn_ops)
+def test_property_random_flip_scripts_span_parity(ops):
+    """Property: any add/remove script, traced scalar == traced batch spans."""
+    script = _script_from_ops(ops)
+    make = lambda: _churned_sync_ring(script, n=_N, horizon=25.0)
+    with pytest.MonkeyPatch.context() as mp:
+        exp_s, res_s, table_s = _run_traced(make(), False, mp)
+        exp_b, res_b, table_b = _run_traced(make(), True, mp)
+    assert res_b.batch_gate_reason is None
+    assert canonical_spans(table_b) == canonical_spans(table_s)
+    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+
+
+# --------------------------------------------------------------------- #
 # Live integration
 # --------------------------------------------------------------------- #
 
@@ -355,8 +527,6 @@ class TestExport:
 
 def _broken_bound_adversarial_run():
     cfg = configs.adversarial_delay(8, horizon=120.0, seed=1)
-    from dataclasses import replace
-
     cfg = replace(
         cfg,
         record=False,
