@@ -501,6 +501,7 @@ def _kernel_payload(result: Any) -> dict[str, Any]:
     scripts can assert it instead of inferring it from the speed."""
     return {
         "batch_gate_reason": result.batch_gate_reason,
+        "array_events": result.array_events,
         "par_fallback_reason": result.par_fallback_reason,
         "par_shards": result.par_shards,
     }
@@ -629,6 +630,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             print("\nprofile: batch kernel active", file=dest)
+        print(
+            f"profile: array step: {result.array_events:,} / "
+            f"{result.events_dispatched:,} events",
+            file=dest,
+        )
         if result.par_fallback_reason is not None:
             print(
                 f"profile: parallel fallback -- {result.par_fallback_reason}",

@@ -1,11 +1,21 @@
-"""Dense struct-of-arrays batch execution over DCSA nodes.
+"""Dense struct-of-arrays execution of the DCSA step over DCSA nodes.
 
-The scalar kernel dispatches one Python ``handle()`` per event, which caps
-practical scale around 10k nodes.  At large ``n`` with identical hardware
-rates (the ``huge_sync_*`` workloads), deliveries and ticks collide on the
-same timestamps in runs of O(n) records; this module executes such a run in
-a handful of phased loops plus numpy array steps instead of n full
-event dispatches.
+The reference path turns every event into an ``Event``, a
+``DCSACore.handle()`` call and an effect list the driver re-interprets.
+This module executes the same step -- sync, Gamma refresh, ``Lmax``
+raise, AdjustClock, ``lost``-timer re-arm, tick re-push -- directly
+against the cores' state, for every message delivery and tick of an
+eligible population.  **Scalar dispatch is a batch of one**: a singleton
+``KIND_DELIVER`` record (:meth:`NodeArrayTable.deliver_one`) and a
+singleton ``tick`` (:meth:`NodeArrayTable.tick_one`) enter the same
+per-destination and per-driver loops the run handlers do
+(:meth:`NodeArrayTable._process_dest_msgs`,
+:meth:`NodeArrayTable._tick_phase`) with one element.  At
+large ``n`` with identical hardware rates (the ``huge_sync_*``
+workloads), deliveries and ticks collide on the same timestamps in runs
+of O(n) records, and a run executes in a handful of phased loops plus
+numpy array steps instead of n kernel turns.  ``lost`` fires,
+discoveries and ``Start`` stay on ``handle()``.
 
 :class:`NodeArrayTable` is the dense mirror of the per-simulator
 :class:`~repro.core.node.NodeTable`: a validated snapshot of every driver,
@@ -62,18 +72,25 @@ with its own equivalence argument:
   keep scalar order because extension order equals the original per-class
   push order.
 
-The table only builds -- and the batch handlers only engage -- when the
-execution provably fits the fast path; anything else (baseline cores,
-drifting clock types, effect logs, the structured ``TraceRecorder``,
-adversaries that swap clocks) falls back to scalar dispatch with no
-behavioural difference.  The timer batch handler additionally requires
-*positive constant* delay and discovery policies: with a zero or
-randomized delay, a tick's send could schedule a same-timestamp delivery
-that scalar dispatch would run *before* the remaining timers of the run,
-which pre-popping cannot honour.  That gate is decided at transport
-construction from the policy types alone (see
-:class:`~repro.network.transport.Transport`); deliver batches need no
-such gate -- delivery handlers never send.
+The table only builds -- and the array step only runs -- when the
+population provably fits it; anything else (baseline cores,
+non-constant clock types, effect logs, the structured ``TraceRecorder``,
+adversaries that swap clocks) runs ``handle()`` with no behavioural
+difference, and the verdict holds for the whole run (an effect log
+attached after the build raises).  The *run* handler for timers
+additionally requires *positive constant* delay and discovery policies:
+with a zero or randomized delay, a tick's send could schedule a
+same-timestamp delivery that scalar dispatch would run *before* the
+remaining timers of the run, which pre-popping cannot honour.  That
+gate is decided at transport construction from the policy types alone
+(see :class:`~repro.network.transport.Transport`); deliver runs need no
+such gate -- delivery handlers never send -- and neither do singletons:
+nothing is pre-popped, so under any delay policy a singleton tick sends
+per message through :meth:`~repro.network.transport.Transport.send`
+(delay draws, sequence numbers, FIFO clamps and ``dropped_no_edge``
+bookkeeping at their scalar positions) and whatever lands at the
+current timestamp dispatches before the next timer.
+:attr:`NodeArrayTable.array_events` counts what the step executed.
 
 **Causal tracing rides along.**  The span
 :class:`~repro.tracing.context.Tracer` is a passenger of this path, not a
@@ -179,6 +196,7 @@ class NodeArrayTable:
         "send_delay",
         "adj",
         "ids",
+        "array_events",
     )
 
     def __init__(
@@ -225,6 +243,9 @@ class NodeArrayTable:
             graph.neighbors(i) if i in ids else frozenset()
             for i in range(len(drivers))
         ]
+        #: Events executed by the array step so far (singletons and burst
+        #: / group constituents alike), bumped once per entry point.
+        self.array_events = 0
 
     # ------------------------------------------------------------------ #
     # Batch handlers
@@ -251,6 +272,7 @@ class NodeArrayTable:
         flights = None
         if self.transport._tracer is not None:
             flights = [ev.b for ev in records], [ev.e for ev in records]
+        self.array_events += len(records)
         self._process_dest_msgs(dest_msgs, flights)
 
     def deliver_burst(
@@ -273,10 +295,25 @@ class NodeArrayTable:
             else:
                 lst.append(u)
                 lst.append(payload)
+        self.array_events += len(us)
         self._process_dest_msgs(dest_msgs, None if sids is None else (vs, sids))
 
+    def deliver_one(self, u: int, v: int, payload: Any, sid: int | None) -> None:
+        """Execute a singleton ``KIND_DELIVER`` record: a batch of one.
+
+        Called by :meth:`Transport._handle_deliver` once the Section 3.2
+        predicate cleared the message; ``sid`` is the record's observer
+        slot (its flight span id when traced).  Nothing was pre-popped, so
+        this is scalar dispatch with the effect list cut out.
+        """
+        self.array_events += 1
+        flights = None
+        if self.transport._tracer is not None:
+            flights = (v,), (sid,)
+        self._process_dest_msgs({v: (u, payload)}, flights)
+
     def _process_dest_msgs(
-        self, dest_msgs: dict[int, list[Any]], flights: _Flights | None
+        self, dest_msgs: dict[int, Sequence[Any]], flights: _Flights | None
     ) -> None:
         """Apply same-timestamp deliveries grouped per destination.
 
@@ -473,14 +510,13 @@ class NodeArrayTable:
                     fire(rec)
                 return
         drivers = [ev.a for ev in records]
+        self.array_events += len(records)
         ft0, same = self._tick_phase(drivers)
         sim = self.sim
-        queue = sim.queue
-        # Re-armed records carry their arm time in ``d`` (and individual
-        # ones the in-run phase bit in ``e``) exactly as
-        # :meth:`ClockSyncNode._arm_timer` stamps them.
         if same and len(records) > 1:
-            grp = queue.push_typed(
+            # A group carries its arm time in ``d`` like an individual
+            # record (see :meth:`_repush_tick`).
+            grp = sim.queue.push_typed(
                 ft0, PRIORITY_TIMER, KIND_TICK_BURST, drivers, None, None,
                 sim.now, None, "tick+", e=len(records),
             )
@@ -488,10 +524,34 @@ class NodeArrayTable:
                 d._timers[_TICK] = grp
         else:
             for ev in records:
-                ev.d = sim.now
-                ev.e = 1
-                queue.repush(ev, self._tick_deadline(ev.a))
-                ev.a._timers[_TICK] = ev
+                self._repush_tick(ev, self._tick_deadline(ev.a))
+
+    def _repush_tick(self, ev: ScheduledEvent, fire_t: float) -> None:
+        """Re-arm the just-fired tick record ``ev`` in place at ``fire_t``.
+
+        Its payload is already correct and the kernel skips requeued
+        records when recycling; the arm time and in-run phase bit go into
+        ``d`` / ``e`` exactly as :meth:`ClockSyncNode._arm_timer` stamps
+        them (the parallel backend keys timer provenance on those slots).
+        """
+        sim = self.sim
+        ev.d = sim.now
+        ev.e = 1
+        sim.queue.repush(ev, fire_t)
+        ev.a._timers[_TICK] = ev
+
+    def tick_one(self, ev: ScheduledEvent) -> None:
+        """Execute a singleton ``tick`` record: a timer run of one.
+
+        Called by the kernel's ``KIND_TIMER`` handler
+        (:func:`repro.core.node._dispatch_timer`) for drivers this table
+        covers.  Nothing was pre-popped, so sends that land at the current
+        timestamp (zero or randomized delays) still dispatch before the
+        next timer exactly as under scalar dispatch.
+        """
+        self.array_events += 1
+        deadline, _ = self._tick_phase((ev.a,))
+        self._repush_tick(ev, deadline)
 
     def handle_tick_group(self, ev: ScheduledEvent) -> None:
         """Execute one tick-group record (see :data:`KIND_TICK_BURST`).
@@ -507,6 +567,7 @@ class NodeArrayTable:
         into individual records.
         """
         drivers = ev.a
+        self.array_events += len(drivers)
         ft0, same = self._tick_phase(drivers)
         sim = self.sim
         queue = sim.queue
@@ -527,7 +588,9 @@ class NodeArrayTable:
         now = self.sim.now
         return fire_t if fire_t > now else now
 
-    def _tick_phase(self, drivers: "list[ClockSyncNode]") -> tuple[float, bool]:
+    def _tick_phase(
+        self, drivers: "Sequence[ClockSyncNode]"
+    ) -> tuple[float, bool]:
         """Sync, send and AdjustClock for one run of ticking ``drivers``.
 
         One fused loop: per driver sync + payload capture + sends, in
@@ -754,8 +817,9 @@ def build_node_array_table(
     range is a plain DCSA node on a constant-rate clock with neither an
     effect log nor the structured ``TraceRecorder`` attached (the span
     tracer is no gate; see module docstring), or ``None`` (cached as
-    ``False`` by the caller) otherwise.  Called lazily on the first batch
-    run -- after ``t = 0`` wiring, so adversary clock swaps are visible.
+    ``False`` by the caller) otherwise.  Called lazily by the first in-run
+    delivery or tick -- after ``t = 0`` wiring, so adversary clock swaps
+    are visible.
 
     When additionally the delay policy is a valid positive constant, the
     table's :attr:`~NodeArrayTable.send_delay` is set, enabling the
@@ -810,7 +874,7 @@ def build_node_array_table(
                 "positive-rate ConstantRateClock"
             )
             return None
-        if d.effect_log is not None:
+        if d._effect_log is not None:
             _decline(f"node {i} has an effect log attached")
             return None
         if d.trace.enabled:

@@ -22,6 +22,16 @@ pre-refactor monolithic node classes (the golden-value pins enforce it):
   dispatch-time hardware reading, the same arithmetic as the original
   ``set_subjective_timer``.
 
+**The array step.**  When the transport holds a valid
+:class:`~repro.core.batch.NodeArrayTable` (an all-DCSA, constant-rate
+population without effect logs), message deliveries and ``tick`` timers
+bypass this translation entirely: the transport hands a delivered message
+to the table, and the ``KIND_TIMER`` handler below routes ``tick`` keys
+of table-covered drivers to it, where the same step runs against the
+core's state without an ``Event`` or an effect list (bit-identical; see
+:mod:`repro.core.batch`).  ``lost`` fires, discoveries and ``Start`` --
+and every event of any other population -- go through :meth:`_dispatch`.
+
 **Subjective timers.**  ``set timer(dt)`` in the pseudocode means: fire
 when *my hardware clock* has advanced by ``dt``.  The driver converts via
 the clock's exact inverse and registers a cancellable, keyed simulator
@@ -60,11 +70,14 @@ from .protocol import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..tracing.context import Tracer
+    from .batch import NodeArrayTable
 
 __all__ = ["ClockSyncNode", "NodeTable"]
 
 #: Optional per-node effect log entry: ``(now_h, event, effects)``.
 EffectLogEntry = tuple[float, Event, tuple[Effect, ...]]
+
+_TICK = "tick"
 
 
 class NodeTable:
@@ -120,8 +133,21 @@ class NodeTable:
 
 
 def _dispatch_timer(ev: ScheduledEvent) -> None:
-    """Kernel handler for ``KIND_TIMER`` records (``a=driver, b=key``)."""
-    ev.a._fire_timer(ev.b)
+    """Kernel handler for ``KIND_TIMER`` records (``a=driver, b=key``).
+
+    A ``tick`` of a driver whose transport holds a valid batch table runs
+    the table's array step as a batch of one; ``lost`` fires, and every
+    timer of any other driver, go through :meth:`ClockSyncNode._fire_timer`.
+    """
+    driver = ev.a
+    if ev.b == _TICK:
+        table = driver._table
+        if table is None:
+            table = driver._table = driver._probe_table()
+        if table is not False:
+            table.tick_one(ev)
+            return
+    driver._fire_timer(ev.b)
 
 
 class ClockSyncNode:
@@ -186,15 +212,43 @@ class ClockSyncNode:
         # Join the simulator's dense driver table (registers the shared
         # KIND_TIMER dispatch handler on first use).
         NodeTable.ensure(sim).register(node_id, self)
-        #: Set to a list to capture ``(now_h, event, effects)`` per dispatch
-        #: (used by the sim<->live parity tests; ``None`` = off, free).
-        self.effect_log: list[EffectLogEntry] | None = None
+        self._effect_log: list[EffectLogEntry] | None = None
         #: Span tracer (``None`` when causal tracing is off).
         self._tracer: "Tracer | None" = None
+        #: The transport's batch table: ``None`` until the first tick
+        #: probes it, ``False`` when the population runs ``handle()``.
+        self._table: "NodeArrayTable | bool | None" = None
 
     def attach_tracer(self, tracer: "Tracer") -> None:
         """Record timer-fire and jump spans into ``tracer``."""
         self._tracer = tracer
+
+    @property
+    def effect_log(self) -> list[EffectLogEntry] | None:
+        """Set to a list to capture ``(now_h, event, effects)`` per dispatch
+        (used by the sim<->live parity tests; ``None`` = off, free).
+
+        A log must be attached before the run starts: it makes the batch
+        table decline, and that verdict cannot flip once the table is
+        built (deliveries and ticks would bypass ``handle()`` and the log
+        silently), so a late attachment raises.
+        """
+        return self._effect_log
+
+    @effect_log.setter
+    def effect_log(self, log: list[EffectLogEntry] | None) -> None:
+        if log is not None and getattr(self.transport, "_batch_table", None):
+            raise RuntimeError(
+                f"node {self.node_id}: cannot attach an effect log once the "
+                "batch table is built (its events no longer pass through "
+                "handle()); attach it before run()"
+            )
+        self._effect_log = log
+
+    def _probe_table(self) -> "NodeArrayTable | bool":
+        """The transport's batch table (built on first use), else ``False``."""
+        ensure = getattr(self.transport, "_ensure_batch_table", None)
+        return ensure() if ensure is not None else False
 
     # ------------------------------------------------------------------ #
     # Clock reads
@@ -251,8 +305,8 @@ class ClockSyncNode:
         now_h = self.clock.value(now)
         effects = self.core.handle(now_h, event)
         self._t_last = now
-        if self.effect_log is not None:
-            self.effect_log.append((now_h, event, tuple(effects)))
+        if self._effect_log is not None:
+            self._effect_log.append((now_h, event, tuple(effects)))
         # Effect application is inlined here (rather than delegated to
         # _apply_effects) because this runs once per kernel event; the
         # shared loop below stays the single definition for out-of-band

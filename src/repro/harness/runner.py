@@ -361,6 +361,10 @@ class RunResult:
     #: (first failing gate of ``build_node_array_table``), or ``None`` when
     #: it engaged, was never probed, or the run was scalar-only.
     batch_gate_reason: str | None = None
+    #: How many of ``events_dispatched`` the batch table's array step
+    #: executed (singleton deliveries and ticks included); the rest went
+    #: through ``handle()`` or were not node events at all.
+    array_events: int = 0
     #: Why a ``"par"``-runtime run fell back to the serial backend, or
     #: ``None`` when the run was serial by construction or genuinely
     #: sharded (see :mod:`repro.sim.par`).
@@ -426,6 +430,11 @@ class RunResult:
             )
         if self.batch_gate_reason is not None:
             lines.append(f"  batch kernel declined: {self.batch_gate_reason}")
+        if self.array_events:
+            lines.append(
+                f"  array step: {self.array_events:,} / "
+                f"{self.events_dispatched:,} events"
+            )
         if self.par_shards is not None:
             lines.append(f"  parallel backend: {self.par_shards} shards")
         if self.par_fallback_reason is not None:
@@ -711,6 +720,7 @@ class Experiment:
             oracle_report=self.oracle.report() if self.oracle is not None else None,
             spans=self.tracer.table if self.tracer is not None else None,
             batch_gate_reason=self.sim.subsystems.get(REASON_KEY),
+            array_events=self.transport.array_events,
         )
 
 

@@ -23,7 +23,7 @@ it); both are enforced.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 __all__ = ["DynamicGraph", "GraphError", "edge_key"]
 
@@ -238,6 +238,16 @@ class DynamicGraph:
             if not flags[i]:
                 return True
         return False
+
+    @property
+    def ever_removed(self) -> AbstractSet[Edge]:
+        """Canonical edges that have ever seen a remove event (a live view).
+
+        Empty on a topology that only ever grew: every message sent over a
+        present edge then provably arrives, and the transport's singleton
+        delivery path skips the per-message drop predicate on that test.
+        """
+        return self._ever_removed
 
     def never_removed(self, us: Sequence[int], vs: Sequence[int]) -> bool:
         """Whether no edge ``{us[i], vs[i]}`` has ever seen a remove event.

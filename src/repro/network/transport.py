@@ -168,6 +168,9 @@ class Transport:
         # Pre-bound hot-path callables (saves attribute chains per message).
         self._has_edge = graph.has_edge
         self._removed_during = graph.removed_during
+        #: Live view: while empty, no message sent over a present edge can
+        #: have lost it, so singleton deliveries skip the drop predicate.
+        self._ever_removed = graph.ever_removed
         #: The one seam every ``PRIORITY_DELIVERY`` push goes through
         #: (messages, discoveries, the batch table's bursts): a
         #: ``push_typed``-shaped callable.  The sharded backend rebinds it
@@ -175,9 +178,11 @@ class Transport:
         self._push: Callable[..., ScheduledEvent | None] = sim.queue.push_typed
         #: Batch-dispatch table: ``None`` until first use, ``False`` when
         #: the execution was checked and found batch-incompatible (the
-        #: verdict cannot change mid-run, so it is cached), else the built
-        #: :class:`~repro.core.batch.NodeArrayTable`.
-        self._batch_table: "NodeArrayTable | None | bool" = None
+        #: verdict cannot change mid-run, so it is cached) or ``sim.batch``
+        #: is off, else the built :class:`~repro.core.batch.NodeArrayTable`.
+        self._batch_table: "NodeArrayTable | None | bool" = (
+            None if sim.batch else False
+        )
         sim.set_handler(KIND_DELIVER, self._handle_deliver)
         sim.set_handler(KIND_DELIVER_BURST, self._handle_deliver_burst)
         sim.set_handler(KIND_DISCOVER, self._handle_discover)
@@ -235,6 +240,7 @@ class Transport:
         for field in TransportStats.__slots__:
             registry.counter_fn(f"transport.{field}", _stat_reader(field))
         registry.counter_fn("transport.edge_flips", lambda: self.edge_flips)
+        registry.counter_fn("kernel.array_events", lambda: self.array_events)
         registry.gauge_fn(
             "transport.in_flight",
             lambda: stats.sent
@@ -242,6 +248,15 @@ class Transport:
             - stats.dropped_no_edge
             - stats.dropped_removed,
         )
+
+    @property
+    def array_events(self) -> int:
+        """Events the batch table's array step executed so far (``0`` while
+        no table is built): the share of the run that bypassed ``handle()``."""
+        table = self._batch_table
+        if table is None or isinstance(table, bool):
+            return 0
+        return table.array_events
 
     # ------------------------------------------------------------------ #
     # Node management
@@ -332,8 +347,32 @@ class Transport:
         )
 
     def _handle_deliver(self, ev: ScheduledEvent) -> None:
-        """Kernel handler for ``KIND_DELIVER`` records (one call per message)."""
-        self._deliver(ev.a, ev.b, ev.c, ev.d, ev.e)
+        """Kernel handler for ``KIND_DELIVER`` records (one call per message).
+
+        On a valid batch table a message that clears the Section 3.2
+        predicate is booked here and executed by the table as a batch of
+        one; the drop branch -- and every message of an invalid-table
+        population -- stays :meth:`_deliver`'s.  Every message was sent
+        over a present edge, so while no edge has ever been removed the
+        predicate is vacuous and skipped (cf. :meth:`_drop_failed`).
+        """
+        u = ev.a
+        v = ev.b
+        table = self._batch_table
+        if table is None:
+            table = self._ensure_batch_table()
+        if table is False or (
+            self._ever_removed
+            and (
+                not self._has_edge(u, v)
+                or self._removed_during(u, v, ev.d, self.sim.now)
+            )
+        ):
+            self._deliver(u, v, ev.c, ev.d, ev.e)
+            return
+        assert not isinstance(table, bool)
+        self.stats.delivered += 1
+        table.deliver_one(u, v, ev.c, ev.e)
 
     def _handle_deliver_batch(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for same-timestamp ``KIND_DELIVER`` runs.

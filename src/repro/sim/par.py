@@ -332,23 +332,17 @@ class ParTransport(Transport):
     # ------------------------------------------------------------------ #
 
     def _handle_deliver(self, ev: ScheduledEvent) -> None:
-        """Scalar delivery of one keyed record (local or envelope)."""
+        """Delivery of one keyed record (local or envelope)."""
         self._enter(ev)
-        if ev.e == -2:
-            # Merged envelope: the sender-side shadow (or nothing, when no
-            # churn exists) owns the drop accounting; the receiver only
-            # delivers or silently drops.
-            u, v = ev.a, ev.b
-            if not self._has_edge(u, v) or self._removed_during(
-                u, v, ev.d, self.sim.now
-            ):
-                return
-            self.stats.delivered += 1
-            node = self._node_seq[v]
-            assert node is not None
-            node.on_message(u, ev.c)
-        else:
-            self._deliver(ev.a, ev.b, ev.c, ev.d, -1)
+        if ev.e == -2 and (
+            not self._has_edge(ev.a, ev.b)
+            or self._removed_during(ev.a, ev.b, ev.d, self.sim.now)
+        ):
+            # Merged envelope whose edge failed in flight: the sender-side
+            # shadow (or nothing, when no churn exists) owns the drop
+            # accounting; the receiver drops silently.
+            return
+        super()._handle_deliver(ev)
 
     def _handle_deliver_batch(self, records: list[ScheduledEvent]) -> None:
         table = self._ensure_batch_table()
@@ -532,6 +526,7 @@ def _build_worker_experiment(
     so shared randomness is bitwise identical across shard counts.
     """
     from ..baselines import FreeRunningNode
+    from ..core.node import _dispatch_timer
     from ..harness.runner import (
         ALGORITHMS,
         _make_clock,
@@ -582,7 +577,7 @@ def _build_worker_experiment(
     def _timer_dispatch(ev: ScheduledEvent) -> None:
         transport._gp = (sim.now, 2, ev.d, ev.e, ev.a.node_id)
         transport._gc = 0
-        ev.a._fire_timer(ev.b)
+        _dispatch_timer(ev)
 
     def _topology_dispatch(ev: ScheduledEvent) -> None:
         idx = transport._topo_idx
@@ -700,6 +695,7 @@ def _worker_main(
             "events": sim.events_dispatched,
             "kind_counts": list(kc),
             "batch_gate_reason": sim.subsystems.get(REASON_KEY),
+            "array_events": transport.array_events,
         }
         conn.send(("done", done))
     except BaseException:
@@ -980,6 +976,7 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
     stats = {f: 0 for f in _STAT_FIELDS}
     events = coord_sim.events_dispatched
     batch_reason: str | None = None
+    array_events = 0
     for done in dones:
         lo = done["lo"]
         hi = done["hi"]
@@ -1001,6 +998,7 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
         # Topology replays in every shard (the coordinator's copy is the
         # one that counts); shadow records are a parallel-only artefact.
         events += done["events"] - kc[KIND_TOPOLOGY] - kc[KIND_PAR_SHADOW]
+        array_events += done["array_events"]
         if lo == 0:
             batch_reason = done["batch_gate_reason"]
     record = RunRecord(
@@ -1017,5 +1015,6 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
         events_dispatched=events,
         oracle_report=orc.report() if orc is not None else None,
         batch_gate_reason=batch_reason,
+        array_events=array_events,
         par_shards=k,
     )

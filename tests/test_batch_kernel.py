@@ -6,12 +6,15 @@ total), per-node protocol state, message counters, dispatch tallies --
 is bit-identical to the scalar kernel on the same config.  The tests
 here pin that contract on the batch workloads (where the vectorized
 phases actually engage), under topology churn (where the array path must
-stay engaged and apply the drop rule per message), and at the unit level
-for the queue's pop-run API and the vectorized AdjustClock.
+stay engaged and apply the drop rule per message), on the general path
+(per-node drift, staggered ticks, random delays: every delivery and tick
+a singleton record the array step executes as a batch of one), and at the
+unit level for the queue's pop-run API and the vectorized AdjustClock.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -20,8 +23,10 @@ from hypothesis import strategies as st
 
 from repro.core.batch import NodeArrayTable, build_node_array_table
 from repro.core.dcsa import adjust_clocks_batch
+from repro.core.protocol import MaxSyncCore, ProtocolCore
 from repro.harness import configs
 from repro.harness.runner import Experiment
+from repro.network.channels import ConstantDelay, UniformDelay
 from repro.network.churn import ScriptedChurn
 from repro.network.discovery import ConstantDiscovery
 from repro.sim import simulator as simulator_mod
@@ -70,6 +75,7 @@ def _fingerprint(exp, res):
                 for u, row in c.gamma._rows.items()
             )
             for c in cores
+            if hasattr(c, "gamma")  # baseline cores keep no Gamma
         ],
         "oracle": (
             None
@@ -321,6 +327,172 @@ class TestAdjustClocksBatch:
         assert self._snap([cores[0]])[0][:2] == before[0][:2]
 
 
+# --------------------------------------------------------------------- #
+# The general path: arbitrary rates, staggered ticks, arbitrary delays
+# --------------------------------------------------------------------- #
+
+
+#: Ring-edge outages and chords on the drifting ring.  Messages fly for up
+#: to 1.0 and ticks fire every ~0.5 per node, so every removal catches
+#: messages in flight (``dropped_removed``); removals are discovered up to
+#: 2.0 later, so the endpoints keep sending meanwhile (``dropped_no_edge``).
+GENERAL_CHURN_SCRIPT = [
+    (1.3, "add", 5, 20),
+    (2.37, "remove", 7, 8),
+    (4.8, "add", 7, 8),
+    (6.05, "remove", 30, 31),
+    (7.6, "add", 30, 31),
+    (9.45, "remove", 5, 20),
+    (11.9, "remove", 40, 41),
+]
+
+
+def _mixed_population(exp):
+    """Swap node 5's freshly started DCSA core for a max-sync one."""
+    node = exp.nodes[5]
+    node.core = MaxSyncCore(5, exp.cfg.params, tick_stagger=node.core._tick_stagger)
+
+
+#: ``(id, config factory, post-build hook, table valid?)``.
+GENERAL_CASES = [
+    ("ring64", lambda: configs.huge_ring(64, horizon=20.0), None, True),
+    ("ring256", lambda: configs.huge_ring(256, horizon=8.0), None, True),
+    (
+        "churned",
+        lambda: replace(
+            configs.huge_ring(64, horizon=15.0),
+            churn=[ScriptedChurn(GENERAL_CHURN_SCRIPT)],
+        ),
+        None,
+        True,
+    ),
+    # A tick's send lands at ``now`` and must dispatch before the next timer.
+    (
+        "zero_delay",
+        lambda: replace(configs.huge_ring(64, horizon=12.0), delay_spec="zero"),
+        None,
+        True,
+    ),
+    # One baseline core: the table declines, everything stays on handle().
+    ("mixed", lambda: configs.huge_ring(64, horizon=12.0), _mixed_population, False),
+]
+_GENERAL_MAKE = {case[0]: case[1] for case in GENERAL_CASES}
+
+
+def _run_general(cfg, batch, hook=None):
+    """Run ``cfg`` on the chosen kernel, counting what a silent fallback moves.
+
+    Returns ``(exp, res, handled, draws)``: ``handled`` tallies the events
+    ``ProtocolCore.handle`` received by kind (ticks apart from ``lost``
+    fires), ``draws`` is the delay policy's call count plus its unread
+    draw buffer, i.e. its exact position in the random stream.
+    """
+    handled = Counter()
+    original = ProtocolCore.handle
+
+    def spy(self, now_h, event):
+        name = type(event).__name__
+        if name == "TimerFired":
+            name = "tick" if event.key == "tick" else "lost"
+        handled[name] += 1
+        return original(self, now_h, event)
+
+    calls = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ProtocolCore, "handle", spy)
+        mp.setattr(simulator_mod, "BATCH_DEFAULT", batch)
+        exp = Experiment(cfg)
+        if hook is not None:
+            hook(exp)
+        policy = exp.transport.delay_policy
+        draw = policy.delay
+
+        def counting(u, v, t):
+            calls[0] += 1
+            return draw(u, v, t)
+
+        policy.delay = counting
+        res = exp.run()
+    return exp, res, handled, (calls[0], getattr(policy, "_buf", None))
+
+
+class TestGeneralPathParity:
+    """Singleton deliveries and ticks ride the table, bit-identically."""
+
+    @pytest.mark.parametrize(
+        "name,make,hook,valid", GENERAL_CASES, ids=[c[0] for c in GENERAL_CASES]
+    )
+    def test_singletons_bit_identical_to_scalar(self, name, make, hook, valid):
+        exp_s, res_s, handled_s, draws_s = _run_general(make(), False, hook)
+        exp_b, res_b, handled_b, draws_b = _run_general(make(), True, hook)
+        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+        assert res_b.total_jumps() == res_s.total_jumps()
+        assert draws_b == draws_s
+        # The scalar reference is the unchanged handle() path.
+        assert res_s.array_events == 0
+        assert handled_s["MessageReceived"] == res_s.transport_stats["delivered"]
+        assert handled_s["tick"] > 0
+        if valid:
+            assert res_b.batch_gate_reason is None
+            # A silent fallback must fail, not merely get slower.
+            assert handled_b["MessageReceived"] == 0
+            assert handled_b["tick"] == 0
+            assert res_b.array_events == (
+                handled_s["MessageReceived"] + handled_s["tick"]
+            )
+            for kind in ("Start", "DiscoverAdd", "DiscoverRemove", "lost"):
+                assert handled_b[kind] == handled_s[kind]
+        else:
+            assert "MaxSyncCore" in res_b.batch_gate_reason
+            assert res_b.array_events == 0
+            assert handled_b == handled_s
+
+    def test_churned_case_exercises_both_drop_kinds(self):
+        _, res, _, _ = _run_general(_GENERAL_MAKE["churned"](), True)
+        assert res.transport_stats["dropped_no_edge"] > 0
+        assert res.transport_stats["dropped_removed"] > 0
+
+    def test_zero_lower_bound_cases_are_what_they_claim(self):
+        """``ConstantDelay(0)`` sends per message; the default is ``U(0, T)``."""
+        exp, res, _, _ = _run_general(_GENERAL_MAKE["zero_delay"](), True)
+        assert isinstance(exp.transport.delay_policy, ConstantDelay)
+        assert exp.transport.delay_policy.value == 0.0
+        assert exp.transport._batch_table.send_delay is None
+        assert res.transport_stats["delivered"] > 0
+        default = Experiment(_GENERAL_MAKE["ring64"]()).transport.delay_policy
+        assert isinstance(default, UniformDelay) and default.lo == 0.0
+
+
+class TestLateEffectLog:
+    def test_attach_after_table_built_raises(self, monkeypatch):
+        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+        exp = Experiment(configs.huge_ring(16, horizon=4.0))
+        exp.sim.run_until(2.0)
+        assert exp.transport._batch_table  # built by the first singleton
+        with pytest.raises(RuntimeError, match="effect log"):
+            exp.nodes[3].effect_log = []
+        assert exp.nodes[3].effect_log is None
+        exp.nodes[3].effect_log = None  # detaching nothing stays legal
+
+    def test_attach_before_run_declines_the_table(self, monkeypatch):
+        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+        exp = Experiment(configs.huge_ring(16, horizon=4.0))
+        exp.nodes[3].effect_log = []
+        res = exp.run()
+        assert res.batch_gate_reason == "node 3 has an effect log attached"
+        assert res.array_events == 0
+        kinds = {type(event).__name__ for _h, event, _effects in exp.nodes[3].effect_log}
+        assert {"MessageReceived", "TimerFired"} <= kinds
+
+    def test_scalar_kernel_accepts_a_late_log(self, monkeypatch):
+        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", False)
+        exp = Experiment(configs.huge_ring(16, horizon=4.0))
+        exp.sim.run_until(2.0)
+        exp.nodes[3].effect_log = []
+        exp.run()
+        assert exp.nodes[3].effect_log
+
+
 _N = 12  # ring size of the churn property (batch-eligible population)
 
 _churn_ops = st.lists(
@@ -377,6 +549,24 @@ def test_property_random_flip_scripts_bit_identical(ops, tie):
     assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
     table = exp_b.transport._batch_table
     assert table is not None and table is not False
+
+
+@pytest.mark.slow
+@settings(max_examples=25, deadline=None)
+@given(ops=_churn_ops, zero=st.booleans())
+def test_property_general_path_flip_scripts_bit_identical(ops, zero):
+    """Property: drifting ring, any flip script, scalar == singletons-on-table."""
+    script = _script_from_ops(ops)
+    make = lambda: replace(
+        configs.huge_ring(_N, horizon=15.0),
+        churn=[ScriptedChurn(script)],
+        delay_spec="zero" if zero else "uniform",
+    )
+    exp_s, res_s, _, draws_s = _run_general(make(), False)
+    exp_b, res_b, handled_b, draws_b = _run_general(make(), True)
+    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+    assert draws_b == draws_s
+    assert handled_b["MessageReceived"] == handled_b["tick"] == 0
 
 
 @pytest.mark.slow

@@ -419,6 +419,9 @@ class TestRunCommand:
         )
         assert code == 0
         payload = json.loads(out)
+        # Deliveries and ticks ran the array step; discoveries and the
+        # sample records did not.
+        assert 0 < payload["kernel"].pop("array_events") < payload["events"]
         assert payload["kernel"] == {
             "batch_gate_reason": None,
             "par_fallback_reason": None,
@@ -431,7 +434,9 @@ class TestRunCommand:
             "algorithm=max", "--json",
         )
         assert code == 0
-        assert "MaxSyncCore" in json.loads(out)["kernel"]["batch_gate_reason"]
+        kernel = json.loads(out)["kernel"]
+        assert "MaxSyncCore" in kernel["batch_gate_reason"]
+        assert kernel["array_events"] == 0
 
     def test_run_invalid_params_exit_two(self, capsys):
         code, _, err = run_cli(

@@ -205,6 +205,27 @@ class TestParity:
     def test_discovery_zero_bitwise(self):
         _assert_parity(_ring_cfg(discovery_spec="zero"))
 
+    def test_distinct_rates_singletons_on_shard_tables(self):
+        """Per-node rates: every tick after ``t = 0`` is a singleton.
+
+        The shard tables execute them one record at a time (``tick_one``;
+        boundary senders' messages and envelopes through ``deliver_one``),
+        and the re-pushed tick records must carry the provenance slots the
+        keys read.
+        """
+        cfg = replace(configs.huge_sync_ring(256, horizon=12.0), clock_spec="uniform")
+        exp = Experiment(cfg)
+        serial = exp.run()
+        assert serial.batch_gate_reason is None
+        assert exp.sim.batch_dispatches < 8  # runs are the exception here
+        assert serial.array_events > 0.9 * serial.events_dispatched
+        for k in (1, 2):
+            res = run_par(cfg, k)
+            assert res.par_fallback_reason is None, res.par_fallback_reason
+            assert res.batch_gate_reason is None
+            assert _fingerprint(cfg, res) == _fingerprint(cfg, serial), f"shards={k}"
+            assert res.array_events == serial.array_events
+
     def test_oracle_report_bitwise(self):
         cfg = _ring_cfg(oracle=OracleRef("standard", {"bound_scale": 3.0}))
         serial = _assert_parity(cfg, shard_counts=(2,))

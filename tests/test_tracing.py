@@ -175,6 +175,8 @@ WORKLOADS = [
     ("adversarial_drift", lambda: configs.adversarial_drift(8, horizon=60.0, seed=7)),
     # Batch-eligible: traced-vs-untraced identity on the array path too.
     ("huge_sync_ring", lambda: configs.huge_sync_ring(256, horizon=20.0)),
+    # The general path: singleton deliveries and ticks on the table.
+    ("huge_ring", lambda: configs.huge_ring(256, horizon=8.0)),
 ]
 
 
@@ -184,8 +186,14 @@ class TestSimTracing:
         baseline = run_experiment(make())
         with trace_session():
             traced = run_experiment(make())
-        assert traced.max_global_skew == baseline.max_global_skew
-        assert traced.max_local_skew == baseline.max_local_skew
+        if baseline.config.record:
+            assert traced.max_global_skew == baseline.max_global_skew
+            assert traced.max_local_skew == baseline.max_local_skew
+        h = baseline.config.horizon
+        for i, node in baseline.nodes.items():
+            assert traced.nodes[i].logical_clock(h) == node.logical_clock(h)
+            assert traced.nodes[i].max_estimate(h) == node.max_estimate(h)
+        assert traced.array_events == baseline.array_events
         assert traced.total_jumps() == baseline.total_jumps()
         assert traced.events_dispatched == baseline.events_dispatched
         assert traced.transport_stats == baseline.transport_stats
@@ -362,6 +370,32 @@ class TestBatchKernelSpans:
         assert table_b.dropped == 0 and table_s.dropped == 0
         assert all(p < i for i, p in enumerate(table_b.parent))
         assert table_b.count(SPAN_JUMP) > 0
+        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+
+    def test_singleton_spans_equal_scalar_spans(self, monkeypatch):
+        """Drifting ring: the rows come from ``deliver_one`` / ``tick_one``."""
+        make = lambda: configs.huge_ring(64, horizon=20.0)
+        exp_s, res_s, table_s = _run_traced(make(), False, monkeypatch)
+        exp_b, res_b, table_b = _run_traced(make(), True, monkeypatch)
+        assert res_b.batch_gate_reason is None
+        delivered = res_b.transport_stats["delivered"]
+        assert res_b.array_events > delivered  # the ticks rode the table too
+        assert canonical_spans(table_b) == canonical_spans(table_s)
+        assert table_b.dropped == 0 and table_s.dropped == 0
+        assert table_b.count(SPAN_FLIGHT) == res_b.transport_stats["sent"]
+        assert all(p < i for i, p in enumerate(table_b.parent))
+        # A jump is parented on the delivering flight (or the firing timer
+        # / discovery), a tick's per-message send on ``_trace_tick``'s row.
+        kinds = table_b.kind
+        parents = {
+            kind: Counter(
+                kinds[p] for k, p in zip(kinds, table_b.parent) if k == kind
+            )
+            for kind in (SPAN_JUMP, SPAN_FLIGHT)
+        }
+        assert set(parents[SPAN_JUMP]) <= {SPAN_FLIGHT, SPAN_TIMER, SPAN_DISCOVER}
+        assert parents[SPAN_JUMP][SPAN_FLIGHT] > 0
+        assert set(parents[SPAN_FLIGHT]) == {SPAN_TIMER, SPAN_DISCOVER}
         assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
 
     def test_capacity_overflow_counts_agree(self, monkeypatch):
