@@ -1,3 +1,3 @@
 """Package version (single source of truth, read by pyproject)."""
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"

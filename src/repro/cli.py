@@ -94,7 +94,8 @@ import json
 import os
 import sys
 import time
-from typing import Any, Sequence
+from contextlib import ExitStack, contextmanager
+from typing import Any, Iterator, Sequence
 
 from ._version import __version__
 from .harness.configs import WORKLOADS
@@ -209,101 +210,82 @@ def _progress_printer(quiet: bool):
 
 
 # --------------------------------------------------------------------- #
-# Telemetry wiring (shared by `run` and `live`)
+# Workload resolution and observer wiring (shared by the run commands)
 # --------------------------------------------------------------------- #
 
 
-def _telemetry_start(args: argparse.Namespace, source: str) -> tuple[Any, Any]:
-    """Enable ambient telemetry for one run when --metrics/--stats ask for it.
+def _resolve_workload(
+    args: argparse.Namespace, *, choices: str | None = None, **overrides: Any
+) -> Any:
+    """Build ``args.workload`` with its ``--set`` arguments (+ ``overrides``).
 
-    Returns ``(sampler, stop)``: call ``stop()`` once the run finished (it
-    emits the final frame, closes the JSONL file and disables the
-    registry; idempotent).  Returns ``(None, noop)`` when telemetry was
-    not requested, so callers need no conditional teardown.
+    Returns the :class:`ExperimentConfig`, or ``None`` after printing the
+    error (unknown name, bad arguments) -- callers exit 2.
+    """
+    factory = WORKLOADS.get(args.workload)
+    if factory is None:
+        choices = choices or f"choose from {sorted(WORKLOADS)}"
+        print(f"error: unknown workload {args.workload!r}; {choices}", file=sys.stderr)
+        return None
+    try:
+        return factory(**{**_single_assignments(args.set), **overrides})
+    except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+@contextmanager
+def _observing(
+    args: argparse.Namespace, source: str | None = None
+) -> Iterator[tuple[Any, Any]]:
+    """Activate the ambient observers the flags ask for, around one run.
+
+    ``--trace-out`` opens a span-tracing session, ``--bundle`` a skew
+    timeline, and -- when ``source`` labels the run (``run`` / ``live``;
+    ``check`` samples no telemetry) -- ``--metrics`` / ``--stats`` /
+    ``--bundle`` the telemetry registry with its sampler.  Yields
+    ``(sampler, timeline)``, each ``None`` when off.  Everything is
+    deactivated on exit, normal or not; the span table, timeline rows
+    and sampler frames outlive it (reporting reads them afterwards, the
+    sampler's final frame included).
     """
     bundling = bool(getattr(args, "bundle", None))
-    if not (args.metrics or args.stats or bundling):
-        return None, lambda: None
-    from .telemetry import FlightRecorder, TelemetrySampler, get_registry
+    with ExitStack() as stack:
+        sampler = timeline = None
+        if source is not None and (args.metrics or args.stats or bundling):
+            from .telemetry import FlightRecorder, TelemetrySampler, get_registry
 
-    registry = get_registry()
-    # One run per registry epoch: drop stale instruments from any earlier
-    # in-process run so polled readbacks can't outlive their subsystems.
-    registry.reset()
-    registry.enable()
-    recorder = FlightRecorder(args.metrics) if args.metrics else None
-    sampler = TelemetrySampler(
-        registry,
-        interval=args.metrics_interval,
-        sink=recorder,
-        source=source,
-        # A bundled run keeps its frames in memory so the bundle can
-        # embed them (sparklines in `repro report`).
-        keep_frames=bundling,
-    )
-    sampler.start()
-    stopped = False
+            registry = get_registry()
+            # One run per registry epoch: drop stale instruments from any
+            # earlier in-process run so polled readbacks can't outlive
+            # their subsystems.
+            registry.reset()
+            registry.enable()
+            stack.callback(registry.disable)
+            recorder = None
+            if args.metrics:
+                recorder = FlightRecorder(args.metrics)
+                stack.callback(recorder.close)
+            sampler = TelemetrySampler(
+                registry,
+                interval=args.metrics_interval,
+                sink=recorder,
+                source=source,
+                # A bundled run keeps its frames in memory so the bundle
+                # can embed them (sparklines in `repro report`).
+                keep_frames=bundling,
+            )
+            sampler.start()
+            stack.callback(sampler.stop)
+        if getattr(args, "trace_out", None):
+            from .tracing import trace_session
 
-    def stop() -> None:
-        nonlocal stopped
-        if stopped:
-            return
-        stopped = True
-        sampler.stop()
-        if recorder is not None:
-            recorder.close()
-        registry.disable()
+            stack.enter_context(trace_session())
+        if bundling:
+            from .obs import timeline_session
 
-    return sampler, stop
-
-
-def _tracing_start(args: argparse.Namespace) -> tuple[Any, Any]:
-    """Enable ambient causal tracing when ``--trace-out`` asks for it.
-
-    Returns ``(tracer, stop)`` analogous to :func:`_telemetry_start`;
-    ``(None, noop)`` when tracing was not requested.  The span table
-    outlives ``stop()`` (results keep a reference), so exporting after
-    teardown is fine.
-    """
-    if not getattr(args, "trace_out", None):
-        return None, lambda: None
-    from .tracing import activate_tracing, deactivate_tracing
-
-    tracer = activate_tracing()
-    stopped = False
-
-    def stop() -> None:
-        nonlocal stopped
-        if stopped:
-            return
-        stopped = True
-        deactivate_tracing()
-
-    return tracer, stop
-
-
-def _obs_start(args: argparse.Namespace) -> tuple[Any, Any]:
-    """Enable ambient skew-timeline capture when ``--bundle`` asks for it.
-
-    Returns ``(timeline, stop)`` analogous to :func:`_telemetry_start`.
-    The recorder outlives ``stop()`` (bundle assembly reads it after the
-    run), exactly like the tracer's span table.
-    """
-    if not getattr(args, "bundle", None):
-        return None, lambda: None
-    from .obs import activate_timeline, deactivate_timeline
-
-    timeline = activate_timeline()
-    stopped = False
-
-    def stop() -> None:
-        nonlocal stopped
-        if stopped:
-            return
-        stopped = True
-        deactivate_timeline()
-
-    return timeline, stop
+            timeline = stack.enter_context(timeline_session())
+        yield sampler, timeline
 
 
 def _bundle_finish(
@@ -320,8 +302,8 @@ def _bundle_finish(
 
     Returns ``{"bundle": path, "run_id": id, "ledger": root}`` for the
     caller's summary output, or ``None`` when ``--bundle`` was not given.
-    Must run after the telemetry ``stop()`` so the sampler's final frame
-    is in ``sampler.frames``.
+    Must run after the :func:`_observing` block exits so the sampler's
+    final frame is in ``sampler.frames``.
     """
     if not getattr(args, "bundle", None):
         return None
@@ -451,6 +433,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _oracle_only(cfg: Any, args: argparse.Namespace) -> Any:
+    """``cfg`` with the standard oracle armed as the flags ask and the
+    recorder off: checking is the oracle's job and must stay
+    memory-bounded at any horizon (``check`` and ``explain``)."""
+    from dataclasses import replace
+
+    from .harness.registry import OracleRef
+
+    oracle_kwargs: dict[str, Any] = {"bound_scale": args.bound_scale}
+    if getattr(args, "monitors", None):
+        oracle_kwargs["monitors"] = list(args.monitors)
+    if args.interval is not None:
+        oracle_kwargs["interval"] = args.interval
+    return replace(
+        cfg, record=False, track_edges=False, track_max_estimates=False,
+        oracle=OracleRef("standard", oracle_kwargs),
+    )
+
+
 def _check_one(
     cfg, args: argparse.Namespace
 ) -> tuple[bool, dict[str, Any], Any, float]:
@@ -459,22 +460,9 @@ def _check_one(
     Returns ``(ok, summary dict, result, elapsed seconds)`` -- the result
     and timing feed bundle assembly when ``--bundle`` is given.
     """
-    from dataclasses import replace
-
-    from .harness.registry import OracleRef
     from .harness.runner import run_experiment
 
-    oracle_kwargs: dict[str, Any] = {"bound_scale": args.bound_scale}
-    if args.monitors:
-        oracle_kwargs["monitors"] = list(args.monitors)
-    if args.interval is not None:
-        oracle_kwargs["interval"] = args.interval
-    # The recorder is deliberately off: checking is the oracle's job and
-    # must stay memory-bounded at any horizon.
-    cfg = replace(
-        cfg, record=False, track_edges=False, track_max_estimates=False,
-        oracle=OracleRef("standard", oracle_kwargs),
-    )
+    cfg = _oracle_only(cfg, args)
     t0 = time.perf_counter()
     result = run_experiment(cfg)
     elapsed = time.perf_counter() - t0
@@ -507,64 +495,39 @@ def _kernel_payload(result: Any) -> dict[str, Any]:
     }
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _observed_run(args: argparse.Namespace, cfg: Any, kind: str) -> int:
+    """Run ``cfg`` under the requested observers and report it.
+
+    The shared body of ``run`` and ``live`` (``kind``): the sim command
+    adds ``--profile``, the throughput line and the ``"kernel"`` JSON
+    block; ``live`` reports ``horizon`` as its wall-clock ``duration``.
+    Exit 1 strictly means "a paper bound was violated"; infrastructure
+    failures (socket binds, a wedged loop, bundle I/O) are exit 2.
+    """
     from .harness.runner import run_experiment
 
-    factory = WORKLOADS.get(args.workload)
-    if factory is None:
-        print(
-            f"error: unknown workload {args.workload!r}; choose from "
-            f"{sorted(WORKLOADS)}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        cfg = factory(**_single_assignments(args.set))
-    except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.shards is not None:
-        from dataclasses import replace
-
-        from .harness.registry import RuntimeRef
-
-        if args.shards < 1:
-            print("error: --shards must be >= 1", file=sys.stderr)
-            return 2
-        cfg = replace(
-            cfg, runtime=RuntimeRef("par", {"shards": args.shards})
-        )
+    is_sim = kind == "run"
     profiler = None
-    if args.profile:
+    if is_sim and args.profile:
         import cProfile
 
         profiler = cProfile.Profile()
         profiler.enable()
-    sampler, telemetry_stop = _telemetry_start(args, args.workload)
-    _tracer, tracing_stop = _tracing_start(args)
-    timeline, obs_stop = _obs_start(args)
-    t0 = time.perf_counter()
-    try:
-        result = run_experiment(cfg)
-    except Exception as exc:
-        if profiler is not None:
-            profiler.disable()
-        telemetry_stop()
-        tracing_stop()
-        obs_stop()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - t0
-    if profiler is not None:
-        profiler.disable()
-    # Final frame before any reporting, so --stats sees the finished run.
-    telemetry_stop()
-    tracing_stop()
-    obs_stop()
+    with _observing(args, args.workload) as (sampler, timeline):
+        t0 = time.perf_counter()
+        try:
+            result = run_experiment(cfg)
+        except Exception as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        finally:
+            if profiler is not None:
+                profiler.disable()
+        elapsed = time.perf_counter() - t0
     trace_counts = _trace_export(args, result)
     try:
         bundle_info = _bundle_finish(
-            args, result, kind="run", workload=args.workload,
+            args, result, kind=kind, workload=args.workload,
             elapsed=elapsed, timeline=timeline, sampler=sampler,
         )
     except OSError as exc:
@@ -578,16 +541,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "name": cfg.name,
             "algorithm": cfg.algorithm,
             "nodes": cfg.params.n,
-            "horizon": cfg.horizon,
+            "horizon" if is_sim else "duration": cfg.horizon,
             "elapsed": elapsed,
             "events": result.events_dispatched,
-            "events_per_sec": events_per_sec,
             "messages_sent": result.transport_stats["sent"],
             "messages_delivered": result.transport_stats["delivered"],
             "jumps": result.total_jumps(),
             "oracle_ok": report.ok if report is not None else None,
-            "kernel": _kernel_payload(result),
         }
+        if is_sim:
+            payload["events_per_sec"] = events_per_sec
+            payload["kernel"] = _kernel_payload(result)
         if report is not None:
             payload.update(report.to_metrics())
         if trace_counts is not None:
@@ -597,7 +561,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(result.summary())
-        print(f"  wall: {elapsed:.2f}s  throughput: {events_per_sec:,.0f} events/s")
+        if is_sim:
+            print(
+                f"  wall: {elapsed:.2f}s  throughput: {events_per_sec:,.0f} events/s"
+            )
         if trace_counts is not None:
             print(
                 f"  trace: wrote {args.trace_out} ({trace_counts['spans']} "
@@ -612,61 +579,71 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(report.render(max_lines=CHECK_MAX_VIOLATIONS))
     _print_stats(args, sampler, args.workload)
     if profiler is not None:
-        import pstats
-
-        # --json owns stdout (one parseable line); the profile goes to
-        # stderr there so piped consumers never see it.
-        dest = sys.stderr if args.json else sys.stdout
-        stats = pstats.Stats(profiler, stream=dest)
-        stats.sort_stats("cumulative")
-        # Profiling is the entry point for kernel perf work, so say up
-        # front which dispatch path actually ran: a declined batch kernel
-        # is the most common reason a profile looks scalar-heavy.
-        if result.batch_gate_reason is not None:
-            print(
-                f"\nprofile: batch kernel declined -- "
-                f"{result.batch_gate_reason}",
-                file=dest,
-            )
-        else:
-            print("\nprofile: batch kernel active", file=dest)
-        print(
-            f"profile: array step: {result.array_events:,} / "
-            f"{result.events_dispatched:,} events",
-            file=dest,
-        )
-        if result.par_fallback_reason is not None:
-            print(
-                f"profile: parallel fallback -- {result.par_fallback_reason}",
-                file=dest,
-            )
-        print(f"profile: top {PROFILE_TOP_N} by cumulative time", file=dest)
-        stats.print_stats(PROFILE_TOP_N)
+        _print_profile(args, profiler, result)
     return 0 if report is None or report.ok else 1
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    factory = WORKLOADS.get(args.workload)
-    if factory is None:
+def _print_profile(args: argparse.Namespace, profiler: Any, result: Any) -> None:
+    """Print the ``--profile`` report (stderr in --json mode)."""
+    import pstats
+
+    # --json owns stdout (one parseable line); the profile goes to
+    # stderr there so piped consumers never see it.
+    dest = sys.stderr if args.json else sys.stdout
+    stats = pstats.Stats(profiler, stream=dest)
+    stats.sort_stats("cumulative")
+    # Profiling is the entry point for kernel perf work, so say up
+    # front which dispatch path actually ran: a declined batch kernel
+    # is the most common reason a profile looks scalar-heavy.
+    if result.batch_gate_reason is not None:
         print(
-            f"error: unknown workload {args.workload!r}; choose from "
-            f"{sorted(WORKLOADS)}",
-            file=sys.stderr,
+            f"\nprofile: batch kernel declined -- {result.batch_gate_reason}",
+            file=dest,
         )
+    else:
+        print("\nprofile: batch kernel active", file=dest)
+    print(
+        f"profile: array step: {result.array_events:,} / "
+        f"{result.events_dispatched:,} events",
+        file=dest,
+    )
+    if result.par_fallback_reason is not None:
+        print(
+            f"profile: parallel fallback -- {result.par_fallback_reason}",
+            file=dest,
+        )
+    print(f"profile: top {PROFILE_TOP_N} by cumulative time", file=dest)
+    stats.print_stats(PROFILE_TOP_N)
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    cfg = _resolve_workload(args)
+    if cfg is None:
         return 2
-    try:
-        cfg = factory(**_single_assignments(args.set))
-    except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.shards is not None:
+        from dataclasses import replace
+
+        from .harness.registry import RuntimeRef
+
+        if args.shards < 1:
+            print("error: --shards must be >= 1", file=sys.stderr)
+            return 2
+        cfg = replace(
+            cfg, runtime=RuntimeRef("par", {"shards": args.shards})
+        )
+    return _observed_run(args, cfg, "run")
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    cfg = _resolve_workload(args)
+    if cfg is None:
         return 2
     summaries = []
-    bundle_info = None
-    # Only the named (non-fuzz) run is bundled: fuzz configs are
-    # throwaway regression probes, not runs worth a ledger entry.
-    timeline, obs_stop = _obs_start(args)
     try:
-        ok, summary, result, elapsed = _check_one(cfg, args)
-        obs_stop()
+        # Only the named (non-fuzz) run is bundled: fuzz configs are
+        # throwaway regression probes, not runs worth a ledger entry.
+        with _observing(args) as (_sampler, timeline):
+            ok, summary, result, elapsed = _check_one(cfg, args)
         bundle_info = _bundle_finish(
             args, result, kind="check", workload=args.workload,
             elapsed=elapsed, timeline=timeline, sampler=None,
@@ -682,7 +659,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 summaries.append(summary)
                 all_ok = all_ok and ok
     except Exception as exc:
-        obs_stop()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
@@ -715,24 +691,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_live(args: argparse.Namespace) -> int:
     from .harness.registry import RuntimeRef
-    from .harness.runner import run_experiment
 
-    factory = WORKLOADS.get(args.workload)
-    if factory is None:
-        live_names = sorted(w for w in WORKLOADS if w.startswith("live_"))
-        print(
-            f"error: unknown workload {args.workload!r}; live workloads: "
-            f"{live_names}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        kwargs = _single_assignments(args.set)
-        if args.duration is not None:
-            kwargs["duration"] = args.duration
-        cfg = factory(**kwargs)
-    except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    live_names = sorted(w for w in WORKLOADS if w.startswith("live_"))
+    overrides = {} if args.duration is None else {"duration": args.duration}
+    cfg = _resolve_workload(
+        args, choices=f"live workloads: {live_names}", **overrides
+    )
+    if cfg is None:
         return 2
     runtime = cfg.runtime
     if not (isinstance(runtime, RuntimeRef) and runtime.name == "live"):
@@ -742,71 +707,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    sampler, telemetry_stop = _telemetry_start(args, args.workload)
-    _tracer, tracing_stop = _tracing_start(args)
-    timeline, obs_stop = _obs_start(args)
-    t0 = time.perf_counter()
-    try:
-        result = run_experiment(cfg)
-    except Exception as exc:
-        # Infrastructure failures (socket binds, wedged loop) are exit 2,
-        # like `check`; exit 1 strictly means "a paper bound was violated".
-        telemetry_stop()
-        tracing_stop()
-        obs_stop()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - t0
-    telemetry_stop()
-    tracing_stop()
-    obs_stop()
-    trace_counts = _trace_export(args, result)
-    try:
-        bundle_info = _bundle_finish(
-            args, result, kind="live", workload=args.workload,
-            elapsed=elapsed, timeline=timeline, sampler=sampler,
-        )
-    except OSError as exc:
-        print(f"error: bundle: {exc}", file=sys.stderr)
-        return 2
-    report = result.oracle_report
-    if args.json:
-        payload: dict[str, Any] = {
-            "workload": args.workload,
-            "name": cfg.name,
-            "algorithm": cfg.algorithm,
-            "nodes": cfg.params.n,
-            "duration": cfg.horizon,
-            "elapsed": elapsed,
-            "events": result.events_dispatched,
-            "messages_sent": result.transport_stats["sent"],
-            "messages_delivered": result.transport_stats["delivered"],
-            "jumps": result.total_jumps(),
-            "oracle_ok": report.ok if report is not None else None,
-        }
-        if report is not None:
-            payload.update(report.to_metrics())
-        if trace_counts is not None:
-            payload["trace"] = {"path": args.trace_out, **trace_counts}
-        if bundle_info is not None:
-            payload["bundle"] = bundle_info
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(result.summary())
-        if trace_counts is not None:
-            print(
-                f"  trace: wrote {args.trace_out} ({trace_counts['spans']} "
-                f"spans, {trace_counts['flows']} flow events)"
-            )
-        if bundle_info is not None:
-            print(
-                f"  bundle: wrote {bundle_info['bundle']} "
-                f"(ledger {bundle_info['run_id']})"
-            )
-        if report is not None and not report.ok:
-            print(report.render(max_lines=CHECK_MAX_VIOLATIONS))
-    _print_stats(args, sampler, args.workload)
-    return 0 if report is None or report.ok else 1
+    return _observed_run(args, cfg, "live")
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -816,42 +717,22 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     violated -- unlike `check`, this command's job is the report, not the
     verdict); 2 means the run itself failed.
     """
-    from dataclasses import replace
-
-    from .harness.registry import OracleRef
     from .harness.runner import run_experiment
-    from .tracing import explain_result, export_chrome_trace, trace_session
+    from .tracing import explain_result, trace_session
 
-    factory = WORKLOADS.get(args.workload)
-    if factory is None:
-        print(
-            f"error: unknown workload {args.workload!r}; choose from "
-            f"{sorted(WORKLOADS)}",
-            file=sys.stderr,
-        )
+    cfg = _resolve_workload(args)
+    if cfg is None:
         return 2
-    try:
-        cfg = factory(**_single_assignments(args.set))
-    except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    oracle_kwargs: dict[str, Any] = {"bound_scale": args.bound_scale}
-    if args.interval is not None:
-        oracle_kwargs["interval"] = args.interval
-    # Same memory-bounded stance as `check`: the recorder stays off; the
-    # span table is the only history kept.
-    cfg = replace(
-        cfg, record=False, track_edges=False, track_max_estimates=False,
-        oracle=OracleRef("standard", oracle_kwargs),
-    )
+    # Same memory-bounded stance as `check`; the span table is the only
+    # history kept.
+    cfg = _oracle_only(cfg, args)
     try:
         with trace_session():
             result = run_experiment(cfg)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.trace_out and result.spans is not None:
-        export_chrome_trace(result.spans, args.trace_out)
+    _trace_export(args, result)
     report = result.oracle_report
     assert report is not None and result.spans is not None
     reports = explain_result(result, max_reports=args.max_reports)
@@ -905,10 +786,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             return 1
         try:
             print(render_sweep_dir(args.path), end="")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except (FrameError, ValueError) as exc:
+        except (OSError, FrameError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         return 0
@@ -940,10 +818,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
             return 2
     try:
         frames = read_frames(args.path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FrameError, ValueError) as exc:
+    except (OSError, FrameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not frames:
@@ -1276,13 +1151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("workload", help="workload name (see --help for the list)")
     p_run.add_argument(
-        "--set",
-        metavar="KEY=VALUE",
-        nargs="+",
-        action="extend",
-        help="workload arguments (e.g. --set n=4096 horizon=30)",
-    )
-    p_run.add_argument(
         "--profile",
         action="store_true",
         help=f"profile the run with cProfile; print the top {PROFILE_TOP_N} "
@@ -1314,31 +1182,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("workload", help="workload name (see --help for the list)")
     p_check.add_argument(
-        "--set",
-        metavar="KEY=VALUE",
-        nargs="+",
-        action="extend",
-        help="workload arguments (e.g. --set n=32 horizon=600)",
-    )
-    p_check.add_argument(
         "--monitors",
         metavar="NAME",
         nargs="+",
         help="monitor subset (default: all; see repro.oracle.MONITOR_FACTORIES)",
-    )
-    p_check.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        metavar="T",
-        help="oracle sampling interval (default: the workload's sample_interval)",
-    )
-    p_check.add_argument(
-        "--bound-scale",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="scale every upper bound by S (S < 1 tightens; for testing)",
     )
     p_check.add_argument(
         "--fuzz",
@@ -1373,27 +1220,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_explain.add_argument("workload", help="workload name (see --help for the list)")
-    p_explain.add_argument(
-        "--set",
-        metavar="KEY=VALUE",
-        nargs="+",
-        action="extend",
-        help="workload arguments (e.g. --set n=8 horizon=120)",
-    )
-    p_explain.add_argument(
-        "--bound-scale",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="scale every upper bound by S (S < 1 tightens; for testing)",
-    )
-    p_explain.add_argument(
-        "--interval",
-        type=float,
-        default=None,
-        metavar="T",
-        help="oracle sampling interval (default: the workload's sample_interval)",
-    )
     p_explain.add_argument(
         "--max-reports",
         type=int,
@@ -1437,18 +1263,42 @@ def _build_parser() -> argparse.ArgumentParser:
         help="wall-clock session length (overrides the workload default)",
     )
     p_live.add_argument(
-        "--set",
-        metavar="KEY=VALUE",
-        nargs="+",
-        action="extend",
-        help="workload arguments (e.g. --set n=16 channel=udp jitter=0.002)",
-    )
-    p_live.add_argument(
         "--json",
         action="store_true",
         help="print a machine-readable summary (includes oracle_ok)",
     )
     p_live.set_defaults(func=_cmd_live)
+
+    for p, example in (
+        (p_run, "n=4096 horizon=30"),
+        (p_check, "n=32 horizon=600"),
+        (p_explain, "n=8 horizon=120"),
+        (p_live, "n=16 channel=udp jitter=0.002"),
+    ):
+        p.add_argument(
+            "--set",
+            metavar="KEY=VALUE",
+            nargs="+",
+            action="extend",
+            help=f"workload arguments (e.g. --set {example})",
+        )
+
+    # Oracle flags, shared by the two oracle-only commands.
+    for p in (p_check, p_explain):
+        p.add_argument(
+            "--interval",
+            type=float,
+            default=None,
+            metavar="T",
+            help="oracle sampling interval (default: the workload's sample_interval)",
+        )
+        p.add_argument(
+            "--bound-scale",
+            type=float,
+            default=1.0,
+            metavar="S",
+            help="scale every upper bound by S (S < 1 tightens; for testing)",
+        )
 
     # Telemetry flags, shared by the two run-one-workload commands.
     for p in (p_run, p_live):

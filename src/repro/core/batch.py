@@ -74,9 +74,8 @@ with its own equivalence argument:
 
 The table only builds -- and the array step only runs -- when the
 population provably fits it; anything else (baseline cores,
-non-constant clock types, effect logs, the structured ``TraceRecorder``,
-adversaries that swap clocks) runs ``handle()`` with no behavioural
-difference, and the verdict holds for the whole run (an effect log
+non-constant clock types, effect logs, adversaries that swap clocks)
+runs ``handle()`` with no behavioural difference, and the verdict holds for the whole run (an effect log
 attached after the build raises).  The *run* handler for timers
 additionally requires *positive constant* delay and discovery policies:
 with a zero or randomized delay, a tick's send could schedule a
@@ -814,12 +813,11 @@ def build_node_array_table(
     by default, which is also cached under
     ``sim.subsystems["node_array_table"]``; a partial table is not -- other
     readers must not mistake it for a full one) when every driver in the
-    range is a plain DCSA node on a constant-rate clock with neither an
-    effect log nor the structured ``TraceRecorder`` attached (the span
-    tracer is no gate; see module docstring), or ``None`` (cached as
-    ``False`` by the caller) otherwise.  Called lazily by the first in-run
-    delivery or tick -- after ``t = 0`` wiring, so adversary clock swaps
-    are visible.
+    range is a plain DCSA node on a constant-rate clock with no effect
+    log attached (the span tracer is no gate; see module docstring), or
+    ``None`` (cached as ``False`` by the caller) otherwise.  Called lazily
+    by the first in-run delivery or tick -- after ``t = 0`` wiring, so
+    adversary clock swaps are visible.
 
     When additionally the delay policy is a valid positive constant, the
     table's :attr:`~NodeArrayTable.send_delay` is set, enabling the
@@ -852,9 +850,6 @@ def build_node_array_table(
     if len(node_seq) != len(drivers):
         _decline("transport and node table disagree on the node population")
         return None
-    if transport._trace is not None:
-        _decline("structured TraceRecorder is enabled (cfg.trace)")
-        return None
     rates = [0.0] * len(drivers)
     params: Any = None
     for i in ids:
@@ -876,9 +871,6 @@ def build_node_array_table(
             return None
         if d._effect_log is not None:
             _decline(f"node {i} has an effect log attached")
-            return None
-        if d.trace.enabled:
-            _decline("structured TraceRecorder is enabled (cfg.trace)")
             return None
         if params is None:
             params = d.core.params

@@ -47,7 +47,6 @@ import numpy as np
 from ..params import SystemParams
 from ..sim.clocks import HardwareClock
 from ..sim.simulator import Simulator
-from ..sim.tracing import TraceRecorder
 from .estimates import NeighborTable
 from .node import ClockSyncNode
 from .protocol import DCSACore, ProtocolCore, Update
@@ -173,7 +172,6 @@ class DCSANode(ClockSyncNode):
         params: SystemParams,
         *,
         tick_stagger: float = 0.0,
-        trace: TraceRecorder | None = None,
     ) -> None:
         super().__init__(
             node_id,
@@ -181,7 +179,6 @@ class DCSANode(ClockSyncNode):
             clock,
             transport,
             params,
-            trace=trace,
             tick_stagger=tick_stagger,
         )
 

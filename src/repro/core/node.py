@@ -5,7 +5,7 @@ to the discrete-event kernel: it translates transport callbacks and timer
 expiries into protocol events, feeds them to the core at the node's current
 hardware reading, and applies the returned effects against the simulator --
 sends through the transport, subjective timers through the clock's exact
-inverse, deferred jumps back into the core (with trace recording).  The
+inverse, deferred jumps back into the core (with span recording).  The
 core never sees the simulator; the driver never sees the algorithm.
 
 The same cores run in real time under :mod:`repro.live`; this driver is
@@ -51,7 +51,6 @@ from ..params import SystemParams
 from ..sim.clocks import HardwareClock
 from ..sim.events import KIND_TIMER, PRIORITY_TIMER, ScheduledEvent
 from ..sim.simulator import Simulator
-from ..sim.tracing import NULL_TRACE, TraceRecorder
 from ..tracing.spans import SPAN_TIMER, STATUS_DONE
 from .protocol import (
     CancelTimer,
@@ -182,7 +181,6 @@ class ClockSyncNode:
         transport: Any,
         params: SystemParams,
         *,
-        trace: TraceRecorder | None = None,
         core: ProtocolCore | None = None,
         **core_kwargs: Any,
     ) -> None:
@@ -191,7 +189,6 @@ class ClockSyncNode:
         self.clock = clock
         self.transport = transport
         self.params = params
-        self.trace = trace if trace is not None else NULL_TRACE
         if core is None:
             cls = type(self).core_class
             if cls is None:
@@ -307,30 +304,10 @@ class ClockSyncNode:
         self._t_last = now
         if self._effect_log is not None:
             self._effect_log.append((now_h, event, tuple(effects)))
-        # Effect application is inlined here (rather than delegated to
-        # _apply_effects) because this runs once per kernel event; the
-        # shared loop below stays the single definition for out-of-band
-        # core actions.
-        core = self.core
-        for eff in effects:
-            kind = type(eff)
-            if kind is Send:
-                self.transport.send(self.node_id, eff.dest, eff.payload)
-            elif kind is SetTimer:
-                self._arm_timer(eff.key, now_h + eff.delay_h)
-            elif kind is CancelTimer:
-                self.cancel_timer(eff.key)
-            elif kind is JumpL:
-                delta = eff.new_value - core.logical_clock_at(core.h_last)
-                self.trace.record(now, "jump", self.node_id, delta)
-                if self._tracer is not None:
-                    self._tracer.jump(self.node_id, now, delta)
-                core.apply_jump(eff.new_value)
-            # RaiseLmax is informational: already applied by the core.
+        self._apply_effects(effects, now_h)
 
     def _apply_effects(self, effects: list[Effect], now_h: float) -> None:
         core = self.core
-        now = self.sim.now
         for eff in effects:
             kind = type(eff)
             if kind is Send:
@@ -340,10 +317,9 @@ class ClockSyncNode:
             elif kind is CancelTimer:
                 self.cancel_timer(eff.key)
             elif kind is JumpL:
-                delta = eff.new_value - core.logical_clock_at(core.h_last)
-                self.trace.record(now, "jump", self.node_id, delta)
                 if self._tracer is not None:
-                    self._tracer.jump(self.node_id, now, delta)
+                    delta = eff.new_value - core.logical_clock_at(core.h_last)
+                    self._tracer.jump(self.node_id, self.sim.now, delta)
                 core.apply_jump(eff.new_value)
             # RaiseLmax is informational: already applied by the core.
 
@@ -450,9 +426,8 @@ class ClockSyncNode:
         """Discretely raise ``L`` to ``new_value`` (never lowers)."""
         core = self.core
         if new_value > core.logical_clock_at(core.h_last):
-            delta = new_value - core.logical_clock_at(core.h_last)
-            self.trace.record(self.sim.now, "jump", self.node_id, delta)
             if self._tracer is not None:
+                delta = new_value - core.logical_clock_at(core.h_last)
                 self._tracer.jump(self.node_id, self.sim.now, delta)
             core.apply_jump(new_value)
 

@@ -48,6 +48,7 @@ the same handler depends on it) and emitted purely as an observable record.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Hashable, Union
 
 from ..params import SystemParams
@@ -92,104 +93,46 @@ class ProtocolError(RuntimeError):
 # Input events
 # --------------------------------------------------------------------- #
 #
-# Events and effects are plain __slots__ value classes rather than frozen
-# dataclasses: one is allocated per kernel event on the hottest path in the
-# repository, and a frozen dataclass pays object.__setattr__ per field.
-# They are immutable by convention (nothing mutates them after
-# construction) and keep dataclass-style equality/repr/hash so effect
-# streams remain comparable in the sim<->live parity tests.
+# Events and effects are slotted, *non-frozen* dataclasses: one is
+# allocated per kernel event on the hottest path in the repository, and a
+# frozen dataclass pays object.__setattr__ per field where these get plain
+# attribute stores.  They are immutable by convention (nothing mutates
+# them after construction); the generated exact-type equality, repr and
+# hash keep effect streams comparable in the sim<->live parity tests.
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Start:
     """The node comes alive (dispatched exactly once, first)."""
 
-    __slots__ = ()
 
-    def __repr__(self) -> str:
-        return "Start()"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Start
-
-    def __hash__(self) -> int:
-        return hash(Start)
-
-
+@dataclass(slots=True, unsafe_hash=True)
 class MessageReceived:
     """A message from ``sender`` arrived."""
 
-    __slots__ = ("sender", "payload")
-
-    def __init__(self, sender: int, payload: Update) -> None:
-        self.sender = sender
-        self.payload = payload
-
-    def __repr__(self) -> str:
-        return f"MessageReceived(sender={self.sender!r}, payload={self.payload!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is MessageReceived
-            and self.sender == other.sender
-            and self.payload == other.payload
-        )
-
-    def __hash__(self) -> int:
-        return hash((MessageReceived, self.sender, self.payload))
+    sender: int
+    payload: Update
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class DiscoverAdd:
     """``discover(add({u, other}))`` -- an incident edge appeared."""
 
-    __slots__ = ("other",)
-
-    def __init__(self, other: int) -> None:
-        self.other = other
-
-    def __repr__(self) -> str:
-        return f"DiscoverAdd(other={self.other!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is DiscoverAdd and self.other == other.other
-
-    def __hash__(self) -> int:
-        return hash((DiscoverAdd, self.other))
+    other: int
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class DiscoverRemove:
     """``discover(remove({u, other}))`` -- an incident edge vanished."""
 
-    __slots__ = ("other",)
-
-    def __init__(self, other: int) -> None:
-        self.other = other
-
-    def __repr__(self) -> str:
-        return f"DiscoverRemove(other={self.other!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is DiscoverRemove and self.other == other.other
-
-    def __hash__(self) -> int:
-        return hash((DiscoverRemove, self.other))
+    other: int
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class TimerFired:
     """Subjective timer ``key`` expired."""
 
-    __slots__ = ("key",)
-
-    def __init__(self, key: TimerKey) -> None:
-        self.key = key
-
-    def __repr__(self) -> str:
-        return f"TimerFired(key={self.key!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is TimerFired and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash((TimerFired, self.key))
+    key: TimerKey
 
 
 Event = Union[Start, MessageReceived, DiscoverAdd, DiscoverRemove, TimerFired]
@@ -200,29 +143,15 @@ Event = Union[Start, MessageReceived, DiscoverAdd, DiscoverRemove, TimerFired]
 # --------------------------------------------------------------------- #
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Send:
     """Transmit ``payload`` to neighbour ``dest``."""
 
-    __slots__ = ("dest", "payload")
-
-    def __init__(self, dest: int, payload: Update) -> None:
-        self.dest = dest
-        self.payload = payload
-
-    def __repr__(self) -> str:
-        return f"Send(dest={self.dest!r}, payload={self.payload!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is Send
-            and self.dest == other.dest
-            and self.payload == other.payload
-        )
-
-    def __hash__(self) -> int:
-        return hash((Send, self.dest, self.payload))
+    dest: int
+    payload: Update
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class SetTimer:
     """(Re-)arm timer ``key`` to fire after ``delay_h`` *subjective* units.
 
@@ -230,44 +159,18 @@ class SetTimer:
     is what the pseudocode's ``set timer(dt, id)`` means.
     """
 
-    __slots__ = ("key", "delay_h")
-
-    def __init__(self, key: TimerKey, delay_h: float) -> None:
-        self.key = key
-        self.delay_h = delay_h
-
-    def __repr__(self) -> str:
-        return f"SetTimer(key={self.key!r}, delay_h={self.delay_h!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is SetTimer
-            and self.key == other.key
-            and self.delay_h == other.delay_h
-        )
-
-    def __hash__(self) -> int:
-        return hash((SetTimer, self.key, self.delay_h))
+    key: TimerKey
+    delay_h: float
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class CancelTimer:
     """Cancel timer ``key`` if pending (no-op otherwise)."""
 
-    __slots__ = ("key",)
-
-    def __init__(self, key: TimerKey) -> None:
-        self.key = key
-
-    def __repr__(self) -> str:
-        return f"CancelTimer(key={self.key!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is CancelTimer and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash((CancelTimer, self.key))
+    key: TimerKey
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class JumpL:
     """Discretely raise ``L`` to ``new_value``.
 
@@ -275,37 +178,14 @@ class JumpL:
     reach this effect in the list (see module docstring).
     """
 
-    __slots__ = ("new_value",)
-
-    def __init__(self, new_value: float) -> None:
-        self.new_value = new_value
-
-    def __repr__(self) -> str:
-        return f"JumpL(new_value={self.new_value!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is JumpL and self.new_value == other.new_value
-
-    def __hash__(self) -> int:
-        return hash((JumpL, self.new_value))
+    new_value: float
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class RaiseLmax:
     """``Lmax`` was raised to ``new_value`` (informational; already applied)."""
 
-    __slots__ = ("new_value",)
-
-    def __init__(self, new_value: float) -> None:
-        self.new_value = new_value
-
-    def __repr__(self) -> str:
-        return f"RaiseLmax(new_value={self.new_value!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is RaiseLmax and self.new_value == other.new_value
-
-    def __hash__(self) -> int:
-        return hash((RaiseLmax, self.new_value))
+    new_value: float
 
 
 Effect = Union[Send, SetTimer, CancelTimer, JumpL, RaiseLmax]

@@ -42,7 +42,7 @@ scalars/arrays -> python numbers / nested lists) so that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping, TypeVar
 
 import numpy as np
 
@@ -186,146 +186,75 @@ def register_runtime(name: str):
 
 
 # --------------------------------------------------------------------- #
-# ChurnRef
+# Refs: serializable (name, kwargs) handles into the factory registries
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class ChurnRef:
-    """A serializable reference to a registered churn builder.
+_R = TypeVar("_R", bound="_Ref")
 
-    Behaves like a churn builder callable ``(params, rng) -> ChurnProcess``
-    so it slots directly into ``ExperimentConfig.churn``, while also
-    round-tripping through :meth:`to_dict`/:meth:`from_dict` for hashing and
-    multiprocessing.
+
+@dataclass(frozen=True)
+class _Ref:
+    """A serializable ``(name, kwargs)`` reference into one registry.
+
+    Calling a ref calls the registered factory with the ref's kwargs
+    appended, so a ref slots in wherever the raw builder callable would,
+    while also round-tripping through :meth:`to_dict`/:meth:`from_dict`
+    for hashing and multiprocessing.  Subclasses name their registry and
+    the noun error messages use for its entries.
     """
 
     name: str
     kwargs: dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.name not in CHURN_BUILDERS:
-            raise KeyError(
-                f"unknown churn builder {self.name!r}; registered: "
-                f"{sorted(CHURN_BUILDERS)}"
-            )
-        object.__setattr__(
-            self, "kwargs", jsonify(self.kwargs, _context=f"ChurnRef({self.name!r})")
-        )
+    _registry: ClassVar[dict[str, Callable[..., Any]]]
+    _noun: ClassVar[str]
 
-    def __call__(
-        self, params: SystemParams, rng: np.random.Generator
-    ) -> ChurnProcess:
-        return CHURN_BUILDERS[self.name](params, rng, **self.kwargs)
+    def __post_init__(self) -> None:
+        if self.name not in self._registry:
+            raise KeyError(
+                f"unknown {self._noun} {self.name!r}; registered: "
+                f"{sorted(self._registry)}"
+            )
+        context = f"{type(self).__name__}({self.name!r})"
+        object.__setattr__(self, "kwargs", jsonify(self.kwargs, _context=context))
+
+    def __call__(self, *args: Any) -> Any:
+        return self._registry[self.name](*args, **self.kwargs)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-data form: ``{"kind": "ref", "name": ..., "kwargs": ...}``."""
         return {"kind": "ref", "name": self.name, "kwargs": self.kwargs}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChurnRef":
+    def from_dict(cls: type[_R], data: Mapping[str, Any]) -> _R:
         """Rebuild from :meth:`to_dict` output."""
         return cls(name=data["name"], kwargs=dict(data.get("kwargs", {})))
 
 
-# --------------------------------------------------------------------- #
-# AdversaryRef
-# --------------------------------------------------------------------- #
+class ChurnRef(_Ref):
+    """A churn builder ``(params, rng) -> ChurnProcess`` for
+    ``ExperimentConfig.churn``."""
+
+    _registry, _noun = CHURN_BUILDERS, "churn builder"
 
 
-@dataclass(frozen=True)
-class AdversaryRef:
-    """A serializable reference to a registered adversary builder.
+class AdversaryRef(_Ref):
+    """An adversary builder ``(params, rng) -> Adversary`` for
+    ``ExperimentConfig.adversary``."""
 
-    Mirrors :class:`ChurnRef`: behaves like a builder callable
-    ``(params, rng) -> Adversary`` so it slots into
-    ``ExperimentConfig.adversary``, while round-tripping through
-    :meth:`to_dict`/:meth:`from_dict` for hashing and multiprocessing.
-    """
-
-    name: str
-    kwargs: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.name not in ADVERSARY_BUILDERS:
-            raise KeyError(
-                f"unknown adversary builder {self.name!r}; registered: "
-                f"{sorted(ADVERSARY_BUILDERS)}"
-            )
-        object.__setattr__(
-            self,
-            "kwargs",
-            jsonify(self.kwargs, _context=f"AdversaryRef({self.name!r})"),
-        )
-
-    def __call__(
-        self, params: SystemParams, rng: np.random.Generator
-    ) -> "Adversary":
-        return ADVERSARY_BUILDERS[self.name](params, rng, **self.kwargs)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data form: ``{"kind": "ref", "name": ..., "kwargs": ...}``."""
-        return {"kind": "ref", "name": self.name, "kwargs": self.kwargs}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AdversaryRef":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(name=data["name"], kwargs=dict(data.get("kwargs", {})))
+    _registry, _noun = ADVERSARY_BUILDERS, "adversary builder"
 
 
-# --------------------------------------------------------------------- #
-# OracleRef
-# --------------------------------------------------------------------- #
+class OracleRef(_Ref):
+    """An oracle builder ``(params, rng) -> StreamingOracle`` for
+    ``ExperimentConfig.oracle``."""
+
+    _registry, _noun = ORACLE_BUILDERS, "oracle builder"
 
 
-@dataclass(frozen=True)
-class OracleRef:
-    """A serializable reference to a registered oracle builder.
-
-    Mirrors :class:`AdversaryRef`: behaves like a builder callable
-    ``(params, rng) -> StreamingOracle`` so it slots into
-    ``ExperimentConfig.oracle``, while round-tripping through
-    :meth:`to_dict`/:meth:`from_dict` for hashing and multiprocessing.
-    """
-
-    name: str
-    kwargs: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.name not in ORACLE_BUILDERS:
-            raise KeyError(
-                f"unknown oracle builder {self.name!r}; registered: "
-                f"{sorted(ORACLE_BUILDERS)}"
-            )
-        object.__setattr__(
-            self,
-            "kwargs",
-            jsonify(self.kwargs, _context=f"OracleRef({self.name!r})"),
-        )
-
-    def __call__(
-        self, params: SystemParams, rng: np.random.Generator
-    ) -> "StreamingOracle":
-        return ORACLE_BUILDERS[self.name](params, rng, **self.kwargs)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data form: ``{"kind": "ref", "name": ..., "kwargs": ...}``."""
-        return {"kind": "ref", "name": self.name, "kwargs": self.kwargs}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "OracleRef":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(name=data["name"], kwargs=dict(data.get("kwargs", {})))
-
-
-# --------------------------------------------------------------------- #
-# RuntimeRef
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class RuntimeRef:
-    """A serializable reference to a registered runtime runner.
+class RuntimeRef(_Ref):
+    """A runtime runner ``(cfg) -> RunResult`` for ``ExperimentConfig.runtime``.
 
     The *runtime* decides how an :class:`~repro.harness.runner.ExperimentConfig`
     is executed: ``"sim"`` replays the protocol cores through the
@@ -334,39 +263,13 @@ class RuntimeRef:
     UDP channels (:mod:`repro.live`), interpreting the config's ``horizon``
     as wall-clock seconds.  ``kwargs`` parameterise the runner (e.g.
     ``{"channel": "loopback", "jitter": 0.001}`` for the live runtime).
-
-    Like the other refs, a ``RuntimeRef`` round-trips through
-    :meth:`to_dict`/:meth:`from_dict` so runtime choice participates in
-    sweep hashing and multiprocessing.
     """
 
-    name: str
-    kwargs: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.name not in RUNTIME_BUILDERS:
-            raise KeyError(
-                f"unknown runtime {self.name!r}; registered: "
-                f"{sorted(RUNTIME_BUILDERS)}"
-            )
-        object.__setattr__(
-            self,
-            "kwargs",
-            jsonify(self.kwargs, _context=f"RuntimeRef({self.name!r})"),
-        )
+    _registry, _noun = RUNTIME_BUILDERS, "runtime"
 
     def run(self, cfg: "ExperimentConfig") -> "RunResult":
         """Execute ``cfg`` under this runtime."""
-        return RUNTIME_BUILDERS[self.name](cfg, **self.kwargs)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-data form: ``{"kind": "ref", "name": ..., "kwargs": ...}``."""
-        return {"kind": "ref", "name": self.name, "kwargs": self.kwargs}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RuntimeRef":
-        """Rebuild from :meth:`to_dict` output."""
-        return cls(name=data["name"], kwargs=dict(data.get("kwargs", {})))
+        return self(cfg)
 
 
 # --------------------------------------------------------------------- #

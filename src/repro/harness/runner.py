@@ -42,7 +42,6 @@ from ..sim.clocks import (
 )
 from ..sim.rng import RngFactory
 from ..sim.simulator import Simulator
-from ..sim.tracing import TraceRecorder
 from ..telemetry.registry import active_registry
 from ..tracing.context import Tracer, active_tracer
 from ..tracing.spans import SpanTable
@@ -83,6 +82,44 @@ DiscoverySpec = str | Callable[[SystemParams, np.random.Generator], DiscoveryPol
 ChurnBuilder = Callable[[SystemParams, np.random.Generator], ChurnProcess]
 AdversaryBuilder = Callable[[SystemParams, np.random.Generator], Adversary]
 OracleBuilder = Callable[[SystemParams, np.random.Generator], StreamingOracle]
+
+
+def _ref_entry(
+    value: Any,
+    ref_cls: Any,
+    base: type,
+    noun: str,
+    *,
+    instance: str | None = None,
+    hint: str = "",
+) -> Any:
+    """``to_dict`` form of a ``ref_cls`` config ingredient.
+
+    Anything else -- a concrete ``base`` instance or a raw builder
+    callable -- has no plain-data form and raises, naming the registry.
+    """
+    if isinstance(value, ref_cls):
+        return value.to_dict()
+    what = (
+        f"{instance or noun} {type(value).__name__}"
+        if isinstance(value, base)
+        else f"{noun} builder callable {getattr(value, '__name__', value)!r}"
+    )
+    raise SerializationError(
+        f"cannot serialize {what}; register a factory in "
+        f"repro.harness.registry.{noun.upper()}_BUILDERS (via "
+        f"@register_{noun}(name)) and reference it as "
+        f"{ref_cls.__name__}(name, kwargs).{hint}"
+    )
+
+
+def _ref_from_entry(entry: Mapping[str, Any] | None, ref_cls: Any, noun: str) -> Any:
+    """Inverse of :func:`_ref_entry` (``None`` passes through)."""
+    if entry is None:
+        return None
+    if entry.get("kind") != "ref":
+        raise ValueError(f"unknown {noun} entry kind {entry.get('kind')!r}")
+    return ref_cls.from_dict(entry)
 
 
 @dataclass
@@ -129,8 +166,6 @@ class ExperimentConfig:
         Recorder options (see :class:`~repro.analysis.recorder.SkewRecorder`).
     stagger_ticks:
         Randomise each node's first tick within one tick interval.
-    trace:
-        Collect a structured event trace (slower; for tests/debugging).
     record:
         Install the :class:`~repro.analysis.recorder.SkewRecorder`.
         Disable for long-horizon runs whose O(samples x n) history would
@@ -171,7 +206,6 @@ class ExperimentConfig:
     track_edges: bool = True
     track_max_estimates: bool = False
     stagger_ticks: bool = True
-    trace: bool = False
     record: bool = True
     oracle: StreamingOracle | OracleBuilder | None = None
     runtime: str | RuntimeRef = "sim"
@@ -194,59 +228,28 @@ class ExperimentConfig:
         """
         churn_entries: list[dict[str, Any]] = []
         for proc in self.churn:
-            if isinstance(proc, ChurnRef):
-                churn_entries.append(proc.to_dict())
-            elif isinstance(proc, ScriptedChurn):
+            if isinstance(proc, ScriptedChurn):
                 churn_entries.append(
                     {"kind": "scripted", "events": jsonify(proc.events)}
                 )
             else:
-                what = (
-                    f"churn process {type(proc).__name__}"
-                    if isinstance(proc, ChurnProcess)
-                    else f"churn builder callable {getattr(proc, '__name__', proc)!r}"
+                churn_entries.append(
+                    _ref_entry(
+                        proc, ChurnRef, ChurnProcess, "churn",
+                        instance="churn process",
+                        hint=" ScriptedChurn and ChurnRef entries serialize directly.",
+                    )
                 )
-                raise SerializationError(
-                    f"cannot serialize {what}; register a factory in "
-                    "repro.harness.registry.CHURN_BUILDERS (via "
-                    "@register_churn(name)) and reference it as "
-                    "ChurnRef(name, kwargs). ScriptedChurn and ChurnRef "
-                    "entries serialize directly."
-                )
-        if self.oracle is None:
-            oracle_entry = None
-        elif isinstance(self.oracle, OracleRef):
-            oracle_entry = self.oracle.to_dict()
-        else:
-            what = (
-                f"oracle {type(self.oracle).__name__}"
-                if isinstance(self.oracle, StreamingOracle)
-                else "oracle builder callable "
-                f"{getattr(self.oracle, '__name__', self.oracle)!r}"
-            )
-            raise SerializationError(
-                f"cannot serialize {what}; register a factory in "
-                "repro.harness.registry.ORACLE_BUILDERS (via "
-                "@register_oracle(name)) and reference it as "
-                "OracleRef(name, kwargs)."
-            )
-        if self.adversary is None:
-            adversary_entry = None
-        elif isinstance(self.adversary, AdversaryRef):
-            adversary_entry = self.adversary.to_dict()
-        else:
-            what = (
-                f"adversary {type(self.adversary).__name__}"
-                if isinstance(self.adversary, Adversary)
-                else "adversary builder callable "
-                f"{getattr(self.adversary, '__name__', self.adversary)!r}"
-            )
-            raise SerializationError(
-                f"cannot serialize {what}; register a factory in "
-                "repro.harness.registry.ADVERSARY_BUILDERS (via "
-                "@register_adversary(name)) and reference it as "
-                "AdversaryRef(name, kwargs)."
-            )
+        oracle_entry = (
+            None
+            if self.oracle is None
+            else _ref_entry(self.oracle, OracleRef, StreamingOracle, "oracle")
+        )
+        adversary_entry = (
+            None
+            if self.adversary is None
+            else _ref_entry(self.adversary, AdversaryRef, Adversary, "adversary")
+        )
         if isinstance(self.runtime, str):
             runtime_entry: Any = self.runtime
         elif isinstance(self.runtime, RuntimeRef):
@@ -273,7 +276,6 @@ class ExperimentConfig:
             "track_edges": bool(self.track_edges),
             "track_max_estimates": bool(self.track_max_estimates),
             "stagger_ticks": bool(self.stagger_ticks),
-            "trace": bool(self.trace),
             "record": bool(self.record),
             "oracle": oracle_entry,
             "runtime": runtime_entry,
@@ -302,22 +304,10 @@ class ExperimentConfig:
                 )
             else:
                 raise ValueError(f"unknown churn entry kind {kind!r}")
-        adversary: AdversaryRef | None = None
-        adversary_entry = data.pop("adversary", None)
-        if adversary_entry is not None:
-            if adversary_entry.get("kind") != "ref":
-                raise ValueError(
-                    f"unknown adversary entry kind {adversary_entry.get('kind')!r}"
-                )
-            adversary = AdversaryRef.from_dict(adversary_entry)
-        oracle: OracleRef | None = None
-        oracle_entry = data.pop("oracle", None)
-        if oracle_entry is not None:
-            if oracle_entry.get("kind") != "ref":
-                raise ValueError(
-                    f"unknown oracle entry kind {oracle_entry.get('kind')!r}"
-                )
-            oracle = OracleRef.from_dict(oracle_entry)
+        adversary = _ref_from_entry(
+            data.pop("adversary", None), AdversaryRef, "adversary"
+        )
+        oracle = _ref_from_entry(data.pop("oracle", None), OracleRef, "oracle")
         runtime: str | RuntimeRef = "sim"
         runtime_entry = data.pop("runtime", "sim")
         if isinstance(runtime_entry, str):
@@ -351,7 +341,6 @@ class RunResult:
     nodes: dict[int, ClockSyncNode]
     transport_stats: dict[str, int]
     events_dispatched: int
-    trace: TraceRecorder | None = None
     oracle_report: OracleReport | None = None
     #: Causal span table (``None`` unless tracing was active for the run).
     spans: SpanTable | None = None
@@ -423,10 +412,10 @@ class RunResult:
                     f"  oracle violations truncated: {truncated} not recorded "
                     f"(max_recorded cap)"
                 )
-        if self.trace is not None and self.trace.dropped > 0:
+        if self.spans is not None and self.spans.dropped > 0:
             lines.append(
-                f"  trace records dropped: {self.trace.dropped} "
-                f"(capacity {self.trace.capacity})"
+                f"  spans dropped: {self.spans.dropped} "
+                f"(capacity {self.spans.capacity})"
             )
         if self.batch_gate_reason is not None:
             lines.append(f"  batch kernel declined: {self.batch_gate_reason}")
@@ -551,8 +540,7 @@ class Experiment:
         self.cfg = cfg
         params = cfg.params
         rngf = RngFactory(cfg.seed)
-        self.trace = TraceRecorder() if cfg.trace else None
-        self.sim = Simulator(trace=self.trace)
+        self.sim = Simulator()
         # 1. Graph with E_0 (no listeners yet, so no discovery is emitted).
         self.graph = DynamicGraph(range(params.n), cfg.initial_edges)
         # 2. Transport subscribes to graph events.
@@ -565,7 +553,6 @@ class Experiment:
             ),
             max_delay=params.max_delay,
             discovery_bound=params.discovery_bound,
-            trace=self.trace,
         )
         # 3. Nodes (registered before any churn can mutate the graph).
         clock_rng = rngf.spawn("clocks")
@@ -586,9 +573,7 @@ class Experiment:
                     else 0.0
                 )
                 kwargs["tick_stagger"] = stagger
-            node = node_cls(
-                i, self.sim, clock, self.transport, params, trace=self.trace, **kwargs
-            )
+            node = node_cls(i, self.sim, clock, self.transport, params, **kwargs)
             self.transport.register_node(i, node)
             self.nodes[i] = node
             self.node_list.append(node)
@@ -716,7 +701,6 @@ class Experiment:
             nodes=self.nodes,
             transport_stats=self.transport.stats.as_dict(),
             events_dispatched=self.sim.events_dispatched,
-            trace=self.trace,
             oracle_report=self.oracle.report() if self.oracle is not None else None,
             spans=self.tracer.table if self.tracer is not None else None,
             batch_gate_reason=self.sim.subsystems.get(REASON_KEY),

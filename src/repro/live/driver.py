@@ -23,7 +23,7 @@ Config interpretation in live mode:
   (:func:`repro.live.clocks.build_live_clocks`);
 * ``churn`` must consist of :class:`~repro.network.churn.ScriptedChurn`
   entries (replayed at wall-clock offsets); randomized churn builders,
-  adversaries, the recorder and tracing are simulation-only and rejected;
+  adversaries and the recorder are simulation-only and rejected;
 * ``delay_spec``/``discovery_spec`` are ignored -- latency is whatever the
   channel really delivers (that is the point).
 """
@@ -86,8 +86,6 @@ def build_live_runtime(
             "the live runtime has no recorder; set record=False (live runs "
             "are checked online by the streaming oracle instead)"
         )
-    if cfg.trace:
-        raise ValueError("tracing is simulation-only; set trace=False")
     if cfg.adversary is not None:
         raise ValueError(
             "adaptive adversaries steer simulated clocks/delays and cannot "
@@ -166,7 +164,6 @@ def _to_run_result(cfg: ExperimentConfig, live: LiveRunResult) -> RunResult:
         nodes=dict(live.nodes),
         transport_stats=live.transport_stats,
         events_dispatched=live.events_handled,
-        trace=None,
         oracle_report=live.oracle_report,
         spans=tracer.table if tracer is not None else None,
     )

@@ -60,7 +60,6 @@ from ..sim.events import (
     ScheduledEvent,
 )
 from ..sim.simulator import Simulator
-from ..sim.tracing import NULL_TRACE, TraceRecorder
 from ..tracing.spans import (
     SPAN_FLIGHT,
     STATUS_DONE,
@@ -140,7 +139,6 @@ class Transport:
         discovery_policy: DiscoveryPolicy,
         max_delay: float,
         discovery_bound: float,
-        trace: TraceRecorder | None = None,
     ) -> None:
         self.sim = sim
         self.graph = graph
@@ -148,10 +146,6 @@ class Transport:
         self.discovery_policy = discovery_policy
         self.max_delay = float(max_delay)
         self.discovery_bound = float(discovery_bound)
-        self.trace = trace if trace is not None else NULL_TRACE
-        #: Hot-path trace target (``None`` when tracing is disabled, so the
-        #: per-message fast path skips even the no-op record calls).
-        self._trace = self.trace if self.trace.enabled else None
         #: Span tracer (``None`` when causal tracing is off); the transport
         #: is FIFO per directed link, so the tracer correlates send/deliver
         #: by order without touching payloads.
@@ -296,12 +290,9 @@ class Transport:
     def send(self, u: int, v: int, payload: Any) -> None:
         """Send ``payload`` from ``u`` to ``v`` under the Section 3.2 contract."""
         now = self.sim.now
-        trace = self._trace
         self.stats.sent += 1
         if not self._has_edge(u, v):
             self.stats.dropped_no_edge += 1
-            if trace is not None:
-                trace.record(now, "send_fail", u, v)
             if self._tracer is not None:
                 self._tracer.flight_fail(u, v, now)
             self._schedule_absence_discovery(u, v, send_time=now)
@@ -318,8 +309,6 @@ class Transport:
         if t_deliver < prev:
             t_deliver = prev  # FIFO clamp; see module docstring
         fifo[link] = t_deliver
-        if trace is not None:
-            trace.record(now, "send", u, v, t_deliver)
         # Open a flight span inline (this is the hottest tracer site; see
         # Tracer's class docstring) and carry its id on the delivery
         # record's observer slot ``e`` -- physics never reads it.  The
@@ -551,8 +540,6 @@ class Transport:
             # The edge failed while the message was in flight: drop, and make
             # sure the sender learns within discovery_bound of the send.
             self.stats.dropped_removed += 1
-            if self._trace is not None:
-                self._trace.record(now, "drop_removed", u, v)
             if self._tracer is not None and sid >= 0:
                 base = sid << 3
                 tdata = self._tracer.data
@@ -561,8 +548,6 @@ class Transport:
             self._schedule_absence_discovery(u, v, send_time=send_time)
             return
         self.stats.delivered += 1
-        if self._trace is not None:
-            self._trace.record(now, "recv", v, u)
         node = self._node_seq[v]
         assert node is not None
         tracer = self._tracer
@@ -621,8 +606,6 @@ class Transport:
 
     def _on_graph_event(self, time: float, u: int, v: int, added: bool) -> None:
         self.edge_flips += 1
-        if self._trace is not None:
-            self._trace.record(time, "edge_add" if added else "edge_remove", u, v)
         if self._tracer is not None:
             self._tracer.edge_flip(time, u, v, added)
         self._schedule_discovery(u, v, added=added, change_time=time)
@@ -673,9 +656,6 @@ class Transport:
             self._pending_absence.discard((node_id, other))
         if self.graph.has_edge(node_id, other) == added:
             self.stats.discoveries_delivered += 1
-            if self._trace is not None:
-                kind = "discover_add" if added else "discover_remove"
-                self._trace.record(self.sim.now, kind, node_id, other)
             node = self._node_seq[node_id]
             assert node is not None
             tracer = self._tracer

@@ -1,10 +1,11 @@
-"""Discrete-event simulation substrate (clocks, queue, kernel, tracing).
+"""Discrete-event simulation substrate (clocks, queue, kernel).
 
 This package is the Timed-I/O-Automata-style execution environment the paper
 assumes (Section 3.2): a deterministic event loop (:class:`Simulator`), exact
 piecewise-linear hardware clocks with bounded drift (:mod:`repro.sim.clocks`),
-cancellable timers (:class:`EventQueue`), seeded independent random streams
-(:class:`RngFactory`) and structured tracing (:class:`TraceRecorder`).
+cancellable timers (:class:`EventQueue`) and seeded independent random
+streams (:class:`RngFactory`).  Event traces are the span table of
+:mod:`repro.tracing`.
 """
 
 from .clocks import (
@@ -28,13 +29,11 @@ from .events import (
 from .queue import EventQueue
 from .rng import RngFactory
 from .simulator import SimulationError, Simulator
-from .tracing import NULL_TRACE, TraceRecord, TraceRecorder
 
 __all__ = [
     "ConstantRateClock",
     "EventQueue",
     "HardwareClock",
-    "NULL_TRACE",
     "PRIORITY_DELIVERY",
     "PRIORITY_SAMPLE",
     "PRIORITY_TIMER",
@@ -44,8 +43,6 @@ __all__ = [
     "ScheduledEvent",
     "SimulationError",
     "Simulator",
-    "TraceRecord",
-    "TraceRecorder",
     "extremal_clock",
     "perfect_clock",
     "random_walk_clock",

@@ -199,8 +199,6 @@ def genuine_shard_reason(cfg: "ExperimentConfig") -> str | None:
         return "staggered first ticks are not supported by the parallel backend"
     if cfg.adversary is not None:
         return "adversaries require the serial backend"
-    if cfg.trace:
-        return "structured tracing requires the serial backend"
     if cfg.record:
         return "the SkewRecorder requires the serial backend (disable record)"
     from ..tracing.context import active_tracer

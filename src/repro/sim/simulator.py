@@ -40,7 +40,6 @@ from .events import (
     ScheduledEvent,
 )
 from .queue import EventQueue
-from .tracing import NULL_TRACE, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..telemetry.registry import MetricsRegistry
@@ -73,8 +72,6 @@ class Simulator:
 
     Parameters
     ----------
-    trace:
-        Optional :class:`TraceRecorder`; defaults to the shared no-op trace.
     max_events:
         Safety valve: :meth:`run_until` raises after dispatching this many
         events (guards against accidental event storms in tests).
@@ -90,7 +87,6 @@ class Simulator:
     __slots__ = (
         "now",
         "queue",
-        "trace",
         "max_events",
         "events_dispatched",
         "batch",
@@ -104,14 +100,12 @@ class Simulator:
 
     def __init__(
         self,
-        trace: TraceRecorder | None = None,
         max_events: int = 50_000_000,
         *,
         batch: bool | None = None,
     ) -> None:
         self.now = 0.0
         self.queue = EventQueue()
-        self.trace = trace if trace is not None else NULL_TRACE
         self.max_events = max_events
         self.events_dispatched = 0
         #: Whether subsystems may register batch handlers (see
@@ -127,8 +121,7 @@ class Simulator:
         self._handlers = handlers
         self._batch_handlers: list[BatchHandler | None] = [None] * N_KINDS
         #: Per-kind dispatch tally, allocated by :meth:`instrument`; the hot
-        #: loop pays a single ``is not None`` check while telemetry is off
-        #: (same discipline as the ``NULL_TRACE`` guard).
+        #: loop pays a single ``is not None`` check while telemetry is off.
         self.kind_counts: list[int] | None = None
         #: Whether :meth:`run_until` has been entered at least once.  Set
         #: (and never cleared) at the top of the first run so setup-phase

@@ -6,7 +6,7 @@ See ``docs/observability.md`` for the subsystem design.  The short version:
   :class:`~repro.telemetry.registry.MetricsRegistry`; instrumented
   subsystems check :func:`~repro.telemetry.registry.active_registry` at
   wiring time and hold instruments-or-``None`` so disabled telemetry costs
-  one attribute check (the ``NULL_TRACE`` pattern).
+  one attribute check.
 * :class:`~repro.telemetry.sampler.TelemetrySampler` snapshots the
   registry out-of-band on a background thread -- a neutral observer, like
   the streaming oracle: bit-identical runs with telemetry on or off.

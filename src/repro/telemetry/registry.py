@@ -1,7 +1,7 @@
 """The process-wide metrics registry.
 
 Telemetry here follows the same discipline as tracing
-(:data:`repro.sim.tracing.NULL_TRACE`): instrumented code holds an
+(:func:`repro.tracing.active_tracer`): instrumented code holds an
 *instrument-or-None* reference and pays a single ``is not None`` check when
 telemetry is off.  The registry itself is **ambient** -- one process-wide
 instance, toggled by :meth:`MetricsRegistry.enable` -- and deliberately not
@@ -284,6 +284,6 @@ def active_registry() -> MetricsRegistry | None:
 
     This is the wiring-time guard: subsystems call it once while being
     built and keep instruments-or-None attributes, so disabled telemetry
-    costs one attribute check on hot paths -- the ``NULL_TRACE`` pattern.
+    costs one attribute check on hot paths.
     """
     return _GLOBAL if _GLOBAL.enabled else None

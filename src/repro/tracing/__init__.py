@@ -1,8 +1,8 @@
 """Causal tracing: happens-before spans, Perfetto export, forensics.
 
 This package is the *causal* observability pillar (PR 7), sibling to the
-metrics pillar in :mod:`repro.telemetry` (PR 6) and distinct from the
-legacy ring-buffer recorder in :mod:`repro.sim.tracing`:
+metrics pillar in :mod:`repro.telemetry` (PR 6), and the one event trace
+of a run (sends, drops, deliveries, churn, discoveries, jumps):
 
 * :mod:`repro.tracing.spans` — the pooled columnar span table;
 * :mod:`repro.tracing.context` — the :class:`Tracer` hooks both runtimes

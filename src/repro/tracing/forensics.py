@@ -44,7 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..harness.runner import RunResult
     from ..oracle.monitors import Violation
     from ..params import SystemParams
-    from ..sim.tracing import TraceRecorder
 
 __all__ = ["Cause", "CauseReport", "explain_result", "explain_violation"]
 
@@ -312,15 +311,12 @@ def explain_violation(
     params: "SystemParams",
     *,
     masked_delay: float | None = None,
-    recorder: "TraceRecorder | None" = None,
 ) -> CauseReport:
     """Rank the causes of one violation against the run's span table.
 
     ``masked_delay`` enables adversary attribution: flights on the causal
     path whose duration reaches it are flagged ``masked_flight`` (pass
     ``params.max_delay`` when a :class:`DelayAdversary` was installed).
-    ``recorder``, when given and enabled, corroborates the report with
-    legacy ring-buffer record counts over the same window.
     """
     horizon = violation.time
     nodes = violation.nodes
@@ -392,15 +388,6 @@ def explain_violation(
 
     causes.extend(_window_causes(table, nodes, window))
 
-    if recorder is not None and recorder.enabled:
-        # Satellite corroboration: the legacy ring buffer, windowed to the
-        # same interval, should agree on jump activity.
-        legacy_jumps = len(
-            recorder.filter(kind="jump", start=window[0], end=window[1])
-        )
-        if causes:
-            causes[0].data["legacy_jump_records"] = legacy_jumps
-
     causes.sort(key=lambda c: c.score, reverse=True)
     return CauseReport(
         violation=violation, causes=tuple(causes), window=window
@@ -425,15 +412,8 @@ def explain_result(
     masked_delay = (
         params.max_delay if result.config.adversary is not None else None
     )
-    recorder = result.trace
     reports = [
-        explain_violation(
-            table,
-            violation,
-            params,
-            masked_delay=masked_delay,
-            recorder=recorder,
-        )
+        explain_violation(table, violation, params, masked_delay=masked_delay)
         for violation in report.violations[:max_reports]
     ]
     result.cause_reports = reports

@@ -8,6 +8,7 @@ import pytest
 from repro import SystemParams
 from repro.harness import ExperimentConfig, build_experiment, configs, run_experiment
 from repro.network.topology import path_edges
+from repro.tracing import SPAN_FLIGHT, trace_session
 
 
 class TestConfigs:
@@ -90,23 +91,22 @@ class TestRunResult:
 
     def test_trace_collection(self):
         cfg = configs.static_path(4, horizon=10.0)
-        cfg.trace = True
-        res = run_experiment(cfg)
-        assert res.trace is not None
-        assert len(res.trace.filter(kind="send")) > 0
+        assert run_experiment(cfg).spans is None
+        with trace_session():
+            res = run_experiment(cfg)
+        assert res.spans is not None
+        assert res.spans.kind_counts[SPAN_FLIGHT] == res.transport_stats["sent"]
 
     def test_summary_reports_trace_drops(self):
-        from repro.sim.tracing import TraceRecorder
-
         cfg = configs.static_path(4, horizon=10.0)
-        cfg.trace = True
-        res = run_experiment(cfg)
-        assert "trace records dropped" not in res.summary()
-        capped = TraceRecorder(capacity=2)
-        for i in range(5):
-            capped.record(float(i), "send", i)
-        res.trace = capped
-        assert "trace records dropped: 3 (capacity 2)" in res.summary()
+        with trace_session():
+            res = run_experiment(cfg)
+        assert "spans dropped" not in res.summary()
+        with trace_session(capacity=8):
+            capped = run_experiment(cfg)
+        assert len(capped.spans) == 8
+        lost = len(res.spans) - 8
+        assert f"spans dropped: {lost} (capacity 8)" in capped.summary()
 
     def test_summary_reports_oracle_truncation(self):
         from repro.oracle.oracle import OracleReport
@@ -138,13 +138,12 @@ class TestDeterminism:
         assert not np.array_equal(a.record.clocks, b.record.clocks)
 
     def test_trace_determinism(self):
-        cfg1 = configs.static_path(5, horizon=20.0, seed=3)
-        cfg1.trace = True
-        cfg2 = configs.static_path(5, horizon=20.0, seed=3)
-        cfg2.trace = True
-        t1 = run_experiment(cfg1).trace.records
-        t2 = run_experiment(cfg2).trace.records
-        assert t1 == t2
+        tables = []
+        for _ in range(2):
+            with trace_session():
+                res = run_experiment(configs.static_path(5, horizon=20.0, seed=3))
+            tables.append(res.spans.data)
+        assert tables[0] and tables[0] == tables[1]
 
 
 class TestClockSpecs:

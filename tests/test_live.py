@@ -132,10 +132,6 @@ class TestDriverValidation:
         with pytest.raises(ValueError, match="recorder"):
             build_live_runtime(self._cfg(record=True))
 
-    def test_trace_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            build_live_runtime(self._cfg(trace=True))
-
     def test_adversary_rejected(self):
         from repro.harness.registry import AdversaryRef
 

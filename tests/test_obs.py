@@ -168,6 +168,40 @@ class TestTimeline:
         assert active_timeline() is None
         deactivate_timeline()  # idempotent
 
+    def test_cli_failed_run_leaves_no_observer_active(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A run that raises under every observer flag tears all three down."""
+        from repro.harness import runner
+        from repro.telemetry import active_registry
+        from repro.tracing import active_tracer
+
+        def ambient():
+            return active_tracer(), active_timeline(), active_registry()
+
+        seen = []
+
+        def exploding_run(cfg):
+            seen.append(ambient())
+            raise RuntimeError("boom mid-run")
+
+        monkeypatch.setattr(runner, "run_experiment", exploding_run)
+        metrics = tmp_path / "m.jsonl"
+        code, _out, err = run_cli(
+            capsys,
+            "run", "static_path", "--set", "n=4", "horizon=5",
+            "--metrics", str(metrics),
+            "--trace-out", str(tmp_path / "t.json"),
+            "--bundle", str(tmp_path / "bundle"),
+            "--ledger", str(tmp_path / "ledger"),
+        )
+        assert code == 2 and "boom mid-run" in err
+        assert len(seen) == 1 and None not in seen[0]
+        assert ambient() == (None, None, None)
+        # The flight recorder was closed too: its final frame is on disk.
+        assert metrics.read_text(encoding="utf-8").endswith("\n")
+        assert not (tmp_path / "bundle").exists()
+
 
 # --------------------------------------------------------------------- #
 # Neutrality: capture must not perturb the physics

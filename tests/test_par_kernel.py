@@ -154,12 +154,11 @@ class TestGenuineShardGate:
         [
             (dict(stagger_ticks=True), "stagger"),
             (dict(record=True), "record"),
-            (dict(trace=True), "tracing"),
             (dict(delay_spec="uniform"), "delay_spec"),
             (dict(discovery_spec="uniform"), "discovery_spec"),
             (dict(clock_spec="drifting"), "clock_spec"),
         ],
-        ids=["stagger", "record", "trace", "delay", "discovery", "clock"],
+        ids=["stagger", "record", "delay", "discovery", "clock"],
     )
     def test_unsupported_configs_are_named(self, overrides, needle):
         reason = genuine_shard_reason(_ring_cfg(**overrides))

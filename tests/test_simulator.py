@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim.events import PRIORITY_SAMPLE, PRIORITY_TOPOLOGY
 from repro.sim.simulator import SimulationError, Simulator
-from repro.sim.tracing import TraceRecorder
 
 
 class TestScheduling:
@@ -147,68 +146,6 @@ class TestPeriodic:
         sim.every(2.0, lambda t: observed.append((t, state["x"])), end=2.0)
         sim.run_until(3.0)
         assert observed == [(0.0, 0), (2.0, 42)]
-
-
-class TestTracing:
-    def test_trace_records(self):
-        tr = TraceRecorder()
-        tr.record(1.0, "send", 3, 4)
-        tr.record(2.0, "recv", 4, 3)
-        assert len(tr) == 2
-        assert tr.filter(kind="send")[0].subject == 3
-
-    def test_disabled_trace_drops(self):
-        tr = TraceRecorder(enabled=False)
-        tr.record(1.0, "send", 3)
-        assert len(tr) == 0
-
-    def test_capacity_trims(self):
-        tr = TraceRecorder(capacity=3)
-        for i in range(10):
-            tr.record(float(i), "k", i)
-        assert len(tr) == 3
-        assert tr.dropped == 7
-        assert [r.subject for r in tr] == [7, 8, 9]
-
-    def test_kind_filter(self):
-        tr = TraceRecorder(kinds=["send"])
-        tr.record(1.0, "send", 1)
-        tr.record(1.0, "recv", 2)
-        assert len(tr) == 1
-
-    def test_records_returns_fresh_list(self):
-        tr = TraceRecorder()
-        tr.record(1.0, "send", 1)
-        snapshot = tr.records
-        snapshot.append("junk")
-        assert len(tr) == 1
-
-    def test_capacity_eviction_cost_is_independent_of_capacity(self):
-        """Appends at capacity must be O(1), not O(capacity).
-
-        The list-based predecessor trimmed with ``del lst[:1]`` -- an
-        O(capacity) shift per append once full, i.e. a 1000x per-append
-        penalty at capacity 100k vs 100. With deque eviction the two
-        capacities cost the same; the bound below fails at ~10x, far
-        under the regression's 1000x but over any plausible noise.
-        """
-        import time as _time
-
-        def append_cost(capacity: int, appends: int) -> float:
-            tr = TraceRecorder(capacity=capacity)
-            for i in range(capacity):  # fill to the brim first
-                tr.record(0.0, "k", i)
-            t0 = _time.perf_counter()
-            for i in range(appends):
-                tr.record(1.0, "k", i)
-            return _time.perf_counter() - t0
-
-        small = append_cost(100, 5_000)
-        large = append_cost(100_000, 5_000)
-        assert large < small * 10 + 0.05, (
-            f"eviction cost scales with capacity: {large:.4f}s at 100k "
-            f"vs {small:.4f}s at 100"
-        )
 
 
 class TestPeriodicValidation:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 
 import pytest
@@ -41,9 +42,10 @@ from test_batch_kernel import (
 from repro.harness import configs, run_experiment
 from repro.harness.registry import OracleRef
 from repro.harness.runner import Experiment
+from repro.obs import timeline_session
 from repro.sim import simulator as simulator_mod
 from repro.sim.events import KIND_DELIVER_BURST
-from repro.sim.tracing import TraceRecorder
+from repro.telemetry import get_registry
 from repro.tracing import (
     SPAN_DISCOVER,
     SPAN_FLIGHT,
@@ -338,6 +340,26 @@ def _run_traced(cfg, batch, monkeypatch, **session_kwargs):
     return exp, res, tr.table
 
 
+@contextmanager
+def _telemetry_session():
+    registry = get_registry()
+    registry.reset()
+    registry.enable()
+    try:
+        yield registry
+    finally:
+        registry.disable()
+        registry.reset()
+
+
+_OBSERVERS = {
+    "tracer": trace_session,
+    "timeline": timeline_session,
+    "telemetry": _telemetry_session,
+}
+_OBSERVER_SETS = [("tracer",), ("timeline",), ("telemetry",), tuple(_OBSERVERS)]
+
+
 def _flight_status_counts(table):
     kinds, status = table.kind, table.status
     return Counter(
@@ -449,18 +471,23 @@ class TestBatchKernelSpans:
     def test_tracing_does_not_change_which_kernel_runs(
         self, name, make, monkeypatch
     ):
+        """No ambient observer -- span tracer, timeline, telemetry registry,
+        nor all three at once -- selects the kernel or moves the physics."""
         exp_u, res_u = _run(make(), True, monkeypatch)
-        exp_t, res_t, _ = _run_traced(make(), True, monkeypatch)
-        assert res_t.batch_gate_reason == res_u.batch_gate_reason
-        assert exp_t.sim.batch_dispatches == exp_u.sim.batch_dispatches > 0
-        assert _fingerprint(exp_t, res_t) == _fingerprint(exp_u, res_u)
+        assert res_u.batch_gate_reason is None and res_u.array_events > 0
+        for observers in _OBSERVER_SETS:
+            with ExitStack() as stack:
+                for observer in observers:
+                    stack.enter_context(_OBSERVERS[observer]())
+                exp_o, res_o = _run(make(), True, monkeypatch)
+            assert res_o.batch_gate_reason is None, observers
+            assert res_o.array_events == res_u.array_events, observers
+            assert exp_o.sim.batch_dispatches == exp_u.sim.batch_dispatches > 0
+            assert _fingerprint(exp_o, res_o) == _fingerprint(exp_u, res_u), observers
 
     def test_remaining_observer_declines_name_the_observer(self, monkeypatch):
         monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
         cfg = configs.huge_sync_ring(16, horizon=5.0)
-        assert run_experiment(replace(cfg, trace=True)).batch_gate_reason == (
-            "structured TraceRecorder is enabled (cfg.trace)"
-        )
         exp = Experiment(cfg)
         exp.nodes[3].effect_log = []
         assert exp.run().batch_gate_reason == "node 3 has an effect log attached"
@@ -620,42 +647,3 @@ class TestForensics:
             res = run_experiment(configs.static_path(8, horizon=30.0, seed=3))
         assert explain_result(res) == []
         assert res.cause_reports == []
-
-
-# --------------------------------------------------------------------- #
-# Legacy recorder windows (forensics corroboration path)
-# --------------------------------------------------------------------- #
-
-
-class TestTraceRecorderFilter:
-    def test_window_edges_are_inclusive(self):
-        rec = TraceRecorder()
-        for t in (0.0, 1.0, 2.0, 3.0):
-            rec.record(t, "jump", 0, t)
-        window = rec.filter(kind="jump", start=1.0, end=2.0)
-        assert [r.time for r in window] == [1.0, 2.0]
-        # Adjacent windows both see the boundary record.
-        assert [r.time for r in rec.filter(start=2.0, end=3.0)] == [2.0, 3.0]
-
-    def test_subject_and_kind_filters_compose(self):
-        rec = TraceRecorder()
-        rec.record(0.5, "jump", 1, 0.1)
-        rec.record(0.6, "send", 1, 2)
-        rec.record(0.7, "jump", 2, 0.2)
-        assert len(rec.filter(kind="jump")) == 2
-        assert len(rec.filter(kind="jump", subject=1)) == 1
-        assert rec.filter(kind="send", subject=1)[0].time == 0.6
-
-    def test_capped_recorder_only_searches_retained(self):
-        rec = TraceRecorder(capacity=2)
-        for t in (0.0, 1.0, 2.0):
-            rec.record(t, "jump", 0)
-        assert rec.dropped == 1
-        # t=0.0 was evicted: the window can't resurrect it.
-        assert [r.time for r in rec.filter(start=0.0, end=2.0)] == [1.0, 2.0]
-
-    def test_records_sort_chronologically(self):
-        rec = TraceRecorder()
-        rec.record(2.0, "send", 1)
-        rec.record(1.0, "jump", 0)
-        assert [r.time for r in sorted(rec.records)] == [1.0, 2.0]
