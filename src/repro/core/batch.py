@@ -4,18 +4,20 @@ The reference path turns every event into an ``Event``, a
 ``DCSACore.handle()`` call and an effect list the driver re-interprets.
 This module executes the same step -- sync, Gamma refresh, ``Lmax``
 raise, AdjustClock, ``lost``-timer re-arm, tick re-push -- directly
-against the cores' state, for every message delivery and tick of an
-eligible population.  **Scalar dispatch is a batch of one**: a singleton
-``KIND_DELIVER`` record (:meth:`NodeArrayTable.deliver_one`) and a
-singleton ``tick`` (:meth:`NodeArrayTable.tick_one`) enter the same
-per-destination and per-driver loops the run handlers do
-(:meth:`NodeArrayTable._process_dest_msgs`,
-:meth:`NodeArrayTable._tick_phase`) with one element.  At
-large ``n`` with identical hardware rates (the ``huge_sync_*``
-workloads), deliveries and ticks collide on the same timestamps in runs
-of O(n) records, and a run executes in a handful of phased loops plus
-numpy array steps instead of n kernel turns.  ``lost`` fires,
-discoveries and ``Start`` stay on ``handle()``.
+against the cores' state, for every in-run event of an eligible
+population: message deliveries, ticks, discoveries and ``lost`` fires.
+**Scalar dispatch is a batch of one**: a singleton ``KIND_DELIVER``
+record (:meth:`NodeArrayTable.deliver_one`), a singleton ``tick``
+(:meth:`NodeArrayTable.tick_one`) and a singleton ``KIND_DISCOVER``
+record enter the same per-destination, per-driver and per-record loops
+the run handlers do (:meth:`NodeArrayTable._process_dest_msgs`,
+:meth:`NodeArrayTable._tick_phase`, :meth:`NodeArrayTable.discover_run`)
+with one element.  At large ``n`` with identical hardware rates (the
+``huge_sync_*`` workloads), deliveries and ticks collide on the same
+timestamps in runs of O(n) records -- as do the discoveries of ``E_0``
+under a constant latency -- and a run executes in a handful of phased
+loops plus numpy array steps instead of n kernel turns.  Only ``Start``,
+dispatched once per node before the run, stays on ``handle()``.
 
 :class:`NodeArrayTable` is the dense mirror of the per-simulator
 :class:`~repro.core.node.NodeTable`: a validated snapshot of every driver,
@@ -83,7 +85,10 @@ same-timestamp delivery that scalar dispatch would run *before* the
 remaining timers of the run, which pre-popping cannot honour.  That
 gate is decided at transport construction from the policy types alone
 (see :class:`~repro.network.transport.Transport`); deliver runs need no
-such gate -- delivery handlers never send -- and neither do singletons:
+such gate -- delivery handlers never send -- nor do discovery runs (what
+a discovery pushes sorts after its run under any policy; see
+:meth:`~repro.sim.simulator.Simulator.set_batch_handler`) -- and neither
+do singletons:
 nothing is pre-popped, so under any delay policy a singleton tick sends
 per message through :meth:`~repro.network.transport.Transport.send`
 (delay draws, sequence numbers, FIFO clamps and ``dropped_no_edge``
@@ -97,9 +102,11 @@ gate on it: the handlers write the *per-message* rows the scalar kernel
 would have written -- a ``SPAN_TIMER`` row per ticking driver, one
 optimistically-closed ``SPAN_FLIGHT`` row per send parented on it, a
 ``SPAN_JUMP`` row per applied jump parented on the delivering flight or
-the firing timer -- so a traced batch run yields the scalar run's span
-multiset (ids differ only because jump rows are grouped per destination
-and a tick run's jumps follow its sends).  A burst record carries its
+the firing timer, a ``SPAN_DISCOVER`` row per delivered discovery with
+its greeting's flight and any jump parented on it -- so a traced batch
+run yields the scalar run's span multiset (ids differ only because jump
+rows are grouped per destination and a tick run's jumps follow its
+sends).  A burst record carries its
 constituents' flight span ids in the observer slot ``e``, which physics
 never reads.  Untraced, each phase pays one hoisted ``tracer is None``
 test (per driver in the tick loop, per applied jump in the delivery
@@ -442,7 +449,11 @@ class NodeArrayTable:
                 if prev is not None and not prev.cancelled and prev.queued:
                     # Lazy re-arm: advance the live record's deadline in
                     # place; the queue re-inserts it if the stale heap
-                    # entry surfaces first.
+                    # entry surfaces first.  Premise: ``fire_t >=
+                    # prev.time``, i.e. successive deadlines never move
+                    # earlier -- true for the constant-rate rows the
+                    # builder admits, false once a clock's rate can rise
+                    # between two messages (then: cancel + fresh push).
                     prev.c = fire_t
                 else:
                     if free:
@@ -477,6 +488,134 @@ class NodeArrayTable:
         queue._live += pushed
         if tracer is not None:
             tracer.current = -1
+
+    def discover_run(self, records: Sequence[ScheduledEvent]) -> None:
+        """Execute a same-timestamp run of ``KIND_DISCOVER`` records.
+
+        The one discovery body, entered by the transport with a pre-popped
+        run or with a singleton as a run of one.  Per record, in record
+        order, it is :meth:`Transport._handle_discover` plus ``DCSACore``'s
+        discover handlers with the effect list cut out: clear the
+        absence-dedup key, skip a change that no longer holds, sync, greet
+        with the pre-jump ``(L, Lmax)`` (or drop the Gamma row and cancel
+        its ``lost`` timer), update Upsilon, AdjustClock in place.  Each
+        record runs to completion, so a later record of the same node (or
+        an adaptive delay policy reading clocks mid-send) sees the state
+        scalar dispatch would have left.
+
+        Under a positive constant delay the greetings of a run of two or
+        more travel as the run's one burst record: a greeting's edge was
+        just tested present, which is the tick phase's bulk-send rule (see
+        module docstring), and nothing else a discovery does pushes a
+        record, so the constituents would have held contiguous sequence
+        numbers.  Under any other policy, and in a run of one, each goes
+        through :meth:`Transport.send` at its scalar position: a burst of
+        one costs more at both ends than the record it replaces.  Only the
+        serial transport passes longer runs; the sharded one replays a run
+        record by record, so its boundary senders (whose ``adj`` entry
+        bars them from bulk-sending) never reach the burst branch.  When
+        traced, each delivered discovery writes its ``SPAN_DISCOVER`` row,
+        with the greeting's flight and any jump parented on it, in the
+        scalar row order.
+        """
+        transport = self.transport
+        stats = transport.stats
+        has_edge = transport._has_edge
+        tracer = transport._tracer
+        now = self.sim.now
+        cores = self.cores
+        drivers = self.drivers
+        rates = self.rates
+        delay = self.send_delay if len(records) > 1 else None
+        t_deliver = now if delay is None else now + delay
+        u_list: list[int] = []
+        v_list: list[int] = []
+        p_list: list[Any] = []
+        s_list: list[int] = []
+        skipped = 0
+        for ev in records:
+            nid = ev.a
+            other = ev.b
+            added = ev.c
+            if ev.d:
+                transport._pending_absence.discard((nid, other))
+            if has_edge(nid, other) != added:
+                skipped += 1
+                continue
+            core = cores[nid]
+            h = rates[nid] * now
+            if h != core.h_last:
+                core.sync_to(h)
+            d = drivers[nid]
+            d._t_last = now
+            if tracer is not None:
+                tracer.discover(nid, other, now, added)
+            if added:
+                core.messages_sent += 1
+                payload = (core._L, core._Lmax)
+                if delay is None:
+                    transport.send(nid, other, payload)
+                else:
+                    u_list.append(nid)
+                    v_list.append(other)
+                    p_list.append(payload)
+                    if tracer is not None:
+                        s_list.append(
+                            tracer.table.append(
+                                SPAN_FLIGHT, nid, other, now, t_deliver,
+                                tracer.current, STATUS_DONE,
+                            )
+                        )
+                core.upsilon.add(other)
+            else:
+                if core.gamma.remove(other):
+                    d.cancel_timer(("lost", other))
+                core.upsilon.discard(other)
+            self._adjust_clock(core, tracer)
+        if u_list:
+            self._push_burst(
+                u_list, v_list, p_list, s_list if tracer is not None else None
+            )
+        delivered = len(records) - skipped
+        stats.discoveries_skipped += skipped
+        stats.discoveries_delivered += delivered
+        self.array_events += delivered
+        if tracer is not None:
+            tracer.current = -1
+
+    def lost_one(self, ev: ScheduledEvent) -> None:
+        """Execute a ``("lost", v)`` fire: forget ``v``'s estimate, adjust.
+
+        Called by the kernel's ``KIND_TIMER`` handler like
+        :meth:`tick_one`; the record fired at its final deadline (the
+        queue already resolved any lazy extension).
+        """
+        d = ev.a
+        d._timers.pop(ev.b, None)
+        self.array_events += 1
+        tracer = self.transport._tracer
+        if tracer is not None:
+            tracer.timer_fired(d.node_id, self.sim.now)
+        d._sync()
+        core = self.cores[d.node_id]
+        core.gamma.remove(ev.b[1])
+        self._adjust_clock(core, tracer)
+        if tracer is not None:
+            tracer.current = -1
+
+    def _adjust_clock(self, core: DCSACore, tracer: "Tracer | None") -> None:
+        """AdjustClock on one synced core, the jump applied in place.
+
+        When traced the jump row is parented on ``tracer.current`` (the
+        discovery or timer row the caller just wrote); the delta is the
+        scalar ``new_value - L`` on the same two operands.
+        """
+        l_old = core._L
+        if core._Lmax <= l_old:
+            return  # the ceiling never exceeds Lmax: nothing to release
+        adjust_clocks_batch((core,))
+        if tracer is not None and core._L != l_old:
+            tracer.jump(core.node_id, self.sim.now, core._L - l_old)
 
     def handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
         """Execute a same-timestamp run of ``KIND_TIMER`` records.
@@ -816,8 +955,8 @@ def build_node_array_table(
     range is a plain DCSA node on a constant-rate clock with no effect
     log attached (the span tracer is no gate; see module docstring), or
     ``None`` (cached as ``False`` by the caller) otherwise.  Called lazily
-    by the first in-run delivery or tick -- after ``t = 0`` wiring, so
-    adversary clock swaps are visible.
+    by the first in-run delivery, discovery or timer -- after ``t = 0``
+    wiring, so adversary clock swaps are visible.
 
     When additionally the delay policy is a valid positive constant, the
     table's :attr:`~NodeArrayTable.send_delay` is set, enabling the

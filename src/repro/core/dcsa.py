@@ -40,7 +40,7 @@ for tests and analysis code.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Sequence
 
 import numpy as np
 
@@ -59,7 +59,7 @@ __all__ = ["DCSANode", "Update", "adjust_clocks_batch"]
 _VECTOR_MIN = 48
 
 
-def adjust_clocks_batch(cores: list[DCSACore]) -> None:
+def adjust_clocks_batch(cores: Sequence[DCSACore]) -> None:
     """Run ``AdjustClock`` on many cores at once, applying jumps directly.
 
     This is the vectorized core step of the batch kernel (see

@@ -24,13 +24,14 @@ pre-refactor monolithic node classes (the golden-value pins enforce it):
 
 **The array step.**  When the transport holds a valid
 :class:`~repro.core.batch.NodeArrayTable` (an all-DCSA, constant-rate
-population without effect logs), message deliveries and ``tick`` timers
-bypass this translation entirely: the transport hands a delivered message
-to the table, and the ``KIND_TIMER`` handler below routes ``tick`` keys
-of table-covered drivers to it, where the same step runs against the
-core's state without an ``Event`` or an effect list (bit-identical; see
-:mod:`repro.core.batch`).  ``lost`` fires, discoveries and ``Start`` --
-and every event of any other population -- go through :meth:`_dispatch`.
+population without effect logs), every in-run event bypasses this
+translation entirely: the transport hands delivered messages and
+discoveries to the table, and the ``KIND_TIMER`` handler below routes the
+``tick`` and ``lost`` fires of table-covered drivers to it, where the same
+step runs against the core's state without an ``Event`` or an effect list
+(bit-identical; see :mod:`repro.core.batch`).  ``Start`` -- dispatched
+once per node before the run -- and every event of any other population
+go through :meth:`_dispatch`.
 
 **Subjective timers.**  ``set timer(dt)`` in the pseudocode means: fire
 when *my hardware clock* has advanced by ``dt``.  The driver converts via
@@ -134,17 +135,22 @@ class NodeTable:
 def _dispatch_timer(ev: ScheduledEvent) -> None:
     """Kernel handler for ``KIND_TIMER`` records (``a=driver, b=key``).
 
-    A ``tick`` of a driver whose transport holds a valid batch table runs
-    the table's array step as a batch of one; ``lost`` fires, and every
-    timer of any other driver, go through :meth:`ClockSyncNode._fire_timer`.
+    A ``tick`` or ``("lost", v)`` fire of a driver whose transport holds a
+    valid batch table runs the table's array step as a batch of one; any
+    other key (a DCSA core arms none: the reference rejects it), and every
+    timer of any other driver, goes through :meth:`ClockSyncNode._fire_timer`.
     """
     driver = ev.a
-    if ev.b == _TICK:
-        table = driver._table
-        if table is None:
-            table = driver._table = driver._probe_table()
-        if table is not False:
+    table = driver._table
+    if table is None:
+        table = driver._table = driver._probe_table()
+    if table is not False:
+        if ev.b == _TICK:
             table.tick_one(ev)
+            return
+        key = ev.b
+        if type(key) is tuple and key[0] == "lost":
+            table.lost_one(ev)
             return
     driver._fire_timer(ev.b)
 
@@ -212,7 +218,7 @@ class ClockSyncNode:
         self._effect_log: list[EffectLogEntry] | None = None
         #: Span tracer (``None`` when causal tracing is off).
         self._tracer: "Tracer | None" = None
-        #: The transport's batch table: ``None`` until the first tick
+        #: The transport's batch table: ``None`` until the first timer
         #: probes it, ``False`` when the population runs ``handle()``.
         self._table: "NodeArrayTable | bool | None" = None
 
@@ -227,7 +233,7 @@ class ClockSyncNode:
 
         A log must be attached before the run starts: it makes the batch
         table decline, and that verdict cannot flip once the table is
-        built (deliveries and ticks would bypass ``handle()`` and the log
+        built (every in-run event would bypass ``handle()`` and the log
         silently), so a late attachment raises.
         """
         return self._effect_log
@@ -408,11 +414,14 @@ class ClockSyncNode:
         self._dispatch(Start())
 
     # ------------------------------------------------------------------ #
-    # Direct state shims (harness/test helpers, not used by dispatch)
+    # Direct state shims (harness/test helpers, not used by ``_dispatch``)
     # ------------------------------------------------------------------ #
 
     def _sync(self) -> float:
-        """Advance the core's lazy state to ``sim.now``; returns ``H``."""
+        """Advance the core's lazy state to ``sim.now``; returns ``H``.
+
+        Also the sync of the batch table's ``lost`` step.
+        """
         h = self.clock.value(self.sim.now)
         self.core.sync_to(h)
         self._t_last = self.sim.now

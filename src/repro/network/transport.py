@@ -185,6 +185,8 @@ class Transport:
             sim.set_batch_handler(
                 KIND_DELIVER_BURST, self._handle_deliver_burst_run
             )
+            # Sound under any policy pair; see set_batch_handler.
+            sim.set_batch_handler(KIND_DISCOVER, self._handle_discover_batch)
             # Pre-popping timer runs is only sound when nothing a timer
             # handler does can schedule a same-timestamp event that scalar
             # dispatch would order *inside* the run: a zero or randomized
@@ -497,8 +499,8 @@ class Transport:
         tallies before delivering.  Each constituent is subject to the
         drop rule like an individual record (see :meth:`_drop_failed`);
         the survivors take the array path.  Bursts are only ever created
-        by the batch table's tick phase, so the table is always built and
-        valid here.
+        by the batch table (its tick phase and its discovery greetings),
+        so the table is always built and valid here.
         """
         sim = self.sim
         us = ev.a
@@ -649,8 +651,17 @@ class Transport:
         Verifies the change still holds at fire time; a reversed
         (transient) change is allowed to go unnoticed.  ``d=True`` marks
         the dedicated failed-send absence path, which additionally clears
-        its dedup key.
+        its dedup key.  On a valid batch table the record runs as a run of
+        one through the table's discovery body, which does all of the
+        above (:meth:`~repro.core.batch.NodeArrayTable.discover_run`).
         """
+        table = self._batch_table
+        if table is None:
+            table = self._ensure_batch_table()
+        if table is not False:
+            assert not isinstance(table, bool)
+            table.discover_run((ev,))
+            return
         node_id, other, added = ev.a, ev.b, ev.c
         if ev.d:
             self._pending_absence.discard((node_id, other))
@@ -669,3 +680,17 @@ class Transport:
                 tracer.reset_current()
         else:
             self.stats.discoveries_skipped += 1
+
+    def _handle_discover_batch(self, records: list[ScheduledEvent]) -> None:
+        """Kernel batch handler for same-timestamp ``KIND_DISCOVER`` runs.
+
+        One array pass on a valid table; anything else replays the run
+        through the scalar handler in record order, which is exact.
+        """
+        table = self._ensure_batch_table()
+        if table is not False:
+            assert not isinstance(table, bool)
+            table.discover_run(records)
+            return
+        for ev in records:
+            self._handle_discover(ev)

@@ -325,6 +325,12 @@ class ParTransport(Transport):
         self._enter(ev)
         super()._handle_discover(ev)
 
+    def _handle_discover_batch(self, records: list[ScheduledEvent]) -> None:
+        # Each keyed record is its own dispatch context, so a run replays
+        # as runs of one -- which greet through ``send``, never in a burst.
+        for ev in records:
+            self._handle_discover(ev)
+
     # ------------------------------------------------------------------ #
     # Delivery
     # ------------------------------------------------------------------ #

@@ -194,13 +194,25 @@ class Simulator:
         back to a record-by-record loop whenever it cannot guarantee that.
 
         Pre-popping is only sound for kinds whose handlers never cancel a
-        record that can share the run (deliveries only cancel lost *timers*,
-        a different priority class; timer handlers cancel nothing that is
-        still queued) and never push a record that would sort *inside* the
-        run (pushed records take fresh, higher ``seq`` values; the
-        registering subsystem must rule out same-time pushes at lower
-        priority, e.g. zero-delay sends during a timer run).  Registration
-        follows the same one-handler-per-kind discipline as
+        record that can share the run and never push a record that would
+        sort *inside* the run (pushed records take fresh, higher ``seq``
+        values; the registering subsystem must rule out same-time pushes
+        at lower priority).  Kind by kind:
+
+        * deliveries only cancel lost *timers*, a different priority
+          class, and never send;
+        * timer handlers cancel nothing that is still queued, but a
+          zero or randomized delay could land a tick's send at the current
+          time at a lower priority, so timer runs are registered only
+          under positive constant delay and discovery policies;
+        * discoveries are sound under *any* delay / discovery policy: a
+          discover handler pushes only fresh higher-``seq`` records at its
+          own priority or a later one (a greeting, a failed send's
+          absence discovery -- even at zero latency they sort after the
+          run), nobody holds a handle to a discover record, and it cancels
+          only lost timers.
+
+        Registration follows the same one-handler-per-kind discipline as
         :meth:`set_handler`.
         """
         if not 0 <= kind < N_KINDS or kind == KIND_CALLBACK:

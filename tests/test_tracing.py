@@ -30,9 +30,11 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from test_batch_kernel import (
+    DISCOVERY_RUN_CASES,
     PARITY_WORKLOADS,
     _churn_ops,
     _churned_sync_ring,
+    _fast_discovery,
     _fingerprint,
     _N,
     _run,
@@ -374,6 +376,8 @@ SPAN_PARITY_WORKLOADS = [
     # Send-time fails, in-flight drops, discover rows, scalar lost-timer
     # replays inside mixed runs.
     ("churned_ring", lambda: _churned_sync_ring()),
+    # Same-timestamp discovery runs: the rows come from ``discover_run``.
+    *DISCOVERY_RUN_CASES,
 ]
 
 
@@ -392,6 +396,56 @@ class TestBatchKernelSpans:
         assert table_b.dropped == 0 and table_s.dropped == 0
         assert all(p < i for i, p in enumerate(table_b.parent))
         assert table_b.count(SPAN_JUMP) > 0
+        # One discover row per delivered discovery, and one greeting flight
+        # parented on each add.
+        kinds, detail = table_b.kind, table_b.detail
+        assert table_b.count(SPAN_DISCOVER) == res_b.transport_stats[
+            "discoveries_delivered"
+        ]
+        adds = sum(k == SPAN_DISCOVER and d == 1.0 for k, d in zip(kinds, detail))
+        greetings = sum(
+            k == SPAN_FLIGHT and p >= 0 and kinds[p] == SPAN_DISCOVER
+            for k, p in zip(kinds, table_b.parent)
+        )
+        assert greetings == adds > 0
+        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+
+    def test_jump_released_by_a_discovery_is_parented_on_it(self, monkeypatch):
+        """Node 0 starts 200 ahead, so node 2 is held back by its estimate of
+        node 3 alone; discovering that edge {2, 3} is gone drops the row and
+        releases the jump inside the discovery's own dispatch."""
+
+        def run(batch):
+            monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", batch)
+            with trace_session() as tr:
+                exp = Experiment(
+                    _churned_sync_ring(
+                        [(4.3, "remove", 2, 3), (8.1, "add", 2, 3)],
+                        n=16,
+                        horizon=14.0,
+                        discovery_spec=_fast_discovery,
+                    )
+                )
+                exp.nodes[0]._raise_max(200.0)
+                exp.nodes[0]._jump_logical(200.0)
+                res = exp.run()
+            return exp, res, tr.table
+
+        exp_s, res_s, table_s = run(False)
+        exp_b, res_b, table_b = run(True)
+        assert res_b.batch_gate_reason is None
+        assert canonical_spans(table_b) == canonical_spans(table_s)
+        rows = list(table_b.rows())
+        (jump,) = [
+            s
+            for s in rows
+            if s.kind == SPAN_JUMP
+            and s.parent >= 0
+            and rows[s.parent].kind == SPAN_DISCOVER
+        ]
+        cause = rows[jump.parent]
+        assert (cause.node, cause.peer, cause.detail) == (2, 3, 0.0)
+        assert jump.node == 2 and jump.t0 == cause.t0 == 4.3 + 0.5
         assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
 
     def test_singleton_spans_equal_scalar_spans(self, monkeypatch):
