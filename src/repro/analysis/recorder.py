@@ -16,7 +16,7 @@ optionally ``max_estimate(t)`` from nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -73,6 +73,12 @@ class RunRecord:
     clocks: np.ndarray
     max_estimates: np.ndarray | None = None
     episodes: list[EdgeEpisode] = field(default_factory=list)
+
+    @classmethod
+    def empty(cls, node_ids: Iterable[int]) -> "RunRecord":
+        """The record of a run that was not recorded (no samples)."""
+        ids = sorted(node_ids)
+        return cls(ids, np.empty(0), np.empty((0, len(ids))))
 
     @property
     def n(self) -> int:

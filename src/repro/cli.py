@@ -485,13 +485,17 @@ def _check_one(
 
 
 def _kernel_payload(result: Any) -> dict[str, Any]:
-    """Which dispatch path ran (``None`` = no decline / not sharded), so
-    scripts can assert it instead of inferring it from the speed."""
+    """Which dispatch path ran (``None`` = no decline / not sharded) and
+    every fast path that declined, so scripts can assert it instead of
+    inferring it from the speed."""
+    from dataclasses import asdict
+
     return {
         "batch_gate_reason": result.batch_gate_reason,
         "array_events": result.array_events,
         "par_fallback_reason": result.par_fallback_reason,
         "par_shards": result.par_shards,
+        "declines": [asdict(d) for d in result.declines],
     }
 
 
@@ -595,23 +599,16 @@ def _print_profile(args: argparse.Namespace, profiler: Any, result: Any) -> None
     # Profiling is the entry point for kernel perf work, so say up
     # front which dispatch path actually ran: a declined batch kernel
     # is the most common reason a profile looks scalar-heavy.
-    if result.batch_gate_reason is not None:
-        print(
-            f"\nprofile: batch kernel declined -- {result.batch_gate_reason}",
-            file=dest,
-        )
-    else:
-        print("\nprofile: batch kernel active", file=dest)
+    print(file=dest)
+    if result.batch_gate_reason is None:
+        print("profile: batch kernel active", file=dest)
+    for decline in result.declines:
+        print(f"profile: {decline.describe()}", file=dest)
     print(
         f"profile: array step: {result.array_events:,} / "
         f"{result.events_dispatched:,} events",
         file=dest,
     )
-    if result.par_fallback_reason is not None:
-        print(
-            f"profile: parallel fallback -- {result.par_fallback_reason}",
-            file=dest,
-        )
     print(f"profile: top {PROFILE_TOP_N} by cumulative time", file=dest)
     stats.print_stats(PROFILE_TOP_N)
 

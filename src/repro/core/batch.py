@@ -19,15 +19,14 @@ under a constant latency -- and a run executes in a handful of phased
 loops plus numpy array steps instead of n kernel turns.  Only ``Start``,
 dispatched once per node before the run, stays on ``handle()``.
 
-:class:`NodeArrayTable` is the dense mirror of the per-simulator
-:class:`~repro.core.node.NodeTable`: a validated snapshot of every driver,
-its :class:`~repro.core.protocol.DCSACore` and its constant hardware rate,
-with the static columns (rates) held as numpy arrays and the dynamic
-columns (``L``, ``Lmax``, per-neighbour estimates) gathered from the cores
-on demand.  The cores remain the single source of truth, which is what
-keeps the scalar fallback path and all read-only views (recorder, oracle,
-tests) valid at any instant -- a batch step leaves *exactly* the state the
-equivalent scalar dispatch sequence would have left.
+:class:`NodeArrayTable` is a validated snapshot of every driver the
+transport dispatches for, its :class:`~repro.core.protocol.DCSACore` and its
+constant hardware rate, with the static columns (rates) held as numpy
+arrays and the dynamic columns (``L``, ``Lmax``, per-neighbour estimates)
+gathered from the cores on demand.  The cores remain the single source of
+truth, which is what keeps the reference path and all read-only views
+(recorder, oracle, tests) valid at any instant -- a batch step leaves
+*exactly* the state the equivalent scalar dispatch sequence would have left.
 
 **Parity contract.**  The batch handlers below are bit-identical to scalar
 dispatch, proven piecewise:
@@ -74,27 +73,29 @@ with its own equivalence argument:
   keep scalar order because extension order equals the original per-class
   push order.
 
-The table only builds -- and the array step only runs -- when the
-population provably fits it; anything else (baseline cores,
-non-constant clock types, effect logs, adversaries that swap clocks)
-runs ``handle()`` with no behavioural difference, and the verdict holds for the whole run (an effect log
-attached after the build raises).  The *run* handler for timers
-additionally requires *positive constant* delay and discovery policies:
-with a zero or randomized delay, a tick's send could schedule a
-same-timestamp delivery that scalar dispatch would run *before* the
-remaining timers of the run, which pre-popping cannot honour.  That
-gate is decided at transport construction from the policy types alone
-(see :class:`~repro.network.transport.Transport`); deliver runs need no
-such gate -- delivery handlers never send -- nor do discovery runs (what
-a discovery pushes sorts after its run under any policy; see
-:meth:`~repro.sim.simulator.Simulator.set_batch_handler`) -- and neither
-do singletons:
-nothing is pre-popped, so under any delay policy a singleton tick sends
-per message through :meth:`~repro.network.transport.Transport.send`
-(delay draws, sequence numbers, FIFO clamps and ``dropped_no_edge``
-bookkeeping at their scalar positions) and whatever lands at the
-current timestamp dispatches before the next timer.
-:attr:`NodeArrayTable.array_events` counts what the step executed.
+**The kernel plan.**  Which of these paths a run takes is decided once,
+by :func:`kernel_plan`, where the simulator's first ``run_until`` / ``step``
+begins -- after all ``t = 0`` wiring, so adversary clock swaps and effect
+logs are visible -- and holds for the whole run (an effect log attached
+to a table-covered node afterwards raises).  The table only builds -- and
+the array step only runs -- when the population provably fits it; anything
+else (baseline cores, non-constant clock types, effect logs, the
+``REPRO_BATCH=0`` reference switch) runs ``handle()`` with no behavioural
+difference.  Timer *runs* additionally require *positive constant* delay
+and discovery policies: with a zero or randomized delay, a tick's send
+could schedule a same-timestamp delivery that scalar dispatch would run
+*before* the remaining timers of the run, which pre-popping cannot
+honour.  Deliver runs need no such gate -- delivery handlers never send --
+nor do discovery runs (what a discovery pushes sorts after its run under
+any policy; see :meth:`~repro.sim.simulator.Simulator.set_batch_handler`)
+-- and neither do singletons: nothing is pre-popped, so under any delay
+policy a singleton tick sends per message through
+:meth:`~repro.network.transport.Transport.send` (delay draws, sequence
+numbers, FIFO clamps and ``dropped_no_edge`` bookkeeping at their scalar
+positions) and whatever lands at the current timestamp dispatches before
+the next timer.  Every path that declined is a :class:`Decline` entry of
+the plan; :attr:`NodeArrayTable.array_events` counts what the step
+executed.
 
 **Causal tracing rides along.**  The span
 :class:`~repro.tracing.context.Tracer` is a passenger of this path, not a
@@ -116,6 +117,7 @@ loop), never one per message.
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from operator import length_hint
 from typing import TYPE_CHECKING, AbstractSet, Any, Sequence, cast
 
@@ -135,24 +137,14 @@ from ..sim.simulator import Simulator
 from ..tracing.spans import SPAN_FLIGHT, SPAN_TIMER, STATUS_DONE
 from .dcsa import adjust_clocks_batch
 from .estimates import NeighborEstimate
+from .node import ClockSyncNode
 from .protocol import DCSACore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..network.transport import Transport
     from ..tracing.context import Tracer
-    from .node import ClockSyncNode
 
-__all__ = ["NodeArrayTable", "build_node_array_table", "REASON_KEY"]
-
-#: ``sim.subsystems`` key under which the built table (or ``False`` for a
-#: permanently-invalid execution) is cached.
-SUBSYSTEM_KEY = "node_array_table"
-
-#: ``sim.subsystems`` key under which :func:`build_node_array_table` records
-#: why it declined to build (the *first* failing gate, as a human-readable
-#: string).  Surfaced on ``RunResult.summary()`` and ``--profile`` output so
-#: a silent scalar fallback is explainable after the fact.
-REASON_KEY = "node_array_table_reason"
+__all__ = ["Decline", "KernelPlan", "NodeArrayTable", "kernel_plan"]
 
 _TICK = "tick"
 
@@ -179,8 +171,8 @@ def _sids_by_dest(
 class NodeArrayTable:
     """Dense, validated driver/core/rate columns for batch execution.
 
-    Construct via :func:`build_node_array_table`, which performs the
-    validity checks; the constructor itself only snapshots.  The table
+    Construct via :func:`kernel_plan`, which performs the validity
+    checks; the constructor itself only snapshots.  The table
     covers the id range ``ids`` -- the whole population in a serial run, a
     shard's range under :mod:`repro.sim.par`, whose subclass changes only
     which senders may bulk-send (``adj``) and the context in which
@@ -229,7 +221,7 @@ class NodeArrayTable:
         self.rates_arr: npt.NDArray[np.float64] = np.asarray(
             rates[ids.start : ids.stop], dtype=np.float64
         )
-        #: ``B`` function coefficients, shared by every core (the builder
+        #: ``B`` function coefficients, shared by every core (the plan
         #: verified a single ``params`` object).
         c0 = self.cores[ids.start]
         self.tick_interval = c0.params.tick_interval
@@ -238,8 +230,8 @@ class NodeArrayTable:
         self.b_intercept = c0._b_intercept
         self.b_slope = c0._b_slope
         #: The constant per-message delay when the transport's policy is a
-        #: valid positive constant (set by :func:`build_node_array_table`),
-        #: else ``None``; gates the bulk-send path.
+        #: valid positive constant (set by :func:`kernel_plan`), else
+        #: ``None``; gates the bulk-send path.
         self.send_delay: float | None = None
         #: Live adjacency sets indexed by node id (the graph mutates them
         #: in place); a ticking node bulk-sends iff its believed neighbours
@@ -452,7 +444,7 @@ class NodeArrayTable:
                     # entry surfaces first.  Premise: ``fire_t >=
                     # prev.time``, i.e. successive deadlines never move
                     # earlier -- true for the constant-rate rows the
-                    # builder admits, false once a clock's rate can rise
+                    # plan admits, false once a clock's rate can rise
                     # between two messages (then: cancel + fresh push).
                     prev.c = fire_t
                 else:
@@ -586,7 +578,7 @@ class NodeArrayTable:
     def lost_one(self, ev: ScheduledEvent) -> None:
         """Execute a ``("lost", v)`` fire: forget ``v``'s estimate, adjust.
 
-        Called by the kernel's ``KIND_TIMER`` handler like
+        Called by the transport's ``KIND_TIMER`` handler like
         :meth:`tick_one`; the record fired at its final deadline (the
         queue already resolved any lazy extension).
         """
@@ -681,11 +673,11 @@ class NodeArrayTable:
     def tick_one(self, ev: ScheduledEvent) -> None:
         """Execute a singleton ``tick`` record: a timer run of one.
 
-        Called by the kernel's ``KIND_TIMER`` handler
-        (:func:`repro.core.node._dispatch_timer`) for drivers this table
-        covers.  Nothing was pre-popped, so sends that land at the current
-        timestamp (zero or randomized delays) still dispatch before the
-        next timer exactly as under scalar dispatch.
+        Called by the transport's ``KIND_TIMER`` handler
+        (:meth:`Transport._handle_timer`).  Nothing was pre-popped, so
+        sends that land at the current timestamp (zero or randomized
+        delays) still dispatch before the next timer exactly as under
+        scalar dispatch.
         """
         self.array_events += 1
         deadline, _ = self._tick_phase((ev.a,))
@@ -940,90 +932,147 @@ class NodeArrayTable:
         return result
 
 
-def build_node_array_table(
-    sim: Simulator,
+#: ``Decline.path`` -> the phrase ``summary()`` / ``--profile`` print for it.
+_DECLINED = {
+    "array_step": "batch kernel declined",  # every event runs handle()
+    "timer_runs": "timer runs declined",  # timers dispatch one record at a time
+    "bulk_send": "bulk sends declined",  # ticks send per message, no bursts
+    "shards": "parallel fallback",  # a "par" run fell back to one process
+}
+
+
+@dataclass(frozen=True)
+class Decline:
+    """One fast path a run did not take: which (a ``_DECLINED`` key), the
+    ingredient that ruled it out (``"reference"``, ``"core"``, ``"clock"``,
+    ``"delay_policy"``, a config field, ...), and why."""
+
+    path: str
+    declined_by: str
+    reason: str
+
+    def describe(self) -> str:
+        """The one-line form ``summary()`` and ``--profile`` print."""
+        return f"{_DECLINED[self.path]} ({self.declined_by}): {self.reason}"
+
+
+@dataclass(frozen=True)
+class KernelPlan:
+    """How one simulator executes its run: :func:`kernel_plan`'s verdict.
+
+    ``table`` is the struct-of-arrays table every in-run node event rides,
+    or ``None`` when the population runs the ``handle()`` reference.
+    ``timer_runs`` and ``bulk_send`` are paths *of* the table, so they are
+    only listed in ``declines`` when it exists.  The default value is the
+    plan of a simulator that has not started running: nothing engaged,
+    nothing declined.
+    """
+
+    table: NodeArrayTable | None = None
+    declines: tuple[Decline, ...] = ()
+
+    def engaged(self, path: str) -> bool:
+        """Whether the run takes ``path``."""
+        return self.table is not None and path not in {d.path for d in self.declines}
+
+
+def _policy_name(policy: Any) -> str:
+    value = getattr(policy, "value", None)
+    return type(policy).__name__ + ("" if value is None else f"({value!r})")
+
+
+def kernel_plan(
     transport: "Transport",
     ids: range | None = None,
     table_cls: type[NodeArrayTable] = NodeArrayTable,
-) -> NodeArrayTable | None:
-    """Validate the execution for batch dispatch and build the dense table.
+    veto: Decline | None = None,
+) -> KernelPlan:
+    """Decide, once per simulator, which paths the run takes.
 
-    Returns a ``table_cls`` over the node ids ``ids`` (the whole population
-    by default, which is also cached under
-    ``sim.subsystems["node_array_table"]``; a partial table is not -- other
-    readers must not mistake it for a full one) when every driver in the
-    range is a plain DCSA node on a constant-rate clock with no effect
-    log attached (the span tracer is no gate; see module docstring), or
-    ``None`` (cached as ``False`` by the caller) otherwise.  Called lazily
-    by the first in-run delivery, discovery or timer -- after ``t = 0``
-    wiring, so adversary clock swaps are visible.
-
-    When additionally the delay policy is a valid positive constant, the
-    table's :attr:`~NodeArrayTable.send_delay` is set, enabling the
-    bulk-send/burst path of :meth:`NodeArrayTable.handle_timer_batch` (the
-    timer batch handler itself is registered by the transport at
-    construction, gated on the policy types).
+    Called by the transport where the first ``run_until`` / ``step``
+    begins -- after ``t = 0`` wiring, so adversary clock swaps and effect
+    logs are visible.  The array step engages -- a ``table_cls`` over the
+    node ids ``ids`` (default: every registered node) is built -- when the
+    simulator is not on the reference switch, the caller has no ``veto``
+    and every driver in the range is a plain DCSA node on a constant-rate
+    clock with no effect log attached (the span tracer is no gate; see
+    module docstring); the first failing test is the ``array_step``
+    decline.  On a table, timer runs need positive constant delay *and*
+    discovery policies, and bulk sends (:attr:`NodeArrayTable.send_delay`)
+    a positive constant delay within the transport's bound.
     """
     from ..network.channels import ConstantDelay
+    from ..network.discovery import ConstantDiscovery
 
-    def _decline(reason: str) -> None:
-        # First failing gate wins: a later lazy re-probe must not
-        # overwrite the reason users will be debugging against.
-        sim.subsystems.setdefault(REASON_KEY, reason)
+    def declined(by: str, reason: str) -> KernelPlan:
+        return KernelPlan(None, (Decline("array_step", by, reason),))
 
-    node_table = sim.subsystems.get("node_table")
-    if node_table is None:
-        _decline("no dense node table attached to the simulator")
-        return None
-    drivers: "list[ClockSyncNode | None]" = node_table.drivers
-    if not drivers:
-        _decline("node table is empty")
-        return None
-    whole = range(len(drivers))
+    sim = transport.sim
+    if not sim.batch:
+        return declined(
+            "reference",
+            "the handle() reference kernel was selected "
+            "(REPRO_BATCH=0 / Simulator(batch=False))",
+        )
+    if veto is not None:
+        return KernelPlan(None, (veto,))
+    drivers = cast("list[ClockSyncNode | None]", transport._node_seq)
     if ids is None:
-        ids = whole
-    elif not ids or ids.stop > len(drivers):
-        _decline("node table does not cover the requested id range")
-        return None
-    node_seq = transport._node_seq
-    if len(node_seq) != len(drivers):
-        _decline("transport and node table disagree on the node population")
-        return None
+        ids = range(len(drivers))
+    if not ids or ids.stop > len(drivers):
+        return declined("population", "no registered nodes cover the id range")
     rates = [0.0] * len(drivers)
     params: Any = None
     for i in ids:
         d = drivers[i]
-        if d is None or node_seq[i] is not d:
-            _decline(f"node id {i} has no registered driver")
-            return None
-        if type(d.core) is not DCSACore:
-            _decline(
-                f"node {i} runs {type(d.core).__name__}, not a plain DCSACore"
-            )
-            return None
-        clock = d.clock
+        if not isinstance(d, ClockSyncNode):
+            return declined("population", f"node id {i} has no registered driver")
+        core, clock = d.core, d.clock
+        if type(core) is not DCSACore:
+            name = type(core).__name__
+            return declined("core", f"node {i} runs {name}, not a plain DCSACore")
         if type(clock) is not ConstantRateClock or clock.rate <= 0.0:
-            _decline(
-                f"node {i} clock is {type(clock).__name__}, not a "
-                "positive-rate ConstantRateClock"
+            name = type(clock).__name__
+            return declined(
+                "clock",
+                f"node {i} clock is {name}, not a positive-rate ConstantRateClock",
             )
-            return None
         if d._effect_log is not None:
-            _decline(f"node {i} has an effect log attached")
-            return None
+            return declined("effect_log", f"node {i} has an effect log attached")
         if params is None:
-            params = d.core.params
-        elif d.core.params is not params:
-            _decline(f"node {i} does not share the population's SystemParams")
-            return None
+            params = core.params
+        elif core.params is not params:
+            return declined(
+                "params", f"node {i} does not share the population's SystemParams"
+            )
         rates[i] = clock.rate
     table = table_cls(sim, transport, drivers, rates, ids)
-    delay = transport.delay_policy
+    declines: list[Decline] = []
+    delay: Any = transport.delay_policy
+    for by, policy, cls in (
+        ("delay_policy", delay, ConstantDelay),
+        ("discovery_policy", transport.discovery_policy, ConstantDiscovery),
+    ):
+        if not (type(policy) is cls and policy.value > 0.0):
+            declines.append(
+                Decline(
+                    "timer_runs", by,
+                    f"{_policy_name(policy)} is not a positive constant: what a "
+                    "tick pushes could sort inside a pre-popped timer run",
+                )
+            )
+            break
     if (
         type(delay) is ConstantDelay
         and 0.0 < delay.value <= transport.max_delay + 1e-9
     ):
         table.send_delay = delay.value
-    if ids == whole:
-        sim.subsystems[SUBSYSTEM_KEY] = table
-    return table
+    else:
+        declines.append(
+            Decline(
+                "bulk_send", "delay_policy",
+                f"{_policy_name(delay)} is not a positive constant within "
+                "max_delay: ticks send through Transport.send, per message",
+            )
+        )
+    return KernelPlan(table, tuple(declines))

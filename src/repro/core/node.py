@@ -22,13 +22,12 @@ pre-refactor monolithic node classes (the golden-value pins enforce it):
   dispatch-time hardware reading, the same arithmetic as the original
   ``set_subjective_timer``.
 
-**The array step.**  When the transport holds a valid
+**The array step.**  When the transport's kernel plan holds a
 :class:`~repro.core.batch.NodeArrayTable` (an all-DCSA, constant-rate
 population without effect logs), every in-run event bypasses this
-translation entirely: the transport hands delivered messages and
-discoveries to the table, and the ``KIND_TIMER`` handler below routes the
-``tick`` and ``lost`` fires of table-covered drivers to it, where the same
-step runs against the core's state without an ``Event`` or an effect list
+translation entirely: the transport hands delivered messages, discoveries
+and ``tick`` / ``lost`` fires to the table, where the same step runs
+against the core's state without an ``Event`` or an effect list
 (bit-identical; see :mod:`repro.core.batch`).  ``Start`` -- dispatched
 once per node before the run -- and every event of any other population
 go through :meth:`_dispatch`.
@@ -70,89 +69,17 @@ from .protocol import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..tracing.context import Tracer
-    from .batch import NodeArrayTable
 
-__all__ = ["ClockSyncNode", "NodeTable"]
+__all__ = ["ClockSyncNode"]
 
 #: Optional per-node effect log entry: ``(now_h, event, effects)``.
 EffectLogEntry = tuple[float, Event, tuple[Effect, ...]]
 
-_TICK = "tick"
-
-
-class NodeTable:
-    """Dense per-simulator driver table and kernel timer dispatcher.
-
-    One instance attaches to each :class:`~repro.sim.simulator.Simulator`
-    (under ``sim.subsystems["node_table"]``) and registers itself as the
-    :data:`~repro.sim.events.KIND_TIMER` dispatch handler.  Drivers live in
-    a flat list keyed by their dense node id, replacing the dict-per-lookup
-    paths of the closure-era kernel; timer records carry ``(driver, key)``
-    payloads so a timer firing is one list-free attribute hop with no
-    closure allocated per arm.
-
-    The table is also the natural bulk-access point for measurement code:
-    :meth:`drivers_for` resolves sorted node ids to a flat driver list once
-    instead of per sample.
-    """
-
-    __slots__ = ("drivers",)
-
-    def __init__(self) -> None:
-        #: Flat driver list indexed by dense node id (``None`` = empty slot).
-        self.drivers: list["ClockSyncNode | None"] = []
-
-    @classmethod
-    def ensure(cls, sim: Simulator) -> "NodeTable":
-        """The simulator's table, created and handler-registered on demand."""
-        table = sim.subsystems.get("node_table")
-        if table is None:
-            table = cls()
-            sim.subsystems["node_table"] = table
-            sim.set_handler(KIND_TIMER, _dispatch_timer)
-        return table
-
-    def register(self, node_id: int, driver: "ClockSyncNode") -> None:
-        """Place ``driver`` in the dense slot ``node_id`` (last one wins)."""
-        if node_id < 0:
-            raise ValueError(f"node ids must be non-negative; got {node_id!r}")
-        drivers = self.drivers
-        while len(drivers) <= node_id:
-            drivers.append(None)
-        drivers[node_id] = driver
-
-    def drivers_for(self, node_ids: list[int]) -> list["ClockSyncNode"]:
-        """Resolve ids to drivers, erroring on unregistered slots."""
-        out: list[ClockSyncNode] = []
-        for nid in node_ids:
-            driver = self.drivers[nid] if 0 <= nid < len(self.drivers) else None
-            if driver is None:
-                raise KeyError(f"no driver registered for node id {nid!r}")
-            out.append(driver)
-        return out
-
 
 def _dispatch_timer(ev: ScheduledEvent) -> None:
-    """Kernel handler for ``KIND_TIMER`` records (``a=driver, b=key``).
-
-    A ``tick`` or ``("lost", v)`` fire of a driver whose transport holds a
-    valid batch table runs the table's array step as a batch of one; any
-    other key (a DCSA core arms none: the reference rejects it), and every
-    timer of any other driver, goes through :meth:`ClockSyncNode._fire_timer`.
-    """
-    driver = ev.a
-    table = driver._table
-    if table is None:
-        table = driver._table = driver._probe_table()
-    if table is not False:
-        if ev.b == _TICK:
-            table.tick_one(ev)
-            return
-        key = ev.b
-        if type(key) is tuple and key[0] == "lost":
-            table.lost_one(ev)
-            return
-    driver._fire_timer(ev.b)
+    """Reference kernel handler for ``KIND_TIMER`` records (``a=driver,
+    b=key``): what a population without a real transport registers."""
+    ev.a._fire_timer(ev.b)
 
 
 class ClockSyncNode:
@@ -167,7 +94,9 @@ class ClockSyncNode:
     clock:
         This node's hardware clock (``H(0) = 0``).
     transport:
-        Message fabric; must expose ``send(u, v, payload)``.
+        Message fabric; must expose ``send(u, v, payload)``.  A transport
+        that holds a kernel plan also dispatches its drivers' timers
+        (``_handle_timer``; see :class:`~repro.network.transport.Transport`).
     params:
         Shared model parameters.
     core:
@@ -212,15 +141,16 @@ class ClockSyncNode:
         # clock may be -- adversaries install SteerableClocks -- so clock
         # methods are always resolved through self.clock).
         self._push = sim.queue.push_typed
-        # Join the simulator's dense driver table (registers the shared
-        # KIND_TIMER dispatch handler on first use).
-        NodeTable.ensure(sim).register(node_id, self)
+        # One KIND_TIMER handler per simulator, registered idempotently by
+        # every driver (populations wired onto a test double have nowhere
+        # else to do it): the transport's, which routes table-covered
+        # fires to the array step, else the reference dispatcher.
+        sim.set_handler(
+            KIND_TIMER, getattr(transport, "_handle_timer", _dispatch_timer)
+        )
         self._effect_log: list[EffectLogEntry] | None = None
         #: Span tracer (``None`` when causal tracing is off).
         self._tracer: "Tracer | None" = None
-        #: The transport's batch table: ``None`` until the first timer
-        #: probes it, ``False`` when the population runs ``handle()``.
-        self._table: "NodeArrayTable | bool | None" = None
 
     def attach_tracer(self, tracer: "Tracer") -> None:
         """Record timer-fire and jump spans into ``tracer``."""
@@ -231,27 +161,23 @@ class ClockSyncNode:
         """Set to a list to capture ``(now_h, event, effects)`` per dispatch
         (used by the sim<->live parity tests; ``None`` = off, free).
 
-        A log must be attached before the run starts: it makes the batch
-        table decline, and that verdict cannot flip once the table is
-        built (every in-run event would bypass ``handle()`` and the log
-        silently), so a late attachment raises.
+        A log must be attached before the run starts: it makes the kernel
+        plan decline the array step, and that verdict holds for the whole
+        run (on a table every in-run event would bypass ``handle()`` and
+        the log silently), so a late attachment raises.
         """
         return self._effect_log
 
     @effect_log.setter
     def effect_log(self, log: list[EffectLogEntry] | None) -> None:
-        if log is not None and getattr(self.transport, "_batch_table", None):
+        plan = getattr(self.transport, "plan", None)
+        if log is not None and plan is not None and plan.table is not None:
             raise RuntimeError(
                 f"node {self.node_id}: cannot attach an effect log once the "
                 "batch table is built (its events no longer pass through "
                 "handle()); attach it before run()"
             )
         self._effect_log = log
-
-    def _probe_table(self) -> "NodeArrayTable | bool":
-        """The transport's batch table (built on first use), else ``False``."""
-        ensure = getattr(self.transport, "_ensure_batch_table", None)
-        return ensure() if ensure is not None else False
 
     # ------------------------------------------------------------------ #
     # Clock reads

@@ -283,28 +283,7 @@ class RuntimeRef(_Ref):
 
 @register_runtime("sim")
 def _run_sim_runtime(cfg: "ExperimentConfig") -> "RunResult":
-    """The discrete-event runtime (the default; see repro.harness.runner).
-
-    ``REPRO_SHARDS=K`` (K >= 2) reroutes the run through the parallel
-    shard backend, which is bit-identical to serial when it genuinely
-    shards and falls back to this runtime otherwise -- an environment
-    override rather than a config field, so sweep identities (which hash
-    the config) are unaffected.
-    """
-    import os
-
-    raw = os.environ.get("REPRO_SHARDS", "")
-    if raw:
-        try:
-            shards = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SHARDS must be an integer; got {raw!r}"
-            ) from None
-        if shards >= 2:
-            from ..sim.par import run_par
-
-            return run_par(cfg, shards)
+    """The discrete-event runtime (the default; see repro.harness.runner)."""
     from .runner import Experiment
 
     return Experiment(cfg).run()
@@ -319,9 +298,7 @@ def _run_par_runtime(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
     result.  Note that ``shards`` lives in ``RuntimeRef.kwargs`` and so
     participates in sweep hashing: ``RuntimeRef("par", {"shards": 2})``
     and ``{"shards": 4}`` cache as *different* sweep entries even though
-    their results are bitwise identical.  Use ``REPRO_SHARDS`` to
-    parallelise an existing ``"sim"`` sweep without invalidating its
-    cache.
+    their results are bitwise identical.
     """
     from ..sim.par import run_par
 

@@ -24,6 +24,7 @@ from ..adversary.base import Adversary
 from ..analysis.metrics import max_global_skew, max_local_skew
 from ..analysis.recorder import RunRecord, SkewRecorder
 from ..baselines import FreeRunningNode, MaxSyncNode, StaticGradientNode
+from ..core.batch import Decline
 from ..core.dcsa import DCSANode
 from ..core.node import ClockSyncNode
 from ..network.channels import ConstantDelay, DelayPolicy, UniformDelay
@@ -31,7 +32,7 @@ from ..network.churn import ChurnProcess, ScriptedChurn
 from ..network.discovery import ConstantDiscovery, DiscoveryPolicy, UniformDiscovery
 from ..network.graph import DynamicGraph
 from ..network.transport import Transport
-from ..oracle.oracle import OracleReport, StreamingOracle
+from ..oracle.oracle import OracleReport, StreamingOracle, resolve_oracle
 from ..params import SystemParams
 from ..sim.clocks import (
     HardwareClock,
@@ -346,18 +347,14 @@ class RunResult:
     spans: SpanTable | None = None
     #: Forensic cause reports, filled by ``repro.tracing.explain_result``.
     cause_reports: list[Any] = field(default_factory=list)
-    #: Why the batch kernel's dense-array fast path declined to engage
-    #: (first failing gate of ``build_node_array_table``), or ``None`` when
-    #: it engaged, was never probed, or the run was scalar-only.
-    batch_gate_reason: str | None = None
-    #: How many of ``events_dispatched`` the batch table's array step
-    #: executed (singleton deliveries and ticks included); the rest went
-    #: through ``handle()`` or were not node events at all.
+    #: Every fast path the run's kernel plan declined (see
+    #: :func:`repro.core.batch.kernel_plan`; a ``"par"`` run that fell back
+    #: to one process adds its ``shards`` entry).  A live run has no plan.
+    declines: tuple[Decline, ...] = ()
+    #: How many of ``events_dispatched`` the plan's array step executed
+    #: (singletons included); the rest went through ``handle()`` or were
+    #: not node events at all.
     array_events: int = 0
-    #: Why a ``"par"``-runtime run fell back to the serial backend, or
-    #: ``None`` when the run was serial by construction or genuinely
-    #: sharded (see :mod:`repro.sim.par`).
-    par_fallback_reason: str | None = None
     #: Shard count for a genuinely sharded run (``None`` otherwise).
     par_shards: int | None = None
 
@@ -365,6 +362,20 @@ class RunResult:
     def params(self) -> SystemParams:
         """The run's model parameters."""
         return self.config.params
+
+    def _declined(self, path: str) -> str | None:
+        return next((d.reason for d in self.declines if d.path == path), None)
+
+    @property
+    def batch_gate_reason(self) -> str | None:
+        """Why the array step declined; ``None`` iff it engaged (sim, par)."""
+        return self._declined("array_step")
+
+    @property
+    def par_fallback_reason(self) -> str | None:
+        """Why a ``"par"`` run fell back to the serial backend, or ``None``
+        when it was serial by construction or genuinely sharded."""
+        return self._declined("shards")
 
     @property
     def max_global_skew(self) -> float:
@@ -417,8 +428,7 @@ class RunResult:
                 f"  spans dropped: {self.spans.dropped} "
                 f"(capacity {self.spans.capacity})"
             )
-        if self.batch_gate_reason is not None:
-            lines.append(f"  batch kernel declined: {self.batch_gate_reason}")
+        lines.extend(f"  {d.describe()}" for d in self.declines)
         if self.array_events:
             lines.append(
                 f"  array step: {self.array_events:,} / "
@@ -426,8 +436,6 @@ class RunResult:
             )
         if self.par_shards is not None:
             lines.append(f"  parallel backend: {self.par_shards} shards")
-        if self.par_fallback_reason is not None:
-            lines.append(f"  parallel fallback: {self.par_fallback_reason}")
         lines.append(
             f"  events: {self.events_dispatched}  messages: "
             f"{self.transport_stats['sent']} sent / "
@@ -514,15 +522,40 @@ def _make_discovery(
     raise ValueError(f"unknown discovery spec {spec!r}")
 
 
+def _stagger_kwargs(
+    node_cls: type[ClockSyncNode], cfg: ExperimentConfig, rng: np.random.Generator
+) -> dict[str, float]:
+    """Constructor kwargs placing one node's (or its core's) first tick:
+    one draw per ticking node when ``cfg.stagger_ticks``, else no offset."""
+    if node_cls is FreeRunningNode:
+        return {}
+    if not cfg.stagger_ticks:
+        return {"tick_stagger": 0.0}
+    return {"tick_stagger": float(rng.uniform(0.0, cfg.params.tick_interval))}
+
+
 # ---------------------------------------------------------------------- #
 # Building and running
 # ---------------------------------------------------------------------- #
 
 
 class Experiment:
-    """A fully wired, not-yet-run execution (exposed for tests)."""
+    """A fully wired, not-yet-run execution (exposed for tests).
 
-    def __init__(self, cfg: ExperimentConfig) -> None:
+    ``shard`` is the seam of the parallel backend (:mod:`repro.sim.par`),
+    not reachable from config, CLI or environment: a transport factory
+    called like :class:`Transport` and the id range whose nodes this
+    replica constructs.  Everything else -- graph, every node's clock
+    draw, churn -- is wired for the full population, so shared randomness
+    is bitwise identical across shard counts.
+    """
+
+    def __init__(
+        self,
+        cfg: ExperimentConfig,
+        *,
+        shard: tuple[Callable[..., Transport], range] | None = None,
+    ) -> None:
         cfg.params.validate()
         runtime_name = (
             cfg.runtime if isinstance(cfg.runtime, str) else cfg.runtime.name
@@ -539,12 +572,13 @@ class Experiment:
             )
         self.cfg = cfg
         params = cfg.params
+        make_transport, local = shard or (Transport, range(params.n))
         rngf = RngFactory(cfg.seed)
         self.sim = Simulator()
         # 1. Graph with E_0 (no listeners yet, so no discovery is emitted).
         self.graph = DynamicGraph(range(params.n), cfg.initial_edges)
         # 2. Transport subscribes to graph events.
-        self.transport = Transport(
+        self.transport = make_transport(
             self.sim,
             self.graph,
             delay_policy=_make_delay(cfg.delay_spec, params, rngf.spawn("delay")),
@@ -559,20 +593,17 @@ class Experiment:
         stagger_rng = rngf.spawn("stagger")
         node_cls = ALGORITHMS[cfg.algorithm]
         self.nodes: dict[int, ClockSyncNode] = {}
-        #: Flat driver list keyed by dense node id (same objects as
-        #: ``nodes``; measurement code can index it without dict hops).
+        #: Flat driver list in id order (same objects as ``nodes``; dense
+        #: by node id unless this is a shard).
         self.node_list: list[ClockSyncNode] = []
         for i in range(params.n):
+            # Clock and stagger draws happen for every id, local or not, so
+            # the streams stay aligned across shard counts.
             clock = _make_clock(cfg.clock_spec, i, params, clock_rng, cfg.horizon)
             validate_drift(clock, params.rho)
-            kwargs = {}
-            if node_cls is not FreeRunningNode:
-                stagger = (
-                    float(stagger_rng.uniform(0.0, params.tick_interval))
-                    if cfg.stagger_ticks
-                    else 0.0
-                )
-                kwargs["tick_stagger"] = stagger
+            kwargs = _stagger_kwargs(node_cls, cfg, stagger_rng)
+            if i not in local:
+                continue
             node = node_cls(i, self.sim, clock, self.transport, params, **kwargs)
             self.transport.register_node(i, node)
             self.nodes[i] = node
@@ -593,24 +624,15 @@ class Experiment:
             self.recorder.install()
         # 4b. Streaming oracle (same vantage point as the recorder: it must
         #     subscribe before churn seeds extra t=0 edges).  Its rng is
-        #     derived out of band, NOT via rngf.spawn: spawn order shifts
-        #     every later stream, and attaching a pure observer must not
-        #     change the execution it observes.
-        self.oracle: StreamingOracle | None = None
-        if cfg.oracle is not None:
-            orc = cfg.oracle
-            if not isinstance(orc, StreamingOracle):
-                orc = orc(params, np.random.default_rng(cfg.seed))
-            orc.install(
-                self.sim,
-                self.graph,
-                self.nodes,
-                interval=(
-                    orc.interval if orc.interval is not None else cfg.sample_interval
-                ),
-                end=cfg.horizon,
+        #     derived out of band, NOT via rngf.spawn (see resolve_oracle).
+        self.oracle, interval = resolve_oracle(
+            cfg.oracle, params, cfg.seed, cfg.sample_interval
+        )
+        if self.oracle is not None:
+            self.oracle.install(
+                self.sim, self.graph, self.nodes,
+                interval=interval, end=cfg.horizon, transport=self.transport,
             )
-            self.oracle = orc
         # 5. Announce E_0 *before* churn seeds extra t=0 edges (those get
         #    their discover events from the graph-event path instead).
         self.transport.announce_initial_edges()
@@ -683,27 +705,20 @@ class Experiment:
             # Patch the optimistically-closed spans of messages the
             # horizon caught mid-flight (O(pending queue), not O(spans)).
             self.transport.finalize_tracing()
-        if self.recorder is not None:
-            record = self.recorder.result()
-        else:
-            node_ids = sorted(self.nodes)
-            record = RunRecord(
-                node_ids=node_ids,
-                times=np.empty(0),
-                clocks=np.empty((0, len(node_ids))),
-            )
-        from ..core.batch import REASON_KEY
-
         return RunResult(
             config=self.cfg,
-            record=record,
+            record=(
+                self.recorder.result()
+                if self.recorder is not None
+                else RunRecord.empty(self.nodes)
+            ),
             graph=self.graph,
             nodes=self.nodes,
             transport_stats=self.transport.stats.as_dict(),
             events_dispatched=self.sim.events_dispatched,
             oracle_report=self.oracle.report() if self.oracle is not None else None,
             spans=self.tracer.table if self.tracer is not None else None,
-            batch_gate_reason=self.sim.subsystems.get(REASON_KEY),
+            declines=self.transport.plan.declines,
             array_events=self.transport.array_events,
         )
 

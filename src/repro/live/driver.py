@@ -32,14 +32,16 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
-from ..harness.runner import ALGORITHMS, ExperimentConfig, RunResult
+from ..harness.runner import (
+    ALGORITHMS,
+    ExperimentConfig,
+    RunResult,
+    _stagger_kwargs,
+)
 from ..analysis.recorder import RunRecord
-from ..baselines import FreeRunningNode
 from ..core.protocol import ProtocolCore
 from ..network.churn import ScriptedChurn
-from ..oracle.oracle import StreamingOracle
+from ..oracle.oracle import resolve_oracle
 from ..sim.rng import RngFactory
 from ..tracing.context import active_tracer
 from .channels import LiveChannel, LoopbackChannel, UdpChannel
@@ -112,26 +114,13 @@ def build_live_runtime(
         rngf.spawn("live_clocks"),
     )
     stagger_rng = rngf.spawn("live_stagger")
-    cores: dict[int, ProtocolCore] = {}
-    for i in range(params.n):
-        kwargs: dict[str, Any] = {}
-        if node_cls is not FreeRunningNode:
-            kwargs["tick_stagger"] = (
-                float(stagger_rng.uniform(0.0, params.tick_interval))
-                if cfg.stagger_ticks
-                else 0.0
-            )
-        cores[i] = core_cls(i, params, **kwargs)
-    oracle: StreamingOracle | None = None
-    if cfg.oracle is not None:
-        orc = cfg.oracle
-        if not isinstance(orc, StreamingOracle):
-            # Same out-of-band rng convention as the sim runner.
-            orc = orc(params, np.random.default_rng(cfg.seed))
-        oracle = orc
-    sample_interval = cfg.sample_interval
-    if oracle is not None and oracle.interval is not None:
-        sample_interval = oracle.interval
+    cores: dict[int, ProtocolCore] = {
+        i: core_cls(i, params, **_stagger_kwargs(node_cls, cfg, stagger_rng))
+        for i in range(params.n)
+    }
+    oracle, sample_interval = resolve_oracle(
+        cfg.oracle, params, cfg.seed, cfg.sample_interval
+    )
     return LiveRuntime(
         params,
         cores,
@@ -148,18 +137,12 @@ def build_live_runtime(
 
 
 def _to_run_result(cfg: ExperimentConfig, live: LiveRunResult) -> RunResult:
-    node_ids = sorted(live.nodes)
-    record = RunRecord(
-        node_ids=node_ids,
-        times=np.empty(0),
-        clocks=np.empty((0, len(node_ids))),
-    )
     # Causal tracing is ambient (same slot the runtime read at startup),
     # so a traced live session surfaces its span table here too.
     tracer = active_tracer()
     return RunResult(
         config=cfg,
-        record=record,
+        record=RunRecord.empty(live.nodes),
         graph=live.graph,
         nodes=dict(live.nodes),
         transport_stats=live.transport_stats,

@@ -50,6 +50,7 @@ from typing import (
     Sequence,
 )
 
+from ..core.batch import KernelPlan, NodeArrayTable, kernel_plan
 from ..sim.events import (
     KIND_DELIVER,
     KIND_DELIVER_BURST,
@@ -66,16 +67,17 @@ from ..tracing.spans import (
     STATUS_DROPPED,
     STATUS_PENDING,
 )
-from .channels import ConstantDelay, DelayPolicy
-from .discovery import ConstantDiscovery, DiscoveryPolicy
+from .channels import DelayPolicy
+from .discovery import DiscoveryPolicy
 from .graph import DynamicGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
-    from ..core.batch import NodeArrayTable
     from ..telemetry.registry import MetricsRegistry
     from ..tracing.context import Tracer
 
 __all__ = ["Transport", "NodeInterface", "TransportStats"]
+
+_TICK = "tick"
 
 
 class NodeInterface(Protocol):
@@ -130,6 +132,10 @@ class Transport:
         :math:`\\mathcal{D}`; discovery latencies are validated against it.
     """
 
+    #: What :func:`~repro.core.batch.kernel_plan` gets beside the transport
+    #: itself: a shard-local subclass's id range, table class and veto.
+    _plan_scope: tuple[Any, ...] = ()
+
     def __init__(
         self,
         sim: Simulator,
@@ -170,47 +176,14 @@ class Transport:
         #: ``push_typed``-shaped callable.  The sharded backend rebinds it
         #: to key and route each record (see :mod:`repro.sim.par`).
         self._push: Callable[..., ScheduledEvent | None] = sim.queue.push_typed
-        #: Batch-dispatch table: ``None`` until first use, ``False`` when
-        #: the execution was checked and found batch-incompatible (the
-        #: verdict cannot change mid-run, so it is cached) or ``sim.batch``
-        #: is off, else the built :class:`~repro.core.batch.NodeArrayTable`.
-        self._batch_table: "NodeArrayTable | None | bool" = (
-            None if sim.batch else False
-        )
+        #: How this simulator executes its run -- the array-step table or
+        #: ``None`` for the ``handle()`` reference, and every fast path
+        #: that declined.  The one slot every reader consults; written
+        #: once, by :meth:`_start_run`.
+        self.plan = KernelPlan()
         sim.set_handler(KIND_DELIVER, self._handle_deliver)
-        sim.set_handler(KIND_DELIVER_BURST, self._handle_deliver_burst)
         sim.set_handler(KIND_DISCOVER, self._handle_discover)
-        if sim.batch:
-            sim.set_batch_handler(KIND_DELIVER, self._handle_deliver_batch)
-            sim.set_batch_handler(
-                KIND_DELIVER_BURST, self._handle_deliver_burst_run
-            )
-            # Sound under any policy pair; see set_batch_handler.
-            sim.set_batch_handler(KIND_DISCOVER, self._handle_discover_batch)
-            # Pre-popping timer runs is only sound when nothing a timer
-            # handler does can schedule a same-timestamp event that scalar
-            # dispatch would order *inside* the run: a zero or randomized
-            # delay (or discovery latency) could land a delivery/discovery
-            # at the current time at a lower priority.  Both policies being
-            # positive constants rules that out, and the policy types are
-            # fixed for the transport's lifetime, so the gate is decided
-            # here once.
-            delay = self.delay_policy
-            disc = self.discovery_policy
-            if (
-                type(delay) is ConstantDelay
-                and delay.value > 0.0
-                and type(disc) is ConstantDiscovery
-                and disc.value > 0.0
-            ):
-                sim.set_batch_handler(KIND_TIMER, self._handle_timer_batch)
-                # Tick-group records only ever originate from the batch
-                # table's timer handler, so their handlers ride the same
-                # gate.
-                sim.set_handler(KIND_TICK_BURST, self._handle_tick_burst)
-                sim.set_batch_handler(
-                    KIND_TICK_BURST, self._handle_tick_burst_run
-                )
+        sim.on_run_start(self._start_run)
         graph.subscribe(self._on_graph_event)
 
     def attach_tracer(self, tracer: "Tracer") -> None:
@@ -247,12 +220,10 @@ class Transport:
 
     @property
     def array_events(self) -> int:
-        """Events the batch table's array step executed so far (``0`` while
-        no table is built): the share of the run that bypassed ``handle()``."""
-        table = self._batch_table
-        if table is None or isinstance(table, bool):
-            return 0
-        return table.array_events
+        """Events the plan's array step executed so far (``0`` without a
+        table): the share of the run that bypassed ``handle()``."""
+        table = self.plan.table
+        return 0 if table is None else table.array_events
 
     # ------------------------------------------------------------------ #
     # Node management
@@ -340,19 +311,17 @@ class Transport:
     def _handle_deliver(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DELIVER`` records (one call per message).
 
-        On a valid batch table a message that clears the Section 3.2
+        On the plan's table a message that clears the Section 3.2
         predicate is booked here and executed by the table as a batch of
-        one; the drop branch -- and every message of an invalid-table
+        one; the drop branch -- and every message of a reference
         population -- stays :meth:`_deliver`'s.  Every message was sent
         over a present edge, so while no edge has ever been removed the
         predicate is vacuous and skipped (cf. :meth:`_drop_failed`).
         """
         u = ev.a
         v = ev.b
-        table = self._batch_table
-        if table is None:
-            table = self._ensure_batch_table()
-        if table is False or (
+        table = self.plan.table
+        if table is None or (
             self._ever_removed
             and (
                 not self._has_edge(u, v)
@@ -361,7 +330,6 @@ class Transport:
         ):
             self._deliver(u, v, ev.c, ev.d, ev.e)
             return
-        assert not isinstance(table, bool)
         self.stats.delivered += 1
         table.deliver_one(u, v, ev.c, ev.e)
 
@@ -370,29 +338,19 @@ class Transport:
 
         Pre-popping a deliver run is always sound -- delivery handlers
         never send, so nothing they do can insert a record *inside* the
-        run -- but the array fast path additionally requires a valid
-        :class:`~repro.core.batch.NodeArrayTable` (built lazily on first
-        use, after ``t = 0`` wiring); the drop rule is applied per record
-        first (see :meth:`_drop_failed`).  Anything else replays the run
-        through the scalar delivery in record order, which is exact.
+        run; the drop rule is applied per record first (see
+        :meth:`_drop_failed`), the survivors take the array path.
         """
-        table = self._ensure_batch_table()
-        if table is not False:
-            assert not isinstance(table, bool)
-            dead = self._drop_failed(
-                [ev.a for ev in records],
-                [ev.b for ev in records],
-                [ev.d for ev in records],
-                None if self._tracer is None else [ev.e for ev in records],
-            )
-            if dead:
-                records = [ev for i, ev in enumerate(records) if i not in dead]
-            table.deliver_batch(records)
-            self.stats.delivered += len(records)
-            return
-        deliver = self._deliver
-        for ev in records:
-            deliver(ev.a, ev.b, ev.c, ev.d, ev.e)
+        dead = self._drop_failed(
+            [ev.a for ev in records],
+            [ev.b for ev in records],
+            [ev.d for ev in records],
+            None if self._tracer is None else [ev.e for ev in records],
+        )
+        if dead:
+            records = [ev for i, ev in enumerate(records) if i not in dead]
+        self._table.deliver_batch(records)
+        self.stats.delivered += len(records)
 
     def _drop_failed(
         self,
@@ -435,34 +393,58 @@ class Transport:
                 dead.add(i)
         return dead
 
-    def _ensure_batch_table(self) -> "NodeArrayTable | bool":
-        """Build (once) and cache the batch dispatch table (see module doc)."""
-        table = self._batch_table
-        if table is None:
-            from ..core.batch import build_node_array_table
+    def _start_run(self) -> None:
+        """Run-start hook: decide the kernel plan, register its run handlers.
 
-            built = build_node_array_table(self.sim, self)
-            table = built if built is not None else False
-            self._batch_table = table
+        Fires once, where the simulator's first ``run_until`` / ``step``
+        begins (:meth:`~repro.sim.simulator.Simulator.on_run_start`).  The
+        run, burst and tick-group handlers exist only on a table, so they
+        are registered here and never ask whether there is one.
+        """
+        plan = self.plan = kernel_plan(self, *self._plan_scope)
+        if plan.table is None:
+            return
+        sim = self.sim
+        sim.set_handler(KIND_DELIVER_BURST, self._handle_deliver_burst)
+        sim.set_batch_handler(KIND_DELIVER, self._handle_deliver_batch)
+        sim.set_batch_handler(KIND_DISCOVER, self._handle_discover_batch)
+        if plan.engaged("timer_runs"):
+            sim.set_batch_handler(KIND_TIMER, self._handle_timer_batch)
+            # Tick groups only ever originate from the table's timer runs.
+            sim.set_handler(KIND_TICK_BURST, self._handle_tick_burst)
+
+    @property
+    def _table(self) -> NodeArrayTable:
+        """The plan's table, for the handlers registered only on one."""
+        table = self.plan.table
+        assert table is not None
         return table
 
-    def _handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
-        """Kernel batch handler for same-timestamp ``KIND_TIMER`` runs.
+    def _handle_timer(self, ev: ScheduledEvent) -> None:
+        """Kernel handler for ``KIND_TIMER`` records (``a=driver, b=key``).
 
-        Registered only under the constant-policy gate (see ``__init__``),
-        which makes pre-popping sound; the array fast path additionally
-        needs a valid table, else the run replays the kernel's scalar timer
-        handler in record order, which is exact.
+        Registered by the drivers themselves (see
+        :class:`~repro.core.node.ClockSyncNode`).  On the plan's table a
+        ``tick`` or ``("lost", v)`` fire runs the array step as a batch of
+        one; any other key (a DCSA core arms none: the reference rejects
+        it), and every timer of a reference population, goes through
+        :meth:`~repro.core.node.ClockSyncNode._fire_timer`.
         """
-        table = self._ensure_batch_table()
-        if table is not False:
-            assert not isinstance(table, bool)
-            table.handle_timer_batch(records)
-            return
-        fire = self.sim._handlers[KIND_TIMER]
-        assert fire is not None
-        for rec in records:
-            fire(rec)
+        table = self.plan.table
+        if table is not None:
+            key = ev.b
+            if key == _TICK:
+                table.tick_one(ev)
+                return
+            if type(key) is tuple and key[0] == "lost":
+                table.lost_one(ev)
+                return
+        ev.a._fire_timer(ev.b)
+
+    def _handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
+        """Kernel batch handler for same-timestamp ``KIND_TIMER`` runs
+        (registered only when the plan engaged ``timer_runs``)."""
+        self._table.handle_timer_batch(records)
 
     def _handle_tick_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_TICK_BURST`` records.
@@ -470,9 +452,7 @@ class Transport:
         A group stands for the pending ticks of ``ev.e`` drivers (see
         :mod:`repro.sim.events`); the kernel counted the record as one
         dispatch, so re-expand the cardinality into the dispatch tallies
-        before executing.  Groups are only ever created by the batch
-        table's timer handler, so the table is always built and valid
-        here.
+        before executing.
         """
         sim = self.sim
         card = ev.e
@@ -481,14 +461,7 @@ class Transport:
         if kind_counts is not None:
             kind_counts[KIND_TICK_BURST] -= 1
             kind_counts[KIND_TIMER] += card
-        table = self._batch_table
-        assert table is not None and table is not False
-        table.handle_tick_group(ev)
-
-    def _handle_tick_burst_run(self, records: list[ScheduledEvent]) -> None:
-        """Kernel batch handler for runs of tick groups (rare tie case)."""
-        for ev in records:
-            self._handle_tick_burst(ev)
+        self._table.handle_tick_group(ev)
 
     def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DELIVER_BURST`` records.
@@ -499,8 +472,7 @@ class Transport:
         tallies before delivering.  Each constituent is subject to the
         drop rule like an individual record (see :meth:`_drop_failed`);
         the survivors take the array path.  Bursts are only ever created
-        by the batch table (its tick phase and its discovery greetings),
-        so the table is always built and valid here.
+        by the table (its tick phase and its discovery greetings).
         """
         sim = self.sim
         us = ev.a
@@ -513,8 +485,6 @@ class Transport:
         if kind_counts is not None:
             kind_counts[KIND_DELIVER_BURST] -= 1
             kind_counts[KIND_DELIVER] += card
-        table = self._batch_table
-        assert table is not None and table is not False
         dead = self._drop_failed(us, vs, repeat(ev.d), sids)
         if dead:
             live = [i for i in range(card) if i not in dead]
@@ -523,13 +493,8 @@ class Transport:
             payloads = [payloads[i] for i in live]
             if sids is not None:
                 sids = [sids[i] for i in live]
-        table.deliver_burst(us, vs, payloads, sids)
+        self._table.deliver_burst(us, vs, payloads, sids)
         self.stats.delivered += len(us)
-
-    def _handle_deliver_burst_run(self, records: list[ScheduledEvent]) -> None:
-        """Kernel batch handler for runs of burst records (rare tie case)."""
-        for ev in records:
-            self._handle_deliver_burst(ev)
 
     def _deliver(
         self, u: int, v: int, payload: Any, send_time: float,
@@ -651,15 +616,12 @@ class Transport:
         Verifies the change still holds at fire time; a reversed
         (transient) change is allowed to go unnoticed.  ``d=True`` marks
         the dedicated failed-send absence path, which additionally clears
-        its dedup key.  On a valid batch table the record runs as a run of
+        its dedup key.  On the plan's table the record runs as a run of
         one through the table's discovery body, which does all of the
         above (:meth:`~repro.core.batch.NodeArrayTable.discover_run`).
         """
-        table = self._batch_table
-        if table is None:
-            table = self._ensure_batch_table()
-        if table is not False:
-            assert not isinstance(table, bool)
+        table = self.plan.table
+        if table is not None:
             table.discover_run((ev,))
             return
         node_id, other, added = ev.a, ev.b, ev.c
@@ -682,15 +644,7 @@ class Transport:
             self.stats.discoveries_skipped += 1
 
     def _handle_discover_batch(self, records: list[ScheduledEvent]) -> None:
-        """Kernel batch handler for same-timestamp ``KIND_DISCOVER`` runs.
-
-        One array pass on a valid table; anything else replays the run
-        through the scalar handler in record order, which is exact.
-        """
-        table = self._ensure_batch_table()
-        if table is not False:
-            assert not isinstance(table, bool)
-            table.discover_run(records)
-            return
-        for ev in records:
-            self._handle_discover(ev)
+        """Kernel batch handler for same-timestamp ``KIND_DISCOVER`` runs:
+        one array pass (sound under any policy pair; see
+        :meth:`~repro.sim.simulator.Simulator.set_batch_handler`)."""
+        self._table.discover_run(records)

@@ -22,7 +22,7 @@ or standalone on any simulator/graph/node wiring via :meth:`install`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -32,11 +32,12 @@ from ..sim.simulator import Simulator
 from .monitors import MONITOR_FACTORIES, Monitor, MonitorSummary, Violation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
+    from ..network.transport import Transport
     from ..obs.timeline import TimelineRecorder
     from ..telemetry.registry import MetricsRegistry
     from ..tracing.context import Tracer
 
-__all__ = ["OracleError", "OracleReport", "StreamingOracle"]
+__all__ = ["OracleError", "OracleReport", "StreamingOracle", "resolve_oracle"]
 
 
 class OracleError(RuntimeError):
@@ -207,14 +208,9 @@ class StreamingOracle:
         # Skew-timeline recorder (``None`` when the observatory is off);
         # picked up ambiently at attach time, see ``attach_timeline``.
         self._timeline: "TimelineRecorder | None" = None
-        # Dense-array sampling (see repro.core.batch): the owning simulator
-        # when installed on one, and the discovered NodeArrayTable.
-        # ``_table`` is ``None`` until a table appears in sim.subsystems
-        # (the batch kernel builds it lazily, so every sample re-checks),
-        # ``False`` once checked and found not to cover this oracle's node
-        # set, else the table itself.
-        self._sim: Simulator | None = None
-        self._table: Any = None
+        # Dense-array sampling (see repro.core.batch): the transport whose
+        # registered nodes are exactly this oracle's, when installed with one.
+        self._transport: "Transport | None" = None
 
     @staticmethod
     def _resolve(m: str | Monitor) -> Monitor:
@@ -324,15 +320,19 @@ class StreamingOracle:
         *,
         interval: float | None = None,
         end: float | None = None,
+        transport: "Transport | None" = None,
     ) -> None:
         """Arm periodic sampling and subscribe to graph events (sim driver).
 
         Must be called at ``t = 0``; see :meth:`attach_graph` for the
-        edge-seeding convention.
+        edge-seeding convention.  ``transport`` is the transport whose
+        registered nodes are exactly ``nodes``: when its kernel plan holds
+        a table, samples read the table's fused columns instead of calling
+        each node.
         """
         self.attach(nodes, interval=interval)
         self.attach_graph(graph)
-        self._sim = sim
+        self._transport = transport
         assert self.interval is not None
         sim.every(self.interval, self.sample, end=end)
 
@@ -398,37 +398,14 @@ class StreamingOracle:
     # Sampling
     # ------------------------------------------------------------------ #
 
-    def _discover_table(self) -> None:
-        """Adopt the batch kernel's dense node table when it covers us.
-
-        The fused column reads are bit-identical to the per-node reader
-        closures (same ``L + (h - h_last)`` association; see
-        :meth:`repro.core.batch.NodeArrayTable.clock_column`), so adopting
-        the table changes sampling cost, never sampled values.  Requires
-        this oracle's node set to be exactly the table's dense id range
-        with identical driver objects; anything else pins ``_table`` to
-        ``False`` and keeps the reader loop.
-        """
-        sim = self._sim
-        if sim is None:
-            self._table = False
-            return
-        table = sim.subsystems.get("node_array_table")
-        if table is None:
-            return  # Not built (yet); re-check next sample.
-        drivers = table.drivers
-        if self._node_ids == list(range(len(drivers))) and all(
-            drivers[i] is self._nodes[i] for i in self._node_ids
-        ):
-            self._table = table
-        else:
-            self._table = False
-
     def sample(self, t: float) -> None:
-        if self._table is None:
-            self._discover_table()
-        table = self._table
-        if table is not None and table is not False:
+        # The fused column reads are bit-identical to the per-node reader
+        # closures (same ``L + (h - h_last)`` association; see
+        # :meth:`repro.core.batch.NodeArrayTable.clock_column`), so riding
+        # the plan's table changes sampling cost, never sampled values.
+        transport = self._transport
+        table = None if transport is None else transport.plan.table
+        if table is not None:
             clocks = table.clock_column(t)
             estimates = (
                 table.max_estimate_column(t) if self._needs_estimates else None
@@ -489,3 +466,24 @@ class StreamingOracle:
             worst_margin=min(margins) if margins else None,
             monitors=summaries,
         )
+
+
+def resolve_oracle(
+    spec: "StreamingOracle | Callable[..., StreamingOracle] | None",
+    params: SystemParams,
+    seed: int,
+    sample_interval: float,
+) -> tuple[StreamingOracle | None, float]:
+    """A config's ``oracle`` entry as ``(oracle, sampling interval)``.
+
+    A builder is called with an rng derived from ``seed`` out of band --
+    never from the run's spawn sequence, whose order shifts every later
+    stream: attaching a pure observer must not change the execution it
+    observes.  The oracle's own ``interval`` wins over the run's.
+    """
+    if spec is None:
+        return None, sample_interval
+    orc = spec if isinstance(spec, StreamingOracle) else spec(
+        params, np.random.default_rng(seed)
+    )
+    return orc, sample_interval if orc.interval is None else orc.interval

@@ -40,9 +40,8 @@ is pushed via :meth:`~repro.sim.queue.EventQueue.push_keyed` with a
 emitted it, extended by a per-dispatch emission counter.  Dispatch-context
 prefixes (``ParTransport._gp``) are:
 
-* setup phase (initial-edge announcement): ``(0.0, -1)``;
-* per-node start marker: ``(0.0, -1, inf, node_id)`` (sorts after every
-  announcement key; defensive -- no core sends at ``Start``);
+* setup phase (initial-edge announcement; no core sends at ``Start``):
+  ``(0.0, -1)``;
 * topology dispatch: ``(t, 0, topology_index)`` -- the per-transport
   topology counter is identical in every shard because churn replays
   everywhere;
@@ -85,50 +84,48 @@ holds a contiguous key range and sits at its first constituent's
 position, and no local record can sort inside it.  An envelope can -- but
 envelopes only reach frontier destinations, bursts only carry interior
 ones, and deliveries to distinct destinations commute.  Scripted churn
-forces the scalar path (the gate records a reason), which is exact by
-construction.
+forces the reference path (the shard's kernel plan declines the array
+step and says why), which is exact by construction.
 """
 
 from __future__ import annotations
 
 import gc
-import math
 import multiprocessing
 import time
 import traceback
 from dataclasses import replace
+from functools import partial
 from multiprocessing.connection import Connection
 from multiprocessing.sharedctypes import RawArray
 from typing import TYPE_CHECKING, Any, Callable, Sequence, cast
 
 import numpy as np
 
-from ..core.batch import REASON_KEY, NodeArrayTable, build_node_array_table
+from ..core.batch import Decline, NodeArrayTable
 from ..network.churn import ScriptedChurn
 from ..network.graph import DynamicGraph
-from ..network.transport import Transport
-from .clocks import validate_drift
+from ..network.transport import Transport, TransportStats
+from ..tracing.context import active_tracer
 from .events import (
     KIND_DELIVER,
     KIND_PAR_SHADOW,
     KIND_TICK_BURST,
-    KIND_TIMER,
     KIND_TOPOLOGY,
     N_KINDS,
     PRIORITY_DELIVERY,
     ScheduledEvent,
 )
 from .partition import partition_ranges
-from .rng import RngFactory
 from .simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..core.node import ClockSyncNode
-    from ..harness.runner import ExperimentConfig, RunResult
+    from ..harness.runner import Experiment, ExperimentConfig, RunResult
 
 __all__ = [
     "run_par",
-    "genuine_shard_reason",
+    "shard_decline",
     "ParTransport",
     "ParNodeArrayTable",
     "ShmNodeView",
@@ -151,17 +148,10 @@ _MAX_WINDOWS = 2_000_000
 #: What a pipe end raises once the process at the other end is gone.
 _PIPE_DEAD = (EOFError, BrokenPipeError, ConnectionResetError)
 
-_STAT_FIELDS = (
-    "sent",
-    "delivered",
-    "dropped_no_edge",
-    "dropped_removed",
-    "discoveries_delivered",
-    "discoveries_skipped",
-)
+_STAT_FIELDS = TransportStats.__slots__
 
 
-def genuine_shard_reason(cfg: "ExperimentConfig") -> str | None:
+def shard_decline(cfg: "ExperimentConfig") -> Decline | None:
     """Why ``cfg`` cannot run genuinely sharded (``None`` = it can).
 
     The parallel backend requires the execution ingredients that make the
@@ -169,46 +159,39 @@ def genuine_shard_reason(cfg: "ExperimentConfig") -> str | None:
     positive message delay, constant discovery latency, constant-rate
     clocks with deterministic assignment, no per-event observers, and
     churn that replays identically in every shard.  Anything else falls
-    back to the serial backend with the returned reason recorded on
-    ``RunResult.par_fallback_reason``.
+    back to the serial backend with the returned ``shards`` entry among
+    ``RunResult.declines``.
     """
-    if not isinstance(cfg.delay_spec, str) or cfg.delay_spec not in ("max", "half"):
-        return "delay_spec must be the constant 'max' or 'half' policy"
     params = cfg.params
-    if params.max_delay <= 0.0:
-        return "max_delay must be positive (it sets the lookahead window)"
     c = params.max_delay if cfg.delay_spec == "max" else 0.5 * params.max_delay
-    if float(cfg.horizon) / c > _MAX_WINDOWS:
-        return "horizon/delay ratio needs too many lookahead windows"
-    if not isinstance(cfg.discovery_spec, str) or cfg.discovery_spec not in (
-        "max",
-        "zero",
-    ):
-        return "discovery_spec must be the constant 'max' or 'zero' policy"
-    if not isinstance(cfg.clock_spec, str) or cfg.clock_spec not in (
-        "split",
-        "alternating",
-        "uniform",
-        "perfect",
-    ):
-        return (
-            "clock_spec must be a constant-rate spec "
-            "(split/alternating/uniform/perfect)"
-        )
-    if cfg.stagger_ticks:
-        return "staggered first ticks are not supported by the parallel backend"
-    if cfg.adversary is not None:
-        return "adversaries require the serial backend"
-    if cfg.record:
-        return "the SkewRecorder requires the serial backend (disable record)"
-    from ..tracing.context import active_tracer
-
-    if active_tracer() is not None:
-        return "causal tracing is active"
-    for proc in cfg.churn:
-        if not isinstance(proc, ScriptedChurn):
-            return "only ScriptedChurn replays identically across shards"
-    return None
+    checks = (  # (declined_by, fails, reason); the first failing row wins
+        ("delay_spec", cfg.delay_spec not in ("max", "half"),
+         "delay_spec must be the constant 'max' or 'half' policy"),
+        ("max_delay", params.max_delay <= 0.0,
+         "max_delay must be positive (it sets the lookahead window)"),
+        ("horizon", float(cfg.horizon) > _MAX_WINDOWS * c,
+         "horizon/delay ratio needs too many lookahead windows"),
+        ("discovery_spec", cfg.discovery_spec not in ("max", "zero"),
+         "discovery_spec must be the constant 'max' or 'zero' policy"),
+        ("clock_spec",
+         cfg.clock_spec not in ("split", "alternating", "uniform", "perfect"),
+         "clock_spec must be a constant-rate spec "
+         "(split/alternating/uniform/perfect)"),
+        ("stagger_ticks", cfg.stagger_ticks,
+         "staggered first ticks are not supported by the parallel backend"),
+        ("adversary", cfg.adversary is not None,
+         "adversaries require the serial backend"),
+        ("record", cfg.record,
+         "the SkewRecorder requires the serial backend (disable record)"),
+        ("tracer", active_tracer() is not None, "causal tracing is active"),
+        ("churn", not all(isinstance(p, ScriptedChurn) for p in cfg.churn),
+         "only ScriptedChurn replays identically across shards"),
+        ("platform", "fork" not in multiprocessing.get_all_start_methods(),
+         "the platform does not support the fork start method"),
+    )
+    return next(
+        (Decline("shards", by, why) for by, fails, why in checks if fails), None
+    )
 
 
 class ParTransport(Transport):
@@ -263,6 +246,14 @@ class ParTransport(Transport):
         self._push_keyed = sim.queue.push_keyed
         self._push = self._push_routed
         sim.set_handler(KIND_PAR_SHADOW, self._handle_par_shadow)
+        veto = None
+        if shadows:
+            veto = Decline(
+                "array_step", "churn",
+                "scripted churn runs on the scalar path under the parallel "
+                "backend",
+            )
+        self._plan_scope = (range(lo, hi), ParNodeArrayTable, veto)
 
     # ------------------------------------------------------------------ #
     # The delivery-push seam
@@ -321,6 +312,19 @@ class ParTransport(Transport):
             node_id, other, added=added, change_time=change_time
         )
 
+    def _on_graph_event(self, time: float, u: int, v: int, added: bool) -> None:
+        # One graph event per topology dispatch: its discoveries extend the
+        # dispatch's own position among the run's topology events.
+        self._gp = (time, 0, self._topo_idx)
+        self._gc = 0
+        self._topo_idx += 1
+        super()._on_graph_event(time, u, v, added)
+
+    def _handle_timer(self, ev: ScheduledEvent) -> None:
+        self._gp = (self.sim.now, 2, ev.d, ev.e, ev.a.node_id)
+        self._gc = 0
+        super()._handle_timer(ev)
+
     def _handle_discover(self, ev: ScheduledEvent) -> None:
         self._enter(ev)
         super()._handle_discover(ev)
@@ -349,17 +353,12 @@ class ParTransport(Transport):
         super()._handle_deliver(ev)
 
     def _handle_deliver_batch(self, records: list[ScheduledEvent]) -> None:
-        table = self._ensure_batch_table()
-        if (
-            table is not False
-            and self.graph.never_removed(
-                [ev.a for ev in records], [ev.b for ev in records]
-            )
+        if self.graph.never_removed(
+            [ev.a for ev in records], [ev.b for ev in records]
         ):
-            assert not isinstance(table, bool)
             # Envelope records (e=-2) ride the fast path too: over edges
             # never removed, the drop predicate is False for every record.
-            table.deliver_batch(records)
+            self._table.deliver_batch(records)
             self.stats.delivered += len(records)
             return
         for ev in records:
@@ -383,28 +382,6 @@ class ParTransport(Transport):
         ):
             self.stats.dropped_removed += 1
             self._schedule_absence_discovery(u, v, send_time=ev.d)
-
-    # ------------------------------------------------------------------ #
-    # Batch table
-    # ------------------------------------------------------------------ #
-
-    def _ensure_batch_table(self) -> "NodeArrayTable | bool":
-        table = self._batch_table
-        if table is None:
-            if self._shadows:
-                self.sim.subsystems.setdefault(
-                    REASON_KEY,
-                    "scripted churn runs on the scalar path under the "
-                    "parallel backend",
-                )
-                table = False
-            else:
-                built = build_node_array_table(
-                    self.sim, self, range(self._lo, self._hi), ParNodeArrayTable
-                )
-                table = built if built is not None else False
-            self._batch_table = table
-        return table
 
 
 class ParNodeArrayTable(NodeArrayTable):
@@ -520,97 +497,23 @@ def _barrier_plan(
 # ---------------------------------------------------------------------- #
 
 
-def _build_worker_experiment(
+def _shard_experiment(
     cfg: "ExperimentConfig", lo: int, hi: int, frontier: frozenset[int]
-) -> tuple[Simulator, ParTransport, DynamicGraph, "dict[int, ClockSyncNode]"]:
+) -> "Experiment":
     """Wire one shard: full graph/clock/churn replica, local nodes only.
 
-    Mirrors :class:`~repro.harness.runner.Experiment` construction exactly
-    -- same RNG spawn order, same per-node clock draws for *all* ids --
-    so shared randomness is bitwise identical across shard counts.
+    The same constructor as a serial run, with the shard's transport in
+    the transport's place; the coordinator owns the oracle.
     """
-    from ..baselines import FreeRunningNode
-    from ..core.node import _dispatch_timer
-    from ..harness.runner import (
-        ALGORITHMS,
-        _make_clock,
-        _make_delay,
-        _make_discovery,
+    from ..harness.runner import Experiment
+
+    make_transport = partial(
+        ParTransport, lo=lo, hi=hi, frontier=frontier, shadows=bool(cfg.churn)
     )
-
-    params = cfg.params
-    rngf = RngFactory(cfg.seed)
-    sim = Simulator()
-    graph = DynamicGraph(range(params.n), cfg.initial_edges)
-    transport = ParTransport(
-        sim,
-        graph,
-        delay_policy=_make_delay(cfg.delay_spec, params, rngf.spawn("delay")),
-        discovery_policy=_make_discovery(
-            cfg.discovery_spec, params, rngf.spawn("discovery")
-        ),
-        max_delay=params.max_delay,
-        discovery_bound=params.discovery_bound,
-        lo=lo,
-        hi=hi,
-        frontier=frontier,
-        shadows=bool(cfg.churn),
+    return Experiment(
+        replace(cfg, oracle=None, runtime="sim"),
+        shard=(make_transport, range(lo, hi)),
     )
-    clock_rng = rngf.spawn("clocks")
-    rngf.spawn("stagger")  # parity: serial spawns the stream even when unused
-    node_cls = ALGORITHMS[cfg.algorithm]
-    nodes: "dict[int, ClockSyncNode]" = {}
-    for i in range(params.n):
-        # Clocks are drawn for every id (the "uniform" spec consumes one
-        # draw per node) so the stream stays aligned with serial.
-        clock = _make_clock(cfg.clock_spec, i, params, clock_rng, cfg.horizon)
-        validate_drift(clock, params.rho)
-        if lo <= i < hi:
-            kwargs: dict[str, Any] = {}
-            if node_cls is not FreeRunningNode:
-                kwargs["tick_stagger"] = 0.0
-            node = node_cls(i, sim, clock, transport, params, **kwargs)
-            transport.register_node(i, node)
-            nodes[i] = node
-
-    # Keyed dispatch wrappers: every timer/topology dispatch stamps its
-    # provenance prefix before running, so keyed pushes it emits land at
-    # their global serial position.  Direct list assignment -- the node
-    # table registered the plain dispatcher and set_handler refuses
-    # replacements.
-    def _timer_dispatch(ev: ScheduledEvent) -> None:
-        transport._gp = (sim.now, 2, ev.d, ev.e, ev.a.node_id)
-        transport._gc = 0
-        _dispatch_timer(ev)
-
-    def _topology_dispatch(ev: ScheduledEvent) -> None:
-        idx = transport._topo_idx
-        transport._topo_idx = idx + 1
-        transport._gp = (sim.now, 0, idx)
-        transport._gc = 0
-        if ev.b:
-            ev.a.add_edge(ev.c, ev.d, sim.now)
-        else:
-            ev.a.remove_edge(ev.c, ev.d, sim.now)
-
-    sim._handlers[KIND_TIMER] = _timer_dispatch
-    sim._handlers[KIND_TOPOLOGY] = _topology_dispatch
-
-    transport._gp = (0.0, -1)
-    transport._gc = 0
-    transport.announce_initial_edges()
-    rngf.spawn("churn")  # parity: serial spawns before installing churn
-    for proc in cfg.churn:
-        assert isinstance(proc, ScriptedChurn)
-        proc.install(sim, graph)
-    for i in sorted(nodes):
-        # Per-start marker: sorts after every announcement key; defensive
-        # (no shipped core sends at Start), but keeps even hypothetical
-        # start-time sends deterministically placed.
-        transport._gp = (0.0, -1, math.inf, i)
-        transport._gc = 0
-        nodes[i].start()
-    return sim, transport, graph, nodes
 
 
 def _worker_main(
@@ -626,9 +529,9 @@ def _worker_main(
     """Worker process body: run window-by-window against the coordinator."""
     gc.disable()
     try:
-        sim, transport, graph, nodes = _build_worker_experiment(
-            cfg, lo, hi, frontier
-        )
+        exp = _shard_experiment(cfg, lo, hi, frontier)
+        sim, nodes = exp.sim, exp.nodes
+        transport = cast(ParTransport, exp.transport)
         sim.kind_counts = [0] * N_KINDS
         n = cfg.params.n
         block = np.frombuffer(cast(Any, shm), dtype=np.float64).reshape(2, n)
@@ -644,7 +547,7 @@ def _worker_main(
             t0 = time.perf_counter()
             sim.run_until(b)
             if b in sample_set:
-                table = transport._batch_table
+                table = transport.plan.table
                 if isinstance(table, ParNodeArrayTable):
                     table.write_sample_columns(b, block[0], block[1])
                 else:
@@ -698,7 +601,7 @@ def _worker_main(
             "stats": transport.stats.as_dict(),
             "events": sim.events_dispatched,
             "kind_counts": list(kc),
-            "batch_gate_reason": sim.subsystems.get(REASON_KEY),
+            "declines": transport.plan.declines,
             "array_events": transport.array_events,
         }
         conn.send(("done", done))
@@ -789,15 +692,15 @@ class ShmNodeView:
 def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
     """Run ``cfg`` on the space-partitioned parallel backend.
 
-    Genuinely shards when :func:`genuine_shard_reason` returns ``None``
-    (and ``fork`` is available); otherwise runs the serial backend and
-    records the reason on ``RunResult.par_fallback_reason``.  A genuine
+    Genuinely shards when :func:`shard_decline` returns ``None``;
+    otherwise runs the serial backend and adds the ``shards`` entry to
+    ``RunResult.declines`` (``par_fallback_reason``).  A genuine
     run is bit-identical to serial for every ``shards >= 1`` (the parity
     tests pin this).
     """
     from ..analysis.recorder import RunRecord
     from ..harness.runner import ALGORITHMS, Experiment, RunResult
-    from ..oracle.oracle import StreamingOracle
+    from ..oracle.oracle import resolve_oracle
     from ..telemetry.registry import active_registry
 
     cfg.params.validate()
@@ -808,15 +711,13 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
             f"unknown algorithm {cfg.algorithm!r}; "
             f"choose from {sorted(ALGORITHMS)}"
         )
-    reason = genuine_shard_reason(cfg)
-    if reason is None and "fork" not in multiprocessing.get_all_start_methods():
-        reason = "the platform does not support the fork start method"
-    if reason is not None:
+    decline = shard_decline(cfg)
+    if decline is not None:
         serial = Experiment(replace(cfg, runtime="sim")).run()
         # Restore the original config so sweep identity and reports show
         # what was actually requested.
         serial.config = cfg
-        serial.par_fallback_reason = reason
+        serial.declines = (decline, *serial.declines)
         return serial
 
     params = cfg.params
@@ -839,15 +740,8 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
             frontiers[shard_of[u]].add(u)
             frontiers[shard_of[v]].add(v)
 
-    orc = cfg.oracle
-    if orc is not None and not isinstance(orc, StreamingOracle):
-        # Same out-of-band derivation as the serial harness: the oracle's
-        # rng never touches the spawn sequence.
-        orc = orc(params, np.random.default_rng(cfg.seed))
-    interval = (
-        orc.interval
-        if orc is not None and orc.interval is not None
-        else cfg.sample_interval
+    orc, interval = resolve_oracle(
+        cfg.oracle, params, cfg.seed, cfg.sample_interval
     )
     barriers, samples = _barrier_plan(cfg, float(interval), orc is not None)
 
@@ -979,7 +873,6 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
     horizon = float(cfg.horizon)
     stats = {f: 0 for f in _STAT_FIELDS}
     events = coord_sim.events_dispatched
-    batch_reason: str | None = None
     array_events = 0
     for done in dones:
         lo = done["lo"]
@@ -1003,22 +896,17 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
         # one that counts); shadow records are a parallel-only artefact.
         events += done["events"] - kc[KIND_TOPOLOGY] - kc[KIND_PAR_SHADOW]
         array_events += done["array_events"]
-        if lo == 0:
-            batch_reason = done["batch_gate_reason"]
-    record = RunRecord(
-        node_ids=list(range(n)),
-        times=np.empty(0),
-        clocks=np.empty((0, n)),
-    )
     return RunResult(
         config=cfg,
-        record=record,
+        record=RunRecord.empty(range(n)),
         graph=coord_graph,
         nodes=cast("dict[int, ClockSyncNode]", views),
         transport_stats=stats,
         events_dispatched=events,
         oracle_report=orc.report() if orc is not None else None,
-        batch_gate_reason=batch_reason,
+        # Shards plan alike; entries differing by shard (a node id in the
+        # reason) are all kept, in shard order.
+        declines=tuple(dict.fromkeys(d for done in dones for d in done["declines"])),
         array_events=array_events,
         par_shards=k,
     )

@@ -75,13 +75,6 @@ class Simulator:
     max_events:
         Safety valve: :meth:`run_until` raises after dispatching this many
         events (guards against accidental event storms in tests).
-
-    Attributes
-    ----------
-    subsystems:
-        Free-form per-simulation registry used by drivers to attach shared
-        helper objects (e.g. the dense node table of
-        :mod:`repro.core.node`) without the kernel knowing their types.
     """
 
     __slots__ = (
@@ -91,11 +84,11 @@ class Simulator:
         "events_dispatched",
         "batch",
         "batch_dispatches",
-        "subsystems",
         "_handlers",
         "_batch_handlers",
         "kind_counts",
         "in_run",
+        "_run_start",
     )
 
     def __init__(
@@ -114,7 +107,6 @@ class Simulator:
         self.batch = BATCH_DEFAULT if batch is None else batch
         #: Number of pre-popped runs dispatched through a batch handler.
         self.batch_dispatches = 0
-        self.subsystems: dict[str, Any] = {}
         handlers: list[Handler | None] = [None] * N_KINDS
         handlers[KIND_SAMPLE] = self._handle_sample
         handlers[KIND_TOPOLOGY] = self._handle_topology
@@ -123,11 +115,14 @@ class Simulator:
         #: Per-kind dispatch tally, allocated by :meth:`instrument`; the hot
         #: loop pays a single ``is not None`` check while telemetry is off.
         self.kind_counts: list[int] | None = None
-        #: Whether :meth:`run_until` has been entered at least once.  Set
-        #: (and never cleared) at the top of the first run so setup-phase
-        #: scheduling is distinguishable from run-time scheduling -- the
-        #: parallel shard backend keys timer provenance on this phase bit.
+        #: Whether :meth:`run_until` / :meth:`step` has been entered at least
+        #: once.  Set (and never cleared) at the top of the first run so
+        #: setup-phase scheduling is distinguishable from run-time
+        #: scheduling -- the parallel shard backend keys timer provenance on
+        #: this phase bit -- and subsystems can decide once, after all
+        #: ``t = 0`` wiring, how to execute the run (:meth:`on_run_start`).
         self.in_run = False
+        self._run_start: list[Callable[[], None]] = []
 
     def instrument(self, registry: "MetricsRegistry") -> None:
         """Register kernel metrics as polled readbacks on ``registry``.
@@ -224,6 +219,25 @@ class Simulator:
                 "one subsystem per kind per simulator"
             )
         self._batch_handlers[kind] = handler
+
+    def on_run_start(self, callback: Callable[[], None]) -> None:
+        """Call ``callback`` once, at the top of the first run.
+
+        Fires where :attr:`in_run` flips -- inside the first
+        :meth:`run_until` / :meth:`step`, before any event dispatches --
+        in registration order; on a simulator already running it fires
+        immediately.
+        """
+        if self.in_run:
+            callback()
+        else:
+            self._run_start.append(callback)
+
+    def _begin_run(self) -> None:
+        self.in_run = True
+        for hook in self._run_start:
+            hook()
+        self._run_start.clear()
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -332,6 +346,8 @@ class Simulator:
 
         Returns ``False`` when the queue is empty, ``True`` otherwise.
         """
+        if not self.in_run:
+            self._begin_run()
         ev = self.queue.pop()
         if ev is None:
             return False
@@ -352,7 +368,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot run to t={t_end!r} < now={self.now!r}"
             )
-        self.in_run = True
+        if not self.in_run:
+            self._begin_run()
         # The kernel's hottest loop: _dispatch is inlined here (step() keeps
         # the single-step definition for callers that need it).
         queue = self.queue

@@ -14,23 +14,29 @@ unit level for the queue's pop-run API and the vectorized AdjustClock.
 
 from __future__ import annotations
 
+import multiprocessing
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import NodeArrayTable, build_node_array_table
-from repro.core.dcsa import adjust_clocks_batch
+from repro.core.batch import NodeArrayTable
+from repro.core.dcsa import DCSANode, adjust_clocks_batch
 from repro.core.protocol import MaxSyncCore, ProtocolCore
 from repro.harness import configs
+from repro.harness.registry import AdversaryRef, ChurnRef
 from repro.harness.runner import Experiment
+from repro.network import transport as transport_mod
 from repro.network.channels import ConstantDelay, UniformDelay
 from repro.network.churn import ScriptedChurn
 from repro.network.discovery import ConstantDiscovery
+from repro.network.graph import DynamicGraph
+from repro.network.transport import Transport
 from repro.sim import simulator as simulator_mod
-from repro.sim.clocks import extremal_clock, perfect_clock
+from repro.sim.clocks import ConstantRateClock, extremal_clock, perfect_clock
 from repro.sim.events import (
     KIND_DELIVER,
     KIND_DELIVER_BURST,
@@ -42,7 +48,10 @@ from repro.sim.events import (
     PRIORITY_DELIVERY,
     PRIORITY_TIMER,
 )
+from repro.sim.par import run_par
 from repro.sim.queue import EventQueue
+from repro.sim.simulator import Simulator
+from repro.tracing import trace_session
 
 
 def _run(cfg, batch, monkeypatch):
@@ -235,8 +244,7 @@ class TestParity:
         """The sync workload must hit the vectorized phases, not fall back."""
         exp, _ = _run(configs.huge_sync_ring(64, horizon=30.0), True, monkeypatch)
         assert exp.sim.batch_dispatches > 0
-        table = exp.transport._batch_table
-        assert table is not None and table is not False
+        assert exp.transport.plan.table is not None
 
     def test_churn_keeps_array_path_and_agrees(self, monkeypatch):
         """Churn must not evict the array path, and both drop kinds hold."""
@@ -305,7 +313,7 @@ class TestDiscoveryRuns:
     def test_zero_delay_greetings_dispatch_after_their_run(self, monkeypatch):
         bursts = _spy_deliver_burst(monkeypatch)
         exp, res, _ = self._runs("zero_delay", monkeypatch)
-        assert exp.transport._batch_table.send_delay is None
+        assert exp.transport.plan.table.send_delay is None
         assert not bursts  # every greeting went through Transport.send
         assert res.transport_stats["delivered"] > 0
 
@@ -328,22 +336,162 @@ class TestDiscoveryRuns:
         )
 
 
-class TestGating:
-    def test_table_builds_for_sync_workload(self, monkeypatch):
-        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
-        exp = Experiment(configs.huge_sync_ring(16, horizon=5.0))
-        table = build_node_array_table(exp.sim, exp.transport)
-        assert table is not None
-        assert len(table.drivers) == 16
-        assert table.send_delay is not None  # constant positive delay
+def _sync(**overrides):
+    """The batch-eligible, shardable ring with ``overrides`` applied."""
+    return replace(configs.huge_sync_ring(24, horizon=8.0), **overrides)
 
-    def test_table_refuses_non_dcsa_cores(self, monkeypatch):
-        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
-        exp = Experiment(
-            configs.huge_sync_ring(16, horizon=5.0, algorithm="max")
+
+def _foreign_params(exp):
+    core = exp.nodes[5].core
+    core.params = replace(core.params)  # equal, but not the shared object
+
+
+def _attach_log(exp):
+    exp.nodes[3].effect_log = []
+
+
+def _reference_switch(exp):
+    exp.sim.batch = False  # what REPRO_BATCH=0 sets at construction
+
+
+def _row(id, make, path, declined_by, needle, *, mutate=None, shards=0,
+         ambient=nullcontext):
+    return pytest.param(make, mutate, shards, ambient, path, declined_by, needle, id=id)
+
+
+#: Every way a fast path declines, one row each: the config, the path that
+#: declines, by what, and a needle of the reason; ``mutate`` touches the
+#: built experiment before the run, ``shards`` rows go through ``run_par``
+#: (all but the last fall back to serial).
+DECLINES = [
+    _row("non_dcsa_core", lambda: _sync(algorithm="max"),
+         "array_step", "core", "MaxSyncCore"),
+    _row("piecewise_clock", lambda: _sync(clock_spec="random_walk"),
+         "array_step", "clock", "PiecewiseRateClock"),
+    _row("steered_clock",
+         lambda: _sync(adversary=AdversaryRef("adaptive_drift", {"period": 2.0})),
+         "array_step", "clock", "SteerableClock"),
+    _row("effect_log", _sync, "array_step", "effect_log", "node 3 has an effect log",
+         mutate=_attach_log),
+    _row("foreign_params", _sync, "array_step", "params", "node 5 does not share",
+         mutate=_foreign_params),
+    _row("reference", _sync, "array_step", "reference", "REPRO_BATCH=0",
+         mutate=_reference_switch),
+    _row("uniform_delay_runs", lambda: _sync(delay_spec="uniform"),
+         "timer_runs", "delay_policy", "UniformDelay"),
+    _row("uniform_delay_bulk", lambda: _sync(delay_spec="uniform"),
+         "bulk_send", "delay_policy", "UniformDelay"),
+    _row("zero_delay_runs", lambda: _sync(delay_spec="zero"),
+         "timer_runs", "delay_policy", "ConstantDelay(0.0)"),
+    _row("zero_delay_bulk", lambda: _sync(delay_spec="zero"),
+         "bulk_send", "delay_policy", "ConstantDelay(0.0)"),
+    _row("uniform_discovery", lambda: _sync(discovery_spec="uniform"),
+         "timer_runs", "discovery_policy", "UniformDiscovery"),
+    _row("par_stagger", lambda: _sync(stagger_ticks=True),
+         "shards", "stagger_ticks", "stagger", shards=2),
+    _row("par_record", lambda: _sync(record=True),
+         "shards", "record", "record", shards=2),
+    _row("par_delay", lambda: _sync(delay_spec="uniform"),
+         "shards", "delay_spec", "delay_spec", shards=2),
+    _row("par_discovery", lambda: _sync(discovery_spec="uniform"),
+         "shards", "discovery_spec", "discovery_spec", shards=2),
+    _row("par_clock", lambda: _sync(clock_spec="random_walk"),
+         "shards", "clock_spec", "clock_spec", shards=2),
+    _row("par_adversary", lambda: _sync(adversary=AdversaryRef("adaptive_delay", {})),
+         "shards", "adversary", "adversaries", shards=2),
+    _row("par_tracer", _sync, "shards", "tracer", "tracing",
+         shards=2, ambient=trace_session),
+    _row("par_random_churn",
+         lambda: _sync(churn=[ChurnRef(
+             "random_rewirer", {"n": 24, "k_extra": 2, "interval": 3.0})]),
+         "shards", "churn", "ScriptedChurn", shards=2),
+    # Genuinely sharded: the shards run, their array step declines.
+    _row("par_scripted_churn",
+         lambda: _sync(churn=[ScriptedChurn([(3.0, "remove", 5, 6), (6.0, "add", 5, 6)])]),
+         "array_step", "churn", "scripted churn", shards=2),
+]
+
+
+@pytest.mark.parametrize(
+    "make,mutate,shards,ambient,path,declined_by,needle", DECLINES
+)
+def test_decline_table(make, mutate, shards, ambient, path, declined_by, needle):
+    """Each decline is named on the result, and ``array_events`` agrees."""
+    with ambient():
+        if shards:
+            res = run_par(make(), shards)
+        else:
+            exp = Experiment(make())
+            if mutate is not None:
+                mutate(exp)
+            res = exp.run()
+    (entry,) = [d for d in res.declines if d.path == path]
+    assert entry.declined_by == declined_by
+    assert needle in entry.reason
+    assert needle in res.summary()
+    array_declined = any(d.path == "array_step" for d in res.declines)
+    assert (res.array_events == 0) == array_declined
+    assert (res.batch_gate_reason is None) == (not array_declined)
+    assert (res.par_shards is None) == (
+        not shards or res.par_fallback_reason is not None
+    )
+
+
+class TestDecidedOnce:
+    """``kernel_plan`` runs once per simulator, where its first run begins."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Shared-memory call counter: forked shard workers bump it too."""
+        calls = multiprocessing.Value("i", 0)
+        original = transport_mod.kernel_plan
+
+        def spy(*args):
+            with calls.get_lock():
+                calls.value += 1
+            return original(*args)
+
+        monkeypatch.setattr(transport_mod, "kernel_plan", spy)
+        return calls
+
+    def test_once_per_experiment_run(self, calls):
+        exp = Experiment(_sync())
+        assert calls.value == 0 and exp.transport.plan.table is None
+        exp.sim.step()  # the first step decides ...
+        assert calls.value == 1 and exp.transport.plan.table is not None
+        res = exp.run()  # ... and no later run_until asks again
+        assert calls.value == 1
+        assert res.array_events > 0 and res.declines == ()
+
+    def test_once_per_shard_worker(self, calls):
+        res = run_par(_sync(), 2)
+        assert res.par_shards == 2 and res.array_events > 0
+        assert calls.value == 2  # the coordinator's simulator plans nothing
+
+    def test_hand_wired_population_still_gets_its_table(self, calls):
+        """No ``Experiment``: bare ``Simulator`` + ``Transport`` + nodes."""
+        params = _sync().params
+        sim = Simulator()
+        graph = DynamicGraph(range(4), [(i, (i + 1) % 4) for i in range(4)])
+        transport = Transport(
+            sim, graph,
+            delay_policy=ConstantDelay(0.5), discovery_policy=ConstantDiscovery(1.0),
+            max_delay=params.max_delay, discovery_bound=params.discovery_bound,
         )
-        assert build_node_array_table(exp.sim, exp.transport) is None
+        for i in range(4):
+            node = DCSANode(i, sim, ConstantRateClock(1.0), transport, params)
+            transport.register_node(i, node)
+        transport.announce_initial_edges()
+        for i in range(4):
+            transport.node(i).start()
+        sim.run_until(5.0)
+        sim.run_until(10.0)
+        assert calls.value == 1
+        assert transport.plan.declines == ()
+        assert transport.array_events > 0
 
+
+class TestGating:
     def test_maxsync_runs_unchanged_under_batch_default(self, monkeypatch):
         cfg = lambda: configs.huge_sync_ring(16, horizon=20.0, algorithm="max")
         _, res_s = _run(cfg(), False, monkeypatch)
@@ -568,7 +716,7 @@ class TestGeneralPathParity:
         exp_b, res_b, handled_b, draws_b = _run_general(make(), True, hook)
         assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
         assert res_b.total_jumps() == res_s.total_jumps()
-        if valid and exp_b.transport._batch_table.send_delay is not None:
+        if valid and exp_b.transport.plan.table.send_delay is not None:
             # Bulk sends legitimately bypass ``delay()`` -- a positive
             # constant has no stream to advance -- so only here the call
             # count is not comparable.
@@ -607,7 +755,7 @@ class TestGeneralPathParity:
         exp, res, _, _ = _run_general(_GENERAL_MAKE["zero_delay"](), True)
         assert isinstance(exp.transport.delay_policy, ConstantDelay)
         assert exp.transport.delay_policy.value == 0.0
-        assert exp.transport._batch_table.send_delay is None
+        assert exp.transport.plan.table.send_delay is None
         assert res.transport_stats["delivered"] > 0
         default = Experiment(_GENERAL_MAKE["ring64"]()).transport.delay_policy
         assert isinstance(default, UniformDelay) and default.lo == 0.0
@@ -618,7 +766,7 @@ class TestGeneralPathParity:
         monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
         exp = Experiment(configs.huge_ring(16, horizon=4.0))
         exp.sim.run_until(2.0)
-        assert exp.transport._batch_table  # built by the first singleton
+        assert exp.transport.plan.table is not None  # decided at run start
         exp.nodes[3].set_subjective_timer(key, 0.01)
         with pytest.raises(RuntimeError, match="unknown timer"):
             exp.sim.run_until(2.5)
@@ -629,7 +777,7 @@ class TestLateEffectLog:
         monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
         exp = Experiment(configs.huge_ring(16, horizon=4.0))
         exp.sim.run_until(2.0)
-        assert exp.transport._batch_table  # built by the first singleton
+        assert exp.transport.plan.table is not None  # decided at run start
         with pytest.raises(RuntimeError, match="effect log"):
             exp.nodes[3].effect_log = []
         assert exp.nodes[3].effect_log is None
@@ -706,8 +854,7 @@ def test_property_random_flip_scripts_bit_identical(ops, tie):
         exp_s, res_s = _run(make(), False, mp)
         exp_b, res_b = _run(make(), True, mp)
     assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
-    table = exp_b.transport._batch_table
-    assert table is not None and table is not False
+    assert exp_b.transport.plan.table is not None
 
 
 @pytest.mark.slow

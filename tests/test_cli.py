@@ -419,13 +419,14 @@ class TestRunCommand:
         )
         assert code == 0
         payload = json.loads(out)
-        # Deliveries and ticks ran the array step; discoveries and the
-        # sample records did not.
+        # Every node event ran the array step (discoveries included); only
+        # the oracle's sample records did not.
         assert 0 < payload["kernel"].pop("array_events") < payload["events"]
         assert payload["kernel"] == {
             "batch_gate_reason": None,
             "par_fallback_reason": None,
             "par_shards": None,
+            "declines": [],
         }
         assert payload["trace"]["flights"] == payload["messages_sent"]
         # A population the array path cannot serve declines, and says why.
@@ -437,6 +438,30 @@ class TestRunCommand:
         kernel = json.loads(out)["kernel"]
         assert "MaxSyncCore" in kernel["batch_gate_reason"]
         assert kernel["array_events"] == 0
+        assert kernel["declines"] == [
+            {
+                "path": "array_step",
+                "declined_by": "core",
+                "reason": kernel["batch_gate_reason"],
+            }
+        ]
+
+    def test_reference_run_is_not_reported_as_the_batch_kernel(
+        self, capsys, monkeypatch
+    ):
+        """``REPRO_BATCH=0``: the banner and summary must name the reference
+        kernel, never say "active" above ``array step: 0 / N``."""
+        from repro.sim import simulator as simulator_mod
+
+        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", False)
+        code, out, _ = run_cli(
+            capsys, "run", "huge_sync_ring", "--set", "n=16", "horizon=5",
+            "--profile",
+        )
+        assert code == 0
+        assert "active" not in out
+        assert out.count("batch kernel declined (reference)") == 2  # summary + banner
+        assert "profile: array step: 0 / " in out
 
     def test_run_invalid_params_exit_two(self, capsys):
         code, _, err = run_cli(

@@ -218,19 +218,3 @@ class TestDenseNodeState:
         assert len(exp.node_list) == 6
         for i, node in enumerate(exp.node_list):
             assert exp.nodes[i] is node
-
-    def test_node_table_registered_on_simulator(self):
-        from repro.core.node import NodeTable
-
-        exp = build_experiment(configs.static_ring(6, horizon=5.0))
-        table = exp.sim.subsystems["node_table"]
-        assert isinstance(table, NodeTable)
-        assert table.drivers_for(sorted(exp.nodes)) == exp.node_list
-
-    def test_node_table_rejects_unregistered_ids(self):
-        from repro.core.node import NodeTable
-
-        exp = build_experiment(configs.static_ring(4, horizon=5.0))
-        table = exp.sim.subsystems["node_table"]
-        with pytest.raises(KeyError):
-            table.drivers_for([99])

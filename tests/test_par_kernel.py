@@ -7,8 +7,9 @@ counters, event tallies, oracle reports.  The tests here pin that
 contract across shard counts on the flagship sync workload, under
 scripted churn that flips cross-shard edges mid-window, under the
 streaming oracle, and property-based over randomly generated topologies
-and churn scripts.  The partitioner, the fallback gate and the per-shard
-telemetry get unit coverage alongside.
+and churn scripts.  The partitioner and the per-shard telemetry get unit
+coverage alongside; every way a run falls back to serial is a row of
+``test_batch_kernel.py::test_decline_table``.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from repro.sim.events import KIND_DELIVER, PRIORITY_DELIVERY
 from repro.sim.par import (
     ParNodeArrayTable,
     _barrier_plan,
-    _build_worker_experiment,
-    genuine_shard_reason,
+    _shard_experiment,
     run_par,
+    shard_decline,
 )
 from repro.sim.partition import crossing_counts, partition_ranges
 from repro.telemetry.registry import get_registry
@@ -147,22 +148,7 @@ class TestPartitioner:
 
 class TestGenuineShardGate:
     def test_sync_ring_is_genuine(self):
-        assert genuine_shard_reason(_ring_cfg()) is None
-
-    @pytest.mark.parametrize(
-        "overrides,needle",
-        [
-            (dict(stagger_ticks=True), "stagger"),
-            (dict(record=True), "record"),
-            (dict(delay_spec="uniform"), "delay_spec"),
-            (dict(discovery_spec="uniform"), "discovery_spec"),
-            (dict(clock_spec="drifting"), "clock_spec"),
-        ],
-        ids=["stagger", "record", "delay", "discovery", "clock"],
-    )
-    def test_unsupported_configs_are_named(self, overrides, needle):
-        reason = genuine_shard_reason(_ring_cfg(**overrides))
-        assert reason is not None and needle in reason
+        assert shard_decline(_ring_cfg()) is None
 
     def test_fallback_still_runs_and_records_reason(self):
         cfg = _ring_cfg(stagger_ticks=True)
@@ -248,14 +234,6 @@ class TestParity:
         serial = run_experiment(replace(cfg, runtime="sim"))
         assert res.events_dispatched == serial.events_dispatched
 
-    def test_repro_shards_env_reroutes_sim_runtime(self, monkeypatch):
-        cfg = _ring_cfg(n=24, horizon=20.0)
-        serial = run_experiment(cfg)
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        res = run_experiment(cfg)
-        assert res.par_shards == 2
-        assert _fingerprint(cfg, res) == _fingerprint(cfg, serial)
-
 
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
@@ -310,7 +288,7 @@ def test_random_partitions_replay_bitwise(data):
         horizon=25.0,
         seed=data.draw(st.integers(0, 2**20), label="seed"),
     )
-    assert genuine_shard_reason(cfg) is None
+    assert shard_decline(cfg) is None
     serial = Experiment(cfg).run()
     res = run_par(cfg, data.draw(st.integers(2, 4), label="shards"))
     assert res.par_fallback_reason is None
@@ -337,12 +315,9 @@ def test_first_flip_under_burst_in_flight_shards_2():
     owner = [w for w, (lo, hi) in enumerate(ranges) for _ in range(lo, hi)]
     shards = []
     for lo, hi in ranges:
-        frontier = frozenset({lo, hi - 1})
-        sim, transport, graph, nodes = _build_worker_experiment(
-            cfg, lo, hi, frontier
-        )
-        ScriptedChurn(flip).install(sim, graph)
-        shards.append((sim, transport, nodes))
+        exp = _shard_experiment(cfg, lo, hi, frozenset({lo, hi - 1}))
+        ScriptedChurn(flip).install(exp.sim, exp.graph)
+        shards.append((exp.sim, exp.transport, exp.nodes))
     barriers, _samples = _barrier_plan(cfg, cfg.sample_interval, False)
     for b in barriers:
         outbound = []
@@ -356,7 +331,7 @@ def test_first_flip_under_burst_in_flight_shards_2():
                 None, "deliver", e=-2,
             )
     transport0 = shards[0][1]
-    assert isinstance(transport0._batch_table, ParNodeArrayTable)
+    assert isinstance(transport0.plan.table, ParNodeArrayTable)
     # Two tick rounds (~3.0 and ~3.25, delay 0.5) were in flight in bursts,
     # both directions, when the edge went at 3.3.
     assert transport0.stats.dropped_removed == 4
@@ -379,8 +354,13 @@ def test_first_flip_under_burst_in_flight_shards_2():
 
 
 # --------------------------------------------------------------------- #
-# Golden workloads under REPRO_SHARDS
+# Golden workloads under RuntimeRef("par", {"shards": k})
 # --------------------------------------------------------------------- #
+
+
+def _sharded(cfg, k):
+    return replace(cfg, runtime=RuntimeRef("par", {"shards": k}))
+
 
 
 @pytest.mark.parametrize(
@@ -391,16 +371,14 @@ def test_first_flip_under_burst_in_flight_shards_2():
     ],
     ids=["static_path", "backbone_churn"],
 )
-def test_golden_workloads_fall_back_to_serial_under_shards_env(make, monkeypatch):
+def test_golden_workloads_fall_back_to_serial_under_shards_env(make):
     """The golden workloads (uniform delay, staggered ticks, recorder on)
-    cannot shard: ``REPRO_SHARDS`` must decline by name and run serial."""
+    cannot shard: the ``"par"`` runtime must decline by name and run serial."""
     cfg = make()
     baseline = run_experiment(cfg)
-    for k in ("1", "2", "4"):
-        monkeypatch.setenv("REPRO_SHARDS", k)
-        res = run_experiment(make())
-        # REPRO_SHARDS=1 does not reroute at all; K >= 2 reroutes and declines.
-        assert (res.par_fallback_reason is not None) == (k != "1")
+    for k in (1, 2, 4):
+        res = run_experiment(_sharded(make(), k))
+        assert res.par_fallback_reason is not None
         assert res.par_shards is None
         assert res.max_global_skew == baseline.max_global_skew
         assert res.max_local_skew == baseline.max_local_skew
@@ -409,13 +387,12 @@ def test_golden_workloads_fall_back_to_serial_under_shards_env(make, monkeypatch
 
 
 @pytest.mark.parametrize("shards", [2, 3])
-def test_sync_grid_bitwise_under_shards_env(shards, monkeypatch):
+def test_sync_grid_bitwise_under_shards_env(shards):
     """A genuinely sharded grid: each cut's frontier is a whole row, where
     the ring cases above only ever have a two-node frontier."""
     cfg = configs.huge_sync_grid(6, 8, horizon=20.0, seed=3)
     serial = run_experiment(cfg)
-    monkeypatch.setenv("REPRO_SHARDS", str(shards))
-    res = run_experiment(cfg)
+    res = run_experiment(_sharded(cfg, shards))
     assert res.par_fallback_reason is None
     assert res.par_shards == shards
     assert res.batch_gate_reason is None
