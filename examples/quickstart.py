@@ -92,7 +92,7 @@ def main(seed: int = 0) -> None:
     )
 
     # Everything above ran inside the discrete-event simulator. The same
-    # algorithm cores also run *in real time* -- concurrent asyncio tasks,
+    # algorithm cores also run *in real time* -- callbacks on an asyncio loop,
     # wall clocks with artificial drift, loopback or UDP channels -- with
     # the streaming conformance oracle attached online (docs/live.md):
     print()

@@ -38,10 +38,11 @@ tracing and observatory subsystems from the shell (plus ``--version``):
 
 ``live``
     Run a ``live_*`` workload as a real wall-clock asyncio session
-    (:mod:`repro.live`): concurrent node tasks, loopback or UDP channels,
-    artificial drift, the streaming oracle attached online.
+    (:mod:`repro.live`): per-node turns on one loop, loopback or UDP
+    channels, artificial drift, the streaming oracle attached online.
     ``--duration`` caps the session in seconds; exits 1 if any bound of
-    the paper is violated; ``--json`` prints a summary with ``oracle_ok``.
+    the paper is violated; ``--json`` prints a summary with ``oracle_ok``
+    and the session's ``"live"`` cost block.
 
 ``top PATH``
     Render a telemetry metrics file (``--metrics`` output) as a terminal
@@ -556,6 +557,8 @@ def _observed_run(args: argparse.Namespace, cfg: Any, kind: str) -> int:
         if is_sim:
             payload["events_per_sec"] = events_per_sec
             payload["kernel"] = _kernel_payload(result)
+        else:
+            payload["live"] = result.live.cost()
         if report is not None:
             payload.update(report.to_metrics())
         if trace_counts is not None:
@@ -1240,8 +1243,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "live",
         help="run a wall-clock asyncio session with the oracle attached",
         description=(
-            "Run a live_* workload in real time (repro.live): one asyncio "
-            "task per node over a loopback or UDP channel, monotonic wall "
+            "Run a live_* workload in real time (repro.live): per-node turns on "
+            "one asyncio loop over a loopback or UDP channel, monotonic wall "
             "clocks with artificial drift, and the streaming conformance "
             "oracle checking the paper's bounds online. Exits 1 on any "
             "violation. Live workloads: " + ", ".join(live_workloads)

@@ -20,7 +20,7 @@ lets the *same* core classes run under two drivers:
 * :class:`repro.core.node.ClockSyncNode` replays effects through the
   discrete-event kernel (:mod:`repro.sim`), bit-identical to the original
   monolithic node classes (the golden-value pins enforce this);
-* :mod:`repro.live` executes them in real time as asyncio tasks over
+* :mod:`repro.live` executes them in real time on an asyncio loop over
   loopback or UDP channels.
 
 **Lazy continuous state.**  Between events, the logical clock ``L``, the

@@ -829,9 +829,9 @@ def live_ring(
     oracle: bool = True,
     b0: float | None = None,
 ) -> ExperimentConfig:
-    """A ring of real asyncio tasks with artificial drift, checked online.
+    """A ring of real-time nodes with artificial drift, checked online.
 
-    The default live workload: ``n`` concurrent node tasks on one event
+    The default live workload: ``n`` nodes taking turns on one event
     loop, loopback channel (``channel="udp"`` for real sockets), constant
     per-node drift drawn from the ``rho`` envelope, and the full streaming
     oracle attached.  ``duration`` is wall-clock seconds.

@@ -259,7 +259,7 @@ class RuntimeRef(_Ref):
     The *runtime* decides how an :class:`~repro.harness.runner.ExperimentConfig`
     is executed: ``"sim"`` replays the protocol cores through the
     discrete-event kernel (the historical behaviour, bit-identical), while
-    ``"live"`` drives the same cores as real asyncio tasks over loopback or
+    ``"live"`` drives the same cores on a real asyncio loop over loopback or
     UDP channels (:mod:`repro.live`), interpreting the config's ``horizon``
     as wall-clock seconds.  ``kwargs`` parameterise the runner (e.g.
     ``{"channel": "loopback", "jitter": 0.001}`` for the live runtime).

@@ -185,7 +185,7 @@ class ExperimentConfig:
         kernel, deterministic and bit-stable) or a
         :class:`~repro.harness.registry.RuntimeRef` -- e.g.
         ``RuntimeRef("live", {"channel": "loopback"})`` to drive the same
-        protocol cores as real asyncio tasks (:mod:`repro.live`), where
+        protocol cores on a real asyncio loop (:mod:`repro.live`), where
         ``horizon`` is interpreted as wall-clock seconds.  A bare string
         resolves against
         :data:`~repro.harness.registry.RUNTIME_BUILDERS`.
@@ -357,6 +357,9 @@ class RunResult:
     array_events: int = 0
     #: Shard count for a genuinely sharded run (``None`` otherwise).
     par_shards: int | None = None
+    #: The :class:`~repro.live.runtime.LiveRunResult` behind a ``"live"``
+    #: run (``None`` otherwise): what it cost the host is ``live.cost()``.
+    live: Any = None
 
     @property
     def params(self) -> SystemParams:
@@ -436,6 +439,8 @@ class RunResult:
             )
         if self.par_shards is not None:
             lines.append(f"  parallel backend: {self.par_shards} shards")
+        if self.live is not None:
+            lines.append(self.live.cost_line())
         lines.append(
             f"  events: {self.events_dispatched}  messages: "
             f"{self.transport_stats['sent']} sent / "

@@ -2,8 +2,8 @@
 
 Where :mod:`repro.sim` replays the sans-IO cores of
 :mod:`repro.core.protocol` through a discrete-event queue, this package
-executes them *in real time*: one asyncio task per node, monotonic wall
-clocks with configurable artificial drift
+executes them *in real time*: per-node turns on one asyncio loop,
+monotonic wall clocks with configurable artificial drift
 (:mod:`repro.live.clocks`), pluggable channels
 (:mod:`repro.live.channels` -- deterministic in-process loopback for CI,
 UDP sockets for real networks), scripted live churn, and the streaming

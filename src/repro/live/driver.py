@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..harness.registry import RuntimeRef
 from ..harness.runner import (
     ALGORITHMS,
     ExperimentConfig,
@@ -52,11 +53,12 @@ __all__ = ["build_live_runtime", "run_live_experiment"]
 
 
 def _make_channel(
-    channel: str | LiveChannel,
     seed: int,
-    jitter: float,
-    host: str,
-    base_port: int,
+    *,
+    channel: str | LiveChannel = "loopback",
+    jitter: float = 0.0,
+    host: str = "127.0.0.1",
+    base_port: int = 0,
 ) -> LiveChannel:
     if isinstance(channel, LiveChannel):
         return channel
@@ -70,13 +72,18 @@ def _make_channel(
 def build_live_runtime(
     cfg: ExperimentConfig,
     *,
-    channel: str | LiveChannel = "loopback",
-    jitter: float = 0.0,
-    host: str = "127.0.0.1",
-    base_port: int = 0,
     capture_effects: bool = False,
+    **channel_opts: Any,
 ) -> LiveRuntime:
-    """Wire a live session from a config without running it (for tests)."""
+    """Wire a live session from a config without running it.
+
+    ``channel_opts`` (``channel`` / ``jitter`` / ``host`` / ``base_port``)
+    default to the config's ``RuntimeRef("live", {...})`` kwargs -- what
+    ``run_experiment(cfg)`` would pass; explicit keywords win.
+    """
+    ref = cfg.runtime
+    if isinstance(ref, RuntimeRef) and ref.name == "live":
+        channel_opts = {**ref.kwargs, **channel_opts}
     params = cfg.params
     params.validate()
     if cfg.algorithm not in ALGORITHMS:
@@ -125,7 +132,7 @@ def build_live_runtime(
         params,
         cores,
         clocks,
-        _make_channel(channel, cfg.seed, jitter, host, base_port),
+        _make_channel(cfg.seed, **channel_opts),
         duration=cfg.horizon,
         initial_edges=[(int(u), int(v)) for u, v in cfg.initial_edges],
         churn_events=churn_events,
@@ -149,6 +156,7 @@ def _to_run_result(cfg: ExperimentConfig, live: LiveRunResult) -> RunResult:
         events_dispatched=live.events_handled,
         oracle_report=live.oracle_report,
         spans=tracer.table if tracer is not None else None,
+        live=live,
     )
 
 

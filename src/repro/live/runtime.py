@@ -1,23 +1,28 @@
-"""The asyncio runtime: sans-IO protocol cores as concurrent real-time tasks.
+"""The asyncio runtime: sans-IO protocol cores on a callback scheduler.
 
 :class:`LiveRuntime` is the second driver for the protocol cores of
 :mod:`repro.core.protocol` (the first being the discrete-event simulator).
-Every node runs as one asyncio task that
+No node owns a coroutine: each keeps a FIFO of pending events and a table
+of subjective-timer deadlines, driven by plain event-loop callbacks.
 
-1. waits on its inbox (messages and discovery events arrive there) with a
-   timeout equal to its earliest pending subjective timer,
-2. stamps each event with the node's hardware reading
-   ``H_u(t) = rate_u * t`` at dispatch (``t`` = seconds since the shared
-   session epoch), feeds it to the core, and
-3. applies the returned effects synchronously: sends through the pluggable
-   :class:`~repro.live.channels.LiveChannel`, timers into a per-node
+1. Posting an event (``Start``, a message, a discovery) appends it to the
+   destination's FIFO and queues one ``loop.call_soon`` *turn* for that
+   node, unless one is already queued.
+2. A turn fires the node's due timers, then drains its FIFO: each event is
+   stamped with the hardware reading ``H_u(t) = rate_u * t`` at dispatch
+   (``t`` = seconds since the shared session epoch) and fed to the core.
+   It ends by re-arming the node's one ``loop.call_at`` *wake-up*, only if
+   its earliest deadline moved.
+3. Effects apply synchronously inside the dispatch: sends through the
+   pluggable :class:`~repro.live.channels.LiveChannel`, timers into the
    deadline table (subjective delays converted through the clock's exact
    inverse), deferred jumps back into the core.
 
-Because effect application never awaits, each event dispatch is atomic
-with respect to every other task -- the sampler can only ever observe
-cores between events, exactly like the simulator's ``PRIORITY_SAMPLE``
-convention.
+The loop runs one callback at a time and a dispatch neither awaits nor
+re-enters (a message the zero-jitter loopback delivers inside the sender's
+dispatch only joins the destination's FIFO), so each event dispatch is
+atomic -- the sampler can only ever observe cores between events, exactly
+like the simulator's ``PRIORITY_SAMPLE`` convention.
 
 **Topology and churn.**  The runtime owns a
 :class:`~repro.network.graph.DynamicGraph` (real-time timestamps).  Sends
@@ -35,14 +40,17 @@ simulations.  Sampling uses the exact arithmetic map ``H_u(t) = rate_u *
 t`` for every node at one shared ``t``, so rate-floor checks see no
 sampling noise.
 
-The whole session is wall-clock capped: nodes stop dispatching at
-``duration`` seconds and a grace timeout backstops the gather.
+The whole session is wall-clock capped: no turn dispatches at or after
+``duration``, and one ``call_at(epoch + duration)`` resolves the future
+:meth:`LiveRuntime.run_async` awaits.  A turn that raises resolves it too,
+or the loop's callback handler would log the exception and carry on.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -122,15 +130,17 @@ class LiveNodeView:
 
 
 class _LiveNode:
-    """One node task: inbox, subjective-timer table, effect application."""
+    """One node: pending-event FIFO, subjective-timer table, effect application."""
 
     __slots__ = (
         "runtime",
         "node_id",
         "core",
         "clock",
-        "inbox",
+        "pending",
         "timers",
+        "queued",
+        "wake",
         "events_handled",
         "effect_log",
     )
@@ -146,12 +156,26 @@ class _LiveNode:
         self.node_id = node_id
         self.core = core
         self.clock = clock
-        self.inbox: asyncio.Queue[Event] = asyncio.Queue()
+        #: Events awaiting this node's turn, in arrival order.
+        self.pending: deque[Event] = deque()
         #: key -> absolute session-time deadline of the pending timer.
         self.timers: dict[Any, float] = {}
+        #: A ``call_soon`` turn is queued / the armed ``call_at`` wake-up.
+        self.queued = False
+        self.wake: asyncio.TimerHandle | None = None
         self.events_handled = 0
         #: Set to a list to capture ``(now_h, event, effects)`` per dispatch.
         self.effect_log: list[EffectLogEntry] | None = None
+
+    def post(self, event: Event) -> None:
+        """Queue ``event`` for this node's next turn (never dispatches)."""
+        self.pending.append(event)
+        runtime = self.runtime
+        if len(self.pending) > runtime.queue_depth_max:
+            runtime.queue_depth_max = len(self.pending)
+        if not self.queued:
+            self.queued = True
+            runtime._loop.call_soon(self.turn)
 
     def dispatch(self, t: float, event: Event) -> None:
         """Feed one event to the core at session time ``t``; apply effects."""
@@ -176,18 +200,13 @@ class _LiveNode:
         if self.effect_log is not None:
             self.effect_log.append((now_h, event, tuple(effects)))
         for eff in effects:
-            kind = type(eff)
-            if kind is Send:
-                assert isinstance(eff, Send)
+            if isinstance(eff, Send):
                 self.runtime._transmit(self.node_id, eff.dest, eff.payload)
-            elif kind is SetTimer:
-                assert isinstance(eff, SetTimer)
+            elif isinstance(eff, SetTimer):
                 self.timers[eff.key] = t + self.clock.real_delay(eff.delay_h)
-            elif kind is CancelTimer:
-                assert isinstance(eff, CancelTimer)
+            elif isinstance(eff, CancelTimer):
                 self.timers.pop(eff.key, None)
-            elif kind is JumpL:
-                assert isinstance(eff, JumpL)
+            elif isinstance(eff, JumpL):
                 if tracer is not None:
                     core = self.core
                     tracer.jump(
@@ -200,54 +219,63 @@ class _LiveNode:
         if tracer is not None:
             tracer.reset_current()
 
-    def _fire_due_timers(self, t: float) -> bool:
-        """Dispatch every timer due at ``t``; returns whether any fired."""
+    def _fire_due_timers(self, t: float) -> None:
+        """Dispatch every timer due at ``t``, in ``(deadline, repr(key))`` order."""
+        timers = self.timers
+        if not timers or min(timers.values()) > t:
+            return
         due = sorted(
             (deadline, repr(key), key)
-            for key, deadline in self.timers.items()
+            for key, deadline in timers.items()
             if deadline <= t
         )
-        lag_hist = self.runtime._tele_timer_lag
+        runtime = self.runtime
+        lag_hist = runtime._tele_timer_lag
         for deadline, _tag, key in due:
             # A previous firing in this batch may have re-armed/cancelled.
-            current = self.timers.get(key)
+            current = timers.get(key)
             if current is None or current > t:
                 continue
-            del self.timers[key]
+            del timers[key]
+            lag = t - deadline
+            if lag > runtime.timer_lag_max:
+                runtime.timer_lag_max = lag
             if lag_hist is not None:
-                lag_hist.observe(t - deadline)
+                lag_hist.observe(lag)
             self.dispatch(t, TimerFired(key))
-        return bool(due)
 
-    async def run(self) -> None:
+    def turn(self, woken: bool = False) -> None:
+        """One loop callback: due timers, then the FIFO, then the wake-up."""
         runtime = self.runtime
-        self.dispatch(runtime.now(), Start())
-        while True:
+        if woken:
+            # asyncio may run a timer handle a clock resolution before its
+            # ``when``: the handle is spent, so the re-arm below must cover
+            # a deadline this turn finds not yet due.
+            self.wake = None
+        else:
+            self.queued = False
+        if runtime._done.done():
+            return
+        duration = runtime.duration
+        try:
             t = runtime.now()
-            if t >= runtime.duration:
+            if t >= duration:
                 return
-            if self._fire_due_timers(t):
-                continue
-            timeout = runtime.duration - t
-            if self.timers:
-                timeout = min(timeout, min(self.timers.values()) - t)
-            try:
-                event = await asyncio.wait_for(
-                    self.inbox.get(), timeout=max(timeout, 0.0)
-                )
-            except asyncio.TimeoutError:
-                continue
-            t = runtime.now()
-            if t >= runtime.duration:
-                return
-            self.dispatch(t, event)
-            # Drain whatever else arrived without another await round trip
-            # (still honouring the wall-clock cap between events).
-            while not self.inbox.empty():
-                t = runtime.now()
-                if t >= runtime.duration:
-                    return
-                self.dispatch(t, self.inbox.get_nowait())
+            self._fire_due_timers(t)
+            pending = self.pending
+            while pending and (t := runtime.now()) < duration:
+                self.dispatch(t, pending.popleft())
+        except Exception as exc:
+            # The loop would only log it: fail the session instead.
+            runtime._done.set_exception(exc)
+            return
+        # Deadlines at or past ``duration`` never fire: teardown cancels.
+        when = runtime._t0 + min(self.timers.values(), default=duration)
+        wake = self.wake
+        if wake is None or wake.when() != when:
+            if wake is not None:
+                wake.cancel()
+            self.wake = runtime._loop.call_at(when, self.turn, True)
 
 
 @dataclass
@@ -266,10 +294,31 @@ class LiveRunResult:
     #: Per-node effect logs, populated when the runtime ran with
     #: ``capture_effects=True`` (parity tests).
     effect_logs: dict[int, list[EffectLogEntry]] = field(default_factory=dict)
+    #: What the session cost the host: process CPU, the latest any timer
+    #: fired after its deadline, the deepest any node's FIFO got.
+    cpu_seconds: float = 0.0
+    timer_lag_max: float = 0.0
+    queue_depth_max: int = 0
 
     def total_jumps(self) -> int:
         """Total discrete clock jumps across all nodes."""
         return sum(view.jumps for view in self.nodes.values())
+
+    def cost(self) -> dict[str, float]:
+        """The ``"live"`` block of ``repro live --json`` (docs/observability.md)."""
+        return {
+            "cpu_us_per_event": 1e6 * self.cpu_seconds / max(self.events_handled, 1),
+            "timer_lag_max_s": self.timer_lag_max,
+            "queue_depth_max": self.queue_depth_max,
+        }
+
+    def cost_line(self) -> str:
+        """The cost as one summary line, lag read against the delay bound."""
+        return (
+            f"  cost: {self.cost()['cpu_us_per_event']:.0f} µs CPU/event · "
+            f"worst timer lag {1e3 * self.timer_lag_max:.1f} ms of 𝒯 = "
+            f"{1e3 * self.params.max_delay:.0f} ms · deepest queue {self.queue_depth_max}"
+        )
 
     def summary(self) -> str:
         """One-paragraph human-readable session summary."""
@@ -280,6 +329,7 @@ class LiveRunResult:
             f"{self.transport_stats['sent']} sent / "
             f"{self.transport_stats['delivered']} delivered  "
             f"jumps: {self.total_jumps()}",
+            self.cost_line(),
         ]
         if self.oracle_report is not None:
             rep = self.oracle_report
@@ -291,7 +341,7 @@ class LiveRunResult:
 
 
 class LiveRuntime:
-    """Run a set of protocol cores as wall-clock asyncio tasks.
+    """Run a set of protocol cores in wall-clock time on one asyncio loop.
 
     Parameters
     ----------
@@ -319,9 +369,10 @@ class LiveRuntime:
         Record per-node ``(now_h, event, effects)`` logs (parity tests).
     """
 
-    #: Extra wall-clock grace on top of ``duration`` before the backstop
-    #: timeout cancels a wedged session.
-    GRACE = 10.0
+    #: Bound by :meth:`run_async`: the loop the turns run on, and the
+    #: future the end-of-session timer (or a failing turn) resolves.
+    _loop: asyncio.AbstractEventLoop
+    _done: asyncio.Future[None]
 
     def __init__(
         self,
@@ -379,6 +430,9 @@ class LiveRuntime:
         }
         self._t0 = 0.0
         self._epoch_set = False
+        #: Run cost (one compare per timer fire / per post, no registry).
+        self.timer_lag_max = 0.0
+        self.queue_depth_max = 0
         #: Telemetry instruments, populated by :meth:`instrument`; hot
         #: paths pay one ``is not None`` check each while telemetry is off.
         self._tele_timer_lag: Histogram | None = None
@@ -414,10 +468,10 @@ class LiveRuntime:
             "live.events_handled", lambda: sum(n.events_handled for n in nodes)
         )
         registry.gauge_fn(
-            "live.inbox_depth", lambda: sum(n.inbox.qsize() for n in nodes)
+            "live.inbox_depth", lambda: sum(len(n.pending) for n in nodes)
         )
         registry.gauge_fn(
-            "live.inbox_max", lambda: max(n.inbox.qsize() for n in nodes)
+            "live.inbox_max", lambda: max(len(n.pending) for n in nodes)
         )
         registry.gauge_fn(
             "live.timers_pending", lambda: sum(len(n.timers) for n in nodes)
@@ -449,8 +503,9 @@ class LiveRuntime:
     # ------------------------------------------------------------------ #
 
     def now(self) -> float:
-        """Seconds since the session epoch (shared by every node)."""
-        return time.monotonic() - self._t0
+        """Seconds since the session epoch (shared by every node), on the
+        loop's own clock -- the one its ``call_at`` deadlines are read on."""
+        return self._loop.time() - self._t0
 
     # ------------------------------------------------------------------ #
     # Message fabric
@@ -484,7 +539,7 @@ class LiveRuntime:
         payload: Any,
         ctx: tuple[int, int, int] | None = None,
     ) -> None:
-        """Channel callback: enqueue a received message for dispatch."""
+        """Channel callback: queue a received message for ``dst``'s turn."""
         tracer = self._tracer
         if not self.graph.has_edge(src, dst):
             self.stats["dropped_removed"] += 1
@@ -499,7 +554,7 @@ class LiveRuntime:
             # The flight closes at dispatch time (when the receiving core
             # actually processes it), so map the queued event to its span.
             self._event_spans[id(event)] = ctx[0]
-        self.nodes[dst].inbox.put_nowait(event)
+        self.nodes[dst].post(event)
 
     def _discover(self, node_id: int, event: DiscoverAdd | DiscoverRemove) -> None:
         self.stats["discoveries_delivered"] += 1
@@ -513,7 +568,7 @@ class LiveRuntime:
             )
             if sid >= 0:
                 self._event_spans[id(event)] = sid
-        self.nodes[node_id].inbox.put_nowait(event)
+        self.nodes[node_id].post(event)
 
     # ------------------------------------------------------------------ #
     # Auxiliary tasks
@@ -567,6 +622,11 @@ class LiveRuntime:
     # Session lifecycle
     # ------------------------------------------------------------------ #
 
+    def _end(self) -> None:
+        """The end-of-session timer (a failed turn may have got there first)."""
+        if not self._done.done():
+            self._done.set_result(None)
+
     async def run_async(self) -> LiveRunResult:
         """Run the session on the current event loop."""
         telemetry = active_registry()
@@ -579,39 +639,43 @@ class LiveRuntime:
                 self._tracer.instrument(telemetry)
         if self._tracer is not None and self.oracle is not None:
             self.oracle.attach_tracer(self._tracer)
+        loop = self._loop = asyncio.get_running_loop()
+        self._done = loop.create_future()
         await self.channel.open(self._deliver, sorted(self.nodes))
         oracle = self.oracle
         if oracle is not None:
             oracle.attach(self.views, interval=self.sample_interval)
             oracle.attach_graph(self.graph)
-        # E_0 is known to its endpoints from the start.
+        # Per-node order: Start, E_0 (known to its endpoints from the start)
+        # in edge order, then arrivals.  Turns first run at the await below.
+        for _i, node in sorted(self.nodes.items()):
+            node.post(Start())
         for u, v in self.graph.edges():
             self._discover(u, DiscoverAdd(v))
             self._discover(v, DiscoverAdd(u))
+        cpu0 = time.process_time()
         # The epoch starts after transport setup (UDP binds can take a
         # while) so the full duration belongs to protocol activity.
-        self._t0 = time.monotonic()
+        self._t0 = loop.time()
         self._epoch_set = True
         if oracle is not None:
             oracle.sample(0.0)
-        node_tasks = [
-            asyncio.ensure_future(node.run())
-            for _i, node in sorted(self.nodes.items())
-        ]
+        end = loop.call_at(self._t0 + self.duration, self._end)
         aux_tasks = [
             asyncio.ensure_future(self._run_churn()),
             asyncio.ensure_future(self._run_sampler()),
         ]
         try:
-            await asyncio.wait_for(
-                asyncio.gather(*node_tasks), timeout=self.duration + self.GRACE
-            )
+            await self._done
         finally:
-            for task in aux_tasks + node_tasks:
+            # Leave nothing on the loop (a turn still queued is a no-op).
+            end.cancel()
+            for node in self.nodes.values():
+                if node.wake is not None:
+                    node.wake.cancel()
+            for task in aux_tasks:
                 task.cancel()
-            settled = await asyncio.gather(
-                *aux_tasks, *node_tasks, return_exceptions=True
-            )
+            settled = await asyncio.gather(*aux_tasks, return_exceptions=True)
             await self.channel.aclose()
             # A dead churn script or oracle sampler must fail the session
             # loudly -- a vacuous oracle_ok would defeat the whole gate.
@@ -639,6 +703,9 @@ class LiveRuntime:
                 for i, node in self.nodes.items()
                 if node.effect_log is not None
             },
+            cpu_seconds=time.process_time() - cpu0,
+            timer_lag_max=self.timer_lag_max,
+            queue_depth_max=self.queue_depth_max,
         )
 
     def run(self) -> LiveRunResult:

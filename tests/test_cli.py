@@ -277,6 +277,13 @@ class TestLive:
         assert summary["nodes"] == 8
         assert summary["oracle_checks"] > 0
         assert summary["messages_delivered"] > 0
+        # What the session cost, beside the sim's "kernel" block.
+        assert "kernel" not in summary
+        cost = summary["live"]
+        assert sorted(cost) == ["cpu_us_per_event", "queue_depth_max", "timer_lag_max_s"]
+        assert 0.0 < cost["cpu_us_per_event"] < float("inf")
+        assert 0.0 <= cost["timer_lag_max_s"] < 0.4
+        assert cost["queue_depth_max"] >= 3  # Start + two E_0 discoveries
 
     def test_live_text_output(self, capsys):
         code, out, _ = run_cli(
@@ -285,6 +292,7 @@ class TestLive:
         assert code == 0
         assert "live_ring" in out
         assert "oracle: OK" in out
+        assert "cost: " in out and "CPU/event" in out and "= 100 ms" in out
 
     def test_unknown_workload_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "live", "--workload", "nope")

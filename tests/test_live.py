@@ -8,16 +8,22 @@ gracefully where the sandbox forbids sockets).
 
 from __future__ import annotations
 
+import asyncio
+import math
+import time
 from dataclasses import replace
 
 import pytest
 
+from repro.core.protocol import DiscoverAdd, MessageReceived, Start, TimerFired
 from repro.harness import ExperimentConfig, RuntimeRef, configs
 from repro.harness.runner import Experiment, run_experiment
 from repro.live import (
     ChannelError,
     LiveClock,
+    LiveRuntime,
     LoopbackChannel,
+    UdpChannel,
     build_live_clocks,
     build_live_runtime,
 )
@@ -84,6 +90,109 @@ class TestLoopbackSession:
         assert res.transport_stats["delivered"] > 0
 
 
+class TestScheduler:
+    """The callback scheduler's failure, shutdown and ordering contracts."""
+
+    def test_raising_core_fails_the_session_promptly(self):
+        """An exception inside a loop callback is only logged by asyncio:
+        the turn must route it into the session, well before ``duration``,
+        and the failed session must leave nothing scheduled."""
+
+        class Boom(RuntimeError):
+            pass
+
+        runtime = build_live_runtime(
+            configs.live_ring(4, duration=5.0, oracle=False)
+        )
+        core = runtime.nodes[2].core
+        real_handle, raised_at = core.handle, []
+
+        def handle(now_h, event):
+            if runtime.nodes[2].events_handled == 9:  # its 10th event
+                raised_at.append(time.monotonic())
+                raise Boom("10th event")
+            return real_handle(now_h, event)
+
+        core.handle = handle
+        loop = asyncio.new_event_loop()
+        try:
+            with pytest.raises(Boom, match="10th event"):
+                loop.run_until_complete(runtime.run_async())
+            assert time.monotonic() - raised_at[0] < 1.0
+            assert [h for h in loop._scheduled if not h.cancelled()] == []
+            handled = [n.events_handled for n in runtime.nodes.values()]
+            # Turns that were already queued behind the failure are no-ops.
+            loop.run_until_complete(asyncio.sleep(0.15))
+            assert [n.events_handled for n in runtime.nodes.values()] == handled
+            assert [h for h in loop._scheduled if not h.cancelled()] == []
+        finally:
+            loop.close()
+
+    def test_finished_session_is_inert_on_a_shared_loop(self):
+        """Back to back on one loop: no stale wake-up or queued turn of the
+        first session dispatches while the second one runs."""
+        first = build_live_runtime(
+            configs.live_ring(6, duration=0.3, seed=1), capture_effects=True
+        )
+        second = build_live_runtime(configs.live_ring(6, duration=0.3, seed=2))
+
+        async def both():
+            done = await first.run_async()
+            frozen = {i: list(log) for i, log in done.effect_logs.items()}
+            return done, frozen, await second.run_async()
+
+        done, frozen, after = asyncio.run(both())
+        assert after.events_handled > 0
+        assert done.effect_logs == frozen
+        assert (
+            sum(n.events_handled for n in first.nodes.values())
+            == done.events_handled
+            == sum(len(log) for log in frozen.values())
+        )
+
+    # asyncio may run a timer handle before its ``when`` (one clock
+    # resolution; up to 1 ms of epoll rounding hides that on Linux), so the
+    # second case reads the session clock 1 ms behind the loop's: *every*
+    # wake-up then finds nothing due yet and must re-arm, not go to sleep.
+    @pytest.mark.parametrize("behind", [0.0, 1e-3])
+    def test_no_node_sleeps_through_a_deadline(self, monkeypatch, behind):
+        monkeypatch.setattr(
+            LiveRuntime, "now", lambda self: self._loop.time() - self._t0 - behind
+        )
+        # No edges: no incoming message can mask a missed wake-up.
+        cfg = replace(
+            configs.live_ring(8, duration=0.5, seed=6, oracle=False),
+            initial_edges=[],
+        )
+        live = build_live_runtime(cfg, capture_effects=True).run()
+        p = cfg.params
+        floor = math.floor(cfg.horizon * (1.0 - p.rho) / p.tick_interval) - 2
+        assert floor >= 5
+        for i, log in live.effect_logs.items():
+            ticks = sum(event == TimerFired("tick") for _h, event, _fx in log)
+            assert ticks >= floor, f"node {i} ticked {ticks} times"
+        # Each FIFO only ever held its node's Start.
+        assert live.queue_depth_max == 1 and live.timer_lag_max >= 0.0
+
+    def test_per_node_order_is_start_then_e0_then_arrivals(self):
+        runtime = build_live_runtime(
+            configs.live_ring(8, duration=0.3, seed=4, oracle=False),
+            capture_effects=True,
+        )
+        edges = list(runtime.graph.edges())
+        live = runtime.run()
+        for i, log in live.effect_logs.items():
+            events = [event for _h, event, _fx in log]
+            assert events[0] == Start()
+            e0 = [DiscoverAdd(v if u == i else u) for u, v in edges if i in (u, v)]
+            assert len(e0) == 2
+            # A first tick may interleave when the stagger draw is near 0.
+            rest = [e for e in events[1:] if not isinstance(e, TimerFired)]
+            assert rest[: len(e0)] == e0
+            assert all(isinstance(e, MessageReceived) for e in rest[len(e0) :])
+            assert len(rest) > len(e0)
+
+
 class TestLiveChurn:
     def test_scripted_churn_injects_discoveries(self):
         cfg = configs.live_churn_ring(8, duration=0.8, seed=2)
@@ -147,6 +256,15 @@ class TestDriverValidation:
         )
         with pytest.raises(ValueError, match="ScriptedChurn"):
             build_live_runtime(self._cfg(churn=[churn]))
+
+    def test_config_runtime_kwargs_are_the_channel_defaults(self):
+        """A direct caller builds the session ``run_experiment`` would run."""
+        cfg = configs.live_ring(4, duration=0.2, channel="udp", jitter=0.01)
+        assert isinstance(build_live_runtime(cfg).channel, UdpChannel)
+        explicit = build_live_runtime(cfg, channel="loopback").channel
+        assert isinstance(explicit, LoopbackChannel)
+        assert explicit.jitter == 0.01
+        assert build_live_runtime(cfg, channel="loopback", jitter=0.0).channel.jitter == 0.0
 
     def test_unknown_channel_rejected(self):
         with pytest.raises(ValueError, match="channel"):
