@@ -16,17 +16,23 @@ with one element.  At large ``n`` with identical hardware rates (the
 ``huge_sync_*`` workloads), deliveries and ticks collide on the same
 timestamps in runs of O(n) records -- as do the discoveries of ``E_0``
 under a constant latency -- and a run executes in a handful of phased
-loops plus numpy array steps instead of n kernel turns.  Only ``Start``,
-dispatched once per node before the run, stays on ``handle()``.
+loops instead of n kernel turns.  Only ``Start``, dispatched once per
+node before the run, stays on ``handle()``.
 
 :class:`NodeArrayTable` is a validated snapshot of every driver the
-transport dispatches for, its :class:`~repro.core.protocol.DCSACore` and its
-constant hardware rate, with the static columns (rates) held as numpy
-arrays and the dynamic columns (``L``, ``Lmax``, per-neighbour estimates)
-gathered from the cores on demand.  The cores remain the single source of
-truth, which is what keeps the reference path and all read-only views
-(recorder, oracle, tests) valid at any instant -- a batch step leaves
-*exactly* the state the equivalent scalar dispatch sequence would have left.
+transport dispatches for, its :class:`~repro.core.protocol.DCSACore` and
+the *current linear segment* of its hardware clock, with the dynamic
+columns (``L``, ``Lmax``, per-neighbour estimates) gathered from the cores
+on demand.  The cores remain the single source of truth, which is what
+keeps the reference path and all read-only views (recorder, oracle, tests)
+valid at any instant -- a batch step leaves *exactly* the state the
+equivalent scalar dispatch sequence would have left.
+
+**Arbitrary drift.**  Every clock of :mod:`repro.sim.clocks` is piecewise
+linear, so a row holds its clock's current segment and evaluates the
+clock's own ``value`` / ``time_at`` expressions on it inline: one
+expression for constant, piecewise and steered rates (the argument is
+"Arbitrary drift" in ``docs/performance.md``).
 
 **Parity contract.**  The batch handlers below are bit-identical to scalar
 dispatch, proven piecewise:
@@ -36,8 +42,10 @@ dispatch, proven piecewise:
   re-arms);
 * operations hoisted across records touch disjoint per-core state and
   commute (jump application vs. another core's Gamma refresh);
-* the vectorized AdjustClock (:func:`~repro.core.dcsa.adjust_clocks_batch`)
-  performs the scalar arithmetic in the scalar association order;
+* AdjustClock (:func:`~repro.core.dcsa.adjust_clocks_batch`, and inline
+  per delivered message) is the scalar scan in the scalar association
+  order, entered only when ``Lmax > L``: its ceiling is ``min(Lmax, ...)``,
+  so no other call can change anything;
 * event-queue pushes keep their per-class relative order, and cross-class
   ties are decided by priority before sequence numbers, so the permuted
   sequence numbers are unobservable.
@@ -71,7 +79,9 @@ with its own equivalence argument:
   :mod:`repro.sim.queue`).  A record fires once, at its final deadline,
   exactly like the scalar chain of cancelled-and-re-pushed records; ties
   keep scalar order because extension order equals the original per-class
-  push order.
+  push order.  A deadline that moved *before* the queued entry (the rate
+  rose between two messages) is not an extension: that re-arm cancels
+  and pushes afresh, as the reference always does.
 
 **The kernel plan.**  Which of these paths a run takes is decided once,
 by :func:`kernel_plan`, where the simulator's first ``run_until`` / ``step``
@@ -79,9 +89,10 @@ begins -- after all ``t = 0`` wiring, so adversary clock swaps and effect
 logs are visible -- and holds for the whole run (an effect log attached
 to a table-covered node afterwards raises).  The table only builds -- and
 the array step only runs -- when the population provably fits it; anything
-else (baseline cores, non-constant clock types, effect logs, the
-``REPRO_BATCH=0`` reference switch) runs ``handle()`` with no behavioural
-difference.  Timer *runs* additionally require *positive constant* delay
+else (baseline cores, clock classes from outside :mod:`repro.sim.clocks`,
+effect logs, the ``REPRO_BATCH=0`` reference switch) runs ``handle()``
+with no behavioural difference.  Timer *runs* additionally require
+*positive constant* delay
 and discovery policies: with a zero or randomized delay, a tick's send
 could schedule a same-timestamp delivery that scalar dispatch would run
 *before* the remaining timers of the run, which pre-popping cannot
@@ -124,7 +135,7 @@ from typing import TYPE_CHECKING, AbstractSet, Any, Sequence, cast
 import numpy as np
 import numpy.typing as npt
 
-from ..sim.clocks import ConstantRateClock
+from ..sim.clocks import ConstantRateClock, PiecewiseRateClock, SteerableClock
 from ..sim.events import (
     KIND_DELIVER_BURST,
     KIND_TICK_BURST,
@@ -147,6 +158,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
 __all__ = ["Decline", "KernelPlan", "NodeArrayTable", "kernel_plan"]
 
 _TICK = "tick"
+
+#: The clocks whose ``value`` / ``time_at`` the table's segment columns
+#: reproduce; matched by exact type, a subclass may override either.
+_SEGMENT_CLOCKS = (ConstantRateClock, PiecewiseRateClock, SteerableClock)
 
 
 #: The traced side of a delivery run: the destinations and flight span ids
@@ -184,8 +199,12 @@ class NodeArrayTable:
         "transport",
         "drivers",
         "cores",
-        "rates",
-        "rates_arr",
+        "rate",
+        "t0",
+        "h0",
+        "t1",
+        "h1",
+        "_seg_arrays",
         "tick_interval",
         "delta_t_prime",
         "b0",
@@ -202,25 +221,35 @@ class NodeArrayTable:
         sim: Simulator,
         transport: "Transport",
         drivers: "Sequence[ClockSyncNode | None]",
-        rates: list[float],
         ids: range,
     ) -> None:
         self.sim = sim
         self.transport = transport
-        #: The validated node-id range.  ``drivers``/``cores``/``rates``/
-        #: ``adj`` are indexed by node id, so a table over part of the
-        #: population (a shard) has holes outside ``ids``.
+        #: The validated node-id range.  ``drivers``/``cores``/``adj`` and
+        #: the segment columns are indexed by node id, so a table over part
+        #: of the population (a shard) has holes outside ``ids``.
         self.ids = ids
         self.drivers = cast("list[ClockSyncNode]", list(drivers))
         self.cores = cast(
             "list[DCSACore]", [d.core if d is not None else None for d in drivers]
         )
-        #: Constant hardware rates; the plain list serves the scalar loops,
-        #: the array (over ``ids``) the fused oracle reads.
-        self.rates = rates
-        self.rates_arr: npt.NDArray[np.float64] = np.asarray(
-            rates[ids.start : ids.stop], dtype=np.float64
-        )
+        #: Each row's current :data:`~repro.sim.clocks.Segment`, one column
+        #: per field: ``H(t) = h0 + rate * (t - t0)`` while ``t < t1``, and
+        #: ``H`` reaches ``target < h1`` at ``t0 + (target - h0) / rate``.  A
+        #: reader at ``t >= t1`` re-seats the row first (:meth:`_reseat`).
+        self.rate = [0.0] * len(drivers)
+        self.t0 = self.rate[:]
+        self.h0 = self.rate[:]
+        self.t1 = self.rate[:]
+        self.h1 = self.rate[:]
+        #: ``(rate, t0, h0)`` as arrays over ``ids`` plus ``min(t1)``, for
+        #: the fused oracle reads; dropped whenever a row is re-seated.
+        self._seg_arrays: tuple[Any, ...] | None = None
+        for i in ids:
+            self._reseat(i, sim.now)
+            clock = self.drivers[i].clock
+            if type(clock) is SteerableClock:
+                clock.on_rate_change = lambda i=i: self._reseat(i, sim.now)
         #: ``B`` function coefficients, shared by every core (the plan
         #: verified a single ``params`` object).
         c0 = self.cores[ids.start]
@@ -244,6 +273,13 @@ class NodeArrayTable:
         #: Events executed by the array step so far (singletons and burst
         #: / group constituents alike), bumped once per entry point.
         self.array_events = 0
+
+    def _reseat(self, i: int, t: float) -> None:
+        """Seat row ``i`` on the segment of its clock that holds real time ``t``."""
+        (
+            self.rate[i], self.t0[i], self.h0[i], self.t1[i], self.h1[i]
+        ) = self.drivers[i].clock.segment_at(t)  # type: ignore[attr-defined]
+        self._seg_arrays = None
 
     # ------------------------------------------------------------------ #
     # Batch handlers
@@ -327,17 +363,13 @@ class NodeArrayTable:
         destinations, and those handlers commute.  Within a destination the
         per-message phases run in exact scalar order.
 
-        Two per-destination invariants make the inner loop cheap:
-
-        * the destination syncs once (later messages of the run find
-          ``dh == 0`` in scalar execution too), so ``H_v`` -- and with it
-          every edge age and the lost-timer deadline -- is *fixed* for the
-          whole timestamp;
-        * therefore each Gamma row's AdjustClock candidate
-          ``L^u_v + B(age)`` is computed once and patched only for the row
-          the current message refreshes (bitwise equal to the scalar
-          recomputation: same operations, same operands), and the running
-          scalar ``min`` equals ``min()`` over the candidate table.
+        The destination syncs once (later messages of the run find
+        ``dh == 0`` in scalar execution too), so ``H_v`` -- and with it
+        every edge age and the lost-timer deadline -- is *fixed* for the
+        whole timestamp.  AdjustClock's ceiling is ``min(Lmax, ...)``, so a
+        message scans the Gamma rows only when it leaves ``Lmax > L``
+        (exactly as :meth:`DCSACore._adjust_clock` returns early): the
+        cost of every other delivery is independent of the degree.
 
         When traced, ``flights`` names the run's messages; an applied jump
         writes its ``SPAN_JUMP`` row parented on the delivering flight,
@@ -350,7 +382,11 @@ class NodeArrayTable:
         now = sim.now
         cores = self.cores
         drivers = self.drivers
-        rates = self.rates
+        rate = self.rate
+        t0 = self.t0
+        h0 = self.h0
+        t1 = self.t1
+        h1 = self.h1
         queue = sim.queue
         free = queue._free
         heap = queue._heap
@@ -364,34 +400,27 @@ class NodeArrayTable:
         for v, msgs in dest_msgs.items():
             core = cores[v]
             rows = core.gamma._rows
-            h = rates[v] * now
+            if now >= t1[v]:
+                self._reseat(v, now)
+            seg_r = rate[v]
+            seg_t = t0[v]
+            seg_h = h0[v]
+            h = seg_h + seg_r * (now - seg_t)
             dh = h - core.h_last
-            # Ages are fixed for the timestamp: AdjustClock candidates are
-            # computed once per row (fused with the estimate advance of the
-            # sync -- same updated ``l_est`` value) and patched only for
-            # the row each message refreshes.
-            cand: dict[int, float] = {}
             if dh != 0.0:
                 core._L += dh
                 core._Lmax += dh
                 core.h_last = h
-                for u, row in rows.items():
-                    le = row.l_est + dh
-                    row.l_est = le
-                    b = intercept - slope * (h - row.added_h)
-                    if b < b0:
-                        b = b0
-                    cand[u] = le + b
-            else:
-                for u, row in rows.items():
-                    b = intercept - slope * (h - row.added_h)
-                    if b < b0:
-                        b = b0
-                    cand[u] = row.l_est + b
+                for row in rows.values():
+                    row.l_est += dh
             d = drivers[v]
             d._t_last = now
-            # The re-armed lost deadline is likewise message-independent.
-            fire_t = (h + dtp) / rates[v]
+            # The re-armed lost deadline is message-independent.
+            target = h + dtp
+            if target < h1[v]:
+                fire_t = seg_t + (target - seg_h) / seg_r
+            else:
+                fire_t = d.clock.time_at(target)
             if fire_t < now:
                 fire_t = now
             timers = d._timers
@@ -402,52 +431,57 @@ class NodeArrayTable:
                 l_v = payload[0]
                 row = rows.get(u)
                 if row is None:
-                    # Gamma (re-)entry: C^v_u := H_u now (pseudocode 17-19);
-                    # age 0 exactly, so b = max(intercept, b0).
+                    # Gamma (re-)entry: C^v_u := H_u now (pseudocode 17-19).
                     rows[u] = NeighborEstimate(h, l_v)
-                    b = intercept
-                    if b < b0:
-                        b = b0
-                    cand[u] = l_v + b
                 elif l_v > row.l_est:
                     row.l_est = l_v
-                    b = intercept - slope * (h - row.added_h)
-                    if b < b0:
-                        b = b0
-                    cand[u] = l_v + b
                 lmax_v = payload[1]
                 if lmax_v > lmax:
                     lmax = lmax_v
-                # AdjustClock against the patched candidate table.
-                ceiling = min(cand.values())
-                if lmax < ceiling:
+                if lmax > L:
+                    # AdjustClock, the reference scan: its ceiling is
+                    # ``min(Lmax, ...)``, so nothing else can release ``L``.
                     ceiling = lmax
-                if ceiling > L:
-                    if tracer is not None:
-                        # The delivering message's position, read off the
-                        # pair iterator (exact for list iterators) so the
-                        # untraced loop carries no per-message index.
-                        if dest_sids is None:
-                            assert flights is not None
-                            dest_sids = _sids_by_dest(*flights)
-                        done = (len(msgs) - length_hint(it)) >> 1
-                        tracer.current = dest_sids[v][done - 1]
-                        tracer.jump(v, now, ceiling - L)
-                    core.total_jump += ceiling - L
-                    core.jumps += 1
-                    L = ceiling
+                    for est in rows.values():
+                        b = intercept - slope * (h - est.added_h)
+                        if b < b0:
+                            b = b0
+                        cand = est.l_est + b
+                        if cand < ceiling:
+                            ceiling = cand
+                    if ceiling > L:
+                        if tracer is not None:
+                            # The delivering message's position, read off
+                            # the pair iterator (exact for list iterators)
+                            # so the untraced loop carries no index.
+                            if dest_sids is None:
+                                assert flights is not None
+                                dest_sids = _sids_by_dest(*flights)
+                            done = (len(msgs) - length_hint(it)) >> 1
+                            tracer.current = dest_sids[v][done - 1]
+                            tracer.jump(v, now, ceiling - L)
+                        core.total_jump += ceiling - L
+                        core.jumps += 1
+                        L = ceiling
                 key = ("lost", u)
                 prev = timers.get(key)
-                if prev is not None and not prev.cancelled and prev.queued:
+                if (
+                    prev is not None
+                    and not prev.cancelled
+                    and prev.queued
+                    and fire_t >= prev.time
+                ):
                     # Lazy re-arm: advance the live record's deadline in
                     # place; the queue re-inserts it if the stale heap
-                    # entry surfaces first.  Premise: ``fire_t >=
-                    # prev.time``, i.e. successive deadlines never move
-                    # earlier -- true for the constant-rate rows the
-                    # plan admits, false once a clock's rate can rise
-                    # between two messages (then: cancel + fresh push).
+                    # entry surfaces first.
                     prev.c = fire_t
                 else:
+                    if prev is not None:
+                        # A live record whose deadline moved *before* its
+                        # heap entry (the clock's rate rose since the last
+                        # arm), where no pop path would notice: cancel +
+                        # fresh push.  On a dead handle this is a no-op.
+                        queue.cancel(prev)
                     if free:
                         rec = free.pop()
                         rec.time = fire_t
@@ -517,7 +551,10 @@ class NodeArrayTable:
         now = self.sim.now
         cores = self.cores
         drivers = self.drivers
-        rates = self.rates
+        rate = self.rate
+        t0 = self.t0
+        h0 = self.h0
+        t1 = self.t1
         delay = self.send_delay if len(records) > 1 else None
         t_deliver = now if delay is None else now + delay
         u_list: list[int] = []
@@ -535,7 +572,9 @@ class NodeArrayTable:
                 skipped += 1
                 continue
             core = cores[nid]
-            h = rates[nid] * now
+            if now >= t1[nid]:
+                self._reseat(nid, now)
+            h = h0[nid] + rate[nid] * (now - t0[nid])
             if h != core.h_last:
                 core.sync_to(h)
             d = drivers[nid]
@@ -714,7 +753,11 @@ class NodeArrayTable:
     def _tick_deadline(self, d: "ClockSyncNode") -> float:
         """Real time of ``d``'s next tick, from its post-sync ``H``."""
         nid = d.node_id
-        fire_t = (self.cores[nid].h_last + self.tick_interval) / self.rates[nid]
+        target = self.cores[nid].h_last + self.tick_interval
+        if target < self.h1[nid]:
+            fire_t = self.t0[nid] + (target - self.h0[nid]) / self.rate[nid]
+        else:
+            fire_t = d.clock.time_at(target)
         now = self.sim.now
         return fire_t if fire_t > now else now
 
@@ -725,7 +768,8 @@ class NodeArrayTable:
 
         One fused loop: per driver sync + payload capture + sends, in
         scalar order (sends consume sequence numbers in record order),
-        then the burst push, then vectorized AdjustClock.  Payloads are
+        then the burst push, then AdjustClock over the cores it can act
+        on (``Lmax > L``: its ceiling is ``min(Lmax, ...)``).  Payloads are
         captured *before* AdjustClock exactly as the scalar handler reads
         them; hoisting AdjustClock across drivers is sound because it
         touches only core state that neither another driver's sends nor
@@ -747,7 +791,11 @@ class NodeArrayTable:
         """
         now = self.sim.now
         cores = self.cores
-        rates = self.rates
+        rate = self.rate
+        t0 = self.t0
+        h0 = self.h0
+        t1 = self.t1
+        h1 = self.h1
         adj = self.adj
         tracer = self.transport._tracer
         delay = self.send_delay
@@ -757,7 +805,7 @@ class NodeArrayTable:
         v_list: list[int] = []
         p_list: list[Any] = []
         #: Flight span ids of the burst under construction, timer span id
-        #: per ticking driver (both traced runs only).
+        #: per core of ``tick_cores`` (both traced runs only).
         s_list: list[int] = []
         timer_sids: list[int] = []
         uext = u_list.extend
@@ -770,7 +818,12 @@ class NodeArrayTable:
         for d in drivers:
             nid = d.node_id
             core = cores[nid]
-            h = rates[nid] * now
+            if now >= t1[nid]:
+                self._reseat(nid, now)
+            seg_r = rate[nid]
+            seg_t = t0[nid]
+            seg_h = h0[nid]
+            h = seg_h + seg_r * (now - seg_t)
             dh = h - core.h_last
             if dh != 0.0:
                 core._L += dh
@@ -789,7 +842,6 @@ class NodeArrayTable:
                 tracer.current = self._trace_tick(
                     tracer, nid, dests or (), t_deliver, s_list
                 )
-                timer_sids.append(tracer.current)
             if ups:
                 payload = (core._L, core._Lmax)
                 if dests is not None:
@@ -811,14 +863,21 @@ class NodeArrayTable:
                         p_list.clear()
                         s_list.clear()
                     self._send_each(nid, payload)
-            fire_t = (h + ti) / rates[nid]
+            target = h + ti
+            if target < h1[nid]:
+                fire_t = seg_t + (target - seg_h) / seg_r
+            else:
+                fire_t = d.clock.time_at(target)
             if fire_t < now:
                 fire_t = now
             if ft0 < 0.0:
                 ft0 = fire_t
             elif fire_t != ft0:
                 same = False
-            capp(core)
+            if core._Lmax > core._L:
+                capp(core)
+                if tracer is not None:
+                    timer_sids.append(tracer.current)
         if u_list:
             self._push_burst(
                 u_list, v_list, p_list, s_list if tracer is not None else None
@@ -906,19 +965,40 @@ class NodeArrayTable:
     # Dense reads (oracle sampling)
     # ------------------------------------------------------------------ #
 
+    def _hardware_column(self, t: float) -> npt.NDArray[np.float64]:
+        """``H_u(t)`` for every node of ``ids``, elementwise off the columns.
+
+        Their array form is kept until a row is re-seated: here, when
+        ``t`` has left its segment, or by an event or a rate change in
+        between (a constant-rate population builds it once).
+        """
+        arrays = self._seg_arrays
+        if arrays is None or t >= arrays[3]:
+            lo, hi = self.ids.start, self.ids.stop
+            t1 = self.t1
+            for i in self.ids:
+                if t >= t1[i]:
+                    self._reseat(i, t)
+            arrays = self._seg_arrays = (
+                np.asarray(self.rate[lo:hi]), np.asarray(self.t0[lo:hi]),
+                np.asarray(self.h0[lo:hi]), min(t1[lo:hi]),
+            )
+        rate, t0, h0, _ = arrays
+        result: npt.NDArray[np.float64] = h0 + rate * (t - t0)
+        return result
+
     def clock_column(self, t: float) -> npt.NDArray[np.float64]:
         """``L_u(t)`` for every node of ``ids`` as a dense array.
 
-        Matches ``core.logical_clock_at(rate * t)`` bitwise: the fused
-        expression evaluates ``L + (h - h_last)`` elementwise in the same
-        order.
+        Matches ``core.logical_clock_at(clock.value(t))`` bitwise: the
+        fused expression evaluates ``L + (h - h_last)`` elementwise in the
+        same order.
         """
         cores = self.cores[self.ids.start : self.ids.stop]
         n = len(cores)
         L = np.fromiter((c._L for c in cores), np.float64, count=n)
         hl = np.fromiter((c.h_last for c in cores), np.float64, count=n)
-        h = self.rates_arr * t
-        result: npt.NDArray[np.float64] = L + (h - hl)
+        result: npt.NDArray[np.float64] = L + (self._hardware_column(t) - hl)
         return result
 
     def max_estimate_column(self, t: float) -> npt.NDArray[np.float64]:
@@ -927,8 +1007,7 @@ class NodeArrayTable:
         n = len(cores)
         lm = np.fromiter((c._Lmax for c in cores), np.float64, count=n)
         hl = np.fromiter((c.h_last for c in cores), np.float64, count=n)
-        h = self.rates_arr * t
-        result: npt.NDArray[np.float64] = lm + (h - hl)
+        result: npt.NDArray[np.float64] = lm + (self._hardware_column(t) - hl)
         return result
 
 
@@ -994,10 +1073,12 @@ def kernel_plan(
     logs are visible.  The array step engages -- a ``table_cls`` over the
     node ids ``ids`` (default: every registered node) is built -- when the
     simulator is not on the reference switch, the caller has no ``veto``
-    and every driver in the range is a plain DCSA node on a constant-rate
-    clock with no effect log attached (the span tracer is no gate; see
-    module docstring); the first failing test is the ``array_step``
-    decline.  On a table, timer runs need positive constant delay *and*
+    and every driver in the range is a plain DCSA node on one of
+    :mod:`repro.sim.clocks`' three piecewise-linear classes (exactly: the
+    table evaluates their segments inline) with no effect log attached
+    (the span tracer is no gate; see module docstring); the first failing
+    test is the ``array_step`` decline.  On a table, timer runs need
+    positive constant delay *and*
     discovery policies, and bulk sends (:attr:`NodeArrayTable.send_delay`)
     a positive constant delay within the transport's bound.
     """
@@ -1021,21 +1102,21 @@ def kernel_plan(
         ids = range(len(drivers))
     if not ids or ids.stop > len(drivers):
         return declined("population", "no registered nodes cover the id range")
-    rates = [0.0] * len(drivers)
     params: Any = None
     for i in ids:
         d = drivers[i]
         if not isinstance(d, ClockSyncNode):
             return declined("population", f"node id {i} has no registered driver")
-        core, clock = d.core, d.clock
+        core = d.core
         if type(core) is not DCSACore:
             name = type(core).__name__
             return declined("core", f"node {i} runs {name}, not a plain DCSACore")
-        if type(clock) is not ConstantRateClock or clock.rate <= 0.0:
-            name = type(clock).__name__
+        if type(d.clock) not in _SEGMENT_CLOCKS:
+            name = type(d.clock).__name__
             return declined(
                 "clock",
-                f"node {i} clock is {name}, not a positive-rate ConstantRateClock",
+                f"node {i} clock is {name}, not a piecewise-linear class of "
+                "repro.sim.clocks",
             )
         if d._effect_log is not None:
             return declined("effect_log", f"node {i} has an effect log attached")
@@ -1045,8 +1126,7 @@ def kernel_plan(
             return declined(
                 "params", f"node {i} does not share the population's SystemParams"
             )
-        rates[i] = clock.rate
-    table = table_cls(sim, transport, drivers, rates, ids)
+    table = table_cls(sim, transport, drivers, ids)
     declines: list[Decline] = []
     delay: Any = transport.delay_policy
     for by, policy, cls in (

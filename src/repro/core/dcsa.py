@@ -42,8 +42,6 @@ from __future__ import annotations
 
 from typing import Any, ClassVar, Sequence
 
-import numpy as np
-
 from ..params import SystemParams
 from ..sim.clocks import HardwareClock
 from ..sim.simulator import Simulator
@@ -53,30 +51,18 @@ from .protocol import DCSACore, ProtocolCore, Update
 
 __all__ = ["DCSANode", "Update", "adjust_clocks_batch"]
 
-#: Below this many cores the flattened-numpy AdjustClock path costs more in
-#: array setup than it saves; the scalar loop is used instead.  Both paths
-#: compute bit-identical results (see :func:`adjust_clocks_batch`).
-_VECTOR_MIN = 48
-
 
 def adjust_clocks_batch(cores: Sequence[DCSACore]) -> None:
-    """Run ``AdjustClock`` on many cores at once, applying jumps directly.
+    """Run ``AdjustClock`` on each of ``cores``, applying jumps directly.
 
-    This is the vectorized core step of the batch kernel (see
-    :mod:`repro.core.batch`): the per-row ``B``-function evaluation of
-    :meth:`DCSACore._adjust_clock` is flattened across every core's Gamma
-    table and evaluated with numpy, and the resulting jump -- normally a
-    deferred :class:`~repro.core.protocol.JumpL` effect the driver applies
-    via ``apply_jump`` -- is applied in place.
-
-    **Parity contract.**  For each core this performs exactly the scalar
-    arithmetic, in the scalar association order: ``b = intercept - slope *
-    (h - added_h)`` is elementwise IEEE-754 (numpy evaluates the same two
-    operations per element), ``max(b, b0)`` and ``l_est + b`` are
-    elementwise, and the running ``min`` of the scalar loop is
-    order-independent for floats (no NaNs here), so ``minimum.reduceat``
-    yields the identical ceiling.  Results of the numpy path are cast back
-    through ``float()`` so no ``np.float64`` leaks into payload tuples.
+    The array step's form of :meth:`DCSACore._adjust_clock` (see
+    :mod:`repro.core.batch`): the reference scan -- ``b = intercept -
+    slope * (h - added_h)``, ``max(b, b0)``, ``l_est + b``, running
+    ``min`` against ``Lmax``, in that association order -- with the jump,
+    normally a deferred :class:`~repro.core.protocol.JumpL` effect the
+    driver applies via ``apply_jump``, applied in place.  The tick phase
+    passes only cores with ``Lmax > L`` (no other can jump) -- none at
+    all on the benchmark workloads, which is why this is a plain loop.
     Every core must share the caller-verified premise of the batch table:
     same ``params`` object (hence identical ``b0``/``intercept``/``slope``)
     and no pending jump.
@@ -87,61 +73,22 @@ def adjust_clocks_batch(cores: Sequence[DCSACore]) -> None:
     tick phase reads them back as the change in ``L`` and writes one
     ``SPAN_JUMP`` row each when causal tracing is on.
     """
-    n = len(cores)
-    if n == 0:
+    if not cores:
         return
     c0 = cores[0]
     b0 = c0._b0
     intercept = c0._b_intercept
     slope = c0._b_slope
-    counts: list[int] | None = None
-    if n >= _VECTOR_MIN:
-        counts = [len(core.gamma._rows) for core in cores]
-    if counts is None or 0 in counts:
-        # Small batches, and batches containing a core with an empty Gamma
-        # (pre-discovery), take the reference scalar loop: below
-        # ``_VECTOR_MIN`` the array setup costs more than it saves, and the
-        # empty-table case is rare enough that splicing it out of the
-        # flattened arrays is not worth the bookkeeping.
-        for core in cores:
-            ceiling = core._Lmax
-            h = core.h_last
-            for row in core.gamma.rows():
-                b = intercept - slope * (h - row.added_h)
-                if b < b0:
-                    b = b0
-                cand = row.l_est + b
-                if cand < ceiling:
-                    ceiling = cand
-            if ceiling > core._L:
-                core.total_jump += ceiling - core._L
-                core.jumps += 1
-                core._L = ceiling
-        return
-    # Flatten every Gamma row (list comprehensions beat append loops here);
-    # the double attribute walk is cheaper than materialising pairs.
-    flat_age = [
-        core.h_last - row.added_h
-        for core in cores
-        for row in core.gamma._rows.values()
-    ]
-    flat_l = [
-        row.l_est for core in cores for row in core.gamma._rows.values()
-    ]
-    b_arr = intercept - slope * np.asarray(flat_age)
-    np.maximum(b_arr, b0, out=b_arr)
-    cand_arr = np.asarray(flat_l)
-    cand_arr += b_arr
-    starts = np.empty(n, dtype=np.intp)
-    starts[0] = 0
-    np.cumsum(counts[:-1], out=starts[1:])
-    # ``tolist`` converts to Python floats in one C pass (bit-identical to
-    # a per-element ``float()`` cast).
-    mins = np.minimum.reduceat(cand_arr, starts).tolist()
-    for core, m in zip(cores, mins):
+    for core in cores:
         ceiling = core._Lmax
-        if m < ceiling:
-            ceiling = m
+        h = core.h_last
+        for row in core.gamma.rows():
+            b = intercept - slope * (h - row.added_h)
+            if b < b0:
+                b = b0
+            cand = row.l_est + b
+            if cand < ceiling:
+                ceiling = cand
         if ceiling > core._L:
             core.total_jump += ceiling - core._L
             core.jumps += 1

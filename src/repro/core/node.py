@@ -23,14 +23,14 @@ pre-refactor monolithic node classes (the golden-value pins enforce it):
   ``set_subjective_timer``.
 
 **The array step.**  When the transport's kernel plan holds a
-:class:`~repro.core.batch.NodeArrayTable` (an all-DCSA, constant-rate
-population without effect logs), every in-run event bypasses this
-translation entirely: the transport hands delivered messages, discoveries
-and ``tick`` / ``lost`` fires to the table, where the same step runs
-against the core's state without an ``Event`` or an effect list
-(bit-identical; see :mod:`repro.core.batch`).  ``Start`` -- dispatched
-once per node before the run -- and every event of any other population
-go through :meth:`_dispatch`.
+:class:`~repro.core.batch.NodeArrayTable` (an all-DCSA population on
+:mod:`repro.sim.clocks`' own clock classes, without effect logs), every
+in-run event bypasses this translation entirely: the transport hands
+delivered messages, discoveries and ``tick`` / ``lost`` fires to the
+table, where the same step runs against the core's state without an
+``Event`` or an effect list (bit-identical; see :mod:`repro.core.batch`).
+``Start`` -- dispatched once per node before the run -- and every event
+of any other population go through :meth:`_dispatch`.
 
 **Subjective timers.**  ``set timer(dt)`` in the pseudocode means: fire
 when *my hardware clock* has advanced by ``dt``.  The driver converts via

@@ -506,9 +506,12 @@ class DCSACore(ProtocolCore):
 
         Inlines ``params.b_function`` against the constants cached at
         construction: ``B(age) = max(B0, intercept - slope * age)``,
-        bit-identical to the property-chained form.
+        bit-identical to the property-chained form.  The ceiling is
+        ``min(Lmax, ...)``, so Gamma is only scanned when ``Lmax > L``.
         """
         ceiling = self._Lmax
+        if ceiling <= self._L:
+            return
         h = self.h_last
         b0 = self._b0
         intercept = self._b_intercept
@@ -586,6 +589,8 @@ class StaticGradientCore(DCSACore):
 
     def _adjust_clock(self) -> None:
         ceiling = self._Lmax
+        if ceiling <= self._L:
+            return
         b0 = self._b0
         for row in self.gamma.rows():
             cand = row.l_est + b0

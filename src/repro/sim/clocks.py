@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,21 @@ __all__ = [
     "extremal_clock",
     "validate_drift",
 ]
+
+#: One linear piece of a clock, ``(rate, t0, h0, t1, h1)``: ``H(t) = h0 +
+#: rate * (t - t0)`` on ``t0 <= t < t1`` and ``H(t1) = h1`` (both ends
+#: ``inf`` on the last piece).  The struct-of-arrays step
+#: (:mod:`repro.core.batch`) holds one per node and evaluates it inline.
+Segment = tuple[float, float, float, float, float]
+
+
+def _segment_at(clock: PiecewiseRateClock | SteerableClock, t: float) -> Segment:
+    """The piece holding real time ``t``, selected as ``value`` selects it."""
+    times, values = clock._times, clock._values
+    i = bisect_right(times, t) - 1
+    if i + 1 == len(times):
+        return clock._rates[i], times[i], values[i], math.inf, math.inf
+    return clock._rates[i], times[i], values[i], times[i + 1], values[i + 1]
 
 
 class HardwareClock:
@@ -80,6 +95,10 @@ class ConstantRateClock(HardwareClock):
 
     def time_at(self, h: float) -> float:
         return h / self.rate
+
+    def segment_at(self, t: float) -> Segment:
+        """The single piece ``(rate, 0, 0, inf, inf)``."""
+        return self.rate, 0.0, 0.0, math.inf, math.inf
 
     def rate_at(self, t: float) -> float:
         return self.rate
@@ -165,6 +184,8 @@ class PiecewiseRateClock(HardwareClock):
             self._hint = i
         return self._times[i] + (h - values[i]) / self._rates[i]
 
+    segment_at = _segment_at
+
     def rate_at(self, t: float) -> float:
         if t < 0.0:
             raise ValueError(f"time must be non-negative; got {t!r}")
@@ -205,7 +226,7 @@ class SteerableClock(HardwareClock):
     the drift adversary's docstring for why this is acceptable).
     """
 
-    __slots__ = ("_times", "_rates", "_values", "rho")
+    __slots__ = ("_times", "_rates", "_values", "rho", "on_rate_change")
 
     def __init__(self, initial_rate: float = 1.0, *, rho: float | None = None) -> None:
         self.rho = None if rho is None else float(rho)
@@ -213,6 +234,9 @@ class SteerableClock(HardwareClock):
         self._times = [0.0]
         self._rates = [float(initial_rate)]
         self._values = [0.0]
+        #: Called after every :meth:`set_rate`: the batch table, which
+        #: holds a copy of the current segment, re-seats its row here.
+        self.on_rate_change: Callable[[], None] | None = None
 
     def _check_rate(self, rate: float) -> None:
         if rate <= 0.0:
@@ -236,12 +260,14 @@ class SteerableClock(HardwareClock):
         if t == last:
             # Replace the zero-length tail segment.
             self._rates[-1] = float(rate)
-            return
-        self._values.append(
-            self._values[-1] + self._rates[-1] * (t - last)
-        )
-        self._times.append(float(t))
-        self._rates.append(float(rate))
+        else:
+            self._values.append(
+                self._values[-1] + self._rates[-1] * (t - last)
+            )
+            self._times.append(float(t))
+            self._rates.append(float(rate))
+        if self.on_rate_change is not None:
+            self.on_rate_change()
 
     def value(self, t: float) -> float:
         if t < 0.0:
@@ -256,6 +282,8 @@ class SteerableClock(HardwareClock):
         if i >= len(self._times):  # pragma: no cover - defensive
             i = len(self._times) - 1
         return self._times[i] + (h - self._values[i]) / self._rates[i]
+
+    segment_at = _segment_at
 
     def rate_at(self, t: float) -> float:
         if t < 0.0:

@@ -404,10 +404,9 @@ class ParNodeArrayTable(NodeArrayTable):
         sim: Simulator,
         transport: ParTransport,
         drivers: "Sequence[ClockSyncNode | None]",
-        rates: list[float],
         ids: range,
     ) -> None:
-        super().__init__(sim, transport, drivers, rates, ids)
+        super().__init__(sim, transport, drivers, ids)
         frontier = transport._frontier
         adj = self.adj
         for i in ids:

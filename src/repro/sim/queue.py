@@ -35,14 +35,14 @@ the stale entry surfaces first.  Equivalent to cancel-plus-push (a stale
 entry is never dispatched; the record fires once, at its final deadline)
 but O(1) per re-arm while messages keep arriving.  ``peek_time`` may
 report a stale (earlier) time; callers only use it as a lower bound.
-**Premise the caller owns:** a deadline is only ever *extended* -- the
+**Premise the caller tests:** a deadline is only ever *extended* -- the
 value written into ``c`` is never earlier than the heap entry's time.  An
 earlier one would go unnoticed (every pop path tests ``deadline >
 entry_time`` only) and the record would fire at the stale, later time.
-Constant-rate clocks satisfy this by construction (the deadline is
-monotone in the arming time); a clock whose rate can rise between two
-arms does not, and its caller must test ``deadline >= record.time`` and
-fall back to cancel plus a fresh push.
+It does occur -- a clock whose rate rose between two arms reaches the
+same subjective deadline sooner -- so the batch kernel extends only when
+``deadline >= record.time`` and otherwise cancels and pushes afresh
+(pinned by ``test_lost_deadline_that_moves_earlier``).
 """
 
 from __future__ import annotations

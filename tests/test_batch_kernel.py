@@ -4,12 +4,14 @@ The load-bearing guarantee is the **parity contract**: with the batch
 kernel enabled, every run metric -- skews, jumps (count *and* float
 total), per-node protocol state, message counters, dispatch tallies --
 is bit-identical to the scalar kernel on the same config.  The tests
-here pin that contract on the batch workloads (where the vectorized
+here pin that contract on the batch workloads (where the run-level
 phases actually engage), under topology churn (where the array path must
 stay engaged and apply the drop rule per message), on the general path
 (per-node drift, staggered ticks, random delays: every delivery and tick
-a singleton record the array step executes as a batch of one), and at the
-unit level for the queue's pop-run API and the vectorized AdjustClock.
+a singleton record the array step executes as a batch of one), under
+arbitrary drift (piecewise and steered clocks on the segment columns),
+and at the unit level for the queue's pop-run API and the in-place
+AdjustClock.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from hypothesis import strategies as st
 
 from repro.core.batch import NodeArrayTable
 from repro.core.dcsa import DCSANode, adjust_clocks_batch
-from repro.core.protocol import MaxSyncCore, ProtocolCore
+from repro.core.node import ClockSyncNode
+from repro.core.protocol import DCSACore, JumpL, MaxSyncCore, ProtocolCore
 from repro.harness import configs
 from repro.harness.registry import AdversaryRef, ChurnRef
 from repro.harness.runner import Experiment
@@ -36,7 +39,16 @@ from repro.network.discovery import ConstantDiscovery
 from repro.network.graph import DynamicGraph
 from repro.network.transport import Transport
 from repro.sim import simulator as simulator_mod
-from repro.sim.clocks import ConstantRateClock, extremal_clock, perfect_clock
+from repro.params import SystemParams
+from repro.sim.clocks import (
+    ConstantRateClock,
+    PiecewiseRateClock,
+    SteerableClock,
+    extremal_clock,
+    perfect_clock,
+    sinusoidal_clock,
+    two_phase_clock,
+)
 from repro.sim.events import (
     KIND_DELIVER,
     KIND_DELIVER_BURST,
@@ -51,6 +63,7 @@ from repro.sim.events import (
 from repro.sim.par import run_par
 from repro.sim.queue import EventQueue
 from repro.sim.simulator import Simulator
+from repro.testing.strategies import experiment_configs
 from repro.tracing import trace_session
 
 
@@ -354,6 +367,11 @@ def _reference_switch(exp):
     exp.sim.batch = False  # what REPRO_BATCH=0 sets at construction
 
 
+class _ForeignClock(ConstantRateClock):
+    """Not one of ``sim/clocks.py``'s own classes: it could override
+    ``value`` / ``time_at``, so the table must not evaluate it inline."""
+
+
 def _row(id, make, path, declined_by, needle, *, mutate=None, shards=0,
          ambient=nullcontext):
     return pytest.param(make, mutate, shards, ambient, path, declined_by, needle, id=id)
@@ -366,11 +384,9 @@ def _row(id, make, path, declined_by, needle, *, mutate=None, shards=0,
 DECLINES = [
     _row("non_dcsa_core", lambda: _sync(algorithm="max"),
          "array_step", "core", "MaxSyncCore"),
-    _row("piecewise_clock", lambda: _sync(clock_spec="random_walk"),
-         "array_step", "clock", "PiecewiseRateClock"),
-    _row("steered_clock",
-         lambda: _sync(adversary=AdversaryRef("adaptive_drift", {"period": 2.0})),
-         "array_step", "clock", "SteerableClock"),
+    _row("foreign_clock",
+         lambda: _sync(clock_spec=lambda node_id, params, rng, horizon: _ForeignClock()),
+         "array_step", "clock", "_ForeignClock"),
     _row("effect_log", _sync, "array_step", "effect_log", "node 3 has an effect log",
          mutate=_attach_log),
     _row("foreign_params", _sync, "array_step", "params", "node 5 does not share",
@@ -579,39 +595,33 @@ class TestPopRun:
 
 
 class TestAdjustClocksBatch:
-    def _cores(self, n, monkeypatch):
-        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
-        exp = Experiment(configs.huge_sync_ring(n, horizon=10.0))
-        exp.run()
-        return [exp.nodes[i].core for i in sorted(exp.nodes)]
+    def test_blocked_population_matches_the_reference_scan(self, monkeypatch):
+        """In-place AdjustClock == ``DCSACore._adjust_clock`` + ``apply_jump``.
 
-    def _snap(self, cores):
-        return [
-            (repr(c._L), repr(c._Lmax), c.jumps, repr(c.total_jump))
-            for c in cores
-        ]
-
-    def test_vector_path_matches_scalar_path(self, monkeypatch):
-        """Above the size cutoff the numpy reduction must equal the loop.
-
-        Two identical end-of-run populations (same config, same seed) are
-        adjusted once through each code path; the resulting ``L`` / jump
-        stats must agree bitwise.
+        Two identical end-of-run populations whose ``Lmax`` is then raised
+        far ahead, so every core is held back by its Gamma rows alone.
         """
-        a = self._cores(64, monkeypatch)  # >= _VECTOR_MIN: numpy path
-        b = self._cores(64, monkeypatch)
-        adjust_clocks_batch(a)
-        for core in b:  # reference: one scalar adjust each
-            adjust_clocks_batch([core])
-        assert self._snap(a) == self._snap(b)
 
-    def test_empty_gamma_population_uses_scalar_loop(self, monkeypatch):
-        """Pre-discovery cores (no rows) must not break the vector path."""
-        cores = self._cores(64, monkeypatch)
-        cores[0].gamma._rows.clear()
-        before = self._snap([cores[0]])
-        adjust_clocks_batch(cores)  # empty Gamma: min over nothing = no-op
-        assert self._snap([cores[0]])[0][:2] == before[0][:2]
+        def blocked():
+            exp, _ = _run(configs.huge_sync_ring(16, horizon=10.0), True, monkeypatch)
+            cores = [exp.nodes[i].core for i in sorted(exp.nodes)]
+            for core in cores:
+                core.force_raise_max(core._L + 500.0)
+            return cores
+
+        a, b = blocked(), blocked()
+        jumps_before = [c.jumps for c in a]
+        adjust_clocks_batch(a)
+        for core in b:
+            for eff in core.act(core._adjust_clock):
+                assert type(eff) is JumpL
+                core.apply_jump(eff.new_value)
+        snap = lambda cores: [
+            (repr(c._L), repr(c._Lmax), c.jumps, repr(c.total_jump)) for c in cores
+        ]
+        assert snap(a) == snap(b)
+        assert [c.jumps for c in a] == [j + 1 for j in jumps_before]
+        assert all(c._L < c._Lmax for c in a)  # released up to a row, not to Lmax
 
 
 # --------------------------------------------------------------------- #
@@ -640,6 +650,29 @@ def _mixed_population(exp):
     node.core = MaxSyncCore(5, exp.cfg.params, tick_stagger=node.core._tick_stagger)
 
 
+def _far_ahead(exp):
+    """Node 0 starts 3000 ahead: the rest chase it for the whole run, each
+    held back by its Gamma rows (``Lmax > L`` at most of their ticks)."""
+    exp.nodes[0]._raise_max(3000.0)
+    exp.nodes[0]._jump_logical(3000.0)
+
+
+def _sinusoidal(node_id, params, rng, horizon):
+    """Segments of 1.6 / 32 = 0.05, a tenth of a tick: nearly every timer
+    inverse crosses segments and falls back to ``clock.time_at``."""
+    return sinusoidal_clock(params.rho, 1.6, horizon, phase=float(node_id))
+
+
+def _two_phase(node_id, params, rng, horizon):
+    """The Lemma 4.2 schedule: layer ``d`` (ring distance from node 0) runs
+    at ``1 + rho``, then at 1 -- switching at ``1.5 d`` rather than
+    ``max_delay * d / rho`` so that every layer does inside the horizon."""
+    return two_phase_clock(params.rho, 1.5 * min(node_id, params.n - node_id))
+
+
+_DRIFT = AdversaryRef("adaptive_drift", {"period": 0.7})
+
+
 #: ``(id, config factory, post-build hook, table valid?)``.
 GENERAL_CASES = [
     ("ring64", lambda: configs.huge_ring(64, horizon=20.0), None, True),
@@ -664,6 +697,64 @@ GENERAL_CASES = [
     ("mixed", lambda: configs.huge_ring(64, horizon=12.0), _mixed_population, False),
     # Same-timestamp discovery runs (constant latency, batch-eligible ring).
     *((f"run_{name}", make, None, True) for name, make in DISCOVERY_RUN_CASES),
+    # Arbitrary drift: piecewise rates under singletons, under timer runs,
+    # bursts and (dissolving) tick groups, and under churn on the grid.
+    (
+        "rw_ring",
+        lambda: replace(configs.huge_ring(64, horizon=20.0), clock_spec="random_walk"),
+        None,
+        True,
+    ),
+    (
+        "rw_sync_ring",
+        lambda: replace(
+            configs.huge_sync_ring(48, horizon=40.0), clock_spec="random_walk"
+        ),
+        None,
+        True,
+    ),
+    (
+        "rw_churned_grid",
+        lambda: replace(
+            configs.huge_sync_grid(7, 7, horizon=30.0),
+            clock_spec="random_walk",
+            churn=[ScriptedChurn(CHURN_SCRIPT)],
+        ),
+        None,
+        True,
+    ),
+    (
+        "sinusoidal",
+        lambda: replace(configs.huge_ring(32, horizon=12.0), clock_spec=_sinusoidal),
+        None,
+        True,
+    ),
+    (
+        "two_phase",
+        lambda: replace(configs.huge_sync_ring(24, horizon=30.0), clock_spec=_two_phase),
+        None,
+        True,
+    ),
+    # Steered clocks: every rate re-drawn each 0.7, between any two events.
+    (
+        "steered",
+        lambda: replace(configs.huge_ring(48, horizon=15.0), adversary=_DRIFT),
+        None,
+        True,
+    ),
+    (
+        "steered_churned",
+        lambda: replace(
+            configs.huge_ring(48, horizon=15.0),
+            adversary=_DRIFT,
+            churn=[ScriptedChurn(GENERAL_CHURN_SCRIPT)],
+        ),
+        None,
+        True,
+    ),
+    # Blocked nodes released at ticks: the tick phase's ``Lmax > L`` filter
+    # passes cores on, in tick runs and groups, and some of them jump.
+    ("blocked", lambda: configs.huge_sync_ring(16, horizon=60.0), _far_ahead, True),
 ]
 _GENERAL_MAKE = {case[0]: case[1] for case in GENERAL_CASES}
 
@@ -673,8 +764,9 @@ def _run_general(cfg, batch, hook=None):
 
     Returns ``(exp, res, handled, draws)``: ``handled`` tallies the events
     ``ProtocolCore.handle`` received by kind (ticks apart from ``lost``
-    fires), ``draws`` is the delay policy's call count plus its unread
-    draw buffer, i.e. its exact position in the random stream.
+    fires; ``tick_jump`` counts the ticks that emitted ``JumpL``),
+    ``draws`` is the delay policy's call count plus its unread draw
+    buffer, i.e. its exact position in the random stream.
     """
     handled = Counter()
     original = ProtocolCore.handle
@@ -684,7 +776,10 @@ def _run_general(cfg, batch, hook=None):
         if name == "TimerFired":
             name = "tick" if event.key == "tick" else "lost"
         handled[name] += 1
-        return original(self, now_h, event)
+        effects = original(self, now_h, event)
+        if name == "tick" and any(type(eff) is JumpL for eff in effects):
+            handled["tick_jump"] += 1
+        return effects
 
     calls = [0]
     with pytest.MonkeyPatch.context() as mp:
@@ -750,6 +845,43 @@ class TestGeneralPathParity:
         assert res.transport_stats["dropped_no_edge"] > 0
         assert res.transport_stats["dropped_removed"] > 0
 
+    def test_drift_cases_are_what_they_claim(self, monkeypatch):
+        """Segments really are crossed, rates really are steered, and the
+        reference really releases blocked nodes at ticks."""
+        reseats = Counter()
+        reseat = NodeArrayTable._reseat
+        time_at = PiecewiseRateClock.time_at
+
+        def counting_reseat(self, i, t):
+            reseats[type(self.drivers[i].clock).__name__] += 1
+            reseat(self, i, t)
+
+        def counting_time_at(self, h):
+            reseats["time_at"] += 1
+            return time_at(self, h)
+
+        monkeypatch.setattr(NodeArrayTable, "_reseat", counting_reseat)
+        monkeypatch.setattr(PiecewiseRateClock, "time_at", counting_time_at)
+        for name, kind, at_least in [
+            ("rw_sync_ring", "PiecewiseRateClock", 48 * 10),
+            ("two_phase", "PiecewiseRateClock", 24 + 23),
+            ("steered_churned", "SteerableClock", 48 * 20),
+        ]:
+            reseats.clear()
+            _run_general(_GENERAL_MAKE[name](), True)
+            assert reseats[kind] >= at_least, (name, reseats)
+        # The table calls ``time_at`` only where a deadline lies past its
+        # row's segment: on the sinusoid, for nearly every delivery and tick.
+        reseats.clear()
+        _, res, _, _ = _run_general(_GENERAL_MAKE["sinusoidal"](), True)
+        deadlines = res.array_events - res.transport_stats["discoveries_delivered"]
+        assert reseats["PiecewiseRateClock"] >= 32 * 12 * 4, reseats
+        assert reseats["time_at"] > 0.9 * deadlines, reseats
+        _, res, handled, _ = _run_general(
+            _GENERAL_MAKE["blocked"](), False, _far_ahead
+        )
+        assert handled["tick_jump"] >= 10 and res.array_events == 0
+
     def test_zero_lower_bound_cases_are_what_they_claim(self):
         """``ConstantDelay(0)`` sends per message; the default is ``U(0, T)``."""
         exp, res, _, _ = _run_general(_GENERAL_MAKE["zero_delay"](), True)
@@ -770,6 +902,64 @@ class TestGeneralPathParity:
         exp.nodes[3].set_subjective_timer(key, 0.01)
         with pytest.raises(RuntimeError, match="unknown timer"):
             exp.sim.run_until(2.5)
+
+
+class _LateThenEarly:
+    """Delay script for :func:`test_lost_deadline_that_moves_earlier`: node
+    1's greeting (sent 4.95) reaches node 0 at 5.90, its next tick's message
+    (sent ~5.2557 under seed 0's stagger) at 5.95; 0.5 everywhere else."""
+
+    def delay(self, u, v, t):
+        if (u, v) == (1, 0) and t == 4.95:
+            return 0.95
+        if (u, v) == (1, 0) and 5.0 < t < 5.5:
+            return 5.95 - t
+        return 0.5
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["reference", "table"])
+def test_lost_deadline_that_moves_earlier(batch, monkeypatch):
+    """The lazy ``lost`` re-arm extends in place only when ``fire_t >= prev.time``.
+
+    Node 0 runs at 0.95 when node 1's greeting arms ``lost(1)`` for
+    7.586981, is steered to 1.05 at 5.92, and hears node 1 once more at
+    5.95: the new deadline, 7.476316, precedes the queued heap entry, where
+    the queue's ``deadline > entry_time`` test cannot see it.  The edge is
+    cut at 5.96, so that deadline stands -- and comes *before* node 1's own
+    ``lost(0)``.  (Final-state fingerprints do not catch this: the row is
+    forgotten either way; only the fire time and order differ.)
+    """
+    params = SystemParams.for_network(2, rho=0.05)
+    script = [(4.95 - params.discovery_bound, "add", 0, 1), (5.96, "remove", 0, 1)]
+    cfg = replace(
+        configs.static_path(2, horizon=12.0, seed=0, clock_spec="perfect"),
+        params=params,
+        initial_edges=[],
+        discovery_spec="max",
+        delay_spec=lambda params, rng: _LateThenEarly(),
+        churn=[ScriptedChurn(script)],
+    )
+    monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", batch)
+    exp = Experiment(cfg)
+    clock = exp.nodes[0].clock = SteerableClock(0.95, rho=0.05)
+    exp.sim.schedule_at(5.92, lambda: clock.set_rate(5.92, 1.05))
+    fires = []
+    lost_one, fire_timer = NodeArrayTable.lost_one, ClockSyncNode._fire_timer
+
+    def table_fire(self, ev):
+        fires.append((round(self.sim.now, 6), ev.a.node_id, ev.b))
+        lost_one(self, ev)
+
+    def reference_fire(self, key):
+        if key != "tick":
+            fires.append((round(self.sim.now, 6), self.node_id, key))
+        fire_timer(self, key)
+
+    monkeypatch.setattr(NodeArrayTable, "lost_one", table_fire)
+    monkeypatch.setattr(ClockSyncNode, "_fire_timer", reference_fire)
+    res = exp.run()
+    assert (res.array_events > 0) == batch
+    assert fires == [(7.476316, 0, ("lost", 1)), (7.548006, 1, ("lost", 0))]
 
 
 class TestLateEffectLog:
@@ -873,6 +1063,21 @@ def test_property_general_path_flip_scripts_bit_identical(ops, zero):
     assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
     assert draws_b == draws_s
     assert handled_b["MessageReceived"] == handled_b["tick"] == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=experiment_configs(4, 12, horizon=30.0, adversarial=True))
+def test_property_any_config_default_kernel_equals_reference(cfg):
+    """Property: whatever the clocks, delays, churn and adversary, the
+    default kernel leaves the reference's state -- and a population of
+    plain DCSA cores never runs without the table."""
+    with pytest.MonkeyPatch.context() as mp:
+        exp_s, res_s = _run(replace(cfg), False, mp)
+        exp_b, res_b = _run(replace(cfg), True, mp)
+    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+    assert res_s.array_events == 0
+    if all(type(node.core) is DCSACore for node in exp_b.nodes.values()):
+        assert res_b.array_events > 0 and res_b.batch_gate_reason is None
 
 
 @pytest.mark.slow

@@ -42,9 +42,10 @@ from test_batch_kernel import (
 )
 
 from repro.harness import configs, run_experiment
-from repro.harness.registry import OracleRef
+from repro.harness.registry import AdversaryRef, OracleRef
 from repro.harness.runner import Experiment
 from repro.obs import timeline_session
+from repro.params import SystemParams
 from repro.sim import simulator as simulator_mod
 from repro.sim.events import KIND_DELIVER_BURST
 from repro.telemetry import get_registry
@@ -378,6 +379,23 @@ SPAN_PARITY_WORKLOADS = [
     ("churned_ring", lambda: _churned_sync_ring()),
     # Same-timestamp discovery runs: the rows come from ``discover_run``.
     *DISCOVERY_RUN_CASES,
+    # Arbitrary drift: rows re-seated across segments and rate changes
+    # (rho = 0.05, so the walk opens gaps wide enough to jump across).
+    (
+        "piecewise",
+        lambda: replace(
+            configs.huge_sync_ring(32, horizon=40.0),
+            params=SystemParams.for_network(32, rho=0.05),
+            clock_spec="random_walk",
+        ),
+    ),
+    (
+        "steered",
+        lambda: replace(
+            configs.huge_sync_ring(32, horizon=30.0),
+            adversary=AdversaryRef("adaptive_drift", {"period": 0.7}),
+        ),
+    ),
 ]
 
 
