@@ -82,7 +82,8 @@ def main(n: int = 16) -> None:
     print(f"Thm 4.1 time-scale lambda*n/s   : {fig.theory_reduction_floor:.4f}")
     print()
     print("note: paper constants are asymptotic; at laptop n the scenario")
-    print("demonstrates the construction's *structure* (see EXPERIMENTS.md).")
+    print("demonstrates the construction's *structure* (see the scale note")
+    print("in docs/reproduction.md).")
 
 
 if __name__ == "__main__":

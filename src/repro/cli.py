@@ -74,8 +74,8 @@ tracing and observatory subsystems from the shell (plus ``--version``):
     unambiguous hash prefix.
 
 ``prune``
-    Delete stale version directories from a versioned store root (the
-    benchmarks keep theirs in ``benchmarks/.sweep-cache/v<version>``);
+    Delete stale version directories from a versioned store root
+    (``<root>/v<version>``, by default under ``benchmarks/.sweep-cache``);
     ``--all`` clears the current version too, which is what you want after
     changing simulation code without bumping the version.
 
@@ -916,8 +916,7 @@ def _cmd_history(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     """Compare two ledger records (abbreviated run ids accepted).
 
-    Exit 1 when any compared field regressed -- same contract as
-    ``scripts/bench_compare.py``.
+    Exit 1 when any compared field regressed.
     """
     from .obs import LedgerError, diff_records, find_record
 

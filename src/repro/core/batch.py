@@ -149,7 +149,7 @@ from ..tracing.spans import SPAN_FLIGHT, SPAN_TIMER, STATUS_DONE
 from .dcsa import adjust_clocks_batch
 from .estimates import NeighborEstimate
 from .node import ClockSyncNode
-from .protocol import DCSACore
+from .protocol import DCSACore, StaticGradientCore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..network.transport import Transport
@@ -1073,12 +1073,13 @@ def kernel_plan(
     logs are visible.  The array step engages -- a ``table_cls`` over the
     node ids ``ids`` (default: every registered node) is built -- when the
     simulator is not on the reference switch, the caller has no ``veto``
-    and every driver in the range is a plain DCSA node on one of
-    :mod:`repro.sim.clocks`' three piecewise-linear classes (exactly: the
-    table evaluates their segments inline) with no effect log attached
-    (the span tracer is no gate; see module docstring); the first failing
-    test is the ``array_step`` decline.  On a table, timer runs need
-    positive constant delay *and*
+    and every driver in the range runs one exact core type (``DCSACore``,
+    or ``StaticGradientCore``: the same step over a constant-``B``
+    coefficient row) on one of :mod:`repro.sim.clocks`' three
+    piecewise-linear classes (exactly: the table evaluates their segments
+    inline) with no effect log attached (the span tracer is no gate; see
+    module docstring); the first failing test is the ``array_step``
+    decline.  On a table, timer runs need positive constant delay *and*
     discovery policies, and bulk sends (:attr:`NodeArrayTable.send_delay`)
     a positive constant delay within the transport's bound.
     """
@@ -1103,14 +1104,18 @@ def kernel_plan(
     if not ids or ids.stop > len(drivers):
         return declined("population", "no registered nodes cover the id range")
     params: Any = None
+    core_cls: type | None = None
     for i in ids:
         d = drivers[i]
         if not isinstance(d, ClockSyncNode):
             return declined("population", f"node id {i} has no registered driver")
         core = d.core
-        if type(core) is not DCSACore:
+        if core_cls is None and type(core) in (DCSACore, StaticGradientCore):
+            core_cls = type(core)
+        if type(core) is not core_cls:
             name = type(core).__name__
-            return declined("core", f"node {i} runs {name}, not a plain DCSACore")
+            wanted = (core_cls or DCSACore).__name__
+            return declined("core", f"node {i} runs {name}, not a plain {wanted}")
         if type(d.clock) not in _SEGMENT_CLOCKS:
             name = type(d.clock).__name__
             return declined(

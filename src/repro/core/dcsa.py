@@ -26,10 +26,10 @@ global skew bound and decays to ``B_0`` (see
 -- the mechanism that yields the dynamic local skew guarantee (Theorem 6.12 /
 Corollary 6.13) while keeping the global skew bounded (Theorem 6.9).
 
-Implementation interpretation (documented in DESIGN.md): ``L^v_u`` and
-``Lmax_u`` are refreshed on *every* message receipt (required by Lemma 6.5),
-while ``C^v_u`` is only (re)set when ``v`` (re-)enters ``Gamma_u``
-(required by Lemma 6.10).
+Implementation interpretation (same heading in docs/reproduction.md):
+``L^v_u`` and ``Lmax_u`` are refreshed on *every* message receipt (required
+by Lemma 6.5), while ``C^v_u`` is only (re)set when ``v`` (re-)enters
+``Gamma_u`` (required by Lemma 6.10).
 
 The algorithm itself lives in :class:`~repro.core.protocol.DCSACore`, a
 sans-IO state machine that also runs in real time under :mod:`repro.live`;

@@ -499,7 +499,8 @@ class DCSACore(ProtocolCore):
         row = self.gamma.get(v)
         if row is None:
             return None
-        return self.params.b_function(self.h_last - row.added_h)
+        age = self.h_last - row.added_h
+        return max(self._b0, self._b_intercept - self._b_slope * age)
 
     def _adjust_clock(self) -> None:
         """Procedure ``AdjustClock`` -- the one-line clock rule.
@@ -575,28 +576,24 @@ class MaxSyncCore(ProtocolCore):
 
 
 class StaticGradientCore(DCSACore):
-    """The DCSA with the constant tolerance ``B(age) = B_0`` for all ages.
+    """The DCSA with the constant tolerance ``B(age) = B_0`` for all ages:
+    the same ``AdjustClock`` scan over the coefficient row ``intercept =
+    B_0``, ``slope = 0`` (``B_0 - 0.0 * age`` is ``B_0`` exactly).
 
     See :mod:`repro.baselines.static_gradient` for why this is the
     Locher-Wattenhofer [13] baseline and what breaks on dynamic graphs.
     """
 
-    def tolerance(self, v: int) -> float | None:
-        """Constant ``B_0`` for tracked neighbours (``None`` otherwise)."""
-        if v in self.gamma:
-            return self.params.b0
-        return None
-
-    def _adjust_clock(self) -> None:
-        ceiling = self._Lmax
-        if ceiling <= self._L:
-            return
-        b0 = self._b0
-        for row in self.gamma.rows():
-            cand = row.l_est + b0
-            if cand < ceiling:
-                ceiling = cand
-        self._request_jump(ceiling)
+    def __init__(
+        self,
+        node_id: int,
+        params: SystemParams,
+        *,
+        tick_stagger: float = 0.0,
+    ) -> None:
+        super().__init__(node_id, params, tick_stagger=tick_stagger)
+        self._b_intercept = self._b0
+        self._b_slope = 0.0
 
 
 class FreeRunningCore(ProtocolCore):

@@ -20,8 +20,10 @@ from .mask import AlphaDelayPolicy, DelayMask, flexible_distances
 from .scenario import (
     Figure1Result,
     MaskingResult,
+    masked_experiment,
     run_figure1_experiment,
     run_masking_experiment,
+    settle_age,
 )
 from .subsequence import select_subsequence, verify_subsequence
 
@@ -36,8 +38,10 @@ __all__ = [
     "beta_clock_map",
     "build_execution_pair",
     "flexible_distances",
+    "masked_experiment",
     "run_figure1_experiment",
     "run_masking_experiment",
     "select_subsequence",
+    "settle_age",
     "verify_subsequence",
 ]

@@ -18,7 +18,7 @@ Two orchestrated experiments:
   Theorem 4.1 lower-bounds by ``Omega(n / s_bar)`` and Corollary 6.14
   upper-bounds by ``O(n / B_0)``.
 
-Scale note (documented in DESIGN.md/EXPERIMENTS.md): the paper's constants
+Scale note (see "Scale note" in docs/reproduction.md): the paper's constants
 (``k = (T/128) n / s_bar``, ``I > 32 G s_bar / (T n)``) are asymptotic --
 meaningful only for astronomically large ``n`` once ``s_bar`` includes the
 real ``tau``.  The experiments therefore take ``k`` and ``I`` as explicit
@@ -31,18 +31,18 @@ time growing linearly in ``n`` for fixed ``B_0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..core import skew_bounds
-from ..harness.runner import ALGORITHMS
-from ..network.discovery import ConstantDiscovery
-from ..network.graph import DynamicGraph, edge_key
+from ..harness.runner import Experiment, ExperimentConfig
+from ..network.channels import DelayPolicy
+from ..network.graph import edge_key
 from ..network.topology import path_edges, two_chain_edges
-from ..network.transport import Transport
 from ..params import SystemParams
+from ..sim.clocks import HardwareClock
 from ..sim.events import PRIORITY_SAMPLE, PRIORITY_TOPOLOGY
-from ..sim.simulator import Simulator
 from .executions import ExecutionPair, build_execution_pair
 from .mask import DelayMask
 from .subsequence import select_subsequence
@@ -50,6 +50,8 @@ from .subsequence import select_subsequence
 __all__ = [
     "MaskingResult",
     "Figure1Result",
+    "masked_experiment",
+    "settle_age",
     "run_masking_experiment",
     "run_figure1_experiment",
 ]
@@ -62,44 +64,29 @@ Edge = tuple[int, int]
 # ---------------------------------------------------------------------- #
 
 
-class _MaskedRun:
-    """One algorithm execution under explicit clocks and delay policy."""
-
-    def __init__(
-        self,
-        nodes: list[int],
-        edges: list[Edge],
-        clocks: dict,
-        delay_policy,
-        params: SystemParams,
-        algorithm: str,
-    ) -> None:
-        self.params = params
-        self.sim = Simulator()
-        self.graph = DynamicGraph(nodes, edges)
-        self.transport = Transport(
-            self.sim,
-            self.graph,
-            delay_policy=delay_policy,
-            discovery_policy=ConstantDiscovery(params.discovery_bound),
-            max_delay=params.max_delay,
-            discovery_bound=params.discovery_bound,
+def masked_experiment(
+    edges: Sequence[Edge],
+    clocks: Mapping[int, HardwareClock],
+    delay_policy: DelayPolicy,
+    params: SystemParams,
+    algorithm: str,
+    horizon: float,
+) -> Experiment:
+    """One algorithm execution under explicit clocks and delay policy:
+    constant discovery latency ``D``, unstaggered ticks, no recorder."""
+    return Experiment(
+        ExperimentConfig(
+            params=params,
+            initial_edges=edges,
+            algorithm=algorithm,
+            clock_spec=lambda i, _params, _rng, _horizon: clocks[i],
+            delay_spec=lambda _params, _rng: delay_policy,
+            discovery_spec="max",
+            stagger_ticks=False,
+            record=False,
+            horizon=horizon,
         )
-        node_cls = ALGORITHMS[algorithm]
-        self.nodes = {}
-        for i in nodes:
-            node = node_cls(i, self.sim, clocks[i], self.transport, params)
-            self.transport.register_node(i, node)
-            self.nodes[i] = node
-        self.transport.announce_initial_edges()
-        for i in sorted(self.nodes):
-            self.nodes[i].start()
-
-    def logical(self, i: int, t: float | None = None) -> float:
-        return self.nodes[i].logical_clock(t)
-
-    def run_until(self, t: float) -> None:
-        self.sim.run_until(t)
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -149,7 +136,6 @@ def run_masking_experiment(
     threshold ``T * d * (1 + 1/rho)``).
     """
     n = params.n
-    nodes = list(range(n))
     edges = path_edges(n)
     if not (0 <= constrained_prefix <= n - 2):
         raise ValueError("constrained_prefix out of range")
@@ -157,7 +143,7 @@ def run_masking_experiment(
         {edges[i]: params.max_delay for i in range(constrained_prefix)},
         params.max_delay,
     )
-    pair = build_execution_pair(nodes, edges, mask, reference=0, params=params)
+    pair = build_execution_pair(list(range(n)), edges, mask, 0, params)
     d = pair.dists[n - 1]
     min_valid = pair.full_skew_time(n - 1, params.rho)
     t_meas = 1.05 * min_valid if measure_time is None else measure_time
@@ -166,16 +152,21 @@ def run_masking_experiment(
             f"measure_time {t_meas} must exceed the validity threshold {min_valid}"
         )
 
-    alpha = _MaskedRun(nodes, edges, pair.alpha_clocks, pair.alpha_policy, params, algorithm)
-    beta = _MaskedRun(nodes, edges, pair.beta_clocks, pair.beta_policy, params, algorithm)
+    alpha = masked_experiment(
+        edges, pair.alpha_clocks, pair.alpha_policy, params, algorithm, t_meas
+    )
+    beta = masked_experiment(
+        edges, pair.beta_clocks, pair.beta_policy, params, algorithm, t_meas
+    )
 
     # Scheduled probes: lazy logical clocks cannot be read in the past, so
     # capture the skews exactly at t_meas from inside both runs.
     readings: dict[str, float] = {}
 
-    def probe(run: _MaskedRun, name: str):
+    def probe(run: Experiment, name: str):
         def fire() -> None:
-            readings[name] = run.logical(0, t_meas) - run.logical(n - 1, t_meas)
+            near = run.nodes[0].logical_clock(t_meas)
+            readings[name] = near - run.nodes[n - 1].logical_clock(t_meas)
 
         return fire
 
@@ -188,8 +179,8 @@ def run_masking_experiment(
             alpha, beta, pair, horizon=t_meas, samples=indist_samples
         )
     else:
-        alpha.run_until(t_meas)
-        beta.run_until(t_meas)
+        alpha.run()
+        beta.run()
 
     skew_a = readings["alpha"]
     skew_b = readings["beta"]
@@ -206,8 +197,8 @@ def run_masking_experiment(
 
 
 def _indistinguishability_error(
-    alpha: _MaskedRun,
-    beta: _MaskedRun,
+    alpha: Experiment,
+    beta: Experiment,
     pair: ExecutionPair,
     *,
     horizon: float,
@@ -231,7 +222,7 @@ def _indistinguishability_error(
 
     for t in ts:
         beta.sim.schedule_at(float(t), make_sampler(float(t)), priority=PRIORITY_SAMPLE)
-    beta.run_until(float(ts[-1]))
+    beta.sim.run_until(float(ts[-1]))
 
     # Replay the probes against alpha at the matching subjective instants
     # (alpha clocks are perfect, so alpha time == hardware reading).
@@ -245,10 +236,10 @@ def _indistinguishability_error(
 
     for idx, (w, t_alpha, _lb) in enumerate(probes):
         alpha.sim.schedule_at(t_alpha, make_alpha_probe(idx, w), priority=PRIORITY_SAMPLE)
-    alpha.run_until(max(t for _w, t, _l in probes))
+    alpha.sim.run_until(max(t for _w, t, _l in probes))
     # Make sure both runs cover the requested horizon for later reads.
-    alpha.run_until(max(alpha.sim.now, horizon))
-    beta.run_until(max(beta.sim.now, horizon))
+    alpha.sim.run_until(max(alpha.sim.now, horizon))
+    beta.sim.run_until(max(beta.sim.now, horizon))
 
     worst = 0.0
     for idx, (_w, _t, l_beta) in enumerate(probes):
@@ -378,15 +369,18 @@ def run_figure1_experiment(
     )
     t_end = t2 + horizon_tail
 
-    run = _MaskedRun(
-        list(range(n)), edges, pair.beta_clocks, pair.beta_policy, params, algorithm
+    run = masked_experiment(
+        edges, pair.beta_clocks, pair.beta_policy, params, algorithm, t_end
     )
+
+    def logical(i: int, t: float) -> float:
+        return run.nodes[i].logical_clock(t)
 
     # --- T1 callback: pick new edges by Lemma 4.3 and inject them. ------- #
     injected: list[tuple[Edge, float]] = []  # (edge, initial skew)
 
     def inject() -> None:
-        clocks_b = [run.logical(x, t1) for x in chain_b]
+        clocks_b = [logical(x, t1) for x in chain_b]
         lo, hi = (0, len(chain_b) - 1)
         seq = clocks_b
         order = chain_b
@@ -414,7 +408,7 @@ def run_figure1_experiment(
             if run.graph.has_edge(*e):
                 continue  # adjacent chain nodes may be selected
             run.graph.add_edge(e[0], e[1], run.sim.now)
-            injected.append((e, abs(run.logical(a, t1) - run.logical(b, t1))))
+            injected.append((e, abs(logical(a, t1) - logical(b, t1))))
 
     inject._d_slack = 0.0
     inject._c = i_target
@@ -428,7 +422,7 @@ def run_figure1_experiment(
             return
         for e, _s0 in injected:
             tracked.setdefault(e, []).append(
-                (t, abs(run.logical(e[0], t) - run.logical(e[1], t)))
+                (t, abs(logical(e[0], t) - logical(e[1], t)))
             )
 
     run.sim.every(sample_interval, sample, start=t1)
@@ -439,14 +433,14 @@ def run_figure1_experiment(
     def record_corners(store: dict[str, float], t: float):
         def record() -> None:
             for name, node in (("w0", w0), ("u", u_node), ("v", v_node), ("wn", wn)):
-                store[name] = run.logical(node, t)
+                store[name] = logical(node, t)
 
         return record
 
     run.sim.schedule_at(t1, record_corners(corner_t1, t1), priority=PRIORITY_SAMPLE)
     run.sim.schedule_at(t2, record_corners(corner_t2, t2), priority=PRIORITY_SAMPLE)
 
-    run.run_until(t_end)
+    run.run()
 
     # --- Package results. ------------------------------------------------ #
     outcomes: list[NewEdgeOutcome] = []
@@ -454,7 +448,7 @@ def run_figure1_experiment(
         series = tracked.get(e, [])
         skew_t2 = _value_at(series, t2)
         final = series[-1][1] if series else s0
-        red = _settle_age(series, t1, s_bar)
+        red = settle_age(series, t1, s_bar)
         outcomes.append(
             NewEdgeOutcome(
                 edge=e,
@@ -495,7 +489,7 @@ def _value_at(series: list[tuple[float, float]], t: float) -> float:
     return min(series, key=lambda p: abs(p[0] - t))[1]
 
 
-def _settle_age(
+def settle_age(
     series: list[tuple[float, float]], t1: float, threshold: float
 ) -> float | None:
     """First age (since ``t1``) after which the skew stays <= threshold."""

@@ -5,7 +5,7 @@ seed, oracle verdicts, worst margins, events/s, wall time -- so runs
 accumulate into a comparable history: ``repro history`` lists the
 trajectory, ``repro diff A B`` compares two records direction-aware, and
 CI gates on the smoke workload's entry (``oracle_ok`` plus a throughput
-floor).  ``scripts/bench_compare.py`` reads the same records.
+floor).
 
 Records are content-addressed: the run id is the SHA-256 of the record's
 canonical JSON minus the id and the wall-clock ``recorded_unix`` stamp,

@@ -181,8 +181,8 @@ class ResultStore:
 # Pruning versioned store roots (CLI `prune`)
 # --------------------------------------------------------------------- #
 #
-# The benchmarks keep their shared store under a *versioned root*
-# (``benchmarks/.sweep-cache/v<package version>``) so releases invalidate
+# A store kept across releases lives under a *versioned root*
+# (``<root>/v<package version>``) so releases invalidate
 # cached simulations wholesale.  Old version directories -- and, because the
 # cache key is the config rather than the code, the current one after a
 # simulation-code change -- are stale weight; `prune` deletes them instead

@@ -13,8 +13,8 @@ span (``data[id * 8]`` is the kind, ``data[id * 8 + 4]`` the end time,
 ...), appended on the kernel's per-message hot path.  That layout is
 deliberate: recording a span is a single ``list.extend`` of one tuple --
 no per-span object, no dict, no per-column attribute walk -- which is
-what keeps tracing inside its overhead budget (see
-``benchmarks/bench_trace_overhead.py``).  It mirrors the typed-record
+what keeps tracing inside its overhead budget (``test_observer_overhead``
+in ``tests/test_telemetry.py``).  It mirrors the typed-record
 event queue of :mod:`repro.sim.events` (docs/performance.md).
 
 Cold readers (exporter, forensics, tests) never touch the flat list

@@ -112,7 +112,7 @@ class TestBaselineBehaviour:
         from repro.core import skew_bounds as sb
         from repro.lowerbound.executions import build_execution_pair
         from repro.lowerbound.mask import DelayMask
-        from repro.lowerbound.scenario import _MaskedRun
+        from repro.lowerbound import masked_experiment
         from repro.network.topology import path_edges
         from repro.sim.events import PRIORITY_SAMPLE, PRIORITY_TOPOLOGY
 
@@ -123,23 +123,24 @@ class TestBaselineBehaviour:
         pair = build_execution_pair(list(range(n)), edges, mask, 0, params)
         t_insert = 1.05 * pair.full_skew_time(n - 1, params.rho)
         readings = {}
+        probe_t = t_insert + 1.0
         for algo in ("static", "dcsa"):
-            run = _MaskedRun(list(range(n)), edges, pair.beta_clocks,
-                             pair.beta_policy, params, algo)
+            run = masked_experiment(edges, pair.beta_clocks, pair.beta_policy,
+                                    params, algo, probe_t)
             run.sim.schedule_at(
                 t_insert,
                 lambda run=run: run.graph.add_edge(0, n - 1, run.sim.now),
                 priority=PRIORITY_TOPOLOGY,
             )
-            probe_t = t_insert + 1.0
 
             def probe(run=run, algo=algo):
                 readings[algo] = abs(
-                    run.logical(0, probe_t) - run.logical(n - 1, probe_t)
+                    run.nodes[0].logical_clock(probe_t)
+                    - run.nodes[n - 1].logical_clock(probe_t)
                 )
 
             run.sim.schedule_at(probe_t, probe, priority=PRIORITY_SAMPLE)
-            run.run_until(probe_t)
+            run.run()
         stable = sb.stable_local_skew(params)
         # Both algorithms carry the adversarial skew on the new edge...
         assert readings["static"] > stable

@@ -28,7 +28,13 @@ from hypothesis import strategies as st
 from repro.core.batch import NodeArrayTable
 from repro.core.dcsa import DCSANode, adjust_clocks_batch
 from repro.core.node import ClockSyncNode
-from repro.core.protocol import DCSACore, JumpL, MaxSyncCore, ProtocolCore
+from repro.core.protocol import (
+    DCSACore,
+    JumpL,
+    MaxSyncCore,
+    ProtocolCore,
+    StaticGradientCore,
+)
 from repro.harness import configs
 from repro.harness.registry import AdversaryRef, ChurnRef
 from repro.harness.runner import Experiment
@@ -644,10 +650,14 @@ GENERAL_CHURN_SCRIPT = [
 ]
 
 
-def _mixed_population(exp):
-    """Swap node 5's freshly started DCSA core for a max-sync one."""
-    node = exp.nodes[5]
-    node.core = MaxSyncCore(5, exp.cfg.params, tick_stagger=node.core._tick_stagger)
+def _swap_core_5(core_cls):
+    """Hook: swap node 5's freshly started DCSA core for a ``core_cls`` one."""
+
+    def hook(exp):
+        node = exp.nodes[5]
+        node.core = core_cls(5, exp.cfg.params, tick_stagger=node.core._tick_stagger)
+
+    return hook
 
 
 def _far_ahead(exp):
@@ -673,10 +683,11 @@ def _two_phase(node_id, params, rng, horizon):
 _DRIFT = AdversaryRef("adaptive_drift", {"period": 0.7})
 
 
-#: ``(id, config factory, post-build hook, table valid?)``.
+#: ``(id, config factory, post-build hook, declining core)``; the last is
+#: ``None`` where the table is valid.
 GENERAL_CASES = [
-    ("ring64", lambda: configs.huge_ring(64, horizon=20.0), None, True),
-    ("ring256", lambda: configs.huge_ring(256, horizon=8.0), None, True),
+    ("ring64", lambda: configs.huge_ring(64, horizon=20.0), None, None),
+    ("ring256", lambda: configs.huge_ring(256, horizon=8.0), None, None),
     (
         "churned",
         lambda: replace(
@@ -684,26 +695,38 @@ GENERAL_CASES = [
             churn=[ScriptedChurn(GENERAL_CHURN_SCRIPT)],
         ),
         None,
-        True,
+        None,
     ),
     # A tick's send lands at ``now`` and must dispatch before the next timer.
     (
         "zero_delay",
         lambda: replace(configs.huge_ring(64, horizon=12.0), delay_spec="zero"),
         None,
-        True,
+        None,
     ),
     # One baseline core: the table declines, everything stays on handle().
-    ("mixed", lambda: configs.huge_ring(64, horizon=12.0), _mixed_population, False),
+    (
+        "mixed",
+        lambda: configs.huge_ring(64, horizon=12.0),
+        _swap_core_5(MaxSyncCore),
+        "MaxSyncCore",
+    ),
+    # Two coefficient rows in one population: the table holds one.
+    (
+        "mixed_static",
+        lambda: configs.huge_ring(64, horizon=12.0),
+        _swap_core_5(StaticGradientCore),
+        "StaticGradientCore",
+    ),
     # Same-timestamp discovery runs (constant latency, batch-eligible ring).
-    *((f"run_{name}", make, None, True) for name, make in DISCOVERY_RUN_CASES),
+    *((f"run_{name}", make, None, None) for name, make in DISCOVERY_RUN_CASES),
     # Arbitrary drift: piecewise rates under singletons, under timer runs,
     # bursts and (dissolving) tick groups, and under churn on the grid.
     (
         "rw_ring",
         lambda: replace(configs.huge_ring(64, horizon=20.0), clock_spec="random_walk"),
         None,
-        True,
+        None,
     ),
     (
         "rw_sync_ring",
@@ -711,7 +734,7 @@ GENERAL_CASES = [
             configs.huge_sync_ring(48, horizon=40.0), clock_spec="random_walk"
         ),
         None,
-        True,
+        None,
     ),
     (
         "rw_churned_grid",
@@ -721,26 +744,26 @@ GENERAL_CASES = [
             churn=[ScriptedChurn(CHURN_SCRIPT)],
         ),
         None,
-        True,
+        None,
     ),
     (
         "sinusoidal",
         lambda: replace(configs.huge_ring(32, horizon=12.0), clock_spec=_sinusoidal),
         None,
-        True,
+        None,
     ),
     (
         "two_phase",
         lambda: replace(configs.huge_sync_ring(24, horizon=30.0), clock_spec=_two_phase),
         None,
-        True,
+        None,
     ),
     # Steered clocks: every rate re-drawn each 0.7, between any two events.
     (
         "steered",
         lambda: replace(configs.huge_ring(48, horizon=15.0), adversary=_DRIFT),
         None,
-        True,
+        None,
     ),
     (
         "steered_churned",
@@ -750,11 +773,19 @@ GENERAL_CASES = [
             churn=[ScriptedChurn(GENERAL_CHURN_SCRIPT)],
         ),
         None,
-        True,
+        None,
     ),
     # Blocked nodes released at ticks: the tick phase's ``Lmax > L`` filter
     # passes cores on, in tick runs and groups, and some of them jump.
-    ("blocked", lambda: configs.huge_sync_ring(16, horizon=60.0), _far_ahead, True),
+    ("blocked", lambda: configs.huge_sync_ring(16, horizon=60.0), _far_ahead, None),
+    # The constant-B baseline is a coefficient row of the same step; blocked
+    # so that AdjustClock really scans Gamma with it.
+    (
+        "static",
+        lambda: configs.huge_sync_ring(16, horizon=60.0, algorithm="static"),
+        _far_ahead,
+        None,
+    ),
 ]
 _GENERAL_MAKE = {case[0]: case[1] for case in GENERAL_CASES}
 
@@ -804,9 +835,10 @@ class TestGeneralPathParity:
     """Singleton deliveries and ticks ride the table, bit-identically."""
 
     @pytest.mark.parametrize(
-        "name,make,hook,valid", GENERAL_CASES, ids=[c[0] for c in GENERAL_CASES]
+        "name,make,hook,declining", GENERAL_CASES, ids=[c[0] for c in GENERAL_CASES]
     )
-    def test_singletons_bit_identical_to_scalar(self, name, make, hook, valid):
+    def test_singletons_bit_identical_to_scalar(self, name, make, hook, declining):
+        valid = declining is None
         exp_s, res_s, handled_s, draws_s = _run_general(make(), False, hook)
         exp_b, res_b, handled_b, draws_b = _run_general(make(), True, hook)
         assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
@@ -836,7 +868,7 @@ class TestGeneralPathParity:
                 )
             )
         else:
-            assert "MaxSyncCore" in res_b.batch_gate_reason
+            assert declining in res_b.batch_gate_reason
             assert res_b.array_events == 0
             assert handled_b == handled_s
 

@@ -127,7 +127,7 @@ class TestCorollary613LocalSkew:
         *distant* pairs, not tracked edges."""
         from repro.lowerbound.executions import build_execution_pair
         from repro.lowerbound.mask import DelayMask
-        from repro.lowerbound.scenario import _MaskedRun
+        from repro.lowerbound import masked_experiment
         from repro.sim.events import PRIORITY_SAMPLE
 
         n = 12
@@ -136,21 +136,22 @@ class TestCorollary613LocalSkew:
         pair = build_execution_pair(
             list(range(n)), edges, DelayMask({}, params.max_delay), 0, params
         )
-        run = _MaskedRun(list(range(n)), edges, pair.beta_clocks,
-                         pair.beta_policy, params, "dcsa")
         horizon = 1.05 * pair.full_skew_time(n - 1, params.rho)
+        run = masked_experiment(edges, pair.beta_clocks, pair.beta_policy,
+                                params, "dcsa", horizon)
         worst = {"skew": 0.0}
 
         def sample():
+            now = run.sim.now
             for u, v in edges:
-                s = abs(run.logical(u, run.sim.now) - run.logical(v, run.sim.now))
+                s = abs(run.nodes[u].logical_clock(now) - run.nodes[v].logical_clock(now))
                 worst["skew"] = max(worst["skew"], s)
             if run.sim.now + 5.0 <= horizon:
                 run.sim.schedule_at(run.sim.now + 5.0, sample,
                                     priority=PRIORITY_SAMPLE)
 
         run.sim.schedule_at(5.0, sample, priority=PRIORITY_SAMPLE)
-        run.run_until(horizon)
+        run.run()
         # Adjacent-edge skew stays near T (the beta per-hop offset), far
         # below the stable bound.
         assert worst["skew"] <= sb.stable_local_skew(params) + 1e-9
@@ -163,7 +164,7 @@ class TestGradientProperty:
         while the DCSA phases the constraint in."""
         from repro.lowerbound.executions import build_execution_pair
         from repro.lowerbound.mask import DelayMask
-        from repro.lowerbound.scenario import _MaskedRun
+        from repro.lowerbound import masked_experiment
         from repro.sim.events import PRIORITY_SAMPLE, PRIORITY_TOPOLOGY
 
         # Separation grows with n: max-sync's peak tracks T*(n-1) while the
@@ -177,8 +178,8 @@ class TestGradientProperty:
         t_insert = 1.05 * pair.full_skew_time(n - 1, params.rho)
         peaks = {}
         for algo in ("dcsa", "max"):
-            run = _MaskedRun(list(range(n)), edges, pair.beta_clocks,
-                             pair.beta_policy, params, algo)
+            run = masked_experiment(edges, pair.beta_clocks, pair.beta_policy,
+                                    params, algo, t_insert + 30.0)
             run.sim.schedule_at(
                 t_insert,
                 lambda run=run: run.graph.add_edge(0, n - 1, run.sim.now),
@@ -188,15 +189,16 @@ class TestGradientProperty:
 
             def sample(run=run, peak=peak):
                 # Max skew across *old path* edges after the revelation.
+                now = run.sim.now
                 for u, v in edges:
-                    s = abs(run.logical(u, run.sim.now) - run.logical(v, run.sim.now))
+                    s = abs(run.nodes[u].logical_clock(now) - run.nodes[v].logical_clock(now))
                     peak["v"] = max(peak["v"], s)
                 if run.sim.now + 0.5 <= t_insert + 30.0:
                     run.sim.schedule_at(run.sim.now + 0.5, sample,
                                         priority=PRIORITY_SAMPLE)
 
             run.sim.schedule_at(t_insert + 0.5, sample, priority=PRIORITY_SAMPLE)
-            run.run_until(t_insert + 30.0)
+            run.run()
             peaks[algo] = peak["v"]
         # Max-sync: the revealed Lmax yanks node 15's neighbours upward one
         # message-hop at a time -> adjacent skew ~ Theta(n T). DCSA: jumps

@@ -417,11 +417,20 @@ class TestLedger:
         b["wall_seconds"] = a["wall_seconds"] / 2  # faster: improvement
         b["oracle_ok"] = False
         b["oracle_violations"] = 3
+        # A margin that shrinks regresses; *when* it was tightest is context.
+        for field in ("oracle_worst_margin", "margin_envelope"):
+            b[field] = a[field] - 1.0
+        b["margin_time_envelope"] = a["margin_time_envelope"] + 1.0
+        b["recorded_unix"] = a["recorded_unix"] + 60.0
         rows = {r["field"]: r for r in diff_records(a, b)}
         assert rows["events_per_sec"]["verdict"] == "regression"
         assert rows["wall_seconds"]["verdict"] == "improvement"
         assert rows["oracle_ok"]["verdict"] == "regression"
         assert rows["oracle_violations"]["verdict"] == "regression"
+        assert rows["oracle_worst_margin"]["verdict"] == "regression"
+        assert rows["margin_envelope"]["verdict"] == "regression"
+        assert rows["margin_time_envelope"]["verdict"] == "neutral"
+        assert "recorded_unix" not in rows and "run_id" not in rows
         # Regressions sort first for the human reader.
         verdicts = [r["verdict"] for r in diff_records(a, b)]
         assert verdicts == sorted(
