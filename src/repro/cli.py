@@ -539,6 +539,8 @@ def _observed_run(args: argparse.Namespace, cfg: Any, kind: str) -> int:
         print(f"error: bundle: {exc}", file=sys.stderr)
         return 2
     events_per_sec = result.events_dispatched / max(elapsed, 1e-9)
+    # ``elapsed`` and the ledger's throughput over it contain set-up.
+    setup_s = result.setup_s
     report = result.oracle_report
     if args.json:
         payload: dict[str, Any] = {
@@ -556,6 +558,8 @@ def _observed_run(args: argparse.Namespace, cfg: Any, kind: str) -> int:
         }
         if is_sim:
             payload["events_per_sec"] = events_per_sec
+            payload["setup_s"] = setup_s
+            payload["run_s"] = None if setup_s is None else elapsed - setup_s
             payload["kernel"] = _kernel_payload(result)
         else:
             payload["live"] = result.live.cost()
@@ -569,8 +573,10 @@ def _observed_run(args: argparse.Namespace, cfg: Any, kind: str) -> int:
     else:
         print(result.summary())
         if is_sim:
+            setup = "" if setup_s is None else f" (set-up {setup_s:.2f}s)"
             print(
-                f"  wall: {elapsed:.2f}s  throughput: {events_per_sec:,.0f} events/s"
+                f"  wall: {elapsed:.2f}s{setup}  "
+                f"throughput: {events_per_sec:,.0f} events/s"
             )
         if trace_counts is not None:
             print(

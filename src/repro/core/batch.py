@@ -16,8 +16,7 @@ with one element.  At large ``n`` with identical hardware rates (the
 ``huge_sync_*`` workloads), deliveries and ticks collide on the same
 timestamps in runs of O(n) records -- as do the discoveries of ``E_0``
 under a constant latency -- and a run executes in a handful of phased
-loops instead of n kernel turns.  Only ``Start``, dispatched once per
-node before the run, stays on ``handle()``.
+loops instead of n kernel turns.  Nothing stays on ``handle()``.
 
 :class:`NodeArrayTable` is a validated snapshot of every driver the
 transport dispatches for, its :class:`~repro.core.protocol.DCSACore` and
@@ -34,95 +33,46 @@ clock's own ``value`` / ``time_at`` expressions on it inline: one
 expression for constant, piecewise and steered rates (the argument is
 "Arbitrary drift" in ``docs/performance.md``).
 
-**Parity contract.**  The batch handlers below are bit-identical to scalar
-dispatch, proven piecewise:
+**Parity contract.**  The handlers below are bit-identical to scalar
+dispatch -- a batch step leaves what the scalar sequence would have
+left, queue order, RNG draws, tallies and span rows included.  The
+argument is made once, in ``docs/performance.md`` ("The batch kernel":
+parity contract, kernel plan, aggregate records; tracing in
+``docs/observability.md``); what a reader of this file needs from it:
 
 * per-record phases run in scalar record order wherever an operation can
-  observe another record's effects (transport sends, FIFO clamps, timer
-  re-arms);
-* operations hoisted across records touch disjoint per-core state and
-  commute (jump application vs. another core's Gamma refresh);
-* AdjustClock (:func:`~repro.core.dcsa.adjust_clocks_batch`, and inline
-  per delivered message) is the scalar scan in the scalar association
-  order, entered only when ``Lmax > L``: its ceiling is ``min(Lmax, ...)``,
-  so no other call can change anything;
-* event-queue pushes keep their per-class relative order, and cross-class
-  ties are decided by priority before sequence numbers, so the permuted
-  sequence numbers are unobservable.
-
-Three structural shortcuts keep the per-message cost near the floor, each
-with its own equivalence argument:
-
-* **Bulk sends** bypass :meth:`~repro.network.transport.Transport.send`
-  when the delay is a positive constant and every believed neighbour of
-  the ticking node is adjacent in the graph *now* (one C-level subset test
-  per node): the FIFO clamp provably never binds under a
-  constant delay (per-link delivery times are monotone in send times) and
-  the delay bound was validated once at registration.  A node that still
-  believes in a removed edge sends through ``Transport.send`` instead, at
-  its position in send order, which books the ``dropped_no_edge`` and the
-  absence discovery exactly; the burst built so far is pushed first, so
-  every burst's constituents keep contiguous sequence numbers.
-* **Burst records** (:data:`~repro.sim.events.KIND_DELIVER_BURST`): all
-  sends of one tick run share one delivery time, so they travel as a
-  single heap record carrying parallel ``u``/``v``/``payload`` lists in
-  exact scalar send order.  The constituents would have held contiguous
-  sequence numbers, so the burst -- ordered by its first constituent's
-  position -- interleaves with any other same-time records exactly as the
-  individual records would have; the dispatch handler re-expands the
-  cardinality into ``events_dispatched``/per-kind tallies, applies the
-  Section 3.2 drop rule to each constituent in record order and hands the
-  survivors to :meth:`NodeArrayTable.deliver_burst`.
-* **Lazy lost-timer re-arm**: instead of cancel-plus-push per message, the
-  live ``lost`` record's deadline slot is advanced in place and the queue
-  re-inserts it if the stale heap entry ever surfaces (see
-  :mod:`repro.sim.queue`).  A record fires once, at its final deadline,
-  exactly like the scalar chain of cancelled-and-re-pushed records; ties
-  keep scalar order because extension order equals the original per-class
-  push order.  A deadline that moved *before* the queued entry (the rate
-  rose between two messages) is not an extension: that re-arm cancels
-  and pushes afresh, as the reference always does.
+  observe another record's effects; what is hoisted across records
+  touches disjoint per-core state and commutes;
+* AdjustClock is the scalar scan in the scalar association order,
+  entered only when ``Lmax > L`` (its ceiling is ``min(Lmax, ...)``);
+* queue pushes keep their per-class relative order, and an aggregate
+  record (:data:`~repro.sim.events.KIND_DELIVER_BURST`, a tick group)
+  sits where its first constituent would have: the constituents would
+  have held contiguous sequence numbers;
+* a bulk send bypasses :meth:`~repro.network.transport.Transport.send`
+  only under a positive constant delay (the FIFO clamp never binds) and
+  for a node whose believed neighbours are all adjacent *now*; any
+  other node sends through ``Transport.send`` at its scalar position,
+  after the burst built so far is pushed;
+* the lazy ``lost`` re-arm advances the live record's deadline in place
+  (see :mod:`repro.sim.queue`) only when the deadline does not move
+  before the queued entry; otherwise it cancels and pushes afresh, as
+  the reference always does.
 
 **The kernel plan.**  Which of these paths a run takes is decided once,
 by :func:`kernel_plan`, where the simulator's first ``run_until`` / ``step``
 begins -- after all ``t = 0`` wiring, so adversary clock swaps and effect
 logs are visible -- and holds for the whole run (an effect log attached
-to a table-covered node afterwards raises).  The table only builds -- and
-the array step only runs -- when the population provably fits it; anything
-else (baseline cores, clock classes from outside :mod:`repro.sim.clocks`,
-effect logs, the ``REPRO_BATCH=0`` reference switch) runs ``handle()``
-with no behavioural difference.  Timer *runs* additionally require
-*positive constant* delay
-and discovery policies: with a zero or randomized delay, a tick's send
-could schedule a same-timestamp delivery that scalar dispatch would run
-*before* the remaining timers of the run, which pre-popping cannot
-honour.  Deliver runs need no such gate -- delivery handlers never send --
-nor do discovery runs (what a discovery pushes sorts after its run under
-any policy; see :meth:`~repro.sim.simulator.Simulator.set_batch_handler`)
--- and neither do singletons: nothing is pre-popped, so under any delay
-policy a singleton tick sends per message through
-:meth:`~repro.network.transport.Transport.send` (delay draws, sequence
-numbers, FIFO clamps and ``dropped_no_edge`` bookkeeping at their scalar
-positions) and whatever lands at the current timestamp dispatches before
-the next timer.  Every path that declined is a :class:`Decline` entry of
+to a table-covered node afterwards raises).  Anything the table does not
+provably fit runs ``handle()`` with no behavioural difference; timer
+*runs* additionally require positive constant delay and discovery
+policies (a same-timestamp delivery would have to dispatch inside the
+pre-popped run).  Every path that declined is a :class:`Decline` entry of
 the plan; :attr:`NodeArrayTable.array_events` counts what the step
-executed.
-
-**Causal tracing rides along.**  The span
-:class:`~repro.tracing.context.Tracer` is a passenger of this path, not a
-gate on it: the handlers write the *per-message* rows the scalar kernel
-would have written -- a ``SPAN_TIMER`` row per ticking driver, one
-optimistically-closed ``SPAN_FLIGHT`` row per send parented on it, a
-``SPAN_JUMP`` row per applied jump parented on the delivering flight or
-the firing timer, a ``SPAN_DISCOVER`` row per delivered discovery with
-its greeting's flight and any jump parented on it -- so a traced batch
-run yields the scalar run's span multiset (ids differ only because jump
-rows are grouped per destination and a tick run's jumps follow its
-sends).  A burst record carries its
-constituents' flight span ids in the observer slot ``e``, which physics
-never reads.  Untraced, each phase pays one hoisted ``tracer is None``
-test (per driver in the tick loop, per applied jump in the delivery
-loop), never one per message.
+executed.  The span :class:`~repro.tracing.context.Tracer` is a
+passenger, not a gate: the handlers write the per-message rows the
+scalar kernel would have written, and a burst carries its constituents'
+flight span ids in slot ``e``.
 """
 
 from __future__ import annotations
@@ -515,11 +465,14 @@ class NodeArrayTable:
         if tracer is not None:
             tracer.current = -1
 
-    def discover_run(self, records: Sequence[ScheduledEvent]) -> None:
-        """Execute a same-timestamp run of ``KIND_DISCOVER`` records.
+    def discover_run(self, rows: Sequence[tuple[int, int, bool, bool]]) -> None:
+        """Execute a same-timestamp run of discoveries.
 
-        The one discovery body, entered by the transport with a pre-popped
-        run or with a singleton as a run of one.  Per record, in record
+        The one discovery body, entered by the transport with the ``(node,
+        other, added, absence)`` rows of a pre-popped run of
+        ``KIND_DISCOVER`` records, of a singleton as a run of one, or of
+        the wave record that stands for E_0
+        (:meth:`Transport._discover_rows`).  Per record, in record
         order, it is :meth:`Transport._handle_discover` plus ``DCSACore``'s
         discover handlers with the effect list cut out: clear the
         absence-dedup key, skip a change that no longer holds, sync, greet
@@ -555,18 +508,15 @@ class NodeArrayTable:
         t0 = self.t0
         h0 = self.h0
         t1 = self.t1
-        delay = self.send_delay if len(records) > 1 else None
+        delay = self.send_delay if len(rows) > 1 else None
         t_deliver = now if delay is None else now + delay
         u_list: list[int] = []
         v_list: list[int] = []
         p_list: list[Any] = []
         s_list: list[int] = []
         skipped = 0
-        for ev in records:
-            nid = ev.a
-            other = ev.b
-            added = ev.c
-            if ev.d:
+        for nid, other, added, absence in rows:
+            if absence:
                 transport._pending_absence.discard((nid, other))
             if has_edge(nid, other) != added:
                 skipped += 1
@@ -607,7 +557,7 @@ class NodeArrayTable:
             self._push_burst(
                 u_list, v_list, p_list, s_list if tracer is not None else None
             )
-        delivered = len(records) - skipped
+        delivered = len(rows) - skipped
         stats.discoveries_skipped += skipped
         stats.discoveries_delivered += delivered
         self.array_events += delivered

@@ -29,8 +29,8 @@ in-run event bypasses this translation entirely: the transport hands
 delivered messages, discoveries and ``tick`` / ``lost`` fires to the
 table, where the same step runs against the core's state without an
 ``Event`` or an effect list (bit-identical; see :mod:`repro.core.batch`).
-``Start`` -- dispatched once per node before the run -- and every event
-of any other population go through :meth:`_dispatch`.
+Every event of any other population goes through :meth:`_dispatch`;
+``Start`` goes through it nowhere (see :meth:`ClockSyncNode.start`).
 
 **Subjective timers.**  ``set timer(dt)`` in the pseudocode means: fire
 when *my hardware clock* has advanced by ``dt``.  The driver converts via
@@ -63,7 +63,6 @@ from .protocol import (
     ProtocolCore,
     Send,
     SetTimer,
-    Start,
     TimerFired,
 )
 
@@ -336,8 +335,16 @@ class ClockSyncNode:
         self._dispatch(DiscoverRemove(other))
 
     def start(self) -> None:
-        """Dispatch the :class:`Start` event.  Called once at ``t = 0``."""
-        self._dispatch(Start())
+        """Bring the node alive.  Called once at ``t = 0``.
+
+        ``Start`` only arms the core's first timer, so the driver arms it
+        directly -- the ``_arm_timer`` call its ``SetTimer`` effect would
+        have reached -- without an event and an effect list per node.
+        """
+        self._sync()
+        first = self.core.first_timer()
+        if first is not None:
+            self.set_subjective_timer(*first)
 
     # ------------------------------------------------------------------ #
     # Direct state shims (harness/test helpers, not used by ``_dispatch``)

@@ -199,7 +199,8 @@ Effect = Union[Send, SetTimer, CancelTimer, JumpL, RaiseLmax]
 class ProtocolCore:
     """Shared sans-IO machinery: lazy state, effect emission, dispatch.
 
-    Subclasses implement the five ``_handle_*``/``_on_timer`` hooks using
+    Subclasses implement :meth:`first_timer` and the four
+    ``_handle_*``/``_on_timer`` hooks using
     the ``_send`` / ``_set_timer`` / ``_cancel_timer`` / ``_raise_max`` /
     ``_request_jump`` emission helpers.
     """
@@ -369,8 +370,16 @@ class ProtocolCore:
     # Subclass interface
     # ------------------------------------------------------------------ #
 
+    def first_timer(self) -> tuple[TimerKey, float] | None:
+        """The timer ``Start`` arms, as ``(key, subjective delay)``, or
+        ``None``.  That is all ``Start`` does, so the sim driver arms it
+        directly (:meth:`repro.core.node.ClockSyncNode.start`)."""
+        return None
+
     def _handle_start(self) -> None:
-        raise NotImplementedError
+        first = self.first_timer()
+        if first is not None:
+            self._set_timer(*first)
 
     def _handle_message(self, sender: int, payload: Update) -> None:
         raise NotImplementedError
@@ -427,9 +436,9 @@ class DCSACore(ProtocolCore):
     # Event handlers (Algorithm 2)
     # ------------------------------------------------------------------ #
 
-    def _handle_start(self) -> None:
-        """Arm the first ``tick`` (fires immediately unless staggered)."""
-        self._set_timer(_TICK, self._tick_stagger)
+    def first_timer(self) -> tuple[TimerKey, float]:
+        """The first ``tick`` (fires immediately unless staggered)."""
+        return _TICK, self._tick_stagger
 
     def _handle_discover_add(self, v: int) -> None:
         """``when discover(add({u, v}))``: greet, believe, adjust."""
@@ -549,8 +558,8 @@ class MaxSyncCore(ProtocolCore):
         self.upsilon: set[int] = set()
         self._tick_stagger = float(tick_stagger)
 
-    def _handle_start(self) -> None:
-        self._set_timer(_TICK, self._tick_stagger)
+    def first_timer(self) -> tuple[TimerKey, float]:
+        return _TICK, self._tick_stagger
 
     def _handle_discover_add(self, v: int) -> None:
         self._send(v, (self._L, self._Lmax))
@@ -598,9 +607,6 @@ class StaticGradientCore(DCSACore):
 
 class FreeRunningCore(ProtocolCore):
     """No synchronization at all: ``L_u = H_u``, no messages, no timers."""
-
-    def _handle_start(self) -> None:
-        """Nothing to schedule."""
 
     def _handle_message(self, sender: int, payload: Update) -> None:
         """Ignore messages."""

@@ -15,6 +15,7 @@ at ``t = 0``.
 from __future__ import annotations
 
 import gc
+import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping, Sequence
 
@@ -360,6 +361,9 @@ class RunResult:
     #: The :class:`~repro.live.runtime.LiveRunResult` behind a ``"live"``
     #: run (``None`` otherwise): what it cost the host is ``live.cost()``.
     live: Any = None
+    #: Host seconds :class:`Experiment`'s constructor took (``None`` for
+    #: live and sharded runs, which wire elsewhere).
+    setup_s: float | None = None
 
     @property
     def params(self) -> SystemParams:
@@ -553,6 +557,13 @@ class Experiment:
     replica constructs.  Everything else -- graph, every node's clock
     draw, churn -- is wired for the full population, so shared randomness
     is bitwise identical across shard counts.
+
+    **Set-up is one pass** (docs/performance.md, "Set-up"): the cyclic
+    collector is paused, the graph fills E_0 in one loop, a constant
+    discovery latency announces E_0 as one wave record and the first
+    ticks are armed without a ``Start`` dispatch -- each in its
+    per-record order (``initial_edges``, ``graph.edges()``, node id), so
+    every digest holds.
     """
 
     def __init__(
@@ -560,6 +571,25 @@ class Experiment:
         cfg: ExperimentConfig,
         *,
         shard: tuple[Callable[..., Transport], range] | None = None,
+    ) -> None:
+        # Paused as for the event loop (see :meth:`run`): nothing built
+        # here is garbage, so a collection only re-traverses a growing
+        # heap.  A collector the caller already disabled stays disabled.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        t0 = time.perf_counter()
+        try:
+            self._wire(cfg, shard)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        #: Host seconds the wiring took (``RunResult.setup_s``).
+        self.setup_s = time.perf_counter() - t0
+
+    def _wire(
+        self,
+        cfg: ExperimentConfig,
+        shard: tuple[Callable[..., Transport], range] | None,
     ) -> None:
         cfg.params.validate()
         runtime_name = (
@@ -671,9 +701,9 @@ class Experiment:
                 node.attach_tracer(self.tracer)
             if self.oracle is not None:
                 self.oracle.attach_tracer(self.tracer)
-        # 7. Start node activity.
-        for i in sorted(self.nodes):
-            self.nodes[i].start()
+        # 7. Start node activity (id order: the first ticks' queue order).
+        for node in self.node_list:
+            node.start()
         # 8. Telemetry (ambient, not config: the config dict is the cache
         #    identity and a pure observer must not change it).  Polled
         #    readbacks only -- instrumenting schedules nothing and draws
@@ -695,11 +725,11 @@ class Experiment:
         (typed records are pooled, effects are acyclic value objects), so
         generational collections only add pauses proportional to the live
         heap.  The collector is restored -- and a collection triggered --
-        on exit, even on error.
+        on exit, even on error.  Pausing comes before any allocation: the
+        still-young population is left to that one collection.
         """
         gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
+        gc.disable()
         try:
             self.sim.run_until(self.cfg.horizon)
         finally:
@@ -725,6 +755,7 @@ class Experiment:
             spans=self.tracer.table if self.tracer is not None else None,
             declines=self.transport.plan.declines,
             array_events=self.transport.array_events,
+            setup_s=self.setup_s,
         )
 
 

@@ -71,9 +71,27 @@ class DynamicGraph:
         self._ever_removed: set[Edge] = set()
         self._listeners: list[Callable[[float, int, int, bool], None]] = []
         self._last_time = 0.0
-        self.edge_events = 0
+        # E_0 in one loop: ``add_edge(u, v, 0.0)`` minus what is vacuous
+        # here (no listener, no time order).  Same errors in the same
+        # order and the same adjacency insertion order: ``edges()``, hence
+        # E_0's discovery order and every digest, follows it.
+        adj = self._adj
+        hist_t = self._hist_t
+        hist_a = self._hist_a
         for u, v in initial_edges:
-            self.add_edge(u, v, 0.0)
+            nbrs = adj.get(u)
+            if nbrs is not None and v in nbrs:
+                raise GraphError(f"edge ({u!r}, {v!r}) already present")
+            if u == v:
+                raise GraphError(f"self-loop on node {u!r}")
+            if nbrs is None or v not in adj:
+                raise GraphError(f"unknown node in edge ({u!r}, {v!r})")
+            key = (u, v) if u <= v else (v, u)
+            nbrs.add(v)
+            adj[v].add(u)
+            hist_t[key] = [0.0]
+            hist_a[key] = [True]
+        self.edge_events = len(hist_t)
 
     # ------------------------------------------------------------------ #
     # Basic queries

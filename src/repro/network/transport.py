@@ -68,7 +68,7 @@ from ..tracing.spans import (
     STATUS_PENDING,
 )
 from .channels import DelayPolicy
-from .discovery import DiscoveryPolicy
+from .discovery import ConstantDiscovery, DiscoveryPolicy
 from .graph import DynamicGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
@@ -251,10 +251,39 @@ class Transport:
         Initial edges are known to their endpoints from the start; this is
         scheduled (rather than called directly) so nodes see the discovery
         through the ordinary event pipeline before their first tick.
+
+        Under a :class:`~repro.network.discovery.ConstantDiscovery` (by
+        exact type) all of E_0 shares one latency, bound check and fire
+        time and travels as one *wave* record
+        (:data:`~repro.sim.events.KIND_DISCOVER`), its rows in
+        :meth:`_announce_each`'s push order: those pushes hold contiguous
+        sequence numbers, so the wave dispatches where they would.
         """
+        policy = self.discovery_policy
+        if type(policy) is not ConstantDiscovery:
+            self._announce_each()
+            return
+        nodes = self._nodes
+        rows: list[tuple[int, int, bool, bool]] = []
         for u, v in self.graph.edges():
-            self._schedule_discovery(u, v, added=True, change_time=self.sim.now)
-            self._schedule_discovery(v, u, added=True, change_time=self.sim.now)
+            if u in nodes:
+                rows.append((u, v, True, False))
+            if v in nodes:
+                rows.append((v, u, True, False))
+        if rows:
+            self._push(
+                self._discovery_time(policy.value, self.sim.now),
+                PRIORITY_DELIVERY, KIND_DISCOVER, rows, None, None, None,
+                None, "discover+", e=len(rows),
+            )
+
+    def _announce_each(self) -> None:
+        """E_0 announced one record per endpoint: the reference the wave
+        is tested against, and the path of every non-constant policy."""
+        now = self.sim.now
+        for u, v in self.graph.edges():
+            self._schedule_discovery(u, v, added=True, change_time=now)
+            self._schedule_discovery(v, u, added=True, change_time=now)
 
     # ------------------------------------------------------------------ #
     # Sending
@@ -584,15 +613,19 @@ class Transport:
         if node_id not in self._nodes:
             return  # Nodes may be registered lazily in tests.
         lat = self.discovery_policy.latency(node_id, other, added, change_time)
+        self._push(
+            self._discovery_time(lat, change_time), PRIORITY_DELIVERY,
+            KIND_DISCOVER, node_id, other, added, False, None, "discover",
+        )
+
+    def _discovery_time(self, lat: float, change_time: float) -> float:
+        """Fire time of a discovery ``lat`` after ``change_time`` (checked
+        against the :math:`\\mathcal{D}` bound)."""
         if lat < 0.0 or lat > self.discovery_bound + 1e-9:
             raise ValueError(
                 f"discovery latency {lat!r} outside [0, {self.discovery_bound}]"
             )
-        fire_at = max(change_time + lat, self.sim.now)
-        self._push(
-            fire_at, PRIORITY_DELIVERY, KIND_DISCOVER, node_id, other, added,
-            False, None, "discover",
-        )
+        return max(change_time + lat, self.sim.now)
 
     def _schedule_absence_discovery(self, u: int, v: int, *, send_time: float) -> None:
         """Ensure ``u`` learns edge ``{u, v}`` is gone by ``send_time + D``."""
@@ -610,6 +643,26 @@ class Transport:
             None, "discover",
         )
 
+    def _discover_rows(
+        self, records: Iterable[ScheduledEvent]
+    ) -> list[tuple[int, int, bool, bool]]:
+        """``(node, other, added, absence)`` per discovery, in dispatch
+        order.  The kernel counted a wave (``e`` = its cardinality) as
+        one dispatch; the rest is re-expanded into the tallies here, as
+        :meth:`_handle_deliver_burst` does for a burst."""
+        sim = self.sim
+        rows: list[tuple[int, int, bool, bool]] = []
+        for ev in records:
+            card = ev.e
+            if card is None:
+                rows.append((ev.a, ev.b, ev.c, ev.d))
+                continue
+            sim.events_dispatched += card - 1
+            if sim.kind_counts is not None:
+                sim.kind_counts[KIND_DISCOVER] += card - 1
+            rows.extend(ev.a)
+        return rows
+
     def _handle_discover(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DISCOVER`` records.
 
@@ -617,21 +670,29 @@ class Transport:
         (transient) change is allowed to go unnoticed.  ``d=True`` marks
         the dedicated failed-send absence path, which additionally clears
         its dedup key.  On the plan's table the record runs as a run of
-        one through the table's discovery body, which does all of the
-        above (:meth:`~repro.core.batch.NodeArrayTable.discover_run`).
+        one (a wave: of its rows) through the table's discovery body,
+        which does all of the above
+        (:meth:`~repro.core.batch.NodeArrayTable.discover_run`).
         """
+        rows: Sequence[tuple[int, int, bool, bool]]
+        if ev.e is None:  # the in-run case: one row, no expander
+            rows = ((ev.a, ev.b, ev.c, ev.d),)
+        else:
+            rows = self._discover_rows((ev,))
         table = self.plan.table
         if table is not None:
-            table.discover_run((ev,))
+            table.discover_run(rows)
             return
-        node_id, other, added = ev.a, ev.b, ev.c
-        if ev.d:
-            self._pending_absence.discard((node_id, other))
-        if self.graph.has_edge(node_id, other) == added:
+        tracer = self._tracer
+        for node_id, other, added, absence in rows:
+            if absence:
+                self._pending_absence.discard((node_id, other))
+            if self.graph.has_edge(node_id, other) != added:
+                self.stats.discoveries_skipped += 1
+                continue
             self.stats.discoveries_delivered += 1
             node = self._node_seq[node_id]
             assert node is not None
-            tracer = self._tracer
             if tracer is not None:
                 tracer.discover(node_id, other, self.sim.now, added)
             if added:
@@ -640,11 +701,9 @@ class Transport:
                 node.on_discover_remove(other)
             if tracer is not None:
                 tracer.reset_current()
-        else:
-            self.stats.discoveries_skipped += 1
 
     def _handle_discover_batch(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for same-timestamp ``KIND_DISCOVER`` runs:
         one array pass (sound under any policy pair; see
         :meth:`~repro.sim.simulator.Simulator.set_batch_handler`)."""
-        self._table.discover_run(records)
+        self._table.discover_run(self._discover_rows(records))

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Any, Mapping
 
 __all__ = [
@@ -155,7 +156,10 @@ class SystemParams:
         """Check every constraint the paper's analysis assumes.
 
         Raises :class:`ParameterError` with an explanatory message when a
-        constraint is violated.  The constraints are:
+        constraint is violated.  A frozen instance cannot stop being
+        valid, so a passed check is remembered (in ``__dict__``, like the
+        cached quantities below: no field, so ``==``, ``hash`` and
+        :func:`dataclasses.replace` do not see it).  The constraints are:
 
         * ``0 < rho < 0.5`` (the logical-clock rate floor of 1/2 requires
           ``1 - rho >= 1/2``);
@@ -165,6 +169,8 @@ class SystemParams:
         * ``n >= 2``;
         * ``b0 > 2 (1 + rho) tau`` (Section 5, definition of ``B``).
         """
+        if "_valid" in self.__dict__:
+            return
         if not (0.0 < self.rho < 0.5):
             raise ParameterError(
                 f"rho must be in (0, 0.5); got {self.rho!r}"
@@ -191,12 +197,15 @@ class SystemParams:
             raise ParameterError(
                 f"b0 must exceed 2(1+rho)tau = {floor:.6g}; got {self.b0!r}"
             )
+        self.__dict__["_valid"] = True
 
     # ------------------------------------------------------------------ #
-    # Derived quantities (Section 5)
+    # Derived quantities (Section 5); the ones every node reads at
+    # construction are computed once (``cached_property`` stores into
+    # ``__dict__`` directly, so it works on a frozen dataclass).
     # ------------------------------------------------------------------ #
 
-    @property
+    @cached_property
     def delta_t(self) -> float:
         """:math:`\\Delta T = \\mathcal{T} + \\Delta H/(1-\\rho)`.
 
@@ -205,12 +214,12 @@ class SystemParams:
         """
         return self.max_delay + self.tick_interval / (1.0 - self.rho)
 
-    @property
+    @cached_property
     def delta_t_prime(self) -> float:
         """:math:`\\Delta T' = (1+\\rho)\\Delta T` (subjective lost-timer)."""
         return (1.0 + self.rho) * self.delta_t
 
-    @property
+    @cached_property
     def tau(self) -> float:
         """:math:`\\tau` -- bound on neighbour-estimate staleness.
 
@@ -223,7 +232,7 @@ class SystemParams:
             + self.discovery_bound
         )
 
-    @property
+    @cached_property
     def global_skew_rate(self) -> float:
         """Per-hop coefficient of the global skew bound.
 
@@ -232,7 +241,7 @@ class SystemParams:
         """
         return (1.0 + self.rho) * self.max_delay + 2.0 * self.rho * self.discovery_bound
 
-    @property
+    @cached_property
     def global_skew_bound(self) -> float:
         """:math:`G(n)` of Theorem 6.9 for this instance's ``n``."""
         return self.global_skew_rate * (self.n - 1)
@@ -261,7 +270,7 @@ class SystemParams:
     # The B function (Section 5)
     # ------------------------------------------------------------------ #
 
-    @property
+    @cached_property
     def b_intercept(self) -> float:
         """Value of the decreasing branch of ``B`` at subjective age 0.
 
@@ -271,7 +280,7 @@ class SystemParams:
         """
         return 5.0 * self.global_skew_bound + (1.0 + self.rho) * self.tau + self.b0
 
-    @property
+    @cached_property
     def b_slope(self) -> float:
         """Absolute slope of the decreasing branch of ``B``:
         :math:`B_0 / ((1+\\rho)\\tau)` per unit of subjective edge age."""
@@ -312,6 +321,10 @@ class SystemParams:
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle the fields only, never the cached derived values."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_dict(self) -> dict[str, Any]:
         """Return the raw (non-derived) fields as a JSON-safe dict.

@@ -298,6 +298,11 @@ class ParTransport(Transport):
         self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
         self._gc = 0
 
+    def announce_initial_edges(self) -> None:
+        # No wave: each discovery is its own keyed record (its greeting
+        # extends the key) and a non-local endpoint burns one.
+        self._announce_each()
+
     def _schedule_discovery(
         self, node_id: int, other: int, *, added: bool, change_time: float
     ) -> None:

@@ -218,16 +218,16 @@ def _spy_discover_runs(monkeypatch):
     run_original = NodeArrayTable.discover_run
     cancel_original = EventQueue.cancel
 
-    def discover_run(self, records):
+    def discover_run(self, rows):
         stats = self.transport.stats
         run = {
             "now": self.sim.now,
-            "records": [(ev.a, ev.b, ev.c, bool(ev.d)) for ev in records],
+            "records": [tuple(row) for row in rows],
             "skipped": -stats.discoveries_skipped,
             "lazy_cancels": 0,
         }
         inside.append(run)
-        run_original(self, records)
+        run_original(self, rows)
         inside.pop()
         run["skipped"] += stats.discoveries_skipped
         runs.append(run)
@@ -857,10 +857,10 @@ class TestGeneralPathParity:
         assert handled_s["tick"] > 0
         if valid:
             assert res_b.batch_gate_reason is None
-            # A silent fallback must fail, not merely get slower.
-            # ``Start`` -- dispatched from ``Experiment.__init__``, outside
-            # the run -- is the only ``handle()`` call left.
-            assert handled_b == {"Start": len(exp_b.nodes)}
+            # A silent fallback must fail, not merely get slower: no
+            # ``handle()`` call is left (``start()`` arms the first tick
+            # without one).
+            assert handled_b == {}
             assert res_b.array_events == sum(
                 handled_s[kind]
                 for kind in (

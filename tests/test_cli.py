@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -398,6 +399,27 @@ class TestRunCommand:
         assert payload["events"] > 0
         assert payload["events_per_sec"] > 0
         assert payload["oracle_ok"] is None  # workload has no oracle attached
+
+    def test_run_splits_elapsed_into_setup_and_run(self, capsys):
+        """``elapsed`` (and the throughput over it) keeps containing set-up,
+        for ledger comparability; ``setup_s`` / ``run_s`` say which phase
+        took it.  A sharded run wires in its workers: both are null."""
+        code, out, _ = run_cli(capsys, *self.RUN_ARGS, "--json")
+        payload = json.loads(out)
+        assert code == 0 and 0.0 < payload["setup_s"] < payload["elapsed"]
+        assert payload["run_s"] == payload["elapsed"] - payload["setup_s"]
+        assert payload["events_per_sec"] == pytest.approx(
+            payload["events"] / payload["elapsed"]
+        )
+        code, out, _ = run_cli(capsys, *self.RUN_ARGS)
+        assert code == 0 and re.search(r"wall: \d+\.\d\ds \(set-up \d+\.\d\ds\)  ", out)
+        code, out, _ = run_cli(
+            capsys, "run", "huge_sync_ring", "--set", "n=64", "horizon=2",
+            "--shards", "2", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["kernel"]["par_shards"] == 2
+        assert payload["setup_s"] is None and payload["run_s"] is None
 
     def test_run_profile_prints_top_entries(self, capsys):
         code, out, _ = run_cli(capsys, *self.RUN_ARGS, "--profile")

@@ -72,8 +72,8 @@ class TestSimDriverParity:
     def test_effect_streams_replay_identically(self, cfg):
         """Property: every node's sim effect log replays bit-identically.
 
-        The Start dispatch happens inside experiment construction (before
-        logging can be enabled), but Start only arms the first tick and
+        Nodes are started inside experiment construction (before logging
+        can be enabled), but starting only arms the first tick and
         mutates no lazy state, so replaying from the first logged event is
         state-exact; the live-side test below covers Start too.
         """
