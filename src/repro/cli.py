@@ -494,6 +494,10 @@ def _kernel_payload(result: Any) -> dict[str, Any]:
     return {
         "batch_gate_reason": result.batch_gate_reason,
         "array_events": result.array_events,
+        "array_lane_events": result.array_lane_events,
+        "scalar_lane_events": result.scalar_lane_events,
+        "blocked_rows": result.blocked_rows,
+        "non_node_events": result.non_node_events,
         "par_fallback_reason": result.par_fallback_reason,
         "par_shards": result.par_shards,
         "declines": [asdict(d) for d in result.declines],
@@ -553,6 +557,7 @@ def _observed_run(args: argparse.Namespace, cfg: Any, kind: str) -> int:
             "events": result.events_dispatched,
             "messages_sent": result.transport_stats["sent"],
             "messages_delivered": result.transport_stats["delivered"],
+            "transport": result.transport_stats,
             "jumps": result.total_jumps(),
             "oracle_ok": report.ok if report is not None else None,
         }
@@ -615,7 +620,9 @@ def _print_profile(args: argparse.Namespace, profiler: Any, result: Any) -> None
         print(f"profile: {decline.describe()}", file=dest)
     print(
         f"profile: array step: {result.array_events:,} / "
-        f"{result.events_dispatched:,} events",
+        f"{result.events_dispatched:,} events "
+        f"({result.array_lane_events:,} on the array lane, "
+        f"{result.blocked_rows:,} blocked rows)",
         file=dest,
     )
     print(f"profile: top {PROFILE_TOP_N} by cumulative time", file=dest)

@@ -1,85 +1,64 @@
-"""Dense struct-of-arrays execution of the DCSA step over DCSA nodes.
+"""The population as columns: one store, and the DCSA step over it.
 
 The reference path turns every event into an ``Event``, a
 ``DCSACore.handle()`` call and an effect list the driver re-interprets.
-This module executes the same step -- sync, Gamma refresh, ``Lmax``
-raise, AdjustClock, ``lost``-timer re-arm, tick re-push -- directly
-against the cores' state, for every in-run event of an eligible
-population: message deliveries, ticks, discoveries and ``lost`` fires.
-**Scalar dispatch is a batch of one**: a singleton ``KIND_DELIVER``
-record (:meth:`NodeArrayTable.deliver_one`), a singleton ``tick``
-(:meth:`NodeArrayTable.tick_one`) and a singleton ``KIND_DISCOVER``
-record enter the same per-destination, per-driver and per-record loops
-the run handlers do (:meth:`NodeArrayTable._process_dest_msgs`,
-:meth:`NodeArrayTable._tick_phase`, :meth:`NodeArrayTable.discover_run`)
-with one element.  At large ``n`` with identical hardware rates (the
-``huge_sync_*`` workloads), deliveries and ticks collide on the same
-timestamps in runs of O(n) records -- as do the discoveries of ``E_0``
-under a constant latency -- and a run executes in a handful of phased
-loops instead of n kernel turns.  Nothing stays on ``handle()``.
+:class:`NodeArrayTable` *owns* the state that step mutates -- ``L``,
+``Lmax``, ``h_last``, ``messages_sent`` as id-indexed columns; every Gamma
+row (``L^v_u``, ``C^v_u``) and ``lost`` deadline as a column over *slots*,
+one per directed pair ``(owner, neighbour)`` -- and executes the step
+against it for every in-run event of an eligible population: deliveries,
+ticks, discoveries, ``lost`` fires.  The cores of a covered population are
+views of their rows (:func:`repro.core.protocol.adopt`), so a mid-run
+``node.logical_clock(t)`` or ``core.gamma.get(v).l_est`` shows the run as
+it stands; nothing is mirrored and nothing is copied back.
 
-:class:`NodeArrayTable` is a validated snapshot of every driver the
-transport dispatches for, its :class:`~repro.core.protocol.DCSACore` and
-the *current linear segment* of its hardware clock, with the dynamic
-columns (``L``, ``Lmax``, per-neighbour estimates) gathered from the cores
-on demand.  The cores remain the single source of truth, which is what
-keeps the reference path and all read-only views (recorder, oracle, tests)
-valid at any instant -- a batch step leaves *exactly* the state the
-equivalent scalar dispatch sequence would have left.
+**Two lanes, one store.**  Every entry point is a batch (a singleton
+``KIND_DELIVER`` or ``tick`` record is a batch of one).  A batch runs on
+the *scalar lane* -- the per-destination and per-driver loops below, the
+one statement of the per-message rule and the parity reference -- or,
+from :data:`ARRAY_LANE_MIN` events up, on the *array lane*: the same IEEE
+operations in the same association order, as a dozen numpy passes.  The
+array lane takes what it can prove order-free and hands the rest to the
+scalar lane, per destination and in record order: a destination whose
+merged ``Lmax`` exceeds its synced ``L`` (it scans Gamma and may jump), a
+row past its clock segment, a ``(sender, destination)`` pair met twice in
+one run; a tick group with a per-message sender goes scalar as a whole
+under the span tracer and sends around it otherwise.  The lane is chosen
+by batch size alone.  The columns are ``array.array`` buffers -- the
+scalar lane indexes them and gets Python floats -- with numpy views over
+the same memory (:class:`_Views`) for the array lane.
 
-**Arbitrary drift.**  Every clock of :mod:`repro.sim.clocks` is piecewise
-linear, so a row holds its clock's current segment and evaluates the
-clock's own ``value`` / ``time_at`` expressions on it inline: one
-expression for constant, piecewise and steered rates (the argument is
-"Arbitrary drift" in ``docs/performance.md``).
+**Parity contract.**  Both lanes are bit-identical to scalar dispatch,
+queue order, RNG draws, tallies and span rows included; the argument is
+made once, in ``docs/performance.md`` ("The batch kernel"; tracing in
+``docs/observability.md``).  What a reader of this file needs from it:
+per-record phases run in scalar record order wherever one can observe
+another's effects, and what is hoisted or vectorised touches disjoint
+rows and commutes; AdjustClock is the scalar scan in the scalar
+association order, entered only when ``Lmax > L``, and ``L^v_u = +inf``
+marks a slot outside Gamma, which its ``min`` ignores; an aggregate
+record (a burst, a tick group) sits where its first constituent would
+have; a bulk send bypasses ``Transport.send`` only under a positive
+constant delay and for a node whose believed neighbours are all adjacent
+*now*; a ``lost`` timer is a deadline its owner looks at when it ticks
+(:meth:`NodeArrayTable.lost_wake`).
 
-**Parity contract.**  The handlers below are bit-identical to scalar
-dispatch -- a batch step leaves what the scalar sequence would have
-left, queue order, RNG draws, tallies and span rows included.  The
-argument is made once, in ``docs/performance.md`` ("The batch kernel":
-parity contract, kernel plan, aggregate records; tracing in
-``docs/observability.md``); what a reader of this file needs from it:
-
-* per-record phases run in scalar record order wherever an operation can
-  observe another record's effects; what is hoisted across records
-  touches disjoint per-core state and commutes;
-* AdjustClock is the scalar scan in the scalar association order,
-  entered only when ``Lmax > L`` (its ceiling is ``min(Lmax, ...)``);
-* queue pushes keep their per-class relative order, and an aggregate
-  record (:data:`~repro.sim.events.KIND_DELIVER_BURST`, a tick group)
-  sits where its first constituent would have: the constituents would
-  have held contiguous sequence numbers;
-* a bulk send bypasses :meth:`~repro.network.transport.Transport.send`
-  only under a positive constant delay (the FIFO clamp never binds) and
-  for a node whose believed neighbours are all adjacent *now*; any
-  other node sends through ``Transport.send`` at its scalar position,
-  after the burst built so far is pushed;
-* the lazy ``lost`` re-arm advances the live record's deadline in place
-  (see :mod:`repro.sim.queue`) only when the deadline does not move
-  before the queued entry; otherwise it cancels and pushes afresh, as
-  the reference always does.
-
-**The kernel plan.**  Which of these paths a run takes is decided once,
-by :func:`kernel_plan`, where the simulator's first ``run_until`` / ``step``
-begins -- after all ``t = 0`` wiring, so adversary clock swaps and effect
-logs are visible -- and holds for the whole run (an effect log attached
-to a table-covered node afterwards raises).  Anything the table does not
-provably fit runs ``handle()`` with no behavioural difference; timer
-*runs* additionally require positive constant delay and discovery
-policies (a same-timestamp delivery would have to dispatch inside the
-pre-popped run).  Every path that declined is a :class:`Decline` entry of
-the plan; :attr:`NodeArrayTable.array_events` counts what the step
-executed.  The span :class:`~repro.tracing.context.Tracer` is a
-passenger, not a gate: the handlers write the per-message rows the
-scalar kernel would have written, and a burst carries its constituents'
-flight span ids in slot ``e``.
+**The kernel plan.**  Which paths a run takes is decided once, by
+:func:`kernel_plan`, where the simulator's first ``run_until`` / ``step``
+begins -- after all ``t = 0`` wiring -- and holds for the whole run (an
+effect log attached to a covered node afterwards raises).  Anything the
+table does not provably fit runs ``handle()``; every path that declined
+is a :class:`Decline` of the plan.  The span tracer is a passenger, not a
+gate.
 """
 
 from __future__ import annotations
 
-import heapq
+from array import array
 from dataclasses import dataclass
-from operator import length_hint
+from itertools import chain
+from math import inf
+from operator import itemgetter, length_hint
 from typing import TYPE_CHECKING, AbstractSet, Any, Sequence, cast
 
 import numpy as np
@@ -96,28 +75,55 @@ from ..sim.events import (
 )
 from ..sim.simulator import Simulator
 from ..tracing.spans import SPAN_FLIGHT, SPAN_TIMER, STATUS_DONE
-from .dcsa import adjust_clocks_batch
-from .estimates import NeighborEstimate
 from .node import ClockSyncNode
-from .protocol import DCSACore, StaticGradientCore
+from .protocol import DCSACore, StaticGradientCore, adopt
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..network.transport import Transport
     from ..tracing.context import Tracer
 
-__all__ = ["Decline", "KernelPlan", "NodeArrayTable", "kernel_plan"]
+__all__ = [
+    "ARRAY_LANE_MIN",
+    "LANE_FIELDS",
+    "Decline",
+    "KernelPlan",
+    "NodeArrayTable",
+    "kernel_plan",
+]
 
 _TICK = "tick"
+_LOST = "lost"
+
+#: Batches of at least this many events -- a delivery run or burst, a tick
+#: run or group -- take the array lane.  Measured (docs/performance.md):
+#: an array pass has a fixed cost of a few dozen microseconds, which a
+#: scalar loop spends on a few dozen events, and real traffic is bimodal
+#: (runs of <= 8 or of thousands), so the constant is never near a batch.
+ARRAY_LANE_MIN = 64
+
+#: Rows of more slots than this advance their estimates in one numpy pass
+#: (:meth:`NodeArrayTable._advance`): measured, a fancy-indexed ``+=`` costs
+#: what ten ``array.array`` element updates do, whatever its length.
+_LONG_ROW = 10
 
 #: The clocks whose ``value`` / ``time_at`` the table's segment columns
 #: reproduce; matched by exact type, a subclass may override either.
 _SEGMENT_CLOCKS = (ConstantRateClock, PiecewiseRateClock, SteerableClock)
 
+#: The table's per-lane tallies, as they travel on ``RunResult``, in
+#: ``repro run --json`` and as ``kernel.*`` telemetry readbacks.
+LANE_FIELDS = ("array_lane_events", "scalar_lane_events", "blocked_rows")
+
+_NODE_COLUMNS = ("rate", "t0", "h0", "t1", "h1", "L", "Lmax", "h_last", "messages_sent")
+_SLOT_COLUMNS = ("owner", "l_est", "added_h", "lost_dl", "lost_seq")
 
 #: The traced side of a delivery run: the destinations and flight span ids
 #: of its messages, parallel lists in record order.  A record pushed before
 #: the tracer was attached carries ``None`` for its id.
 _Flights = tuple[Sequence[int], Sequence[int | None]]
+
+_F64 = npt.NDArray[np.float64]
+_I64 = npt.NDArray[np.int64]
 
 
 def _sids_by_dest(
@@ -125,7 +131,7 @@ def _sids_by_dest(
 ) -> dict[int, list[int]]:
     """Flight span ids grouped per destination, in record order.
 
-    Parallel to the message pairs of ``_process_dest_msgs``' ``dest_msgs``.
+    Parallel to the message pairs of ``_deliver_scalar``'s ``dest_msgs``.
     """
     out: dict[int, list[int]] = {}
     for v, sid in zip(vs, sids):
@@ -133,15 +139,71 @@ def _sids_by_dest(
     return out
 
 
+class _Views:
+    """numpy views of the table's ``array.array`` columns (shared memory).
+
+    A view pins its buffer's size, so the slot columns grow by
+    reallocation (:meth:`NodeArrayTable._grow`), after which the table
+    takes fresh views.
+    """
+
+    __slots__ = _NODE_COLUMNS + _SLOT_COLUMNS
+
+    def __init__(self, table: "NodeArrayTable") -> None:
+        for name in self.__slots__:
+            col = getattr(table, name)
+            dtype = np.int64 if col.typecode == "q" else np.float64
+            setattr(self, name, np.frombuffer(col, dtype=dtype))
+
+
+@dataclass(slots=True)
+class _Payloads:
+    """The payload slot of a burst the array tick lane built: the senders'
+    ``(L, Lmax)`` as two columns, with the per-message destination ids and
+    slots the delivery lane indexes by.  Reads like the list of ``(L,
+    Lmax)`` tuples a scalar-built burst carries."""
+
+    l: _F64
+    lmax: _F64
+    dst: _I64
+    slots: _I64
+
+    def __getitem__(self, i: int) -> tuple[float, float]:
+        return (self.l.item(i), self.lmax.item(i))
+
+
+@dataclass(slots=True)
+class _TickPlan:
+    """The index arrays of one tick run's bulk sends, valid until a
+    discovery or an edge flip (``key``): per message the sender and
+    destination (``us`` / ``vs`` as lists, ``src`` / ``dst`` as arrays) and
+    the destination's slot for the sender; per member of ``ids`` its
+    message count.  ``loose`` lists, as ``(member position, message
+    offset)``, the members that must send per message instead; ``spans``
+    is the span-row template of :meth:`NodeArrayTable._trace_ticks`."""
+
+    key: tuple[int, int]
+    ids: _I64
+    us: list[int]
+    vs: list[int]
+    src: _I64
+    dst: _I64
+    slots: _I64
+    counts: _I64
+    loose: list[tuple[int, int]]
+    spans: tuple[Any, ...] | None = None
+
+
 class NodeArrayTable:
-    """Dense, validated driver/core/rate columns for batch execution.
+    """The store of a validated population, and the DCSA step over it.
 
     Construct via :func:`kernel_plan`, which performs the validity
-    checks; the constructor itself only snapshots.  The table
-    covers the id range ``ids`` -- the whole population in a serial run, a
-    shard's range under :mod:`repro.sim.par`, whose subclass changes only
-    which senders may bulk-send (``adj``) and the context in which
-    :meth:`_send_each` / :meth:`_push_burst` push.
+    checks; the constructor takes the cores' state over (see module
+    docstring).  The table covers the id range ``ids`` -- the whole
+    population in a serial run, a shard's range under
+    :mod:`repro.sim.par`, whose subclass changes only which senders may
+    bulk-send (``adj``) and the context in which :meth:`_send_each` /
+    :meth:`_push_burst` push.
     """
 
     __slots__ = (
@@ -149,12 +211,16 @@ class NodeArrayTable:
         "transport",
         "drivers",
         "cores",
-        "rate",
-        "t0",
-        "h0",
-        "t1",
-        "h1",
-        "_seg_arrays",
+        "upsilon",
+        "ids",
+        *_NODE_COLUMNS,
+        *_SLOT_COLUMNS,
+        "slotmap",
+        "row_index",
+        "n_slots",
+        "wakes",
+        "arms",
+        "np",
         "tick_interval",
         "delta_t_prime",
         "b0",
@@ -162,8 +228,9 @@ class NodeArrayTable:
         "b_slope",
         "send_delay",
         "adj",
-        "ids",
-        "array_events",
+        "array_lane_events",
+        "scalar_lane_events",
+        "blocked_rows",
     )
 
     def __init__(
@@ -175,31 +242,84 @@ class NodeArrayTable:
     ) -> None:
         self.sim = sim
         self.transport = transport
-        #: The validated node-id range.  ``drivers``/``cores``/``adj`` and
-        #: the segment columns are indexed by node id, so a table over part
-        #: of the population (a shard) has holes outside ``ids``.
+        #: The validated node-id range.  ``drivers`` / ``cores`` / ``adj``
+        #: and the id-indexed columns are indexed by node id, so a table
+        #: over part of the population (a shard) has holes outside ``ids``.
         self.ids = ids
+        n = len(drivers)
         self.drivers = cast("list[ClockSyncNode]", list(drivers))
         self.cores = cast(
             "list[DCSACore]", [d.core if d is not None else None for d in drivers]
         )
+        #: ``Upsilon_u`` per node id (the cores' own sets).
+        self.upsilon: list[set[int]] = [
+            d.core.upsilon if d is not None else set()  # type: ignore[attr-defined]
+            for d in drivers
+        ]
         #: Each row's current :data:`~repro.sim.clocks.Segment`, one column
         #: per field: ``H(t) = h0 + rate * (t - t0)`` while ``t < t1``, and
         #: ``H`` reaches ``target < h1`` at ``t0 + (target - h0) / rate``.  A
         #: reader at ``t >= t1`` re-seats the row first (:meth:`_reseat`).
-        self.rate = [0.0] * len(drivers)
+        self.rate = array("d", bytes(8 * n))
         self.t0 = self.rate[:]
         self.h0 = self.rate[:]
         self.t1 = self.rate[:]
         self.h1 = self.rate[:]
-        #: ``(rate, t0, h0)`` as arrays over ``ids`` plus ``min(t1)``, for
-        #: the fused oracle reads; dropped whenever a row is re-seated.
-        self._seg_arrays: tuple[Any, ...] | None = None
+        #: The lazy state of Algorithm 2, valid at hardware reading
+        #: ``h_last`` (see :mod:`repro.core.protocol`), and the send tally.
+        self.L = self.rate[:]
+        self.Lmax = self.rate[:]
+        self.h_last = self.rate[:]
+        self.messages_sent = array("q", bytes(8 * n))
+        #: ``slotmap[v][u]`` is the slot of the directed pair ``(v, u)``:
+        #: ``v``'s Gamma row for ``u`` (``l_est``: ``L^u_v``, ``+inf`` while
+        #: ``u`` is outside Gamma; ``added_h``: ``C^u_v``) and ``v``'s
+        #: ``lost(u)`` timer: its deadline (``lost_dl``, ``+inf`` while
+        #: disarmed) and when it was last armed (``lost_seq``, a count of
+        #: arms; see :meth:`lost_wake`).
+        #: Seeded with the adjacency the run starts on, row by row; a pair
+        #: first met later takes the next free slot, and no slot ever moves.
+        graph = transport.graph
+        self.slotmap: list[dict[int, int]] = [{} for _ in range(n)]
+        first = 0
+        for i in ids:
+            nbrs = sorted(graph.neighbors(i))
+            self.slotmap[i] = dict(zip(nbrs, range(first, first + len(nbrs))))
+            first += len(nbrs)
+        #: The slots of a long row as an index array (:meth:`_advance`).
+        self.row_index: dict[int, npt.NDArray[np.intp]] = {}
+        self.n_slots = first
+        size = first + max(16, first // 8)
+        self.owner = array("q", bytes(8 * size))
+        np.frombuffer(self.owner, np.int64)[:first] = np.repeat(
+            np.arange(n), [len(row) for row in self.slotmap]
+        )
+        self.l_est = array("d", [inf]) * size
+        self.added_h = array("d", bytes(8 * size))
+        self.lost_dl = self.l_est[:]
+        self.lost_seq = array("q", bytes(8 * size))
+        #: The pending wake record per wake time, and the arms so far.
+        self.wakes: dict[float, ScheduledEvent] = {}
+        self.arms = 0
+        self.np: Any = _Views(self)
         for i in ids:
             self._reseat(i, sim.now)
-            clock = self.drivers[i].clock
-            if type(clock) is SteerableClock:
-                clock.on_rate_change = lambda i=i: self._reseat(i, sim.now)
+            d = self.drivers[i]
+            if type(d.clock) is SteerableClock:
+                d.clock.on_rate_change = lambda i=i: self._reseat(i, sim.now)
+            if len(d._timers) > 1:
+                for key in [k for k in d._timers if k != _TICK and k[0] == "lost"]:
+                    rec = d._timers.pop(key)
+                    sim.queue.cancel(rec)
+                    slot = self.slot(i, key[1])
+                    self.lost_dl[slot] = rec.time
+                    self.lost_seq[slot] = self.arms
+                    self.arms += 1
+        for i, rows in adopt(self.cores[ids.start : ids.stop], self).items():
+            for u, row in rows.items():
+                slot = self.slot(i, u)
+                self.l_est[slot] = row.l_est
+                self.added_h[slot] = row.added_h
         #: ``B`` function coefficients, shared by every core (the plan
         #: verified a single ``params`` object).
         c0 = self.cores[ids.start]
@@ -215,188 +335,400 @@ class NodeArrayTable:
         #: Live adjacency sets indexed by node id (the graph mutates them
         #: in place); a ticking node bulk-sends iff its believed neighbours
         #: are a subset of its entry.
-        graph = transport.graph
         self.adj: list[AbstractSet[int]] = [
-            graph.neighbors(i) if i in ids else frozenset()
-            for i in range(len(drivers))
+            graph.neighbors(i) if i in ids else frozenset() for i in range(n)
         ]
-        #: Events executed by the array step so far (singletons and burst
-        #: / group constituents alike), bumped once per entry point.
-        self.array_events = 0
+        #: Events executed so far on each lane (singletons, burst and group
+        #: constituents alike; discoveries and ``lost`` fires are scalar),
+        #: and the destinations whose delivery run scanned Gamma (``Lmax >
+        #: L``): all bumped once per entry point, never per message.
+        self.array_lane_events = 0
+        self.scalar_lane_events = 0
+        self.blocked_rows = 0
+
+    @property
+    def array_events(self) -> int:
+        """Events the table executed so far, on either lane."""
+        return self.array_lane_events + self.scalar_lane_events
+
+    # ------------------------------------------------------------------ #
+    # Rows and slots
+    # ------------------------------------------------------------------ #
 
     def _reseat(self, i: int, t: float) -> None:
         """Seat row ``i`` on the segment of its clock that holds real time ``t``."""
         (
             self.rate[i], self.t0[i], self.h0[i], self.t1[i], self.h1[i]
         ) = self.drivers[i].clock.segment_at(t)  # type: ignore[attr-defined]
-        self._seg_arrays = None
+
+    def slot(self, v: int, u: int) -> int:
+        """The slot of the directed pair ``(v, u)``, taking a fresh one
+        (outside Gamma, no ``lost`` record) the first time it is asked for."""
+        s = self.slotmap[v].get(u)
+        if s is None:
+            s = self.n_slots
+            if s == len(self.owner):
+                self._grow()
+            self.n_slots = s + 1
+            self.owner[s] = v
+            self.slotmap[v][u] = s
+            self.row_index.pop(v, None)
+        return s
+
+    def _grow(self) -> None:
+        """Double the slot columns.  A numpy view pins its buffer, so the
+        columns are reallocated and every holder of the old ones -- the
+        views, a scalar loop's locals -- takes the new."""
+        size = len(self.owner)
+        self.owner = self.owner + array("q", bytes(8 * size))
+        self.added_h = self.added_h + array("d", bytes(8 * size))
+        self.l_est = self.l_est + array("d", [inf]) * size
+        self.lost_dl = self.lost_dl + array("d", [inf]) * size
+        self.lost_seq = self.lost_seq + array("q", bytes(8 * size))
+        self.np = _Views(self)
+
+    def _slots_of(self, us: Sequence[int], vs: Sequence[int]) -> list[int]:
+        """``slot(v, u)`` per message ``u -> v``."""
+        slotmap = self.slotmap
+        try:
+            return [slotmap[v][u] for u, v in zip(us, vs)]
+        except KeyError:  # a pair met for the first time
+            return [self.slot(v, u) for u, v in zip(us, vs)]
+
+    def forget(self, v: int, u: int) -> bool:
+        """Drop ``u`` from ``v``'s Gamma and disarm ``lost(u)`` (returns
+        whether ``u`` was there)."""
+        s = self.slotmap[v].get(u)
+        if s is None or self.l_est[s] == inf:
+            return False
+        self.l_est[s] = self.lost_dl[s] = inf
+        return True
+
+    def _hardware(self, i: int, now: float) -> float:
+        """``H_i(now)`` off row ``i``'s segment (re-seated when left)."""
+        if now >= self.t1[i]:
+            self._reseat(i, now)
+        return self.h0[i] + self.rate[i] * (now - self.t0[i])
+
+    def _advance(self, i: int, dh: float) -> None:
+        """Advance every estimate of row ``i`` by ``dh`` (``inf`` stays
+        ``inf``): element by element -- the scalar loops inline this for a
+        short row -- or, for a long one, in one numpy pass."""
+        slots = self.slotmap[i]
+        if len(slots) > _LONG_ROW:
+            index = self.row_index.get(i)
+            if index is None:
+                index = self.row_index[i] = np.fromiter(
+                    slots.values(), np.intp, len(slots)
+                )
+            self.np.l_est[index] += dh
+        else:
+            l_est = self.l_est
+            for s in slots.values():
+                l_est[s] += dh
+
+    def _sync(self, i: int, h: float) -> None:
+        """Materialise row ``i``'s lazy state at hardware reading ``h``."""
+        dh = h - self.h_last[i]
+        if dh != 0.0:
+            self.L[i] += dh
+            self.Lmax[i] += dh
+            self.h_last[i] = h
+            self._advance(i, dh)
+
+    def _adjust_clock(self, i: int, tracer: "Tracer | None") -> None:
+        """AdjustClock on synced row ``i``, the jump applied in place.
+
+        The reference scan -- ``b = intercept - slope * (h - added_h)``,
+        ``max(b, b0)``, ``l_est + b``, running ``min`` against ``Lmax``, in
+        that association order -- entered only when ``Lmax > L`` (nothing
+        else can release ``L``).  When traced the jump row is parented on
+        ``tracer.current`` (the discovery or timer row the caller wrote).
+        """
+        L = self.L[i]
+        ceiling = self.Lmax[i]
+        if ceiling <= L:
+            return
+        h = self.h_last[i]
+        l_est = self.l_est
+        added_h = self.added_h
+        b0 = self.b0
+        intercept = self.b_intercept
+        slope = self.b_slope
+        for s in self.slotmap[i].values():
+            b = intercept - slope * (h - added_h[s])
+            if b < b0:
+                b = b0
+            cand = l_est[s] + b
+            if cand < ceiling:
+                ceiling = cand
+        if ceiling > L:
+            if tracer is not None:
+                tracer.jump(i, self.sim.now, ceiling - L)
+            core = self.cores[i]
+            core.total_jump += ceiling - L
+            core.jumps += 1
+            self.L[i] = ceiling
 
     # ------------------------------------------------------------------ #
-    # Batch handlers
+    # Deliveries
     # ------------------------------------------------------------------ #
 
     def deliver_batch(self, records: list[ScheduledEvent]) -> None:
-        """Execute a same-timestamp run of individual ``KIND_DELIVER`` records.
-
-        Called by :meth:`Transport._handle_deliver_batch` with the records
-        whose link failed in flight already dropped, so every record is a
-        plain delivery ``u -> v`` of an ``(L, Lmax)`` update (its flight
-        span id, when traced, in the observer slot ``e``).
-        """
+        """Execute a same-timestamp run of individual ``KIND_DELIVER``
+        records (the transport dropped those whose link failed in flight;
+        a record's flight span id, when traced, is its observer slot)."""
+        traced = self.transport._tracer is not None
+        if len(records) >= ARRAY_LANE_MIN:
+            self._deliver(
+                [ev.a for ev in records],
+                [ev.b for ev in records],
+                [ev.c for ev in records],
+                [ev.e for ev in records] if traced else None,
+            )
+            return
+        self.scalar_lane_events += len(records)
         dest_msgs: dict[int, list[Any]] = {}
-        get = dest_msgs.get
         for ev in records:
-            v = ev.b
-            lst = get(v)
-            if lst is None:
-                dest_msgs[v] = [ev.a, ev.c]
-            else:
-                lst.append(ev.a)
-                lst.append(ev.c)
+            dest_msgs.setdefault(ev.b, []).extend((ev.a, ev.c))
         flights = None
-        if self.transport._tracer is not None:
+        if traced:
             flights = [ev.b for ev in records], [ev.e for ev in records]
-        self.array_events += len(records)
-        self._process_dest_msgs(dest_msgs, flights)
+        self._deliver_scalar(dest_msgs, flights)
 
     def deliver_burst(
         self,
         us: list[int],
         vs: list[int],
-        payloads: list[Any],
+        payloads: Any,
         sids: list[int] | None,
     ) -> None:
-        """Execute one burst record's constituent deliveries (see module doc).
-
-        ``sids`` are the constituents' flight span ids (``None`` untraced).
-        """
-        dest_msgs: dict[int, list[Any]] = {}
-        get = dest_msgs.get
-        for u, v, payload in zip(us, vs, payloads):
-            lst = get(v)
-            if lst is None:
-                dest_msgs[v] = [u, payload]
-            else:
-                lst.append(u)
-                lst.append(payload)
-        self.array_events += len(us)
-        self._process_dest_msgs(dest_msgs, None if sids is None else (vs, sids))
+        """Execute one burst record's constituent deliveries; ``sids`` are
+        their flight span ids (``None`` untraced)."""
+        self._deliver(us, vs, payloads, sids)
 
     def deliver_one(self, u: int, v: int, payload: Any, sid: int | None) -> None:
-        """Execute a singleton ``KIND_DELIVER`` record: a batch of one.
-
-        Called by :meth:`Transport._handle_deliver` once the Section 3.2
-        predicate cleared the message; ``sid`` is the record's observer
-        slot (its flight span id when traced).  Nothing was pre-popped, so
-        this is scalar dispatch with the effect list cut out.
-        """
-        self.array_events += 1
+        """Execute a singleton ``KIND_DELIVER`` record the transport
+        cleared: a batch of one (``sid``: its observer slot)."""
+        self.scalar_lane_events += 1
         flights = None
         if self.transport._tracer is not None:
             flights = (v,), (sid,)
-        self._process_dest_msgs({v: (u, payload)}, flights)
+        self._deliver_scalar({v: (u, payload)}, flights)
 
-    def _process_dest_msgs(
+    def _deliver(
+        self,
+        us: Sequence[int],
+        vs: Sequence[int],
+        payloads: Any,
+        sids: Sequence[int | None] | None,
+    ) -> None:
+        """Deliver the same-timestamp messages ``us[i] -> vs[i]``: on the
+        array lane from :data:`ARRAY_LANE_MIN` up, which leaves ``rest``
+        (message positions, in record order) to the scalar lane."""
+        m = len(us)
+        if m >= ARRAY_LANE_MIN:
+            rest = self._deliver_array(us, vs, payloads)
+            self.array_lane_events += m - len(rest)
+            if not rest:
+                return
+            if len(rest) < m:
+                us = [us[i] for i in rest]
+                vs = [vs[i] for i in rest]
+                payloads = [payloads[i] for i in rest]
+                sids = sids and [sids[i] for i in rest]
+        self.scalar_lane_events += len(us)
+        dest_msgs: dict[int, list[Any]] = {}
+        for u, v, payload in zip(us, vs, payloads):
+            dest_msgs.setdefault(v, []).extend((u, payload))
+        self._deliver_scalar(dest_msgs, None if sids is None else (vs, sids))
+
+    def _deliver_array(
+        self,
+        us: Sequence[int],
+        vs: Sequence[int],
+        payloads: Any,
+    ) -> Sequence[int]:
+        """The array lane of a delivery run; returns the positions it left.
+
+        Per destination, scalar dispatch is: sync; then per message Gamma
+        track / refresh, ``Lmax`` raise, AdjustClock, ``lost`` re-arm.  On
+        a destination none of whose messages leaves ``Lmax > L``,
+        AdjustClock is vacuous and every other step is a ``max`` merge or
+        a write keyed by the message's own slot, so the run commutes: it
+        is computed here on whole columns, into temporaries first, and
+        written back for the destinations no hand-over rule (module
+        docstring) claims.  Those keep their messages, untouched.
+        """
+        m = len(us)
+        if type(payloads) is _Payloads:
+            l_in, lmax_in = payloads.l, payloads.lmax
+            dst, slots = payloads.dst, payloads.slots
+        else:
+            flat = np.fromiter(chain.from_iterable(payloads), np.float64, 2 * m)
+            l_in, lmax_in = flat[0::2], flat[1::2]
+            dst = np.fromiter(vs, np.int64, m)
+            slots = np.fromiter(self._slots_of(us, vs), np.int64, m)
+        col = self.np  # after _slots_of: a new pair reallocates the columns
+        now = self.sim.now
+        n = len(self.L)
+        hit = np.zeros(n, np.bool_)
+        hit[dst] = True
+        rows = np.flatnonzero(hit)
+        where = np.empty(n, np.intp)
+        where[rows] = np.arange(len(rows))
+        at = where[dst]  # per message: its destination's position in rows
+        # Sync, merge and deadline per destination, in temporaries.
+        t0 = col.t0[rows]
+        h0 = col.h0[rows]
+        rate = col.rate[rows]
+        h = h0 + rate * (now - t0)
+        dh = h - col.h_last[rows]
+        L = col.L[rows] + dh
+        lmax = col.Lmax[rows] + dh
+        np.maximum.at(lmax, at, lmax_in)
+        target = h + self.delta_t_prime
+        fire = np.maximum(t0 + (target - h0) / rate, now)
+        # The hand-over rules.
+        held = lmax > L
+        held |= now >= col.t1[rows]
+        held |= target >= col.h1[rows]
+        held[at[np.bincount(slots, minlength=self.n_slots)[slots] > 1]] = True
+        if held.all():
+            return range(m)
+        keep = ~held
+        rows = rows[keep]
+        col.L[rows] = L[keep]
+        col.Lmax[rows] = lmax[keep]
+        col.h_last[rows] = h[keep]
+        # Every estimate of a written row advances by its dh (x + 0.0 is x
+        # on the others: no estimate is -0.0); then the messages merge.
+        step = np.zeros(n)
+        step[rows] = dh[keep]
+        used = self.n_slots
+        col.l_est[:used] += step[col.owner[:used]]
+        if not held.any():
+            mine = slice(None)
+            rest: Sequence[int] = ()
+        else:
+            mine = keep[at]
+            rest = np.flatnonzero(~mine).tolist()
+        s = slots[mine]
+        at = at[mine]
+        l_in = l_in[mine]
+        cur = col.l_est[s]
+        fresh = cur == inf  # Gamma (re-)entry: C^v_u := H_u now
+        col.l_est[s] = np.where(fresh, l_in, np.maximum(cur, l_in))
+        col.added_h[s[fresh]] = h[at[fresh]]
+        col.lost_dl[s] = fire[at]
+        col.lost_seq[s] = np.arange(self.arms, self.arms + len(s))
+        self.arms += len(s)
+        return rest
+
+    def _deliver_scalar(
         self, dest_msgs: dict[int, Sequence[Any]], flights: _Flights | None
     ) -> None:
-        """Apply same-timestamp deliveries grouped per destination.
+        """Apply same-timestamp deliveries grouped per destination: the
+        one statement of the per-message rule.
 
         ``dest_msgs[v]`` is the flat list ``[u0, payload0, u1, payload1,
-        ...]`` in per-destination record order.  Scalar dispatch per message
-        is: sync ``v``; cancel ``lost(u)``; Gamma track/refresh; raise
-        ``Lmax``; AdjustClock; re-arm ``lost(u)``.  The batch form runs each
-        destination *to completion* before the next: distinct destinations
-        touch disjoint cores and timers, so interleaving order across
-        destinations is unobservable -- the only cross-destination effects
-        are fresh lost-timer pushes, whose permuted sequence numbers can
-        only reorder same-``(time, priority)`` lost timers of *different*
-        destinations, and those handlers commute.  Within a destination the
-        per-message phases run in exact scalar order.
-
-        The destination syncs once (later messages of the run find
-        ``dh == 0`` in scalar execution too), so ``H_v`` -- and with it
-        every edge age and the lost-timer deadline -- is *fixed* for the
-        whole timestamp.  AdjustClock's ceiling is ``min(Lmax, ...)``, so a
-        message scans the Gamma rows only when it leaves ``Lmax > L``
-        (exactly as :meth:`DCSACore._adjust_clock` returns early): the
-        cost of every other delivery is independent of the degree.
+        ...]`` in per-destination record order.  Scalar dispatch per
+        message is: sync ``v``; Gamma track / refresh; raise ``Lmax``;
+        AdjustClock; re-arm ``lost(u)``.  Each destination runs to
+        completion before the next (distinct destinations touch disjoint
+        rows and slots), its messages in scalar order.  It syncs once --
+        later messages of the run find ``dh == 0`` in scalar execution too
+        -- so ``H_v``, every edge age and the ``lost`` deadline are fixed
+        for the timestamp, and a message scans Gamma only when it leaves
+        ``Lmax > L`` (as :meth:`DCSACore._adjust_clock` returns early).
 
         When traced, ``flights`` names the run's messages; an applied jump
-        writes its ``SPAN_JUMP`` row parented on the delivering flight,
-        looked up per destination (:func:`_sids_by_dest`, built on the
-        run's first jump -- a run that applies none pays nothing).
+        writes its ``SPAN_JUMP`` row parented on the delivering flight
+        (:func:`_sids_by_dest`, built on the run's first jump).
         """
         tracer = None if flights is None else self.transport._tracer
         dest_sids: dict[int, list[int]] | None = None
         sim = self.sim
         now = sim.now
-        cores = self.cores
         drivers = self.drivers
         rate = self.rate
         t0 = self.t0
         h0 = self.h0
         t1 = self.t1
         h1 = self.h1
-        queue = sim.queue
-        free = queue._free
-        heap = queue._heap
-        heappush = heapq.heappush
+        L_col = self.L
+        lmax_col = self.Lmax
+        h_last = self.h_last
+        l_est = self.l_est
+        added_h = self.added_h
+        lost_dl = self.lost_dl
+        lost_seq = self.lost_seq
+        arms = self.arms
+        slotmap = self.slotmap
         dtp = self.delta_t_prime
         b0 = self.b0
         intercept = self.b_intercept
         slope = self.b_slope
-        seq = queue._seq
-        pushed = 0
+        blocked = 0
         for v, msgs in dest_msgs.items():
-            core = cores[v]
-            rows = core.gamma._rows
             if now >= t1[v]:
                 self._reseat(v, now)
             seg_r = rate[v]
             seg_t = t0[v]
             seg_h = h0[v]
             h = seg_h + seg_r * (now - seg_t)
-            dh = h - core.h_last
+            slots = slotmap[v]
+            L = L_col[v]
+            lmax = lmax_col[v]
+            dh = h - h_last[v]
             if dh != 0.0:
-                core._L += dh
-                core._Lmax += dh
-                core.h_last = h
-                for row in rows.values():
-                    row.l_est += dh
-            d = drivers[v]
-            d._t_last = now
+                L += dh
+                lmax += dh
+                h_last[v] = h
+                if len(slots) > _LONG_ROW:
+                    self._advance(v, dh)
+                else:
+                    for s in slots.values():
+                        l_est[s] += dh
             # The re-armed lost deadline is message-independent.
             target = h + dtp
             if target < h1[v]:
                 fire_t = seg_t + (target - seg_h) / seg_r
             else:
-                fire_t = d.clock.time_at(target)
+                fire_t = drivers[v].clock.time_at(target)
             if fire_t < now:
                 fire_t = now
-            timers = d._timers
-            L = core._L
-            lmax = core._Lmax
+            scanned = False
             it = iter(msgs)
             for u, payload in zip(it, it):
+                s = slots.get(u)
+                if s is None:
+                    s = self.slot(v, u)
+                    l_est = self.l_est
+                    added_h = self.added_h
+                    lost_dl = self.lost_dl
+                    lost_seq = self.lost_seq
                 l_v = payload[0]
-                row = rows.get(u)
-                if row is None:
+                cur = l_est[s]
+                if cur == inf:
                     # Gamma (re-)entry: C^v_u := H_u now (pseudocode 17-19).
-                    rows[u] = NeighborEstimate(h, l_v)
-                elif l_v > row.l_est:
-                    row.l_est = l_v
+                    l_est[s] = l_v
+                    added_h[s] = h
+                elif l_v > cur:
+                    l_est[s] = l_v
                 lmax_v = payload[1]
                 if lmax_v > lmax:
                     lmax = lmax_v
                 if lmax > L:
                     # AdjustClock, the reference scan: its ceiling is
                     # ``min(Lmax, ...)``, so nothing else can release ``L``.
+                    scanned = True
                     ceiling = lmax
-                    for est in rows.values():
-                        b = intercept - slope * (h - est.added_h)
+                    for r in slots.values():
+                        b = intercept - slope * (h - added_h[r])
                         if b < b0:
                             b = b0
-                        cand = est.l_est + b
+                        cand = l_est[r] + b
                         if cand < ceiling:
                             ceiling = cand
                     if ceiling > L:
@@ -410,100 +742,61 @@ class NodeArrayTable:
                             done = (len(msgs) - length_hint(it)) >> 1
                             tracer.current = dest_sids[v][done - 1]
                             tracer.jump(v, now, ceiling - L)
+                        core = self.cores[v]
                         core.total_jump += ceiling - L
                         core.jumps += 1
                         L = ceiling
-                key = ("lost", u)
-                prev = timers.get(key)
-                if (
-                    prev is not None
-                    and not prev.cancelled
-                    and prev.queued
-                    and fire_t >= prev.time
-                ):
-                    # Lazy re-arm: advance the live record's deadline in
-                    # place; the queue re-inserts it if the stale heap
-                    # entry surfaces first.
-                    prev.c = fire_t
-                else:
-                    if prev is not None:
-                        # A live record whose deadline moved *before* its
-                        # heap entry (the clock's rate rose since the last
-                        # arm), where no pop path would notice: cancel +
-                        # fresh push.  On a dead handle this is a no-op.
-                        queue.cancel(prev)
-                    if free:
-                        rec = free.pop()
-                        rec.time = fire_t
-                        rec.priority = PRIORITY_TIMER
-                        rec.seq = seq
-                        rec.kind = KIND_TIMER
-                        rec.fn = None
-                        rec.a = d
-                        rec.b = key
-                        rec.c = fire_t
-                        rec.d = None
-                        rec.e = None
-                        rec.cancelled = False
-                        rec.gen += 1
-                        rec.label = "timer"
-                    else:
-                        queue.allocations += 1
-                        rec = ScheduledEvent(
-                            fire_t, PRIORITY_TIMER, seq, None, "timer",
-                            kind=KIND_TIMER, a=d, b=key, c=fire_t,
-                        )
-                    rec.queued = True
-                    heappush(heap, (fire_t, PRIORITY_TIMER, seq, rec))
-                    seq += 1
-                    pushed += 1
-                    timers[key] = rec
-            core._L = L
-            core._Lmax = lmax
-        queue._seq = seq
-        queue._live += pushed
+                # Re-arm lost(u): two writes (see :meth:`lost_wake`).
+                lost_dl[s] = fire_t
+                lost_seq[s] = arms
+                arms += 1
+            L_col[v] = L
+            lmax_col[v] = lmax
+            blocked += scanned
+        self.arms = arms
+        self.blocked_rows += blocked
         if tracer is not None:
             tracer.current = -1
 
+    # ------------------------------------------------------------------ #
+    # Discoveries and ``lost`` fires (scalar lane)
+    # ------------------------------------------------------------------ #
+
     def discover_run(self, rows: Sequence[tuple[int, int, bool, bool]]) -> None:
-        """Execute a same-timestamp run of discoveries.
+        """Execute a same-timestamp run of discoveries, on the scalar lane.
 
         The one discovery body, entered by the transport with the ``(node,
         other, added, absence)`` rows of a pre-popped run of
-        ``KIND_DISCOVER`` records, of a singleton as a run of one, or of
-        the wave record that stands for E_0
-        (:meth:`Transport._discover_rows`).  Per record, in record
-        order, it is :meth:`Transport._handle_discover` plus ``DCSACore``'s
-        discover handlers with the effect list cut out: clear the
-        absence-dedup key, skip a change that no longer holds, sync, greet
-        with the pre-jump ``(L, Lmax)`` (or drop the Gamma row and cancel
-        its ``lost`` timer), update Upsilon, AdjustClock in place.  Each
-        record runs to completion, so a later record of the same node (or
-        an adaptive delay policy reading clocks mid-send) sees the state
-        scalar dispatch would have left.
+        ``KIND_DISCOVER`` records, of a singleton, or of the wave record
+        that stands for E_0.  Per row, in order, it is
+        :meth:`Transport._handle_discover` plus ``DCSACore``'s discover
+        handlers with the effect list cut out: clear the absence-dedup
+        key, skip a change that no longer holds, sync, greet with the
+        pre-jump ``(L, Lmax)`` (or drop the Gamma row and disarm its
+        ``lost`` timer), update Upsilon, AdjustClock in place -- each row
+        to completion, so a later row of the same node (or a delay policy
+        reading clocks mid-send) sees what scalar dispatch would have left.
 
         Under a positive constant delay the greetings of a run of two or
-        more travel as the run's one burst record: a greeting's edge was
-        just tested present, which is the tick phase's bulk-send rule (see
-        module docstring), and nothing else a discovery does pushes a
-        record, so the constituents would have held contiguous sequence
-        numbers.  Under any other policy, and in a run of one, each goes
-        through :meth:`Transport.send` at its scalar position: a burst of
-        one costs more at both ends than the record it replaces.  Only the
-        serial transport passes longer runs; the sharded one replays a run
-        record by record, so its boundary senders (whose ``adj`` entry
-        bars them from bulk-sending) never reach the burst branch.  When
-        traced, each delivered discovery writes its ``SPAN_DISCOVER`` row,
-        with the greeting's flight and any jump parented on it, in the
-        scalar row order.
+        more travel as the run's one burst record (a greeting's edge was
+        just tested present, the bulk-send rule, and nothing else here
+        pushes a record); otherwise each goes through
+        :meth:`Transport.send` at its scalar position.  The sharded
+        transport replays a run row by row, so its boundary senders never
+        reach the burst branch.  When traced, each delivered discovery
+        writes its ``SPAN_DISCOVER`` row, the greeting's flight and any
+        jump parented on it.
         """
         transport = self.transport
         stats = transport.stats
         has_edge = transport._has_edge
         tracer = transport._tracer
         now = self.sim.now
-        cores = self.cores
-        drivers = self.drivers
+        upsilon = self.upsilon
+        L_col = self.L
+        lmax_col = self.Lmax
+        h_last = self.h_last
+        sent = self.messages_sent
         rate = self.rate
         t0 = self.t0
         h0 = self.h0
@@ -521,19 +814,16 @@ class NodeArrayTable:
             if has_edge(nid, other) != added:
                 skipped += 1
                 continue
-            core = cores[nid]
             if now >= t1[nid]:
                 self._reseat(nid, now)
             h = h0[nid] + rate[nid] * (now - t0[nid])
-            if h != core.h_last:
-                core.sync_to(h)
-            d = drivers[nid]
-            d._t_last = now
+            if h != h_last[nid]:
+                self._sync(nid, h)
             if tracer is not None:
                 tracer.discover(nid, other, now, added)
             if added:
-                core.messages_sent += 1
-                payload = (core._L, core._Lmax)
+                sent[nid] += 1
+                payload = (L_col[nid], lmax_col[nid])
                 if delay is None:
                     transport.send(nid, other, payload)
                 else:
@@ -547,12 +837,12 @@ class NodeArrayTable:
                                 tracer.current, STATUS_DONE,
                             )
                         )
-                core.upsilon.add(other)
+                upsilon[nid].add(other)
             else:
-                if core.gamma.remove(other):
-                    d.cancel_timer(("lost", other))
-                core.upsilon.discard(other)
-            self._adjust_clock(core, tracer)
+                self.forget(nid, other)
+                upsilon[nid].discard(other)
+            if lmax_col[nid] > L_col[nid]:
+                self._adjust_clock(nid, tracer)
         if u_list:
             self._push_burst(
                 u_list, v_list, p_list, s_list if tracer is not None else None
@@ -560,66 +850,88 @@ class NodeArrayTable:
         delivered = len(rows) - skipped
         stats.discoveries_skipped += skipped
         stats.discoveries_delivered += delivered
-        self.array_events += delivered
+        self.scalar_lane_events += delivered
         if tracer is not None:
             tracer.current = -1
 
-    def lost_one(self, ev: ScheduledEvent) -> None:
-        """Execute a ``("lost", v)`` fire: forget ``v``'s estimate, adjust.
+    def _wake(self, slot: int) -> None:
+        """List ``slot`` with the wake record of its ``lost`` deadline
+        (pushed if there is none yet for that time)."""
+        time = self.lost_dl[slot]
+        wake = self.wakes.get(time)
+        if wake is None:
+            self.wakes[time] = self.sim.queue.push_typed(
+                time, PRIORITY_TIMER, KIND_TIMER, None, _LOST, [slot],
+                None, None, "timer",
+            )
+        else:
+            wake.c.append(slot)
 
-        Called by the transport's ``KIND_TIMER`` handler like
-        :meth:`tick_one`; the record fired at its final deadline (the
-        queue already resolved any lazy extension).
+    def lost_wake(self, ev: ScheduledEvent) -> None:
+        """Execute a wake record: the ``lost`` timers that expire now.
+
+        A ``lost(u)`` timer of node ``v`` is a slot value, its deadline
+        ``lost_dl``: every message re-arms it with a plain write (one
+        column write for a whole burst) and nothing is queued.  The owner
+        looks at its deadlines whenever it ticks and lists those that fall
+        due before its next tick with the wake record of their time
+        (:meth:`_tick_phase`).  That is in time: a deadline lies ``Delta T'
+        / rate >= T + Delta H / (1 - rho)`` after its arming and
+        consecutive ticks at most ``Delta H / (1 - rho)`` apart, so the
+        last tick before a deadline comes after its arming -- and lists it
+        before re-arming itself, so a ``lost`` that coincides with the
+        next tick fires first, as on the reference, where it was pushed
+        before that tick was.  A wake fires the listed slots whose deadline
+        still is its time (a re-armed or disarmed one is skipped), in the
+        order they were last armed -- the reference's cancel-and-push
+        order: forget ``u``'s estimate, AdjustClock.  The kernel counted
+        the record as one dispatch; the fires are re-expanded into the
+        tallies as for a tick group.
         """
-        d = ev.a
-        d._timers.pop(ev.b, None)
-        self.array_events += 1
+        now = ev.time
+        del self.wakes[now]
+        lost_dl = self.lost_dl
+        due = [slot for slot in ev.c if lost_dl[slot] == now]
+        if len(due) > 1:
+            due.sort(key=self.lost_seq.__getitem__)
+        sim = self.sim
+        sim.events_dispatched += len(due) - 1
+        if sim.kind_counts is not None:
+            sim.kind_counts[KIND_TIMER] += len(due) - 1
+        self.scalar_lane_events += len(due)
         tracer = self.transport._tracer
+        for slot in due:
+            self._lost_fire(slot, tracer)
+
+    def _lost_fire(self, slot: int, tracer: "Tracer | None") -> None:
+        """``lost(u)`` of ``slot``'s owner fires: forget ``u``'s estimate,
+        adjust."""
+        nid = self.owner[slot]
+        now = self.sim.now
         if tracer is not None:
-            tracer.timer_fired(d.node_id, self.sim.now)
-        d._sync()
-        core = self.cores[d.node_id]
-        core.gamma.remove(ev.b[1])
-        self._adjust_clock(core, tracer)
+            tracer.timer_fired(nid, now)
+        self._sync(nid, self._hardware(nid, now))
+        self.l_est[slot] = self.lost_dl[slot] = inf
+        self._adjust_clock(nid, tracer)
         if tracer is not None:
             tracer.current = -1
 
-    def _adjust_clock(self, core: DCSACore, tracer: "Tracer | None") -> None:
-        """AdjustClock on one synced core, the jump applied in place.
-
-        When traced the jump row is parented on ``tracer.current`` (the
-        discovery or timer row the caller just wrote); the delta is the
-        scalar ``new_value - L`` on the same two operands.
-        """
-        l_old = core._L
-        if core._Lmax <= l_old:
-            return  # the ceiling never exceeds Lmax: nothing to release
-        adjust_clocks_batch((core,))
-        if tracer is not None and core._L != l_old:
-            tracer.jump(core.node_id, self.sim.now, core._L - l_old)
+    # ------------------------------------------------------------------ #
+    # Ticks
+    # ------------------------------------------------------------------ #
 
     def handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
         """Execute a same-timestamp run of ``KIND_TIMER`` records.
 
-        Only reached when the delay and discovery policies are positive
-        constants (see module docstring), so nothing a tick handler
-        schedules can land at the current timestamp.  Mixed-key runs (any
-        ``lost`` timer present) replay the kernel's scalar timer handler in
-        record order -- already a win over per-event kernel turns; all-tick
-        runs go through :meth:`_tick_phase` and then re-arm.  The re-arm
-        records land in a different priority class from the bursts, so the
-        permuted sequence numbers are unobservable.
-
-        When every deadline of the run coincides (a rate class in lockstep
-        -- the steady state here), the class's pending ticks collapse into
-        a single group record: one heap entry instead of one per node, and
-        on every later cycle the group re-pushes itself with the same
-        driver list (see :meth:`handle_tick_group`).  The constituents
-        would have held contiguous sequence numbers in this tie class, so
-        the group -- ordered by its first constituent's position --
-        preserves scalar tie order.  Otherwise each tick record is
-        re-pushed *in place* (it just fired, its payload is already
-        correct, and the kernel skips requeued records when recycling).
+        Only reached under positive constant delay and discovery policies,
+        so nothing a tick schedules lands at the current timestamp.  A run
+        with anything but ticks in it replays the scalar timer handler in
+        record order.  When every deadline of an all-tick run coincides (a
+        rate class in lockstep) the pending ticks collapse into one group
+        record, ordered by its first constituent's position -- the
+        constituents would have held contiguous sequence numbers -- which
+        re-pushes itself on every later cycle (:meth:`handle_tick_group`);
+        otherwise each record is re-pushed in place.
         """
         for ev in records:
             if ev.b != _TICK:
@@ -629,30 +941,26 @@ class NodeArrayTable:
                     fire(rec)
                 return
         drivers = [ev.a for ev in records]
-        self.array_events += len(records)
-        ft0, same = self._tick_phase(drivers)
+        fires, plan = self._tick_run(drivers, None)
         sim = self.sim
-        if same and len(records) > 1:
+        if len(records) > 1 and fires.count(fires[0]) == len(fires):
             # A group carries its arm time in ``d`` like an individual
-            # record (see :meth:`_repush_tick`).
+            # record (see :meth:`_repush_tick`) and its send plan in ``c``.
             grp = sim.queue.push_typed(
-                ft0, PRIORITY_TIMER, KIND_TICK_BURST, drivers, None, None,
+                fires[0], PRIORITY_TIMER, KIND_TICK_BURST, drivers, None, plan,
                 sim.now, None, "tick+", e=len(records),
             )
             for d in drivers:
                 d._timers[_TICK] = grp
         else:
-            for ev in records:
-                self._repush_tick(ev, self._tick_deadline(ev.a))
+            for ev, fire_t in zip(records, fires):
+                self._repush_tick(ev, fire_t)
 
     def _repush_tick(self, ev: ScheduledEvent, fire_t: float) -> None:
-        """Re-arm the just-fired tick record ``ev`` in place at ``fire_t``.
-
-        Its payload is already correct and the kernel skips requeued
-        records when recycling; the arm time and in-run phase bit go into
-        ``d`` / ``e`` exactly as :meth:`ClockSyncNode._arm_timer` stamps
-        them (the parallel backend keys timer provenance on those slots).
-        """
+        """Re-arm the just-fired tick record ``ev`` in place at ``fire_t``,
+        the arm time and in-run phase bit in ``d`` / ``e`` as
+        :meth:`ClockSyncNode._arm_timer` stamps them (the parallel backend
+        keys timer provenance on those slots)."""
         sim = self.sim
         ev.d = sim.now
         ev.e = 1
@@ -660,92 +968,251 @@ class NodeArrayTable:
         ev.a._timers[_TICK] = ev
 
     def tick_one(self, ev: ScheduledEvent) -> None:
-        """Execute a singleton ``tick`` record: a timer run of one.
-
-        Called by the transport's ``KIND_TIMER`` handler
-        (:meth:`Transport._handle_timer`).  Nothing was pre-popped, so
-        sends that land at the current timestamp (zero or randomized
-        delays) still dispatch before the next timer exactly as under
-        scalar dispatch.
-        """
-        self.array_events += 1
-        deadline, _ = self._tick_phase((ev.a,))
-        self._repush_tick(ev, deadline)
+        """Execute a singleton ``tick`` record: a timer run of one.  Nothing
+        was pre-popped, so sends that land at the current timestamp (zero
+        or random delays) dispatch before the next timer, as under scalar
+        dispatch."""
+        self.scalar_lane_events += 1
+        self._repush_tick(ev, self._tick_phase((ev.a,))[0])
 
     def handle_tick_group(self, ev: ScheduledEvent) -> None:
-        """Execute one tick-group record (see :data:`KIND_TICK_BURST`).
-
-        Semantically identical to :meth:`handle_timer_batch` over the
-        constituent drivers' tick records, in list order (which is the
-        original record order).  In the steady state every constituent's
-        next deadline coincides again and the group re-pushes *itself* --
-        same record, same driver list, fresh sequence number -- so a tick
-        cycle of n nodes costs one heappush/heappop pair and zero
-        ``_timers`` writes (each driver's entry already aliases the
-        group).  If the deadlines ever diverge, the group dissolves back
-        into individual records.
-        """
+        """Execute one tick-group record (:data:`KIND_TICK_BURST`): as
+        :meth:`handle_timer_batch` over the constituents' tick records, in
+        list order.  In the steady state every deadline coincides again and
+        the group re-pushes *itself* -- same record, driver list and send
+        plan -- so a tick cycle of n nodes costs one heap entry and no
+        ``_timers`` write; if the deadlines diverge it dissolves into
+        individual records."""
         drivers = ev.a
-        self.array_events += len(drivers)
-        ft0, same = self._tick_phase(drivers)
+        fires, ev.c = self._tick_run(drivers, ev.c)
         sim = self.sim
         queue = sim.queue
-        if same:
+        if fires.count(fires[0]) == len(fires):
             ev.d = sim.now
-            queue.repush(ev, ft0)
+            queue.repush(ev, fires[0])
         else:
-            for d in drivers:
+            for d, fire_t in zip(drivers, fires):
                 d._timers[_TICK] = queue.push_typed(
-                    self._tick_deadline(d), PRIORITY_TIMER, KIND_TIMER, d,
+                    fire_t, PRIORITY_TIMER, KIND_TIMER, d,
                     _TICK, None, sim.now, None, "timer", e=1,
                 )
 
-    def _tick_deadline(self, d: "ClockSyncNode") -> float:
-        """Real time of ``d``'s next tick, from its post-sync ``H``."""
-        nid = d.node_id
-        target = self.cores[nid].h_last + self.tick_interval
-        if target < self.h1[nid]:
-            fire_t = self.t0[nid] + (target - self.h0[nid]) / self.rate[nid]
-        else:
-            fire_t = d.clock.time_at(target)
+    def _tick_run(
+        self, drivers: "Sequence[ClockSyncNode]", plan: _TickPlan | None
+    ) -> tuple[list[float], _TickPlan | None]:
+        """Sync, send and AdjustClock for a run of ticking ``drivers``, on
+        the lane its size selects.  Returns each driver's next tick
+        deadline and the send plan to keep with the group, if any."""
+        k = len(drivers)
+        if k >= ARRAY_LANE_MIN and self.send_delay is not None:
+            transport = self.transport
+            key = (transport.edge_flips, transport.stats.discoveries_delivered)
+            if plan is None or plan.key != key:
+                plan = self._tick_plan(drivers, key)
+            tracer = transport._tracer
+            if tracer is None or not (
+                plan.loose
+                or (len(tracer.data) >> 3) + k + len(plan.us) >= tracer.capacity
+            ):
+                self.array_lane_events += k
+                return self._tick_array(drivers, plan, tracer), plan
+        self.scalar_lane_events += k
+        return self._tick_phase(drivers), plan
+
+    def _tick_plan(
+        self, drivers: "Sequence[ClockSyncNode]", key: tuple[int, int]
+    ) -> _TickPlan:
+        """Who sends what to whom when ``drivers`` tick (:class:`_TickPlan`):
+        per driver its believed neighbours, sorted, when they are all
+        adjacent (the bulk-send rule), else an entry of ``loose``."""
+        adj = self.adj
+        upsilon = self.upsilon
+        us: list[int] = []
+        vs: list[int] = []
+        counts: list[int] = []
+        loose: list[tuple[int, int]] = []
+        for j, d in enumerate(drivers):
+            nid = d.node_id
+            ups = upsilon[nid]
+            if not ups:
+                counts.append(0)
+            elif ups <= adj[nid]:
+                dests = sorted(ups)
+                us += [nid] * len(dests)
+                vs += dests
+                counts.append(len(dests))
+            else:
+                loose.append((j, len(us)))
+                counts.append(0)
+        return _TickPlan(
+            key=key,
+            ids=np.fromiter((d.node_id for d in drivers), np.int64, len(drivers)),
+            us=us,
+            vs=vs,
+            src=np.array(us, np.int64),
+            dst=np.array(vs, np.int64),
+            slots=np.array(self._slots_of(us, vs), np.int64),
+            counts=np.array(counts, np.int64),
+            loose=loose,
+        )
+
+    def _tick_array(
+        self,
+        drivers: "Sequence[ClockSyncNode]",
+        plan: _TickPlan,
+        tracer: "Tracer | None",
+    ) -> list[float]:
+        """The array lane of :meth:`_tick_phase` (whose docstring has the
+        scalar order): the members sync as columns, the payload columns
+        are gathered through the plan's index arrays *before* any
+        AdjustClock, the bursts are pushed around the plan's per-message
+        senders, and only then do the members left with ``Lmax > L`` -- in
+        member order -- run the scalar AdjustClock.  Under a positive
+        constant delay no member's tick reads what another's wrote.
+        """
         now = self.sim.now
-        return fire_t if fire_t > now else now
+        col = self.np
+        ids = plan.ids
+        for j in np.flatnonzero(now >= col.t1[ids]).tolist():
+            self._reseat(drivers[j].node_id, now)
+        t0 = col.t0[ids]
+        h0 = col.h0[ids]
+        rate = col.rate[ids]
+        h = h0 + rate * (now - t0)
+        dh = h - col.h_last[ids]
+        col.L[ids] += dh
+        col.Lmax[ids] += dh
+        col.h_last[ids] = h
+        step = np.zeros(len(self.L))
+        step[ids] = dh
+        used = self.n_slots
+        col.l_est[:used] += step[col.owner[:used]]
+        col.messages_sent[ids] += plan.counts
+        target = h + self.tick_interval
+        fire = t0 + (target - h0) / rate
+        for j in np.flatnonzero(target >= col.h1[ids]).tolist():
+            fire[j] = drivers[j].clock.time_at(target.item(j))
+        fire = np.maximum(fire, now)
+        step[:] = -inf
+        step[ids] = fire
+        for s in np.flatnonzero(col.lost_dl[:used] <= step[col.owner[:used]]).tolist():
+            self._wake(s)
+        # Sends: the plan's messages as bursts, split where a per-message
+        # sender ticks (its sends go out at its scalar position).
+        us = plan.us
+        m = len(us)
+        sids: list[int] | None = None
+        timer_sids: list[int] = []
+        if tracer is not None:
+            timer_sids, sids = self._trace_ticks(tracer, plan, now)
+        if m or plan.loose:
+            l_out = col.L[plan.src]
+            lmax_out = col.Lmax[plan.src]
+            whole = not plan.loose  # then the plan's own lists travel, uncopied
+            start = 0
+            for j, end in (*plan.loose, (-1, m)):
+                if end > start:
+                    cut = slice(start, end)
+                    self._push_burst(
+                        us if whole else us[cut],
+                        plan.vs if whole else plan.vs[cut],
+                        _Payloads(
+                            l_out[cut], lmax_out[cut], plan.dst[cut], plan.slots[cut]
+                        ),
+                        None if sids is None else sids[cut],
+                    )
+                    start = end
+                if j >= 0:
+                    nid = drivers[j].node_id
+                    self._send_each(nid, (self.L[nid], self.Lmax[nid]))
+        for j in np.flatnonzero(col.Lmax[ids] > col.L[ids]).tolist():
+            if tracer is not None:
+                tracer.current = timer_sids[j]
+            self._adjust_clock(drivers[j].node_id, tracer)
+        if tracer is not None:
+            tracer.current = -1
+        return fire.tolist()  # type: ignore[no-any-return]
 
-    def _tick_phase(
-        self, drivers: "Sequence[ClockSyncNode]"
-    ) -> tuple[float, bool]:
-        """Sync, send and AdjustClock for one run of ticking ``drivers``.
+    def _trace_ticks(
+        self, tracer: "Tracer", plan: _TickPlan, now: float
+    ) -> tuple[list[int], list[int]]:
+        """Write a tick run's span rows in scalar order: per member its
+        ``SPAN_TIMER`` row, then one optimistically-closed flight row per
+        bulk send, parented on it (:meth:`_trace_tick`, a column at a
+        time).  The caller checked the table has room.  Returns the
+        members' timer span ids and the flights' span ids, per message.
 
-        One fused loop: per driver sync + payload capture + sends, in
-        scalar order (sends consume sequence numbers in record order),
-        then the burst push, then AdjustClock over the cores it can act
-        on (``Lmax > L``: its ceiling is ``min(Lmax, ...)``).  Payloads are
-        captured *before* AdjustClock exactly as the scalar handler reads
-        them; hoisting AdjustClock across drivers is sound because it
-        touches only core state that neither another driver's sends nor
-        the callers' re-arms read.
+        What does not change from tick to tick is a template kept with
+        the plan; the rest is picked per row out of a few shared values
+        (``itemgetter``), so a row costs no new object, as a scalar row.
+        """
+        if plan.spans is None:
+            k = len(plan.ids)
+            m = len(plan.us)
+            member = np.repeat(np.arange(k), plan.counts)  # per message
+            timer_at = np.arange(k) + np.cumsum(plan.counts) - plan.counts
+            flight_at = np.arange(m) + member + 1
+            order = np.empty(k + m, np.int64)  # row -> member, or k + message
+            order[timer_at] = np.arange(k)
+            order[flight_at] = np.arange(k, k + m)
+            pick = itemgetter(*order.tolist())
+            order[timer_at] = k  # row -> its parent's member (k: none)
+            order[flight_at] = member
+            rows: list[Any] = [0.0] * (8 * (k + m))
+            rows[0::8] = pick([SPAN_TIMER] * k + [SPAN_FLIGHT] * m)
+            rows[1::8] = pick(plan.ids.tolist() + plan.us)
+            rows[2::8] = pick([-1] * k + plan.vs)
+            rows[6::8] = [STATUS_DONE] * (k + m)
+            plan.spans = (
+                rows, timer_at, flight_at, itemgetter(*order.tolist()),
+                itemgetter(*pick([0] * k + [1] * m)),
+            )
+        rows, timer_at, flight_at, pick_parent, pick_end = plan.spans
+        data = tracer.data
+        sid0 = len(data) >> 3
+        timer_sids: list[int] = (sid0 + timer_at).tolist()
+        rows = rows[:]
+        rows[3::8] = [now] * (len(rows) >> 3)
+        rows[4::8] = pick_end((now, now + cast(float, self.send_delay)))
+        rows[5::8] = pick_parent(timer_sids + [-1])
+        data.extend(rows)
+        return timer_sids, (sid0 + flight_at).tolist()
 
-        A driver whose believed neighbours are all adjacent appends its
-        sends to the run's burst; any other driver sends through
-        :meth:`Transport.send`, which applies the no-edge drop rule per
-        message, after the burst built so far is pushed (see module
-        docstring).  Returns the first driver's next tick deadline and
-        whether every driver's deadline equals it.
+    def _tick_phase(self, drivers: "Sequence[ClockSyncNode]") -> list[float]:
+        """Sync, send and AdjustClock for one run of ticking ``drivers``:
+        the scalar lane.
+
+        One fused loop: per driver sync, payload capture, sends -- in
+        scalar order, sends consume sequence numbers in record order --
+        and a look at its ``lost`` deadlines (:meth:`lost_wake`); then the
+        burst push, then AdjustClock over the rows left with ``Lmax > L``.
+        Payloads are captured *before* AdjustClock as the scalar handler
+        reads them; hoisting it across drivers is sound because it touches
+        only row state no other driver's sends or re-arm read.  A driver
+        whose believed neighbours are all adjacent appends its sends to
+        the run's burst; any other sends through :meth:`Transport.send`,
+        which applies the no-edge drop rule per message, after the burst
+        built so far is pushed.  Returns each driver's next tick deadline.
 
         When traced, each driver's ``SPAN_TIMER`` row and the flight rows
         of its bulk sends are written here (:meth:`_trace_tick`); the
-        timer's span id stays ``tracer.current`` across
-        :meth:`_send_each`, so per-message sends parent on it as under
-        scalar dispatch, and the jumps AdjustClock applied are read back
-        off the cores afterwards.
+        timer's span id stays ``tracer.current`` across :meth:`_send_each`
+        and parents a blocked row's jump.
         """
         now = self.sim.now
-        cores = self.cores
         rate = self.rate
         t0 = self.t0
         h0 = self.h0
         t1 = self.t1
         h1 = self.h1
+        L_col = self.L
+        lmax_col = self.Lmax
+        h_last = self.h_last
+        l_est = self.l_est
+        lost_dl = self.lost_dl
+        sent = self.messages_sent
+        slotmap = self.slotmap
+        upsilon = self.upsilon
         adj = self.adj
         tracer = self.transport._tracer
         delay = self.send_delay
@@ -754,35 +1221,34 @@ class NodeArrayTable:
         u_list: list[int] = []
         v_list: list[int] = []
         p_list: list[Any] = []
-        #: Flight span ids of the burst under construction, timer span id
-        #: per core of ``tick_cores`` (both traced runs only).
+        #: Flight span ids of the burst under construction (traced only).
         s_list: list[int] = []
-        timer_sids: list[int] = []
-        uext = u_list.extend
-        vext = v_list.extend
-        pext = p_list.extend
-        tick_cores: list[DCSACore] = []
-        capp = tick_cores.append
-        ft0 = -1.0
-        same = True
+        #: ``(node id, its timer's span id)`` per row left with ``Lmax > L``.
+        blocked: list[tuple[int, int]] = []
+        fires: list[float] = []
         for d in drivers:
             nid = d.node_id
-            core = cores[nid]
             if now >= t1[nid]:
                 self._reseat(nid, now)
             seg_r = rate[nid]
             seg_t = t0[nid]
             seg_h = h0[nid]
             h = seg_h + seg_r * (now - seg_t)
-            dh = h - core.h_last
+            L = L_col[nid]
+            lmax = lmax_col[nid]
+            dh = h - h_last[nid]
             if dh != 0.0:
-                core._L += dh
-                core._Lmax += dh
-                for row in core.gamma._rows.values():
-                    row.l_est += dh
-                core.h_last = h
-            d._t_last = now
-            ups = core.upsilon
+                L += dh
+                lmax += dh
+                L_col[nid] = L
+                lmax_col[nid] = lmax
+                h_last[nid] = h
+                if len(slotmap[nid]) > _LONG_ROW:
+                    self._advance(nid, dh)
+                else:
+                    for s in slotmap[nid].values():
+                        l_est[s] += dh
+            ups = upsilon[nid]
             # The bulk-send destinations, or ``None`` when this driver
             # must send per message.
             dests = (
@@ -793,15 +1259,15 @@ class NodeArrayTable:
                     tracer, nid, dests or (), t_deliver, s_list
                 )
             if ups:
-                payload = (core._L, core._Lmax)
+                payload = (L, lmax)
                 if dests is not None:
                     k = len(dests)
                     # Scalar _send bumps the counter at emission time; the
                     # batch bypasses the effect list, so count here.
-                    core.messages_sent += k
-                    uext((nid,) * k)
-                    vext(dests)
-                    pext((payload,) * k)
+                    sent[nid] += k
+                    u_list += [nid] * k
+                    v_list += dests
+                    p_list += [payload] * k
                 else:
                     if u_list:
                         self._push_burst(
@@ -820,31 +1286,23 @@ class NodeArrayTable:
                 fire_t = d.clock.time_at(target)
             if fire_t < now:
                 fire_t = now
-            if ft0 < 0.0:
-                ft0 = fire_t
-            elif fire_t != ft0:
-                same = False
-            if core._Lmax > core._L:
-                capp(core)
-                if tracer is not None:
-                    timer_sids.append(tracer.current)
+            fires.append(fire_t)
+            for s in slotmap[nid].values():
+                if lost_dl[s] <= fire_t:
+                    self._wake(s)
+            if lmax > L:
+                blocked.append((nid, -1 if tracer is None else tracer.current))
         if u_list:
             self._push_burst(
                 u_list, v_list, p_list, s_list if tracer is not None else None
             )
-        if tracer is None:
-            adjust_clocks_batch(tick_cores)
-            return ft0, same
-        # AdjustClock applies at most one jump per core: the row's delta is
-        # the scalar ``new_value - L`` on the same two operands.
-        before = [core._L for core in tick_cores]
-        adjust_clocks_batch(tick_cores)
-        for core, l_old, sid in zip(tick_cores, before, timer_sids):
-            if core._L != l_old:
+        for nid, sid in blocked:
+            if tracer is not None:
                 tracer.current = sid
-                tracer.jump(core.node_id, now, core._L - l_old)
-        tracer.current = -1
-        return ft0, same
+            self._adjust_clock(nid, tracer)
+        if tracer is not None:
+            tracer.current = -1
+        return fires
 
     def _trace_tick(
         self,
@@ -854,13 +1312,10 @@ class NodeArrayTable:
         t1: float,
         sids: list[int],
     ) -> int:
-        """Write ``nid``'s ``SPAN_TIMER`` row and its bulk sends' flight rows.
-
-        One ``list.extend`` per driver: the timer row, then one
-        optimistically-closed flight row per destination parented on it
-        (``Transport.send``'s row; ``t1`` is the delivery time).  Appends
-        the flights' span ids to ``sids`` and returns the timer's.
-        """
+        """Write ``nid``'s ``SPAN_TIMER`` row and, parented on it, one
+        optimistically-closed flight row per bulk send (``Transport.send``'s
+        row; ``t1`` is the delivery time) in one ``list.extend``.  Appends
+        the flights' span ids to ``sids`` and returns the timer's."""
         now = self.sim.now
         data = tracer.data
         sid = len(data) >> 3
@@ -885,17 +1340,17 @@ class NodeArrayTable:
 
     def _send_each(self, nid: int, payload: Any) -> None:
         """Send ``payload`` from ``nid`` to each believed neighbour, per message."""
-        core = self.cores[nid]
         send = self.transport.send
-        for v in sorted(core.upsilon):
-            core.messages_sent += 1
+        dests = sorted(self.upsilon[nid])
+        self.messages_sent[nid] += len(dests)
+        for v in dests:
             send(nid, v, payload)
 
     def _push_burst(
         self,
         us: list[int],
         vs: list[int],
-        payloads: list[Any],
+        payloads: Any,
         sids: list[int] | None,
     ) -> None:
         """Schedule one burst record for sends emitted at the current time.
@@ -915,49 +1370,35 @@ class NodeArrayTable:
     # Dense reads (oracle sampling)
     # ------------------------------------------------------------------ #
 
-    def _hardware_column(self, t: float) -> npt.NDArray[np.float64]:
-        """``H_u(t)`` for every node of ``ids``, elementwise off the columns.
-
-        Their array form is kept until a row is re-seated: here, when
-        ``t`` has left its segment, or by an event or a rate change in
-        between (a constant-rate population builds it once).
-        """
-        arrays = self._seg_arrays
-        if arrays is None or t >= arrays[3]:
-            lo, hi = self.ids.start, self.ids.stop
-            t1 = self.t1
-            for i in self.ids:
-                if t >= t1[i]:
-                    self._reseat(i, t)
-            arrays = self._seg_arrays = (
-                np.asarray(self.rate[lo:hi]), np.asarray(self.t0[lo:hi]),
-                np.asarray(self.h0[lo:hi]), min(t1[lo:hi]),
-            )
-        rate, t0, h0, _ = arrays
-        result: npt.NDArray[np.float64] = h0 + rate * (t - t0)
+    def _hardware_column(self, t: float) -> _F64:
+        """``H_u(t)`` for every node of ``ids``, elementwise off the
+        segment columns (rows whose segment ``t`` has left re-seat first)."""
+        lo, hi = self.ids.start, self.ids.stop
+        col = self.np
+        for i in np.flatnonzero(t >= col.t1[lo:hi]).tolist():
+            self._reseat(lo + i, t)
+        result: _F64 = col.h0[lo:hi] + col.rate[lo:hi] * (t - col.t0[lo:hi])
         return result
 
-    def clock_column(self, t: float) -> npt.NDArray[np.float64]:
+    def clock_column(self, t: float) -> _F64:
         """``L_u(t)`` for every node of ``ids`` as a dense array.
 
         Matches ``core.logical_clock_at(clock.value(t))`` bitwise: the
         fused expression evaluates ``L + (h - h_last)`` elementwise in the
         same order.
         """
-        cores = self.cores[self.ids.start : self.ids.stop]
-        n = len(cores)
-        L = np.fromiter((c._L for c in cores), np.float64, count=n)
-        hl = np.fromiter((c.h_last for c in cores), np.float64, count=n)
-        result: npt.NDArray[np.float64] = L + (self._hardware_column(t) - hl)
+        lo, hi = self.ids.start, self.ids.stop
+        col = self.np
+        result: _F64 = col.L[lo:hi] + (self._hardware_column(t) - col.h_last[lo:hi])
         return result
 
-    def max_estimate_column(self, t: float) -> npt.NDArray[np.float64]:
+    def max_estimate_column(self, t: float) -> _F64:
         """``Lmax_u(t)`` for every node of ``ids`` as a dense array."""
-        cores = self.cores[self.ids.start : self.ids.stop]
-        n = len(cores)
-        lm = np.fromiter((c._Lmax for c in cores), np.float64, count=n)
-        hl = np.fromiter((c.h_last for c in cores), np.float64, count=n)
-        result: npt.NDArray[np.float64] = lm + (self._hardware_column(t) - hl)
+        lo, hi = self.ids.start, self.ids.stop
+        col = self.np
+        result: _F64 = col.Lmax[lo:hi] + (
+            self._hardware_column(t) - col.h_last[lo:hi]
+        )
         return result
 
 

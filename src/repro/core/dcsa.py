@@ -40,7 +40,7 @@ for tests and analysis code.
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Sequence
+from typing import Any, ClassVar
 
 from ..params import SystemParams
 from ..sim.clocks import HardwareClock
@@ -49,50 +49,7 @@ from .estimates import NeighborTable
 from .node import ClockSyncNode
 from .protocol import DCSACore, ProtocolCore, Update
 
-__all__ = ["DCSANode", "Update", "adjust_clocks_batch"]
-
-
-def adjust_clocks_batch(cores: Sequence[DCSACore]) -> None:
-    """Run ``AdjustClock`` on each of ``cores``, applying jumps directly.
-
-    The array step's form of :meth:`DCSACore._adjust_clock` (see
-    :mod:`repro.core.batch`): the reference scan -- ``b = intercept -
-    slope * (h - added_h)``, ``max(b, b0)``, ``l_est + b``, running
-    ``min`` against ``Lmax``, in that association order -- with the jump,
-    normally a deferred :class:`~repro.core.protocol.JumpL` effect the
-    driver applies via ``apply_jump``, applied in place.  The tick phase
-    passes only cores with ``Lmax > L`` (no other can jump) -- none at
-    all on the benchmark workloads, which is why this is a plain loop.
-    Every core must share the caller-verified premise of the batch table:
-    same ``params`` object (hence identical ``b0``/``intercept``/``slope``)
-    and no pending jump.
-
-    Callers must only use this outside driver effect dispatch (the batch
-    kernel bypasses the effect list entirely); recording the jumps is the
-    caller's responsibility -- at most one per core and call, so the batch
-    tick phase reads them back as the change in ``L`` and writes one
-    ``SPAN_JUMP`` row each when causal tracing is on.
-    """
-    if not cores:
-        return
-    c0 = cores[0]
-    b0 = c0._b0
-    intercept = c0._b_intercept
-    slope = c0._b_slope
-    for core in cores:
-        ceiling = core._Lmax
-        h = core.h_last
-        for row in core.gamma.rows():
-            b = intercept - slope * (h - row.added_h)
-            if b < b0:
-                b = b0
-            cand = row.l_est + b
-            if cand < ceiling:
-                ceiling = cand
-        if ceiling > core._L:
-            core.total_jump += ceiling - core._L
-            core.jumps += 1
-            core._L = ceiling
+__all__ = ["DCSANode", "Update"]
 
 
 class DCSANode(ClockSyncNode):

@@ -16,13 +16,19 @@ Algorithm 2 keeps, per node ``u``:
 estimate values are lazy in the same sense as the node's ``L``: the owning
 node calls :meth:`advance` from its ``_sync`` with the elapsed subjective
 time ``dh``.
+
+A node covered by the batch table (:mod:`repro.core.batch`) keeps no rows
+of its own: its Gamma is a :class:`SlotTable`, the same interface over the
+table's per-slot columns, where ``L^v_u = +inf`` *is* "``v`` not in
+Gamma" (the identity of AdjustClock's ``min``).
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from math import inf
+from typing import Any, Iterator
 
-__all__ = ["NeighborEstimate", "NeighborTable"]
+__all__ = ["NeighborEstimate", "NeighborTable", "SlotEstimate", "SlotTable"]
 
 
 class NeighborEstimate:
@@ -107,3 +113,63 @@ class NeighborTable:
     def clear(self) -> None:
         """Drop every row."""
         self._rows.clear()
+
+
+class SlotEstimate:
+    """One Gamma row of a table-covered node: slot ``slot`` of ``store``'s
+    ``added_h`` / ``l_est`` columns, read and written in place."""
+
+    __slots__ = ("_store", "_slot")
+
+    def __init__(self, store: Any, slot: int) -> None:
+        self._store = store
+        self._slot = slot
+
+    @property
+    def added_h(self) -> float:
+        return self._store.added_h[self._slot]  # type: ignore[no-any-return]
+
+    @property
+    def l_est(self) -> float:
+        return self._store.l_est[self._slot]  # type: ignore[no-any-return]
+
+    @l_est.setter
+    def l_est(self, value: float) -> None:
+        self._store.l_est[self._slot] = value
+
+
+class SlotTable(NeighborTable):
+    """Gamma of a table-covered node ``owner``: :class:`NeighborTable`'s
+    interface as a view of ``store``'s slot columns (nothing is copied;
+    every read shows the run as it stands)."""
+
+    __slots__ = ("_store", "_owner")
+
+    def __init__(self, store: Any, owner: int) -> None:
+        self._store = store
+        self._owner = owner
+
+    @property
+    def _rows(self) -> dict[int, SlotEstimate]:  # type: ignore[override]
+        store = self._store
+        l_est = store.l_est
+        return {
+            v: SlotEstimate(store, s)
+            for v, s in store.slotmap[self._owner].items()
+            if l_est[s] != inf
+        }
+
+    def add(self, v: int, added_h: float, l_est: float) -> None:
+        if v in self:
+            raise ValueError(f"neighbour {v!r} already tracked")
+        store = self._store
+        slot = store.slot(self._owner, v)
+        store.added_h[slot] = added_h
+        store.l_est[slot] = l_est
+
+    def remove(self, v: int) -> bool:
+        return self._store.forget(self._owner, v)  # type: ignore[no-any-return]
+
+    def clear(self) -> None:
+        for v in list(self._rows):
+            self.remove(v)

@@ -26,9 +26,10 @@ pre-refactor monolithic node classes (the golden-value pins enforce it):
 :class:`~repro.core.batch.NodeArrayTable` (an all-DCSA population on
 :mod:`repro.sim.clocks`' own clock classes, without effect logs), every
 in-run event bypasses this translation entirely: the transport hands
-delivered messages, discoveries and ``tick`` / ``lost`` fires to the
-table, where the same step runs against the core's state without an
-``Event`` or an effect list (bit-identical; see :mod:`repro.core.batch`).
+delivered messages, discoveries and ``tick`` fires to the table, which
+owns the population's state -- the core is a view of its row -- and runs
+the same step without an ``Event`` or an effect list (bit-identical; see
+:mod:`repro.core.batch`).
 Every event of any other population goes through :meth:`_dispatch`;
 ``Start`` goes through it nowhere (see :meth:`ClockSyncNode.start`).
 
@@ -132,9 +133,8 @@ class ClockSyncNode:
                 )
             core = cls(node_id, params, **core_kwargs)
         self.core = core
-        #: Real time of the last processed event (guards past reads).
-        self._t_last = 0.0
-        # Keyed timers.
+        #: Keyed timers.  On the batch table only ``tick`` (and any foreign
+        #: key) lives here: a ``lost`` deadline is a slot of the table.
         self._timers: dict[Any, ScheduledEvent] = {}
         # Pre-bound hot-path callable (the queue is never swapped; the
         # clock may be -- adversaries install SteerableClocks -- so clock
@@ -193,12 +193,14 @@ class ClockSyncNode:
         case: recorders sample the current time between events).
         """
         tt = self.sim.now if t is None else t
-        if tt < self._t_last - 1e-12:
+        h = self.clock.value(tt)
+        core = self.core
+        if h < core.h_last - 1e-12:
             raise ValueError(
-                f"cannot read logical clock at t={tt!r} before last event "
-                f"t={self._t_last!r}"
+                f"cannot read logical clock at t={tt!r} (H={h!r}) before "
+                f"the last event (H={core.h_last!r})"
             )
-        return self.core.logical_clock_at(self.clock.value(tt))
+        return core.logical_clock_at(h)
 
     def max_estimate(self, t: float | None = None) -> float:
         """``Lmax_u(t)`` -- read-only, same contract as :meth:`logical_clock`."""
@@ -229,10 +231,8 @@ class ClockSyncNode:
     # ------------------------------------------------------------------ #
 
     def _dispatch(self, event: Event) -> None:
-        now = self.sim.now
-        now_h = self.clock.value(now)
+        now_h = self.clock.value(self.sim.now)
         effects = self.core.handle(now_h, event)
-        self._t_last = now
         if self._effect_log is not None:
             self._effect_log.append((now_h, event, tuple(effects)))
         self._apply_effects(effects, now_h)
@@ -279,10 +279,10 @@ class ClockSyncNode:
             fire_t = now
         # Typed record, no closure: the kernel routes KIND_TIMER through
         # the shared dispatcher, which calls _fire_timer(key).  The arm
-        # time and phase ride in the free d/e slots (c stays reserved for
-        # the lazy-deadline re-arm): the parallel shard backend keys timer
-        # provenance on (arm time, phase, node id), which is deterministic
-        # across shard counts where a local sequence number is not.
+        # time and phase ride in the free d/e slots (c is the batch
+        # table's): the parallel shard backend keys timer provenance on
+        # (arm time, phase, node id), which is deterministic across shard
+        # counts where a local sequence number is not.
         self._timers[key] = self._push(
             fire_t, PRIORITY_TIMER, KIND_TIMER, self, key, None, now,
             None, "timer", e=1 if sim.in_run else 0,
@@ -351,13 +351,9 @@ class ClockSyncNode:
     # ------------------------------------------------------------------ #
 
     def _sync(self) -> float:
-        """Advance the core's lazy state to ``sim.now``; returns ``H``.
-
-        Also the sync of the batch table's ``lost`` step.
-        """
+        """Advance the core's lazy state to ``sim.now``; returns ``H``."""
         h = self.clock.value(self.sim.now)
         self.core.sync_to(h)
-        self._t_last = self.sim.now
         return h
 
     def _raise_max(self, candidate: float) -> None:
@@ -381,5 +377,4 @@ class ClockSyncNode:
         """
         now_h = self.clock.value(self.sim.now)
         self.core.sync_to(now_h)
-        self._t_last = self.sim.now
         self._apply_effects(self.core.act(action), now_h)

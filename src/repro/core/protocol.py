@@ -49,10 +49,10 @@ the same handler depends on it) and emitted purely as an observable record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Union
+from typing import Any, Callable, Hashable, Iterable, Union
 
 from ..params import SystemParams
-from .estimates import NeighborTable
+from .estimates import NeighborEstimate, NeighborTable, SlotTable
 
 __all__ = [
     "CancelTimer",
@@ -74,6 +74,7 @@ __all__ = [
     "StaticGradientCore",
     "TimerFired",
     "Update",
+    "adopt",
 ]
 
 #: Message payload exchanged by all cores: ``(L, Lmax)`` at send time.
@@ -534,6 +535,79 @@ class DCSACore(ProtocolCore):
             if cand < ceiling:
                 ceiling = cand
         self._request_jump(ceiling)  # no-op when ceiling <= L
+
+
+# --------------------------------------------------------------------- #
+# Row views (cores covered by the batch table)
+# --------------------------------------------------------------------- #
+
+
+def _column(name: str) -> property:
+    """``core.<field>`` as row ``core.node_id`` of ``core._store.<name>``."""
+
+    def get(self: Any) -> Any:
+        return getattr(self._store, name)[self.node_id]
+
+    def put(self: Any, value: Any) -> None:
+        getattr(self._store, name)[self.node_id] = value
+
+    return property(get, put)
+
+
+class _Row:
+    """The lazy state of a table-covered core, as a view.
+
+    Mixed in front of the core's class by :func:`adopt`: ``L``, ``Lmax``,
+    ``h_last``, ``messages_sent`` and Gamma then *are* the store's columns
+    (:class:`~repro.core.batch.NodeArrayTable`) -- the instance keeps no
+    copy -- and every method of the core, ``handle()`` included, runs
+    unchanged against them.  ``upsilon`` and the jump statistics stay on
+    the instance.
+    """
+
+    _store: Any
+    node_id: int
+    _L = _column("L")
+    _Lmax = _column("Lmax")
+    h_last = _column("h_last")
+    messages_sent = _column("messages_sent")
+
+    @property
+    def gamma(self) -> SlotTable:
+        return SlotTable(self._store, self.node_id)
+
+
+_ROW_TYPES: dict[type, type] = {}
+
+
+def adopt(
+    cores: "Iterable[DCSACore]", store: Any
+) -> dict[int, dict[int, NeighborEstimate]]:
+    """Turn each stand-alone core of ``cores`` into a view of ``store``'s
+    row ``core.node_id`` (see :class:`_Row`), moving its scalars there.
+
+    Returns, per node id, the Gamma rows a core held (none unless events
+    were fed to it before the run): the store seats them in its slots.
+    """
+    L, lmax, h_last, sent = store.L, store.Lmax, store.h_last, store.messages_sent
+    held: dict[int, dict[int, NeighborEstimate]] = {}
+    for core in cores:
+        cls = type(core)
+        row_cls = _ROW_TYPES.get(cls)
+        if row_cls is None:
+            row_cls = _ROW_TYPES[cls] = type(cls.__name__, (_Row, cls), {})
+        state = core.__dict__
+        i = core.node_id
+        L[i] = state.pop("_L")
+        lmax[i] = state.pop("_Lmax")
+        h_last[i] = state.pop("h_last")
+        sent[i] = state.pop("messages_sent")
+        rows = state.pop("gamma")._rows
+        if rows:
+            held[i] = rows
+        state["_store"] = store
+        core.__class__ = row_cls  # type: ignore[assignment]
+    return held
 
 
 # --------------------------------------------------------------------- #

@@ -352,10 +352,18 @@ class RunResult:
     #: :func:`repro.core.batch.kernel_plan`; a ``"par"`` run that fell back
     #: to one process adds its ``shards`` entry).  A live run has no plan.
     declines: tuple[Decline, ...] = ()
-    #: How many of ``events_dispatched`` the plan's array step executed
-    #: (singletons included); the rest went through ``handle()`` or were
-    #: not node events at all.
-    array_events: int = 0
+    #: How many of ``events_dispatched`` the plan's table executed, on its
+    #: array lane (bursts and tick groups as numpy passes) and its scalar
+    #: lane (singletons, small runs and what the array lane handed over):
+    #: the rest went through ``handle()`` or were not node events at all
+    #: (``non_node_events``: callbacks, samples, topology mutations).
+    #: ``blocked_rows`` counts the delivery runs that left ``Lmax > L`` and
+    #: scanned Gamma: over ``transport_stats["delivered"]``, how much of
+    #: the run the gradient constraint could bind at all.
+    array_lane_events: int = 0
+    scalar_lane_events: int = 0
+    blocked_rows: int = 0
+    non_node_events: int = 0
     #: Shard count for a genuinely sharded run (``None`` otherwise).
     par_shards: int | None = None
     #: The :class:`~repro.live.runtime.LiveRunResult` behind a ``"live"``
@@ -372,6 +380,11 @@ class RunResult:
 
     def _declined(self, path: str) -> str | None:
         return next((d.reason for d in self.declines if d.path == path), None)
+
+    @property
+    def array_events(self) -> int:
+        """Events the plan's table executed, on either lane."""
+        return self.array_lane_events + self.scalar_lane_events
 
     @property
     def batch_gate_reason(self) -> str | None:
@@ -439,7 +452,9 @@ class RunResult:
         if self.array_events:
             lines.append(
                 f"  array step: {self.array_events:,} / "
-                f"{self.events_dispatched:,} events"
+                f"{self.events_dispatched:,} events "
+                f"({self.array_lane_events:,} on the array lane, "
+                f"{self.blocked_rows:,} blocked rows)"
             )
         if self.par_shards is not None:
             lines.append(f"  parallel backend: {self.par_shards} shards")
@@ -740,6 +755,7 @@ class Experiment:
             # Patch the optimistically-closed spans of messages the
             # horizon caught mid-flight (O(pending queue), not O(spans)).
             self.transport.finalize_tracing()
+        lanes = self.transport.lane_counts()
         return RunResult(
             config=self.cfg,
             record=(
@@ -754,7 +770,10 @@ class Experiment:
             oracle_report=self.oracle.report() if self.oracle is not None else None,
             spans=self.tracer.table if self.tracer is not None else None,
             declines=self.transport.plan.declines,
-            array_events=self.transport.array_events,
+            array_lane_events=lanes["array_lane_events"],
+            scalar_lane_events=lanes["scalar_lane_events"],
+            blocked_rows=lanes["blocked_rows"],
+            non_node_events=self.sim.non_node_events,
             setup_s=self.setup_s,
         )
 

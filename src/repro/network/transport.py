@@ -10,31 +10,24 @@ a :class:`~repro.network.graph.DynamicGraph`, a
   (clamped so it cannot overtake an earlier message on the same directed
   link -- the clamp can never exceed the :math:`\\mathcal{T}` bound because
   the predecessor met its own bound).
-* **Drop on removal**: a message in flight over an edge that gets removed is
-  dropped, and the sender additionally discovers the failure no later than
-  ``send_time + discovery_bound`` (the model's MAC-layer-ack abstraction).
-* **Send on a non-existent edge**: dropped; the sender discovers the edge is
-  gone no later than ``send_time + discovery_bound``.
+* **Drop on removal / on a non-existent edge**: the message is dropped and
+  the sender discovers the failure no later than ``send_time +
+  discovery_bound`` (the model's MAC-layer-ack abstraction).
 * **Discovery of persistent changes**: every add/remove that persists is
   discovered by both endpoints within ``discovery_bound``; transient changes
   are verified at fire time and silently skipped if already reversed, which
   realises the model's "may or may not be detected".
 
-The transport is a *typed-kernel subsystem*: it registers the
-:data:`~repro.sim.events.KIND_DELIVER` and
-:data:`~repro.sim.events.KIND_DISCOVER` dispatch handlers on its simulator
-and schedules payload-carrying records instead of per-message closures, so
-the hot delivery path allocates no closures and recycles its event records
-(see docs/performance.md).  Registered node implementations are additionally
-mirrored into a dense list keyed by node id for O(1) list-indexed dispatch.
+The transport is a typed-kernel subsystem: it registers the delivery and
+discovery dispatch handlers on its simulator, schedules payload-carrying
+records instead of closures, and holds the run's kernel plan -- on whose
+table (:mod:`repro.core.batch`) a node event is executed rather than
+handed to the node.  How records are aggregated, and why that is
+bit-identical, is argued once in ``docs/performance.md``.
 
-Nodes registered with the transport must provide three callbacks::
-
-    on_message(sender: int, payload) -> None
-    on_discover_add(other: int) -> None
-    on_discover_remove(other: int) -> None
-
-(:class:`repro.core.node.ClockSyncNode` provides this interface.)
+Nodes registered with the transport provide ``on_message(sender, payload)``,
+``on_discover_add(other)`` and ``on_discover_remove(other)``
+(:class:`repro.core.node.ClockSyncNode` does).
 """
 
 from __future__ import annotations
@@ -50,7 +43,7 @@ from typing import (
     Sequence,
 )
 
-from ..core.batch import KernelPlan, NodeArrayTable, kernel_plan
+from ..core.batch import LANE_FIELDS, KernelPlan, NodeArrayTable, kernel_plan
 from ..sim.events import (
     KIND_DELIVER,
     KIND_DELIVER_BURST,
@@ -78,6 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
 __all__ = ["Transport", "NodeInterface", "TransportStats"]
 
 _TICK = "tick"
+_LOST = "lost"  # the table's wake records (see NodeArrayTable.lost_wake)
 
 
 class NodeInterface(Protocol):
@@ -210,6 +204,10 @@ class Transport:
             registry.counter_fn(f"transport.{field}", _stat_reader(field))
         registry.counter_fn("transport.edge_flips", lambda: self.edge_flips)
         registry.counter_fn("kernel.array_events", lambda: self.array_events)
+        for field in LANE_FIELDS:
+            registry.counter_fn(
+                f"kernel.{field}", lambda field=field: self.lane_counts()[field]
+            )
         registry.gauge_fn(
             "transport.in_flight",
             lambda: stats.sent
@@ -218,10 +216,17 @@ class Transport:
             - stats.dropped_removed,
         )
 
+    def lane_counts(self) -> dict[str, int]:
+        """The plan's table tallies (:data:`~repro.core.batch.LANE_FIELDS`:
+        events per lane, delivery runs that scanned Gamma), zeros without
+        a table."""
+        table = self.plan.table
+        return {f: 0 if table is None else getattr(table, f) for f in LANE_FIELDS}
+
     @property
     def array_events(self) -> int:
-        """Events the plan's array step executed so far (``0`` without a
-        table): the share of the run that bypassed ``handle()``."""
+        """Events the plan's table executed so far, on either lane (``0``
+        without one): the share of the run that bypassed ``handle()``."""
         table = self.plan.table
         return 0 if table is None else table.array_events
 
@@ -246,18 +251,14 @@ class Transport:
         return self._nodes[node_id]
 
     def announce_initial_edges(self) -> None:
-        """Deliver ``discover(add)`` for every edge of ``E_0`` at ``t = 0``.
-
-        Initial edges are known to their endpoints from the start; this is
-        scheduled (rather than called directly) so nodes see the discovery
-        through the ordinary event pipeline before their first tick.
+        """Deliver ``discover(add)`` for every edge of ``E_0`` at ``t = 0``,
+        scheduled (not called) so nodes see it through the event pipeline
+        before their first tick.
 
         Under a :class:`~repro.network.discovery.ConstantDiscovery` (by
-        exact type) all of E_0 shares one latency, bound check and fire
-        time and travels as one *wave* record
-        (:data:`~repro.sim.events.KIND_DISCOVER`), its rows in
-        :meth:`_announce_each`'s push order: those pushes hold contiguous
-        sequence numbers, so the wave dispatches where they would.
+        exact type) all of E_0 shares one latency and fire time and travels
+        as one *wave* record, its rows in :meth:`_announce_each`'s push
+        order (those pushes hold contiguous sequence numbers).
         """
         policy = self.discovery_policy
         if type(policy) is not ConstantDiscovery:
@@ -311,14 +312,10 @@ class Transport:
         if t_deliver < prev:
             t_deliver = prev  # FIFO clamp; see module docstring
         fifo[link] = t_deliver
-        # Open a flight span inline (this is the hottest tracer site; see
-        # Tracer's class docstring) and carry its id on the delivery
-        # record's observer slot ``e`` -- physics never reads it.  The
-        # span is written *optimistically closed*: the FIFO clamp fixed
-        # ``t_deliver`` for good, so for the common case (delivered) no
-        # further write is needed.  The rare other outcomes are patched
-        # after the fact -- drops in :meth:`_deliver`, still-in-flight
-        # spans by :meth:`finalize_tracing` at end of run.
+        # The flight span, opened inline (the hottest tracer site) and
+        # *optimistically closed* -- the FIFO clamp fixed ``t_deliver`` --
+        # rides the record's observer slot ``e``; a drop patches it in
+        # :meth:`_deliver`, a still-in-flight one :meth:`finalize_tracing`.
         tracer = self._tracer
         sid = -1
         if tracer is not None:
@@ -338,14 +335,13 @@ class Transport:
         )
 
     def _handle_deliver(self, ev: ScheduledEvent) -> None:
-        """Kernel handler for ``KIND_DELIVER`` records (one call per message).
+        """Kernel handler for ``KIND_DELIVER`` records (one per message).
 
         On the plan's table a message that clears the Section 3.2
         predicate is booked here and executed by the table as a batch of
         one; the drop branch -- and every message of a reference
-        population -- stays :meth:`_deliver`'s.  Every message was sent
-        over a present edge, so while no edge has ever been removed the
-        predicate is vacuous and skipped (cf. :meth:`_drop_failed`).
+        population -- stays :meth:`_deliver`'s.  While no edge has ever
+        been removed the predicate is vacuous (cf. :meth:`_drop_failed`).
         """
         u = ev.a
         v = ev.b
@@ -363,13 +359,9 @@ class Transport:
         table.deliver_one(u, v, ev.c, ev.e)
 
     def _handle_deliver_batch(self, records: list[ScheduledEvent]) -> None:
-        """Kernel batch handler for same-timestamp ``KIND_DELIVER`` runs.
-
-        Pre-popping a deliver run is always sound -- delivery handlers
-        never send, so nothing they do can insert a record *inside* the
-        run; the drop rule is applied per record first (see
-        :meth:`_drop_failed`), the survivors take the array path.
-        """
+        """Kernel batch handler for same-timestamp ``KIND_DELIVER`` runs
+        (delivery handlers never send, so nothing lands inside a run): the
+        drop rule per record, the survivors to the table."""
         dead = self._drop_failed(
             [ev.a for ev in records],
             [ev.b for ev in records],
@@ -390,19 +382,14 @@ class Transport:
     ) -> Collection[int]:
         """Apply the Section 3.2 drop rule to same-timestamp deliveries.
 
-        Evaluates :meth:`_deliver`'s predicate (edge absent now, or removed
-        while the message was in flight) for each ``us[i] -> vs[i]`` sent
-        at ``send_times[i]`` and accounts for every drop in record order
-        (``dropped_removed`` + absence discovery, and -- when traced, with
-        ``sids`` the messages' flight span ids -- the span closed
-        ``STATUS_DROPPED`` now); returns the dropped positions.  Every
-        message here was sent over a present edge, so a run touching no
-        ever-removed edge is cleared in one graph call.
-
-        Accounting for the drops before the survivors are delivered
-        permutes sequence numbers only across priority classes: drops push
-        discoveries (``PRIORITY_DELIVERY``), deliveries push lost timers
-        (``PRIORITY_TIMER``), and each class keeps its own relative order.
+        Evaluates :meth:`_deliver`'s predicate for each ``us[i] -> vs[i]``
+        sent at ``send_times[i]`` and accounts for every drop in record
+        order (``dropped_removed``, absence discovery and -- with ``sids``
+        the flights' span ids -- the span closed ``STATUS_DROPPED``);
+        returns the dropped positions.  A run touching no ever-removed
+        edge is cleared in one graph call.  Drops push discoveries,
+        deliveries nothing of that priority class, so accounting for the
+        drops first keeps every class's relative order.
         """
         if self.graph.never_removed(us, vs):
             return ()
@@ -423,13 +410,9 @@ class Transport:
         return dead
 
     def _start_run(self) -> None:
-        """Run-start hook: decide the kernel plan, register its run handlers.
-
-        Fires once, where the simulator's first ``run_until`` / ``step``
-        begins (:meth:`~repro.sim.simulator.Simulator.on_run_start`).  The
-        run, burst and tick-group handlers exist only on a table, so they
-        are registered here and never ask whether there is one.
-        """
+        """Run-start hook: decide the kernel plan (once, where the first
+        ``run_until`` / ``step`` begins) and register the run, burst and
+        tick-group handlers, which exist only on a table."""
         plan = self.plan = kernel_plan(self, *self._plan_scope)
         if plan.table is None:
             return
@@ -454,9 +437,10 @@ class Transport:
 
         Registered by the drivers themselves (see
         :class:`~repro.core.node.ClockSyncNode`).  On the plan's table a
-        ``tick`` or ``("lost", v)`` fire runs the array step as a batch of
-        one; any other key (a DCSA core arms none: the reference rejects
-        it), and every timer of a reference population, goes through
+        ``tick`` runs the array step as a batch of one and a ``lost`` wake
+        record fires the timers due now; any other key (a DCSA core arms
+        none: the reference rejects it), and every timer of a reference
+        population, goes through
         :meth:`~repro.core.node.ClockSyncNode._fire_timer`.
         """
         table = self.plan.table
@@ -465,8 +449,8 @@ class Transport:
             if key == _TICK:
                 table.tick_one(ev)
                 return
-            if type(key) is tuple and key[0] == "lost":
-                table.lost_one(ev)
+            if key == _LOST:
+                table.lost_wake(ev)
                 return
         ev.a._fire_timer(ev.b)
 
@@ -476,13 +460,9 @@ class Transport:
         self._table.handle_timer_batch(records)
 
     def _handle_tick_burst(self, ev: ScheduledEvent) -> None:
-        """Kernel handler for ``KIND_TICK_BURST`` records.
-
-        A group stands for the pending ticks of ``ev.e`` drivers (see
-        :mod:`repro.sim.events`); the kernel counted the record as one
-        dispatch, so re-expand the cardinality into the dispatch tallies
-        before executing.
-        """
+        """Kernel handler for ``KIND_TICK_BURST`` records: re-expand the
+        group's cardinality ``ev.e`` into the dispatch tallies (the kernel
+        counted one dispatch), then execute."""
         sim = self.sim
         card = ev.e
         sim.events_dispatched += card - 1
@@ -493,16 +473,10 @@ class Transport:
         self._table.handle_tick_group(ev)
 
     def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
-        """Kernel handler for ``KIND_DELIVER_BURST`` records.
-
-        A burst stands for ``len(ev.a)`` consecutive individual deliveries
-        (see :mod:`repro.sim.events`); the kernel counted the record as
-        one dispatch, so re-expand the cardinality into the dispatch
-        tallies before delivering.  Each constituent is subject to the
-        drop rule like an individual record (see :meth:`_drop_failed`);
-        the survivors take the array path.  Bursts are only ever created
-        by the table (its tick phase and its discovery greetings).
-        """
+        """Kernel handler for ``KIND_DELIVER_BURST`` records: re-expand the
+        cardinality into the tallies, apply the drop rule per constituent
+        (:meth:`_drop_failed`), hand the survivors to the table -- the only
+        maker of bursts."""
         sim = self.sim
         us = ev.a
         vs = ev.b
@@ -557,19 +531,13 @@ class Transport:
             node.on_message(u, payload)
 
     def finalize_tracing(self) -> None:
-        """Re-mark spans of still-queued deliveries as in flight or dropped.
+        """Re-mark the spans of still-queued deliveries, once after the run.
 
-        Flight spans are recorded optimistically ``STATUS_DONE`` at send
-        time (see :meth:`send`); messages the horizon caught mid-flight
-        never delivered, so walk the remaining event queue -- O(pending)
-        records, burst constituents included -- and patch those spans.  A
-        message whose edge has already failed would have been dropped at
-        delivery time (the same check :meth:`_deliver` applies), so its
-        span is closed ``STATUS_DROPPED`` at the horizon -- leaving it
-        ``PENDING`` would strand a flight aimed at a node track that may no
-        longer exist in the Perfetto export.  Everything else stays
-        genuinely in flight and becomes ``STATUS_PENDING``.  The harness
-        calls this once after the run.
+        Flight spans are written ``STATUS_DONE`` at send time; a message
+        the horizon caught mid-flight becomes ``STATUS_PENDING``, or --
+        its edge already failed, as :meth:`_deliver` would find --
+        ``STATUS_DROPPED`` at the horizon.  O(pending queue), burst
+        constituents included.
         """
         tracer = self._tracer
         if tracer is None:
@@ -666,13 +634,11 @@ class Transport:
     def _handle_discover(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DISCOVER`` records.
 
-        Verifies the change still holds at fire time; a reversed
-        (transient) change is allowed to go unnoticed.  ``d=True`` marks
-        the dedicated failed-send absence path, which additionally clears
-        its dedup key.  On the plan's table the record runs as a run of
-        one (a wave: of its rows) through the table's discovery body,
-        which does all of the above
-        (:meth:`~repro.core.batch.NodeArrayTable.discover_run`).
+        Verifies the change still holds at fire time (a reversed one may
+        go unnoticed); ``d=True`` marks the failed-send absence path,
+        which also clears its dedup key.  On the plan's table the record
+        -- a wave: its rows -- runs through
+        :meth:`~repro.core.batch.NodeArrayTable.discover_run` instead.
         """
         rows: Sequence[tuple[int, int, bool, bool]]
         if ev.e is None:  # the in-run case: one row, no expander

@@ -65,7 +65,8 @@ PRIORITY_SAMPLE = 3
 KIND_CALLBACK = 0
 #: Message delivery.  Payload: ``a=u, b=v, c=payload, d=send_time``.
 KIND_DELIVER = 1
-#: Subjective node timer.  Payload: ``a=driver, b=timer key``.
+#: Subjective node timer.  Payload: ``a=driver, b=timer key, d=arm time,
+#: e=arm phase`` (a wake record of the batch table: see ``c`` below).
 KIND_TIMER = 2
 #: Graph mutation.  Payload: ``a=graph, b=added(bool), c=u, d=v``.
 KIND_TOPOLOGY = 3
@@ -140,12 +141,11 @@ class ScheduledEvent:
         Zero-argument callable for ``KIND_CALLBACK`` records; the periodic
         callback ``fn(now)`` for ``KIND_SAMPLE``; ``None`` otherwise.
     a, b, c, d:
-        Kind-specific payload slots (see the ``KIND_*`` docs above).  For
-        ``KIND_TIMER`` records ``c``, when not ``None``, is the timer's
-        *live deadline*: the batch kernel re-arms a repeating timer by
-        writing the new deadline here instead of cancel-plus-push, and the
-        queue re-inserts the record at ``c`` if the stale heap entry
-        surfaces first (see :meth:`repro.sim.queue.EventQueue.pop_until`).
+        Kind-specific payload slots (see the ``KIND_*`` docs above).  A
+        ``KIND_TIMER`` record with ``a=None, b="lost"`` is a *wake* of the
+        batch table: ``c`` lists the slots whose ``lost`` deadline is its
+        time (:meth:`repro.core.batch.NodeArrayTable.lost_wake`); a tick
+        group carries its send plan in ``c``.
     e:
         Side-channel slot (``None`` when unused).  Delivery records carry
         their flights' trace span ids here when causal tracing is active

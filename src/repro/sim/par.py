@@ -102,7 +102,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence, cast
 
 import numpy as np
 
-from ..core.batch import Decline, NodeArrayTable
+from ..core.batch import LANE_FIELDS, Decline, NodeArrayTable
 from ..network.churn import ScriptedChurn
 from ..network.graph import DynamicGraph
 from ..network.transport import Transport, TransportStats
@@ -326,8 +326,9 @@ class ParTransport(Transport):
         super()._on_graph_event(time, u, v, added)
 
     def _handle_timer(self, ev: ScheduledEvent) -> None:
-        self._gp = (self.sim.now, 2, ev.d, ev.e, ev.a.node_id)
-        self._gc = 0
+        if ev.a is not None:  # a node's timer (a ``lost`` wake sends nothing)
+            self._gp = (self.sim.now, 2, ev.d, ev.e, ev.a.node_id)
+            self._gc = 0
         super()._handle_timer(ev)
 
     def _handle_discover(self, ev: ScheduledEvent) -> None:
@@ -606,7 +607,7 @@ def _worker_main(
             "events": sim.events_dispatched,
             "kind_counts": list(kc),
             "declines": transport.plan.declines,
-            "array_events": transport.array_events,
+            "lanes": transport.lane_counts(),
         }
         conn.send(("done", done))
     except BaseException:
@@ -877,7 +878,7 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
     horizon = float(cfg.horizon)
     stats = {f: 0 for f in _STAT_FIELDS}
     events = coord_sim.events_dispatched
-    array_events = 0
+    lanes = dict.fromkeys(LANE_FIELDS, 0)
     for done in dones:
         lo = done["lo"]
         hi = done["hi"]
@@ -899,7 +900,8 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
         # Topology replays in every shard (the coordinator's copy is the
         # one that counts); shadow records are a parallel-only artefact.
         events += done["events"] - kc[KIND_TOPOLOGY] - kc[KIND_PAR_SHADOW]
-        array_events += done["array_events"]
+        for f in LANE_FIELDS:
+            lanes[f] += done["lanes"][f]
     return RunResult(
         config=cfg,
         record=RunRecord.empty(range(n)),
@@ -911,6 +913,9 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
         # Shards plan alike; entries differing by shard (a node id in the
         # reason) are all kept, in shard order.
         declines=tuple(dict.fromkeys(d for done in dones for d in done["declines"])),
-        array_events=array_events,
+        array_lane_events=lanes["array_lane_events"],
+        scalar_lane_events=lanes["scalar_lane_events"],
+        blocked_rows=lanes["blocked_rows"],
+        non_node_events=coord_sim.non_node_events,
         par_shards=k,
     )

@@ -24,25 +24,6 @@ driver drops timer handles before cancellation/dispatch completes, and the
 other typed kinds never expose handles at all.  Lazy deletion keeps
 cancelled records in the heap until they surface; they join the free list
 only at that point, when no live reference can remain.
-
-**Lazy timer re-arm.**  A repeating timer that is re-armed on every message
-(the protocol's ``lost`` timers) would pay a cancel plus a fresh push per
-message.  Instead, a trusted caller (the batch kernel,
-:mod:`repro.core.batch`) may *extend* a live ``KIND_TIMER`` record by
-writing the new deadline into its ``c`` slot; the heap entry keeps its old
-position, and every pop path re-inserts the record at its real deadline if
-the stale entry surfaces first.  Equivalent to cancel-plus-push (a stale
-entry is never dispatched; the record fires once, at its final deadline)
-but O(1) per re-arm while messages keep arriving.  ``peek_time`` may
-report a stale (earlier) time; callers only use it as a lower bound.
-**Premise the caller tests:** a deadline is only ever *extended* -- the
-value written into ``c`` is never earlier than the heap entry's time.  An
-earlier one would go unnoticed (every pop path tests ``deadline >
-entry_time`` only) and the record would fire at the stale, later time.
-It does occur -- a clock whose rate rose between two arms reaches the
-same subjective deadline sooner -- so the batch kernel extends only when
-``deadline >= record.time`` and otherwise cancels and pushes afresh
-(pinned by ``test_lost_deadline_that_moves_earlier``).
 """
 
 from __future__ import annotations
@@ -50,7 +31,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Iterator
 
-from .events import KIND_CALLBACK, KIND_TIMER, POOLABLE, ScheduledEvent
+from .events import KIND_CALLBACK, POOLABLE, ScheduledEvent
 
 __all__ = ["EventQueue"]
 
@@ -275,28 +256,18 @@ class EventQueue:
 
     def pop(self) -> ScheduledEvent | None:
         """Remove and return the next live event (``None`` when empty)."""
-        heap = self._heap
-        while True:
-            self._drop_cancelled()
-            if not heap:
-                return None
-            entry = heap[0]
-            ev = entry[3]
-            if ev.kind == KIND_TIMER:
-                deadline = ev.c
-                if deadline is not None and deadline > entry[0]:
-                    self._reinsert_at_deadline(entry, deadline)
-                    continue
-            heapq.heappop(heap)
-            ev.queued = False
-            self._live -= 1
-            return ev
+        self._drop_cancelled()
+        if not self._heap:
+            return None
+        ev = heapq.heappop(self._heap)[3]
+        ev.queued = False
+        self._live -= 1
+        return ev
 
     def pop_until(self, t_end: float) -> ScheduledEvent | None:
         """Pop the next live event with ``time <= t_end`` (else ``None``).
 
-        One heap pass: cancelled heads are dropped (and recycled) and
-        lazily-extended timers are re-inserted at their real deadline along
+        One heap pass: cancelled heads are dropped (and recycled) along
         the way.  This is the kernel's hot retrieval path.
         """
         heap = self._heap
@@ -312,18 +283,6 @@ class EventQueue:
                     ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
                     free.append(ev)
                 continue
-            if ev.kind == KIND_TIMER:
-                deadline = ev.c
-                if deadline is not None and deadline > entry[0]:
-                    # Lazily-extended timer: move to its real deadline
-                    # (inlined _reinsert_at_deadline; this is the hot path).
-                    heapq.heappop(heap)
-                    seq = self._seq
-                    self._seq = seq + 1
-                    ev.time = deadline
-                    ev.seq = seq
-                    heapq.heappush(heap, (deadline, entry[1], seq, ev))
-                    continue
             if entry[0] > t_end:
                 return None
             heapq.heappop(heap)
@@ -376,17 +335,6 @@ class EventQueue:
                     ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
                     free.append(ev)
                 continue
-            if ev.kind == KIND_TIMER:
-                deadline = ev.c
-                if deadline is not None and deadline > entry[0]:
-                    # Inlined _reinsert_at_deadline (hot path; see pop_until).
-                    heapq.heappop(heap)
-                    rseq = self._seq
-                    self._seq = rseq + 1
-                    ev.time = deadline
-                    ev.seq = rseq
-                    heapq.heappush(heap, (deadline, entry[1], rseq, ev))
-                    continue
             if ev.kind != kind:
                 break
             if count == 0:
@@ -397,26 +345,6 @@ class EventQueue:
             out.append(ev)
             count += 1
         return count + 1 if count else 0
-
-    def _reinsert_at_deadline(
-        self,
-        entry: tuple[float, int, int, ScheduledEvent],
-        deadline: float,
-    ) -> None:
-        """Move a lazily-extended timer head to its real deadline.
-
-        The record stays queued and live throughout; it receives a fresh
-        ``seq`` exactly as a cancel-plus-push re-arm would have at extension
-        time (extension order equals surfacing order within a tie class, so
-        relative ordering is preserved -- see the module docstring).
-        """
-        heapq.heappop(self._heap)
-        ev = entry[3]
-        seq = self._seq
-        self._seq = seq + 1
-        ev.time = deadline
-        ev.seq = seq
-        heapq.heappush(self._heap, (deadline, entry[1], seq, ev))
 
     def recycle(self, ev: ScheduledEvent) -> None:
         """Return a dispatched poolable record to the free list.

@@ -89,6 +89,7 @@ class Simulator:
         "kind_counts",
         "in_run",
         "_run_start",
+        "non_node_events",
     )
 
     def __init__(
@@ -123,6 +124,10 @@ class Simulator:
         #: ``t = 0`` wiring, how to execute the run (:meth:`on_run_start`).
         self.in_run = False
         self._run_start: list[Callable[[], None]] = []
+        #: Callbacks, samples and topology mutations dispatched so far: the
+        #: events that are the environment's or an observer's, not a
+        #: node's (counted where they dispatch, off the typed hot path).
+        self.non_node_events = 0
 
     def instrument(self, registry: "MetricsRegistry") -> None:
         """Register kernel metrics as polled readbacks on ``registry``.
@@ -329,6 +334,7 @@ class Simulator:
             fn = ev.fn
             if fn is None:  # pragma: no cover - defensive
                 raise SimulationError("callback event without a callable")
+            self.non_node_events += 1
             fn()
         else:
             handler = self._handlers[kind]
@@ -416,6 +422,7 @@ class Simulator:
                 fn = ev.fn
                 if fn is None:  # pragma: no cover - defensive
                     raise SimulationError("callback event without a callable")
+                self.non_node_events += 1
                 fn()
             else:
                 handler = handlers[kind]
@@ -449,6 +456,7 @@ class Simulator:
         fn = ev.fn
         if fn is None:  # pragma: no cover - defensive
             raise SimulationError("sample event without a callable")
+        self.non_node_events += 1
         fn(self.now)
         nxt = self.now + ev.b
         end = ev.c
@@ -457,6 +465,7 @@ class Simulator:
 
     def _handle_topology(self, ev: ScheduledEvent) -> None:
         """Apply a scheduled graph mutation (``a=graph, b=added, c=u, d=v``)."""
+        self.non_node_events += 1
         if ev.b:
             ev.a.add_edge(ev.c, ev.d, self.now)
         else:

@@ -20,13 +20,15 @@ import multiprocessing
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import batch as batch_mod
 from repro.core.batch import NodeArrayTable
-from repro.core.dcsa import DCSANode, adjust_clocks_batch
+from repro.core.dcsa import DCSANode
 from repro.core.node import ClockSyncNode
 from repro.core.protocol import (
     DCSACore,
@@ -73,11 +75,39 @@ from repro.testing.strategies import experiment_configs
 from repro.tracing import trace_session
 
 
-def _run(cfg, batch, monkeypatch):
+_TABLE_LOST_FIRE = NodeArrayTable._lost_fire
+_REFERENCE_FIRE_TIMER = ClockSyncNode._fire_timer
+
+
+def _spy_lost_fires(monkeypatch):
+    """Record every ``lost`` fire -- the table's and the reference's -- as
+    ``(repr(time), node, neighbour)``; returns the list they land in."""
+    fires = []
+
+    def table_fire(self, slot, tracer):
+        v = self.owner[slot]
+        (u,) = (u for u, s in self.slotmap[v].items() if s == slot)
+        fires.append((repr(self.sim.now), v, u))
+        _TABLE_LOST_FIRE(self, slot, tracer)
+
+    def reference_fire(self, key):
+        if key != "tick":
+            fires.append((repr(self.sim.now), self.node_id, key[1]))
+        _REFERENCE_FIRE_TIMER(self, key)
+
+    monkeypatch.setattr(NodeArrayTable, "_lost_fire", table_fire)
+    monkeypatch.setattr(ClockSyncNode, "_fire_timer", reference_fire)
+    return fires
+
+
+def _run(cfg, batch, monkeypatch, hook=None):
     """Build and run ``cfg`` with the batch kernel forced on or off."""
     monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", batch)
     exp = Experiment(cfg)
     assert exp.sim.batch is batch
+    if hook is not None:
+        hook(exp)
+    exp.lost_fires = _spy_lost_fires(monkeypatch)
     res = exp.run()
     return exp, res
 
@@ -98,6 +128,12 @@ def _fingerprint(exp, res):
         "Lmax": [repr(c._Lmax) for c in cores],
         "h_last": [repr(c.h_last) for c in cores],
         "messages_sent": [c.messages_sent for c in cores],
+        # Final state cannot tell a ``lost`` timer that fired late from one
+        # that fired on time (the row is forgotten either way): the fire
+        # times, as a multiset, can.
+        # (Both sides of a comparison are built alike: by ``_run`` /
+        # ``_run_general``, which record them, or by hand, which does not.)
+        "lost_fires": sorted(getattr(exp, "lost_fires", ())),
         "gamma": [
             sorted(
                 (u, repr(row.added_h), repr(row.l_est))
@@ -210,13 +246,13 @@ def _spy_discover_runs(monkeypatch):
     """Record every ``NodeArrayTable.discover_run`` call.
 
     One dict per call: ``now``, the records as ``(node, other, added,
-    absence)``, how many it skipped, and how many lazily-extended timer
-    records it cancelled.
+    absence)``, how many it skipped, and how many pending ``lost`` timers
+    (re-armed in place by every message since their first) it disarmed.
     """
     runs = []
     inside = []
     run_original = NodeArrayTable.discover_run
-    cancel_original = EventQueue.cancel
+    forget_original = NodeArrayTable.forget
 
     def discover_run(self, rows):
         stats = self.transport.stats
@@ -232,13 +268,14 @@ def _spy_discover_runs(monkeypatch):
         run["skipped"] += stats.discoveries_skipped
         runs.append(run)
 
-    def cancel(self, event, gen=None):
-        if inside and event.c is not None and event.c > event.time:
+    def forget(self, v, u):
+        slot = self.slotmap[v].get(u)
+        if inside and slot is not None and self.lost_dl[slot] < inf:
             inside[-1]["lazy_cancels"] += 1
-        return cancel_original(self, event, gen)
+        return forget_original(self, v, u)
 
     monkeypatch.setattr(NodeArrayTable, "discover_run", discover_run)
-    monkeypatch.setattr(EventQueue, "cancel", cancel)
+    monkeypatch.setattr(NodeArrayTable, "forget", forget)
     return runs
 
 
@@ -613,11 +650,12 @@ class TestAdjustClocksBatch:
             cores = [exp.nodes[i].core for i in sorted(exp.nodes)]
             for core in cores:
                 core.force_raise_max(core._L + 500.0)
-            return cores
+            return exp.transport.plan.table, cores
 
-        a, b = blocked(), blocked()
+        (table, a), (_, b) = blocked(), blocked()
         jumps_before = [c.jumps for c in a]
-        adjust_clocks_batch(a)
+        for core in a:
+            table._adjust_clock(core.node_id, None)
         for core in b:
             for eff in core.act(core._adjust_clock):
                 assert type(eff) is JumpL
@@ -827,6 +865,7 @@ def _run_general(cfg, batch, hook=None):
             return draw(u, v, t)
 
         policy.delay = counting
+        exp.lost_fires = _spy_lost_fires(mp)
         res = exp.run()
     return exp, res, handled, (calls[0], getattr(policy, "_buf", None))
 
@@ -976,18 +1015,20 @@ def test_lost_deadline_that_moves_earlier(batch, monkeypatch):
     clock = exp.nodes[0].clock = SteerableClock(0.95, rho=0.05)
     exp.sim.schedule_at(5.92, lambda: clock.set_rate(5.92, 1.05))
     fires = []
-    lost_one, fire_timer = NodeArrayTable.lost_one, ClockSyncNode._fire_timer
+    lost_fire, fire_timer = NodeArrayTable._lost_fire, ClockSyncNode._fire_timer
 
-    def table_fire(self, ev):
-        fires.append((round(self.sim.now, 6), ev.a.node_id, ev.b))
-        lost_one(self, ev)
+    def table_fire(self, slot, tracer):
+        v = self.owner[slot]
+        (u,) = (u for u, s in self.slotmap[v].items() if s == slot)
+        fires.append((round(self.sim.now, 6), v, ("lost", u)))
+        lost_fire(self, slot, tracer)
 
     def reference_fire(self, key):
         if key != "tick":
             fires.append((round(self.sim.now, 6), self.node_id, key))
         fire_timer(self, key)
 
-    monkeypatch.setattr(NodeArrayTable, "lost_one", table_fire)
+    monkeypatch.setattr(NodeArrayTable, "_lost_fire", table_fire)
     monkeypatch.setattr(ClockSyncNode, "_fire_timer", reference_fire)
     res = exp.run()
     assert (res.array_events > 0) == batch
@@ -1097,19 +1138,34 @@ def test_property_general_path_flip_scripts_bit_identical(ops, zero):
     assert handled_b["MessageReceived"] == handled_b["tick"] == 0
 
 
+def _any_config_parity(cfg, lane_min=None):
+    with pytest.MonkeyPatch.context() as mp:
+        if lane_min is not None:
+            mp.setattr(batch_mod, "ARRAY_LANE_MIN", lane_min)
+        exp_s, res_s = _run(replace(cfg), False, mp)
+        exp_b, res_b = _run(replace(cfg), True, mp)
+    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+    assert res_s.array_events == 0
+    # (Read off the reference run: a table-covered core is a row view.)
+    if all(type(node.core) is DCSACore for node in exp_s.nodes.values()):
+        assert res_b.array_events > 0 and res_b.batch_gate_reason is None
+
+
 @settings(max_examples=25, deadline=None)
 @given(cfg=experiment_configs(4, 12, horizon=30.0, adversarial=True))
 def test_property_any_config_default_kernel_equals_reference(cfg):
     """Property: whatever the clocks, delays, churn and adversary, the
     default kernel leaves the reference's state -- and a population of
     plain DCSA cores never runs without the table."""
-    with pytest.MonkeyPatch.context() as mp:
-        exp_s, res_s = _run(replace(cfg), False, mp)
-        exp_b, res_b = _run(replace(cfg), True, mp)
-    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
-    assert res_s.array_events == 0
-    if all(type(node.core) is DCSACore for node in exp_b.nodes.values()):
-        assert res_b.array_events > 0 and res_b.batch_gate_reason is None
+    _any_config_parity(cfg)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=experiment_configs(4, 12, horizon=30.0, adversarial=True))
+def test_property_any_config_array_lane_equals_reference(cfg):
+    """The same property with the lane constant at 1, so that every run and
+    tick group of these n <= 12 configs takes the array lane."""
+    _any_config_parity(cfg, lane_min=1)
 
 
 @pytest.mark.slow

@@ -450,8 +450,19 @@ class TestRunCommand:
         assert code == 0
         payload = json.loads(out)
         # Every node event ran the array step (discoveries included); only
-        # the oracle's sample records did not.
-        assert 0 < payload["kernel"].pop("array_events") < payload["events"]
+        # the oracle's sample records did not -- and the block says which
+        # lane each event rode (n = 64: the bursts take the array lane).
+        kernel = payload["kernel"]
+        skipped = payload["transport"]["discoveries_skipped"]
+        dropped = payload["transport"]["dropped_removed"]
+        assert 0 < kernel["array_events"] < payload["events"]
+        node_events = payload["events"] - kernel.pop("non_node_events")
+        assert kernel["array_events"] == node_events - skipped - dropped
+        assert kernel.pop("array_events") == (
+            kernel["array_lane_events"] + kernel["scalar_lane_events"]
+        )
+        assert kernel.pop("array_lane_events") > kernel.pop("scalar_lane_events") > 0
+        assert kernel.pop("blocked_rows") == 0
         assert payload["kernel"] == {
             "batch_gate_reason": None,
             "par_fallback_reason": None,

@@ -292,37 +292,6 @@ class TestGenerationGuard:
         assert q.cancel(ev, gen=gens[-1]) is True
 
 
-class TestLazyDeadline:
-    """The batch kernel's in-place timer re-arm (deadline slot ``c``)."""
-
-    def test_stale_head_reinserted_at_live_deadline(self):
-        q = EventQueue()
-        ev = q.push_typed(1.0, PRIORITY_TIMER, KIND_TIMER, "n", "k", 1.0)
-        marker = q.push_typed(2.0, PRIORITY_TIMER, KIND_TIMER, "n", "m", 2.0)
-        ev.c = 3.0  # re-armed in place: deadline now beyond the heap entry
-        assert q.pop() is marker  # stale head skipped and re-filed
-        got = q.pop()
-        assert got is ev
-        assert got.time == 3.0
-        assert q.pop() is None
-
-    def test_pop_until_defers_rearmed_record(self):
-        q = EventQueue()
-        ev = q.push_typed(1.0, PRIORITY_TIMER, KIND_TIMER, "n", "k", 1.0)
-        ev.c = 5.0
-        assert q.pop_until(2.0) is None  # nothing fires before the deadline
-        assert len(q) == 1  # still live, now filed at t=5
-        assert q.pop_until(5.0) is ev
-
-    def test_cancelled_rearmed_record_never_fires(self):
-        q = EventQueue()
-        ev = q.push_typed(1.0, PRIORITY_TIMER, KIND_TIMER, "n", "k", 1.0)
-        ev.c = 4.0
-        assert q.cancel(ev) is True
-        assert q.pop() is None
-        assert q.pool_size == 1  # recycled when the stale entry surfaced
-
-
 # ------------------------------------------------------------------ #
 # Property tests over generated op scripts (repro.testing.strategies)
 # ------------------------------------------------------------------ #

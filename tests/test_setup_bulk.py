@@ -79,7 +79,7 @@ def _wiring(exp):
         "edge_events": graph.edge_events,
         "stats": exp.transport.stats.as_dict(),
         "timers": {i: sorted(map(repr, n._timers)) for i, n in exp.nodes.items()},
-        "t_last": [n._t_last for n in exp.node_list],
+        "h_last": [n.core.h_last for n in exp.node_list],
         "pushes": len(exp.sim.queue),
         "queue": _drain(exp),
     }

@@ -487,12 +487,20 @@ _GENERAL = lambda: configs.huge_ring(512, horizon=30.0, seed=1)
 _TRACED = lambda _tmp: trace_session()
 #: ``arm -> (config, observer session, budget, absolute slack in seconds,
 #: "capture really happened" check)``: an observed run may cost ``(1 +
-#: budget) * plain + slack``.  The scalar arms share the general path
+#: budget) * plain + slack`` of run-only time (set-up is the same wiring
+#: with or without an observer).  The scalar arms share the general path
 #: (drifting clocks, every event a singleton; the oracle is armed on and
-#: off alike, so the timeline's delta is its own cost); ``tracer-batch``
-#: pays the same span rows against burst records, a ~4x cheaper event,
-#: hence its budget; the sampler's slack covers its thread's sub-second
-#: jitter on a loaded runner.
+#: off alike, so the timeline's delta is its own cost); the sampler's slack
+#: covers its thread's sub-second jitter on a loaded runner.
+#:
+#: ``tracer-batch`` is judged on what a span row costs, not on a ratio: its
+#: plain run is lockstep bursts on the array lane -- a denominator that
+#: kernel work keeps shrinking while a row of the span table costs what it
+#: costs.  The budget is microseconds per row of ``result.spans``.
+#: Measured (nine pairs each, this test's config): 0.47 us / row on the
+#: tree before the array lane (0.38 - 1.07: a ``list.extend`` per driver;
+#: its 35 % budget came to 0.54 us / row there), 0.20 us / row since the
+#: tick lane writes its rows a column at a time.
 OVERHEAD_ARMS = {
     "telemetry": (
         _GENERAL, _sampled_telemetry, 0.05, 0.05,
@@ -501,13 +509,15 @@ OVERHEAD_ARMS = {
     "tracer-scalar": (_GENERAL, _TRACED, 0.10, 0.0, _flights_accounted),
     "tracer-batch": (
         lambda: configs.huge_sync_ring(4096, horizon=10.0, seed=1),
-        _TRACED, 0.35, 0.0, _flights_accounted,
+        _TRACED, None, 0.0, _flights_accounted,
     ),
     "timeline": (
         _GENERAL, lambda _tmp: timeline_session(), 0.05, 0.0,
         lambda _res, tl: tl.rows > 0 and tl.stride == 1,
     ),
 }
+#: ``tracer-batch``'s budget: microseconds per span row (see above).
+SPAN_ROW_BUDGET_US = 0.6
 #: Interleaved (off, on) pairs per arm.
 OVERHEAD_PAIRS = 9
 
@@ -522,8 +532,8 @@ def test_observer_overhead(arm, tmp_path):
     each observed run is paired with an immediately preceding plain run
     (adjacent runs share the host's current speed, so their ratio cancels
     the drift) and the verdict is the median of the paired ratios of
-    observed time to allowed time, with a full collection before every
-    timed run.
+    observed time to allowed time -- run-only time, ``RunResult.setup_s``
+    taken off both -- with a full collection before every timed run.
     """
     make, session, budget, slack_s, captured = OVERHEAD_ARMS[arm]
 
@@ -531,7 +541,7 @@ def test_observer_overhead(arm, tmp_path):
         gc.collect()
         t0 = time.perf_counter()
         result = run_experiment(cfg)
-        return result, time.perf_counter() - t0
+        return result, time.perf_counter() - t0 - result.setup_s
 
     run_experiment(make())  # warm-up: imports, allocator, caches
     ratios = []
@@ -539,7 +549,11 @@ def test_observer_overhead(arm, tmp_path):
         off, off_s = timed(make())
         with session(tmp_path) as handle:
             on, on_s = timed(make())
-        ratios.append(on_s / (off_s * (1.0 + budget) + slack_s))
+        if budget is None:
+            allowed = off_s + SPAN_ROW_BUDGET_US * 1e-6 * len(on.spans)
+        else:
+            allowed = off_s * (1.0 + budget) + slack_s
+        ratios.append(on_s / allowed)
     assert statistics.median(ratios) <= 1.0, [round(r, 3) for r in ratios]
     # Identical physics and verdicts either way, on the same kernel.
     assert on.batch_gate_reason is None and off.batch_gate_reason is None
