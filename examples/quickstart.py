@@ -108,11 +108,10 @@ def main(seed: int = 0) -> None:
     #   python -m repro run huge_ring --set n=512 --metrics out.jsonl
     #   python -m repro top out.jsonl
     # Scaling up? The sync workloads engage the struct-of-arrays batch
-    # kernel automatically, and the parallel shard backend splits 100k+
-    # node populations across worker processes while staying bit-identical
-    # to the serial kernel (docs/performance.md):
-    #   python -m repro run huge_sync_ring --set n=100000 --shards 4
-    #   python -m repro run huge_sync_ring_1m        # canned 1M-node config
+    # kernel automatically (docs/performance.md; `--shards K` splits a
+    # churn-free population across worker processes, bit-identical to the
+    # serial kernel and, on every input measured, slower than it):
+    #   python -m repro run huge_sync_ring --set n=100000
     # And when you need *why*, not just *how much*: causal tracing
     # records every flight/timer/jump as a happens-before span, exports
     # a Perfetto timeline (open trace.json at https://ui.perfetto.dev),

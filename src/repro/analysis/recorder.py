@@ -16,12 +16,16 @@ optionally ``max_estimate(t)`` from nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
+from ..core.batch import PopulationReader
 from ..network.graph import DynamicGraph
 from ..sim.simulator import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..network.transport import Transport
 
 __all__ = ["SkewRecorder", "RunRecord", "EdgeEpisode"]
 
@@ -117,6 +121,9 @@ class SkewRecorder:
         ``max_estimate``); used by the max-propagation experiment.
     start / end:
         Sampling window (defaults: from now until the run's end).
+    transport:
+        The transport whose registered nodes are exactly ``nodes``, if
+        there is one (see :class:`~repro.core.batch.PopulationReader`).
     """
 
     def __init__(
@@ -130,18 +137,14 @@ class SkewRecorder:
         track_max_estimates: bool = False,
         start: float | None = None,
         end: float | None = None,
+        transport: "Transport | None" = None,
     ) -> None:
         self.sim = sim
         self.graph = graph
         self.nodes = dict(nodes)
         self.node_ids = sorted(self.nodes)
-        # Flat reader lists in node_ids order: one bound-method call per
-        # node per sample instead of dict lookup + attribute resolution.
-        self._clock_readers = [self.nodes[i].logical_clock for i in self.node_ids]
-        self._estimate_readers = (
-            [self.nodes[i].max_estimate for i in self.node_ids]
-            if track_max_estimates
-            else []
+        self._read = PopulationReader(
+            self.nodes, estimates=track_max_estimates, transport=transport
         )
         self._dense_index = {nid: k for k, nid in enumerate(self.node_ids)}
         self.interval = float(interval)
@@ -182,21 +185,11 @@ class SkewRecorder:
     # ------------------------------------------------------------------ #
 
     def _sample(self, t: float) -> None:
-        clocks = np.fromiter(
-            (read(t) for read in self._clock_readers),
-            dtype=float,
-            count=len(self.node_ids),
-        )
+        clocks, estimates = self._read(t)
         self._times.append(t)
         self._clocks.append(clocks)
-        if self.track_max_estimates:
-            self._lmax.append(
-                np.fromiter(
-                    (read(t) for read in self._estimate_readers),
-                    dtype=float,
-                    count=len(self.node_ids),
-                )
-            )
+        if estimates is not None:
+            self._lmax.append(estimates)
         if self.track_edges and self._live:
             index = self._dense_index
             for (u, v), ep in self._live.items():

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro`` (or the ``repro`` script).
 
-Twelve subcommands drive the sweep, conformance, live, telemetry,
+Eleven subcommands drive the sweep, conformance, live, telemetry,
 tracing and observatory subsystems from the shell (plus ``--version``):
 
 ``run WORKLOAD``
@@ -73,12 +73,6 @@ tracing and observatory subsystems from the shell (plus ``--version``):
     Dump one stored entry (config + metrics) as JSON, addressed by any
     unambiguous hash prefix.
 
-``prune``
-    Delete stale version directories from a versioned store root
-    (``<root>/v<version>``, by default under ``benchmarks/.sweep-cache``);
-    ``--all`` clears the current version too, which is what you want after
-    changing simulation code without bumping the version.
-
 Axis values are comma-separated and auto-typed (int -> float -> bool ->
 string), so::
 
@@ -107,7 +101,6 @@ from .sweep import (
     SweepResult,
     SweepSpec,
     grid,
-    prune_versioned_store,
     seeds,
     sweep_csv,
     sweep_table,
@@ -123,8 +116,6 @@ DEFAULT_STORE = ".sweep-cache"
 CHECK_MAX_VIOLATIONS = 20
 #: Entries printed by `repro run --profile` (sorted by cumulative time).
 PROFILE_TOP_N = 25
-#: Default prune target: the benchmarks' versioned store root.
-DEFAULT_PRUNE_ROOT = os.path.join("benchmarks", ".sweep-cache")
 
 _TABLE_COLUMNS = [
     "name",
@@ -1045,28 +1036,6 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_prune(args: argparse.Namespace) -> int:
-    root = args.store or os.environ.get("REPRO_SWEEP_STORE") or DEFAULT_PRUNE_ROOT
-    if not os.path.isdir(root):
-        print(f"store root {root}: nothing to prune")
-        return 0
-    report = prune_versioned_store(
-        root,
-        keep_version=__version__,
-        remove_all=args.all,
-        dry_run=args.dry_run,
-    )
-    if not report.removed:
-        kept = f" (kept {', '.join(report.kept)})" if report.kept else ""
-        print(f"store root {root}: nothing to prune{kept}")
-        return 0
-    verb = "would remove" if args.dry_run else "removed"
-    for name in report.removed:
-        print(f"{verb} {os.path.join(str(root), name)}")
-    print(report.summary())
-    return 0
-
-
 # --------------------------------------------------------------------- #
 # Parser
 # --------------------------------------------------------------------- #
@@ -1477,27 +1446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_show.add_argument("prefix", help="config-hash prefix (must be unambiguous)")
     p_show.set_defaults(func=_cmd_show)
 
-    p_prune = sub.add_parser(
-        "prune",
-        help="delete stale version directories from a versioned store root",
-        description=(
-            "Remove v<version> directories other than the current package "
-            f"version (v{__version__}) from a versioned store root. "
-            "--all also removes the current version and plain store shards "
-            "-- use it after changing simulation code without a version "
-            "bump, since cached metrics are keyed by config, not code."
-        ),
-    )
-    p_prune.add_argument(
-        "--all",
-        action="store_true",
-        help="remove every version directory, current one included",
-    )
-    p_prune.add_argument(
-        "--dry-run", action="store_true", help="report only; delete nothing"
-    )
-    p_prune.set_defaults(func=_cmd_prune)
-
     for p in (p_sweep, p_ls, p_show):
         p.add_argument(
             "--store",
@@ -1505,15 +1453,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"result store directory (default: $REPRO_SWEEP_STORE or {DEFAULT_STORE})",
         )
-    p_prune.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help=(
-            "versioned store root to prune (default: $REPRO_SWEEP_STORE or "
-            f"{DEFAULT_PRUNE_ROOT})"
-        ),
-    )
     return parser
 
 

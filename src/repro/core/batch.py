@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import inf
 from operator import itemgetter, length_hint
-from typing import TYPE_CHECKING, AbstractSet, Any, Sequence, cast
+from typing import TYPE_CHECKING, AbstractSet, Any, Mapping, Sequence, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -88,6 +88,7 @@ __all__ = [
     "Decline",
     "KernelPlan",
     "NodeArrayTable",
+    "PopulationReader",
     "kernel_plan",
 ]
 
@@ -1402,6 +1403,55 @@ class NodeArrayTable:
         return result
 
 
+class PopulationReader:
+    """``L_u(t)`` and ``Lmax_u(t)`` of a node map as dense columns in id
+    order: what every sampler (oracle, recorder, shard worker) reads.
+
+    ``transport`` is the transport whose registered nodes are exactly
+    ``nodes`` (``None``: there is none, as in a live session).  When its
+    kernel plan holds a table the columns are the table's fused ones,
+    otherwise one reader call per node -- equal bit for bit
+    (:meth:`NodeArrayTable.clock_column`'s contract), so the plan changes
+    what a sample costs, never what it reads.
+    """
+
+    def __init__(
+        self,
+        nodes: "Mapping[int, Any]",
+        *,
+        estimates: bool,
+        transport: "Transport | None" = None,
+    ) -> None:
+        ids = sorted(nodes)
+        self.transport = transport
+        # Bound once: a sample skips the dict and attribute lookups.
+        self._clock_readers = [nodes[i].logical_clock for i in ids]
+        self._estimate_readers = (
+            [nodes[i].max_estimate for i in ids] if estimates else None
+        )
+
+    def __call__(self, t: float) -> tuple[_F64, _F64 | None]:
+        """``(clocks, estimates)`` at ``t`` (``estimates`` is ``None``
+        unless they were asked for)."""
+        readers = self._estimate_readers
+        transport = self.transport
+        table = None if transport is None else transport.plan.table
+        if table is not None:
+            return (
+                table.clock_column(t),
+                None if readers is None else table.max_estimate_column(t),
+            )
+        n = len(self._clock_readers)
+        clocks = np.fromiter(
+            (read(t) for read in self._clock_readers), dtype=float, count=n
+        )
+        if readers is None:
+            return clocks, None
+        return clocks, np.fromiter(
+            (read(t) for read in readers), dtype=float, count=n
+        )
+
+
 #: ``Decline.path`` -> the phrase ``summary()`` / ``--profile`` print for it.
 _DECLINED = {
     "array_step": "batch kernel declined",  # every event runs handle()
@@ -1455,7 +1505,6 @@ def kernel_plan(
     transport: "Transport",
     ids: range | None = None,
     table_cls: type[NodeArrayTable] = NodeArrayTable,
-    veto: Decline | None = None,
 ) -> KernelPlan:
     """Decide, once per simulator, which paths the run takes.
 
@@ -1463,8 +1512,8 @@ def kernel_plan(
     begins -- after ``t = 0`` wiring, so adversary clock swaps and effect
     logs are visible.  The array step engages -- a ``table_cls`` over the
     node ids ``ids`` (default: every registered node) is built -- when the
-    simulator is not on the reference switch, the caller has no ``veto``
-    and every driver in the range runs one exact core type (``DCSACore``,
+    simulator is not on the reference switch and every driver in the
+    range runs one exact core type (``DCSACore``,
     or ``StaticGradientCore``: the same step over a constant-``B``
     coefficient row) on one of :mod:`repro.sim.clocks`' three
     piecewise-linear classes (exactly: the table evaluates their segments
@@ -1487,8 +1536,6 @@ def kernel_plan(
             "the handle() reference kernel was selected "
             "(REPRO_BATCH=0 / Simulator(batch=False))",
         )
-    if veto is not None:
-        return KernelPlan(None, (veto,))
     drivers = cast("list[ClockSyncNode | None]", transport._node_seq)
     if ids is None:
         ids = range(len(drivers))

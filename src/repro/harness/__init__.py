@@ -4,9 +4,6 @@ from . import configs, registry
 from .registry import (
     ADVERSARY_BUILDERS,
     CHURN_BUILDERS,
-    CLOCK_BUILDERS,
-    DELAY_BUILDERS,
-    DISCOVERY_BUILDERS,
     ORACLE_BUILDERS,
     RUNTIME_BUILDERS,
     AdversaryRef,
@@ -28,9 +25,6 @@ __all__ = [
     "ADVERSARY_BUILDERS",
     "ALGORITHMS",
     "CHURN_BUILDERS",
-    "CLOCK_BUILDERS",
-    "DELAY_BUILDERS",
-    "DISCOVERY_BUILDERS",
     "ORACLE_BUILDERS",
     "RUNTIME_BUILDERS",
     "AdversaryRef",

@@ -9,8 +9,6 @@ one definition in the repository.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from ..network.churn import ScriptedChurn
@@ -33,7 +31,6 @@ __all__ = [
     "huge_ring",
     "huge_grid",
     "huge_sync_ring",
-    "huge_sync_ring_1m",
     "huge_sync_grid",
     "huge_churn_ring",
     "static_grid",
@@ -245,42 +242,6 @@ def huge_sync_ring(
         record=False,
         oracle=OracleRef("standard", {}) if oracle else None,
         name=f"huge_sync_ring(n={n}, {algorithm})",
-    )
-
-
-def huge_sync_ring_1m(
-    n: int = 1_000_000,
-    *,
-    horizon: float = 10.0,
-    seed: int = 0,
-    algorithm: str = "dcsa",
-    sample_interval: float = 5.0,
-    oracle: bool = True,
-    b0: float | None = None,
-    shards: int = 4,
-) -> ExperimentConfig:
-    """:func:`huge_sync_ring` at one million nodes on the parallel backend.
-
-    The largest canned workload: the same two-rate-class ring, but run
-    through ``RuntimeRef("par")`` so the population is split across
-    ``shards`` worker processes synchronized by delay-bound lookahead
-    windows (see :mod:`repro.sim.par` and docs/performance.md).  The
-    result is bit-identical to the serial backend at any shard count;
-    ``--set shards=1`` gives the single-worker baseline.
-    """
-    cfg = huge_sync_ring(
-        n,
-        horizon=horizon,
-        seed=seed,
-        algorithm=algorithm,
-        sample_interval=sample_interval,
-        oracle=oracle,
-        b0=b0,
-    )
-    return replace(
-        cfg,
-        runtime=RuntimeRef("par", {"shards": shards}),
-        name=f"huge_sync_ring_1m(n={n}, shards={shards}, {algorithm})",
     )
 
 
@@ -930,7 +891,6 @@ WORKLOADS = {
     "huge_ring": huge_ring,
     "huge_grid": huge_grid,
     "huge_sync_ring": huge_sync_ring,
-    "huge_sync_ring_1m": huge_sync_ring_1m,
     "huge_sync_grid": huge_sync_grid,
     "huge_churn_ring": huge_churn_ring,
     "static_grid": static_grid,

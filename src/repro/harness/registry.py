@@ -6,9 +6,6 @@ processes (see :mod:`repro.sweep`).  Raw callables cannot survive that trip,
 so every callable ingredient of a config gets a *name* in one of the
 registries below and is referenced by that name instead:
 
-* :data:`CLOCK_BUILDERS` / :data:`DELAY_BUILDERS` / :data:`DISCOVERY_BUILDERS`
-  extend the built-in string specs of :mod:`repro.harness.runner` -- an
-  unknown spec string is looked up here before being rejected;
 * :data:`CHURN_BUILDERS` holds factories ``(params, rng, **kwargs) ->
   ChurnProcess``; configs reference them through :class:`ChurnRef`, a
   frozen, JSON-safe ``(name, kwargs)`` pair that *is itself* a valid churn
@@ -57,9 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ADVERSARY_BUILDERS",
     "CHURN_BUILDERS",
-    "CLOCK_BUILDERS",
-    "DELAY_BUILDERS",
-    "DISCOVERY_BUILDERS",
     "ORACLE_BUILDERS",
     "RUNTIME_BUILDERS",
     "AdversaryRef",
@@ -70,9 +64,6 @@ __all__ = [
     "jsonify",
     "register_adversary",
     "register_churn",
-    "register_clock",
-    "register_delay",
-    "register_discovery",
     "register_oracle",
     "register_runtime",
 ]
@@ -122,12 +113,6 @@ def jsonify(value: Any, *, _context: str = "value") -> Any:
 # Registries
 # --------------------------------------------------------------------- #
 
-#: Extra named clock specs: name -> (node_id, params, rng, horizon) -> clock.
-CLOCK_BUILDERS: dict[str, Callable[..., Any]] = {}
-#: Extra named delay specs: name -> (params, rng) -> DelayPolicy.
-DELAY_BUILDERS: dict[str, Callable[..., Any]] = {}
-#: Extra named discovery specs: name -> (params, rng) -> DiscoveryPolicy.
-DISCOVERY_BUILDERS: dict[str, Callable[..., Any]] = {}
 #: Churn factories: name -> (params, rng, **kwargs) -> ChurnProcess.
 CHURN_BUILDERS: dict[str, Callable[..., ChurnProcess]] = {}
 #: Adversary factories: name -> (params, rng, **kwargs) -> Adversary.
@@ -148,21 +133,6 @@ def _register(registry: dict[str, Callable[..., Any]], kind: str, name: str):
         return fn
 
     return deco
-
-
-def register_clock(name: str):
-    """Register a named clock builder usable as a ``clock_spec`` string."""
-    return _register(CLOCK_BUILDERS, "clock", name)
-
-
-def register_delay(name: str):
-    """Register a named delay builder usable as a ``delay_spec`` string."""
-    return _register(DELAY_BUILDERS, "delay", name)
-
-
-def register_discovery(name: str):
-    """Register a named discovery builder usable as a ``discovery_spec``."""
-    return _register(DISCOVERY_BUILDERS, "discovery", name)
 
 
 def register_churn(name: str):

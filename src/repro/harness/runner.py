@@ -48,9 +48,6 @@ from ..telemetry.registry import active_registry
 from ..tracing.context import Tracer, active_tracer
 from ..tracing.spans import SpanTable
 from .registry import (
-    CLOCK_BUILDERS,
-    DELAY_BUILDERS,
-    DISCOVERY_BUILDERS,
     RUNTIME_BUILDERS,
     AdversaryRef,
     ChurnRef,
@@ -265,10 +262,15 @@ class ExperimentConfig:
             "params": self.params.to_dict(),
             "initial_edges": [[int(u), int(v)] for u, v in self.initial_edges],
             "algorithm": self.algorithm,
-            "clock_spec": _spec_name(self.clock_spec, "clock_spec", "CLOCK_BUILDERS"),
-            "delay_spec": _spec_name(self.delay_spec, "delay_spec", "DELAY_BUILDERS"),
+            "clock_spec": _spec_name(
+                self.clock_spec, "clock_spec",
+                "perfect, random_walk, split, alternating, uniform",
+            ),
+            "delay_spec": _spec_name(
+                self.delay_spec, "delay_spec", "uniform, max, half, zero"
+            ),
             "discovery_spec": _spec_name(
-                self.discovery_spec, "discovery_spec", "DISCOVERY_BUILDERS"
+                self.discovery_spec, "discovery_spec", "uniform, max, zero"
             ),
             "churn": churn_entries,
             "adversary": adversary_entry,
@@ -474,13 +476,12 @@ class RunResult:
 # ---------------------------------------------------------------------- #
 
 
-def _spec_name(spec: Any, field_name: str, registry_name: str) -> str:
+def _spec_name(spec: Any, field_name: str, built_in: str) -> str:
     if isinstance(spec, str):
         return spec
     raise SerializationError(
-        f"{field_name} callables cannot be serialized; use a built-in spec "
-        f"string or register the builder under a name in "
-        f"repro.harness.registry.{registry_name} and pass that name instead"
+        f"{field_name} callables cannot be serialized; use one of the "
+        f"built-in spec strings: {built_in}"
     )
 
 
@@ -507,8 +508,6 @@ def _make_clock(
         from ..sim.clocks import ConstantRateClock
 
         return ConstantRateClock(1.0 + rho * float(rng.uniform(-1.0, 1.0)))
-    if spec in CLOCK_BUILDERS:
-        return CLOCK_BUILDERS[spec](node_id, params, rng, horizon)
     raise ValueError(f"unknown clock spec {spec!r}")
 
 
@@ -525,8 +524,6 @@ def _make_delay(
         return ConstantDelay(0.5 * params.max_delay)
     if spec == "zero":
         return ConstantDelay(0.0)
-    if spec in DELAY_BUILDERS:
-        return DELAY_BUILDERS[spec](params, rng)
     raise ValueError(f"unknown delay spec {spec!r}")
 
 
@@ -541,8 +538,6 @@ def _make_discovery(
         return ConstantDiscovery(params.discovery_bound)
     if spec == "zero":
         return ConstantDiscovery(0.0)
-    if spec in DISCOVERY_BUILDERS:
-        return DISCOVERY_BUILDERS[spec](params, rng)
     raise ValueError(f"unknown discovery spec {spec!r}")
 
 
@@ -670,6 +665,7 @@ class Experiment:
                 track_edges=cfg.track_edges,
                 track_max_estimates=cfg.track_max_estimates,
                 end=cfg.horizon,
+                transport=self.transport,
             )
             self.recorder.install()
         # 4b. Streaming oracle (same vantage point as the recorder: it must

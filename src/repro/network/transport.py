@@ -18,12 +18,12 @@ a :class:`~repro.network.graph.DynamicGraph`, a
   are verified at fire time and silently skipped if already reversed, which
   realises the model's "may or may not be detected".
 
-The transport is a typed-kernel subsystem: it registers the delivery and
-discovery dispatch handlers on its simulator, schedules payload-carrying
-records instead of closures, and holds the run's kernel plan -- on whose
-table (:mod:`repro.core.batch`) a node event is executed rather than
-handed to the node.  How records are aggregated, and why that is
-bit-identical, is argued once in ``docs/performance.md``.
+The transport registers the delivery and discovery dispatch handlers on
+its simulator and holds the run's kernel plan -- on whose table
+(:mod:`repro.core.batch`) a node event is executed rather than handed to
+the node.  Why the aggregated records below execute bit-identically to
+one record per event is argued once, in ``docs/performance.md``
+("Bit-identity").
 
 Nodes registered with the transport provide ``on_message(sender, payload)``,
 ``on_discover_add(other)`` and ``on_discover_remove(other)``
@@ -127,7 +127,7 @@ class Transport:
     """
 
     #: What :func:`~repro.core.batch.kernel_plan` gets beside the transport
-    #: itself: a shard-local subclass's id range, table class and veto.
+    #: itself: a shard-local subclass's id range and table class.
     _plan_scope: tuple[Any, ...] = ()
 
     def __init__(
@@ -256,9 +256,8 @@ class Transport:
         before their first tick.
 
         Under a :class:`~repro.network.discovery.ConstantDiscovery` (by
-        exact type) all of E_0 shares one latency and fire time and travels
-        as one *wave* record, its rows in :meth:`_announce_each`'s push
-        order (those pushes hold contiguous sequence numbers).
+        exact type) all of E_0 shares one fire time and travels as one
+        *wave* record, its rows in :meth:`_announce_each`'s push order.
         """
         policy = self.discovery_policy
         if type(policy) is not ConstantDiscovery:
@@ -335,13 +334,10 @@ class Transport:
         )
 
     def _handle_deliver(self, ev: ScheduledEvent) -> None:
-        """Kernel handler for ``KIND_DELIVER`` records (one per message).
-
-        On the plan's table a message that clears the Section 3.2
-        predicate is booked here and executed by the table as a batch of
-        one; the drop branch -- and every message of a reference
-        population -- stays :meth:`_deliver`'s.  While no edge has ever
-        been removed the predicate is vacuous (cf. :meth:`_drop_failed`).
+        """Kernel handler for ``KIND_DELIVER`` records (one per message):
+        the table executes a message that clears the Section 3.2
+        predicate (vacuous while no edge was ever removed); a drop, and
+        every message of a reference population, is :meth:`_deliver`'s.
         """
         u = ev.a
         v = ev.b
@@ -359,9 +355,8 @@ class Transport:
         table.deliver_one(u, v, ev.c, ev.e)
 
     def _handle_deliver_batch(self, records: list[ScheduledEvent]) -> None:
-        """Kernel batch handler for same-timestamp ``KIND_DELIVER`` runs
-        (delivery handlers never send, so nothing lands inside a run): the
-        drop rule per record, the survivors to the table."""
+        """Kernel batch handler for same-timestamp ``KIND_DELIVER`` runs:
+        the drop rule per record, the survivors to the table."""
         dead = self._drop_failed(
             [ev.a for ev in records],
             [ev.b for ev in records],
@@ -386,10 +381,7 @@ class Transport:
         sent at ``send_times[i]`` and accounts for every drop in record
         order (``dropped_removed``, absence discovery and -- with ``sids``
         the flights' span ids -- the span closed ``STATUS_DROPPED``);
-        returns the dropped positions.  A run touching no ever-removed
-        edge is cleared in one graph call.  Drops push discoveries,
-        deliveries nothing of that priority class, so accounting for the
-        drops first keeps every class's relative order.
+        returns the dropped positions.
         """
         if self.graph.never_removed(us, vs):
             return ()
@@ -437,10 +429,8 @@ class Transport:
 
         Registered by the drivers themselves (see
         :class:`~repro.core.node.ClockSyncNode`).  On the plan's table a
-        ``tick`` runs the array step as a batch of one and a ``lost`` wake
-        record fires the timers due now; any other key (a DCSA core arms
-        none: the reference rejects it), and every timer of a reference
-        population, goes through
+        ``tick`` is a batch of one and a ``lost`` wake record fires the
+        timers due now; anything else goes through
         :meth:`~repro.core.node.ClockSyncNode._fire_timer`.
         """
         table = self.plan.table
@@ -474,9 +464,8 @@ class Transport:
 
     def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DELIVER_BURST`` records: re-expand the
-        cardinality into the tallies, apply the drop rule per constituent
-        (:meth:`_drop_failed`), hand the survivors to the table -- the only
-        maker of bursts."""
+        cardinality into the tallies, apply the drop rule per constituent,
+        hand the survivors to the table."""
         sim = self.sim
         us = ev.a
         vs = ev.b
@@ -670,6 +659,5 @@ class Transport:
 
     def _handle_discover_batch(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for same-timestamp ``KIND_DISCOVER`` runs:
-        one array pass (sound under any policy pair; see
-        :meth:`~repro.sim.simulator.Simulator.set_batch_handler`)."""
+        one array pass."""
         self._table.discover_run(self._discover_rows(records))

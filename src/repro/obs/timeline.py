@@ -10,8 +10,8 @@ reads) it appends one row of
 
 * global skew (``max L - min L``) and the ``Lmax`` spread ceiling,
 * the worst live-edge local skew against the Corollary 6.13 dynamic
-  envelope (own live-edge table, same episode convention as
-  :class:`~repro.oracle.monitors.EnvelopeMonitor`),
+  envelope (:class:`~repro.oracle.monitors.EnvelopeMonitor`'s pass over
+  its live-edge table at this sample; blank without that monitor),
 * a decimated per-node skew field (``L - min L`` at a deterministic
   subset of node ids when ``n`` exceeds the field budget),
 * the cumulative oracle violation count (violation markers are derived
@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 import numpy.typing as npt
 
-from ..core import skew_bounds
-from ..params import SystemParams
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..oracle.monitors import EnvelopePass
 
 __all__ = [
     "TIMELINE_VERSION",
@@ -106,8 +106,7 @@ class TimelineRecorder:
         self.row_budget = int(row_budget)
         self.field_budget = int(field_budget)
         self.event_budget = int(event_budget)
-        self._params: SystemParams | None = None
-        self._bound_scale = 1.0
+        self._bound = False
         self._node_ids: list[int] = []
         self._field_sel: npt.NDArray[np.intp] = np.empty(0, dtype=np.intp)
         self._rows: npt.NDArray[np.float64] = np.empty(
@@ -118,14 +117,6 @@ class TimelineRecorder:
         #: Every stride-th oracle sample is recorded (doubles on overflow).
         self.stride = 1
         self._tick = 0
-        # Live-edge mirror (EnvelopeMonitor's technique): dict + dense
-        # arrays rebuilt lazily when a topology event dirties them.
-        self._live: dict[tuple[int, int], float] = {}
-        self._index: dict[int, int] = {}
-        self._dirty = True
-        self._eu: npt.NDArray[np.intp] = np.empty(0, dtype=np.intp)
-        self._ev: npt.NDArray[np.intp] = np.empty(0, dtype=np.intp)
-        self._eadd: npt.NDArray[np.float64] = np.empty(0, dtype=np.float64)
         self.events: list[tuple[float, int, int, int]] = []
         self.events_dropped = 0
 
@@ -133,18 +124,10 @@ class TimelineRecorder:
     # Wiring (called by StreamingOracle)
     # ------------------------------------------------------------------ #
 
-    def bind(
-        self,
-        params: SystemParams,
-        node_ids: list[int],
-        *,
-        bound_scale: float = 1.0,
-    ) -> None:
+    def bind(self, node_ids: list[int]) -> None:
         """Attach run context and reset all captured state (last run wins)."""
-        self._params = params
-        self._bound_scale = float(bound_scale)
+        self._bound = True
         self._node_ids = list(node_ids)
-        self._index = {nid: k for k, nid in enumerate(self._node_ids)}
         n = len(self._node_ids)
         if n > self.field_budget:
             self._field_sel = np.unique(
@@ -158,15 +141,13 @@ class TimelineRecorder:
         self._count = 0
         self.stride = 1
         self._tick = 0
-        self._live.clear()
-        self._dirty = True
         self.events = []
         self.events_dropped = 0
 
     @property
     def bound(self) -> bool:
         """Whether an oracle has bound run context yet."""
-        return self._params is not None
+        return self._bound
 
     @property
     def rows(self) -> int:
@@ -178,31 +159,12 @@ class TimelineRecorder:
     # ------------------------------------------------------------------ #
 
     def edge_event(self, time: float, u: int, v: int, added: bool) -> None:
-        """Mirror one topology mutation (same key convention as monitors)."""
+        """Log one topology mutation (same key convention as monitors)."""
         key = (u, v) if u <= v else (v, u)
-        if added:
-            self._live[key] = time
-        else:
-            self._live.pop(key, None)
-        self._dirty = True
         if len(self.events) < self.event_budget:
             self.events.append((time, key[0], key[1], 1 if added else 0))
         else:
             self.events_dropped += 1
-
-    def _rebuild(self) -> None:
-        index = self._index
-        keys = list(self._live.keys())
-        self._eu = np.fromiter(
-            (index[u] for u, _v in keys), dtype=np.intp, count=len(keys)
-        )
-        self._ev = np.fromiter(
-            (index[v] for _u, v in keys), dtype=np.intp, count=len(keys)
-        )
-        self._eadd = np.fromiter(
-            self._live.values(), dtype=np.float64, count=len(keys)
-        )
-        self._dirty = False
 
     def _decimate(self) -> None:
         """Halve resolution: keep every 2nd row, double the stride."""
@@ -219,12 +181,15 @@ class TimelineRecorder:
         estimates: npt.NDArray[np.float64] | None,
         *,
         violations: int = 0,
+        envelope: EnvelopePass | None = None,
     ) -> None:
         """Append one sample row (called by the oracle after its monitors).
 
         ``clocks``/``estimates`` are the oracle's already-computed dense
         columns in sorted-node-id order; ``violations`` is the cumulative
-        oracle violation count at this sample.
+        oracle violation count at this sample; ``envelope`` is the
+        envelope monitor's pass over the live edges at this sample
+        (``None``: no such monitor, or no live edge).
         """
         tick = self._tick
         self._tick = tick + 1
@@ -243,17 +208,8 @@ class TimelineRecorder:
         local = math.nan
         bound = math.nan
         margin = math.nan
-        params = self._params
-        if self._live and params is not None:
-            if self._dirty:
-                self._rebuild()
-            ages = t - self._eadd
-            bounds = self._bound_scale * skew_bounds.dynamic_local_skew_batch(
-                params, ages
-            )
-            observed = np.abs(clocks[self._eu] - clocks[self._ev])
-            margins = bounds - observed
-            k = int(np.argmin(margins))
+        if envelope is not None:
+            observed, bounds, margins, k = envelope
             local = float(observed.max())
             bound = float(bounds[k])
             margin = float(margins[k])

@@ -383,6 +383,11 @@ class EstimateLagMonitor(Monitor):
             )
 
 
+#: One sample's envelope check over the live edges, in table order:
+#: ``(observed |dL|, bounds, margins = bounds - observed, argmin(margins))``.
+EnvelopePass = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
 class EnvelopeMonitor(Monitor):
     """Corollary 6.13: every live edge respects ``s(n, I, edge age)``.
 
@@ -418,6 +423,9 @@ class EnvelopeMonitor(Monitor):
         self.worst_ratio = 0.0
         self.worst_edge: tuple[int, int] | None = None
         self.worst_age = 0.0
+        #: The latest sample's pass (``None``: no live edge then), kept
+        #: for the skew timeline, which records the same quantities.
+        self.last_pass: EnvelopePass | None = None
 
     def bind(self, params, node_ids, **kwargs) -> None:
         super().bind(params, node_ids, **kwargs)
@@ -450,6 +458,7 @@ class EnvelopeMonitor(Monitor):
     def on_sample(
         self, t: float, clocks: np.ndarray, estimates: np.ndarray | None
     ) -> None:
+        self.last_pass = None
         if not self._live:
             return
         if self._dirty:
@@ -467,6 +476,7 @@ class EnvelopeMonitor(Monitor):
         # smaller than the running value.
         self.checks += m
         k = int(np.argmin(margins))
+        self.last_pass = (observed, bounds, margins, k)
         if margins[k] < self.worst_margin:
             self.worst_margin = float(margins[k])
             self.worst_observed = float(observed[k])

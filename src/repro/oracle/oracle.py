@@ -26,10 +26,17 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from ..core.batch import PopulationReader
 from ..network.graph import DynamicGraph
 from ..params import SystemParams
 from ..sim.simulator import Simulator
-from .monitors import MONITOR_FACTORIES, Monitor, MonitorSummary, Violation
+from .monitors import (
+    MONITOR_FACTORIES,
+    EnvelopeMonitor,
+    Monitor,
+    MonitorSummary,
+    Violation,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..network.transport import Transport
@@ -193,14 +200,15 @@ class StreamingOracle:
             raise OracleError("an oracle needs at least one monitor")
         self.samples_seen = 0
         self._installed = False
-        self._nodes: dict[int, Any] = {}
         self._node_ids: list[int] = []
         self._needs_estimates = any(m.requires_estimates for m in self.monitors)
         self._edge_monitors: list[Monitor] = []
-        # Flat per-node reader lists (dense, sorted-id order), bound once at
-        # attach time so each sample skips the dict lookups.
-        self._clock_readers: list[Any] = []
-        self._estimate_readers: list[Any] = []
+        #: The one live-edge table: the timeline row takes its pass.
+        self._envelope = next(
+            (m for m in self.monitors if isinstance(m, EnvelopeMonitor)), None
+        )
+        #: Reads the population's columns at a sample; bound by attach().
+        self._read: PopulationReader
         # Span tracer + per-monitor violation counts already anchored
         # (``None`` / unused when causal tracing is off).
         self._tracer: "Tracer | None" = None
@@ -208,9 +216,6 @@ class StreamingOracle:
         # Skew-timeline recorder (``None`` when the observatory is off);
         # picked up ambiently at attach time, see ``attach_timeline``.
         self._timeline: "TimelineRecorder | None" = None
-        # Dense-array sampling (see repro.core.batch): the transport whose
-        # registered nodes are exactly this oracle's, when installed with one.
-        self._transport: "Transport | None" = None
 
     @staticmethod
     def _resolve(m: str | Monitor) -> Monitor:
@@ -250,13 +255,8 @@ class StreamingOracle:
             raise OracleError(
                 f"sampling interval must be positive; got {self.interval!r}"
             )
-        self._nodes = dict(nodes)
-        self._node_ids = sorted(self._nodes)
-        self._clock_readers = [self._nodes[i].logical_clock for i in self._node_ids]
-        if self._needs_estimates:
-            self._estimate_readers = [
-                self._nodes[i].max_estimate for i in self._node_ids
-            ]
+        self._node_ids = sorted(nodes)
+        self._read = PopulationReader(nodes, estimates=self._needs_estimates)
         for monitor in self.monitors:
             monitor.bind(
                 self.params,
@@ -295,9 +295,7 @@ class StreamingOracle:
     def _bind_timeline(self) -> None:
         timeline = self._timeline
         assert timeline is not None
-        timeline.bind(
-            self.params, self._node_ids, bound_scale=self.bound_scale
-        )
+        timeline.bind(self._node_ids)
 
     def attach_graph(self, graph: DynamicGraph) -> None:
         """Subscribe to graph mutations and seed current edges at age 0.
@@ -332,7 +330,7 @@ class StreamingOracle:
         """
         self.attach(nodes, interval=interval)
         self.attach_graph(graph)
-        self._transport = transport
+        self._read.transport = transport
         assert self.interval is not None
         sim.every(self.interval, self.sample, end=end)
 
@@ -399,27 +397,7 @@ class StreamingOracle:
     # ------------------------------------------------------------------ #
 
     def sample(self, t: float) -> None:
-        # The fused column reads are bit-identical to the per-node reader
-        # closures (same ``L + (h - h_last)`` association; see
-        # :meth:`repro.core.batch.NodeArrayTable.clock_column`), so riding
-        # the plan's table changes sampling cost, never sampled values.
-        transport = self._transport
-        table = None if transport is None else transport.plan.table
-        if table is not None:
-            clocks = table.clock_column(t)
-            estimates = (
-                table.max_estimate_column(t) if self._needs_estimates else None
-            )
-        else:
-            n = len(self._node_ids)
-            clocks = np.fromiter(
-                (read(t) for read in self._clock_readers), dtype=float, count=n
-            )
-            estimates = None
-            if self._needs_estimates:
-                estimates = np.fromiter(
-                    (read(t) for read in self._estimate_readers), dtype=float, count=n
-                )
+        clocks, estimates = self._read(t)
         for monitor in self.monitors:
             monitor.on_sample(t, clocks, estimates)
         self.samples_seen += 1
@@ -427,14 +405,17 @@ class StreamingOracle:
             self._anchor_new_violations(t)
         timeline = self._timeline
         if timeline is not None:
-            # Reuses the columns computed above: capture adds zero node
-            # reads, draws no RNG and schedules nothing (neutrality is
-            # pinned by the golden tests with capture on).
+            # Reuses the columns and the envelope pass computed above:
+            # capture adds zero node reads, draws no RNG and schedules
+            # nothing (neutrality is pinned by the golden tests with
+            # capture on).
+            envelope = self._envelope
             timeline.record(
                 t,
                 clocks,
                 estimates,
                 violations=sum(m.violation_count for m in self.monitors),
+                envelope=None if envelope is None else envelope.last_pass,
             )
 
     # ------------------------------------------------------------------ #

@@ -48,7 +48,6 @@ __all__ = [
     "KIND_DISCOVER",
     "KIND_DELIVER_BURST",
     "KIND_TICK_BURST",
-    "KIND_PAR_SHADOW",
     "N_KINDS",
     "KIND_NAMES",
     "POOLABLE",
@@ -98,25 +97,17 @@ KIND_DELIVER_BURST = 6
 #: never removed mid-run); the dispatch handler re-expands the cardinality
 #: into the dispatch tallies exactly like a delivery burst.
 KIND_TICK_BURST = 7
-#: Sender-side mirror of a cross-shard message delivery (parallel backend
-#: only; see :mod:`repro.sim.par`).  Payload mirrors ``KIND_DELIVER``:
-#: ``a=u, b=v, c=payload, d=send_time``.  Scheduled at the *same*
-#: ``(time, priority, seq)`` as the remote delivery so the sending shard
-#: can evaluate the drop predicate (and schedule the sender-side absence
-#: discovery) at exactly the point the serial execution would; it is
-#: excluded from ``events_dispatched`` accounting by the coordinator.
-KIND_PAR_SHADOW = 8
 
-N_KINDS = 9
+N_KINDS = 8
 
 #: Human-readable kind labels, indexed by kind tag (telemetry, debugging).
 KIND_NAMES = (
     "callback", "deliver", "timer", "topology", "sample", "discover",
-    "deliver_burst", "tick_burst", "par_shadow",
+    "deliver_burst", "tick_burst",
 )
 
 #: Per-kind recycling eligibility, indexed by kind tag.
-POOLABLE = (False, True, True, True, True, True, True, True, True)
+POOLABLE = (False, True, True, True, True, True, True, True)
 
 
 class ScheduledEvent:

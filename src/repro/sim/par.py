@@ -5,12 +5,13 @@ For large populations under *constant* message delay there is exploitable
 structure: a message sent at time ``s`` cannot be delivered before
 ``s + c`` (``c`` = the constant delay), so two regions of the graph cannot
 influence each other within any window shorter than ``c``.  This module
-runs ``K`` contiguous node shards as full-replica simulations in forked
-worker processes, synchronised by conservative lookahead windows:
+runs ``K`` contiguous node shards of a **static** graph as full-replica
+simulations in forked worker processes, synchronised by conservative
+lookahead windows (the measured verdict on it, the gate and what is left
+of ROADMAP item 4: ``docs/performance.md``, "The parallel shard backend"):
 
 * **Partitioning** (:mod:`repro.sim.partition`): node ids are split into
-  ``K`` contiguous ranges chosen to minimise the number of *union* edges
-  (initial edges plus every edge any scripted churn event ever touches)
+  ``K`` contiguous ranges chosen to minimise the number of edges
   crossing a shard boundary.
 * **Lookahead windows**: barriers are placed on the multiples of ``c/2``
   plus every oracle sample time plus ``{0, horizon}``, so every window is
@@ -19,11 +20,9 @@ worker processes, synchronised by conservative lookahead windows:
   is flushed -- cross-shard sends therefore travel as timestamped
   *envelopes*, exchanged at the barrier, and always arrive in the
   destination shard's future.
-* **Replication**: each worker builds the *full* graph, all ``n`` hardware
-  clocks (consuming the shared RNG streams exactly as the serial harness
-  does) and the complete churn script, but constructs node automatons only
-  for its own range.  Topology and discovery therefore replay identically
-  everywhere; only node events (deliveries, timers) are partitioned.
+* **Replication**: each worker builds the *full* graph and all ``n``
+  hardware clocks (consuming the shared RNG streams exactly as the serial
+  harness does), but constructs node automatons only for its own range.
 * **Sampling**: at each barrier that is also a sample time, workers write
   their nodes' ``L``/``Lmax`` columns into a shared-memory block; the
   coordinator process runs the unmodified
@@ -42,11 +41,8 @@ prefixes (``ParTransport._gp``) are:
 
 * setup phase (initial-edge announcement; no core sends at ``Start``):
   ``(0.0, -1)``;
-* topology dispatch: ``(t, 0, topology_index)`` -- the per-transport
-  topology counter is identical in every shard because churn replays
-  everywhere;
-* delivery/discovery dispatch: ``(t, 1) + record_key`` -- the parent's own
-  flattened heap position;
+* discovery dispatch: ``(t, 1) + record_key`` -- the parent's own
+  flattened heap position (a delivery emits nothing keyed);
 * timer dispatch: ``(t, 2, arm_time, phase, node_id)`` -- arm time and a
   setup/run phase bit ride in the timer record's free ``d``/``e`` slots
   (see :meth:`repro.core.node.ClockSyncNode._arm_timer`; the batch
@@ -56,25 +52,16 @@ prefixes (``ParTransport._gp``) are:
 
 The middle elements are the event priority constants, so prefixes from
 different dispatch classes at one timestamp sort in dispatch order.
-``KIND_TIMER``/``KIND_TOPOLOGY``/``KIND_SAMPLE`` records keep ordinary
+``KIND_TIMER``/``KIND_SAMPLE`` records keep ordinary
 integer sequence numbers: those classes are never merged across shards,
 and heap comparisons resolve on ``(time, priority)`` before ever touching
 a key, so integer and tuple keys never meet.
-
-**Cross-shard drop semantics.**  Under churn, a delivery's drop predicate
-(edge removed while in flight) must be evaluated on the *sending* shard
-too, because the sender schedules the absence discovery.  Each envelope
-therefore leaves a sender-local :data:`~repro.sim.events.KIND_PAR_SHADOW`
-record at the same ``(time, priority, key)``; graph replicas are
-identical, so both sides agree on the predicate: the receiver delivers or
-silently drops, the sender counts ``dropped_removed`` and schedules the
-discovery.
 
 **Batch kernel under shards.**  The dense-array fast path runs per shard
 through the serial :class:`~repro.core.batch.NodeArrayTable` tick phase;
 :class:`ParNodeArrayTable` changes only *which senders may bulk-send*.  A
 *plain* sender -- every neighbour local and off the frontier (the local
-nodes with a remote union-edge neighbour) -- appends its sends to the
+nodes with a remote neighbour) -- appends its sends to the
 run's burst exactly as in serial.  Any other (boundary) sender first
 flushes the burst built so far and then sends each message through the
 transport, where the keyed push seam (:meth:`ParTransport._push_routed`)
@@ -83,9 +70,7 @@ keeps key order exact: senders tick in key order, so a burst only ever
 holds a contiguous key range and sits at its first constituent's
 position, and no local record can sort inside it.  An envelope can -- but
 envelopes only reach frontier destinations, bursts only carry interior
-ones, and deliveries to distinct destinations commute.  Scripted churn
-forces the reference path (the shard's kernel plan declines the array
-step and says why), which is exact by construction.
+ones, and deliveries to distinct destinations commute.
 """
 
 from __future__ import annotations
@@ -102,17 +87,13 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence, cast
 
 import numpy as np
 
-from ..core.batch import LANE_FIELDS, Decline, NodeArrayTable
-from ..network.churn import ScriptedChurn
+from ..core.batch import LANE_FIELDS, Decline, NodeArrayTable, PopulationReader
 from ..network.graph import DynamicGraph
 from ..network.transport import Transport, TransportStats
 from ..tracing.context import active_tracer
 from .events import (
     KIND_DELIVER,
-    KIND_PAR_SHADOW,
     KIND_TICK_BURST,
-    KIND_TOPOLOGY,
-    N_KINDS,
     PRIORITY_DELIVERY,
     ScheduledEvent,
 )
@@ -157,8 +138,8 @@ def shard_decline(cfg: "ExperimentConfig") -> Decline | None:
     The parallel backend requires the execution ingredients that make the
     ``c/2`` lookahead and the provenance-key scheme sound: constant
     positive message delay, constant discovery latency, constant-rate
-    clocks with deterministic assignment, no per-event observers, and
-    churn that replays identically in every shard.  Anything else falls
+    clocks with deterministic assignment, no per-event observers and a
+    static topology.  Anything else falls
     back to the serial backend with the returned ``shards`` entry among
     ``RunResult.declines``.
     """
@@ -184,8 +165,9 @@ def shard_decline(cfg: "ExperimentConfig") -> Decline | None:
         ("record", cfg.record,
          "the SkewRecorder requires the serial backend (disable record)"),
         ("tracer", active_tracer() is not None, "causal tracing is active"),
-        ("churn", not all(isinstance(p, ScriptedChurn) for p in cfg.churn),
-         "only ScriptedChurn replays identically across shards"),
+        ("churn", bool(cfg.churn),
+         "topology is static under shards (K = 2 loses to serial on every "
+         "input measured, tenfold under churn)"),
         ("platform", "fork" not in multiprocessing.get_all_start_methods(),
          "the platform does not support the fork start method"),
     )
@@ -216,24 +198,17 @@ class ParTransport(Transport):
         lo: int,
         hi: int,
         frontier: frozenset[int],
-        shadows: bool,
     ) -> None:
         #: Dispatch-context prefix and per-dispatch emission counter (the
         #: global key of the next keyed push is ``_gp + (_gc,)``).
         self._gp: GKey = (0.0, -1)
         self._gc = 0
-        #: Topology dispatch counter; identical in every shard because the
-        #: full churn script replays everywhere in the same order.
-        self._topo_idx = 0
         self._lo = lo
         self._hi = hi
-        #: Local nodes with at least one remote union-edge neighbour; only
+        #: Local nodes with at least one remote neighbour; only
         #: these can receive envelopes, so they and their neighbours send
         #: per message instead of into bursts.
         self._frontier = frontier
-        #: Whether cross-shard sends leave sender-side shadow records
-        #: (needed only when churn can drop in-flight messages).
-        self._shadows = shadows
         self._envelopes: list[Envelope] = []
         super().__init__(
             sim,
@@ -245,15 +220,7 @@ class ParTransport(Transport):
         )
         self._push_keyed = sim.queue.push_keyed
         self._push = self._push_routed
-        sim.set_handler(KIND_PAR_SHADOW, self._handle_par_shadow)
-        veto = None
-        if shadows:
-            veto = Decline(
-                "array_step", "churn",
-                "scripted churn runs on the scalar path under the parallel "
-                "backend",
-            )
-        self._plan_scope = (range(lo, hi), ParNodeArrayTable, veto)
+        self._plan_scope = (range(lo, hi), ParNodeArrayTable)
 
     # ------------------------------------------------------------------ #
     # The delivery-push seam
@@ -276,27 +243,16 @@ class ParTransport(Transport):
 
         Consumes the next provenance key of the current dispatch context
         and pushes the record under it -- except a message to a remote
-        destination, which becomes an envelope (plus, under churn, a
-        sender-side shadow at the same global position; see module
-        docstring).  Serial consumes a sequence number exactly where the
-        base transport calls this, so the keys rank as serial seqs would.
+        destination, which becomes an envelope.  Serial consumes a
+        sequence number exactly where the base transport calls this, so
+        the keys rank as serial seqs would.
         """
         key = self._gp + (self._gc,)
         self._gc += 1
         if kind != KIND_DELIVER or self._lo <= b < self._hi:
             self._push_keyed(time, priority, key, kind, a, b, c, d, fn, label, e)
-            return
-        self._envelopes.append((time, key, a, b, c, d))
-        if self._shadows:
-            self._push_keyed(
-                time, priority, key, KIND_PAR_SHADOW, a, b, c, d, None, "shadow"
-            )
-
-    def _enter(self, ev: ScheduledEvent) -> None:
-        """Dispatch context of a keyed record: pushes it emits (a greeting,
-        an absence discovery) extend the record's own global position."""
-        self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
-        self._gc = 0
+        else:
+            self._envelopes.append((time, key, a, b, c, d))
 
     def announce_initial_edges(self) -> None:
         # No wave: each discovery is its own keyed record (its greeting
@@ -308,22 +264,14 @@ class ParTransport(Transport):
     ) -> None:
         if node_id not in self._nodes:
             # Burn the key the owning shard consumes: every shard then
-            # draws the same counter values for both endpoints of a
-            # topology event, so a given discovery carries the same key in
-            # the one shard that actually pushes it.
+            # draws the same counter values for both endpoints of an
+            # edge, so a given discovery carries the same key in the one
+            # shard that actually pushes it.
             self._gc += 1
             return
         super()._schedule_discovery(
             node_id, other, added=added, change_time=change_time
         )
-
-    def _on_graph_event(self, time: float, u: int, v: int, added: bool) -> None:
-        # One graph event per topology dispatch: its discoveries extend the
-        # dispatch's own position among the run's topology events.
-        self._gp = (time, 0, self._topo_idx)
-        self._gc = 0
-        self._topo_idx += 1
-        super()._on_graph_event(time, u, v, added)
 
     def _handle_timer(self, ev: ScheduledEvent) -> None:
         if ev.a is not None:  # a node's timer (a ``lost`` wake sends nothing)
@@ -332,7 +280,11 @@ class ParTransport(Transport):
         super()._handle_timer(ev)
 
     def _handle_discover(self, ev: ScheduledEvent) -> None:
-        self._enter(ev)
+        # The greeting a discovery emits extends the record's own global
+        # position.  (A delivery emits nothing keyed, and nothing is
+        # dropped in flight on a static graph: the base handlers serve.)
+        self._gp = (self.sim.now, 1) + cast(GKey, ev.seq)
+        self._gc = 0
         super()._handle_discover(ev)
 
     def _handle_discover_batch(self, records: list[ScheduledEvent]) -> None:
@@ -340,54 +292,6 @@ class ParTransport(Transport):
         # as runs of one -- which greet through ``send``, never in a burst.
         for ev in records:
             self._handle_discover(ev)
-
-    # ------------------------------------------------------------------ #
-    # Delivery
-    # ------------------------------------------------------------------ #
-
-    def _handle_deliver(self, ev: ScheduledEvent) -> None:
-        """Delivery of one keyed record (local or envelope)."""
-        self._enter(ev)
-        if ev.e == -2 and (
-            not self._has_edge(ev.a, ev.b)
-            or self._removed_during(ev.a, ev.b, ev.d, self.sim.now)
-        ):
-            # Merged envelope whose edge failed in flight: the sender-side
-            # shadow (or nothing, when no churn exists) owns the drop
-            # accounting; the receiver drops silently.
-            return
-        super()._handle_deliver(ev)
-
-    def _handle_deliver_batch(self, records: list[ScheduledEvent]) -> None:
-        if self.graph.never_removed(
-            [ev.a for ev in records], [ev.b for ev in records]
-        ):
-            # Envelope records (e=-2) ride the fast path too: over edges
-            # never removed, the drop predicate is False for every record.
-            self._table.deliver_batch(records)
-            self.stats.delivered += len(records)
-            return
-        for ev in records:
-            self._handle_deliver(ev)
-
-    def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
-        # The base handler applies the drop rule to each constituent, and
-        # a drop pushes a keyed absence discovery, so the context must be
-        # set.  Scripted churn keeps the table (and with it bursts) away,
-        # but an edge flipped by any other route can land under a burst
-        # already in flight.
-        self._enter(ev)
-        super()._handle_deliver_burst(ev)
-
-    def _handle_par_shadow(self, ev: ScheduledEvent) -> None:
-        """Sender-side drop check of a cross-shard delivery (see module doc)."""
-        self._enter(ev)
-        u, v = ev.a, ev.b
-        if not self._has_edge(u, v) or self._removed_during(
-            u, v, ev.d, self.sim.now
-        ):
-            self.stats.dropped_removed += 1
-            self._schedule_absence_discovery(u, v, send_time=ev.d)
 
 
 class ParNodeArrayTable(NodeArrayTable):
@@ -449,17 +353,6 @@ class ParNodeArrayTable(NodeArrayTable):
         self._enter_tick(us[0])
         super()._push_burst(us, vs, payloads, sids)
 
-    def write_sample_columns(
-        self,
-        t: float,
-        out_clock: "np.ndarray[Any, np.dtype[np.float64]]",
-        out_max: "np.ndarray[Any, np.dtype[np.float64]]",
-    ) -> None:
-        """Write ``L_u(t)``/``Lmax_u(t)`` for the shard's range into shm."""
-        ids = self.ids
-        out_clock[ids.start : ids.stop] = self.clock_column(t)
-        out_max[ids.start : ids.stop] = self.max_estimate_column(t)
-
 
 # ---------------------------------------------------------------------- #
 # Barrier planning
@@ -505,16 +398,14 @@ def _barrier_plan(
 def _shard_experiment(
     cfg: "ExperimentConfig", lo: int, hi: int, frontier: frozenset[int]
 ) -> "Experiment":
-    """Wire one shard: full graph/clock/churn replica, local nodes only.
+    """Wire one shard: full graph/clock replica, local nodes only.
 
     The same constructor as a serial run, with the shard's transport in
     the transport's place; the coordinator owns the oracle.
     """
     from ..harness.runner import Experiment
 
-    make_transport = partial(
-        ParTransport, lo=lo, hi=hi, frontier=frontier, shadows=bool(cfg.churn)
-    )
+    make_transport = partial(ParTransport, lo=lo, hi=hi, frontier=frontier)
     return Experiment(
         replace(cfg, oracle=None, runtime="sim"),
         shard=(make_transport, range(lo, hi)),
@@ -537,11 +428,11 @@ def _worker_main(
         exp = _shard_experiment(cfg, lo, hi, frontier)
         sim, nodes = exp.sim, exp.nodes
         transport = cast(ParTransport, exp.transport)
-        sim.kind_counts = [0] * N_KINDS
         n = cfg.params.n
         block = np.frombuffer(cast(Any, shm), dtype=np.float64).reshape(2, n)
         sample_set = set(samples)
         local_ids = sorted(nodes)
+        read = PopulationReader(nodes, estimates=True, transport=transport)
         horizon = float(cfg.horizon)
         busy = 0.0
         wait = 0.0
@@ -552,16 +443,7 @@ def _worker_main(
             t0 = time.perf_counter()
             sim.run_until(b)
             if b in sample_set:
-                table = transport.plan.table
-                if isinstance(table, ParNodeArrayTable):
-                    table.write_sample_columns(b, block[0], block[1])
-                else:
-                    row_c = block[0]
-                    row_m = block[1]
-                    for i in local_ids:
-                        node = nodes[i]
-                        row_c[i] = node.logical_clock(b)
-                        row_m[i] = node.max_estimate(b)
+                block[0, lo:hi], block[1, lo:hi] = read(b)
             out = transport._envelopes
             transport._envelopes = []
             env_out += len(out)
@@ -590,10 +472,8 @@ def _worker_main(
                 assert t_d >= sim.now
                 push_keyed(
                     t_d, PRIORITY_DELIVERY, key, KIND_DELIVER, u, v, payload,
-                    st, None, "deliver", e=-2,
+                    st, None, "deliver", e=-1,
                 )
-        kc = sim.kind_counts
-        assert kc is not None
         done = {
             "lo": lo,
             "hi": hi,
@@ -605,7 +485,6 @@ def _worker_main(
             "messages_sent": [nodes[i].messages_sent for i in local_ids],
             "stats": transport.stats.as_dict(),
             "events": sim.events_dispatched,
-            "kind_counts": list(kc),
             "declines": transport.plan.declines,
             "lanes": transport.lane_counts(),
         }
@@ -727,20 +606,15 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
 
     params = cfg.params
     n = params.n
-    union_edges: list[tuple[int, int]] = [
-        (int(u), int(v)) for u, v in cfg.initial_edges
-    ]
-    for proc in cfg.churn:
-        assert isinstance(proc, ScriptedChurn)
-        union_edges.extend((u, v) for _t, _op, u, v in proc.events)
-    ranges = partition_ranges(n, shards, union_edges)
+    edges = [(int(u), int(v)) for u, v in cfg.initial_edges]
+    ranges = partition_ranges(n, shards, edges)
     k = len(ranges)
     shard_of = [0] * n
     for w, (a, b) in enumerate(ranges):
         for i in range(a, b):
             shard_of[i] = w
     frontiers: list[set[int]] = [set() for _ in range(k)]
-    for u, v in union_edges:
+    for u, v in edges:
         if shard_of[u] != shard_of[v]:
             frontiers[shard_of[u]].add(u)
             frontiers[shard_of[v]].add(v)
@@ -756,15 +630,10 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
     coord_sim = Simulator()
     coord_graph = DynamicGraph(range(n), cfg.initial_edges)
     if orc is not None:
-        # Installed before churn (the serial recorder/oracle vantage
-        # point): churn-seeded t=0 edges arrive via the graph-event path.
         orc.install(
             coord_sim, coord_graph, views,
             interval=float(interval), end=float(cfg.horizon),
         )
-    for proc in cfg.churn:
-        assert isinstance(proc, ScriptedChurn)
-        proc.install(coord_sim, coord_graph)
 
     # Telemetry: per-shard health read from the latest barrier snapshots.
     # Readers raise (KeyError/ZeroDivisionError) until first data arrives;
@@ -896,10 +765,7 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
         wstats = done["stats"]
         for f in _STAT_FIELDS:
             stats[f] += wstats[f]
-        kc = done["kind_counts"]
-        # Topology replays in every shard (the coordinator's copy is the
-        # one that counts); shadow records are a parallel-only artefact.
-        events += done["events"] - kc[KIND_TOPOLOGY] - kc[KIND_PAR_SHADOW]
+        events += done["events"]
         for f in LANE_FIELDS:
             lanes[f] += done["lanes"][f]
     return RunResult(

@@ -26,12 +26,11 @@ The same sweeps are scriptable from the shell via ``python -m repro``.
 from .aggregate import DEFAULT_COORDS, sweep_csv, sweep_table, tidy_rows
 from .engine import SweepEngine, SweepResult, SweepRow, summarize_run
 from .spec import Axis, SweepSpec, grid, seeds, zip_
-from .store import PruneReport, ResultStore, config_hash, prune_versioned_store
+from .store import ResultStore, config_hash
 
 __all__ = [
     "Axis",
     "DEFAULT_COORDS",
-    "PruneReport",
     "ResultStore",
     "SweepEngine",
     "SweepResult",
@@ -39,7 +38,6 @@ __all__ = [
     "SweepSpec",
     "config_hash",
     "grid",
-    "prune_versioned_store",
     "seeds",
     "summarize_run",
     "sweep_csv",

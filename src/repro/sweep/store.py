@@ -25,14 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
-import shutil
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-__all__ = ["PruneReport", "ResultStore", "config_hash", "prune_versioned_store"]
+__all__ = ["ResultStore", "config_hash"]
 
 _ENTRY_VERSION = 1
 
@@ -176,112 +173,3 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self.keys())
 
-
-# --------------------------------------------------------------------- #
-# Pruning versioned store roots (CLI `prune`)
-# --------------------------------------------------------------------- #
-#
-# A store kept across releases lives under a *versioned root*
-# (``<root>/v<package version>``) so releases invalidate
-# cached simulations wholesale.  Old version directories -- and, because the
-# cache key is the config rather than the code, the current one after a
-# simulation-code change -- are stale weight; `prune` deletes them instead
-# of asking users to rm -rf by hand.
-
-#: Version directories look like ``v1.0.0`` / ``v2.1.0.dev3`` -- ``v``
-#: followed by a digit, then version-ish characters only.  Deliberately
-#: narrow: a ``venv``/``vendor`` directory sitting in the store root must
-#: never match (prune deletes what this matches).
-_VERSION_DIR_RE = re.compile(r"^v\d[\w.+-]*$")
-#: Shard directories of a plain (unversioned) store: two hex chars.
-_SHARD_DIR_RE = re.compile(r"^[0-9a-f]{2}$")
-
-
-@dataclass
-class PruneReport:
-    """What :func:`prune_versioned_store` deleted (or would delete)."""
-
-    root: Path
-    dry_run: bool
-    removed: list[str] = field(default_factory=list)
-    kept: list[str] = field(default_factory=list)
-    entries_removed: int = 0
-    bytes_freed: int = 0
-
-    def summary(self) -> str:
-        """One-line human-readable result."""
-        verb = "would remove" if self.dry_run else "removed"
-        return (
-            f"{self.root}: {verb} {len(self.removed)} director"
-            f"{'y' if len(self.removed) == 1 else 'ies'}, "
-            f"{self.entries_removed} entries, {self.bytes_freed} bytes"
-            + (f"; kept {', '.join(self.kept)}" if self.kept else "")
-        )
-
-
-def _dir_stats(path: Path) -> tuple[int, int]:
-    """``(entry_count, total_bytes)`` for everything under ``path``."""
-    entries = 0
-    size = 0
-    for p in path.rglob("*"):
-        try:
-            if p.is_file():
-                size += p.stat().st_size
-                if p.suffix == ".json" and not p.name.startswith(".tmp-"):
-                    entries += 1
-        except OSError:  # pragma: no cover - racing deletion is fine
-            pass
-    return entries, size
-
-
-def prune_versioned_store(
-    root: str | os.PathLike[str],
-    *,
-    keep_version: str | None = None,
-    remove_all: bool = False,
-    dry_run: bool = False,
-) -> PruneReport:
-    """Delete stale version directories under a versioned store root.
-
-    Parameters
-    ----------
-    root:
-        The versioned root (e.g. ``benchmarks/.sweep-cache``), whose
-        children are ``v<version>`` directories; a *plain* store root
-        (sharded ``ab/`` directories) is also accepted -- its shards count
-        as prunable only under ``remove_all``.
-    keep_version:
-        Version whose directory survives (``v{keep_version}``); ignored
-        when ``remove_all`` is set.
-    remove_all:
-        Delete every version directory (use after simulation-code changes
-        that did not bump the version -- the cache key is the config, so
-        the current version's entries are stale too).
-    dry_run:
-        Only report; delete nothing.
-    """
-    root = Path(root)
-    report = PruneReport(root=root, dry_run=dry_run)
-    if not root.is_dir():
-        return report
-    keep = None if keep_version is None else f"v{keep_version}"
-    for child in sorted(root.iterdir()):
-        if not child.is_dir():
-            continue
-        name = child.name
-        if _VERSION_DIR_RE.match(name):
-            stale = remove_all or name != keep
-        elif _SHARD_DIR_RE.match(name):
-            stale = remove_all
-        else:
-            continue
-        if not stale:
-            report.kept.append(name)
-            continue
-        entries, size = _dir_stats(child)
-        report.removed.append(name)
-        report.entries_removed += entries
-        report.bytes_freed += size
-        if not dry_run:
-            shutil.rmtree(child, ignore_errors=True)
-    return report

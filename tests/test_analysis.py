@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from repro.analysis.metrics import (
 from repro.analysis.recorder import EdgeEpisode, RunRecord, SkewRecorder
 from repro.analysis.report import TextTable, csv_text, format_value
 from repro.analysis import theory
-from repro.harness import configs, run_experiment
+from repro.harness import Experiment, configs, run_experiment
 from repro.network.graph import DynamicGraph
 from repro.network.topology import path_edges
 from repro.sim.simulator import Simulator
@@ -176,6 +178,27 @@ class TestRecorderLive:
         assert eps[1].end_time is None
         # Skew grows as 0.1 * t on edge (0, 1).
         assert eps[0].skews[-1] == pytest.approx(0.2)
+
+    def test_table_run_records_what_the_reader_loop_reads(self):
+        """A recorded run on the array step samples the table's columns;
+        a second recorder given no transport calls every node instead.
+        The two records are equal bit for bit."""
+        cfg = replace(
+            configs.backbone_churn(8, horizon=40.0, seed=5),
+            track_max_estimates=True,
+        )
+        exp = Experiment(cfg)
+        loop = SkewRecorder(
+            exp.sim, exp.graph, exp.nodes, cfg.sample_interval,
+            track_max_estimates=True, end=cfg.horizon,
+        )
+        loop.install()
+        result = exp.run()
+        assert result.batch_gate_reason is None and result.array_events > 0
+        by_loop = loop.result()
+        assert result.record.samples == by_loop.samples > 0
+        assert np.array_equal(result.record.clocks, by_loop.clocks)
+        assert np.array_equal(result.record.max_estimates, by_loop.max_estimates)
 
     def test_drift_rate(self):
         r = synthetic_record()

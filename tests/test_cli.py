@@ -315,72 +315,6 @@ class TestLive:
         assert "error" in err
 
 
-class TestPrune:
-    @pytest.fixture
-    def versioned_root(self, tmp_path):
-        from repro import __version__
-
-        root = tmp_path / "cache"
-        for version in ("v0.0.1", "v0.9.9", f"v{__version__}"):
-            shard = root / version / "ab"
-            shard.mkdir(parents=True)
-            (shard / "abcd.json").write_text("{}")
-        return root
-
-    def test_prune_removes_only_stale_versions(self, capsys, versioned_root):
-        from repro import __version__
-
-        code, out, _ = run_cli(capsys, "prune", "--store", str(versioned_root))
-        assert code == 0
-        assert "v0.0.1" in out and "v0.9.9" in out
-        survivors = sorted(p.name for p in versioned_root.iterdir())
-        assert survivors == [f"v{__version__}"]
-
-    def test_prune_dry_run_deletes_nothing(self, capsys, versioned_root):
-        code, out, _ = run_cli(
-            capsys, "prune", "--store", str(versioned_root), "--dry-run"
-        )
-        assert code == 0
-        assert "would remove" in out
-        assert len(list(versioned_root.iterdir())) == 3
-
-    def test_prune_all_clears_current_version_too(self, capsys, versioned_root):
-        code, out, _ = run_cli(
-            capsys, "prune", "--store", str(versioned_root), "--all"
-        )
-        assert code == 0
-        assert "3 directories" in out and "3 entries" in out
-        assert list(versioned_root.iterdir()) == []
-
-    def test_prune_all_clears_plain_store_shards(self, capsys, store_dir):
-        run_cli(capsys, *SWEEP_ARGS, "--store", store_dir)
-        assert len(ResultStore(store_dir)) == 4
-        code, _, _ = run_cli(capsys, "prune", "--store", store_dir, "--all")
-        assert code == 0
-        assert len(ResultStore(store_dir)) == 0
-        # Without --all, plain shards are not version directories: kept.
-        run_cli(capsys, *SWEEP_ARGS, "--store", store_dir)
-        code, out, _ = run_cli(capsys, "prune", "--store", store_dir)
-        assert "nothing to prune" in out
-        assert len(ResultStore(store_dir)) == 4
-
-    def test_prune_never_touches_non_version_directories(self, capsys, versioned_root):
-        # Regression: 'venv' starts with 'v' but is not a version dir.
-        for name in ("venv", "vendor"):
-            (versioned_root / name).mkdir()
-            (versioned_root / name / "keep.txt").write_text("precious")
-        run_cli(capsys, "prune", "--store", str(versioned_root), "--all")
-        survivors = sorted(p.name for p in versioned_root.iterdir())
-        assert survivors == ["vendor", "venv"]
-
-    def test_prune_missing_root_is_a_noop(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys, "prune", "--store", str(tmp_path / "nope")
-        )
-        assert code == 0
-        assert "nothing to prune" in out
-
-
 class TestRunCommand:
     RUN_ARGS = ("run", "static_ring", "--set", "n=6", "horizon=15")
 

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core import skew_bounds
 from repro.harness import OracleRef, configs, run_experiment
 from repro.obs import (
     BundleError,
@@ -104,6 +105,46 @@ class TestTimeline:
         assert min(margins) >= 0.0
         assert all(v == 0 for v in doc["columns"]["violations"])
 
+    def test_envelope_columns_equal_an_own_pass_over_an_own_edge_table(
+        self, monkeypatch
+    ):
+        """The row takes the envelope monitor's pass.  Computing the three
+        columns the way the recorder used to -- its own mirror of the live
+        edges, its own bounds and ``|dL|`` at every sample -- gives the
+        same values bit for bit on the bundled churned run."""
+        cfg = _armed_config()
+        live: dict[tuple[int, int], float] = {}
+        own: list[tuple[float, float, float]] = []
+        edge_event, record = TimelineRecorder.edge_event, TimelineRecorder.record
+
+        def mirroring_edge_event(self, time, u, v, added):
+            key = (u, v) if u <= v else (v, u)
+            if added:
+                live[key] = time
+            else:
+                live.pop(key, None)
+            edge_event(self, time, u, v, added)
+
+        def own_pass_then_record(self, t, clocks, estimates, **kwargs):
+            index = {nid: k for k, nid in enumerate(self._node_ids)}
+            eu = np.array([index[u] for u, _v in live], dtype=np.intp)
+            ev = np.array([index[v] for _u, v in live], dtype=np.intp)
+            ages = t - np.array(list(live.values()), dtype=np.float64)
+            bounds = skew_bounds.dynamic_local_skew_batch(cfg.params, ages)
+            observed = np.abs(clocks[eu] - clocks[ev])
+            margins = bounds - observed
+            k = int(np.argmin(margins))
+            own.append((float(observed.max()), float(bounds[k]), float(margins[k])))
+            record(self, t, clocks, estimates, **kwargs)
+
+        monkeypatch.setattr(TimelineRecorder, "edge_event", mirroring_edge_event)
+        monkeypatch.setattr(TimelineRecorder, "record", own_pass_then_record)
+        with timeline_session() as tl:
+            result = run_experiment(cfg)
+        assert result.graph.event_times()  # the run was churned
+        assert tl.stride == 1 and tl.rows == len(own) > 0
+        assert np.array_equal(tl._rows[: tl.rows, 3:6], np.array(own))
+
     def test_field_rows_are_skew_vs_min(self, armed_run):
         _result, tl = armed_run
         doc = tl.to_dict()
@@ -114,8 +155,7 @@ class TestTimeline:
 
     def test_stride_doubles_at_row_budget(self):
         tl = TimelineRecorder(row_budget=4)
-        params = configs.static_path(4, horizon=10.0).params
-        tl.bind(params, [0, 1, 2, 3])
+        tl.bind([0, 1, 2, 3])
         clocks = np.zeros(4)
         for tick in range(32):
             tl.record(float(tick), clocks, None)
@@ -136,8 +176,7 @@ class TestTimeline:
 
     def test_field_budget_decimates_wide_networks(self):
         tl = TimelineRecorder(field_budget=8)
-        params = configs.static_path(4, horizon=10.0).params
-        tl.bind(params, list(range(100)))
+        tl.bind(list(range(100)))
         tl.record(0.0, np.arange(100, dtype=float), None)
         doc = tl.to_dict()
         assert len(doc["field_nodes"]) == 8
@@ -146,8 +185,7 @@ class TestTimeline:
 
     def test_event_budget_counts_overflow(self):
         tl = TimelineRecorder(event_budget=2)
-        params = configs.static_path(4, horizon=10.0).params
-        tl.bind(params, [0, 1, 2, 3])
+        tl.bind([0, 1, 2, 3])
         for k in range(5):
             tl.edge_event(float(k), 0, 1 + (k % 3), True)
         assert len(tl.events) == 2

@@ -4,12 +4,12 @@ The load-bearing guarantee is the **parity contract**: a genuinely
 sharded run is bit-identical to the serial backend on the same config --
 per-node clocks and estimates, jump counts and float totals, message
 counters, event tallies, oracle reports.  The tests here pin that
-contract across shard counts on the flagship sync workload, under
-scripted churn that flips cross-shard edges mid-window, under the
-streaming oracle, and property-based over randomly generated topologies
-and churn scripts.  The partitioner and the per-shard telemetry get unit
-coverage alongside; every way a run falls back to serial is a row of
-``test_batch_kernel.py::test_decline_table``.
+contract across shard counts on the flagship sync workload, under the
+streaming oracle, and property-based over randomly generated static
+topologies (topology is static under shards: any churn is a ``shards``
+decline and the run is the serial one).  The partitioner and the
+per-shard telemetry get unit coverage alongside; every way a run falls
+back to serial is a row of ``test_batch_kernel.py::test_decline_table``.
 """
 
 from __future__ import annotations
@@ -30,14 +30,7 @@ from repro.harness import configs
 from repro.harness.registry import OracleRef, RuntimeRef
 from repro.harness.runner import Experiment, ExperimentConfig, run_experiment
 from repro.network.churn import ScriptedChurn
-from repro.sim.events import KIND_DELIVER, PRIORITY_DELIVERY
-from repro.sim.par import (
-    ParNodeArrayTable,
-    _barrier_plan,
-    _shard_experiment,
-    run_par,
-    shard_decline,
-)
+from repro.sim.par import run_par, shard_decline
 from repro.sim.partition import crossing_counts, partition_ranges
 from repro.telemetry.registry import get_registry
 
@@ -92,6 +85,10 @@ def _fingerprint(cfg, res):
             )
         ),
     }
+
+
+def _sharded(cfg, k):
+    return replace(cfg, runtime=RuntimeRef("par", {"shards": k}))
 
 
 def _assert_parity(cfg, shard_counts=(1, 2, 4)):
@@ -159,6 +156,26 @@ class TestGenuineShardGate:
         assert res.config is cfg
         assert _fingerprint(cfg, res) == _fingerprint(cfg, serial)
 
+    def test_churn_declines_shards_and_the_run_is_the_serial_one(self):
+        # Boundary edges for K=2 (23-24) and the ring wrap (0-47), flipped
+        # at non-barrier times: what the churned replay used to merge.
+        churn = ScriptedChurn(
+            [
+                (3.1, "remove", 23, 24),
+                (7.7, "add", 23, 24),
+                (17.2, "remove", 0, 47),
+                (22.6, "add", 0, 47),
+            ]
+        )
+        cfg = _ring_cfg(churn=(churn,))
+        serial = Experiment(cfg).run()
+        assert serial.transport_stats["dropped_removed"] > 0
+        res = run_par(cfg, 2)
+        assert res.par_shards is None
+        first = res.declines[0]
+        assert (first.path, first.declined_by) == ("shards", "churn")
+        assert _fingerprint(cfg, res) == _fingerprint(cfg, serial)
+
 
 # --------------------------------------------------------------------- #
 # Parity: bit-identical to serial
@@ -168,24 +185,6 @@ class TestGenuineShardGate:
 class TestParity:
     def test_sync_ring_bitwise_across_shard_counts(self):
         _assert_parity(_ring_cfg())
-
-    def test_churn_flipping_cross_shard_edges_mid_window(self):
-        # Boundary edges for K=2 (23-24), K=4 (11-12) and the ring wrap
-        # (0-47), each removed and re-added at non-barrier times.
-        churn = ScriptedChurn(
-            [
-                (3.1, "remove", 23, 24),
-                (7.7, "add", 23, 24),
-                (11.3, "remove", 11, 12),
-                (13.9, "add", 11, 12),
-                (17.2, "remove", 0, 47),
-                (22.6, "add", 0, 47),
-            ]
-        )
-        serial = _assert_parity(_ring_cfg(churn=(churn,)))
-        # The flips must actually have dropped something for this test to
-        # exercise the cross-shard shadow path.
-        assert serial.transport_stats["dropped_removed"] > 0
 
     def test_discovery_zero_bitwise(self):
         _assert_parity(_ring_cfg(discovery_spec="zero"))
@@ -226,8 +225,7 @@ class TestParity:
         _assert_parity(_ring_cfg(initial_edges=edges), shard_counts=(2,))
 
     def test_runtime_ref_and_workload_wiring(self):
-        cfg = configs.huge_sync_ring_1m(n=96, shards=2, horizon=10.0)
-        assert isinstance(cfg.runtime, RuntimeRef)
+        cfg = _sharded(configs.huge_sync_ring(96, horizon=10.0), 2)
         res = run_experiment(cfg)
         assert res.par_shards == 2
         assert res.par_fallback_reason is None
@@ -238,11 +236,11 @@ class TestParity:
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_random_partitions_replay_bitwise(data):
-    """Property: random topology + churn, shard-merged == serial.
+    """Property: random static topology, shard-merged == serial.
 
     Configs are drawn to stay inside the genuine-shard gate (the point is
     to exercise the merge, not the fallback), with enough structural
-    freedom -- random extra chords, random cross-boundary churn -- that
+    freedom -- random extra chords, rate classes, cut counts -- that
     ordering bugs in the envelope merge or the provenance keys surface as
     fingerprint diffs.
     """
@@ -259,27 +257,9 @@ def test_random_partitions_replay_bitwise(data):
     )
     edges.update((min(u, v), max(u, v)) for u, v in extra)
     edge_list = sorted(edges)
-    n_churn = data.draw(st.integers(0, 4), label="n_churn")
-    events = []
-    present = set(edge_list)
-    t = 0.0
-    for _ in range(n_churn):
-        t += data.draw(
-            st.floats(0.5, 8.0, allow_nan=False, allow_infinity=False)
-        )
-        u, v = data.draw(st.sampled_from(edge_list))
-        # A flip is only legal relative to the edge's current state.
-        if (u, v) in present:
-            present.discard((u, v))
-            events.append((t, "remove", u, v))
-        else:
-            present.add((u, v))
-            events.append((t, "add", u, v))
-    churn = (ScriptedChurn(events),) if events else ()
     cfg = _ring_cfg(
         n=n,
         initial_edges=edge_list,
-        churn=churn,
         # Dissolving tick groups, per-node rates and multi-cut partitions
         # all go through the one shared tick phase.
         clock_spec=data.draw(
@@ -295,72 +275,9 @@ def test_random_partitions_replay_bitwise(data):
     assert _fingerprint(cfg, res) == _fingerprint(cfg, serial)
 
 
-def test_first_flip_under_burst_in_flight_shards_2():
-    """The first edge flip lands while a shard's burst is in flight.
-
-    Scripted churn in the config would keep the shard tables (and so
-    bursts) away, so the config is churn-free and the removal is scheduled
-    straight onto each replica: two in-process shards are driven through
-    the barrier/envelope exchange of ``_worker_main``.  The burst sent
-    before the flip is then dispatched by ``ParTransport`` through the
-    base handler, which must drop exactly the constituents crossing the
-    removed edge -- under a keyed absence discovery -- and deliver the
-    rest, bit-identically to serial.
-    """
-    flip = [(3.3, "remove", 10, 11)]  # interior to shard 0: no shadow needed
-    cfg = _ring_cfg(horizon=12.0)
-    n = cfg.params.n
-    ranges = partition_ranges(n, 2, cfg.initial_edges)
-    assert ranges == [(0, 24), (24, 48)]
-    owner = [w for w, (lo, hi) in enumerate(ranges) for _ in range(lo, hi)]
-    shards = []
-    for lo, hi in ranges:
-        exp = _shard_experiment(cfg, lo, hi, frozenset({lo, hi - 1}))
-        ScriptedChurn(flip).install(exp.sim, exp.graph)
-        shards.append((exp.sim, exp.transport, exp.nodes))
-    barriers, _samples = _barrier_plan(cfg, cfg.sample_interval, False)
-    for b in barriers:
-        outbound = []
-        for sim, transport, _nodes in shards:
-            sim.run_until(b)
-            outbound.extend(transport._envelopes)
-            transport._envelopes = []
-        for t_d, key, u, v, payload, st in outbound:
-            shards[owner[v]][0].queue.push_keyed(
-                t_d, PRIORITY_DELIVERY, key, KIND_DELIVER, u, v, payload, st,
-                None, "deliver", e=-2,
-            )
-    transport0 = shards[0][1]
-    assert isinstance(transport0.plan.table, ParNodeArrayTable)
-    # Two tick rounds (~3.0 and ~3.25, delay 0.5) were in flight in bursts,
-    # both directions, when the edge went at 3.3.
-    assert transport0.stats.dropped_removed == 4
-
-    serial = Experiment(replace(cfg, churn=[ScriptedChurn(flip)])).run()
-    merged = {i: nd for _s, _t, nodes in shards for i, nd in nodes.items()}
-    h = float(cfg.horizon)
-    for i in range(n):
-        a, b = merged[i], serial.nodes[i]
-        assert repr(a.logical_clock(h)) == repr(b.logical_clock(h)), i
-        assert repr(a.max_estimate(h)) == repr(b.max_estimate(h)), i
-        assert (a.jumps, repr(a.total_jump), a.messages_sent) == (
-            b.jumps, repr(b.total_jump), b.messages_sent
-        ), i
-    stats = {
-        f: sum(t.stats.as_dict()[f] for _s, t, _n in shards)
-        for f in serial.transport_stats
-    }
-    assert stats == dict(serial.transport_stats)
-
-
 # --------------------------------------------------------------------- #
 # Golden workloads under RuntimeRef("par", {"shards": k})
 # --------------------------------------------------------------------- #
-
-
-def _sharded(cfg, k):
-    return replace(cfg, runtime=RuntimeRef("par", {"shards": k}))
-
 
 
 @pytest.mark.parametrize(
@@ -406,11 +323,14 @@ def test_sync_grid_bitwise_under_shards_env(shards):
 
 class TestGateDiagnostics:
     def test_churn_records_scalar_path_reason(self):
+        """Churn used to veto the shard tables onto the scalar path; it
+        now declines ``shards``, and the serial run it becomes keeps the
+        array step: no scalar-path reason is left to record."""
         churn = ScriptedChurn([(3.0, "remove", 5, 6), (9.0, "add", 5, 6)])
         res = run_par(_ring_cfg(churn=(churn,)), 2)
-        assert res.batch_gate_reason is not None
-        assert "churn" in res.batch_gate_reason
-        assert "batch kernel declined" in res.summary()
+        assert res.batch_gate_reason is None
+        assert "batch kernel declined" not in res.summary()
+        assert "parallel fallback (churn)" in res.summary()
 
     def test_sync_workload_keeps_batch_kernel(self):
         res = run_par(_ring_cfg(), 2)

@@ -114,45 +114,3 @@ class TestStore:
         assert list(store.entries()) == []
         assert len(store) == 0
 
-
-class TestPruneVersionedStore:
-    def _seed(self, root, version):
-        d = root / f"v{version}"
-        (d / "ab").mkdir(parents=True)
-        (d / "ab" / "entry.json").write_text("{}")
-        return d
-
-    def test_keep_current_package_version(self, tmp_path):
-        """Pruning with the *current* version keeps exactly its directory.
-
-        This is the CLI's default invocation (``repro prune`` passes
-        ``repro.__version__``): every stale version directory goes, the
-        live cache survives untouched, and the report says so.
-        """
-        import repro
-        from repro.sweep import prune_versioned_store
-
-        current = repro.__version__
-        live = self._seed(tmp_path, current)
-        self._seed(tmp_path, "0.9.0")
-        self._seed(tmp_path, "1.0.0rc1")
-        report = prune_versioned_store(tmp_path, keep_version=current)
-        assert sorted(report.removed) == ["v0.9.0", "v1.0.0rc1"]
-        assert report.kept == [f"v{current}"]
-        assert live.is_dir()
-        assert (live / "ab" / "entry.json").exists()
-        assert report.entries_removed == 2
-        assert f"kept v{current}" in report.summary()
-
-    def test_keep_current_version_dry_run_deletes_nothing(self, tmp_path):
-        import repro
-        from repro.sweep import prune_versioned_store
-
-        current = repro.__version__
-        self._seed(tmp_path, current)
-        stale = self._seed(tmp_path, "0.1.0")
-        report = prune_versioned_store(
-            tmp_path, keep_version=current, dry_run=True
-        )
-        assert report.removed == ["v0.1.0"]
-        assert stale.is_dir()  # dry run: reported, not deleted

@@ -98,17 +98,17 @@ class TestExperimentConfig:
     def test_callable_clock_spec_rejected_with_registry_hint(self):
         cfg = configs.static_path(4)
         cfg.clock_spec = lambda i, p, rng, h: None
-        with pytest.raises(SerializationError, match="CLOCK_BUILDERS"):
+        with pytest.raises(SerializationError, match="built-in spec strings: perfect, random_walk"):
             cfg.to_dict()
 
     def test_callable_delay_and_discovery_specs_rejected(self):
         cfg = configs.static_path(4)
         cfg.delay_spec = lambda p, rng: None
-        with pytest.raises(SerializationError, match="DELAY_BUILDERS"):
+        with pytest.raises(SerializationError, match="built-in spec strings: uniform, max, half"):
             cfg.to_dict()
         cfg = configs.static_path(4)
         cfg.discovery_spec = lambda p, rng: None
-        with pytest.raises(SerializationError, match="DISCOVERY_BUILDERS"):
+        with pytest.raises(SerializationError, match="built-in spec strings: uniform, max, zero"):
             cfg.to_dict()
 
     def test_bare_churn_callable_rejected_with_registry_hint(self):
