@@ -3,45 +3,27 @@
 The reference path turns every event into an ``Event``, a
 ``DCSACore.handle()`` call and an effect list the driver re-interprets.
 :class:`NodeArrayTable` *owns* the state that step mutates -- ``L``,
-``Lmax``, ``h_last``, ``messages_sent`` as id-indexed columns; every Gamma
-row (``L^v_u``, ``C^v_u``) and ``lost`` deadline as a column over *slots*,
-one per directed pair ``(owner, neighbour)`` -- and executes the step
-against it for every in-run event of an eligible population: deliveries,
-ticks, discoveries, ``lost`` fires.  The cores of a covered population are
-views of their rows (:func:`repro.core.protocol.adopt`), so a mid-run
-``node.logical_clock(t)`` or ``core.gamma.get(v).l_est`` shows the run as
-it stands; nothing is mirrored and nothing is copied back.
+``Lmax``, ``h_last``, ``messages_sent`` as id-indexed columns; Upsilon, the
+live adjacency, every Gamma row (``L^v_u``, ``C^v_u``) and ``lost``
+deadline as columns over *slots*, one per directed pair ``(owner,
+neighbour)`` -- and executes the step against it for every in-run event
+of an eligible population.  The cores of a covered population are views
+of their rows (:func:`repro.core.protocol.adopt`): nothing is mirrored and
+nothing is copied back.
 
 **Two lanes, one store.**  Every entry point is a batch (a singleton
-``KIND_DELIVER`` or ``tick`` record is a batch of one).  A batch runs on
-the *scalar lane* -- the per-destination and per-driver loops below, the
-one statement of the per-message rule and the parity reference -- or,
+record is a batch of one).  It runs on the *scalar lane* -- the
+per-destination and per-driver loops below, the parity reference -- or,
 from :data:`ARRAY_LANE_MIN` events up, on the *array lane*: the same IEEE
-operations in the same association order, as a dozen numpy passes.  The
-array lane takes what it can prove order-free and hands the rest to the
-scalar lane, per destination and in record order: a destination whose
-merged ``Lmax`` exceeds its synced ``L`` (it scans Gamma and may jump), a
-row past its clock segment, a ``(sender, destination)`` pair met twice in
-one run; a tick group with a per-message sender goes scalar as a whole
-under the span tracer and sends around it otherwise.  The lane is chosen
-by batch size alone.  The columns are ``array.array`` buffers -- the
-scalar lane indexes them and gets Python floats -- with numpy views over
-the same memory (:class:`_Views`) for the array lane.
+operations in the same association order, as a dozen numpy passes, which
+hands what it cannot prove order-free to the scalar lane.  The columns
+are ``array.array`` buffers (the scalar lane gets Python floats) with
+numpy views over the same memory (:class:`_Views`).
 
 **Parity contract.**  Both lanes are bit-identical to scalar dispatch,
-queue order, RNG draws, tallies and span rows included; the argument is
-made once, in ``docs/performance.md`` ("The batch kernel"; tracing in
-``docs/observability.md``).  What a reader of this file needs from it:
-per-record phases run in scalar record order wherever one can observe
-another's effects, and what is hoisted or vectorised touches disjoint
-rows and commutes; AdjustClock is the scalar scan in the scalar
-association order, entered only when ``Lmax > L``, and ``L^v_u = +inf``
-marks a slot outside Gamma, which its ``min`` ignores; an aggregate
-record (a burst, a tick group) sits where its first constituent would
-have; a bulk send bypasses ``Transport.send`` only under a positive
-constant delay and for a node whose believed neighbours are all adjacent
-*now*; a ``lost`` timer is a deadline its owner looks at when it ticks
-(:meth:`NodeArrayTable.lost_wake`).
+queue order, RNG draws, tallies and span rows included.  The argument --
+and every hand-over rule -- is made once, in ``docs/performance.md`` ("The
+batch kernel"; tracing in ``docs/observability.md``).
 
 **The kernel plan.**  Which paths a run takes is decided once, by
 :func:`kernel_plan`, where the simulator's first ``run_until`` / ``step``
@@ -116,7 +98,13 @@ _SEGMENT_CLOCKS = (ConstantRateClock, PiecewiseRateClock, SteerableClock)
 LANE_FIELDS = ("array_lane_events", "scalar_lane_events", "blocked_rows")
 
 _NODE_COLUMNS = ("rate", "t0", "h0", "t1", "h1", "L", "Lmax", "h_last", "messages_sent")
-_SLOT_COLUMNS = ("owner", "l_est", "added_h", "lost_dl", "lost_seq")
+#: Per slot column, in allocation order: its ``array`` typecode and what a
+#: slot holds before a pair takes it (``+inf``: outside Gamma, disarmed).
+_SLOT_COLUMNS = {
+    "owner": ("q", 0), "peer": ("q", 0), "mate": ("q", 0), "lost_seq": ("q", 0),
+    "ups": ("B", 0), "live": ("B", 0),
+    "l_est": ("d", inf), "added_h": ("d", 0.0), "lost_dl": ("d", inf),
+}
 
 #: The traced side of a delivery run: the destinations and flight span ids
 #: of its messages, parallel lists in record order.  A record pushed before
@@ -141,20 +129,15 @@ def _sids_by_dest(
 
 
 class _Views:
-    """numpy views of the table's ``array.array`` columns (shared memory).
+    """numpy views of the table's ``array.array`` columns (shared memory;
+    renewed when the slot columns grow, :meth:`NodeArrayTable._grow`)."""
 
-    A view pins its buffer's size, so the slot columns grow by
-    reallocation (:meth:`NodeArrayTable._grow`), after which the table
-    takes fresh views.
-    """
-
-    __slots__ = _NODE_COLUMNS + _SLOT_COLUMNS
+    __slots__ = _NODE_COLUMNS + tuple(_SLOT_COLUMNS)
 
     def __init__(self, table: "NodeArrayTable") -> None:
         for name in self.__slots__:
             col = getattr(table, name)
-            dtype = np.int64 if col.typecode == "q" else np.float64
-            setattr(self, name, np.frombuffer(col, dtype=dtype))
+            setattr(self, name, np.frombuffer(col, dtype=col.typecode))
 
 
 @dataclass(slots=True)
@@ -175,15 +158,14 @@ class _Payloads:
 
 @dataclass(slots=True)
 class _TickPlan:
-    """The index arrays of one tick run's bulk sends, valid until a
-    discovery or an edge flip (``key``): per message the sender and
-    destination (``us`` / ``vs`` as lists, ``src`` / ``dst`` as arrays) and
-    the destination's slot for the sender; per member of ``ids`` its
-    message count.  ``loose`` lists, as ``(member position, message
-    offset)``, the members that must send per message instead; ``spans``
-    is the span-row template of :meth:`NodeArrayTable._trace_ticks`."""
+    """One tick run's bulk sends, valid while the table's ``edits`` is
+    ``key``: per message the sender and destination (``us`` / ``vs``,
+    ``src`` / ``dst``) and the destination's slot for the sender; per
+    member of ``ids`` its message count; as ``(member position, message
+    offset)`` the ``loose`` members, which send per message; ``spans``,
+    the template of :meth:`NodeArrayTable._trace_ticks`."""
 
-    key: tuple[int, int]
+    key: int
     ids: _I64
     us: list[int]
     vs: list[int]
@@ -199,12 +181,10 @@ class NodeArrayTable:
     """The store of a validated population, and the DCSA step over it.
 
     Construct via :func:`kernel_plan`, which performs the validity
-    checks; the constructor takes the cores' state over (see module
-    docstring).  The table covers the id range ``ids`` -- the whole
-    population in a serial run, a shard's range under
-    :mod:`repro.sim.par`, whose subclass changes only which senders may
-    bulk-send (``adj``) and the context in which :meth:`_send_each` /
-    :meth:`_push_burst` push.
+    checks; the constructor takes the cores' state over.  The table
+    covers the id range ``ids`` -- the whole population, or a shard's
+    range under :mod:`repro.sim.par`, whose subclass changes only which
+    senders may bulk-send and the context in which they push.
     """
 
     __slots__ = (
@@ -212,13 +192,14 @@ class NodeArrayTable:
         "transport",
         "drivers",
         "cores",
-        "upsilon",
         "ids",
         *_NODE_COLUMNS,
         *_SLOT_COLUMNS,
         "slotmap",
         "row_index",
         "n_slots",
+        "edits",
+        "dests",
         "wakes",
         "arms",
         "np",
@@ -228,7 +209,7 @@ class NodeArrayTable:
         "b_intercept",
         "b_slope",
         "send_delay",
-        "adj",
+        "boundary",
         "array_lane_events",
         "scalar_lane_events",
         "blocked_rows",
@@ -243,20 +224,15 @@ class NodeArrayTable:
     ) -> None:
         self.sim = sim
         self.transport = transport
-        #: The validated node-id range.  ``drivers`` / ``cores`` / ``adj``
+        #: The validated node-id range.  ``drivers`` / ``cores`` / ``slotmap``
         #: and the id-indexed columns are indexed by node id, so a table
         #: over part of the population (a shard) has holes outside ``ids``.
         self.ids = ids
-        n = len(drivers)
-        self.drivers = cast("list[ClockSyncNode]", list(drivers))
+        n = max(len(drivers), transport.graph.n)  # a shard's pairs end anywhere
+        self.drivers = cast("list[ClockSyncNode]", [*drivers] + [None] * (n - len(drivers)))
         self.cores = cast(
-            "list[DCSACore]", [d.core if d is not None else None for d in drivers]
+            "list[DCSACore]", [d.core if d is not None else None for d in self.drivers]
         )
-        #: ``Upsilon_u`` per node id (the cores' own sets).
-        self.upsilon: list[set[int]] = [
-            d.core.upsilon if d is not None else set()  # type: ignore[attr-defined]
-            for d in drivers
-        ]
         #: Each row's current :data:`~repro.sim.clocks.Segment`, one column
         #: per field: ``H(t) = h0 + rate * (t - t0)`` while ``t < t1``, and
         #: ``H`` reaches ``target < h1`` at ``t0 + (target - h0) / rate``.  A
@@ -273,54 +249,67 @@ class NodeArrayTable:
         self.h_last = self.rate[:]
         self.messages_sent = array("q", bytes(8 * n))
         #: ``slotmap[v][u]`` is the slot of the directed pair ``(v, u)``:
-        #: ``v``'s Gamma row for ``u`` (``l_est``: ``L^u_v``, ``+inf`` while
-        #: ``u`` is outside Gamma; ``added_h``: ``C^u_v``) and ``v``'s
-        #: ``lost(u)`` timer: its deadline (``lost_dl``, ``+inf`` while
-        #: disarmed) and when it was last armed (``lost_seq``, a count of
-        #: arms; see :meth:`lost_wake`).
+        #: ``peer`` (``u``), ``mate`` (the slot of ``(u, v)``), ``ups`` (``u``
+        #: in Upsilon_v), ``live`` (edge ``{v, u}`` present: :meth:`flip`),
+        #: Gamma (``l_est`` = ``L^u_v``, ``+inf`` while ``u`` is outside;
+        #: ``added_h`` = ``C^u_v``) and ``lost(u)`` (deadline ``lost_dl``,
+        #: ``+inf`` while disarmed; ``lost_seq``, when it was last armed).
         #: Seeded with the adjacency the run starts on, row by row; a pair
-        #: first met later takes the next free slot, and no slot ever moves.
+        #: first met later takes the next two free slots; no slot ever moves.
         graph = transport.graph
         self.slotmap: list[dict[int, int]] = [{} for _ in range(n)]
-        first = 0
+        peers: list[int] = []
         for i in ids:
             nbrs = sorted(graph.neighbors(i))
-            self.slotmap[i] = dict(zip(nbrs, range(first, first + len(nbrs))))
-            first += len(nbrs)
+            self.slotmap[i] = dict(zip(nbrs, range(len(peers), len(peers) + len(nbrs))))
+            peers += nbrs
         #: The slots of a long row as an index array (:meth:`_advance`).
         self.row_index: dict[int, npt.NDArray[np.intp]] = {}
-        self.n_slots = first
+        first = self.n_slots = len(peers)
         size = first + max(16, first // 8)
-        self.owner = array("q", bytes(8 * size))
-        np.frombuffer(self.owner, np.int64)[:first] = np.repeat(
-            np.arange(n), [len(row) for row in self.slotmap]
-        )
-        self.l_est = array("d", [inf]) * size
-        self.added_h = array("d", bytes(8 * size))
-        self.lost_dl = self.l_est[:]
-        self.lost_seq = array("q", bytes(8 * size))
+        (
+            self.owner, self.peer, self.mate, self.lost_seq, self.ups, self.live,
+            self.l_est, self.added_h, self.lost_dl,
+        ) = (array(code, [fill]) * size for code, fill in _SLOT_COLUMNS.values())
+        self.np: Any = _Views(self)
+        col = self.np
+        col.owner[:first] = np.repeat(np.arange(n), [len(row) for row in self.slotmap])
+        col.peer[:first] = peers
+        col.live[:first] = True
+        # Seeded in (owner, peer) order: a pair's mate is found by bisection;
+        # a shard's pair whose other end it does not cover takes one.
+        pairs = col.owner[:first] * n + col.peer[:first]
+        mirrored = col.peer[:first] * n + col.owner[:first]
+        mate = col.mate[:first] = np.searchsorted(pairs, mirrored)
+        mate[mate == first] = 0
+        for s in np.flatnonzero(pairs[mate] != mirrored).tolist():
+            self.slot(peers[s], self.owner[s])
+        #: Bumped by every write of an ``ups`` or ``live`` slot: the key a
+        #: tick group's send plan is valid under.
+        self.edits = 0
+        #: :meth:`believed` per node, until its ``ups`` slots are written.
+        self.dests: dict[int, list[int]] = {}
         #: The pending wake record per wake time, and the arms so far.
         self.wakes: dict[float, ScheduledEvent] = {}
         self.arms = 0
-        self.np: Any = _Views(self)
         for i in ids:
             self._reseat(i, sim.now)
             d = self.drivers[i]
+            d._table = self
             if type(d.clock) is SteerableClock:
                 d.clock.on_rate_change = lambda i=i: self._reseat(i, sim.now)
             if len(d._timers) > 1:
                 for key in [k for k in d._timers if k != _TICK and k[0] == "lost"]:
                     rec = d._timers.pop(key)
                     sim.queue.cancel(rec)
-                    slot = self.slot(i, key[1])
-                    self.lost_dl[slot] = rec.time
-                    self.lost_seq[slot] = self.arms
-                    self.arms += 1
-        for i, rows in adopt(self.cores[ids.start : ids.stop], self).items():
+                    self.arm_lost(i, key[1], rec.time)
+        for i, (rows, believed) in adopt(self.cores[ids.start : ids.stop], self).items():
             for u, row in rows.items():
                 slot = self.slot(i, u)
                 self.l_est[slot] = row.l_est
                 self.added_h[slot] = row.added_h
+            for u in believed:
+                self.believe(i, u, True)
         #: ``B`` function coefficients, shared by every core (the plan
         #: verified a single ``params`` object).
         c0 = self.cores[ids.start]
@@ -333,14 +322,12 @@ class NodeArrayTable:
         #: valid positive constant (set by :func:`kernel_plan`), else
         #: ``None``; gates the bulk-send path.
         self.send_delay: float | None = None
-        #: Live adjacency sets indexed by node id (the graph mutates them
-        #: in place); a ticking node bulk-sends iff its believed neighbours
-        #: are a subset of its entry.
-        self.adj: list[AbstractSet[int]] = [
-            graph.neighbors(i) if i in ids else frozenset() for i in range(n)
-        ]
+        #: Nodes that always send per message, whatever their slots say (a
+        #: shard's boundary senders); a ticking node bulk-sends iff it is
+        #: not one and every ``ups`` slot of its row is ``live``.
+        self.boundary: AbstractSet[int] = frozenset()
         #: Events executed so far on each lane (singletons, burst and group
-        #: constituents alike; discoveries and ``lost`` fires are scalar),
+        #: constituents alike; ``lost`` fires are scalar),
         #: and the destinations whose delivery run scanned Gamma (``Lmax >
         #: L``): all bumped once per entry point, never per message.
         self.array_lane_events = 0
@@ -363,17 +350,30 @@ class NodeArrayTable:
         ) = self.drivers[i].clock.segment_at(t)  # type: ignore[attr-defined]
 
     def slot(self, v: int, u: int) -> int:
-        """The slot of the directed pair ``(v, u)``, taking a fresh one
-        (outside Gamma, no ``lost`` record) the first time it is asked for."""
+        """The slot of the directed pair ``(v, u)``.  The first time either
+        direction is asked for, the pair takes two fresh slots (outside
+        Gamma and Upsilon, no ``lost`` record), each the other's ``mate``."""
         s = self.slotmap[v].get(u)
         if s is None:
-            s = self.n_slots
-            if s == len(self.owner):
-                self._grow()
-            self.n_slots = s + 1
-            self.owner[s] = v
-            self.slotmap[v][u] = s
-            self.row_index.pop(v, None)
+            s = self._take(v, u)
+            r = self.slotmap[u].get(v)
+            if r is None:
+                r = self._take(u, v)
+            self.mate[s] = r
+            self.mate[r] = s
+        return s
+
+    def _take(self, v: int, u: int) -> int:
+        """Seat the directed pair ``(v, u)`` in the next free slot."""
+        s = self.n_slots
+        if s == len(self.owner):
+            self._grow()
+        self.n_slots = s + 1
+        self.owner[s] = v
+        self.peer[s] = u
+        self.live[s] = self.transport._has_edge(v, u)
+        self.slotmap[v][u] = s
+        self.row_index.pop(v, None)
         return s
 
     def _grow(self) -> None:
@@ -381,12 +381,45 @@ class NodeArrayTable:
         columns are reallocated and every holder of the old ones -- the
         views, a scalar loop's locals -- takes the new."""
         size = len(self.owner)
-        self.owner = self.owner + array("q", bytes(8 * size))
-        self.added_h = self.added_h + array("d", bytes(8 * size))
-        self.l_est = self.l_est + array("d", [inf]) * size
-        self.lost_dl = self.lost_dl + array("d", [inf]) * size
-        self.lost_seq = self.lost_seq + array("q", bytes(8 * size))
+        for name, (code, fill) in _SLOT_COLUMNS.items():
+            setattr(self, name, getattr(self, name) + array(code, [fill]) * size)
         self.np = _Views(self)
+
+    def flip(self, u: int, v: int, added: bool) -> None:
+        """Edge ``{u, v}`` appeared or vanished: write ``live`` on both of
+        its slots (a pair without slots reads the graph when it takes them)."""
+        s = self.slotmap[u].get(v)
+        if s is not None:
+            self.live[s] = self.live[self.mate[s]] = added
+            self.edits += 1
+
+    def believe(self, v: int, u: int, yes: bool) -> None:
+        """Write ``u in Upsilon_v`` (a discovery, or a core's
+        :class:`~repro.core.estimates.SlotSet`)."""
+        s = self.slot(v, u) if yes else self.slotmap[v].get(u)
+        if s is not None:
+            self.ups[s] = yes
+        self.edits += 1
+        self.dests.pop(v, None)
+
+    def believed(self, v: int) -> list[int]:
+        """Upsilon_v, sorted: whom ``v``'s tick sends to, in order (the
+        caller does not mutate it)."""
+        dests = self.dests.get(v)
+        if dests is None:
+            ups = self.ups
+            dests = self.dests[v] = sorted([u for u, s in self.slotmap[v].items() if ups[s]])
+        return dests
+
+    def arm_lost(self, v: int, u: int, deadline: float) -> bool:
+        """(Re-)arm ``v``'s ``lost(u)`` at ``deadline`` (``+inf``: disarm) as a
+        delivery does (:meth:`lost_wake`); returns whether one was armed."""
+        s = self.slot(v, u)
+        armed = self.lost_dl[s] != inf
+        self.lost_dl[s] = deadline
+        self.lost_seq[s] = self.arms
+        self.arms += 1
+        return armed
 
     def _slots_of(self, us: Sequence[int], vs: Sequence[int]) -> list[int]:
         """``slot(v, u)`` per message ``u -> v``."""
@@ -436,6 +469,28 @@ class NodeArrayTable:
             self.Lmax[i] += dh
             self.h_last[i] = h
             self._advance(i, dh)
+
+    def _sync_rows(self, ids: _I64) -> tuple[_F64, _F64, _F64, _F64]:
+        """:meth:`_sync` of the distinct rows ``ids`` at ``now``, as columns
+        (``x + 0.0`` is ``x``: no value is ``-0.0``).  Returns their
+        segments' ``t0``, ``h0`` and ``rate`` and their reading ``h``."""
+        now = self.sim.now
+        col = self.np
+        for i in ids[now >= col.t1[ids]].tolist():
+            self._reseat(i, now)
+        t0 = col.t0[ids]
+        h0 = col.h0[ids]
+        rate = col.rate[ids]
+        h = h0 + rate * (now - t0)
+        dh = h - col.h_last[ids]
+        col.L[ids] += dh
+        col.Lmax[ids] += dh
+        col.h_last[ids] = h
+        step = np.zeros(len(self.L))
+        step[ids] = dh
+        used = self.n_slots
+        col.l_est[:used] += step[col.owner[:used]]
+        return t0, h0, rate, h
 
     def _adjust_clock(self, i: int, tracer: "Tracer | None") -> None:
         """AdjustClock on synced row ``i``, the jump applied in place.
@@ -552,14 +607,10 @@ class NodeArrayTable:
     ) -> Sequence[int]:
         """The array lane of a delivery run; returns the positions it left.
 
-        Per destination, scalar dispatch is: sync; then per message Gamma
-        track / refresh, ``Lmax`` raise, AdjustClock, ``lost`` re-arm.  On
-        a destination none of whose messages leaves ``Lmax > L``,
-        AdjustClock is vacuous and every other step is a ``max`` merge or
-        a write keyed by the message's own slot, so the run commutes: it
-        is computed here on whole columns, into temporaries first, and
-        written back for the destinations no hand-over rule (module
-        docstring) claims.  Those keep their messages, untouched.
+        :meth:`_deliver_scalar` on whole columns, into temporaries first,
+        written back for the destinations no hand-over rule claims (one
+        left with ``Lmax > L``, past its segment, or met twice by a pair);
+        those keep their messages, untouched.
         """
         m = len(us)
         if type(payloads) is _Payloads:
@@ -633,15 +684,11 @@ class NodeArrayTable:
         one statement of the per-message rule.
 
         ``dest_msgs[v]`` is the flat list ``[u0, payload0, u1, payload1,
-        ...]`` in per-destination record order.  Scalar dispatch per
-        message is: sync ``v``; Gamma track / refresh; raise ``Lmax``;
-        AdjustClock; re-arm ``lost(u)``.  Each destination runs to
-        completion before the next (distinct destinations touch disjoint
-        rows and slots), its messages in scalar order.  It syncs once --
-        later messages of the run find ``dh == 0`` in scalar execution too
-        -- so ``H_v``, every edge age and the ``lost`` deadline are fixed
-        for the timestamp, and a message scans Gamma only when it leaves
-        ``Lmax > L`` (as :meth:`DCSACore._adjust_clock` returns early).
+        ...]`` in per-destination record order.  Per message: sync ``v``
+        (once: ``H_v``, edge ages and the ``lost`` deadline are fixed for
+        the timestamp); Gamma track / refresh; raise ``Lmax``; AdjustClock
+        (only when ``Lmax > L``); re-arm ``lost(u)``.  Each destination
+        runs to completion before the next, its messages in scalar order.
 
         When traced, ``flights`` names the run's messages; an applied jump
         writes its ``SPAN_JUMP`` row parented on the delivering flight
@@ -760,48 +807,38 @@ class NodeArrayTable:
             tracer.current = -1
 
     # ------------------------------------------------------------------ #
-    # Discoveries and ``lost`` fires (scalar lane)
+    # Discoveries and ``lost`` fires
     # ------------------------------------------------------------------ #
 
     def discover_run(self, rows: Sequence[tuple[int, int, bool, bool]]) -> None:
-        """Execute a same-timestamp run of discoveries, on the scalar lane.
+        """Execute a same-timestamp run of discoveries.
 
         The one discovery body, entered by the transport with the ``(node,
         other, added, absence)`` rows of a pre-popped run of
         ``KIND_DISCOVER`` records, of a singleton, or of the wave record
-        that stands for E_0.  Per row, in order, it is
-        :meth:`Transport._handle_discover` plus ``DCSACore``'s discover
-        handlers with the effect list cut out: clear the absence-dedup
-        key, skip a change that no longer holds, sync, greet with the
-        pre-jump ``(L, Lmax)`` (or drop the Gamma row and disarm its
-        ``lost`` timer), update Upsilon, AdjustClock in place -- each row
-        to completion, so a later row of the same node (or a delay policy
-        reading clocks mid-send) sees what scalar dispatch would have left.
-
-        Under a positive constant delay the greetings of a run of two or
-        more travel as the run's one burst record (a greeting's edge was
-        just tested present, the bulk-send rule, and nothing else here
-        pushes a record); otherwise each goes through
-        :meth:`Transport.send` at its scalar position.  The sharded
-        transport replays a run row by row, so its boundary senders never
-        reach the burst branch.  When traced, each delivered discovery
-        writes its ``SPAN_DISCOVER`` row, the greeting's flight and any
-        jump parented on it.
+        that stands for E_0; from :data:`ARRAY_LANE_MIN` rows it may take
+        the array lane (:meth:`_discover_array`).  On the scalar lane, per
+        row, in order, it is :meth:`Transport._handle_discover` plus
+        ``DCSACore``'s discover handlers without the effect list: clear the
+        absence-dedup key, skip a change that no longer holds, sync, greet
+        with the pre-jump ``(L, Lmax)`` (or forget the Gamma row), update
+        Upsilon, AdjustClock -- each row to completion.  Under a positive
+        constant delay the greetings of a run of two or more travel as its
+        one burst record (a greeting's edge was just tested present);
+        otherwise each goes through :meth:`Transport.send`.  When traced,
+        each delivered discovery writes its ``SPAN_DISCOVER`` row, the
+        greeting's flight and any jump parented on it.
         """
+        if len(rows) >= ARRAY_LANE_MIN and self._discover_array(rows):
+            return
         transport = self.transport
         stats = transport.stats
         has_edge = transport._has_edge
         tracer = transport._tracer
         now = self.sim.now
-        upsilon = self.upsilon
         L_col = self.L
         lmax_col = self.Lmax
-        h_last = self.h_last
         sent = self.messages_sent
-        rate = self.rate
-        t0 = self.t0
-        h0 = self.h0
-        t1 = self.t1
         delay = self.send_delay if len(rows) > 1 else None
         t_deliver = now if delay is None else now + delay
         u_list: list[int] = []
@@ -815,11 +852,7 @@ class NodeArrayTable:
             if has_edge(nid, other) != added:
                 skipped += 1
                 continue
-            if now >= t1[nid]:
-                self._reseat(nid, now)
-            h = h0[nid] + rate[nid] * (now - t0[nid])
-            if h != h_last[nid]:
-                self._sync(nid, h)
+            self._sync(nid, self._hardware(nid, now))
             if tracer is not None:
                 tracer.discover(nid, other, now, added)
             if added:
@@ -838,10 +871,9 @@ class NodeArrayTable:
                                 tracer.current, STATUS_DONE,
                             )
                         )
-                upsilon[nid].add(other)
             else:
                 self.forget(nid, other)
-                upsilon[nid].discard(other)
+            self.believe(nid, other, added)
             if lmax_col[nid] > L_col[nid]:
                 self._adjust_clock(nid, tracer)
         if u_list:
@@ -854,6 +886,40 @@ class NodeArrayTable:
         self.scalar_lane_events += delivered
         if tracer is not None:
             tracer.current = -1
+
+    def _discover_array(self, rows: Sequence[tuple[int, int, bool, bool]]) -> bool:
+        """The array lane of a discovery run (the E_0 wave); returns
+        whether it ran: only when every row is an add whose edge is
+        ``live`` and no node is blocked once synced (idempotent: a run
+        handed over loses nothing), so that AdjustClock is vacuous."""
+        if (
+            len(rows) < 2
+            or self.send_delay is None
+            or self.transport._tracer is not None
+        ):
+            return False
+        nids, others, added, absence = zip(*rows)
+        if not all(added) or any(absence):
+            return False
+        m = len(rows)
+        slots = np.fromiter(self._slots_of(others, nids), np.int64, m)
+        col = self.np  # after _slots_of: a new pair reallocates the columns
+        if not col.live[slots].all():
+            return False
+        who = np.fromiter(nids, np.int64, m)
+        ids = np.unique(who)
+        self._sync_rows(ids)
+        if (col.Lmax[ids] > col.L[ids]).any():
+            return False
+        col.messages_sent += np.bincount(who, minlength=len(self.L))
+        col.ups[slots] = True
+        self.edits += 1
+        self.dests.clear()
+        payloads = _Payloads(col.L[who], col.Lmax[who], col.peer[slots], col.mate[slots])
+        self._push_burst(list(nids), list(others), payloads, None)
+        self.transport.stats.discoveries_delivered += m
+        self.array_lane_events += m
+        return True
 
     def _wake(self, slot: int) -> None:
         """List ``slot`` with the wake record of its ``lost`` deadline
@@ -871,23 +937,13 @@ class NodeArrayTable:
     def lost_wake(self, ev: ScheduledEvent) -> None:
         """Execute a wake record: the ``lost`` timers that expire now.
 
-        A ``lost(u)`` timer of node ``v`` is a slot value, its deadline
-        ``lost_dl``: every message re-arms it with a plain write (one
-        column write for a whole burst) and nothing is queued.  The owner
-        looks at its deadlines whenever it ticks and lists those that fall
-        due before its next tick with the wake record of their time
-        (:meth:`_tick_phase`).  That is in time: a deadline lies ``Delta T'
-        / rate >= T + Delta H / (1 - rho)`` after its arming and
-        consecutive ticks at most ``Delta H / (1 - rho)`` apart, so the
-        last tick before a deadline comes after its arming -- and lists it
-        before re-arming itself, so a ``lost`` that coincides with the
-        next tick fires first, as on the reference, where it was pushed
-        before that tick was.  A wake fires the listed slots whose deadline
-        still is its time (a re-armed or disarmed one is skipped), in the
-        order they were last armed -- the reference's cancel-and-push
-        order: forget ``u``'s estimate, AdjustClock.  The kernel counted
-        the record as one dispatch; the fires are re-expanded into the
-        tallies as for a tick group.
+        A ``lost`` timer is its slot's deadline, written by every arm and
+        queued nowhere; its owner lists the deadlines due before its next
+        tick with the wake record of their time when it ticks (why that is
+        in time: ``docs/performance.md``, "``lost`` timers").  A wake fires
+        the listed slots whose deadline still is its time, in the order
+        they were last armed -- the reference's cancel-and-push order --
+        and re-expands them into the tallies as for a tick group.
         """
         now = ev.time
         del self.wakes[now]
@@ -922,17 +978,13 @@ class NodeArrayTable:
     # ------------------------------------------------------------------ #
 
     def handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
-        """Execute a same-timestamp run of ``KIND_TIMER`` records.
-
-        Only reached under positive constant delay and discovery policies,
-        so nothing a tick schedules lands at the current timestamp.  A run
-        with anything but ticks in it replays the scalar timer handler in
-        record order.  When every deadline of an all-tick run coincides (a
-        rate class in lockstep) the pending ticks collapse into one group
-        record, ordered by its first constituent's position -- the
-        constituents would have held contiguous sequence numbers -- which
-        re-pushes itself on every later cycle (:meth:`handle_tick_group`);
-        otherwise each record is re-pushed in place.
+        """Execute a same-timestamp run of ``KIND_TIMER`` records (only
+        under positive constant delay and discovery policies).  A run with
+        anything but ticks in it replays the scalar timer handler in record
+        order.  When every deadline of an all-tick run coincides (a rate
+        class in lockstep) the ticks collapse into one group record at its
+        first constituent's position (:meth:`handle_tick_group`); otherwise
+        each record is re-pushed in place.
         """
         for ev in records:
             if ev.b != _TICK:
@@ -1006,11 +1058,9 @@ class NodeArrayTable:
         deadline and the send plan to keep with the group, if any."""
         k = len(drivers)
         if k >= ARRAY_LANE_MIN and self.send_delay is not None:
-            transport = self.transport
-            key = (transport.edge_flips, transport.stats.discoveries_delivered)
-            if plan is None or plan.key != key:
-                plan = self._tick_plan(drivers, key)
-            tracer = transport._tracer
+            if plan is None or plan.key != self.edits:
+                plan = self._tick_plan(drivers, plan)
+            tracer = self.transport._tracer
             if tracer is None or not (
                 plan.loose
                 or (len(tracer.data) >> 3) + k + len(plan.us) >= tracer.capacity
@@ -1021,40 +1071,48 @@ class NodeArrayTable:
         return self._tick_phase(drivers), plan
 
     def _tick_plan(
-        self, drivers: "Sequence[ClockSyncNode]", key: tuple[int, int]
+        self, drivers: "Sequence[ClockSyncNode]", stale: _TickPlan | None
     ) -> _TickPlan:
-        """Who sends what to whom when ``drivers`` tick (:class:`_TickPlan`):
-        per driver its believed neighbours, sorted, when they are all
-        adjacent (the bulk-send rule), else an entry of ``loose``."""
-        adj = self.adj
-        upsilon = self.upsilon
-        us: list[int] = []
-        vs: list[int] = []
-        counts: list[int] = []
-        loose: list[tuple[int, int]] = []
-        for j, d in enumerate(drivers):
-            nid = d.node_id
-            ups = upsilon[nid]
-            if not ups:
-                counts.append(0)
-            elif ups <= adj[nid]:
-                dests = sorted(ups)
-                us += [nid] * len(dests)
-                vs += dests
-                counts.append(len(dests))
-            else:
-                loose.append((j, len(us)))
-                counts.append(0)
+        """Who sends what to whom when ``drivers`` tick (:class:`_TickPlan`;
+        ``stale``: their previous plan), as a column selection: the
+        members' ``ups`` slots in ``(member position, peer)`` order -- each
+        member's sorted Upsilon -- read through ``owner`` / ``peer`` /
+        ``mate``.  A member with an ``ups`` slot that is not ``live`` (or a
+        ``boundary`` sender) is an entry of ``loose`` instead."""
+        col = self.np
+        k = len(drivers)
+        ids = stale.ids if stale else np.fromiter((d.node_id for d in drivers), np.int64, k)
+        n = len(self.L)
+        used = self.n_slots
+        at = np.full(n, -1, np.int64)  # node id -> member position
+        at[ids] = np.arange(k)
+        sel = np.flatnonzero(col.ups[:used] & (at[col.owner[:used]] >= 0))
+        member = at[col.owner[sel]]
+        loose = np.zeros(k, np.bool_)
+        loose[member[col.live[sel] == 0]] = True
+        if self.boundary:
+            loose |= np.isin(ids, list(self.boundary))
+        loose &= np.bincount(member, minlength=k) > 0  # a silent member sends nothing
+        keep = ~loose[member]
+        sel = sel[keep]
+        member = member[keep]
+        order = np.argsort(member * n + col.peer[sel])
+        sel = sel[order]
+        counts = np.bincount(member[order], minlength=k)
+        src = col.owner[sel]
+        dst = col.peer[sel]
+        offsets = np.cumsum(counts) - counts
+        loose_at = np.flatnonzero(loose)
         return _TickPlan(
-            key=key,
-            ids=np.fromiter((d.node_id for d in drivers), np.int64, len(drivers)),
-            us=us,
-            vs=vs,
-            src=np.array(us, np.int64),
-            dst=np.array(vs, np.int64),
-            slots=np.array(self._slots_of(us, vs), np.int64),
-            counts=np.array(counts, np.int64),
-            loose=loose,
+            key=self.edits,
+            ids=ids,
+            us=src.tolist(),
+            vs=dst.tolist(),
+            src=src,
+            dst=dst,
+            slots=col.mate[sel],
+            counts=counts,
+            loose=list(zip(loose_at.tolist(), offsets[loose_at].tolist())),
         )
 
     def _tick_array(
@@ -1063,39 +1121,25 @@ class NodeArrayTable:
         plan: _TickPlan,
         tracer: "Tracer | None",
     ) -> list[float]:
-        """The array lane of :meth:`_tick_phase` (whose docstring has the
-        scalar order): the members sync as columns, the payload columns
-        are gathered through the plan's index arrays *before* any
+        """The array lane of :meth:`_tick_phase`: the members sync as
+        columns, the payloads are gathered through the plan *before* any
         AdjustClock, the bursts are pushed around the plan's per-message
-        senders, and only then do the members left with ``Lmax > L`` -- in
-        member order -- run the scalar AdjustClock.  Under a positive
-        constant delay no member's tick reads what another's wrote.
+        senders, then the members left with ``Lmax > L`` -- in member
+        order -- run the scalar AdjustClock.
         """
         now = self.sim.now
         col = self.np
         ids = plan.ids
-        for j in np.flatnonzero(now >= col.t1[ids]).tolist():
-            self._reseat(drivers[j].node_id, now)
-        t0 = col.t0[ids]
-        h0 = col.h0[ids]
-        rate = col.rate[ids]
-        h = h0 + rate * (now - t0)
-        dh = h - col.h_last[ids]
-        col.L[ids] += dh
-        col.Lmax[ids] += dh
-        col.h_last[ids] = h
-        step = np.zeros(len(self.L))
-        step[ids] = dh
-        used = self.n_slots
-        col.l_est[:used] += step[col.owner[:used]]
+        t0, h0, rate, h = self._sync_rows(ids)
         col.messages_sent[ids] += plan.counts
         target = h + self.tick_interval
         fire = t0 + (target - h0) / rate
         for j in np.flatnonzero(target >= col.h1[ids]).tolist():
             fire[j] = drivers[j].clock.time_at(target.item(j))
         fire = np.maximum(fire, now)
-        step[:] = -inf
+        step = np.full(len(self.L), -inf)
         step[ids] = fire
+        used = self.n_slots
         for s in np.flatnonzero(col.lost_dl[:used] <= step[col.owner[:used]]).tolist():
             self._wake(s)
         # Sends: the plan's messages as bursts, split where a per-message
@@ -1125,7 +1169,9 @@ class NodeArrayTable:
                     start = end
                 if j >= 0:
                     nid = drivers[j].node_id
-                    self._send_each(nid, (self.L[nid], self.Lmax[nid]))
+                    self._send_each(
+                        nid, (self.L[nid], self.Lmax[nid]), self.believed(nid)
+                    )
         for j in np.flatnonzero(col.Lmax[ids] > col.L[ids]).tolist():
             if tracer is not None:
                 tracer.current = timer_sids[j]
@@ -1140,12 +1186,10 @@ class NodeArrayTable:
         """Write a tick run's span rows in scalar order: per member its
         ``SPAN_TIMER`` row, then one optimistically-closed flight row per
         bulk send, parented on it (:meth:`_trace_tick`, a column at a
-        time).  The caller checked the table has room.  Returns the
+        time; the caller checked the table has room).  Returns the
         members' timer span ids and the flights' span ids, per message.
-
-        What does not change from tick to tick is a template kept with
-        the plan; the rest is picked per row out of a few shared values
-        (``itemgetter``), so a row costs no new object, as a scalar row.
+        What does not change from tick to tick is a template kept with the
+        plan; the rest is picked per row (``itemgetter``): no new object.
         """
         if plan.spans is None:
             k = len(plan.ids)
@@ -1183,17 +1227,14 @@ class NodeArrayTable:
         """Sync, send and AdjustClock for one run of ticking ``drivers``:
         the scalar lane.
 
-        One fused loop: per driver sync, payload capture, sends -- in
-        scalar order, sends consume sequence numbers in record order --
-        and a look at its ``lost`` deadlines (:meth:`lost_wake`); then the
-        burst push, then AdjustClock over the rows left with ``Lmax > L``.
-        Payloads are captured *before* AdjustClock as the scalar handler
-        reads them; hoisting it across drivers is sound because it touches
-        only row state no other driver's sends or re-arm read.  A driver
-        whose believed neighbours are all adjacent appends its sends to
-        the run's burst; any other sends through :meth:`Transport.send`,
-        which applies the no-edge drop rule per message, after the burst
-        built so far is pushed.  Returns each driver's next tick deadline.
+        One fused loop: per driver sync, payload capture, sends (in
+        record order) and a look at its ``lost`` deadlines
+        (:meth:`lost_wake`); then the burst push, then AdjustClock over the
+        rows left with ``Lmax > L`` (it touches only row state no other
+        driver's sends read).  A driver whose believed neighbours are all
+        adjacent appends its sends to the run's burst; any other sends
+        through :meth:`Transport.send` (the no-edge drop rule) after the
+        burst built so far is pushed.  Returns each driver's next deadline.
 
         When traced, each driver's ``SPAN_TIMER`` row and the flight rows
         of its bulk sends are written here (:meth:`_trace_tick`); the
@@ -1213,8 +1254,9 @@ class NodeArrayTable:
         lost_dl = self.lost_dl
         sent = self.messages_sent
         slotmap = self.slotmap
-        upsilon = self.upsilon
-        adj = self.adj
+        believed = self.believed
+        live = self.live
+        boundary = self.boundary
         tracer = self.transport._tracer
         delay = self.send_delay
         t_deliver = now if delay is None else now + delay
@@ -1229,6 +1271,7 @@ class NodeArrayTable:
         fires: list[float] = []
         for d in drivers:
             nid = d.node_id
+            row = slotmap[nid]
             if now >= t1[nid]:
                 self._reseat(nid, now)
             seg_r = rate[nid]
@@ -1244,24 +1287,25 @@ class NodeArrayTable:
                 L_col[nid] = L
                 lmax_col[nid] = lmax
                 h_last[nid] = h
-                if len(slotmap[nid]) > _LONG_ROW:
+                if len(row) > _LONG_ROW:
                     self._advance(nid, dh)
                 else:
-                    for s in slotmap[nid].values():
+                    for s in row.values():
                         l_est[s] += dh
-            ups = upsilon[nid]
-            # The bulk-send destinations, or ``None`` when this driver
-            # must send per message.
-            dests = (
-                sorted(ups) if delay is not None and ups <= adj[nid] else None
+            dests = believed(nid)
+            # Whether its sends join the run's burst (the bulk-send rule).
+            bulk = (
+                delay is not None
+                and nid not in boundary
+                and all(live[row[u]] for u in dests)
             )
             if tracer is not None:
                 tracer.current = self._trace_tick(
-                    tracer, nid, dests or (), t_deliver, s_list
+                    tracer, nid, dests if bulk else (), t_deliver, s_list
                 )
-            if ups:
+            if dests:
                 payload = (L, lmax)
-                if dests is not None:
+                if bulk:
                     k = len(dests)
                     # Scalar _send bumps the counter at emission time; the
                     # batch bypasses the effect list, so count here.
@@ -1279,7 +1323,7 @@ class NodeArrayTable:
                         v_list.clear()
                         p_list.clear()
                         s_list.clear()
-                    self._send_each(nid, payload)
+                    self._send_each(nid, payload, dests)
             target = h + ti
             if target < h1[nid]:
                 fire_t = seg_t + (target - seg_h) / seg_r
@@ -1288,7 +1332,7 @@ class NodeArrayTable:
             if fire_t < now:
                 fire_t = now
             fires.append(fire_t)
-            for s in slotmap[nid].values():
+            for s in row.values():
                 if lost_dl[s] <= fire_t:
                     self._wake(s)
             if lmax > L:
@@ -1339,10 +1383,10 @@ class NodeArrayTable:
         sids.extend(range(sid + 1, sid + 1 + len(dests)))
         return sid
 
-    def _send_each(self, nid: int, payload: Any) -> None:
-        """Send ``payload`` from ``nid`` to each believed neighbour, per message."""
+    def _send_each(self, nid: int, payload: Any, dests: list[int]) -> None:
+        """Send ``payload`` from ``nid`` to each of ``dests`` (its believed
+        neighbours, sorted), per message."""
         send = self.transport.send
-        dests = sorted(self.upsilon[nid])
         self.messages_sent[nid] += len(dests)
         for v in dests:
             send(nid, v, payload)
@@ -1407,12 +1451,10 @@ class PopulationReader:
     """``L_u(t)`` and ``Lmax_u(t)`` of a node map as dense columns in id
     order: what every sampler (oracle, recorder, shard worker) reads.
 
-    ``transport`` is the transport whose registered nodes are exactly
-    ``nodes`` (``None``: there is none, as in a live session).  When its
-    kernel plan holds a table the columns are the table's fused ones,
-    otherwise one reader call per node -- equal bit for bit
-    (:meth:`NodeArrayTable.clock_column`'s contract), so the plan changes
-    what a sample costs, never what it reads.
+    ``transport`` registers exactly ``nodes`` (``None`` in a live
+    session).  On its plan's table the columns are the table's fused ones,
+    else one reader call per node -- equal bit for bit, so the plan
+    changes what a sample costs, never what it reads.
     """
 
     def __init__(
@@ -1480,12 +1522,10 @@ class Decline:
 class KernelPlan:
     """How one simulator executes its run: :func:`kernel_plan`'s verdict.
 
-    ``table`` is the struct-of-arrays table every in-run node event rides,
-    or ``None`` when the population runs the ``handle()`` reference.
-    ``timer_runs`` and ``bulk_send`` are paths *of* the table, so they are
-    only listed in ``declines`` when it exists.  The default value is the
-    plan of a simulator that has not started running: nothing engaged,
-    nothing declined.
+    ``table`` is the table every in-run node event rides, or ``None``
+    (the ``handle()`` reference); ``timer_runs`` and ``bulk_send`` are
+    paths *of* the table, declined only when it exists.  The default is
+    the plan of a simulator that has not started: nothing engaged.
     """
 
     table: NodeArrayTable | None = None
@@ -1511,17 +1551,10 @@ def kernel_plan(
     Called by the transport where the first ``run_until`` / ``step``
     begins -- after ``t = 0`` wiring, so adversary clock swaps and effect
     logs are visible.  The array step engages -- a ``table_cls`` over the
-    node ids ``ids`` (default: every registered node) is built -- when the
-    simulator is not on the reference switch and every driver in the
-    range runs one exact core type (``DCSACore``,
-    or ``StaticGradientCore``: the same step over a constant-``B``
-    coefficient row) on one of :mod:`repro.sim.clocks`' three
-    piecewise-linear classes (exactly: the table evaluates their segments
-    inline) with no effect log attached (the span tracer is no gate; see
-    module docstring); the first failing test is the ``array_step``
-    decline.  On a table, timer runs need positive constant delay *and*
-    discovery policies, and bulk sends (:attr:`NodeArrayTable.send_delay`)
-    a positive constant delay within the transport's bound.
+    node ids ``ids`` (default: every registered node) is built -- unless
+    one of the checks below declines it; the table's own paths need the
+    policies checked after it.  ``docs/performance.md`` ("The kernel
+    plan") has the table of paths, their needs and their ``declined_by``.
     """
     from ..network.channels import ConstantDelay
     from ..network.discovery import ConstantDiscovery

@@ -40,6 +40,7 @@ for tests and analysis code.
 
 from __future__ import annotations
 
+from collections.abc import MutableSet
 from typing import Any, ClassVar
 
 from ..params import SystemParams
@@ -91,7 +92,7 @@ class DCSANode(ClockSyncNode):
     # ------------------------------------------------------------------ #
 
     @property
-    def upsilon(self) -> set[int]:
+    def upsilon(self) -> MutableSet[int]:
         """``Upsilon_u`` -- nodes ``u`` believes it shares an edge with."""
         return self.core.upsilon
 

@@ -20,15 +20,17 @@ time ``dh``.
 A node covered by the batch table (:mod:`repro.core.batch`) keeps no rows
 of its own: its Gamma is a :class:`SlotTable`, the same interface over the
 table's per-slot columns, where ``L^v_u = +inf`` *is* "``v`` not in
-Gamma" (the identity of AdjustClock's ``min``).
+Gamma" (the identity of AdjustClock's ``min``), and its Upsilon a
+:class:`SlotSet` over the ``ups`` column.
 """
 
 from __future__ import annotations
 
+from collections.abc import MutableSet
 from math import inf
 from typing import Any, Iterator
 
-__all__ = ["NeighborEstimate", "NeighborTable", "SlotEstimate", "SlotTable"]
+__all__ = ["NeighborEstimate", "NeighborTable", "SlotEstimate", "SlotSet", "SlotTable"]
 
 
 class NeighborEstimate:
@@ -173,3 +175,30 @@ class SlotTable(NeighborTable):
     def clear(self) -> None:
         for v in list(self._rows):
             self.remove(v)
+
+
+class SlotSet(MutableSet[int]):
+    """Upsilon of a table-covered node ``owner``: a set of node ids as a
+    view of ``store``'s ``ups`` column (reads show the run as it stands;
+    ``add`` / ``discard`` write the column)."""
+
+    __slots__ = ("_store", "_owner")
+
+    def __init__(self, store: Any, owner: int) -> None:
+        self._store = store
+        self._owner = owner
+
+    def __contains__(self, v: object) -> bool:
+        return v in self._store.believed(self._owner)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._store.believed(self._owner))
+
+    def __len__(self) -> int:
+        return len(self._store.believed(self._owner))
+
+    def add(self, v: int) -> None:
+        self._store.believe(self._owner, v, True)
+
+    def discard(self, v: int) -> None:
+        self._store.believe(self._owner, v, False)

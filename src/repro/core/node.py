@@ -23,15 +23,12 @@ pre-refactor monolithic node classes (the golden-value pins enforce it):
   ``set_subjective_timer``.
 
 **The array step.**  When the transport's kernel plan holds a
-:class:`~repro.core.batch.NodeArrayTable` (an all-DCSA population on
-:mod:`repro.sim.clocks`' own clock classes, without effect logs), every
-in-run event bypasses this translation entirely: the transport hands
-delivered messages, discoveries and ``tick`` fires to the table, which
-owns the population's state -- the core is a view of its row -- and runs
-the same step without an ``Event`` or an effect list (bit-identical; see
-:mod:`repro.core.batch`).
-Every event of any other population goes through :meth:`_dispatch`;
-``Start`` goes through it nowhere (see :meth:`ClockSyncNode.start`).
+:class:`~repro.core.batch.NodeArrayTable`, every in-run event bypasses
+this translation: the table owns the population's state -- the core is a
+view of its row, its ``lost`` timers are slots -- and runs the same step
+without an ``Event`` or an effect list (:mod:`repro.core.batch`).  Every
+event of any other population goes through :meth:`_dispatch`; ``Start``
+goes through it nowhere (see :meth:`ClockSyncNode.start`).
 
 **Subjective timers.**  ``set timer(dt)`` in the pseudocode means: fire
 when *my hardware clock* has advanced by ``dt``.  The driver converts via
@@ -46,6 +43,7 @@ core's algorithm-specific state for tests and analysis code.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
 from ..params import SystemParams
@@ -136,6 +134,9 @@ class ClockSyncNode:
         #: Keyed timers.  On the batch table only ``tick`` (and any foreign
         #: key) lives here: a ``lost`` deadline is a slot of the table.
         self._timers: dict[Any, ScheduledEvent] = {}
+        #: The batch table covering this node (set when it is built), whose
+        #: slots hold its ``("lost", u)`` timers; ``None`` off a table.
+        self._table: Any = None
         # Pre-bound hot-path callable (the queue is never swapped; the
         # clock may be -- adversaries install SteerableClocks -- so clock
         # methods are always resolved through self.clock).
@@ -270,13 +271,16 @@ class ClockSyncNode:
 
     def _arm_timer(self, key: Any, target_h: float) -> None:
         sim = self.sim
-        prev = self._timers.pop(key, None)
-        if prev is not None:
-            sim.queue.cancel(prev)
         fire_t = self.clock.time_at(target_h)
         now = sim.now
         if fire_t < now:
             fire_t = now
+        if self._covers(key):
+            self._table.arm_lost(self.node_id, key[1], fire_t)
+            return
+        prev = self._timers.pop(key, None)
+        if prev is not None:
+            sim.queue.cancel(prev)
         # Typed record, no closure: the kernel routes KIND_TIMER through
         # the shared dispatcher, which calls _fire_timer(key).  The arm
         # time and phase ride in the free d/e slots (c is the batch
@@ -288,8 +292,14 @@ class ClockSyncNode:
             None, "timer", e=1 if sim.in_run else 0,
         )
 
+    def _covers(self, key: Any) -> bool:
+        """Whether timer ``key`` is a slot of this node's batch table."""
+        return self._table is not None and type(key) is tuple and key[0] == "lost"
+
     def cancel_timer(self, key: Any) -> bool:
         """Cancel pending timer ``key`` (returns whether one was pending)."""
+        if self._covers(key):
+            return self._table.arm_lost(self.node_id, key[1], inf)  # type: ignore[no-any-return]
         handle = self._timers.pop(key, None)
         if handle is None:
             return False

@@ -48,11 +48,12 @@ the same handler depends on it) and emitted purely as an observable record.
 
 from __future__ import annotations
 
+from collections.abc import MutableSet
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Union
 
 from ..params import SystemParams
-from .estimates import NeighborEstimate, NeighborTable, SlotTable
+from .estimates import NeighborEstimate, NeighborTable, SlotSet, SlotTable
 
 __all__ = [
     "CancelTimer",
@@ -418,7 +419,7 @@ class DCSACore(ProtocolCore):
         super().__init__(node_id, params)
         params.validate()
         #: Upsilon_u -- nodes u believes it shares an edge with.
-        self.upsilon: set[int] = set()
+        self.upsilon: MutableSet[int] = set()
         #: Gamma_u with C^v_u and L^v_u.
         self.gamma = NeighborTable()
         self._tick_stagger = float(tick_stagger)
@@ -558,11 +559,10 @@ class _Row:
     """The lazy state of a table-covered core, as a view.
 
     Mixed in front of the core's class by :func:`adopt`: ``L``, ``Lmax``,
-    ``h_last``, ``messages_sent`` and Gamma then *are* the store's columns
-    (:class:`~repro.core.batch.NodeArrayTable`) -- the instance keeps no
-    copy -- and every method of the core, ``handle()`` included, runs
-    unchanged against them.  ``upsilon`` and the jump statistics stay on
-    the instance.
+    ``h_last``, ``messages_sent``, Gamma and Upsilon then *are* the store's
+    columns (:class:`~repro.core.batch.NodeArrayTable`) -- the instance
+    keeps no copy -- and every method of the core, ``handle()`` included,
+    runs unchanged against them.  The jump statistics stay on the instance.
     """
 
     _store: Any
@@ -576,21 +576,26 @@ class _Row:
     def gamma(self) -> SlotTable:
         return SlotTable(self._store, self.node_id)
 
+    @property
+    def upsilon(self) -> SlotSet:
+        return SlotSet(self._store, self.node_id)
+
 
 _ROW_TYPES: dict[type, type] = {}
 
 
 def adopt(
     cores: "Iterable[DCSACore]", store: Any
-) -> dict[int, dict[int, NeighborEstimate]]:
+) -> dict[int, tuple[dict[int, NeighborEstimate], MutableSet[int]]]:
     """Turn each stand-alone core of ``cores`` into a view of ``store``'s
     row ``core.node_id`` (see :class:`_Row`), moving its scalars there.
 
-    Returns, per node id, the Gamma rows a core held (none unless events
-    were fed to it before the run): the store seats them in its slots.
+    Returns, per node id, the Gamma rows and the Upsilon a core held (none
+    unless events were fed to it before the run): the store seats them in
+    its slots.
     """
     L, lmax, h_last, sent = store.L, store.Lmax, store.h_last, store.messages_sent
-    held: dict[int, dict[int, NeighborEstimate]] = {}
+    held: dict[int, tuple[dict[int, NeighborEstimate], MutableSet[int]]] = {}
     for core in cores:
         cls = type(core)
         row_cls = _ROW_TYPES.get(cls)
@@ -603,8 +608,9 @@ def adopt(
         h_last[i] = state.pop("h_last")
         sent[i] = state.pop("messages_sent")
         rows = state.pop("gamma")._rows
-        if rows:
-            held[i] = rows
+        believed = state.pop("upsilon")
+        if rows or believed:
+            held[i] = rows, believed
         state["_store"] = store
         core.__class__ = row_cls  # type: ignore[assignment]
     return held

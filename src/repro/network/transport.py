@@ -559,6 +559,9 @@ class Transport:
 
     def _on_graph_event(self, time: float, u: int, v: int, added: bool) -> None:
         self.edge_flips += 1
+        table = self.plan.table
+        if table is not None:
+            table.flip(u, v, added)
         if self._tracer is not None:
             self._tracer.edge_flip(time, u, v, added)
         self._schedule_discovery(u, v, added=added, change_time=time)

@@ -57,20 +57,17 @@ integer sequence numbers: those classes are never merged across shards,
 and heap comparisons resolve on ``(time, priority)`` before ever touching
 a key, so integer and tuple keys never meet.
 
-**Batch kernel under shards.**  The dense-array fast path runs per shard
-through the serial :class:`~repro.core.batch.NodeArrayTable` tick phase;
-:class:`ParNodeArrayTable` changes only *which senders may bulk-send*.  A
-*plain* sender -- every neighbour local and off the frontier (the local
-nodes with a remote neighbour) -- appends its sends to the
-run's burst exactly as in serial.  Any other (boundary) sender first
-flushes the burst built so far and then sends each message through the
-transport, where the keyed push seam (:meth:`ParTransport._push_routed`)
-turns it into a local keyed record or an envelope.  The flush is what
-keeps key order exact: senders tick in key order, so a burst only ever
-holds a contiguous key range and sits at its first constituent's
-position, and no local record can sort inside it.  An envelope can -- but
-envelopes only reach frontier destinations, bursts only carry interior
-ones, and deliveries to distinct destinations commute.
+**Batch kernel under shards.**  Each shard runs the serial
+:class:`~repro.core.batch.NodeArrayTable`; :class:`ParNodeArrayTable`
+changes only *who may bulk-send*.  A sender with a remote or frontier
+neighbour (the frontier: local nodes with a remote neighbour) first
+flushes the burst built so far, then sends per message through the keyed
+push seam (:meth:`ParTransport._push_routed`): a local keyed record or an
+envelope.  The flush keeps key order exact: senders tick in key order, so
+a burst holds a contiguous key range at its first constituent's position
+and no local record sorts inside it.  An envelope may -- but envelopes
+reach only frontier destinations, bursts only interior ones, and
+deliveries to distinct destinations commute.
 """
 
 from __future__ import annotations
@@ -299,10 +296,10 @@ class ParNodeArrayTable(NodeArrayTable):
 
     A :class:`~repro.core.batch.NodeArrayTable` over the shard's id range
     (the id-indexed columns have holes outside it) that differs from the
-    serial table in one input and one hook: only *plain* senders keep
-    their live adjacency entry and may therefore bulk-send, and every
-    group of sends first sets the transport's provenance context to the
-    ticking node's timer position (see module docstring).
+    serial table in one input and one hook: only *plain* senders may
+    bulk-send (the rest are its ``boundary``), and every group of sends
+    first sets the transport's provenance context to the ticking node's
+    timer position (see module docstring).
     """
 
     __slots__ = ()
@@ -318,12 +315,12 @@ class ParNodeArrayTable(NodeArrayTable):
     ) -> None:
         super().__init__(sim, transport, drivers, ids)
         frontier = transport._frontier
-        adj = self.adj
-        for i in ids:
-            if any(v not in ids or v in frontier for v in adj[i]):
-                # Boundary sender: no believed-neighbour set is a subset of
-                # the empty set, so it always sends per message.
-                adj[i] = frozenset()
+        graph = transport.graph
+        self.boundary = frozenset(
+            i
+            for i in ids
+            if any(v not in ids or v in frontier for v in graph.neighbors(i))
+        )
 
     def _enter_tick(self, nid: int) -> None:
         """Provenance context of ``nid``'s tick: ``(t, 2, arm, phase, nid)``.
@@ -338,9 +335,9 @@ class ParNodeArrayTable(NodeArrayTable):
         transport._gp = (self.sim.now, 2, rec.d, phase, nid)
         transport._gc = 0
 
-    def _send_each(self, nid: int, payload: Any) -> None:
+    def _send_each(self, nid: int, payload: Any, dests: list[int]) -> None:
         self._enter_tick(nid)
-        super()._send_each(nid, payload)
+        super()._send_each(nid, payload, dests)
 
     def _push_burst(
         self,

@@ -10,9 +10,12 @@ the run as it stands, mid-run, in plain Python floats.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_batch_kernel import (
     CHURN_SCRIPT,
     _churned_sync_ring,
@@ -24,6 +27,7 @@ from test_batch_kernel import (
 from repro.adversary.topology import GreedyTopologyAdversary
 from repro.core import batch as batch_mod
 from repro.core.batch import NodeArrayTable
+from repro.core.estimates import SlotSet
 from repro.core.protocol import DCSACore, StaticGradientCore
 from repro.harness import configs
 from repro.harness.registry import ChurnRef
@@ -31,6 +35,7 @@ from repro.harness.runner import Experiment, run_experiment
 from repro.network.transport import Transport
 from repro.sim import simulator as simulator_mod
 from repro.sim.clocks import ConstantRateClock, two_phase_clock
+from repro.sim.events import PRIORITY_TOPOLOGY
 from repro.tracing import trace_session
 
 # --------------------------------------------------------------------- #
@@ -187,7 +192,8 @@ def test_lanes_meet_inside_one_batch(name, make, hook, lane_min, check):
 
 
 def test_slot_columns_grow_without_moving_a_slot(monkeypatch):
-    """Growth reallocates the columns; slots, and what they hold, stay."""
+    """Growth reallocates the columns; slots, and what they hold, stay.
+    Every pair holds two slots, each the other's ``mate``."""
     monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
     exp = Experiment(configs.huge_sync_ring(8, horizon=6.0))
     exp.sim.run_until(3.0)
@@ -195,8 +201,14 @@ def test_slot_columns_grow_without_moving_a_slot(monkeypatch):
     before = {v: dict(row) for v, row in enumerate(table.slotmap)}
     gamma = {i: sorted(node.core.gamma) for i, node in exp.nodes.items()}
     size = len(table.l_est)
-    fresh = [table.slot(0, u) for u in range(2, 2 + size)]  # forces a doubling
+    pairs = [(v, u) for v in range(8) for u in range(8) if u != v]
+    fresh = [table.slot(v, u) for v, u in pairs]  # forces a doubling
     assert len(table.l_est) > size and len(set(fresh)) == len(fresh)
+    assert all(table.mate[table.slot(v, u)] == table.slot(u, v) for v, u in pairs)
+    assert [table.peer[s] for s in fresh] == [u for _, u in pairs]
+    assert [bool(table.live[s]) for s in fresh] == [
+        exp.graph.has_edge(v, u) for v, u in pairs
+    ]
     assert all(table.slotmap[v][u] == s for v, row in before.items() for u, s in row.items())
     assert {i: sorted(node.core.gamma) for i, node in exp.nodes.items()} == gamma
     exp.sim.run_until(6.0)  # and the run goes on, on the new columns
@@ -297,6 +309,7 @@ def test_result_nodes_stay_readable_after_the_experiment_is_dropped():
     assert node.logical_clock(cfg.horizon) <= node.max_estimate(cfg.horizon)
     assert sorted(node.core.gamma) == [6, 8] and node.messages_sent > 0
     assert type(node.core.gamma.get(6).l_est) is float
+    assert isinstance(node.core.upsilon, SlotSet) and node.core.upsilon == {6, 8}
 
 
 def test_a_covered_core_keeps_no_copy_of_its_row(monkeypatch):
@@ -310,7 +323,9 @@ def test_a_covered_core_keeps_no_copy_of_its_row(monkeypatch):
     exp.sim.run_until(3.0)
     table = exp.transport.plan.table
     assert exp.nodes[3].core is core and isinstance(core, DCSACore)
-    assert not {"_L", "_Lmax", "h_last", "messages_sent", "gamma"} & set(vars(core))
+    assert not {"_L", "_Lmax", "h_last", "messages_sent", "gamma", "upsilon"} & set(
+        vars(core)
+    )
     assert core._L == table.L[3] and core.h_last == table.h_last[3] > 0.0
     core.force_raise_max(core._Lmax + 5.0)
     assert table.Lmax[3] == core._Lmax and type(core._Lmax) is float
@@ -376,3 +391,183 @@ def test_long_rows_advance_in_one_numpy_pass():
     assert len(table.row_index) > 12 and res_b.blocked_rows > 0
     assert max(len(row) for row in table.slotmap) > batch_mod._LONG_ROW
     assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+
+
+def _direct_message(exp):
+    """At 5.123 node 0 takes a message from node 1 outside the transport:
+    ``handle()`` cancels and re-arms its ``("lost", 1)`` timer."""
+    nodes = exp.nodes
+    exp.sim.schedule_at(
+        5.123,
+        lambda: nodes[0].on_message(1, (nodes[1].logical_clock(), nodes[1].max_estimate())),
+    )
+
+
+def test_a_direct_message_rearms_the_slot_not_the_queue():
+    """A covered node's ``lost`` arm and cancel from ``handle()`` write its
+    slot: no second record is queued beside the slot's deadline, so no
+    ``lost`` fires that the reference does not fire."""
+    make = lambda: configs.huge_sync_ring(16, horizon=12.0)
+    with pytest.MonkeyPatch.context() as mp:
+        exp_s, res_s = _run(make(), False, mp, _direct_message)
+        exp_b, res_b = _run(make(), True, mp, _direct_message)
+    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+    assert res_b.batch_gate_reason is None and list(exp_b.nodes[0]._timers) == ["tick"]
+
+
+# --------------------------------------------------------------------- #
+# Upsilon and adjacency as slot columns
+# --------------------------------------------------------------------- #
+
+
+def _believe_in_non_neighbours(exp):
+    """Node 3 comes to believe in 9 at 3.0 and in 7 at 4.0 (no edge to
+    either; the failed sends' absence discoveries take them out again),
+    through its core's own ``upsilon`` -- a set, or the view of a column."""
+    ups = lambda: exp.nodes[3].core.upsilon
+    exp.sim.schedule_at(3.0, lambda: ups().add(9))
+    exp.sim.schedule_at(4.0, lambda: ups().add(7))
+    exp.sim.schedule_at(5.0, lambda: ups().discard(9))
+
+
+def test_a_covered_cores_upsilon_is_a_view_of_the_ups_column(monkeypatch):
+    monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+    exp = Experiment(configs.huge_sync_ring(64, horizon=6.0))
+    exp.sim.run_until(3.0)
+    table = exp.transport.plan.table
+    core = exp.nodes[3].core
+    ups = core.upsilon
+    assert isinstance(ups, SlotSet)
+    assert ups == {2, 4} and {2, 4} == ups and ups != {2} and sorted(ups) == [2, 4]
+    assert len(ups) == 2 and 2 in ups and 9 not in ups and set(ups) == {2, 4}
+    edits = table.edits
+    ups.add(9)
+    assert table.ups[table.slotmap[3][9]] and core.upsilon == {2, 4, 9}
+    assert table.edits > edits  # a tick group's plan is rebuilt
+    ups.discard(9)
+    ups.discard(11)  # never believed: nothing to write
+    assert core.upsilon == {2, 4} and not table.ups[table.slotmap[3][9]]
+    assert 11 not in table.slotmap[3]
+
+
+def test_writes_through_the_view_send_what_the_reference_sends():
+    make = lambda: configs.huge_sync_ring(64, horizon=8.0)
+    with pytest.MonkeyPatch.context() as mp:
+        exp_s, res_s = _run(make(), False, mp, _believe_in_non_neighbours)
+        exp_b, res_b = _run(make(), True, mp, _believe_in_non_neighbours)
+    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+    assert res_b.transport_stats["dropped_no_edge"] > 0  # the ticks sent to 7, 9
+    assert exp_b.nodes[3].core.upsilon == {2, 4} == exp_s.nodes[3].core.upsilon
+
+
+_RING = 128  # two rate classes of 64: every tick group takes the array lane
+
+
+def _spy_plans(monkeypatch):
+    """Record ``(now, loose members)`` per ``NodeArrayTable._tick_plan``."""
+    plans = []
+    original = NodeArrayTable._tick_plan
+
+    def spy(self, drivers, stale):
+        plan = original(self, drivers, stale)
+        plans.append((self.sim.now, len(plan.loose)))
+        return plan
+
+    monkeypatch.setattr(NodeArrayTable, "_tick_plan", spy)
+    return plans
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    cut=st.integers(0, _RING - 2),
+    ops=st.lists(
+        st.tuples(
+            st.floats(0.05, 1.5, allow_nan=False),
+            st.integers(0, _RING - 1),
+            st.integers(0, _RING - 1),
+        ).filter(lambda op: op[1] != op[2]),
+        max_size=8,
+    ),
+)
+def test_property_churned_tick_groups_on_the_array_lane(cut, ops):
+    """Property: a lockstep ring under any flip script, its first flip a
+    ring-edge outage -- tick groups with loose members, plans rebuilt
+    after flips -- leaves the reference's state on the array lane."""
+    present = {tuple(sorted(e)) for e in configs.huge_sync_ring(_RING).initial_edges}
+    script = [(2.3, "remove", cut, cut + 1)]  # after E_0 is discovered, at 2.0
+    present.discard((cut, cut + 1))
+    t = 2.3
+    for dt, u, v in ops:
+        t += dt
+        edge = (min(u, v), max(u, v))
+        script.append((t, "remove" if edge in present else "add", *edge))
+        present ^= {edge}
+    make = lambda: _churned_sync_ring(script, n=_RING, horizon=12.0)
+    with pytest.MonkeyPatch.context() as mp:
+        exp_s, res_s = _run(make(), False, mp)
+        plans = _spy_plans(mp)
+        exp_b, res_b = _run(make(), True, mp)
+    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+    assert res_b.array_lane_events > res_b.scalar_lane_events
+    assert any(loose for _, loose in plans)
+    assert any(now > script[0][0] for now, _ in plans)
+
+
+def _spy_wave_lane(monkeypatch):
+    """Record ``(rows, ran)`` per ``NodeArrayTable._discover_array`` call."""
+    calls = []
+    original = NodeArrayTable._discover_array
+
+    def spy(self, rows):
+        ran = original(self, rows)
+        calls.append((len(rows), ran))
+        return ran
+
+    monkeypatch.setattr(NodeArrayTable, "_discover_array", spy)
+    return calls
+
+
+def _blocked_at_the_wave(exp):
+    """Node 0 learns ``Lmax = 3000`` at 2.0, just before E_0 is discovered
+    there: it enters the wave with ``Lmax > L``."""
+    exp.sim.schedule_at(
+        2.0, lambda: exp.nodes[0]._raise_max(3000.0), priority=PRIORITY_TOPOLOGY
+    )
+
+
+#: ``(id, config factory, post-build hook, traced, whether the wave takes
+#: the array lane)``: the E_0 wave of a 64-ring (128 rows).
+WAVE_CASES = [
+    ("clean", lambda: configs.huge_sync_ring(64, horizon=6.0), None, False, True),
+    (
+        "blocked",
+        lambda: configs.huge_sync_ring(64, horizon=6.0),
+        _blocked_at_the_wave,
+        False,
+        False,
+    ),
+    (
+        "reversed",
+        lambda: _churned_sync_ring([(1.0, "remove", 3, 4)], n=64, horizon=6.0),
+        None,
+        False,
+        False,
+    ),
+    ("traced", lambda: configs.huge_sync_ring(64, horizon=6.0), None, True, False),
+]
+
+
+@pytest.mark.parametrize(
+    "name,make,hook,traced,array", WAVE_CASES, ids=[c[0] for c in WAVE_CASES]
+)
+def test_the_e0_wave_lane(name, make, hook, traced, array):
+    with pytest.MonkeyPatch.context() as mp, trace_session() if traced else nullcontext():
+        exp_s, res_s = _run(make(), False, mp, hook)
+        calls = _spy_wave_lane(mp)
+        exp_b, res_b = _run(make(), True, mp, hook)
+    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+    if traced:
+        assert res_b.spans.data == res_s.spans.data
+    assert calls[0] == (128, array)
+    if name == "blocked":
+        assert res_b.total_jumps() > 0
