@@ -11,12 +11,13 @@ of an eligible population.  The cores of a covered population are views
 of their rows (:func:`repro.core.protocol.adopt`): nothing is mirrored and
 nothing is copied back.
 
-**Two lanes, one store.**  Every entry point is a batch (a singleton
-record is a batch of one).  It runs on the *scalar lane* -- the
-per-destination and per-driver loops below, the parity reference -- or,
-from :data:`ARRAY_LANE_MIN` events up, on the *array lane*: the same IEEE
-operations in the same association order, as a dozen numpy passes, which
-hands what it cannot prove order-free to the scalar lane.  The columns
+**Two lanes, one store.**  The *scalar lane* executes one record at a
+time -- :meth:`NodeArrayTable.deliver_one` per message,
+:meth:`NodeArrayTable._tick` per driver, in record order, the reference's
+-- and a run of records is a loop over those bodies.  From
+:data:`ARRAY_LANE_MIN` events up a run takes the *array lane*: the same
+IEEE operations in the same association order, as a dozen numpy passes,
+which hands what it cannot prove order-free to the scalar lane.  The columns
 are ``array.array`` buffers (the scalar lane gets Python floats) with
 numpy views over the same memory (:class:`_Views`).
 
@@ -37,10 +38,10 @@ gate.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from math import inf
-from operator import itemgetter, length_hint
+from operator import itemgetter
 from typing import TYPE_CHECKING, AbstractSet, Any, Mapping, Sequence, cast
 
 import numpy as np
@@ -85,7 +86,7 @@ _LOST = "lost"
 ARRAY_LANE_MIN = 64
 
 #: Rows of more slots than this advance their estimates in one numpy pass
-#: (:meth:`NodeArrayTable._advance`): measured, a fancy-indexed ``+=`` costs
+#: (:meth:`NodeArrayTable._sync`): measured, a fancy-indexed ``+=`` costs
 #: what ten ``array.array`` element updates do, whatever its length.
 _LONG_ROW = 10
 
@@ -106,26 +107,8 @@ _SLOT_COLUMNS = {
     "l_est": ("d", inf), "added_h": ("d", 0.0), "lost_dl": ("d", inf),
 }
 
-#: The traced side of a delivery run: the destinations and flight span ids
-#: of its messages, parallel lists in record order.  A record pushed before
-#: the tracer was attached carries ``None`` for its id.
-_Flights = tuple[Sequence[int], Sequence[int | None]]
-
 _F64 = npt.NDArray[np.float64]
 _I64 = npt.NDArray[np.int64]
-
-
-def _sids_by_dest(
-    vs: Sequence[int], sids: Sequence[int | None]
-) -> dict[int, list[int]]:
-    """Flight span ids grouped per destination, in record order.
-
-    Parallel to the message pairs of ``_deliver_scalar``'s ``dest_msgs``.
-    """
-    out: dict[int, list[int]] = {}
-    for v, sid in zip(vs, sids):
-        out.setdefault(v, []).append(-1 if sid is None else sid)
-    return out
 
 
 class _Views:
@@ -175,6 +158,17 @@ class _TickPlan:
     counts: _I64
     loose: list[tuple[int, int]]
     spans: tuple[Any, ...] | None = None
+
+
+@dataclass(slots=True)
+class _Burst:
+    """The bulk sends of scalar-lane ticks not yet pushed: per message the
+    sender, destination, payload and (traced) flight span id."""
+
+    us: list[int] = field(default_factory=list)
+    vs: list[int] = field(default_factory=list)
+    payloads: list[Any] = field(default_factory=list)
+    sids: list[int] = field(default_factory=list)
 
 
 class NodeArrayTable:
@@ -263,7 +257,7 @@ class NodeArrayTable:
             nbrs = sorted(graph.neighbors(i))
             self.slotmap[i] = dict(zip(nbrs, range(len(peers), len(peers) + len(nbrs))))
             peers += nbrs
-        #: The slots of a long row as an index array (:meth:`_advance`).
+        #: The slots of a long row as an index array (:meth:`_sync`).
         self.row_index: dict[int, npt.NDArray[np.intp]] = {}
         first = self.n_slots = len(peers)
         size = first + max(16, first // 8)
@@ -327,9 +321,8 @@ class NodeArrayTable:
         #: not one and every ``ups`` slot of its row is ``live``.
         self.boundary: AbstractSet[int] = frozenset()
         #: Events executed so far on each lane (singletons, burst and group
-        #: constituents alike; ``lost`` fires are scalar),
-        #: and the destinations whose delivery run scanned Gamma (``Lmax >
-        #: L``): all bumped once per entry point, never per message.
+        #: constituents alike; ``lost`` fires are scalar), and the
+        #: deliveries that scanned Gamma (``Lmax > L``).
         self.array_lane_events = 0
         self.scalar_lane_events = 0
         self.blocked_rows = 0
@@ -438,37 +431,41 @@ class NodeArrayTable:
         self.l_est[s] = self.lost_dl[s] = inf
         return True
 
-    def _hardware(self, i: int, now: float) -> float:
-        """``H_i(now)`` off row ``i``'s segment (re-seated when left)."""
+    def _sync(self, i: int, now: float) -> float:
+        """Materialise row ``i``'s lazy state at ``now`` and return its
+        reading ``h = H_i(now)`` (off the row's segment, re-seated when
+        left): ``L``, ``Lmax`` and every estimate advance by ``dh`` (``inf``
+        stays ``inf``), element by element or, for a long row, in one numpy
+        pass."""
         if now >= self.t1[i]:
             self._reseat(i, now)
-        return self.h0[i] + self.rate[i] * (now - self.t0[i])
-
-    def _advance(self, i: int, dh: float) -> None:
-        """Advance every estimate of row ``i`` by ``dh`` (``inf`` stays
-        ``inf``): element by element -- the scalar loops inline this for a
-        short row -- or, for a long one, in one numpy pass."""
+        h = self.h0[i] + self.rate[i] * (now - self.t0[i])
+        dh = h - self.h_last[i]
+        if dh == 0.0:
+            return h
+        self.L[i] += dh
+        self.Lmax[i] += dh
+        self.h_last[i] = h
         slots = self.slotmap[i]
-        if len(slots) > _LONG_ROW:
-            index = self.row_index.get(i)
-            if index is None:
-                index = self.row_index[i] = np.fromiter(
-                    slots.values(), np.intp, len(slots)
-                )
-            self.np.l_est[index] += dh
-        else:
+        if len(slots) <= _LONG_ROW:
             l_est = self.l_est
             for s in slots.values():
                 l_est[s] += dh
+            return h
+        index = self.row_index.get(i)
+        if index is None:
+            index = self.row_index[i] = np.fromiter(slots.values(), np.intp, len(slots))
+        self.np.l_est[index] += dh
+        return h
 
-    def _sync(self, i: int, h: float) -> None:
-        """Materialise row ``i``'s lazy state at hardware reading ``h``."""
-        dh = h - self.h_last[i]
-        if dh != 0.0:
-            self.L[i] += dh
-            self.Lmax[i] += dh
-            self.h_last[i] = h
-            self._advance(i, dh)
+    def _deadline(self, i: int, target: float, now: float) -> float:
+        """When row ``i``'s hardware clock reads ``target``, not before
+        ``now`` (the clock is asked past the row's segment)."""
+        if target < self.h1[i]:
+            t = self.t0[i] + (target - self.h0[i]) / self.rate[i]
+        else:
+            t = self.drivers[i].clock.time_at(target)
+        return t if t >= now else now
 
     def _sync_rows(self, ids: _I64) -> tuple[_F64, _F64, _F64, _F64]:
         """:meth:`_sync` of the distinct rows ``ids`` at ``now``, as columns
@@ -530,27 +527,64 @@ class NodeArrayTable:
     # Deliveries
     # ------------------------------------------------------------------ #
 
+    def deliver_one(self, u: int, v: int, payload: Any, sid: int | None) -> None:
+        """Deliver one message ``u -> v`` the transport cleared: the
+        statement of the per-message rule outside numpy.
+
+        Sync ``v`` (a later message of the same timestamp finds ``dh =
+        0``); Gamma track / refresh; raise ``Lmax``; AdjustClock (only when
+        ``Lmax > L``); re-arm ``lost(u)`` -- :meth:`DCSACore.handle`'s
+        order.  A run calls it per message, in record order.  When traced,
+        a jump's ``SPAN_JUMP`` row is parented on ``sid``, the delivering
+        flight's span id (``None``: pushed before the tracer was attached).
+        """
+        self.scalar_lane_events += 1
+        now = self.sim.now
+        h = self._sync(v, now)
+        s = self.slotmap[v].get(u)
+        if s is None:
+            s = self.slot(v, u)
+        l_est = self.l_est  # after slot(): a new pair reallocates the columns
+        l_v = payload[0]
+        cur = l_est[s]
+        if cur == inf:
+            # Gamma (re-)entry: C^v_u := H_v now (pseudocode 17-19).
+            l_est[s] = l_v
+            self.added_h[s] = h
+        elif l_v > cur:
+            l_est[s] = l_v
+        lmax_v = payload[1]
+        if lmax_v > self.Lmax[v]:
+            self.Lmax[v] = lmax_v
+        if self.Lmax[v] > self.L[v]:
+            self.blocked_rows += 1
+            tracer = self.transport._tracer
+            if tracer is None:
+                self._adjust_clock(v, None)
+            else:
+                tracer.current = -1 if sid is None else sid
+                self._adjust_clock(v, tracer)
+                tracer.current = -1
+        # Re-arm lost(u): two writes (see :meth:`lost_wake`).
+        self.lost_dl[s] = self._deadline(v, h + self.delta_t_prime, now)
+        self.lost_seq[s] = self.arms
+        self.arms += 1
+
     def deliver_batch(self, records: list[ScheduledEvent]) -> None:
         """Execute a same-timestamp run of individual ``KIND_DELIVER``
         records (the transport dropped those whose link failed in flight;
         a record's flight span id, when traced, is its observer slot)."""
-        traced = self.transport._tracer is not None
         if len(records) >= ARRAY_LANE_MIN:
             self._deliver(
                 [ev.a for ev in records],
                 [ev.b for ev in records],
                 [ev.c for ev in records],
-                [ev.e for ev in records] if traced else None,
+                [ev.e for ev in records],
             )
             return
-        self.scalar_lane_events += len(records)
-        dest_msgs: dict[int, list[Any]] = {}
+        deliver = self.deliver_one
         for ev in records:
-            dest_msgs.setdefault(ev.b, []).extend((ev.a, ev.c))
-        flights = None
-        if traced:
-            flights = [ev.b for ev in records], [ev.e for ev in records]
-        self._deliver_scalar(dest_msgs, flights)
+            deliver(ev.a, ev.b, ev.c, ev.e)
 
     def deliver_burst(
         self,
@@ -563,15 +597,6 @@ class NodeArrayTable:
         their flight span ids (``None`` untraced)."""
         self._deliver(us, vs, payloads, sids)
 
-    def deliver_one(self, u: int, v: int, payload: Any, sid: int | None) -> None:
-        """Execute a singleton ``KIND_DELIVER`` record the transport
-        cleared: a batch of one (``sid``: its observer slot)."""
-        self.scalar_lane_events += 1
-        flights = None
-        if self.transport._tracer is not None:
-            flights = (v,), (sid,)
-        self._deliver_scalar({v: (u, payload)}, flights)
-
     def _deliver(
         self,
         us: Sequence[int],
@@ -581,23 +606,15 @@ class NodeArrayTable:
     ) -> None:
         """Deliver the same-timestamp messages ``us[i] -> vs[i]``: on the
         array lane from :data:`ARRAY_LANE_MIN` up, which leaves ``rest``
-        (message positions, in record order) to the scalar lane."""
+        (message positions, in record order) to :meth:`deliver_one`."""
         m = len(us)
+        rest: Sequence[int] = range(m)
         if m >= ARRAY_LANE_MIN:
             rest = self._deliver_array(us, vs, payloads)
             self.array_lane_events += m - len(rest)
-            if not rest:
-                return
-            if len(rest) < m:
-                us = [us[i] for i in rest]
-                vs = [vs[i] for i in rest]
-                payloads = [payloads[i] for i in rest]
-                sids = sids and [sids[i] for i in rest]
-        self.scalar_lane_events += len(us)
-        dest_msgs: dict[int, list[Any]] = {}
-        for u, v, payload in zip(us, vs, payloads):
-            dest_msgs.setdefault(v, []).extend((u, payload))
-        self._deliver_scalar(dest_msgs, None if sids is None else (vs, sids))
+        deliver = self.deliver_one
+        for i in rest:
+            deliver(us[i], vs[i], payloads[i], None if sids is None else sids[i])
 
     def _deliver_array(
         self,
@@ -607,7 +624,7 @@ class NodeArrayTable:
     ) -> Sequence[int]:
         """The array lane of a delivery run; returns the positions it left.
 
-        :meth:`_deliver_scalar` on whole columns, into temporaries first,
+        :meth:`deliver_one` on whole columns, into temporaries first,
         written back for the destinations no hand-over rule claims (one
         left with ``Lmax > L``, past its segment, or met twice by a pair);
         those keep their messages, untouched.
@@ -677,135 +694,6 @@ class NodeArrayTable:
         self.arms += len(s)
         return rest
 
-    def _deliver_scalar(
-        self, dest_msgs: dict[int, Sequence[Any]], flights: _Flights | None
-    ) -> None:
-        """Apply same-timestamp deliveries grouped per destination: the
-        one statement of the per-message rule.
-
-        ``dest_msgs[v]`` is the flat list ``[u0, payload0, u1, payload1,
-        ...]`` in per-destination record order.  Per message: sync ``v``
-        (once: ``H_v``, edge ages and the ``lost`` deadline are fixed for
-        the timestamp); Gamma track / refresh; raise ``Lmax``; AdjustClock
-        (only when ``Lmax > L``); re-arm ``lost(u)``.  Each destination
-        runs to completion before the next, its messages in scalar order.
-
-        When traced, ``flights`` names the run's messages; an applied jump
-        writes its ``SPAN_JUMP`` row parented on the delivering flight
-        (:func:`_sids_by_dest`, built on the run's first jump).
-        """
-        tracer = None if flights is None else self.transport._tracer
-        dest_sids: dict[int, list[int]] | None = None
-        sim = self.sim
-        now = sim.now
-        drivers = self.drivers
-        rate = self.rate
-        t0 = self.t0
-        h0 = self.h0
-        t1 = self.t1
-        h1 = self.h1
-        L_col = self.L
-        lmax_col = self.Lmax
-        h_last = self.h_last
-        l_est = self.l_est
-        added_h = self.added_h
-        lost_dl = self.lost_dl
-        lost_seq = self.lost_seq
-        arms = self.arms
-        slotmap = self.slotmap
-        dtp = self.delta_t_prime
-        b0 = self.b0
-        intercept = self.b_intercept
-        slope = self.b_slope
-        blocked = 0
-        for v, msgs in dest_msgs.items():
-            if now >= t1[v]:
-                self._reseat(v, now)
-            seg_r = rate[v]
-            seg_t = t0[v]
-            seg_h = h0[v]
-            h = seg_h + seg_r * (now - seg_t)
-            slots = slotmap[v]
-            L = L_col[v]
-            lmax = lmax_col[v]
-            dh = h - h_last[v]
-            if dh != 0.0:
-                L += dh
-                lmax += dh
-                h_last[v] = h
-                if len(slots) > _LONG_ROW:
-                    self._advance(v, dh)
-                else:
-                    for s in slots.values():
-                        l_est[s] += dh
-            # The re-armed lost deadline is message-independent.
-            target = h + dtp
-            if target < h1[v]:
-                fire_t = seg_t + (target - seg_h) / seg_r
-            else:
-                fire_t = drivers[v].clock.time_at(target)
-            if fire_t < now:
-                fire_t = now
-            scanned = False
-            it = iter(msgs)
-            for u, payload in zip(it, it):
-                s = slots.get(u)
-                if s is None:
-                    s = self.slot(v, u)
-                    l_est = self.l_est
-                    added_h = self.added_h
-                    lost_dl = self.lost_dl
-                    lost_seq = self.lost_seq
-                l_v = payload[0]
-                cur = l_est[s]
-                if cur == inf:
-                    # Gamma (re-)entry: C^v_u := H_u now (pseudocode 17-19).
-                    l_est[s] = l_v
-                    added_h[s] = h
-                elif l_v > cur:
-                    l_est[s] = l_v
-                lmax_v = payload[1]
-                if lmax_v > lmax:
-                    lmax = lmax_v
-                if lmax > L:
-                    # AdjustClock, the reference scan: its ceiling is
-                    # ``min(Lmax, ...)``, so nothing else can release ``L``.
-                    scanned = True
-                    ceiling = lmax
-                    for r in slots.values():
-                        b = intercept - slope * (h - added_h[r])
-                        if b < b0:
-                            b = b0
-                        cand = l_est[r] + b
-                        if cand < ceiling:
-                            ceiling = cand
-                    if ceiling > L:
-                        if tracer is not None:
-                            # The delivering message's position, read off
-                            # the pair iterator (exact for list iterators)
-                            # so the untraced loop carries no index.
-                            if dest_sids is None:
-                                assert flights is not None
-                                dest_sids = _sids_by_dest(*flights)
-                            done = (len(msgs) - length_hint(it)) >> 1
-                            tracer.current = dest_sids[v][done - 1]
-                            tracer.jump(v, now, ceiling - L)
-                        core = self.cores[v]
-                        core.total_jump += ceiling - L
-                        core.jumps += 1
-                        L = ceiling
-                # Re-arm lost(u): two writes (see :meth:`lost_wake`).
-                lost_dl[s] = fire_t
-                lost_seq[s] = arms
-                arms += 1
-            L_col[v] = L
-            lmax_col[v] = lmax
-            blocked += scanned
-        self.arms = arms
-        self.blocked_rows += blocked
-        if tracer is not None:
-            tracer.current = -1
-
     # ------------------------------------------------------------------ #
     # Discoveries and ``lost`` fires
     # ------------------------------------------------------------------ #
@@ -852,7 +740,7 @@ class NodeArrayTable:
             if has_edge(nid, other) != added:
                 skipped += 1
                 continue
-            self._sync(nid, self._hardware(nid, now))
+            self._sync(nid, now)
             if tracer is not None:
                 tracer.discover(nid, other, now, added)
             if added:
@@ -907,11 +795,12 @@ class NodeArrayTable:
         if not col.live[slots].all():
             return False
         who = np.fromiter(nids, np.int64, m)
-        ids = np.unique(who)
+        sends = np.bincount(who, minlength=len(self.L))
+        ids = np.flatnonzero(sends)  # np.unique(who), without its imports
         self._sync_rows(ids)
         if (col.Lmax[ids] > col.L[ids]).any():
             return False
-        col.messages_sent += np.bincount(who, minlength=len(self.L))
+        col.messages_sent += sends
         col.ups[slots] = True
         self.edits += 1
         self.dests.clear()
@@ -967,7 +856,7 @@ class NodeArrayTable:
         now = self.sim.now
         if tracer is not None:
             tracer.timer_fired(nid, now)
-        self._sync(nid, self._hardware(nid, now))
+        self._sync(nid, now)
         self.l_est[slot] = self.lost_dl[slot] = inf
         self._adjust_clock(nid, tracer)
         if tracer is not None:
@@ -981,10 +870,9 @@ class NodeArrayTable:
         """Execute a same-timestamp run of ``KIND_TIMER`` records (only
         under positive constant delay and discovery policies).  A run with
         anything but ticks in it replays the scalar timer handler in record
-        order.  When every deadline of an all-tick run coincides (a rate
-        class in lockstep) the ticks collapse into one group record at its
-        first constituent's position (:meth:`handle_tick_group`); otherwise
-        each record is re-pushed in place.
+        order.  An all-tick run is re-armed by :meth:`_rearm`: drivers
+        that share a next deadline (a rate class in lockstep) collapse into
+        one group record (:meth:`handle_tick_group`).
         """
         for ev in records:
             if ev.b != _TICK:
@@ -995,19 +883,46 @@ class NodeArrayTable:
                 return
         drivers = [ev.a for ev in records]
         fires, plan = self._tick_run(drivers, None)
+        self._rearm(drivers, fires, records, plan)
+
+    def _rearm(
+        self,
+        drivers: "Sequence[ClockSyncNode]",
+        fires: list[float],
+        records: Sequence[ScheduledEvent] | None,
+        plan: _TickPlan | None,
+    ) -> None:
+        """Re-arm a tick run at its next deadlines ``fires``: one group
+        record per deadline that two or more drivers share, pushed at its
+        first member's position -- where the members' records would have
+        sorted together -- and, for a driver alone on its deadline, its
+        record of ``records`` re-pushed in place (a new one when ``None``).
+        A group carries its arm time in ``d`` like an individual record
+        (see :meth:`_repush_tick`), and ``plan`` in ``c`` when it is the
+        whole run."""
+        members: dict[float, list[ClockSyncNode]] = {}
+        for d, fire_t in zip(drivers, fires):
+            members.setdefault(fire_t, []).append(d)
         sim = self.sim
-        if len(records) > 1 and fires.count(fires[0]) == len(fires):
-            # A group carries its arm time in ``d`` like an individual
-            # record (see :meth:`_repush_tick`) and its send plan in ``c``.
-            grp = sim.queue.push_typed(
-                fires[0], PRIORITY_TIMER, KIND_TICK_BURST, drivers, None, plan,
-                sim.now, None, "tick+", e=len(records),
-            )
-            for d in drivers:
-                d._timers[_TICK] = grp
-        else:
-            for ev, fire_t in zip(records, fires):
-                self._repush_tick(ev, fire_t)
+        push = sim.queue.push_typed
+        for i, (d, fire_t) in enumerate(zip(drivers, fires)):
+            group = members[fire_t]
+            if len(group) > 1:
+                if group[0] is d:
+                    grp = push(
+                        fire_t, PRIORITY_TIMER, KIND_TICK_BURST, group, None,
+                        plan if len(members) == 1 else None, sim.now, None,
+                        "tick+", e=len(group),
+                    )
+                    for member in group:
+                        member._timers[_TICK] = grp
+            elif records is not None:
+                self._repush_tick(records[i], fire_t)
+            else:
+                d._timers[_TICK] = push(
+                    fire_t, PRIORITY_TIMER, KIND_TIMER, d,
+                    _TICK, None, sim.now, None, "timer", e=1,
+                )
 
     def _repush_tick(self, ev: ScheduledEvent, fire_t: float) -> None:
         """Re-arm the just-fired tick record ``ev`` in place at ``fire_t``,
@@ -1021,12 +936,15 @@ class NodeArrayTable:
         ev.a._timers[_TICK] = ev
 
     def tick_one(self, ev: ScheduledEvent) -> None:
-        """Execute a singleton ``tick`` record: a timer run of one.  Nothing
-        was pre-popped, so sends that land at the current timestamp (zero
-        or random delays) dispatch before the next timer, as under scalar
-        dispatch."""
-        self.scalar_lane_events += 1
-        self._repush_tick(ev, self._tick_phase((ev.a,))[0])
+        """Execute a singleton ``tick`` record: :meth:`_tick`, then its
+        re-arm.  Nothing was pre-popped, so sends that land at the current
+        timestamp (zero or random delays) dispatch before the next timer,
+        as under scalar dispatch."""
+        burst = None if self.send_delay is None else _Burst()
+        fire_t = self._tick(ev.a, burst)
+        if burst is not None:
+            self._flush(burst)
+        self._repush_tick(ev, fire_t)
 
     def handle_tick_group(self, ev: ScheduledEvent) -> None:
         """Execute one tick-group record (:data:`KIND_TICK_BURST`): as
@@ -1034,28 +952,24 @@ class NodeArrayTable:
         list order.  In the steady state every deadline coincides again and
         the group re-pushes *itself* -- same record, driver list and send
         plan -- so a tick cycle of n nodes costs one heap entry and no
-        ``_timers`` write; if the deadlines diverge it dissolves into
-        individual records."""
+        ``_timers`` write; if the deadlines diverge it regroups
+        (:meth:`_rearm`)."""
         drivers = ev.a
         fires, ev.c = self._tick_run(drivers, ev.c)
         sim = self.sim
-        queue = sim.queue
         if fires.count(fires[0]) == len(fires):
             ev.d = sim.now
-            queue.repush(ev, fires[0])
+            sim.queue.repush(ev, fires[0])
         else:
-            for d, fire_t in zip(drivers, fires):
-                d._timers[_TICK] = queue.push_typed(
-                    fire_t, PRIORITY_TIMER, KIND_TIMER, d,
-                    _TICK, None, sim.now, None, "timer", e=1,
-                )
+            self._rearm(drivers, fires, None, None)
 
     def _tick_run(
         self, drivers: "Sequence[ClockSyncNode]", plan: _TickPlan | None
     ) -> tuple[list[float], _TickPlan | None]:
         """Sync, send and AdjustClock for a run of ticking ``drivers``, on
-        the lane its size selects.  Returns each driver's next tick
-        deadline and the send plan to keep with the group, if any."""
+        the lane its size selects -- the scalar one is :meth:`_tick` per
+        driver, their bulk sends one burst.  Returns each driver's next
+        tick deadline and the send plan to keep with the group, if any."""
         k = len(drivers)
         if k >= ARRAY_LANE_MIN and self.send_delay is not None:
             if plan is None or plan.key != self.edits:
@@ -1067,8 +981,11 @@ class NodeArrayTable:
             ):
                 self.array_lane_events += k
                 return self._tick_array(drivers, plan, tracer), plan
-        self.scalar_lane_events += k
-        return self._tick_phase(drivers), plan
+        burst = None if self.send_delay is None else _Burst()
+        fires = [self._tick(d, burst) for d in drivers]
+        if burst is not None:
+            self._flush(burst)
+        return fires, plan
 
     def _tick_plan(
         self, drivers: "Sequence[ClockSyncNode]", stale: _TickPlan | None
@@ -1121,7 +1038,7 @@ class NodeArrayTable:
         plan: _TickPlan,
         tracer: "Tracer | None",
     ) -> list[float]:
-        """The array lane of :meth:`_tick_phase`: the members sync as
+        """The array lane of :meth:`_tick`: the members sync as
         columns, the payloads are gathered through the plan *before* any
         AdjustClock, the bursts are pushed around the plan's per-message
         senders, then the members left with ``Lmax > L`` -- in member
@@ -1223,131 +1140,73 @@ class NodeArrayTable:
         data.extend(rows)
         return timer_sids, (sid0 + flight_at).tolist()
 
-    def _tick_phase(self, drivers: "Sequence[ClockSyncNode]") -> list[float]:
-        """Sync, send and AdjustClock for one run of ticking ``drivers``:
-        the scalar lane.
+    def _tick(self, d: ClockSyncNode, burst: _Burst | None) -> float:
+        """One driver's tick on the scalar lane -- the statement of the
+        per-driver tick outside numpy.  Returns its next deadline.
 
-        One fused loop: per driver sync, payload capture, sends (in
-        record order) and a look at its ``lost`` deadlines
-        (:meth:`lost_wake`); then the burst push, then AdjustClock over the
-        rows left with ``Lmax > L`` (it touches only row state no other
-        driver's sends read).  A driver whose believed neighbours are all
-        adjacent appends its sends to the run's burst; any other sends
-        through :meth:`Transport.send` (the no-edge drop rule) after the
-        burst built so far is pushed.  Returns each driver's next deadline.
-
-        When traced, each driver's ``SPAN_TIMER`` row and the flight rows
-        of its bulk sends are written here (:meth:`_trace_tick`); the
-        timer's span id stays ``tracer.current`` across :meth:`_send_each`
-        and parents a blocked row's jump.
+        Sync; send ``(L, Lmax)`` to ``sorted(Upsilon)``; look at its ``lost``
+        deadlines (:meth:`lost_wake`); AdjustClock -- the reference's
+        order.  The sends join ``burst`` when one is given (a positive
+        constant delay) and every believed neighbour is ``live`` (the
+        bulk-send rule; a shard's ``boundary`` senders never do); otherwise
+        the burst built so far is pushed and they go through the transport,
+        per message.  When traced, the ``SPAN_TIMER`` row and the bulk
+        sends' flight rows are written here (:meth:`_trace_tick`); the
+        timer's span id stays ``tracer.current`` across the sends and
+        parents a jump.
         """
+        self.scalar_lane_events += 1
+        nid = d.node_id
         now = self.sim.now
-        rate = self.rate
-        t0 = self.t0
-        h0 = self.h0
-        t1 = self.t1
-        h1 = self.h1
-        L_col = self.L
-        lmax_col = self.Lmax
-        h_last = self.h_last
-        l_est = self.l_est
-        lost_dl = self.lost_dl
-        sent = self.messages_sent
-        slotmap = self.slotmap
-        believed = self.believed
-        live = self.live
-        boundary = self.boundary
+        h = self._sync(nid, now)
+        row = self.slotmap[nid]
+        dests = self.believed(nid)
+        bulk = burst  # where the sends go: the burst, or (None) per message
+        if bulk is not None:
+            live = self.live
+            if nid in self.boundary or not all(live[row[u]] for u in dests):
+                bulk = None
         tracer = self.transport._tracer
-        delay = self.send_delay
-        t_deliver = now if delay is None else now + delay
-        ti = self.tick_interval
-        u_list: list[int] = []
-        v_list: list[int] = []
-        p_list: list[Any] = []
-        #: Flight span ids of the burst under construction (traced only).
-        s_list: list[int] = []
-        #: ``(node id, its timer's span id)`` per row left with ``Lmax > L``.
-        blocked: list[tuple[int, int]] = []
-        fires: list[float] = []
-        for d in drivers:
-            nid = d.node_id
-            row = slotmap[nid]
-            if now >= t1[nid]:
-                self._reseat(nid, now)
-            seg_r = rate[nid]
-            seg_t = t0[nid]
-            seg_h = h0[nid]
-            h = seg_h + seg_r * (now - seg_t)
-            L = L_col[nid]
-            lmax = lmax_col[nid]
-            dh = h - h_last[nid]
-            if dh != 0.0:
-                L += dh
-                lmax += dh
-                L_col[nid] = L
-                lmax_col[nid] = lmax
-                h_last[nid] = h
-                if len(row) > _LONG_ROW:
-                    self._advance(nid, dh)
-                else:
-                    for s in row.values():
-                        l_est[s] += dh
-            dests = believed(nid)
-            # Whether its sends join the run's burst (the bulk-send rule).
-            bulk = (
-                delay is not None
-                and nid not in boundary
-                and all(live[row[u]] for u in dests)
-            )
-            if tracer is not None:
-                tracer.current = self._trace_tick(
-                    tracer, nid, dests if bulk else (), t_deliver, s_list
-                )
-            if dests:
-                payload = (L, lmax)
-                if bulk:
-                    k = len(dests)
-                    # Scalar _send bumps the counter at emission time; the
-                    # batch bypasses the effect list, so count here.
-                    sent[nid] += k
-                    u_list += [nid] * k
-                    v_list += dests
-                    p_list += [payload] * k
-                else:
-                    if u_list:
-                        self._push_burst(
-                            u_list[:], v_list[:], p_list[:],
-                            s_list[:] if tracer is not None else None,
-                        )
-                        u_list.clear()
-                        v_list.clear()
-                        p_list.clear()
-                        s_list.clear()
-                    self._send_each(nid, payload, dests)
-            target = h + ti
-            if target < h1[nid]:
-                fire_t = seg_t + (target - seg_h) / seg_r
+        if tracer is not None:
+            if bulk is None:
+                tracer.current = self._trace_tick(tracer, nid, (), now, [])
             else:
-                fire_t = d.clock.time_at(target)
-            if fire_t < now:
-                fire_t = now
-            fires.append(fire_t)
-            for s in row.values():
-                if lost_dl[s] <= fire_t:
-                    self._wake(s)
-            if lmax > L:
-                blocked.append((nid, -1 if tracer is None else tracer.current))
-        if u_list:
-            self._push_burst(
-                u_list, v_list, p_list, s_list if tracer is not None else None
-            )
-        for nid, sid in blocked:
-            if tracer is not None:
-                tracer.current = sid
+                tracer.current = self._trace_tick(
+                    tracer, nid, dests, now + cast(float, self.send_delay), bulk.sids
+                )
+        if dests:
+            payload = (self.L[nid], self.Lmax[nid])
+            if bulk is not None:
+                k = len(dests)
+                # Scalar _send bumps the counter at emission time; the
+                # burst bypasses the effect list, so count here.
+                self.messages_sent[nid] += k
+                bulk.us += [nid] * k
+                bulk.vs += dests
+                bulk.payloads += [payload] * k
+            else:
+                if burst is not None:
+                    self._flush(burst)
+                self._send_each(nid, payload, dests)
+        fire_t = self._deadline(nid, h + self.tick_interval, now)
+        lost_dl = self.lost_dl
+        for s in row.values():
+            if lost_dl[s] <= fire_t:
+                self._wake(s)
+        if self.Lmax[nid] > self.L[nid]:
             self._adjust_clock(nid, tracer)
         if tracer is not None:
             tracer.current = -1
-        return fires
+        return fire_t
+
+    def _flush(self, burst: _Burst) -> None:
+        """Push the sends ``burst`` holds as one burst record; empty it."""
+        if burst.us:
+            self._push_burst(
+                burst.us, burst.vs, burst.payloads,
+                burst.sids if self.transport._tracer is not None else None,
+            )
+            burst.us, burst.vs, burst.payloads, burst.sids = [], [], [], []
 
     def _trace_tick(
         self,
@@ -1385,11 +1244,9 @@ class NodeArrayTable:
 
     def _send_each(self, nid: int, payload: Any, dests: list[int]) -> None:
         """Send ``payload`` from ``nid`` to each of ``dests`` (its believed
-        neighbours, sorted), per message."""
-        send = self.transport.send
+        neighbours, sorted), per message: one transport call."""
         self.messages_sent[nid] += len(dests)
-        for v in dests:
-            send(nid, v, payload)
+        self.transport.send_many(nid, dests, payload)
 
     def _push_burst(
         self,

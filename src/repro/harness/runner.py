@@ -359,7 +359,7 @@ class RunResult:
     #: lane (singletons, small runs and what the array lane handed over):
     #: the rest went through ``handle()`` or were not node events at all
     #: (``non_node_events``: callbacks, samples, topology mutations).
-    #: ``blocked_rows`` counts the delivery runs that left ``Lmax > L`` and
+    #: ``blocked_rows`` counts the deliveries that left ``Lmax > L`` and
     #: scanned Gamma: over ``transport_stats["delivered"]``, how much of
     #: the run the gradient constraint could bind at all.
     array_lane_events: int = 0

@@ -218,7 +218,7 @@ class Transport:
 
     def lane_counts(self) -> dict[str, int]:
         """The plan's table tallies (:data:`~repro.core.batch.LANE_FIELDS`:
-        events per lane, delivery runs that scanned Gamma), zeros without
+        events per lane, deliveries that scanned Gamma), zeros without
         a table."""
         table = self.plan.table
         return {f: 0 if table is None else getattr(table, f) for f in LANE_FIELDS}
@@ -291,47 +291,58 @@ class Transport:
 
     def send(self, u: int, v: int, payload: Any) -> None:
         """Send ``payload`` from ``u`` to ``v`` under the Section 3.2 contract."""
+        self.send_many(u, (v,), payload)
+
+    def send_many(self, u: int, vs: Iterable[int], payload: Any) -> None:
+        """Send ``payload`` from ``u`` to each of ``vs``, in order, each
+        message under the Section 3.2 contract (a tick's sends: one call)."""
         now = self.sim.now
-        self.stats.sent += 1
-        if not self._has_edge(u, v):
-            self.stats.dropped_no_edge += 1
-            if self._tracer is not None:
-                self._tracer.flight_fail(u, v, now)
-            self._schedule_absence_discovery(u, v, send_time=now)
-            return
-        delay = self.delay_policy.delay(u, v, now)
-        if delay < 0.0 or delay > self.max_delay + 1e-9:
-            raise ValueError(
-                f"delay policy produced {delay!r} outside [0, {self.max_delay}]"
-            )
-        t_deliver = now + delay
-        link = (u, v)
+        stats = self.stats
+        nbrs = self.graph.neighbors(u)  # nothing below mutates the graph
+        delay_of = self.delay_policy.delay
         fifo = self._fifo_last
-        prev = fifo.get(link, 0.0)
-        if t_deliver < prev:
-            t_deliver = prev  # FIFO clamp; see module docstring
-        fifo[link] = t_deliver
-        # The flight span, opened inline (the hottest tracer site) and
-        # *optimistically closed* -- the FIFO clamp fixed ``t_deliver`` --
-        # rides the record's observer slot ``e``; a drop patches it in
-        # :meth:`_deliver`, a still-in-flight one :meth:`finalize_tracing`.
         tracer = self._tracer
-        sid = -1
-        if tracer is not None:
-            tdata = tracer.data
-            sid = len(tdata) >> 3
-            if sid < tracer.capacity:
-                tdata.extend(
-                    (SPAN_FLIGHT, u, v, now, t_deliver, tracer.current,
-                     STATUS_DONE, 0.0)
+        push = self._push
+        for v in vs:
+            stats.sent += 1
+            if v not in nbrs:
+                stats.dropped_no_edge += 1
+                if tracer is not None:
+                    tracer.flight_fail(u, v, now)
+                self._schedule_absence_discovery(u, v, send_time=now)
+                continue
+            delay = delay_of(u, v, now)
+            if delay < 0.0 or delay > self.max_delay + 1e-9:
+                raise ValueError(
+                    f"delay policy produced {delay!r} outside [0, {self.max_delay}]"
                 )
-            else:
-                tracer.table.dropped += 1
-                sid = -1
-        self._push(
-            t_deliver, PRIORITY_DELIVERY, KIND_DELIVER, u, v, payload, now,
-            None, "deliver", e=sid,
-        )
+            t_deliver = now + delay
+            link = (u, v)
+            prev = fifo.get(link, 0.0)
+            if t_deliver < prev:
+                t_deliver = prev  # FIFO clamp; see module docstring
+            fifo[link] = t_deliver
+            # The flight span, opened inline (the hottest tracer site) and
+            # *optimistically closed* -- the FIFO clamp fixed ``t_deliver``
+            # -- rides the record's observer slot ``e``; a drop patches it
+            # in :meth:`_deliver`, a still-in-flight one
+            # :meth:`finalize_tracing`.
+            sid = -1
+            if tracer is not None:
+                tdata = tracer.data
+                sid = len(tdata) >> 3
+                if sid < tracer.capacity:
+                    tdata.extend(
+                        (SPAN_FLIGHT, u, v, now, t_deliver, tracer.current,
+                         STATUS_DONE, 0.0)
+                    )
+                else:
+                    tracer.table.dropped += 1
+                    sid = -1
+            push(
+                t_deliver, PRIORITY_DELIVERY, KIND_DELIVER, u, v, payload, now,
+                None, "deliver", e=sid,
+            )
 
     def _handle_deliver(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DELIVER`` records (one per message):
@@ -429,7 +440,7 @@ class Transport:
 
         Registered by the drivers themselves (see
         :class:`~repro.core.node.ClockSyncNode`).  On the plan's table a
-        ``tick`` is a batch of one and a ``lost`` wake record fires the
+        ``tick`` is one per-driver body and a ``lost`` wake record fires the
         timers due now; anything else goes through
         :meth:`~repro.core.node.ClockSyncNode._fire_timer`.
         """

@@ -24,6 +24,10 @@ driver drops timer handles before cancellation/dispatch completes, and the
 other typed kinds never expose handles at all.  Lazy deletion keeps
 cancelled records in the heap until they surface; they join the free list
 only at that point, when no live reference can remain.
+
+:meth:`repro.sim.simulator.Simulator.run_until` inlines
+:meth:`EventQueue.pop_until` and :meth:`EventQueue.recycle` over ``_heap``
+/ ``_free`` / ``_live``: a change to either is a change to that loop too.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .events import KIND_CALLBACK, POOLABLE, ScheduledEvent
 __all__ = ["EventQueue"]
 
 #: Free-list size cap; beyond this, surplus records are left to the GC.
-_POOL_CAP = 65536
+POOL_CAP = 65536
 
 
 class EventQueue:
@@ -279,7 +283,7 @@ class EventQueue:
             if ev.cancelled:
                 heapq.heappop(heap)
                 ev.queued = False
-                if poolable[ev.kind] and len(free) < _POOL_CAP:
+                if poolable[ev.kind] and len(free) < POOL_CAP:
                     ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
                     free.append(ev)
                 continue
@@ -296,7 +300,8 @@ class EventQueue:
     ) -> int:
         """Pop the *run* of records that sort with ``first`` (batch dispatch).
 
-        ``first`` must be the record just returned by :meth:`pop_until`.
+        ``first`` must be the record just popped (:meth:`pop_until`, or
+        the pop :meth:`~repro.sim.simulator.Simulator.run_until` inlines).
         The run is the contiguous heap prefix of live records sharing
         ``first``'s ``(time, priority, kind)``; cancelled heads inside the
         prefix are dropped and recycled exactly as :meth:`pop_until` would.
@@ -331,7 +336,7 @@ class EventQueue:
             if ev.cancelled:
                 heapq.heappop(heap)
                 ev.queued = False
-                if poolable[ev.kind] and len(free) < _POOL_CAP:
+                if poolable[ev.kind] and len(free) < POOL_CAP:
                     ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
                     free.append(ev)
                 continue
@@ -354,7 +359,7 @@ class EventQueue:
         """
         if ev.queued or not POOLABLE[ev.kind]:
             return
-        if len(self._free) < _POOL_CAP:
+        if len(self._free) < POOL_CAP:
             ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
             self._free.append(ev)
 
@@ -369,7 +374,7 @@ class EventQueue:
         for ev in records:
             if ev.queued or not poolable[ev.kind]:
                 continue
-            if len(free) < _POOL_CAP:
+            if len(free) < POOL_CAP:
                 ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
                 free.append(ev)
 
@@ -397,6 +402,6 @@ class EventQueue:
         while heap and heap[0][3].cancelled:
             ev = heapq.heappop(heap)[3]
             ev.queued = False
-            if POOLABLE[ev.kind] and len(free) < _POOL_CAP:
+            if POOLABLE[ev.kind] and len(free) < POOL_CAP:
                 ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
                 free.append(ev)

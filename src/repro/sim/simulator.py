@@ -26,6 +26,7 @@ docs/performance.md for the kernel design rationale and scaling numbers).
 
 from __future__ import annotations
 
+import heapq
 import os
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -35,11 +36,12 @@ from .events import (
     KIND_SAMPLE,
     KIND_TOPOLOGY,
     N_KINDS,
+    POOLABLE,
     PRIORITY_SAMPLE,
     PRIORITY_TIMER,
     ScheduledEvent,
 )
-from .queue import EventQueue
+from .queue import POOL_CAP, EventQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..telemetry.registry import MetricsRegistry
@@ -188,10 +190,14 @@ class Simulator:
         pre-pops every maximal run of >= 2 records sharing
         ``(time, priority, kind)`` (see :meth:`EventQueue.pop_run`) and
         hands the whole run to ``handler`` instead of dispatching record by
-        record.  The handler owns parity: it must leave every observable --
-        node state, queue pushes and their relative order per tie-class,
-        RNG draws, stats -- exactly as the scalar handler would, falling
-        back to a record-by-record loop whenever it cannot guarantee that.
+        record.  It calls ``pop_run`` only when the record after the popped
+        one ties its ``(time, priority)``; a record with no tie -- most of
+        a drifting population's -- goes to the :meth:`set_handler` handler
+        without that call.  The handler owns parity: it must leave every
+        observable -- node state, queue pushes and their relative order per
+        tie-class, RNG draws, stats -- exactly as the scalar handler would,
+        falling back to a record-by-record loop whenever it cannot
+        guarantee that.
 
         Pre-popping is only sound for kinds whose handlers never cancel a
         record that can share the run and never push a record that would
@@ -369,6 +375,10 @@ class Simulator:
         the horizon.  After returning, :attr:`now` equals ``t_end`` even if
         the queue drained early, so callers can continue scheduling from a
         well-defined time.
+
+        A record of a kind with a batch handler is handed to
+        :meth:`EventQueue.pop_run` only when the next head ties its
+        ``(time, priority)``; a lone record goes straight to its handler.
         """
         if t_end < self.now:
             raise SimulationError(
@@ -376,41 +386,58 @@ class Simulator:
             )
         if not self.in_run:
             self._begin_run()
-        # The kernel's hottest loop: _dispatch is inlined here (step() keeps
-        # the single-step definition for callers that need it).
+        # The kernel's hottest loop: _dispatch, EventQueue.pop_until and
+        # EventQueue.recycle are inlined here (step() and the queue keep
+        # the single-step definitions for callers that need them).
         queue = self.queue
-        pop_until = queue.pop_until
+        heap = queue._heap
+        free = queue._free
+        heappop = heapq.heappop
         pop_run = queue.pop_run
-        recycle = queue.recycle
         recycle_all = queue.recycle_all
+        poolable = POOLABLE
         handlers = self._handlers
         batch_handlers = self._batch_handlers if self.batch else [None] * N_KINDS
         max_events = self.max_events
         kind_counts = self.kind_counts
         run_buf: list[ScheduledEvent] = []
-        while True:
-            ev = pop_until(t_end)
-            if ev is None:
+        while heap:
+            entry = heap[0]
+            ev = entry[3]
+            if ev.cancelled:
+                heappop(heap)
+                ev.queued = False
+                if poolable[ev.kind] and len(free) < POOL_CAP:
+                    ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
+                    free.append(ev)
+                continue
+            time = entry[0]
+            if time > t_end:
                 break
-            self.now = ev.time
+            heappop(heap)
+            ev.queued = False
+            queue._live -= 1
+            self.now = time
             kind = ev.kind
             batch_handler = batch_handlers[kind]
-            if batch_handler is not None:
-                count = pop_run(ev, run_buf)
-                if count:
-                    self.events_dispatched += count
-                    if self.events_dispatched > max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            "runaway simulation?"
-                        )
-                    if kind_counts is not None:
-                        kind_counts[kind] += count
-                    self.batch_dispatches += 1
-                    batch_handler(run_buf)
-                    recycle_all(run_buf)
-                    run_buf.clear()
-                    continue
+            if batch_handler is not None and heap:
+                head = heap[0]
+                if head[0] == time and head[1] == entry[1]:
+                    count = pop_run(ev, run_buf)
+                    if count:
+                        self.events_dispatched += count
+                        if self.events_dispatched > max_events:
+                            raise SimulationError(
+                                f"exceeded max_events={max_events}; "
+                                "runaway simulation?"
+                            )
+                        if kind_counts is not None:
+                            kind_counts[kind] += count
+                        self.batch_dispatches += 1
+                        batch_handler(run_buf)
+                        recycle_all(run_buf)
+                        run_buf.clear()
+                        continue
             self.events_dispatched += 1
             if self.events_dispatched > max_events:
                 raise SimulationError(
@@ -432,8 +459,9 @@ class Simulator:
                         f"(label={ev.label!r})"
                     )
                 handler(ev)
-                if not ev.queued:
-                    recycle(ev)
+                if not ev.queued and poolable[kind] and len(free) < POOL_CAP:
+                    ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
+                    free.append(ev)
         self.now = t_end
 
     def run_until_idle(self, t_cap: float | None = None) -> None:

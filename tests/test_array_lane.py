@@ -10,8 +10,12 @@ the run as it stands, mid-run, in plain Python floats.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +39,7 @@ from repro.harness.runner import Experiment, run_experiment
 from repro.network.transport import Transport
 from repro.sim import simulator as simulator_mod
 from repro.sim.clocks import ConstantRateClock, two_phase_clock
-from repro.sim.events import PRIORITY_TOPOLOGY
+from repro.sim.events import KIND_TICK_BURST, KIND_TIMER, PRIORITY_TOPOLOGY
 from repro.tracing import trace_session
 
 # --------------------------------------------------------------------- #
@@ -337,18 +341,18 @@ def test_payloads_and_span_rows_carry_plain_floats(monkeypatch):
     """What reaches a delay policy, the scalar lane or the span table is a
     Python float, whichever lane produced it."""
     seen = []
-    send, scalar = Transport.send, NodeArrayTable._deliver_scalar
+    send, scalar = Transport.send_many, NodeArrayTable.deliver_one
 
-    def spying_send(self, u, v, payload):
+    def spying_send(self, u, vs, payload):
         seen.append(payload)
-        send(self, u, v, payload)
+        send(self, u, vs, payload)
 
-    def spying_scalar(self, dest_msgs, flights):
-        seen.extend(msgs[1] for msgs in dest_msgs.values())
-        scalar(self, dest_msgs, flights)
+    def spying_scalar(self, u, v, payload, sid):
+        seen.append(payload)
+        scalar(self, u, v, payload, sid)
 
-    monkeypatch.setattr(Transport, "send", spying_send)
-    monkeypatch.setattr(NodeArrayTable, "_deliver_scalar", spying_scalar)
+    monkeypatch.setattr(Transport, "send_many", spying_send)
+    monkeypatch.setattr(NodeArrayTable, "deliver_one", spying_scalar)
     with trace_session():
         exp, res = _run(configs.huge_sync_ring(64, horizon=30.0), True, monkeypatch, _far_ahead)
     assert res.array_lane_events > 0 and res.blocked_rows > 0 and seen
@@ -571,3 +575,51 @@ def test_the_e0_wave_lane(name, make, hook, traced, array):
     assert calls[0] == (128, array)
     if name == "blocked":
         assert res_b.total_jumps() > 0
+
+
+# --------------------------------------------------------------------- #
+# Tick runs regroup by deadline; a run imports nothing
+# --------------------------------------------------------------------- #
+
+
+def test_a_tick_run_regroups_by_next_deadline():
+    """The first timer run of a two-rate lockstep ring leaves one group
+    record per rate class's next deadline, and no record per driver."""
+    seen = []
+
+    def first_timer_run(exp):
+        exp.sim.run_until(0.0)
+        seen.extend(
+            (ev.kind, ev.b)
+            for ev in exp.sim.queue.live_events()
+            if ev.kind in (KIND_TIMER, KIND_TICK_BURST)
+        )
+
+    make = lambda: configs.huge_sync_ring(128, horizon=6.0)
+    with pytest.MonkeyPatch.context() as mp:
+        exp_s, res_s = _run(make(), False, mp, first_timer_run)
+        assert len(seen) == 128 and set(seen) == {(KIND_TIMER, "tick")}
+        seen.clear()
+        exp_b, res_b = _run(make(), True, mp, first_timer_run)
+    assert seen == [(KIND_TICK_BURST, None)] * 2
+    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+
+
+def test_a_run_imports_nothing():
+    """Nothing a run calls imports a module (numpy's first ``np.unique``
+    imports ``numpy.ma``: 13 ms inside the first lockstep run)."""
+    code = (
+        "import sys\n"
+        "from repro.harness import configs\n"
+        "from repro.harness.runner import Experiment\n"
+        "exp = Experiment(configs.huge_sync_ring(256))\n"
+        "before = set(sys.modules)\n"
+        "exp.run()\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(batch_mod.__file__).parents[2])}
+    env.pop("REPRO_BATCH", None)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

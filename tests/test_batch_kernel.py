@@ -8,7 +8,7 @@ here pin that contract on the batch workloads (where the run-level
 phases actually engage), under topology churn (where the array path must
 stay engaged and apply the drop rule per message), on the general path
 (per-node drift, staggered ticks, random delays: every delivery and tick
-a singleton record the array step executes as a batch of one), under
+a singleton record the array step executes one at a time), under
 arbitrary drift (piecewise and steered clocks on the segment columns),
 and at the unit level for the queue's pop-run API and the in-place
 AdjustClock.
@@ -634,6 +634,78 @@ class TestPopRun:
         buf: list = []
         assert q.pop_run(first, buf) == 2
         assert buf == [a, c]
+
+
+class TestTieProbe:
+    """``run_until`` asks ``pop_run`` for a run only when the next head ties
+    the popped record's ``(time, priority)``: a lone record goes straight
+    to its handler, in the same order, and every record is recycled once."""
+
+    def _sim(self, monkeypatch):
+        sim = Simulator(batch=True)
+        log: list = []
+        sim.set_handler(KIND_DELIVER, lambda ev: log.append(("one", ev.a)))
+        sim.set_batch_handler(
+            KIND_DELIVER, lambda evs: log.append(("run", [ev.a for ev in evs]))
+        )
+        sim.set_handler(KIND_DELIVER_BURST, lambda ev: log.append(("burst", ev.a)))
+        sim.set_handler(KIND_TIMER, lambda ev: log.append(("timer", ev.a)))
+        probes: list = []
+        pop_run = EventQueue.pop_run
+
+        def counting(queue, first, out):
+            probes.append(pop_run(queue, first, out))
+            return probes[-1]
+
+        monkeypatch.setattr(EventQueue, "pop_run", counting)
+        return sim, log, probes
+
+    @staticmethod
+    def _recycled_once(sim, records):
+        free = sim.queue._free
+        assert sim.queue.pool_size == len(records) == len({id(ev) for ev in free})
+        assert {id(ev) for ev in free} == {id(ev) for ev in records}
+
+    def test_a_tie_on_time_alone_is_no_run(self, monkeypatch):
+        sim, log, probes = self._sim(monkeypatch)
+        q = sim.queue
+        a = q.push_typed(1.0, PRIORITY_DELIVERY, KIND_DELIVER, 0)
+        b = q.push_typed(1.0, PRIORITY_TIMER, KIND_TIMER, 1)
+        sim.run_until(2.0)
+        assert log == [("one", 0), ("timer", 1)] and probes == []
+        assert sim.batch_dispatches == 0 and sim.events_dispatched == 2
+        self._recycled_once(sim, [a, b])
+
+    def test_a_tying_head_of_another_kind_is_no_run(self, monkeypatch):
+        sim, log, probes = self._sim(monkeypatch)
+        q = sim.queue
+        a = q.push_typed(1.0, PRIORITY_DELIVERY, KIND_DELIVER, 0)
+        b = q.push_typed(1.0, PRIORITY_DELIVERY, KIND_DELIVER_BURST, 1)
+        sim.run_until(2.0)
+        assert log == [("one", 0), ("burst", 1)] and probes == [0]
+        assert sim.batch_dispatches == 0 and sim.events_dispatched == 2
+        self._recycled_once(sim, [a, b])
+
+    def test_a_cancelled_tying_head_is_dropped_by_the_probe(self, monkeypatch):
+        sim, log, probes = self._sim(monkeypatch)
+        q = sim.queue
+        a = q.push_typed(1.0, PRIORITY_DELIVERY, KIND_DELIVER, 0)
+        b = q.push_typed(1.0, PRIORITY_DELIVERY, KIND_DELIVER, 1)
+        c = q.push_typed(2.0, PRIORITY_DELIVERY, KIND_DELIVER, 2)
+        d = q.push_typed(2.0, PRIORITY_DELIVERY, KIND_DELIVER, 3)
+        q.cancel(b)
+        sim.run_until(3.0)
+        assert log == [("one", 0), ("run", [2, 3])] and probes == [0, 2]
+        assert sim.batch_dispatches == 1 and sim.events_dispatched == 3
+        self._recycled_once(sim, [a, b, c, d])
+
+    def test_dispatch_tallies_of_a_drifting_ring_are_pinned(self, monkeypatch):
+        """A drifting ring dispatches what it did when every record probed."""
+        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+        exp = Experiment(configs.huge_ring(64))
+        res = exp.run()
+        assert (res.events_dispatched, exp.sim.batch_dispatches) == (11417, 944)
+        assert exp.sim.queue.pool_size == 34
 
 
 class TestAdjustClocksBatch:
