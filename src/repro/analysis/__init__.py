@@ -16,7 +16,6 @@ from .metrics import (
 )
 from .recorder import EdgeEpisode, RunRecord, SkewRecorder
 from .report import TextTable, csv_text, format_value, write_csv
-from . import theory
 
 __all__ = [
     "EdgeEpisode",
@@ -37,6 +36,5 @@ __all__ = [
     "max_local_skew",
     "stabilization_age",
     "stable_local_skew_measured",
-    "theory",
     "write_csv",
 ]

@@ -9,14 +9,17 @@ inside the drift envelope; adversaries are the model-respecting ones from
 :mod:`repro.adversary`.  A generated workload that fails a bound is
 therefore a *bug*, not a bad generator.
 
-Two layers over one ingredient vocabulary:
+Two layers over one ingredient table (topology, clock, delay and
+discovery specs, stagger, :data:`CHURN`, :data:`ADVERSARIES`), drawn by
+one function through a ``pick`` that is either a seeded generator or a
+hypothesis ``draw``:
 
 * ``fuzz_config(seed)`` / ``fuzz_sweep_spec(seed)`` -- deterministic
   seed-driven draws with no test-only dependencies (the ``repro check
   --fuzz`` path);
 * hypothesis strategies (:func:`topologies`, :func:`system_params`,
-  :func:`churn_refs`, :func:`adversary_refs`, :func:`experiment_configs`,
-  :func:`sweep_specs`) -- full shrinking support for the test suite.
+  :func:`experiment_configs`, :func:`sweep_specs`) -- full shrinking
+  support for the test suite.
 
 Generated configs are deliberately small (n <= ``max_n``, short horizons)
 so property tests stay fast; scale testing is the job of the
@@ -31,6 +34,7 @@ import numpy as np
 
 from ..harness.registry import AdversaryRef, ChurnRef
 from ..harness.runner import ExperimentConfig
+from ..network.churn import ScriptedChurn
 from ..network.topology import grid_edges, path_edges, ring_edges, star_edges
 from ..params import SystemParams
 
@@ -43,12 +47,14 @@ except ImportError:  # pragma: no cover - exercised only without test deps
     _HAVE_HYPOTHESIS = False
 
 __all__ = [
+    "ADVERSARIES",
+    "CHURN",
     "CLOCK_SPECS",
     "DELAY_SPECS",
+    "DISCOVERY_SPECS",
     "TOPOLOGIES",
-    "adversary_refs",
-    "churn_refs",
     "experiment_configs",
+    "flip_script",
     "fuzz_config",
     "fuzz_sweep_spec",
     "make_topology",
@@ -85,6 +91,12 @@ CLOCK_SPECS: tuple[str, ...] = (
 #: Delay specs (all respect the bound T).
 DELAY_SPECS: tuple[str, ...] = ("uniform", "max", "half", "zero")
 
+#: Discovery specs (all respect the bound D).  Positive constant delay
+#: and discovery latencies with unstaggered ticks are the lockstep
+#: regime -- timer runs, tick groups, the E_0 discovery wave as one run --
+#: which half of the draws take (:func:`_draw_config`).
+DISCOVERY_SPECS: tuple[str, ...] = ("uniform", "max", "zero")
+
 #: Drift rates that keep SystemParams.validate() happy with the defaults.
 _RHO_CHOICES: tuple[float, ...] = (0.01, 0.02, 0.05)
 
@@ -95,6 +107,11 @@ _SWEEP_WORKLOADS: tuple[str, ...] = (
     "backbone_churn",
     "adversarial_drift",
 )
+
+#: ``pick(options)`` returns one element of a sequence: a hypothesis
+#: ``draw`` or a seeded generator's choice.  Every ingredient below is
+#: drawn through it, so both layers share one vocabulary.
+Pick = Callable[[Sequence[Any]], Any]
 
 
 def make_topology(name: str, n: int) -> list[Edge]:
@@ -108,62 +125,129 @@ def make_topology(name: str, n: int) -> list[Edge]:
     return maker(n)
 
 
-def _edge_count(name: str, n: int) -> int:
-    return len(make_topology(name, n))
+def _chords(n: int, backbone: Sequence[Edge]) -> list[Edge]:
+    """Every pair of ``range(n)`` the backbone does not hold."""
+    taken = {(min(u, v), max(u, v)) for u, v in backbone}
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in taken]
 
 
-def _build_config(
+def _rewirer(pick: Pick, n: int, horizon: float, backbone: Sequence[Edge]) -> Any:
+    return ChurnRef(
+        "random_rewirer",
+        {
+            "n": n,
+            "k_extra": pick((1, 2, 3, 4)),
+            "interval": pick((2.0, 3.0, 5.0)),
+            "protected": [[u, v] for u, v in backbone],
+            "horizon": horizon,
+        },
+    )
+
+
+def _flapper(pick: Pick, n: int, horizon: float, backbone: Sequence[Edge]) -> Any:
+    chords = _chords(n, backbone)
+    if not chords:  # dense backbone: nothing left to flap
+        return None
+    return ChurnRef(
+        "edge_flapper",
+        {
+            "edges": [list(pick(chords))],
+            "up": pick((6.0, 10.0)),
+            "down": pick((4.0, 8.0)),
+            "horizon": horizon,
+        },
+    )
+
+
+def flip_script(
+    pick: Pick, pairs: Sequence[Edge], present: Sequence[Edge], max_flips: int = 8
+) -> list[tuple[float, str, int, int]]:
+    """A legal add/remove script over ``pairs``: each flip toggles its
+    pair relative to its current state (``present`` at the start), at a
+    strictly later time than the one before (an edge never changes twice
+    at one instant)."""
+    state = {(min(u, v), max(u, v)) for u, v in present}
+    script = []
+    t = 1.0
+    for _ in range(pick(range(max_flips + 1))):
+        t += pick((0.3, 0.7, 1.3, 2.9))
+        edge = pick(pairs)
+        script.append((t, "remove" if edge in state else "add", *edge))
+        state ^= {edge}
+    return script
+
+
+def _scripted(pick: Pick, n: int, horizon: float, backbone: Sequence[Edge]) -> Any:
+    chords = _chords(n, backbone)  # the backbone stays: invariant-safe
+    script = flip_script(pick, chords, ()) if chords else []
+    return ScriptedChurn(script) if script else None
+
+
+#: Churn ingredients: name -> ``(pick, n, horizon, backbone) -> entry``
+#: (``None``: no churn).  Every entry keeps the backbone alive.
+CHURN: dict[str, Callable[[Pick, int, float, Sequence[Edge]], Any]] = {
+    "none": lambda pick, n, horizon, backbone: None,
+    "random_rewirer": _rewirer,
+    "edge_flapper": _flapper,
+    "scripted": _scripted,
+}
+
+#: Adversary ingredients: name -> ``(pick, horizon) -> AdversaryRef``
+#: (``None``: no adversary); the freezable-by-sweep adaptive ones.
+ADVERSARIES: dict[str, Callable[[Pick, float], AdversaryRef | None]] = {
+    "none": lambda pick, horizon: None,
+    "drift": lambda pick, horizon: AdversaryRef(
+        "adaptive_drift",
+        {
+            "period": pick((3.0, 5.0, 8.0)),
+            "strength": pick((0.5, 1.0)),
+            "horizon": horizon,
+        },
+    ),
+    "delay": lambda pick, horizon: AdversaryRef("adaptive_delay", {}),
+}
+
+
+def _draw_config(
+    pick: Pick,
     *,
-    n: int,
-    topology: str,
-    clock_spec: str,
-    delay_spec: str,
-    churn: bool,
-    adversary: str | None,
+    min_n: int,
+    max_n: int,
     horizon: float,
-    seed: int,
+    churny: bool,
+    adversarial: bool,
 ) -> ExperimentConfig:
-    """Assemble one invariant-safe config from drawn ingredients."""
-    backbone = make_topology(topology, n)
-    n_actual = 1 + max(max(u, v) for u, v in backbone)
-    params = SystemParams.for_network(n_actual)
-    churn_procs: list[ChurnRef] = []
-    if churn:
-        churn_procs.append(
-            ChurnRef(
-                "random_rewirer",
-                {
-                    "n": n_actual,
-                    "k_extra": 2,
-                    "interval": 3.0,
-                    "protected": [[u, v] for u, v in backbone],
-                    "horizon": horizon,
-                },
-            )
-        )
-    adversary_ref: AdversaryRef | None = None
+    """Assemble one invariant-safe config from ingredients drawn by ``pick``."""
+    topology = pick(sorted(TOPOLOGIES))
+    backbone = make_topology(topology, pick(range(min_n, max_n + 1)))
+    n = 1 + max(max(u, v) for u, v in backbone)
+    clock_spec = pick(CLOCK_SPECS)
+    adversary = pick(tuple(ADVERSARIES)) if adversarial else "none"
     if adversary == "drift":
-        adversary_ref = AdversaryRef(
-            "adaptive_drift", {"period": 5.0, "strength": 1.0, "horizon": horizon}
-        )
         clock_spec = "perfect"  # the drift adversary owns every rate
-    elif adversary == "delay":
-        adversary_ref = AdversaryRef("adaptive_delay", {})
-    elif adversary is not None:
-        raise ValueError(f"unknown adversary ingredient {adversary!r}")
+    churn = pick(tuple(CHURN)) if churny else "none"
+    entry = CHURN[churn](pick, n, horizon, backbone)
+    if pick((True, False)):  # lockstep: every timing ingredient constant
+        delay_spec, discovery_spec, stagger = pick(("half", "max")), "max", False
+    else:
+        delay_spec, discovery_spec = pick(DELAY_SPECS), pick(DISCOVERY_SPECS)
+        stagger = pick((True, False))
+    seed = pick(range(100_000))
     return ExperimentConfig(
-        params=params,
+        params=SystemParams.for_network(n),
         initial_edges=backbone,
         clock_spec=clock_spec,
         delay_spec=delay_spec,
-        churn=churn_procs,
-        adversary=adversary_ref,
+        discovery_spec=discovery_spec,
+        stagger_ticks=stagger,
+        churn=[] if entry is None else [entry],
+        adversary=ADVERSARIES[adversary](pick, horizon),
         horizon=horizon,
         sample_interval=2.0,
         seed=seed,
-        name=f"fuzz({topology}, n={n_actual}, clock={clock_spec}"
-        + (", churn" if churn else "")
-        + (f", adversary={adversary}" if adversary else "")
+        name=f"fuzz({topology}, n={n}, clock={clock_spec}"
+        + ("" if entry is None else f", churn={churn}")
+        + ("" if adversary == "none" else f", adversary={adversary}")
         + f", seed={seed})",
     )
 
@@ -178,16 +262,13 @@ def fuzz_config(
 ) -> ExperimentConfig:
     """One random invariant-safe workload, fully determined by ``seed``."""
     rng = np.random.default_rng(seed)
-    adversary = [None, None, "drift", "delay"][int(rng.integers(4))]
-    return _build_config(
-        n=int(rng.integers(4, max_n + 1)),
-        topology=list(TOPOLOGIES)[int(rng.integers(len(TOPOLOGIES)))],
-        clock_spec=CLOCK_SPECS[int(rng.integers(len(CLOCK_SPECS)))],
-        delay_spec=DELAY_SPECS[int(rng.integers(len(DELAY_SPECS)))],
-        churn=bool(rng.integers(2)),
-        adversary=adversary,
+    return _draw_config(
+        lambda options: options[int(rng.integers(len(options)))],
+        min_n=4,
+        max_n=max_n,
         horizon=float(horizon),
-        seed=int(rng.integers(100_000)),
+        churny=True,
+        adversarial=True,
     )
 
 
@@ -248,62 +329,6 @@ def system_params(min_n: int = 2, max_n: int = 32):
     )
 
 
-def churn_refs(n: int, horizon: float, backbone: Sequence[Edge]):
-    """Strategy for serializable churn riding on a protected backbone."""
-    _require_hypothesis()
-    protected = [[u, v] for u, v in backbone]
-    rewirer = st.builds(
-        lambda k, interval: ChurnRef(
-            "random_rewirer",
-            {
-                "n": n,
-                "k_extra": k,
-                "interval": interval,
-                "protected": protected,
-                "horizon": horizon,
-            },
-        ),
-        k=st.integers(min_value=1, max_value=4),
-        interval=st.sampled_from((2.0, 3.0, 5.0)),
-    )
-    taken = {(min(u, v), max(u, v)) for u, v in backbone}
-    chord = next(
-        (
-            [u, v]
-            for u in range(n)
-            for v in range(u + 2, n)
-            if (u, v) not in taken
-        ),
-        None,
-    )
-    if chord is None:  # dense backbone: nothing left to flap
-        return rewirer
-    flapper = st.builds(
-        lambda up, down: ChurnRef(
-            "edge_flapper",
-            {"edges": [chord], "up": up, "down": down, "horizon": horizon},
-        ),
-        up=st.sampled_from((6.0, 10.0)),
-        down=st.sampled_from((4.0, 8.0)),
-    )
-    return st.one_of(rewirer, flapper)
-
-
-def adversary_refs(horizon: float):
-    """Strategy for the freezable-by-sweep adaptive adversaries."""
-    _require_hypothesis()
-    drift = st.builds(
-        lambda period, strength: AdversaryRef(
-            "adaptive_drift",
-            {"period": period, "strength": strength, "horizon": horizon},
-        ),
-        period=st.sampled_from((3.0, 5.0, 8.0)),
-        strength=st.sampled_from((0.5, 1.0)),
-    )
-    delay = st.just(AdversaryRef("adaptive_delay", {}))
-    return st.one_of(drift, delay)
-
-
 def experiment_configs(
     min_n: int = 4,
     max_n: int = 12,
@@ -322,20 +347,13 @@ def experiment_configs(
 
     @st.composite
     def _configs(draw):
-        topology = draw(st.sampled_from(sorted(TOPOLOGIES)))
-        n = draw(st.integers(min_value=min_n, max_value=max_n))
-        adversary = None
-        if adversarial:
-            adversary = draw(st.sampled_from((None, "drift", "delay")))
-        return _build_config(
-            n=n,
-            topology=topology,
-            clock_spec=draw(st.sampled_from(CLOCK_SPECS)),
-            delay_spec=draw(st.sampled_from(DELAY_SPECS)),
-            churn=draw(st.booleans()) if churny else False,
-            adversary=adversary,
+        return _draw_config(
+            lambda options: draw(st.sampled_from(options)),
+            min_n=min_n,
+            max_n=max_n,
             horizon=horizon,
-            seed=draw(st.integers(min_value=0, max_value=99_999)),
+            churny=churny,
+            adversarial=adversarial,
         )
 
     return _configs()

@@ -23,7 +23,6 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.recorder import EdgeEpisode, RunRecord, SkewRecorder
 from repro.analysis.report import TextTable, csv_text, format_value
-from repro.analysis import theory
 from repro.harness import Experiment, configs, run_experiment
 from repro.network.graph import DynamicGraph
 from repro.network.topology import path_edges
@@ -246,37 +245,3 @@ class TestReport:
         assert lines[0] == "x,y"
         assert lines[1] == "1,2"
         assert lines[2] == "3,-"
-
-
-class TestTheoryCurves:
-    def test_envelope_curve_matches_scalar(self):
-        params = SystemParams.for_network(8)
-        from repro.core import skew_bounds as sb
-        ages = np.array([0.0, 10.0, 1000.0])
-        curve = theory.envelope_curve(params, ages)
-        for a, v in zip(ages, curve):
-            assert v == pytest.approx(sb.dynamic_local_skew(params, float(a)))
-
-    def test_global_skew_curve_linear(self):
-        params = SystemParams.for_network(8)
-        ns = np.array([2, 3, 5, 9])
-        curve = theory.global_skew_curve(params, ns)
-        assert curve[3] == pytest.approx(8 * curve[0])
-
-    def test_adaptation_curve_inverse(self):
-        params = SystemParams.for_network(8)
-        b0s = np.array([params.b0, 2 * params.b0])
-        curve = theory.adaptation_curve(params, b0s)
-        assert curve[0] == pytest.approx(2 * curve[1])
-
-    def test_stable_skew_curve_increasing_in_b0(self):
-        params = SystemParams.for_network(8)
-        b0s = np.array([params.b0, 3 * params.b0])
-        curve = theory.stable_skew_curve(params, b0s)
-        assert curve[1] > curve[0]
-
-    def test_lower_bound_time_curve(self):
-        params = SystemParams.for_network(8)
-        ns = np.array([8, 16])
-        curve = theory.lower_bound_time_curve(params, ns)
-        assert curve[1] > curve[0]

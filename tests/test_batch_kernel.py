@@ -1,17 +1,12 @@
-"""Tests for the struct-of-arrays batch dispatch path (repro.core.batch).
+"""Tests for the struct-of-arrays batch table (repro.core.batch): the
+mechanisms under the parity property.
 
-The load-bearing guarantee is the **parity contract**: with the batch
-kernel enabled, every run metric -- skews, jumps (count *and* float
-total), per-node protocol state, message counters, dispatch tallies --
-is bit-identical to the scalar kernel on the same config.  The tests
-here pin that contract on the batch workloads (where the run-level
-phases actually engage), under topology churn (where the array path must
-stay engaged and apply the drop rule per message), on the general path
-(per-node drift, staggered ticks, random delays: every delivery and tick
-a singleton record the array step executes one at a time), under
-arbitrary drift (piecewise and steered clocks on the segment columns),
-and at the unit level for the queue's pop-run API and the in-place
-AdjustClock.
+Parity itself -- every kernel path bit-identical to the ``handle()``
+reference -- is one property, ``tests/test_kernel_parity.py``.  This file
+holds what it rests on: each named case is what it claims (discovery
+runs, drift, zero delays), the kernel plan's declines and when it is
+decided, the queue's pop-run API and tie probe, the in-place AdjustClock,
+the lazy ``lost`` re-arm, and late effect logs.
 """
 
 from __future__ import annotations
@@ -23,20 +18,13 @@ from dataclasses import replace
 from math import inf
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
+from kernel_parity import run
+from test_kernel_parity import BURSTS, CASE, holds
 
-from repro.core import batch as batch_mod
 from repro.core.batch import NodeArrayTable
 from repro.core.dcsa import DCSANode
 from repro.core.node import ClockSyncNode
-from repro.core.protocol import (
-    DCSACore,
-    JumpL,
-    MaxSyncCore,
-    ProtocolCore,
-    StaticGradientCore,
-)
+from repro.core.protocol import JumpL
 from repro.harness import configs
 from repro.harness.registry import AdversaryRef, ChurnRef
 from repro.harness.runner import Experiment
@@ -48,15 +36,7 @@ from repro.network.graph import DynamicGraph
 from repro.network.transport import Transport
 from repro.sim import simulator as simulator_mod
 from repro.params import SystemParams
-from repro.sim.clocks import (
-    ConstantRateClock,
-    PiecewiseRateClock,
-    SteerableClock,
-    extremal_clock,
-    perfect_clock,
-    sinusoidal_clock,
-    two_phase_clock,
-)
+from repro.sim.clocks import ConstantRateClock, PiecewiseRateClock, SteerableClock
 from repro.sim.events import (
     KIND_DELIVER,
     KIND_DELIVER_BURST,
@@ -71,175 +51,7 @@ from repro.sim.events import (
 from repro.sim.par import run_par
 from repro.sim.queue import EventQueue
 from repro.sim.simulator import Simulator
-from repro.testing.strategies import experiment_configs
 from repro.tracing import trace_session
-
-
-_TABLE_LOST_FIRE = NodeArrayTable._lost_fire
-_REFERENCE_FIRE_TIMER = ClockSyncNode._fire_timer
-
-
-def _spy_lost_fires(monkeypatch):
-    """Record every ``lost`` fire -- the table's and the reference's -- as
-    ``(repr(time), node, neighbour)``; returns the list they land in."""
-    fires = []
-
-    def table_fire(self, slot, tracer):
-        v = self.owner[slot]
-        (u,) = (u for u, s in self.slotmap[v].items() if s == slot)
-        fires.append((repr(self.sim.now), v, u))
-        _TABLE_LOST_FIRE(self, slot, tracer)
-
-    def reference_fire(self, key):
-        if key != "tick":
-            fires.append((repr(self.sim.now), self.node_id, key[1]))
-        _REFERENCE_FIRE_TIMER(self, key)
-
-    monkeypatch.setattr(NodeArrayTable, "_lost_fire", table_fire)
-    monkeypatch.setattr(ClockSyncNode, "_fire_timer", reference_fire)
-    return fires
-
-
-def _run(cfg, batch, monkeypatch, hook=None):
-    """Build and run ``cfg`` with the batch kernel forced on or off."""
-    monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", batch)
-    exp = Experiment(cfg)
-    assert exp.sim.batch is batch
-    if hook is not None:
-        hook(exp)
-    exp.lost_fires = _spy_lost_fires(monkeypatch)
-    res = exp.run()
-    return exp, res
-
-
-def _fingerprint(exp, res):
-    """Every observable a batch/scalar divergence could show up in.
-
-    Floats are captured as ``repr`` so the comparison is bitwise, not
-    tolerance-based.
-    """
-    cores = [exp.nodes[i].core for i in sorted(exp.nodes)]
-    return {
-        "events": res.events_dispatched,
-        "transport": res.transport_stats,
-        "jumps": [c.jumps for c in cores],
-        "total_jump": [repr(c.total_jump) for c in cores],
-        "L": [repr(c._L) for c in cores],
-        "Lmax": [repr(c._Lmax) for c in cores],
-        "h_last": [repr(c.h_last) for c in cores],
-        "messages_sent": [c.messages_sent for c in cores],
-        # Final state cannot tell a ``lost`` timer that fired late from one
-        # that fired on time (the row is forgotten either way): the fire
-        # times, as a multiset, can.
-        # (Both sides of a comparison are built alike: by ``_run`` /
-        # ``_run_general``, which record them, or by hand, which does not.)
-        "lost_fires": sorted(getattr(exp, "lost_fires", ())),
-        "gamma": [
-            sorted(
-                (u, repr(row.added_h), repr(row.l_est))
-                for u, row in c.gamma._rows.items()
-            )
-            for c in cores
-            if hasattr(c, "gamma")  # baseline cores keep no Gamma
-        ],
-        "oracle": (
-            None
-            if res.oracle_report is None
-            else (
-                res.oracle_report.ok,
-                res.oracle_report.checks,
-                res.oracle_report.violation_count,
-                repr(res.oracle_report.worst_margin),
-            )
-        ),
-    }
-
-
-#: Long-lived chords plus ring-edge outages on the batch-eligible ring.
-#: Ticks fire every ~0.5 and messages fly for 0.5, so every removal catches
-#: messages in flight (``dropped_removed``), and removals are discovered
-#: 2.0 later, so the endpoints keep sending meanwhile (``dropped_no_edge``).
-CHURN_SCRIPT = [
-    (2.3, "add", 5, 20),
-    (3.1, "add", 10, 30),
-    (6.37, "remove", 7, 8),
-    (9.8, "add", 7, 8),
-    (12.05, "remove", 30, 31),
-    (13.6, "add", 30, 31),
-    (17.2, "add", 2, 40),
-    (21.45, "remove", 5, 20),
-    (24.9, "remove", 40, 41),
-    (28.3, "add", 40, 41),
-    (33.15, "remove", 10, 30),
-]
-
-
-def _churned_sync_ring(script=CHURN_SCRIPT, n=48, horizon=40.0, **overrides):
-    cfg = configs.huge_sync_ring(n, horizon=horizon)
-    return replace(cfg, churn=[ScriptedChurn(script)], **overrides)
-
-
-def _spy_deliver_burst(monkeypatch):
-    """Record ``(now, us, vs)`` of every ``NodeArrayTable.deliver_burst``."""
-    calls = []
-    original = NodeArrayTable.deliver_burst
-
-    def spy(self, us, vs, payloads, sids):
-        calls.append((self.sim.now, list(us), list(vs)))
-        original(self, us, vs, payloads, sids)
-
-    monkeypatch.setattr(NodeArrayTable, "deliver_burst", spy)
-    return calls
-
-
-def _fast_discovery(params, rng):
-    """Constant latency under ``Delta T'``: a removal is discovered while the
-    ``lost`` timer is still pending (and lazily extended)."""
-    return ConstantDiscovery(0.5 * params.max_delay)
-
-
-def _perfect_7_8(node_id, params, rng, horizon):
-    """Split clocks, but nodes 7 and 8 tick at exact multiples of 0.5."""
-    if node_id in (7, 8):
-        return perfect_clock()
-    return extremal_clock(params.rho, fast=node_id < params.n // 2)
-
-
-#: Constant discovery latency makes both endpoints of a change -- and all of
-#: E_0 -- discover at one timestamp: runs of ``KIND_DISCOVER`` records.
-#: ``(id, config factory)``, run through ``GENERAL_CASES``' comparison;
-#: ``TestDiscoveryRuns`` checks each is what its comment claims.
-DISCOVERY_RUN_CASES = [
-    # Chord {5, 20} comes and goes inside D = 2: its add discoveries fire
-    # at 4.3 on a vanished edge, in one run with chord {10, 30}'s.
-    (
-        "transient",
-        lambda: _churned_sync_ring(
-            [(2.3, "add", 5, 20), (2.3, "add", 10, 30), (3.1, "remove", 5, 20)],
-            horizon=30.0,
-        ),
-    ),
-    # Edge {7, 8} fails at 4.0, a tick time of both endpoints, with nothing
-    # in flight (zero delay): their failed sends' absence records
-    # (``d=True``) fire at 6.0 with the removal's own discoveries.
-    (
-        "absence",
-        lambda: _churned_sync_ring(
-            [(4.0, "remove", 7, 8), (9.2, "add", 7, 8)],
-            horizon=30.0,
-            clock_spec=_perfect_7_8,
-            delay_spec="zero",
-        ),
-    ),
-    # Every greeting lands at the discovery's own timestamp.
-    (
-        "zero_delay",
-        lambda: _churned_sync_ring(CHURN_SCRIPT[:4], horizon=30.0, delay_spec="zero"),
-    ),
-    # Removals discovered while messages still extend the ``lost`` timers.
-    ("lazy_lost", lambda: _churned_sync_ring(discovery_spec=_fast_discovery)),
-]
-_DISCOVERY_MAKE = dict(DISCOVERY_RUN_CASES)
 
 
 def _spy_discover_runs(monkeypatch):
@@ -279,73 +91,37 @@ def _spy_discover_runs(monkeypatch):
     return runs
 
 
-PARITY_WORKLOADS = [
-    ("sync_ring", lambda: configs.huge_sync_ring(64, horizon=120.0)),
-    ("sync_grid", lambda: configs.huge_sync_grid(8, 8, horizon=60.0)),
-    ("churn_ring", lambda: configs.huge_churn_ring(64, horizon=60.0)),
-]
+# The cases this file named before they became rows of
+# ``test_kernel_parity.CASES``: each test asserts its row's parity and claims.
 
 
 class TestParity:
-    @pytest.mark.parametrize(
-        "name,make", PARITY_WORKLOADS, ids=[w[0] for w in PARITY_WORKLOADS]
-    )
-    def test_batch_bit_identical_to_scalar(self, name, make, monkeypatch):
-        exp_s, res_s = _run(make(), False, monkeypatch)
-        exp_b, res_b = _run(make(), True, monkeypatch)
-        assert exp_s.sim.batch_dispatches == 0
-        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+    @pytest.mark.parametrize("name", ["sync_ring", "sync_grid", "churn_ring"])
+    def test_batch_bit_identical_to_scalar(self, name):
+        holds(name)
 
-    def test_batch_path_actually_engages(self, monkeypatch):
-        """The sync workload must hit the vectorized phases, not fall back."""
-        exp, _ = _run(configs.huge_sync_ring(64, horizon=30.0), True, monkeypatch)
-        assert exp.sim.batch_dispatches > 0
-        assert exp.transport.plan.table is not None
+    def test_batch_path_actually_engages(self):
+        holds("sync_ring")  # its ENGAGED claim
 
-    def test_churn_keeps_array_path_and_agrees(self, monkeypatch):
-        """Churn must not evict the array path, and both drop kinds hold."""
-        exp_s, res_s = _run(_churned_sync_ring(), False, monkeypatch)
-        bursts = _spy_deliver_burst(monkeypatch)
-        exp_b, res_b = _run(_churned_sync_ring(), True, monkeypatch)
-        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
-        assert res_b.transport_stats["dropped_no_edge"] > 0
-        assert res_b.transport_stats["dropped_removed"] > 0
-        assert exp_b.sim.batch_dispatches > 0
-        first_flip = CHURN_SCRIPT[0][0]
-        late = [t for t, _us, _vs in bursts if t > first_flip]
-        assert len(late) > 100  # still the steady-state path, not a one-off
+    def test_churn_keeps_array_path_and_agrees(self):
+        holds("churned_sync_ring")
 
-    def test_regrown_upsilon_sends_to_new_neighbours(self, monkeypatch):
-        """Upsilon shrinking then regrowing to its old size is not stale.
+    def test_regrown_upsilon_sends_to_new_neighbours(self):
+        holds("regrown_upsilon")
 
-        Node 0 believes in ``{1, 15}``, loses 1 and gains 5: the believed
-        set has two members before and after, so a send template
-        validated by length alone would keep addressing node 1.
-        """
-        script = [(3.2, "remove", 0, 1), (3.3, "add", 0, 5)]
-        bursts = _spy_deliver_burst(monkeypatch)
-        exp, res = _run(
-            _churned_sync_ring(script, n=16, horizon=12.0), True, monkeypatch
-        )
-        assert exp.nodes[0].core.upsilon == {5, 15}
-        settled = [
-            (u, v)
-            for t, us, vs in bursts
-            if t > 6.5  # both changes discovered by 5.3, last stale send lands by 5.8
-            for u, v in zip(us, vs)
-            if u == 0
-        ]
-        assert set(settled) == {(0, 5), (0, 15)}
-        # Only sends made while the removal was still undiscovered dropped.
-        assert 0 < res.transport_stats["dropped_no_edge"] <= 2 * 5
+
+class TestGating:
+    def test_maxsync_runs_unchanged_under_batch_default(self):
+        holds("max_baseline")
 
 
 class TestDiscoveryRuns:
-    """``DISCOVERY_RUN_CASES`` are what they claim (parity: ``GENERAL_CASES``)."""
+    """The ``run_*`` rows of ``test_kernel_parity.CASES`` are what they claim."""
 
     def _runs(self, name, monkeypatch):
         runs = _spy_discover_runs(monkeypatch)
-        exp, res = _run(_DISCOVERY_MAKE[name](), True, monkeypatch)
+        parity = run(CASE[f"run_{name}"].make(), batch=True)
+        exp, res = parity.exp, parity.res
         # E_0 is one run: both endpoints of every ring edge.
         assert len(runs[0]["records"]) == 2 * len(exp.nodes)
         return exp, res, runs
@@ -367,7 +143,7 @@ class TestDiscoveryRuns:
         assert res.transport_stats["dropped_no_edge"] > 2  # later sends deduped
 
     def test_zero_delay_greetings_dispatch_after_their_run(self, monkeypatch):
-        bursts = _spy_deliver_burst(monkeypatch)
+        bursts = BURSTS(monkeypatch)
         exp, res, _ = self._runs("zero_delay", monkeypatch)
         assert exp.transport.plan.table.send_delay is None
         assert not bursts  # every greeting went through Transport.send
@@ -383,8 +159,8 @@ class TestDiscoveryRuns:
 
     def test_greetings_of_a_run_travel_as_one_burst(self, monkeypatch):
         """E_0 on the sync ring: 2n greetings, one heap record."""
-        bursts = _spy_deliver_burst(monkeypatch)
-        exp, _ = _run(configs.huge_sync_ring(32, horizon=2.6), True, monkeypatch)
+        bursts = BURSTS(monkeypatch)
+        exp = run(configs.huge_sync_ring(32, horizon=2.6), batch=True).exp
         t, us, vs = bursts[0]
         assert t == 2.0 + 0.5 and len(us) == 64
         assert sorted(zip(us, vs)) == sorted(
@@ -549,15 +325,6 @@ class TestDecidedOnce:
         assert transport.array_events > 0
 
 
-class TestGating:
-    def test_maxsync_runs_unchanged_under_batch_default(self, monkeypatch):
-        cfg = lambda: configs.huge_sync_ring(16, horizon=20.0, algorithm="max")
-        _, res_s = _run(cfg(), False, monkeypatch)
-        _, res_b = _run(cfg(), True, monkeypatch)
-        assert res_b.events_dispatched == res_s.events_dispatched
-        assert res_b.transport_stats == res_s.transport_stats
-
-
 class TestEventKinds:
     def test_kind_tables_sized_consistently(self):
         assert len(KIND_NAMES) == N_KINDS
@@ -566,26 +333,8 @@ class TestEventKinds:
         assert KIND_NAMES[KIND_TICK_BURST] == "tick_burst"
         assert POOLABLE[KIND_DELIVER_BURST] and POOLABLE[KIND_TICK_BURST]
 
-    def test_burst_records_expand_into_kind_counts(self, monkeypatch):
-        """Dispatch tallies count constituents, never aggregate records."""
-        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", False)
-        exp_s = Experiment(configs.huge_sync_ring(32, horizon=30.0))
-        exp_s.sim.kind_counts = [0] * N_KINDS
-        res_s = exp_s.run()
-        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
-        exp_b = Experiment(configs.huge_sync_ring(32, horizon=30.0))
-        exp_b.sim.kind_counts = [0] * N_KINDS
-        res_b = exp_b.run()
-        assert res_b.events_dispatched == res_s.events_dispatched
-        counts_s = exp_s.sim.kind_counts
-        counts_b = exp_b.sim.kind_counts
-        # Aggregate kinds net out to zero: each dispatch re-books its
-        # cardinality as the constituent kind.
-        assert counts_b[KIND_DELIVER_BURST] == 0
-        assert counts_b[KIND_TICK_BURST] == 0
-        assert counts_b[KIND_DELIVER] == counts_s[KIND_DELIVER]
-        assert counts_b[KIND_TIMER] == counts_s[KIND_TIMER]
-        assert counts_b == counts_s
+    def test_burst_records_expand_into_kind_counts(self):
+        holds("sync_ring")  # ``check`` asserts the re-booking on every run
 
 
 class TestPopRun:
@@ -717,7 +466,7 @@ class TestAdjustClocksBatch:
         """
 
         def blocked():
-            exp, _ = _run(configs.huge_sync_ring(16, horizon=10.0), True, monkeypatch)
+            exp = run(configs.huge_sync_ring(16, horizon=10.0), batch=True).exp
             cores = [exp.nodes[i].core for i in sorted(exp.nodes)]
             for core in cores:
                 core.force_raise_max(core._L + 500.0)
@@ -739,257 +488,29 @@ class TestAdjustClocksBatch:
         assert all(c._L < c._Lmax for c in a)  # released up to a row, not to Lmax
 
 
-# --------------------------------------------------------------------- #
-# The general path: arbitrary rates, staggered ticks, arbitrary delays
-# --------------------------------------------------------------------- #
-
-
-#: Ring-edge outages and chords on the drifting ring.  Messages fly for up
-#: to 1.0 and ticks fire every ~0.5 per node, so every removal catches
-#: messages in flight (``dropped_removed``); removals are discovered up to
-#: 2.0 later, so the endpoints keep sending meanwhile (``dropped_no_edge``).
-GENERAL_CHURN_SCRIPT = [
-    (1.3, "add", 5, 20),
-    (2.37, "remove", 7, 8),
-    (4.8, "add", 7, 8),
-    (6.05, "remove", 30, 31),
-    (7.6, "add", 30, 31),
-    (9.45, "remove", 5, 20),
-    (11.9, "remove", 40, 41),
-]
-
-
-def _swap_core_5(core_cls):
-    """Hook: swap node 5's freshly started DCSA core for a ``core_cls`` one."""
-
-    def hook(exp):
-        node = exp.nodes[5]
-        node.core = core_cls(5, exp.cfg.params, tick_stagger=node.core._tick_stagger)
-
-    return hook
-
-
-def _far_ahead(exp):
-    """Node 0 starts 3000 ahead: the rest chase it for the whole run, each
-    held back by its Gamma rows (``Lmax > L`` at most of their ticks)."""
-    exp.nodes[0]._raise_max(3000.0)
-    exp.nodes[0]._jump_logical(3000.0)
-
-
-def _sinusoidal(node_id, params, rng, horizon):
-    """Segments of 1.6 / 32 = 0.05, a tenth of a tick: nearly every timer
-    inverse crosses segments and falls back to ``clock.time_at``."""
-    return sinusoidal_clock(params.rho, 1.6, horizon, phase=float(node_id))
-
-
-def _two_phase(node_id, params, rng, horizon):
-    """The Lemma 4.2 schedule: layer ``d`` (ring distance from node 0) runs
-    at ``1 + rho``, then at 1 -- switching at ``1.5 d`` rather than
-    ``max_delay * d / rho`` so that every layer does inside the horizon."""
-    return two_phase_clock(params.rho, 1.5 * min(node_id, params.n - node_id))
-
-
-_DRIFT = AdversaryRef("adaptive_drift", {"period": 0.7})
-
-
-#: ``(id, config factory, post-build hook, declining core)``; the last is
-#: ``None`` where the table is valid.
+#: The general path's rows, under the names this file gave them.
 GENERAL_CASES = [
-    ("ring64", lambda: configs.huge_ring(64, horizon=20.0), None, None),
-    ("ring256", lambda: configs.huge_ring(256, horizon=8.0), None, None),
-    (
-        "churned",
-        lambda: replace(
-            configs.huge_ring(64, horizon=15.0),
-            churn=[ScriptedChurn(GENERAL_CHURN_SCRIPT)],
-        ),
-        None,
-        None,
-    ),
-    # A tick's send lands at ``now`` and must dispatch before the next timer.
-    (
-        "zero_delay",
-        lambda: replace(configs.huge_ring(64, horizon=12.0), delay_spec="zero"),
-        None,
-        None,
-    ),
-    # One baseline core: the table declines, everything stays on handle().
-    (
-        "mixed",
-        lambda: configs.huge_ring(64, horizon=12.0),
-        _swap_core_5(MaxSyncCore),
-        "MaxSyncCore",
-    ),
-    # Two coefficient rows in one population: the table holds one.
-    (
-        "mixed_static",
-        lambda: configs.huge_ring(64, horizon=12.0),
-        _swap_core_5(StaticGradientCore),
-        "StaticGradientCore",
-    ),
-    # Same-timestamp discovery runs (constant latency, batch-eligible ring).
-    *((f"run_{name}", make, None, None) for name, make in DISCOVERY_RUN_CASES),
-    # Arbitrary drift: piecewise rates under singletons, under timer runs,
-    # bursts and (dissolving) tick groups, and under churn on the grid.
-    (
-        "rw_ring",
-        lambda: replace(configs.huge_ring(64, horizon=20.0), clock_spec="random_walk"),
-        None,
-        None,
-    ),
-    (
-        "rw_sync_ring",
-        lambda: replace(
-            configs.huge_sync_ring(48, horizon=40.0), clock_spec="random_walk"
-        ),
-        None,
-        None,
-    ),
-    (
-        "rw_churned_grid",
-        lambda: replace(
-            configs.huge_sync_grid(7, 7, horizon=30.0),
-            clock_spec="random_walk",
-            churn=[ScriptedChurn(CHURN_SCRIPT)],
-        ),
-        None,
-        None,
-    ),
-    (
-        "sinusoidal",
-        lambda: replace(configs.huge_ring(32, horizon=12.0), clock_spec=_sinusoidal),
-        None,
-        None,
-    ),
-    (
-        "two_phase",
-        lambda: replace(configs.huge_sync_ring(24, horizon=30.0), clock_spec=_two_phase),
-        None,
-        None,
-    ),
-    # Steered clocks: every rate re-drawn each 0.7, between any two events.
-    (
-        "steered",
-        lambda: replace(configs.huge_ring(48, horizon=15.0), adversary=_DRIFT),
-        None,
-        None,
-    ),
-    (
-        "steered_churned",
-        lambda: replace(
-            configs.huge_ring(48, horizon=15.0),
-            adversary=_DRIFT,
-            churn=[ScriptedChurn(GENERAL_CHURN_SCRIPT)],
-        ),
-        None,
-        None,
-    ),
-    # Blocked nodes released at ticks: the tick phase's ``Lmax > L`` filter
-    # passes cores on, in tick runs and groups, and some of them jump.
-    ("blocked", lambda: configs.huge_sync_ring(16, horizon=60.0), _far_ahead, None),
-    # The constant-B baseline is a coefficient row of the same step; blocked
-    # so that AdjustClock really scans Gamma with it.
-    (
-        "static",
-        lambda: configs.huge_sync_ring(16, horizon=60.0, algorithm="static"),
-        _far_ahead,
-        None,
-    ),
+    "ring64", "ring256", "churned", "zero_delay", "mixed", "mixed_static",
+    "run_transient", "run_absence", "run_zero_delay", "run_lazy_lost",
+    "rw_ring", "rw_sync_ring", "rw_churned_grid", "sinusoidal", "two_phase",
+    "steered", "steered_churned", "blocked", "static",
 ]
-_GENERAL_MAKE = {case[0]: case[1] for case in GENERAL_CASES}
-
-
-def _run_general(cfg, batch, hook=None):
-    """Run ``cfg`` on the chosen kernel, counting what a silent fallback moves.
-
-    Returns ``(exp, res, handled, draws)``: ``handled`` tallies the events
-    ``ProtocolCore.handle`` received by kind (ticks apart from ``lost``
-    fires; ``tick_jump`` counts the ticks that emitted ``JumpL``),
-    ``draws`` is the delay policy's call count plus its unread draw
-    buffer, i.e. its exact position in the random stream.
-    """
-    handled = Counter()
-    original = ProtocolCore.handle
-
-    def spy(self, now_h, event):
-        name = type(event).__name__
-        if name == "TimerFired":
-            name = "tick" if event.key == "tick" else "lost"
-        handled[name] += 1
-        effects = original(self, now_h, event)
-        if name == "tick" and any(type(eff) is JumpL for eff in effects):
-            handled["tick_jump"] += 1
-        return effects
-
-    calls = [0]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ProtocolCore, "handle", spy)
-        mp.setattr(simulator_mod, "BATCH_DEFAULT", batch)
-        exp = Experiment(cfg)
-        if hook is not None:
-            hook(exp)
-        policy = exp.transport.delay_policy
-        draw = policy.delay
-
-        def counting(u, v, t):
-            calls[0] += 1
-            return draw(u, v, t)
-
-        policy.delay = counting
-        exp.lost_fires = _spy_lost_fires(mp)
-        res = exp.run()
-    return exp, res, handled, (calls[0], getattr(policy, "_buf", None))
 
 
 class TestGeneralPathParity:
-    """Singleton deliveries and ticks ride the table, bit-identically."""
+    """The general path's rows of ``test_kernel_parity.CASES`` are what
+    they claim, and the table rejects what the reference rejects."""
 
-    @pytest.mark.parametrize(
-        "name,make,hook,declining", GENERAL_CASES, ids=[c[0] for c in GENERAL_CASES]
-    )
-    def test_singletons_bit_identical_to_scalar(self, name, make, hook, declining):
-        valid = declining is None
-        exp_s, res_s, handled_s, draws_s = _run_general(make(), False, hook)
-        exp_b, res_b, handled_b, draws_b = _run_general(make(), True, hook)
-        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
-        assert res_b.total_jumps() == res_s.total_jumps()
-        if valid and exp_b.transport.plan.table.send_delay is not None:
-            # Bulk sends legitimately bypass ``delay()`` -- a positive
-            # constant has no stream to advance -- so only here the call
-            # count is not comparable.
-            assert draws_b[1] is None and draws_s[1] is None
-            assert draws_b[0] < draws_s[0]
-        else:
-            assert draws_b == draws_s
-        # The scalar reference is the unchanged handle() path.
-        assert res_s.array_events == 0
-        assert handled_s["MessageReceived"] == res_s.transport_stats["delivered"]
-        assert handled_s["tick"] > 0
-        if valid:
-            assert res_b.batch_gate_reason is None
-            # A silent fallback must fail, not merely get slower: no
-            # ``handle()`` call is left (``start()`` arms the first tick
-            # without one).
-            assert handled_b == {}
-            assert res_b.array_events == sum(
-                handled_s[kind]
-                for kind in (
-                    "MessageReceived", "tick", "DiscoverAdd", "DiscoverRemove", "lost",
-                )
-            )
-        else:
-            assert declining in res_b.batch_gate_reason
-            assert res_b.array_events == 0
-            assert handled_b == handled_s
+    @pytest.mark.parametrize("name", GENERAL_CASES)
+    def test_singletons_bit_identical_to_scalar(self, name):
+        holds(name)
 
     def test_churned_case_exercises_both_drop_kinds(self):
-        _, res, _, _ = _run_general(_GENERAL_MAKE["churned"](), True)
-        assert res.transport_stats["dropped_no_edge"] > 0
-        assert res.transport_stats["dropped_removed"] > 0
+        holds("churned")  # its two drop-kind claims
 
     def test_drift_cases_are_what_they_claim(self, monkeypatch):
-        """Segments really are crossed, rates really are steered, and the
-        reference really releases blocked nodes at ticks."""
+        """Segments really are crossed and rates really are steered (the
+        ``blocked`` row claims its tick-time releases itself)."""
         reseats = Counter()
         reseat = NodeArrayTable._reseat
         time_at = PiecewiseRateClock.time_at
@@ -1010,28 +531,25 @@ class TestGeneralPathParity:
             ("steered_churned", "SteerableClock", 48 * 20),
         ]:
             reseats.clear()
-            _run_general(_GENERAL_MAKE[name](), True)
+            run(CASE[name].make(), batch=True)
             assert reseats[kind] >= at_least, (name, reseats)
         # The table calls ``time_at`` only where a deadline lies past its
         # row's segment: on the sinusoid, for nearly every delivery and tick.
         reseats.clear()
-        _, res, _, _ = _run_general(_GENERAL_MAKE["sinusoidal"](), True)
+        res = run(CASE["sinusoidal"].make(), batch=True).res
         deadlines = res.array_events - res.transport_stats["discoveries_delivered"]
         assert reseats["PiecewiseRateClock"] >= 32 * 12 * 4, reseats
         assert reseats["time_at"] > 0.9 * deadlines, reseats
-        _, res, handled, _ = _run_general(
-            _GENERAL_MAKE["blocked"](), False, _far_ahead
-        )
-        assert handled["tick_jump"] >= 10 and res.array_events == 0
 
     def test_zero_lower_bound_cases_are_what_they_claim(self):
         """``ConstantDelay(0)`` sends per message; the default is ``U(0, T)``."""
-        exp, res, _, _ = _run_general(_GENERAL_MAKE["zero_delay"](), True)
+        parity = run(CASE["zero_delay"].make(), batch=True)
+        exp, res = parity.exp, parity.res
         assert isinstance(exp.transport.delay_policy, ConstantDelay)
         assert exp.transport.delay_policy.value == 0.0
         assert exp.transport.plan.table.send_delay is None
         assert res.transport_stats["delivered"] > 0
-        default = Experiment(_GENERAL_MAKE["ring64"]()).transport.delay_policy
+        default = Experiment(CASE["ring64"].make()).transport.delay_policy
         assert isinstance(default, UniformDelay) and default.lo == 0.0
 
     @pytest.mark.parametrize("key", ["t", "xy", ("gone", 1), 7])
@@ -1136,107 +654,12 @@ class TestLateEffectLog:
         assert exp.nodes[3].effect_log
 
 
-_N = 12  # ring size of the churn property (batch-eligible population)
-
-_churn_ops = st.lists(
-    st.tuples(
-        st.floats(0.01, 1.5, allow_nan=False, allow_infinity=False),
-        st.integers(0, _N - 1),
-        st.integers(0, _N - 1),
-    ).filter(lambda op: op[1] != op[2]),
-    max_size=24,
-)
+def test_property_any_config_default_kernel_equals_reference():
+    holds("any_config[default_lane]")
 
 
-def _script_from_ops(ops):
-    """Turn ``(dt, u, v)`` draws into a legal flip script on the ``_N``-ring.
-
-    Each op flips edge ``{u, v}`` relative to its current state at a
-    strictly later time than the previous one (an edge cannot change twice
-    at one instant), so ring edges suffer outages and chords come and go.
-    """
-    ring = configs.huge_sync_ring(_N).initial_edges
-    present = {(min(u, v), max(u, v)) for u, v in ring}
-    t = 1.0
-    script = []
-    for dt, u, v in ops:
-        t += dt
-        edge = (min(u, v), max(u, v))
-        if edge in present:
-            present.discard(edge)
-            script.append((t, "remove", *edge))
-        else:
-            present.add(edge)
-            script.append((t, "add", *edge))
-    return script
-
-
-@pytest.mark.slow
-@settings(max_examples=40, deadline=None)
-@given(ops=_churn_ops, tie=st.booleans())
-# Discovery latency == delay: the absence discovery of a failed send ties
-# on (time, priority) with the deliveries of the same tick run.
-@example(ops=[(0.3, 3, 4), (0.2, 1, 7), (1.1, 3, 4), (0.6, 1, 7)], tie=True)
-def test_property_random_flip_scripts_bit_identical(ops, tie):
-    """Property: any add/remove script, scalar == batch, bitwise."""
-    overrides = {}
-    if tie:
-        overrides["discovery_spec"] = _fast_discovery
-    script = _script_from_ops(ops)
-    with pytest.MonkeyPatch.context() as mp:
-        make = lambda: _churned_sync_ring(script, n=_N, horizon=25.0, **overrides)
-        exp_s, res_s = _run(make(), False, mp)
-        exp_b, res_b = _run(make(), True, mp)
-    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
-    assert exp_b.transport.plan.table is not None
-
-
-@pytest.mark.slow
-@settings(max_examples=25, deadline=None)
-@given(ops=_churn_ops, zero=st.booleans())
-def test_property_general_path_flip_scripts_bit_identical(ops, zero):
-    """Property: drifting ring, any flip script, scalar == singletons-on-table."""
-    script = _script_from_ops(ops)
-    make = lambda: replace(
-        configs.huge_ring(_N, horizon=15.0),
-        churn=[ScriptedChurn(script)],
-        delay_spec="zero" if zero else "uniform",
-    )
-    exp_s, res_s, _, draws_s = _run_general(make(), False)
-    exp_b, res_b, handled_b, draws_b = _run_general(make(), True)
-    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
-    assert draws_b == draws_s
-    assert handled_b["MessageReceived"] == handled_b["tick"] == 0
-
-
-def _any_config_parity(cfg, lane_min=None):
-    with pytest.MonkeyPatch.context() as mp:
-        if lane_min is not None:
-            mp.setattr(batch_mod, "ARRAY_LANE_MIN", lane_min)
-        exp_s, res_s = _run(replace(cfg), False, mp)
-        exp_b, res_b = _run(replace(cfg), True, mp)
-    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
-    assert res_s.array_events == 0
-    # (Read off the reference run: a table-covered core is a row view.)
-    if all(type(node.core) is DCSACore for node in exp_s.nodes.values()):
-        assert res_b.array_events > 0 and res_b.batch_gate_reason is None
-
-
-@settings(max_examples=25, deadline=None)
-@given(cfg=experiment_configs(4, 12, horizon=30.0, adversarial=True))
-def test_property_any_config_default_kernel_equals_reference(cfg):
-    """Property: whatever the clocks, delays, churn and adversary, the
-    default kernel leaves the reference's state -- and a population of
-    plain DCSA cores never runs without the table."""
-    _any_config_parity(cfg)
-
-
-@settings(max_examples=25, deadline=None)
-@given(cfg=experiment_configs(4, 12, horizon=30.0, adversarial=True))
-def test_property_any_config_array_lane_equals_reference(cfg):
-    """The same property with the lane constant at 1, so that every run and
-    tick group of these n <= 12 configs takes the array lane."""
-    _any_config_parity(cfg, lane_min=1)
+def test_property_any_config_array_lane_equals_reference():
+    holds("any_config[lane_1]")
 
 
 @pytest.mark.slow

@@ -3,7 +3,8 @@
 The load-bearing guarantees:
 
 * **Neutrality** -- activating timeline capture leaves every
-  deterministic run metric bit-identical: the recorder is an ambient
+  deterministic run metric bit-identical (``test_kernel_parity.py`` runs
+  every case and drawn config with it on): the recorder is an ambient
   observer like the sampler and tracer, drawing no RNG and scheduling
   nothing.
 * **Schema** -- every assembled bundle validates against the versioned
@@ -22,6 +23,7 @@ import re
 
 import numpy as np
 import pytest
+from test_kernel_parity import holds
 
 from repro.cli import main
 from repro.core import skew_bounds
@@ -242,47 +244,19 @@ class TestTimeline:
 
 
 # --------------------------------------------------------------------- #
-# Neutrality: capture must not perturb the physics
+# Bundles
 # --------------------------------------------------------------------- #
-
-#: The golden workloads (mirrors tests/test_golden_values.py).
-WORKLOADS = [
-    ("static_path", lambda: configs.static_path(8, horizon=60.0, seed=3)),
-    ("backbone_churn", lambda: configs.backbone_churn(8, horizon=60.0, seed=5)),
-    ("adversarial_drift", lambda: configs.adversarial_drift(8, horizon=60.0, seed=7)),
-]
 
 
 class TestNeutrality:
-    @pytest.mark.parametrize("name,make", WORKLOADS, ids=[w[0] for w in WORKLOADS])
-    def test_metrics_identical_with_capture_on(self, name, make):
-        baseline = run_experiment(make())
-        with timeline_session():
-            observed = run_experiment(make())
-        # Bit-identical, not approx: the recorder is a pure observer.
-        assert observed.max_global_skew == baseline.max_global_skew
-        assert observed.max_local_skew == baseline.max_local_skew
-        assert observed.total_jumps() == baseline.total_jumps()
-        assert observed.events_dispatched == baseline.events_dispatched
+    """Rows of ``test_kernel_parity.CASES``: every run there has capture on."""
+
+    @pytest.mark.parametrize("workload", ["static_path", "backbone_churn", "adversarial_drift"])
+    def test_metrics_identical_with_capture_on(self, workload):
+        holds(f"golden_{workload}")
 
     def test_armed_run_identical_with_capture_on(self):
-        baseline = run_experiment(_armed_config())
-        with timeline_session() as tl:
-            observed = run_experiment(_armed_config())
-        assert tl.rows > 0  # capture really was live this time
-        assert observed.max_global_skew == baseline.max_global_skew
-        assert observed.total_jumps() == baseline.total_jumps()
-        assert observed.events_dispatched == baseline.events_dispatched
-        base_report = baseline.oracle_report
-        obs_report = observed.oracle_report
-        assert base_report is not None and obs_report is not None
-        assert obs_report.checks == base_report.checks
-        assert obs_report.worst_margin == base_report.worst_margin
-
-
-# --------------------------------------------------------------------- #
-# Bundles
-# --------------------------------------------------------------------- #
+        holds("armed_backbone_churn")
 
 
 class TestBundle:

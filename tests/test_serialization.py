@@ -8,6 +8,7 @@ These dicts are the identity used by the content-addressed result store
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
@@ -57,31 +58,16 @@ class TestSystemParams:
             SystemParams.from_dict(d)
 
 
-CANNED = [
-    ("static_path", lambda: configs.static_path(8, horizon=20.0)),
-    ("static_ring", lambda: configs.static_ring(8, horizon=20.0)),
-    ("large_ring", lambda: configs.large_ring(8, horizon=20.0)),
-    ("static_grid", lambda: configs.static_grid(2, 4, horizon=20.0)),
-    ("backbone_churn", lambda: configs.backbone_churn(8, horizon=20.0)),
-    ("rotating_backbone", lambda: configs.rotating_backbone(8, horizon=50.0, window=12.0)),
-    ("mobile_network", lambda: configs.mobile_network(8, horizon=20.0)),
-    ("edge_insertion", lambda: configs.edge_insertion(8, t_insert=10.0, horizon=30.0)),
-    ("flapping_edges", lambda: configs.flapping_edges(8, horizon=20.0)),
-    ("two_chain_insertion", lambda: configs.two_chain_insertion(10, t_insert=10.0, horizon=30.0)),
-    ("adversarial_drift", lambda: configs.adversarial_drift(8, horizon=20.0)),
-    ("adversarial_delay", lambda: configs.adversarial_delay(8, horizon=20.0)),
-    ("greedy_topology", lambda: configs.greedy_topology(8, horizon=20.0)),
-    ("combined_adversary", lambda: configs.combined_adversary(8, horizon=20.0)),
-]
-
-
 class TestExperimentConfig:
-    @pytest.mark.parametrize("name,make", CANNED, ids=[c[0] for c in CANNED])
-    def test_all_canned_configs_roundtrip(self, name, make):
-        cfg = make()
-        d = cfg.to_dict()
-        cfg2 = roundtrip(cfg)
-        assert cfg2.to_dict() == d
+    @pytest.mark.parametrize("name", sorted(configs.WORKLOADS))
+    def test_all_canned_configs_roundtrip(self, name):
+        """Every ``WORKLOADS`` entry builds at its defaults (a required size
+        small) and round-trips."""
+        make = configs.WORKLOADS[name]
+        small = {"n": 6, "rows": 2, "cols": 3}
+        params = inspect.signature(make).parameters.values()
+        cfg = make(**{p.name: small[p.name] for p in params if p.default is p.empty})
+        assert roundtrip(cfg).to_dict() == cfg.to_dict()
 
     def test_scripted_churn_roundtrips(self):
         cfg = ExperimentConfig(

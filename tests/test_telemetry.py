@@ -2,11 +2,12 @@
 
 The load-bearing guarantees:
 
-* **Neutrality** — attaching the full telemetry stack (ambient registry,
-  instrumented kernel/transport/oracle, background sampler, flight
-  recorder) leaves every deterministic run metric bit-identical.  The
-  sampler is a neutral observer like the streaming oracle: it must never
-  schedule events or draw from run RNG streams.
+* **Neutrality** — attaching the telemetry registry (instrumented
+  kernel/transport/oracle) leaves every deterministic run metric
+  bit-identical: ``test_kernel_parity.py`` runs every case and drawn
+  config with it on.  The sampler is a neutral observer like the
+  streaming oracle: it must never schedule events or draw from run RNG
+  streams.
 * **Schema** — every frame the sampler emits validates against the
   versioned frame schema (`repro.telemetry.schema`), so `repro top` and
   external tooling can trust the JSONL stream.
@@ -26,6 +27,7 @@ import time
 from contextlib import contextmanager
 
 import pytest
+from test_kernel_parity import holds
 
 from repro.harness import configs, run_experiment
 from repro.obs import timeline_session
@@ -409,53 +411,12 @@ class TestTopCommand:
         assert "error" in capsys.readouterr().err
 
 
-# --------------------------------------------------------------------- #
-# Neutrality: telemetry must not perturb the physics
-# --------------------------------------------------------------------- #
-
-#: The golden workloads (mirrors tests/test_golden_values.py).
-WORKLOADS = [
-    ("static_path", lambda: configs.static_path(8, horizon=60.0, seed=3)),
-    ("backbone_churn", lambda: configs.backbone_churn(8, horizon=60.0, seed=5)),
-    ("adversarial_drift", lambda: configs.adversarial_drift(8, horizon=60.0, seed=7)),
-]
-
-
 class TestNeutrality:
-    @pytest.mark.parametrize("name,make", WORKLOADS, ids=[w[0] for w in WORKLOADS])
-    def test_metrics_identical_with_telemetry_on(self, name, make, tmp_path):
-        baseline = run_experiment(make())
+    """Rows of ``test_kernel_parity.CASES``: every run there has telemetry on."""
 
-        reg = get_registry()
-        reg.reset()
-        reg.enable()
-        try:
-            rec = FlightRecorder(str(tmp_path / "m.jsonl"))
-            sampler = TelemetrySampler(reg, interval=0.01, sink=rec, source=name)
-            sampler.start()
-            observed = run_experiment(make())
-            sampler.stop()
-            rec.close()
-        finally:
-            reg.disable()
-            reg.reset()
-
-        # Bit-identical, not approx: the sampler is a pure observer.
-        assert observed.max_global_skew == baseline.max_global_skew
-        assert observed.max_local_skew == baseline.max_local_skew
-        assert observed.total_jumps() == baseline.total_jumps()
-        assert observed.events_dispatched == baseline.events_dispatched
-
-        # And the instrumentation really was live: the final frame agrees
-        # with the run's own event count.
-        last = sampler.last_frame
-        assert last is not None
-        assert (
-            last["counters"]["kernel.events_dispatched"]
-            == observed.events_dispatched
-        )
-        for frame in read_frames(str(tmp_path / "m.jsonl")):
-            validate_frame(frame)
+    @pytest.mark.parametrize("workload", ["static_path", "backbone_churn", "adversarial_drift"])
+    def test_metrics_identical_with_telemetry_on(self, workload):
+        holds(f"golden_{workload}")
 
 
 @contextmanager

@@ -3,16 +3,18 @@
 The load-bearing guarantees:
 
 * **Neutrality** — running with the tracer attached leaves every
-  deterministic run metric bit-identical on the golden workloads.  Hooks
-  draw no RNG and schedule nothing; the flight span id rides the
-  delivery record's observer slot, which physics never reads.
+  deterministic run metric bit-identical (``test_kernel_parity.py``
+  holds every case and drawn config to it).  Hooks draw no RNG and
+  schedule nothing; the flight span id rides the delivery record's
+  observer slot, which physics never reads.
 * **Accounting** — one flight span per transport send; delivered /
   dropped / still-in-flight statuses reconcile exactly with the
   transport's own counters (including the end-of-run fixup for the
   optimistically-closed spans of messages the horizon caught mid-air).
 * **Kernel parity** — a traced run on the struct-of-arrays batch path
   writes the same per-message span multiset as the traced scalar run
-  (``canonical_spans``), and tracing never changes which kernel runs.
+  (``kernel_parity.canonical_spans``, on every run of the parity
+  property), also when the table is full.
 * **Export** — the Chrome-trace JSON validates (``ph``/``ts`` on every
   event) and carries at least one flow event per delivered message.
 * **Forensics** — on a seeded broken-bound DelayAdversary run,
@@ -23,32 +25,16 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import json
-from collections import Counter
-from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
-from test_batch_kernel import (
-    DISCOVERY_RUN_CASES,
-    PARITY_WORKLOADS,
-    _churn_ops,
-    _churned_sync_ring,
-    _fast_discovery,
-    _fingerprint,
-    _N,
-    _run,
-    _script_from_ops,
-)
+from kernel_parity import assert_same, run
+from test_kernel_parity import holds
 
 from repro.harness import configs, run_experiment
-from repro.harness.registry import AdversaryRef, OracleRef
+from repro.harness.registry import OracleRef
 from repro.harness.runner import Experiment
-from repro.obs import timeline_session
-from repro.params import SystemParams
 from repro.sim import simulator as simulator_mod
-from repro.sim.events import KIND_DELIVER_BURST
-from repro.telemetry import get_registry
 from repro.tracing import (
     SPAN_DISCOVER,
     SPAN_FLIGHT,
@@ -174,35 +160,7 @@ class TestTracerHooks:
 # --------------------------------------------------------------------- #
 
 
-WORKLOADS = [
-    ("static_path", lambda: configs.static_path(8, horizon=60.0, seed=3)),
-    ("backbone_churn", lambda: configs.backbone_churn(8, horizon=60.0, seed=5)),
-    ("adversarial_drift", lambda: configs.adversarial_drift(8, horizon=60.0, seed=7)),
-    # Batch-eligible: traced-vs-untraced identity on the array path too.
-    ("huge_sync_ring", lambda: configs.huge_sync_ring(256, horizon=20.0)),
-    # The general path: singleton deliveries and ticks on the table.
-    ("huge_ring", lambda: configs.huge_ring(256, horizon=8.0)),
-]
-
-
 class TestSimTracing:
-    @pytest.mark.parametrize("name,make", WORKLOADS, ids=[w[0] for w in WORKLOADS])
-    def test_traced_runs_bit_identical(self, name, make):
-        baseline = run_experiment(make())
-        with trace_session():
-            traced = run_experiment(make())
-        if baseline.config.record:
-            assert traced.max_global_skew == baseline.max_global_skew
-            assert traced.max_local_skew == baseline.max_local_skew
-        h = baseline.config.horizon
-        for i, node in baseline.nodes.items():
-            assert traced.nodes[i].logical_clock(h) == node.logical_clock(h)
-            assert traced.nodes[i].max_estimate(h) == node.max_estimate(h)
-        assert traced.array_events == baseline.array_events
-        assert traced.total_jumps() == baseline.total_jumps()
-        assert traced.events_dispatched == baseline.events_dispatched
-        assert traced.transport_stats == baseline.transport_stats
-
     def test_flight_accounting_reconciles_with_transport(self):
         with trace_session() as tr:
             res = run_experiment(
@@ -306,256 +264,37 @@ class TestSimTracing:
         res = run_experiment(configs.static_path(8, horizon=30.0, seed=3))
         assert res.spans is None
 
+    @pytest.mark.parametrize("workload", [
+        ("static_path", "golden_static_path"),
+        ("backbone_churn", "golden_backbone_churn"),
+        ("adversarial_drift", "golden_adversarial_drift"),
+        ("huge_sync_ring", "sync_ring256"),
+        ("huge_ring", "ring256"),
+    ], ids=lambda w: w[0])
+    def test_traced_runs_bit_identical(self, workload):
+        holds(workload[1])
+
 
 # --------------------------------------------------------------------- #
 # Kernel parity: the tracer rides the batch path
 # --------------------------------------------------------------------- #
 
 
-def canonical_spans(table):
-    """The span table as a kernel-independent sorted row list.
-
-    Rows sort by their content ``(t0, kind, node, peer, t1, status,
-    detail)`` -- ties by the parent's content -- and each ``parent`` is
-    rewritten to its parent's sorted position, so two tables holding the
-    same happens-before DAG compare equal whatever order their rows were
-    written in.
-    """
-    rows = list(table.rows())
-
-    def content(s):
-        return (s.t0, s.kind, s.node, s.peer, s.t1, s.status, s.detail)
-
-    def key(i):
-        s = rows[i]
-        return content(s) + (content(rows[s.parent]) if s.parent >= 0 else (),)
-
-    order = sorted(range(len(rows)), key=key)
-    position = {sid: pos for pos, sid in enumerate(order)}
-    return [
-        content(rows[i]) + (position.get(rows[i].parent, -1),) for i in order
-    ]
-
-
-def _run_traced(cfg, batch, monkeypatch, **session_kwargs):
-    with trace_session(**session_kwargs) as tr:
-        exp, res = _run(cfg, batch, monkeypatch)
-    return exp, res, tr.table
-
-
-@contextmanager
-def _telemetry_session():
-    registry = get_registry()
-    registry.reset()
-    registry.enable()
-    try:
-        yield registry
-    finally:
-        registry.disable()
-        registry.reset()
-
-
-_OBSERVERS = {
-    "tracer": trace_session,
-    "timeline": timeline_session,
-    "telemetry": _telemetry_session,
-}
-_OBSERVER_SETS = [("tracer",), ("timeline",), ("telemetry",), tuple(_OBSERVERS)]
-
-
-def _flight_status_counts(table):
-    kinds, status = table.kind, table.status
-    return Counter(
-        status[i] for i in range(len(table)) if kinds[i] == SPAN_FLIGHT
-    )
-
-
-SPAN_PARITY_WORKLOADS = [
-    ("sync_ring", lambda: configs.huge_sync_ring(64, horizon=40.0)),
-    # Two rate classes: real jump rows on both delivery and tick paths.
-    ("sync_grid", lambda: configs.huge_sync_grid(8, 8, horizon=40.0)),
-    # Send-time fails, in-flight drops, discover rows, scalar lost-timer
-    # replays inside mixed runs.
-    ("churned_ring", lambda: _churned_sync_ring()),
-    # Same-timestamp discovery runs: the rows come from ``discover_run``.
-    *DISCOVERY_RUN_CASES,
-    # Arbitrary drift: rows re-seated across segments and rate changes
-    # (rho = 0.05, so the walk opens gaps wide enough to jump across).
-    (
-        "piecewise",
-        lambda: replace(
-            configs.huge_sync_ring(32, horizon=40.0),
-            params=SystemParams.for_network(32, rho=0.05),
-            clock_spec="random_walk",
-        ),
-    ),
-    (
-        "steered",
-        lambda: replace(
-            configs.huge_sync_ring(32, horizon=30.0),
-            adversary=AdversaryRef("adaptive_drift", {"period": 0.7}),
-        ),
-    ),
-]
-
-
 class TestBatchKernelSpans:
-    @pytest.mark.parametrize(
-        "name,make",
-        SPAN_PARITY_WORKLOADS,
-        ids=[w[0] for w in SPAN_PARITY_WORKLOADS],
-    )
-    def test_batch_spans_equal_scalar_spans(self, name, make, monkeypatch):
-        exp_s, res_s, table_s = _run_traced(make(), False, monkeypatch)
-        exp_b, res_b, table_b = _run_traced(make(), True, monkeypatch)
-        assert res_b.batch_gate_reason is None
-        assert exp_b.sim.batch_dispatches > 0
-        assert canonical_spans(table_b) == canonical_spans(table_s)
-        assert table_b.dropped == 0 and table_s.dropped == 0
-        assert all(p < i for i, p in enumerate(table_b.parent))
-        assert table_b.count(SPAN_JUMP) > 0
-        # One discover row per delivered discovery, and one greeting flight
-        # parented on each add.
-        kinds, detail = table_b.kind, table_b.detail
-        assert table_b.count(SPAN_DISCOVER) == res_b.transport_stats[
-            "discoveries_delivered"
-        ]
-        adds = sum(k == SPAN_DISCOVER and d == 1.0 for k, d in zip(kinds, detail))
-        greetings = sum(
-            k == SPAN_FLIGHT and p >= 0 and kinds[p] == SPAN_DISCOVER
-            for k, p in zip(kinds, table_b.parent)
-        )
-        assert greetings == adds > 0
-        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
-
-    def test_jump_released_by_a_discovery_is_parented_on_it(self, monkeypatch):
-        """Node 0 starts 200 ahead, so node 2 is held back by its estimate of
-        node 3 alone; discovering that edge {2, 3} is gone drops the row and
-        releases the jump inside the discovery's own dispatch."""
-
-        def run(batch):
-            monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", batch)
-            with trace_session() as tr:
-                exp = Experiment(
-                    _churned_sync_ring(
-                        [(4.3, "remove", 2, 3), (8.1, "add", 2, 3)],
-                        n=16,
-                        horizon=14.0,
-                        discovery_spec=_fast_discovery,
-                    )
-                )
-                exp.nodes[0]._raise_max(200.0)
-                exp.nodes[0]._jump_logical(200.0)
-                res = exp.run()
-            return exp, res, tr.table
-
-        exp_s, res_s, table_s = run(False)
-        exp_b, res_b, table_b = run(True)
-        assert res_b.batch_gate_reason is None
-        assert canonical_spans(table_b) == canonical_spans(table_s)
-        rows = list(table_b.rows())
-        (jump,) = [
-            s
-            for s in rows
-            if s.kind == SPAN_JUMP
-            and s.parent >= 0
-            and rows[s.parent].kind == SPAN_DISCOVER
-        ]
-        cause = rows[jump.parent]
-        assert (cause.node, cause.peer, cause.detail) == (2, 3, 0.0)
-        assert jump.node == 2 and jump.t0 == cause.t0 == 4.3 + 0.5
-        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
-
-    def test_singleton_spans_equal_scalar_spans(self, monkeypatch):
-        """Drifting ring: the rows come from ``deliver_one`` / ``tick_one``."""
-        make = lambda: configs.huge_ring(64, horizon=20.0)
-        exp_s, res_s, table_s = _run_traced(make(), False, monkeypatch)
-        exp_b, res_b, table_b = _run_traced(make(), True, monkeypatch)
-        assert res_b.batch_gate_reason is None
-        delivered = res_b.transport_stats["delivered"]
-        assert res_b.array_events > delivered  # the ticks rode the table too
-        assert canonical_spans(table_b) == canonical_spans(table_s)
-        assert table_b.dropped == 0 and table_s.dropped == 0
-        assert table_b.count(SPAN_FLIGHT) == res_b.transport_stats["sent"]
-        assert all(p < i for i, p in enumerate(table_b.parent))
-        # A jump is parented on the delivering flight (or the firing timer
-        # / discovery), a tick's per-message send on ``_trace_tick``'s row.
-        kinds = table_b.kind
-        parents = {
-            kind: Counter(
-                kinds[p] for k, p in zip(kinds, table_b.parent) if k == kind
-            )
-            for kind in (SPAN_JUMP, SPAN_FLIGHT)
-        }
-        assert set(parents[SPAN_JUMP]) <= {SPAN_FLIGHT, SPAN_TIMER, SPAN_DISCOVER}
-        assert parents[SPAN_JUMP][SPAN_FLIGHT] > 0
-        assert set(parents[SPAN_FLIGHT]) == {SPAN_TIMER, SPAN_DISCOVER}
-        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
-
-    def test_capacity_overflow_counts_agree(self, monkeypatch):
+    def test_capacity_overflow_counts_agree(self):
         """A full table degrades to counting, identically on both kernels."""
-        cfg = lambda: configs.huge_sync_grid(8, 8, horizon=20.0)
-        exp_s, res_s, table_s = _run_traced(cfg(), False, monkeypatch, capacity=1000)
-        exp_b, res_b, table_b = _run_traced(cfg(), True, monkeypatch, capacity=1000)
+        cfg = configs.huge_sync_grid(8, 8, horizon=20.0)
+        with trace_session(capacity=1000):
+            ref = run(cfg, batch=False)
+        with trace_session(capacity=1000):
+            default = run(cfg, batch=True)
+        table_s, table_b = ref.res.spans, default.res.spans
         assert len(table_s) == len(table_b) == 1000
         assert table_b.dropped == table_s.dropped > 0
-        assert res_b.batch_gate_reason is None
-        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+        assert default.res.batch_gate_reason is None
+        assert_same(ref, default, "capped tracer")
         # The capped tracer did not change the physics either.
-        exp_u, res_u = _run(cfg(), True, monkeypatch)
-        assert _fingerprint(exp_b, res_b) == _fingerprint(exp_u, res_u)
-
-    def test_horizon_inside_a_burst_finalizes_every_constituent(self, monkeypatch):
-        """Flights still inside a queued burst are re-marked at the horizon.
-
-        The horizon (12.3) cuts both rate classes' delivery waves (sent at
-        11.88 and 12.12, due 0.5 later), and edge {30, 31} fails at 12.2
-        under them: those two flights are doomed (``DROPPED`` at the
-        horizon), every other one is genuinely ``PENDING`` -- none may keep
-        the optimistic ``DONE`` it was written with.
-        """
-        script = [
-            (2.3, "add", 5, 20),
-            (6.37, "remove", 7, 8),
-            (9.8, "add", 7, 8),
-            (12.2, "remove", 30, 31),
-        ]
-        cfg = lambda: _churned_sync_ring(script, horizon=12.3)
-        _, res_s, table_s = _run_traced(cfg(), False, monkeypatch)
-        exp_b, res_b, table_b = _run_traced(cfg(), True, monkeypatch)
-        assert any(
-            ev.kind == KIND_DELIVER_BURST for ev in exp_b.sim.queue.live_events()
-        )
-        by_status = _flight_status_counts(table_b)
-        assert by_status == _flight_status_counts(table_s)
-        st = res_b.transport_stats
-        assert by_status[STATUS_DONE] == st["delivered"]
-        assert by_status[STATUS_PENDING] > 0
-        doomed = by_status[STATUS_DROPPED] - (
-            st["dropped_no_edge"] + st["dropped_removed"]
-        )
-        assert doomed == 2
-        assert canonical_spans(table_b) == canonical_spans(table_s)
-
-    @pytest.mark.parametrize(
-        "name,make", PARITY_WORKLOADS, ids=[w[0] for w in PARITY_WORKLOADS]
-    )
-    def test_tracing_does_not_change_which_kernel_runs(
-        self, name, make, monkeypatch
-    ):
-        """No ambient observer -- span tracer, timeline, telemetry registry,
-        nor all three at once -- selects the kernel or moves the physics."""
-        exp_u, res_u = _run(make(), True, monkeypatch)
-        assert res_u.batch_gate_reason is None and res_u.array_events > 0
-        for observers in _OBSERVER_SETS:
-            with ExitStack() as stack:
-                for observer in observers:
-                    stack.enter_context(_OBSERVERS[observer]())
-                exp_o, res_o = _run(make(), True, monkeypatch)
-            assert res_o.batch_gate_reason is None, observers
-            assert res_o.array_events == res_u.array_events, observers
-            assert exp_o.sim.batch_dispatches == exp_u.sim.batch_dispatches > 0
-            assert _fingerprint(exp_o, res_o) == _fingerprint(exp_u, res_u), observers
+        assert_same(run(cfg, batch=True), default, "capped tracer", physics_only=True)
 
     def test_remaining_observer_declines_name_the_observer(self, monkeypatch):
         monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
@@ -564,19 +303,40 @@ class TestBatchKernelSpans:
         exp.nodes[3].effect_log = []
         assert exp.run().batch_gate_reason == "node 3 has an effect log attached"
 
+    # The span parity cases, under this file's names for their rows.
+    @pytest.mark.parametrize("workload", [
+        ("sync_ring", "sync_ring"),
+        ("sync_grid", "sync_grid"),
+        ("churned_ring", "churned_sync_ring"),
+        ("transient", "run_transient"),
+        ("absence", "run_absence"),
+        ("zero_delay", "run_zero_delay"),
+        ("lazy_lost", "run_lazy_lost"),
+        ("piecewise", "rw_sync_ring_wide"),
+        ("steered", "steered_sync_ring"),
+    ], ids=lambda w: w[0])
+    def test_batch_spans_equal_scalar_spans(self, workload):
+        holds(workload[1])
 
-@settings(max_examples=15, deadline=None)
-@given(ops=_churn_ops)
-def test_property_random_flip_scripts_span_parity(ops):
-    """Property: any add/remove script, traced scalar == traced batch spans."""
-    script = _script_from_ops(ops)
-    make = lambda: _churned_sync_ring(script, n=_N, horizon=25.0)
-    with pytest.MonkeyPatch.context() as mp:
-        exp_s, res_s, table_s = _run_traced(make(), False, mp)
-        exp_b, res_b, table_b = _run_traced(make(), True, mp)
-    assert res_b.batch_gate_reason is None
-    assert canonical_spans(table_b) == canonical_spans(table_s)
-    assert _fingerprint(exp_b, res_b) == _fingerprint(exp_s, res_s)
+    def test_jump_released_by_a_discovery_is_parented_on_it(self):
+        holds("discovery_releases_jump")
+
+    def test_singleton_spans_equal_scalar_spans(self):
+        holds("ring64")
+
+    def test_horizon_inside_a_burst_finalizes_every_constituent(self):
+        holds("horizon_inside_a_burst")
+
+    @pytest.mark.parametrize("name", ["sync_ring", "sync_grid", "churn_ring"])
+    def test_tracing_does_not_change_which_kernel_runs(self, name):
+        holds(name)  # ``check`` compares the plan observers on and off
+
+
+def test_property_random_flip_scripts_span_parity():
+    """Drawn flip scripts, and the one whose absence discovery ties with
+    a tick run's deliveries."""
+    holds("any_config[default_lane]")
+    holds("flips_tie")
 
 
 # --------------------------------------------------------------------- #
