@@ -41,7 +41,6 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from math import inf
-from operator import itemgetter
 from typing import TYPE_CHECKING, AbstractSet, Any, Mapping, Sequence, cast
 
 import numpy as np
@@ -57,7 +56,7 @@ from ..sim.events import (
     ScheduledEvent,
 )
 from ..sim.simulator import Simulator
-from ..tracing.spans import SPAN_FLIGHT, SPAN_TIMER, STATUS_DONE
+from ..tracing.spans import SPAN_DISCOVER, SPAN_FLIGHT, SPAN_TIMER, STATUS_DONE
 from .node import ClockSyncNode
 from .protocol import DCSACore, StaticGradientCore, adopt
 
@@ -146,7 +145,7 @@ class _TickPlan:
     ``src`` / ``dst``) and the destination's slot for the sender; per
     member of ``ids`` its message count; as ``(member position, message
     offset)`` the ``loose`` members, which send per message; ``spans``,
-    the template of :meth:`NodeArrayTable._trace_ticks`."""
+    the span-row template of :meth:`NodeArrayTable._tick_spans`."""
 
     key: int
     ids: _I64
@@ -779,17 +778,21 @@ class NodeArrayTable:
         """The array lane of a discovery run (the E_0 wave); returns
         whether it ran: only when every row is an add whose edge is
         ``live`` and no node is blocked once synced (idempotent: a run
-        handed over loses nothing), so that AdjustClock is vacuous."""
+        handed over loses nothing), so that AdjustClock is vacuous.  When
+        traced, its rows are one column block: per row its
+        ``SPAN_DISCOVER`` row, then the greeting's flight parented on it
+        (the table must have room for all of them)."""
+        tracer = self.transport._tracer
+        m = len(rows)
         if (
-            len(rows) < 2
+            m < 2
             or self.send_delay is None
-            or self.transport._tracer is not None
+            or (tracer is not None and len(tracer.table) + 2 * m >= tracer.table.capacity)
         ):
             return False
         nids, others, added, absence = zip(*rows)
         if not all(added) or any(absence):
             return False
-        m = len(rows)
         slots = np.fromiter(self._slots_of(others, nids), np.int64, m)
         col = self.np  # after _slots_of: a new pair reallocates the columns
         if not col.live[slots].all():
@@ -805,7 +808,16 @@ class NodeArrayTable:
         self.edits += 1
         self.dests.clear()
         payloads = _Payloads(col.L[who], col.Lmax[who], col.peer[slots], col.mate[slots])
-        self._push_burst(list(nids), list(others), payloads, None)
+        sids = None
+        if tracer is not None:
+            parent = np.arange(-1, 2 * m - 1)  # a flight's discover row precedes it
+            parent[0::2] = -1
+            base = self._span_block(
+                tracer, np.tile(np.array([SPAN_DISCOVER, SPAN_FLIGHT]), m),
+                np.repeat(who, 2), np.repeat(payloads.dst, 2), parent,
+            )
+            sids = range(base + 1, base + 2 * m, 2)
+        self._push_burst(list(nids), list(others), payloads, sids)
         self.transport.stats.discoveries_delivered += m
         self.array_lane_events += m
         return True
@@ -975,10 +987,9 @@ class NodeArrayTable:
             if plan is None or plan.key != self.edits:
                 plan = self._tick_plan(drivers, plan)
             tracer = self.transport._tracer
-            if tracer is None or not (
-                plan.loose
-                or (len(tracer.data) >> 3) + k + len(plan.us) >= tracer.capacity
-            ):
+            if tracer is None or len(tracer.table) + k + len(plan.us) + sum(
+                len(self.believed(drivers[j].node_id)) for j, _ in plan.loose
+            ) < tracer.table.capacity:
                 self.array_lane_events += k
                 return self._tick_array(drivers, plan, tracer), plan
         burst = None if self.send_delay is None else _Burst()
@@ -1060,19 +1071,29 @@ class NodeArrayTable:
         for s in np.flatnonzero(col.lost_dl[:used] <= step[col.owner[:used]]).tolist():
             self._wake(s)
         # Sends: the plan's messages as bursts, split where a per-message
-        # sender ticks (its sends go out at its scalar position).
+        # sender ticks (its sends go out at its scalar position); when
+        # traced, the members' span rows as column blocks, split the same
+        # way (the per-message sender's rows are its scalar ones).
         us = plan.us
         m = len(us)
-        sids: list[int] | None = None
-        timer_sids: list[int] = []
         if tracer is not None:
-            timer_sids, sids = self._trace_ticks(tracer, plan, now)
-        if m or plan.loose:
+            kind, node, peer, parent, timer_at, flight_at = self._tick_spans(plan)
+            timer_sids = np.empty(len(drivers), np.int64)
+        if m or plan.loose or tracer is not None:
             l_out = col.L[plan.src]
             lmax_out = col.Lmax[plan.src]
             whole = not plan.loose  # then the plan's own lists travel, uncopied
-            start = 0
+            start = first = 0
             for j, end in (*plan.loose, (-1, m)):
+                last = len(drivers) if j < 0 else j  # the block's members: first..last-1
+                sids = None
+                if tracer is not None and last > first:
+                    r0, r1 = timer_at[first], timer_at[last]
+                    offset = self._span_block(
+                        tracer, kind[r0:r1], node[r0:r1], peer[r0:r1], parent[r0:r1] - r0
+                    ) - r0
+                    timer_sids[first:last] = timer_at[first:last] + offset
+                    sids = (flight_at[start:end] + offset).tolist()
                 if end > start:
                     cut = slice(start, end)
                     self._push_burst(
@@ -1081,64 +1102,75 @@ class NodeArrayTable:
                         _Payloads(
                             l_out[cut], lmax_out[cut], plan.dst[cut], plan.slots[cut]
                         ),
-                        None if sids is None else sids[cut],
+                        sids,
                     )
                     start = end
                 if j >= 0:
                     nid = drivers[j].node_id
+                    if tracer is not None:
+                        tracer.current = timer_sids[j] = self._trace_tick(
+                            tracer, nid, (), now, []
+                        )
                     self._send_each(
                         nid, (self.L[nid], self.Lmax[nid]), self.believed(nid)
                     )
+                first = last + 1
         for j in np.flatnonzero(col.Lmax[ids] > col.L[ids]).tolist():
             if tracer is not None:
-                tracer.current = timer_sids[j]
+                tracer.current = int(timer_sids[j])
             self._adjust_clock(drivers[j].node_id, tracer)
         if tracer is not None:
             tracer.current = -1
         return fire.tolist()  # type: ignore[no-any-return]
 
-    def _trace_ticks(
-        self, tracer: "Tracer", plan: _TickPlan, now: float
-    ) -> tuple[list[int], list[int]]:
-        """Write a tick run's span rows in scalar order: per member its
-        ``SPAN_TIMER`` row, then one optimistically-closed flight row per
-        bulk send, parented on it (:meth:`_trace_tick`, a column at a
-        time; the caller checked the table has room).  Returns the
-        members' timer span ids and the flights' span ids, per message.
-        What does not change from tick to tick is a template kept with the
-        plan; the rest is picked per row (``itemgetter``): no new object.
-        """
+    def _tick_spans(self, plan: _TickPlan) -> tuple[Any, ...]:
+        """The span rows of ``plan``'s tick run in scalar order, as a
+        template kept with the plan: per member its ``SPAN_TIMER`` row,
+        then one flight row per bulk send, parented on it
+        (:meth:`_trace_tick`'s rows).  Holds the kind, node, peer and
+        parent (a template row, -1: none) columns, then per member its
+        timer row (and the row count after the last) and per message its
+        flight row."""
         if plan.spans is None:
             k = len(plan.ids)
             m = len(plan.us)
             member = np.repeat(np.arange(k), plan.counts)  # per message
-            timer_at = np.arange(k) + np.cumsum(plan.counts) - plan.counts
+            timer_at = np.arange(k + 1) + np.append(0, np.cumsum(plan.counts))
             flight_at = np.arange(m) + member + 1
-            order = np.empty(k + m, np.int64)  # row -> member, or k + message
-            order[timer_at] = np.arange(k)
-            order[flight_at] = np.arange(k, k + m)
-            pick = itemgetter(*order.tolist())
-            order[timer_at] = k  # row -> its parent's member (k: none)
-            order[flight_at] = member
-            rows: list[Any] = [0.0] * (8 * (k + m))
-            rows[0::8] = pick([SPAN_TIMER] * k + [SPAN_FLIGHT] * m)
-            rows[1::8] = pick(plan.ids.tolist() + plan.us)
-            rows[2::8] = pick([-1] * k + plan.vs)
-            rows[6::8] = [STATUS_DONE] * (k + m)
-            plan.spans = (
-                rows, timer_at, flight_at, itemgetter(*order.tolist()),
-                itemgetter(*pick([0] * k + [1] * m)),
-            )
-        rows, timer_at, flight_at, pick_parent, pick_end = plan.spans
-        data = tracer.data
-        sid0 = len(data) >> 3
-        timer_sids: list[int] = (sid0 + timer_at).tolist()
-        rows = rows[:]
-        rows[3::8] = [now] * (len(rows) >> 3)
-        rows[4::8] = pick_end((now, now + cast(float, self.send_delay)))
-        rows[5::8] = pick_parent(timer_sids + [-1])
-        data.extend(rows)
-        return timer_sids, (sid0 + flight_at).tolist()
+            kind = np.full(k + m, SPAN_TIMER)
+            kind[flight_at] = SPAN_FLIGHT
+            node = np.empty(k + m, np.int64)
+            node[timer_at[:k]] = plan.ids
+            node[flight_at] = plan.src
+            peer = np.full(k + m, -1)
+            peer[flight_at] = plan.dst
+            parent = np.full(k + m, -1)
+            parent[flight_at] = timer_at[member]
+            plan.spans = (kind, node, peer, parent, timer_at, flight_at)
+        return plan.spans
+
+    def _span_block(
+        self, tracer: "Tracer", kind: _I64, node: _I64, peer: _I64, parent: _I64
+    ) -> int:
+        """Write an array-lane run's span rows as one column block of the
+        tracer's table; returns the block's first span id.  ``parent`` is
+        a row of the block (negative: none).  Every row is born ``DONE``
+        now, a flight closed optimistically at its delivery time, a
+        discovery an add.  The caller checked the table has room."""
+        now = self.sim.now
+        table = tracer.table
+        base = len(table)
+        table.write_block((
+            kind,
+            node,
+            peer,
+            np.full(len(kind), now),
+            np.where(kind == SPAN_FLIGHT, now + cast(float, self.send_delay), now),
+            np.where(parent < 0, -1, parent + base),
+            np.full(len(kind), STATUS_DONE),
+            (kind == SPAN_DISCOVER).astype(np.float64),
+        ))
+        return base
 
     def _tick(self, d: ClockSyncNode, burst: _Burst | None) -> float:
         """One driver's tick on the scalar lane -- the statement of the
@@ -1221,9 +1253,10 @@ class NodeArrayTable:
         row; ``t1`` is the delivery time) in one ``list.extend``.  Appends
         the flights' span ids to ``sids`` and returns the timer's."""
         now = self.sim.now
-        data = tracer.data
-        sid = len(data) >> 3
-        if sid + len(dests) >= tracer.capacity:
+        table = tracer.table
+        data = table.data
+        sid = table.base + (len(data) >> 3)
+        if sid + len(dests) >= table.capacity:
             # The table fills up within this driver's rows: go row by row
             # so every refused row is counted, as under scalar dispatch.
             tracer.timer_fired(nid, now)
@@ -1253,7 +1286,7 @@ class NodeArrayTable:
         us: list[int],
         vs: list[int],
         payloads: Any,
-        sids: list[int] | None,
+        sids: Sequence[int] | None,
     ) -> None:
         """Schedule one burst record for sends emitted at the current time.
 
@@ -1321,29 +1354,34 @@ class PopulationReader:
         estimates: bool,
         transport: "Transport | None" = None,
     ) -> None:
-        ids = sorted(nodes)
+        self.nodes = nodes
+        self.estimates = estimates
         self.transport = transport
-        # Bound once: a sample skips the dict and attribute lookups.
-        self._clock_readers = [nodes[i].logical_clock for i in ids]
-        self._estimate_readers = (
-            [nodes[i].max_estimate for i in ids] if estimates else None
-        )
+        # Bound on the first sample without a table (a table never needs
+        # them): a sample then skips the dict and attribute lookups.
+        self._clock_readers: list[Any] | None = None
+        self._estimate_readers: list[Any] | None = None
 
     def __call__(self, t: float) -> tuple[_F64, _F64 | None]:
         """``(clocks, estimates)`` at ``t`` (``estimates`` is ``None``
         unless they were asked for)."""
-        readers = self._estimate_readers
         transport = self.transport
         table = None if transport is None else transport.plan.table
         if table is not None:
             return (
                 table.clock_column(t),
-                None if readers is None else table.max_estimate_column(t),
+                table.max_estimate_column(t) if self.estimates else None,
             )
+        if self._clock_readers is None:
+            ids = sorted(self.nodes)
+            self._clock_readers = [self.nodes[i].logical_clock for i in ids]
+            if self.estimates:
+                self._estimate_readers = [self.nodes[i].max_estimate for i in ids]
         n = len(self._clock_readers)
         clocks = np.fromiter(
             (read(t) for read in self._clock_readers), dtype=float, count=n
         )
+        readers = self._estimate_readers
         if readers is None:
             return clocks, None
         return clocks, np.fromiter(

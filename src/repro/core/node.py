@@ -312,15 +312,16 @@ class ClockSyncNode:
             # Inline timer_fired + reset_current (per-timer hot path; see
             # Tracer's class docstring).
             now = self.sim.now
-            tdata = tracer.data
-            sid = len(tdata) >> 3
-            if sid < tracer.capacity:
+            table = tracer.table
+            tdata = table.data
+            sid = table.base + (len(tdata) >> 3)
+            if sid < table.capacity:
                 tdata.extend(
                     (SPAN_TIMER, self.node_id, -1, now, now, -1,
                      STATUS_DONE, 0.0)
                 )
             else:
-                tracer.table.dropped += 1
+                table.dropped += 1
                 sid = -1
             tracer.current = sid
             self._dispatch(TimerFired(key))

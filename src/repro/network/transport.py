@@ -302,6 +302,9 @@ class Transport:
         delay_of = self.delay_policy.delay
         fifo = self._fifo_last
         tracer = self._tracer
+        if tracer is not None:
+            table = tracer.table
+            tdata, tbase = table.data, table.base
         push = self._push
         for v in vs:
             stats.sent += 1
@@ -329,15 +332,14 @@ class Transport:
             # :meth:`finalize_tracing`.
             sid = -1
             if tracer is not None:
-                tdata = tracer.data
-                sid = len(tdata) >> 3
-                if sid < tracer.capacity:
+                sid = tbase + (len(tdata) >> 3)
+                if sid < table.capacity:
                     tdata.extend(
                         (SPAN_FLIGHT, u, v, now, t_deliver, tracer.current,
                          STATUS_DONE, 0.0)
                     )
                 else:
-                    tracer.table.dropped += 1
+                    table.dropped += 1
                     sid = -1
             push(
                 t_deliver, PRIORITY_DELIVERY, KIND_DELIVER, u, v, payload, now,
@@ -511,10 +513,7 @@ class Transport:
             # sure the sender learns within discovery_bound of the send.
             self.stats.dropped_removed += 1
             if self._tracer is not None and sid >= 0:
-                base = sid << 3
-                tdata = self._tracer.data
-                tdata[base + 4] = now
-                tdata[base + 6] = STATUS_DROPPED
+                self._tracer.table.close(sid, now, STATUS_DROPPED)
             self._schedule_absence_discovery(u, v, send_time=send_time)
             return
         self.stats.delivered += 1
@@ -542,27 +541,29 @@ class Transport:
         tracer = self._tracer
         if tracer is None:
             return
-        data = tracer.data
         now = self.sim.now
+        pending: list[int] = []
+        doomed: list[int] = []
         for ev in self.sim.queue.live_events():
             if ev.kind == KIND_DELIVER:
-                flights: Iterable[tuple[int, int, int | None]] = (
-                    (ev.a, ev.b, ev.e),
-                )
+                us, vs, sids = (ev.a,), (ev.b,), (ev.e,)
             elif ev.kind == KIND_DELIVER_BURST and ev.e is not None:
-                flights = zip(ev.a, ev.b, ev.e)
+                us, vs, sids = ev.a, ev.b, ev.e
             else:
                 continue
-            for u, v, sid in flights:
-                if sid is not None and sid >= 0:
-                    base = sid << 3
-                    if not self._has_edge(u, v) or self._removed_during(
-                        u, v, ev.d, now
-                    ):
-                        data[base + 4] = now
-                        data[base + 6] = STATUS_DROPPED
-                    else:
-                        data[base + 6] = STATUS_PENDING
+            never_removed = self.graph.never_removed(us, vs)
+            for u, v, sid in zip(us, vs, sids):
+                if sid is None or sid < 0:
+                    continue
+                if never_removed or (
+                    self._has_edge(u, v)
+                    and not self._removed_during(u, v, ev.d, now)
+                ):
+                    pending.append(sid)
+                else:
+                    doomed.append(sid)
+        tracer.table.close_many(pending, STATUS_PENDING)
+        tracer.table.close_many(doomed, STATUS_DROPPED, now)
 
     # ------------------------------------------------------------------ #
     # Discovery

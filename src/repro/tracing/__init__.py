@@ -4,7 +4,9 @@ This package is the *causal* observability pillar (PR 7), sibling to the
 metrics pillar in :mod:`repro.telemetry` (PR 6), and the one event trace
 of a run (sends, drops, deliveries, churn, discoveries, jumps):
 
-* :mod:`repro.tracing.spans` — the pooled columnar span table;
+* :mod:`repro.tracing.spans` — the span table, in id-ordered segments:
+  flat stride-8 lists for rows written one at a time, numpy column
+  blocks for the rows of an array-lane run;
 * :mod:`repro.tracing.context` — the :class:`Tracer` hooks both runtimes
   call, and the ambient activation (``repro run --trace-out``);
 * :mod:`repro.tracing.export` — Chrome-trace/Perfetto JSON;

@@ -67,29 +67,22 @@ TraceContext = tuple[int, int, int]
 class Tracer:
     """Accumulate spans from one run (see module docstring).
 
-    The per-message hooks are the hot path (two per delivered message at
-    ~100k events/s), so they are written against the table's raw stride-8
-    ``data`` list directly -- one ``list.extend`` per span, one indexed
-    store pair per close -- instead of going through
-    :meth:`SpanTable.append`.  The sim kernel's two hottest sites
-    (:meth:`Transport.send` / ``_deliver`` and the node timer dispatch)
-    go one step further and inline the same writes against :attr:`data` /
-    :attr:`capacity`, skipping even the method call; these hooks remain
-    the reference implementation and the live-runtime path.  Rare hooks
-    (drops, churn, violations) take the readable :meth:`SpanTable.append`
-    route.
+    The hooks below are the reference implementation and the
+    live-runtime path; they write through :class:`SpanTable`'s methods.
+    The sim kernel's per-message sites (:meth:`Transport.send_many`, the
+    node timer dispatch, the batch table's scalar tick) inline the same
+    ``list.extend`` against the table's open segment, ``table.data`` /
+    ``table.base``, skipping even the method call; the batch table's
+    array lane writes a run's rows as one column block
+    (:meth:`SpanTable.write_block`).
     """
 
-    __slots__ = ("table", "current", "data", "capacity")
+    __slots__ = ("table", "current")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.table = SpanTable(capacity)
         #: Active causal span id (-1 = none); parents new spans.
         self.current = -1
-        #: Hot-path aliases of the table's raw storage (see class
-        #: docstring); inlined call sites in the sim kernel write these.
-        self.data = self.table.data
-        self.capacity = self.table.capacity
 
     # ------------------------------------------------------------------ #
     # Flight hooks (carried span id; both runtimes)
@@ -105,15 +98,9 @@ class Tracer:
         the span via :meth:`flight_deliver` / :meth:`flight_drop`.  Returns
         -1 when the table is at capacity (the flight goes unrecorded).
         """
-        data = self.data
-        sid = len(data) >> 3
-        if sid >= self.capacity:
-            self.table.dropped += 1
-            return -1
-        data.extend(
-            (SPAN_FLIGHT, u, v, t0, t1, self.current, STATUS_PENDING, 0.0)
+        return self.table.append(
+            SPAN_FLIGHT, u, v, t0, t1, self.current, STATUS_PENDING
         )
-        return sid
 
     def flight_fail(self, u: int, v: int, t: float) -> None:
         """A send on a non-existent edge was dropped at send time."""
@@ -124,19 +111,13 @@ class Tracer:
     def flight_deliver(self, span_id: int, t: float) -> None:
         """The flight arrived: close its span and make it ``current``."""
         if span_id >= 0:
-            base = span_id << 3
-            data = self.data
-            data[base + 4] = t
-            data[base + 6] = STATUS_DONE
+            self.table.close(span_id, t, STATUS_DONE)
         self.current = span_id
 
     def flight_drop(self, span_id: int, t: float) -> None:
         """The flight was dropped in transit (edge removed / socket gone)."""
         if span_id >= 0:
-            base = span_id << 3
-            data = self.data
-            data[base + 4] = t
-            data[base + 6] = STATUS_DROPPED
+            self.table.close(span_id, t, STATUS_DROPPED)
 
     def discover_queued(self, node: int, other: int, t: float, added: bool) -> int:
         """Live variant of :meth:`discover`: the discovery is *enqueued*
@@ -153,24 +134,15 @@ class Tracer:
 
     def timer_fired(self, node: int, t: float) -> None:
         """A subjective timer fired on ``node``; it becomes ``current``."""
-        data = self.data
-        sid = len(data) >> 3
-        if sid < self.capacity:
-            data.extend((SPAN_TIMER, node, -1, t, t, -1, STATUS_DONE, 0.0))
-        else:
-            self.table.dropped += 1
-            sid = -1
-        self.current = sid
+        self.current = self.table.append(
+            SPAN_TIMER, node, -1, t, t, -1, STATUS_DONE
+        )
 
     def jump(self, node: int, t: float, delta: float) -> None:
         """``node`` discretely raised its logical clock by ``delta``."""
-        data = self.data
-        if len(data) >> 3 < self.capacity:
-            data.extend(
-                (SPAN_JUMP, node, -1, t, t, self.current, STATUS_DONE, delta)
-            )
-        else:
-            self.table.dropped += 1
+        self.table.append(
+            SPAN_JUMP, node, -1, t, t, self.current, STATUS_DONE, delta
+        )
 
     def edge_flip(self, t: float, u: int, v: int, added: bool) -> None:
         """Edge ``{u, v}`` was added (detail=1) or removed (detail=0)."""
@@ -207,15 +179,6 @@ class Tracer:
         registry.counter_fn(
             "tracing.flights", lambda: table.kind_counts[SPAN_FLIGHT]
         )
-        def _open_flights() -> int:
-            data = table.data
-            n = 0
-            for base in range(0, len(data), 8):
-                if data[base] == SPAN_FLIGHT and data[base + 6] == STATUS_PENDING:
-                    n += 1
-            return n
-
-        registry.gauge_fn("tracing.in_flight", _open_flights)
 
 
 # --------------------------------------------------------------------- #

@@ -8,20 +8,28 @@ a whole is the run's happens-before DAG: a flight's parent is the timer
 (or earlier flight) whose handler emitted the send, a jump's parent is
 the flight that delivered the triggering message, and so on.
 
-:class:`SpanTable` stores spans in **one flat list**, eight slots per
-span (``data[id * 8]`` is the kind, ``data[id * 8 + 4]`` the end time,
-...), appended on the kernel's per-message hot path.  That layout is
-deliberate: recording a span is a single ``list.extend`` of one tuple --
-no per-span object, no dict, no per-column attribute walk -- which is
-what keeps tracing inside its overhead budget (``test_observer_overhead``
-in ``tests/test_telemetry.py``).  It mirrors the typed-record
-event queue of :mod:`repro.sim.events` (docs/performance.md).
+Rows are kept in id order as *segments* of two kinds:
 
-Cold readers (exporter, forensics, tests) never touch the flat list
+* a **list segment** holds rows written one at a time, eight slots per
+  row in one flat list (``data[i * 8]`` is the kind, ``data[i * 8 + 4]``
+  the end time, ...).  Recording such a span is a single ``list.extend``
+  of one tuple -- no per-span object, no dict, no per-column attribute
+  walk -- which is what keeps the per-message hooks inside their overhead
+  budget (``test_observer_overhead`` in ``tests/test_telemetry.py``); a
+  typed buffer's append costs several times as much per row.  Only the
+  last segment is open: the hooks extend :attr:`SpanTable.data` and a
+  row's id is :attr:`SpanTable.base` plus its position there.
+* a **column block** holds the rows of one array-lane run (a tick run,
+  the E_0 wave) as eight numpy columns, written by a few column
+  assignments (:meth:`SpanTable.write_block`), so that tracing a run costs
+  what the run's own column passes cost and never moves it off the lane.
+
+Cold readers (exporter, forensics, tests) never touch a segment
 directly: the :attr:`~SpanTable.kind`, :attr:`~SpanTable.node`, ...
-properties materialize a fresh column list on access -- **bind them once
-before a loop**, each access is O(table) -- and :meth:`~SpanTable.row` /
-:meth:`~SpanTable.rows` materialize per-object :class:`Span` views.
+properties materialize a fresh column list of Python ints and floats on
+access -- **bind them once before a loop**, each access is O(table) --
+and :meth:`~SpanTable.row` / :meth:`~SpanTable.rows` materialize
+per-object :class:`Span` views.
 
 The table is *capacity-capped*: once full, appends count into
 :attr:`SpanTable.dropped` and return ``-1`` (a sentinel id every hook
@@ -32,8 +40,12 @@ tests pin that recording spans leaves runs bit-identical.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterator
+from operator import itemgetter
+from typing import Any, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -73,9 +85,9 @@ STATUS_DROPPED = 2
 #: out around a few hundred MB on a pathological run instead of unbounded.
 DEFAULT_CAPACITY = 2_000_000
 
-#: Slots per span row in :attr:`SpanTable.data` (kind, node, peer, t0,
-#: t1, parent, status, detail).  Row ``i`` starts at ``i * STRIDE``; the
-#: hot hooks in :mod:`repro.tracing.context` rely on this layout.
+#: Slots per span row (kind, node, peer, t0, t1, parent, status, detail):
+#: row ``i`` of a list segment starts at ``i * STRIDE``, and a column
+#: block holds ``STRIDE`` columns.  The hot hooks rely on this layout.
 STRIDE = 8
 
 
@@ -105,15 +117,20 @@ class Span:
 
 
 class SpanTable:
-    """Flat, capacity-capped span storage (see module docstring)."""
+    """Segmented, capacity-capped span storage (see module docstring)."""
 
-    __slots__ = ("data", "capacity", "dropped")
+    __slots__ = ("segments", "data", "base", "capacity", "dropped")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive; got {capacity!r}")
-        #: The raw stride-8 row storage; hot hooks extend it directly.
+        #: The open list segment (stride-8 rows); hot hooks extend it.
         self.data: list[Any] = []
+        #: Span id of the open segment's first row.
+        self.base = 0
+        #: ``(first span id, rows)`` per segment in id order: a stride-8
+        #: list, or a column block (eight equal-length numpy columns).
+        self.segments: list[tuple[int, Any]] = [(0, self.data)]
         self.capacity = capacity
         #: Spans refused because the table hit ``capacity``.
         self.dropped = 0
@@ -131,99 +148,151 @@ class SpanTable:
     ) -> int:
         """Append one span row; returns its id, or ``-1`` when at capacity."""
         data = self.data
-        span_id = len(data) >> 3
+        span_id = self.base + (len(data) >> 3)
         if span_id >= self.capacity:
             self.dropped += 1
             return -1
         data.extend((kind, node, peer, t0, t1, parent, status, detail))
         return span_id
 
+    def write_block(self, columns: Sequence[np.ndarray]) -> int:
+        """Append one run's rows as a column block; returns its first id.
+
+        ``columns`` are the eight columns in slot order (kind, node, peer,
+        t0, t1, parent, status, detail), of equal length; the block keeps
+        them, so ``t1`` and ``status`` must be its own (:meth:`close`
+        writes them) and the rest must not change.  The caller checked
+        that the rows fit under ``capacity``.
+        """
+        span_id = len(self)
+        if not self.data:
+            self.segments.pop()  # the open segment is empty: replace it
+        self.segments.append((span_id, tuple(columns)))
+        self.base = span_id + len(columns[0])
+        self.data = []
+        self.segments.append((self.base, self.data))
+        return span_id
+
+    def _locate(self, span_id: int) -> tuple[Any, int]:
+        """The segment holding ``span_id`` and the row's index in it."""
+        if span_id >= self.base:
+            return self.data, span_id - self.base
+        at = bisect_right(self.segments, span_id, key=itemgetter(0)) - 1
+        base, rows = self.segments[at]
+        return rows, span_id - base
+
     def close(self, span_id: int, t1: float, status: int) -> None:
         """Finish an open span (flight delivery/drop)."""
-        base = span_id << 3
-        self.data[base + 4] = t1
-        self.data[base + 6] = status
+        rows, i = self._locate(span_id)
+        if type(rows) is list:
+            rows[(i << 3) + 4] = t1
+            rows[(i << 3) + 6] = status
+        else:
+            rows[4][i] = t1
+            rows[6][i] = status
+
+    def close_many(
+        self, span_ids: Sequence[int], status: int, t1: float | None = None
+    ) -> None:
+        """Set ``status`` -- and ``t1``, unless ``None`` -- of many spans,
+        a column assignment per block."""
+        ids = np.sort(np.asarray(span_ids, np.int64))
+        bases = [base for base, _ in self.segments]
+        cuts = np.searchsorted(ids, bases + [len(self)]).tolist()
+        for (base, rows), lo, hi in zip(self.segments, cuts, cuts[1:]):
+            if lo == hi:
+                continue
+            at = ids[lo:hi] - base
+            if type(rows) is list:
+                for i in at.tolist():
+                    rows[(i << 3) + 6] = status
+                    if t1 is not None:
+                        rows[(i << 3) + 4] = t1
+            else:
+                rows[6][at] = status
+                if t1 is not None:
+                    rows[4][at] = t1
 
     def __len__(self) -> int:
-        return len(self.data) >> 3
+        return self.base + (len(self.data) >> 3)
 
     # ------------------------------------------------------------------ #
     # Cold column views: each access copies the column -- bind once.
     # ------------------------------------------------------------------ #
 
+    def _column(self, slot: int) -> list[Any]:
+        out: list[Any] = []
+        for _, rows in self.segments:
+            out += rows[slot::8] if type(rows) is list else rows[slot].tolist()
+        return out
+
     @property
     def kind(self) -> list[int]:
         """Kind column (fresh list; bind once before looping)."""
-        return self.data[0::8]
+        return self._column(0)
 
     @property
     def node(self) -> list[int]:
         """Primary-node column (fresh list; bind once before looping)."""
-        return self.data[1::8]
+        return self._column(1)
 
     @property
     def peer(self) -> list[int]:
         """Peer-node column, -1 when unary (fresh list; bind once)."""
-        return self.data[2::8]
+        return self._column(2)
 
     @property
     def t0(self) -> list[float]:
         """Start-time column (fresh list; bind once before looping)."""
-        return self.data[3::8]
+        return self._column(3)
 
     @property
     def t1(self) -> list[float]:
         """End-time column (fresh list; bind once before looping)."""
-        return self.data[4::8]
+        return self._column(4)
 
     @property
     def parent(self) -> list[int]:
         """Causal-parent column, -1 for roots (fresh list; bind once)."""
-        return self.data[5::8]
+        return self._column(5)
 
     @property
     def status(self) -> list[int]:
         """Status column (fresh list; bind once before looping)."""
-        return self.data[6::8]
+        return self._column(6)
 
     @property
     def detail(self) -> list[float]:
         """Detail column (jump delta, flip direction; fresh list)."""
-        return self.data[7::8]
+        return self._column(7)
 
     @property
     def kind_counts(self) -> list[int]:
-        """Tally per span kind (index = kind constant), retained spans.
-
-        Computed by one O(table) scan -- cold readers and the telemetry
-        poll (one sampler tick every few hundred ms) only.
-        """
-        counts = [0] * len(SPAN_KIND_NAMES)
-        for k in self.data[0::8]:
-            counts[k] += 1
-        return counts
+        """Tally per span kind (index = kind constant), retained spans:
+        one count per kind and segment, no loop over rows in Python."""
+        counts = np.zeros(len(SPAN_KIND_NAMES), np.int64)
+        for _, rows in self.segments:
+            if type(rows) is list:
+                kinds = rows[0::8]
+                counts += [kinds.count(k) for k in range(len(counts))]
+            else:
+                counts += np.bincount(rows[0], minlength=len(counts))
+        return counts.tolist()  # type: ignore[no-any-return]
 
     def row(self, span_id: int) -> Span:
         """Materialize one span (cold paths: export, forensics, tests)."""
-        base = span_id << 3
-        d = self.data
-        return Span(
-            span_id=span_id,
-            kind=d[base],
-            node=d[base + 1],
-            peer=d[base + 2],
-            t0=d[base + 3],
-            t1=d[base + 4],
-            parent=d[base + 5],
-            status=d[base + 6],
-            detail=d[base + 7],
-        )
+        rows, i = self._locate(span_id)
+        if type(rows) is list:
+            values = rows[i << 3 : (i + 1) << 3]
+        else:
+            values = [column[i].item() for column in rows]
+        return Span(span_id, *values)
 
     def rows(self) -> Iterator[Span]:
         """Iterate every span as a materialized view, in id order."""
-        for i in range(len(self.data) >> 3):
-            yield self.row(i)
+        for span_id, values in enumerate(zip(*map(self._column, range(STRIDE)))):
+            yield Span(span_id, *values)
 
     def count(self, kind: int) -> int:
-        """Retained spans of one kind (O(table) scan; cold paths)."""
+        """Retained spans of one kind (cold paths)."""
         return self.kind_counts[kind]

@@ -35,7 +35,6 @@ from repro.sim import simulator as simulator_mod
 from repro.sim.events import KIND_DELIVER_BURST, KIND_TICK_BURST, N_KINDS
 from repro.telemetry import get_registry
 from repro.tracing import SPAN_DISCOVER, SPAN_FLIGHT, trace_session
-from repro.tracing.spans import STRIDE
 
 #: What ``ProtocolCore.handle`` receives for a node event (a ``lost``
 #: timer counted apart from ticks).
@@ -167,7 +166,9 @@ def canonical_spans(table) -> np.ndarray:
     holding the same happens-before DAG compare equal whatever order
     their rows were written in.
     """
-    rows = np.array(table.data, dtype=float).reshape(-1, STRIDE)
+    columns = (table.kind, table.node, table.peer, table.t0, table.t1,
+               table.parent, table.status, table.detail)
+    rows = np.array(columns, dtype=float).T.reshape(-1, len(columns))
     content = rows[:, [3, 0, 1, 2, 4, 6, 7]]
     parent = rows[:, 5].astype(np.int64)
     rooted = parent < 0
@@ -310,8 +311,8 @@ def check(cfg, *, hook=None, lane_min=None, spy=None, handled=None) -> Runs:
 
     * the reference executes nothing on a table, and the default's
       aggregate records are tallied as their constituents;
-    * no observer changes which kernel runs (plan, table events, batch
-      dispatches);
+    * no observer changes which kernel runs (plan, table events on each
+      lane, batch dispatches);
     * where the plan has a table, ``handle()`` sees no node event in the
       run beyond ``handled`` (what a hook calls directly) and the table
       executed exactly the node events the reference handled; where it
@@ -352,12 +353,13 @@ def check(cfg, *, hook=None, lane_min=None, spy=None, handled=None) -> Runs:
 
 
 def _kernel(run: Run) -> list[tuple[float, str, bool, Any]]:
-    """Which kernel ran: the plan's declines, the table's events and the
-    batch dispatches (fingerprint entries at the horizon)."""
+    """Which kernel ran: the plan's declines, the table's events on each
+    lane and the batch dispatches (fingerprint entries at the horizon)."""
     h = run.exp.cfg.horizon
     return [
         (h, "declines", False, run.res.declines),
-        (h, "array_events", False, run.res.array_events),
+        (h, "array_lane_events", False, run.res.array_lane_events),
+        (h, "scalar_lane_events", False, run.res.scalar_lane_events),
         (h, "batch_dispatches", False, run.exp.sim.batch_dispatches),
     ]
 

@@ -173,9 +173,9 @@ def test_payloads_and_span_rows_carry_plain_floats(monkeypatch):
     assert all(type(x) is float for payload in seen for x in payload)
     spans = res.spans
     assert len(spans) > 1000 and spans.dropped == 0
-    kinds = {int, float}
-    assert {type(x) for x in spans.data} <= kinds
-    assert all(type(x) is float for x in spans.data[3::8] + spans.data[4::8])
+    ints = spans.kind + spans.node + spans.peer + spans.parent + spans.status
+    floats = spans.t0 + spans.t1 + spans.detail
+    assert {type(x) for x in ints} == {int} and {type(x) for x in floats} == {float}
 
 
 # --------------------------------------------------------------------- #

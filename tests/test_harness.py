@@ -142,7 +142,7 @@ class TestDeterminism:
         for _ in range(2):
             with trace_session():
                 res = run_experiment(configs.static_path(5, horizon=20.0, seed=3))
-            tables.append(res.spans.data)
+            tables.append(list(res.spans.rows()))
         assert tables[0] and tables[0] == tables[1]
 
 

@@ -195,6 +195,11 @@ WAVE_LANE = _spy(NodeArrayTable, "_discover_array", lambda self, args, ran: (len
 BURSTS = _spy(
     NodeArrayTable, "deliver_burst", lambda self, args, _: (self.sim.now, *map(list, args[:2]))
 )
+#: ``(loose members, traced)`` per ``_tick_array`` (an array-lane tick run).
+TICK_LANE = _spy(
+    NodeArrayTable, "_tick_array",
+    lambda self, args, _: (len(args[1].loose), self.transport._tracer is not None),
+)
 #: ``(now, loose members)`` per ``_tick_plan``.
 PLANS = _spy(NodeArrayTable, "_tick_plan", lambda self, args, plan: (self.sim.now, len(plan.loose)))
 
@@ -462,11 +467,20 @@ CASES = [
         lambda r: any(loose for _, loose in r.default.spied),
         lambda r: any(now > 2.3 for now, _ in r.default.spied),
     ), spy=PLANS),
-    # The E_0 wave of a 64-ring (128 rows): one array pass when clean, the
-    # scalar lane's when traced, with a node blocked when it fires, or with
-    # a row reversed before it fires.
+    # The same ring observed: the tracer keeps the tick groups with loose
+    # members on the array lane, their span rows split around each loose
+    # member as the burst is; node 0 far ahead makes the members jump.
+    Case("lane_traced_loose_tick_groups", lambda: churned_sync_ring(
+        [(2.3, "remove", 40, 41), (4.1, "add", 40, 41)], n=128, horizon=8.0,
+    ), (
+        lambda r: any(loose and traced for loose, traced in r.default_on.spied),
+        JUMPS,
+    ), hook=far_ahead, spy=TICK_LANE),
+    # The E_0 wave of a 64-ring (128 rows): one array pass when clean,
+    # traced or not; the scalar lane's with a node blocked when it fires,
+    # or with a row reversed before it fires.
     Case("wave_clean", lambda: _sync(64, 6.0), (
-        lambda r: _first_wave(r.default, True), lambda r: _first_wave(r.default_on, False),
+        lambda r: _first_wave(r.default, True), lambda r: _first_wave(r.default_on, True),
     ), spy=WAVE_LANE),
     Case("wave_blocked", lambda: _sync(64, 6.0),
          (lambda r: _first_wave(r.default, False), JUMPS),

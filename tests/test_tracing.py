@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from kernel_parity import assert_same, run
 from test_kernel_parity import holds
@@ -44,6 +45,7 @@ from repro.tracing import (
     STATUS_DONE,
     STATUS_DROPPED,
     STATUS_PENDING,
+    Span,
     SpanTable,
     Tracer,
     activate_tracing,
@@ -99,6 +101,33 @@ class TestSpanTable:
         assert t.count(SPAN_FLIGHT) == 1
         assert t.kind_counts[SPAN_JUMP] == 1
         assert [s.kind for s in list(t.rows())] == [SPAN_FLIGHT, SPAN_JUMP]
+
+    def test_blocks_and_lists_read_as_one_table(self):
+        """A column block takes the ids after the open list segment; the
+        list rows written after it continue from its end, and readers,
+        closes and counts see one table of Python ints and floats."""
+        t = SpanTable()
+        t.append(SPAN_TIMER, 0, -1, 1.0, 1.0, -1, STATUS_DONE)
+        block = (
+            np.array([SPAN_TIMER, SPAN_FLIGHT]), np.array([1, 1]), np.array([-1, 2]),
+            np.full(2, 2.0), np.array([2.0, 2.5]), np.array([-1, 1]),
+            np.full(2, STATUS_DONE), np.zeros(2),
+        )
+        assert t.write_block(block) == 1 and len(t) == 3
+        assert t.append(SPAN_FLIGHT, 3, 4, 3.0, 3.5, -1, STATUS_DONE) == 3
+        assert t.base == 3 and len(t.data) == STRIDE
+        assert t.kind == [SPAN_TIMER, SPAN_TIMER, SPAN_FLIGHT, SPAN_FLIGHT]
+        assert t.parent == [-1, -1, 1, -1]
+        assert {type(x) for x in t.node + t.parent} == {int}
+        assert {type(x) for x in t.t0 + t.t1} == {float}
+        assert t.row(2) == Span(2, SPAN_FLIGHT, 1, 2, 2.0, 2.5, 1, STATUS_DONE, 0.0)
+        assert [s.span_id for s in t.rows()] == [0, 1, 2, 3]
+        t.close(2, 2.25, STATUS_DROPPED)
+        assert (t.row(2).t1, t.row(2).status) == (2.25, STATUS_DROPPED)
+        t.close_many([3, 2], STATUS_PENDING)
+        assert t.status == [STATUS_DONE, STATUS_DONE, STATUS_PENDING, STATUS_PENDING]
+        assert t.t1 == [1.0, 2.0, 2.25, 3.5]
+        assert t.kind_counts[SPAN_FLIGHT] == 2 and t.count(SPAN_TIMER) == 2
 
 
 class TestTracerHooks:
