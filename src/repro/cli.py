@@ -491,6 +491,7 @@ def _kernel_payload(result: Any) -> dict[str, Any]:
         "non_node_events": result.non_node_events,
         "par_fallback_reason": result.par_fallback_reason,
         "par_shards": result.par_shards,
+        "plan_s": result.plan_s,
         "declines": [asdict(d) for d in result.declines],
     }
 
@@ -569,7 +570,11 @@ def _observed_run(args: argparse.Namespace, cfg: Any, kind: str) -> int:
     else:
         print(result.summary())
         if is_sim:
-            setup = "" if setup_s is None else f" (set-up {setup_s:.2f}s)"
+            setup = (
+                ""
+                if setup_s is None
+                else f" (set-up {setup_s:.2f}s, plan {result.plan_s:.2f}s)"
+            )
             print(
                 f"  wall: {elapsed:.2f}s{setup}  "
                 f"throughput: {events_per_sec:,.0f} events/s"

@@ -39,9 +39,18 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from math import inf
-from typing import TYPE_CHECKING, AbstractSet, Any, Mapping, Sequence, cast
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Any,
+    Iterator,
+    Mapping,
+    Sequence,
+    Union,
+    cast,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -71,6 +80,7 @@ __all__ = [
     "KernelPlan",
     "NodeArrayTable",
     "PopulationReader",
+    "WaveRows",
     "kernel_plan",
 ]
 
@@ -139,6 +149,27 @@ class _Payloads:
 
 
 @dataclass(slots=True)
+class WaveRows:
+    """The discoveries of E_0's wave record as two id columns: row ``i``
+    is ``(nids[i], others[i], True, False)``.  Reads like the list of
+    those ``(node, other, added, absence)`` rows."""
+
+    nids: _I64
+    others: _I64
+
+    def __len__(self) -> int:
+        return len(self.nids)
+
+    def __iter__(self) -> Iterator[tuple[int, int, bool, bool]]:
+        return zip(self.nids.tolist(), self.others.tolist(), repeat(True), repeat(False))
+
+
+#: What :meth:`NodeArrayTable.discover_run` executes: ``(node, other,
+#: added, absence)`` rows, or the wave's columns.
+DiscoveryRows = Union[Sequence[tuple[int, int, bool, bool]], WaveRows]
+
+
+@dataclass(slots=True)
 class _TickPlan:
     """One tick run's bulk sends, valid while the table's ``edits`` is
     ``key``: per message the sender and destination (``us`` / ``vs``,
@@ -188,6 +219,8 @@ class NodeArrayTable:
         "ids",
         *_NODE_COLUMNS,
         *_SLOT_COLUMNS,
+        "pair_keys",
+        "row_start",
         "slotmap",
         "row_index",
         "n_slots",
@@ -241,24 +274,22 @@ class NodeArrayTable:
         self.Lmax = self.rate[:]
         self.h_last = self.rate[:]
         self.messages_sent = array("q", bytes(8 * n))
-        #: ``slotmap[v][u]`` is the slot of the directed pair ``(v, u)``:
-        #: ``peer`` (``u``), ``mate`` (the slot of ``(u, v)``), ``ups`` (``u``
-        #: in Upsilon_v), ``live`` (edge ``{v, u}`` present: :meth:`flip`),
-        #: Gamma (``l_est`` = ``L^u_v``, ``+inf`` while ``u`` is outside;
-        #: ``added_h`` = ``C^u_v``) and ``lost(u)`` (deadline ``lost_dl``,
-        #: ``+inf`` while disarmed; ``lost_seq``, when it was last armed).
-        #: Seeded with the adjacency the run starts on, row by row; a pair
-        #: first met later takes the next two free slots; no slot ever moves.
-        graph = transport.graph
-        self.slotmap: list[dict[int, int]] = [{} for _ in range(n)]
-        peers: list[int] = []
-        for i in ids:
-            nbrs = sorted(graph.neighbors(i))
-            self.slotmap[i] = dict(zip(nbrs, range(len(peers), len(peers) + len(nbrs))))
-            peers += nbrs
-        #: The slots of a long row as an index array (:meth:`_sync`).
-        self.row_index: dict[int, npt.NDArray[np.intp]] = {}
-        first = self.n_slots = len(peers)
+        #: The slot columns, one entry per directed pair ``(v, u)``: ``owner``
+        #: (``v``), ``peer`` (``u``), ``mate`` (the slot of ``(u, v)``),
+        #: ``ups`` (``u`` in Upsilon_v), ``live`` (edge ``{v, u}`` present:
+        #: :meth:`flip`), Gamma (``l_est`` = ``L^u_v``, ``+inf`` while ``u``
+        #: is outside; ``added_h`` = ``C^u_v``) and ``lost(u)`` (deadline
+        #: ``lost_dl``, ``+inf`` while disarmed; ``lost_seq``, when it was
+        #: last armed).  Seeded with the adjacency the run starts on in
+        #: ``(owner, peer)`` order -- row ``v``'s seeded slots are
+        #: ``row_start[v]`` up to ``row_start[v + 1]``, and ``pair_keys``
+        #: holds their ``owner * n + peer`` (then a sentinel) for bulk
+        #: lookups -- a pair first met later takes the next two free
+        #: slots; no slot ever moves.
+        owners, peers = transport.graph.adjacency(ids)
+        keys = np.sort(owners * n + peers)
+        first = self.n_slots = len(keys)
+        self.pair_keys = np.append(keys, np.iinfo(np.int64).max)
         size = first + max(16, first // 8)
         (
             self.owner, self.peer, self.mate, self.lost_seq, self.ups, self.live,
@@ -266,28 +297,38 @@ class NodeArrayTable:
         ) = (array(code, [fill]) * size for code, fill in _SLOT_COLUMNS.values())
         self.np: Any = _Views(self)
         col = self.np
-        col.owner[:first] = np.repeat(np.arange(n), [len(row) for row in self.slotmap])
-        col.peer[:first] = peers
+        owner = col.owner[:first] = keys // n
+        col.peer[:first] = keys - owner * n
         col.live[:first] = True
-        # Seeded in (owner, peer) order: a pair's mate is found by bisection;
-        # a shard's pair whose other end it does not cover takes one.
-        pairs = col.owner[:first] * n + col.peer[:first]
-        mirrored = col.peer[:first] * n + col.owner[:first]
-        mate = col.mate[:first] = np.searchsorted(pairs, mirrored)
-        mate[mate == first] = 0
-        for s in np.flatnonzero(pairs[mate] != mirrored).tolist():
-            self.slot(peers[s], self.owner[s])
+        self.row_start = array("q", np.searchsorted(owner, np.arange(n + 1)).tobytes())
+        #: ``slotmap[v]``, row ``v``'s ``{peer: slot}`` dict, is built the
+        #: first time anything asks for it (:meth:`row`): seeded peers in
+        #: order, then later pairs as they were met.
+        self.slotmap: list[dict[int, int] | None] = [None] * n
+        #: The slots of a long row as an index array (:meth:`_sync`).
+        self.row_index: dict[int, npt.NDArray[np.intp]] = {}
+        # A pair's mate is found by bisection; a shard's pair whose other
+        # end it does not cover takes one.
+        mirrored = col.peer[:first] * n + owner
+        mate = col.mate[:first] = np.searchsorted(self.pair_keys, mirrored)
+        for s in np.flatnonzero(self.pair_keys[mate] != mirrored).tolist():
+            self.slot(self.peer[s], self.owner[s])
         #: Bumped by every write of an ``ups`` or ``live`` slot: the key a
-        #: tick group's send plan is valid under.
+        #: tick group's send plan is kept under.
         self.edits = 0
         #: :meth:`believed` per node, until its ``ups`` slots are written.
         self.dests: dict[int, list[int]] = {}
         #: The pending wake record per wake time, and the arms so far.
         self.wakes: dict[float, ScheduledEvent] = {}
         self.arms = 0
-        for i in ids:
-            self._reseat(i, sim.now)
-            d = self.drivers[i]
+        covered = self.drivers[ids.start : ids.stop]
+        segments = np.fromiter(
+            chain.from_iterable([d.clock.segment_at(sim.now) for d in covered]),
+            np.float64, 5 * len(ids),
+        ).reshape(-1, 5)
+        for j, name in enumerate(("rate", "t0", "h0", "t1", "h1")):
+            getattr(col, name)[ids.start : ids.stop] = segments[:, j]
+        for i, d in zip(ids, covered):
             d._table = self
             if type(d.clock) is SteerableClock:
                 d.clock.on_rate_change = lambda i=i: self._reseat(i, sim.now)
@@ -341,14 +382,23 @@ class NodeArrayTable:
             self.rate[i], self.t0[i], self.h0[i], self.t1[i], self.h1[i]
         ) = self.drivers[i].clock.segment_at(t)  # type: ignore[attr-defined]
 
+    def row(self, v: int) -> dict[int, int]:
+        """Row ``v``'s ``{peer: slot}`` dict, built on the first call from
+        its seeded slots (the array lane never needs it)."""
+        row = self.slotmap[v]
+        if row is None:
+            lo, hi = self.row_start[v], self.row_start[v + 1]
+            row = self.slotmap[v] = dict(zip(self.peer[lo:hi], range(lo, hi)))
+        return row
+
     def slot(self, v: int, u: int) -> int:
         """The slot of the directed pair ``(v, u)``.  The first time either
         direction is asked for, the pair takes two fresh slots (outside
         Gamma and Upsilon, no ``lost`` record), each the other's ``mate``."""
-        s = self.slotmap[v].get(u)
+        s = self.row(v).get(u)
         if s is None:
             s = self._take(v, u)
-            r = self.slotmap[u].get(v)
+            r = self.row(u).get(v)
             if r is None:
                 r = self._take(u, v)
             self.mate[s] = r
@@ -364,7 +414,7 @@ class NodeArrayTable:
         self.owner[s] = v
         self.peer[s] = u
         self.live[s] = self.transport._has_edge(v, u)
-        self.slotmap[v][u] = s
+        self.row(v)[u] = s
         self.row_index.pop(v, None)
         return s
 
@@ -380,7 +430,7 @@ class NodeArrayTable:
     def flip(self, u: int, v: int, added: bool) -> None:
         """Edge ``{u, v}`` appeared or vanished: write ``live`` on both of
         its slots (a pair without slots reads the graph when it takes them)."""
-        s = self.slotmap[u].get(v)
+        s = self.row(u).get(v)
         if s is not None:
             self.live[s] = self.live[self.mate[s]] = added
             self.edits += 1
@@ -388,7 +438,7 @@ class NodeArrayTable:
     def believe(self, v: int, u: int, yes: bool) -> None:
         """Write ``u in Upsilon_v`` (a discovery, or a core's
         :class:`~repro.core.estimates.SlotSet`)."""
-        s = self.slot(v, u) if yes else self.slotmap[v].get(u)
+        s = self.slot(v, u) if yes else self.row(v).get(u)
         if s is not None:
             self.ups[s] = yes
         self.edits += 1
@@ -400,7 +450,7 @@ class NodeArrayTable:
         dests = self.dests.get(v)
         if dests is None:
             ups = self.ups
-            dests = self.dests[v] = sorted([u for u, s in self.slotmap[v].items() if ups[s]])
+            dests = self.dests[v] = sorted([u for u, s in self.row(v).items() if ups[s]])
         return dests
 
     def arm_lost(self, v: int, u: int, deadline: float) -> bool:
@@ -413,18 +463,20 @@ class NodeArrayTable:
         self.arms += 1
         return armed
 
-    def _slots_of(self, us: Sequence[int], vs: Sequence[int]) -> list[int]:
-        """``slot(v, u)`` per message ``u -> v``."""
-        slotmap = self.slotmap
-        try:
-            return [slotmap[v][u] for u, v in zip(us, vs)]
-        except KeyError:  # a pair met for the first time
-            return [self.slot(v, u) for u, v in zip(us, vs)]
+    def _slots_of(self, owners: _I64, peers: _I64) -> _I64:
+        """``slot(owners[i], peers[i])`` per entry: a seeded pair by one
+        ``searchsorted`` on ``pair_keys``, a pair met later through its
+        row."""
+        wanted = owners * len(self.L) + peers
+        slots = np.searchsorted(self.pair_keys, wanted)
+        for i in np.flatnonzero(self.pair_keys[slots] != wanted).tolist():
+            slots[i] = self.slot(owners.item(i), peers.item(i))
+        return slots
 
     def forget(self, v: int, u: int) -> bool:
         """Drop ``u`` from ``v``'s Gamma and disarm ``lost(u)`` (returns
         whether ``u`` was there)."""
-        s = self.slotmap[v].get(u)
+        s = self.row(v).get(u)
         if s is None or self.l_est[s] == inf:
             return False
         self.l_est[s] = self.lost_dl[s] = inf
@@ -445,7 +497,7 @@ class NodeArrayTable:
         self.L[i] += dh
         self.Lmax[i] += dh
         self.h_last[i] = h
-        slots = self.slotmap[i]
+        slots = self.slotmap[i] or self.row(i)
         if len(slots) <= _LONG_ROW:
             l_est = self.l_est
             for s in slots.values():
@@ -507,7 +559,7 @@ class NodeArrayTable:
         b0 = self.b0
         intercept = self.b_intercept
         slope = self.b_slope
-        for s in self.slotmap[i].values():
+        for s in (self.slotmap[i] or self.row(i)).values():
             b = intercept - slope * (h - added_h[s])
             if b < b0:
                 b = b0
@@ -540,7 +592,7 @@ class NodeArrayTable:
         self.scalar_lane_events += 1
         now = self.sim.now
         h = self._sync(v, now)
-        s = self.slotmap[v].get(u)
+        s = (self.slotmap[v] or self.row(v)).get(u)
         if s is None:
             s = self.slot(v, u)
         l_est = self.l_est  # after slot(): a new pair reallocates the columns
@@ -636,7 +688,7 @@ class NodeArrayTable:
             flat = np.fromiter(chain.from_iterable(payloads), np.float64, 2 * m)
             l_in, lmax_in = flat[0::2], flat[1::2]
             dst = np.fromiter(vs, np.int64, m)
-            slots = np.fromiter(self._slots_of(us, vs), np.int64, m)
+            slots = self._slots_of(dst, np.fromiter(us, np.int64, m))
         col = self.np  # after _slots_of: a new pair reallocates the columns
         now = self.sim.now
         n = len(self.L)
@@ -697,14 +749,15 @@ class NodeArrayTable:
     # Discoveries and ``lost`` fires
     # ------------------------------------------------------------------ #
 
-    def discover_run(self, rows: Sequence[tuple[int, int, bool, bool]]) -> None:
+    def discover_run(self, rows: DiscoveryRows) -> None:
         """Execute a same-timestamp run of discoveries.
 
         The one discovery body, entered by the transport with the ``(node,
         other, added, absence)`` rows of a pre-popped run of
         ``KIND_DISCOVER`` records, of a singleton, or of the wave record
-        that stands for E_0; from :data:`ARRAY_LANE_MIN` rows it may take
-        the array lane (:meth:`_discover_array`).  On the scalar lane, per
+        that stands for E_0 (its columns: :class:`WaveRows`); from
+        :data:`ARRAY_LANE_MIN` rows it may take the array lane
+        (:meth:`_discover_array`).  On the scalar lane, per
         row, in order, it is :meth:`Transport._handle_discover` plus
         ``DCSACore``'s discover handlers without the effect list: clear the
         absence-dedup key, skip a change that no longer holds, sync, greet
@@ -774,7 +827,7 @@ class NodeArrayTable:
         if tracer is not None:
             tracer.current = -1
 
-    def _discover_array(self, rows: Sequence[tuple[int, int, bool, bool]]) -> bool:
+    def _discover_array(self, rows: DiscoveryRows) -> bool:
         """The array lane of a discovery run (the E_0 wave); returns
         whether it ran: only when every row is an add whose edge is
         ``live`` and no node is blocked once synced (idempotent: a run
@@ -790,14 +843,18 @@ class NodeArrayTable:
             or (tracer is not None and len(tracer.table) + 2 * m >= tracer.table.capacity)
         ):
             return False
-        nids, others, added, absence = zip(*rows)
-        if not all(added) or any(absence):
-            return False
-        slots = np.fromiter(self._slots_of(others, nids), np.int64, m)
+        if type(rows) is WaveRows:
+            who, others = rows.nids, rows.others
+        else:
+            nids, peers, added, absence = zip(*rows)
+            if not all(added) or any(absence):
+                return False
+            who = np.fromiter(nids, np.int64, m)
+            others = np.fromiter(peers, np.int64, m)
+        slots = self._slots_of(who, others)
         col = self.np  # after _slots_of: a new pair reallocates the columns
         if not col.live[slots].all():
             return False
-        who = np.fromiter(nids, np.int64, m)
         sends = np.bincount(who, minlength=len(self.L))
         ids = np.flatnonzero(sends)  # np.unique(who), without its imports
         self._sync_rows(ids)
@@ -817,7 +874,7 @@ class NodeArrayTable:
                 np.repeat(who, 2), np.repeat(payloads.dst, 2), parent,
             )
             sids = range(base + 1, base + 2 * m, 2)
-        self._push_burst(list(nids), list(others), payloads, sids)
+        self._push_burst(who.tolist(), others.tolist(), payloads, sids)
         self.transport.stats.discoveries_delivered += m
         self.array_lane_events += m
         return True
@@ -912,25 +969,25 @@ class NodeArrayTable:
         A group carries its arm time in ``d`` like an individual record
         (see :meth:`_repush_tick`), and ``plan`` in ``c`` when it is the
         whole run."""
-        members: dict[float, list[ClockSyncNode]] = {}
-        for d, fire_t in zip(drivers, fires):
-            members.setdefault(fire_t, []).append(d)
+        at: dict[float, list[int]] = {}  # deadline -> its drivers' positions
+        for i, fire_t in enumerate(fires):
+            at.setdefault(fire_t, []).append(i)
         sim = self.sim
         push = sim.queue.push_typed
-        for i, (d, fire_t) in enumerate(zip(drivers, fires)):
-            group = members[fire_t]
-            if len(group) > 1:
-                if group[0] is d:
-                    grp = push(
-                        fire_t, PRIORITY_TIMER, KIND_TICK_BURST, group, None,
-                        plan if len(members) == 1 else None, sim.now, None,
-                        "tick+", e=len(group),
-                    )
-                    for member in group:
-                        member._timers[_TICK] = grp
+        for fire_t, where in at.items():  # in first-member order
+            if len(where) > 1:
+                group = [drivers[i] for i in where]
+                grp = push(
+                    fire_t, PRIORITY_TIMER, KIND_TICK_BURST, group, None,
+                    plan if len(at) == 1 else None, sim.now, None,
+                    "tick+", e=len(group),
+                )
+                for member in group:
+                    member._timers[_TICK] = grp
             elif records is not None:
-                self._repush_tick(records[i], fire_t)
+                self._repush_tick(records[where[0]], fire_t)
             else:
+                d = drivers[where[0]]
                 d._timers[_TICK] = push(
                     fire_t, PRIORITY_TIMER, KIND_TIMER, d,
                     _TICK, None, sim.now, None, "timer", e=1,
@@ -1009,7 +1066,7 @@ class NodeArrayTable:
         ``boundary`` sender) is an entry of ``loose`` instead."""
         col = self.np
         k = len(drivers)
-        ids = stale.ids if stale else np.fromiter((d.node_id for d in drivers), np.int64, k)
+        ids = stale.ids if stale else np.array([d.node_id for d in drivers], np.int64)
         n = len(self.L)
         used = self.n_slots
         at = np.full(n, -1, np.int64)  # node id -> member position
@@ -1191,7 +1248,7 @@ class NodeArrayTable:
         nid = d.node_id
         now = self.sim.now
         h = self._sync(nid, now)
-        row = self.slotmap[nid]
+        row = self.slotmap[nid] or self.row(nid)
         dests = self.believed(nid)
         bulk = burst  # where the sends go: the burst, or (None) per message
         if bulk is not None:

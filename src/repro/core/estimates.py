@@ -157,7 +157,7 @@ class SlotTable(NeighborTable):
         l_est = store.l_est
         return {
             v: SlotEstimate(store, s)
-            for v, s in store.slotmap[self._owner].items()
+            for v, s in store.row(self._owner).items()
             if l_est[s] != inf
         }
 

@@ -137,10 +137,6 @@ class ClockSyncNode:
         #: The batch table covering this node (set when it is built), whose
         #: slots hold its ``("lost", u)`` timers; ``None`` off a table.
         self._table: Any = None
-        # Pre-bound hot-path callable (the queue is never swapped; the
-        # clock may be -- adversaries install SteerableClocks -- so clock
-        # methods are always resolved through self.clock).
-        self._push = sim.queue.push_typed
         # One KIND_TIMER handler per simulator, registered idempotently by
         # every driver (populations wired onto a test double have nowhere
         # else to do it): the transport's, which routes table-covered
@@ -287,7 +283,7 @@ class ClockSyncNode:
         # table's): the parallel shard backend keys timer provenance on
         # (arm time, phase, node id), which is deterministic across shard
         # counts where a local sequence number is not.
-        self._timers[key] = self._push(
+        self._timers[key] = sim.queue.push_typed(
             fire_t, PRIORITY_TIMER, KIND_TIMER, self, key, None, now,
             None, "timer", e=1 if sim.in_run else 0,
         )

@@ -374,6 +374,9 @@ class RunResult:
     #: Host seconds :class:`Experiment`'s constructor took (``None`` for
     #: live and sharded runs, which wire elsewhere).
     setup_s: float | None = None
+    #: Host seconds of the run's start: deciding the kernel plan and
+    #: building its table (``None`` where ``setup_s`` is).
+    plan_s: float | None = None
 
     @property
     def params(self) -> SystemParams:
@@ -771,6 +774,7 @@ class Experiment:
             blocked_rows=lanes["blocked_rows"],
             non_node_events=self.sim.non_node_events,
             setup_s=self.setup_s,
+            plan_s=self.transport.plan_s,
         )
 
 

@@ -23,11 +23,19 @@ it); both are enforced.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
+import numpy.typing as npt
 
 __all__ = ["DynamicGraph", "GraphError", "edge_key"]
 
 Edge = tuple[int, int]
+
+#: The history every edge of E_0 shares until it first changes: added at 0.
+_E0_T: tuple[float, ...] = (0.0,)
+_E0_A: tuple[bool, ...] = (True,)
 
 
 class GraphError(ValueError):
@@ -62,9 +70,11 @@ class DynamicGraph:
             raise GraphError("duplicate node ids")
         self._node_set = node_set
         self._adj: dict[int, set[int]] = {u: set() for u in self._nodes}
-        # Per-edge history: key -> (times list, added flags list), parallel.
-        self._hist_t: dict[Edge, list[float]] = {}
-        self._hist_a: dict[Edge, list[bool]] = {}
+        # Per-edge history: key -> (times, added flags), parallel.  An edge
+        # of E_0 shares the immutable ``_E0_T`` / ``_E0_A`` until its first
+        # mutation turns them into two lists (:meth:`_history_lists`).
+        self._hist_t: dict[Edge, Sequence[float]] = {}
+        self._hist_a: dict[Edge, Sequence[bool]] = {}
         # Edges that have ever seen a remove event: the delivery hot path
         # asks removed_during() once per message, and on stable topologies
         # the answer is decided by this set without touching the history.
@@ -89,8 +99,8 @@ class DynamicGraph:
             key = (u, v) if u <= v else (v, u)
             nbrs.add(v)
             adj[v].add(u)
-            hist_t[key] = [0.0]
-            hist_a[key] = [True]
+            hist_t[key] = _E0_T
+            hist_a[key] = _E0_A
         self.edge_events = len(hist_t)
 
     # ------------------------------------------------------------------ #
@@ -129,6 +139,20 @@ class DynamicGraph:
             for v in self._adj[u]:
                 if u < v:
                     yield (u, v)
+
+    def adjacency(
+        self, nodes: Sequence[int] | None = None
+    ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+        """The current adjacency of ``nodes`` (default: every node) as two
+        id columns, one entry per (node, neighbour): the nodes in order,
+        each one's neighbours in its set's iteration order -- the walk
+        :meth:`edges` makes."""
+        if nodes is None:
+            nodes = self._nodes
+        rows = [self._adj[u] for u in nodes]
+        counts = np.fromiter(map(len, rows), np.int64, len(rows))
+        peers = np.fromiter(chain.from_iterable(rows), np.int64, int(counts.sum()))
+        return np.repeat(np.asarray(nodes, np.int64), counts), peers
 
     def edge_count(self) -> int:
         """Number of current edges."""
@@ -170,8 +194,9 @@ class DynamicGraph:
         key = self._check_mutation(u, v, time)
         self._adj[u].add(v)
         self._adj[v].add(u)
-        self._hist_t.setdefault(key, []).append(time)
-        self._hist_a.setdefault(key, []).append(True)
+        ts, flags = self._history_lists(key)
+        ts.append(time)
+        flags.append(True)
         self._last_time = time
         self.edge_events += 1
         for fn in self._listeners:
@@ -184,13 +209,25 @@ class DynamicGraph:
         key = self._check_mutation(u, v, time)
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._hist_t[key].append(time)
-        self._hist_a[key].append(False)
+        ts, flags = self._history_lists(key)
+        ts.append(time)
+        flags.append(False)
         self._ever_removed.add(key)
         self._last_time = time
         self.edge_events += 1
         for fn in self._listeners:
             fn(time, key[0], key[1], False)
+
+    def _history_lists(self, key: Edge) -> tuple[list[float], list[bool]]:
+        """Edge ``key``'s history as two lists to append to (an E_0 edge's
+        shared history is copied once, at its first mutation)."""
+        ts = self._hist_t.get(key)
+        flags = self._hist_a.get(key)
+        if type(ts) is list and type(flags) is list:
+            return ts, flags
+        ts = self._hist_t[key] = list(ts or ())
+        flags = self._hist_a[key] = list(flags or ())
+        return ts, flags
 
     # ------------------------------------------------------------------ #
     # Historical queries

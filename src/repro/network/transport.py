@@ -33,6 +33,7 @@ Nodes registered with the transport provide ``on_message(sender, payload)``,
 from __future__ import annotations
 
 from itertools import repeat
+from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -43,7 +44,16 @@ from typing import (
     Sequence,
 )
 
-from ..core.batch import LANE_FIELDS, KernelPlan, NodeArrayTable, kernel_plan
+import numpy as np
+
+from ..core.batch import (
+    LANE_FIELDS,
+    DiscoveryRows,
+    KernelPlan,
+    NodeArrayTable,
+    WaveRows,
+    kernel_plan,
+)
 from ..sim.events import (
     KIND_DELIVER,
     KIND_DELIVER_BURST,
@@ -175,6 +185,9 @@ class Transport:
         #: that declined.  The one slot every reader consults; written
         #: once, by :meth:`_start_run`.
         self.plan = KernelPlan()
+        #: Host seconds :meth:`_start_run` spent deciding the plan (building
+        #: its table): the run's start cost (``RunResult.plan_s``).
+        self.plan_s = 0.0
         sim.set_handler(KIND_DELIVER, self._handle_deliver)
         sim.set_handler(KIND_DISCOVER, self._handle_discover)
         sim.on_run_start(self._start_run)
@@ -257,24 +270,26 @@ class Transport:
 
         Under a :class:`~repro.network.discovery.ConstantDiscovery` (by
         exact type) all of E_0 shares one fire time and travels as one
-        *wave* record, its rows in :meth:`_announce_each`'s push order.
+        *wave* record: the node and peer ids of its rows as two columns
+        (:class:`~repro.core.batch.WaveRows`), in :meth:`_announce_each`'s
+        push order.
         """
         policy = self.discovery_policy
         if type(policy) is not ConstantDiscovery:
             self._announce_each()
             return
-        nodes = self._nodes
-        rows: list[tuple[int, int, bool, bool]] = []
-        for u, v in self.graph.edges():
-            if u in nodes:
-                rows.append((u, v, True, False))
-            if v in nodes:
-                rows.append((v, u, True, False))
-        if rows:
+        owner, peer = self.graph.adjacency()
+        edge = owner < peer  # each edge once, as edges() yields it
+        nids = np.column_stack((owner[edge], peer[edge])).ravel()
+        others = np.column_stack((peer[edge], owner[edge])).ravel()
+        if len(self._nodes) < self.graph.n:  # nodes may be registered lazily
+            known = np.isin(nids, list(self._nodes))
+            nids, others = nids[known], others[known]
+        if len(nids):
             self._push(
                 self._discovery_time(policy.value, self.sim.now),
-                PRIORITY_DELIVERY, KIND_DISCOVER, rows, None, None, None,
-                None, "discover+", e=len(rows),
+                PRIORITY_DELIVERY, KIND_DISCOVER, nids, others, None, None,
+                None, "discover+", e=len(nids),
             )
 
     def _announce_each(self) -> None:
@@ -418,7 +433,9 @@ class Transport:
         """Run-start hook: decide the kernel plan (once, where the first
         ``run_until`` / ``step`` begins) and register the run, burst and
         tick-group handlers, which exist only on a table."""
+        t0 = perf_counter()
         plan = self.plan = kernel_plan(self, *self._plan_scope)
+        self.plan_s = perf_counter() - t0
         if plan.table is None:
             return
         sim = self.sim
@@ -615,13 +632,12 @@ class Transport:
             None, "discover",
         )
 
-    def _discover_rows(
-        self, records: Iterable[ScheduledEvent]
-    ) -> list[tuple[int, int, bool, bool]]:
+    def _discover_rows(self, records: Sequence[ScheduledEvent]) -> DiscoveryRows:
         """``(node, other, added, absence)`` per discovery, in dispatch
-        order.  The kernel counted a wave (``e`` = its cardinality) as
-        one dispatch; the rest is re-expanded into the tallies here, as
-        :meth:`_handle_deliver_burst` does for a burst."""
+        order (a lone wave: its columns).  The kernel counted a wave (``e``
+        = its cardinality) as one dispatch; the rest is re-expanded into
+        the tallies here, as :meth:`_handle_deliver_burst` does for a
+        burst."""
         sim = self.sim
         rows: list[tuple[int, int, bool, bool]] = []
         for ev in records:
@@ -632,7 +648,10 @@ class Transport:
             sim.events_dispatched += card - 1
             if sim.kind_counts is not None:
                 sim.kind_counts[KIND_DISCOVER] += card - 1
-            rows.extend(ev.a)
+            wave = WaveRows(ev.a, ev.b)
+            if len(records) == 1:
+                return wave
+            rows.extend(wave)
         return rows
 
     def _handle_discover(self, ev: ScheduledEvent) -> None:
@@ -644,7 +663,7 @@ class Transport:
         -- a wave: its rows -- runs through
         :meth:`~repro.core.batch.NodeArrayTable.discover_run` instead.
         """
-        rows: Sequence[tuple[int, int, bool, bool]]
+        rows: DiscoveryRows
         if ev.e is None:  # the in-run case: one row, no expander
             rows = ((ev.a, ev.b, ev.c, ev.d),)
         else:

@@ -23,6 +23,7 @@ scaled -- loosening them could only mask bugs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable
 
 import numpy as np
@@ -413,7 +414,8 @@ class EnvelopeMonitor(Monitor):
     def __init__(self) -> None:
         super().__init__()
         self._live: dict[tuple[int, int], float] = {}
-        self._index: dict[int, int] = {}
+        #: Node id -> its position in the sampled columns (-1: unsampled).
+        self._position: np.ndarray = np.empty(0, dtype=np.intp)
         # Dense mirrors of _live (rebuilt lazily when dirty).
         self._dirty = True
         self._edge_keys: list[tuple[int, int]] = []
@@ -429,7 +431,9 @@ class EnvelopeMonitor(Monitor):
 
     def bind(self, params, node_ids, **kwargs) -> None:
         super().bind(params, node_ids, **kwargs)
-        self._index = {nid: k for k, nid in enumerate(node_ids)}
+        ids = np.fromiter(node_ids, np.intp, len(node_ids))
+        self._position = np.full(ids.max(initial=-1) + 1, -1, np.intp)
+        self._position[ids] = np.arange(len(ids))
 
     def on_edge_event(self, time: float, u: int, v: int, added: bool) -> None:
         key = (u, v) if u <= v else (v, u)
@@ -441,15 +445,15 @@ class EnvelopeMonitor(Monitor):
 
     def _rebuild(self) -> None:
         """Refresh the dense arrays from the live table (insertion order)."""
-        index = self._index
         keys = list(self._live.keys())
         self._edge_keys = keys
-        self._eu = np.fromiter(
-            (index[u] for u, _v in keys), dtype=np.intp, count=len(keys)
-        )
-        self._ev = np.fromiter(
-            (index[v] for _u, v in keys), dtype=np.intp, count=len(keys)
-        )
+        ends = self._position[
+            np.fromiter(chain.from_iterable(keys), np.intp, 2 * len(keys))
+        ]
+        if (ends < 0).any():  # an edge to a node the samples do not cover
+            raise KeyError(keys[int(np.argmax(ends < 0)) // 2])
+        self._eu = ends[0::2]
+        self._ev = ends[1::2]
         self._eadd = np.fromiter(
             self._live.values(), dtype=float, count=len(keys)
         )

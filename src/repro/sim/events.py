@@ -74,9 +74,10 @@ KIND_SAMPLE = 4
 #: Edge discovery notification.  Payload: ``a=node_id, b=other, c=added,
 #: d=absence(bool)`` (absence = the dedicated failed-send discovery path).
 #: A *wave* -- ``e=cardinality``, ``None`` on every other record -- stands
-#: for all of ``E_0``'s notifications under a constant latency:
-#: ``a=[(node_id, other, True, False)...]`` in the individual records'
-#: push order; the transport re-expands the cardinality into the tallies
+#: for all of ``E_0``'s notifications under a constant latency: ``a`` /
+#: ``b`` are the node and peer ids of its ``(node_id, other, True, False)``
+#: rows as int columns, in the individual records' push order; the
+#: transport re-expands the cardinality into the tallies
 #: (:meth:`repro.network.transport.Transport.announce_initial_edges`).
 KIND_DISCOVER = 5
 #: Aggregated same-timestamp message deliveries (batch kernel only; see

@@ -33,6 +33,7 @@ only at that point, when no live reference can remain.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .events import KIND_CALLBACK, POOLABLE, ScheduledEvent
@@ -41,6 +42,9 @@ __all__ = ["EventQueue"]
 
 #: Free-list size cap; beyond this, surplus records are left to the GC.
 POOL_CAP = 65536
+
+#: A heap entry's tie-break within its ``(time, priority)`` class.
+_SEQ = itemgetter(2)
 
 
 class EventQueue:
@@ -272,7 +276,11 @@ class EventQueue:
         """Pop the next live event with ``time <= t_end`` (else ``None``).
 
         One heap pass: cancelled heads are dropped (and recycled) along
-        the way.  This is the kernel's hot retrieval path.
+        the way.  No run calls it: :meth:`Simulator.run_until
+        <repro.sim.simulator.Simulator.run_until>` inlines the pop.  It
+        stays as that pop's single-step form, which
+        ``benchmarks/perf/micro.py`` times and two test files call, until
+        the benchmark's micro pass stops timing it.
         """
         heap = self._heap
         free = self._free
@@ -314,6 +322,10 @@ class EventQueue:
         singleton, ``out`` is untouched and ``0`` is returned so the caller
         can take the scalar path with no extra cost.
 
+        A run that outlasts ``len(heap) / log2(len(heap))`` pops -- the
+        first tick wave of an unstaggered population -- leaves the heap in
+        one pass instead (:meth:`_pop_tied`).
+
         Pre-popping is only sound if no handler invoked for the run cancels
         or reorders a record *inside* the run; the kernel only registers
         batch handlers for kinds where that is proven (see
@@ -328,6 +340,8 @@ class EventQueue:
         free = self._free
         poolable = POOLABLE
         count = 0
+        size = len(heap)
+        pops = size // size.bit_length()  # one pass costs what these pops do
         while heap:
             entry = heap[0]
             if entry[0] != time or entry[1] != priority:
@@ -344,12 +358,53 @@ class EventQueue:
                 break
             if count == 0:
                 out.append(first)
+            elif count == pops:
+                count += self._pop_tied(kind, out)
+                break
             heapq.heappop(heap)
             ev.queued = False
             self._live -= 1
             out.append(ev)
             count += 1
         return count + 1 if count else 0
+
+    def _pop_tied(self, kind: int, out: list[ScheduledEvent]) -> int:
+        """The rest of :meth:`pop_run`'s run in one pass over the heap.
+
+        Splits the heap into the entries that tie its head's ``(time,
+        priority)`` and the others, walks the tied ones in key order as
+        the pops would -- dropping cancelled records, stopping at the
+        first live one of another kind -- and heapifies what is left.
+        Returns how many records it appended to ``out``.
+        """
+        heap = self._heap
+        time, priority = heap[0][0], heap[0][1]
+        tied = [e for e in heap if e[0] == time and e[1] == priority]
+        tied.sort(key=_SEQ)  # the heap's order: the keys are unique
+        free = self._free
+        poolable = POOLABLE
+        taken = 0
+        for i, entry in enumerate(tied):
+            ev = entry[3]
+            if ev.cancelled:
+                ev.queued = False
+                if poolable[ev.kind] and len(free) < POOL_CAP:
+                    ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
+                    free.append(ev)
+                continue
+            if ev.kind != kind:
+                break
+            ev.queued = False
+            out.append(ev)
+            taken += 1
+        else:
+            i = len(tied)
+        rest = [e for e in heap if e[0] != time or e[1] != priority]
+        rest += tied[i:]
+        heapq.heapify(rest)
+        heap[:] = rest
+        self._live -= taken
+        return taken
 
     def recycle(self, ev: ScheduledEvent) -> None:
         """Return a dispatched poolable record to the free list.

@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 from kernel_parity import CHURN_SCRIPT, churned_sync_ring, far_ahead, run
-from test_kernel_parity import holds
+from test_kernel_parity import holds, parity_configs
 
 from repro.core import batch as batch_mod
 from repro.core.batch import NodeArrayTable
@@ -26,7 +27,9 @@ from repro.core.estimates import SlotSet
 from repro.core.protocol import DCSACore
 from repro.harness import configs
 from repro.harness.runner import Experiment, run_experiment
+from repro.network import transport as transport_mod
 from repro.network.transport import Transport
+from repro.sim import par
 from repro.sim import simulator as simulator_mod
 from repro.sim.events import KIND_TICK_BURST, KIND_TIMER
 from repro.tracing import trace_session
@@ -39,7 +42,7 @@ def test_slot_columns_grow_without_moving_a_slot(monkeypatch):
     exp = Experiment(configs.huge_sync_ring(8, horizon=6.0))
     exp.sim.run_until(3.0)
     table = exp.transport.plan.table
-    before = {v: dict(row) for v, row in enumerate(table.slotmap)}
+    before = {v: dict(table.row(v)) for v in exp.nodes}
     gamma = {i: sorted(node.core.gamma) for i, node in exp.nodes.items()}
     size = len(table.l_est)
     pairs = [(v, u) for v in range(8) for u in range(8) if u != v]
@@ -50,10 +53,105 @@ def test_slot_columns_grow_without_moving_a_slot(monkeypatch):
     assert [bool(table.live[s]) for s in fresh] == [
         exp.graph.has_edge(v, u) for v, u in pairs
     ]
-    assert all(table.slotmap[v][u] == s for v, row in before.items() for u, s in row.items())
+    assert all(table.row(v)[u] == s for v, row in before.items() for u, s in row.items())
     assert {i: sorted(node.core.gamma) for i, node in exp.nodes.items()} == gamma
     exp.sim.run_until(6.0)  # and the run goes on, on the new columns
     assert exp.nodes[0].core.gamma.get(1).l_est > 3.0
+
+
+# --------------------------------------------------------------------- #
+# Rows built on first touch
+# --------------------------------------------------------------------- #
+
+
+def _store(build, *, lane_min, eager, until=None):
+    """Build and run an experiment (to ``until``, default its horizon) at
+    lane constant ``lane_min``; ``eager`` builds every row's slot dict
+    right after ``kernel_plan``.  Returns every row's items in insertion
+    order, every covered core's Gamma in iteration order, the used slot
+    columns, the node columns, the transport's tallies and the table's
+    class, and which rows the run itself built."""
+    plan_of = transport_mod.kernel_plan
+
+    def eager_plan(*args):
+        plan = plan_of(*args)
+        if plan.table is not None:
+            for v in range(len(plan.table.slotmap)):
+                plan.table.row(v)
+        return plan
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator_mod, "BATCH_DEFAULT", True)
+        mp.setattr(batch_mod, "ARRAY_LANE_MIN", lane_min)
+        if eager:
+            mp.setattr(transport_mod, "kernel_plan", eager_plan)
+        exp = build()
+        exp.sim.run_until(exp.cfg.horizon if until is None else until)
+    table = exp.transport.plan.table
+    if table is None:
+        return None
+    built = [v for v, row in enumerate(table.slotmap) if row is not None]
+    return {
+        "rows": [list(table.row(v).items()) for v in range(len(table.slotmap))],
+        "gamma": {
+            i: [(u, e.l_est, e.added_h) for u, e in node.core.gamma.items()]
+            for i, node in exp.nodes.items()
+        },
+        "columns": {
+            name: getattr(table, name)[: table.n_slots].tobytes()
+            for name in batch_mod._SLOT_COLUMNS
+        },
+        "nodes": [getattr(table, name).tobytes() for name in batch_mod._NODE_COLUMNS],
+        "transport": exp.transport.stats.as_dict(),
+        "table": type(table),
+    }, built
+
+
+def _lazy_equals_eager(build, lane_min, until=None):
+    lazy, built = _store(build, lane_min=lane_min, eager=False, until=until) or ({}, [])
+    eager, _ = _store(build, lane_min=lane_min, eager=True, until=until) or ({}, [])
+    assert lazy == eager
+    return built, lazy
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=parity_configs())
+def _drawn_rows(lane_min, cfg):
+    _lazy_equals_eager(lambda: Experiment(cfg), lane_min)
+
+
+@pytest.mark.parametrize("lane_min", [batch_mod.ARRAY_LANE_MIN, 1], ids=["default_lane", "lane_1"])
+def test_a_lazily_built_row_equals_the_eagerly_built_one(lane_min):
+    """Whatever the config, flips included, and whichever lane runs: a
+    row built on first touch holds what one built with the table holds
+    -- keys, slot ids and insertion order -- and so do Gamma, the slot
+    and node columns and the transport's tallies."""
+    _drawn_rows(lane_min)
+
+
+def test_a_lockstep_run_builds_no_row_and_a_shard_rows_agree():
+    """The lockstep grid runs on the array lane without building a row; a
+    churned lockstep ring and a shard range (``ParNodeArrayTable``) build
+    some of theirs, each equal to the one built with the table."""
+    grid = configs.huge_sync_grid(12, 12, horizon=6.0)
+    built, store = _lazy_equals_eager(lambda: Experiment(grid), 64)
+    assert built == []
+    # The numpy seed gives each row what a loop over the sorted
+    # neighbour sets, row by row, gives it (the topology is static).
+    graph, seeded = Experiment(grid).graph, 0
+    for v, row in enumerate(store["rows"]):
+        peers = sorted(graph.neighbors(v))
+        assert row == list(zip(peers, range(seeded, seeded + len(peers))))
+        seeded += len(peers)
+    assert len(store["rows"]) == 144
+    # Flips on the lockstep ring build the rows they touch, and only those.
+    built, store = _lazy_equals_eager(lambda: Experiment(churned_sync_ring()), 1)
+    assert 0 < len(built) < len(store["rows"]) == 48
+    cfg = configs.huge_sync_ring(16, horizon=6.0)
+    shard = lambda: par._shard_experiment(cfg, 0, 8, frozenset({0, 7}))
+    built, store = _lazy_equals_eager(shard, 1, until=6.0)
+    assert store["table"] is par.ParNodeArrayTable and len(store["rows"]) == 16
+    assert built and set(built) != set(range(16))
 
 
 # --------------------------------------------------------------------- #
@@ -239,12 +337,12 @@ def test_a_covered_cores_upsilon_is_a_view_of_the_ups_column(monkeypatch):
     assert len(ups) == 2 and 2 in ups and 9 not in ups and set(ups) == {2, 4}
     edits = table.edits
     ups.add(9)
-    assert table.ups[table.slotmap[3][9]] and core.upsilon == {2, 4, 9}
+    assert table.ups[table.row(3)[9]] and core.upsilon == {2, 4, 9}
     assert table.edits > edits  # a tick group's plan is rebuilt
     ups.discard(9)
     ups.discard(11)  # never believed: nothing to write
-    assert core.upsilon == {2, 4} and not table.ups[table.slotmap[3][9]]
-    assert 11 not in table.slotmap[3]
+    assert core.upsilon == {2, 4} and not table.ups[table.row(3)[9]]
+    assert 11 not in table.row(3)
 
 
 # --------------------------------------------------------------------- #

@@ -346,7 +346,9 @@ class TestRunCommand:
             payload["events"] / payload["elapsed"]
         )
         code, out, _ = run_cli(capsys, *self.RUN_ARGS)
-        assert code == 0 and re.search(r"wall: \d+\.\d\ds \(set-up \d+\.\d\ds\)  ", out)
+        assert code == 0 and re.search(
+            r"wall: \d+\.\d\ds \(set-up \d+\.\d\ds, plan \d+\.\d\ds\)  ", out
+        )
         code, out, _ = run_cli(
             capsys, "run", "huge_sync_ring", "--set", "n=64", "horizon=2",
             "--shards", "2", "--json",
@@ -354,6 +356,20 @@ class TestRunCommand:
         payload = json.loads(out)
         assert code == 0 and payload["kernel"]["par_shards"] == 2
         assert payload["setup_s"] is None and payload["run_s"] is None
+
+    def test_run_reports_its_plan_s(self, capsys):
+        """``kernel.plan_s`` is what deciding the kernel plan took, inside
+        ``run_s``; null where ``setup_s`` is (a sharded run)."""
+        code, out, _ = run_cli(capsys, *self.RUN_ARGS, "--json")
+        payload = json.loads(out)
+        assert code == 0 and 0.0 < payload["kernel"]["plan_s"] < payload["run_s"]
+        code, out, _ = run_cli(
+            capsys, "run", "huge_sync_ring", "--set", "n=64", "horizon=2",
+            "--shards", "2", "--json",
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["kernel"]["par_shards"] == 2
+        assert payload["kernel"]["plan_s"] is None and payload["setup_s"] is None
 
     def test_run_profile_prints_top_entries(self, capsys):
         code, out, _ = run_cli(capsys, *self.RUN_ARGS, "--profile")
@@ -397,6 +413,7 @@ class TestRunCommand:
         )
         assert kernel.pop("array_lane_events") > kernel.pop("scalar_lane_events") > 0
         assert kernel.pop("blocked_rows") == 0
+        assert kernel.pop("plan_s") > 0.0
         assert payload["kernel"] == {
             "batch_gate_reason": None,
             "par_fallback_reason": None,

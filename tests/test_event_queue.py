@@ -384,3 +384,47 @@ def test_property_tie_break_stable_under_reuse(ops):
             break
         drained.append(ev)
     assert drained == expected_drain
+
+
+class TestLongTiedRuns:
+    """A tied run longer than ``len(heap) / log2(len(heap))`` leaves the
+    heap in one pass: the same records, in the same order, the same
+    cancelled heads dropped and the same heap left behind as popping
+    them one at a time."""
+
+    def _queue(self, n, stop_at):
+        q = EventQueue()
+        recs = [
+            q.push_typed(1.0, PRIORITY_TIMER, KIND_DELIVER if i == stop_at else KIND_TIMER, i)
+            for i in range(n)
+        ]
+        for rec in recs[3::7]:
+            q.cancel(rec)
+        for i in range(n // 2):
+            q.push_typed(2.0 if i % 2 else 1.0, PRIORITY_SAMPLE, KIND_TIMER, n + i)
+        return q
+
+    @pytest.mark.parametrize("stop_at", [None, 400, 9])
+    def test_one_pass_equals_one_pop_at_a_time(self, monkeypatch, stop_at):
+        n = 600
+        live = [i for i in range(n) if i % 7 != 3]
+        end = len(live) if stop_at is None else live.index(stop_at)
+        passes = []
+        pop_tied = EventQueue._pop_tied
+        monkeypatch.setattr(
+            EventQueue, "_pop_tied",
+            lambda self, kind, out: passes.append(len(out)) or pop_tied(self, kind, out),
+        )
+        q = self._queue(n, stop_at)
+        out: list = []
+        assert q.pop_run(q.pop_until(1.0), out) == end
+        assert [ev.a for ev in out] == live[:end]
+        assert all(not ev.queued for ev in out)
+        assert len(passes) == (stop_at != 9)  # a short run pops one at a time
+        assert len(q) == len(live) - end + n // 2
+        rest = []
+        while (ev := q.pop()) is not None:
+            rest.append(ev.a)
+        assert rest == live[end:] + [n + i for i in range(0, n // 2, 2)] + [
+            n + i for i in range(1, n // 2, 2)
+        ]

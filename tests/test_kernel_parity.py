@@ -505,7 +505,8 @@ CASES = [
     # fancy-indexed ``+=``.
     Case("long_rows", lambda: configs.mobile_network(24, horizon=40.0), (BLOCKED, lambda r: (
         len(r.default.exp.transport.plan.table.row_index) > 12
-        and max(map(len, r.default.exp.transport.plan.table.slotmap)) > batch_mod._LONG_ROW
+        and max(map(len, map(r.default.exp.transport.plan.table.row, r.default.exp.nodes)))
+        > batch_mod._LONG_ROW
     ))),
     # The topology adversary picks edges by the clocks it reads mid-run:
     # same reads, same moves.

@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import WaveRows
 from repro.core.node import ClockSyncNode
 from repro.core.protocol import Start
 from repro.harness import configs, runner
-from repro.harness.runner import Experiment
+from repro.harness.runner import Experiment, run_experiment
 from repro.network.graph import DynamicGraph, GraphError
 from repro.network.transport import Transport
 from repro.params import ParameterError, SystemParams
@@ -62,8 +63,9 @@ def _drain(exp):
     while (ev := queue.pop()) is not None:
         head = (ev.time, ev.priority, ev.kind)
         if ev.kind == KIND_DISCOVER and ev.e is not None:
-            assert ev.e == len(ev.a)
-            out.extend((*head, *row, None) for row in ev.a)
+            wave = WaveRows(ev.a, ev.b)
+            assert ev.e == len(wave)
+            out.extend((*head, *row, None) for row in wave)
         else:
             out.append((*head, _slot(ev.a), _slot(ev.b), _slot(ev.c), ev.d, ev.e))
     return out
@@ -242,3 +244,28 @@ class TestCollectorState:
         big = Experiment(self.CFG())
         assert gc.collect() == 0
         del exp, big
+
+
+
+class TestObjectsPerNode:
+    """What a run leaves the collector to walk: at most 7.5 GC-tracked
+    objects per node on the lockstep populations.  E_0's edges share one
+    history until they change and a driver binds no push method; what is
+    left is each node's driver, core, core dict, clock, timer dict, tick
+    record and adjacency set."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: configs.huge_sync_ring(4096), lambda: configs.huge_sync_grid(64, 64)],
+        ids=["huge_sync_ring", "huge_sync_grid"],
+    )
+    def test_a_run_leaves_at_most_7_5_tracked_objects_per_node(self, make):
+        cfg = make()
+        gc.collect()
+        before = gc.get_objects()  # held: no id is reused while we count
+        known = set(map(id, before))
+        result = run_experiment(cfg)
+        gc.collect()
+        left = sum(id(o) not in known for o in gc.get_objects())
+        assert left <= 7.5 * cfg.params.n, left / cfg.params.n
+        del result, before
