@@ -141,8 +141,8 @@ class SkewRecorder:
     ) -> None:
         self.sim = sim
         self.graph = graph
-        self.nodes = dict(nodes)
-        self.node_ids = sorted(self.nodes)
+        self.nodes = nodes
+        self.node_ids = sorted(nodes)
         self._read = PopulationReader(
             self.nodes, estimates=track_max_estimates, transport=transport
         )

@@ -492,6 +492,7 @@ def _kernel_payload(result: Any) -> dict[str, Any]:
         "par_fallback_reason": result.par_fallback_reason,
         "par_shards": result.par_shards,
         "plan_s": result.plan_s,
+        "materialised_nodes": result.materialised_nodes,
         "declines": [asdict(d) for d in result.declines],
     }
 

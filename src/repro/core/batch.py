@@ -3,17 +3,19 @@
 The reference path turns every event into an ``Event``, a
 ``DCSACore.handle()`` call and an effect list the driver re-interprets.
 :class:`NodeArrayTable` *owns* the state that step mutates -- ``L``,
-``Lmax``, ``h_last``, ``messages_sent`` as id-indexed columns; Upsilon, the
-live adjacency, every Gamma row (``L^v_u``, ``C^v_u``) and ``lost``
-deadline as columns over *slots*, one per directed pair ``(owner,
-neighbour)`` -- and executes the step against it for every in-run event
-of an eligible population.  The cores of a covered population are views
-of their rows (:func:`repro.core.protocol.adopt`): nothing is mirrored and
-nothing is copied back.
+``Lmax``, ``h_last``, the send and jump tallies and the clock segments as
+id-indexed columns; Upsilon, the live adjacency, every Gamma row
+(``L^v_u``, ``C^v_u``) and ``lost`` deadline as columns over *slots*, one
+per directed pair ``(owner, neighbour)`` -- and executes the step against
+it for every in-run event of an eligible population.  A column population
+(:class:`repro.core.node.Population`) is this store from set-up on, a
+driver and its core built only for a node something touches; a core is a
+view of its row (:func:`repro.core.protocol.row_type`): nothing is
+mirrored and nothing is copied back.
 
 **Two lanes, one store.**  The *scalar lane* executes one record at a
 time -- :meth:`NodeArrayTable.deliver_one` per message,
-:meth:`NodeArrayTable._tick` per driver, in record order, the reference's
+:meth:`NodeArrayTable._tick` per node, in record order, the reference's
 -- and a run of records is a loop over those bodies.  From
 :data:`ARRAY_LANE_MIN` events up a run takes the *array lane*: the same
 IEEE operations in the same association order, as a dozen numpy passes,
@@ -55,7 +57,12 @@ from typing import (
 import numpy as np
 import numpy.typing as npt
 
-from ..sim.clocks import ConstantRateClock, PiecewiseRateClock, SteerableClock
+from ..sim.clocks import (
+    ConstantRateClock,
+    HardwareClock,
+    PiecewiseRateClock,
+    SteerableClock,
+)
 from ..sim.events import (
     KIND_DELIVER_BURST,
     KIND_TICK_BURST,
@@ -107,7 +114,10 @@ _SEGMENT_CLOCKS = (ConstantRateClock, PiecewiseRateClock, SteerableClock)
 #: ``repro run --json`` and as ``kernel.*`` telemetry readbacks.
 LANE_FIELDS = ("array_lane_events", "scalar_lane_events", "blocked_rows")
 
-_NODE_COLUMNS = ("rate", "t0", "h0", "t1", "h1", "L", "Lmax", "h_last", "messages_sent")
+_NODE_COLUMNS = (
+    "rate", "t0", "h0", "t1", "h1", "L", "Lmax", "h_last", "total_jump",
+    "messages_sent", "jumps",
+)
 #: Per slot column, in allocation order: its ``array`` typecode and what a
 #: slot holds before a pair takes it (``+inf``: outside Gamma, disarmed).
 _SLOT_COLUMNS = {
@@ -204,18 +214,19 @@ class _Burst:
 class NodeArrayTable:
     """The store of a validated population, and the DCSA step over it.
 
-    Construct via :func:`kernel_plan`, which performs the validity
-    checks; the constructor takes the cores' state over.  The table
-    covers the id range ``ids`` -- the whole population, or a shard's
-    range under :mod:`repro.sim.par`, whose subclass changes only which
-    senders may bulk-send and the context in which they push.
+    Built at set-up for a column population (its ``rates``; ``clocks``
+    holds a clock only for a row that needs one), else by
+    :func:`kernel_plan` over the registered drivers, which :meth:`seat`
+    takes over; ``core`` carries the ``B`` coefficients.  The table covers
+    the id range ``ids`` -- the whole population, or a shard's range under
+    :mod:`repro.sim.par`, whose subclass changes only which senders may
+    bulk-send and the context in which they push.
     """
 
     __slots__ = (
         "sim",
         "transport",
-        "drivers",
-        "cores",
+        "clocks",
         "ids",
         *_NODE_COLUMNS,
         *_SLOT_COLUMNS,
@@ -245,42 +256,49 @@ class NodeArrayTable:
         self,
         sim: Simulator,
         transport: "Transport",
-        drivers: "Sequence[ClockSyncNode | None]",
         ids: range,
+        core: DCSACore,
+        clocks: "list[HardwareClock | None]",
+        rates: _F64 | None = None,
     ) -> None:
         self.sim = sim
         self.transport = transport
-        #: The validated node-id range.  ``drivers`` / ``cores`` / ``slotmap``
-        #: and the id-indexed columns are indexed by node id, so a table
-        #: over part of the population (a shard) has holes outside ``ids``.
+        #: The validated node-id range.  ``clocks`` / ``slotmap`` and the
+        #: id-indexed columns are indexed by node id, so a table over part
+        #: of the population (a shard) has holes outside ``ids``.
         self.ids = ids
-        n = max(len(drivers), transport.graph.n)  # a shard's pairs end anywhere
-        self.drivers = cast("list[ClockSyncNode]", [*drivers] + [None] * (n - len(drivers)))
-        self.cores = cast(
-            "list[DCSACore]", [d.core if d is not None else None for d in self.drivers]
-        )
+        n = max(ids.stop, transport.graph.n)  # a shard's pairs end anywhere
+        #: Per node id the clock a row is re-seated from when real time
+        #: leaves its segment (``None``: a constant rate, whose one segment
+        #: never ends).
+        self.clocks = clocks + [None] * (n - len(clocks))
         #: Each row's current :data:`~repro.sim.clocks.Segment`, one column
         #: per field: ``H(t) = h0 + rate * (t - t0)`` while ``t < t1``, and
         #: ``H`` reaches ``target < h1`` at ``t0 + (target - h0) / rate``.  A
         #: reader at ``t >= t1`` re-seats the row first (:meth:`_reseat`).
+        #: Seated here from a column population's ``rates`` (a clock's row
+        #: from the clock), else by :meth:`seat`.
         self.rate = array("d", bytes(8 * n))
         self.t0 = self.rate[:]
         self.h0 = self.rate[:]
         self.t1 = self.rate[:]
         self.h1 = self.rate[:]
         #: The lazy state of Algorithm 2, valid at hardware reading
-        #: ``h_last`` (see :mod:`repro.core.protocol`), and the send tally.
+        #: ``h_last`` (see :mod:`repro.core.protocol`), and the send and
+        #: jump tallies.
         self.L = self.rate[:]
         self.Lmax = self.rate[:]
         self.h_last = self.rate[:]
+        self.total_jump = self.rate[:]
         self.messages_sent = array("q", bytes(8 * n))
+        self.jumps = self.messages_sent[:]
         #: The slot columns, one entry per directed pair ``(v, u)``: ``owner``
         #: (``v``), ``peer`` (``u``), ``mate`` (the slot of ``(u, v)``),
         #: ``ups`` (``u`` in Upsilon_v), ``live`` (edge ``{v, u}`` present:
         #: :meth:`flip`), Gamma (``l_est`` = ``L^u_v``, ``+inf`` while ``u``
         #: is outside; ``added_h`` = ``C^u_v``) and ``lost(u)`` (deadline
         #: ``lost_dl``, ``+inf`` while disarmed; ``lost_seq``, when it was
-        #: last armed).  Seeded with the adjacency the run starts on in
+        #: last armed).  Seeded with the adjacency the store is built on in
         #: ``(owner, peer)`` order -- row ``v``'s seeded slots are
         #: ``row_start[v]`` up to ``row_start[v + 1]``, and ``pair_keys``
         #: holds their ``owner * n + peer`` (then a sentinel) for bulk
@@ -297,6 +315,12 @@ class NodeArrayTable:
         ) = (array(code, [fill]) * size for code, fill in _SLOT_COLUMNS.values())
         self.np: Any = _Views(self)
         col = self.np
+        if rates is not None:
+            col.rate[ids.start : ids.stop] = rates
+            col.t1[ids.start : ids.stop] = col.h1[ids.start : ids.stop] = inf
+            for i in ids:
+                if self.clocks[i] is not None:
+                    self._reseat(i, sim.now)
         owner = col.owner[:first] = keys // n
         col.peer[:first] = keys - owner * n
         col.live[:first] = True
@@ -321,37 +345,13 @@ class NodeArrayTable:
         #: The pending wake record per wake time, and the arms so far.
         self.wakes: dict[float, ScheduledEvent] = {}
         self.arms = 0
-        covered = self.drivers[ids.start : ids.stop]
-        segments = np.fromiter(
-            chain.from_iterable([d.clock.segment_at(sim.now) for d in covered]),
-            np.float64, 5 * len(ids),
-        ).reshape(-1, 5)
-        for j, name in enumerate(("rate", "t0", "h0", "t1", "h1")):
-            getattr(col, name)[ids.start : ids.stop] = segments[:, j]
-        for i, d in zip(ids, covered):
-            d._table = self
-            if type(d.clock) is SteerableClock:
-                d.clock.on_rate_change = lambda i=i: self._reseat(i, sim.now)
-            if len(d._timers) > 1:
-                for key in [k for k in d._timers if k != _TICK and k[0] == "lost"]:
-                    rec = d._timers.pop(key)
-                    sim.queue.cancel(rec)
-                    self.arm_lost(i, key[1], rec.time)
-        for i, (rows, believed) in adopt(self.cores[ids.start : ids.stop], self).items():
-            for u, row in rows.items():
-                slot = self.slot(i, u)
-                self.l_est[slot] = row.l_est
-                self.added_h[slot] = row.added_h
-            for u in believed:
-                self.believe(i, u, True)
         #: ``B`` function coefficients, shared by every core (the plan
-        #: verified a single ``params`` object).
-        c0 = self.cores[ids.start]
-        self.tick_interval = c0.params.tick_interval
-        self.delta_t_prime = c0.params.delta_t_prime
-        self.b0 = c0._b0
-        self.b_intercept = c0._b_intercept
-        self.b_slope = c0._b_slope
+        #: verified a single ``params`` object): ``core``'s.
+        self.tick_interval = core.params.tick_interval
+        self.delta_t_prime = core.params.delta_t_prime
+        self.b0 = core._b0
+        self.b_intercept = core._b_intercept
+        self.b_slope = core._b_slope
         #: The constant per-message delay when the transport's policy is a
         #: valid positive constant (set by :func:`kernel_plan`), else
         #: ``None``; gates the bulk-send path.
@@ -372,6 +372,42 @@ class NodeArrayTable:
         """Events the table executed so far, on either lane."""
         return self.array_lane_events + self.scalar_lane_events
 
+    def seat(self, drivers: "Sequence[ClockSyncNode]") -> None:
+        """Take over the drivers that exist when the run starts: each one's
+        clock (an adversary may have swapped it), a stand-alone core's state
+        (:func:`~repro.core.protocol.adopt`) and the ``tick`` and ``lost``
+        timers it armed on the queue -- a tick record then carries the
+        node id, a ``lost`` timer becomes its slot's deadline."""
+        now = self.sim.now
+        ids = [d.node_id for d in drivers]
+        segments = np.array(
+            [d.clock.segment_at(now) for d in drivers],  # type: ignore[attr-defined]
+            np.float64,
+        ).reshape(-1, 5)
+        for j, name in enumerate(("rate", "t0", "h0", "t1", "h1")):
+            getattr(self.np, name)[ids] = segments[:, j]
+        for i, d in zip(ids, drivers):
+            d._table = self
+            clock = self.clocks[i] = d.clock
+            if type(clock) is SteerableClock:
+                clock.on_rate_change = lambda i=i: self._reseat(i, self.sim.now)
+            timers = d._timers
+            tick = timers.pop(_TICK, None)
+            if tick is not None:
+                tick.a = i
+            for key in [k for k in timers if type(k) is tuple and k[0] == _LOST]:
+                rec = timers.pop(key)
+                self.sim.queue.cancel(rec)
+                self.arm_lost(i, key[1], rec.time)
+        stand_alone = [d.core for d in drivers if not hasattr(d.core, "_store")]
+        for i, (rows, believed) in adopt(stand_alone, self).items():
+            for u, row in rows.items():
+                slot = self.slot(i, u)
+                self.l_est[slot] = row.l_est
+                self.added_h[slot] = row.added_h
+            for u in believed:
+                self.believe(i, u, True)
+
     # ------------------------------------------------------------------ #
     # Rows and slots
     # ------------------------------------------------------------------ #
@@ -380,7 +416,7 @@ class NodeArrayTable:
         """Seat row ``i`` on the segment of its clock that holds real time ``t``."""
         (
             self.rate[i], self.t0[i], self.h0[i], self.t1[i], self.h1[i]
-        ) = self.drivers[i].clock.segment_at(t)  # type: ignore[attr-defined]
+        ) = self.clocks[i].segment_at(t)  # type: ignore[union-attr]
 
     def row(self, v: int) -> dict[int, int]:
         """Row ``v``'s ``{peer: slot}`` dict, built on the first call from
@@ -515,7 +551,7 @@ class NodeArrayTable:
         if target < self.h1[i]:
             t = self.t0[i] + (target - self.h0[i]) / self.rate[i]
         else:
-            t = self.drivers[i].clock.time_at(target)
+            t = self.clocks[i].time_at(target)  # type: ignore[union-attr]
         return t if t >= now else now
 
     def _sync_rows(self, ids: _I64) -> tuple[_F64, _F64, _F64, _F64]:
@@ -569,9 +605,8 @@ class NodeArrayTable:
         if ceiling > L:
             if tracer is not None:
                 tracer.jump(i, self.sim.now, ceiling - L)
-            core = self.cores[i]
-            core.total_jump += ceiling - L
-            core.jumps += 1
+            self.total_jump[i] += ceiling - L
+            self.jumps[i] += 1
             self.L[i] = ceiling
 
     # ------------------------------------------------------------------ #
@@ -939,7 +974,7 @@ class NodeArrayTable:
         """Execute a same-timestamp run of ``KIND_TIMER`` records (only
         under positive constant delay and discovery policies).  A run with
         anything but ticks in it replays the scalar timer handler in record
-        order.  An all-tick run is re-armed by :meth:`_rearm`: drivers
+        order.  An all-tick run is re-armed by :meth:`rearm`: nodes
         that share a next deadline (a rate class in lockstep) collapse into
         one group record (:meth:`handle_tick_group`).
         """
@@ -950,48 +985,58 @@ class NodeArrayTable:
                 for rec in records:
                     fire(rec)
                 return
-        drivers = [ev.a for ev in records]
-        fires, plan = self._tick_run(drivers, None)
-        self._rearm(drivers, fires, records, plan)
+        ids = [ev.a for ev in records]
+        fires, plan = self._tick_run(ids, None)
+        self.rearm(ids, fires, records, plan)
 
-    def _rearm(
+    def rearm(
         self,
-        drivers: "Sequence[ClockSyncNode]",
+        ids: Sequence[int],
         fires: list[float],
-        records: Sequence[ScheduledEvent] | None,
-        plan: _TickPlan | None,
+        records: Sequence[ScheduledEvent] | None = None,
+        plan: _TickPlan | None = None,
     ) -> None:
-        """Re-arm a tick run at its next deadlines ``fires``: one group
-        record per deadline that two or more drivers share, pushed at its
-        first member's position -- where the members' records would have
-        sorted together -- and, for a driver alone on its deadline, its
-        record of ``records`` re-pushed in place (a new one when ``None``).
-        A group carries its arm time in ``d`` like an individual record
-        (see :meth:`_repush_tick`), and ``plan`` in ``c`` when it is the
-        whole run."""
-        at: dict[float, list[int]] = {}  # deadline -> its drivers' positions
+        """Arm the ticks of nodes ``ids`` at their deadlines ``fires`` (a
+        run's next ones, or a population's first): one group record per
+        deadline that two or more nodes share, pushed at its first member's
+        position -- where the members' records would have sorted together
+        -- and, for a node alone on its deadline, its record of ``records``
+        re-pushed in place (a new one when ``None``).  A group carries its
+        arm time in ``d`` like an individual record (see
+        :meth:`_repush_tick`), and ``plan`` in ``c`` when it is the whole
+        run."""
+        at: dict[float, list[int]] = {}  # deadline -> its nodes' positions
         for i, fire_t in enumerate(fires):
             at.setdefault(fire_t, []).append(i)
         sim = self.sim
         push = sim.queue.push_typed
         for fire_t, where in at.items():  # in first-member order
             if len(where) > 1:
-                group = [drivers[i] for i in where]
-                grp = push(
-                    fire_t, PRIORITY_TIMER, KIND_TICK_BURST, group, None,
-                    plan if len(at) == 1 else None, sim.now, None,
-                    "tick+", e=len(group),
+                push(
+                    fire_t, PRIORITY_TIMER, KIND_TICK_BURST, [ids[i] for i in where],
+                    None, plan if len(at) == 1 else None, sim.now, None,
+                    "tick+", e=len(where),
                 )
-                for member in group:
-                    member._timers[_TICK] = grp
             elif records is not None:
                 self._repush_tick(records[where[0]], fire_t)
             else:
-                d = drivers[where[0]]
-                d._timers[_TICK] = push(
-                    fire_t, PRIORITY_TIMER, KIND_TIMER, d,
-                    _TICK, None, sim.now, None, "timer", e=1,
+                push(
+                    fire_t, PRIORITY_TIMER, KIND_TIMER, ids[where[0]],
+                    _TICK, None, sim.now, None, "timer", e=int(sim.in_run),
                 )
+
+    def arm_ticks(self, fires: list[float]) -> None:
+        """Arm the first ticks of a column population, ``fires`` per id of
+        ``ids``, where :meth:`ClockSyncNode.start` would have armed them:
+        as :meth:`rearm` regroups a tick run when the plan will pre-pop
+        timer runs, else one record per node in id order."""
+        if _timer_runs_decline(self.transport) is None:
+            self.rearm(self.ids, fires)
+            return
+        now = self.sim.now
+        push = self.sim.queue.push_typed
+        for i, fire_t in zip(self.ids, fires):
+            push(fire_t, PRIORITY_TIMER, KIND_TIMER, i, _TICK, None, now, None, "timer", e=0)
 
     def _repush_tick(self, ev: ScheduledEvent, fire_t: float) -> None:
         """Re-arm the just-fired tick record ``ev`` in place at ``fire_t``,
@@ -1002,11 +1047,10 @@ class NodeArrayTable:
         ev.d = sim.now
         ev.e = 1
         sim.queue.repush(ev, fire_t)
-        ev.a._timers[_TICK] = ev
 
     def tick_one(self, ev: ScheduledEvent) -> None:
-        """Execute a singleton ``tick`` record: :meth:`_tick`, then its
-        re-arm.  Nothing was pre-popped, so sends that land at the current
+        """Execute a singleton ``tick`` record (``a``: the node id):
+        :meth:`_tick`, then its re-arm.  Nothing was pre-popped, so sends that land at the current
         timestamp (zero or random delays) dispatch before the next timer,
         as under scalar dispatch."""
         burst = None if self.send_delay is None else _Burst()
@@ -1019,54 +1063,53 @@ class NodeArrayTable:
         """Execute one tick-group record (:data:`KIND_TICK_BURST`): as
         :meth:`handle_timer_batch` over the constituents' tick records, in
         list order.  In the steady state every deadline coincides again and
-        the group re-pushes *itself* -- same record, driver list and send
-        plan -- so a tick cycle of n nodes costs one heap entry and no
-        ``_timers`` write; if the deadlines diverge it regroups
-        (:meth:`_rearm`)."""
-        drivers = ev.a
-        fires, ev.c = self._tick_run(drivers, ev.c)
+        the group re-pushes *itself* -- same record, id list and send plan
+        -- so a tick cycle of n nodes costs one heap entry; if the
+        deadlines diverge it regroups (:meth:`rearm`)."""
+        ids = ev.a
+        fires, ev.c = self._tick_run(ids, ev.c)
         sim = self.sim
         if fires.count(fires[0]) == len(fires):
             ev.d = sim.now
             sim.queue.repush(ev, fires[0])
         else:
-            self._rearm(drivers, fires, None, None)
+            self.rearm(ids, fires)
 
     def _tick_run(
-        self, drivers: "Sequence[ClockSyncNode]", plan: _TickPlan | None
+        self, ids: Sequence[int], plan: _TickPlan | None
     ) -> tuple[list[float], _TickPlan | None]:
-        """Sync, send and AdjustClock for a run of ticking ``drivers``, on
+        """Sync, send and AdjustClock for a run of ticking nodes ``ids``, on
         the lane its size selects -- the scalar one is :meth:`_tick` per
-        driver, their bulk sends one burst.  Returns each driver's next
-        tick deadline and the send plan to keep with the group, if any."""
-        k = len(drivers)
+        node, their bulk sends one burst.  Returns each node's next tick
+        deadline and the send plan to keep with the group, if any."""
+        k = len(ids)
         if k >= ARRAY_LANE_MIN and self.send_delay is not None:
             if plan is None or plan.key != self.edits:
-                plan = self._tick_plan(drivers, plan)
+                plan = self._tick_plan(ids, plan)
             tracer = self.transport._tracer
             if tracer is None or len(tracer.table) + k + len(plan.us) + sum(
-                len(self.believed(drivers[j].node_id)) for j, _ in plan.loose
+                len(self.believed(ids[j])) for j, _ in plan.loose
             ) < tracer.table.capacity:
                 self.array_lane_events += k
-                return self._tick_array(drivers, plan, tracer), plan
+                return self._tick_array(ids, plan, tracer), plan
         burst = None if self.send_delay is None else _Burst()
-        fires = [self._tick(d, burst) for d in drivers]
+        fires = [self._tick(i, burst) for i in ids]
         if burst is not None:
             self._flush(burst)
         return fires, plan
 
     def _tick_plan(
-        self, drivers: "Sequence[ClockSyncNode]", stale: _TickPlan | None
+        self, members: Sequence[int], stale: _TickPlan | None
     ) -> _TickPlan:
-        """Who sends what to whom when ``drivers`` tick (:class:`_TickPlan`;
+        """Who sends what to whom when ``members`` tick (:class:`_TickPlan`;
         ``stale``: their previous plan), as a column selection: the
         members' ``ups`` slots in ``(member position, peer)`` order -- each
         member's sorted Upsilon -- read through ``owner`` / ``peer`` /
         ``mate``.  A member with an ``ups`` slot that is not ``live`` (or a
         ``boundary`` sender) is an entry of ``loose`` instead."""
         col = self.np
-        k = len(drivers)
-        ids = stale.ids if stale else np.array([d.node_id for d in drivers], np.int64)
+        k = len(members)
+        ids = stale.ids if stale else np.array(members, np.int64)
         n = len(self.L)
         used = self.n_slots
         at = np.full(n, -1, np.int64)  # node id -> member position
@@ -1102,7 +1145,7 @@ class NodeArrayTable:
 
     def _tick_array(
         self,
-        drivers: "Sequence[ClockSyncNode]",
+        members: Sequence[int],
         plan: _TickPlan,
         tracer: "Tracer | None",
     ) -> list[float]:
@@ -1120,7 +1163,7 @@ class NodeArrayTable:
         target = h + self.tick_interval
         fire = t0 + (target - h0) / rate
         for j in np.flatnonzero(target >= col.h1[ids]).tolist():
-            fire[j] = drivers[j].clock.time_at(target.item(j))
+            fire[j] = self.clocks[members[j]].time_at(target.item(j))  # type: ignore[union-attr]
         fire = np.maximum(fire, now)
         step = np.full(len(self.L), -inf)
         step[ids] = fire
@@ -1135,14 +1178,14 @@ class NodeArrayTable:
         m = len(us)
         if tracer is not None:
             kind, node, peer, parent, timer_at, flight_at = self._tick_spans(plan)
-            timer_sids = np.empty(len(drivers), np.int64)
+            timer_sids = np.empty(len(members), np.int64)
         if m or plan.loose or tracer is not None:
             l_out = col.L[plan.src]
             lmax_out = col.Lmax[plan.src]
             whole = not plan.loose  # then the plan's own lists travel, uncopied
             start = first = 0
             for j, end in (*plan.loose, (-1, m)):
-                last = len(drivers) if j < 0 else j  # the block's members: first..last-1
+                last = len(members) if j < 0 else j  # the block's members: first..last-1
                 sids = None
                 if tracer is not None and last > first:
                     r0, r1 = timer_at[first], timer_at[last]
@@ -1163,7 +1206,7 @@ class NodeArrayTable:
                     )
                     start = end
                 if j >= 0:
-                    nid = drivers[j].node_id
+                    nid = members[j]
                     if tracer is not None:
                         tracer.current = timer_sids[j] = self._trace_tick(
                             tracer, nid, (), now, []
@@ -1175,7 +1218,7 @@ class NodeArrayTable:
         for j in np.flatnonzero(col.Lmax[ids] > col.L[ids]).tolist():
             if tracer is not None:
                 tracer.current = int(timer_sids[j])
-            self._adjust_clock(drivers[j].node_id, tracer)
+            self._adjust_clock(members[j], tracer)
         if tracer is not None:
             tracer.current = -1
         return fire.tolist()  # type: ignore[no-any-return]
@@ -1229,9 +1272,9 @@ class NodeArrayTable:
         ))
         return base
 
-    def _tick(self, d: ClockSyncNode, burst: _Burst | None) -> float:
-        """One driver's tick on the scalar lane -- the statement of the
-        per-driver tick outside numpy.  Returns its next deadline.
+    def _tick(self, nid: int, burst: _Burst | None) -> float:
+        """Node ``nid``'s tick on the scalar lane -- the statement of the
+        per-node tick outside numpy.  Returns its next deadline.
 
         Sync; send ``(L, Lmax)`` to ``sorted(Upsilon)``; look at its ``lost``
         deadlines (:meth:`lost_wake`); AdjustClock -- the reference's
@@ -1245,7 +1288,6 @@ class NodeArrayTable:
         parents a jump.
         """
         self.scalar_lane_events += 1
-        nid = d.node_id
         now = self.sim.now
         h = self._sync(nid, now)
         row = self.slotmap[nid] or self.row(nid)
@@ -1493,6 +1535,24 @@ def _policy_name(policy: Any) -> str:
     return type(policy).__name__ + ("" if value is None else f"({value!r})")
 
 
+def _timer_runs_decline(transport: "Transport") -> Decline | None:
+    """Why the table may not pre-pop a run of timers (``None``: it may)."""
+    from ..network.channels import ConstantDelay
+    from ..network.discovery import ConstantDiscovery
+
+    for by, policy, cls in (
+        ("delay_policy", transport.delay_policy, ConstantDelay),
+        ("discovery_policy", transport.discovery_policy, ConstantDiscovery),
+    ):
+        if not (type(policy) is cls and policy.value > 0.0):
+            return Decline(
+                "timer_runs", by,
+                f"{_policy_name(policy)} is not a positive constant: what a "
+                "tick pushes could sort inside a pre-popped timer run",
+            )
+    return None
+
+
 def kernel_plan(
     transport: "Transport",
     ids: range | None = None,
@@ -1502,16 +1562,23 @@ def kernel_plan(
 
     Called by the transport where the first ``run_until`` / ``step``
     begins -- after ``t = 0`` wiring, so adversary clock swaps and effect
-    logs are visible.  The array step engages -- a ``table_cls`` over the
-    node ids ``ids`` (default: every registered node) is built -- unless
-    one of the checks below declines it; the table's own paths need the
-    policies checked after it.  ``docs/performance.md`` ("The kernel
-    plan") has the table of paths, their needs and their ``declined_by``.
+    logs are visible.  A column population
+    (:class:`~repro.core.node.Population`) brings its table, built at
+    set-up: only the nodes something touched are checked.  Otherwise a
+    ``table_cls`` over the registered drivers of ``ids`` (default: all)
+    is built.  The array step engages unless one of the checks below
+    declines it; the table's own paths need the policies checked after
+    it.  ``docs/performance.md`` ("The kernel plan") has the table of
+    paths, their needs and their ``declined_by``.
     """
     from ..network.channels import ConstantDelay
-    from ..network.discovery import ConstantDiscovery
+
+    drivers: Any = transport._node_seq
+    store = getattr(drivers, "store", None)
 
     def declined(by: str, reason: str) -> KernelPlan:
+        if store is not None:
+            drivers.decline()
         return KernelPlan(None, (Decline("array_step", by, reason),))
 
     sim = transport.sim
@@ -1521,21 +1588,29 @@ def kernel_plan(
             "the handle() reference kernel was selected "
             "(REPRO_BATCH=0 / Simulator(batch=False))",
         )
-    drivers = cast("list[ClockSyncNode | None]", transport._node_seq)
-    if ids is None:
-        ids = range(len(drivers))
-    if not ids or ids.stop > len(drivers):
-        return declined("population", "no registered nodes cover the id range")
     params: Any = None
     core_cls: type | None = None
-    for i in ids:
-        d = drivers[i]
-        if not isinstance(d, ClockSyncNode):
-            return declined("population", f"node id {i} has no registered driver")
+    if store is not None:
+        ids = store.ids
+        covered = drivers.touched()
+        params, core_cls = drivers.params, drivers.core_cls
+    else:
+        if ids is None:
+            ids = range(len(drivers))
+        if not ids or ids.stop > len(drivers):
+            return declined("population", "no registered nodes cover the id range")
+        covered = [drivers[i] for i in ids]
+        for i, d in zip(ids, covered):
+            if not isinstance(d, ClockSyncNode):
+                return declined("population", f"node id {i} has no registered driver")
+    for d in covered:
+        i = d.node_id
         core = d.core
-        if core_cls is None and type(core) in (DCSACore, StaticGradientCore):
-            core_cls = type(core)
-        if type(core) is not core_cls:
+        # A view's class is a row type in front of its core class.
+        plain = type(core).__mro__[2] if hasattr(core, "_store") else type(core)
+        if core_cls is None and plain in (DCSACore, StaticGradientCore):
+            core_cls = plain
+        if plain is not core_cls:
             name = type(core).__name__
             wanted = (core_cls or DCSACore).__name__
             return declined("core", f"node {i} runs {name}, not a plain {wanted}")
@@ -1554,22 +1629,14 @@ def kernel_plan(
             return declined(
                 "params", f"node {i} does not share the population's SystemParams"
             )
-    table = table_cls(sim, transport, drivers, ids)
+    assert ids is not None
+    table = store or table_cls(sim, transport, ids, covered[0].core, [])
+    table.seat(covered)
     declines: list[Decline] = []
+    slow_timers = _timer_runs_decline(transport)
+    if slow_timers is not None:
+        declines.append(slow_timers)
     delay: Any = transport.delay_policy
-    for by, policy, cls in (
-        ("delay_policy", delay, ConstantDelay),
-        ("discovery_policy", transport.discovery_policy, ConstantDiscovery),
-    ):
-        if not (type(policy) is cls and policy.value > 0.0):
-            declines.append(
-                Decline(
-                    "timer_runs", by,
-                    f"{_policy_name(policy)} is not a positive constant: what a "
-                    "tick pushes could sort inside a pre-popped timer run",
-                )
-            )
-            break
     if (
         type(delay) is ConstantDelay
         and 0.0 < delay.value <= transport.max_delay + 1e-9

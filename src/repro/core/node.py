@@ -25,10 +25,19 @@ pre-refactor monolithic node classes (the golden-value pins enforce it):
 **The array step.**  When the transport's kernel plan holds a
 :class:`~repro.core.batch.NodeArrayTable`, every in-run event bypasses
 this translation: the table owns the population's state -- the core is a
-view of its row, its ``lost`` timers are slots -- and runs the same step
-without an ``Event`` or an effect list (:mod:`repro.core.batch`).  Every
-event of any other population goes through :meth:`_dispatch`; ``Start``
-goes through it nowhere (see :meth:`ClockSyncNode.start`).
+view of its row, its ``lost`` timers are slots, its ticks records by node
+id -- and runs the same step without an ``Event`` or an effect list
+(:mod:`repro.core.batch`).  Every event of any other population goes
+through :meth:`_dispatch`; ``Start`` goes through it nowhere (see
+:meth:`ClockSyncNode.start`).
+
+**Nodes on first touch.**  A population the table runs from set-up on
+(built-in clocks, a DCSA core, the default kernel, not a shard) is a
+:class:`Population`: its clocks, first ticks and state are the store's
+columns, and a driver -- with a core born a view of its row -- exists
+only for a node something touched (an adversary, a hook, a test).  A
+finished run hands an untouched node out as its :class:`NodeRow`, which
+reads the row; every other population is a dict of drivers, as built.
 
 **Subjective timers.**  ``set timer(dt)`` in the pseudocode means: fire
 when *my hardware clock* has advanced by ``dt``.  The driver converts via
@@ -43,15 +52,20 @@ core's algorithm-specific state for tests and analysis code.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
+from copy import copy
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, ClassVar
 
+import numpy as np
+
 from ..params import SystemParams
-from ..sim.clocks import HardwareClock
+from ..sim.clocks import ConstantRateClock, HardwareClock
 from ..sim.events import KIND_TIMER, PRIORITY_TIMER, ScheduledEvent
 from ..sim.simulator import Simulator
 from ..tracing.spans import SPAN_TIMER, STATUS_DONE
 from .protocol import (
+    ROW_FIELDS,
     CancelTimer,
     DiscoverAdd,
     DiscoverRemove,
@@ -63,12 +77,14 @@ from .protocol import (
     Send,
     SetTimer,
     TimerFired,
+    row_type,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..tracing.context import Tracer
+    from .batch import NodeArrayTable
 
-__all__ = ["ClockSyncNode"]
+__all__ = ["ClockSyncNode", "NodeRow", "Population"]
 
 #: Optional per-node effect log entry: ``(now_h, event, effects)``.
 EffectLogEntry = tuple[float, Event, tuple[Effect, ...]]
@@ -131,11 +147,12 @@ class ClockSyncNode:
                 )
             core = cls(node_id, params, **core_kwargs)
         self.core = core
-        #: Keyed timers.  On the batch table only ``tick`` (and any foreign
-        #: key) lives here: a ``lost`` deadline is a slot of the table.
+        #: Keyed timers.  On the batch table only a foreign key lives here:
+        #: a ``tick`` is a table record by node id, a ``lost`` deadline a slot.
         self._timers: dict[Any, ScheduledEvent] = {}
-        #: The batch table covering this node (set when it is built), whose
-        #: slots hold its ``("lost", u)`` timers; ``None`` off a table.
+        #: The batch table covering this node (set when the plan seats it,
+        #: or at birth in a column population), whose slots hold its
+        #: ``("lost", u)`` timers; ``None`` off a table.
         self._table: Any = None
         # One KIND_TIMER handler per simulator, registered idempotently by
         # every driver (populations wired onto a test double have nowhere
@@ -145,12 +162,12 @@ class ClockSyncNode:
             KIND_TIMER, getattr(transport, "_handle_timer", _dispatch_timer)
         )
         self._effect_log: list[EffectLogEntry] | None = None
-        #: Span tracer (``None`` when causal tracing is off).
-        self._tracer: "Tracer | None" = None
 
-    def attach_tracer(self, tracer: "Tracer") -> None:
-        """Record timer-fire and jump spans into ``tracer``."""
-        self._tracer = tracer
+    @property
+    def _tracer(self) -> "Tracer | None":
+        """The transport's span tracer, which records this node's timer-fire
+        and jump spans too (``None`` when causal tracing is off)."""
+        return getattr(self.transport, "_tracer", None)
 
     @property
     def effect_log(self) -> list[EffectLogEntry] | None:
@@ -385,3 +402,145 @@ class ClockSyncNode:
         now_h = self.clock.value(self.sim.now)
         self.core.sync_to(now_h)
         self._apply_effects(self.core.act(action), now_h)
+
+
+class Population(Mapping[int, ClockSyncNode]):
+    """The nodes of a column population by id: a driver exists only once
+    something touched its node.
+
+    Set-up writes the population's state straight into ``store``, the
+    :class:`~repro.core.batch.NodeArrayTable` its run executes on: no
+    driver, core, clock object or timer dict per node.  ``population[i]``
+    builds node ``i``'s driver on first touch -- a ``node_cls``, its core
+    born a view of row ``i`` (:func:`~repro.core.protocol.row_type`), its
+    clock the row's -- and keeps it; ``materialised`` counts them.
+    """
+
+    def __init__(
+        self,
+        node_cls: type[ClockSyncNode],
+        sim: Simulator,
+        transport: Any,
+        store: "NodeArrayTable",
+        core: ProtocolCore,
+        stagger: Any,
+    ) -> None:
+        self.store = store
+        self.ids = store.ids  # range(n): a shard is never a column population
+        self.params = core.params
+        self.core_cls = type(core)
+        self._make = (node_cls, sim, transport)
+        #: A core's state outside its row (what every view starts from),
+        #: and each node's first-tick offset, its core's ``tick_stagger``.
+        self._template = {
+            k: v for k, v in vars(core).items() if k not in ROW_FIELDS + ("gamma", "upsilon")
+        }
+        self._stagger = stagger
+        self._row_cls = row_type(type(core))
+        self._built: list[ClockSyncNode | None] = [None] * len(self.ids)
+        #: What a driver's ``lost`` timers are slots of (``None`` once the
+        #: kernel plan declined the table: then they are queue records).
+        self._table: "NodeArrayTable | None" = store
+        self.materialised = 0
+        #: Set on :meth:`readers`' copy: an unbuilt node reads as its row.
+        self._rows = False
+
+    def __getitem__(self, i: int) -> Any:
+        if i not in self.ids:
+            raise KeyError(i)
+        node = self._built[i]
+        if node is None:
+            return NodeRow(self, i) if self._rows else self._build(i)
+        return node
+
+    def __contains__(self, i: object) -> bool:
+        return i in self.ids
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _build(self, i: int) -> ClockSyncNode:
+        node_cls, sim, transport = self._make
+        store = self.store
+        core: Any = object.__new__(self._row_cls)
+        vars(core).update(
+            self._template, node_id=i, _store=store, _tick_stagger=float(self._stagger[i])
+        )
+        clock = store.clocks[i] or ConstantRateClock(store.rate[i])
+        node = self._built[i] = object.__new__(node_cls)
+        ClockSyncNode.__init__(node, i, sim, clock, transport, self.params, core=core)
+        node._table = self._table
+        self.materialised += 1
+        return node
+
+    def touched(self) -> list[ClockSyncNode]:
+        """The drivers built so far, in id order."""
+        return [d for d in self._built if d is not None]
+
+    def decline(self) -> None:
+        """The kernel plan declined the table, so every event runs
+        ``handle()`` on the views: from now on a driver's timers are queue
+        records, a ``lost`` timer armed before the run included."""
+        self._table = None
+        for d in self.touched():
+            d._table = None
+        store = self.store
+        sim = self._make[1]
+        armed = np.flatnonzero(store.np.lost_dl[: store.n_slots] != inf).tolist()
+        for s in sorted(armed, key=store.lost_seq.__getitem__):
+            d, key = self[store.owner[s]], ("lost", store.peer[s])
+            d._timers[key] = sim.queue.push_typed(
+                store.lost_dl[s], PRIORITY_TIMER, KIND_TIMER, d, key, None,
+                sim.now, None, "timer", e=0,
+            )
+            store.lost_dl[s] = inf
+
+    def readers(self) -> "Population":
+        """The nodes as a finished run hands them out: a built driver, or
+        the node's :class:`NodeRow` (reading one builds nothing)."""
+        rows = copy(self)
+        rows._rows = True
+        return rows
+
+
+class NodeRow:
+    """An untouched node of a column population, read off its row: what a
+    finished run's readers ask of a node -- ``logical_clock``,
+    ``max_estimate``, ``jumps``, ``total_jump``, ``messages_sent`` --
+    costs no driver.  Anything else builds the node's driver and asks it."""
+
+    __slots__ = ("_population", "node_id")
+
+    def __init__(self, population: Population, node_id: int) -> None:
+        self._population = population
+        self.node_id = node_id
+
+    def _read(self, column: Any, t: float | None) -> float:
+        """:meth:`ClockSyncNode.logical_clock`'s arithmetic on ``column``."""
+        store, i = self._population.store, self.node_id
+        tt = self._population._make[1].now if t is None else t
+        clock = store.clocks[i]
+        h = store.rate[i] * tt if clock is None else clock.value(tt)
+        if h < store.h_last[i] - 1e-12:
+            raise ValueError(
+                f"cannot read logical clock at t={tt!r} (H={h!r}) before "
+                f"the last event (H={store.h_last[i]!r})"
+            )
+        return column[i] + (h - store.h_last[i])  # type: ignore[no-any-return]
+
+    def logical_clock(self, t: float | None = None) -> float:
+        return self._read(self._population.store.L, t)
+
+    def max_estimate(self, t: float | None = None) -> float:
+        return self._read(self._population.store.Lmax, t)
+
+    def __getattr__(self, name: str) -> Any:
+        if name.startswith("__") or name in NodeRow.__slots__:  # copy / pickle probes
+            raise AttributeError(name)
+        if name in ("jumps", "total_jump", "messages_sent"):
+            return getattr(self._population.store, name)[self.node_id]
+        pop, i = self._population, self.node_id
+        return getattr(pop._built[i] or pop._build(i), name)

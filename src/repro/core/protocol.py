@@ -76,6 +76,7 @@ __all__ = [
     "TimerFired",
     "Update",
     "adopt",
+    "row_type",
 ]
 
 #: Message payload exchanged by all cores: ``(L, Lmax)`` at send time.
@@ -558,19 +559,27 @@ def _column(name: str) -> property:
 class _Row:
     """The lazy state of a table-covered core, as a view.
 
-    Mixed in front of the core's class by :func:`adopt`: ``L``, ``Lmax``,
-    ``h_last``, ``messages_sent``, Gamma and Upsilon then *are* the store's
-    columns (:class:`~repro.core.batch.NodeArrayTable`) -- the instance
-    keeps no copy -- and every method of the core, ``handle()`` included,
-    runs unchanged against them.  The jump statistics stay on the instance.
+    Mixed in front of the core's class (:func:`row_type`): ``L``,
+    ``Lmax``, ``h_last``, the send and jump tallies, Gamma and Upsilon
+    then *are* the store's columns (:class:`~repro.core.batch.NodeArrayTable`)
+    -- the instance keeps no copy -- and every method of the core,
+    ``handle()`` included, runs unchanged against them.
     """
 
     _store: Any
     node_id: int
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
+        """Calling a view's class builds a stand-alone core of its core
+        class (views themselves are made by the store, never called)."""
+        return cls.__mro__[2](*args, **kwargs)
+
     _L = _column("L")
     _Lmax = _column("Lmax")
     h_last = _column("h_last")
     messages_sent = _column("messages_sent")
+    jumps = _column("jumps")
+    total_jump = _column("total_jump")
 
     @property
     def gamma(self) -> SlotTable:
@@ -581,38 +590,44 @@ class _Row:
         return SlotSet(self._store, self.node_id)
 
 
+#: The core fields a row view reads from the store's columns.
+ROW_FIELDS = ("_L", "_Lmax", "h_last", "messages_sent", "jumps", "total_jump")
+
 _ROW_TYPES: dict[type, type] = {}
+
+
+def row_type(cls: type) -> type:
+    """The view class of core class ``cls``: :class:`_Row` in front of it,
+    named like it."""
+    row_cls = _ROW_TYPES.get(cls)
+    if row_cls is None:
+        row_cls = _ROW_TYPES[cls] = type(cls.__name__, (_Row, cls), {})
+    return row_cls
 
 
 def adopt(
     cores: "Iterable[DCSACore]", store: Any
 ) -> dict[int, tuple[dict[int, NeighborEstimate], MutableSet[int]]]:
     """Turn each stand-alone core of ``cores`` into a view of ``store``'s
-    row ``core.node_id`` (see :class:`_Row`), moving its scalars there.
+    row ``core.node_id`` (a core built on its own, by hand or by a shard),
+    moving its scalars there.
 
     Returns, per node id, the Gamma rows and the Upsilon a core held (none
     unless events were fed to it before the run): the store seats them in
     its slots.
     """
-    L, lmax, h_last, sent = store.L, store.Lmax, store.h_last, store.messages_sent
     held: dict[int, tuple[dict[int, NeighborEstimate], MutableSet[int]]] = {}
     for core in cores:
-        cls = type(core)
-        row_cls = _ROW_TYPES.get(cls)
-        if row_cls is None:
-            row_cls = _ROW_TYPES[cls] = type(cls.__name__, (_Row, cls), {})
         state = core.__dict__
         i = core.node_id
-        L[i] = state.pop("_L")
-        lmax[i] = state.pop("_Lmax")
-        h_last[i] = state.pop("h_last")
-        sent[i] = state.pop("messages_sent")
+        for name in ROW_FIELDS:
+            getattr(store, name.lstrip("_"))[i] = state.pop(name)
         rows = state.pop("gamma")._rows
         believed = state.pop("upsilon")
         if rows or believed:
             held[i] = rows, believed
         state["_store"] = store
-        core.__class__ = row_cls  # type: ignore[assignment]
+        core.__class__ = row_type(type(core))  # type: ignore[assignment]
     return held
 
 

@@ -17,17 +17,19 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, cast
 
 import numpy as np
+import numpy.typing as npt
 
 from ..adversary.base import Adversary
 from ..analysis.metrics import max_global_skew, max_local_skew
 from ..analysis.recorder import RunRecord, SkewRecorder
 from ..baselines import FreeRunningNode, MaxSyncNode, StaticGradientNode
-from ..core.batch import Decline
+from ..core.batch import Decline, NodeArrayTable
 from ..core.dcsa import DCSANode
-from ..core.node import ClockSyncNode
+from ..core.node import ClockSyncNode, Population
+from ..core.protocol import DCSACore, StaticGradientCore
 from ..network.channels import ConstantDelay, DelayPolicy, UniformDelay
 from ..network.churn import ChurnProcess, ScriptedChurn
 from ..network.discovery import ConstantDiscovery, DiscoveryPolicy, UniformDiscovery
@@ -36,11 +38,12 @@ from ..network.transport import Transport
 from ..oracle.oracle import OracleReport, StreamingOracle, resolve_oracle
 from ..params import SystemParams
 from ..sim.clocks import (
+    ConstantRateClock,
     HardwareClock,
-    extremal_clock,
-    perfect_clock,
-    random_walk_clock,
+    PiecewiseRateClock,
+    random_walk_rates,
     validate_drift,
+    validate_drift_columns,
 )
 from ..sim.rng import RngFactory
 from ..sim.simulator import Simulator
@@ -342,7 +345,9 @@ class RunResult:
     config: ExperimentConfig
     record: RunRecord
     graph: DynamicGraph
-    nodes: dict[int, ClockSyncNode]
+    #: The nodes by id: drivers, or -- an untouched node of a column
+    #: population -- a :class:`~repro.core.node.NodeRow` reading its row.
+    nodes: Mapping[int, Any]
     transport_stats: dict[str, int]
     events_dispatched: int
     oracle_report: OracleReport | None = None
@@ -377,6 +382,10 @@ class RunResult:
     #: Host seconds of the run's start: deciding the kernel plan and
     #: building its table (``None`` where ``setup_s`` is).
     plan_s: float | None = None
+    #: Node objects (drivers) built by the time the run returned: the
+    #: touched nodes of a column population, every node of any other
+    #: (``None`` where ``setup_s`` is).
+    materialised_nodes: int | None = None
 
     @property
     def params(self) -> SystemParams:
@@ -414,6 +423,9 @@ class RunResult:
 
     def total_jumps(self) -> int:
         """Total discrete clock jumps across all nodes."""
+        store = getattr(self.nodes, "store", None)
+        if store is not None:  # a column population: its jumps column
+            return int(store.np.jumps[store.ids.start : store.ids.stop].sum())
         return sum(node.jumps for node in self.nodes.values())
 
     def summary(self) -> str:
@@ -488,30 +500,44 @@ def _spec_name(spec: Any, field_name: str, built_in: str) -> str:
     )
 
 
-def _make_clock(
+def _draw_clocks(
     spec: ClockSpec,
-    node_id: int,
     params: SystemParams,
     rng: np.random.Generator,
     horizon: float,
-) -> HardwareClock:
-    if callable(spec):
-        return spec(node_id, params, rng, horizon)
+) -> tuple[npt.NDArray[np.float64] | None, list[HardwareClock | None]]:
+    """Every node's hardware clock, in id order, as the ``rate`` column of
+    a constant-rate built-in spec (no clock objects: ``[None] * n``), a
+    ``random_walk``'s first-piece rates and its clocks, or -- a callable
+    spec -- ``(None, clocks)``.  A built-in spec draws ``rng`` as one
+    call per node would, in id order, with one vector call."""
+    n = params.n
     rho = params.rho
-    if spec == "perfect":
-        return perfect_clock()
+    if callable(spec):
+        clocks: list[HardwareClock | None] = []
+        for i in range(n):
+            clock = spec(i, params, rng, horizon)
+            validate_drift(clock, rho)
+            clocks.append(clock)
+        return None, clocks
+    ids = np.arange(n)
     if spec == "random_walk":
         segment = max(horizon / 20.0, 4.0 * params.tick_interval)
-        return random_walk_clock(rho, horizon=horizon, segment=segment, rng=rng)
-    if spec == "split":
-        return extremal_clock(rho, fast=node_id < params.n // 2)
-    if spec == "alternating":
-        return extremal_clock(rho, fast=node_id % 2 == 0)
-    if spec == "uniform":
-        from ..sim.clocks import ConstantRateClock
-
-        return ConstantRateClock(1.0 + rho * float(rng.uniform(-1.0, 1.0)))
-    raise ValueError(f"unknown clock spec {spec!r}")
+        times, walk = random_walk_rates(rho, horizon, segment, rng, n)
+        validate_drift_columns(walk.min(axis=1), walk.max(axis=1), rho)
+        return walk[:, 0].copy(), [PiecewiseRateClock(times, row) for row in walk]
+    if spec == "perfect":
+        rates = np.ones(n)
+    elif spec == "split":
+        rates = np.where(ids < n // 2, 1.0 + rho, 1.0 - rho)
+    elif spec == "alternating":
+        rates = np.where(ids % 2 == 0, 1.0 + rho, 1.0 - rho)
+    elif spec == "uniform":
+        rates = 1.0 + rho * rng.uniform(-1.0, 1.0, n)
+    else:
+        raise ValueError(f"unknown clock spec {spec!r}")
+    validate_drift_columns(rates, rates, rho)
+    return rates, [None] * n
 
 
 def _make_delay(
@@ -544,16 +570,18 @@ def _make_discovery(
     raise ValueError(f"unknown discovery spec {spec!r}")
 
 
-def _stagger_kwargs(
+def _draw_staggers(
     node_cls: type[ClockSyncNode], cfg: ExperimentConfig, rng: np.random.Generator
-) -> dict[str, float]:
-    """Constructor kwargs placing one node's (or its core's) first tick:
-    one draw per ticking node when ``cfg.stagger_ticks``, else no offset."""
+) -> npt.NDArray[np.float64] | None:
+    """Every ticking node's first-tick offset, in id order: one draw per
+    node when ``cfg.stagger_ticks``, else zeros (``None``: the algorithm
+    never ticks)."""
+    n = cfg.params.n
     if node_cls is FreeRunningNode:
-        return {}
+        return None
     if not cfg.stagger_ticks:
-        return {"tick_stagger": 0.0}
-    return {"tick_stagger": float(rng.uniform(0.0, cfg.params.tick_interval))}
+        return np.zeros(n)
+    return rng.uniform(0.0, cfg.params.tick_interval, n)
 
 
 # ---------------------------------------------------------------------- #
@@ -572,11 +600,14 @@ class Experiment:
     is bitwise identical across shard counts.
 
     **Set-up is one pass** (docs/performance.md, "Set-up"): the cyclic
-    collector is paused, the graph fills E_0 in one loop, a constant
-    discovery latency announces E_0 as one wave record and the first
-    ticks are armed without a ``Start`` dispatch -- each in its
-    per-record order (``initial_edges``, ``graph.edges()``, node id), so
-    every digest holds.
+    collector is paused, the graph fills E_0 in one loop, clocks and
+    first-tick offsets are drawn as columns (one vector call per stream),
+    a constant discovery latency announces E_0 as one wave record, and a
+    population the table will run is its store's columns from here on
+    (:class:`~repro.core.node.Population`: no driver, core, clock or timer
+    dict until something touches a node; its first ticks are records by
+    node id) -- each in its per-record order (``initial_edges``,
+    ``graph.edges()``, node id), so every digest holds.
     """
 
     def __init__(
@@ -636,26 +667,42 @@ class Experiment:
             max_delay=params.max_delay,
             discovery_bound=params.discovery_bound,
         )
-        # 3. Nodes (registered before any churn can mutate the graph).
-        clock_rng = rngf.spawn("clocks")
-        stagger_rng = rngf.spawn("stagger")
+        # 3. Nodes (registered before any churn can mutate the graph).  The
+        #    clock and stagger draws cover every id, local or not, so the
+        #    streams stay aligned across shard counts.
         node_cls = ALGORITHMS[cfg.algorithm]
-        self.nodes: dict[int, ClockSyncNode] = {}
-        #: Flat driver list in id order (same objects as ``nodes``; dense
-        #: by node id unless this is a shard).
-        self.node_list: list[ClockSyncNode] = []
-        for i in range(params.n):
-            # Clock and stagger draws happen for every id, local or not, so
-            # the streams stay aligned across shard counts.
-            clock = _make_clock(cfg.clock_spec, i, params, clock_rng, cfg.horizon)
-            validate_drift(clock, params.rho)
-            kwargs = _stagger_kwargs(node_cls, cfg, stagger_rng)
-            if i not in local:
-                continue
-            node = node_cls(i, self.sim, clock, self.transport, params, **kwargs)
-            self.transport.register_node(i, node)
-            self.nodes[i] = node
-            self.node_list.append(node)
+        rates, clocks = _draw_clocks(
+            cfg.clock_spec, params, rngf.spawn("clocks"), cfg.horizon
+        )
+        stagger = _draw_staggers(node_cls, cfg, rngf.spawn("stagger"))
+        core_cls = node_cls.core_class
+        self._store: NodeArrayTable | None = None
+        self.nodes: Mapping[int, ClockSyncNode]
+        if (
+            shard is None
+            and self.sim.batch
+            and rates is not None
+            and core_cls in (DCSACore, StaticGradientCore)
+        ):
+            # A column population: the table's store from here on, and a
+            # driver only for a node something touches.
+            assert core_cls is not None and stagger is not None
+            core = core_cls(0, params)
+            self._store = NodeArrayTable(
+                self.sim, self.transport, local, core, clocks, rates
+            )
+            self.nodes = Population(
+                node_cls, self.sim, self.transport, self._store, core, stagger
+            )
+            self.transport.register_population(self.nodes)
+        else:
+            nodes: dict[int, ClockSyncNode] = {}
+            for i in local:
+                clock = clocks[i] or ConstantRateClock(rates[i])  # type: ignore[index]
+                kwargs = {} if stagger is None else {"tick_stagger": float(stagger[i])}
+                node = nodes[i] = node_cls(i, self.sim, clock, self.transport, params, **kwargs)
+                self.transport.register_node(i, node)
+            self.nodes = nodes
         # 4. Recorder (subscribes to graph for edge episodes); skipped for
         #    unbounded-horizon runs that rely on the streaming oracle.
         self.recorder: SkewRecorder | None = None
@@ -711,25 +758,47 @@ class Experiment:
         self.tracer: Tracer | None = active_tracer()
         if self.tracer is not None:
             self.transport.attach_tracer(self.tracer)
-            for node in self.node_list:
-                node.attach_tracer(self.tracer)
             if self.oracle is not None:
                 self.oracle.attach_tracer(self.tracer)
         # 7. Start node activity (id order: the first ticks' queue order).
-        for node in self.node_list:
-            node.start()
+        #    A column population's first deadlines are one column, as each
+        #    ``start()`` would arm them (a touched node's clock may have
+        #    been swapped: it asks its own).
+        if self._store is None:
+            for node in self.nodes.values():
+                node.start()
+        else:
+            assert stagger is not None
+            col = self._store.np  # every row's segment starts at H(0) = 0
+            fires = stagger / col.rate
+            for i in np.flatnonzero(stagger >= col.h1).tolist():
+                fires[i] = clocks[i].time_at(stagger[i])  # type: ignore[union-attr]
+            for node in cast(Population, self.nodes).touched():
+                i = node.node_id
+                fires[i] = max(node.clock.time_at(node.clock.value(0.0) + stagger[i]), 0.0)
+            self._store.arm_ticks(fires.tolist())
         # 8. Telemetry (ambient, not config: the config dict is the cache
         #    identity and a pure observer must not change it).  Polled
         #    readbacks only -- instrumenting schedules nothing and draws
         #    no RNG, so runs stay bit-identical with telemetry enabled.
         telemetry = active_registry()
         if telemetry is not None:
+            nodes = self.nodes
+            telemetry.gauge_fn(  # drivers built so far (see RunResult)
+                "kernel.materialised_nodes",
+                lambda: getattr(nodes, "materialised", len(nodes)),
+            )
             self.sim.instrument(telemetry)
             self.transport.instrument(telemetry)
             if self.oracle is not None:
                 self.oracle.instrument(telemetry)
             if self.tracer is not None:
                 self.tracer.instrument(telemetry)
+
+    @property
+    def node_list(self) -> list[ClockSyncNode]:
+        """The drivers in id order (reading it touches every node)."""
+        return [self.nodes[i] for i in sorted(self.nodes)]
 
     def run(self) -> RunResult:
         """Run to the horizon and package the results.
@@ -755,6 +824,11 @@ class Experiment:
             # horizon caught mid-flight (O(pending queue), not O(spans)).
             self.transport.finalize_tracing()
         lanes = self.transport.lane_counts()
+        nodes = self.nodes
+        materialised = len(nodes)
+        if isinstance(nodes, Population):
+            materialised = nodes.materialised
+            nodes = nodes.readers()
         return RunResult(
             config=self.cfg,
             record=(
@@ -763,7 +837,7 @@ class Experiment:
                 else RunRecord.empty(self.nodes)
             ),
             graph=self.graph,
-            nodes=self.nodes,
+            nodes=nodes,
             transport_stats=self.transport.stats.as_dict(),
             events_dispatched=self.sim.events_dispatched,
             oracle_report=self.oracle.report() if self.oracle is not None else None,
@@ -775,6 +849,7 @@ class Experiment:
             non_node_events=self.sim.non_node_events,
             setup_s=self.setup_s,
             plan_s=self.transport.plan_s,
+            materialised_nodes=materialised,
         )
 
 

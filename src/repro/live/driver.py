@@ -37,7 +37,7 @@ from ..harness.runner import (
     ALGORITHMS,
     ExperimentConfig,
     RunResult,
-    _stagger_kwargs,
+    _draw_staggers,
 )
 from ..analysis.recorder import RunRecord
 from ..core.protocol import ProtocolCore
@@ -120,9 +120,9 @@ def build_live_runtime(
         params.rho,
         rngf.spawn("live_clocks"),
     )
-    stagger_rng = rngf.spawn("live_stagger")
+    stagger = _draw_staggers(node_cls, cfg, rngf.spawn("live_stagger"))
     cores: dict[int, ProtocolCore] = {
-        i: core_cls(i, params, **_stagger_kwargs(node_cls, cfg, stagger_rng))
+        i: core_cls(i, params, **({} if stagger is None else {"tick_stagger": float(stagger[i])}))
         for i in range(params.n)
     }
     oracle, sample_interval = resolve_oracle(

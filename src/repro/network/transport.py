@@ -40,8 +40,10 @@ from typing import (
     Callable,
     Collection,
     Iterable,
+    Mapping,
     Protocol,
     Sequence,
+    cast,
 )
 
 import numpy as np
@@ -75,6 +77,7 @@ from .discovery import ConstantDiscovery, DiscoveryPolicy
 from .graph import DynamicGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
+    from ..core.node import Population
     from ..telemetry.registry import MetricsRegistry
     from ..tracing.context import Tracer
 
@@ -164,9 +167,14 @@ class Transport:
         #: Graph mutations observed (both directions of churn); kept off
         #: :class:`TransportStats` so sim/live stats dicts stay congruent.
         self.edge_flips = 0
-        self._nodes: dict[int, NodeInterface] = {}
+        #: The registered nodes by id, or a column population
+        #: (:meth:`register_population`), whose drivers are built on touch.
+        self._nodes: Mapping[int, NodeInterface] = {}
         #: Dense mirror of ``_nodes`` keyed by node id (``None`` = empty slot).
-        self._node_seq: list[NodeInterface | None] = []
+        self._node_seq: Any = []
+        #: The table that owns the population's slots, once there is one:
+        #: a column population's from set-up on, else the plan's.
+        self._store: NodeArrayTable | None = None
         self._fifo_last: dict[tuple[int, int], float] = {}
         self._pending_absence: set[tuple[int, int]] = set()
         # Pre-bound hot-path callables (saves attribute chains per message).
@@ -190,6 +198,9 @@ class Transport:
         self.plan_s = 0.0
         sim.set_handler(KIND_DELIVER, self._handle_deliver)
         sim.set_handler(KIND_DISCOVER, self._handle_discover)
+        # Tick groups originate from the table's timer runs, and from a
+        # column population's first ticks (whose plan may yet decline).
+        sim.set_handler(KIND_TICK_BURST, self._handle_tick_burst)
         sim.on_run_start(self._start_run)
         graph.subscribe(self._on_graph_event)
 
@@ -253,11 +264,20 @@ class Transport:
             raise ValueError(f"unknown node id {node_id!r}")
         if node_id in self._nodes:
             raise ValueError(f"node {node_id!r} already registered")
-        self._nodes[node_id] = node
+        cast("dict[int, NodeInterface]", self._nodes)[node_id] = node
         seq = self._node_seq
         while len(seq) <= node_id:
             seq.append(None)
         seq[node_id] = node
+
+    def register_population(self, population: "Population") -> None:
+        """Attach a column population whole: the ids of ``population``,
+        each driver built on first touch (no node may be registered
+        besides).  Its store's ``tick`` records carry node ids, and the
+        transport dispatches them."""
+        self._nodes = self._node_seq = population
+        self._store = population.store
+        self.sim.set_handler(KIND_TIMER, self._handle_timer)
 
     def node(self, node_id: int) -> NodeInterface:
         """The node implementation registered for ``node_id``."""
@@ -438,14 +458,13 @@ class Transport:
         self.plan_s = perf_counter() - t0
         if plan.table is None:
             return
+        self._store = plan.table
         sim = self.sim
         sim.set_handler(KIND_DELIVER_BURST, self._handle_deliver_burst)
         sim.set_batch_handler(KIND_DELIVER, self._handle_deliver_batch)
         sim.set_batch_handler(KIND_DISCOVER, self._handle_discover_batch)
         if plan.engaged("timer_runs"):
             sim.set_batch_handler(KIND_TIMER, self._handle_timer_batch)
-            # Tick groups only ever originate from the table's timer runs.
-            sim.set_handler(KIND_TICK_BURST, self._handle_tick_burst)
 
     @property
     def _table(self) -> NodeArrayTable:
@@ -455,12 +474,13 @@ class Transport:
         return table
 
     def _handle_timer(self, ev: ScheduledEvent) -> None:
-        """Kernel handler for ``KIND_TIMER`` records (``a=driver, b=key``).
+        """Kernel handler for ``KIND_TIMER`` records (``a=driver, b=key``;
+        a table's ``tick`` records carry the node id instead).
 
         Registered by the drivers themselves (see
-        :class:`~repro.core.node.ClockSyncNode`).  On the plan's table a
-        ``tick`` is one per-driver body and a ``lost`` wake record fires the
-        timers due now; anything else goes through
+        :class:`~repro.core.node.ClockSyncNode`) or by a column population.
+        On the plan's table a ``tick`` is one per-node body and a ``lost``
+        wake record fires the timers due now; anything else goes through
         :meth:`~repro.core.node.ClockSyncNode._fire_timer`.
         """
         table = self.plan.table
@@ -472,7 +492,10 @@ class Transport:
             if key == _LOST:
                 table.lost_wake(ev)
                 return
-        ev.a._fire_timer(ev.b)
+        node = ev.a
+        if type(node) is int:
+            node = self._node_seq[node]
+        node._fire_timer(ev.b)
 
     def _handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for same-timestamp ``KIND_TIMER`` runs
@@ -482,7 +505,10 @@ class Transport:
     def _handle_tick_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_TICK_BURST`` records: re-expand the
         group's cardinality ``ev.e`` into the dispatch tallies (the kernel
-        counted one dispatch), then execute."""
+        counted one dispatch), then execute -- without a table (a column
+        population whose plan declined), as its members' ticks in order:
+        a group exists only under positive constant delays, so nothing a
+        tick pushes sorts between two of them."""
         sim = self.sim
         card = ev.e
         sim.events_dispatched += card - 1
@@ -490,7 +516,12 @@ class Transport:
         if kind_counts is not None:
             kind_counts[KIND_TICK_BURST] -= 1
             kind_counts[KIND_TIMER] += card
-        self._table.handle_tick_group(ev)
+        table = self.plan.table
+        if table is not None:
+            table.handle_tick_group(ev)
+            return
+        for i in ev.a:
+            self._node_seq[i]._fire_timer(_TICK)
 
     def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DELIVER_BURST`` records: re-expand the
@@ -588,9 +619,8 @@ class Transport:
 
     def _on_graph_event(self, time: float, u: int, v: int, added: bool) -> None:
         self.edge_flips += 1
-        table = self.plan.table
-        if table is not None:
-            table.flip(u, v, added)
+        if self._store is not None:
+            self._store.flip(u, v, added)
         if self._tracer is not None:
             self._tracer.edge_flip(time, u, v, added)
         self._schedule_discovery(u, v, added=added, change_time=time)

@@ -166,6 +166,14 @@ class TimelineRecorder:
         else:
             self.events_dropped += 1
 
+    def seed_edges(self, edges: list[tuple[int, int]]) -> None:
+        """:meth:`edge_event` of an add at ``t = 0`` per edge, in one pass."""
+        room = max(self.event_budget - len(self.events), 0)
+        self.events.extend(
+            (0.0, min(u, v), max(u, v), 1) for u, v in edges[:room]
+        )
+        self.events_dropped += max(len(edges) - room, 0)
+
     def _decimate(self) -> None:
         """Halve resolution: keep every 2nd row, double the stride."""
         keep = self.row_budget // 2

@@ -260,6 +260,12 @@ class Monitor:
     def on_edge_event(self, time: float, u: int, v: int, added: bool) -> None:
         """Graph mutation hook (only routed when :attr:`tracks_edges`)."""
 
+    def seed_edges(self, edges: list[tuple[int, int]]) -> None:
+        """The edges present at ``t = 0``, each as an add at age 0, in
+        order: what one :meth:`on_edge_event` per edge would leave."""
+        for u, v in edges:
+            self.on_edge_event(0.0, u, v, True)
+
 
 class ProgressMonitor(Monitor):
     """Section 3.3: logical clocks never decrease and advance at rate >= 1/2.
@@ -441,6 +447,12 @@ class EnvelopeMonitor(Monitor):
             self._live[key] = time
         else:
             self._live.pop(key, None)
+        self._dirty = True
+
+    def seed_edges(self, edges: list[tuple[int, int]]) -> None:
+        self._live.update(
+            dict.fromkeys(((u, v) if u <= v else (v, u) for u, v in edges), 0.0)
+        )
         self._dirty = True
 
     def _rebuild(self) -> None:

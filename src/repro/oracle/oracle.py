@@ -307,8 +307,11 @@ class StreamingOracle:
         """
         if self._edge_monitors:
             graph.subscribe(self.edge_event)
-            for u, v in graph.edges():
-                self.edge_event(0.0, u, v, True)
+            edges = list(graph.edges())
+            for monitor in self._edge_monitors:
+                monitor.seed_edges(edges)
+            if self._timeline is not None:
+                self._timeline.seed_edges(edges)
 
     def install(
         self,

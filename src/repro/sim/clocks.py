@@ -28,6 +28,7 @@ from bisect import bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 __all__ = [
     "HardwareClock",
@@ -37,9 +38,11 @@ __all__ = [
     "perfect_clock",
     "two_phase_clock",
     "random_walk_clock",
+    "random_walk_rates",
     "sinusoidal_clock",
     "extremal_clock",
     "validate_drift",
+    "validate_drift_columns",
 ]
 
 #: One linear piece of a clock, ``(rate, t0, h0, t1, h1)``: ``H(t) = h0 +
@@ -151,16 +154,6 @@ class PiecewiseRateClock(HardwareClock):
         # Last-hit segment index: kernel queries are near-monotone in time,
         # so the previous segment answers most lookups without a bisect.
         self._hint = 0
-
-    @property
-    def segment_times(self) -> list[float]:
-        """Segment start times (copy)."""
-        return list(self._times)
-
-    @property
-    def segment_rates(self) -> list[float]:
-        """Segment rates (copy)."""
-        return list(self._rates)
 
     def value(self, t: float) -> float:
         if t < 0.0:
@@ -356,19 +349,43 @@ def random_walk_clock(
     persistence:
         AR(1) coefficient in [0, 1); higher values change rate more slowly.
     """
+    times, rates = random_walk_rates(
+        rho, horizon, segment, rng, 1, persistence=persistence
+    )
+    return PiecewiseRateClock(times, rates[0])
+
+
+def random_walk_rates(
+    rho: float,
+    horizon: float,
+    segment: float,
+    rng: np.random.Generator,
+    n: int,
+    *,
+    persistence: float = 0.7,
+) -> tuple[list[float], npt.NDArray[np.float64]]:
+    """:func:`random_walk_clock`'s schedule for ``n`` clocks at once: the
+    segment start times and an ``(n, k)`` rate array, row ``i`` the rates
+    the ``i``-th of ``n`` successive calls would draw.
+
+    One ``(n, k + 1)`` draw consumes ``rng`` as those calls would, row
+    after row, and the AR(1) recurrence runs across rows in the same
+    operation order.
+    """
     if not (0.0 <= persistence < 1.0):
         raise ValueError(f"persistence must be in [0, 1); got {persistence!r}")
     if segment <= 0.0 or horizon <= 0.0:
         raise ValueError("segment and horizon must be positive")
     k = max(1, int(math.ceil(horizon / segment)))
     times = [i * segment for i in range(k)]
-    rates: list[float] = []
-    x = float(rng.uniform(-1.0, 1.0))
-    for _ in range(k):
-        x = persistence * x + (1.0 - persistence) * float(rng.uniform(-1.0, 1.0))
-        x = min(1.0, max(-1.0, x))
-        rates.append(1.0 + rho * x)
-    return PiecewiseRateClock(times, rates)
+    draws = rng.uniform(-1.0, 1.0, (n, k + 1))
+    rates = np.empty((n, k))
+    x = draws[:, 0]
+    for j in range(k):
+        x = persistence * x + (1.0 - persistence) * draws[:, j + 1]
+        x = np.minimum(1.0, np.maximum(-1.0, x))
+        rates[:, j] = 1.0 + rho * x
+    return times, rates
 
 
 def sinusoidal_clock(
@@ -405,8 +422,24 @@ def sinusoidal_clock(
 def validate_drift(clock: HardwareClock, rho: float, *, tol: float = 1e-12) -> None:
     """Raise ``ValueError`` if the clock's rates leave ``[1-rho, 1+rho]``."""
     lo, hi = clock.rate_bounds()
-    if lo < 1.0 - rho - tol or hi > 1.0 + rho + tol:
+    validate_drift_columns(np.array([lo]), np.array([hi]), rho, tol=tol, who=None)
+
+
+def validate_drift_columns(
+    lo: npt.NDArray[np.float64],
+    hi: npt.NDArray[np.float64],
+    rho: float,
+    *,
+    tol: float = 1e-12,
+    who: str | None = "node",
+) -> None:
+    """:func:`validate_drift` for clock ``i``'s rate bounds ``lo[i]`` /
+    ``hi[i]``; the message names the first clock out of bounds."""
+    bad = np.flatnonzero((lo < 1.0 - rho - tol) | (hi > 1.0 + rho + tol))
+    if len(bad):
+        i = int(bad[0])
         raise ValueError(
-            f"clock rates [{lo:.6g}, {hi:.6g}] violate the drift bound "
+            ("" if who is None else f"{who} {i}: ")
+            + f"clock rates [{lo[i]:.6g}, {hi[i]:.6g}] violate the drift bound "
             f"[1-rho, 1+rho] = [{1 - rho:.6g}, {1 + rho:.6g}]"
         )

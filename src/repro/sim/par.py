@@ -80,7 +80,7 @@ from dataclasses import replace
 from functools import partial
 from multiprocessing.connection import Connection
 from multiprocessing.sharedctypes import RawArray
-from typing import TYPE_CHECKING, Any, Callable, Sequence, cast
+from typing import TYPE_CHECKING, Any, Callable, cast
 
 import numpy as np
 
@@ -272,7 +272,8 @@ class ParTransport(Transport):
 
     def _handle_timer(self, ev: ScheduledEvent) -> None:
         if ev.a is not None:  # a node's timer (a ``lost`` wake sends nothing)
-            self._gp = (self.sim.now, 2, ev.d, ev.e, ev.a.node_id)
+            nid = ev.a if type(ev.a) is int else ev.a.node_id
+            self._gp = (self.sim.now, 2, ev.d, ev.e, nid)
             self._gc = 0
         super()._handle_timer(ev)
 
@@ -302,18 +303,16 @@ class ParNodeArrayTable(NodeArrayTable):
     timer position (see module docstring).
     """
 
-    __slots__ = ()
+    __slots__ = ("firing",)
 
     transport: ParTransport
 
     def __init__(
-        self,
-        sim: Simulator,
-        transport: ParTransport,
-        drivers: "Sequence[ClockSyncNode | None]",
-        ids: range,
+        self, sim: Simulator, transport: ParTransport, ids: range, *args: Any
     ) -> None:
-        super().__init__(sim, transport, drivers, ids)
+        super().__init__(sim, transport, ids, *args)
+        #: Per ticking node the record whose tick runs (its provenance).
+        self.firing: dict[int, ScheduledEvent] = {}
         frontier = transport._frontier
         graph = transport.graph
         self.boundary = frozenset(
@@ -322,14 +321,26 @@ class ParNodeArrayTable(NodeArrayTable):
             if any(v not in ids or v in frontier for v in graph.neighbors(i))
         )
 
+    def tick_one(self, ev: ScheduledEvent) -> None:
+        self.firing[ev.a] = ev
+        super().tick_one(ev)
+
+    def handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
+        self.firing.update((ev.a, ev) for ev in records if ev.b == _TICK)
+        super().handle_timer_batch(records)
+
+    def handle_tick_group(self, ev: ScheduledEvent) -> None:
+        self.firing.update(dict.fromkeys(ev.a, ev))
+        super().handle_tick_group(ev)
+
     def _enter_tick(self, nid: int) -> None:
         """Provenance context of ``nid``'s tick: ``(t, 2, arm, phase, nid)``.
 
-        The firing record is still the driver's live tick entry (re-arms
-        happen after the tick phase); a group record stores its arm time
-        in ``d`` like an individual one, and groups only form in-run.
+        The firing record is not re-armed yet (that happens after the tick
+        phase); a group record stores its arm time in ``d`` like an
+        individual one, and groups only form in-run.
         """
-        rec = self.drivers[nid]._timers[_TICK]
+        rec = self.firing[nid]
         phase = 1 if rec.kind == KIND_TICK_BURST else rec.e
         transport = self.transport
         transport._gp = (self.sim.now, 2, rec.d, phase, nid)

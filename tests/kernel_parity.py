@@ -3,9 +3,10 @@
 Every fast path must leave exactly what the ``handle()`` reference
 (``Simulator(batch=False)``, i.e. ``REPRO_BATCH=0``) leaves.  :func:`check`
 runs a config four ways -- {reference, default kernel} x {observers off,
-span tracer + skew timeline + telemetry on} -- folds each run into one
-:func:`fingerprint` and fails on the first ``(t, node, field)`` where two
-runs part.  Floats are compared bit for bit.
+span tracer + skew timeline + telemetry on} -- and a fifth, the default
+kernel with no node touched before the run returns, folds each run into
+one :func:`fingerprint` and fails on the first ``(t, node, field)`` where
+two runs part.  Floats are compared bit for bit.
 
 ``tests/test_kernel_parity.py`` drives it over drawn configs, the named
 case table and the benchmark workloads; the configs and hooks several
@@ -24,7 +25,7 @@ import pytest
 
 from repro.core import batch as batch_mod
 from repro.core.batch import NodeArrayTable, PopulationReader
-from repro.core.node import ClockSyncNode
+from repro.core.node import ClockSyncNode, Population
 from repro.core.protocol import DCSACore, JumpL, ProtocolCore
 from repro.harness import configs
 from repro.harness.runner import Experiment, RunResult
@@ -84,11 +85,14 @@ def run(
     hook: Callable[[Experiment], None] | None = None,
     lane_min: int | None = None,
     spy: Callable[[pytest.MonkeyPatch], Any] | None = None,
+    untouched: bool = False,
 ) -> Run:
     """Run ``cfg`` on the reference (``batch=False``) or the default
     kernel, observers on or off; ``hook(exp)`` touches the built
     experiment, ``lane_min`` sets ``ARRAY_LANE_MIN`` and
-    ``spy(monkeypatch)``'s return value lands in ``Run.spied``."""
+    ``spy(monkeypatch)``'s return value lands in ``Run.spied``.
+    ``untouched``: the samples read a column population's columns, so no
+    node is touched before the run returns (unless ``hook`` does)."""
     handled: Counter = Counter()
     fires: list = []
     samples: list = []
@@ -134,12 +138,16 @@ def run(
         if exp.sim.kind_counts is None:  # telemetry allocates its own
             exp.sim.kind_counts = [0] * N_KINDS
         read = PopulationReader(exp.nodes, estimates=True, transport=exp.transport)
-        nodes = [exp.nodes[i] for i in sorted(exp.nodes)]
+        store = exp.nodes.store if untouched and isinstance(exp.nodes, Population) else None
+        nodes = [exp.nodes[i] for i in sorted(exp.nodes)] if store is None else None
         stats = exp.transport.stats
 
         def sample(t):
             clocks, estimates = read(t)
-            jumps = np.array([node.jumps for node in nodes])
+            if store is None:
+                jumps = np.array([node.jumps for node in nodes])
+            else:
+                jumps = np.array(store.np.jumps[store.ids.start : store.ids.stop])
             samples.append((t, clocks.copy(), estimates.copy(), jumps, stats.as_dict()))
 
         exp.sim.every(cfg.sample_interval, sample, end=cfg.horizon)
@@ -301,6 +309,7 @@ class Runs:
     default: Run
     ref_on: Run
     default_on: Run
+    untouched: Run
 
 
 def check(cfg, *, hook=None, lane_min=None, spy=None, handled=None) -> Runs:
@@ -318,14 +327,23 @@ def check(cfg, *, hook=None, lane_min=None, spy=None, handled=None) -> Runs:
       executed exactly the node events the reference handled; where it
       declined, ``handle()`` sees what the reference's saw;
     * a population of plain ``DCSACore`` cores never runs without the table;
-    * an observed run accounts for what it observed.
+    * an observed run accounts for what it observed;
+    * a column population nothing touches before the run returns builds
+      no node object (its fingerprint is held to the reference's too).
     """
-    make = lambda observed, batch: run(
+    make = lambda observed, batch, untouched=False: run(
         replace(cfg), batch=batch, observed=observed, hook=hook,
-        lane_min=lane_min, spy=spy,
+        lane_min=lane_min, spy=spy, untouched=untouched,
     )
-    runs = Runs(make(False, False), make(False, True), make(True, False), make(True, True))
+    runs = Runs(
+        make(False, False), make(False, True), make(True, False), make(True, True),
+        make(False, True, untouched=True),
+    )
     assert_same(runs.ref, runs.default, "default kernel")
+    assert_same(runs.ref, runs.untouched, "untouched default kernel")
+    if hook is None and cfg.adversary is None:  # nothing else touches a node
+        built = runs.untouched.res.materialised_nodes
+        assert built == (0 if isinstance(runs.untouched.exp.nodes, Population) else cfg.params.n)
     assert_same(runs.ref, runs.ref_on, "observed reference", physics_only=True)
     assert_same(runs.ref_on, runs.default_on, "observed default kernel")
     for ref in (runs.ref, runs.ref_on):

@@ -18,7 +18,14 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from kernel_parity import CHURN_SCRIPT, churned_sync_ring, far_ahead, run
+from kernel_parity import (
+    CHURN_SCRIPT,
+    churned_sync_ring,
+    far_ahead,
+    fingerprint,
+    first_divergence,
+    run,
+)
 from test_kernel_parity import holds, parity_configs
 
 from repro.core import batch as batch_mod
@@ -229,19 +236,21 @@ def test_result_nodes_stay_readable_after_the_experiment_is_dropped():
 
 
 def test_a_covered_core_keeps_no_copy_of_its_row(monkeypatch):
-    """One store: after adoption the instance holds neither ``L``, ``Lmax``,
-    ``h_last`` nor a Gamma row; writes through the view land in the
-    columns, and ``handle()``'s own methods run against them."""
+    """One store: a column population's core is born a view of its row --
+    the instance holds neither ``L``, ``Lmax``, ``h_last``, the tallies nor
+    a Gamma row; writes through the view land in the columns, and
+    ``handle()``'s own methods run against them."""
     monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
     exp = Experiment(configs.huge_sync_ring(64, horizon=6.0))
     core = exp.nodes[3].core
-    assert type(core) is DCSACore and "_L" in vars(core)
+    assert type(core) is not DCSACore and isinstance(core, DCSACore)
     exp.sim.run_until(3.0)
     table = exp.transport.plan.table
-    assert exp.nodes[3].core is core and isinstance(core, DCSACore)
-    assert not {"_L", "_Lmax", "h_last", "messages_sent", "gamma", "upsilon"} & set(
-        vars(core)
-    )
+    assert exp.nodes[3].core is core and table is exp.nodes.store
+    assert not {
+        "_L", "_Lmax", "h_last", "messages_sent", "jumps", "total_jump", "gamma",
+        "upsilon",
+    } & set(vars(core))
     assert core._L == table.L[3] and core.h_last == table.h_last[3] > 0.0
     core.force_raise_max(core._Lmax + 5.0)
     assert table.Lmax[3] == core._Lmax and type(core._Lmax) is float
@@ -300,6 +309,31 @@ def test_greedy_adversary_reads_the_same_clocks_on_both_kernels():
 
 def test_state_fed_before_the_run_moves_into_the_store():
     holds("fed_before_run")
+
+
+def test_a_plan_declined_after_set_up_runs_the_reference():
+    """A column population whose plan declines once it is wired -- the
+    reference kernel switched on after set-up -- runs ``handle()`` on
+    views built as events reach them, its first ticks as one group, and a
+    ``lost`` timer armed before the run moves to the queue: the run is the
+    reference's, fingerprint for fingerprint (node 4 never writes to
+    node 0 again, so its ``lost`` fire is the one armed before the run)."""
+
+    def fed(exp):
+        exp.nodes[0].on_message(4, (5.0, 6.0))
+        exp.nodes[1].on_message(0, (0.25, 7.5))
+
+    def fed_then_declined(exp):
+        fed(exp)
+        exp.sim.batch = False
+
+    cfg = configs.huge_sync_ring(8, horizon=6.0)
+    declined = run(cfg, batch=True, hook=fed_then_declined)
+    reference = run(cfg, batch=False, hook=fed)
+    assert declined.res.batch_gate_reason is not None and declined.res.array_events == 0
+    assert (0, 4) in {(node, peer) for _t, node, peer in declined.lost_fires}
+    divergence = first_divergence(fingerprint(reference), fingerprint(declined))
+    assert divergence is None, divergence
 
 
 def test_long_rows_advance_in_one_numpy_pass():

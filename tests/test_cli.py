@@ -371,6 +371,19 @@ class TestRunCommand:
         assert code == 0 and payload["kernel"]["par_shards"] == 2
         assert payload["kernel"]["plan_s"] is None and payload["setup_s"] is None
 
+    def test_run_reports_the_nodes_it_built(self, capsys):
+        """``kernel.materialised_nodes``: drivers built by the time the run
+        returned -- none for an untouched column population, all of any
+        other -- and the same count as one ``--stats`` line."""
+        sync = ("run", "huge_sync_ring", "--set", "n=64", "horizon=2")
+        code, out, _ = run_cli(capsys, *sync, "--json")
+        assert code == 0 and json.loads(out)["kernel"]["materialised_nodes"] == 0
+        code, out, _ = run_cli(capsys, *sync, "algorithm=max", "--json")
+        assert code == 0 and json.loads(out)["kernel"]["materialised_nodes"] == 64
+        code, out, _ = run_cli(capsys, *sync, "--stats")
+        (line,) = [row for row in out.splitlines() if "kernel.materialised_nodes" in row]
+        assert code == 0 and line.split("|")[1].strip() == "0", line
+
     def test_run_profile_prints_top_entries(self, capsys):
         code, out, _ = run_cli(capsys, *self.RUN_ARGS, "--profile")
         assert code == 0
@@ -414,6 +427,7 @@ class TestRunCommand:
         assert kernel.pop("array_lane_events") > kernel.pop("scalar_lane_events") > 0
         assert kernel.pop("blocked_rows") == 0
         assert kernel.pop("plan_s") > 0.0
+        assert kernel.pop("materialised_nodes") == 0
         assert payload["kernel"] == {
             "batch_gate_reason": None,
             "par_fallback_reason": None,

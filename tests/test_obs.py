@@ -118,6 +118,7 @@ class TestTimeline:
         live: dict[tuple[int, int], float] = {}
         own: list[tuple[float, float, float]] = []
         edge_event, record = TimelineRecorder.edge_event, TimelineRecorder.record
+        seed_edges = TimelineRecorder.seed_edges
 
         def mirroring_edge_event(self, time, u, v, added):
             key = (u, v) if u <= v else (v, u)
@@ -126,6 +127,10 @@ class TestTimeline:
             else:
                 live.pop(key, None)
             edge_event(self, time, u, v, added)
+
+        def mirroring_seed_edges(self, edges):
+            live.update(((min(u, v), max(u, v)), 0.0) for u, v in edges)
+            seed_edges(self, edges)
 
         def own_pass_then_record(self, t, clocks, estimates, **kwargs):
             index = {nid: k for k, nid in enumerate(self._node_ids)}
@@ -140,6 +145,7 @@ class TestTimeline:
             record(self, t, clocks, estimates, **kwargs)
 
         monkeypatch.setattr(TimelineRecorder, "edge_event", mirroring_edge_event)
+        monkeypatch.setattr(TimelineRecorder, "seed_edges", mirroring_seed_edges)
         monkeypatch.setattr(TimelineRecorder, "record", own_pass_then_record)
         with timeline_session() as tl:
             result = run_experiment(cfg)

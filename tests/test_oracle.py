@@ -260,3 +260,50 @@ class TestOracleOnAdversaries:
         cfg.oracle = OracleRef("standard", {})
         res = run_experiment(cfg)
         assert res.oracle_report.ok, res.oracle_report.render()
+
+
+class TestBulkEdgeSeeding:
+    """``attach_graph`` seeds E_0 with one bulk call per edge monitor (and
+    the timeline) in ``graph.edges()`` order: the same state, and the same
+    run, as one ``edge_event`` per edge."""
+
+    @staticmethod
+    def _per_edge(self, graph):
+        if self._edge_monitors:
+            graph.subscribe(self.edge_event)
+            for u, v in graph.edges():
+                self.edge_event(0.0, u, v, True)
+
+    @staticmethod
+    def _configs():
+        from dataclasses import replace
+
+        from repro.network.churn import ScriptedChurn
+
+        grid = configs.huge_sync_grid(6, 6, horizon=12.0)
+        churned = replace(
+            configs.huge_sync_ring(24, horizon=12.0),
+            churn=[ScriptedChurn([(1.5, "add", 3, 11), (4.2, "remove", 5, 6),
+                                  (7.9, "add", 5, 6), (9.1, "remove", 3, 11)])],
+        )
+        return [replace(cfg, oracle=OracleRef("standard", {})) for cfg in (grid, churned)]
+
+    def _run(self, cfg, monkeypatch, per_edge):
+        from repro.harness.runner import Experiment
+        from repro.obs import timeline_session
+
+        with monkeypatch.context() as mp:
+            if per_edge:
+                mp.setattr(StreamingOracle, "attach_graph", self._per_edge)
+            with timeline_session() as tl:
+                exp = Experiment(cfg)
+                (env,) = [m for m in exp.oracle.monitors if m.tracks_edges]
+                seeded = (list(env._live.items()), list(tl.events))
+                report = exp.run().oracle_report
+                return seeded, report.to_dict(), tl.to_dict()
+
+    def test_seeded_state_and_the_run_equal_the_per_edge_path(self, monkeypatch):
+        for cfg in self._configs():
+            bulk = self._run(cfg, monkeypatch, per_edge=False)
+            assert bulk[0][0] and bulk[0][1]  # both were seeded
+            assert bulk == self._run(cfg, monkeypatch, per_edge=True)

@@ -1,34 +1,48 @@
 """Set-up is one pass, and leaves what the per-record wiring leaves.
 
 ``Experiment.__init__`` fills E_0 in one loop, announces it as one wave
-record under a constant discovery latency, arms the first ticks without a
-``Start`` dispatch and pauses the cyclic collector while it wires.  The
-reference these tests compare against is the wiring it replaced, still in
-the tree: ``add_edge`` per initial edge, ``_schedule_discovery`` per
-endpoint (``Transport._announce_each``) and ``Start`` through ``handle()``
-per node.
+record under a constant discovery latency, writes a column population's
+clocks and first ticks as columns (no driver per node) and pauses the
+cyclic collector while it wires.  The reference these tests compare
+against is the wiring it replaced, still in the tree: ``add_edge`` per
+initial edge, ``_schedule_discovery`` per endpoint
+(``Transport._announce_each``), a driver per node (the object population
+of the ``handle()`` reference) and ``Start`` through ``handle()`` per node.
 """
 
 from __future__ import annotations
 
 import gc
+import math
 import pickle
 from dataclasses import fields, replace
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import WaveRows
-from repro.core.node import ClockSyncNode
-from repro.core.protocol import Start
+from repro.core.dcsa import DCSANode
+from repro.core.node import ClockSyncNode, Population
+from repro.core.protocol import ProtocolCore, Start
 from repro.harness import configs, runner
-from repro.harness.runner import Experiment, run_experiment
+from repro.harness.runner import Experiment, ExperimentConfig, run_experiment
 from repro.network.graph import DynamicGraph, GraphError
 from repro.network.transport import Transport
 from repro.params import ParameterError, SystemParams
 from repro.sim import par
-from repro.sim.events import KIND_DISCOVER, N_KINDS
+from repro.sim import simulator as simulator_mod
+from repro.sim.clocks import (
+    ConstantRateClock,
+    HardwareClock,
+    PiecewiseRateClock,
+    validate_drift,
+    validate_drift_columns,
+)
+from repro.sim.rng import RngFactory
+from repro.sim.events import KIND_DISCOVER, KIND_TICK_BURST, KIND_TIMER, N_KINDS
 from repro.testing.strategies import experiment_configs
 
 
@@ -45,6 +59,7 @@ def _reference(build):
         mp.setattr(runner, "DynamicGraph", _per_record_graph)
         mp.setattr(Transport, "announce_initial_edges", Transport._announce_each)
         mp.setattr(ClockSyncNode, "start", lambda self: self._dispatch(Start()))
+        mp.setattr(simulator_mod, "BATCH_DEFAULT", False)
         return build()
 
 
@@ -56,8 +71,8 @@ def _slot(value):
 
 
 def _drain(exp):
-    """The pending queue in dispatch order, a wave expanded into the
-    records it stands for."""
+    """The pending queue in dispatch order, a wave and a tick group
+    expanded into the records they stand for (a tick names its node)."""
     out = []
     queue = exp.sim.queue
     while (ev := queue.pop()) is not None:
@@ -66,6 +81,12 @@ def _drain(exp):
             wave = WaveRows(ev.a, ev.b)
             assert ev.e == len(wave)
             out.extend((*head, *row, None) for row in wave)
+        elif ev.kind == KIND_TICK_BURST:
+            assert ev.e == len(ev.a) and ev.c is None
+            tick = (ev.time, ev.priority, KIND_TIMER)
+            out.extend((*tick, ("node", i), "tick", None, ev.d, 0) for i in ev.a)
+        elif ev.kind == KIND_TIMER and type(ev.a) is int:
+            out.append((*head, ("node", ev.a), ev.b, ev.c, ev.d, ev.e))
         else:
             out.append((*head, _slot(ev.a), _slot(ev.b), _slot(ev.c), ev.d, ev.e))
     return out
@@ -80,7 +101,10 @@ def _wiring(exp):
         "hist_order": list(graph._hist_t),
         "edge_events": graph.edge_events,
         "stats": exp.transport.stats.as_dict(),
-        "timers": {i: sorted(map(repr, n._timers)) for i, n in exp.nodes.items()},
+        "timers": {  # a tick is in the queue, whoever holds its record
+            i: sorted(repr(k) for k in n._timers if k != "tick")
+            for i, n in exp.nodes.items()
+        },
         "h_last": [n.core.h_last for n in exp.node_list],
         "pushes": len(exp.sim.queue),
         "queue": _drain(exp),
@@ -248,24 +272,123 @@ class TestCollectorState:
 
 
 class TestObjectsPerNode:
-    """What a run leaves the collector to walk: at most 7.5 GC-tracked
-    objects per node on the lockstep populations.  E_0's edges share one
-    history until they change and a driver binds no push method; what is
-    left is each node's driver, core, core dict, clock, timer dict, tick
-    record and adjacency set."""
+    """What a run leaves the collector to walk: at most 1.5 GC-tracked
+    objects per node on the lockstep populations.  A column population
+    builds no driver, core, clock or timer dict for a node nothing
+    touched, and its ticks are one group record; what is left per node is
+    its adjacency set."""
 
     @pytest.mark.parametrize(
         "make",
         [lambda: configs.huge_sync_ring(4096), lambda: configs.huge_sync_grid(64, 64)],
         ids=["huge_sync_ring", "huge_sync_grid"],
     )
-    def test_a_run_leaves_at_most_7_5_tracked_objects_per_node(self, make):
+    def test_a_run_leaves_at_most_1_5_tracked_objects_per_node(self, make):
         cfg = make()
         gc.collect()
         before = gc.get_objects()  # held: no id is reused while we count
         known = set(map(id, before))
         result = run_experiment(cfg)
         gc.collect()
-        left = sum(id(o) not in known for o in gc.get_objects())
-        assert left <= 7.5 * cfg.params.n, left / cfg.params.n
-        del result, before
+        left = [o for o in gc.get_objects() if id(o) not in known]
+        assert len(left) <= 1.5 * cfg.params.n, len(left) / cfg.params.n
+        per_node = (ClockSyncNode, ProtocolCore, HardwareClock)
+        assert not any(isinstance(o, per_node) for o in left)
+        assert result.materialised_nodes == 0
+        # Read every node the way the benchmark's digest does.
+        h = cfg.horizon
+        reads = [
+            (node.logical_clock(h), node.max_estimate(h), node.messages_sent, node.jumps)
+            for node in map(result.nodes.__getitem__, sorted(result.nodes))
+        ]
+        assert len(reads) == cfg.params.n and result.total_jumps() >= 0
+        gc.collect()
+        left = [o for o in gc.get_objects() if id(o) not in known]
+        assert not any(isinstance(o, per_node) for o in left)
+
+
+# --------------------------------------------------------------------- #
+# Clocks and staggers drawn as columns
+# --------------------------------------------------------------------- #
+
+
+def _per_node_clock(spec, i, params, rng, horizon):
+    """Node ``i``'s clock as the per-node wiring drew it: one call per node,
+    in id order, off the shared ``clocks`` stream."""
+    rho = params.rho
+    if spec == "perfect":
+        return ConstantRateClock(1.0)
+    if spec == "split":
+        return ConstantRateClock(1.0 + rho if i < params.n // 2 else 1.0 - rho)
+    if spec == "alternating":
+        return ConstantRateClock(1.0 + rho if i % 2 == 0 else 1.0 - rho)
+    if spec == "uniform":
+        return ConstantRateClock(1.0 + rho * float(rng.uniform(-1.0, 1.0)))
+    assert spec == "random_walk"
+    segment = max(horizon / 20.0, 4.0 * params.tick_interval)
+    k = max(1, math.ceil(horizon / segment))
+    rates = []
+    x = float(rng.uniform(-1.0, 1.0))
+    for _ in range(k):
+        x = 0.7 * x + (1.0 - 0.7) * float(rng.uniform(-1.0, 1.0))
+        x = min(1.0, max(-1.0, x))
+        rates.append(1.0 + rho * x)
+    return PiecewiseRateClock([j * segment for j in range(k)], rates)
+
+
+def _hexes(clock):
+    if isinstance(clock, ConstantRateClock):
+        return [clock.rate.hex()]
+    return [r.hex() for r in clock._rates] + [t.hex() for t in clock._times]
+
+
+@pytest.mark.parametrize("stagger", [True, False], ids=["staggered", "lockstep"])
+@pytest.mark.parametrize("spec", ["perfect", "split", "alternating", "uniform", "random_walk"])
+def test_draws_as_columns_equal_draws_per_node(spec, stagger):
+    """Rates or segments, staggers and first deadlines are, bit for bit,
+    what one draw per node gives, and both streams end where it leaves
+    them.  (A population of one has no ``SystemParams``, so no experiment:
+    its draws are compared, not its deadline.)"""
+    horizon = 30.0
+    for n in (1, 7, 4096):
+        params = SystemParams(n=1) if n == 1 else SystemParams.for_network(n)
+        for seed in (0, 1, 7):
+            cfg = ExperimentConfig(
+                params=params, initial_edges=[], clock_spec=spec,
+                stagger_ticks=stagger, horizon=horizon, seed=seed,
+            )
+            # The streams an experiment draws from: the third and fourth.
+            (_, _, clock_rng, stagger_rng), (_, _, ref_clock_rng, ref_stagger_rng) = (
+                [rngf.spawn() for _ in range(4)] for rngf in map(RngFactory, (seed, seed))
+            )
+            rates, clocks = runner._draw_clocks(spec, params, clock_rng, horizon)
+            staggers = runner._draw_staggers(DCSANode, cfg, stagger_rng)
+            first = {}
+            if n > 1:
+                exp = Experiment(cfg)
+                assert isinstance(exp.nodes, Population) and exp.nodes.materialised == 0
+                first = {
+                    ev.a: ev.time for ev in exp.sim.queue.live_events() if ev.b == "tick"
+                }
+            for i in range(n):
+                ref = _per_node_clock(spec, i, params, ref_clock_rng, horizon)
+                mine = clocks[i] or ConstantRateClock(rates[i])
+                assert _hexes(mine) == _hexes(ref), (n, seed, i)
+                offset = (
+                    float(ref_stagger_rng.uniform(0.0, params.tick_interval))
+                    if stagger else 0.0
+                )
+                assert staggers[i].hex() == offset.hex()
+                deadline = ref.time_at(ref.value(0.0) + offset)
+                assert first.get(i, deadline).hex() == deadline.hex(), (n, seed, i)
+            assert clock_rng.bit_generator.state == ref_clock_rng.bit_generator.state
+            assert stagger_rng.bit_generator.state == ref_stagger_rng.bit_generator.state
+
+
+def test_a_drift_outside_rho_raises_validate_drifts_message():
+    with pytest.raises(ValueError) as per_clock:
+        validate_drift(ConstantRateClock(1.25), 0.1)
+    rates = np.array([1.0, 1.05, 1.25, 0.5])
+    with pytest.raises(ValueError) as column:
+        validate_drift_columns(rates, rates, 0.1)
+    assert str(column.value) == f"node 2: {per_clock.value}"
