@@ -17,7 +17,7 @@ Synchronization in Dynamic Networks* (SPAA 2009 / MIT-CSAIL-TR-2009-022):
   the T-interval connectivity certifier that keeps them legal;
 * :mod:`repro.analysis` -- skew recording, metrics and paper-style reports;
 * :mod:`repro.oracle` -- streaming conformance oracle: the theorems
-  checked online in O(n) memory, plus the differential baseline harness;
+  checked online in O(n) memory;
 * :mod:`repro.testing` -- the shared property-testing strategy library;
 * :mod:`repro.harness` -- one-call experiment runner and canned configs;
 * :mod:`repro.sweep` -- cached, parallel experiment sweeps (also via the

@@ -7,8 +7,9 @@ The reference path turns every event into an ``Event``, a
 id-indexed columns; Upsilon, the live adjacency, every Gamma row
 (``L^v_u``, ``C^v_u``) and ``lost`` deadline as columns over *slots*, one
 per directed pair ``(owner, neighbour)`` -- and executes the step against
-it for every in-run event of an eligible population.  A column population
-(:class:`repro.core.node.Population`) is this store from set-up on, a
+it for every in-run event of the population it was built for.  That
+population (:class:`repro.core.node.Population`, wired by
+:class:`repro.harness.runner.Experiment`) is this store from set-up on, a
 driver and its core built only for a node something touches; a core is a
 view of its row (:func:`repro.core.protocol.row_type`): nothing is
 mirrored and nothing is copied back.
@@ -74,7 +75,7 @@ from ..sim.events import (
 from ..sim.simulator import Simulator
 from ..tracing.spans import SPAN_DISCOVER, SPAN_FLIGHT, SPAN_TIMER, STATUS_DONE
 from .node import ClockSyncNode
-from .protocol import DCSACore, StaticGradientCore, adopt
+from .protocol import DCSACore, StaticGradientCore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..network.transport import Transport
@@ -87,6 +88,7 @@ __all__ = [
     "KernelPlan",
     "NodeArrayTable",
     "PopulationReader",
+    "SEGMENT_CLOCKS",
     "WaveRows",
     "kernel_plan",
 ]
@@ -108,7 +110,7 @@ _LONG_ROW = 10
 
 #: The clocks whose ``value`` / ``time_at`` the table's segment columns
 #: reproduce; matched by exact type, a subclass may override either.
-_SEGMENT_CLOCKS = (ConstantRateClock, PiecewiseRateClock, SteerableClock)
+SEGMENT_CLOCKS = (ConstantRateClock, PiecewiseRateClock, SteerableClock)
 
 #: The table's per-lane tallies, as they travel on ``RunResult``, in
 #: ``repro run --json`` and as ``kernel.*`` telemetry readbacks.
@@ -212,15 +214,15 @@ class _Burst:
 
 
 class NodeArrayTable:
-    """The store of a validated population, and the DCSA step over it.
+    """The store of a column population, and the DCSA step over it.
 
-    Built at set-up for a column population (its ``rates``; ``clocks``
-    holds a clock only for a row that needs one), else by
-    :func:`kernel_plan` over the registered drivers, which :meth:`seat`
-    takes over; ``core`` carries the ``B`` coefficients.  The table covers
-    the id range ``ids`` -- the whole population, or a shard's range under
-    :mod:`repro.sim.par`, whose subclass changes only which senders may
-    bulk-send and the context in which they push.
+    Built at set-up, by :class:`~repro.harness.runner.Experiment` only,
+    from the population's ``rates`` (``clocks`` holds a clock only for a
+    row that needs one; such a row is seated from it); ``core`` carries
+    the ``B`` coefficients.  The table covers the id range ``ids`` -- the
+    whole population, or a shard's range under :mod:`repro.sim.par`,
+    whose subclass changes only which senders may bulk-send and the
+    context in which they push.
     """
 
     __slots__ = (
@@ -259,7 +261,7 @@ class NodeArrayTable:
         ids: range,
         core: DCSACore,
         clocks: "list[HardwareClock | None]",
-        rates: _F64 | None = None,
+        rates: _F64,
     ) -> None:
         self.sim = sim
         self.transport = transport
@@ -267,17 +269,16 @@ class NodeArrayTable:
         #: id-indexed columns are indexed by node id, so a table over part
         #: of the population (a shard) has holes outside ``ids``.
         self.ids = ids
-        n = max(ids.stop, transport.graph.n)  # a shard's pairs end anywhere
+        n = transport.graph.n  # every id: a shard's pairs end anywhere
         #: Per node id the clock a row is re-seated from when real time
         #: leaves its segment (``None``: a constant rate, whose one segment
         #: never ends).
-        self.clocks = clocks + [None] * (n - len(clocks))
+        self.clocks = clocks
         #: Each row's current :data:`~repro.sim.clocks.Segment`, one column
         #: per field: ``H(t) = h0 + rate * (t - t0)`` while ``t < t1``, and
         #: ``H`` reaches ``target < h1`` at ``t0 + (target - h0) / rate``.  A
         #: reader at ``t >= t1`` re-seats the row first (:meth:`_reseat`).
-        #: Seated here from a column population's ``rates`` (a clock's row
-        #: from the clock), else by :meth:`seat`.
+        #: Seated here from ``rates``, a clock's row from the clock.
         self.rate = array("d", bytes(8 * n))
         self.t0 = self.rate[:]
         self.h0 = self.rate[:]
@@ -315,12 +316,12 @@ class NodeArrayTable:
         ) = (array(code, [fill]) * size for code, fill in _SLOT_COLUMNS.values())
         self.np: Any = _Views(self)
         col = self.np
-        if rates is not None:
-            col.rate[ids.start : ids.stop] = rates
-            col.t1[ids.start : ids.stop] = col.h1[ids.start : ids.stop] = inf
-            for i in ids:
-                if self.clocks[i] is not None:
-                    self._reseat(i, sim.now)
+        lo, hi = ids.start, ids.stop
+        col.rate[lo:hi] = rates[lo:hi]
+        col.t1[lo:hi] = col.h1[lo:hi] = inf
+        for i in ids:
+            if clocks[i] is not None:
+                self._reseat(i, sim.now)
         owner = col.owner[:first] = keys // n
         col.peer[:first] = keys - owner * n
         col.live[:first] = True
@@ -373,40 +374,17 @@ class NodeArrayTable:
         return self.array_lane_events + self.scalar_lane_events
 
     def seat(self, drivers: "Sequence[ClockSyncNode]") -> None:
-        """Take over the drivers that exist when the run starts: each one's
-        clock (an adversary may have swapped it), a stand-alone core's state
-        (:func:`~repro.core.protocol.adopt`) and the ``tick`` and ``lost``
-        timers it armed on the queue -- a tick record then carries the
-        node id, a ``lost`` timer becomes its slot's deadline."""
+        """Re-seat the rows of the drivers touched before the run from their
+        clocks (an adversary may have swapped one); a
+        :class:`~repro.sim.clocks.SteerableClock` re-seats its row on every
+        rate change."""
         now = self.sim.now
-        ids = [d.node_id for d in drivers]
-        segments = np.array(
-            [d.clock.segment_at(now) for d in drivers],  # type: ignore[attr-defined]
-            np.float64,
-        ).reshape(-1, 5)
-        for j, name in enumerate(("rate", "t0", "h0", "t1", "h1")):
-            getattr(self.np, name)[ids] = segments[:, j]
-        for i, d in zip(ids, drivers):
-            d._table = self
+        for d in drivers:
+            i = d.node_id
             clock = self.clocks[i] = d.clock
+            self._reseat(i, now)
             if type(clock) is SteerableClock:
                 clock.on_rate_change = lambda i=i: self._reseat(i, self.sim.now)
-            timers = d._timers
-            tick = timers.pop(_TICK, None)
-            if tick is not None:
-                tick.a = i
-            for key in [k for k in timers if type(k) is tuple and k[0] == _LOST]:
-                rec = timers.pop(key)
-                self.sim.queue.cancel(rec)
-                self.arm_lost(i, key[1], rec.time)
-        stand_alone = [d.core for d in drivers if not hasattr(d.core, "_store")]
-        for i, (rows, believed) in adopt(stand_alone, self).items():
-            for u, row in rows.items():
-                slot = self.slot(i, u)
-                self.l_est[slot] = row.l_est
-                self.added_h[slot] = row.added_h
-            for u in believed:
-                self.believe(i, u, True)
 
     # ------------------------------------------------------------------ #
     # Rows and slots
@@ -1032,7 +1010,11 @@ class NodeArrayTable:
         timer runs, else one record per node in id order."""
         if _timer_runs_decline(self.transport) is None:
             self.rearm(self.ids, fires)
-            return
+        else:
+            self._arm_each(fires)
+
+    def _arm_each(self, fires: list[float]) -> None:
+        """One set-up tick record per node of ``ids``, in id order."""
         now = self.sim.now
         push = self.sim.queue.push_typed
         for i, fire_t in zip(self.ids, fires):
@@ -1553,32 +1535,28 @@ def _timer_runs_decline(transport: "Transport") -> Decline | None:
     return None
 
 
-def kernel_plan(
-    transport: "Transport",
-    ids: range | None = None,
-    table_cls: type[NodeArrayTable] = NodeArrayTable,
-) -> KernelPlan:
+def kernel_plan(transport: "Transport") -> KernelPlan:
     """Decide, once per simulator, which paths the run takes.
 
     Called by the transport where the first ``run_until`` / ``step``
     begins -- after ``t = 0`` wiring, so adversary clock swaps and effect
     logs are visible.  A column population
-    (:class:`~repro.core.node.Population`) brings its table, built at
-    set-up: only the nodes something touched are checked.  Otherwise a
-    ``table_cls`` over the registered drivers of ``ids`` (default: all)
-    is built.  The array step engages unless one of the checks below
-    declines it; the table's own paths need the policies checked after
+    (:class:`~repro.core.node.Population`) runs on the table it brought
+    from set-up unless one of the checks below, of the nodes something
+    touched, declines it; drivers registered one by one (a hand-wired
+    ``Simulator`` + ``Transport`` + drivers) pass the same checks, then
+    decline it.  The table's own paths need the policies checked after
     it.  ``docs/performance.md`` ("The kernel plan") has the table of
     paths, their needs and their ``declined_by``.
     """
     from ..network.channels import ConstantDelay
 
-    drivers: Any = transport._node_seq
-    store = getattr(drivers, "store", None)
+    nodes: Any = transport._node_seq
+    store = getattr(nodes, "store", None)
 
     def declined(by: str, reason: str) -> KernelPlan:
         if store is not None:
-            drivers.decline()
+            nodes.decline()
         return KernelPlan(None, (Decline("array_step", by, reason),))
 
     sim = transport.sim
@@ -1591,30 +1569,25 @@ def kernel_plan(
     params: Any = None
     core_cls: type | None = None
     if store is not None:
-        ids = store.ids
-        covered = drivers.touched()
-        params, core_cls = drivers.params, drivers.core_cls
+        covered = nodes.touched()
+        params, core_cls = nodes.params, nodes.core_cls
     else:
-        if ids is None:
-            ids = range(len(drivers))
-        if not ids or ids.stop > len(drivers):
-            return declined("population", "no registered nodes cover the id range")
-        covered = [drivers[i] for i in ids]
-        for i, d in zip(ids, covered):
-            if not isinstance(d, ClockSyncNode):
-                return declined("population", f"node id {i} has no registered driver")
+        covered = [d for d in nodes if isinstance(d, ClockSyncNode)]
     for d in covered:
         i = d.node_id
         core = d.core
         # A view's class is a row type in front of its core class.
-        plain = type(core).__mro__[2] if hasattr(core, "_store") else type(core)
+        view = hasattr(core, "_store")
+        plain = type(core).__mro__[2] if view else type(core)
         if core_cls is None and plain in (DCSACore, StaticGradientCore):
             core_cls = plain
+        name = type(core).__name__
         if plain is not core_cls:
-            name = type(core).__name__
             wanted = (core_cls or DCSACore).__name__
             return declined("core", f"node {i} runs {name}, not a plain {wanted}")
-        if type(d.clock) not in _SEGMENT_CLOCKS:
+        if store is not None and not view:
+            return declined("core", f"node {i} runs a stand-alone {name}, not a view of its row")
+        if type(d.clock) not in SEGMENT_CLOCKS:
             name = type(d.clock).__name__
             return declined(
                 "clock",
@@ -1629,9 +1602,13 @@ def kernel_plan(
             return declined(
                 "params", f"node {i} does not share the population's SystemParams"
             )
-    assert ids is not None
-    table = store or table_cls(sim, transport, ids, covered[0].core, [])
-    table.seat(covered)
+    if store is None:
+        return declined(
+            "population",
+            "the nodes were registered one by one, not wired by Experiment as "
+            "a column population, whose store the table is from set-up on",
+        )
+    store.seat(covered)
     declines: list[Decline] = []
     slow_timers = _timer_runs_decline(transport)
     if slow_timers is not None:
@@ -1641,7 +1618,7 @@ def kernel_plan(
         type(delay) is ConstantDelay
         and 0.0 < delay.value <= transport.max_delay + 1e-9
     ):
-        table.send_delay = delay.value
+        store.send_delay = delay.value
     else:
         declines.append(
             Decline(
@@ -1650,4 +1627,4 @@ def kernel_plan(
                 "max_delay: ticks send through Transport.send, per message",
             )
         )
-    return KernelPlan(table, tuple(declines))
+    return KernelPlan(store, tuple(declines))

@@ -31,13 +31,14 @@ id -- and runs the same step without an ``Event`` or an effect list
 through :meth:`_dispatch`; ``Start`` goes through it nowhere (see
 :meth:`ClockSyncNode.start`).
 
-**Nodes on first touch.**  A population the table runs from set-up on
-(built-in clocks, a DCSA core, the default kernel, not a shard) is a
-:class:`Population`: its clocks, first ticks and state are the store's
+**Nodes on first touch.**  A population the table runs (segment clocks,
+a DCSA core, the default kernel; a shard's too) is a :class:`Population`
+from set-up on: its clocks, first ticks and state are the store's
 columns, and a driver -- with a core born a view of its row -- exists
 only for a node something touched (an adversary, a hook, a test).  A
 finished run hands an untouched node out as its :class:`NodeRow`, which
-reads the row; every other population is a dict of drivers, as built.
+reads the row; every other population is a dict of drivers, as built,
+and runs ``handle()``.
 
 **Subjective timers.**  ``set timer(dt)`` in the pseudocode means: fire
 when *my hardware clock* has advanced by ``dt``.  The driver converts via
@@ -150,9 +151,9 @@ class ClockSyncNode:
         #: Keyed timers.  On the batch table only a foreign key lives here:
         #: a ``tick`` is a table record by node id, a ``lost`` deadline a slot.
         self._timers: dict[Any, ScheduledEvent] = {}
-        #: The batch table covering this node (set when the plan seats it,
-        #: or at birth in a column population), whose slots hold its
-        #: ``("lost", u)`` timers; ``None`` off a table.
+        #: The batch table covering this node (set at birth in a column
+        #: population), whose slots hold its ``("lost", u)`` timers;
+        #: ``None`` off a table.
         self._table: Any = None
         # One KIND_TIMER handler per simulator, registered idempotently by
         # every driver (populations wired onto a test double have nowhere
@@ -426,7 +427,7 @@ class Population(Mapping[int, ClockSyncNode]):
         stagger: Any,
     ) -> None:
         self.store = store
-        self.ids = store.ids  # range(n): a shard is never a column population
+        self.ids = store.ids  # range(n), or a shard's range of it
         self.params = core.params
         self.core_cls = type(core)
         self._make = (node_cls, sim, transport)
@@ -437,7 +438,8 @@ class Population(Mapping[int, ClockSyncNode]):
         }
         self._stagger = stagger
         self._row_cls = row_type(type(core))
-        self._built: list[ClockSyncNode | None] = [None] * len(self.ids)
+        #: The drivers built so far, by node id (like the store's columns).
+        self._built: list[ClockSyncNode | None] = [None] * self.ids.stop
         #: What a driver's ``lost`` timers are slots of (``None`` once the
         #: kernel plan declined the table: then they are queue records).
         self._table: "NodeArrayTable | None" = store

@@ -50,10 +50,10 @@ from __future__ import annotations
 
 from collections.abc import MutableSet
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Union
+from typing import Any, Callable, Hashable, Union
 
 from ..params import SystemParams
-from .estimates import NeighborEstimate, NeighborTable, SlotSet, SlotTable
+from .estimates import NeighborTable, SlotSet, SlotTable
 
 __all__ = [
     "CancelTimer",
@@ -75,7 +75,6 @@ __all__ = [
     "StaticGradientCore",
     "TimerFired",
     "Update",
-    "adopt",
     "row_type",
 ]
 
@@ -603,32 +602,6 @@ def row_type(cls: type) -> type:
     if row_cls is None:
         row_cls = _ROW_TYPES[cls] = type(cls.__name__, (_Row, cls), {})
     return row_cls
-
-
-def adopt(
-    cores: "Iterable[DCSACore]", store: Any
-) -> dict[int, tuple[dict[int, NeighborEstimate], MutableSet[int]]]:
-    """Turn each stand-alone core of ``cores`` into a view of ``store``'s
-    row ``core.node_id`` (a core built on its own, by hand or by a shard),
-    moving its scalars there.
-
-    Returns, per node id, the Gamma rows and the Upsilon a core held (none
-    unless events were fed to it before the run): the store seats them in
-    its slots.
-    """
-    held: dict[int, tuple[dict[int, NeighborEstimate], MutableSet[int]]] = {}
-    for core in cores:
-        state = core.__dict__
-        i = core.node_id
-        for name in ROW_FIELDS:
-            getattr(store, name.lstrip("_"))[i] = state.pop(name)
-        rows = state.pop("gamma")._rows
-        believed = state.pop("upsilon")
-        if rows or believed:
-            held[i] = rows, believed
-        state["_store"] = store
-        core.__class__ = row_type(type(core))  # type: ignore[assignment]
-    return held
 
 
 # --------------------------------------------------------------------- #

@@ -26,7 +26,7 @@ from ..adversary.base import Adversary
 from ..analysis.metrics import max_global_skew, max_local_skew
 from ..analysis.recorder import RunRecord, SkewRecorder
 from ..baselines import FreeRunningNode, MaxSyncNode, StaticGradientNode
-from ..core.batch import Decline, NodeArrayTable
+from ..core.batch import SEGMENT_CLOCKS, Decline, NodeArrayTable
 from ..core.dcsa import DCSANode
 from ..core.node import ClockSyncNode, Population
 from ..core.protocol import DCSACore, StaticGradientCore
@@ -45,6 +45,7 @@ from ..sim.clocks import (
     validate_drift,
     validate_drift_columns,
 )
+from ..sim.par import ParNodeArrayTable
 from ..sim.rng import RngFactory
 from ..sim.simulator import Simulator
 from ..telemetry.registry import active_registry
@@ -383,8 +384,8 @@ class RunResult:
     #: building its table (``None`` where ``setup_s`` is).
     plan_s: float | None = None
     #: Node objects (drivers) built by the time the run returned: the
-    #: touched nodes of a column population, every node of any other
-    #: (``None`` where ``setup_s`` is).
+    #: touched nodes of a column population, every node of any other,
+    #: summed over a sharded run's workers (``None`` for a live run).
     materialised_nodes: int | None = None
 
     @property
@@ -505,12 +506,13 @@ def _draw_clocks(
     params: SystemParams,
     rng: np.random.Generator,
     horizon: float,
-) -> tuple[npt.NDArray[np.float64] | None, list[HardwareClock | None]]:
+) -> tuple[npt.NDArray[np.float64], list[HardwareClock | None]]:
     """Every node's hardware clock, in id order, as the ``rate`` column of
     a constant-rate built-in spec (no clock objects: ``[None] * n``), a
     ``random_walk``'s first-piece rates and its clocks, or -- a callable
-    spec -- ``(None, clocks)``.  A built-in spec draws ``rng`` as one
-    call per node would, in id order, with one vector call."""
+    spec -- its clocks, whose rows are seated from them (the rates are
+    ones).  A built-in spec draws ``rng`` as one call per node would, in
+    id order, with one vector call."""
     n = params.n
     rho = params.rho
     if callable(spec):
@@ -519,7 +521,7 @@ def _draw_clocks(
             clock = spec(i, params, rng, horizon)
             validate_drift(clock, rho)
             clocks.append(clock)
-        return None, clocks
+        return np.ones(n), clocks
     ids = np.arange(n)
     if spec == "random_walk":
         segment = max(horizon / 20.0, 4.0 * params.tick_interval)
@@ -595,9 +597,11 @@ class Experiment:
     ``shard`` is the seam of the parallel backend (:mod:`repro.sim.par`),
     not reachable from config, CLI or environment: a transport factory
     called like :class:`Transport` and the id range whose nodes this
-    replica constructs.  Everything else -- graph, every node's clock
-    draw, churn -- is wired for the full population, so shared randomness
-    is bitwise identical across shard counts.
+    replica constructs (its store a
+    :class:`~repro.sim.par.ParNodeArrayTable` over that range).
+    Everything else -- graph, every node's clock draw, churn -- is wired
+    for the full population, so shared randomness is bitwise identical
+    across shard counts.
 
     **Set-up is one pass** (docs/performance.md, "Set-up"): the cyclic
     collector is paused, the graph fills E_0 in one loop, clocks and
@@ -678,19 +682,16 @@ class Experiment:
         core_cls = node_cls.core_class
         self._store: NodeArrayTable | None = None
         self.nodes: Mapping[int, ClockSyncNode]
-        if (
-            shard is None
-            and self.sim.batch
-            and rates is not None
-            and core_cls in (DCSACore, StaticGradientCore)
-        ):
+        segments = not callable(cfg.clock_spec) or all(
+            type(c) in SEGMENT_CLOCKS for c in clocks
+        )
+        if self.sim.batch and core_cls in (DCSACore, StaticGradientCore) and segments:
             # A column population: the table's store from here on, and a
             # driver only for a node something touches.
             assert core_cls is not None and stagger is not None
             core = core_cls(0, params)
-            self._store = NodeArrayTable(
-                self.sim, self.transport, local, core, clocks, rates
-            )
+            store_cls = NodeArrayTable if shard is None else ParNodeArrayTable
+            self._store = store_cls(self.sim, self.transport, local, core, clocks, rates)
             self.nodes = Population(
                 node_cls, self.sim, self.transport, self._store, core, stagger
             )
@@ -698,7 +699,7 @@ class Experiment:
         else:
             nodes: dict[int, ClockSyncNode] = {}
             for i in local:
-                clock = clocks[i] or ConstantRateClock(rates[i])  # type: ignore[index]
+                clock = clocks[i] or ConstantRateClock(rates[i])
                 kwargs = {} if stagger is None else {"tick_stagger": float(stagger[i])}
                 node = nodes[i] = node_cls(i, self.sim, clock, self.transport, params, **kwargs)
                 self.transport.register_node(i, node)
@@ -769,13 +770,15 @@ class Experiment:
                 node.start()
         else:
             assert stagger is not None
+            lo, hi = local.start, local.stop
             col = self._store.np  # every row's segment starts at H(0) = 0
-            fires = stagger / col.rate
-            for i in np.flatnonzero(stagger >= col.h1).tolist():
-                fires[i] = clocks[i].time_at(stagger[i])  # type: ignore[union-attr]
+            offsets = stagger[lo:hi]
+            fires = offsets / col.rate[lo:hi]
+            for j in np.flatnonzero(offsets >= col.h1[lo:hi]).tolist():
+                fires[j] = clocks[lo + j].time_at(offsets[j])  # type: ignore[union-attr]
             for node in cast(Population, self.nodes).touched():
                 i = node.node_id
-                fires[i] = max(node.clock.time_at(node.clock.value(0.0) + stagger[i]), 0.0)
+                fires[i - lo] = max(node.clock.time_at(node.clock.value(0.0) + stagger[i]), 0.0)
             self._store.arm_ticks(fires.tolist())
         # 8. Telemetry (ambient, not config: the config dict is the cache
         #    identity and a pure observer must not change it).  Polled
@@ -825,9 +828,8 @@ class Experiment:
             self.transport.finalize_tracing()
         lanes = self.transport.lane_counts()
         nodes = self.nodes
-        materialised = len(nodes)
+        materialised = getattr(nodes, "materialised", len(nodes))
         if isinstance(nodes, Population):
-            materialised = nodes.materialised
             nodes = nodes.readers()
         return RunResult(
             config=self.cfg,

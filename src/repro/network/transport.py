@@ -139,10 +139,6 @@ class Transport:
         :math:`\\mathcal{D}`; discovery latencies are validated against it.
     """
 
-    #: What :func:`~repro.core.batch.kernel_plan` gets beside the transport
-    #: itself: a shard-local subclass's id range and table class.
-    _plan_scope: tuple[Any, ...] = ()
-
     def __init__(
         self,
         sim: Simulator,
@@ -172,8 +168,8 @@ class Transport:
         self._nodes: Mapping[int, NodeInterface] = {}
         #: Dense mirror of ``_nodes`` keyed by node id (``None`` = empty slot).
         self._node_seq: Any = []
-        #: The table that owns the population's slots, once there is one:
-        #: a column population's from set-up on, else the plan's.
+        #: The store of a column population, which owns its slots (``None``
+        #: for drivers registered one by one).
         self._store: NodeArrayTable | None = None
         self._fifo_last: dict[tuple[int, int], float] = {}
         self._pending_absence: set[tuple[int, int]] = set()
@@ -454,11 +450,10 @@ class Transport:
         ``run_until`` / ``step`` begins) and register the run, burst and
         tick-group handlers, which exist only on a table."""
         t0 = perf_counter()
-        plan = self.plan = kernel_plan(self, *self._plan_scope)
+        plan = self.plan = kernel_plan(self)
         self.plan_s = perf_counter() - t0
         if plan.table is None:
             return
-        self._store = plan.table
         sim = self.sim
         sim.set_handler(KIND_DELIVER_BURST, self._handle_deliver_burst)
         sim.set_batch_handler(KIND_DELIVER, self._handle_deliver_batch)

@@ -23,18 +23,8 @@ Violations surface as structured :class:`~repro.oracle.monitors.Violation`
 records (monitor, time, nodes, bound, observed); the final
 :class:`~repro.oracle.oracle.OracleReport` feeds the ``oracle_*`` sweep
 metrics and the ``repro check`` CLI exit code.
-
-:mod:`repro.oracle.differential` adds the differential baseline harness:
-DCSA and the :mod:`repro.baselines` algorithms on one frozen event schedule,
-with the paper's ordering relations asserted across them.
 """
 
-from .differential import (
-    AlgorithmOutcome,
-    DifferentialResult,
-    differential_config,
-    run_differential,
-)
 from .monitors import (
     MONITOR_FACTORIES,
     EnvelopeMonitor,
@@ -50,8 +40,6 @@ from .oracle import OracleError, OracleReport, StreamingOracle
 
 __all__ = [
     "MONITOR_FACTORIES",
-    "AlgorithmOutcome",
-    "DifferentialResult",
     "EnvelopeMonitor",
     "EstimateLagMonitor",
     "GlobalSkewMonitor",
@@ -63,6 +51,4 @@ __all__ = [
     "ProgressMonitor",
     "StreamingOracle",
     "Violation",
-    "differential_config",
-    "run_differential",
 ]

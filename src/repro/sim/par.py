@@ -20,9 +20,9 @@ of ROADMAP item 4: ``docs/performance.md``, "The parallel shard backend"):
   is flushed -- cross-shard sends therefore travel as timestamped
   *envelopes*, exchanged at the barrier, and always arrive in the
   destination shard's future.
-* **Replication**: each worker builds the *full* graph and all ``n``
-  hardware clocks (consuming the shared RNG streams exactly as the serial
-  harness does), but constructs node automatons only for its own range.
+* **Replication**: each worker builds the *full* graph and draws all
+  ``n`` hardware clocks (consuming the shared RNG streams exactly as the
+  serial harness does), but its population covers only its own range.
 * **Sampling**: at each barrier that is also a sample time, workers write
   their nodes' ``L``/``Lmax`` columns into a shared-memory block; the
   coordinator process runs the unmodified
@@ -128,6 +128,9 @@ _PIPE_DEAD = (EOFError, BrokenPipeError, ConnectionResetError)
 
 _STAT_FIELDS = TransportStats.__slots__
 
+#: A node's tallies at the horizon, as a worker reports them.
+_TALLIES = ("jumps", "total_jump", "messages_sent")
+
 
 def shard_decline(cfg: "ExperimentConfig") -> Decline | None:
     """Why ``cfg`` cannot run genuinely sharded (``None`` = it can).
@@ -217,7 +220,6 @@ class ParTransport(Transport):
         )
         self._push_keyed = sim.queue.push_keyed
         self._push = self._push_routed
-        self._plan_scope = (range(lo, hi), ParNodeArrayTable)
 
     # ------------------------------------------------------------------ #
     # The delivery-push seam
@@ -321,6 +323,11 @@ class ParNodeArrayTable(NodeArrayTable):
             if any(v not in ids or v in frontier for v in graph.neighbors(i))
         )
 
+    def arm_ticks(self, fires: list[float]) -> None:
+        # One set-up record per node, never a group: the first ticks keep
+        # their set-up phase in ``e`` (see :meth:`_enter_tick`).
+        self._arm_each(fires)
+
     def tick_one(self, ev: ScheduledEvent) -> None:
         self.firing[ev.a] = ev
         super().tick_one(ev)
@@ -409,7 +416,8 @@ def _shard_experiment(
     """Wire one shard: full graph/clock replica, local nodes only.
 
     The same constructor as a serial run, with the shard's transport in
-    the transport's place; the coordinator owns the oracle.
+    the transport's place and its table over the shard's range; the
+    coordinator owns the oracle.
     """
     from ..harness.runner import Experiment
 
@@ -482,15 +490,20 @@ def _worker_main(
                     t_d, PRIORITY_DELIVERY, key, KIND_DELIVER, u, v, payload,
                     st, None, "deliver", e=-1,
                 )
+        clock, maxe = read(horizon)
+        store = getattr(nodes, "store", None)
+        if store is None:  # drivers: a population the table cannot run
+            state = {f: [getattr(nodes[i], f) for i in local_ids] for f in _TALLIES}
+            state["rate"] = [nodes[i].clock.rate_at(horizon) for i in local_ids]
+        else:  # a column population: off its columns, building no node
+            state = {f: getattr(store.np, f)[lo:hi].tolist() for f in ("rate", *_TALLIES)}
         done = {
             "lo": lo,
             "hi": hi,
-            "clock": [nodes[i].logical_clock(horizon) for i in local_ids],
-            "maxe": [nodes[i].max_estimate(horizon) for i in local_ids],
-            "rate": [nodes[i].clock.rate_at(horizon) for i in local_ids],
-            "jumps": [nodes[i].jumps for i in local_ids],
-            "total_jump": [nodes[i].total_jump for i in local_ids],
-            "messages_sent": [nodes[i].messages_sent for i in local_ids],
+            "clock": clock.tolist(),
+            "maxe": maxe.tolist(),  # type: ignore[union-attr]
+            **state,
+            "materialised": getattr(nodes, "materialised", len(nodes)),
             "stats": transport.stats.as_dict(),
             "events": sim.events_dispatched,
             "declines": transport.plan.declines,
@@ -756,6 +769,7 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
     stats = {f: 0 for f in _STAT_FIELDS}
     events = coord_sim.events_dispatched
     lanes = dict.fromkeys(LANE_FIELDS, 0)
+    materialised = 0
     for done in dones:
         lo = done["lo"]
         hi = done["hi"]
@@ -774,6 +788,7 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
         for f in _STAT_FIELDS:
             stats[f] += wstats[f]
         events += done["events"]
+        materialised += done["materialised"]
         for f in LANE_FIELDS:
             lanes[f] += done["lanes"][f]
     return RunResult(
@@ -792,4 +807,5 @@ def run_par(cfg: "ExperimentConfig", shards: int = 2) -> "RunResult":
         blocked_rows=lanes["blocked_rows"],
         non_node_events=coord_sim.non_node_events,
         par_shards=k,
+        materialised_nodes=materialised,
     )

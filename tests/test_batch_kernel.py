@@ -27,11 +27,17 @@ from repro.core.node import ClockSyncNode
 from repro.core.protocol import JumpL
 from repro.harness import configs
 from repro.harness.registry import AdversaryRef, ChurnRef
-from repro.harness.runner import Experiment
+from repro.analysis.recorder import RunRecord
+from repro.harness.runner import (
+    Experiment,
+    RunResult,
+    _draw_clocks,
+    _make_delay,
+    _make_discovery,
+)
 from repro.network import transport as transport_mod
 from repro.network.channels import ConstantDelay, UniformDelay
 from repro.network.churn import ScriptedChurn
-from repro.network.discovery import ConstantDiscovery
 from repro.network.graph import DynamicGraph
 from repro.network.transport import Transport
 from repro.sim import simulator as simulator_mod
@@ -50,6 +56,7 @@ from repro.sim.events import (
 )
 from repro.sim.par import run_par
 from repro.sim.queue import EventQueue
+from repro.sim.rng import RngFactory
 from repro.sim.simulator import Simulator
 from repro.tracing import trace_session
 
@@ -173,6 +180,37 @@ def _sync(**overrides):
     return replace(configs.huge_sync_ring(24, horizon=8.0), **overrides)
 
 
+def _hand_wired(cfg):
+    """``cfg``'s population wired by hand -- a bare ``Simulator`` and
+    ``Transport``, one driver registered per node, no ``Experiment`` --
+    with ``Experiment``'s own ingredients, run to the horizon (no
+    recorder, oracle or churn)."""
+    params, rngf = cfg.params, RngFactory(cfg.seed)
+    sim = Simulator()
+    graph = DynamicGraph(range(params.n), cfg.initial_edges)
+    transport = Transport(
+        sim, graph,
+        delay_policy=_make_delay(cfg.delay_spec, params, rngf.spawn("delay")),
+        discovery_policy=_make_discovery(cfg.discovery_spec, params, rngf.spawn("discovery")),
+        max_delay=params.max_delay, discovery_bound=params.discovery_bound,
+    )
+    rates, clocks = _draw_clocks(cfg.clock_spec, params, rngf.spawn("clocks"), cfg.horizon)
+    for i in range(params.n):
+        clock = clocks[i] or ConstantRateClock(rates[i])
+        transport.register_node(i, DCSANode(i, sim, clock, transport, params))
+    transport.announce_initial_edges()
+    for i in range(params.n):
+        transport.node(i).start()
+    sim.run_until(cfg.horizon)
+    nodes = {i: transport.node(i) for i in range(params.n)}
+    return RunResult(
+        config=cfg, record=RunRecord.empty(nodes), graph=graph, nodes=nodes,
+        transport_stats=transport.stats.as_dict(), events_dispatched=sim.events_dispatched,
+        declines=transport.plan.declines, non_node_events=sim.non_node_events,
+        **transport.lane_counts(),
+    )
+
+
 def _foreign_params(exp):
     core = exp.nodes[5].core
     core.params = replace(core.params)  # equal, but not the shared object
@@ -196,10 +234,11 @@ def _row(id, make, path, declined_by, needle, *, mutate=None, shards=0,
     return pytest.param(make, mutate, shards, ambient, path, declined_by, needle, id=id)
 
 
-#: Every way a fast path declines, one row each: the config, the path that
-#: declines, by what, and a needle of the reason; ``mutate`` touches the
-#: built experiment before the run, ``shards`` rows go through ``run_par``
-#: (all but the last fall back to serial).
+#: Every way a fast path declines, one row each: the config (or a finished
+#: hand-wired run), the path that declines, by what, and a needle of the
+#: reason; ``mutate`` touches the built experiment before the run,
+#: ``shards`` rows go through ``run_par`` (all but the last fall back to
+#: serial).
 DECLINES = [
     _row("non_dcsa_core", lambda: _sync(algorithm="max"),
          "array_step", "core", "MaxSyncCore"),
@@ -212,6 +251,8 @@ DECLINES = [
          mutate=_foreign_params),
     _row("reference", _sync, "array_step", "reference", "REPRO_BATCH=0",
          mutate=_reference_switch),
+    _row("hand_wired", lambda: _hand_wired(_sync(oracle=None)),
+         "array_step", "population", "registered one by one"),
     _row("uniform_delay_runs", lambda: _sync(delay_spec="uniform"),
          "timer_runs", "delay_policy", "UniformDelay"),
     _row("uniform_delay_bulk", lambda: _sync(delay_spec="uniform"),
@@ -252,10 +293,13 @@ DECLINES = [
 def test_decline_table(make, mutate, shards, ambient, path, declined_by, needle):
     """Each decline is named on the result, and ``array_events`` agrees."""
     with ambient():
-        if shards:
-            res = run_par(make(), shards)
+        built = make()
+        if isinstance(built, RunResult):
+            res = built
+        elif shards:
+            res = run_par(built, shards)
         else:
-            exp = Experiment(make())
+            exp = Experiment(built)
             if mutate is not None:
                 mutate(exp)
             res = exp.run()
@@ -302,27 +346,27 @@ class TestDecidedOnce:
         assert res.par_shards == 2 and res.array_events > 0
         assert calls.value == 2  # the coordinator's simulator plans nothing
 
-    def test_hand_wired_population_still_gets_its_table(self, calls):
-        """No ``Experiment``: bare ``Simulator`` + ``Transport`` + nodes."""
-        params = _sync().params
-        sim = Simulator()
-        graph = DynamicGraph(range(4), [(i, (i + 1) % 4) for i in range(4)])
-        transport = Transport(
-            sim, graph,
-            delay_policy=ConstantDelay(0.5), discovery_policy=ConstantDiscovery(1.0),
-            max_delay=params.max_delay, discovery_bound=params.discovery_bound,
-        )
-        for i in range(4):
-            node = DCSANode(i, sim, ConstantRateClock(1.0), transport, params)
-            transport.register_node(i, node)
-        transport.announce_initial_edges()
-        for i in range(4):
-            transport.node(i).start()
-        sim.run_until(5.0)
-        sim.run_until(10.0)
+    def test_hand_wired_population_runs_the_reference(self, calls):
+        """No ``Experiment``: bare ``Simulator`` + ``Transport`` + drivers.
+        The plan declines the table for it, once, and the run equals the
+        column population ``Experiment`` builds from the same config."""
+        cfg = _sync(oracle=None)
+        res = _hand_wired(cfg)
         assert calls.value == 1
-        assert transport.plan.declines == ()
-        assert transport.array_events > 0
+        (decline,) = res.declines
+        assert (decline.path, decline.declined_by) == ("array_step", "population")
+        assert res.array_events == 0
+        ref = Experiment(cfg).run()
+        assert ref.declines == () and ref.array_events > 0
+        assert ref.materialised_nodes == 0
+        h = cfg.horizon
+        read = lambda r: [
+            (node.logical_clock(h), node.max_estimate(h), node.jumps, node.messages_sent)
+            for node in map(r.nodes.__getitem__, sorted(r.nodes))
+        ]
+        assert read(res) == read(ref)
+        assert res.transport_stats == ref.transport_stats
+        assert res.events_dispatched == ref.events_dispatched
 
 
 class TestEventKinds:

@@ -1,87 +1,91 @@
-"""Tests for the differential baseline harness (repro.oracle.differential)."""
+"""The paper's orderings between algorithms on one execution.
+
+Every algorithm faces the same topology schedule for a config (churn
+draws from its own random stream), so running one config under each
+algorithm compares them on one execution.  The input is the Section 1
+motivating run: a path under ``split`` extremal clocks and maximal
+delays at ``rho = 0.05``, with an endpoint shortcut inserted past the
+Lemma 4.2 onset time.
+"""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro import SystemParams
+from repro.analysis import envelope_violations
 from repro.core import skew_bounds as sb
-from repro.harness import AdversaryRef, configs
-from repro.oracle import differential_config, run_differential
+from repro.harness import ALGORITHMS, configs, run_experiment
+
+
+def shortcut_config(n, *, seed):
+    """:func:`configs.edge_insertion` at rho = 0.05, the shortcut inserted
+    at 1.1x the Lemma 4.2 onset time and run one stabilization time past
+    it."""
+    params = SystemParams.for_network(n, rho=0.05)
+    t_insert = 1.1 * sb.masking_min_time(params, 1)
+    horizon = t_insert + sb.stabilization_time(params)
+    cfg = configs.edge_insertion(n, t_insert=t_insert, horizon=horizon, seed=seed)
+    return replace(cfg, params=params)
 
 
 @pytest.fixture(scope="module")
-def result():
-    return run_differential(differential_config(10, seed=2))
+def outcomes():
+    cfg = shortcut_config(10, seed=2)
+    return {algo: run_experiment(replace(cfg, algorithm=algo)) for algo in ALGORITHMS}
 
 
 class TestFrozenSchedule:
-    def test_schedule_is_the_scripted_insertion(self, result):
-        cfg = differential_config(10, seed=2)
-        (t, op, u, v), = result.schedule
-        assert op == "add" and (u, v) == (0, 9)
-        assert t == pytest.approx(cfg.churn[0].events[0][0])
-
-    def test_every_contender_ran(self, result):
-        assert set(result.outcomes) == {"dcsa", "max", "static", "free"}
-        for outcome in result.outcomes.values():
-            assert outcome.max_global_skew > 0.0
-
-    def test_randomized_clock_spec_rejected(self):
-        cfg = differential_config(8)
-        cfg.clock_spec = "random_walk"
-        with pytest.raises(ValueError, match="deterministic clock"):
-            run_differential(cfg)
-
-    def test_randomized_delay_spec_rejected(self):
-        cfg = differential_config(8)
-        cfg.delay_spec = "uniform"
-        with pytest.raises(ValueError, match="deterministic delay"):
-            run_differential(cfg)
-
-    def test_adaptive_adversary_rejected(self):
-        cfg = differential_config(8)
-        cfg.adversary = AdversaryRef("adaptive_delay", {})
-        with pytest.raises(ValueError, match="adversary"):
-            run_differential(cfg)
+    def test_every_contender_ran(self, outcomes):
+        assert set(outcomes) == {"dcsa", "max", "static", "free"}
+        for res in outcomes.values():
+            assert res.max_global_skew > 0.0
+        histories = [res.graph.event_history() for res in outcomes.values()]
+        assert all(h == histories[0] for h in histories)
 
 
 class TestOrderings:
-    def test_all_paper_orderings_hold(self, result):
-        assert result.check_ordering() == []
+    def test_all_paper_orderings_hold(self, outcomes):
+        dcsa, params = outcomes["dcsa"], outcomes["dcsa"].params
+        assert dcsa.max_local_skew <= outcomes["max"].max_local_skew + 1e-9
+        assert dcsa.max_global_skew <= sb.global_skew_bound(params) + 1e-9
+        assert envelope_violations(dcsa.record, params).compliant
+        assert dcsa.max_local_skew >= sb.masking_skew_floor(params, 1) - 1e-9
 
-    def test_dcsa_local_skew_at_most_max_syncs(self, result):
-        dcsa = result.outcome("dcsa")
-        max_sync = result.outcome("max")
+    def test_dcsa_local_skew_at_most_max_syncs(self, outcomes):
+        dcsa = outcomes["dcsa"]
+        max_sync = outcomes["max"]
         assert dcsa.max_local_skew <= max_sync.max_local_skew + 1e-9
 
-    def test_dcsa_within_global_bound_free_running_not_synced(self, result):
-        dcsa = result.outcome("dcsa")
-        free = result.outcome("free")
-        assert dcsa.max_global_skew <= sb.global_skew_bound(result.params) + 1e-9
+    def test_dcsa_within_global_bound_free_running_not_synced(self, outcomes):
+        dcsa = outcomes["dcsa"]
+        free = outcomes["free"]
+        assert dcsa.max_global_skew <= sb.global_skew_bound(dcsa.params) + 1e-9
         # The unsynchronized baseline drifts well past every contender.
         assert free.max_global_skew > dcsa.max_global_skew
-        assert free.jumps == 0
+        assert free.total_jumps() == 0
 
-    def test_dcsa_respects_masking_floor(self, result):
-        dcsa = result.outcome("dcsa")
-        floor = sb.masking_skew_floor(result.params, 1)
-        assert result.horizon >= sb.masking_min_time(result.params, 1)
+    def test_dcsa_respects_masking_floor(self, outcomes):
+        dcsa = outcomes["dcsa"]
+        params = dcsa.params
+        floor = sb.masking_skew_floor(params, 1)
+        assert dcsa.record.times[-1] >= sb.masking_min_time(params, 1)
         assert dcsa.max_local_skew >= floor - 1e-9
-
-    def test_missing_dcsa_reported(self, result):
-        from repro.oracle import DifferentialResult
-
-        empty = DifferentialResult(params=result.params, horizon=result.horizon)
-        assert empty.check_ordering() == ["no 'dcsa' outcome to order against"]
 
 
 class TestChurnFreezing:
     def test_rng_churn_becomes_one_scripted_schedule(self):
-        # backbone_churn uses an RNG-driven rewirer; freezing must turn it
-        # into explicit events replayed identically to every contender.
+        # backbone_churn uses an RNG-driven rewirer; its draws come from
+        # their own stream, so every contender replays one schedule.
         cfg = configs.backbone_churn(6, horizon=30.0, seed=4, clock_spec="split")
         cfg.delay_spec = "max"
-        res = run_differential(cfg, algorithms=("dcsa", "max"))
-        assert len(res.schedule) > 0
-        assert set(res.outcomes) == {"dcsa", "max"}
-        assert res.check_ordering() == []
+        runs = {algo: run_experiment(replace(cfg, algorithm=algo)) for algo in ("dcsa", "max")}
+        schedule = runs["dcsa"].graph.event_history()
+        assert len(schedule) > 0
+        assert runs["max"].graph.event_history() == schedule
+        dcsa, max_sync = runs["dcsa"], runs["max"]
+        assert dcsa.max_local_skew <= max_sync.max_local_skew + 1e-9
+        assert dcsa.max_global_skew <= sb.global_skew_bound(dcsa.params) + 1e-9
+        assert envelope_violations(dcsa.record, dcsa.params).compliant

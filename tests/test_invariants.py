@@ -9,13 +9,17 @@ adversarial) and asserts the guarantees of Sections 3 and 6:
 * max-estimate lag <= Lemma 6.8's bound;
 * every edge sample respects the dynamic local skew envelope of
   Corollary 6.13 -- including brand-new edges;
-* established edges respect the stable bound (Theorem 6.12 limit).
+* established edges respect the stable bound (Theorem 6.12 limit);
+* the paper's orderings against the max-algorithm on one execution.
 
-The hypothesis test at the bottom samples random workloads (topology,
-churn, clocks, seeds) and checks the whole bundle on each.
+The hypothesis tests at the bottom sample random workloads (topology,
+churn, clocks, seeds): the whole bundle holds on each, and each config's
+topology schedule is the same under every algorithm.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from hypothesis import given, settings
 from repro import SystemParams
 from repro.analysis import envelope_violations, max_estimate_lag, max_global_skew
 from repro.core import skew_bounds as sb
-from repro.harness import OracleRef, configs, run_experiment
+from repro.harness import ALGORITHMS, OracleRef, configs, run_experiment
 from repro.network.topology import path_edges
 from repro.testing.strategies import experiment_configs
 
@@ -38,6 +42,16 @@ def check_rate_floor(record, *, floor=0.5, tol=1e-9):
 
 def check_monotone(record, tol=1e-9):
     assert np.all(np.diff(record.clocks, axis=0) >= -tol), "clock decreased"
+
+
+def edge_insertion_at_rho_0_05(n, *, seed, horizon):
+    """:func:`configs.edge_insertion` with drift fast enough (rho = 0.05)
+    for hop skews to build, the shortcut inserted past the Lemma 4.2
+    onset time."""
+    params = SystemParams.for_network(n, rho=0.05)
+    t_insert = 1.1 * sb.masking_min_time(params, 1)
+    cfg = configs.edge_insertion(n, t_insert=t_insert, horizon=horizon, seed=seed)
+    return replace(cfg, params=params)
 
 
 class TestSection3Requirements:
@@ -99,16 +113,30 @@ class TestCorollary613LocalSkew:
             (configs.flapping_edges, {}),
             (configs.edge_insertion, {"t_insert": 40.0, "horizon": 120.0}),
             (configs.two_chain_insertion, {"t_insert": 40.0, "horizon": 120.0}),
+            (edge_insertion_at_rho_0_05, {}),
         ],
     )
     def test_envelope_never_violated(self, maker, kwargs):
+        """The envelope, and the paper's orderings around it on the same
+        execution: the DCSA's local skew is at most the max-algorithm's
+        and its global skew at most G(n); under split extremal clocks and
+        maximal delays run past the Lemma 4.2 onset, its local skew is at
+        least the lemma's distance-1 floor ``T / 4``."""
         cfg = maker(12, seed=21, **({"horizon": 120.0} | kwargs))
         res = run_experiment(cfg)
-        chk = envelope_violations(res.record, res.params)
+        params = res.params
+        chk = envelope_violations(res.record, params)
         assert chk.compliant, (
             f"{cfg.name}: {chk.violations} violations, worst ratio "
             f"{chk.worst_ratio:.3f} on {chk.worst_edge} at age {chk.worst_age:.1f}"
         )
+        max_sync = run_experiment(replace(cfg, algorithm="max"))
+        assert res.max_local_skew <= max_sync.max_local_skew + 1e-9
+        assert res.max_global_skew <= sb.global_skew_bound(params) + 1e-9
+        if (cfg.clock_spec, cfg.delay_spec) == ("split", "max") and (
+            cfg.horizon >= sb.masking_min_time(params, 1)
+        ):
+            assert res.max_local_skew >= sb.masking_skew_floor(params, 1) - 1e-9
 
     def test_stable_edges_meet_stable_bound(self):
         """Edges older than the stabilization time obey B0 + 2 rho W."""
@@ -226,3 +254,16 @@ def test_property_full_bundle_random_workloads(cfg):
     assert max_global_skew(res.record) <= sb.global_skew_bound(params) + 1e-9
     assert envelope_violations(res.record, params).compliant
     assert res.oracle_report.ok, res.oracle_report.render()
+
+
+@settings(max_examples=10, deadline=None)
+@given(cfg=experiment_configs(4, 12, horizon=40.0, adversarial=False))
+def test_property_topology_schedule_is_the_same_under_every_algorithm(cfg):
+    """Churn draws from its own random stream, so a config's topology
+    schedule does not depend on the algorithm: all four face one event
+    history, and comparing them compares them on one execution."""
+    histories = {
+        algo: run_experiment(replace(cfg, algorithm=algo, record=False)).graph.event_history()
+        for algo in ALGORITHMS
+    }
+    assert all(h == histories["dcsa"] for h in histories.values()), cfg.name

@@ -16,6 +16,7 @@ import gc
 import math
 import pickle
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,11 @@ from repro.core.node import ClockSyncNode, Population
 from repro.core.protocol import ProtocolCore, Start
 from repro.harness import configs, runner
 from repro.harness.runner import Experiment, ExperimentConfig, run_experiment
+from repro.lowerbound import masked_experiment
+from repro.lowerbound.executions import build_execution_pair
+from repro.lowerbound.mask import DelayMask
 from repro.network.graph import DynamicGraph, GraphError
+from repro.network.topology import path_edges
 from repro.network.transport import Transport
 from repro.params import ParameterError, SystemParams
 from repro.sim import par
@@ -271,29 +276,52 @@ class TestCollectorState:
 
 
 
+def _masked_beta(n=512):
+    """The Lemma 4.2 beta execution on a path, a callable clock spec
+    (:func:`~repro.lowerbound.masked_experiment`), as a run to start: its
+    clocks and delay policy exist before the count."""
+    params = SystemParams.for_network(n, rho=0.05)
+    edges = path_edges(n)
+    pair = build_execution_pair(
+        list(range(n)), edges, DelayMask({}, params.max_delay), 0, params
+    )
+    return lambda: masked_experiment(
+        edges, pair.beta_clocks, pair.beta_policy, params, "dcsa", 30.0
+    ).run()
+
+
 class TestObjectsPerNode:
     """What a run leaves the collector to walk: at most 1.5 GC-tracked
     objects per node on the lockstep populations.  A column population
     builds no driver, core, clock or timer dict for a node nothing
     touched, and its ticks are one group record; what is left per node is
-    its adjacency set."""
+    its adjacency set.  A callable clock spec's population is columns
+    too: its clocks are the spec's own."""
 
     @pytest.mark.parametrize(
-        "make",
-        [lambda: configs.huge_sync_ring(4096), lambda: configs.huge_sync_grid(64, 64)],
-        ids=["huge_sync_ring", "huge_sync_grid"],
+        "make, bound",
+        [
+            (lambda: partial(run_experiment, configs.huge_sync_ring(4096)), 1.5),
+            (lambda: partial(run_experiment, configs.huge_sync_grid(64, 64)), 1.5),
+            # Not lockstep: every message in flight at the horizon is its
+            # own record and payload, every tick its own record.
+            (_masked_beta, 10.0),
+        ],
+        ids=["huge_sync_ring", "huge_sync_grid", "masked_experiment"],
     )
-    def test_a_run_leaves_at_most_1_5_tracked_objects_per_node(self, make):
-        cfg = make()
+    def test_a_run_leaves_at_most_1_5_tracked_objects_per_node(self, make, bound):
+        run = make()
         gc.collect()
         before = gc.get_objects()  # held: no id is reused while we count
         known = set(map(id, before))
-        result = run_experiment(cfg)
+        result = run()
+        cfg = result.config
         gc.collect()
         left = [o for o in gc.get_objects() if id(o) not in known]
-        assert len(left) <= 1.5 * cfg.params.n, len(left) / cfg.params.n
+        assert len(left) <= bound * cfg.params.n, len(left) / cfg.params.n
         per_node = (ClockSyncNode, ProtocolCore, HardwareClock)
         assert not any(isinstance(o, per_node) for o in left)
+        assert result.batch_gate_reason is None and result.array_events > 0
         assert result.materialised_nodes == 0
         # Read every node the way the benchmark's digest does.
         h = cfg.horizon
