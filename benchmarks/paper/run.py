@@ -23,7 +23,7 @@ import argparse
 import json
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
@@ -126,11 +126,6 @@ SETTLE = Check(
     "Cor 6.14: new-edge settle age <= stabilisation time",
     key("settle"), lambda r: sb.stabilization_time(r["params"]), tol=1e-6,
 )
-
-
-def split_path(n: int, horizon: float, seed: int, **overrides: Any) -> ExperimentConfig:
-    """Static path, first half at ``1 + rho``, second half at ``1 - rho``."""
-    return replace(configs.static_path(n, horizon=horizon, seed=seed), **overrides)
 
 
 def reveal(
@@ -256,7 +251,7 @@ def global_skew() -> Iterator[Entry]:
         for seed in (0, 1, 2):
             yield Entry(
                 "static path, split clocks, max delays",
-                split_path(n, 200.0, seed, delay_spec="max"), (GLOBAL,),
+                configs.static_path(n, horizon=200.0, seed=seed, delay_spec="max"), (GLOBAL,),
             )
     yield Entry(
         "rotating backbone (no stable edge), window 30",
@@ -277,27 +272,29 @@ def global_skew() -> Iterator[Entry]:
 
 def max_propagation() -> Iterator[Entry]:
     """Lemma 6.8, max-estimate propagation."""
+    track = {"track_max_estimates": True}
     regimes: dict[str, list[ExperimentConfig]] = {
         "static path, split clocks, max delays": [
-            split_path(n, 150.0, 1, delay_spec="max") for n in (8, 16, 32)
+            configs.static_path(n, horizon=150.0, seed=1, delay_spec="max", **track)
+            for n in (8, 16, 32)
         ],
         "backbone churn": [
-            configs.backbone_churn(n, horizon=150.0, seed=2) for n in (8, 16)
+            configs.backbone_churn(n, horizon=150.0, seed=2, **track) for n in (8, 16)
         ],
         "rotating backbone, window 25": [
-            configs.rotating_backbone(n, horizon=220.0, window=25.0, seed=3)
+            configs.rotating_backbone(n, horizon=220.0, window=25.0, seed=3, **track)
             for n in (8, 16)
         ],
     }
     for workload, cfgs in regimes.items():
         for cfg in cfgs:
-            yield Entry(workload, replace(cfg, track_max_estimates=True), (LAG,))
+            yield Entry(workload, cfg, (LAG,))
 
 
 def local_skew() -> Iterator[Entry]:
     """Theorem 6.12 / Corollary 6.13, stable local skew and the dynamic envelope."""
     workloads = {
-        "static path, split clocks": split_path(16, 250.0, 7),
+        "static path, split clocks": configs.static_path(16, horizon=250.0, seed=7),
         "backbone churn": configs.backbone_churn(16, horizon=250.0, seed=7),
         "edge insertion at t=80": configs.edge_insertion(
             16, t_insert=80.0, horizon=250.0, seed=7
@@ -308,7 +305,9 @@ def local_skew() -> Iterator[Entry]:
         yield Entry(workload, cfg, (STABLE, ENVELOPE))
     # The gradient property: s_bar(n) stays ~B0 while G(n) grows with n.
     for n in (8, 16, 32):
-        yield Entry("static path, split clocks", split_path(n, 250.0, 3), (STABLE,))
+        yield Entry(
+            "static path, split clocks", configs.static_path(n, horizon=250.0, seed=3), (STABLE,)
+        )
 
 
 def tradeoff() -> Iterator[Entry]:
@@ -421,20 +420,17 @@ def ablations() -> Iterator[Entry]:
     for tick in (0.25, 0.5, 1.0):
         yield Entry(
             f"backbone churn, split clocks, tick interval {tick:g}",
-            replace(
-                configs.backbone_churn(16, horizon=150.0, seed=6),
-                params=SystemParams.for_network(16, tick_interval=tick),
-            ),
+            configs.backbone_churn(16, horizon=150.0, seed=6, tick_interval=tick),
             checks,
         )
     for delay in ("zero", "half", "uniform", "max"):
         yield Entry(
             f"static path, split clocks, {delay} delays",
-            split_path(16, 150.0, 6, delay_spec=delay), checks,
+            configs.static_path(16, horizon=150.0, seed=6, delay_spec=delay), checks,
         )
     yield Entry(
         "static path, split clocks, uniform delays, unstaggered first ticks",
-        split_path(16, 150.0, 6, stagger_ticks=False), checks,
+        configs.static_path(16, horizon=150.0, seed=6, stagger_ticks=False), checks,
     )
 
 

@@ -39,6 +39,15 @@ entries = json.load(sys.stdin)["entries"]
 if len(entries) != 2:
     sys.exit(f"FAIL: expected 2 store entries, got {len(entries)}")
 '
+# An ExperimentConfig field sweeps by workload name: every point is the
+# workload's spec with the point's keys laid over it.
+python -m repro sweep static_path --set n=6 horizon=20 --grid delay_spec=max,half \
+    --store "$store" --quiet --json | python -c '
+import json, sys
+rows = json.load(sys.stdin)["rows"]
+if len(rows) != 2:
+    sys.exit(f"FAIL: expected 2 delay_spec rows, got {len(rows)}")
+'
 
 echo "== live asyncio runtime =="
 # A short deterministic in-process session (loopback channel, zero

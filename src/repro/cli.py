@@ -37,8 +37,8 @@ tracing and observatory subsystems from the shell (plus ``--version``):
     bounds to provoke violations; ``--trace-out`` also exports the trace.
 
 ``live``
-    Run a ``live_*`` workload as a real wall-clock asyncio session
-    (:mod:`repro.live`): per-node turns on one loop, loopback or UDP
+    Run a live workload (``runtime="live"``) as a real wall-clock asyncio
+    session (:mod:`repro.live`): per-node turns on one loop, loopback or UDP
     channels, artificial drift, the streaming oracle attached online.
     ``--duration`` caps the session in seconds; exits 1 if any bound of
     the paper is violated; ``--json`` prints a summary with ``oracle_ok``
@@ -224,6 +224,11 @@ def _resolve_workload(
     except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+
+
+def _live_workloads() -> list[str]:
+    """The workloads whose spec runs on the live runtime."""
+    return sorted(k for k, w in WORKLOADS.items() if w.spec.get("runtime") == "live")
 
 
 @contextmanager
@@ -702,7 +707,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_live(args: argparse.Namespace) -> int:
     from .harness.registry import RuntimeRef
 
-    live_names = sorted(w for w in WORKLOADS if w.startswith("live_"))
+    live_names = _live_workloads()
     overrides = {} if args.duration is None else {"duration": args.duration}
     cfg = _resolve_workload(
         args, choices=f"live workloads: {live_names}", **overrides
@@ -713,7 +718,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     if not (isinstance(runtime, RuntimeRef) and runtime.name == "live"):
         print(
             f"error: workload {args.workload!r} does not use the live "
-            "runtime; pick a live_* workload",
+            f"runtime; pick one of {live_names}",
             file=sys.stderr,
         )
         return 2
@@ -1225,12 +1230,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_explain.set_defaults(func=_cmd_explain)
 
-    live_workloads = sorted(w for w in WORKLOADS if w.startswith("live_"))
+    live_workloads = _live_workloads()
     p_live = sub.add_parser(
         "live",
         help="run a wall-clock asyncio session with the oracle attached",
         description=(
-            "Run a live_* workload in real time (repro.live): per-node turns on "
+            "Run a live workload in real time (repro.live): per-node turns on "
             "one asyncio loop over a loopback or UDP channel, monotonic wall "
             "clocks with artificial drift, and the streaming conformance "
             "oracle checking the paper's bounds online. Exits 1 on any "

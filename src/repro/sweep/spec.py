@@ -5,17 +5,13 @@ set of *axes*; :meth:`SweepSpec.expand` turns it into the concrete list of
 :class:`~repro.harness.runner.ExperimentConfig` objects a
 :class:`~repro.sweep.engine.SweepEngine` executes.
 
-Two base flavours are supported:
-
-* a **workload name** from :data:`repro.harness.configs.WORKLOADS`
-  (``"static_path"``, ``"backbone_churn"``, ...): every expanded point calls
-  the factory with the merged keyword arguments, so axes can range over
-  *anything* the factory accepts (``n``, ``seed``, ``b0``, ``algorithm``,
-  ``horizon``, ...);
-* a concrete **ExperimentConfig**: axes override config fields via
-  ``dataclasses.replace``; :class:`~repro.params.SystemParams` fields
-  (``b0``, ``rho``, ... -- optionally written ``"params.b0"``) are applied
-  to the nested params object and re-validated.
+The base is a **workload name** from :data:`repro.harness.configs.WORKLOADS`
+(``"static_path"``, ``"backbone_churn"``, ...) or a **spec** mapping (see
+:mod:`repro.harness.configs`).  Every point is its base spec with the
+point's keys laid over it, rebuilt by :func:`repro.harness.configs.build`,
+so axes range over any spec key (``n``, ``seed``, ``b0``, ``rho``,
+``algorithm``, ``horizon``, ``delay_spec``, ...) and a churn process or
+adversary built from ``horizon`` or T + D is rebuilt with them.
 
 Axes come from three combinators, composed by cartesian product:
 
@@ -33,11 +29,11 @@ deterministic: the last axis varies fastest, exactly like nested loops.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterable, Mapping, Sequence
 
+from ..harness.configs import WORKLOADS, build
 from ..harness.runner import ExperimentConfig
-from ..params import SystemParams
 
 __all__ = ["Axis", "SweepSpec", "grid", "seeds", "zip_"]
 
@@ -102,68 +98,6 @@ def seeds(spec: int | Iterable[int]) -> Axis:
     return Axis(tuple({"seed": s} for s in values))
 
 
-_PARAM_FIELDS = {f.name for f in fields(SystemParams)}
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
-
-
-def _apply_overrides(cfg: ExperimentConfig, overrides: Mapping[str, Any]) -> ExperimentConfig:
-    """Apply axis overrides to a concrete config (params fields re-validate)."""
-    cfg_updates: dict[str, Any] = {}
-    param_updates: dict[str, Any] = {}
-    for key, value in overrides.items():
-        name = key.removeprefix("params.")
-        if key.startswith("params.") or (
-            name in _PARAM_FIELDS and name not in _CONFIG_FIELDS
-        ):
-            if name not in _PARAM_FIELDS:
-                raise KeyError(f"unknown SystemParams field {name!r}")
-            if name == "n":
-                # initial_edges (and churn kwargs) of a concrete config are
-                # built for its original size; silently resizing params
-                # would run a mismatched topology.
-                raise KeyError(
-                    "cannot sweep 'n' over a concrete ExperimentConfig "
-                    "(its initial_edges/churn were built for the original "
-                    "size); use a named workload base instead"
-                )
-            param_updates[name] = value
-        elif name in _CONFIG_FIELDS:
-            cfg_updates[name] = value
-        else:
-            raise KeyError(
-                f"unknown override {key!r}; not an ExperimentConfig or "
-                "SystemParams field"
-            )
-    if "horizon" in cfg_updates and (cfg.churn or cfg.adversary is not None):
-        # Churn processes and adversaries bake their own horizon (ChurnRef /
-        # AdversaryRef kwargs, scripted event times) at construction;
-        # overriding only cfg.horizon would silently run a churn- or
-        # adversary-free tail (or truncate scripted events).
-        what = "churn processes" if cfg.churn else "adversary"
-        raise KeyError(
-            "cannot sweep 'horizon' over a concrete ExperimentConfig with "
-            f"{what} (built for the original horizon); use a named "
-            "workload base instead"
-        )
-    if cfg.adversary is not None and {"max_delay", "discovery_bound"} & set(
-        param_updates
-    ):
-        # The greedy adversary's guard interval (T + D) is baked into its
-        # kwargs; changing the params underneath would certify against a
-        # stale interval.
-        raise KeyError(
-            "cannot sweep 'max_delay'/'discovery_bound' over a concrete "
-            "ExperimentConfig with an adversary (its connectivity interval "
-            "was built from the original params); use a named workload "
-            "base instead"
-        )
-    if param_updates:
-        params = replace(cfg.params, **param_updates)
-        params.validate()
-        cfg_updates["params"] = params
-    return replace(cfg, **cfg_updates)
-
-
 def _point_label(overrides: Mapping[str, Any]) -> str:
     return ",".join(f"{k}={overrides[k]}" for k in sorted(overrides))
 
@@ -175,11 +109,10 @@ class SweepSpec:
     Attributes
     ----------
     workload:
-        A name from :data:`repro.harness.configs.WORKLOADS` or a concrete
-        :class:`~repro.harness.runner.ExperimentConfig`.
+        A name from :data:`repro.harness.configs.WORKLOADS` or a spec
+        mapping.
     base:
-        Keyword arguments applied at every point (factory kwargs for a
-        named workload, field overrides for a concrete config).
+        Spec keys applied at every point.
     axes:
         Sweep dimensions, combined by cartesian product in order (the last
         axis varies fastest).  An empty list expands to the single base
@@ -188,39 +121,37 @@ class SweepSpec:
         Optional sweep label; defaults to the workload name.
     """
 
-    workload: str | ExperimentConfig
+    workload: str | Mapping[str, Any]
     base: dict[str, Any] = field(default_factory=dict)
     axes: Sequence[Axis] = ()
     name: str = ""
 
     def __post_init__(self) -> None:
         if isinstance(self.workload, str):
-            factory = self._factories().get(self.workload)
-            if factory is None:
+            if self.workload not in WORKLOADS:
                 raise KeyError(
                     f"unknown workload {self.workload!r}; choose from "
-                    f"{sorted(self._factories())}"
+                    f"{sorted(WORKLOADS)}"
                 )
-        elif not isinstance(self.workload, ExperimentConfig):
+        elif not isinstance(self.workload, Mapping):
             raise TypeError(
-                "workload must be a WORKLOADS name or an ExperimentConfig; "
+                "workload must be a WORKLOADS name or a spec mapping; "
                 f"got {type(self.workload).__name__}"
             )
 
-    @staticmethod
-    def _factories() -> dict[str, Callable[..., ExperimentConfig]]:
-        from ..harness.configs import WORKLOADS
-
-        return WORKLOADS
+    @property
+    def spec(self) -> Mapping[str, Any]:
+        """The base spec every point is laid over."""
+        if isinstance(self.workload, str):
+            return WORKLOADS[self.workload].spec
+        return self.workload
 
     @property
     def label(self) -> str:
         """Human-readable sweep name."""
         if self.name:
             return self.name
-        if isinstance(self.workload, str):
-            return self.workload
-        return self.workload.name or self.workload.algorithm
+        return self.workload if isinstance(self.workload, str) else "spec"
 
     def points(self) -> list[dict[str, Any]]:
         """The merged override dict of every sweep point, in expansion order."""
@@ -245,11 +176,7 @@ class SweepSpec:
         """Expand into concrete configs, one per sweep point."""
         out: list[ExperimentConfig] = []
         for overrides in self.points():
-            if isinstance(self.workload, str):
-                factory = self._factories()[self.workload]
-                cfg = factory(**overrides)
-            else:
-                cfg = _apply_overrides(self.workload, overrides)
+            cfg = build({**self.spec, **overrides})
             point_keys = {k for axis in self.axes for p in axis.points for k in p}
             label_overrides = {k: overrides[k] for k in sorted(point_keys & set(overrides))}
             if label_overrides:

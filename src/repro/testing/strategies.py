@@ -9,10 +9,11 @@ inside the drift envelope; adversaries are the model-respecting ones from
 :mod:`repro.adversary`.  A generated workload that fails a bound is
 therefore a *bug*, not a bad generator.
 
-Two layers over one ingredient table (topology, clock, delay and
-discovery specs, stagger, :data:`CHURN`, :data:`ADVERSARIES`), drawn by
-one function through a ``pick`` that is either a seeded generator or a
-hypothesis ``draw``:
+A draw is a spec (:mod:`repro.harness.configs`): topology, clock, delay
+and discovery specs, stagger, and a churn and adversary family with their
+parameters, picked by one function through a ``pick`` that is either a
+seeded generator or a hypothesis ``draw``, then built by
+:func:`~repro.harness.configs.build`.  Two layers over it:
 
 * ``fuzz_config(seed)`` / ``fuzz_sweep_spec(seed)`` -- deterministic
   seed-driven draws with no test-only dependencies (the ``repro check
@@ -32,10 +33,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..harness.registry import AdversaryRef, ChurnRef
+from ..harness.configs import TOPOLOGY, build
 from ..harness.runner import ExperimentConfig
-from ..network.churn import ScriptedChurn
-from ..network.topology import grid_edges, path_edges, ring_edges, star_edges
 from ..params import SystemParams
 
 try:  # hypothesis is a test extra; the fuzz_* layer must work without it.
@@ -47,8 +46,6 @@ except ImportError:  # pragma: no cover - exercised only without test deps
     _HAVE_HYPOTHESIS = False
 
 __all__ = [
-    "ADVERSARIES",
-    "CHURN",
     "CLOCK_SPECS",
     "DELAY_SPECS",
     "DISCOVERY_SPECS",
@@ -67,17 +64,12 @@ __all__ = [
 Edge = tuple[int, int]
 
 # --------------------------------------------------------------------- #
-# Ingredient tables (shared by both layers)
+# What a draw picks from (shared by both layers)
 # --------------------------------------------------------------------- #
 
-#: Named connected topologies: name -> (n -> edge list).  Every entry
-#: doubles as the protected backbone when churn rides on top.
-TOPOLOGIES: dict[str, Callable[[int], list[Edge]]] = {
-    "path": path_edges,
-    "ring": lambda n: ring_edges(max(n, 3)),
-    "star": star_edges,
-    "grid": lambda n: grid_edges(2, (n + 1) // 2),
-}
+#: Connected topologies of :data:`repro.harness.configs.TOPOLOGY` the
+#: fuzzer draws; each doubles as the protected backbone under churn.
+TOPOLOGIES: tuple[str, ...] = ("grid", "path", "ring", "star")
 
 #: Clock specs safe for invariant checking (all stay within [1 +- rho]).
 CLOCK_SPECS: tuple[str, ...] = (
@@ -114,49 +106,26 @@ _SWEEP_WORKLOADS: tuple[str, ...] = (
 Pick = Callable[[Sequence[Any]], Any]
 
 
+def _topology_spec(name: str, n: int) -> dict[str, Any]:
+    """The spec keys of topology ``name`` over about ``n`` nodes (a grid
+    is 2 x ceil(n / 2), a ring at least 3)."""
+    if name not in TOPOLOGIES:
+        raise KeyError(f"unknown topology {name!r}; choose from {list(TOPOLOGIES)}")
+    if name == "grid":
+        return {"topology": name, "rows": 2, "cols": (n + 1) // 2}
+    return {"topology": name, "n": max(n, 3) if name == "ring" else n}
+
+
 def make_topology(name: str, n: int) -> list[Edge]:
     """Build a named topology for ``n`` nodes (grid sizes round up)."""
-    try:
-        maker = TOPOLOGIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown topology {name!r}; choose from {sorted(TOPOLOGIES)}"
-        ) from None
-    return maker(n)
+    spec = _topology_spec(name, n)
+    return TOPOLOGY[name][1](spec)
 
 
 def _chords(n: int, backbone: Sequence[Edge]) -> list[Edge]:
     """Every pair of ``range(n)`` the backbone does not hold."""
     taken = {(min(u, v), max(u, v)) for u, v in backbone}
     return [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in taken]
-
-
-def _rewirer(pick: Pick, n: int, horizon: float, backbone: Sequence[Edge]) -> Any:
-    return ChurnRef(
-        "random_rewirer",
-        {
-            "n": n,
-            "k_extra": pick((1, 2, 3, 4)),
-            "interval": pick((2.0, 3.0, 5.0)),
-            "protected": [[u, v] for u, v in backbone],
-            "horizon": horizon,
-        },
-    )
-
-
-def _flapper(pick: Pick, n: int, horizon: float, backbone: Sequence[Edge]) -> Any:
-    chords = _chords(n, backbone)
-    if not chords:  # dense backbone: nothing left to flap
-        return None
-    return ChurnRef(
-        "edge_flapper",
-        {
-            "edges": [list(pick(chords))],
-            "up": pick((6.0, 10.0)),
-            "down": pick((4.0, 8.0)),
-            "horizon": horizon,
-        },
-    )
 
 
 def flip_script(
@@ -177,34 +146,33 @@ def flip_script(
     return script
 
 
-def _scripted(pick: Pick, n: int, horizon: float, backbone: Sequence[Edge]) -> Any:
-    chords = _chords(n, backbone)  # the backbone stays: invariant-safe
+def _scripted(pick: Pick, chords: list[Edge]) -> dict[str, Any]:
     script = flip_script(pick, chords, ()) if chords else []
-    return ScriptedChurn(script) if script else None
+    return {"events": script} if script else {}
 
 
-#: Churn ingredients: name -> ``(pick, n, horizon, backbone) -> entry``
-#: (``None``: no churn).  Every entry keeps the backbone alive.
-CHURN: dict[str, Callable[[Pick, int, float, Sequence[Edge]], Any]] = {
-    "none": lambda pick, n, horizon, backbone: None,
-    "random_rewirer": _rewirer,
-    "edge_flapper": _flapper,
+#: Churn draws: ``(pick, chords) -> spec keys`` of that
+#: :data:`~repro.harness.configs.CHURN` family (``{}``: no churn).  Chords
+#: only are touched, so every draw keeps the backbone alive.
+_CHURN_DRAWS: dict[str, Callable[[Pick, list[Edge]], dict[str, Any]]] = {
+    "none": lambda pick, chords: {},
+    "random_rewirer": lambda pick, chords: {
+        "k_extra": pick((1, 2, 3, 4)), "rewire_interval": pick((2.0, 3.0, 5.0)),
+    },
+    "edge_flapper": lambda pick, chords: {
+        "endpoints": pick(chords), "up": pick((6.0, 10.0)), "down": pick((4.0, 8.0)),
+    } if chords else {},
     "scripted": _scripted,
 }
 
-#: Adversary ingredients: name -> ``(pick, horizon) -> AdversaryRef``
-#: (``None``: no adversary); the freezable-by-sweep adaptive ones.
-ADVERSARIES: dict[str, Callable[[Pick, float], AdversaryRef | None]] = {
-    "none": lambda pick, horizon: None,
-    "drift": lambda pick, horizon: AdversaryRef(
-        "adaptive_drift",
-        {
-            "period": pick((3.0, 5.0, 8.0)),
-            "strength": pick((0.5, 1.0)),
-            "horizon": horizon,
-        },
-    ),
-    "delay": lambda pick, horizon: AdversaryRef("adaptive_delay", {}),
+
+#: Adversary draws: ``pick -> spec keys`` of that
+#: :data:`~repro.harness.configs.ADVERSARY` family; the model-respecting
+#: adaptive ones.
+_ADVERSARY_DRAWS: dict[str, Callable[[Pick], dict[str, Any]]] = {
+    "none": lambda pick: {},
+    "drift": lambda pick: {"period": pick((3.0, 5.0, 8.0)), "strength": pick((0.5, 1.0))},
+    "delay": lambda pick: {},
 }
 
 
@@ -217,39 +185,40 @@ def _draw_config(
     churny: bool,
     adversarial: bool,
 ) -> ExperimentConfig:
-    """Assemble one invariant-safe config from ingredients drawn by ``pick``."""
-    topology = pick(sorted(TOPOLOGIES))
-    backbone = make_topology(topology, pick(range(min_n, max_n + 1)))
+    """Draw one invariant-safe spec through ``pick`` and build it."""
+    topology = pick(TOPOLOGIES)
+    spec = _topology_spec(topology, pick(range(min_n, max_n + 1)))
+    backbone = TOPOLOGY[topology][1](spec)
     n = 1 + max(max(u, v) for u, v in backbone)
     clock_spec = pick(CLOCK_SPECS)
-    adversary = pick(tuple(ADVERSARIES)) if adversarial else "none"
+    adversary = pick(tuple(_ADVERSARY_DRAWS)) if adversarial else "none"
     if adversary == "drift":
         clock_spec = "perfect"  # the drift adversary owns every rate
-    churn = pick(tuple(CHURN)) if churny else "none"
-    entry = CHURN[churn](pick, n, horizon, backbone)
+    churn = pick(tuple(_CHURN_DRAWS)) if churny else "none"
+    churn_keys = _CHURN_DRAWS[churn](pick, _chords(n, backbone))
     if pick((True, False)):  # lockstep: every timing ingredient constant
         delay_spec, discovery_spec, stagger = pick(("half", "max")), "max", False
     else:
         delay_spec, discovery_spec = pick(DELAY_SPECS), pick(DISCOVERY_SPECS)
         stagger = pick((True, False))
     seed = pick(range(100_000))
-    return ExperimentConfig(
-        params=SystemParams.for_network(n),
-        initial_edges=backbone,
-        clock_spec=clock_spec,
-        delay_spec=delay_spec,
-        discovery_spec=discovery_spec,
-        stagger_ticks=stagger,
-        churn=[] if entry is None else [entry],
-        adversary=ADVERSARIES[adversary](pick, horizon),
-        horizon=horizon,
-        sample_interval=2.0,
-        seed=seed,
-        name=f"fuzz({topology}, n={n}, clock={clock_spec}"
-        + ("" if entry is None else f", churn={churn}")
+    return build({
+        **spec,
+        **({"churn": churn, **churn_keys} if churn_keys else {}),
+        **({} if adversary == "none" else {"adversary": adversary}),
+        **_ADVERSARY_DRAWS[adversary](pick),
+        "clock_spec": clock_spec,
+        "delay_spec": delay_spec,
+        "discovery_spec": discovery_spec,
+        "stagger_ticks": stagger,
+        "horizon": horizon,
+        "sample_interval": 2.0,
+        "seed": seed,
+        "name": f"fuzz({topology}, n={n}, clock={clock_spec}"
+        + (f", churn={churn}" if churn_keys else "")
         + ("" if adversary == "none" else f", adversary={adversary}")
         + f", seed={seed})",
-    )
+    })
 
 
 # --------------------------------------------------------------------- #
@@ -311,7 +280,7 @@ def topologies(min_n: int = 4, max_n: int = 14):
     """Strategy for ``(name, n, edges)`` over the named topology table."""
     _require_hypothesis()
     return st.tuples(
-        st.sampled_from(sorted(TOPOLOGIES)),
+        st.sampled_from(TOPOLOGIES),
         st.integers(min_value=min_n, max_value=max_n),
     ).map(lambda t: (t[0], t[1], make_topology(t[0], t[1])))
 

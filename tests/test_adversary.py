@@ -301,20 +301,17 @@ class TestHarnessIntegration:
         b = summarize_run(run_experiment(cfg()))
         assert a == b
 
-    def test_spec_refuses_desyncing_sweeps_over_adversarial_configs(self):
-        # AdversaryRef kwargs bake horizon and the certification interval;
-        # sweeping those fields over a *concrete* config would silently run
-        # a weaker adversary (use a named workload base instead).
+    def test_swept_horizon_and_delay_reach_the_adversary(self):
+        # AdversaryRef kwargs bake horizon and the certification interval
+        # T + D; every sweep point rebuilds them from its own spec.
         from repro.sweep import SweepSpec, grid
 
-        cfg = configs.greedy_topology(8, horizon=40.0)
-        with pytest.raises(KeyError, match="adversary"):
-            SweepSpec(cfg, axes=[grid(horizon=[40.0, 80.0])]).expand()
-        with pytest.raises(KeyError, match="interval"):
-            SweepSpec(cfg, axes=[grid(max_delay=[1.0, 2.0])]).expand()
-        # The named-workload route rebuilds the adversary per point: fine.
-        spec = SweepSpec("greedy_topology", base={"n": 8}, axes=[grid(horizon=[40.0, 80.0])])
-        assert len(spec.expand()) == 2
+        spec = SweepSpec(
+            "greedy_topology", base={"n": 8}, axes=[grid(horizon=[40.0, 80.0], max_delay=[0.5, 1.0])]
+        )
+        got = [(c.adversary.kwargs["horizon"], c.adversary.kwargs["interval"]) for c in spec.expand()]
+        d = configs.greedy_topology(8).params.discovery_bound
+        assert got == [(h, t + d) for h in (40.0, 80.0) for t in (0.5, 1.0)]
 
     def test_tidy_rows_surface_adversary_coordinates(self):
         from repro.sweep import SweepEngine, tidy_rows

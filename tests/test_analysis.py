@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -182,10 +180,7 @@ class TestRecorderLive:
         """A recorded run on the array step samples the table's columns;
         a second recorder given no transport calls every node instead.
         The two records are equal bit for bit."""
-        cfg = replace(
-            configs.backbone_churn(8, horizon=40.0, seed=5),
-            track_max_estimates=True,
-        )
+        cfg = configs.backbone_churn(8, horizon=40.0, seed=5, track_max_estimates=True)
         exp = Experiment(cfg)
         loop = SkewRecorder(
             exp.sim, exp.graph, exp.nodes, cfg.sample_interval,

@@ -11,8 +11,6 @@ from __future__ import annotations
 import asyncio
 import math
 import time
-from dataclasses import replace
-
 import pytest
 
 from repro.core.protocol import DiscoverAdd, MessageReceived, Start, TimerFired
@@ -27,7 +25,6 @@ from repro.live import (
     build_live_clocks,
     build_live_runtime,
 )
-from repro.network.churn import ScriptedChurn
 
 
 class TestLoopbackSession:
@@ -160,10 +157,7 @@ class TestScheduler:
             LiveRuntime, "now", lambda self: self._loop.time() - self._t0 - behind
         )
         # No edges: no incoming message can mask a missed wake-up.
-        cfg = replace(
-            configs.live_ring(8, duration=0.5, seed=6, oracle=False),
-            initial_edges=[],
-        )
+        cfg = configs.live_ring(8, duration=0.5, seed=6, oracle=False, topology="none")
         live = build_live_runtime(cfg, capture_effects=True).run()
         p = cfg.params
         floor = math.floor(cfg.horizon * (1.0 - p.rho) / p.tick_interval) - 2
@@ -206,9 +200,8 @@ class TestLiveChurn:
         """A dead auxiliary task must not yield a vacuous oracle_ok."""
         from repro.network.graph import GraphError
 
-        cfg = replace(
-            configs.live_ring(4, duration=0.3),
-            churn=[ScriptedChurn([(0.05, "add", 0, 99)])],  # unknown node
+        cfg = configs.live_ring(  # unknown node
+            4, duration=0.3, churn="scripted", events=[(0.05, "add", 0, 99)]
         )
         with pytest.raises(GraphError):
             build_live_runtime(cfg).run()
@@ -235,27 +228,21 @@ class TestUdpSession:
 
 class TestDriverValidation:
     def _cfg(self, **overrides) -> ExperimentConfig:
-        return replace(configs.live_ring(8, duration=0.2), **overrides)
+        return configs.live_ring(8, duration=0.2, **overrides)
 
     def test_recorder_rejected(self):
         with pytest.raises(ValueError, match="recorder"):
             build_live_runtime(self._cfg(record=True))
 
     def test_adversary_rejected(self):
-        from repro.harness.registry import AdversaryRef
-
-        cfg = self._cfg(adversary=AdversaryRef("adaptive_delay", {}))
+        cfg = self._cfg(adversary="delay")
         with pytest.raises(ValueError, match="adversar"):
             build_live_runtime(cfg)
 
     def test_non_scripted_churn_rejected(self):
-        from repro.harness.registry import ChurnRef
-
-        churn = ChurnRef(
-            "edge_flapper", {"edges": [[0, 2]], "up": 0.1, "down": 0.1}
-        )
+        cfg = self._cfg(churn="edge_flapper", endpoints=(0, 2), up=0.1, down=0.1)
         with pytest.raises(ValueError, match="ScriptedChurn"):
-            build_live_runtime(self._cfg(churn=[churn]))
+            build_live_runtime(cfg)
 
     def test_config_runtime_kwargs_are_the_channel_defaults(self):
         """A direct caller builds the session ``run_experiment`` would run."""
@@ -275,7 +262,7 @@ class TestDriverValidation:
             Experiment(self._cfg())
 
     def test_unknown_runtime_string_rejected(self):
-        cfg = replace(configs.static_ring(5, horizon=5.0), runtime="warp")
+        cfg = configs.static_ring(5, horizon=5.0, runtime="warp")
         with pytest.raises(ValueError, match="unknown runtime"):
             run_experiment(cfg)
 
@@ -338,9 +325,8 @@ class TestLoopbackChannelUnit:
 
 class TestLiveChurnValidation:
     def test_bad_op_rejected(self):
-        cfg = replace(
-            configs.live_ring(8, duration=0.2),
-            churn=[ScriptedChurn([(0.1, "add", 0, 2)])],
+        cfg = configs.live_ring(
+            8, duration=0.2, churn="scripted", events=[(0.1, "add", 0, 2)]
         )
         runtime = build_live_runtime(cfg)  # valid script builds fine
         assert runtime._churn_events == [(0.1, "add", 0, 2)]

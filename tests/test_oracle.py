@@ -276,17 +276,12 @@ class TestBulkEdgeSeeding:
 
     @staticmethod
     def _configs():
-        from dataclasses import replace
-
-        from repro.network.churn import ScriptedChurn
-
         grid = configs.huge_sync_grid(6, 6, horizon=12.0)
-        churned = replace(
-            configs.huge_sync_ring(24, horizon=12.0),
-            churn=[ScriptedChurn([(1.5, "add", 3, 11), (4.2, "remove", 5, 6),
-                                  (7.9, "add", 5, 6), (9.1, "remove", 3, 11)])],
+        churned = configs.huge_sync_ring(
+            24, horizon=12.0, churn="scripted",
+            events=[(1.5, "add", 3, 11), (4.2, "remove", 5, 6), (7.9, "add", 5, 6), (9.1, "remove", 3, 11)],
         )
-        return [replace(cfg, oracle=OracleRef("standard", {})) for cfg in (grid, churned)]
+        return [grid, churned]
 
     def _run(self, cfg, monkeypatch, per_edge):
         from repro.harness.runner import Experiment

@@ -197,7 +197,7 @@ class TestParity:
         and the re-pushed tick records must carry the provenance slots the
         keys read.
         """
-        cfg = replace(configs.huge_sync_ring(256, horizon=12.0), clock_spec="uniform")
+        cfg = configs.huge_sync_ring(256, horizon=12.0, clock_spec="uniform")
         exp = Experiment(cfg)
         serial = exp.run()
         assert serial.batch_gate_reason is None

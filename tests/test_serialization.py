@@ -9,7 +9,6 @@ These dicts are the identity used by the content-addressed result store
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 
 import pytest
@@ -68,8 +67,7 @@ class TestExperimentConfig:
         small) and round-trips."""
         make = configs.WORKLOADS[name]
         small = {"n": 6, "rows": 2, "cols": 3}
-        params = inspect.signature(make).parameters.values()
-        cfg = make(**{p.name: small[p.name] for p in params if p.default is p.empty})
+        cfg = make(**{k: small[k] for k in make.size if k not in make.spec})
         assert roundtrip(cfg).to_dict() == cfg.to_dict()
 
     def test_scripted_churn_roundtrips(self):

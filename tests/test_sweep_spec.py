@@ -71,62 +71,56 @@ class TestNamedWorkloadExpansion:
             assert getattr(configs, name) is factory
 
 
+def _path_spec(**keys):
+    """``static_path``'s spec at n = 6 with ``keys`` laid over it."""
+    return {**configs.static_path.spec, "n": 6, **keys}
+
+
 class TestConfigBaseExpansion:
-    def test_field_overrides_via_replace(self):
-        base = configs.static_path(6, horizon=40.0)
+    """A spec-mapping base: the plain-data form of a config, rebuilt at
+    every point."""
+
+    def test_field_overrides(self):
+        base = _path_spec(horizon=40.0)
         spec = SweepSpec(base, axes=[grid(algorithm=["dcsa", "max"])])
         cfgs = spec.expand()
         assert [c.algorithm for c in cfgs] == ["dcsa", "max"]
         assert all(c.horizon == 40.0 for c in cfgs)
-        # The base object is untouched.
-        assert base.algorithm == "dcsa"
+        # The base mapping is untouched.
+        assert "algorithm" not in base
 
     def test_params_overrides_revalidate(self):
-        base = configs.static_path(6)
-        floor = 2.0 * (1.0 + base.params.rho) * base.params.tau
-        spec = SweepSpec(base, axes=[grid(b0=[1.1 * floor, 2.0 * floor])])
+        params = configs.static_path(6).params
+        floor = 2.0 * (1.0 + params.rho) * params.tau
+        spec = SweepSpec(_path_spec(), axes=[grid(b0=[1.1 * floor, 2.0 * floor])])
         cfgs = spec.expand()
         assert [c.params.b0 for c in cfgs] == [1.1 * floor, 2.0 * floor]
 
-    def test_dotted_params_prefix(self):
-        base = configs.static_path(6)
-        spec = SweepSpec(base, axes=[grid(**{"params.rho": [0.01, 0.02]})])
+    def test_rho_is_a_spec_key(self):
+        spec = SweepSpec(_path_spec(), axes=[grid(rho=[0.01, 0.02])])
         assert [c.params.rho for c in spec.expand()] == [0.01, 0.02]
 
     def test_invalid_params_override_raises(self):
-        base = configs.static_path(6)
-        spec = SweepSpec(base, axes=[grid(b0=[0.001])])
+        spec = SweepSpec(_path_spec(), axes=[grid(b0=[0.001])])
         with pytest.raises(Exception, match="b0"):
             spec.expand()
 
-    def test_sweeping_n_over_concrete_config_rejected(self):
-        # initial_edges were built for n=6; resizing params alone would
-        # silently run a mismatched topology.
-        base = configs.static_path(6)
-        for key in ("n", "params.n"):
-            spec = SweepSpec(base, axes=[grid(**{key: [12]})])
-            with pytest.raises(KeyError, match="named workload"):
-                spec.expand()
-
-    def test_sweeping_horizon_over_churned_config_rejected(self):
-        base = configs.backbone_churn(6)
+    def test_every_point_is_rebuilt(self):
+        # n, horizon and T + D reach the topology, the churn and the
+        # adversary they were built from: a point cannot run stale.
+        spec = SweepSpec(_path_spec(), axes=[grid(n=[6, 12])])
+        assert [len(c.initial_edges) for c in spec.expand()] == [5, 11]
+        base = {**configs.backbone_churn.spec, "n": 6}
         spec = SweepSpec(base, axes=[grid(horizon=[100.0, 200.0])])
-        with pytest.raises(KeyError, match="named workload"):
-            spec.expand()
-        # Churn-free configs sweep horizon freely.
-        plain = configs.static_path(6)
-        spec = SweepSpec(plain, axes=[grid(horizon=[100.0, 200.0])])
-        assert [c.horizon for c in spec.expand()] == [100.0, 200.0]
+        assert [c.churn[0].kwargs["horizon"] for c in spec.expand()] == [100.0, 200.0]
 
     def test_unknown_override_key_rejected(self):
-        base = configs.static_path(6)
-        spec = SweepSpec(base, axes=[grid(bogus=[1])])
-        with pytest.raises(KeyError, match="bogus"):
+        spec = SweepSpec(_path_spec(), axes=[grid(bogus=[1])])
+        with pytest.raises(TypeError, match="bogus"):
             spec.expand()
 
     def test_duplicate_axis_key_rejected(self):
-        base = configs.static_path(6)
-        spec = SweepSpec(base, axes=[seeds(2), seeds(2)])
+        spec = SweepSpec(_path_spec(), axes=[seeds(2), seeds(2)])
         with pytest.raises(ValueError, match="more than once"):
             spec.expand()
 
@@ -144,11 +138,9 @@ class TestConfigBaseExpansion:
         assert [c.params.n for c in spec.expand()] == [4, 6]
 
     def test_no_axes_expands_to_base(self):
-        base = configs.static_path(6)
-        spec = SweepSpec(base)
-        (cfg,) = spec.expand()
+        (cfg,) = SweepSpec(_path_spec()).expand()
         assert isinstance(cfg, ExperimentConfig)
-        assert cfg.params.n == 6
+        assert cfg.to_dict() == configs.static_path(6).to_dict()
 
     def test_bad_workload_type_rejected(self):
         with pytest.raises(TypeError, match="workload"):
