@@ -156,10 +156,13 @@ def _insertion(s: Spec, params: SystemParams, backbone: list[Edge]) -> Any:
     """One edge appears at ``t_insert``: ``endpoints``, by default the
     path's two ends (Section 1's motivating scenario) or, on the two-chain
     graph, a shortcut across the middle of its B chain (Figure 1)."""
-    u, v = s["endpoints"] if s["endpoints"] is not None else (0, s["n"] - 1)
-    if s["endpoints"] is None and s["topology"] == "two_chain":
+    if s["endpoints"] is not None:
+        u, v = s["endpoints"]
+    elif s["topology"] == "two_chain":
         b_chain = two_chain_edges(s["n"])[1]["B"]
         u, v = sorted((b_chain[1], b_chain[len(b_chain) // 2]))
+    else:
+        u, v = 0, s["n"] - 1
     return backbone, ScriptedChurn([(s["t_insert"], "add", u, v)])
 
 
