@@ -114,6 +114,24 @@ class TestConfigBaseExpansion:
         spec = SweepSpec(base, axes=[grid(horizon=[100.0, 200.0])])
         assert [c.churn[0].kwargs["horizon"] for c in spec.expand()] == [100.0, 200.0]
 
+    def test_sweeping_n_over_concrete_config_rejected(self):
+        # A built config's initial_edges are fixed for its n; only a spec
+        # can be rebuilt at another size, so a concrete base is refused.
+        base = configs.static_path(6)
+        for key in ("n", "params.n"):
+            with pytest.raises(TypeError, match="spec mapping"):
+                SweepSpec(base, axes=[grid(**{key: [12]})])
+
+    def test_sweeping_horizon_over_churned_config_rejected(self):
+        # A built config's churn kwargs hold the horizon it was built for.
+        with pytest.raises(TypeError, match="spec mapping"):
+            SweepSpec(configs.backbone_churn(6), axes=[grid(horizon=[100.0, 200.0])])
+        # Its spec sweeps horizon freely, churned or not.
+        for name in ("backbone_churn", "static_path"):
+            base = {**getattr(configs, name).spec, "n": 6}
+            spec = SweepSpec(base, axes=[grid(horizon=[100.0, 200.0])])
+            assert [c.horizon for c in spec.expand()] == [100.0, 200.0]
+
     def test_unknown_override_key_rejected(self):
         spec = SweepSpec(_path_spec(), axes=[grid(bogus=[1])])
         with pytest.raises(TypeError, match="bogus"):
