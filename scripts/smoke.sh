@@ -48,6 +48,18 @@ rows = json.load(sys.stdin)["rows"]
 if len(rows) != 2:
     sys.exit(f"FAIL: expected 2 delay_spec rows, got {len(rows)}")
 '
+# An adversary and a clock spec sweep by their spec names through the
+# ingredient tables; each row reports the adversary's serialised name.
+python -m repro sweep static_path --set n=6 horizon=20 adversary=drift \
+    --grid clock_spec=split,uniform --store "$store" --quiet --json | python -c '
+import json, sys
+rows = json.load(sys.stdin)["rows"]
+if len(rows) != 2:
+    sys.exit(f"FAIL: expected 2 clock_spec rows, got {len(rows)}")
+bad = [row["adversary"] for row in rows if row["adversary"] != "adaptive_drift"]
+if bad:
+    sys.exit(f"FAIL: expected adversary adaptive_drift on every row, got {bad}")
+'
 
 echo "== live asyncio runtime =="
 # A short deterministic in-process session (loopback channel, zero

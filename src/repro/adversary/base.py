@@ -21,10 +21,11 @@ The contract:
   exactly like churn events.  :class:`PeriodicAdversary` packages that
   pattern: subclasses implement :meth:`PeriodicAdversary.observe_and_act`.
 
-Adversaries never draw from global randomness: a builder registered in
-:data:`repro.harness.registry.ADVERSARY_BUILDERS` receives a dedicated
+Adversaries never draw from global randomness: the constructor of an
+entry of :data:`repro.harness.registry.ADVERSARY` receives a dedicated
 spawned Generator, so adversarial runs are exactly reproducible (the
-acceptance property the result store relies on).
+acceptance property the result store relies on).  A new adversary is one
+entry of that table.
 """
 
 from __future__ import annotations

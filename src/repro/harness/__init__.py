@@ -2,10 +2,6 @@
 
 from . import configs, registry
 from .registry import (
-    ADVERSARY_BUILDERS,
-    CHURN_BUILDERS,
-    ORACLE_BUILDERS,
-    RUNTIME_BUILDERS,
     AdversaryRef,
     ChurnRef,
     OracleRef,
@@ -22,11 +18,7 @@ from .runner import (
 )
 
 __all__ = [
-    "ADVERSARY_BUILDERS",
     "ALGORITHMS",
-    "CHURN_BUILDERS",
-    "ORACLE_BUILDERS",
-    "RUNTIME_BUILDERS",
     "AdversaryRef",
     "ChurnRef",
     "OracleRef",

@@ -16,10 +16,12 @@ keys are:
 * the :class:`~repro.params.SystemParams` fields ``rho``, ``max_delay``,
   ``discovery_bound``, ``tick_interval`` and ``b0`` (``None``: chosen per
   Corollary 6.14);
-* ``churn`` (a :data:`CHURN` name) and ``adversary`` (an
-  :data:`ADVERSARY` name), each with the parameters its entry declares;
-* for ``runtime="live"``: ``duration`` (wall-clock seconds, in place of
-  ``horizon``), ``channel`` and ``jitter``;
+* ``churn`` and ``adversary``, each a name in its
+  :mod:`~repro.harness.registry` table (:data:`~repro.harness.registry.CHURN`,
+  :data:`~repro.harness.registry.ADVERSARY`), with the spec keys its entry
+  declares;
+* the keys of the ``runtime``'s entry: for ``"live"``, ``duration``
+  (wall-clock seconds, in place of ``horizon``), ``channel`` and ``jitter``;
 * ``name``, a :meth:`str.format` template over the resolved spec.
 
 A key no ingredient of the spec takes raises :class:`TypeError`, as an
@@ -32,27 +34,28 @@ these, so "the workload of experiment X" has one definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
-
-import numpy as np
 
 from ..core import skew_bounds
 from ..network.churn import ScriptedChurn
-from ..network.topology import (
-    grid_edges,
-    path_edges,
-    random_geometric,
-    ring_edges,
-    star_edges,
-    two_chain_edges,
-)
+from ..network.topology import grid_edges, path_edges, ring_edges, star_edges, two_chain_edges
 from ..params import SystemParams
-from .registry import AdversaryRef, ChurnRef, OracleRef, RuntimeRef
+from .registry import (
+    ADVERSARY,
+    CHURN,
+    RUNTIME,
+    AdversaryRef,
+    ChurnRef,
+    Ingredient,
+    OracleRef,
+    RuntimeRef,
+    entry,
+)
 from .runner import ExperimentConfig
 
 __all__ = [
-    "ADVERSARY", "CHURN", "TOPOLOGY", "WORKLOADS", "Workload", "build",
+    "TOPOLOGY", "WORKLOADS", "Workload", "build",
     "static_path", "static_ring", "large_ring", "huge_ring", "huge_grid",
     "huge_sync_ring", "huge_sync_grid", "huge_churn_ring", "static_grid",
     "backbone_churn", "rotating_backbone", "mobile_network", "edge_insertion",
@@ -63,15 +66,6 @@ __all__ = [
 
 Edge = tuple[int, int]
 Spec = dict[str, Any]
-
-
-@dataclass(frozen=True)
-class Ingredient:
-    """One table entry: ``make`` reads the resolved spec; ``keys`` are the
-    spec keys it takes, with their defaults."""
-
-    make: Callable[..., Any]
-    keys: Mapping[str, Any] = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------- #
@@ -92,157 +86,6 @@ TOPOLOGY: dict[str, tuple[tuple[str, ...], Callable[[Spec], list[Edge]]]] = {
 
 
 # --------------------------------------------------------------------- #
-# Churn: (spec, params, backbone) -> (E_0, churn entry or None)
-# --------------------------------------------------------------------- #
-
-
-def _rewirer(s: Spec, params: SystemParams, backbone: list[Edge]) -> Any:
-    """Arbitrary random rewiring of ``k_extra`` edges around the backbone."""
-    return backbone, ChurnRef("random_rewirer", {
-        "n": s["n"], "k_extra": s["k_extra"], "interval": s["rewire_interval"],
-        "protected": backbone, "horizon": s["horizon"],
-    })
-
-
-def _flapper(s: Spec, params: SystemParams, backbone: list[Edge]) -> Any:
-    """Chords flapping up and down: short up-times exercise re-discovery
-    and the Gamma eviction path (lost timers) heavily.  The chord is
-    ``endpoints``, or ``n_flappers`` chords drawn from ``seed``."""
-    if s["endpoints"] is not None:
-        flap = [s["endpoints"]]
-    else:
-        flap, rng, attempts = [], np.random.default_rng(s["seed"]), 0
-        while len(flap) < s["n_flappers"] and attempts < 100 * s["n_flappers"]:
-            attempts += 1
-            u, v = sorted((int(rng.integers(s["n"])), int(rng.integers(s["n"]))))
-            if v - u > 1 and (u, v) not in flap:
-                flap.append((u, v))
-    return backbone, ChurnRef("edge_flapper", {
-        "edges": flap, "up": s["up"], "down": s["down"], "horizon": s["horizon"],
-    })
-
-
-def _rotating(s: Spec, params: SystemParams, backbone: list[Edge]) -> Any:
-    """No stable edge at all: a different spanning path per ``window``.
-
-    ``overlap`` defaults to slightly above T + D, so the execution is
-    (T + D)-interval connected -- exactly the premise of Theorem 6.9 --
-    while *every* edge eventually disappears.
-    """
-    ov = s["overlap"]
-    if ov is None:
-        ov = 1.2 * (params.max_delay + params.discovery_bound)
-    if ov >= s["window"]:
-        raise ValueError("window must exceed the overlap")
-    return backbone, ChurnRef("rotating_backbone", {
-        "n": s["n"], "window": s["window"], "overlap": ov, "horizon": s["horizon"],
-    })
-
-
-def _mobile(s: Spec, params: SystemParams, backbone: list[Edge]) -> Any:
-    """Random-waypoint radio links (the intro's TDMA scenario).  The
-    backbone is kept alive unless ``keep_backbone`` is false, so the
-    connectivity premise holds while the radio topology churns freely."""
-    edges, pos = random_geometric(s["n"], s["radius"], np.random.default_rng(s["seed"]))
-    kept = backbone if s["keep_backbone"] else []
-    return sorted(set(edges) | set(kept)), ChurnRef("mobile_geometric", {
-        "positions": pos, "radius": s["radius"], "speed": s["speed"],
-        "update_interval": s["update_interval"], "protected": kept,
-        "horizon": s["horizon"],
-    })
-
-
-def _insertion(s: Spec, params: SystemParams, backbone: list[Edge]) -> Any:
-    """One edge appears at ``t_insert``: ``endpoints``, by default the
-    path's two ends (Section 1's motivating scenario) or, on the two-chain
-    graph, a shortcut across the middle of its B chain (Figure 1)."""
-    if s["endpoints"] is not None:
-        u, v = s["endpoints"]
-    elif s["topology"] == "two_chain":
-        b_chain = two_chain_edges(s["n"])[1]["B"]
-        u, v = sorted((b_chain[1], b_chain[len(b_chain) // 2]))
-    else:
-        u, v = 0, s["n"] - 1
-    return backbone, ScriptedChurn([(s["t_insert"], "add", u, v)])
-
-
-def _live_chord(s: Spec, params: SystemParams, backbone: list[Edge]) -> Any:
-    """A chord across the ring appears at 40% of the session and goes at
-    80%: live discovery injection and the envelope monitor's edge ages
-    against wall-clock timestamps."""
-    u, v, h = 0, s["n"] // 2, s["horizon"]
-    return backbone, ScriptedChurn([(0.4 * h, "add", u, v), (0.8 * h, "remove", u, v)])
-
-
-CHURN: dict[str, Ingredient] = {
-    "none": Ingredient(lambda s, params, backbone: (backbone, None)),
-    "random_rewirer": Ingredient(_rewirer, {"k_extra": 4, "rewire_interval": 5.0}),
-    "edge_flapper": Ingredient(
-        _flapper, {"n_flappers": 3, "up": 8.0, "down": 6.0, "endpoints": None}
-    ),
-    "scripted": Ingredient(
-        lambda s, params, backbone: (backbone, ScriptedChurn(s["events"]) if s["events"] else None),
-        {"events": ()},
-    ),
-    "rotating_backbone": Ingredient(_rotating, {"window": 30.0, "overlap": None}),
-    "mobile_geometric": Ingredient(
-        _mobile, {"radius": 0.35, "speed": 0.01, "update_interval": 2.0, "keep_backbone": True}
-    ),
-    "insertion": Ingredient(_insertion, {"t_insert": 100.0, "endpoints": None}),
-    "live_chord": Ingredient(_live_chord),
-}
-
-
-# --------------------------------------------------------------------- #
-# Adversaries (see repro.adversary and docs/adversaries.md):
-# (spec, params, backbone) -> AdversaryRef or None
-# --------------------------------------------------------------------- #
-
-
-def _drift_kwargs(s: Spec) -> dict[str, Any]:
-    return {"period": s["period"], "strength": s["strength"], "horizon": s["horizon"]}
-
-
-def _topology_kwargs(s: Spec, params: SystemParams, backbone: list[Edge]) -> dict[str, Any]:
-    # Every removal passes a guard certifying (T + D)-interval connectivity.
-    return {
-        "n": s["n"], "k_extra": s["k_extra"], "period": s["period"], "protected": backbone,
-        "interval": params.max_delay + params.discovery_bound,
-    }
-
-
-ADVERSARY: dict[str, Ingredient] = {
-    "none": Ingredient(lambda s, params, backbone: None),
-    # Re-pins the leading half to 1 + strength*rho (trailing half to
-    # 1 - strength*rho) each period: skew versus adversary power.
-    "drift": Ingredient(
-        lambda s, params, backbone: AdversaryRef("adaptive_drift", _drift_kwargs(s)),
-        {"period": 5.0, "strength": 1.0},
-    ),
-    # Messages from an ahead node take T, from a behind node 0: the lower
-    # bounds' shifting technique, re-aimed at each send.
-    "delay": Ingredient(lambda s, params, backbone: AdversaryRef("adaptive_delay", {})),
-    # Greedy skew-seeking churn of k_extra edges, each retracted after
-    # ``hold`` (expose-and-retract; None keeps it until recycled).
-    "topology": Ingredient(
-        lambda s, params, backbone: AdversaryRef("greedy_topology", {
-            **_topology_kwargs(s, params, backbone), "hold": s["hold"], "horizon": s["horizon"],
-        }),
-        {"k_extra": 4, "period": 5.0, "hold": 2.0},
-    ),
-    # Drift + delay + topology on one execution: the closest executable
-    # analogue of the model's quantifier.
-    "combined": Ingredient(
-        lambda s, params, backbone: AdversaryRef("combined", {
-            "drift": _drift_kwargs(s), "delay": {},
-            "topology": {**_topology_kwargs(s, params, backbone), "horizon": s["horizon"]},
-        }),
-        {"period": 5.0, "strength": 1.0, "k_extra": 4},
-    ),
-}
-
-
-# --------------------------------------------------------------------- #
 # build
 # --------------------------------------------------------------------- #
 
@@ -255,13 +98,6 @@ _KEYS = {
     *_CONFIG_KEYS, *_PARAM_KEYS, "b0", "oracle", "runtime", "name",
     "topology", "churn", "adversary",
 }
-_LIVE_KEYS = ("duration", "channel", "jitter")
-
-
-def _entry(table: Mapping[str, Any], key: str, s: Spec) -> Any:
-    if s[key] not in table:
-        raise KeyError(f"unknown {key} {s[key]!r}; choose from {sorted(table)}")
-    return table[s[key]]
 
 
 def build(spec: Mapping[str, Any]) -> ExperimentConfig:
@@ -270,12 +106,15 @@ def build(spec: Mapping[str, Any]) -> ExperimentConfig:
         "churn": "none", "adversary": "none", "runtime": "sim",
         "algorithm": "dcsa", "seed": 0, "b0": None, "name": "", **spec,
     }
-    size, edges_of = _entry(TOPOLOGY, "topology", s)
-    churn, adversary = _entry(CHURN, "churn", s), _entry(ADVERSARY, "adversary", s)
-    live = s["runtime"] == "live"
-    allowed = _KEYS | set(size) | set(churn.keys) | set(adversary.keys)
-    if live:  # a session runs for ``duration`` wall-clock seconds
-        allowed = (allowed - {"horizon"}) | set(_LIVE_KEYS)
+    size, edges_of = entry(TOPOLOGY, s["topology"], "topology")
+    churn = entry(CHURN, s["churn"], "churn")
+    adversary = entry(ADVERSARY, s["adversary"], "adversary")
+    # An unknown runtime name is refused when the config runs.
+    runtime = RUNTIME.get(s["runtime"], Ingredient())
+    allowed = _KEYS | set(size) | set(churn.keys) | set(adversary.keys) | set(runtime.keys)
+    live = "duration" in runtime.keys  # a session runs for ``duration`` seconds
+    if live:
+        allowed.discard("horizon")
     unknown = sorted(set(spec) - allowed)
     if unknown:
         raise TypeError(
@@ -286,7 +125,7 @@ def build(spec: Mapping[str, Any]) -> ExperimentConfig:
     missing = [k for k in size if k not in s]
     if missing:
         raise TypeError(f"spec is missing its size {missing}")
-    s = {**churn.keys, **adversary.keys, **s}
+    s = {**churn.keys, **adversary.keys, **runtime.keys, **s}
     if live:
         s["horizon"] = s.pop("duration")
     s.setdefault("horizon", ExperimentConfig.horizon)
@@ -298,17 +137,21 @@ def build(spec: Mapping[str, Any]) -> ExperimentConfig:
     if s["horizon"] is None:  # t_insert plus three stabilisation times
         s["horizon"] = s["t_insert"] + 3.0 * skew_bounds.stabilization_time(params)
     backbone = edges_of(s)
-    initial, entry = churn.make(s, params, backbone)
+    initial, churned = churn.make(s, params, backbone) if churn.make else (backbone, None)
+    if churn.build:
+        churned = ChurnRef(churn.ref or s["churn"], churned)
+    elif churned:
+        churned = ScriptedChurn(churned)
     return ExperimentConfig(
         params=params,
         initial_edges=initial,
-        churn=[] if entry is None else [entry],
-        adversary=adversary.make(s, params, backbone),
-        oracle=OracleRef("standard", {}) if s.get("oracle") else None,
-        runtime=(
-            RuntimeRef("live", {"channel": s["channel"], "jitter": s["jitter"]})
-            if live else s["runtime"]
+        churn=[churned] if churned else [],
+        adversary=(
+            AdversaryRef(adversary.ref or s["adversary"], adversary.make(s, params, backbone))
+            if adversary.make else None
         ),
+        oracle=OracleRef("standard", {}) if s.get("oracle") else None,
+        runtime=RuntimeRef(s["runtime"], runtime.make(s)) if runtime.make else s["runtime"],
         track_edges=s.get("record", True),
         name=s["name"].format(**s),
         **{k: s[k] for k in _CONFIG_KEYS if k in s},
@@ -372,8 +215,7 @@ _LOCKSTEP = {
 #: ~40 protocol rounds per node, enough for the oracle's rate and skew
 #: monitors to check something real.
 _LIVE = {
-    "runtime": "live", "duration": 5.0, "sample_interval": 0.25,
-    "channel": "loopback", "jitter": 0.0, "record": False, "oracle": True,
+    "runtime": "live", "sample_interval": 0.25, "record": False, "oracle": True,
     "rho": 0.05, "max_delay": 0.1, "discovery_bound": 0.2, "tick_interval": 0.05,
 }
 

@@ -30,21 +30,14 @@ from ..core.batch import SEGMENT_CLOCKS, Decline, NodeArrayTable
 from ..core.dcsa import DCSANode
 from ..core.node import ClockSyncNode, Population
 from ..core.protocol import DCSACore, StaticGradientCore
-from ..network.channels import ConstantDelay, DelayPolicy, UniformDelay
+from ..network.channels import DelayPolicy
 from ..network.churn import ChurnProcess, ScriptedChurn
-from ..network.discovery import ConstantDiscovery, DiscoveryPolicy, UniformDiscovery
+from ..network.discovery import DiscoveryPolicy
 from ..network.graph import DynamicGraph
 from ..network.transport import Transport
 from ..oracle.oracle import OracleReport, StreamingOracle, resolve_oracle
 from ..params import SystemParams
-from ..sim.clocks import (
-    ConstantRateClock,
-    HardwareClock,
-    PiecewiseRateClock,
-    random_walk_rates,
-    validate_drift,
-    validate_drift_columns,
-)
+from ..sim.clocks import ConstantRateClock, HardwareClock, validate_drift
 from ..sim.par import ParNodeArrayTable
 from ..sim.rng import RngFactory
 from ..sim.simulator import Simulator
@@ -52,12 +45,17 @@ from ..telemetry.registry import active_registry
 from ..tracing.context import Tracer, active_tracer
 from ..tracing.spans import SpanTable
 from .registry import (
-    RUNTIME_BUILDERS,
+    CLOCK,
+    DELAY,
+    DISCOVERY,
+    RUNTIME,
     AdversaryRef,
     ChurnRef,
+    Ingredient,
     OracleRef,
     RuntimeRef,
     SerializationError,
+    entry,
     jsonify,
 )
 
@@ -96,11 +94,15 @@ def _ref_entry(
     instance: str | None = None,
     hint: str = "",
 ) -> Any:
-    """``to_dict`` form of a ``ref_cls`` config ingredient.
+    """``to_dict`` form of a ``ref_cls`` config ingredient (``None`` passes
+    through).
 
     Anything else -- a concrete ``base`` instance or a raw builder
-    callable -- has no plain-data form and raises, naming the registry.
+    callable -- has no plain-data form and raises, naming the table a new
+    entry goes in.
     """
+    if value is None:
+        return None
     if isinstance(value, ref_cls):
         return value.to_dict()
     what = (
@@ -109,20 +111,19 @@ def _ref_entry(
         else f"{noun} builder callable {getattr(value, '__name__', value)!r}"
     )
     raise SerializationError(
-        f"cannot serialize {what}; register a factory in "
-        f"repro.harness.registry.{noun.upper()}_BUILDERS (via "
-        f"@register_{noun}(name)) and reference it as "
+        f"cannot serialize {what}; add an entry to "
+        f"repro.harness.registry.{noun.upper()} and reference it as "
         f"{ref_cls.__name__}(name, kwargs).{hint}"
     )
 
 
-def _ref_from_entry(entry: Mapping[str, Any] | None, ref_cls: Any, noun: str) -> Any:
+def _ref_from_entry(data: Any, ref_cls: Any, noun: str) -> Any:
     """Inverse of :func:`_ref_entry` (``None`` passes through)."""
-    if entry is None:
+    if data is None:
         return None
-    if entry.get("kind") != "ref":
-        raise ValueError(f"unknown {noun} entry kind {entry.get('kind')!r}")
-    return ref_cls.from_dict(entry)
+    if not isinstance(data, Mapping) or data.get("kind") != "ref":
+        raise ValueError(f"unknown {noun} entry {data!r}")
+    return ref_cls.from_dict(data)
 
 
 @dataclass
@@ -139,17 +140,18 @@ class ExperimentConfig:
         Key into :data:`ALGORITHMS` (``"dcsa"``, ``"max"``, ``"static"``,
         ``"free"``).
     clock_spec:
-        Hardware clock assignment.  Strings: ``"perfect"``,
-        ``"random_walk"`` (bounded AR(1) drift), ``"split"`` (first half
-        ``1+rho``, second half ``1-rho``), ``"alternating"`` (odd/even),
-        ``"uniform"`` (constant rate drawn uniformly from the envelope per
-        node); or a callable ``(node_id, params, rng, horizon) -> clock``.
+        Hardware clock assignment: a name in
+        :data:`~repro.harness.registry.CLOCK` (``"perfect"``,
+        ``"random_walk"``, ``"split"``, ``"alternating"``, ``"uniform"``)
+        or a callable ``(node_id, params, rng, horizon) -> clock``.
     delay_spec:
-        ``"uniform"`` ([0, T] i.i.d.), ``"max"`` (always T), ``"zero"``,
-        ``"half"`` (T/2); or a callable ``(params, rng) -> DelayPolicy``.
+        A name in :data:`~repro.harness.registry.DELAY` (``"uniform"``,
+        ``"max"``, ``"half"``, ``"zero"``) or a callable
+        ``(params, rng) -> DelayPolicy``.
     discovery_spec:
-        ``"uniform"`` ([0, D] i.i.d.), ``"max"`` (always D), ``"zero"``;
-        or a callable ``(params, rng) -> DiscoveryPolicy``.
+        A name in :data:`~repro.harness.registry.DISCOVERY`
+        (``"uniform"``, ``"max"``, ``"zero"``) or a callable
+        ``(params, rng) -> DiscoveryPolicy``.
     churn:
         Concrete :class:`ChurnProcess` instances and/or builders
         ``(params, rng) -> ChurnProcess``.
@@ -189,8 +191,7 @@ class ExperimentConfig:
         ``RuntimeRef("live", {"channel": "loopback"})`` to drive the same
         protocol cores on a real asyncio loop (:mod:`repro.live`), where
         ``horizon`` is interpreted as wall-clock seconds.  A bare string
-        resolves against
-        :data:`~repro.harness.registry.RUNTIME_BUILDERS`.
+        names an entry of :data:`~repro.harness.registry.RUNTIME`.
     name:
         Label carried into reports.
     """
@@ -226,58 +227,34 @@ class ExperimentConfig:
         spec strings stay strings, churn entries must be
         :class:`~repro.harness.registry.ChurnRef` or
         :class:`~repro.network.churn.ScriptedChurn`.  Raw callables raise
-        :class:`~repro.harness.registry.SerializationError` pointing at the
-        registry to use instead.
+        :class:`~repro.harness.registry.SerializationError` naming the
+        table a new entry goes in.
         """
-        churn_entries: list[dict[str, Any]] = []
-        for proc in self.churn:
-            if isinstance(proc, ScriptedChurn):
-                churn_entries.append(
-                    {"kind": "scripted", "events": jsonify(proc.events)}
-                )
-            else:
-                churn_entries.append(
-                    _ref_entry(
-                        proc, ChurnRef, ChurnProcess, "churn",
-                        instance="churn process",
-                        hint=" ScriptedChurn and ChurnRef entries serialize directly.",
-                    )
-                )
-        oracle_entry = (
-            None
-            if self.oracle is None
-            else _ref_entry(self.oracle, OracleRef, StreamingOracle, "oracle")
-        )
-        adversary_entry = (
-            None
-            if self.adversary is None
-            else _ref_entry(self.adversary, AdversaryRef, Adversary, "adversary")
-        )
-        if isinstance(self.runtime, str):
-            runtime_entry: Any = self.runtime
-        elif isinstance(self.runtime, RuntimeRef):
-            runtime_entry = self.runtime.to_dict()
-        else:
+        churn_entries = [
+            {"kind": "scripted", "events": jsonify(proc.events)}
+            if isinstance(proc, ScriptedChurn)
+            else _ref_entry(
+                proc, ChurnRef, ChurnProcess, "churn", instance="churn process",
+                hint=" ScriptedChurn and ChurnRef entries serialize directly.",
+            )
+            for proc in self.churn
+        ]
+        if not isinstance(self.runtime, (str, RuntimeRef)):
             raise SerializationError(
-                f"cannot serialize runtime {self.runtime!r}; use a registered "
-                "runtime name or RuntimeRef(name, kwargs)"
+                f"cannot serialize runtime {self.runtime!r}; name an entry of "
+                "repro.harness.registry.RUNTIME or use RuntimeRef(name, kwargs)"
             )
         return {
             "params": self.params.to_dict(),
             "initial_edges": [[int(u), int(v)] for u, v in self.initial_edges],
             "algorithm": self.algorithm,
-            "clock_spec": _spec_name(
-                self.clock_spec, "clock_spec",
-                "perfect, random_walk, split, alternating, uniform",
-            ),
-            "delay_spec": _spec_name(
-                self.delay_spec, "delay_spec", "uniform, max, half, zero"
-            ),
+            "clock_spec": _spec_name(self.clock_spec, "clock_spec", CLOCK),
+            "delay_spec": _spec_name(self.delay_spec, "delay_spec", DELAY),
             "discovery_spec": _spec_name(
-                self.discovery_spec, "discovery_spec", "uniform, max, zero"
+                self.discovery_spec, "discovery_spec", DISCOVERY
             ),
             "churn": churn_entries,
-            "adversary": adversary_entry,
+            "adversary": _ref_entry(self.adversary, AdversaryRef, Adversary, "adversary"),
             "horizon": float(self.horizon),
             "sample_interval": float(self.sample_interval),
             "seed": int(self.seed),
@@ -285,8 +262,10 @@ class ExperimentConfig:
             "track_max_estimates": bool(self.track_max_estimates),
             "stagger_ticks": bool(self.stagger_ticks),
             "record": bool(self.record),
-            "oracle": oracle_entry,
-            "runtime": runtime_entry,
+            "oracle": _ref_entry(self.oracle, OracleRef, StreamingOracle, "oracle"),
+            "runtime": (
+                self.runtime if isinstance(self.runtime, str) else self.runtime.to_dict()
+            ),
             "name": self.name,
         }
 
@@ -296,34 +275,17 @@ class ExperimentConfig:
         data = dict(data)
         params = SystemParams.from_dict(data.pop("params"))
         initial_edges = [(int(u), int(v)) for u, v in data.pop("initial_edges")]
-        churn: list[ChurnProcess | ChurnBuilder] = []
-        for entry in data.pop("churn", []):
-            kind = entry.get("kind")
-            if kind == "ref":
-                churn.append(ChurnRef.from_dict(entry))
-            elif kind == "scripted":
-                churn.append(
-                    ScriptedChurn(
-                        [
-                            (float(t), str(op), int(u), int(v))
-                            for t, op, u, v in entry["events"]
-                        ]
-                    )
-                )
-            else:
-                raise ValueError(f"unknown churn entry kind {kind!r}")
-        adversary = _ref_from_entry(
-            data.pop("adversary", None), AdversaryRef, "adversary"
-        )
+        churn: list[ChurnProcess | ChurnBuilder] = [
+            ScriptedChurn([(float(t), str(op), int(u), int(v)) for t, op, u, v in item["events"]])
+            if item.get("kind") == "scripted"
+            else _ref_from_entry(item, ChurnRef, "churn")
+            for item in data.pop("churn", [])
+        ]
+        adversary = _ref_from_entry(data.pop("adversary", None), AdversaryRef, "adversary")
         oracle = _ref_from_entry(data.pop("oracle", None), OracleRef, "oracle")
-        runtime: str | RuntimeRef = "sim"
-        runtime_entry = data.pop("runtime", "sim")
-        if isinstance(runtime_entry, str):
-            runtime = runtime_entry
-        elif isinstance(runtime_entry, Mapping) and runtime_entry.get("kind") == "ref":
-            runtime = RuntimeRef.from_dict(runtime_entry)
-        else:
-            raise ValueError(f"unknown runtime entry {runtime_entry!r}")
+        runtime = data.pop("runtime", "sim")
+        if not isinstance(runtime, str):
+            runtime = _ref_from_entry(runtime, RuntimeRef, "runtime")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -492,13 +454,20 @@ class RunResult:
 # ---------------------------------------------------------------------- #
 
 
-def _spec_name(spec: Any, field_name: str, built_in: str) -> str:
+def _spec_name(spec: Any, field_name: str, table: Mapping[str, Ingredient]) -> str:
     if isinstance(spec, str):
         return spec
     raise SerializationError(
         f"{field_name} callables cannot be serialized; use one of the "
-        f"built-in spec strings: {built_in}"
+        f"built-in spec strings: {', '.join(table)}"
     )
+
+
+def _construct(spec: Any, table: Mapping[str, Ingredient], noun: str, *args: Any) -> Any:
+    """What the run builds from a spec field: a callable spec is called, a
+    name calls its table entry's constructor."""
+    build = spec if callable(spec) else entry(table, spec, noun).build
+    return build(*args)
 
 
 def _draw_clocks(
@@ -507,69 +476,18 @@ def _draw_clocks(
     rng: np.random.Generator,
     horizon: float,
 ) -> tuple[npt.NDArray[np.float64], list[HardwareClock | None]]:
-    """Every node's hardware clock, in id order, as the ``rate`` column of
-    a constant-rate built-in spec (no clock objects: ``[None] * n``), a
-    ``random_walk``'s first-piece rates and its clocks, or -- a callable
-    spec -- its clocks, whose rows are seated from them (the rates are
-    ones).  A built-in spec draws ``rng`` as one call per node would, in
-    id order, with one vector call."""
-    n = params.n
-    rho = params.rho
-    if callable(spec):
-        clocks: list[HardwareClock | None] = []
-        for i in range(n):
-            clock = spec(i, params, rng, horizon)
-            validate_drift(clock, rho)
-            clocks.append(clock)
-        return np.ones(n), clocks
-    ids = np.arange(n)
-    if spec == "random_walk":
-        segment = max(horizon / 20.0, 4.0 * params.tick_interval)
-        times, walk = random_walk_rates(rho, horizon, segment, rng, n)
-        validate_drift_columns(walk.min(axis=1), walk.max(axis=1), rho)
-        return walk[:, 0].copy(), [PiecewiseRateClock(times, row) for row in walk]
-    if spec == "perfect":
-        rates = np.ones(n)
-    elif spec == "split":
-        rates = np.where(ids < n // 2, 1.0 + rho, 1.0 - rho)
-    elif spec == "alternating":
-        rates = np.where(ids % 2 == 0, 1.0 + rho, 1.0 - rho)
-    elif spec == "uniform":
-        rates = 1.0 + rho * rng.uniform(-1.0, 1.0, n)
-    else:
-        raise ValueError(f"unknown clock spec {spec!r}")
-    validate_drift_columns(rates, rates, rho)
-    return rates, [None] * n
-
-
-def _make_delay(
-    spec: DelaySpec, params: SystemParams, rng: np.random.Generator
-) -> DelayPolicy:
-    if callable(spec):
-        return spec(params, rng)
-    if spec == "uniform":
-        return UniformDelay(0.0, params.max_delay, rng)
-    if spec == "max":
-        return ConstantDelay(params.max_delay)
-    if spec == "half":
-        return ConstantDelay(0.5 * params.max_delay)
-    if spec == "zero":
-        return ConstantDelay(0.0)
-    raise ValueError(f"unknown delay spec {spec!r}")
-
-
-def _make_discovery(
-    spec: DiscoverySpec, params: SystemParams, rng: np.random.Generator
-) -> DiscoveryPolicy:
-    if callable(spec):
-        return spec(params, rng)
-    if spec == "uniform":
-        return UniformDiscovery(0.0, params.discovery_bound, rng)
-    if spec == "max":
-        return ConstantDiscovery(params.discovery_bound)
-    if spec == "zero":
-        return ConstantDiscovery(0.0)
-    raise ValueError(f"unknown discovery spec {spec!r}")
+    """Every node's hardware clock, in id order: a named spec's ``rate``
+    column and clocks (see :data:`~repro.harness.registry.CLOCK`), or --
+    a callable spec, called once per node -- its clocks, whose rows are
+    seated from them (the rates are ones)."""
+    if not callable(spec):
+        return _construct(spec, CLOCK, "clock spec", params, rng, horizon)
+    clocks: list[HardwareClock | None] = []
+    for i in range(params.n):
+        clock = spec(i, params, rng, horizon)
+        validate_drift(clock, params.rho)
+        clocks.append(clock)
+    return np.ones(params.n), clocks
 
 
 def _draw_staggers(
@@ -664,9 +582,12 @@ class Experiment:
         self.transport = make_transport(
             self.sim,
             self.graph,
-            delay_policy=_make_delay(cfg.delay_spec, params, rngf.spawn("delay")),
-            discovery_policy=_make_discovery(
-                cfg.discovery_spec, params, rngf.spawn("discovery")
+            delay_policy=_construct(
+                cfg.delay_spec, DELAY, "delay spec", params, rngf.spawn("delay")
+            ),
+            discovery_policy=_construct(
+                cfg.discovery_spec, DISCOVERY, "discovery spec", params,
+                rngf.spawn("discovery"),
             ),
             max_delay=params.max_delay,
             discovery_bound=params.discovery_bound,
@@ -864,19 +785,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run an experiment under its configured runtime (the main entry point).
 
     ``cfg.runtime`` selects the execution engine: ``"sim"`` (default)
-    builds the discrete-event :class:`Experiment`; other registered
-    runtimes (e.g. ``"live"``) receive the config whole.  See
-    :class:`~repro.harness.registry.RuntimeRef`.
+    builds the discrete-event :class:`Experiment`; the other entries of
+    :data:`~repro.harness.registry.RUNTIME` (e.g. ``"live"``) receive the
+    config whole.  See :class:`~repro.harness.registry.RuntimeRef`.
     """
     runtime = cfg.runtime
     if isinstance(runtime, str):
-        # Engine selection goes through the registry uniformly -- "sim" is
-        # just the built-in entry of RUNTIME_BUILDERS, so drop-in execution
-        # engines only need register_runtime(), no runner changes.
-        if runtime not in RUNTIME_BUILDERS:
+        # "sim" is just an entry of the RUNTIME table: a new execution
+        # engine is one more entry, with no runner change.
+        if runtime not in RUNTIME:
             raise ValueError(
-                f"unknown runtime {runtime!r}; registered: "
-                f"{sorted(RUNTIME_BUILDERS)}"
+                f"unknown runtime {runtime!r}; registered: {sorted(RUNTIME)}"
             )
         runtime = RuntimeRef(runtime, {})
     return runtime.run(cfg)

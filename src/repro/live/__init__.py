@@ -22,7 +22,7 @@ See ``docs/live.md`` for the architecture tour.
 """
 
 from .channels import ChannelError, LiveChannel, LoopbackChannel, UdpChannel
-from .clocks import LiveClock, build_live_clocks
+from .clocks import LiveClock
 from .driver import build_live_runtime, run_live_experiment
 from .runtime import LiveNodeView, LiveRunResult, LiveRuntime
 
@@ -35,7 +35,6 @@ __all__ = [
     "LiveRuntime",
     "LoopbackChannel",
     "UdpChannel",
-    "build_live_clocks",
     "build_live_runtime",
     "run_live_experiment",
 ]

@@ -15,13 +15,16 @@ session exhibits the same rate asymmetries a real deployment of
 independent oscillators would, at a magnitude of the operator's choosing.
 Constant rates keep both the forward map and the subjective-delay inverse
 exact -- the live analogue of :class:`repro.sim.clocks.ConstantRateClock`.
+
+The rates are a config's ``clock_spec`` drawn through its entry of
+:data:`repro.harness.registry.CLOCK`, the rate column a simulated run
+draws (:func:`repro.live.driver.build_live_runtime`); ``random_walk``
+draws as ``uniform``, its stationary constant-rate analogue.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["LiveClock", "build_live_clocks"]
+__all__ = ["LiveClock"]
 
 
 class LiveClock:
@@ -45,31 +48,3 @@ class LiveClock:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LiveClock(rate={self.rate!r})"
 
-
-def build_live_clocks(
-    spec: str,
-    n: int,
-    rho: float,
-    rng: np.random.Generator,
-) -> dict[int, LiveClock]:
-    """Build per-node live clocks for a harness ``clock_spec`` string.
-
-    Live clocks are constant-rate, so the piecewise specs of the simulator
-    map onto their constant-rate analogues:
-
-    * ``"perfect"`` -- every rate exactly 1;
-    * ``"split"`` -- first half ``1 + rho``, second half ``1 - rho``;
-    * ``"alternating"`` -- even ids ``1 + rho``, odd ids ``1 - rho``;
-    * anything else (``"uniform"``, ``"random_walk"``, registered names)
-      -- per-node constant rate drawn uniformly from ``[1-rho, 1+rho]``,
-      the stationary analogue of a wandering oscillator.
-    """
-    if spec == "perfect":
-        rates = [1.0] * n
-    elif spec == "split":
-        rates = [1.0 + rho if i < n // 2 else 1.0 - rho for i in range(n)]
-    elif spec == "alternating":
-        rates = [1.0 + rho if i % 2 == 0 else 1.0 - rho for i in range(n)]
-    else:
-        rates = [1.0 + rho * float(rng.uniform(-1.0, 1.0)) for _ in range(n)]
-    return {i: LiveClock(rate) for i, rate in enumerate(rates)}

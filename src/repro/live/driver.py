@@ -1,9 +1,8 @@
 """Run an :class:`~repro.harness.runner.ExperimentConfig` in real time.
 
 :func:`run_live_experiment` is the bridge between the declarative harness
-config and the asyncio runtime: it is what
-``RuntimeRef("live", {...})`` resolves to (see
-:data:`repro.harness.registry.RUNTIME_BUILDERS`), so
+config and the asyncio runtime: it is the constructor of the ``"live"``
+entry of :data:`repro.harness.registry.RUNTIME`, so
 
 .. code-block:: python
 
@@ -19,8 +18,10 @@ Config interpretation in live mode:
 
 * ``horizon`` is the session duration in **wall-clock seconds** (one model
   time unit == one second, so ``params.max_delay`` etc. are in seconds);
-* ``clock_spec`` maps to constant-rate artificial drift
-  (:func:`repro.live.clocks.build_live_clocks`);
+* ``clock_spec`` names an entry of :data:`repro.harness.registry.CLOCK`
+  whose rate column becomes constant-rate artificial drift
+  (:mod:`repro.live.clocks`; ``random_walk`` draws as ``uniform``); a
+  callable spec builds simulated clocks and is rejected;
 * ``churn`` must consist of :class:`~repro.network.churn.ScriptedChurn`
   entries (replayed at wall-clock offsets); randomized churn builders,
   adversaries and the recorder are simulation-only and rejected;
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..harness.registry import RuntimeRef
+from ..harness.registry import CLOCK, RuntimeRef, entry
 from ..harness.runner import (
     ALGORITHMS,
     ExperimentConfig,
@@ -46,7 +47,7 @@ from ..oracle.oracle import resolve_oracle
 from ..sim.rng import RngFactory
 from ..tracing.context import active_tracer
 from .channels import LiveChannel, LoopbackChannel, UdpChannel
-from .clocks import build_live_clocks
+from .clocks import LiveClock
 from .runtime import ChurnEvent, LiveRunResult, LiveRuntime
 
 __all__ = ["build_live_runtime", "run_live_experiment"]
@@ -100,6 +101,11 @@ def build_live_runtime(
             "adaptive adversaries steer simulated clocks/delays and cannot "
             "run against wall-clock hardware; use the sim runtime"
         )
+    if not isinstance(cfg.clock_spec, str):
+        raise ValueError(
+            "a callable clock_spec builds simulated clocks and cannot drive "
+            "wall-clock hardware; name an entry of repro.harness.registry.CLOCK"
+        )
     churn_events: list[ChurnEvent] = []
     for proc in cfg.churn:
         if not isinstance(proc, ScriptedChurn):
@@ -114,12 +120,11 @@ def build_live_runtime(
     core_cls = node_cls.core_class
     assert core_cls is not None
     rngf = RngFactory(cfg.seed)
-    clocks = build_live_clocks(
-        cfg.clock_spec if isinstance(cfg.clock_spec, str) else "uniform",
-        params.n,
-        params.rho,
-        rngf.spawn("live_clocks"),
-    )
+    spec = "uniform" if cfg.clock_spec == "random_walk" else cfg.clock_spec
+    draw = entry(CLOCK, spec, "clock spec").build
+    assert draw is not None
+    rates, _ = draw(params, rngf.spawn("live_clocks"), cfg.horizon)
+    clocks = {i: LiveClock(rate) for i, rate in enumerate(rates.tolist())}
     stagger = _draw_staggers(node_cls, cfg, rngf.spawn("live_stagger"))
     cores: dict[int, ProtocolCore] = {
         i: core_cls(i, params, **({} if stagger is None else {"tick_stagger": float(stagger[i])}))

@@ -351,7 +351,7 @@ class LiveRuntime:
     cores:
         ``node_id -> ProtocolCore``; ids must be ``0..n-1``.
     clocks:
-        ``node_id -> LiveClock`` (see :func:`repro.live.clocks.build_live_clocks`).
+        ``node_id -> LiveClock`` (see :mod:`repro.live.clocks`).
     channel:
         The message fabric (loopback or UDP).
     duration:

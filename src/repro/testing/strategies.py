@@ -152,7 +152,7 @@ def _scripted(pick: Pick, chords: list[Edge]) -> dict[str, Any]:
 
 
 #: Churn draws: ``(pick, chords) -> spec keys`` of that
-#: :data:`~repro.harness.configs.CHURN` family (``{}``: no churn).  Chords
+#: :data:`~repro.harness.registry.CHURN` entry (``{}``: no churn).  Chords
 #: only are touched, so every draw keeps the backbone alive.
 _CHURN_DRAWS: dict[str, Callable[[Pick, list[Edge]], dict[str, Any]]] = {
     "none": lambda pick, chords: {},
@@ -167,7 +167,7 @@ _CHURN_DRAWS: dict[str, Callable[[Pick, list[Edge]], dict[str, Any]]] = {
 
 
 #: Adversary draws: ``pick -> spec keys`` of that
-#: :data:`~repro.harness.configs.ADVERSARY` family; the model-respecting
+#: :data:`~repro.harness.registry.ADVERSARY` entry; the model-respecting
 #: adaptive ones.
 _ADVERSARY_DRAWS: dict[str, Callable[[Pick], dict[str, Any]]] = {
     "none": lambda pick: {},

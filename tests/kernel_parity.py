@@ -29,7 +29,6 @@ from repro.core.node import ClockSyncNode, Population
 from repro.core.protocol import DCSACore, JumpL, ProtocolCore
 from repro.harness import configs
 from repro.harness.runner import Experiment, RunResult
-from repro.network.churn import ScriptedChurn
 from repro.network.discovery import ConstantDiscovery
 from repro.obs import timeline_session
 from repro.sim import simulator as simulator_mod
@@ -419,8 +418,9 @@ CHURN_SCRIPT = [
 
 
 def churned_sync_ring(script=CHURN_SCRIPT, n=48, horizon=40.0, **overrides):
-    cfg = configs.huge_sync_ring(n, horizon=horizon)
-    return replace(cfg, churn=[ScriptedChurn(script)], **overrides)
+    return configs.huge_sync_ring(
+        n, horizon=horizon, churn="scripted", events=script, **overrides
+    )
 
 
 def fast_discovery(params, rng):

@@ -26,15 +26,9 @@ from repro.core.dcsa import DCSANode
 from repro.core.node import ClockSyncNode
 from repro.core.protocol import JumpL
 from repro.harness import configs
-from repro.harness.registry import AdversaryRef, ChurnRef
+from repro.harness.registry import DELAY, DISCOVERY, AdversaryRef, ChurnRef
 from repro.analysis.recorder import RunRecord
-from repro.harness.runner import (
-    Experiment,
-    RunResult,
-    _draw_clocks,
-    _make_delay,
-    _make_discovery,
-)
+from repro.harness.runner import Experiment, RunResult, _draw_clocks
 from repro.network import transport as transport_mod
 from repro.network.channels import ConstantDelay, UniformDelay
 from repro.network.churn import ScriptedChurn
@@ -190,8 +184,8 @@ def _hand_wired(cfg):
     graph = DynamicGraph(range(params.n), cfg.initial_edges)
     transport = Transport(
         sim, graph,
-        delay_policy=_make_delay(cfg.delay_spec, params, rngf.spawn("delay")),
-        discovery_policy=_make_discovery(cfg.discovery_spec, params, rngf.spawn("discovery")),
+        delay_policy=DELAY[cfg.delay_spec].build(params, rngf.spawn("delay")),
+        discovery_policy=DISCOVERY[cfg.discovery_spec].build(params, rngf.spawn("discovery")),
         max_delay=params.max_delay, discovery_bound=params.discovery_bound,
     )
     rates, clocks = _draw_clocks(cfg.clock_spec, params, rngf.spawn("clocks"), cfg.horizon)

@@ -199,9 +199,9 @@ class TestHugeWorkloads:
 
 class TestEngineRegistry:
     def test_sim_runtime_resolves_through_registry(self):
-        from repro.harness.registry import RUNTIME_BUILDERS
+        from repro.harness.registry import RUNTIME, RuntimeRef
 
-        assert "sim" in RUNTIME_BUILDERS
+        assert RUNTIME["sim"].build is not None and "sim" in RuntimeRef.builders()
         res = run_experiment(configs.static_ring(5, horizon=10.0))
         assert res.events_dispatched > 0
 

@@ -39,7 +39,7 @@ from repro.core.batch import NodeArrayTable
 from repro.core.protocol import MaxSyncCore, StaticGradientCore
 from repro.harness import configs
 from repro.adversary.topology import GreedyTopologyAdversary
-from repro.harness.registry import AdversaryRef, ChurnRef, OracleRef
+from repro.harness.registry import AdversaryRef, OracleRef
 from repro.network.churn import ScriptedChurn
 from repro.params import SystemParams
 from repro.sim.clocks import (
@@ -121,13 +121,9 @@ class _Twice:
 
 
 def _rewired(n=128, horizon=20.0):
-    cfg = configs.huge_sync_ring(n, horizon=horizon)
-    churn = ChurnRef(
-        "random_rewirer",
-        {"n": n, "k_extra": 6, "interval": 1.7, "protected": list(cfg.initial_edges),
-         "horizon": horizon},
+    return configs.huge_sync_ring(
+        n, horizon=horizon, churn="random_rewirer", k_extra=6, rewire_interval=1.7
     )
-    return replace(cfg, churn=[churn])
 
 
 def _blocked_at_the_wave(exp):

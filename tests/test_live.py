@@ -22,7 +22,6 @@ from repro.live import (
     LiveRuntime,
     LoopbackChannel,
     UdpChannel,
-    build_live_clocks,
     build_live_runtime,
 )
 
@@ -257,6 +256,15 @@ class TestDriverValidation:
         with pytest.raises(ValueError, match="channel"):
             build_live_runtime(self._cfg(), channel="carrier-pigeon")
 
+    def test_callable_clock_spec_rejected(self):
+        """A callable spec returns simulated clocks a wall-clock session
+        cannot run at: refused, not silently replaced by uniform drift."""
+        from repro.sim.clocks import ConstantRateClock
+
+        cfg = self._cfg(clock_spec=lambda i, p, rng, h: ConstantRateClock(1.0))
+        with pytest.raises(ValueError, match="callable clock_spec"):
+            build_live_runtime(cfg)
+
     def test_experiment_class_rejects_live_configs(self):
         with pytest.raises(ValueError, match="sim"):
             Experiment(self._cfg())
@@ -301,16 +309,31 @@ class TestLiveClocks:
 
     @pytest.mark.parametrize("spec", ["perfect", "split", "alternating", "uniform"])
     def test_specs_respect_envelope(self, spec):
-        import numpy as np
+        """The live rates are the sim's rate column bit for bit: the same
+        clock entry drawn from the stream the live driver spawns first (a
+        sim run spawns its delay and discovery streams before its clocks,
+        so only the constant specs also equal a sim run's own column)."""
+        from dataclasses import replace
 
-        clocks = build_live_clocks(spec, 8, 0.05, np.random.default_rng(0))
-        assert sorted(clocks) == list(range(8))
-        for c in clocks.values():
-            assert 0.95 - 1e-12 <= c.rate <= 1.05 + 1e-12
+        from repro.harness.runner import _draw_clocks
+        from repro.sim.rng import RngFactory
+
+        n = 37
+        cfg = configs.live_ring(n, duration=0.2, seed=5, clock_spec=spec)
+        nodes = build_live_runtime(cfg).nodes
+        assert sorted(nodes) == list(range(n))
+        rates = [nodes[i].clock.rate for i in range(n)]
+        column, _ = _draw_clocks(spec, cfg.params, RngFactory(5).spawn(), cfg.horizon)
+        assert rates == column.tolist()
+        if spec != "uniform":
+            sim = Experiment(replace(cfg, runtime="sim"))
+            assert rates == sim._store.np.rate[:n].tolist()
+        for rate in rates:
+            assert 0.95 - 1e-12 <= rate <= 1.05 + 1e-12
         if spec == "perfect":
-            assert all(c.rate == 1.0 for c in clocks.values())
+            assert all(rate == 1.0 for rate in rates)
         if spec == "split":
-            assert clocks[0].rate > 1.0 > clocks[7].rate
+            assert rates[0] > 1.0 > rates[n - 1]
 
 
 class TestLoopbackChannelUnit:

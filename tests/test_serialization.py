@@ -22,12 +22,7 @@ from repro.harness import (
     SerializationError,
     configs,
 )
-from repro.harness.registry import (
-    ADVERSARY_BUILDERS,
-    CHURN_BUILDERS,
-    ORACLE_BUILDERS,
-    jsonify,
-)
+from repro.harness.registry import ADVERSARY, CHURN, ORACLE, jsonify
 from repro.network.churn import RandomRewirer, ScriptedChurn
 from repro.network.topology import path_edges
 from repro.sweep.store import config_hash
@@ -101,7 +96,7 @@ class TestExperimentConfig:
     def test_bare_churn_callable_rejected_with_registry_hint(self):
         cfg = configs.static_path(4)
         cfg.churn = [lambda p, rng: ScriptedChurn([])]
-        with pytest.raises(SerializationError, match="CHURN_BUILDERS"):
+        with pytest.raises(SerializationError, match=r"registry\.CHURN and"):
             cfg.to_dict()
 
     def test_concrete_churn_instance_rejected_with_registry_hint(self):
@@ -109,7 +104,9 @@ class TestExperimentConfig:
 
         cfg = configs.static_path(4)
         cfg.churn = [RandomRewirer(4, 1, 5.0, np.random.default_rng(0))]
-        with pytest.raises(SerializationError, match="register_churn"):
+        with pytest.raises(
+            SerializationError, match=r"add an entry to repro\.harness\.registry\.CHURN "
+        ):
             cfg.to_dict()
 
     def test_unknown_field_rejected(self):
@@ -132,14 +129,16 @@ class TestChurnRef:
 
     def test_every_canned_churn_class_has_a_registered_builder(self):
         # Every ChurnProcess a canned workload can produce (ScriptedChurn
-        # serializes as a concrete instance instead) must be reachable via
-        # CHURN_BUILDERS, or round-tripping its configs would be impossible.
+        # serializes as a concrete instance instead) must be a CHURN entry
+        # with a constructor, or round-tripping its configs would be
+        # impossible.
         assert {
             "random_rewirer",
             "edge_flapper",
             "mobile_geometric",
             "rotating_backbone",
-        } <= set(CHURN_BUILDERS)
+        } <= set(ChurnRef.builders())
+        assert all(CHURN[name].build for name in ChurnRef.builders())
 
     def test_edge_flapper_ref_builds_and_roundtrips(self, params8, rng):
         from repro.network.churn import EdgeFlapper
@@ -190,12 +189,18 @@ class TestChurnRef:
 
 class TestAdversaryRef:
     def test_registered_builders_present(self):
+        # Spec names map to the serialised names every cached config holds.
         assert {
-            "adaptive_drift",
-            "adaptive_delay",
-            "greedy_topology",
-            "combined",
-        } <= set(ADVERSARY_BUILDERS)
+            name: entry.ref or name for name, entry in ADVERSARY.items() if entry.build
+        } == {
+            "drift": "adaptive_drift",
+            "delay": "adaptive_delay",
+            "topology": "greedy_topology",
+            "combined": "combined",
+        }
+        assert set(AdversaryRef.builders()) == {
+            "adaptive_drift", "adaptive_delay", "greedy_topology", "combined",
+        }
 
     def test_adversary_field_roundtrips(self):
         cfg = configs.greedy_topology(8, horizon=20.0)
@@ -215,7 +220,7 @@ class TestAdversaryRef:
 
         cfg = configs.static_path(4)
         cfg.adversary = DelayAdversary()
-        with pytest.raises(SerializationError, match="ADVERSARY_BUILDERS"):
+        with pytest.raises(SerializationError, match=r"registry\.ADVERSARY and"):
             cfg.to_dict()
 
     def test_adversary_builder_callable_rejected(self):
@@ -223,7 +228,9 @@ class TestAdversaryRef:
 
         cfg = configs.static_path(4)
         cfg.adversary = lambda p, rng: DelayAdversary()
-        with pytest.raises(SerializationError, match="register_adversary"):
+        with pytest.raises(
+            SerializationError, match=r"add an entry to repro\.harness\.registry\.ADVERSARY "
+        ):
             cfg.to_dict()
 
     def test_unknown_adversary_entry_kind_rejected(self):
@@ -235,7 +242,8 @@ class TestAdversaryRef:
 
 class TestOracleRef:
     def test_standard_builder_registered(self):
-        assert "standard" in ORACLE_BUILDERS
+        assert ORACLE["standard"].build is not None
+        assert "standard" in OracleRef.builders()
 
     def test_unknown_name_rejected_eagerly(self):
         with pytest.raises(KeyError, match="no_such_oracle"):
@@ -269,7 +277,7 @@ class TestOracleRef:
 
         cfg = configs.static_path(4)
         cfg.oracle = StreamingOracle(cfg.params, interval=1.0)
-        with pytest.raises(SerializationError, match="ORACLE_BUILDERS"):
+        with pytest.raises(SerializationError, match=r"registry\.ORACLE and"):
             cfg.to_dict()
 
     def test_oracle_builder_callable_rejected(self):
@@ -277,7 +285,9 @@ class TestOracleRef:
 
         cfg = configs.static_path(4)
         cfg.oracle = lambda p, rng: StreamingOracle(p, interval=1.0)
-        with pytest.raises(SerializationError, match="register_oracle"):
+        with pytest.raises(
+            SerializationError, match=r"add an entry to repro\.harness\.registry\.ORACLE "
+        ):
             cfg.to_dict()
 
     def test_unknown_oracle_entry_kind_rejected(self):
