@@ -137,14 +137,11 @@ def reveal(
     over the shortcut alone, from age 0.5 every ``step`` for ``tail``."""
     n = params.n
     edges = path_edges(n)
-    pair = build_execution_pair(
-        list(range(n)), edges, DelayMask({}, params.max_delay), 0, params
-    )
+    mask = DelayMask({}, params.max_delay)
+    pair = build_execution_pair(list(range(n)), edges, mask, 0, params)
     t_insert = 1.05 * pair.full_skew_time(n - 1, params.rho)
     horizon = t_insert + tail
-    exp = masked_experiment(
-        edges, pair.beta_clocks, pair.beta_policy, params, algorithm, horizon
-    )
+    exp = masked_experiment(edges, mask, params, algorithm, horizon)
     sim = exp.sim
     shortcut = lambda: exp.graph.add_edge(0, n - 1, sim.now)
     sim.schedule_at(t_insert, shortcut, priority=PRIORITY_TOPOLOGY)
@@ -517,6 +514,10 @@ pinned delays, skew linear in flexible distance, new-edge initial skews in
 `[I - S, I]`, a settle age below the `Theta(n / B0)` guarantee.  At `n <= 32`
 the adaptive `I` sits below `s_bar` and the settle age is 0; the lower bound
 constrains the guarantee *function*, not each instance.
+
+The masked executions are configs like every other row's: the one
+`repro.lowerbound.masked_experiment` runs names the `masked` entries of the
+`CLOCK` and `DELAY` tables, so it serialises, hashes and sweeps as data.
 
 ## Implementation interpretation
 

@@ -42,7 +42,7 @@ class DriftAdversary(PeriodicAdversary):
     ----------
     rho:
         The drift envelope (use ``params.rho``; the runner's
-        ``validate_drift`` check holds by construction).
+        drift check holds by construction).
     period:
         Real time between re-ranking rounds.
     strength:

@@ -3,16 +3,16 @@
 :class:`~repro.harness.runner.ExperimentConfig` must round-trip through a
 plain JSON-safe dict so sweeps can be hashed, cached and shipped to worker
 processes (see :mod:`repro.sweep`).  Raw callables cannot survive that trip,
-so every ingredient of a config has a *name* in one of the tables below:
-
-* :data:`CLOCK`, :data:`DELAY` and :data:`DISCOVERY` -- the config's
-  ``clock_spec`` / ``delay_spec`` / ``discovery_spec`` string names an
-  entry;
-* :data:`CHURN`, :data:`ADVERSARY`, :data:`ORACLE` and :data:`RUNTIME` --
-  the config holds a :class:`ChurnRef` / :class:`AdversaryRef` /
-  :class:`OracleRef` / :class:`RuntimeRef`, a frozen, JSON-safe
-  ``(name, kwargs)`` pair that resolves against its table and *is itself*
-  the constructor call the run makes.
+so every ingredient of a config has a *name* in one of the tables below,
+and every ingredient field holds a ref into its table (:class:`ClockRef`,
+:class:`DelayRef`, :class:`DiscoveryRef`, :class:`ChurnRef`,
+:class:`AdversaryRef`, :class:`OracleRef`, :class:`RuntimeRef`): a frozen,
+JSON-safe ``(name, kwargs)`` pair that resolves against its table and *is
+itself* the constructor call the run makes.  The spec fields and
+``runtime`` may hold a bare entry name instead.  ``CLOCK["segments"]``
+(per-node ``[t, rate]`` pieces), ``CLOCK`` / ``DELAY["masked"]`` (Lemma
+4.2's executions, :func:`repro.lowerbound.masked_experiment`) and
+``DISCOVERY["constant"]`` take kwargs.
 
 Each entry is an :class:`Ingredient`: the spec keys it takes with their
 defaults, how a spec (:func:`repro.harness.configs.build`) becomes the
@@ -37,7 +37,7 @@ scalars/arrays -> python numbers / nested lists) so that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -56,7 +56,12 @@ from ..network.discovery import ConstantDiscovery, UniformDiscovery
 from ..network.topology import random_geometric, two_chain_edges
 from ..oracle.oracle import StreamingOracle
 from ..params import SystemParams
-from ..sim.clocks import PiecewiseRateClock, random_walk_rates, validate_drift_columns
+from ..sim.clocks import (
+    ConstantRateClock,
+    PiecewiseRateClock,
+    random_walk_rates,
+    validate_drift_columns,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runner import ExperimentConfig, RunResult
@@ -69,8 +74,12 @@ __all__ = [
     "DISCOVERY",
     "ORACLE",
     "RUNTIME",
+    "CONSTANT_CLOCKS",
     "AdversaryRef",
     "ChurnRef",
+    "ClockRef",
+    "DelayRef",
+    "DiscoveryRef",
     "Ingredient",
     "OracleRef",
     "RuntimeRef",
@@ -164,16 +173,17 @@ def entry(table: Mapping[str, _T], name: str, noun: str) -> _T:
 # A constant-rate spec is its ``rate`` column (no clock objects: ``[None]
 # * n``); a ``random_walk`` is its first-piece rates and its clocks.  Each
 # draws ``rng`` as one call per node would, in id order, with one vector
-# call.  The live runtime draws its rates through the same entries.
+# call.  The live runtime draws its rates through the constant entries.
+# ``segments`` and ``masked`` are one clock object per node.
 
 
-def _constant(rates_of: Callable[..., Any]) -> Callable[..., Any]:
+def _constant(rates_of: Callable[..., Any]) -> Ingredient:
     def build(params: SystemParams, rng: np.random.Generator, horizon: float) -> Any:
         rates = rates_of(np.arange(params.n), params.rho, rng)
         validate_drift_columns(rates, rates, params.rho)
         return rates, [None] * params.n
 
-    return build
+    return Ingredient(build)
 
 
 def _random_walk(params: SystemParams, rng: np.random.Generator, horizon: float) -> Any:
@@ -183,22 +193,79 @@ def _random_walk(params: SystemParams, rng: np.random.Generator, horizon: float)
     return walk[:, 0].copy(), [PiecewiseRateClock(times, row) for row in walk]
 
 
+def _seated(clocks: Any, params: SystemParams) -> Any:
+    """Node ``i``'s clock ``clocks[i]``, inside the drift envelope; every
+    row is seated from its clock (the rate column is ones)."""
+    column = [clocks[i] for i in range(params.n)]
+    bounds = np.array([clock.rate_bounds() for clock in column])
+    validate_drift_columns(bounds[:, 0], bounds[:, 1], params.rho)
+    return np.ones(params.n), column
+
+
+def _segments(
+    params: SystemParams,
+    rng: np.random.Generator,
+    horizon: float,
+    *,
+    segments: Sequence[Sequence[Sequence[float]]],
+) -> Any:
+    """Node ``i``'s clock from ``segments[i]``, its ``[t, rate]`` pieces
+    (the first at ``t = 0``): one piece is a constant rate, more a
+    piecewise one."""
+    return _seated([
+        ConstantRateClock(pieces[0][1]) if len(pieces) == 1
+        else PiecewiseRateClock([t for t, _ in pieces], [r for _, r in pieces])
+        for pieces in segments
+    ], params)
+
+
+def _execution(
+    params: SystemParams,
+    *,
+    edges: Sequence[Sequence[int]],
+    mask: Sequence[Sequence[float]],
+    reference: int,
+    execution: str,
+) -> Any:
+    """Lemma 4.2's ``execution`` (``"alpha"`` or ``"beta"``) of the static
+    network ``edges`` whose mask pins ``[[u, v, delay], ...]``, layered
+    from ``reference``: ``(clocks by node, delay policy)``.  Imported
+    here: :mod:`repro.lowerbound` imports the runner."""
+    from ..lowerbound.executions import build_execution_pair
+    from ..lowerbound.mask import DelayMask
+
+    pinned = DelayMask({(u, v): p for u, v, p in mask}, params.max_delay)
+    pair = build_execution_pair(list(range(params.n)), edges, pinned, reference, params)
+    return {
+        "alpha": (pair.alpha_clocks, pair.alpha_policy),
+        "beta": (pair.beta_clocks, pair.beta_policy),
+    }[execution]
+
+
 CLOCK: dict[str, Ingredient] = {
-    "perfect": Ingredient(_constant(lambda ids, rho, rng: np.ones(len(ids)))),
+    "perfect": _constant(lambda ids, rho, rng: np.ones(len(ids))),
     # A bounded AR(1) walk of piecewise-constant rates.
     "random_walk": Ingredient(_random_walk),
     # First half 1 + rho, second half 1 - rho.
-    "split": Ingredient(_constant(
+    "split": _constant(
         lambda ids, rho, rng: np.where(ids < len(ids) // 2, 1.0 + rho, 1.0 - rho)
-    )),
-    "alternating": Ingredient(_constant(
+    ),
+    "alternating": _constant(
         lambda ids, rho, rng: np.where(ids % 2 == 0, 1.0 + rho, 1.0 - rho)
-    )),
+    ),
     # A constant rate per node, drawn uniformly from the envelope.
-    "uniform": Ingredient(_constant(
+    "uniform": _constant(
         lambda ids, rho, rng: 1.0 + rho * rng.uniform(-1.0, 1.0, len(ids))
-    )),
+    ),
+    "segments": Ingredient(_segments),
+    # The Lemma 4.2 clocks, from DELAY["masked"]'s kwargs.
+    "masked": Ingredient(
+        lambda params, rng, horizon, **masked: _seated(_execution(params, **masked)[0], params)
+    ),
 }
+
+#: The rate-column entries: what a wall-clock session can run at.
+CONSTANT_CLOCKS = ("perfect", "split", "alternating", "uniform")
 
 
 # --------------------------------------------------------------------- #
@@ -210,6 +277,8 @@ DELAY: dict[str, Ingredient] = {
     "max": Ingredient(lambda params, rng: ConstantDelay(params.max_delay)),
     "half": Ingredient(lambda params, rng: ConstantDelay(0.5 * params.max_delay)),
     "zero": Ingredient(lambda params, rng: ConstantDelay(0.0)),
+    # The Lemma 4.2 delays, alpha's or beta's disguised ones.
+    "masked": Ingredient(lambda params, rng, **masked: _execution(params, **masked)[1]),
 }
 
 DISCOVERY: dict[str, Ingredient] = {
@@ -218,6 +287,8 @@ DISCOVERY: dict[str, Ingredient] = {
     ),
     "max": Ingredient(lambda params, rng: ConstantDiscovery(params.discovery_bound)),
     "zero": Ingredient(lambda params, rng: ConstantDiscovery(0.0)),
+    # Every change discovered after exactly ``latency``.
+    "constant": Ingredient(lambda params, rng, *, latency: ConstantDiscovery(latency)),
 }
 
 
@@ -476,10 +547,10 @@ class _Ref:
 
     ``name`` is an entry's serialised name (its ``ref``, else its key).
     Calling a ref calls the entry's constructor with the ref's kwargs
-    appended, so a ref slots in wherever the raw builder callable would,
-    while also round-tripping through :meth:`to_dict`/:meth:`from_dict`
-    for hashing and multiprocessing.  Subclasses name their table and the
-    noun error messages use for its entries.
+    appended: the run builds every ingredient that way, and the ref
+    round-trips through :meth:`to_dict`/:meth:`from_dict` for hashing and
+    multiprocessing.  Subclasses name their table and the noun error
+    messages use for its entries.
     """
 
     name: str
@@ -515,6 +586,24 @@ class _Ref:
         return cls(name=data["name"], kwargs=dict(data.get("kwargs", {})))
 
 
+class ClockRef(_Ref):
+    """``(params, rng, horizon) -> (rates, clocks)`` for ``clock_spec``."""
+
+    _table, _noun = CLOCK, "clock spec"
+
+
+class DelayRef(_Ref):
+    """``(params, rng) -> DelayPolicy`` for ``delay_spec``."""
+
+    _table, _noun = DELAY, "delay spec"
+
+
+class DiscoveryRef(_Ref):
+    """``(params, rng) -> DiscoveryPolicy`` for ``discovery_spec``."""
+
+    _table, _noun = DISCOVERY, "discovery spec"
+
+
 class ChurnRef(_Ref):
     """A churn builder ``(params, rng) -> ChurnProcess`` for
     ``ExperimentConfig.churn``."""
@@ -537,19 +626,8 @@ class OracleRef(_Ref):
 
 
 class RuntimeRef(_Ref):
-    """A runtime runner ``(cfg) -> RunResult`` for ``ExperimentConfig.runtime``.
-
-    The *runtime* decides how an :class:`~repro.harness.runner.ExperimentConfig`
-    is executed: ``"sim"`` replays the protocol cores through the
-    discrete-event kernel (the historical behaviour, bit-identical), while
-    ``"live"`` drives the same cores on a real asyncio loop over loopback or
-    UDP channels (:mod:`repro.live`), interpreting the config's ``horizon``
-    as wall-clock seconds.  ``kwargs`` parameterise the runner (e.g.
-    ``{"channel": "loopback", "jitter": 0.001}`` for the live runtime).
-    """
+    """A runtime runner ``(cfg) -> RunResult`` for ``ExperimentConfig.runtime``
+    (see :data:`RUNTIME`); ``kwargs`` parameterise it, e.g.
+    ``{"channel": "loopback", "jitter": 0.001}`` for ``"live"``."""
 
     _table, _noun = RUNTIME, "runtime"
-
-    def run(self, cfg: "ExperimentConfig") -> "RunResult":
-        """Execute ``cfg`` under this runtime."""
-        return self(cfg)

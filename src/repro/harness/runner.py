@@ -26,18 +26,16 @@ from ..adversary.base import Adversary
 from ..analysis.metrics import max_global_skew, max_local_skew
 from ..analysis.recorder import RunRecord, SkewRecorder
 from ..baselines import FreeRunningNode, MaxSyncNode, StaticGradientNode
-from ..core.batch import SEGMENT_CLOCKS, Decline, NodeArrayTable
+from ..core.batch import Decline, NodeArrayTable
 from ..core.dcsa import DCSANode
 from ..core.node import ClockSyncNode, Population
 from ..core.protocol import DCSACore, StaticGradientCore
-from ..network.channels import DelayPolicy
-from ..network.churn import ChurnProcess, ScriptedChurn
-from ..network.discovery import DiscoveryPolicy
+from ..network.churn import ScriptedChurn
 from ..network.graph import DynamicGraph
 from ..network.transport import Transport
-from ..oracle.oracle import OracleReport, StreamingOracle, resolve_oracle
+from ..oracle.oracle import OracleReport, resolve_oracle
 from ..params import SystemParams
-from ..sim.clocks import ConstantRateClock, HardwareClock, validate_drift
+from ..sim.clocks import ConstantRateClock
 from ..sim.par import ParNodeArrayTable
 from ..sim.rng import RngFactory
 from ..sim.simulator import Simulator
@@ -45,16 +43,15 @@ from ..telemetry.registry import active_registry
 from ..tracing.context import Tracer, active_tracer
 from ..tracing.spans import SpanTable
 from .registry import (
-    CLOCK,
-    DELAY,
-    DISCOVERY,
-    RUNTIME,
     AdversaryRef,
     ChurnRef,
-    Ingredient,
+    ClockRef,
+    DelayRef,
+    DiscoveryRef,
     OracleRef,
     RuntimeRef,
     SerializationError,
+    _Ref,
     entry,
     jsonify,
 )
@@ -77,52 +74,44 @@ ALGORITHMS: dict[str, type[ClockSyncNode]] = {
     "free": FreeRunningNode,
 }
 
-ClockSpec = str | Callable[[int, SystemParams, np.random.Generator, float], HardwareClock]
-DelaySpec = str | Callable[[SystemParams, np.random.Generator], DelayPolicy]
-DiscoverySpec = str | Callable[[SystemParams, np.random.Generator], DiscoveryPolicy]
-ChurnBuilder = Callable[[SystemParams, np.random.Generator], ChurnProcess]
-AdversaryBuilder = Callable[[SystemParams, np.random.Generator], Adversary]
-OracleBuilder = Callable[[SystemParams, np.random.Generator], StreamingOracle]
+#: The ref fields of :class:`ExperimentConfig` (``churn`` aside): each
+#: holds a ref of its class or a ``bare`` value, an entry name or ``None``.
+_REF_FIELDS: dict[str, tuple[type[_Ref], type]] = {
+    "clock_spec": (ClockRef, str),
+    "delay_spec": (DelayRef, str),
+    "discovery_spec": (DiscoveryRef, str),
+    "adversary": (AdversaryRef, type(None)),
+    "oracle": (OracleRef, type(None)),
+    "runtime": (RuntimeRef, str),
+}
 
 
 def _ref_entry(
-    value: Any,
-    ref_cls: Any,
-    base: type,
-    noun: str,
-    *,
-    instance: str | None = None,
-    hint: str = "",
+    value: Any, ref_cls: type[_Ref], bare: type | tuple[type, ...], field_name: str
 ) -> Any:
-    """``to_dict`` form of a ``ref_cls`` config ingredient (``None`` passes
-    through).
+    """``to_dict`` form of a ref field's value.
 
-    Anything else -- a concrete ``base`` instance or a raw builder
-    callable -- has no plain-data form and raises, naming the table a new
-    entry goes in.
+    Anything but a ``ref_cls`` or a ``bare`` value has no plain-data form
+    and raises, naming the table a new entry goes in.
     """
-    if value is None:
-        return None
+    if isinstance(value, bare):
+        return value
     if isinstance(value, ref_cls):
         return value.to_dict()
-    what = (
-        f"{instance or noun} {type(value).__name__}"
-        if isinstance(value, base)
-        else f"{noun} builder callable {getattr(value, '__name__', value)!r}"
-    )
+    table = ref_cls.__name__.removesuffix("Ref").upper()
     raise SerializationError(
-        f"cannot serialize {what}; add an entry to "
-        f"repro.harness.registry.{noun.upper()} and reference it as "
-        f"{ref_cls.__name__}(name, kwargs).{hint}"
+        f"cannot serialize {field_name} {value!r}; add an entry to "
+        f"repro.harness.registry.{table} and reference it as "
+        f"{ref_cls.__name__}(name, kwargs)"
     )
 
 
-def _ref_from_entry(data: Any, ref_cls: Any, noun: str) -> Any:
-    """Inverse of :func:`_ref_entry` (``None`` passes through)."""
-    if data is None:
-        return None
+def _ref_from_entry(data: Any, ref_cls: type[_Ref], field_name: str) -> Any:
+    """Inverse of :func:`_ref_entry`."""
+    if data is None or isinstance(data, str):
+        return data
     if not isinstance(data, Mapping) or data.get("kind") != "ref":
-        raise ValueError(f"unknown {noun} entry {data!r}")
+        raise ValueError(f"unknown {field_name} entry {data!r}")
     return ref_cls.from_dict(data)
 
 
@@ -139,28 +128,18 @@ class ExperimentConfig:
     algorithm:
         Key into :data:`ALGORITHMS` (``"dcsa"``, ``"max"``, ``"static"``,
         ``"free"``).
-    clock_spec:
-        Hardware clock assignment: a name in
-        :data:`~repro.harness.registry.CLOCK` (``"perfect"``,
-        ``"random_walk"``, ``"split"``, ``"alternating"``, ``"uniform"``)
-        or a callable ``(node_id, params, rng, horizon) -> clock``.
-    delay_spec:
-        A name in :data:`~repro.harness.registry.DELAY` (``"uniform"``,
-        ``"max"``, ``"half"``, ``"zero"``) or a callable
-        ``(params, rng) -> DelayPolicy``.
-    discovery_spec:
-        A name in :data:`~repro.harness.registry.DISCOVERY`
-        (``"uniform"``, ``"max"``, ``"zero"``) or a callable
-        ``(params, rng) -> DiscoveryPolicy``.
+    clock_spec / delay_spec / discovery_spec:
+        Hardware clocks, message delays and discovery latencies: a name in
+        :data:`~repro.harness.registry.CLOCK` / ``DELAY`` / ``DISCOVERY``
+        (e.g. ``"random_walk"``, ``"uniform"``) or a ``ClockRef`` /
+        ``DelayRef`` / ``DiscoveryRef`` into it.
     churn:
-        Concrete :class:`ChurnProcess` instances and/or builders
-        ``(params, rng) -> ChurnProcess``.
+        :class:`~repro.harness.registry.ChurnRef` and
+        :class:`~repro.network.churn.ScriptedChurn` entries.
     adversary:
-        Optional adaptive adversary (see :mod:`repro.adversary`): a
-        concrete :class:`~repro.adversary.base.Adversary` or a builder
-        ``(params, rng) -> Adversary`` -- use
-        :class:`~repro.harness.registry.AdversaryRef` for serializable
-        configs.  Installed at ``t = 0`` after churn, before nodes start.
+        Optional adaptive adversary (see :mod:`repro.adversary`), an
+        :class:`~repro.harness.registry.AdversaryRef`.  Installed at
+        ``t = 0`` after churn, before nodes start.
     horizon:
         Run length (real time).
     sample_interval:
@@ -177,13 +156,11 @@ class ExperimentConfig:
         not fit in memory -- typically together with ``oracle`` so the run
         stays checked; ``RunResult.record`` is then an empty record.
     oracle:
-        Optional streaming conformance oracle (see :mod:`repro.oracle`):
-        a concrete :class:`~repro.oracle.oracle.StreamingOracle` or a
-        builder ``(params, rng) -> StreamingOracle`` -- use
-        :class:`~repro.harness.registry.OracleRef` for serializable
-        configs.  Installed at ``t = 0`` alongside the recorder; its
-        sampling interval defaults to ``sample_interval``; the final
-        report lands in ``RunResult.oracle_report``.
+        Optional streaming conformance oracle (see :mod:`repro.oracle`),
+        an :class:`~repro.harness.registry.OracleRef`.  Installed at
+        ``t = 0`` alongside the recorder; its sampling interval defaults
+        to ``sample_interval``; the final report lands in
+        ``RunResult.oracle_report``.
     runtime:
         How to execute the run: ``"sim"`` (default; the discrete-event
         kernel, deterministic and bit-stable) or a
@@ -194,16 +171,19 @@ class ExperimentConfig:
         names an entry of :data:`~repro.harness.registry.RUNTIME`.
     name:
         Label carried into reports.
+
+    Every ingredient is a table name or a ref, so a config is plain data:
+    :meth:`to_dict` is its identity and :meth:`from_dict` rebuilds it.
     """
 
     params: SystemParams
     initial_edges: Sequence[Edge]
     algorithm: str = "dcsa"
-    clock_spec: ClockSpec = "random_walk"
-    delay_spec: DelaySpec = "uniform"
-    discovery_spec: DiscoverySpec = "uniform"
-    churn: Sequence[ChurnProcess | ChurnBuilder] = field(default_factory=list)
-    adversary: Adversary | AdversaryBuilder | None = None
+    clock_spec: str | ClockRef = "random_walk"
+    delay_spec: str | DelayRef = "uniform"
+    discovery_spec: str | DiscoveryRef = "uniform"
+    churn: Sequence[ScriptedChurn | ChurnRef] = field(default_factory=list)
+    adversary: AdversaryRef | None = None
     horizon: float = 200.0
     sample_interval: float = 1.0
     seed: int = 0
@@ -211,50 +191,33 @@ class ExperimentConfig:
     track_max_estimates: bool = False
     stagger_ticks: bool = True
     record: bool = True
-    oracle: StreamingOracle | OracleBuilder | None = None
+    oracle: OracleRef | None = None
     runtime: str | RuntimeRef = "sim"
     name: str = ""
 
     # ------------------------------------------------------------------ #
-    # Serialization (see repro.harness.registry for the callable story)
+    # Serialization (see repro.harness.registry)
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> dict[str, Any]:
         """Return a JSON-safe dict that round-trips via :meth:`from_dict`.
 
         The dict is the config's *identity* for content-addressed caching
-        (:mod:`repro.sweep.store`), so every ingredient must be plain data:
-        spec strings stay strings, churn entries must be
-        :class:`~repro.harness.registry.ChurnRef` or
-        :class:`~repro.network.churn.ScriptedChurn`.  Raw callables raise
-        :class:`~repro.harness.registry.SerializationError` naming the
-        table a new entry goes in.
+        (:mod:`repro.sweep.store`): entry names stay strings, refs become
+        ``{"kind": "ref", ...}`` and scripted churn its events.  Any other
+        ingredient raises :class:`~repro.harness.registry.SerializationError`
+        naming the table a new entry goes in.
         """
-        churn_entries = [
-            {"kind": "scripted", "events": jsonify(proc.events)}
-            if isinstance(proc, ScriptedChurn)
-            else _ref_entry(
-                proc, ChurnRef, ChurnProcess, "churn", instance="churn process",
-                hint=" ScriptedChurn and ChurnRef entries serialize directly.",
-            )
-            for proc in self.churn
-        ]
-        if not isinstance(self.runtime, (str, RuntimeRef)):
-            raise SerializationError(
-                f"cannot serialize runtime {self.runtime!r}; name an entry of "
-                "repro.harness.registry.RUNTIME or use RuntimeRef(name, kwargs)"
-            )
         return {
             "params": self.params.to_dict(),
             "initial_edges": [[int(u), int(v)] for u, v in self.initial_edges],
             "algorithm": self.algorithm,
-            "clock_spec": _spec_name(self.clock_spec, "clock_spec", CLOCK),
-            "delay_spec": _spec_name(self.delay_spec, "delay_spec", DELAY),
-            "discovery_spec": _spec_name(
-                self.discovery_spec, "discovery_spec", DISCOVERY
-            ),
-            "churn": churn_entries,
-            "adversary": _ref_entry(self.adversary, AdversaryRef, Adversary, "adversary"),
+            "churn": [
+                {"kind": "scripted", "events": jsonify(proc.events)}
+                if isinstance(proc, ScriptedChurn)
+                else _ref_entry(proc, ChurnRef, (), "churn")
+                for proc in self.churn
+            ],
             "horizon": float(self.horizon),
             "sample_interval": float(self.sample_interval),
             "seed": int(self.seed),
@@ -262,11 +225,11 @@ class ExperimentConfig:
             "track_max_estimates": bool(self.track_max_estimates),
             "stagger_ticks": bool(self.stagger_ticks),
             "record": bool(self.record),
-            "oracle": _ref_entry(self.oracle, OracleRef, StreamingOracle, "oracle"),
-            "runtime": (
-                self.runtime if isinstance(self.runtime, str) else self.runtime.to_dict()
-            ),
             "name": self.name,
+            **{
+                name: _ref_entry(getattr(self, name), ref_cls, bare, name)
+                for name, (ref_cls, bare) in _REF_FIELDS.items()
+            },
         }
 
     @classmethod
@@ -275,29 +238,23 @@ class ExperimentConfig:
         data = dict(data)
         params = SystemParams.from_dict(data.pop("params"))
         initial_edges = [(int(u), int(v)) for u, v in data.pop("initial_edges")]
-        churn: list[ChurnProcess | ChurnBuilder] = [
+        churn: list[ScriptedChurn | ChurnRef] = [
             ScriptedChurn([(float(t), str(op), int(u), int(v)) for t, op, u, v in item["events"]])
             if item.get("kind") == "scripted"
             else _ref_from_entry(item, ChurnRef, "churn")
             for item in data.pop("churn", [])
         ]
-        adversary = _ref_from_entry(data.pop("adversary", None), AdversaryRef, "adversary")
-        oracle = _ref_from_entry(data.pop("oracle", None), OracleRef, "oracle")
-        runtime = data.pop("runtime", "sim")
-        if not isinstance(runtime, str):
-            runtime = _ref_from_entry(runtime, RuntimeRef, "runtime")
+        refs = {
+            name: _ref_from_entry(data.pop(name), ref_cls, name)
+            for name, (ref_cls, _) in _REF_FIELDS.items()
+            if name in data
+        }
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ValueError(f"unknown ExperimentConfig fields: {unknown}")
         return cls(
-            params=params,
-            initial_edges=initial_edges,
-            churn=churn,
-            adversary=adversary,
-            oracle=oracle,
-            runtime=runtime,
-            **data,
+            params=params, initial_edges=initial_edges, churn=churn, **refs, **data
         )
 
 
@@ -454,40 +411,12 @@ class RunResult:
 # ---------------------------------------------------------------------- #
 
 
-def _spec_name(spec: Any, field_name: str, table: Mapping[str, Ingredient]) -> str:
+def _construct(spec: str | _Ref, ref_cls: type[_Ref], *args: Any) -> Any:
+    """What the run builds from a spec field: a name calls its table
+    entry's constructor, a ref calls it with the ref's kwargs."""
     if isinstance(spec, str):
-        return spec
-    raise SerializationError(
-        f"{field_name} callables cannot be serialized; use one of the "
-        f"built-in spec strings: {', '.join(table)}"
-    )
-
-
-def _construct(spec: Any, table: Mapping[str, Ingredient], noun: str, *args: Any) -> Any:
-    """What the run builds from a spec field: a callable spec is called, a
-    name calls its table entry's constructor."""
-    build = spec if callable(spec) else entry(table, spec, noun).build
-    return build(*args)
-
-
-def _draw_clocks(
-    spec: ClockSpec,
-    params: SystemParams,
-    rng: np.random.Generator,
-    horizon: float,
-) -> tuple[npt.NDArray[np.float64], list[HardwareClock | None]]:
-    """Every node's hardware clock, in id order: a named spec's ``rate``
-    column and clocks (see :data:`~repro.harness.registry.CLOCK`), or --
-    a callable spec, called once per node -- its clocks, whose rows are
-    seated from them (the rates are ones)."""
-    if not callable(spec):
-        return _construct(spec, CLOCK, "clock spec", params, rng, horizon)
-    clocks: list[HardwareClock | None] = []
-    for i in range(params.n):
-        clock = spec(i, params, rng, horizon)
-        validate_drift(clock, params.rho)
-        clocks.append(clock)
-    return np.ones(params.n), clocks
+        return entry(ref_cls._table, spec, ref_cls._noun).build(*args)
+    return spec(*args)
 
 
 def _draw_staggers(
@@ -582,12 +511,9 @@ class Experiment:
         self.transport = make_transport(
             self.sim,
             self.graph,
-            delay_policy=_construct(
-                cfg.delay_spec, DELAY, "delay spec", params, rngf.spawn("delay")
-            ),
+            delay_policy=_construct(cfg.delay_spec, DelayRef, params, rngf.spawn("delay")),
             discovery_policy=_construct(
-                cfg.discovery_spec, DISCOVERY, "discovery spec", params,
-                rngf.spawn("discovery"),
+                cfg.discovery_spec, DiscoveryRef, params, rngf.spawn("discovery")
             ),
             max_delay=params.max_delay,
             discovery_bound=params.discovery_bound,
@@ -596,17 +522,14 @@ class Experiment:
         #    clock and stagger draws cover every id, local or not, so the
         #    streams stay aligned across shard counts.
         node_cls = ALGORITHMS[cfg.algorithm]
-        rates, clocks = _draw_clocks(
-            cfg.clock_spec, params, rngf.spawn("clocks"), cfg.horizon
+        rates, clocks = _construct(
+            cfg.clock_spec, ClockRef, params, rngf.spawn("clocks"), cfg.horizon
         )
         stagger = _draw_staggers(node_cls, cfg, rngf.spawn("stagger"))
         core_cls = node_cls.core_class
         self._store: NodeArrayTable | None = None
         self.nodes: Mapping[int, ClockSyncNode]
-        segments = not callable(cfg.clock_spec) or all(
-            type(c) in SEGMENT_CLOCKS for c in clocks
-        )
-        if self.sim.batch and core_cls in (DCSACore, StaticGradientCore) and segments:
+        if self.sim.batch and core_cls in (DCSACore, StaticGradientCore):
             # A column population: the table's store from here on, and a
             # driver only for a node something touches.
             assert core_cls is not None and stagger is not None
@@ -656,18 +579,13 @@ class Experiment:
         self.transport.announce_initial_edges()
         churn_rng = rngf.spawn("churn")
         for proc in cfg.churn:
-            if isinstance(proc, ChurnProcess):
-                proc.install(self.sim, self.graph)
-            else:
-                proc(params, churn_rng).install(self.sim, self.graph)
+            built = proc if isinstance(proc, ScriptedChurn) else proc(params, churn_rng)
+            built.install(self.sim, self.graph)
         # 6. Adversary (still t = 0: clocks may be swapped, no timers armed
         #    yet, and churn-seeded edges are already visible to observe).
         self.adversary: Adversary | None = None
         if cfg.adversary is not None:
-            adversary_rng = rngf.spawn("adversary")
-            adv = cfg.adversary
-            if not isinstance(adv, Adversary):
-                adv = adv(params, adversary_rng)
+            adv = cfg.adversary(params, rngf.spawn("adversary"))
             adv.install(self.sim, self.graph, self.nodes)
             self.adversary = adv
         # 6b. Causal tracing (ambient, like telemetry below: never part of
@@ -789,13 +707,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     :data:`~repro.harness.registry.RUNTIME` (e.g. ``"live"``) receive the
     config whole.  See :class:`~repro.harness.registry.RuntimeRef`.
     """
-    runtime = cfg.runtime
-    if isinstance(runtime, str):
-        # "sim" is just an entry of the RUNTIME table: a new execution
-        # engine is one more entry, with no runner change.
-        if runtime not in RUNTIME:
-            raise ValueError(
-                f"unknown runtime {runtime!r}; registered: {sorted(RUNTIME)}"
-            )
-        runtime = RuntimeRef(runtime, {})
-    return runtime.run(cfg)
+    # "sim" is just an entry of the RUNTIME table: a new execution engine
+    # is one more entry, with no runner change.
+    return cast(RunResult, _construct(cfg.runtime, RuntimeRef, cfg))

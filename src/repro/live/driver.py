@@ -18,10 +18,10 @@ Config interpretation in live mode:
 
 * ``horizon`` is the session duration in **wall-clock seconds** (one model
   time unit == one second, so ``params.max_delay`` etc. are in seconds);
-* ``clock_spec`` names an entry of :data:`repro.harness.registry.CLOCK`
-  whose rate column becomes constant-rate artificial drift
-  (:mod:`repro.live.clocks`; ``random_walk`` draws as ``uniform``); a
-  callable spec builds simulated clocks and is rejected;
+* ``clock_spec`` names a constant entry of
+  :data:`repro.harness.registry.CLOCK`, whose rate column becomes
+  constant-rate artificial drift (:mod:`repro.live.clocks`;
+  ``random_walk`` draws as ``uniform``); a ``ClockRef`` is rejected;
 * ``churn`` must consist of :class:`~repro.network.churn.ScriptedChurn`
   entries (replayed at wall-clock offsets); randomized churn builders,
   adversaries and the recorder are simulation-only and rejected;
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..harness.registry import CLOCK, RuntimeRef, entry
+from ..harness.registry import CLOCK, CONSTANT_CLOCKS, RuntimeRef
 from ..harness.runner import (
     ALGORITHMS,
     ExperimentConfig,
@@ -101,17 +101,17 @@ def build_live_runtime(
             "adaptive adversaries steer simulated clocks/delays and cannot "
             "run against wall-clock hardware; use the sim runtime"
         )
-    if not isinstance(cfg.clock_spec, str):
+    spec = "uniform" if cfg.clock_spec == "random_walk" else cfg.clock_spec
+    if not isinstance(spec, str) or spec not in CONSTANT_CLOCKS:
         raise ValueError(
-            "a callable clock_spec builds simulated clocks and cannot drive "
-            "wall-clock hardware; name an entry of repro.harness.registry.CLOCK"
+            f"live clocks run at constant rates: clock_spec {cfg.clock_spec!r} "
+            f"must name one of {', '.join(CONSTANT_CLOCKS)} (or random_walk)"
         )
     churn_events: list[ChurnEvent] = []
     for proc in cfg.churn:
         if not isinstance(proc, ScriptedChurn):
             raise ValueError(
-                "live churn must be ScriptedChurn (wall-clock offsets); got "
-                f"{type(proc).__name__ if not callable(proc) else proc!r}"
+                f"live churn must be ScriptedChurn (wall-clock offsets); got {proc!r}"
             )
         churn_events.extend(
             (float(t), str(op), int(u), int(v)) for t, op, u, v in proc.events
@@ -120,8 +120,7 @@ def build_live_runtime(
     core_cls = node_cls.core_class
     assert core_cls is not None
     rngf = RngFactory(cfg.seed)
-    spec = "uniform" if cfg.clock_spec == "random_walk" else cfg.clock_spec
-    draw = entry(CLOCK, spec, "clock spec").build
+    draw = CLOCK[spec].build
     assert draw is not None
     rates, _ = draw(params, rngf.spawn("live_clocks"), cfg.horizon)
     clocks = {i: LiveClock(rate) for i, rate in enumerate(rates.tolist())}

@@ -31,17 +31,16 @@ time growing linearly in ``n`` for fixed ``B_0``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core import skew_bounds
+from ..harness.registry import ClockRef, DelayRef
 from ..harness.runner import Experiment, ExperimentConfig
-from ..network.channels import DelayPolicy
 from ..network.graph import edge_key
 from ..network.topology import path_edges, two_chain_edges
 from ..params import SystemParams
-from ..sim.clocks import HardwareClock
 from ..sim.events import PRIORITY_SAMPLE, PRIORITY_TOPOLOGY
 from .executions import ExecutionPair, build_execution_pair
 from .mask import DelayMask
@@ -66,21 +65,28 @@ Edge = tuple[int, int]
 
 def masked_experiment(
     edges: Sequence[Edge],
-    clocks: Mapping[int, HardwareClock],
-    delay_policy: DelayPolicy,
+    mask: DelayMask,
     params: SystemParams,
     algorithm: str,
     horizon: float,
+    *,
+    reference: int = 0,
+    execution: str = "beta",
 ) -> Experiment:
-    """One algorithm execution under explicit clocks and delay policy:
-    constant discovery latency ``D``, unstaggered ticks, no recorder."""
+    """One algorithm execution of Lemma 4.2's ``execution`` (``"alpha"`` or
+    ``"beta"``) of the static network ``edges`` under ``mask`` (over
+    ``params.max_delay``), layered from ``reference``: constant discovery
+    latency ``D``, unstaggered ticks, no recorder.  Its config is data:
+    the ``masked`` entries of ``CLOCK`` and ``DELAY`` over one kwargs dict."""
+    pinned = [[u, v, p] for (u, v), p in mask.constrained.items()]
+    masked = {"edges": edges, "mask": pinned, "reference": reference, "execution": execution}
     return Experiment(
         ExperimentConfig(
             params=params,
             initial_edges=edges,
             algorithm=algorithm,
-            clock_spec=lambda i, _params, _rng, _horizon: clocks[i],
-            delay_spec=lambda _params, _rng: delay_policy,
+            clock_spec=ClockRef("masked", masked),
+            delay_spec=DelayRef("masked", masked),
             discovery_spec="max",
             stagger_ticks=False,
             record=False,
@@ -152,12 +158,8 @@ def run_masking_experiment(
             f"measure_time {t_meas} must exceed the validity threshold {min_valid}"
         )
 
-    alpha = masked_experiment(
-        edges, pair.alpha_clocks, pair.alpha_policy, params, algorithm, t_meas
-    )
-    beta = masked_experiment(
-        edges, pair.beta_clocks, pair.beta_policy, params, algorithm, t_meas
-    )
+    alpha = masked_experiment(edges, mask, params, algorithm, t_meas, execution="alpha")
+    beta = masked_experiment(edges, mask, params, algorithm, t_meas)
 
     # Scheduled probes: lazy logical clocks cannot be read in the past, so
     # capture the skews exactly at t_meas from inside both runs.
@@ -369,9 +371,7 @@ def run_figure1_experiment(
     )
     t_end = t2 + horizon_tail
 
-    run = masked_experiment(
-        edges, pair.beta_clocks, pair.beta_policy, params, algorithm, t_end
-    )
+    run = masked_experiment(edges, mask, params, algorithm, t_end, reference=u_node)
 
     def logical(i: int, t: float) -> float:
         return run.nodes[i].logical_clock(t)

@@ -22,7 +22,7 @@ or standalone on any simulator/graph/node wiring via :meth:`install`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .monitors import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
+    from ..harness.registry import OracleRef
     from ..network.transport import Transport
     from ..obs.timeline import TimelineRecorder
     from ..telemetry.registry import MetricsRegistry
@@ -453,21 +454,19 @@ class StreamingOracle:
 
 
 def resolve_oracle(
-    spec: "StreamingOracle | Callable[..., StreamingOracle] | None",
+    ref: "OracleRef | None",
     params: SystemParams,
     seed: int,
     sample_interval: float,
 ) -> tuple[StreamingOracle | None, float]:
-    """A config's ``oracle`` entry as ``(oracle, sampling interval)``.
+    """A config's ``oracle`` ref as ``(oracle, sampling interval)``.
 
-    A builder is called with an rng derived from ``seed`` out of band --
+    The ref is called with an rng derived from ``seed`` out of band --
     never from the run's spawn sequence, whose order shifts every later
     stream: attaching a pure observer must not change the execution it
     observes.  The oracle's own ``interval`` wins over the run's.
     """
-    if spec is None:
+    if ref is None:
         return None, sample_interval
-    orc = spec if isinstance(spec, StreamingOracle) else spec(
-        params, np.random.default_rng(seed)
-    )
+    orc: StreamingOracle = ref(params, np.random.default_rng(seed))
     return orc, sample_interval if orc.interval is None else orc.interval

@@ -17,7 +17,7 @@ from .clocks import (
     random_walk_clock,
     sinusoidal_clock,
     two_phase_clock,
-    validate_drift,
+    validate_drift_columns,
 )
 from .events import (
     PRIORITY_DELIVERY,
@@ -48,5 +48,5 @@ __all__ = [
     "random_walk_clock",
     "sinusoidal_clock",
     "two_phase_clock",
-    "validate_drift",
+    "validate_drift_columns",
 ]

@@ -41,7 +41,6 @@ __all__ = [
     "random_walk_rates",
     "sinusoidal_clock",
     "extremal_clock",
-    "validate_drift",
     "validate_drift_columns",
 ]
 
@@ -207,8 +206,8 @@ class SteerableClock(HardwareClock):
 
     When ``rho`` is given, every rate is validated against the drift
     envelope ``[1 - rho, 1 + rho]`` and :meth:`rate_bounds` reports the full
-    envelope, so :func:`validate_drift` accepts the clock regardless of
-    which rates the adversary later chooses.
+    envelope, so the drift check accepts the clock regardless of which
+    rates the adversary later chooses.
 
     Past values never change: ``value``/``time_at`` are exact over the
     segments laid down so far, and :meth:`set_rate` only appends (or
@@ -419,27 +418,20 @@ def sinusoidal_clock(
     return PiecewiseRateClock(times, rates)
 
 
-def validate_drift(clock: HardwareClock, rho: float, *, tol: float = 1e-12) -> None:
-    """Raise ``ValueError`` if the clock's rates leave ``[1-rho, 1+rho]``."""
-    lo, hi = clock.rate_bounds()
-    validate_drift_columns(np.array([lo]), np.array([hi]), rho, tol=tol, who=None)
-
-
 def validate_drift_columns(
     lo: npt.NDArray[np.float64],
     hi: npt.NDArray[np.float64],
     rho: float,
     *,
     tol: float = 1e-12,
-    who: str | None = "node",
 ) -> None:
-    """:func:`validate_drift` for clock ``i``'s rate bounds ``lo[i]`` /
-    ``hi[i]``; the message names the first clock out of bounds."""
+    """Raise ``ValueError`` if clock ``i``'s rate bounds ``lo[i]`` /
+    ``hi[i]`` leave ``[1-rho, 1+rho]``; the message names the first node
+    out of bounds."""
     bad = np.flatnonzero((lo < 1.0 - rho - tol) | (hi > 1.0 + rho + tol))
     if len(bad):
         i = int(bad[0])
         raise ValueError(
-            ("" if who is None else f"{who} {i}: ")
-            + f"clock rates [{lo[i]:.6g}, {hi[i]:.6g}] violate the drift bound "
+            f"node {i}: clock rates [{lo[i]:.6g}, {hi[i]:.6g}] violate the drift bound "
             f"[1-rho, 1+rho] = [{1 - rho:.6g}, {1 + rho:.6g}]"
         )

@@ -28,8 +28,8 @@ from repro.core.batch import NodeArrayTable, PopulationReader
 from repro.core.node import ClockSyncNode, Population
 from repro.core.protocol import DCSACore, JumpL, ProtocolCore
 from repro.harness import configs
+from repro.harness.registry import DiscoveryRef
 from repro.harness.runner import Experiment, RunResult
-from repro.network.discovery import ConstantDiscovery
 from repro.obs import timeline_session
 from repro.sim import simulator as simulator_mod
 from repro.sim.events import KIND_DELIVER_BURST, KIND_TICK_BURST, N_KINDS
@@ -423,10 +423,10 @@ def churned_sync_ring(script=CHURN_SCRIPT, n=48, horizon=40.0, **overrides):
     )
 
 
-def fast_discovery(params, rng):
-    """Constant latency under ``Delta T'``: a removal is discovered while the
-    ``lost`` timer is still pending (and lazily extended)."""
-    return ConstantDiscovery(0.5 * params.max_delay)
+#: Constant latency 0.5 (half the default ``max_delay``), under ``Delta
+#: T'``: a removal is discovered while the ``lost`` timer is still pending
+#: (and lazily extended).
+FAST_DISCOVERY = DiscoveryRef("constant", {"latency": 0.5})
 
 
 def far_ahead(exp, ahead=3000.0):

@@ -125,8 +125,7 @@ class TestBaselineBehaviour:
         readings = {}
         probe_t = t_insert + 1.0
         for algo in ("static", "dcsa"):
-            run = masked_experiment(edges, pair.beta_clocks, pair.beta_policy,
-                                    params, algo, probe_t)
+            run = masked_experiment(edges, mask, params, algo, probe_t)
             run.sim.schedule_at(
                 t_insert,
                 lambda run=run: run.graph.add_edge(0, n - 1, run.sim.now),

@@ -26,9 +26,9 @@ from repro.core.dcsa import DCSANode
 from repro.core.node import ClockSyncNode
 from repro.core.protocol import JumpL
 from repro.harness import configs
-from repro.harness.registry import DELAY, DISCOVERY, AdversaryRef, ChurnRef
+from repro.harness.registry import DELAY, DISCOVERY, AdversaryRef, ChurnRef, ClockRef
 from repro.analysis.recorder import RunRecord
-from repro.harness.runner import Experiment, RunResult, _draw_clocks
+from repro.harness.runner import Experiment, RunResult
 from repro.network import transport as transport_mod
 from repro.network.channels import ConstantDelay, UniformDelay
 from repro.network.churn import ScriptedChurn
@@ -188,7 +188,7 @@ def _hand_wired(cfg):
         discovery_policy=DISCOVERY[cfg.discovery_spec].build(params, rngf.spawn("discovery")),
         max_delay=params.max_delay, discovery_bound=params.discovery_bound,
     )
-    rates, clocks = _draw_clocks(cfg.clock_spec, params, rngf.spawn("clocks"), cfg.horizon)
+    rates, clocks = ClockRef(cfg.clock_spec)(params, rngf.spawn("clocks"), cfg.horizon)
     for i in range(params.n):
         clock = clocks[i] or ConstantRateClock(rates[i])
         transport.register_node(i, DCSANode(i, sim, clock, transport, params))
@@ -223,6 +223,10 @@ class _ForeignClock(ConstantRateClock):
     ``value`` / ``time_at``, so the table must not evaluate it inline."""
 
 
+def _foreign_clock(exp):
+    exp.nodes[3].clock = _ForeignClock()
+
+
 def _row(id, make, path, declined_by, needle, *, mutate=None, shards=0,
          ambient=nullcontext):
     return pytest.param(make, mutate, shards, ambient, path, declined_by, needle, id=id)
@@ -236,9 +240,8 @@ def _row(id, make, path, declined_by, needle, *, mutate=None, shards=0,
 DECLINES = [
     _row("non_dcsa_core", lambda: _sync(algorithm="max"),
          "array_step", "core", "MaxSyncCore"),
-    _row("foreign_clock",
-         lambda: _sync(clock_spec=lambda node_id, params, rng, horizon: _ForeignClock()),
-         "array_step", "clock", "_ForeignClock"),
+    _row("foreign_clock", _sync, "array_step", "clock", "node 3 clock is _ForeignClock",
+         mutate=_foreign_clock),
     _row("effect_log", _sync, "array_step", "effect_log", "node 3 has an effect log",
          mutate=_attach_log),
     _row("foreign_params", _sync, "array_step", "params", "node 5 does not share",
@@ -636,11 +639,11 @@ def test_lost_deadline_that_moves_earlier(batch, monkeypatch):
         params=params,
         initial_edges=[],
         discovery_spec="max",
-        delay_spec=lambda params, rng: _LateThenEarly(),
         churn=[ScriptedChurn(script)],
     )
     monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", batch)
     exp = Experiment(cfg)
+    exp.transport.delay_policy = _LateThenEarly()  # before the first send
     clock = exp.nodes[0].clock = SteerableClock(0.95, rho=0.05)
     exp.sim.schedule_at(5.92, lambda: clock.set_rate(5.92, 1.05))
     fires = []

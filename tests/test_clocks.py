@@ -15,8 +15,13 @@ from repro.sim.clocks import (
     random_walk_clock,
     sinusoidal_clock,
     two_phase_clock,
-    validate_drift,
+    validate_drift_columns,
 )
+
+
+def _validate_drift(clock, rho):
+    lo, hi = clock.rate_bounds()
+    validate_drift_columns(np.array([lo]), np.array([hi]), rho)
 
 
 class TestConstantRateClock:
@@ -85,7 +90,7 @@ class TestPiecewiseRateClock:
 class TestScheduleBuilders:
     def test_random_walk_within_drift(self, rng):
         c = random_walk_clock(0.03, horizon=100.0, segment=5.0, rng=rng)
-        validate_drift(c, 0.03)
+        _validate_drift(c, 0.03)
 
     def test_random_walk_bad_persistence(self, rng):
         with pytest.raises(ValueError):
@@ -93,7 +98,7 @@ class TestScheduleBuilders:
 
     def test_sinusoidal_within_drift(self):
         c = sinusoidal_clock(0.02, period=50.0, horizon=200.0)
-        validate_drift(c, 0.02)
+        _validate_drift(c, 0.02)
 
     def test_sinusoidal_needs_samples(self):
         with pytest.raises(ValueError):
@@ -102,7 +107,7 @@ class TestScheduleBuilders:
     def test_validate_drift_rejects_violation(self):
         c = ConstantRateClock(1.2)
         with pytest.raises(ValueError, match="drift"):
-            validate_drift(c, 0.1)
+            _validate_drift(c, 0.1)
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 
 from repro import SystemParams
 from repro.harness import ExperimentConfig, build_experiment, configs, run_experiment
+from repro.harness.registry import ClockRef
 from repro.network.topology import path_edges
 from repro.tracing import SPAN_FLIGHT, trace_session
 
@@ -48,29 +49,11 @@ class TestConfigs:
         with pytest.raises(ValueError, match="discovery spec"):
             build_experiment(cfg)
 
-    def test_callable_specs(self):
-        from repro.network.channels import ConstantDelay
-        from repro.network.discovery import ConstantDiscovery
-        from repro.sim.clocks import ConstantRateClock
-
-        cfg = ExperimentConfig(
-            params=SystemParams.for_network(4),
-            initial_edges=path_edges(4),
-            clock_spec=lambda i, p, rng, h: ConstantRateClock(1.0),
-            delay_spec=lambda p, rng: ConstantDelay(0.1),
-            discovery_spec=lambda p, rng: ConstantDiscovery(0.1),
-            horizon=10.0,
-        )
-        res = run_experiment(cfg)
-        assert res.max_global_skew >= 0.0
-
     def test_drift_violating_clock_spec_rejected(self):
-        from repro.sim.clocks import ConstantRateClock
-
         cfg = ExperimentConfig(
             params=SystemParams.for_network(4),
             initial_edges=path_edges(4),
-            clock_spec=lambda i, p, rng, h: ConstantRateClock(2.0),
+            clock_spec=ClockRef("segments", {"segments": [[[0.0, 2.0]]] * 4}),
             horizon=10.0,
         )
         with pytest.raises(ValueError, match="drift"):

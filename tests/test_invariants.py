@@ -161,12 +161,10 @@ class TestCorollary613LocalSkew:
         n = 12
         params = SystemParams.for_network(n, rho=0.05)
         edges = path_edges(n)
-        pair = build_execution_pair(
-            list(range(n)), edges, DelayMask({}, params.max_delay), 0, params
-        )
+        mask = DelayMask({}, params.max_delay)
+        pair = build_execution_pair(list(range(n)), edges, mask, 0, params)
         horizon = 1.05 * pair.full_skew_time(n - 1, params.rho)
-        run = masked_experiment(edges, pair.beta_clocks, pair.beta_policy,
-                                params, "dcsa", horizon)
+        run = masked_experiment(edges, mask, params, "dcsa", horizon)
         worst = {"skew": 0.0}
 
         def sample():
@@ -200,14 +198,12 @@ class TestGradientProperty:
         n = 24
         params = SystemParams.for_network(n, rho=0.05)
         edges = path_edges(n)
-        pair = build_execution_pair(
-            list(range(n)), edges, DelayMask({}, params.max_delay), 0, params
-        )
+        mask = DelayMask({}, params.max_delay)
+        pair = build_execution_pair(list(range(n)), edges, mask, 0, params)
         t_insert = 1.05 * pair.full_skew_time(n - 1, params.rho)
         peaks = {}
         for algo in ("dcsa", "max"):
-            run = masked_experiment(edges, pair.beta_clocks, pair.beta_policy,
-                                    params, algo, t_insert + 30.0)
+            run = masked_experiment(edges, mask, params, algo, t_insert + 30.0)
             run.sim.schedule_at(
                 t_insert,
                 lambda run=run: run.graph.add_edge(0, n - 1, run.sim.now),

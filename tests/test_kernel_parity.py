@@ -28,10 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from kernel_parity import (
     CHURN_SCRIPT,
+    FAST_DISCOVERY,
     check,
     churned_sync_ring,
     far_ahead,
-    fast_discovery,
 )
 
 from repro.core import batch as batch_mod
@@ -39,16 +39,10 @@ from repro.core.batch import NodeArrayTable
 from repro.core.protocol import MaxSyncCore, StaticGradientCore
 from repro.harness import configs
 from repro.adversary.topology import GreedyTopologyAdversary
-from repro.harness.registry import AdversaryRef, OracleRef
+from repro.harness.registry import AdversaryRef, ClockRef, OracleRef
 from repro.network.churn import ScriptedChurn
 from repro.params import SystemParams
-from repro.sim.clocks import (
-    ConstantRateClock,
-    extremal_clock,
-    perfect_clock,
-    sinusoidal_clock,
-    two_phase_clock,
-)
+from repro.sim.clocks import sinusoidal_clock
 from repro.sim.events import KIND_DELIVER_BURST, PRIORITY_TOPOLOGY
 from repro.testing.strategies import experiment_configs, flip_script
 from repro.tracing import (
@@ -79,32 +73,38 @@ def _swap_core_5(core_cls):
     return hook
 
 
-def _perfect_7_8(node_id, params, rng, horizon):
+def _piecewise(cfg, pieces_of):
+    """``cfg`` on explicit clocks: node ``i``'s ``[t, rate]`` pieces are
+    ``pieces_of(i, n, rho)``."""
+    n, rho = cfg.params.n, cfg.params.rho
+    segments = [pieces_of(i, n, rho) for i in range(n)]
+    return replace(cfg, clock_spec=ClockRef("segments", {"segments": segments}))
+
+
+def _perfect_7_8(i, n, rho):
     """Split clocks, but nodes 7 and 8 tick at exact multiples of 0.5."""
-    if node_id in (7, 8):
-        return perfect_clock()
-    return extremal_clock(params.rho, fast=node_id < params.n // 2)
+    return [[0.0, 1.0 if i in (7, 8) else 1.0 + rho if i < n // 2 else 1.0 - rho]]
 
 
-def _sinusoidal(node_id, params, rng, horizon):
-    """Segments of 1.6 / 32 = 0.05, a tenth of a tick: nearly every timer
-    inverse crosses segments and falls back to ``clock.time_at``."""
-    return sinusoidal_clock(params.rho, 1.6, horizon, phase=float(node_id))
+def _sinusoidal(i, n, rho):
+    """Segments of 1.6 / 32 = 0.05 up to 12.0, a tenth of a tick: nearly
+    every timer inverse crosses segments and falls back to ``clock.time_at``."""
+    clock = sinusoidal_clock(rho, 1.6, 12.0, phase=float(i))
+    return [list(piece) for piece in zip(clock._times, clock._rates)]
 
 
-def _two_phase(node_id, params, rng, horizon):
+def _two_phase(i, n, rho):
     """The Lemma 4.2 schedule: layer ``d`` (ring distance from node 0) runs
     at ``1 + rho``, then at 1 -- switching at ``1.5 d`` rather than
     ``max_delay * d / rho`` so that every layer does inside the horizon."""
-    return two_phase_clock(params.rho, 1.5 * min(node_id, params.n - node_id))
+    d = min(i, n - i)
+    return [[0.0, 1.0 + rho], [1.5 * d, 1.0]] if d else [[0.0, 1.0]]
 
 
-def _switching_5(node_id, params, rng, horizon):
+def _switching_5(i, n, rho):
     """Perfect clocks; node 5's runs at ``1 + rho`` until 3.25: its segment
     ends between two of the ring's lockstep bursts (delivered at 3.0, 3.5)."""
-    if node_id == 5:
-        return two_phase_clock(params.rho, 3.25)
-    return ConstantRateClock(1.0)
+    return [[0.0, 1.0 + rho], [3.25, 1.0]] if i == 5 else [[0.0, 1.0]]
 
 
 class _Twice:
@@ -118,6 +118,11 @@ class _Twice:
         if (u, v) == (1, 0) and t == 2.5:
             return 0.75
         return 0.5
+
+
+def _delayed_twice(exp):
+    """Hook: the built experiment's transport takes :class:`_Twice`'s delays."""
+    exp.transport.delay_policy = _Twice()
 
 
 def _rewired(n=128, horizon=20.0):
@@ -365,20 +370,19 @@ CASES = [
     # Edge {7, 8} fails at 4.0, a tick time of both endpoints, with nothing
     # in flight (zero delay): their failed sends' absence records
     # (``d=True``) fire at 6.0 with the removal's own discoveries.
-    Case("run_absence", lambda: churned_sync_ring(
-        [(4.0, "remove", 7, 8), (9.2, "add", 7, 8)], horizon=30.0,
-        clock_spec=_perfect_7_8, delay_spec="zero",
-    ), (greeted,)),
+    Case("run_absence", lambda: _piecewise(churned_sync_ring(
+        [(4.0, "remove", 7, 8), (9.2, "add", 7, 8)], horizon=30.0, delay_spec="zero",
+    ), _perfect_7_8), (greeted,)),
     # Every greeting lands at the discovery's own timestamp.
     Case("run_zero_delay", lambda: churned_sync_ring(
         CHURN_SCRIPT[:4], horizon=30.0, delay_spec="zero"), (greeted,)),
     # Removals discovered while messages still extend the ``lost`` timers.
-    Case("run_lazy_lost", lambda: churned_sync_ring(discovery_spec=fast_discovery), (greeted,)),
+    Case("run_lazy_lost", lambda: churned_sync_ring(discovery_spec=FAST_DISCOVERY), (greeted,)),
     # Node 0 starts 200 ahead, so node 2 is held back by its estimate of
     # node 3 alone: the removal's discovery releases its jump.
     Case("discovery_releases_jump", lambda: churned_sync_ring(
         [(4.3, "remove", 2, 3), (8.1, "add", 2, 3)], n=16, horizon=14.0,
-        discovery_spec=fast_discovery,
+        discovery_spec=FAST_DISCOVERY,
     ), (released_by_the_discovery,), hook=lambda exp: far_ahead(exp, 200.0)),
     # The general path: per-node drift, staggered ticks, random delays --
     # every delivery and tick a singleton record on the table.
@@ -408,8 +412,8 @@ CASES = [
     Case("rw_sync_ring_wide", lambda: _sync(
         32, 40.0, params=SystemParams.for_network(32, rho=0.05), clock_spec="random_walk",
     ), (greeted,)),
-    Case("sinusoidal", lambda: _ring(32, 12.0, clock_spec=_sinusoidal)),
-    Case("two_phase", lambda: _sync(24, 30.0, clock_spec=_two_phase)),
+    Case("sinusoidal", lambda: _piecewise(_ring(32, 12.0), _sinusoidal)),
+    Case("two_phase", lambda: _piecewise(_sync(24, 30.0), _two_phase)),
     # Steered clocks: every rate re-drawn each 0.7, between any two events.
     Case("steered", lambda: _ring(48, 15.0, adversary=_DRIFT)),
     Case("steered_sync_ring", lambda: _sync(32, 30.0, adversary=_DRIFT), (greeted,)),
@@ -428,16 +432,15 @@ CASES = [
          hook=far_ahead, spy=ARRAY_LANE),
     # A piecewise clock whose segment ends between two bursts: the row is
     # re-seated by the scalar lane, its neighbours stay on the array lane.
-    Case("lane_segment_end", lambda: _sync(64, 12.0, clock_spec=_switching_5),
+    Case("lane_segment_end", lambda: _piecewise(_sync(64, 12.0), _switching_5),
          (lanes_meet, lambda r: r.default.res.blocked_rows == 0), spy=ARRAY_LANE),
     # The same (u, v) twice in one run of individual records (the delay
     # script rules bulk sends out; the lane constant admits small runs):
     # every pair at 2.5, greeting and first tick together, then 1 -> 0
     # alone at 3.0 -- node 0 keeps its three messages, the rest merge.
-    Case("lane_twice", lambda: _sync(
-        8, 8.0, clock_spec="perfect", delay_spec=lambda params, rng: _Twice()),
+    Case("lane_twice", lambda: _sync(8, 8.0, clock_spec="perfect"),
         (lambda r: r.default.spied[:2] == [(30, 30, True), (17, 3, True)],),
-        lane_min=1, spy=ARRAY_LANE),
+        hook=_delayed_twice, lane_min=1, spy=ARRAY_LANE),
     # Edges removed with bursts in flight: the drop rule per constituent,
     # the survivors -- a plain list by then -- on the array lane.
     Case("lane_dropped_in_flight", lambda: churned_sync_ring(n=128, horizon=40.0),
@@ -526,7 +529,7 @@ CASES = [
     # priority) with the deliveries of the same tick run.
     Case("flips_tie", lambda: churned_sync_ring(
         [(1.3, "remove", 3, 4), (1.5, "add", 1, 7), (2.6, "add", 3, 4), (3.2, "remove", 1, 7)],
-        n=12, horizon=25.0, discovery_spec=fast_discovery,
+        n=12, horizon=25.0, discovery_spec=FAST_DISCOVERY,
     )),
 ]
 CASE = {case.name: case for case in CASES}

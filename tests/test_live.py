@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.protocol import DiscoverAdd, MessageReceived, Start, TimerFired
 from repro.harness import ExperimentConfig, RuntimeRef, configs
+from repro.harness.registry import ClockRef
 from repro.harness.runner import Experiment, run_experiment
 from repro.live import (
     ChannelError,
@@ -257,12 +258,10 @@ class TestDriverValidation:
             build_live_runtime(self._cfg(), channel="carrier-pigeon")
 
     def test_callable_clock_spec_rejected(self):
-        """A callable spec returns simulated clocks a wall-clock session
-        cannot run at: refused, not silently replaced by uniform drift."""
-        from repro.sim.clocks import ConstantRateClock
-
-        cfg = self._cfg(clock_spec=lambda i, p, rng, h: ConstantRateClock(1.0))
-        with pytest.raises(ValueError, match="callable clock_spec"):
+        """A clock ref builds simulated clock objects a wall-clock session
+        cannot run at: refused, naming the constant entries it can."""
+        cfg = self._cfg(clock_spec=ClockRef("segments", {"segments": [[[0.0, 1.0]]] * 8}))
+        with pytest.raises(ValueError, match="perfect, split, alternating, uniform"):
             build_live_runtime(cfg)
 
     def test_experiment_class_rejects_live_configs(self):
@@ -315,7 +314,6 @@ class TestLiveClocks:
         so only the constant specs also equal a sim run's own column)."""
         from dataclasses import replace
 
-        from repro.harness.runner import _draw_clocks
         from repro.sim.rng import RngFactory
 
         n = 37
@@ -323,7 +321,7 @@ class TestLiveClocks:
         nodes = build_live_runtime(cfg).nodes
         assert sorted(nodes) == list(range(n))
         rates = [nodes[i].clock.rate for i in range(n)]
-        column, _ = _draw_clocks(spec, cfg.params, RngFactory(5).spawn(), cfg.horizon)
+        column, _ = ClockRef(spec)(cfg.params, RngFactory(5).spawn(), cfg.horizon)
         assert rates == column.tolist()
         if spec != "uniform":
             sim = Experiment(replace(cfg, runtime="sim"))

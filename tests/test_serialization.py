@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import ParameterError, SystemParams
@@ -22,16 +24,32 @@ from repro.harness import (
     SerializationError,
     configs,
 )
-from repro.harness.registry import ADVERSARY, CHURN, ORACLE, jsonify
+from repro.adversary import DelayAdversary
+from repro.harness.registry import ADVERSARY, CHURN, ORACLE, ClockRef, DelayRef, jsonify
+from repro.harness.runner import Experiment
+from repro.lowerbound import run_figure1_experiment, run_masking_experiment
+from repro.lowerbound import scenario
 from repro.network.churn import RandomRewirer, ScriptedChurn
 from repro.network.topology import path_edges
+from repro.oracle import StreamingOracle
 from repro.sweep.store import config_hash
 from repro.testing.strategies import fuzz_config, fuzz_sweep_spec
+from test_kernel_parity import CASES
+from test_paper_results import paper
 
 
 def roundtrip(cfg: ExperimentConfig) -> ExperimentConfig:
     wire = json.loads(json.dumps(cfg.to_dict()))
     return ExperimentConfig.from_dict(wire)
+
+
+def refused(**field):
+    """A value that is neither an entry name nor a ref has no plain-data
+    form: ``to_dict`` raises, naming the table a new entry goes in."""
+    (name,) = field
+    table = name.removesuffix("_spec").upper()  # clock_spec -> CLOCK, churn -> CHURN
+    with pytest.raises(SerializationError, match=rf"{name} .*registry\.{table} and"):
+        replace(configs.static_path(4), **field).to_dict()
 
 
 class TestSystemParams:
@@ -78,36 +96,17 @@ class TestExperimentConfig:
         assert proc.events == [(5.0, "add", 0, 3), (9.0, "remove", 0, 3)]
 
     def test_callable_clock_spec_rejected_with_registry_hint(self):
-        cfg = configs.static_path(4)
-        cfg.clock_spec = lambda i, p, rng, h: None
-        with pytest.raises(SerializationError, match="built-in spec strings: perfect, random_walk"):
-            cfg.to_dict()
+        refused(clock_spec=lambda i, p, rng, h: None)
 
     def test_callable_delay_and_discovery_specs_rejected(self):
-        cfg = configs.static_path(4)
-        cfg.delay_spec = lambda p, rng: None
-        with pytest.raises(SerializationError, match="built-in spec strings: uniform, max, half"):
-            cfg.to_dict()
-        cfg = configs.static_path(4)
-        cfg.discovery_spec = lambda p, rng: None
-        with pytest.raises(SerializationError, match="built-in spec strings: uniform, max, zero"):
-            cfg.to_dict()
+        refused(delay_spec=lambda p, rng: None)
+        refused(discovery_spec=lambda p, rng: None)
 
     def test_bare_churn_callable_rejected_with_registry_hint(self):
-        cfg = configs.static_path(4)
-        cfg.churn = [lambda p, rng: ScriptedChurn([])]
-        with pytest.raises(SerializationError, match=r"registry\.CHURN and"):
-            cfg.to_dict()
+        refused(churn=[lambda p, rng: ScriptedChurn([])])
 
     def test_concrete_churn_instance_rejected_with_registry_hint(self):
-        import numpy as np
-
-        cfg = configs.static_path(4)
-        cfg.churn = [RandomRewirer(4, 1, 5.0, np.random.default_rng(0))]
-        with pytest.raises(
-            SerializationError, match=r"add an entry to repro\.harness\.registry\.CHURN "
-        ):
-            cfg.to_dict()
+        refused(churn=[RandomRewirer(4, 1, 5.0, np.random.default_rng(0))])
 
     def test_unknown_field_rejected(self):
         d = configs.static_path(4).to_dict()
@@ -216,22 +215,10 @@ class TestAdversaryRef:
         assert roundtrip(configs.static_path(4)).adversary is None
 
     def test_concrete_adversary_rejected_with_registry_hint(self):
-        from repro.adversary import DelayAdversary
-
-        cfg = configs.static_path(4)
-        cfg.adversary = DelayAdversary()
-        with pytest.raises(SerializationError, match=r"registry\.ADVERSARY and"):
-            cfg.to_dict()
+        refused(adversary=DelayAdversary())
 
     def test_adversary_builder_callable_rejected(self):
-        from repro.adversary import DelayAdversary
-
-        cfg = configs.static_path(4)
-        cfg.adversary = lambda p, rng: DelayAdversary()
-        with pytest.raises(
-            SerializationError, match=r"add an entry to repro\.harness\.registry\.ADVERSARY "
-        ):
-            cfg.to_dict()
+        refused(adversary=lambda p, rng: DelayAdversary())
 
     def test_unknown_adversary_entry_kind_rejected(self):
         d = configs.static_path(4).to_dict()
@@ -273,22 +260,10 @@ class TestOracleRef:
         assert roundtrip(configs.static_path(4)).oracle is None
 
     def test_concrete_oracle_rejected_with_registry_hint(self):
-        from repro.oracle import StreamingOracle
-
-        cfg = configs.static_path(4)
-        cfg.oracle = StreamingOracle(cfg.params, interval=1.0)
-        with pytest.raises(SerializationError, match=r"registry\.ORACLE and"):
-            cfg.to_dict()
+        refused(oracle=StreamingOracle(SystemParams.for_network(4), interval=1.0))
 
     def test_oracle_builder_callable_rejected(self):
-        from repro.oracle import StreamingOracle
-
-        cfg = configs.static_path(4)
-        cfg.oracle = lambda p, rng: StreamingOracle(p, interval=1.0)
-        with pytest.raises(
-            SerializationError, match=r"add an entry to repro\.harness\.registry\.ORACLE "
-        ):
-            cfg.to_dict()
+        refused(oracle=lambda p, rng: StreamingOracle(p, interval=1.0))
 
     def test_unknown_oracle_entry_kind_rejected(self):
         d = configs.static_path(4).to_dict()
@@ -546,3 +521,52 @@ class TestConfigIdentity:
     def test_fuzz_sweep_expansions_are_pinned(self):
         cfgs = (cfg for seed in range(20) for cfg in fuzz_sweep_spec(seed).expand())
         assert _digest(cfgs) == "b9a0574d48de3e13"
+
+
+# --------------------------------------------------------------------- #
+# Every pinned run is one serialisable row
+# --------------------------------------------------------------------- #
+
+
+def one_row(cfg: ExperimentConfig) -> None:
+    d = cfg.to_dict()
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(d))).to_dict() == d
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_every_parity_case_is_one_row(case):
+    one_row(case.make())
+
+
+def test_every_paper_config_is_one_row():
+    entries = [entry for make in paper.EXPERIMENTS.values() for entry in make()]
+    cfgs = [entry.build for entry in entries if isinstance(entry.build, ExperimentConfig)]
+    assert cfgs
+    for cfg in cfgs:
+        one_row(cfg)
+
+
+#: The constructions that run Lemma 4.2's masked executions, at small n.
+MASKED = {
+    "masking": lambda p: run_masking_experiment(
+        p(6), constrained_prefix=1, check_indistinguishability=False
+    ),
+    "figure1": lambda p: run_figure1_experiment(p(8), measure_horizon=2.0),
+    "reveal": lambda p: paper.reveal(p(6), "dcsa", 2.0, 1.0, False),
+}
+
+
+@pytest.mark.parametrize("construction", MASKED)
+def test_every_masked_config_is_one_row(construction, monkeypatch):
+    built = []
+
+    def spy(cfg):
+        built.append(cfg)
+        return Experiment(cfg)
+
+    monkeypatch.setattr(scenario, "Experiment", spy)
+    MASKED[construction](lambda n: SystemParams.for_network(n, rho=0.05))
+    assert built
+    for cfg in built:
+        assert isinstance(cfg.clock_spec, ClockRef) and isinstance(cfg.delay_spec, DelayRef)
+        one_row(cfg)

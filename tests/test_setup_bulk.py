@@ -29,9 +29,9 @@ from repro.core.dcsa import DCSANode
 from repro.core.node import ClockSyncNode, Population
 from repro.core.protocol import ProtocolCore, Start
 from repro.harness import configs, runner
+from repro.harness.registry import ClockRef
 from repro.harness.runner import Experiment, ExperimentConfig, run_experiment
 from repro.lowerbound import masked_experiment
-from repro.lowerbound.executions import build_execution_pair
 from repro.lowerbound.mask import DelayMask
 from repro.network.graph import DynamicGraph, GraphError
 from repro.network.topology import path_edges
@@ -43,7 +43,6 @@ from repro.sim.clocks import (
     ConstantRateClock,
     HardwareClock,
     PiecewiseRateClock,
-    validate_drift,
     validate_drift_columns,
 )
 from repro.sim.rng import RngFactory
@@ -277,17 +276,12 @@ class TestCollectorState:
 
 
 def _masked_beta(n=512):
-    """The Lemma 4.2 beta execution on a path, a callable clock spec
-    (:func:`~repro.lowerbound.masked_experiment`), as a run to start: its
-    clocks and delay policy exist before the count."""
+    """The Lemma 4.2 beta execution on a path, one clock object per node
+    (:func:`~repro.lowerbound.masked_experiment`), as a run to start: set-up
+    has built its clocks and delay policy before the count."""
     params = SystemParams.for_network(n, rho=0.05)
-    edges = path_edges(n)
-    pair = build_execution_pair(
-        list(range(n)), edges, DelayMask({}, params.max_delay), 0, params
-    )
-    return lambda: masked_experiment(
-        edges, pair.beta_clocks, pair.beta_policy, params, "dcsa", 30.0
-    ).run()
+    mask = DelayMask({}, params.max_delay)
+    return masked_experiment(path_edges(n), mask, params, "dcsa", 30.0).run
 
 
 class TestObjectsPerNode:
@@ -295,8 +289,8 @@ class TestObjectsPerNode:
     objects per node on the lockstep populations.  A column population
     builds no driver, core, clock or timer dict for a node nothing
     touched, and its ticks are one group record; what is left per node is
-    its adjacency set.  A callable clock spec's population is columns
-    too: its clocks are the spec's own."""
+    its adjacency set.  A population on clock objects is columns too: its
+    rows are seated from the clocks."""
 
     @pytest.mark.parametrize(
         "make, bound",
@@ -304,8 +298,9 @@ class TestObjectsPerNode:
             (lambda: partial(run_experiment, configs.huge_sync_ring(4096)), 1.5),
             (lambda: partial(run_experiment, configs.huge_sync_grid(64, 64)), 1.5),
             # Not lockstep: every message in flight at the horizon is its
-            # own record and payload, every tick its own record.
-            (_masked_beta, 10.0),
+            # own record and payload, every tick its own record (the run
+            # alone: set-up is not counted).
+            (_masked_beta, 8.0),
         ],
         ids=["huge_sync_ring", "huge_sync_grid", "masked_experiment"],
     )
@@ -389,7 +384,7 @@ def test_draws_as_columns_equal_draws_per_node(spec, stagger):
             (_, _, clock_rng, stagger_rng), (_, _, ref_clock_rng, ref_stagger_rng) = (
                 [rngf.spawn() for _ in range(4)] for rngf in map(RngFactory, (seed, seed))
             )
-            rates, clocks = runner._draw_clocks(spec, params, clock_rng, horizon)
+            rates, clocks = ClockRef(spec)(params, clock_rng, horizon)
             staggers = runner._draw_staggers(DCSANode, cfg, stagger_rng)
             first = {}
             if n > 1:
@@ -414,9 +409,10 @@ def test_draws_as_columns_equal_draws_per_node(spec, stagger):
 
 
 def test_a_drift_outside_rho_raises_validate_drifts_message():
-    with pytest.raises(ValueError) as per_clock:
-        validate_drift(ConstantRateClock(1.25), 0.1)
     rates = np.array([1.0, 1.05, 1.25, 0.5])
     with pytest.raises(ValueError) as column:
         validate_drift_columns(rates, rates, 0.1)
-    assert str(column.value) == f"node 2: {per_clock.value}"
+    assert str(column.value) == (
+        "node 2: clock rates [1.25, 1.25] violate the drift bound "
+        "[1-rho, 1+rho] = [0.9, 1.1]"
+    )
