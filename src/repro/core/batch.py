@@ -305,8 +305,8 @@ class NodeArrayTable:
         #: holds their ``owner * n + peer`` (then a sentinel) for bulk
         #: lookups -- a pair first met later takes the next two free
         #: slots; no slot ever moves.
-        owners, peers = transport.graph.adjacency(ids)
-        keys = np.sort(owners * n + peers)
+        keys = transport.graph.pair_keys()  # ids are 0..n-1: n is the base
+        keys = keys[slice(*np.searchsorted(keys, (ids.start * n, ids.stop * n)))]
         first = self.n_slots = len(keys)
         self.pair_keys = np.append(keys, np.iinfo(np.int64).max)
         size = first + max(16, first // 8)
@@ -319,13 +319,15 @@ class NodeArrayTable:
         lo, hi = ids.start, ids.stop
         col.rate[lo:hi] = rates[lo:hi]
         col.t1[lo:hi] = col.h1[lo:hi] = inf
-        for i in ids:
-            if clocks[i] is not None:
-                self._reseat(i, sim.now)
+        if clocks.count(None) < len(clocks):
+            for i in ids:
+                if clocks[i] is not None:
+                    self._reseat(i, sim.now)
         owner = col.owner[:first] = keys // n
         col.peer[:first] = keys - owner * n
         col.live[:first] = True
-        self.row_start = array("q", np.searchsorted(owner, np.arange(n + 1)).tobytes())
+        self.row_start = array("q", bytes(8 * (n + 1)))
+        np.cumsum(np.bincount(owner, minlength=n), out=np.frombuffer(self.row_start, np.int64)[1:])
         #: ``slotmap[v]``, row ``v``'s ``{peer: slot}`` dict, is built the
         #: first time anything asks for it (:meth:`row`): seeded peers in
         #: order, then later pairs as they were met.
@@ -970,7 +972,7 @@ class NodeArrayTable:
     def rearm(
         self,
         ids: Sequence[int],
-        fires: list[float],
+        fires: Sequence[float] | _F64,
         records: Sequence[ScheduledEvent] | None = None,
         plan: _TickPlan | None = None,
     ) -> None:
@@ -982,28 +984,37 @@ class NodeArrayTable:
         re-pushed in place (a new one when ``None``).  A group carries its
         arm time in ``d`` like an individual record (see
         :meth:`_repush_tick`), and ``plan`` in ``c`` when it is the whole
-        run."""
-        at: dict[float, list[int]] = {}  # deadline -> its nodes' positions
-        for i, fire_t in enumerate(fires):
-            at.setdefault(fire_t, []).append(i)
+        run.  The grouping is one stable sort of the deadlines."""
+        at = np.asarray(fires, dtype=float)
+        members = np.argsort(at, kind="stable")  # each deadline's positions in order
+        deadlines = at[members]
+        starts = np.flatnonzero(np.r_[True, deadlines[1:] != deadlines[:-1]])
+        counts = np.diff(starts, append=len(at))
+        order = np.argsort(members[starts])  # the deadlines in first-member order
+        if isinstance(ids, range):
+            grouped = (members + ids.start).tolist()
+        else:
+            grouped = np.asarray(ids)[members].tolist()
+        whole = plan if len(starts) == 1 else None
         sim = self.sim
         push = sim.queue.push_typed
-        for fire_t, where in at.items():  # in first-member order
-            if len(where) > 1:
+        for fire_t, lo, k in zip(
+            at[members[starts[order]]].tolist(), starts[order].tolist(), counts[order].tolist()
+        ):
+            if k > 1:
                 push(
-                    fire_t, PRIORITY_TIMER, KIND_TICK_BURST, [ids[i] for i in where],
-                    None, plan if len(at) == 1 else None, sim.now, None,
-                    "tick+", e=len(where),
+                    fire_t, PRIORITY_TIMER, KIND_TICK_BURST, grouped[lo : lo + k],
+                    None, whole, sim.now, None, "tick+", e=k,
                 )
             elif records is not None:
-                self._repush_tick(records[where[0]], fire_t)
+                self._repush_tick(records[int(members[lo])], fire_t)
             else:
                 push(
-                    fire_t, PRIORITY_TIMER, KIND_TIMER, ids[where[0]],
+                    fire_t, PRIORITY_TIMER, KIND_TIMER, grouped[lo],
                     _TICK, None, sim.now, None, "timer", e=int(sim.in_run),
                 )
 
-    def arm_ticks(self, fires: list[float]) -> None:
+    def arm_ticks(self, fires: _F64) -> None:
         """Arm the first ticks of a column population, ``fires`` per id of
         ``ids``, where :meth:`ClockSyncNode.start` would have armed them:
         as :meth:`rearm` regroups a tick run when the plan will pre-pop
@@ -1013,11 +1024,11 @@ class NodeArrayTable:
         else:
             self._arm_each(fires)
 
-    def _arm_each(self, fires: list[float]) -> None:
+    def _arm_each(self, fires: _F64) -> None:
         """One set-up tick record per node of ``ids``, in id order."""
         now = self.sim.now
         push = self.sim.queue.push_typed
-        for i, fire_t in zip(self.ids, fires):
+        for i, fire_t in zip(self.ids, fires.tolist()):
             push(fire_t, PRIORITY_TIMER, KIND_TIMER, i, _TICK, None, now, None, "timer", e=0)
 
     def _repush_tick(self, ev: ScheduledEvent, fire_t: float) -> None:

@@ -433,6 +433,21 @@ def _draw_staggers(
     return rng.uniform(0.0, cfg.params.tick_interval, n)
 
 
+def _max_events(cfg: ExperimentConfig) -> int:
+    """The runaway guard of ``cfg``'s run (``Simulator.max_events``): 8x
+    the events its ticks cause -- per node and tick, the tick and one
+    delivery per incident edge (``E_0``'s mean degree, at least 1), at the
+    fastest drift's ``(1 + rho) / tick_interval`` ticks per unit of time
+    over the horizon and one interval more -- and its two samplers' events
+    (a ``sample_interval`` no sampler uses may be 0), plus a flat 10^6 for
+    churn and discoveries."""
+    p = cfg.params
+    degree = max(2 * len(cfg.initial_edges) / p.n, 1.0)
+    ticks = (cfg.horizon + p.tick_interval) * (1.0 + p.rho) / p.tick_interval
+    samples = 2.0 * cfg.horizon / cfg.sample_interval if cfg.sample_interval > 0.0 else 0.0
+    return int(8 * (p.n * ticks * (1.0 + degree) + samples)) + 10**6
+
+
 # ---------------------------------------------------------------------- #
 # Building and running
 # ---------------------------------------------------------------------- #
@@ -451,14 +466,18 @@ class Experiment:
     across shard counts.
 
     **Set-up is one pass** (docs/performance.md, "Set-up"): the cyclic
-    collector is paused, the graph fills E_0 in one loop, clocks and
-    first-tick offsets are drawn as columns (one vector call per stream),
-    a constant discovery latency announces E_0 as one wave record, and a
-    population the table will run is its store's columns from here on
+    collector is paused, the graph keeps E_0 as columns (no node's
+    adjacency set until something reads it), clocks and first-tick
+    offsets are drawn as columns (one vector call per stream), a constant
+    discovery latency announces E_0 as one wave record, the table and the
+    oracle seed from the graph's columns, and a population the table will
+    run is its store's columns from here on
     (:class:`~repro.core.node.Population`: no driver, core, clock or timer
     dict until something touches a node; its first ticks are records by
-    node id) -- each in its per-record order (``initial_edges``,
-    ``graph.edges()``, node id), so every digest holds.
+    node id).  Where an order is observable it is the per-record one --
+    a random discovery latency is drawn per endpoint in
+    ``Transport._announce_each``'s set order, a tick per node id -- so
+    every digest holds; every other reader takes canonical edge order.
     """
 
     def __init__(
@@ -504,7 +523,7 @@ class Experiment:
         params = cfg.params
         make_transport, local = shard or (Transport, range(params.n))
         rngf = RngFactory(cfg.seed)
-        self.sim = Simulator()
+        self.sim = Simulator(_max_events(cfg))
         # 1. Graph with E_0 (no listeners yet, so no discovery is emitted).
         self.graph = DynamicGraph(range(params.n), cfg.initial_edges)
         # 2. Transport subscribes to graph events.
@@ -618,7 +637,7 @@ class Experiment:
             for node in cast(Population, self.nodes).touched():
                 i = node.node_id
                 fires[i - lo] = max(node.clock.time_at(node.clock.value(0.0) + stagger[i]), 0.0)
-            self._store.arm_ticks(fires.tolist())
+            self._store.arm_ticks(fires)
         # 8. Telemetry (ambient, not config: the config dict is the cache
         #    identity and a pure observer must not change it).  Polled
         #    readbacks only -- instrumenting schedules nothing and draws

@@ -2,9 +2,15 @@
 
 The paper models a dynamic network over a static node set ``V`` as a function
 ``E(t)`` from time to edge sets, induced by ``add``/``remove`` events
-(Section 3.2).  :class:`DynamicGraph` implements exactly that: it keeps the
-*current* adjacency for O(1) queries plus a full per-edge event history so the
-model-level predicates the analysis needs are answerable after the fact:
+(Section 3.2).  Almost all of a run's graph is ``E_0`` plus a short edit log,
+so :class:`DynamicGraph` keeps ``E_0`` as columns -- a CSR (``row_start``,
+``peer``: each node's row in ``E_0`` insertion order) and the sorted
+canonical ``edge_keys`` -- and the history of the edges that changed since
+(an ``E_0`` edge's is implicit: added at 0).  A node's adjacency set, for
+O(1) ``neighbors`` / ``has_edge``, is built from its row when one of those
+or a mutation first reaches it, in the insertion order (hence iteration
+order) one ``add_edge`` per ``E_0`` edge would have given it.  The
+model-level predicates the analysis needs stay answerable after the fact:
 
 * ``exists_at(u, v, t)`` -- membership in ``E(t)``;
 * ``exists_throughout(u, v, t1, t2)`` -- the premise of the dynamic local
@@ -15,16 +21,20 @@ model-level predicates the analysis needs are answerable after the fact:
 * ``edges_existing_throughout(t1, t2)`` -- the static subgraph
   ``G[t1,t2]`` of Definition 3.1 (T-interval connectivity).
 
-Time must be fed in non-decreasing order (it comes from the simulator), and
-an edge must not be added and removed at the same instant (the model forbids
-it); both are enforced.
+Readers of the current edge set take columns in canonical (sorted) order
+(``edge_columns``, ``pair_keys``, ``edges``); the one reader whose order is
+observable, ``Transport._announce_each`` (a random discovery latency drawn
+per endpoint), walks the sets.  Node ids are non-negative ints.  Time must
+be fed in non-decreasing order (it comes from the simulator), and an edge
+must not be added and removed at the same instant (the model forbids it);
+both are enforced.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import chain
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -32,10 +42,7 @@ import numpy.typing as npt
 __all__ = ["DynamicGraph", "GraphError", "edge_key"]
 
 Edge = tuple[int, int]
-
-#: The history every edge of E_0 shares until it first changes: added at 0.
-_E0_T: tuple[float, ...] = (0.0,)
-_E0_A: tuple[bool, ...] = (True,)
+_I64 = npt.NDArray[np.int64]
 
 
 class GraphError(ValueError):
@@ -47,16 +54,44 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+class _Rows(dict[int, set[int]]):
+    """Node id -> its adjacency set, built from its ``E_0`` row on the first
+    lookup (``KeyError`` for an id outside the node set)."""
+
+    __slots__ = ("node_set", "row_start", "peer")
+
+    def __init__(
+        self, node_set: AbstractSet[int] | range, row_start: _I64, peer: _I64
+    ) -> None:
+        super().__init__()
+        self.node_set = node_set
+        self.row_start = row_start
+        self.peer = peer
+
+    def __missing__(self, u: int) -> set[int]:
+        if u not in self.node_set:
+            raise KeyError(u)
+        row = self[u] = set(self.peer[self.row_start[u] : self.row_start[u + 1]].tolist())
+        return row
+
+    def fill(self) -> None:
+        """Build every set not built yet, in one pass over the columns."""
+        peer, start = self.peer.tolist(), self.row_start.tolist()
+        for u in self.node_set:
+            if u not in self:
+                self[u] = set(peer[start[u] : start[u + 1]])
+
+
 class DynamicGraph:
     """A dynamic graph over a fixed node set with full event history.
 
     Parameters
     ----------
     nodes:
-        The static node set ``V`` (hashable ids; ints in practice).
+        The static node set ``V`` (non-negative int ids).
     initial_edges:
-        Edges present at time 0 (``E_0`` in the paper); recorded as add
-        events at ``t = 0``.
+        Edges present at time 0 (``E_0`` in the paper), each an add event
+        at ``t = 0``; an invalid one raises what :meth:`add_edge` would.
 
     Listeners registered via :meth:`subscribe` are invoked synchronously on
     every mutation with ``(time, u, v, added)``; the transport uses this to
@@ -64,51 +99,68 @@ class DynamicGraph:
     """
 
     def __init__(self, nodes: Iterable[int], initial_edges: Iterable[Edge] = ()) -> None:
-        self._nodes: list[int] = list(nodes)
-        node_set = set(self._nodes)
+        # A range is its own node set (C-level membership, nothing built).
+        if isinstance(nodes, range):
+            self._nodes: Sequence[int] = nodes
+            node_set: AbstractSet[int] | range = nodes
+            ids = np.arange(nodes.start, nodes.stop, nodes.step)
+        else:
+            self._nodes = list(nodes)
+            node_set = set(self._nodes)
+            ids = np.array(self._nodes, np.int64)
         if len(node_set) != len(self._nodes):
             raise GraphError("duplicate node ids")
         self._node_set = node_set
-        self._adj: dict[int, set[int]] = {u: set() for u in self._nodes}
-        # Per-edge history: key -> (times, added flags), parallel.  An edge
-        # of E_0 shares the immutable ``_E0_T`` / ``_E0_A`` until its first
-        # mutation turns them into two lists (:meth:`_history_lists`).
-        self._hist_t: dict[Edge, Sequence[float]] = {}
-        self._hist_a: dict[Edge, Sequence[bool]] = {}
+        #: One past the largest node id: the base of the int edge keys.
+        size = self.size = int(ids.max(initial=-1)) + 1
+        edges = initial_edges if isinstance(initial_edges, Sequence) else list(initial_edges)
+        m = len(edges)
+        ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * m)
+        us, vs = ends[0::2], ends[1::2]
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        valid = (lo >= 0) & (hi < size) & (lo != hi)
+        if len(node_set) < size:  # gaps in the ids: not every id below size is a node
+            valid &= np.isin(lo, ids) & np.isin(hi, ids)
+        keys = lo * size + hi  # distinct over valid edges
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        repeat = np.zeros(m, bool)  # a later occurrence of a key
+        repeat[order[1:][sorted_keys[1:] == sorted_keys[:-1]]] = True
+        bad = np.flatnonzero(~valid | repeat)
+        if len(bad):  # add_edge's checks, in its order, on the first bad edge
+            u, v = edges[int(bad[0])]
+            if valid[bad[0]]:
+                raise GraphError(f"edge ({u!r}, {v!r}) already present")
+            if u == v:
+                raise GraphError(f"self-loop on node {u!r}")
+            raise GraphError(f"unknown node in edge ({u!r}, {v!r})")
+        #: ``E_0`` as canonical keys ``u * size + v`` (``u < v``), sorted.
+        self.edge_keys: _I64 = sorted_keys
+        # E_0's CSR: each edge enters both end rows, a row in edge order.
+        by_owner = np.argsort(ends, kind="stable")
+        #: Row ``u`` of ``E_0`` is ``peer[row_start[u]:row_start[u + 1]]``.
+        self.row_start: _I64 = np.zeros(size + 1, np.int64)
+        np.cumsum(np.bincount(ends, minlength=size), out=self.row_start[1:])
+        self.peer: _I64 = ends.reshape(-1, 2)[:, ::-1].ravel()[by_owner]
+        self._adj = _Rows(node_set, self.row_start, self.peer)
+        # Per-edge history of the edges that changed since E_0: key ->
+        # (times, added flags), parallel.  An E_0 edge's starts (0.0, True).
+        self._hist_t: dict[Edge, list[float]] = {}
+        self._hist_a: dict[Edge, list[bool]] = {}
         # Edges that have ever seen a remove event: the delivery hot path
         # asks removed_during() once per message, and on stable topologies
         # the answer is decided by this set without touching the history.
         self._ever_removed: set[Edge] = set()
         self._listeners: list[Callable[[float, int, int, bool], None]] = []
         self._last_time = 0.0
-        # E_0 in one loop: ``add_edge(u, v, 0.0)`` minus what is vacuous
-        # here (no listener, no time order).  Same errors in the same
-        # order and the same adjacency insertion order: ``edges()``, hence
-        # E_0's discovery order and every digest, follows it.
-        adj = self._adj
-        hist_t = self._hist_t
-        hist_a = self._hist_a
-        for u, v in initial_edges:
-            nbrs = adj.get(u)
-            if nbrs is not None and v in nbrs:
-                raise GraphError(f"edge ({u!r}, {v!r}) already present")
-            if u == v:
-                raise GraphError(f"self-loop on node {u!r}")
-            if nbrs is None or v not in adj:
-                raise GraphError(f"unknown node in edge ({u!r}, {v!r})")
-            key = (u, v) if u <= v else (v, u)
-            nbrs.add(v)
-            adj[v].add(u)
-            hist_t[key] = _E0_T
-            hist_a[key] = _E0_A
-        self.edge_events = len(hist_t)
+        self.edge_events = m
 
     # ------------------------------------------------------------------ #
     # Basic queries
     # ------------------------------------------------------------------ #
 
     @property
-    def nodes(self) -> list[int]:
+    def nodes(self) -> Sequence[int]:
         """The static node set (copy not taken; do not mutate)."""
         return self._nodes
 
@@ -125,38 +177,52 @@ class DynamicGraph:
         """Current neighbours of ``u`` (live set; do not mutate)."""
         return self._adj[u]
 
+    def neighbor_sets(self) -> Mapping[int, set[int]]:
+        """Every node's current neighbours (each set built now if it was
+        not yet; live sets, do not mutate): for a reader of every row."""
+        self._adj.fill()
+        return self._adj
+
     def degree(self, u: int) -> int:
         """Current degree of ``u``."""
         return len(self._adj[u])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is currently present."""
-        return v in self._adj.get(u, ())
+        try:
+            return v in self._adj[u]
+        except KeyError:
+            return False
+
+    def edge_columns(self) -> tuple[_I64, _I64]:
+        """The current edges as two id columns ``(u, v)``, ``u < v``, in
+        canonical (sorted) order: ``E_0``'s keys with the changed edges'
+        current state laid over them."""
+        keys = self._untouched()
+        if self._hist_t:
+            live = [key for key, flags in self._hist_a.items() if flags[-1]]
+            keys = np.sort(np.concatenate((keys, self._keys(live, len(live)))))
+        return self._decode(keys)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over current edges (canonical orientation)."""
-        for u in self._nodes:
-            for v in self._adj[u]:
-                if u < v:
-                    yield (u, v)
+        """Iterate over current edges (canonical orientation and order)."""
+        us, vs = self.edge_columns()
+        return zip(us.tolist(), vs.tolist())
 
-    def adjacency(
-        self, nodes: Sequence[int] | None = None
-    ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
-        """The current adjacency of ``nodes`` (default: every node) as two
-        id columns, one entry per (node, neighbour): the nodes in order,
-        each one's neighbours in its set's iteration order -- the walk
-        :meth:`edges` makes."""
-        if nodes is None:
-            nodes = self._nodes
-        rows = [self._adj[u] for u in nodes]
-        counts = np.fromiter(map(len, rows), np.int64, len(rows))
-        peers = np.fromiter(chain.from_iterable(rows), np.int64, int(counts.sum()))
-        return np.repeat(np.asarray(nodes, np.int64), counts), peers
+    def pair_keys(self) -> _I64:
+        """Every directed pair ``(u, v)`` of the current graph as the key
+        ``u * size + v``, sorted: each node's neighbours, node by node."""
+        us, vs = self.edge_columns()
+        return np.sort(np.concatenate((us * self.size + vs, vs * self.size + us)))
+
+    def adjacency(self) -> tuple[_I64, _I64]:
+        """The current adjacency as two id columns, one entry per (node,
+        neighbour), in :meth:`pair_keys` order."""
+        return self._decode(self.pair_keys())
 
     def edge_count(self) -> int:
         """Number of current edges."""
-        return sum(len(s) for s in self._adj.values()) // 2
+        return len(self.edge_columns()[0])
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -166,7 +232,7 @@ class DynamicGraph:
         """Register a mutation listener ``(time, u, v, added) -> None``."""
         self._listeners.append(listener)
 
-    def _check_mutation(self, u: int, v: int, time: float) -> Edge:
+    def _check_mutation(self, u: int, v: int, time: float, added: bool) -> Edge:
         if u == v:
             raise GraphError(f"self-loop on node {u!r}")
         if u not in self._node_set or v not in self._node_set:
@@ -177,7 +243,9 @@ class DynamicGraph:
             )
         key = edge_key(u, v)
         ts = self._hist_t.get(key)
-        if ts and ts[-1] == time:
+        # Unchanged since E_0, an edge being removed is an E_0 edge: added at 0.
+        last = ts[-1] if ts else None if added else 0.0
+        if last == time:
             # The model forbids adding and removing the same edge at the
             # same instant; a same-time duplicate of the same operation is
             # caught by the has_edge checks in add/remove.
@@ -191,59 +259,81 @@ class DynamicGraph:
         """Insert edge ``{u, v}`` at ``time`` (must not be present)."""
         if self.has_edge(u, v):
             raise GraphError(f"edge ({u!r}, {v!r}) already present")
-        key = self._check_mutation(u, v, time)
+        key = self._check_mutation(u, v, time, True)
         self._adj[u].add(v)
         self._adj[v].add(u)
-        ts, flags = self._history_lists(key)
-        ts.append(time)
-        flags.append(True)
-        self._last_time = time
-        self.edge_events += 1
-        for fn in self._listeners:
-            fn(time, key[0], key[1], True)
+        self._record(key, time, True)
 
     def remove_edge(self, u: int, v: int, time: float) -> None:
         """Remove edge ``{u, v}`` at ``time`` (must be present)."""
         if not self.has_edge(u, v):
             raise GraphError(f"edge ({u!r}, {v!r}) not present")
-        key = self._check_mutation(u, v, time)
+        key = self._check_mutation(u, v, time, False)
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        ts, flags = self._history_lists(key)
-        ts.append(time)
-        flags.append(False)
         self._ever_removed.add(key)
+        self._record(key, time, False)
+
+    def _record(self, key: Edge, time: float, added: bool) -> None:
+        """Append a mutation to ``key``'s history and tell the listeners."""
+        ts = self._hist_t.get(key)
+        if ts is None:  # its first change; a removed one was an E_0 edge
+            ts = self._hist_t[key] = [] if added else [0.0]
+            flags = self._hist_a[key] = [] if added else [True]
+        else:
+            flags = self._hist_a[key]
+        ts.append(time)
+        flags.append(added)
         self._last_time = time
         self.edge_events += 1
         for fn in self._listeners:
-            fn(time, key[0], key[1], False)
-
-    def _history_lists(self, key: Edge) -> tuple[list[float], list[bool]]:
-        """Edge ``key``'s history as two lists to append to (an E_0 edge's
-        shared history is copied once, at its first mutation)."""
-        ts = self._hist_t.get(key)
-        flags = self._hist_a.get(key)
-        if type(ts) is list and type(flags) is list:
-            return ts, flags
-        ts = self._hist_t[key] = list(ts or ())
-        flags = self._hist_a[key] = list(flags or ())
-        return ts, flags
+            fn(time, key[0], key[1], added)
 
     # ------------------------------------------------------------------ #
     # Historical queries
     # ------------------------------------------------------------------ #
 
+    def _keys(self, edges: Iterable[Edge], count: int) -> _I64:
+        """``count`` canonical ``edges`` as int keys."""
+        size = self.size
+        return np.fromiter((u * size + v for u, v in edges), np.int64, count)
+
+    def _decode(self, keys: _I64) -> tuple[_I64, _I64]:
+        """Int edge keys back to their two id columns."""
+        us = keys // self.size
+        return us, keys - us * self.size
+
+    def _untouched(self) -> _I64:
+        """The keys of the ``E_0`` edges that never changed (present
+        throughout ``[0, now]``), sorted."""
+        keys = self.edge_keys
+        if self._hist_t:
+            keys = keys[~np.isin(keys, self._keys(self._hist_t, len(self._hist_t)))]
+        return keys
+
+    def _edges(self, keys: _I64, changed: Iterable[Edge]) -> list[Edge]:
+        """The untouched ``keys`` and the ``changed`` edges, sorted."""
+        us, vs = self._decode(keys)
+        return sorted([*zip(us.tolist(), vs.tolist()), *changed])
+
+    def _history(self, key: Edge) -> tuple[Sequence[float], Sequence[bool]]:
+        """``key``'s event times and added flags (an unchanged ``E_0``
+        edge's: one add at 0)."""
+        if key in self._hist_t:
+            return self._hist_t[key], self._hist_a[key]
+        k = key[0] * self.size + key[1]
+        i = int(np.searchsorted(self.edge_keys, k))
+        return ((0.0,), (True,)) if k in self.edge_keys[i : i + 1] else ((), ())
+
     def history(self, u: int, v: int) -> list[tuple[float, bool]]:
         """Full event history for an edge as ``[(time, added), ...]``."""
-        key = edge_key(u, v)
-        ts = self._hist_t.get(key, [])
-        return list(zip(ts, self._hist_a.get(key, [])))
+        return list(zip(*self._history(edge_key(u, v))))
 
     def event_times(self) -> list[float]:
         """All distinct mutation times, sorted (used by window scans)."""
-        times: set[float] = set()
-        for ts in self._hist_t.values():
-            times.update(ts)
+        times = set(chain.from_iterable(self._hist_t.values()))
+        if len(self.edge_keys):
+            times.add(0.0)
         return sorted(times)
 
     def event_history(self) -> list[tuple[float, int, int, bool]]:
@@ -254,7 +344,9 @@ class DynamicGraph:
         one instant, so the order within a timestamp is immaterial for
         replay).
         """
-        events = [
+        us, vs = self._decode(self._untouched())
+        events = [(0.0, u, v, True) for u, v in zip(us.tolist(), vs.tolist())]
+        events += [
             (t, key[0], key[1], added)
             for key, ts in self._hist_t.items()
             for t, added in zip(ts, self._hist_a[key])
@@ -269,30 +361,18 @@ class DynamicGraph:
         last add and ``t`` inclusive -- i.e. the state after the last event
         with time ``<= t``.
         """
-        key = edge_key(u, v)
-        ts = self._hist_t.get(key)
-        if not ts:
-            return False
+        ts, flags = self._history(edge_key(u, v))
         i = bisect_right(ts, t) - 1
-        if i < 0:
-            return False
-        return self._hist_a[key][i]
+        return i >= 0 and flags[i]
 
     def removed_during(self, u: int, v: int, t1: float, t2: float) -> bool:
         """Whether any remove event hit the edge in the window ``(t1, t2]``."""
         key = (u, v) if u <= v else (v, u)
         if key not in self._ever_removed:
             return False
-        ts = self._hist_t.get(key)
-        if not ts:
-            return False
+        ts = self._hist_t[key]
         flags = self._hist_a[key]
-        lo = bisect_right(ts, t1)
-        hi = bisect_right(ts, t2)
-        for i in range(lo, hi):
-            if not flags[i]:
-                return True
-        return False
+        return not all(flags[bisect_right(ts, t1) : bisect_right(ts, t2)])
 
     @property
     def ever_removed(self) -> AbstractSet[Edge]:
@@ -328,28 +408,23 @@ class DynamicGraph:
         return self.exists_at(u, v, t1) and not self.removed_during(u, v, t1, t2)
 
     def edges_at(self, t: float) -> list[Edge]:
-        """The edge set ``E(t)`` (historical reconstruction)."""
-        out = []
-        for key, ts in self._hist_t.items():
-            i = bisect_right(ts, t) - 1
-            if i >= 0 and self._hist_a[key][i]:
-                out.append(key)
-        return out
+        """The edge set ``E(t)`` (historical reconstruction), sorted."""
+        keys = self._untouched() if t >= 0.0 else self.edge_keys[:0]
+        return self._edges(keys, (e for e in self._hist_t if self.exists_at(*e, t)))
 
     def edges_existing_throughout(self, t1: float, t2: float) -> list[Edge]:
-        """Edges of the static subgraph ``G[t1, t2]`` (Definition 3.1)."""
-        return [
-            key
-            for key in self._hist_t
-            if self.exists_throughout(key[0], key[1], t1, t2)
-        ]
+        """Edges of the static subgraph ``G[t1, t2]`` (Definition 3.1), sorted."""
+        keys = self._untouched() if t1 >= 0.0 else self.edge_keys[:0]
+        return self._edges(
+            keys, (e for e in self._hist_t if self.exists_throughout(*e, t1, t2))
+        )
 
     # ------------------------------------------------------------------ #
     # Connectivity
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _connected(nodes: list[int], edges: Iterable[Edge]) -> bool:
+    def _connected(nodes: Sequence[int], edges: Iterable[Edge]) -> bool:
         if len(nodes) <= 1:
             return True
         adj: dict[int, list[int]] = {u: [] for u in nodes}
@@ -396,23 +471,15 @@ class DynamicGraph:
                     anchors.add(t - interval)
         return sorted(anchors)
 
-    def check_interval_connectivity(
-        self, interval: float, t_end: float, *, step: float | None = None
-    ) -> bool:
+    def check_interval_connectivity(self, interval: float, t_end: float) -> bool:
         """Check ``interval``-interval connectivity over ``[0, t_end]``.
 
-        Windows are anchored at :meth:`window_anchors`; ``step`` adds extra
-        sample anchors for belt-and-braces testing.  For violation details
-        use :func:`repro.adversary.connectivity.scan_interval_connectivity`,
+        Windows are anchored at :meth:`window_anchors`.  For violation
+        details use
+        :func:`repro.adversary.connectivity.scan_interval_connectivity`,
         which walks the same anchors.
         """
-        anchors: set[float] = set(self.window_anchors(interval, t_end))
-        if step is not None:
-            k = 0
-            while k * step <= t_end:
-                anchors.add(k * step)
-                k += 1
-        for t in sorted(anchors):
+        for t in self.window_anchors(interval, t_end):
             if not self.is_connected_throughout(t, min(t + interval, t_end)):
                 return False
         return True

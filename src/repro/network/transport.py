@@ -287,17 +287,17 @@ class Transport:
         Under a :class:`~repro.network.discovery.ConstantDiscovery` (by
         exact type) all of E_0 shares one fire time and travels as one
         *wave* record: the node and peer ids of its rows as two columns
-        (:class:`~repro.core.batch.WaveRows`), in :meth:`_announce_each`'s
-        push order.
+        (:class:`~repro.core.batch.WaveRows`), both endpoints of each edge
+        in turn, the edges in canonical order (the graph's columns; one
+        shared fire time leaves that order unobservable).
         """
         policy = self.discovery_policy
         if type(policy) is not ConstantDiscovery:
             self._announce_each()
             return
-        owner, peer = self.graph.adjacency()
-        edge = owner < peer  # each edge once, as edges() yields it
-        nids = np.column_stack((owner[edge], peer[edge])).ravel()
-        others = np.column_stack((peer[edge], owner[edge])).ravel()
+        us, vs = self.graph.edge_columns()
+        nids = np.column_stack((us, vs)).ravel()
+        others = np.column_stack((vs, us)).ravel()
         if len(self._nodes) < self.graph.n:  # nodes may be registered lazily
             known = np.isin(nids, list(self._nodes))
             nids, others = nids[known], others[known]
@@ -309,12 +309,18 @@ class Transport:
             )
 
     def _announce_each(self) -> None:
-        """E_0 announced one record per endpoint: the reference the wave
-        is tested against, and the path of every non-constant policy."""
+        """E_0 announced one record per endpoint, the path of every
+        non-constant policy.  Its latency draws follow its order, so the
+        order is a contract: node by node, each one's set in iteration
+        order (what one ``add_edge`` per ``E_0`` edge left), each edge
+        from its smaller end."""
         now = self.sim.now
-        for u, v in self.graph.edges():
-            self._schedule_discovery(u, v, added=True, change_time=now)
-            self._schedule_discovery(v, u, added=True, change_time=now)
+        adj = self.graph.neighbor_sets()
+        for u in self.graph.nodes:
+            for v in adj[u]:
+                if u < v:
+                    self._schedule_discovery(u, v, added=True, change_time=now)
+                    self._schedule_discovery(v, u, added=True, change_time=now)
 
     # ------------------------------------------------------------------ #
     # Sending

@@ -166,13 +166,14 @@ class TimelineRecorder:
         else:
             self.events_dropped += 1
 
-    def seed_edges(self, edges: list[tuple[int, int]]) -> None:
-        """:meth:`edge_event` of an add at ``t = 0`` per edge, in one pass."""
+    def seed_edges(self, us: npt.NDArray[np.int64], vs: npt.NDArray[np.int64]) -> None:
+        """:meth:`edge_event` of an add at ``t = 0`` per canonical edge
+        ``(us[i], vs[i])``, in one pass."""
         room = max(self.event_budget - len(self.events), 0)
         self.events.extend(
-            (0.0, min(u, v), max(u, v), 1) for u, v in edges[:room]
+            (0.0, u, v, 1) for u, v in zip(us[:room].tolist(), vs[:room].tolist())
         )
-        self.events_dropped += max(len(edges) - room, 0)
+        self.events_dropped += max(len(us) - room, 0)
 
     def _decimate(self) -> None:
         """Halve resolution: keep every 2nd row, double the stride."""

@@ -118,11 +118,6 @@ class MonitorSummary:
     worst_margin_time: float | None = None
     extras: dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        """Whether the monitor saw no violation."""
-        return self.violations == 0
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe form (run bundles, structured logs)."""
         return {
@@ -260,10 +255,11 @@ class Monitor:
     def on_edge_event(self, time: float, u: int, v: int, added: bool) -> None:
         """Graph mutation hook (only routed when :attr:`tracks_edges`)."""
 
-    def seed_edges(self, edges: list[tuple[int, int]]) -> None:
-        """The edges present at ``t = 0``, each as an add at age 0, in
-        order: what one :meth:`on_edge_event` per edge would leave."""
-        for u, v in edges:
+    def seed_edges(self, us: np.ndarray, vs: np.ndarray) -> None:
+        """The edges present at ``t = 0`` as two id columns, each an add at
+        age 0, in order: what one :meth:`on_edge_event` per edge would
+        leave."""
+        for u, v in zip(us.tolist(), vs.tolist()):
             self.on_edge_event(0.0, u, v, True)
 
 
@@ -398,20 +394,23 @@ EnvelopePass = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 class EnvelopeMonitor(Monitor):
     """Corollary 6.13: every live edge respects ``s(n, I, edge age)``.
 
-    Maintains the live-edge table ``{(u, v): add_time}`` from graph events
-    (initial edges enter at ``t = 0``, matching the recorder's episode
-    convention) and checks every live edge at every sample.  State is
-    O(current edges); nothing is kept per sample.
+    Keeps the live edges with their add times (the edges seeded at ``t = 0``
+    enter at age 0, matching the recorder's episode convention) and checks
+    every live edge at every sample.  State is O(current edges); nothing is
+    kept per sample.
 
-    **Incremental per-edge tracking.**  The per-sample check is fully
-    vectorised: dense endpoint-index and add-time arrays mirror the live
-    table and are rebuilt only when an edge event dirties them, so a
-    sample costs one numpy pass over the live edges instead of a Python
-    loop with a scalar bound evaluation per edge (the pre-refactor
-    full-rescan behaviour).  Array order equals the table's insertion
-    order, so check accounting, worst-case extrema and violation records
-    are identical to the sequential formulation (the online/offline
-    agreement tests pin this).
+    **Columns plus an overlay.**  The seeded edges stay the two id columns
+    they arrived as (add time 0; a removal clears a live flag), and the
+    edges added later are an insertion-ordered ``{(u, v): add_time}``
+    overlay (a removed and re-added seeded edge joins it at the end).  The
+    per-sample check is fully vectorised: dense endpoint-index and add-time
+    arrays -- the live seeds in order, then the overlay -- are rebuilt only
+    when an edge event dirties them, so a sample costs one numpy pass over
+    the live edges.  Their order is the order one
+    :meth:`on_edge_event` per seed and per event would give a single
+    insertion-ordered table, so check accounting, worst-case extrema and
+    violation records are identical to the sequential formulation (the
+    online/offline agreement tests pin this).
     """
 
     name = "envelope"
@@ -419,12 +418,16 @@ class EnvelopeMonitor(Monitor):
 
     def __init__(self) -> None:
         super().__init__()
+        _ids = np.empty(0, dtype=np.int64)
+        self._seed_u, self._seed_v = _ids, _ids
+        self._seed_live = np.empty(0, dtype=bool)
         self._live: dict[tuple[int, int], float] = {}
         #: Node id -> its position in the sampled columns (-1: unsampled).
         self._position: np.ndarray = np.empty(0, dtype=np.intp)
-        # Dense mirrors of _live (rebuilt lazily when dirty).
+        # Dense mirrors of the live edges (rebuilt lazily when dirty): their
+        # ids, sampled positions and add times.
         self._dirty = True
-        self._edge_keys: list[tuple[int, int]] = []
+        self._edge_u, self._edge_v = _ids, _ids
         self._eu: np.ndarray = np.empty(0, dtype=np.intp)
         self._ev: np.ndarray = np.empty(0, dtype=np.intp)
         self._eadd: np.ndarray = np.empty(0, dtype=float)
@@ -445,29 +448,32 @@ class EnvelopeMonitor(Monitor):
         key = (u, v) if u <= v else (v, u)
         if added:
             self._live[key] = time
-        else:
-            self._live.pop(key, None)
+        elif self._live.pop(key, None) is None:  # a seeded edge
+            u, v = key
+            lo, hi = np.searchsorted(self._seed_u, (u, u + 1))
+            j = lo + int(np.searchsorted(self._seed_v[lo:hi], v))
+            if j < hi and self._seed_v[j] == v:
+                self._seed_live[j] = False
         self._dirty = True
 
-    def seed_edges(self, edges: list[tuple[int, int]]) -> None:
-        self._live.update(
-            dict.fromkeys(((u, v) if u <= v else (v, u) for u, v in edges), 0.0)
-        )
+    def seed_edges(self, us: np.ndarray, vs: np.ndarray) -> None:
+        self._seed_u, self._seed_v = us, vs
+        self._seed_live = np.ones(len(us), dtype=bool)
         self._dirty = True
 
     def _rebuild(self) -> None:
-        """Refresh the dense arrays from the live table (insertion order)."""
-        keys = list(self._live.keys())
-        self._edge_keys = keys
-        ends = self._position[
-            np.fromiter(chain.from_iterable(keys), np.intp, 2 * len(keys))
-        ]
-        if (ends < 0).any():  # an edge to a node the samples do not cover
-            raise KeyError(keys[int(np.argmax(ends < 0)) // 2])
-        self._eu = ends[0::2]
-        self._ev = ends[1::2]
-        self._eadd = np.fromiter(
-            self._live.values(), dtype=float, count=len(keys)
+        """Refresh the dense arrays: the live seeds, then the overlay."""
+        live = self._seed_live
+        later = np.fromiter(chain.from_iterable(self._live), np.int64, 2 * len(self._live))
+        self._edge_u = np.concatenate((self._seed_u[live], later[0::2]))
+        self._edge_v = np.concatenate((self._seed_v[live], later[1::2]))
+        eu = self._eu = self._position[self._edge_u]
+        ev = self._ev = self._position[self._edge_v]
+        if (eu < 0).any() or (ev < 0).any():  # an edge the samples do not cover
+            i = int(np.argmax((eu < 0) | (ev < 0)))
+            raise KeyError((int(self._edge_u[i]), int(self._edge_v[i])))
+        self._eadd = np.concatenate(
+            (np.zeros(len(eu) - len(self._live)), np.fromiter(self._live.values(), float))
         )
         self._dirty = False
 
@@ -475,11 +481,11 @@ class EnvelopeMonitor(Monitor):
         self, t: float, clocks: np.ndarray, estimates: np.ndarray | None
     ) -> None:
         self.last_pass = None
-        if not self._live:
-            return
         if self._dirty:
             self._rebuild()
-        m = len(self._edge_keys)
+        m = len(self._eu)
+        if not m:
+            return
         ages = t - self._eadd
         bounds = self.bound_scale * skew_bounds.dynamic_local_skew_batch(
             self.params, ages
@@ -502,11 +508,11 @@ class EnvelopeMonitor(Monitor):
         r = int(np.argmax(ratios))
         if ratios[r] > self.worst_ratio:
             self.worst_ratio = float(ratios[r])
-            self.worst_edge = self._edge_keys[r]
+            self.worst_edge = (int(self._edge_u[r]), int(self._edge_v[r]))
             self.worst_age = float(ages[r])
         violating = np.nonzero(observed > bounds + self.tolerance)[0]
         for i in violating:
-            u, v = self._edge_keys[int(i)]
+            u, v = int(self._edge_u[i]), int(self._edge_v[i])
             self._violate(
                 t,
                 (u, v),

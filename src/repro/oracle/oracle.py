@@ -308,11 +308,11 @@ class StreamingOracle:
         """
         if self._edge_monitors:
             graph.subscribe(self.edge_event)
-            edges = list(graph.edges())
+            us, vs = graph.edge_columns()
             for monitor in self._edge_monitors:
-                monitor.seed_edges(edges)
+                monitor.seed_edges(us, vs)
             if self._timeline is not None:
-                self._timeline.seed_edges(edges)
+                self._timeline.seed_edges(us, vs)
 
     def install(
         self,

@@ -83,6 +83,7 @@ from multiprocessing.sharedctypes import RawArray
 from typing import TYPE_CHECKING, Any, Callable, cast
 
 import numpy as np
+import numpy.typing as npt
 
 from ..core.batch import LANE_FIELDS, Decline, NodeArrayTable, PopulationReader
 from ..network.graph import DynamicGraph
@@ -323,7 +324,7 @@ class ParNodeArrayTable(NodeArrayTable):
             if any(v not in ids or v in frontier for v in graph.neighbors(i))
         )
 
-    def arm_ticks(self, fires: list[float]) -> None:
+    def arm_ticks(self, fires: npt.NDArray[np.float64]) -> None:
         # One set-up record per node, never a group: the first ticks keep
         # their set-up phase in ``e`` (see :meth:`_enter_tick`).
         self._arm_each(fires)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.graph import DynamicGraph, GraphError, edge_key
@@ -23,6 +25,13 @@ class TestBasics:
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(GraphError):
             DynamicGraph([1, 1, 2])
+
+    def test_ids_with_gaps(self):
+        g = DynamicGraph([5, 0, 2], [(5, 2), (0, 2)])
+        assert g.neighbors(2) == {0, 5} and list(g.edges()) == [(0, 2), (2, 5)]
+        assert not g.has_node(1) and not g.has_edge(1, 2)
+        with pytest.raises(GraphError, match="unknown node in edge"):
+            DynamicGraph([0, 2, 5], [(0, 1)])
 
     def test_self_loop_rejected(self):
         g = DynamicGraph(range(3))
@@ -189,3 +198,90 @@ def test_property_exists_at_matches_replay(script):
         for (u, v), present in state.items():
             assert g.exists_at(u, v, probe) == present
         probe += 1.0
+
+
+@st.composite
+def _scripts(draw):
+    """A node set, an E_0 (distinct pairs, either orientation) and a
+    time-ordered script of adds, removes and reads (``touch``: build a
+    node's set early), some of them invalid."""
+    n = draw(st.integers(1, 9))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    e0, seen = [], set()
+    for u, v in draw(st.lists(pairs, max_size=20)):
+        if u != v and edge_key(u, v) not in seen:
+            seen.add(edge_key(u, v))
+            e0.append((u, v))
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(["add", "remove", "touch"]), pairs, st.sampled_from([0.0, 0.0, 0.5, 1.0])),
+        max_size=30,
+    ))
+    return n, e0, steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scripts())
+def test_property_columns_graph_equals_a_set_model(script):
+    """The columns graph answers every query as a plain model does: one set
+    per node, filled in insertion order (E_0, then the script), and every
+    edge's history from an add at 0 -- whenever a node's set is built."""
+    n, e0, steps = script
+    g = DynamicGraph(range(n), e0)
+    adj = {u: set() for u in range(n)}
+    hist: dict[tuple[int, int], list[tuple[float, bool]]] = {}
+    for u, v in e0:
+        adj[u].add(v)
+        adj[v].add(u)
+        hist[edge_key(u, v)] = [(0.0, True)]
+    t = 0.0
+    for op, (u, v), dt in steps:
+        t += dt
+        if op == "touch":
+            g.neighbors(u)
+            continue
+        key = edge_key(u, v)
+        valid = u != v and (v in adj[u]) == (op == "remove") and (
+            not hist.get(key) or hist[key][-1][0] != t
+        )
+        if not valid:
+            with pytest.raises(GraphError):
+                (g.add_edge if op == "add" else g.remove_edge)(u, v, t)
+            continue
+        (g.add_edge if op == "add" else g.remove_edge)(u, v, t)
+        (adj[u].add if op == "add" else adj[u].discard)(v)
+        (adj[v].add if op == "add" else adj[v].discard)(u)
+        hist.setdefault(key, []).append((t, op == "add"))
+    model_edges = {(u, v) for u in adj for v in adj[u] if u < v}
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for u in range(n):
+        assert list(g.neighbors(u)) == list(adj[u])  # same set, same order
+        assert g.degree(u) == len(adj[u])
+    assert all(g.has_edge(u, v) == (v in adj[u]) for u, v in pairs)
+    assert g.edge_count() == len(model_edges)
+    assert list(g.edges()) == sorted(model_edges)
+    owners, peers = g.adjacency()
+    assert Counter(zip(owners.tolist(), peers.tolist())) == Counter(
+        (u, v) for u in adj for v in adj[u]
+    )
+    for u, v in pairs:
+        assert g.history(u, v) == hist.get(edge_key(u, v), [])
+    times = sorted({s for h in hist.values() for s, _ in h})
+    assert g.event_times() == times
+    assert g.event_history() == sorted(
+        (s, *key, added) for key, h in hist.items() for s, added in h
+    )
+    removed = {key for key, h in hist.items() if not all(a for _, a in h)}
+    us, vs = zip(*pairs) if pairs else ((), ())
+    assert g.never_removed(us, vs) == (not removed)
+    for probe in (-1.0, *times, t + 1.0):
+        state = {
+            key for key, h in hist.items()
+            if [a for s, a in h if s <= probe][-1:] == [True]
+        }
+        assert set(g.edges_at(probe)) == state
+        for u, v in pairs:
+            key = edge_key(u, v)
+            assert g.exists_at(u, v, probe) == (key in state)
+            assert g.removed_during(u, v, probe, t + 1.0) == any(
+                not a for s, a in hist.get(key, []) if probe < s
+            )

@@ -8,7 +8,9 @@ import pytest
 from repro import SystemParams
 from repro.harness import ExperimentConfig, build_experiment, configs, run_experiment
 from repro.harness.registry import ClockRef
+from repro.harness.runner import _max_events
 from repro.network.topology import path_edges
+from repro.sim.simulator import SimulationError
 from repro.tracing import SPAN_FLIGHT, trace_session
 
 
@@ -169,6 +171,36 @@ class TestHugeWorkloads:
         res = run_experiment(configs.huge_churn_ring(12, horizon=15.0))
         assert res.graph.edge_events > 12  # backbone + rewiring happened
         assert res.oracle_report is not None and res.oracle_report.ok
+
+    def test_the_runaway_guard_scales_with_the_config(self):
+        """``Simulator.max_events`` is derived from the config: room for
+        twice what the run dispatches, and linear in n and in the horizon
+        (a 10^6-node sync ring dispatches 54.5M events by horizon 10)."""
+        cfg = configs.huge_sync_ring(4096, horizon=10.0)
+        exp = build_experiment(cfg)
+        assert exp.sim.max_events == _max_events(cfg)
+        assert exp.sim.max_events >= 2 * exp.run().events_dispatched
+
+        def limit(n, horizon):
+            return _max_events(configs.huge_sync_ring(n, horizon=horizon))
+
+        per_node = limit(8192, 10.0) - limit(4096, 10.0)
+        assert per_node == pytest.approx(2 * (limit(4096, 10.0) - limit(2048, 10.0)), abs=2)
+        assert limit(4096, 30.0) - limit(4096, 20.0) == pytest.approx(
+            limit(4096, 20.0) - limit(4096, 10.0), abs=2
+        )
+        assert per_node / 4096 * 10**6 > 2 * 54_500_003
+
+    def test_a_run_past_its_guard_still_raises(self):
+        exp = build_experiment(configs.huge_sync_ring(64, horizon=10.0))
+        exp.sim.max_events = 1000
+        with pytest.raises(SimulationError, match="max_events"):
+            exp.run()
+
+    def test_an_unused_sample_interval_is_not_a_divisor(self):
+        cfg = configs.static_ring(6, horizon=5.0)
+        cfg.sample_interval, cfg.record = 0.0, False
+        assert run_experiment(cfg).events_dispatched > 0
 
     def test_huge_configs_serialize(self):
         for cfg in (

@@ -128,9 +128,9 @@ class TestTimeline:
                 live.pop(key, None)
             edge_event(self, time, u, v, added)
 
-        def mirroring_seed_edges(self, edges):
-            live.update(((min(u, v), max(u, v)), 0.0) for u, v in edges)
-            seed_edges(self, edges)
+        def mirroring_seed_edges(self, us, vs):
+            live.update(((u, v), 0.0) for u, v in zip(us.tolist(), vs.tolist()))
+            seed_edges(self, us, vs)
 
         def own_pass_then_record(self, t, clocks, estimates, **kwargs):
             index = {nid: k for k, nid in enumerate(self._node_ids)}

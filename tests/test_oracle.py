@@ -17,7 +17,10 @@ from repro.harness import ExperimentConfig, OracleRef, configs, run_experiment
 from repro.network.topology import path_edges
 from repro.oracle import (
     MONITOR_FACTORIES,
+    EnvelopeMonitor,
     GlobalSkewMonitor,
+    LmaxDominanceMonitor,
+    Monitor,
     OracleError,
     ProgressMonitor,
     StreamingOracle,
@@ -66,6 +69,33 @@ class TestMonitorsUnit:
         assert m.violation_count == 1
         v = m.violations[0]
         assert set(v.nodes) == {3, 0} and v.observed == pytest.approx(g + 1.0)
+
+    def test_lmax_dominance_flags_each_node_below_its_clock(self, params8):
+        m = bind(LmaxDominanceMonitor(), params8, [4, 5, 6])
+        m.on_sample(1.0, np.array([2.0, 2.0, 2.0]), np.array([2.0, 1.5, 1.0]))
+        assert m.checks == 3 and m.worst_margin == pytest.approx(-1.0)
+        assert [(v.nodes, v.bound, v.observed) for v in m.violations] == [
+            ((5,), 1.5, 2.0), ((6,), 1.0, 2.0)
+        ]
+
+    def test_the_base_monitor_checks_nothing_itself(self, params8):
+        with pytest.raises(NotImplementedError):
+            bind(Monitor(), params8, [0]).on_sample(0.0, np.zeros(1), None)
+
+    def test_envelope_without_live_edges_checks_nothing(self, params8):
+        m = bind(EnvelopeMonitor(), params8, [0, 1, 2])
+        m.seed_edges(np.array([0, 1]), np.array([1, 2]))
+        for u, v in ((0, 1), (2, 1)):
+            m.on_edge_event(1.0, u, v, False)
+        m.on_sample(2.0, np.zeros(3), None)
+        assert m.checks == 0 and m.last_pass is None
+
+    def test_envelope_refuses_an_edge_to_an_unsampled_node(self, params8):
+        m = bind(EnvelopeMonitor(), params8, [0, 1, 3])
+        m.seed_edges(np.array([0]), np.array([1]))
+        m.on_edge_event(1.0, 3, 2, True)
+        with pytest.raises(KeyError, match=r"\(2, 3\)"):
+            m.on_sample(2.0, np.zeros(3), None)
 
     def test_violation_record_shape(self):
         v = Violation("global_skew", 3.0, (1, 2), 5.0, 7.5, -2.5, detail="x")
@@ -263,9 +293,10 @@ class TestOracleOnAdversaries:
 
 
 class TestBulkEdgeSeeding:
-    """``attach_graph`` seeds E_0 with one bulk call per edge monitor (and
-    the timeline) in ``graph.edges()`` order: the same state, and the same
-    run, as one ``edge_event`` per edge."""
+    """``attach_graph`` seeds E_0 as the graph's columns with one bulk call
+    per edge monitor (and the timeline), in ``graph.edges()`` order: the
+    same live edges in the same order, and the same run, as one
+    ``edge_event`` per edge."""
 
     @staticmethod
     def _per_edge(self, graph):
@@ -293,9 +324,30 @@ class TestBulkEdgeSeeding:
             with timeline_session() as tl:
                 exp = Experiment(cfg)
                 (env,) = [m for m in exp.oracle.monitors if m.tracks_edges]
-                seeded = (list(env._live.items()), list(tl.events))
+                env._rebuild()
+                live = list(zip(env._edge_u.tolist(), env._edge_v.tolist(), env._eadd.tolist()))
+                seeded = (live, list(tl.events))
                 report = exp.run().oracle_report
                 return seeded, report.to_dict(), tl.to_dict()
+
+    def test_a_monitor_without_seed_edges_gets_one_add_per_edge(self, params8):
+        class Adds(Monitor):
+            tracks_edges = True
+
+            def __init__(self):
+                super().__init__()
+                self.seen = []
+
+            def on_edge_event(self, time, u, v, added):
+                self.seen.append((time, u, v, added))
+
+        from repro.network.graph import DynamicGraph
+
+        monitor = Adds()
+        oracle = StreamingOracle(params8, monitors=[monitor])
+        oracle.attach({i: None for i in range(4)}, interval=1.0)
+        oracle.attach_graph(DynamicGraph(range(4), [(3, 0), (1, 2), (0, 1)]))
+        assert monitor.seen == [(0.0, 0, 1, True), (0.0, 0, 3, True), (0.0, 1, 2, True)]
 
     def test_seeded_state_and_the_run_equal_the_per_edge_path(self, monkeypatch):
         for cfg in self._configs():

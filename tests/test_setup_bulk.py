@@ -1,13 +1,14 @@
 """Set-up is one pass, and leaves what the per-record wiring leaves.
 
-``Experiment.__init__`` fills E_0 in one loop, announces it as one wave
-record under a constant discovery latency, writes a column population's
-clocks and first ticks as columns (no driver per node) and pauses the
-cyclic collector while it wires.  The reference these tests compare
-against is the wiring it replaced, still in the tree: ``add_edge`` per
-initial edge, ``_schedule_discovery`` per endpoint
-(``Transport._announce_each``), a driver per node (the object population
-of the ``handle()`` reference) and ``Start`` through ``handle()`` per node.
+``Experiment.__init__`` validates E_0 as columns in one pass, announces it
+as one wave record under a constant discovery latency, writes a column
+population's clocks and first ticks as columns (no driver per node) and
+pauses the cyclic collector while it wires.  The reference these tests
+compare against is the per-record wiring: ``add_edge`` per initial edge,
+``_schedule_discovery`` per endpoint (in canonical edge order where the
+wave stands for it, through ``Transport._announce_each`` otherwise), a
+driver per node (the object population of the ``handle()`` reference) and
+``Start`` through ``handle()`` per node.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.harness.registry import ClockRef
 from repro.harness.runner import Experiment, ExperimentConfig, run_experiment
 from repro.lowerbound import masked_experiment
 from repro.lowerbound.mask import DelayMask
+from repro.network.discovery import ConstantDiscovery
 from repro.network.graph import DynamicGraph, GraphError
 from repro.network.topology import path_edges
 from repro.network.transport import Transport
@@ -57,11 +59,24 @@ def _per_record_graph(nodes, initial_edges=()):
     return graph
 
 
+def _announce_per_record(transport):
+    """E_0's discoveries one record per endpoint: a constant latency's in
+    canonical edge order, both ends in turn (the wave's order), any other
+    policy's through ``_announce_each``, whose order its draws follow."""
+    if type(transport.discovery_policy) is not ConstantDiscovery:
+        transport._announce_each()
+        return
+    now = transport.sim.now
+    for u, v in transport.graph.edges():
+        transport._schedule_discovery(u, v, added=True, change_time=now)
+        transport._schedule_discovery(v, u, added=True, change_time=now)
+
+
 def _reference(build):
     """``build()`` with every bulk path swapped for its per-record form."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(runner, "DynamicGraph", _per_record_graph)
-        mp.setattr(Transport, "announce_initial_edges", Transport._announce_each)
+        mp.setattr(Transport, "announce_initial_edges", _announce_per_record)
         mp.setattr(ClockSyncNode, "start", lambda self: self._dispatch(Start()))
         mp.setattr(simulator_mod, "BATCH_DEFAULT", False)
         return build()
@@ -102,7 +117,7 @@ def _wiring(exp):
     return {
         "edges": edges,
         "history": [graph.history(u, v) for u, v in edges],
-        "hist_order": list(graph._hist_t),
+        "events": graph.event_history(),
         "edge_events": graph.edge_events,
         "stats": exp.transport.stats.as_dict(),
         "timers": {  # a tick is in the queue, whoever holds its record
@@ -161,6 +176,17 @@ def test_wave_dispatch_counts_every_discovery():
         assert exp.sim.kind_counts[KIND_DISCOVER] == 2 * 24
         assert res.transport_stats["discoveries_delivered"] == 2 * 24
         assert (res.array_events > 0) == batch
+
+
+def test_the_per_endpoint_announcement_walks_each_nodes_set():
+    """The one E_0 reader whose order is observable: a random discovery
+    latency is drawn per endpoint in ``_announce_each``'s order, node by
+    node over each one's adjacency set.  Pinned by the paper's mobile
+    ad-hoc network row for DCSA (``benchmarks/paper``, n = 16, seed 3):
+    walking the edges in sorted order instead moves its global skew."""
+    cfg = configs.mobile_network(16, horizon=200.0, seed=3, algorithm="dcsa")
+    assert cfg.discovery_spec == "uniform"
+    assert run_experiment(cfg).max_global_skew == 0.1912517219182419
 
 
 @pytest.mark.parametrize(
@@ -278,25 +304,30 @@ class TestCollectorState:
 def _masked_beta(n=512):
     """The Lemma 4.2 beta execution on a path, one clock object per node
     (:func:`~repro.lowerbound.masked_experiment`), as a run to start: set-up
-    has built its clocks and delay policy before the count."""
+    has built its clocks and delay policy before the count, and the
+    adjacency sets its per-message sends read (built on first read)."""
     params = SystemParams.for_network(n, rho=0.05)
     mask = DelayMask({}, params.max_delay)
-    return masked_experiment(path_edges(n), mask, params, "dcsa", 30.0).run
+    exp = masked_experiment(path_edges(n), mask, params, "dcsa", 30.0)
+    for u in exp.graph.nodes:
+        exp.graph.neighbors(u)
+    return exp.run
 
 
 class TestObjectsPerNode:
-    """What a run leaves the collector to walk: at most 1.5 GC-tracked
-    objects per node on the lockstep populations.  A column population
-    builds no driver, core, clock or timer dict for a node nothing
-    touched, and its ticks are one group record; what is left per node is
-    its adjacency set.  A population on clock objects is columns too: its
-    rows are seated from the clocks."""
+    """What a run leaves the collector to walk: at most 0.25 GC-tracked
+    objects per node on the lockstep populations, set-up included.  A
+    column population builds no driver, core, clock or timer dict for a
+    node nothing touched, its ticks are one group record, and its graph is
+    E_0's columns: no node's adjacency set is built, by set-up or by the
+    run.  A population on clock objects is columns too: its rows are
+    seated from the clocks."""
 
     @pytest.mark.parametrize(
         "make, bound",
         [
-            (lambda: partial(run_experiment, configs.huge_sync_ring(4096)), 1.5),
-            (lambda: partial(run_experiment, configs.huge_sync_grid(64, 64)), 1.5),
+            (lambda: partial(run_experiment, configs.huge_sync_ring(4096)), 0.25),
+            (lambda: partial(run_experiment, configs.huge_sync_grid(64, 64)), 0.25),
             # Not lockstep: every message in flight at the horizon is its
             # own record and payload, every tick its own record (the run
             # alone: set-up is not counted).
@@ -318,6 +349,8 @@ class TestObjectsPerNode:
         assert not any(isinstance(o, per_node) for o in left)
         assert result.batch_gate_reason is None and result.array_events > 0
         assert result.materialised_nodes == 0
+        if bound < 1.0:  # lockstep: the bulk sends read the table's slots
+            assert not result.graph._adj
         # Read every node the way the benchmark's digest does.
         h = cfg.horizon
         reads = [
