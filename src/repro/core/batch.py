@@ -121,11 +121,13 @@ _NODE_COLUMNS = (
     "messages_sent", "jumps",
 )
 #: Per slot column, in allocation order: its ``array`` typecode and what a
-#: slot holds before a pair takes it (``+inf``: outside Gamma, disarmed).
+#: slot holds before a pair takes it (``+inf``: outside Gamma, disarmed;
+#: ``-inf``: never cut).
 _SLOT_COLUMNS = {
     "owner": ("q", 0), "peer": ("q", 0), "mate": ("q", 0), "lost_seq": ("q", 0),
     "ups": ("B", 0), "live": ("B", 0),
     "l_est": ("d", inf), "added_h": ("d", 0.0), "lost_dl": ("d", inf),
+    "cut": ("d", -inf),
 }
 
 _F64 = npt.NDArray[np.float64]
@@ -238,6 +240,7 @@ class NodeArrayTable:
         "row_index",
         "n_slots",
         "edits",
+        "removals",
         "dests",
         "wakes",
         "arms",
@@ -295,9 +298,10 @@ class NodeArrayTable:
         self.jumps = self.messages_sent[:]
         #: The slot columns, one entry per directed pair ``(v, u)``: ``owner``
         #: (``v``), ``peer`` (``u``), ``mate`` (the slot of ``(u, v)``),
-        #: ``ups`` (``u`` in Upsilon_v), ``live`` (edge ``{v, u}`` present:
-        #: :meth:`flip`), Gamma (``l_est`` = ``L^u_v``, ``+inf`` while ``u``
-        #: is outside; ``added_h`` = ``C^u_v``) and ``lost(u)`` (deadline
+        #: ``ups`` (``u`` in Upsilon_v), ``live`` (edge ``{v, u}`` present)
+        #: and ``cut`` (when it was last removed; both :meth:`flip`), Gamma
+        #: (``l_est`` = ``L^u_v``, ``+inf`` while ``u`` is outside;
+        #: ``added_h`` = ``C^u_v``) and ``lost(u)`` (deadline
         #: ``lost_dl``, ``+inf`` while disarmed; ``lost_seq``, when it was
         #: last armed).  Seeded with the adjacency the store is built on in
         #: ``(owner, peer)`` order -- row ``v``'s seeded slots are
@@ -312,7 +316,7 @@ class NodeArrayTable:
         size = first + max(16, first // 8)
         (
             self.owner, self.peer, self.mate, self.lost_seq, self.ups, self.live,
-            self.l_est, self.added_h, self.lost_dl,
+            self.l_est, self.added_h, self.lost_dl, self.cut,
         ) = (array(code, [fill]) * size for code, fill in _SLOT_COLUMNS.values())
         self.np: Any = _Views(self)
         col = self.np
@@ -343,6 +347,9 @@ class NodeArrayTable:
         #: Bumped by every write of an ``ups`` or ``live`` slot: the key a
         #: tick group's send plan is kept under.
         self.edits = 0
+        #: Edge removals seen so far: while 0, no message can be lost in
+        #: flight and the transport skips the drop rule.
+        self.removals = 0
         #: :meth:`believed` per node, until its ``ups`` slots are written.
         self.dests: dict[int, list[int]] = {}
         #: The pending wake record per wake time, and the arms so far.
@@ -443,13 +450,42 @@ class NodeArrayTable:
             setattr(self, name, getattr(self, name) + array(code, [fill]) * size)
         self.np = _Views(self)
 
-    def flip(self, u: int, v: int, added: bool) -> None:
-        """Edge ``{u, v}`` appeared or vanished: write ``live`` on both of
-        its slots (a pair without slots reads the graph when it takes them)."""
+    def flip(self, u: int, v: int, added: bool, time: float) -> None:
+        """Edge ``{u, v}`` appeared or vanished at ``time``: write ``live``,
+        and a removal's ``time`` as ``cut``, on both of its slots (a pair
+        without slots reads the graph when it takes them: no message can
+        have crossed it yet)."""
+        if not added:
+            self.removals += 1
         s = self.row(u).get(v)
         if s is not None:
-            self.live[s] = self.live[self.mate[s]] = added
+            r = self.mate[s]
+            self.live[s] = self.live[r] = added
+            if not added:
+                self.cut[s] = self.cut[r] = time
             self.edits += 1
+
+    def lost(self, u: int, v: int, sent: float) -> bool:
+        """Whether the Section 3.2 rule drops the message ``u -> v`` sent
+        at ``sent``: its edge is down, or was removed after the send (exact,
+        as no removal is later than now).  Both slots of a pair are taken
+        before a message can cross it, so ``cut`` saw every such removal."""
+        s = self.slot(v, u)
+        return not self.live[s] or self.cut[s] > sent
+
+    def lost_in_flight(
+        self, us: Sequence[int], vs: Sequence[int], sent: float, payloads: Any
+    ) -> list[int]:
+        """:meth:`lost` over a burst's messages ``us[i] -> vs[i]``, all sent
+        at ``sent``: the positions dropped, from one read of the receivers'
+        slots, which an array-built burst's ``payloads`` carry."""
+        if type(payloads) is _Payloads:
+            slots = payloads.slots
+        else:
+            m = len(us)
+            slots = self._slots_of(np.fromiter(vs, np.int64, m), np.fromiter(us, np.int64, m))
+        col = self.np  # after _slots_of: a new pair reallocates the columns
+        return np.flatnonzero((col.live[slots] == 0) | (col.cut[slots] > sent)).tolist()
 
     def believe(self, v: int, u: int, yes: bool) -> None:
         """Write ``u in Upsilon_v`` (a discovery, or a core's

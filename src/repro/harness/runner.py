@@ -668,9 +668,10 @@ class Experiment:
         event loop: the kernel's hot path allocates no reference cycles
         (typed records are pooled, effects are acyclic value objects), so
         generational collections only add pauses proportional to the live
-        heap.  The collector is restored -- and a collection triggered --
-        on exit, even on error.  Pausing comes before any allocation: the
-        still-young population is left to that one collection.
+        heap.  The collector is restored as found on exit, even on error,
+        and no collection is forced: one would re-walk the interpreter's
+        whole heap to reclaim a few thousand objects, which the
+        generational collector reclaims in due course as for any object.
         """
         gc_was_enabled = gc.isenabled()
         gc.disable()
@@ -679,7 +680,6 @@ class Experiment:
         finally:
             if gc_was_enabled:
                 gc.enable()
-                gc.collect()
         if self.tracer is not None:
             # Patch the optimistically-closed spans of messages the
             # horizon caught mid-flight (O(pending queue), not O(spans)).

@@ -15,9 +15,9 @@ model-level predicates the analysis needs stay answerable after the fact:
 * ``exists_at(u, v, t)`` -- membership in ``E(t)``;
 * ``exists_throughout(u, v, t1, t2)`` -- the premise of the dynamic local
   skew definition (Definition 3.4);
-* ``removed_during(u, v, t1, t2)`` -- used by the transport to decide whether
-  an in-flight message crossed a removed edge (``never_removed(us, vs)`` is
-  its bulk pre-filter);
+* ``removed_during(u, v, t1, t2)`` -- whether an in-flight message crossed
+  a removed edge (the reference delivery path's test; the batch table reads
+  the same answer off its slot columns);
 * ``edges_existing_throughout(t1, t2)`` -- the static subgraph
   ``G[t1,t2]`` of Definition 3.1 (T-interval connectivity).
 
@@ -147,10 +147,6 @@ class DynamicGraph:
         # (times, added flags), parallel.  An E_0 edge's starts (0.0, True).
         self._hist_t: dict[Edge, list[float]] = {}
         self._hist_a: dict[Edge, list[bool]] = {}
-        # Edges that have ever seen a remove event: the delivery hot path
-        # asks removed_during() once per message, and on stable topologies
-        # the answer is decided by this set without touching the history.
-        self._ever_removed: set[Edge] = set()
         self._listeners: list[Callable[[float, int, int, bool], None]] = []
         self._last_time = 0.0
         self.edge_events = m
@@ -271,7 +267,6 @@ class DynamicGraph:
         key = self._check_mutation(u, v, time, False)
         self._adj[u].discard(v)
         self._adj[v].discard(u)
-        self._ever_removed.add(key)
         self._record(key, time, False)
 
     def _record(self, key: Edge, time: float, added: bool) -> None:
@@ -368,35 +363,11 @@ class DynamicGraph:
     def removed_during(self, u: int, v: int, t1: float, t2: float) -> bool:
         """Whether any remove event hit the edge in the window ``(t1, t2]``."""
         key = (u, v) if u <= v else (v, u)
-        if key not in self._ever_removed:
+        ts = self._hist_t.get(key)
+        if ts is None:
             return False
-        ts = self._hist_t[key]
         flags = self._hist_a[key]
         return not all(flags[bisect_right(ts, t1) : bisect_right(ts, t2)])
-
-    @property
-    def ever_removed(self) -> AbstractSet[Edge]:
-        """Canonical edges that have ever seen a remove event (a live view).
-
-        Empty on a topology that only ever grew: every message sent over a
-        present edge then provably arrives, and the transport's singleton
-        delivery path skips the per-message drop predicate on that test.
-        """
-        return self._ever_removed
-
-    def never_removed(self, us: Sequence[int], vs: Sequence[int]) -> bool:
-        """Whether no edge ``{us[i], vs[i]}`` has ever seen a remove event.
-
-        Two C-level set scans, one per orientation of the canonical key.
-        An edge that was present at some earlier time and has never been
-        removed is still present, so the transport clears a whole delivery
-        burst with this one call and falls back to per-message
-        :meth:`removed_during` checks only when it answers ``False``.
-        """
-        ever = self._ever_removed
-        return not ever or (
-            ever.isdisjoint(zip(us, vs)) and ever.isdisjoint(zip(vs, us))
-        )
 
     def exists_throughout(self, u: int, v: int, t1: float, t2: float) -> bool:
         """Whether the edge exists at ``t1`` and is never removed in ``[t1, t2]``.

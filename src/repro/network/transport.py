@@ -32,13 +32,11 @@ Nodes registered with the transport provide ``on_message(sender, payload)``,
 
 from __future__ import annotations
 
-from itertools import repeat
 from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
-    Collection,
     Iterable,
     Mapping,
     Protocol,
@@ -176,9 +174,6 @@ class Transport:
         # Pre-bound hot-path callables (saves attribute chains per message).
         self._has_edge = graph.has_edge
         self._removed_during = graph.removed_during
-        #: Live view: while empty, no message sent over a present edge can
-        #: have lost it, so singleton deliveries skip the drop predicate.
-        self._ever_removed = graph.ever_removed
         #: The one seam every ``PRIORITY_DELIVERY`` push goes through
         #: (messages, discoveries, the batch table's bursts): a
         #: ``push_typed``-shaped callable.  The sharded backend rebinds it
@@ -386,70 +381,42 @@ class Transport:
     def _handle_deliver(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DELIVER`` records (one per message):
         the table executes a message that clears the Section 3.2
-        predicate (vacuous while no edge was ever removed); a drop, and
-        every message of a reference population, is :meth:`_deliver`'s.
-        """
+        predicate (its slot's, read once any edge was removed); a
+        reference population's messages are :meth:`_deliver`'s."""
         u = ev.a
         v = ev.b
         table = self.plan.table
-        if table is None or (
-            self._ever_removed
-            and (
-                not self._has_edge(u, v)
-                or self._removed_during(u, v, ev.d, self.sim.now)
-            )
-        ):
+        if table is None:
             self._deliver(u, v, ev.c, ev.d, ev.e)
-            return
-        self.stats.delivered += 1
-        table.deliver_one(u, v, ev.c, ev.e)
+        elif table.removals and table.lost(u, v, ev.d):
+            self._drop(u, v, ev.d, ev.e)
+        else:
+            self.stats.delivered += 1
+            table.deliver_one(u, v, ev.c, ev.e)
 
     def _handle_deliver_batch(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for same-timestamp ``KIND_DELIVER`` runs:
         the drop rule per record, the survivors to the table."""
-        dead = self._drop_failed(
-            [ev.a for ev in records],
-            [ev.b for ev in records],
-            [ev.d for ev in records],
-            None if self._tracer is None else [ev.e for ev in records],
-        )
-        if dead:
-            records = [ev for i, ev in enumerate(records) if i not in dead]
-        self._table.deliver_batch(records)
+        table = self._table
+        if table.removals:
+            keep = []
+            for ev in records:
+                if table.lost(ev.a, ev.b, ev.d):
+                    self._drop(ev.a, ev.b, ev.d, ev.e)
+                else:
+                    keep.append(ev)
+            records = keep
+        table.deliver_batch(records)
         self.stats.delivered += len(records)
 
-    def _drop_failed(
-        self,
-        us: Sequence[int],
-        vs: Sequence[int],
-        send_times: Iterable[float],
-        sids: "Sequence[int | None] | None" = None,
-    ) -> Collection[int]:
-        """Apply the Section 3.2 drop rule to same-timestamp deliveries.
-
-        Evaluates :meth:`_deliver`'s predicate for each ``us[i] -> vs[i]``
-        sent at ``send_times[i]`` and accounts for every drop in record
-        order (``dropped_removed``, absence discovery and -- with ``sids``
-        the flights' span ids -- the span closed ``STATUS_DROPPED``);
-        returns the dropped positions.
-        """
-        if self.graph.never_removed(us, vs):
-            return ()
-        now = self.sim.now
-        has_edge = self._has_edge
-        removed_during = self._removed_during
-        tracer = self._tracer
-        dead: set[int] = set()
-        for i, (u, v, st) in enumerate(zip(us, vs, send_times)):
-            if not has_edge(u, v) or removed_during(u, v, st, now):
-                self.stats.dropped_removed += 1
-                if sids is not None:
-                    sid = sids[i]
-                    if sid is not None and tracer is not None:
-                        tracer.flight_drop(sid, now)
-                self._schedule_absence_discovery(u, v, send_time=st)
-                dead.add(i)
-        return dead
+    def _drop(self, u: int, v: int, send_time: float, sid: int | None) -> None:
+        """Account one message whose edge failed in flight (the span ``sid``
+        closed ``STATUS_DROPPED``), and make sure the sender learns within
+        ``discovery_bound`` of the send."""
+        self.stats.dropped_removed += 1
+        if self._tracer is not None and sid is not None and sid >= 0:
+            self._tracer.table.close(sid, self.sim.now, STATUS_DROPPED)
+        self._schedule_absence_discovery(u, v, send_time=send_time)
 
     def _start_run(self) -> None:
         """Run-start hook: decide the kernel plan (once, where the first
@@ -526,8 +493,8 @@ class Transport:
 
     def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DELIVER_BURST`` records: re-expand the
-        cardinality into the tallies, apply the drop rule per constituent,
-        hand the survivors to the table."""
+        cardinality into the tallies, apply the drop rule over the
+        constituents' slots, hand the survivors to the table."""
         sim = self.sim
         us = ev.a
         vs = ev.b
@@ -539,31 +506,29 @@ class Transport:
         if kind_counts is not None:
             kind_counts[KIND_DELIVER_BURST] -= 1
             kind_counts[KIND_DELIVER] += card
-        dead = self._drop_failed(us, vs, repeat(ev.d), sids)
+        table = self._table
+        dead = table.lost_in_flight(us, vs, ev.d, payloads) if table.removals else ()
         if dead:
-            live = [i for i in range(card) if i not in dead]
+            for i in dead:
+                self._drop(us[i], vs[i], ev.d, None if sids is None else sids[i])
+            gone = set(dead)
+            live = [i for i in range(card) if i not in gone]
             us = [us[i] for i in live]
             vs = [vs[i] for i in live]
             payloads = [payloads[i] for i in live]
             if sids is not None:
                 sids = [sids[i] for i in live]
-        self._table.deliver_burst(us, vs, payloads, sids)
+        table.deliver_burst(us, vs, payloads, sids)
         self.stats.delivered += len(us)
 
     def _deliver(
         self, u: int, v: int, payload: Any, send_time: float,
         sid: int | None = -1,
     ) -> None:
-        now = self.sim.now
         if sid is None:
             sid = -1  # record pushed before a tracer was attached
-        if not self._has_edge(u, v) or self._removed_during(u, v, send_time, now):
-            # The edge failed while the message was in flight: drop, and make
-            # sure the sender learns within discovery_bound of the send.
-            self.stats.dropped_removed += 1
-            if self._tracer is not None and sid >= 0:
-                self._tracer.table.close(sid, now, STATUS_DROPPED)
-            self._schedule_absence_discovery(u, v, send_time=send_time)
+        if not self._has_edge(u, v) or self._removed_during(u, v, send_time, self.sim.now):
+            self._drop(u, v, send_time, sid)
             return
         self.stats.delivered += 1
         node = self._node_seq[v]
@@ -583,13 +548,14 @@ class Transport:
 
         Flight spans are written ``STATUS_DONE`` at send time; a message
         the horizon caught mid-flight becomes ``STATUS_PENDING``, or --
-        its edge already failed, as :meth:`_deliver` would find --
-        ``STATUS_DROPPED`` at the horizon.  O(pending queue), burst
-        constituents included.
+        its edge already failed, as its delivery would find (on the
+        table's slot columns, or the graph) -- ``STATUS_DROPPED`` at the
+        horizon.  O(pending queue), burst constituents included.
         """
         tracer = self._tracer
         if tracer is None:
             return
+        table = self.plan.table
         now = self.sim.now
         pending: list[int] = []
         doomed: list[int] = []
@@ -600,17 +566,14 @@ class Transport:
                 us, vs, sids = ev.a, ev.b, ev.e
             else:
                 continue
-            never_removed = self.graph.never_removed(us, vs)
             for u, v, sid in zip(us, vs, sids):
                 if sid is None or sid < 0:
                     continue
-                if never_removed or (
-                    self._has_edge(u, v)
-                    and not self._removed_during(u, v, ev.d, now)
-                ):
-                    pending.append(sid)
+                if table is None:
+                    lost = not self._has_edge(u, v) or self._removed_during(u, v, ev.d, now)
                 else:
-                    doomed.append(sid)
+                    lost = table.removals > 0 and table.lost(u, v, ev.d)
+                (doomed if lost else pending).append(sid)
         tracer.table.close_many(pending, STATUS_PENDING)
         tracer.table.close_many(doomed, STATUS_DROPPED, now)
 
@@ -621,7 +584,7 @@ class Transport:
     def _on_graph_event(self, time: float, u: int, v: int, added: bool) -> None:
         self.edge_flips += 1
         if self._store is not None:
-            self._store.flip(u, v, added)
+            self._store.flip(u, v, added, time)
         if self._tracer is not None:
             self._tracer.edge_flip(time, u, v, added)
         self._schedule_discovery(u, v, added=added, change_time=time)

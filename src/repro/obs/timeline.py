@@ -130,9 +130,9 @@ class TimelineRecorder:
         self._node_ids = list(node_ids)
         n = len(self._node_ids)
         if n > self.field_budget:
-            self._field_sel = np.unique(
-                np.linspace(0, n - 1, self.field_budget).round().astype(np.intp)
-            )
+            # Monotone, so dedupe by neighbour (np.unique imports numpy.ma).
+            sel = np.linspace(0, n - 1, self.field_budget).round().astype(np.intp)
+            self._field_sel = sel[np.r_[True, sel[1:] != sel[:-1]]]
         else:
             self._field_sel = np.arange(n, dtype=np.intp)
         self._field = np.empty(

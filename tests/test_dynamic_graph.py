@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.harness import configs
+from repro.harness.runner import Experiment
 from repro.network.graph import DynamicGraph, GraphError, edge_key
 from repro.network.topology import path_edges, ring_edges
 
@@ -270,9 +273,6 @@ def test_property_columns_graph_equals_a_set_model(script):
     assert g.event_history() == sorted(
         (s, *key, added) for key, h in hist.items() for s, added in h
     )
-    removed = {key for key, h in hist.items() if not all(a for _, a in h)}
-    us, vs = zip(*pairs) if pairs else ((), ())
-    assert g.never_removed(us, vs) == (not removed)
     for probe in (-1.0, *times, t + 1.0):
         state = {
             key for key, h in hist.items()
@@ -285,3 +285,44 @@ def test_property_columns_graph_equals_a_set_model(script):
             assert g.removed_during(u, v, probe, t + 1.0) == any(
                 not a for s, a in hist.get(key, []) if probe < s
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scripts())
+def test_property_slot_columns_drop_what_the_graph_drops(script):
+    """The batch table's in-flight drop rule -- ``live`` and ``cut``, the
+    last removal's time, on the receiver's slot -- is the graph's Section
+    3.2 predicate for every message a slotted pair can carry: one sent
+    while the edge existed, at or after the pair took its slots (``touch``
+    takes them here).  Re-adds, and pairs first slotted after a removal,
+    included."""
+    n, e0, steps = script
+    exp = Experiment(replace(configs.huge_sync_ring(9, horizon=1.0), initial_edges=e0))
+    g, table = exp.graph, exp.transport._store
+    since = {pair: 0.0 for u, v in e0 for pair in ((u, v), (v, u))}
+    t = 0.0
+    for op, (u, v), dt in steps:
+        t += dt
+        if u == v:
+            continue
+        if op == "touch":
+            table.slot(u, v)
+            since.setdefault((u, v), t)
+            since.setdefault((v, u), t)
+        elif (op == "add") != g.has_edge(u, v) and all(s != t for s, _ in g.history(u, v)):
+            (g.add_edge if op == "add" else g.remove_edge)(u, v, t)
+    msgs = [
+        (u, v, sent)
+        for (u, v), first in since.items()
+        for sent in (k / 4 for k in range(int(4 * t) + 1))
+        if sent >= first and g.exists_at(u, v, sent)
+    ]
+    lost = [not g.has_edge(u, v) or g.removed_during(u, v, sent, t) for u, v, sent in msgs]
+    assert [table.lost(u, v, sent) for u, v, sent in msgs] == lost
+    for sent in {sent for *_, sent in msgs}:
+        burst = [(i, u, v) for i, (u, v, s) in enumerate(msgs) if s == sent]
+        at, us, vs = zip(*burst)
+        assert table.lost_in_flight(us, vs, sent, None) == [
+            j for j, i in enumerate(at) if lost[i]
+        ]
+    assert table.removals == sum(not added for *_, added in g.event_history())

@@ -19,12 +19,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_kernel_parity import holds
 
+import repro
 from repro.cli import main
 from repro.core import skew_bounds
 from repro.harness import OracleRef, configs, run_experiment
@@ -190,6 +195,37 @@ class TestTimeline:
         assert len(doc["field_nodes"]) == 8
         assert doc["field_nodes"][0] == 0
         assert doc["field_nodes"][-1] == 99
+
+    @pytest.mark.parametrize(
+        "n,budget", [(2, 1), (9, 8), (100, 8), (129, 128), (1000, 999), (4096, 128), (10**5, 77)]
+    )
+    def test_field_selection_is_np_unique_of_the_grid(self, n, budget):
+        tl = TimelineRecorder(field_budget=budget)
+        tl.bind(list(range(n)))
+        grid = np.linspace(0, n - 1, budget).round().astype(np.intp)
+        assert np.array_equal(tl._field_sel, np.unique(grid))
+
+    def test_an_observed_run_leaves_numpy_ma_unimported(self):
+        """``np.unique``'s first call imports ``numpy.ma`` (milliseconds
+        inside a run); an observed wide run reaches none of it."""
+        script = (
+            "import sys\n"
+            "from repro.harness import configs, run_experiment\n"
+            "from repro.obs import timeline_session\n"
+            "from repro.telemetry.registry import get_registry\n"
+            "from repro.tracing import trace_session\n"
+            "get_registry().enable()\n"
+            "with trace_session(), timeline_session() as tl:\n"
+            "    run_experiment(configs.huge_sync_ring(256, horizon=3.0, sample_interval=0.25))\n"
+            "assert len(tl.to_dict()['field_nodes']) < 256\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["False"]
 
     def test_event_budget_counts_overflow(self):
         tl = TimelineRecorder(event_budget=2)

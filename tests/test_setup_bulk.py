@@ -41,6 +41,7 @@ from repro.network.transport import Transport
 from repro.params import ParameterError, SystemParams
 from repro.sim import par
 from repro.sim import simulator as simulator_mod
+from repro.sim.simulator import SimulationError, Simulator
 from repro.sim.clocks import (
     ConstantRateClock,
     HardwareClock,
@@ -249,7 +250,8 @@ class TestParamsComputedOnce:
 
 
 class TestCollectorState:
-    """``Experiment(cfg)`` pauses the collector and puts it back as found."""
+    """``Experiment(cfg)`` and ``run()`` pause the collector and put it
+    back as found; ``run()`` forces no collection."""
 
     CFG = staticmethod(lambda: configs.huge_sync_ring(64, horizon=3.0))
 
@@ -289,6 +291,45 @@ class TestCollectorState:
     def test_a_failed_wiring_restores_it(self, broken, error):
         with pytest.raises(error):
             Experiment(broken(self.CFG()))
+        assert gc.isenabled()
+
+    def test_run_pauses_and_restores_an_enabled_collector(self, monkeypatch):
+        exp = Experiment(self.CFG())
+        seen = []
+        run_until = Simulator.run_until
+        monkeypatch.setattr(
+            Simulator, "run_until",
+            lambda sim, t: (seen.append(gc.isenabled()), run_until(sim, t)),
+        )
+        exp.run()
+        assert gc.isenabled() and seen == [False]
+
+    def test_run_leaves_a_disabled_collector_disabled(self):
+        exp = Experiment(self.CFG())
+        gc.disable()
+        try:
+            exp.run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_failed_run_restores_it(self):
+        exp = Experiment(self.CFG())
+        exp.sim.max_events = 10
+        with pytest.raises(SimulationError, match="max_events"):
+            exp.run()
+        assert gc.isenabled()
+
+    def test_run_forces_no_collection(self, monkeypatch):
+        """A full collection re-walks the whole heap for a finished run's
+        few cycles; the generational collector is left to reclaim them."""
+        exp = Experiment(self.CFG())
+
+        def collect(*_):
+            raise AssertionError("run() forced a collection")
+
+        monkeypatch.setattr(gc, "collect", collect)
+        exp.run()
         assert gc.isenabled()
 
     def test_wiring_strands_no_garbage(self):
