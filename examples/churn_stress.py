@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from repro.adversary import scan_interval_connectivity
 from repro.analysis import TextTable, envelope_violations, global_skew_series
 from repro.core import skew_bounds as sb
 from repro.harness import configs, run_experiment
@@ -36,7 +37,7 @@ def main(n: int = 16, seed: int = 4) -> None:
     )
     res = run_experiment(cfg)
 
-    ok = res.graph.check_interval_connectivity(interval, t_end=horizon - window)
+    ok = scan_interval_connectivity(res.graph, interval, horizon - window).ok
     print(f"(T+D)-interval connectivity held: {ok}")
     print(f"edge events during the run: {res.graph.edge_events}")
 

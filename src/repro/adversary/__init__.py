@@ -14,7 +14,7 @@ execution), plus the certifier that keeps it honest:
   message delays in ``[0, T]`` (the shifting technique, online);
 * :class:`~repro.adversary.topology.GreedyTopologyAdversary` -- greedy
   churn that removes the least-useful edge and inserts the worst legal one;
-* :class:`~repro.adversary.connectivity.IntervalConnectivityCertifier` --
+* :func:`~repro.adversary.connectivity.scan_interval_connectivity` --
   exact Definition-3.1 certification of any emitted schedule.
 
 Configs reference adversaries through
@@ -27,7 +27,6 @@ from .base import Adversary, CombinedAdversary, PeriodicAdversary
 from .connectivity import (
     CertificationReport,
     ConnectivityGuard,
-    IntervalConnectivityCertifier,
     WindowViolation,
     scan_interval_connectivity,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "DelayAdversary",
     "DriftAdversary",
     "GreedyTopologyAdversary",
-    "IntervalConnectivityCertifier",
     "PeriodicAdversary",
     "WindowViolation",
     "scan_interval_connectivity",

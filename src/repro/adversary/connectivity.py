@@ -1,4 +1,4 @@
-"""T-interval connectivity certification (Definition 3.1), online.
+"""T-interval connectivity certification (Definition 3.1).
 
 The paper's guarantees hold only for executions whose dynamic graph is
 T-interval connected: for every ``t``, the static subgraph ``G[t, t+T]`` of
@@ -6,15 +6,15 @@ edges existing *throughout* ``[t, t+T]`` connects all nodes.  Scripted and
 random schedules can be audited by eye; adversarially generated schedules
 cannot, so this module provides the machinery to certify them:
 
-* :class:`IntervalConnectivityCertifier` consumes a stream of edge events
-  (subscribe it to a live :class:`~repro.network.graph.DynamicGraph`, feed
-  it a recorded :class:`~repro.network.eventlog.GraphEventLog`, or scan a
-  finished run's graph) and certifies, exactly, that every window of length
-  ``interval`` within ``[0, t_end]`` is connected -- returning the violating
-  windows when it is not.  Window contents change only when an edge event
-  enters or leaves the window, so checking windows anchored at 0, at each
-  event time (and just after it), and at each ``event time - interval``
-  (where a removal first enters a window's right end) is exhaustive -- see
+* :func:`scan_interval_connectivity` reads a
+  :class:`~repro.network.graph.DynamicGraph`'s history -- a finished run's,
+  or a live one's as it stands -- and certifies, exactly, that every window
+  of length ``interval`` within ``[0, t_end]`` is connected, returning the
+  violating windows when it is not.  Window contents change only when an
+  edge event enters or leaves the window, so checking windows anchored at
+  0, at each event time (and just after it), and at each ``event time -
+  interval`` (where a removal first enters a window's right end) is
+  exhaustive -- see
   :meth:`~repro.network.graph.DynamicGraph.window_anchors`.
 
 * :class:`ConnectivityGuard` is the *online* counterpart used by the
@@ -24,24 +24,20 @@ cannot, so this module provides the machinery to certify them:
   stays connected without it.  The guard is conservative (it cannot know
   future insertions), which is the right direction: every schedule it
   admits that also keeps a spanning protected set alive passes the exact
-  certifier, and the benchmark acceptance check runs the exact certifier
-  over every adversary-emitted schedule regardless.
+  scan, and the benchmark acceptance check runs the exact scan over every
+  adversary-emitted schedule regardless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..network.graph import DynamicGraph, edge_key
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..network.eventlog import GraphEventLog
 
 __all__ = [
     "CertificationReport",
     "ConnectivityGuard",
-    "IntervalConnectivityCertifier",
     "WindowViolation",
     "scan_interval_connectivity",
 ]
@@ -69,15 +65,19 @@ class CertificationReport:
     t_end: float
     windows_checked: int = 0
     violations: list[WindowViolation] = field(default_factory=list)
+    #: Whether the scan stopped at its ``max_violations`` cap: one more
+    #: window was disconnected, and the later ones went unchecked.
+    truncated: bool = False
 
     @property
     def ok(self) -> bool:
-        """Whether every checked window was connected."""
-        return not self.violations
+        """Whether every window was checked and found connected."""
+        return not self.violations and not self.truncated
 
     def summary(self) -> str:
         """One-line human-readable verdict."""
-        verdict = "PASS" if self.ok else f"FAIL ({len(self.violations)} windows)"
+        more = "+" if self.truncated else ""
+        verdict = "PASS" if self.ok else f"FAIL ({len(self.violations)}{more} windows)"
         return (
             f"{self.interval:g}-interval connectivity over [0, {self.t_end:g}]: "
             f"{verdict} ({self.windows_checked} windows checked)"
@@ -117,9 +117,9 @@ def scan_interval_connectivity(
     :meth:`~repro.network.graph.DynamicGraph.window_anchors` (0, every
     event time and just after it, and every ``event time - interval`` --
     exhaustive because window contents change only when an event enters or
-    leaves a window), but reports the violating windows instead of a bare
-    bool.  Violation collection stops after ``max_violations`` (the report
-    stays marked failed).
+    leaves a window), and reports the violating windows.  The scan stops
+    at the first disconnected window past ``max_violations`` recorded ones
+    (the report is ``truncated``, hence failed, whatever the cap).
     """
     if interval <= 0.0:
         raise ValueError(f"interval must be positive; got {interval!r}")
@@ -134,74 +134,13 @@ def scan_interval_connectivity(
         report.windows_checked += 1
         reach = _reachable(nodes, window_edges)
         if n > 1 and reach < n:
-            if len(report.violations) < max_violations:
-                report.violations.append(
-                    WindowViolation(
-                        t1=t1, t2=t2, reachable=reach, edges=len(window_edges)
-                    )
-                )
-            else:
+            if len(report.violations) >= max_violations:
+                report.truncated = True
                 break
+            report.violations.append(
+                WindowViolation(t1=t1, t2=t2, reachable=reach, edges=len(window_edges))
+            )
     return report
-
-
-class IntervalConnectivityCertifier:
-    """Streaming certifier over an edge-event feed.
-
-    The certifier maintains a shadow :class:`DynamicGraph` replica of the
-    schedule it has observed; :meth:`certify` runs the exact window scan
-    over everything seen so far.  Feed it one of three ways:
-
-    * :meth:`attach` -- subscribe to a live graph's mutations;
-    * :meth:`observe` -- push events ``(time, u, v, added)`` by hand;
-    * :meth:`from_event_log` -- replay a recorded
-      :class:`~repro.network.eventlog.GraphEventLog`.
-    """
-
-    def __init__(self, n: int, interval: float) -> None:
-        if interval <= 0.0:
-            raise ValueError(f"interval must be positive; got {interval!r}")
-        self.interval = float(interval)
-        self._shadow = DynamicGraph(range(n))
-        self.events_observed = 0
-
-    @property
-    def shadow(self) -> DynamicGraph:
-        """The replica graph built from observed events (read-only use)."""
-        return self._shadow
-
-    def observe(self, time: float, u: int, v: int, added: bool) -> None:
-        """Record one edge event (times must be non-decreasing)."""
-        if added:
-            self._shadow.add_edge(u, v, time)
-        else:
-            self._shadow.remove_edge(u, v, time)
-        self.events_observed += 1
-
-    def attach(self, graph: DynamicGraph) -> None:
-        """Mirror ``graph``: replay its past events, subscribe to future ones.
-
-        Replay matters: initial edges (and any pre-attach churn) fired
-        their events before we could subscribe; without them every window
-        the shadow certifies would be spuriously sparse.
-        """
-        for time, u, v, added in graph.event_history():
-            self.observe(time, u, v, added)
-        graph.subscribe(self.observe)
-
-    @classmethod
-    def from_event_log(
-        cls, log: "GraphEventLog", n: int, interval: float
-    ) -> "IntervalConnectivityCertifier":
-        """Build a certifier preloaded with a recorded schedule."""
-        cert = cls(n, interval)
-        for t, op, u, v in sorted(log.events, key=lambda e: e[0]):
-            cert.observe(t, u, v, op == "add")
-        return cert
-
-    def certify(self, t_end: float) -> CertificationReport:
-        """Exact certification of everything observed, over ``[0, t_end]``."""
-        return scan_interval_connectivity(self._shadow, self.interval, t_end)
 
 
 class ConnectivityGuard:

@@ -3,11 +3,15 @@
 :class:`SkewRecorder` installs a periodic measurement callback (fired with
 :data:`~repro.sim.events.PRIORITY_SAMPLE`, i.e. *after* all model activity
 at each timestamp) that snapshots every node's logical clock.  With
-``track_edges=True`` it additionally follows each *edge episode* -- one
-contiguous lifetime of an edge, keyed by ``(u, v, add_time)`` -- recording
-the skew across the edge against the edge's age.  Edge episodes are the raw
-material for the dynamic-local-skew envelope experiments (Corollary 6.13)
-and the new-edge stabilization measurements (Corollary 6.14 / Theorem 4.1).
+``track_edges=True`` its record also holds each *edge episode* -- one
+contiguous lifetime of an edge, keyed by ``(u, v, add_time)`` -- with the
+skew across the edge against the edge's age at every sample the episode
+covers.  Edge episodes are the raw material for the dynamic-local-skew
+envelope experiments (Corollary 6.13) and the new-edge stabilization
+measurements (Corollary 6.14 / Theorem 4.1).  The recorder keeps no copy
+of the topology: :meth:`SkewRecorder.result` reads the episodes off the
+graph's history (:meth:`~repro.network.graph.DynamicGraph.episodes`) and
+their series off the clock matrix.
 
 The recorder is algorithm-agnostic: it only needs ``logical_clock(t)`` and
 optionally ``max_estimate(t)`` from nodes.
@@ -115,7 +119,8 @@ class SkewRecorder:
     interval:
         Sampling period (real time).
     track_edges:
-        Record per-edge-episode skew series (costs O(edges) per sample).
+        Record per-edge-episode skew series (derived once, at
+        :meth:`result`, from the graph's history and the clock matrix).
     track_max_estimates:
         Also snapshot ``Lmax_u`` (requires nodes to expose
         ``max_estimate``); used by the max-propagation experiment.
@@ -155,13 +160,6 @@ class SkewRecorder:
         self._times: list[float] = []
         self._clocks: list[np.ndarray] = []
         self._lmax: list[np.ndarray] = []
-        # Live episodes keyed by (u, v); closed ones accumulate in _closed.
-        self._live: dict[tuple[int, int], _LiveEpisode] = {}
-        self._closed: list[EdgeEpisode] = []
-        if track_edges:
-            graph.subscribe(self._on_edge_event)
-            for u, v in graph.edges():
-                self._live[(u, v)] = _LiveEpisode(u, v, 0.0)
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -170,15 +168,6 @@ class SkewRecorder:
     def install(self) -> None:
         """Arm the periodic sampling callback."""
         self.sim.every(self.interval, self._sample, start=self.start, end=self.end)
-
-    def _on_edge_event(self, time: float, u: int, v: int, added: bool) -> None:
-        key = (u, v)
-        if added:
-            self._live[key] = _LiveEpisode(u, v, time)
-        else:
-            ep = self._live.pop(key, None)
-            if ep is not None:
-                self._closed.append(ep.finish(end_time=time))
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -190,57 +179,45 @@ class SkewRecorder:
         self._clocks.append(clocks)
         if estimates is not None:
             self._lmax.append(estimates)
-        if self.track_edges and self._live:
-            index = self._dense_index
-            for (u, v), ep in self._live.items():
-                skew = abs(clocks[index[u]] - clocks[index[v]])
-                ep.ages.append(t - ep.add_time)
-                ep.skews.append(skew)
 
     # ------------------------------------------------------------------ #
     # Result
     # ------------------------------------------------------------------ #
 
     def result(self) -> RunRecord:
-        """Freeze collected samples into a :class:`RunRecord`."""
-        episodes = list(self._closed)
-        episodes.extend(ep.finish(end_time=None) for ep in self._live.values())
-        episodes.sort(key=lambda e: (e.add_time, e.u, e.v))
+        """Freeze collected samples into a :class:`RunRecord`.
+
+        An episode covers the samples at ``add <= t < end``: topology
+        events run before the samples of their instant (priority), and
+        an edge never changes twice at one instant.
+        """
+        times = np.asarray(self._times, dtype=float)
         clocks = (
             np.vstack(self._clocks)
             if self._clocks
             else np.empty((0, len(self.node_ids)))
         )
+        episodes: list[EdgeEpisode] = []
+        if self.track_edges:
+            index = self._dense_index
+            spans = self.graph.episodes()
+            adds = np.fromiter((add for _, _, add, _ in spans), float, len(spans))
+            ends = np.fromiter(
+                (np.inf if end is None else end for *_, end in spans), float, len(spans)
+            )
+            los = np.searchsorted(times, adds).tolist()
+            his = np.searchsorted(times, ends).tolist()
+            for (u, v, add, end), lo, hi in zip(spans, los, his):
+                rows = clocks[lo:hi]
+                skews = np.abs(rows[:, index[u]] - rows[:, index[v]])
+                episodes.append(EdgeEpisode(u, v, add, times[lo:hi] - add, skews, end))
         lmax = None
         if self.track_max_estimates and self._lmax:
             lmax = np.vstack(self._lmax)
         return RunRecord(
             node_ids=list(self.node_ids),
-            times=np.asarray(self._times, dtype=float),
+            times=times,
             clocks=clocks,
             max_estimates=lmax,
             episodes=episodes,
-        )
-
-
-class _LiveEpisode:
-    """Mutable accumulation buffer for one edge episode."""
-
-    __slots__ = ("u", "v", "add_time", "ages", "skews")
-
-    def __init__(self, u: int, v: int, add_time: float) -> None:
-        self.u = u
-        self.v = v
-        self.add_time = add_time
-        self.ages: list[float] = []
-        self.skews: list[float] = []
-
-    def finish(self, end_time: float | None) -> EdgeEpisode:
-        return EdgeEpisode(
-            u=self.u,
-            v=self.v,
-            add_time=self.add_time,
-            ages=np.asarray(self.ages, dtype=float),
-            skews=np.asarray(self.skews, dtype=float),
-            end_time=end_time,
         )

@@ -469,8 +469,9 @@ class Experiment:
     collector is paused, the graph keeps E_0 as columns (no node's
     adjacency set until something reads it), clocks and first-tick
     offsets are drawn as columns (one vector call per stream), a constant
-    discovery latency announces E_0 as one wave record, the table and the
-    oracle seed from the graph's columns, and a population the table will
+    discovery latency announces E_0 as one wave record, the table seeds
+    from the graph's columns (the recorder and the oracle read the graph
+    only at their first sample or at the end), and a population the table will
     run is its store's columns from here on
     (:class:`~repro.core.node.Population`: no driver, core, clock or timer
     dict until something touches a node; its first ticks are records by
@@ -567,8 +568,9 @@ class Experiment:
                 node = nodes[i] = node_cls(i, self.sim, clock, self.transport, params, **kwargs)
                 self.transport.register_node(i, node)
             self.nodes = nodes
-        # 4. Recorder (subscribes to graph for edge episodes); skipped for
-        #    unbounded-horizon runs that rely on the streaming oracle.
+        # 4. Recorder (reads its edge episodes off the graph's history at
+        #    the end); skipped for unbounded-horizon runs that rely on the
+        #    streaming oracle.
         self.recorder: SkewRecorder | None = None
         if cfg.record:
             self.recorder = SkewRecorder(
@@ -582,9 +584,9 @@ class Experiment:
                 transport=self.transport,
             )
             self.recorder.install()
-        # 4b. Streaming oracle (same vantage point as the recorder: it must
-        #     subscribe before churn seeds extra t=0 edges).  Its rng is
-        #     derived out of band, NOT via rngf.spawn (see resolve_oracle).
+        # 4b. Streaming oracle (same vantage point as the recorder: it
+        #     takes the graph before churn seeds extra t=0 edges).  Its rng
+        #     is derived out of band, NOT via rngf.spawn (see resolve_oracle).
         self.oracle, interval = resolve_oracle(
             cfg.oracle, params, cfg.seed, cfg.sample_interval
         )
@@ -664,53 +666,54 @@ class Experiment:
     def run(self) -> RunResult:
         """Run to the horizon and package the results.
 
-        The cyclic garbage collector is paused for the duration of the
-        event loop: the kernel's hot path allocates no reference cycles
-        (typed records are pooled, effects are acyclic value objects), so
-        generational collections only add pauses proportional to the live
-        heap.  The collector is restored as found on exit, even on error,
-        and no collection is forced: one would re-walk the interpreter's
-        whole heap to reclaim a few thousand objects, which the
-        generational collector reclaims in due course as for any object.
+        The cyclic garbage collector is paused from the event loop until
+        the result is built: the kernel's hot path allocates no reference
+        cycles (typed records are pooled, effects are acyclic value
+        objects), and packaging only builds the result, so generational
+        collections only add pauses proportional to the live heap.  The
+        collector is restored as found on return, even on error, and no
+        collection is forced: one would re-walk the interpreter's whole
+        heap to reclaim a few thousand objects, which the generational
+        collector reclaims in due course as for any object.
         """
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             self.sim.run_until(self.cfg.horizon)
+            if self.tracer is not None:
+                # Patch the optimistically-closed spans of messages the
+                # horizon caught mid-flight (O(pending queue), not O(spans)).
+                self.transport.finalize_tracing()
+            lanes = self.transport.lane_counts()
+            nodes = self.nodes
+            materialised = getattr(nodes, "materialised", len(nodes))
+            if isinstance(nodes, Population):
+                nodes = nodes.readers()
+            return RunResult(
+                config=self.cfg,
+                record=(
+                    self.recorder.result()
+                    if self.recorder is not None
+                    else RunRecord.empty(self.nodes)
+                ),
+                graph=self.graph,
+                nodes=nodes,
+                transport_stats=self.transport.stats.as_dict(),
+                events_dispatched=self.sim.events_dispatched,
+                oracle_report=self.oracle.report() if self.oracle is not None else None,
+                spans=self.tracer.table if self.tracer is not None else None,
+                declines=self.transport.plan.declines,
+                array_lane_events=lanes["array_lane_events"],
+                scalar_lane_events=lanes["scalar_lane_events"],
+                blocked_rows=lanes["blocked_rows"],
+                non_node_events=self.sim.non_node_events,
+                setup_s=self.setup_s,
+                plan_s=self.transport.plan_s,
+                materialised_nodes=materialised,
+            )
         finally:
             if gc_was_enabled:
                 gc.enable()
-        if self.tracer is not None:
-            # Patch the optimistically-closed spans of messages the
-            # horizon caught mid-flight (O(pending queue), not O(spans)).
-            self.transport.finalize_tracing()
-        lanes = self.transport.lane_counts()
-        nodes = self.nodes
-        materialised = getattr(nodes, "materialised", len(nodes))
-        if isinstance(nodes, Population):
-            nodes = nodes.readers()
-        return RunResult(
-            config=self.cfg,
-            record=(
-                self.recorder.result()
-                if self.recorder is not None
-                else RunRecord.empty(self.nodes)
-            ),
-            graph=self.graph,
-            nodes=nodes,
-            transport_stats=self.transport.stats.as_dict(),
-            events_dispatched=self.sim.events_dispatched,
-            oracle_report=self.oracle.report() if self.oracle is not None else None,
-            spans=self.tracer.table if self.tracer is not None else None,
-            declines=self.transport.plan.declines,
-            array_lane_events=lanes["array_lane_events"],
-            scalar_lane_events=lanes["scalar_lane_events"],
-            blocked_rows=lanes["blocked_rows"],
-            non_node_events=self.sim.non_node_events,
-            setup_s=self.setup_s,
-            plan_s=self.transport.plan_s,
-            materialised_nodes=materialised,
-        )
 
 
 def build_experiment(cfg: ExperimentConfig) -> Experiment:

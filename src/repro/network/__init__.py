@@ -1,11 +1,13 @@
 """Dynamic-network substrate: graphs, channels, discovery, transport, churn.
 
 Implements the network model of Section 3.2 of the paper: an event-sourced
-dynamic graph over a fixed node set (:class:`DynamicGraph`), bounded-delay
-FIFO channels (:mod:`repro.network.channels`), topology discovery with
-latency bound :math:`\\mathcal{D}` (:mod:`repro.network.discovery`), the
-delivery contract tying them together (:class:`Transport`), plus topology
-builders and churn processes used by the experiments.
+dynamic graph over a fixed node set (:class:`DynamicGraph`, the run's one
+record of the topology: observers read its history, and its event list
+replays as a :class:`ScriptedChurn`), bounded-delay FIFO channels
+(:mod:`repro.network.channels`), topology discovery with latency bound
+:math:`\\mathcal{D}` (:mod:`repro.network.discovery`), the delivery
+contract tying them together (:class:`Transport`), plus topology builders
+and churn processes used by the experiments.
 """
 
 from .channels import (
@@ -24,7 +26,6 @@ from .churn import (
     ScriptedChurn,
 )
 from .discovery import ConstantDiscovery, DiscoveryPolicy, UniformDiscovery
-from .eventlog import GraphEventLog
 from .graph import DynamicGraph, GraphError, edge_key
 from .topology import (
     binary_tree_edges,
@@ -50,7 +51,6 @@ __all__ = [
     "DynamicGraph",
     "EdgeFlapper",
     "GraphError",
-    "GraphEventLog",
     "MobileGeometricChurn",
     "NodeInterface",
     "PerEdgeDelay",

@@ -19,7 +19,15 @@ model-level predicates the analysis needs stay answerable after the fact:
   a removed edge (the reference delivery path's test; the batch table reads
   the same answer off its slot columns);
 * ``edges_existing_throughout(t1, t2)`` -- the static subgraph
-  ``G[t1,t2]`` of Definition 3.1 (T-interval connectivity).
+  ``G[t1,t2]`` of Definition 3.1 (T-interval connectivity; the window
+  scan is :func:`repro.adversary.connectivity.scan_interval_connectivity`).
+
+The history is the one record of the topology: the observers read it
+instead of keeping their own copy.  ``live_edges`` gives the current edges
+with the time their current episode began (the envelope monitor's ages,
+Corollary 6.13), ``episodes`` every lifetime of every edge (the recorder's
+edge episodes, Corollary 6.14), and ``event_history`` every mutation (the
+skew timeline's event list, a replayable schedule).
 
 Readers of the current edge set take columns in canonical (sorted) order
 (``edge_columns``, ``pair_keys``, ``edges``); the one reader whose order is
@@ -33,7 +41,9 @@ both are enforced.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import chain
+from heapq import merge
+from itertools import chain, islice, zip_longest
+from operator import itemgetter
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -95,7 +105,7 @@ class DynamicGraph:
 
     Listeners registered via :meth:`subscribe` are invoked synchronously on
     every mutation with ``(time, u, v, added)``; the transport uses this to
-    drive discovery, recorders use it to track edge lifetimes.
+    drive discovery, and the oracle to mark its view of the edges stale.
     """
 
     def __init__(self, nodes: Iterable[int], initial_edges: Iterable[Edge] = ()) -> None:
@@ -147,6 +157,13 @@ class DynamicGraph:
         # (times, added flags), parallel.  An E_0 edge's starts (0.0, True).
         self._hist_t: dict[Edge, list[float]] = {}
         self._hist_a: dict[Edge, list[bool]] = {}
+        # Indexes over it: the changed edges present now -> their latest
+        # add time, in the order of those adds; which E_0 edges (parallel
+        # to edge_keys) changed, and the keys of those that never did
+        # (None: to recompute).
+        self._since: dict[Edge, float] = {}
+        self._touched = np.zeros(m, bool)
+        self._untouched_keys: _I64 | None = sorted_keys
         self._listeners: list[Callable[[float, int, int, bool], None]] = []
         self._last_time = 0.0
         self.edge_events = m
@@ -195,9 +212,9 @@ class DynamicGraph:
         canonical (sorted) order: ``E_0``'s keys with the changed edges'
         current state laid over them."""
         keys = self._untouched()
-        if self._hist_t:
-            live = [key for key, flags in self._hist_a.items() if flags[-1]]
-            keys = np.sort(np.concatenate((keys, self._keys(live, len(live)))))
+        if self._since:
+            changed = self._keys(self._since, len(self._since))
+            keys = np.sort(np.concatenate((keys, changed)))
         return self._decode(keys)
 
     def edges(self) -> Iterator[Edge]:
@@ -275,10 +292,18 @@ class DynamicGraph:
         if ts is None:  # its first change; a removed one was an E_0 edge
             ts = self._hist_t[key] = [] if added else [0.0]
             flags = self._hist_a[key] = [] if added else [True]
+            if not added:
+                k = key[0] * self.size + key[1]
+                self._touched[np.searchsorted(self.edge_keys, k)] = True
+                self._untouched_keys = None
         else:
             flags = self._hist_a[key]
         ts.append(time)
         flags.append(added)
+        if added:
+            self._since[key] = time
+        else:
+            self._since.pop(key, None)
         self._last_time = time
         self.edge_events += 1
         for fn in self._listeners:
@@ -301,9 +326,9 @@ class DynamicGraph:
     def _untouched(self) -> _I64:
         """The keys of the ``E_0`` edges that never changed (present
         throughout ``[0, now]``), sorted."""
-        keys = self.edge_keys
-        if self._hist_t:
-            keys = keys[~np.isin(keys, self._keys(self._hist_t, len(self._hist_t)))]
+        keys = self._untouched_keys
+        if keys is None:
+            keys = self._untouched_keys = self.edge_keys[~self._touched]
         return keys
 
     def _edges(self, keys: _I64, changed: Iterable[Edge]) -> list[Edge]:
@@ -331,23 +356,56 @@ class DynamicGraph:
             times.add(0.0)
         return sorted(times)
 
-    def event_history(self) -> list[tuple[float, int, int, bool]]:
-        """Every mutation ever applied, as ``(time, u, v, added)``.
+    def event_history(self, limit: int | None = None) -> list[tuple[float, int, int, bool]]:
+        """Every mutation ever applied, as ``(time, u, v, added)``, or the
+        first ``limit`` of them (``edge_events`` counts them all).
 
         Sorted by ``(time, u, v)``; same-instant events on *different*
         edges keep a deterministic order (an edge cannot change twice at
         one instant, so the order within a timestamp is immaterial for
         replay).
         """
-        us, vs = self._decode(self._untouched())
-        events = [(0.0, u, v, True) for u, v in zip(us.tolist(), vs.tolist())]
-        events += [
+        # The untouched E_0 edges are sorted already: only the first
+        # ``limit`` of them can make the cut.
+        us, vs = self._decode(self._untouched()[:limit])
+        changed = sorted(
             (t, key[0], key[1], added)
             for key, ts in self._hist_t.items()
             for t, added in zip(ts, self._hist_a[key])
+        )
+        seeds = [(0.0, u, v, True) for u, v in zip(us.tolist(), vs.tolist())]
+        return list(islice(merge(seeds, changed), limit))
+
+    def live_edges(self) -> tuple[_I64, _I64, npt.NDArray[np.float64]]:
+        """The current edges as columns ``(u, v, since)``, ``u < v``.
+
+        First the ``E_0`` edges that never changed, in canonical order,
+        since 0; then every other current edge, since its latest add, in
+        the order of those adds (the order its current episode began).
+        """
+        since = self._since
+        us, vs = self._decode(self._untouched())
+        ends = np.fromiter(chain.from_iterable(since), np.int64, 2 * len(since))
+        times = np.fromiter(since.values(), float, len(since))
+        return (
+            np.concatenate((us, ends[0::2])),
+            np.concatenate((vs, ends[1::2])),
+            np.concatenate((np.zeros(len(us)), times)),
+        )
+
+    def episodes(self) -> list[tuple[int, int, float, float | None]]:
+        """Every edge episode -- one contiguous lifetime of an edge -- as
+        ``(u, v, add, end)`` (``end`` is ``None`` while it lasts), sorted
+        by ``(add, u, v)``."""
+        us, vs = self._decode(self._untouched())
+        out: list[tuple[int, int, float, float | None]] = [
+            (u, v, 0.0, None) for u, v in zip(us.tolist(), vs.tolist())
         ]
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
-        return events
+        for (u, v), ts in self._hist_t.items():
+            # A history alternates add, remove, add, ... from its first add.
+            out += [(u, v, add, end) for add, end in zip_longest(ts[0::2], ts[1::2])]
+        out.sort(key=itemgetter(2, 0, 1))
+        return out
 
     def exists_at(self, u: int, v: int, t: float) -> bool:
         """Whether the edge is in ``E(t)``.
@@ -391,34 +449,8 @@ class DynamicGraph:
         )
 
     # ------------------------------------------------------------------ #
-    # Connectivity
+    # Connectivity windows
     # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _connected(nodes: Sequence[int], edges: Iterable[Edge]) -> bool:
-        if len(nodes) <= 1:
-            return True
-        adj: dict[int, list[int]] = {u: [] for u in nodes}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(nodes)
-
-    def is_connected_now(self) -> bool:
-        """Whether the current graph is connected."""
-        return self._connected(self._nodes, self.edges())
-
-    def is_connected_throughout(self, t1: float, t2: float) -> bool:
-        """Whether ``G[t1, t2]`` is connected (one window of Definition 3.1)."""
-        return self._connected(self._nodes, self.edges_existing_throughout(t1, t2))
 
     def window_anchors(self, interval: float, t_end: float) -> list[float]:
         """Sufficient anchor times for ``interval``-window checks on ``[0, t_end]``.
@@ -441,19 +473,6 @@ class DynamicGraph:
                 if t - interval > 0.0:
                     anchors.add(t - interval)
         return sorted(anchors)
-
-    def check_interval_connectivity(self, interval: float, t_end: float) -> bool:
-        """Check ``interval``-interval connectivity over ``[0, t_end]``.
-
-        Windows are anchored at :meth:`window_anchors`.  For violation
-        details use
-        :func:`repro.adversary.connectivity.scan_interval_connectivity`,
-        which walks the same anchors.
-        """
-        for t in self.window_anchors(interval, t_end):
-            if not self.is_connected_throughout(t, min(t + interval, t_end)):
-                return False
-        return True
 
     # ------------------------------------------------------------------ #
     # Distances (static snapshot)

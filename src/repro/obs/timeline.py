@@ -17,7 +17,9 @@ reads) it appends one row of
 * the cumulative oracle violation count (violation markers are derived
   from its increments),
 
-plus a capped side list of topology events.
+plus a capped side list of topology events, read at export from the run's
+graph (:meth:`~repro.network.graph.DynamicGraph.event_history`: sorted by
+time, a timestamp's events in ``(u, v)`` order).
 
 Like telemetry (PR 6) and tracing (PR 7), the timeline is **ambient, not
 config**: :class:`~repro.harness.runner.ExperimentConfig` is the sweep
@@ -40,6 +42,7 @@ import numpy as np
 import numpy.typing as npt
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..network.graph import DynamicGraph
     from ..oracle.monitors import EnvelopePass
 
 __all__ = [
@@ -103,6 +106,8 @@ class TimelineRecorder:
             raise ValueError(f"row_budget must be even; got {row_budget!r}")
         if field_budget < 1:
             raise ValueError(f"field_budget must be >= 1; got {field_budget!r}")
+        if event_budget < 0:
+            raise ValueError(f"event_budget must be >= 0; got {event_budget!r}")
         self.row_budget = int(row_budget)
         self.field_budget = int(field_budget)
         self.event_budget = int(event_budget)
@@ -117,15 +122,17 @@ class TimelineRecorder:
         #: Every stride-th oracle sample is recorded (doubles on overflow).
         self.stride = 1
         self._tick = 0
-        self.events: list[tuple[float, int, int, int]] = []
-        self.events_dropped = 0
+        #: The run's graph, whose history is the event list (handed over
+        #: by the oracle when it tracks edges; ``None``: no events).
+        self.graph: DynamicGraph | None = None
 
     # ------------------------------------------------------------------ #
     # Wiring (called by StreamingOracle)
     # ------------------------------------------------------------------ #
 
-    def bind(self, node_ids: list[int]) -> None:
-        """Attach run context and reset all captured state (last run wins)."""
+    def bind(self, node_ids: list[int], graph: DynamicGraph | None = None) -> None:
+        """Attach run context (the node ids, and the graph whose history
+        is the event list) and reset all captured state (last run wins)."""
         self._bound = True
         self._node_ids = list(node_ids)
         n = len(self._node_ids)
@@ -141,8 +148,7 @@ class TimelineRecorder:
         self._count = 0
         self.stride = 1
         self._tick = 0
-        self.events = []
-        self.events_dropped = 0
+        self.graph = graph
 
     @property
     def bound(self) -> bool:
@@ -157,23 +163,6 @@ class TimelineRecorder:
     # ------------------------------------------------------------------ #
     # Capture hooks (oracle cadence; no RNG, nothing scheduled)
     # ------------------------------------------------------------------ #
-
-    def edge_event(self, time: float, u: int, v: int, added: bool) -> None:
-        """Log one topology mutation (same key convention as monitors)."""
-        key = (u, v) if u <= v else (v, u)
-        if len(self.events) < self.event_budget:
-            self.events.append((time, key[0], key[1], 1 if added else 0))
-        else:
-            self.events_dropped += 1
-
-    def seed_edges(self, us: npt.NDArray[np.int64], vs: npt.NDArray[np.int64]) -> None:
-        """:meth:`edge_event` of an add at ``t = 0`` per canonical edge
-        ``(us[i], vs[i])``, in one pass."""
-        room = max(self.event_budget - len(self.events), 0)
-        self.events.extend(
-            (0.0, u, v, 1) for u, v in zip(us[:room].tolist(), vs[:room].tolist())
-        )
-        self.events_dropped += max(len(us) - room, 0)
 
     def _decimate(self) -> None:
         """Halve resolution: keep every 2nd row, double the stride."""
@@ -245,6 +234,8 @@ class TimelineRecorder:
             for j, name in enumerate(_COLUMNS)
         }
         field_nodes = [self._node_ids[int(i)] for i in self._field_sel]
+        graph = self.graph
+        events = graph.event_history(self.event_budget) if graph is not None else []
         return {
             "v": TIMELINE_VERSION,
             "rows": count,
@@ -255,8 +246,10 @@ class TimelineRecorder:
             "field": [
                 [float(x) for x in self._field[i].tolist()] for i in range(count)
             ],
-            "events": [list(e) for e in self.events],
-            "events_dropped": self.events_dropped,
+            "events": [[t, u, v, int(added)] for t, u, v, added in events],
+            "events_dropped": (
+                0 if graph is None else max(graph.edge_events - self.event_budget, 0)
+            ),
         }
 
 

@@ -2,7 +2,8 @@
 
 Each :class:`Monitor` checks one guarantee of the paper against a stream of
 periodic samples, keeping O(n) state (plus a capped violation buffer): the
-previous sample for rate checks, the live-edge table for envelope checks,
+previous sample for rate checks, the live-edge columns for envelope checks
+(read off the run's graph, :meth:`~repro.network.graph.DynamicGraph.live_edges`),
 and scalar extrema.  Monitors never store sample history, which is what
 lets the :class:`~repro.oracle.oracle.StreamingOracle` follow arbitrarily
 long runs in bounded memory.
@@ -23,13 +24,15 @@ scaled -- loosening them could only mask bugs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from ..core import skew_bounds
 from ..params import SystemParams
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..network.graph import DynamicGraph
 
 __all__ = [
     "MONITOR_FACTORIES",
@@ -138,13 +141,18 @@ class Monitor:
     """Base class: violation accounting shared by all monitors.
 
     Subclasses set :attr:`name`, declare whether they need ``Lmax``
-    estimates (:attr:`requires_estimates`) or edge events
+    estimates (:attr:`requires_estimates`) or the run's graph
     (:attr:`tracks_edges`), and implement :meth:`on_sample`.
     """
 
     name = "monitor"
     requires_estimates = False
+    #: Whether the oracle hands this monitor the run's graph (``graph``)
+    #: and marks it ``stale`` on every mutation.
     tracks_edges = False
+    graph: "DynamicGraph | None" = None
+    #: Whether the graph changed since the monitor last read it.
+    stale = True
     #: Whether this monitor's margin joins the report-level aggregate.
     #: Floor monitors (rate floor, Lmax dominance) sit at ~0 slack on
     #: every compliant run by construction, so they would pin the
@@ -251,16 +259,6 @@ class Monitor:
     ) -> None:
         """Check one sample: ``clocks[i]`` is node ``node_ids[i]``'s ``L``."""
         raise NotImplementedError
-
-    def on_edge_event(self, time: float, u: int, v: int, added: bool) -> None:
-        """Graph mutation hook (only routed when :attr:`tracks_edges`)."""
-
-    def seed_edges(self, us: np.ndarray, vs: np.ndarray) -> None:
-        """The edges present at ``t = 0`` as two id columns, each an add at
-        age 0, in order: what one :meth:`on_edge_event` per edge would
-        leave."""
-        for u, v in zip(us.tolist(), vs.tolist()):
-            self.on_edge_event(0.0, u, v, True)
 
 
 class ProgressMonitor(Monitor):
@@ -394,23 +392,21 @@ EnvelopePass = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 class EnvelopeMonitor(Monitor):
     """Corollary 6.13: every live edge respects ``s(n, I, edge age)``.
 
-    Keeps the live edges with their add times (the edges seeded at ``t = 0``
-    enter at age 0, matching the recorder's episode convention) and checks
-    every live edge at every sample.  State is O(current edges); nothing is
-    kept per sample.
+    Checks every live edge of the run's graph at every sample, aged from
+    the add that began its current episode (``E_0`` edges from ``t = 0``,
+    matching the recorder's episode convention).  State is O(current
+    edges); nothing is kept per sample.
 
-    **Columns plus an overlay.**  The seeded edges stay the two id columns
-    they arrived as (add time 0; a removal clears a live flag), and the
-    edges added later are an insertion-ordered ``{(u, v): add_time}``
-    overlay (a removed and re-added seeded edge joins it at the end).  The
-    per-sample check is fully vectorised: dense endpoint-index and add-time
-    arrays -- the live seeds in order, then the overlay -- are rebuilt only
-    when an edge event dirties them, so a sample costs one numpy pass over
-    the live edges.  Their order is the order one
-    :meth:`on_edge_event` per seed and per event would give a single
-    insertion-ordered table, so check accounting, worst-case extrema and
-    violation records are identical to the sequential formulation (the
-    online/offline agreement tests pin this).
+    The per-sample check is fully vectorised over dense endpoint-index and
+    add-time arrays, re-read from
+    :meth:`~repro.network.graph.DynamicGraph.live_edges` only when the
+    graph has changed since (the oracle marks the monitor ``stale``), so a
+    sample costs one numpy pass over the live edges.  Their order -- the
+    untouched ``E_0`` edges, then the others by their latest add -- is the
+    order of one insertion-ordered table fed every add and remove, so check
+    accounting, worst-case extrema and violation records are identical to
+    the sequential formulation (the online/offline agreement tests pin
+    this).
     """
 
     name = "envelope"
@@ -419,14 +415,10 @@ class EnvelopeMonitor(Monitor):
     def __init__(self) -> None:
         super().__init__()
         _ids = np.empty(0, dtype=np.int64)
-        self._seed_u, self._seed_v = _ids, _ids
-        self._seed_live = np.empty(0, dtype=bool)
-        self._live: dict[tuple[int, int], float] = {}
         #: Node id -> its position in the sampled columns (-1: unsampled).
         self._position: np.ndarray = np.empty(0, dtype=np.intp)
-        # Dense mirrors of the live edges (rebuilt lazily when dirty): their
-        # ids, sampled positions and add times.
-        self._dirty = True
+        # Dense mirrors of the live edges (re-read when stale): their ids,
+        # sampled positions and add times.
         self._edge_u, self._edge_v = _ids, _ids
         self._eu: np.ndarray = np.empty(0, dtype=np.intp)
         self._ev: np.ndarray = np.empty(0, dtype=np.intp)
@@ -444,44 +436,22 @@ class EnvelopeMonitor(Monitor):
         self._position = np.full(ids.max(initial=-1) + 1, -1, np.intp)
         self._position[ids] = np.arange(len(ids))
 
-    def on_edge_event(self, time: float, u: int, v: int, added: bool) -> None:
-        key = (u, v) if u <= v else (v, u)
-        if added:
-            self._live[key] = time
-        elif self._live.pop(key, None) is None:  # a seeded edge
-            u, v = key
-            lo, hi = np.searchsorted(self._seed_u, (u, u + 1))
-            j = lo + int(np.searchsorted(self._seed_v[lo:hi], v))
-            if j < hi and self._seed_v[j] == v:
-                self._seed_live[j] = False
-        self._dirty = True
-
-    def seed_edges(self, us: np.ndarray, vs: np.ndarray) -> None:
-        self._seed_u, self._seed_v = us, vs
-        self._seed_live = np.ones(len(us), dtype=bool)
-        self._dirty = True
-
     def _rebuild(self) -> None:
-        """Refresh the dense arrays: the live seeds, then the overlay."""
-        live = self._seed_live
-        later = np.fromiter(chain.from_iterable(self._live), np.int64, 2 * len(self._live))
-        self._edge_u = np.concatenate((self._seed_u[live], later[0::2]))
-        self._edge_v = np.concatenate((self._seed_v[live], later[1::2]))
+        """Re-read the live edges off the graph."""
+        assert self.graph is not None
+        self._edge_u, self._edge_v, self._eadd = self.graph.live_edges()
         eu = self._eu = self._position[self._edge_u]
         ev = self._ev = self._position[self._edge_v]
         if (eu < 0).any() or (ev < 0).any():  # an edge the samples do not cover
             i = int(np.argmax((eu < 0) | (ev < 0)))
             raise KeyError((int(self._edge_u[i]), int(self._edge_v[i])))
-        self._eadd = np.concatenate(
-            (np.zeros(len(eu) - len(self._live)), np.fromiter(self._live.values(), float))
-        )
-        self._dirty = False
+        self.stale = False
 
     def on_sample(
         self, t: float, clocks: np.ndarray, estimates: np.ndarray | None
     ) -> None:
         self.last_pass = None
-        if self._dirty:
+        if self.stale and self.graph is not None:
             self._rebuild()
         m = len(self._eu)
         if not m:

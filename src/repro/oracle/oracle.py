@@ -2,12 +2,15 @@
 
 :class:`StreamingOracle` is installed on a run exactly like the
 :class:`~repro.analysis.recorder.SkewRecorder` -- a periodic
-:data:`~repro.sim.events.PRIORITY_SAMPLE` callback plus a graph
-subscription -- but instead of accumulating history it feeds each sample to
-its :class:`~repro.oracle.monitors.Monitor` set and keeps only O(n)
-streaming state.  That makes runs with the recorder disabled and the
-oracle enabled memory-bounded regardless of horizon, which is the whole
-point: long-horizon, large-n executions become self-checking.
+:data:`~repro.sim.events.PRIORITY_SAMPLE` callback -- but instead of
+accumulating history it feeds each sample to its
+:class:`~repro.oracle.monitors.Monitor` set and keeps only O(n) streaming
+state.  Its edge monitors and the skew timeline read the run's graph
+itself; the oracle's one graph listener, :meth:`StreamingOracle.edge_event`,
+only marks their view of it stale.  That makes runs with the recorder
+disabled and the oracle enabled memory-bounded regardless of horizon,
+which is the whole point: long-horizon, large-n executions become
+self-checking.
 
 Use through the harness (serializable config)::
 
@@ -21,6 +24,7 @@ or standalone on any simulator/graph/node wiring via :meth:`install`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -204,7 +208,9 @@ class StreamingOracle:
         self._node_ids: list[int] = []
         self._needs_estimates = any(m.requires_estimates for m in self.monitors)
         self._edge_monitors: list[Monitor] = []
-        #: The one live-edge table: the timeline row takes its pass.
+        #: The run's graph (a weak proxy), once attach_graph() took it.
+        self._graph: DynamicGraph | None = None
+        #: The live-edge pass the timeline row takes.
         self._envelope = next(
             (m for m in self.monitors if isinstance(m, EnvelopeMonitor)), None
         )
@@ -242,10 +248,10 @@ class StreamingOracle:
         """Bind the monitors to a node set without arming any scheduler.
 
         This is the driver-agnostic half of :meth:`install`: after
-        attaching, the owner is responsible for calling :meth:`sample`
-        periodically and :meth:`edge_event` on every topology mutation.
-        The :mod:`repro.live` runtime uses this path to monitor real-time
-        asyncio runs with the exact same monitor code as simulations.
+        attaching, the owner hands over its graph (:meth:`attach_graph`)
+        and calls :meth:`sample` periodically.  The :mod:`repro.live`
+        runtime uses this path to monitor real-time asyncio runs with the
+        exact same monitor code as simulations.
         """
         if self._installed:
             raise OracleError("oracle already installed")
@@ -296,23 +302,30 @@ class StreamingOracle:
     def _bind_timeline(self) -> None:
         timeline = self._timeline
         assert timeline is not None
-        timeline.bind(self._node_ids)
+        timeline.bind(self._node_ids, self._graph)
 
     def attach_graph(self, graph: DynamicGraph) -> None:
-        """Subscribe to graph mutations and seed current edges at age 0.
+        """Hand the run's graph to the edge monitors and the timeline.
 
-        Must be called at ``t = 0`` (before any mutation the oracle should
-        see); edges already present are seeded as age-0 edges, matching
-        the recorder's episode convention.  Shared by both drivers so the
-        episode convention has exactly one definition.
+        They read its history (an edge's age runs from the add that began
+        its current episode, ``E_0``'s from ``t = 0``: the recorder's
+        episode convention), and :meth:`edge_event`, subscribed here,
+        marks their view stale on every mutation.  Shared by both drivers
+        so the convention has exactly one definition.
+
+        The monitors borrow the graph through a weak proxy: the graph
+        holds this oracle (its listener), and a strong reference back
+        would keep the oracle and the node views it reads alive after the
+        run until a cyclic collection.  The timeline, which is exported
+        after the run, holds it.
         """
         if self._edge_monitors:
             graph.subscribe(self.edge_event)
-            us, vs = graph.edge_columns()
+            self._graph = weakref.proxy(graph)
             for monitor in self._edge_monitors:
-                monitor.seed_edges(us, vs)
+                monitor.graph = self._graph
             if self._timeline is not None:
-                self._timeline.seed_edges(us, vs)
+                self._timeline.graph = graph
 
     def install(
         self,
@@ -324,10 +337,10 @@ class StreamingOracle:
         end: float | None = None,
         transport: "Transport | None" = None,
     ) -> None:
-        """Arm periodic sampling and subscribe to graph events (sim driver).
+        """Arm periodic sampling and take the run's graph (sim driver).
 
         Must be called at ``t = 0``; see :meth:`attach_graph` for the
-        edge-seeding convention.  ``transport`` is the transport whose
+        edge-age convention.  ``transport`` is the transport whose
         registered nodes are exactly ``nodes``: when its kernel plan holds
         a table, samples read the table's fused columns instead of calling
         each node.
@@ -390,11 +403,10 @@ class StreamingOracle:
                 anchored[idx] = i + 1
 
     def edge_event(self, time: float, u: int, v: int, added: bool) -> None:
-        """Feed one topology mutation to the edge-tracking monitors."""
+        """The graph changed: the edge monitors re-read it at their next
+        sample."""
         for monitor in self._edge_monitors:
-            monitor.on_edge_event(time, u, v, added)
-        if self._timeline is not None:
-            self._timeline.edge_event(time, u, v, added)
+            monitor.stale = True
 
     # ------------------------------------------------------------------ #
     # Sampling

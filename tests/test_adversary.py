@@ -245,11 +245,10 @@ class TestGreedyTopologyAdversary:
         adv.install(sim, graph, nodes)
         sim.run_until(20.0)
         assert adv.moves > 0
-        assert graph.is_connected_now()
         # With no protected set, snapshot connectivity is still guaranteed
-        # (every removal passes through the guard's connectivity check).
-        for t in (5.0, 10.0, 15.0, 20.0):
-            assert graph.is_connected_throughout(t, t)
+        # (every removal passes through the guard's connectivity check):
+        # every zero-length window, up to now, is connected.
+        assert scan_interval_connectivity(graph, 1e-12, 20.0).ok
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="n >= 2"):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from graph_listeners import ListenerRecorder
+from hypothesis import given, settings
 
 from repro import SystemParams
 from repro.analysis.metrics import (
@@ -25,6 +29,7 @@ from repro.harness import Experiment, configs, run_experiment
 from repro.network.graph import DynamicGraph
 from repro.network.topology import path_edges
 from repro.sim.simulator import Simulator
+from repro.testing.strategies import experiment_configs
 
 
 def synthetic_record() -> RunRecord:
@@ -193,6 +198,33 @@ class TestRecorderLive:
         assert result.record.samples == by_loop.samples > 0
         assert np.array_equal(result.record.clocks, by_loop.clocks)
         assert np.array_equal(result.record.max_estimates, by_loop.max_estimates)
+
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=experiment_configs(4, 10, horizon=30.0))
+    def test_property_episodes_equal_a_listener_recorder(self, cfg):
+        """``RunRecord.episodes``, read off the graph's history at the end,
+        equal byte for byte what a graph listener subscribed where the
+        recorder is built, running the per-sample episode loop, records."""
+        listener: list[ListenerRecorder] = []
+        init, sample = SkewRecorder.__init__, SkewRecorder._sample
+
+        def subscribing_init(rec, sim, graph, nodes, *args, **kwargs):
+            init(rec, sim, graph, nodes, *args, **kwargs)
+            listener.append(ListenerRecorder(graph, nodes))
+
+        def looping_sample(rec, t):
+            sample(rec, t)
+            listener[0].sample(t, rec._clocks[-1])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SkewRecorder, "__init__", subscribing_init)
+            mp.setattr(SkewRecorder, "_sample", looping_sample)
+            record = run_experiment(replace(cfg, record=True, track_edges=True)).record
+        assert record.episodes
+        assert [
+            (e.u, e.v, e.add_time, e.end_time, e.ages.tobytes(), e.skews.tobytes())
+            for e in record.episodes
+        ] == listener[0].record()
 
     def test_drift_rate(self):
         r = synthetic_record()

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import scan_interval_connectivity
+from repro.harness import configs
+from repro.harness.runner import ExperimentConfig
 from repro.network.churn import (
     EdgeFlapper,
     MobileGeometricChurn,
@@ -14,7 +17,6 @@ from repro.network.churn import (
     RotatingBackboneChurn,
     ScriptedChurn,
 )
-from repro.network.eventlog import GraphEventLog
 from repro.network.graph import DynamicGraph
 from repro.network.topology import path_edges
 from repro.sim.simulator import Simulator
@@ -81,7 +83,7 @@ class TestRandomRewirer:
         for u, v in backbone:
             assert g.has_edge(u, v), "backbone edge was removed"
         # The graph stays connected throughout (backbone is static).
-        assert g.check_interval_connectivity(5.0, t_end=60.0)
+        assert scan_interval_connectivity(g, 5.0, 60.0).ok
 
     def test_extra_edge_count_bounded(self, rng):
         sim = Simulator()
@@ -144,7 +146,7 @@ class TestRotatingBackbone:
         churn = RotatingBackboneChurn(8, window=20.0, overlap=5.0, rng=rng, horizon=100.0)
         churn.install(sim, g)
         sim.run_until(110.0)
-        assert g.check_interval_connectivity(5.0, t_end=95.0)
+        assert scan_interval_connectivity(g, 5.0, 95.0).ok
 
     def test_edges_are_transient(self, rng):
         sim = Simulator()
@@ -166,38 +168,53 @@ class TestRotatingBackbone:
             RotatingBackboneChurn(4, window=5.0, overlap=5.0, rng=rng, horizon=10.0)
 
 
+def _split(history):
+    """A graph history as ``(E_0, schedule)``: the adds at ``t = 0`` start
+    the replayed graph, the rest is a :class:`ScriptedChurn`'s events."""
+    e0 = [(u, v) for t, u, v, added in history if t == 0.0 and added]
+    rest = [(t, "add" if added else "remove", u, v) for t, u, v, added in history if t > 0.0]
+    return e0, rest
+
+
 class TestEventLog:
+    """A graph's event history is a replayable schedule."""
+
     def test_capture_and_replay(self, rng):
         sim = Simulator()
-        g = DynamicGraph(range(5), [(0, 1)])
-        log = GraphEventLog()
-        log.attach(g)
-        ScriptedChurn([(1.0, "add", 1, 2), (2.0, "remove", 0, 1)]).install(sim, g)
-        sim.run_until(5.0)
-        assert log.events == [(1.0, "add", 1, 2), (2.0, "remove", 0, 1)]
-        # Replay onto a fresh graph.
+        g = DynamicGraph(range(6), [(0, 1)])
+        ScriptedChurn([(1.0, "add", 1, 2), (2.0, "remove", 0, 1), (3.0, "add", 0, 1)]).install(sim, g)
+        RandomRewirer(6, 2, 1.5, rng, protected=[(0, 1), (1, 2)], horizon=20.0).install(sim, g)
+        sim.run_until(25.0)
+        e0, rest = _split(g.event_history())
         sim2 = Simulator()
-        g2 = DynamicGraph(range(5), [(0, 1)])
-        log.as_churn().install(sim2, g2)
-        sim2.run_until(5.0)
-        assert set(g2.edges()) == set(g.edges())
+        g2 = DynamicGraph(range(6), e0)
+        ScriptedChurn(rest).install(sim2, g2)
+        sim2.run_until(25.0)
+        assert g2.event_history() == g.event_history()
+        assert list(g2.edges()) == list(g.edges())
 
     def test_csv_round_trip(self):
-        log = GraphEventLog.from_events([(1.5, "add", 0, 3), (2.0, "remove", 0, 3)])
-        text = log.to_csv()
-        back = GraphEventLog.from_csv(text)
-        assert back.events == log.events
+        """A history's schedule survives the config's JSON form (the
+        serialised schedule format now that the graph holds the log)."""
+        g = DynamicGraph(range(4), [(0, 1)])
+        g.add_edge(0, 3, 1.5)
+        g.remove_edge(3, 0, 2.0)
+        e0, rest = _split(g.event_history())
+        cfg = configs.build({**configs.static_path.spec, "n": 4})
+        cfg.initial_edges, cfg.churn = e0, [ScriptedChurn(rest)]
+        back = ExperimentConfig.from_dict(cfg.to_dict())
+        assert back.initial_edges == [(0, 1)]
+        assert back.churn[0].events == [(1.5, "add", 0, 3), (2.0, "remove", 0, 3)]
 
     def test_initial_edges_extraction(self):
-        log = GraphEventLog.from_events(
-            [(0.0, "add", 0, 1), (1.0, "add", 1, 2)]
-        )
-        assert log.initial_edges() == [(0, 1)]
-        assert log.as_churn().events == [(1.0, "add", 1, 2)]
+        g = DynamicGraph(range(3), [(1, 2)])
+        g.add_edge(0, 1, 0.0)  # a t = 0 seed belongs to the replayed E_0
+        g.add_edge(0, 2, 1.0)
+        assert _split(g.event_history()) == ([(0, 1), (1, 2)], [(1.0, "add", 0, 2)])
 
     def test_bad_op_rejected(self):
-        with pytest.raises(ValueError):
-            GraphEventLog().record(1.0, "flip", 0, 1)
+        with pytest.raises(ValueError, match="bad op"):
+            ScriptedChurn([(1.0, "flip", 0, 1)])
 
 
 @settings(max_examples=20)
@@ -216,4 +233,4 @@ def test_property_rotating_backbone_interval_connected(n, window, seed):
         sim, g
     )
     sim.run_until(6 * window + 1.0)
-    assert g.check_interval_connectivity(overlap, t_end=5 * window)
+    assert scan_interval_connectivity(g, overlap, 5 * window).ok

@@ -3,8 +3,8 @@
 The satellite property: :class:`RotatingBackboneChurn` guarantees
 ``L``-interval connectivity for every ``L <= overlap`` by construction
 (each window's spanning path is alive ``overlap`` before and after the
-window), so its recorded event log must pass the certifier for all such
-``L`` -- and the certifier must reject a schedule with a known gap.
+window), so the history of a graph it drove must pass the scan for all
+such ``L`` -- and the scan must reject a schedule with a known gap.
 """
 
 from __future__ import annotations
@@ -14,31 +14,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary import (
-    ConnectivityGuard,
-    IntervalConnectivityCertifier,
-    scan_interval_connectivity,
-)
+from repro.adversary import ConnectivityGuard, scan_interval_connectivity
 from repro.network.churn import RotatingBackboneChurn
-from repro.network.eventlog import GraphEventLog
 from repro.network.graph import DynamicGraph
 from repro.sim.simulator import Simulator
 
 
-def _rotating_backbone_log(
+def _rotating_backbone_graph(
     n: int, window: float, overlap: float, horizon: float, seed: int
-) -> GraphEventLog:
-    """Run only the churn process and record its emitted schedule."""
+) -> DynamicGraph:
+    """Run only the churn process; its graph holds the emitted schedule."""
     sim = Simulator()
     graph = DynamicGraph(range(n))
-    log = GraphEventLog()
-    log.attach(graph)
     churn = RotatingBackboneChurn(
         n, window, overlap, np.random.default_rng(seed), horizon=horizon
     )
     churn.install(sim, graph)
     sim.run_until(horizon)
-    return log
+    return graph
+
+
+def _graph(n: int, events: list[tuple[float, int, int, bool]]) -> DynamicGraph:
+    """A graph over ``range(n)`` that went through ``events`` (E_0: the adds at 0)."""
+    graph = DynamicGraph(range(n), [(u, v) for t, u, v, added in events if t == 0.0])
+    for t, u, v, added in events:
+        if t > 0.0:
+            (graph.add_edge if added else graph.remove_edge)(u, v, t)
+    return graph
 
 
 class TestRotatingBackboneCertifies:
@@ -50,30 +52,23 @@ class TestRotatingBackboneCertifies:
     )
     def test_passes_for_all_intervals_up_to_overlap(self, n, seed, frac):
         window, overlap, horizon = 20.0, 8.0, 100.0
-        log = _rotating_backbone_log(n, window, overlap, horizon, seed)
-        interval = frac * overlap
-        cert = IntervalConnectivityCertifier.from_event_log(log, n, interval)
-        report = cert.certify(horizon - window)
+        graph = _rotating_backbone_graph(n, window, overlap, horizon, seed)
+        report = scan_interval_connectivity(graph, frac * overlap, horizon - window)
         assert report.ok, report.summary()
 
     def test_certifier_windows_are_actually_checked(self):
-        log = _rotating_backbone_log(6, 20.0, 8.0, 100.0, seed=1)
-        cert = IntervalConnectivityCertifier.from_event_log(log, 6, 8.0)
-        report = cert.certify(80.0)
+        graph = _rotating_backbone_graph(6, 20.0, 8.0, 100.0, seed=1)
+        report = scan_interval_connectivity(graph, 8.0, 80.0)
         assert report.windows_checked > 10
-        assert cert.events_observed == len(log.events)
+        assert graph.edge_events > 10
 
 
 class TestCertifierRejectsGaps:
     def test_known_gap_is_reported(self):
         # Path alive on [0, 10]; edge (1, 2) missing on (10, 14): every
         # window overlapping the hole fails for interval 2.
-        cert = IntervalConnectivityCertifier(3, interval=2.0)
-        cert.observe(0.0, 0, 1, True)
-        cert.observe(0.0, 1, 2, True)
-        cert.observe(10.0, 1, 2, False)
-        cert.observe(14.0, 1, 2, True)
-        report = cert.certify(20.0)
+        graph = _graph(3, [(0.0, 0, 1, True), (0.0, 1, 2, True), (10.0, 1, 2, False), (14.0, 1, 2, True)])
+        report = scan_interval_connectivity(graph, 2.0, 20.0)
         assert not report.ok
         v = report.violations[0]
         assert v.t1 <= 14.0 and v.t2 >= 10.0
@@ -81,29 +76,39 @@ class TestCertifierRejectsGaps:
         assert "FAIL" in report.summary()
 
     def test_disconnected_final_state_fails(self):
-        cert = IntervalConnectivityCertifier(4, interval=1.0)
-        cert.observe(0.0, 0, 1, True)
-        cert.observe(0.0, 2, 3, True)  # two components forever
-        assert not cert.certify(5.0).ok
+        graph = _graph(4, [(0.0, 0, 1, True), (0.0, 2, 3, True)])  # two components forever
+        assert not scan_interval_connectivity(graph, 1.0, 5.0).ok
+
+    def test_a_zero_cap_still_fails(self):
+        """A scan that met a disconnected window is never ``ok``, whatever
+        its ``max_violations`` cap."""
+        graph = DynamicGraph(range(3), [(0, 1)])
+        for cap in (0, 1, 64):
+            report = scan_interval_connectivity(graph, 1.0, 5.0, max_violations=cap)
+            assert not report.ok
+            assert len(report.violations) == min(cap, report.windows_checked)
+            assert report.truncated == (cap < report.windows_checked)
+        assert "FAIL (0+ windows)" in scan_interval_connectivity(
+            graph, 1.0, 5.0, max_violations=0
+        ).summary()
 
     def test_attach_mirrors_live_graph(self):
+        """The scan reads a live graph as it stands: a mutation after one
+        scan shows in the next, with no replica to keep in step."""
         graph = DynamicGraph(range(3), [(0, 1)])
-        cert = IntervalConnectivityCertifier(3, interval=1.0)
-        cert.attach(graph)
         graph.add_edge(1, 2, 1.0)
+        first = scan_interval_connectivity(graph, 1.0, 2.5)
+        assert first.violations and all(v.t1 < 1.0 for v in first.violations)  # before the add
         graph.remove_edge(1, 2, 3.0)
-        assert cert.events_observed == 3  # E_0 replay + two live events
-        assert cert.shadow.history(0, 1) == [(0.0, True)]
-        assert cert.shadow.history(1, 2) == [(1.0, True), (3.0, False)]
+        later = scan_interval_connectivity(graph, 1.0, 5.0)
+        assert later.violations[-1].t1 > 3.0
 
     def test_attach_replays_pre_attach_history(self):
-        # Regression: initial edges fire their events during graph
-        # construction, before any subscriber exists; attach must replay
-        # them or every window looks spuriously disconnected.
+        # Regression: E_0 is implicit in the graph's history (no events
+        # fired for it); the scan must count it or every window looks
+        # spuriously disconnected.
         graph = DynamicGraph(range(3), [(0, 1), (1, 2)])
-        cert = IntervalConnectivityCertifier(3, interval=1.0)
-        cert.attach(graph)
-        assert cert.certify(5.0).ok
+        assert scan_interval_connectivity(graph, 1.0, 5.0).ok
 
     def test_window_straddling_two_gaps_is_caught(self):
         # Regression: the worst window can start at `removal - interval`,
@@ -111,27 +116,13 @@ class TestCertifierRejectsGaps:
         # (0, 1) is removed at 11.5, so the window [1.5, 11.5] isolates
         # node 0 -- yet no window anchored *at* an event time fails.  The
         # anchor set must therefore include event_time - interval.
-        cert = IntervalConnectivityCertifier(3, interval=10.0)
-        cert.observe(0.0, 0, 1, True)
-        cert.observe(0.0, 0, 2, True)
-        cert.observe(0.0, 1, 2, True)
-        cert.observe(1.0, 0, 2, False)
-        cert.observe(2.0, 0, 2, True)
-        cert.observe(11.5, 0, 1, False)
-        cert.observe(12.5, 0, 1, True)
-        report = cert.certify(20.0)
+        graph = _graph(3, [
+            (0.0, 0, 1, True), (0.0, 0, 2, True), (0.0, 1, 2, True),
+            (1.0, 0, 2, False), (2.0, 0, 2, True), (11.5, 0, 1, False), (12.5, 0, 1, True),
+        ])
+        report = scan_interval_connectivity(graph, 10.0, 20.0)
         assert not report.ok
         assert any(v.t1 == pytest.approx(1.5) for v in report.violations)
-        # The graph's built-in boolean check shares the anchor set.
-        assert not cert.shadow.check_interval_connectivity(10.0, 20.0)
-
-    def test_scan_agrees_with_graph_builtin_check(self):
-        graph = DynamicGraph(range(4), [(0, 1), (1, 2), (2, 3)])
-        graph.remove_edge(1, 2, 5.0)
-        graph.add_edge(1, 2, 6.0)
-        for interval in (0.5, 2.0):
-            report = scan_interval_connectivity(graph, interval, 10.0)
-            assert report.ok == graph.check_interval_connectivity(interval, 10.0)
 
     def test_scan_validates_arguments(self):
         graph = DynamicGraph(range(2), [(0, 1)])

@@ -5,10 +5,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from graph_listeners import ListenerModel
 
+from repro.adversary import scan_interval_connectivity
 from repro.harness import configs
 from repro.harness.runner import Experiment
 from repro.network.graph import DynamicGraph, GraphError, edge_key
@@ -123,40 +126,72 @@ class TestHistory:
         g = self._flappy()
         assert g.history(1, 0) == [(1.0, True), (3.0, False), (5.0, True)]
 
+    def test_live_edges_and_episodes(self):
+        g = DynamicGraph(range(4), [(2, 3), (0, 1), (1, 2)])
+        g.add_edge(0, 3, 1.0)
+        g.remove_edge(0, 1, 2.0)
+        g.add_edge(0, 2, 3.0)
+        g.add_edge(0, 1, 4.0)  # a re-added E_0 edge joins at its re-add
+        g.remove_edge(0, 3, 5.0)
+        g.add_edge(0, 3, 6.0)  # a re-add moves to the end
+        us, vs, since = g.live_edges()
+        assert us.dtype == vs.dtype == np.int64 and since.dtype == np.float64
+        assert list(zip(us.tolist(), vs.tolist(), since.tolist())) == [
+            (1, 2, 0.0), (2, 3, 0.0), (0, 2, 3.0), (0, 1, 4.0), (0, 3, 6.0)
+        ]
+        assert g.episodes() == [
+            (0, 1, 0.0, 2.0), (1, 2, 0.0, None), (2, 3, 0.0, None),
+            (0, 3, 1.0, 5.0), (0, 2, 3.0, None), (0, 1, 4.0, None), (0, 3, 6.0, None),
+        ]
+
+    def test_event_history_limit(self):
+        g = DynamicGraph(range(4), [(2, 3), (0, 1)])
+        g.add_edge(0, 2, 0.0)  # a t = 0 add sorts among E_0 by (u, v)
+        g.remove_edge(0, 1, 1.0)
+        full = g.event_history()
+        assert full == [
+            (0.0, 0, 1, True), (0.0, 0, 2, True), (0.0, 2, 3, True), (1.0, 0, 1, False)
+        ]
+        assert len(full) == g.edge_events
+        assert [g.event_history(k) for k in range(6)] == [full[:k] for k in range(6)]
+
 
 class TestConnectivity:
     def test_connected_now(self):
         g = DynamicGraph(range(4), path_edges(4))
-        assert g.is_connected_now()
+        assert scan_interval_connectivity(g, 1.0, 1.0).ok
         g.remove_edge(1, 2, 1.0)
-        assert not g.is_connected_now()
+        report = scan_interval_connectivity(g, 0.5, 2.0)
+        assert not report.ok and report.violations[-1].t1 > 1.0  # after the cut
 
     def test_single_node_connected(self):
-        assert DynamicGraph([7]).is_connected_now()
+        assert scan_interval_connectivity(DynamicGraph([7]), 1.0, 5.0).ok
 
     def test_connected_throughout_window(self):
         g = DynamicGraph(range(3), path_edges(3))
         g.remove_edge(0, 1, 5.0)
         g.add_edge(0, 2, 6.0)
         # During [0, 4] the original path exists throughout.
-        assert g.is_connected_throughout(0.0, 4.0)
-        # During [4, 7] edge (0,1) disappears and (0,2) appears late:
-        # neither exists *throughout*, so the static subgraph is disconnected.
-        assert not g.is_connected_throughout(4.0, 7.0)
+        assert scan_interval_connectivity(g, 4.0, 4.0).ok
+        # A window over [5, 6] loses (0, 1) and gains (0, 2) late: neither
+        # exists *throughout*, so the static subgraph is disconnected.
         # After 6, the new topology is stable.
-        assert g.is_connected_throughout(6.0, 10.0)
+        report = scan_interval_connectivity(g, 3.0, 10.0)
+        assert report.violations and not report.truncated
+        assert all(v.t1 <= 6.0 and v.t2 >= 5.0 for v in report.violations)
+        assert report.windows_checked > len(report.violations)
 
     def test_interval_connectivity_holds_for_stable_backbone(self):
         g = DynamicGraph(range(5), path_edges(5))
         g.add_edge(0, 2, 1.0)
         g.remove_edge(0, 2, 4.0)
         g.add_edge(1, 4, 6.0)
-        assert g.check_interval_connectivity(2.0, t_end=10.0)
+        assert scan_interval_connectivity(g, 2.0, 10.0).ok
 
     def test_interval_connectivity_detects_gap(self):
         g = DynamicGraph(range(3), path_edges(3))
         g.remove_edge(0, 1, 5.0)  # permanently disconnects node 0
-        assert not g.check_interval_connectivity(2.0, t_end=10.0)
+        assert not scan_interval_connectivity(g, 2.0, 10.0).ok
 
     def test_distances(self):
         g = DynamicGraph(range(5), path_edges(5))
@@ -227,9 +262,12 @@ def _scripts(draw):
 def test_property_columns_graph_equals_a_set_model(script):
     """The columns graph answers every query as a plain model does: one set
     per node, filled in insertion order (E_0, then the script), and every
-    edge's history from an add at 0 -- whenever a node's set is built."""
+    edge's history from an add at 0 -- whenever a node's set is built.
+    After every mutation (re-adds and t = 0 adds included) its live edges
+    and episodes are what a mutation listener builds."""
     n, e0, steps = script
     g = DynamicGraph(range(n), e0)
+    listener = ListenerModel(g)
     adj = {u: set() for u in range(n)}
     hist: dict[tuple[int, int], list[tuple[float, bool]]] = {}
     for u, v in e0:
@@ -254,6 +292,10 @@ def test_property_columns_graph_equals_a_set_model(script):
         (adj[u].add if op == "add" else adj[u].discard)(v)
         (adj[v].add if op == "add" else adj[v].discard)(u)
         hist.setdefault(key, []).append((t, op == "add"))
+        # What a subscriber built, read off the history: ids, order, ages.
+        us, vs, since = g.live_edges()
+        assert list(zip(us.tolist(), vs.tolist(), since.tolist())) == listener.live_edges()
+        assert g.episodes() == listener.episodes()
     model_edges = {(u, v) for u in adj for v in adj[u] if u < v}
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     for u in range(n):

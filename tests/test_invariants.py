@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import SystemParams
+from repro.adversary import scan_interval_connectivity
 from repro.analysis import envelope_violations, max_estimate_lag, max_global_skew
 from repro.core import skew_bounds as sb
 from repro.harness import ALGORITHMS, OracleRef, configs, run_experiment
@@ -85,7 +86,7 @@ class TestTheorem69GlobalSkew:
         cfg = configs.rotating_backbone(10, horizon=200.0, window=25.0, seed=3)
         res = run_experiment(cfg)
         interval = res.params.max_delay + res.params.discovery_bound
-        assert res.graph.check_interval_connectivity(interval, t_end=180.0)
+        assert scan_interval_connectivity(res.graph, interval, 180.0).ok
         assert res.max_global_skew <= sb.global_skew_bound(res.params) + 1e-9
 
     def test_heavy_churn(self):

@@ -27,12 +27,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from graph_listeners import ListenerModel
 from test_kernel_parity import holds
 
 import repro
+from repro import SystemParams
 from repro.cli import main
 from repro.core import skew_bounds
 from repro.harness import OracleRef, configs, run_experiment
+from repro.network.graph import DynamicGraph
 from repro.obs import (
     BundleError,
     LedgerError,
@@ -52,6 +55,7 @@ from repro.obs import (
     write_bundle,
 )
 from repro.obs.ledger import record_id
+from repro.oracle import StreamingOracle
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -102,8 +106,10 @@ class TestTimeline:
         assert doc["v"] == 1
         assert doc["rows"] == tl.rows
         assert len(doc["columns"]["t"]) == doc["rows"]
-        # Churn workload: topology events were mirrored.
-        assert doc["events"]
+        # Churn workload: the topology events are the graph's history.
+        assert doc["events"] == [
+            [t, u, v, int(added)] for t, u, v, added in result.graph.event_history()
+        ]
         assert doc["events_dropped"] == 0
         # The envelope columns are populated while edges are live.
         margins = [m for m in doc["columns"]["envelope_margin"] if m is not None]
@@ -117,31 +123,24 @@ class TestTimeline:
     ):
         """The row takes the envelope monitor's pass.  Computing the three
         columns the way the recorder used to -- its own mirror of the live
-        edges, its own bounds and ``|dL|`` at every sample -- gives the
+        edges (a graph listener subscribed where the oracle takes the
+        graph), its own bounds and ``|dL|`` at every sample -- gives the
         same values bit for bit on the bundled churned run."""
         cfg = _armed_config()
-        live: dict[tuple[int, int], float] = {}
+        mirror: list[ListenerModel] = []
         own: list[tuple[float, float, float]] = []
-        edge_event, record = TimelineRecorder.edge_event, TimelineRecorder.record
-        seed_edges = TimelineRecorder.seed_edges
+        attach_graph, record = StreamingOracle.attach_graph, TimelineRecorder.record
 
-        def mirroring_edge_event(self, time, u, v, added):
-            key = (u, v) if u <= v else (v, u)
-            if added:
-                live[key] = time
-            else:
-                live.pop(key, None)
-            edge_event(self, time, u, v, added)
-
-        def mirroring_seed_edges(self, us, vs):
-            live.update(((u, v), 0.0) for u, v in zip(us.tolist(), vs.tolist()))
-            seed_edges(self, us, vs)
+        def mirroring_attach_graph(self, graph):
+            mirror.append(ListenerModel(graph))
+            attach_graph(self, graph)
 
         def own_pass_then_record(self, t, clocks, estimates, **kwargs):
             index = {nid: k for k, nid in enumerate(self._node_ids)}
-            eu = np.array([index[u] for u, _v in live], dtype=np.intp)
-            ev = np.array([index[v] for _u, v in live], dtype=np.intp)
-            ages = t - np.array(list(live.values()), dtype=np.float64)
+            live = mirror[0].live_edges()
+            eu = np.array([index[u] for u, _v, _a in live], dtype=np.intp)
+            ev = np.array([index[v] for _u, v, _a in live], dtype=np.intp)
+            ages = t - np.array([a for *_, a in live], dtype=np.float64)
             bounds = skew_bounds.dynamic_local_skew_batch(cfg.params, ages)
             observed = np.abs(clocks[eu] - clocks[ev])
             margins = bounds - observed
@@ -149,8 +148,7 @@ class TestTimeline:
             own.append((float(observed.max()), float(bounds[k]), float(margins[k])))
             record(self, t, clocks, estimates, **kwargs)
 
-        monkeypatch.setattr(TimelineRecorder, "edge_event", mirroring_edge_event)
-        monkeypatch.setattr(TimelineRecorder, "seed_edges", mirroring_seed_edges)
+        monkeypatch.setattr(StreamingOracle, "attach_graph", mirroring_attach_graph)
         monkeypatch.setattr(TimelineRecorder, "record", own_pass_then_record)
         with timeline_session() as tl:
             result = run_experiment(cfg)
@@ -229,11 +227,31 @@ class TestTimeline:
 
     def test_event_budget_counts_overflow(self):
         tl = TimelineRecorder(event_budget=2)
-        tl.bind([0, 1, 2, 3])
-        for k in range(5):
-            tl.edge_event(float(k), 0, 1 + (k % 3), True)
-        assert len(tl.events) == 2
-        assert tl.events_dropped == 3
+        g = DynamicGraph(range(4))
+        tl.bind([0, 1, 2, 3], g)
+        g.add_edge(3, 0, 0.0)
+        g.add_edge(2, 0, 0.0)  # same instant: (u, v) order, not arrival
+        g.add_edge(0, 1, 1.0)
+        g.remove_edge(0, 3, 2.0)
+        g.add_edge(3, 0, 3.0)
+        doc = tl.to_dict()
+        assert doc["events"] == [[0.0, 0, 2, 1], [0.0, 0, 3, 1]]
+        assert doc["events_dropped"] == 3
+        with pytest.raises(ValueError, match="event_budget"):
+            TimelineRecorder(event_budget=-1)
+
+    def test_a_timeline_attached_after_the_graph_reads_its_history(self):
+        """Explicit wiring after install: the timeline is bound to the
+        run's node ids and graph, so its events are the whole history."""
+        g = DynamicGraph(range(3), [(0, 1)])
+        oracle = StreamingOracle(SystemParams.for_network(3))
+        oracle.attach({i: None for i in range(3)}, interval=1.0)
+        oracle.attach_graph(g)
+        g.add_edge(1, 2, 1.0)
+        tl = TimelineRecorder()
+        oracle.attach_timeline(tl)
+        assert tl.bound
+        assert tl.to_dict()["events"] == [[0.0, 0, 1, 1], [1.0, 1, 2, 1]]
 
     def test_bad_budgets_rejected(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,15 @@ bound surfaces structured violations.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from graph_listeners import ListenerModel
 
 from repro import SystemParams
 from repro.harness import ExperimentConfig, OracleRef, configs, run_experiment
+from repro.network.graph import DynamicGraph
 from repro.network.topology import path_edges
 from repro.oracle import (
     MONITOR_FACTORIES,
@@ -82,20 +86,43 @@ class TestMonitorsUnit:
         with pytest.raises(NotImplementedError):
             bind(Monitor(), params8, [0]).on_sample(0.0, np.zeros(1), None)
 
+    @staticmethod
+    def _watching(monitor, graph, params, node_ids):
+        oracle = StreamingOracle(params, monitors=[monitor])
+        oracle.attach({i: None for i in node_ids}, interval=1.0)
+        oracle.attach_graph(graph)
+        return monitor
+
     def test_envelope_without_live_edges_checks_nothing(self, params8):
-        m = bind(EnvelopeMonitor(), params8, [0, 1, 2])
-        m.seed_edges(np.array([0, 1]), np.array([1, 2]))
+        g = DynamicGraph(range(3), [(0, 1), (1, 2)])
+        m = self._watching(EnvelopeMonitor(), g, params8, [0, 1, 2])
         for u, v in ((0, 1), (2, 1)):
-            m.on_edge_event(1.0, u, v, False)
+            g.remove_edge(u, v, 1.0)
         m.on_sample(2.0, np.zeros(3), None)
         assert m.checks == 0 and m.last_pass is None
 
     def test_envelope_refuses_an_edge_to_an_unsampled_node(self, params8):
-        m = bind(EnvelopeMonitor(), params8, [0, 1, 3])
-        m.seed_edges(np.array([0]), np.array([1]))
-        m.on_edge_event(1.0, 3, 2, True)
+        g = DynamicGraph([0, 1, 2, 3], [(0, 1)])
+        m = self._watching(EnvelopeMonitor(), g, params8, [0, 1, 3])
+        g.add_edge(3, 2, 1.0)
         with pytest.raises(KeyError, match=r"\(2, 3\)"):
             m.on_sample(2.0, np.zeros(3), None)
+
+    def test_envelope_rereads_the_graph_only_after_it_changed(self, params8, monkeypatch):
+        g = DynamicGraph(range(3), [(0, 1)])
+        m = self._watching(EnvelopeMonitor(), g, params8, [0, 1, 2])
+        reads = []
+        live_edges = DynamicGraph.live_edges
+        monkeypatch.setattr(
+            DynamicGraph, "live_edges", lambda graph: (reads.append(1), live_edges(graph))[1]
+        )
+        m.on_sample(0.0, np.zeros(3), None)
+        m.on_sample(1.0, np.zeros(3), None)
+        g.add_edge(1, 2, 1.5)
+        assert m.stale
+        m.on_sample(2.0, np.array([0.0, 0.0, 0.25]), None)
+        assert len(reads) == 2 and m.checks == 1 + 1 + 2
+        assert m.last_pass[0].tolist() == [0.0, 0.25] and m.worst_age == 0.5
 
     def test_violation_record_shape(self):
         v = Violation("global_skew", 3.0, (1, 2), 5.0, 7.5, -2.5, detail="x")
@@ -293,17 +320,11 @@ class TestOracleOnAdversaries:
 
 
 class TestBulkEdgeSeeding:
-    """``attach_graph`` seeds E_0 as the graph's columns with one bulk call
-    per edge monitor (and the timeline), in ``graph.edges()`` order: the
-    same live edges in the same order, and the same run, as one
-    ``edge_event`` per edge."""
-
-    @staticmethod
-    def _per_edge(self, graph):
-        if self._edge_monitors:
-            graph.subscribe(self.edge_event)
-            for u, v in graph.edges():
-                self.edge_event(0.0, u, v, True)
+    """The envelope monitor reads its live edges off the graph: at every
+    sample its table (ids, order, add times) is the one a listener fed one
+    add per E_0 edge and then every mutation builds
+    (:class:`graph_listeners.ListenerModel`), and the run's report and
+    timeline rows are the same when the monitor reads that table instead."""
 
     @staticmethod
     def _configs():
@@ -312,45 +333,80 @@ class TestBulkEdgeSeeding:
             24, horizon=12.0, churn="scripted",
             events=[(1.5, "add", 3, 11), (4.2, "remove", 5, 6), (7.9, "add", 5, 6), (9.1, "remove", 3, 11)],
         )
-        return [grid, churned]
+        flapping = configs.flapping_edges(12, horizon=40.0)
+        return [grid, churned, replace(flapping, oracle=OracleRef("standard", {}))]
 
     def _run(self, cfg, monkeypatch, per_edge):
         from repro.harness.runner import Experiment
         from repro.obs import timeline_session
 
+        tables, models = [], []
+        on_sample, attach_graph = EnvelopeMonitor.on_sample, StreamingOracle.attach_graph
+
+        def attach(oracle, graph):  # the oracle's vantage point
+            models.append(ListenerModel(graph))
+            attach_graph(oracle, graph)
+
+        def sample(monitor, t, clocks, estimates):
+            if per_edge:  # read the listener's table instead of the graph
+                rows = models[0].live_edges()
+                monitor.graph.live_edges = lambda: (
+                    np.array([u for u, _, _ in rows], np.int64),
+                    np.array([v for _, v, _ in rows], np.int64),
+                    np.array([a for *_, a in rows], float),
+                )
+            on_sample(monitor, t, clocks, estimates)
+            tables.append(list(zip(
+                monitor._edge_u.tolist(), monitor._edge_v.tolist(), monitor._eadd.tolist()
+            )))
+
         with monkeypatch.context() as mp:
-            if per_edge:
-                mp.setattr(StreamingOracle, "attach_graph", self._per_edge)
+            mp.setattr(EnvelopeMonitor, "on_sample", sample)
+            mp.setattr(StreamingOracle, "attach_graph", attach)
             with timeline_session() as tl:
-                exp = Experiment(cfg)
-                (env,) = [m for m in exp.oracle.monitors if m.tracks_edges]
-                env._rebuild()
-                live = list(zip(env._edge_u.tolist(), env._edge_v.tolist(), env._eadd.tolist()))
-                seeded = (live, list(tl.events))
-                report = exp.run().oracle_report
-                return seeded, report.to_dict(), tl.to_dict()
+                report = Experiment(cfg).run().oracle_report
+                rows = tl.to_dict()["columns"]
+        return tables, report.to_dict(), rows
 
-    def test_a_monitor_without_seed_edges_gets_one_add_per_edge(self, params8):
-        class Adds(Monitor):
-            tracks_edges = True
+    def test_only_the_transport_and_the_oracle_listen(self):
+        """The recorder, the edge monitors and the timeline read the graph;
+        only the transport (discovery) and the oracle (staleness) listen."""
+        from repro.harness.runner import Experiment
+        from repro.obs import timeline_session
 
-            def __init__(self):
-                super().__init__()
-                self.seen = []
+        cfg = replace(configs.flapping_edges(8, horizon=10.0), oracle=OracleRef("standard", {}))
+        with timeline_session():
+            exp = Experiment(cfg)
+        assert exp.recorder is not None and exp.recorder.track_edges
+        owners = [listener.__self__ for listener in exp.graph._listeners]
+        assert owners == [exp.transport, exp.oracle]
 
-            def on_edge_event(self, time, u, v, added):
-                self.seen.append((time, u, v, added))
+    def test_a_dropped_run_frees_its_oracle_without_a_collection(self, params8):
+        """The graph holds the oracle (its listener) and the edge monitors
+        only borrow the graph, so dropping both frees them by reference
+        counting: the node views the oracle reads go with them (the
+        sharded coordinator builds one such set per run)."""
+        import gc
+        import weakref
 
-        from repro.network.graph import DynamicGraph
-
-        monitor = Adds()
-        oracle = StreamingOracle(params8, monitors=[monitor])
-        oracle.attach({i: None for i in range(4)}, interval=1.0)
-        oracle.attach_graph(DynamicGraph(range(4), [(3, 0), (1, 2), (0, 1)]))
-        assert monitor.seen == [(0.0, 0, 1, True), (0.0, 0, 3, True), (0.0, 1, 2, True)]
+        graph = DynamicGraph(range(3), [(0, 1)])
+        oracle = StreamingOracle(params8)
+        oracle.attach({i: None for i in range(3)}, interval=1.0)
+        oracle.attach_graph(graph)
+        graph.add_edge(1, 2, 1.0)
+        oracle.monitors[-1].on_sample(1.0, np.zeros(3), None)
+        assert oracle.monitors[-1].checks == 2
+        freed = weakref.ref(oracle)
+        gc.disable()
+        try:
+            del graph, oracle
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_seeded_state_and_the_run_equal_the_per_edge_path(self, monkeypatch):
         for cfg in self._configs():
-            bulk = self._run(cfg, monkeypatch, per_edge=False)
-            assert bulk[0][0] and bulk[0][1]  # both were seeded
-            assert bulk == self._run(cfg, monkeypatch, per_edge=True)
+            read = self._run(cfg, monkeypatch, per_edge=False)
+            tables = {tuple(table) for table in read[0]}
+            assert read[0][0] and (len(tables) > 1) == bool(cfg.churn)
+            assert read == self._run(cfg, monkeypatch, per_edge=True)

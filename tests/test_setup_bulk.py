@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.recorder import SkewRecorder
 from repro.core.batch import WaveRows
 from repro.core.dcsa import DCSANode
 from repro.core.node import ClockSyncNode, Population
@@ -51,6 +52,7 @@ from repro.sim.clocks import (
 from repro.sim.rng import RngFactory
 from repro.sim.events import KIND_DISCOVER, KIND_TICK_BURST, KIND_TIMER, N_KINDS
 from repro.testing.strategies import experiment_configs
+from repro.tracing import trace_session
 
 
 def _per_record_graph(nodes, initial_edges=()):
@@ -319,6 +321,38 @@ class TestCollectorState:
         with pytest.raises(SimulationError, match="max_events"):
             exp.run()
         assert gc.isenabled()
+
+    @staticmethod
+    def _spy(monkeypatch, seen, owner, name, fail=False):
+        original = getattr(owner, name)
+
+        def spy(*args):
+            seen.append((name, gc.isenabled()))
+            if fail:
+                raise RuntimeError(name)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    def test_packaging_runs_paused(self, monkeypatch):
+        """Finishing the trace and building the record happen before the
+        collector comes back."""
+        seen = []
+        self._spy(monkeypatch, seen, Transport, "finalize_tracing")
+        self._spy(monkeypatch, seen, SkewRecorder, "result")
+        with trace_session():
+            exp = Experiment(replace(self.CFG(), record=True))
+            exp.run()
+        assert gc.isenabled()
+        assert seen == [("finalize_tracing", False), ("result", False)]
+
+    def test_a_failed_packaging_restores_it(self, monkeypatch):
+        seen = []
+        self._spy(monkeypatch, seen, SkewRecorder, "result", fail=True)
+        exp = Experiment(replace(self.CFG(), record=True))
+        with pytest.raises(RuntimeError, match="result"):
+            exp.run()
+        assert gc.isenabled() and seen == [("result", False)]
 
     def test_run_forces_no_collection(self, monkeypatch):
         """A full collection re-walks the whole heap for a finished run's
