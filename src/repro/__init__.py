@@ -4,13 +4,12 @@ A from-scratch Python reproduction of Kuhn, Locher & Oshman, *Gradient Clock
 Synchronization in Dynamic Networks* (SPAA 2009 / MIT-CSAIL-TR-2009-022):
 
 * :mod:`repro.core` -- the dynamic gradient clock synchronization algorithm
-  (Algorithm 2) and the paper's closed-form skew bounds;
+  (Algorithm 2), the max-sync, static-gradient and free-running baselines
+  it is compared against, and the paper's closed-form skew bounds;
 * :mod:`repro.sim` -- a Timed-I/O-Automata-style discrete-event simulator
   with exact drifting hardware clocks;
 * :mod:`repro.network` -- dynamic graphs, bounded-delay FIFO channels,
   discovery with latency :math:`\\mathcal{D}`, churn processes;
-* :mod:`repro.baselines` -- max-algorithm, static-gradient and free-running
-  comparators;
 * :mod:`repro.lowerbound` -- the executable Section 4 constructions (delay
   masks, the alpha/beta executions of Lemma 4.2, the Figure 1 scenario);
 * :mod:`repro.adversary` -- adaptive drift/delay/topology adversaries and
@@ -36,17 +35,12 @@ Quickstart::
 
 from ._version import __version__
 from .params import ParameterError, SystemParams
-from .core import BFunction, ClockSyncNode, DCSANode, skew_bounds
-from .baselines import FreeRunningNode, MaxSyncNode, StaticGradientNode
+from .core import BFunction, ClockSyncNode, skew_bounds
 
 __all__ = [
     "BFunction",
     "ClockSyncNode",
-    "DCSANode",
-    "FreeRunningNode",
-    "MaxSyncNode",
     "ParameterError",
-    "StaticGradientNode",
     "SystemParams",
     "__version__",
     "skew_bounds",

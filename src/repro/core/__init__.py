@@ -1,16 +1,16 @@
 """The paper's primary contribution: the DCSA and its proven bounds.
 
-* :mod:`repro.core.protocol` -- the algorithms as sans-IO cores
-  (:class:`DCSACore` and the baseline cores), pure state machines driven by
-  both the simulator and the :mod:`repro.live` asyncio runtime;
-* :class:`DCSANode` -- Algorithm 2 (Section 5) under the sim driver;
+* :mod:`repro.core.protocol` -- the algorithms as sans-IO cores:
+  :class:`DCSACore` (Algorithm 2, Section 5) and the baselines
+  :class:`MaxSyncCore`, :class:`StaticGradientCore` and
+  :class:`FreeRunningCore`, pure state machines driven by both the
+  simulator and the :mod:`repro.live` asyncio runtime;
 * :class:`BFunction` -- the decaying per-edge tolerance;
-* :class:`ClockSyncNode` -- the simulation driver for protocol cores;
+* :class:`ClockSyncNode` -- the simulation driver of every core;
 * :mod:`repro.core.skew_bounds` -- every closed-form bound of Sections 4 & 6.
 """
 
 from .bfunction import BFunction
-from .dcsa import DCSANode, Update
 from .estimates import NeighborEstimate, NeighborTable
 from .node import ClockSyncNode
 from .protocol import (
@@ -32,6 +32,7 @@ from .protocol import (
     Start,
     StaticGradientCore,
     TimerFired,
+    Update,
 )
 from . import skew_bounds
 
@@ -40,7 +41,6 @@ __all__ = [
     "CancelTimer",
     "ClockSyncNode",
     "DCSACore",
-    "DCSANode",
     "DiscoverAdd",
     "DiscoverRemove",
     "Effect",

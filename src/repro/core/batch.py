@@ -89,6 +89,7 @@ __all__ = [
     "NodeArrayTable",
     "PopulationReader",
     "SEGMENT_CLOCKS",
+    "TABLE_CORES",
     "WaveRows",
     "kernel_plan",
 ]
@@ -111,6 +112,10 @@ _LONG_ROW = 10
 #: The clocks whose ``value`` / ``time_at`` the table's segment columns
 #: reproduce; matched by exact type, a subclass may override either.
 SEGMENT_CLOCKS = (ConstantRateClock, PiecewiseRateClock, SteerableClock)
+
+#: The cores whose step the table runs (the DCSA, and the DCSA with a
+#: constant ``B``); matched by exact type, like the clocks.
+TABLE_CORES = (DCSACore, StaticGradientCore)
 
 #: The table's per-lane tallies, as they travel on ``RunResult``, in
 #: ``repro run --json`` and as ``kernel.*`` telemetry readbacks.
@@ -1626,7 +1631,7 @@ def kernel_plan(transport: "Transport") -> KernelPlan:
         # A view's class is a row type in front of its core class.
         view = hasattr(core, "_store")
         plain = type(core).__mro__[2] if view else type(core)
-        if core_cls is None and plain in (DCSACore, StaticGradientCore):
+        if core_cls is None and plain in TABLE_CORES:
             core_cls = plain
         name = type(core).__name__
         if plain is not core_cls:

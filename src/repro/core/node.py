@@ -46,9 +46,8 @@ the clock's exact inverse and registers a cancellable, keyed simulator
 event (re-arming a key cancels the previous timer, which is what
 ``cancel(lost(v))``/``set timer(...)`` pairs compile to).
 
-Algorithm node classes (:class:`~repro.core.dcsa.DCSANode` and the
-baselines) are thin shells: they pick a ``core_class`` and re-export the
-core's algorithm-specific state for tests and analysis code.
+There is one driver class: an algorithm is its core (the classes
+:data:`repro.harness.runner.ALGORITHMS` names), read as ``node.core``.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from copy import copy
 from math import inf
-from typing import TYPE_CHECKING, Any, Callable, ClassVar
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -115,13 +114,8 @@ class ClockSyncNode:
     params:
         Shared model parameters.
     core:
-        An explicit :class:`~repro.core.protocol.ProtocolCore`; when
-        omitted, one is built from the subclass's ``core_class`` with any
-        extra keyword arguments.
+        The :class:`~repro.core.protocol.ProtocolCore` this node runs.
     """
-
-    #: Core type instantiated by subclasses (``None`` = require ``core=``).
-    core_class: ClassVar[type[ProtocolCore] | None] = None
 
     def __init__(
         self,
@@ -130,23 +124,13 @@ class ClockSyncNode:
         clock: HardwareClock,
         transport: Any,
         params: SystemParams,
-        *,
-        core: ProtocolCore | None = None,
-        **core_kwargs: Any,
+        core: ProtocolCore,
     ) -> None:
         self.node_id = node_id
         self.sim = sim
         self.clock = clock
         self.transport = transport
         self.params = params
-        if core is None:
-            cls = type(self).core_class
-            if cls is None:
-                raise TypeError(
-                    "ClockSyncNode needs either an explicit core= or a "
-                    "subclass defining core_class"
-                )
-            core = cls(node_id, params, **core_kwargs)
         self.core = core
         #: Keyed timers.  On the batch table only a foreign key lives here:
         #: a ``tick`` is a table record by node id, a ``lost`` deadline a slot.
@@ -220,7 +204,14 @@ class ClockSyncNode:
     def max_estimate(self, t: float | None = None) -> float:
         """``Lmax_u(t)`` -- read-only, same contract as :meth:`logical_clock`."""
         tt = self.sim.now if t is None else t
-        return self.core.max_estimate_at(self.clock.value(tt))
+        h = self.clock.value(tt)
+        core = self.core
+        if h < core.h_last - 1e-12:
+            raise ValueError(
+                f"cannot read Lmax at t={tt!r} (H={h!r}) before "
+                f"the last event (H={core.h_last!r})"
+            )
+        return core.max_estimate_at(h)
 
     # ------------------------------------------------------------------ #
     # Stats (owned by the core; re-exported for analysis code)
@@ -412,14 +403,13 @@ class Population(Mapping[int, ClockSyncNode]):
     Set-up writes the population's state straight into ``store``, the
     :class:`~repro.core.batch.NodeArrayTable` its run executes on: no
     driver, core, clock object or timer dict per node.  ``population[i]``
-    builds node ``i``'s driver on first touch -- a ``node_cls``, its core
-    born a view of row ``i`` (:func:`~repro.core.protocol.row_type`), its
+    builds node ``i``'s driver on first touch -- its core born a view of
+    row ``i`` (:func:`~repro.core.protocol.row_type`), its
     clock the row's -- and keeps it; ``materialised`` counts them.
     """
 
     def __init__(
         self,
-        node_cls: type[ClockSyncNode],
         sim: Simulator,
         transport: Any,
         store: "NodeArrayTable",
@@ -430,7 +420,7 @@ class Population(Mapping[int, ClockSyncNode]):
         self.ids = store.ids  # range(n), or a shard's range of it
         self.params = core.params
         self.core_cls = type(core)
-        self._make = (node_cls, sim, transport)
+        self._make = (sim, transport)
         #: A core's state outside its row (what every view starts from),
         #: and each node's first-tick offset, its core's ``tick_stagger``.
         self._template = {
@@ -465,15 +455,14 @@ class Population(Mapping[int, ClockSyncNode]):
         return len(self.ids)
 
     def _build(self, i: int) -> ClockSyncNode:
-        node_cls, sim, transport = self._make
+        sim, transport = self._make
         store = self.store
         core: Any = object.__new__(self._row_cls)
         vars(core).update(
             self._template, node_id=i, _store=store, _tick_stagger=float(self._stagger[i])
         )
         clock = store.clocks[i] or ConstantRateClock(store.rate[i])
-        node = self._built[i] = object.__new__(node_cls)
-        ClockSyncNode.__init__(node, i, sim, clock, transport, self.params, core=core)
+        node = self._built[i] = ClockSyncNode(i, sim, clock, transport, self.params, core)
         node._table = self._table
         self.materialised += 1
         return node
@@ -490,7 +479,7 @@ class Population(Mapping[int, ClockSyncNode]):
         for d in self.touched():
             d._table = None
         store = self.store
-        sim = self._make[1]
+        sim = self._make[0]
         armed = np.flatnonzero(store.np.lost_dl[: store.n_slots] != inf).tolist()
         for s in sorted(armed, key=store.lost_seq.__getitem__):
             d, key = self[store.owner[s]], ("lost", store.peer[s])
@@ -520,24 +509,24 @@ class NodeRow:
         self._population = population
         self.node_id = node_id
 
-    def _read(self, column: Any, t: float | None) -> float:
+    def _read(self, column: Any, quantity: str, t: float | None) -> float:
         """:meth:`ClockSyncNode.logical_clock`'s arithmetic on ``column``."""
         store, i = self._population.store, self.node_id
-        tt = self._population._make[1].now if t is None else t
+        tt = self._population._make[0].now if t is None else t
         clock = store.clocks[i]
         h = store.rate[i] * tt if clock is None else clock.value(tt)
         if h < store.h_last[i] - 1e-12:
             raise ValueError(
-                f"cannot read logical clock at t={tt!r} (H={h!r}) before "
+                f"cannot read {quantity} at t={tt!r} (H={h!r}) before "
                 f"the last event (H={store.h_last[i]!r})"
             )
         return column[i] + (h - store.h_last[i])  # type: ignore[no-any-return]
 
     def logical_clock(self, t: float | None = None) -> float:
-        return self._read(self._population.store.L, t)
+        return self._read(self._population.store.L, "logical clock", t)
 
     def max_estimate(self, t: float | None = None) -> float:
-        return self._read(self._population.store.Lmax, t)
+        return self._read(self._population.store.Lmax, "Lmax", t)
 
     def __getattr__(self, name: str) -> Any:
         if name.startswith("__") or name in NodeRow.__slots__:  # copy / pickle probes

@@ -402,11 +402,32 @@ class ProtocolCore:
 
 
 class DCSACore(ProtocolCore):
-    """The paper's dynamic gradient clock synchronization algorithm.
+    """The paper's dynamic gradient clock synchronization algorithm
+    (Algorithm 2, Section 5).
 
-    See :mod:`repro.core.dcsa` for the full algorithmic commentary; this
-    class is the sans-IO translation of Algorithm 2, emitting effects in
-    the exact order the original handlers acted.
+    Node ``u`` keeps its logical clock ``L_u`` (at least its hardware rate,
+    forward jumps only), an estimate ``Lmax_u`` of the largest clock in
+    the network, the believed neighbours ``Upsilon_u`` and the tracked set
+    ``Gamma_u`` with ``C^v_u`` (hardware time ``v`` entered it) and
+    ``L^v_u`` (the estimate of ``v``'s clock).  It sends ``<L_u, Lmax_u>``
+    to ``Upsilon_u`` every ``Delta H`` subjective time, evicts a neighbour
+    silent for ``Delta T'`` from ``Gamma_u`` (the ``lost`` timer), and
+    after every event runs ``AdjustClock``:
+
+    .. code-block:: text
+
+       L_u <- max{ L_u, min{ Lmax_u, min_{v in Gamma_u}( L^v_u + B(H_u - C^v_u) ) } }
+
+    -- chase the maximum, never more than ``B(edge age)`` ahead of a
+    tracked neighbour.  ``B`` starts above the global skew bound and
+    decays to ``B_0`` (:mod:`repro.core.bfunction`), so a new edge imposes
+    its constraint gradually: the dynamic local skew guarantee (Theorem
+    6.12 / Corollary 6.13) at bounded global skew (Theorem 6.9).
+
+    Implementation interpretation (docs/reproduction.md): ``L^v_u`` and
+    ``Lmax_u`` refresh on *every* receipt (Lemma 6.5), ``C^v_u`` only when
+    ``v`` (re-)enters ``Gamma_u`` (Lemma 6.10).  ``tick_stagger`` offsets
+    the first tick (subjective units); no guarantee depends on it.
     """
 
     def __init__(
@@ -612,7 +633,10 @@ def row_type(cls: type) -> type:
 class MaxSyncCore(ProtocolCore):
     """Jump-to-max synchronization: ``L_u := Lmax_u`` after every event.
 
-    See :mod:`repro.baselines.max_sync` for the algorithmic commentary.
+    The classic approach ([18], Srikanth-Toueg style): the DCSA's messages
+    and ``G(n)`` global skew (the same max propagation, Lemma 6.8) but no
+    gradient property -- adjacent nodes can be nearly ``G(n)`` apart, so
+    its worst local skew tracks the global one.
     """
 
     def __init__(
@@ -657,8 +681,12 @@ class StaticGradientCore(DCSACore):
     the same ``AdjustClock`` scan over the coefficient row ``intercept =
     B_0``, ``slope = 0`` (``B_0 - 0.0 * age`` is ``B_0`` exactly).
 
-    See :mod:`repro.baselines.static_gradient` for why this is the
-    Locher-Wattenhofer [13] baseline and what breaks on dynamic graphs.
+    This is the static oblivious gradient algorithm of Locher and
+    Wattenhofer [13], which the DCSA generalises.  On a static network its
+    local skew stays near ``B_0``; on a dynamic one a new edge between
+    distant nodes carries skew up to ``Theta(n) >> B_0``, breaking its
+    per-edge contract at once and blocking the ahead side, where the DCSA
+    phases the constraint in.
     """
 
     def __init__(
@@ -674,7 +702,12 @@ class StaticGradientCore(DCSACore):
 
 
 class FreeRunningCore(ProtocolCore):
-    """No synchronization at all: ``L_u = H_u``, no messages, no timers."""
+    """No synchronization at all: ``L_u = H_u``, no messages, no timers.
+
+    The control: neighbouring clocks diverge at up to ``2 rho`` per time
+    unit, which the measurement pipeline must read exactly when clocks sit
+    at the drift extremes.
+    """
 
     def _handle_message(self, sender: int, payload: Update) -> None:
         """Ignore messages."""

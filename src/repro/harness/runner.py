@@ -25,11 +25,15 @@ import numpy.typing as npt
 from ..adversary.base import Adversary
 from ..analysis.metrics import max_global_skew, max_local_skew
 from ..analysis.recorder import RunRecord, SkewRecorder
-from ..baselines import FreeRunningNode, MaxSyncNode, StaticGradientNode
-from ..core.batch import Decline, NodeArrayTable
-from ..core.dcsa import DCSANode
+from ..core.batch import TABLE_CORES, Decline, NodeArrayTable
 from ..core.node import ClockSyncNode, Population
-from ..core.protocol import DCSACore, StaticGradientCore
+from ..core.protocol import (
+    DCSACore,
+    FreeRunningCore,
+    MaxSyncCore,
+    ProtocolCore,
+    StaticGradientCore,
+)
 from ..network.churn import ScriptedChurn
 from ..network.graph import DynamicGraph
 from ..network.transport import Transport
@@ -66,12 +70,12 @@ __all__ = [
 
 Edge = tuple[int, int]
 
-#: Algorithm registry: name -> node class.
-ALGORITHMS: dict[str, type[ClockSyncNode]] = {
-    "dcsa": DCSANode,
-    "max": MaxSyncNode,
-    "static": StaticGradientNode,
-    "free": FreeRunningNode,
+#: Algorithm registry: name -> the core class a ClockSyncNode drives.
+ALGORITHMS: dict[str, type[ProtocolCore]] = {
+    "dcsa": DCSACore,
+    "max": MaxSyncCore,
+    "static": StaticGradientCore,
+    "free": FreeRunningCore,
 }
 
 #: The ref fields of :class:`ExperimentConfig` (``churn`` aside): each
@@ -420,13 +424,13 @@ def _construct(spec: str | _Ref, ref_cls: type[_Ref], *args: Any) -> Any:
 
 
 def _draw_staggers(
-    node_cls: type[ClockSyncNode], cfg: ExperimentConfig, rng: np.random.Generator
+    core_cls: type[ProtocolCore], cfg: ExperimentConfig, rng: np.random.Generator
 ) -> npt.NDArray[np.float64] | None:
     """Every ticking node's first-tick offset, in id order: one draw per
     node when ``cfg.stagger_ticks``, else zeros (``None``: the algorithm
     never ticks)."""
     n = cfg.params.n
-    if node_cls is FreeRunningNode:
+    if core_cls is FreeRunningCore:
         return None
     if not cfg.stagger_ticks:
         return np.zeros(n)
@@ -541,31 +545,30 @@ class Experiment:
         # 3. Nodes (registered before any churn can mutate the graph).  The
         #    clock and stagger draws cover every id, local or not, so the
         #    streams stay aligned across shard counts.
-        node_cls = ALGORITHMS[cfg.algorithm]
+        core_cls = ALGORITHMS[cfg.algorithm]
         rates, clocks = _construct(
             cfg.clock_spec, ClockRef, params, rngf.spawn("clocks"), cfg.horizon
         )
-        stagger = _draw_staggers(node_cls, cfg, rngf.spawn("stagger"))
-        core_cls = node_cls.core_class
+        stagger = _draw_staggers(core_cls, cfg, rngf.spawn("stagger"))
         self._store: NodeArrayTable | None = None
         self.nodes: Mapping[int, ClockSyncNode]
-        if self.sim.batch and core_cls in (DCSACore, StaticGradientCore):
+        if self.sim.batch and core_cls in TABLE_CORES:
             # A column population: the table's store from here on, and a
             # driver only for a node something touches.
-            assert core_cls is not None and stagger is not None
+            assert stagger is not None
             core = core_cls(0, params)
             store_cls = NodeArrayTable if shard is None else ParNodeArrayTable
             self._store = store_cls(self.sim, self.transport, local, core, clocks, rates)
-            self.nodes = Population(
-                node_cls, self.sim, self.transport, self._store, core, stagger
-            )
+            self.nodes = Population(self.sim, self.transport, self._store, core, stagger)
             self.transport.register_population(self.nodes)
         else:
             nodes: dict[int, ClockSyncNode] = {}
             for i in local:
                 clock = clocks[i] or ConstantRateClock(rates[i])
                 kwargs = {} if stagger is None else {"tick_stagger": float(stagger[i])}
-                node = nodes[i] = node_cls(i, self.sim, clock, self.transport, params, **kwargs)
+                node = nodes[i] = ClockSyncNode(
+                    i, self.sim, clock, self.transport, params, core_cls(i, params, **kwargs)
+                )
                 self.transport.register_node(i, node)
             self.nodes = nodes
         # 4. Recorder (reads its edge episodes off the graph's history at

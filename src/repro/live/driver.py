@@ -116,15 +116,13 @@ def build_live_runtime(
         churn_events.extend(
             (float(t), str(op), int(u), int(v)) for t, op, u, v in proc.events
         )
-    node_cls = ALGORITHMS[cfg.algorithm]
-    core_cls = node_cls.core_class
-    assert core_cls is not None
+    core_cls = ALGORITHMS[cfg.algorithm]
     rngf = RngFactory(cfg.seed)
     draw = CLOCK[spec].build
     assert draw is not None
     rates, _ = draw(params, rngf.spawn("live_clocks"), cfg.horizon)
     clocks = {i: LiveClock(rate) for i, rate in enumerate(rates.tolist())}
-    stagger = _draw_staggers(node_cls, cfg, rngf.spawn("live_stagger"))
+    stagger = _draw_staggers(core_cls, cfg, rngf.spawn("live_stagger"))
     cores: dict[int, ProtocolCore] = {
         i: core_cls(i, params, **({} if stagger is None else {"tick_stagger": float(stagger[i])}))
         for i in range(params.n)
@@ -143,7 +141,6 @@ def build_live_runtime(
         oracle=oracle,
         sample_interval=sample_interval,
         capture_effects=capture_effects,
-        name=cfg.name,
     )
 
 

@@ -283,14 +283,12 @@ class LiveRunResult:
     """Everything a finished live session produced."""
 
     params: SystemParams
-    duration: float
     elapsed: float
     nodes: dict[int, LiveNodeView]
     graph: DynamicGraph
     transport_stats: dict[str, int]
     events_handled: int
     oracle_report: OracleReport | None = None
-    name: str = ""
     #: Per-node effect logs, populated when the runtime ran with
     #: ``capture_effects=True`` (parity tests).
     effect_logs: dict[int, list[EffectLogEntry]] = field(default_factory=dict)
@@ -319,25 +317,6 @@ class LiveRunResult:
             f"worst timer lag {1e3 * self.timer_lag_max:.1f} ms of 𝒯 = "
             f"{1e3 * self.params.max_delay:.0f} ms · deepest queue {self.queue_depth_max}"
         )
-
-    def summary(self) -> str:
-        """One-paragraph human-readable session summary."""
-        lines = [
-            f"live run '{self.name or 'session'}': n={self.params.n} "
-            f"duration={self.duration:.3g}s (elapsed {self.elapsed:.3g}s)",
-            f"  events: {self.events_handled}  messages: "
-            f"{self.transport_stats['sent']} sent / "
-            f"{self.transport_stats['delivered']} delivered  "
-            f"jumps: {self.total_jumps()}",
-            self.cost_line(),
-        ]
-        if self.oracle_report is not None:
-            rep = self.oracle_report
-            lines.append(
-                f"  oracle: {'OK' if rep.ok else 'VIOLATED'} "
-                f"({rep.checks} checks, {rep.violation_count} violations)"
-            )
-        return "\n".join(lines)
 
 
 class LiveRuntime:
@@ -387,7 +366,6 @@ class LiveRuntime:
         oracle: StreamingOracle | None = None,
         sample_interval: float = 0.25,
         capture_effects: bool = False,
-        name: str = "",
     ) -> None:
         if duration <= 0.0:
             raise ValueError(f"duration must be positive; got {duration!r}")
@@ -400,7 +378,6 @@ class LiveRuntime:
         self.duration = float(duration)
         self.sample_interval = float(sample_interval)
         self.oracle = oracle
-        self.name = name
         self.graph = DynamicGraph(sorted(cores), initial_edges)
         self.nodes: dict[int, _LiveNode] = {
             i: _LiveNode(self, i, core, clocks[i]) for i, core in cores.items()
@@ -690,14 +667,12 @@ class LiveRuntime:
             oracle.sample(elapsed)
         return LiveRunResult(
             params=self.params,
-            duration=self.duration,
             elapsed=elapsed,
             nodes=self.views,
             graph=self.graph,
             transport_stats=dict(self.stats),
             events_handled=sum(n.events_handled for n in self.nodes.values()),
             oracle_report=oracle.report() if oracle is not None else None,
-            name=self.name,
             effect_logs={
                 i: node.effect_log
                 for i, node in self.nodes.items()

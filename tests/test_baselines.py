@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import SystemParams
-from repro.baselines import FreeRunningNode, MaxSyncNode, StaticGradientNode
+from repro.core import ClockSyncNode, FreeRunningCore, MaxSyncCore, StaticGradientCore
 from repro.harness import configs, run_experiment
 from repro.analysis import envelope_violations, max_global_skew
 from repro.sim.clocks import ConstantRateClock
@@ -20,59 +20,54 @@ class FakeTransport:
         self.sent.append((u, v, payload))
 
 
+def make_node(core_cls, rate=1.0, transport=None):
+    sim, params = Simulator(), SystemParams.for_network(4)
+    tr = transport or FakeTransport()
+    return ClockSyncNode(0, sim, ConstantRateClock(rate), tr, params, core=core_cls(0, params))
+
+
 class TestMaxSyncUnit:
     def test_jumps_to_received_max(self):
-        sim = Simulator()
-        params = SystemParams.for_network(4)
-        node = MaxSyncNode(0, sim, ConstantRateClock(1.0), FakeTransport(), params)
+        node = make_node(MaxSyncCore)
         node.on_message(1, (5.0, 30.0))
         assert node.logical_clock() == pytest.approx(30.0)
 
     def test_no_gradient_constraint(self):
         """Max-sync happily jumps arbitrarily far past a neighbour."""
-        sim = Simulator()
-        params = SystemParams.for_network(4)
-        node = MaxSyncNode(0, sim, ConstantRateClock(1.0), FakeTransport(), params)
+        node = make_node(MaxSyncCore)
         node.on_message(1, (0.0, 1000.0))  # neighbour at 0, max huge
         assert node.logical_clock() == pytest.approx(1000.0)
 
     def test_tick_broadcasts(self):
-        sim = Simulator()
-        params = SystemParams.for_network(4)
         tr = FakeTransport()
-        node = MaxSyncNode(0, sim, ConstantRateClock(1.0), tr, params)
+        node = make_node(MaxSyncCore, transport=tr)
         node.on_discover_add(1)
         node.on_discover_add(2)
+        assert node.core.upsilon == {1, 2}
         tr.sent.clear()
         node.start()
-        sim.run_until(0.0)
+        node.sim.run_until(0.0)
         assert sorted(v for _u, v, _p in tr.sent) == [1, 2]
 
 
 class TestStaticGradientUnit:
     def test_constant_tolerance(self):
-        sim = Simulator()
-        params = SystemParams.for_network(4)
-        node = StaticGradientNode(0, sim, ConstantRateClock(1.0), FakeTransport(), params)
+        node = make_node(StaticGradientCore)
         node.on_message(1, (0.0, 100.0))
-        assert node.tolerance(1) == params.b0
+        assert node.core.tolerance(1) == node.params.b0
         # Jump capped at estimate + B0 immediately (no new-edge grace).
-        assert node.logical_clock() == pytest.approx(params.b0)
+        assert node.logical_clock() == pytest.approx(node.params.b0)
 
 
 class TestFreeRunningUnit:
     def test_logical_equals_hardware(self):
-        sim = Simulator()
-        params = SystemParams.for_network(4)
-        node = FreeRunningNode(0, sim, ConstantRateClock(1.03), FakeTransport(), params)
+        node = make_node(FreeRunningCore, rate=1.03)
         node.start()
-        sim.run_until(10.0)
+        node.sim.run_until(10.0)
         assert node.logical_clock() == pytest.approx(10.3)
 
     def test_ignores_everything(self):
-        sim = Simulator()
-        params = SystemParams.for_network(4)
-        node = FreeRunningNode(0, sim, ConstantRateClock(1.0), FakeTransport(), params)
+        node = make_node(FreeRunningCore)
         node.on_message(1, (0.0, 99.0))
         node.on_discover_add(1)
         node.on_discover_remove(1)

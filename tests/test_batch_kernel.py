@@ -22,9 +22,8 @@ from kernel_parity import run
 from test_kernel_parity import BURSTS, CASE, holds
 
 from repro.core.batch import NodeArrayTable
-from repro.core.dcsa import DCSANode
 from repro.core.node import ClockSyncNode
-from repro.core.protocol import JumpL
+from repro.core.protocol import DCSACore, JumpL
 from repro.harness import configs
 from repro.harness.registry import DELAY, DISCOVERY, AdversaryRef, ChurnRef, ClockRef
 from repro.analysis.recorder import RunRecord
@@ -191,7 +190,9 @@ def _hand_wired(cfg):
     rates, clocks = ClockRef(cfg.clock_spec)(params, rngf.spawn("clocks"), cfg.horizon)
     for i in range(params.n):
         clock = clocks[i] or ConstantRateClock(rates[i])
-        transport.register_node(i, DCSANode(i, sim, clock, transport, params))
+        transport.register_node(
+            i, ClockSyncNode(i, sim, clock, transport, params, DCSACore(i, params))
+        )
     transport.announce_initial_edges()
     for i in range(params.n):
         transport.node(i).start()

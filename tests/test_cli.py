@@ -194,6 +194,34 @@ class TestCheck:
         assert "error" in err
 
 
+class TestExplain:
+    """``repro explain`` on a seeded broken-bound run: the adversary's
+    masked flights rank on top; a holding bound has nothing to explain."""
+
+    EXPLAIN_ARGS = (
+        "explain", "adversarial_delay", "--set", "n=8", "horizon=120", "seed=1",
+        "--max-reports", "1",
+    )
+
+    def test_json_attributes_the_violation_to_masked_flights(self, capsys):
+        code, out, _ = run_cli(capsys, *self.EXPLAIN_ARGS, "--bound-scale", "0.3", "--json")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert reports
+        top = reports[0]["causes"][0]
+        assert top["kind"] == "causal_chain" and top["data"]["masked_count"] >= 1
+
+    def test_text_report(self, capsys):
+        code, out, _ = run_cli(capsys, *self.EXPLAIN_ARGS, "--bound-scale", "0.3")
+        assert code == 0
+        assert out.startswith("oracle VIOLATED")
+
+    def test_holding_bound_has_nothing_to_explain(self, capsys):
+        code, out, _ = run_cli(capsys, *self.EXPLAIN_ARGS, "--bound-scale", "1")
+        assert code == 0
+        assert "nothing to explain" in out
+
+
 class TestLsShow:
     def test_ls_empty(self, capsys, store_dir):
         code, out, _ = run_cli(capsys, "ls", "--store", store_dir)

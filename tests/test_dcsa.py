@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import SystemParams
-from repro.core.dcsa import DCSANode
+from repro.core import ClockSyncNode, DCSACore
 from repro.sim.clocks import ConstantRateClock
 from repro.sim.simulator import Simulator
 
@@ -22,7 +22,7 @@ def make_dcsa(params=None, rate=1.0):
     sim = Simulator()
     params = params or SystemParams.for_network(4)
     tr = FakeTransport()
-    node = DCSANode(0, sim, ConstantRateClock(rate), tr, params)
+    node = ClockSyncNode(0, sim, ConstantRateClock(rate), tr, params, core=DCSACore(0, params))
     return sim, node, tr
 
 
@@ -30,37 +30,37 @@ class TestDiscoveryHandlers:
     def test_discover_add_greets_and_believes(self):
         sim, node, tr = make_dcsa()
         node.on_discover_add(3)
-        assert 3 in node.upsilon
+        assert 3 in node.core.upsilon
         assert tr.sent == [(0, 3, (0.0, 0.0))]
-        assert 3 not in node.gamma  # tracking starts only on receipt
+        assert 3 not in node.core.gamma  # tracking starts only on receipt
 
     def test_discover_add_idempotent(self):
         sim, node, tr = make_dcsa()
         node.on_discover_add(3)
         node.on_discover_add(3)
-        assert node.upsilon == {3}
+        assert node.core.upsilon == {3}
         assert len(tr.sent) == 2  # re-greeting is harmless
 
     def test_discover_remove_forgets(self):
         sim, node, tr = make_dcsa()
         node.on_discover_add(3)
         node.on_message(3, (0.0, 0.0))
-        assert 3 in node.gamma
+        assert 3 in node.core.gamma
         node.on_discover_remove(3)
-        assert 3 not in node.gamma and 3 not in node.upsilon
+        assert 3 not in node.core.gamma and 3 not in node.core.upsilon
 
     def test_discover_remove_unknown_is_noop(self):
         sim, node, tr = make_dcsa()
         node.on_discover_remove(9)  # must not raise
-        assert 9 not in node.upsilon
+        assert 9 not in node.core.upsilon
 
 
 class TestMessageHandling:
     def test_receive_tracks_and_adopts_max(self):
         sim, node, tr = make_dcsa()
         node.on_message(2, (5.0, 8.0))
-        assert 2 in node.gamma
-        row = node.gamma.get(2)
+        assert 2 in node.core.gamma
+        row = node.core.gamma.get(2)
         assert row.l_est == 5.0
         # Lmax adopted; node jumps toward it (new edge: B is huge).
         assert node.max_estimate() == pytest.approx(8.0)
@@ -71,10 +71,10 @@ class TestMessageHandling:
         sim, node, tr = make_dcsa()
         sim.run_until(1.0)
         node.on_message(2, (1.0, 1.0))
-        c_first = node.gamma.get(2).added_h
+        c_first = node.core.gamma.get(2).added_h
         sim.run_until(2.0)
         node.on_message(2, (2.0, 2.0))
-        assert node.gamma.get(2).added_h == c_first
+        assert node.core.gamma.get(2).added_h == c_first
 
     def test_c_value_reset_after_reentry(self):
         sim, node, tr = make_dcsa()
@@ -83,7 +83,7 @@ class TestMessageHandling:
         node.on_discover_remove(2)  # evict
         node.on_discover_add(2)
         node.on_message(2, (3.0, 3.0))
-        assert node.gamma.get(2).added_h == pytest.approx(3.0)
+        assert node.core.gamma.get(2).added_h == pytest.approx(3.0)
 
     def test_estimate_refreshed_every_receipt(self):
         """L^v_u refreshes on every message (Lemma 6.5's contract)."""
@@ -91,15 +91,15 @@ class TestMessageHandling:
         node.on_message(2, (1.0, 1.0))
         sim.run_until(1.0)
         node.on_message(2, (9.0, 9.0))
-        assert node.gamma.get(2).l_est == pytest.approx(9.0)
+        assert node.core.gamma.get(2).l_est == pytest.approx(9.0)
 
     def test_lost_timer_evicts_from_gamma_only(self):
         sim, node, tr = make_dcsa()
         node.on_discover_add(2)
         node.on_message(2, (0.0, 0.0))
         sim.run_until(node.params.delta_t_prime + 0.1)
-        assert 2 not in node.gamma  # lost: silent too long
-        assert 2 in node.upsilon    # still believed (still greeted on ticks)
+        assert 2 not in node.core.gamma  # lost: silent too long
+        assert 2 in node.core.upsilon    # still believed (still greeted on ticks)
 
     def test_message_rearms_lost_timer(self):
         sim, node, tr = make_dcsa()
@@ -108,9 +108,9 @@ class TestMessageHandling:
         t_half = 0.6 * dt
         sim.schedule_at(t_half, lambda: node.on_message(2, (t_half, t_half)))
         sim.run_until(1.4 * dt)
-        assert 2 in node.gamma  # timer restarted at 0.6 dt
+        assert 2 in node.core.gamma  # timer restarted at 0.6 dt
         sim.run_until(1.7 * dt + 0.1)
-        assert 2 not in node.gamma
+        assert 2 not in node.core.gamma
 
 
 class TestTick:
@@ -165,12 +165,12 @@ class TestAdjustClock:
             t += step
             sim.schedule_at(t, lambda t=t: node.on_message(2, (t, t)))
         sim.run_until(t)
-        assert 2 in node.gamma
-        assert node.tolerance(2) == pytest.approx(params.b0)
+        assert 2 in node.core.gamma
+        assert node.core.tolerance(2) == pytest.approx(params.b0)
         node.on_message(2, (t - 5.0, t + 500.0))  # v reports low; huge Lmax
         # The low report cannot lower the monotone estimate (~t), so the
         # ceiling is the current estimate + B0.
-        expected_ceiling = node.gamma.get(2).l_est + params.b0
+        expected_ceiling = node.core.gamma.get(2).l_est + params.b0
         assert node.logical_clock() == pytest.approx(expected_ceiling)
 
     def test_never_exceeds_lmax(self):
@@ -182,13 +182,13 @@ class TestAdjustClock:
         sim, node, tr = make_dcsa()
         node._sync()
         node._raise_max(7.0)
-        node._adjust_clock()
+        node.run_core_action(node.core._adjust_clock)
         assert node.logical_clock() == pytest.approx(7.0)
 
     def test_perceived_skew_and_tolerance(self):
         sim, node, tr = make_dcsa()
         node.on_message(2, (3.0, 3.0))
-        assert node.perceived_skew(2) == pytest.approx(node.logical_clock() - 3.0)
-        assert node.tolerance(2) == pytest.approx(node.params.b_function(0.0))
-        assert node.perceived_skew(9) is None
-        assert node.tolerance(9) is None
+        assert node.core.perceived_skew(2) == pytest.approx(node.logical_clock() - 3.0)
+        assert node.core.tolerance(2) == pytest.approx(node.params.b_function(0.0))
+        assert node.core.perceived_skew(9) is None
+        assert node.core.tolerance(9) is None

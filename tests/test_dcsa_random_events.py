@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import SystemParams
-from repro.core.dcsa import DCSANode
+from repro.core import ClockSyncNode, DCSACore
 from repro.sim.clocks import ConstantRateClock
 from repro.sim.simulator import Simulator
 
@@ -26,6 +26,12 @@ from repro.sim.simulator import Simulator
 class SinkTransport:
     def send(self, u, v, payload):
         pass
+
+
+def dcsa_node(sim, params):
+    return ClockSyncNode(
+        0, sim, ConstantRateClock(1.0), SinkTransport(), params, core=DCSACore(0, params)
+    )
 
 
 events = st.lists(
@@ -45,7 +51,7 @@ events = st.lists(
 )
 
 
-def drive(node: DCSANode, sim: Simulator, script) -> list[tuple[float, float, float]]:
+def drive(node: ClockSyncNode, sim: Simulator, script) -> list[tuple[float, float, float]]:
     """Apply the script; return (time, L, Lmax) after each event."""
     out = []
     t = 0.0
@@ -69,7 +75,7 @@ def drive(node: DCSANode, sim: Simulator, script) -> list[tuple[float, float, fl
 def test_property_node_invariants_under_arbitrary_events(script):
     sim = Simulator()
     params = SystemParams.for_network(5)
-    node = DCSANode(0, sim, ConstantRateClock(1.0), SinkTransport(), params)
+    node = dcsa_node(sim, params)
     node.start()
     trace = drive(node, sim, script)
     # Monotone logical clock with rate floor between consecutive readings.
@@ -100,7 +106,7 @@ def test_property_jumps_respect_constraints(script):
     quantities advance at the same hardware rate."""
     sim = Simulator()
     params = SystemParams.for_network(5)
-    node = DCSANode(0, sim, ConstantRateClock(1.0), SinkTransport(), params)
+    node = dcsa_node(sim, params)
     node.start()
     t = 0.0
     jumps_before = 0
@@ -120,8 +126,8 @@ def test_property_jumps_respect_constraints(script):
             l_now = node.logical_clock()
             assert l_now <= node.max_estimate() + 1e-9
             if instantaneous:
-                for v in node.gamma:
-                    row = node.gamma.get(v)
+                for v in node.core.gamma:
+                    row = node.core.gamma.get(v)
                     bound = row.l_est + node.params.b_function(
                         node.hardware_clock() - row.added_h
                     )
@@ -134,17 +140,17 @@ def test_property_jumps_respect_constraints(script):
 def test_eviction_after_silence():
     sim = Simulator()
     params = SystemParams.for_network(5)
-    node = DCSANode(0, sim, ConstantRateClock(1.0), SinkTransport(), params)
+    node = dcsa_node(sim, params)
     node.on_message(3, (0.0, 0.0))
-    assert 3 in node.gamma
+    assert 3 in node.core.gamma
     sim.run_until(params.delta_t_prime + 0.01)
-    assert 3 not in node.gamma
+    assert 3 not in node.core.gamma
 
 
 def test_messages_counted():
     sim = Simulator()
     params = SystemParams.for_network(5)
-    node = DCSANode(0, sim, ConstantRateClock(1.0), SinkTransport(), params)
+    node = dcsa_node(sim, params)
     node.on_discover_add(1)
     node.on_discover_add(2)
     node.start()

@@ -25,6 +25,7 @@ from repro.live import (
     UdpChannel,
     build_live_runtime,
 )
+from repro.telemetry import get_registry
 
 
 class TestLoopbackSession:
@@ -70,6 +71,23 @@ class TestLoopbackSession:
         )
         assert res.transport_stats["sent"] == 0
         assert res.total_jumps() == 0
+
+    def test_telemetry_readbacks(self):
+        """With the registry on, a session registers its health readbacks:
+        the heartbeat age, a timer-lag histogram fed by every timer fire,
+        and the transport counters the result reports."""
+        reg = get_registry()
+        reg.reset()
+        reg.enable()
+        try:
+            res = run_experiment(configs.live_ring(8, duration=0.3, seed=1))
+            snap = reg.snapshot()
+        finally:
+            reg.disable()
+            reg.reset()
+        assert "live.heartbeat_age_s" in snap["gauges"]
+        assert snap["histograms"]["live.timer_lag_s"]["count"] > 0
+        assert snap["counters"]["transport.sent"] == res.transport_stats["sent"] > 0
 
     @pytest.mark.parametrize("algorithm", ["max", "static"])
     def test_baseline_algorithms_run_live(self, algorithm):

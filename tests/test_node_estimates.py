@@ -6,8 +6,10 @@ import pytest
 
 from repro import SystemParams
 from repro.core.estimates import NeighborTable
-from repro.core.node import ClockSyncNode
+from repro.core.node import ClockSyncNode, NodeRow
 from repro.core.protocol import MessageReceived, ProtocolCore, TimerFired
+from repro.harness import configs
+from repro.harness.runner import Experiment
 from repro.sim.clocks import ConstantRateClock, PiecewiseRateClock
 from repro.sim.simulator import Simulator
 
@@ -34,10 +36,8 @@ class ProbeCore(ProtocolCore):
 class ProbeNode(ClockSyncNode):
     """Driver shell recording every dispatched event with its real time."""
 
-    core_class = ProbeCore
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args):
+        super().__init__(*args)
         self.timer_fires = []
         self.msgs = []
 
@@ -60,7 +60,7 @@ class FakeTransport:
 def make_node(rate=1.0, params=None):
     sim = Simulator()
     params = params or SystemParams.for_network(4)
-    node = ProbeNode(0, sim, ConstantRateClock(rate), FakeTransport(), params)
+    node = ProbeNode(0, sim, ConstantRateClock(rate), FakeTransport(), params, ProbeCore(0, params))
     return sim, node
 
 
@@ -104,6 +104,31 @@ class TestLazyClocks:
         assert node.total_jump == pytest.approx(8.0)
 
 
+@pytest.fixture(scope="module")
+def ring_run():
+    exp = Experiment(configs.huge_sync_ring(16, horizon=10.0))
+    exp.run()
+    return exp
+
+
+@pytest.mark.parametrize("method, quantity", [
+    ("logical_clock", "logical clock"), ("max_estimate", "Lmax"),
+])
+@pytest.mark.parametrize("form", ["driver", "row"])
+def test_reads_refuse_before_the_last_event(ring_run, form, method, quantity):
+    """A driver and a :class:`NodeRow` share one read contract: a time
+    before the node's last event raises, naming the quantity; from the
+    last event on the two forms read the same value."""
+    row = NodeRow(ring_run.nodes, 3)
+    driver = ring_run.nodes[3]
+    node = driver if form == "driver" else row
+    with pytest.raises(ValueError, match=f"cannot read {quantity} at t=1.0"):
+        getattr(node, method)(1.0)
+    t_last = driver.clock.time_at(driver.core.h_last)
+    for t in (t_last, ring_run.cfg.horizon):
+        assert getattr(driver, method)(t) == getattr(row, method)(t)
+
+
 class TestSubjectiveTimers:
     def test_timer_converts_subjective_to_real(self):
         # A clock at rate 2 reaches +4 subjective units after 2 real units.
@@ -144,7 +169,7 @@ class TestSubjectiveTimers:
         sim = Simulator()
         params = SystemParams.for_network(4)
         clock = PiecewiseRateClock([0.0, 10.0], [1.0, 0.5])
-        node = ProbeNode(0, sim, clock, FakeTransport(), params)
+        node = ProbeNode(0, sim, clock, FakeTransport(), params, ProbeCore(0, params))
         node.set_subjective_timer("t", 12.0)
         sim.run_until(20.0)
         assert node.timer_fires == [(14.0, "t")]

@@ -27,9 +27,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.recorder import SkewRecorder
 from repro.core.batch import WaveRows
-from repro.core.dcsa import DCSANode
 from repro.core.node import ClockSyncNode, Population
-from repro.core.protocol import ProtocolCore, Start
+from repro.core.protocol import DCSACore, ProtocolCore, Start
 from repro.harness import configs, runner
 from repro.harness.registry import ClockRef
 from repro.harness.runner import Experiment, ExperimentConfig, run_experiment
@@ -493,7 +492,7 @@ def test_draws_as_columns_equal_draws_per_node(spec, stagger):
                 [rngf.spawn() for _ in range(4)] for rngf in map(RngFactory, (seed, seed))
             )
             rates, clocks = ClockRef(spec)(params, clock_rng, horizon)
-            staggers = runner._draw_staggers(DCSANode, cfg, stagger_rng)
+            staggers = runner._draw_staggers(DCSACore, cfg, stagger_rng)
             first = {}
             if n > 1:
                 exp = Experiment(cfg)
