@@ -6,14 +6,19 @@ Run it from the repository root::
 
 A stdlib line tracer (``sys.settrace`` and ``threading.settrace``) records
 the lines each ``src/repro`` function executes while the tests run; the
-terminal summary lists, per file, the function-body lines no test reached
-and how many functions were never entered.  Module and class bodies run
-at import, mostly before the plugin starts, so only function bodies
-(lambdas and comprehensions included) count.  Lines that run in forked
-worker processes are not seen.
+terminal summary lists, per file, the function-body lines no test reached,
+then each function no test entered as ``file:line name``, then one
+``total: U / N function-body lines unreached (P %)`` line, which CI parses.
+Module and class bodies run at import, mostly before the plugin starts, so
+only function bodies (lambdas and comprehensions included) count.  The
+tracer starts before pytest loads the initial conftests, so a function the
+program calls while it is imported (a property factory in a class body,
+say) counts as reached.  Lines that run in forked worker processes are not
+seen.
 
-The tracer slows a run roughly fourfold (tier-1 takes about nine minutes
-under it), so it is a tool to aim deletions and tests with, not a CI gate.
+The tracer slows a run roughly fourfold, so CI runs it as a job of its
+own (``linecov`` in ``.github/workflows/ci.yml``), which fails when the
+total share rises above its level.
 """
 
 from __future__ import annotations
@@ -61,19 +66,21 @@ def body_lines(code: CodeType) -> set[int]:
     return {line for _, _, line in code.co_lines() if line is not None} - {code.co_firstlineno}
 
 
-def unreached() -> dict[str, tuple[list[int], int, int]]:
+def unreached() -> dict[str, tuple[list[int], int, list[tuple[int, str]]]]:
     """``relative path -> (unreached lines, body lines, functions never
-    entered)`` for every file of ``src/repro``."""
+    entered as (def line, qualified name))`` for every file of
+    ``src/repro``."""
     report = {}
     for path in sorted(SRC.rglob("*.py")):
         module = compile(path.read_text(encoding="utf-8"), str(path), "exec")
         hit = reached.get(str(path), set())
         body: set[int] = set()
-        never = 0
+        never = []
         for fn in _functions(module):
             lines = body_lines(fn)
             body |= lines
-            never += bool(lines) and not lines & hit
+            if lines and not lines & hit:
+                never.append((fn.co_firstlineno, fn.co_qualname))
         report[str(path.relative_to(SRC.parent))] = (sorted(body - hit), len(body), never)
     return report
 
@@ -88,7 +95,7 @@ def _ranges(lines: list[int]) -> str:
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
-def pytest_configure(config: Any) -> None:
+def pytest_load_initial_conftests(early_config: Any, parser: Any, args: Any) -> None:
     threading.settrace(_trace)
     sys.settrace(_trace)
 
@@ -105,8 +112,11 @@ def pytest_terminal_summary(terminalreporter: Any) -> None:
     terminalreporter.section("unreached function-body lines (scripts.linecov)")
     for path, (lines, total, never) in sorted(report.items(), key=lambda kv: -len(kv[1][0])):
         if lines:
-            write(f"{path}: {len(lines)} / {total} ({never} functions never entered): "
+            write(f"{path}: {len(lines)} / {total} ({len(never)} functions never entered): "
                   f"{_ranges(lines)}")
+    for path, (_, _, never) in sorted(report.items()):
+        for line, name in sorted(never):
+            write(f"never entered: {path}:{line} {name}")
     missed = sum(len(lines) for lines, _, _ in report.values())
     total = sum(total for _, total, _ in report.values())
     write(f"total: {missed} / {total} function-body lines unreached "

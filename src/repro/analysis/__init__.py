@@ -15,7 +15,7 @@ from .metrics import (
     stable_local_skew_measured,
 )
 from .recorder import EdgeEpisode, RunRecord, SkewRecorder
-from .report import TextTable, csv_text, format_value, write_csv
+from .report import TextTable, csv_text, format_value
 
 __all__ = [
     "EdgeEpisode",
@@ -36,5 +36,4 @@ __all__ = [
     "max_local_skew",
     "stabilization_age",
     "stable_local_skew_measured",
-    "write_csv",
 ]

@@ -51,11 +51,6 @@ class EdgeEpisode:
     skews: np.ndarray
     end_time: float | None = None
 
-    @property
-    def key(self) -> tuple[int, int, float]:
-        """Stable identifier ``(u, v, add_time)``."""
-        return (self.u, self.v, self.add_time)
-
 
 @dataclass
 class RunRecord:
@@ -87,11 +82,6 @@ class RunRecord:
         """The record of a run that was not recorded (no samples)."""
         ids = sorted(node_ids)
         return cls(ids, np.empty(0), np.empty((0, len(ids))))
-
-    @property
-    def n(self) -> int:
-        """Number of nodes."""
-        return len(self.node_ids)
 
     @property
     def samples(self) -> int:

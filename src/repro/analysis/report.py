@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 from typing import Any, Iterable, Sequence
 
-__all__ = ["TextTable", "format_value", "write_csv", "csv_text"]
+__all__ = ["TextTable", "format_value", "csv_text"]
 
 
 def format_value(value: Any, floatfmt: str = ".3f") -> str:
@@ -73,9 +73,6 @@ class TextTable:
             out.write("\n")
         return out.getvalue()
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 def csv_text(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """Serialise rows as simple CSV text (no quoting; keep cells clean)."""
@@ -86,9 +83,3 @@ def csv_text(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
         buf.write(",".join(format_value(c, ".10g") for c in row))
         buf.write("\n")
     return buf.getvalue()
-
-
-def write_csv(path: str, headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    """Write rows to ``path`` as CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_text(headers, rows))

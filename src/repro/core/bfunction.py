@@ -96,7 +96,7 @@ class BFunction:
             )
         return (self.intercept - value) / self.slope
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return (
             f"BFunction(b0={self.b0:.6g}, intercept={self.intercept:.6g}, "
             f"slope={self.slope:.6g})"

@@ -44,7 +44,7 @@ class NeighborEstimate:
         #: Estimate of the neighbour's logical clock (L^v_u), lazy.
         self.l_est = l_est
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return f"NeighborEstimate(added_h={self.added_h!r}, l_est={self.l_est!r})"
 
 

@@ -269,7 +269,7 @@ class ProtocolCore:
                 self._handle_discover_remove(event.other)
             elif kind is Start:
                 self._handle_start()
-            else:  # pragma: no cover - defensive
+            else:
                 raise ProtocolError(f"unknown event {event!r}")
         finally:
             self._out = None
@@ -292,20 +292,20 @@ class ProtocolCore:
     # ------------------------------------------------------------------ #
 
     def _emit(self, effect: Effect) -> None:
-        if self._out is None:  # pragma: no cover - defensive
+        if self._out is None:
             raise ProtocolError("effects may only be emitted inside handle()")
         self._out.append(effect)
 
     def _send(self, dest: int, payload: Update) -> None:
         out = self._out
-        if out is None:  # pragma: no cover - defensive
+        if out is None:
             raise ProtocolError("effects may only be emitted inside handle()")
         self.messages_sent += 1
         out.append(Send(dest, payload))
 
     def _set_timer(self, key: TimerKey, delay_h: float) -> None:
         out = self._out
-        if out is None:  # pragma: no cover - defensive
+        if out is None:
             raise ProtocolError("effects may only be emitted inside handle()")
         if delay_h < 0.0:
             raise ValueError(f"subjective delay must be >= 0; got {delay_h!r}")
@@ -313,7 +313,7 @@ class ProtocolCore:
 
     def _cancel_timer(self, key: TimerKey) -> None:
         out = self._out
-        if out is None:  # pragma: no cover - defensive
+        if out is None:
             raise ProtocolError("effects may only be emitted inside handle()")
         out.append(CancelTimer(key))
 
@@ -496,7 +496,7 @@ class DCSACore(ProtocolCore):
             self._on_tick()
         elif isinstance(key, tuple) and key[0] == "lost":
             self._on_lost(key[1])
-        else:  # pragma: no cover - defensive
+        else:
             raise RuntimeError(f"unknown timer {key!r}")
 
     def _on_tick(self) -> None:
@@ -667,8 +667,6 @@ class MaxSyncCore(ProtocolCore):
         self._request_jump(self._Lmax)
 
     def _on_timer(self, key: TimerKey) -> None:
-        if key != _TICK:  # pragma: no cover - defensive
-            raise RuntimeError(f"unknown timer {key!r}")
         payload = (self._L, self._Lmax)
         for v in sorted(self.upsilon):
             self._send(v, payload)
@@ -717,6 +715,3 @@ class FreeRunningCore(ProtocolCore):
 
     def _handle_discover_remove(self, other: int) -> None:
         """Ignore discoveries."""
-
-    def _on_timer(self, key: TimerKey) -> None:  # pragma: no cover - never armed
-        raise RuntimeError("free-running node has no timers")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Any, Callable
 
 import numpy as np
@@ -126,8 +127,38 @@ class _UdpNodeProtocol(asyncio.DatagramProtocol):
     def datagram_received(self, data: bytes, addr: Any) -> None:
         self._channel._on_datagram(data)
 
-    def error_received(self, exc: Exception) -> None:  # pragma: no cover - OS-dependent
+    def error_received(self, exc: Exception) -> None:
         self._channel.errors += 1
+
+
+def _decode(
+    data: bytes, endpoints: dict[int, tuple[str, int]]
+) -> tuple[int, int, tuple[float, float], tuple[int, int, int] | None] | None:
+    """``(src, dst, payload, ctx)`` of a datagram :meth:`UdpChannel.send`
+    could have written, else ``None``: a JSON object whose ``src`` and
+    ``dst`` are integers in ``endpoints``, whose ``p`` is exactly two
+    finite floats (JSON's ``Infinity`` and ``NaN`` parse as floats too), and
+    whose ``tc``, when present, is three integers."""
+    try:
+        frame = json.loads(data)
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        return None
+    if not isinstance(frame, dict):
+        return None
+    src, dst, p, tc = frame.get("src"), frame.get("dst"), frame.get("p"), frame.get("tc")
+    if type(src) is not int or type(dst) is not int:
+        return None
+    if src not in endpoints or dst not in endpoints:
+        return None
+    if not isinstance(p, list) or len(p) != 2:
+        return None
+    if any(type(x) is not float or not math.isfinite(x) for x in p):
+        return None
+    if tc is None:
+        return src, dst, (p[0], p[1]), None
+    if not isinstance(tc, list) or len(tc) != 3 or any(type(x) is not int for x in tc):
+        return None
+    return src, dst, (p[0], p[1]), (tc[0], tc[1], tc[2])
 
 
 class UdpChannel(LiveChannel):
@@ -171,20 +202,14 @@ class UdpChannel(LiveChannel):
             self._addrs[i] = (self.host, int(sockname[1]))
 
     def _on_datagram(self, data: bytes) -> None:
+        """Deliver a well-formed frame; count anything else in ``errors``
+        (a late datagram after :meth:`aclose` names no open endpoint)."""
+        frame = _decode(data, self._addrs)
         deliver = self._deliver
-        if deliver is None:  # pragma: no cover - late datagram after close
-            return
-        try:
-            frame = json.loads(data.decode("utf-8"))
-            src = int(frame["src"])
-            dst = int(frame["dst"])
-            payload = tuple(float(x) for x in frame["p"])
-            tc = frame.get("tc")
-            ctx = (int(tc[0]), int(tc[1]), int(tc[2])) if tc is not None else None
-        except (ValueError, KeyError, IndexError, TypeError, UnicodeDecodeError):  # pragma: no cover
+        if frame is None or deliver is None:
             self.errors += 1
             return
-        deliver(src, dst, payload, ctx)
+        deliver(*frame)
 
     def send(
         self,

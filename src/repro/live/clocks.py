@@ -45,6 +45,6 @@ class LiveClock:
         """Real seconds until the hardware clock advances by ``delta_h``."""
         return delta_h / self.rate
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return f"LiveClock(rate={self.rate!r})"
 

@@ -56,13 +56,11 @@ __all__ = ["build_live_runtime", "run_live_experiment"]
 def _make_channel(
     seed: int,
     *,
-    channel: str | LiveChannel = "loopback",
+    channel: str = "loopback",
     jitter: float = 0.0,
     host: str = "127.0.0.1",
     base_port: int = 0,
 ) -> LiveChannel:
-    if isinstance(channel, LiveChannel):
-        return channel
     if channel == "loopback":
         return LoopbackChannel(jitter=jitter, seed=seed)
     if channel == "udp":

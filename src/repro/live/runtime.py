@@ -101,10 +101,6 @@ class LiveNodeView:
         self.core = core
         self.clock = clock
 
-    def hardware_clock(self, t: float) -> float:
-        """``H_u(t)``."""
-        return self.clock.h_at(t)
-
     def logical_clock(self, t: float) -> float:
         """``L_u(t)`` (``t`` at or after the node's last handled event)."""
         return self.core.logical_clock_at(self.clock.h_at(t))
@@ -117,11 +113,6 @@ class LiveNodeView:
     def jumps(self) -> int:
         """Number of discrete clock jumps so far."""
         return self.core.jumps
-
-    @property
-    def total_jump(self) -> float:
-        """Total jumped distance so far."""
-        return self.core.total_jump
 
     @property
     def messages_sent(self) -> int:

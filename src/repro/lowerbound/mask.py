@@ -69,7 +69,7 @@ class DelayMask:
         p = self.pattern(u, v)
         return (p / (1.0 + rho), p)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return (
             f"DelayMask({len(self.constrained)} constrained edges, "
             f"max_delay={self.max_delay})"
@@ -155,7 +155,7 @@ class AlphaDelayPolicy(DelayPolicy):
                 self._directed[(key[0], key[1])] = half
                 self._directed[(key[1], key[0])] = half
                 continue
-            if abs(du - dv) != 1:  # pragma: no cover - impossible after BFS
+            if abs(du - dv) != 1:
                 raise ValueError(
                     f"unconstrained edge {key} joins layers {du} and {dv}"
                 )

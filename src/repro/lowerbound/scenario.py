@@ -293,12 +293,6 @@ class Figure1Result:
     measure_horizon: float = 0.0
 
     @property
-    def mean_reduction_time(self) -> float | None:
-        """Mean measured reduction time over settled new edges."""
-        times = [e.reduction_time for e in self.new_edges if e.reduction_time is not None]
-        return float(np.mean(times)) if times else None
-
-    @property
     def max_reduction_time(self) -> float | None:
         """Max measured reduction time over settled new edges."""
         times = [e.reduction_time for e in self.new_edges if e.reduction_time is not None]
@@ -418,8 +412,6 @@ def run_figure1_experiment(
     tracked: dict[Edge, list[tuple[float, float]]] = {}
 
     def sample(t: float) -> None:
-        if t < t1:
-            return
         for e, _s0 in injected:
             tracked.setdefault(e, []).append(
                 (t, abs(logical(e[0], t) - logical(e[1], t)))

@@ -61,7 +61,7 @@ class ConstantDelay(DelayPolicy):
     def max_bound(self) -> float:
         return self.value
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return f"ConstantDelay({self.value!r})"
 
 
@@ -97,7 +97,7 @@ class UniformDelay(DelayPolicy):
     def max_bound(self) -> float:
         return self.hi
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return f"UniformDelay([{self.lo!r}, {self.hi!r}])"
 
 

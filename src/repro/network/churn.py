@@ -332,9 +332,7 @@ class RotatingBackboneChurn(ChurnProcess):
         self._claims[e] = c + 1
 
     def _release(self, graph: DynamicGraph, sim: Simulator, e: Edge) -> None:
-        c = self._claims.get(e, 0)
-        if c <= 0:  # pragma: no cover - defensive
-            return
+        c = self._claims[e]
         if c == 1 and graph.has_edge(*e):
             graph.remove_edge(e[0], e[1], sim.now)
         self._claims[e] = c - 1

@@ -521,12 +521,7 @@ class Transport:
         table.deliver_burst(us, vs, payloads, sids)
         self.stats.delivered += len(us)
 
-    def _deliver(
-        self, u: int, v: int, payload: Any, send_time: float,
-        sid: int | None = -1,
-    ) -> None:
-        if sid is None:
-            sid = -1  # record pushed before a tracer was attached
+    def _deliver(self, u: int, v: int, payload: Any, send_time: float, sid: int) -> None:
         if not self._has_edge(u, v) or self._removed_during(u, v, send_time, self.sim.now):
             self._drop(u, v, send_time, sid)
             return

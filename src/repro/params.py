@@ -256,16 +256,6 @@ class SystemParams:
         """
         return (4.0 * self.global_skew_bound / self.b0 + 1.0) * self.tau
 
-    @property
-    def rate_min(self) -> float:
-        """Minimum admissible hardware clock rate, :math:`1-\\rho`."""
-        return 1.0 - self.rho
-
-    @property
-    def rate_max(self) -> float:
-        """Maximum admissible hardware clock rate, :math:`1+\\rho`."""
-        return 1.0 + self.rho
-
     # ------------------------------------------------------------------ #
     # The B function (Section 5)
     # ------------------------------------------------------------------ #

@@ -108,7 +108,7 @@ class ConstantRateClock(HardwareClock):
     def rate_bounds(self) -> tuple[float, float]:
         return (self.rate, self.rate)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return f"ConstantRateClock(rate={self.rate!r})"
 
 
@@ -171,8 +171,6 @@ class PiecewiseRateClock(HardwareClock):
         i = self._hint
         if not (values[i] <= h and (i + 1 == len(values) or h < values[i + 1])):
             i = bisect_right(values, h) - 1
-            if i >= len(self._times):  # pragma: no cover - defensive
-                i = len(self._times) - 1
             self._hint = i
         return self._times[i] + (h - values[i]) / self._rates[i]
 
@@ -187,7 +185,7 @@ class PiecewiseRateClock(HardwareClock):
     def rate_bounds(self) -> tuple[float, float]:
         return (min(self._rates), max(self._rates))
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return (
             f"PiecewiseRateClock(segments={len(self._times)}, "
             f"rates in [{min(self._rates):.4g}, {max(self._rates):.4g}])"
@@ -271,8 +269,6 @@ class SteerableClock(HardwareClock):
         if h < 0.0:
             raise ValueError(f"clock value must be non-negative; got {h!r}")
         i = bisect_right(self._values, h) - 1
-        if i >= len(self._times):  # pragma: no cover - defensive
-            i = len(self._times) - 1
         return self._times[i] + (h - self._values[i]) / self._rates[i]
 
     segment_at = _segment_at
@@ -288,7 +284,7 @@ class SteerableClock(HardwareClock):
             return (1.0 - self.rho, 1.0 + self.rho)
         return (min(self._rates), max(self._rates))
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return (
             f"SteerableClock(segments={len(self._times)}, "
             f"rate={self._rates[-1]:.6g}, rho={self.rho!r})"

@@ -209,11 +209,6 @@ class ScheduledEvent:
         self.label = label
 
     @property
-    def callback(self) -> Callable[..., Any] | None:
-        """Backward-compatible alias for :attr:`fn`."""
-        return self.fn
-
-    @property
     def sort_key(self) -> tuple[float, int, int]:
         """Heap ordering key: ``(time, priority, seq)``."""
         return (self.time, self.priority, self.seq)
@@ -221,7 +216,7 @@ class ScheduledEvent:
     def __lt__(self, other: "ScheduledEvent") -> bool:
         return self.sort_key < other.sort_key
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         lbl = f" {self.label!r}" if self.label else ""
         return (

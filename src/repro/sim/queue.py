@@ -65,9 +65,6 @@ class EventQueue:
         """Number of *live* (non-cancelled) events."""
         return self._live
 
-    def __bool__(self) -> bool:
-        return self._live > 0
-
     @property
     def raw_size(self) -> int:
         """Total heap entries including cancelled ones (for tests/metrics)."""

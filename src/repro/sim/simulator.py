@@ -338,8 +338,7 @@ class Simulator:
             self.kind_counts[kind] += 1
         if kind == KIND_CALLBACK:
             fn = ev.fn
-            if fn is None:  # pragma: no cover - defensive
-                raise SimulationError("callback event without a callable")
+            assert fn is not None  # schedule_at always stores the callable
             self.non_node_events += 1
             fn()
         else:
@@ -363,8 +362,6 @@ class Simulator:
         ev = self.queue.pop()
         if ev is None:
             return False
-        if ev.time < self.now:  # pragma: no cover - defensive
-            raise SimulationError("event queue returned an event in the past")
         self._dispatch(ev)
         return True
 
@@ -447,8 +444,7 @@ class Simulator:
                 kind_counts[kind] += 1
             if kind == KIND_CALLBACK:
                 fn = ev.fn
-                if fn is None:  # pragma: no cover - defensive
-                    raise SimulationError("callback event without a callable")
+                assert fn is not None  # schedule_at always stores the callable
                 self.non_node_events += 1
                 fn()
             else:
@@ -482,8 +478,7 @@ class Simulator:
     def _handle_sample(self, ev: ScheduledEvent) -> None:
         """Fire a periodic measurement record and re-arm it in place."""
         fn = ev.fn
-        if fn is None:  # pragma: no cover - defensive
-            raise SimulationError("sample event without a callable")
+        assert fn is not None  # every() always stores the callable
         self.non_node_events += 1
         fn(self.now)
         nxt = self.now + ev.b

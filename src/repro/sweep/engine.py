@@ -219,7 +219,7 @@ def _pool_context():
     # installed package; fall back to the platform default elsewhere.
     try:
         return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
+    except ValueError:  # a platform without fork
         return multiprocessing.get_context()
 
 

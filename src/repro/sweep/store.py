@@ -81,8 +81,6 @@ class ResultStore:
         path = self.path_for(key)
         try:
             raw = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            return None
         except OSError:
             return None
         try:
@@ -106,7 +104,7 @@ class ResultStore:
     def _evict(self, path: Path) -> None:
         try:
             path.unlink()
-        except OSError:  # pragma: no cover - racing eviction is fine
+        except OSError:  # another process evicted it first
             pass
         self.evictions += 1
 
@@ -137,10 +135,7 @@ class ResultStore:
                 json.dump(entry, fh, sort_keys=True, indent=1)
             os.replace(tmp, path)
         except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            os.unlink(tmp)
             raise
         self.writes += 1
         return entry

@@ -41,14 +41,14 @@ def _read_max_rss_kb() -> float | None:
     """Peak resident set size in KiB, or ``None`` where unsupported."""
     try:
         import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
+    except ImportError:  # not a POSIX platform
         return None
     usage = resource.getrusage(resource.RUSAGE_SELF)
     # ru_maxrss is KiB on Linux, bytes on macOS; normalise to KiB.
     rss = float(usage.ru_maxrss)
     import sys
 
-    if sys.platform == "darwin":  # pragma: no cover - platform-specific
+    if sys.platform == "darwin":
         rss /= 1024.0
     return rss
 
@@ -86,10 +86,7 @@ class GcWatcher:
     def uninstall(self) -> None:
         """Unhook from ``gc.callbacks`` (idempotent)."""
         if self._installed:
-            try:
-                gc.callbacks.remove(self._on_gc)
-            except ValueError:  # pragma: no cover - defensive
-                pass
+            gc.callbacks.remove(self._on_gc)
             self._installed = False
 
 

@@ -268,7 +268,7 @@ def fuzz_sweep_spec(seed: int, *, max_points: int = 4):
 
 
 def _require_hypothesis() -> None:
-    if not _HAVE_HYPOTHESIS:  # pragma: no cover - exercised without test deps
+    if not _HAVE_HYPOTHESIS:
         raise ImportError(
             "repro.testing.strategies' hypothesis strategies need the "
             "'hypothesis' package (pip extra: repro-gradient-clock-sync[test]); "

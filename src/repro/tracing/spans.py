@@ -106,11 +106,6 @@ class Span:
     detail: float
 
     @property
-    def kind_name(self) -> str:
-        """Human-readable kind (``"flight"``, ``"timer"``, ...)."""
-        return SPAN_KIND_NAMES[self.kind]
-
-    @property
     def duration(self) -> float:
         """``t1 - t0`` (0 for instantaneous spans, 0 for open flights)."""
         return self.t1 - self.t0 if self.t1 >= self.t0 else 0.0

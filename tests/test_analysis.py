@@ -90,6 +90,8 @@ class TestEpisodeMetrics:
         assert stabilization_age(ep, threshold=1.5) == pytest.approx(2.0)
         assert stabilization_age(ep, threshold=10.0) == pytest.approx(0.0)
         assert stabilization_age(ep, threshold=0.1) is None
+        empty = EdgeEpisode(0, 1, 10.0, ages=np.array([]), skews=np.array([]))
+        assert stabilization_age(empty, threshold=1.5) is None
 
     def test_stabilization_requires_staying_below(self):
         ep = EdgeEpisode(

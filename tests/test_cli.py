@@ -592,3 +592,137 @@ class TestTelemetry:
         code, _, err = run_cli(capsys, "top", str(tmp_path / "nope.jsonl"))
         assert code == 2
         assert "error" in err
+
+
+class TestArgumentsAndFailures:
+    """Argument parsing, and the error exits of every subcommand: what a
+    user types is input from outside the program."""
+
+    def test_set_values_parse_booleans_and_none(self):
+        from repro.cli import _parse_assignment
+
+        assert _parse_assignment("k=true,False,none,NULL,3,0.5,x") == (
+            "k", [True, False, None, None, 3, 0.5, "x"]
+        )
+
+    @pytest.mark.parametrize(
+        "item,message",
+        [("n", "expected key=value"), ("n=", "no values in 'n='")],
+    )
+    def test_malformed_assignment_exits_two(self, capsys, store_dir, item, message):
+        code, _, err = run_cli(
+            capsys, "sweep", "static_ring", "--set", item, "--store", store_dir
+        )
+        assert code == 2 and message in err
+
+    def test_set_takes_one_value(self, capsys, store_dir):
+        code, _, err = run_cli(
+            capsys, "sweep", "static_ring", "--set", "n=5,6", "--store", store_dir
+        )
+        assert code == 2 and "--set n= takes a single value; to sweep" in err
+
+    def test_seed_list_and_progress_lines(self, capsys, store_dir):
+        code, out, err = run_cli(
+            capsys, "sweep", "static_ring", "--set", "n=5", "horizon=10",
+            "--seeds", "3,7", "--store", store_dir,
+        )
+        assert code == 0 and "2 configs: 2 executed" in out
+        assert re.search(r"\[1/2\] .*\(ran [0-9.]+s\)", err)
+        _, _, err = run_cli(
+            capsys, "sweep", "static_ring", "--set", "n=5", "horizon=10",
+            "--seeds", "3,7", "--store", store_dir,
+        )
+        assert "[2/2]" in err and "(cached)" in err
+
+    def test_csv_to_stdout(self, capsys, store_dir):
+        code, out, _ = run_cli(capsys, *SWEEP_ARGS, "--store", store_dir, "--csv", "-")
+        assert code == 0
+        assert out.splitlines()[-5].startswith("name,")  # header, then 4 rows
+
+    def test_a_failing_sweep_exits_one(self, capsys, store_dir):
+        code, _, err = run_cli(
+            capsys, "sweep", "static_ring", "--set", "n=1", "horizon=5",
+            "--quiet", "--store", store_dir,
+        )
+        assert code == 1 and "n must be at least 2" in err
+
+    def test_shards_below_one_exit_two(self, capsys):
+        code, _, err = run_cli(capsys, "run", "static_ring", "--set", "n=6", "--shards", "0")
+        assert code == 2 and "--shards must be >= 1" in err
+
+    def test_a_bundle_that_cannot_be_written_exits_two(self, capsys, tmp_path):
+        taken = tmp_path / "file"
+        taken.write_text("")
+        code, _, err = run_cli(
+            capsys, "run", "static_ring", "--set", "n=6", "horizon=5",
+            "--bundle", str(taken / "b"),
+        )
+        assert code == 2 and "error: bundle:" in err
+
+    def test_run_text_output_names_the_trace(self, capsys, tmp_path):
+        trace = str(tmp_path / "t.json")
+        code, out, _ = run_cli(
+            capsys, "run", "static_ring", "--set", "n=6", "horizon=5",
+            "--trace-out", trace,
+        )
+        assert code == 0
+        assert f"trace: wrote {trace} (" in out and " flow events)" in out
+
+    def test_sharded_run_text_output_has_no_set_up(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "huge_sync_ring", "--set", "n=256", "horizon=3", "--shards", "2"
+        )
+        assert code == 0
+        (wall,) = [line for line in out.splitlines() if "wall:" in line]
+        assert "set-up" not in wall
+
+    def test_run_json_names_its_bundle(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "run", "static_ring", "--set", "n=6", "horizon=5",
+            "--bundle", str(tmp_path / "b"), "--ledger", str(tmp_path / "l"), "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["bundle"]["bundle"] == str(tmp_path / "b" / "bundle.json")
+
+    def test_check_json_names_its_bundle(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "check", "static_ring", "--set", "n=6", "horizon=20",
+            "--interval", "0.5", "--bundle", str(tmp_path / "b"),
+            "--ledger", str(tmp_path / "l"), "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["bundle"]["bundle"] == str(tmp_path / "b" / "bundle.json")
+        assert payload["runs"][0]["checks"] > 0
+
+    # ``n=1`` fails while the config is built, ``algorithm=nope`` once it runs.
+    @pytest.mark.parametrize("setting,message", [
+        ("n=1", "n must be at least 2"), ("algorithm=nope", "unknown algorithm 'nope'"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "check", "explain"])
+    def test_a_failing_run_exits_two(self, capsys, command, setting, message):
+        code, _, err = run_cli(capsys, command, "static_ring", "--set", "n=6", setting)
+        assert code == 2 and message in err
+
+    def test_explain_unknown_workload_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, "explain", "nosuch")
+        assert code == 2 and "unknown workload 'nosuch'" in err
+
+    def test_explain_json_names_its_trace(self, capsys, tmp_path):
+        trace = str(tmp_path / "t.json")
+        code, out, _ = run_cli(
+            capsys, "explain", "static_ring", "--set", "n=6", "horizon=10",
+            "--trace-out", trace, "--json",
+        )
+        assert code == 0 and json.loads(out)["trace_out"] == trace
+
+    def test_broken_pipe_exits_quietly(self, capsys, monkeypatch, store_dir):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def close(self):
+                raise OSError("already closed")
+
+        monkeypatch.setattr("sys.stdout", Closed())
+        assert main(["ls", "--store", store_dir]) == 0

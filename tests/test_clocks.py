@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from repro.sim.clocks import (
     ConstantRateClock,
+    HardwareClock,
     PiecewiseRateClock,
+    SteerableClock,
     extremal_clock,
     perfect_clock,
     random_walk_clock,
@@ -85,6 +87,72 @@ class TestPiecewiseRateClock:
     def test_two_phase_zero_switch_is_perfect(self):
         c = two_phase_clock(0.05, switch_time=0.0)
         assert c.value(7.0) == pytest.approx(7.0)
+
+
+class TestChecks:
+    """Clock schedules come from configs (``CLOCK["segments"]`` rows):
+    what a clock refuses, and the interface a new clock class fills in."""
+
+    @pytest.mark.parametrize(
+        "times,rates,message",
+        [
+            ([0.0, 1.0], [1.0], "equal length"),
+            ([], [], "at least one segment"),
+            ([0.0, 1.0], [1.0, 0.0], "rates must be positive"),
+        ],
+    )
+    def test_piecewise_schedule_refused(self, times, rates, message):
+        with pytest.raises(ValueError, match=message):
+            PiecewiseRateClock(times, rates)
+
+    @pytest.mark.parametrize(
+        "clock", [PiecewiseRateClock([0.0, 1.0], [1.0, 0.5]), SteerableClock(1.0)],
+        ids=["piecewise", "steerable"],
+    )
+    def test_negative_arguments_refused(self, clock):
+        with pytest.raises(ValueError, match="time must be non-negative"):
+            clock.rate_at(-1.0)
+        with pytest.raises(ValueError, match="clock value must be non-negative"):
+            clock.time_at(-1.0)
+        if isinstance(clock, SteerableClock):
+            with pytest.raises(ValueError, match="time must be non-negative"):
+                clock.value(-1.0)
+
+    def test_steerable_bounds_without_an_envelope_are_its_rates(self):
+        clock = SteerableClock(1.5)
+        clock.set_rate(2.0, 0.5)
+        assert clock.rate_bounds() == (0.5, 1.5)
+        assert SteerableClock(1.0, rho=0.1).rate_bounds() == (0.9, 1.1)
+
+    def test_constant_rate_at(self):
+        assert ConstantRateClock(1.25).rate_at(7.0) == 1.25
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda rng: random_walk_clock(0.1, 10.0, 0.0, rng), "segment and horizon"),
+            (lambda rng: sinusoidal_clock(0.1, period=0.0, horizon=10.0), "period and horizon"),
+        ],
+    )
+    def test_builders_refuse_empty_schedules(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(np.random.default_rng(0))
+
+    @pytest.mark.parametrize("method,args", [
+        ("value", (0.0,)), ("time_at", (0.0,)), ("rate_at", (0.0,)), ("rate_bounds", ()),
+    ])
+    def test_the_interface_is_abstract(self, method, args):
+        with pytest.raises(NotImplementedError):
+            getattr(HardwareClock(), method)(*args)
+
+    def test_reprs_name_the_schedule(self):
+        assert repr(ConstantRateClock(1.5)) == "ConstantRateClock(rate=1.5)"
+        assert repr(PiecewiseRateClock([0.0, 1.0], [1.0, 0.5])) == (
+            "PiecewiseRateClock(segments=2, rates in [0.5, 1])"
+        )
+        assert repr(SteerableClock(1.0, rho=0.1)) == (
+            "SteerableClock(segments=1, rate=1, rho=0.1)"
+        )
 
 
 class TestScheduleBuilders:

@@ -6,6 +6,15 @@ import pytest
 
 from repro import SystemParams
 from repro.core import ClockSyncNode, DCSACore
+from repro.core.protocol import (
+    DiscoverAdd,
+    JumpL,
+    MessageReceived,
+    ProtocolCore,
+    ProtocolError,
+    Start,
+    TimerFired,
+)
 from repro.sim.clocks import ConstantRateClock
 from repro.sim.simulator import Simulator
 
@@ -192,3 +201,58 @@ class TestAdjustClock:
         assert node.core.tolerance(2) == pytest.approx(node.params.b_function(0.0))
         assert node.core.perceived_skew(9) is None
         assert node.core.tolerance(9) is None
+
+
+class TestDriverContract:
+    """What a core refuses from a driver that breaks its contract."""
+
+    def _core(self) -> DCSACore:
+        core = DCSACore(0, SystemParams.for_network(4))
+        core.handle(0.0, Start())
+        core.handle(0.0, DiscoverAdd(1))
+        return core
+
+    def test_an_unapplied_jump_blocks_the_next_event_and_action(self):
+        core = self._core()
+        effects = core.handle(0.1, MessageReceived(1, (5.0, 5.0)))
+        assert any(isinstance(e, JumpL) for e in effects)
+        with pytest.raises(ProtocolError, match="node 0: previous JumpL effect was never applied"):
+            core.handle(0.2, TimerFired("tick"))
+        with pytest.raises(ProtocolError, match="never applied"):
+            core.act(core._adjust_clock)
+
+    def test_an_unknown_event_is_refused(self):
+        with pytest.raises(ProtocolError, match="unknown event 'tick'"):
+            self._core().handle(0.1, "tick")
+
+    @pytest.mark.parametrize(
+        "emit",
+        [
+            lambda core: core._emit(JumpL(1.0)),
+            lambda core: core._send(1, (0.0, 0.0)),
+            lambda core: core._set_timer("tick", 1.0),
+            lambda core: core._cancel_timer("tick"),
+        ],
+        ids=["emit", "send", "set_timer", "cancel_timer"],
+    )
+    def test_effects_outside_handle_are_refused(self, emit):
+        with pytest.raises(ProtocolError, match="effects may only be emitted inside handle"):
+            emit(self._core())
+
+    def test_a_negative_timer_delay_is_refused(self):
+        core = self._core()
+        with pytest.raises(ValueError, match="subjective delay must be >= 0; got -1.0"):
+            core.act(lambda: core._set_timer("tick", -1.0))
+
+    @pytest.mark.parametrize(
+        "hook,args",
+        [
+            ("_handle_message", (1, (0.0, 0.0))),
+            ("_handle_discover_add", (1,)),
+            ("_handle_discover_remove", (1,)),
+            ("_on_timer", ("tick",)),
+        ],
+    )
+    def test_the_algorithm_hooks_are_abstract(self, hook, args):
+        with pytest.raises(NotImplementedError):
+            getattr(ProtocolCore(0, SystemParams.for_network(4)), hook)(*args)

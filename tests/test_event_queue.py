@@ -58,6 +58,13 @@ class TestOrdering:
 
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
+        assert EventQueue().pop_until(1.0) is None
+
+    def test_a_run_after_the_last_record_is_empty(self):
+        q = EventQueue()
+        q.push(1.0, 0, _noop)
+        first = q.pop()
+        assert q.pop_run(first, []) == 0
 
 
 class TestCancellation:

@@ -13,7 +13,13 @@ import math
 import time
 import pytest
 
-from repro.core.protocol import DiscoverAdd, MessageReceived, Start, TimerFired
+from repro.core.protocol import (
+    DiscoverAdd,
+    DiscoverRemove,
+    MessageReceived,
+    Start,
+    TimerFired,
+)
 from repro.harness import ExperimentConfig, RuntimeRef, configs
 from repro.harness.registry import ClockRef
 from repro.harness.runner import Experiment, run_experiment
@@ -26,6 +32,10 @@ from repro.live import (
     build_live_runtime,
 )
 from repro.telemetry import get_registry
+from repro.telemetry.registry import MetricsRegistry
+from repro.tracing import trace_session
+from repro.tracing.context import Tracer
+from repro.tracing.spans import SPAN_DISCOVER, SPAN_EDGE, SPAN_FLIGHT, STATUS_DROPPED
 
 
 class TestLoopbackSession:
@@ -244,6 +254,126 @@ class TestUdpSession:
         assert res.oracle_report is not None and res.oracle_report.ok
 
 
+#: Datagrams no ``UdpChannel.send`` writes: each is counted and dropped.
+MALFORMED = {
+    "not_json": b"clock",
+    "not_utf8": b"\xff\xfe",
+    "too_deep": b"[" * 5_000,
+    "not_an_object": b"[0, 1, [1.0, 2.0]]",
+    "one_value": b'{"src": 0, "dst": 1, "p": [1.0]}',
+    "three_values": b'{"src": 0, "dst": 1, "p": [1.0, 2.0, 3.0]}',
+    "infinite": b'{"src": 0, "dst": 1, "p": [Infinity, Infinity]}',
+    "nan": b'{"src": 0, "dst": 1, "p": [NaN, 1.0]}',
+    "string_values": b'{"src": 0, "dst": 1, "p": "ab"}',
+    "bool_value": b'{"src": 0, "dst": 1, "p": [true, 1.0]}',
+    "integer_value": b'{"src": 0, "dst": 1, "p": [1.0, 2]}',
+    "no_payload": b'{"src": 0, "dst": 1}',
+    "unknown_dst": b'{"src": 0, "dst": 7, "p": [1.0, 2.0]}',
+    "negative_src": b'{"src": -1, "dst": 1, "p": [1.0, 2.0]}',
+    "float_src": b'{"src": 0.5, "dst": 1, "p": [1.0, 2.0]}',
+    "string_dst": b'{"src": 0, "dst": "1", "p": [1.0, 2.0]}',
+    "short_context": b'{"src": 0, "dst": 1, "p": [1.0, 2.0], "tc": [1, 2]}',
+    "float_context": b'{"src": 0, "dst": 1, "p": [1.0, 2.0], "tc": [1, 2, 3.5]}',
+}
+
+
+class TestUdpDatagrams:
+    """A datagram is input from outside the program: the channel delivers
+    exactly two finite floats between opened endpoints, with an optional
+    three-integer trace context, and counts anything else in ``errors``."""
+
+    @staticmethod
+    def _exchange(datagrams: list[bytes], sends: tuple = ()) -> tuple[list[tuple], int]:
+        """Send raw ``datagrams`` to node 1 of an open two-node channel,
+        then ``channel.send(*args)`` for each of ``sends``, then one
+        well-formed frame to node 0; return what reached ``deliver`` once
+        every datagram is accounted for, and the channel's error count."""
+        import socket
+
+        delivered: list[tuple] = []
+        total = len(datagrams) + len(sends) + 1
+
+        async def session() -> int:
+            channel = UdpChannel()
+            await channel.open(lambda *frame: delivered.append(frame), [0, 1])
+            try:
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                    for data in datagrams:
+                        sock.sendto(data, channel._addrs[1])
+                    for args in sends:
+                        channel.send(*args)
+                    sock.sendto(b'{"src": 1, "dst": 0, "p": [3.0, 4.0]}', channel._addrs[0])
+                deadline = time.monotonic() + 5.0
+                while channel.errors + len(delivered) < total:
+                    assert time.monotonic() < deadline, (channel.errors, delivered)
+                    await asyncio.sleep(0.005)
+                return channel.errors
+            finally:
+                await channel.aclose()
+
+        try:
+            errors = asyncio.run(session())
+        except ChannelError as exc:
+            pytest.skip(f"UDP sockets unavailable: {exc}")
+        return delivered, errors
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_datagram_is_counted_and_dropped(self, name):
+        delivered, errors = self._exchange([MALFORMED[name]])
+        assert delivered == [(1, 0, (3.0, 4.0), None)]
+        assert errors == 1
+
+    def test_well_formed_frames_are_delivered(self):
+        delivered, errors = self._exchange(
+            [b'{"src": 0, "dst": 1, "p": [1.5, 2.0]}'],
+            sends=[(0, 1, (1.0, 2.0), (4, 5, 6)), (1, 0, (5.0, 6.0))],
+        )
+        assert errors == 0
+        assert sorted(delivered) == [
+            (0, 1, (1.0, 2.0), (4, 5, 6)),
+            (0, 1, (1.5, 2.0), None),
+            (1, 0, (3.0, 4.0), None),
+            (1, 0, (5.0, 6.0), None),
+        ]
+
+    def test_late_datagram_after_close_is_counted(self):
+        async def session() -> tuple[list[tuple], int]:
+            delivered: list[tuple] = []
+            channel = UdpChannel()
+            await channel.open(lambda *frame: delivered.append(frame), [0, 1])
+            await channel.aclose()
+            channel._on_datagram(b'{"src": 0, "dst": 1, "p": [1.0, 2.0]}')
+            return delivered, channel.errors
+
+        try:
+            assert asyncio.run(session()) == ([], 1)
+        except ChannelError as exc:
+            pytest.skip(f"UDP sockets unavailable: {exc}")
+
+    def test_socket_errors_are_counted(self):
+        from repro.live.channels import _UdpNodeProtocol
+
+        channel = UdpChannel()
+        _UdpNodeProtocol(channel).error_received(ConnectionRefusedError())
+        assert channel.errors == 1
+
+    def test_send_to_an_unknown_endpoint_is_refused(self):
+        with pytest.raises(ChannelError, match="unknown endpoint for send 0 -> 1"):
+            UdpChannel().send(0, 1, (0.0, 0.0))
+
+    def test_a_taken_port_is_a_channel_error(self):
+        import socket
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+            taken.bind(("127.0.0.1", 0))
+            port = taken.getsockname()[1]
+            # Node 1 binds ``base_port + 1``: the taken port.
+            channel = UdpChannel(base_port=port - 1)
+            with pytest.raises(ChannelError, match=f"node 1 on 127.0.0.1:{port}"):
+                asyncio.run(channel.open(lambda *frame: None, [1]))
+            assert channel._transports == {} and channel._addrs == {}
+
+
 class TestDriverValidation:
     def _cfg(self, **overrides) -> ExperimentConfig:
         return configs.live_ring(8, duration=0.2, **overrides)
@@ -369,3 +499,120 @@ class TestLiveChurnValidation:
         )
         runtime = build_live_runtime(cfg)  # valid script builds fine
         assert runtime._churn_events == [(0.1, "add", 0, 2)]
+
+    @pytest.mark.parametrize(
+        "events,message",
+        [
+            ([(0.1, "flip", 0, 2)], "bad churn op 'flip'"),
+            ([(-0.1, "add", 0, 2)], "negative churn event time -0.1"),
+        ],
+    )
+    def test_bad_script_rejected(self, events, message):
+        with pytest.raises(ValueError, match=message):
+            _runtime_like(build_live_runtime(configs.live_ring(8, duration=0.2)),
+                          churn_events=events)
+
+    def test_tolerant_replay_skips_what_already_holds(self):
+        """Wall-clock replay may race a toggle: an add of a present edge
+        and a remove of an absent one are skipped, an event at or after
+        the session's end is never applied, and every applied flip is a
+        traced edge span."""
+        events = [
+            (0.02, "add", 0, 1),  # a ring edge: already present
+            (0.04, "remove", 0, 2),  # absent
+            (0.06, "add", 0, 2),
+            (0.10, "remove", 0, 2),
+            (9.0, "add", 0, 3),  # after the end
+        ]
+        cfg = configs.live_ring(
+            8, duration=0.6, seed=3, churn="scripted", events=events
+        )
+        registry = get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            with trace_session() as tracer:
+                live = build_live_runtime(cfg).run()
+            counters = registry.snapshot()["counters"]
+        finally:
+            registry.disable()
+            registry.reset()
+        assert counters["tracing.spans"] == len(tracer.table)  # the tracer's readback
+        assert live.transport_stats["discoveries_skipped"] == 2
+        # Both ends of the eight ring edges at the start, then of 0 - 2 twice.
+        assert live.transport_stats["discoveries_delivered"] == 16 + 4
+        flips = [s for s in tracer.table.rows() if s.kind == SPAN_EDGE]
+        assert len(flips) == 2
+        assert 3 not in live.nodes[0].core.upsilon
+
+
+def _runtime_like(runtime: LiveRuntime, **overrides) -> LiveRuntime:
+    """A fresh ``LiveRuntime`` with ``runtime``'s cores and clocks."""
+    kwargs = {
+        "params": runtime.params,
+        "cores": {i: node.core for i, node in runtime.nodes.items()},
+        "clocks": {i: node.clock for i, node in runtime.nodes.items()},
+        "channel": LoopbackChannel(),
+        "duration": 0.2,
+        **overrides,
+    }
+    return LiveRuntime(**kwargs)
+
+
+class TestRuntimeUnit:
+    """The session's input checks and its fabric, driven without a loop."""
+
+    @pytest.fixture
+    def runtime(self):
+        runtime = build_live_runtime(configs.live_ring(4, duration=0.2))
+        runtime._loop = loop = asyncio.new_event_loop()  # turns queue, never run
+        yield runtime
+        loop.close()
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"duration": 0.0}, "duration must be positive"),
+            ({"cores": {}}, "clocks and cores must cover the same node ids"),
+            ({"clocks": {}}, "clocks and cores must cover the same node ids"),
+        ],
+    )
+    def test_constructor_checks(self, runtime, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            _runtime_like(runtime, **overrides)
+
+    def test_core_ids_must_be_a_range(self, runtime):
+        cores = {i + 1: node.core for i, node in runtime.nodes.items()}
+        with pytest.raises(ValueError, match="core ids must be exactly 0..n-1"):
+            _runtime_like(runtime, cores=cores)
+
+    def test_send_over_a_missing_edge_is_a_traced_absence_discovery(self, runtime):
+        runtime._tracer = tracer = Tracer()
+        runtime._transmit(0, 2, (0.0, 0.0))  # 0 - 2 is a ring chord: no edge
+        assert runtime.stats["dropped_no_edge"] == 1
+        assert runtime.stats["discoveries_delivered"] == 1
+        (event,) = runtime.nodes[0].pending
+        assert isinstance(event, DiscoverRemove) and event.other == 2
+        kinds = [span.kind for span in tracer.table.rows()]
+        assert kinds == [SPAN_FLIGHT, SPAN_DISCOVER]
+
+    def test_arrival_over_a_removed_edge_is_a_traced_drop(self, runtime):
+        runtime._tracer = tracer = Tracer()
+        sent: list[tuple] = []
+        runtime._loop.run_until_complete(
+            runtime.channel.open(lambda *frame: sent.append(frame), [0, 1, 2, 3])
+        )
+        runtime._transmit(0, 1, (0.0, 0.0))  # a ring edge: handed to the channel
+        runtime.graph.remove_edge(0, 1, 0.1)
+        runtime._deliver(*sent[0])
+        assert runtime.stats["dropped_removed"] == 1
+        assert runtime.stats["delivered"] == 0
+        assert [span.status for span in tracer.table.rows()] == [STATUS_DROPPED]
+
+    def test_telemetry_reads_nothing_before_the_epoch(self, runtime):
+        registry = MetricsRegistry()
+        registry.enable()
+        runtime.instrument(registry)
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["live.wall_vs_subjective_drift"] is None
+        assert gauges["live.heartbeat_age_s"] is None

@@ -19,6 +19,30 @@ from repro.lowerbound.executions import (
 )
 from repro.lowerbound.mask import DelayMask, flexible_distances
 from repro.network.topology import path_edges, two_chain_edges
+from repro.sim.clocks import ConstantRateClock
+
+
+class TestBetaDelayChecks:
+    def _alpha(self):
+        from repro.lowerbound.mask import AlphaDelayPolicy
+
+        edges = path_edges(3)
+        mask = DelayMask({}, 1.0)
+        return AlphaDelayPolicy(mask, flexible_distances(range(3), edges, mask, 0), edges)
+
+    def test_its_bound_is_the_mask_bound(self):
+        assert BetaDelayPolicy(self._alpha(), {}).max_bound() == 1.0
+
+    def test_a_fallback_outside_the_bound_is_refused(self):
+        with pytest.raises(ValueError, match="fallback delay must lie in"):
+            BetaDelayPolicy(self._alpha(), {}, fallback=2.0)
+
+    def test_clocks_that_break_lemma_4_2_are_caught(self):
+        """Clocks that are not the beta clocks of the distances disguise
+        alpha's delay as an illegal one, and the policy says so."""
+        clocks = {0: ConstantRateClock(1.0), 1: ConstantRateClock(0.1), 2: ConstantRateClock(1.0)}
+        with pytest.raises(AssertionError, match="disguised delay .* illegal for .0->1."):
+            BetaDelayPolicy(self._alpha(), clocks).delay(0, 1, 1.0)
 
 
 class TestBetaClock:

@@ -96,6 +96,20 @@ class TestAlphaDelayPolicy:
         assert p.delay(1, 2, 0.0) == 0.5
         assert p.delay(2, 1, 0.0) == 0.5
 
+    @pytest.mark.parametrize(
+        "constrained,dists,message",
+        [
+            ({(0, 1): 0.6}, {0: 0, 1: 1, 2: 2}, "constrained edge .0, 1. joins different layers"),
+            ({}, {0: 0, 1: 2, 2: 3}, "unconstrained edge .0, 1. joins layers 0 and 2"),
+        ],
+    )
+    def test_distances_the_edges_contradict_are_refused(self, constrained, dists, message):
+        with pytest.raises(ValueError, match=message):
+            AlphaDelayPolicy(DelayMask(constrained, 1.0), dists, path_edges(3))
+
+    def test_mask_repr(self):
+        assert repr(DelayMask({(0, 1): 0.6}, 1.0)) == "DelayMask(1 constrained edges, max_delay=1.0)"
+
     def test_unknown_direction_raises(self):
         p, _ = self._policy()
         with pytest.raises(KeyError):

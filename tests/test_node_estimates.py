@@ -129,6 +129,14 @@ def test_reads_refuse_before_the_last_event(ring_run, form, method, quantity):
         assert getattr(driver, method)(t) == getattr(row, method)(t)
 
 
+def test_a_population_names_only_its_nodes(ring_run):
+    with pytest.raises(KeyError):
+        ring_run.nodes[16]
+    row = NodeRow(ring_run.nodes, 3)
+    # copy / pickle probes see a plain object, not a driver attribute
+    assert not hasattr(row, "__deepcopy__")
+
+
 class TestSubjectiveTimers:
     def test_timer_converts_subjective_to_real(self):
         # A clock at rate 2 reaches +4 subjective units after 2 real units.
@@ -222,3 +230,13 @@ class TestNeighborTable:
         assert [v for v, _ in t.items()] == [1]
         t.clear()
         assert len(t) == 0
+
+    def test_a_table_view_clears_its_slots(self):
+        exp = Experiment(configs.huge_sync_ring(8, horizon=3.0))
+        exp.run()
+        gamma = exp.nodes[0].core.gamma
+        assert type(gamma).__name__ == "SlotTable" and sorted(gamma) == [1, 7]
+        with pytest.raises(ValueError, match="neighbour 1 already tracked"):
+            gamma.add(1, 0.0, 0.0)
+        gamma.clear()
+        assert len(gamma) == 0 and len(exp.nodes[0].core.gamma) == 0

@@ -55,6 +55,8 @@ from repro.obs import (
     write_bundle,
 )
 from repro.obs.ledger import record_id
+from repro.tracing import trace_session
+from repro.tracing.spans import SPAN_FLIGHT
 from repro.oracle import StreamingOracle
 
 
@@ -345,6 +347,50 @@ class TestBundle:
             (lambda d: d["oracle"].update(ok="yes"), "oracle.ok"),
             (lambda d: d["timeline"]["columns"]["t"].pop(), "timeline"),
             (lambda d: d.update(kind="demo"), "kind"),
+            (lambda d: d.update(bundle_version=99), "bundle_version: expected 1"),
+            (lambda d: d.update(version=1), "version: expected a string"),
+            (lambda d: d.update(causes={}), "causes: expected a list"),
+            (lambda d: d.update(run=[]), "run: expected an object"),
+            (lambda d: d["run"].update(workload=5), "run.workload: expected a string or null"),
+            (lambda d: d["run"].update(algorithm=5), "run.algorithm: expected a string"),
+            (lambda d: d["run"].update(horizon="x"), "run.horizon: expected a number"),
+            (lambda d: d["run"].update(transport=[]), "run.transport: expected an object"),
+            (lambda d: d["run"]["transport"].update(sent="x"), "run.transport.'sent'.: expected"),
+            (lambda d: d.update(oracle=[]), "oracle: expected an object or null"),
+            (lambda d: d["oracle"].pop("checks"), "oracle: missing key 'checks'"),
+            (lambda d: d["oracle"].update(checks="x"), "oracle.checks: expected an integer"),
+            (lambda d: d["oracle"].update(monitors=[]), "oracle.monitors: expected an object"),
+            (lambda d: d["oracle"].update(monitors={"m": []}), "monitors.'m'.: expected an object"),
+            (
+                lambda d: d["oracle"].update(monitors={"m": {"checks": "x", "violations": 0}}),
+                "monitors.'m'..checks: expected an integer",
+            ),
+            (lambda d: d["oracle"].update(violations={}), "oracle.violations: expected a list"),
+            (lambda d: d["oracle"].update(violations=[1]), "violations.0.: expected an object"),
+            (lambda d: d["oracle"].update(violations=[{}]), "violations.0.: missing key 'monitor'"),
+            (lambda d: d.update(timeline=[]), "timeline: expected an object or null"),
+            (lambda d: d["timeline"].pop("stride"), "timeline: missing key 'stride'"),
+            (lambda d: d["timeline"].update(rows="x"), "timeline.rows: expected an integer"),
+            (lambda d: d["timeline"].update(columns={}), "timeline.columns: expected an object"),
+            (lambda d: d["timeline"].update(field="x"), "timeline.field: expected"),
+            (
+                lambda d: d["timeline"].update(field=[[] for _ in d["timeline"]["field"]]),
+                r"timeline.field.0.: expected",
+            ),
+            (lambda d: d["timeline"].update(events={}), "timeline.events: expected a list"),
+            (lambda d: d.update(telemetry=[]), "telemetry: expected an object"),
+            (lambda d: d.update(telemetry={"frames": {}}), "telemetry.frames: expected a list"),
+            (lambda d: d.update(telemetry={"frames": [{}]}), r"telemetry.frames.0.: frame is missing"),
+            (lambda d: d.update(trace=[]), "trace: expected an object or null"),
+            (lambda d: d.update(trace={"spans": 1}), "trace: missing key 'dropped'"),
+            (
+                lambda d: d.update(trace={"spans": 1, "dropped": 0, "kinds": []}),
+                "trace.kinds: expected an object",
+            ),
+            (
+                lambda d: d.update(trace={"spans": 1, "dropped": 0, "kinds": {"flight": "x"}}),
+                "trace.kinds.'flight'.: expected an integer",
+            ),
         ],
     )
     def test_validator_rejects_malformed_documents(
@@ -354,6 +400,24 @@ class TestBundle:
         mutate(doc)
         with pytest.raises(BundleError, match=message):
             validate_bundle(doc)
+
+    def test_a_bundle_is_an_object(self):
+        with pytest.raises(BundleError, match="bundle: expected an object, got list"):
+            validate_bundle([])
+
+    def test_traced_run_bundles_its_span_counts(self):
+        with trace_session():
+            result = run_experiment(configs.static_ring(6, horizon=10.0))
+        trace = assemble_bundle(result, workload="static_ring")["trace"]
+        assert trace["spans"] == len(result.spans) > 0
+        assert trace["dropped"] == 0
+        assert sum(trace["kinds"].values()) == trace["spans"]
+        assert trace["kinds"]["flight"] == result.spans.count(SPAN_FLIGHT)
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_bundle({"bad": object()}, str(tmp_path / "b"))
+        assert list((tmp_path / "b").iterdir()) == []
 
     def test_run_without_timeline_bundles_null_timeline(self):
         cfg = _armed_config()
@@ -447,6 +511,16 @@ class TestReport:
         assert code == 2
         assert "error" in err
 
+    def test_cli_report_paths(self, capsys, tmp_path, bundle_doc):
+        path = write_bundle(bundle_doc, str(tmp_path / "b"))
+        code, out, _err = run_cli(capsys, "report", path)  # the file, not its directory
+        assert code == 0
+        assert out.startswith(f"wrote {tmp_path / 'b' / 'report.html'} (")
+        code, _out, err = run_cli(
+            capsys, "report", path, "-o", str(tmp_path / "missing" / "r.html")
+        )
+        assert code == 2 and "error" in err
+
 
 # --------------------------------------------------------------------- #
 # Ledger
@@ -538,6 +612,50 @@ class TestLedger:
             capsys, "history", "--ledger", ledger, "--workload", "nope"
         )
         assert code == 0 and "no matching runs" in out
+        code, out, _err = run_cli(capsys, "history", "--ledger", ledger)
+        assert code == 0
+        assert f"ledger {ledger} (2 runs)" in out
+        assert ids[0][:12] in out and ids[1][:12] in out and "static_path(n=8, dcsa)" in out
+        code, out, _err = run_cli(capsys, "history", "--ledger", ledger, "--limit", "1")
+        assert "(1 run)" in out and ids[1][:12] in out and ids[0][:12] not in out
+        code, out, _err = run_cli(capsys, "history", "--ledger", ledger, "--limit", "0")
+        assert "no matching runs" in out
+        code, out, _err = run_cli(capsys, "diff", ids[0], ids[0], "--ledger", ledger)
+        assert code == 0 and out == "no differing fields\nno regressions\n"
+
+    def test_diff_values_print_compactly(self):
+        from repro.cli import _fmt_diff_value
+
+        values = [None, True, False, 1.0 / 3.0, 7, "abc"]
+        assert [_fmt_diff_value(v) for v in values] == [
+            "-", "true", "false", "0.333333", "7", "abc"
+        ]
+
+    def test_a_flag_that_turns_true_improves(self, bundle_doc):
+        a = dict(ledger_record(bundle_doc), oracle_ok=False)
+        b = dict(a, oracle_ok=True)
+        (row,) = diff_records(a, b)
+        assert row["field"] == "oracle_ok" and row["verdict"] == "improvement"
+
+    def test_reader_refuses_what_is_not_a_record(self, capsys, tmp_path):
+        root = tmp_path / "ledger"
+        root.mkdir()
+        (root / "notes.txt").write_text("not a record", encoding="utf-8")
+        assert read_ledger(str(root)) == []
+        (root / "a.json").write_text("{torn", encoding="utf-8")
+        with pytest.raises(LedgerError, match="unreadable ledger record"):
+            read_ledger(str(root))
+        (root / "a.json").write_text('{"run_id": "a"}', encoding="utf-8")
+        with pytest.raises(LedgerError, match="a.json: not a ledger record"):
+            read_ledger(str(root))
+        code, _out, err = run_cli(capsys, "history", "--ledger", str(root))
+        assert code == 2 and "not a ledger record" in err
+
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path):
+        root = tmp_path / "ledger"
+        with pytest.raises(TypeError):
+            append_record({"run_id": "x", "bad": object()}, str(root))
+        assert list(root.iterdir()) == []
 
     def test_cli_history_empty_and_bad_prefix(self, capsys, tmp_path):
         ledger = str(tmp_path / "ledger")
@@ -592,6 +710,44 @@ class TestTopGuards:
         assert code == 1 and "no metrics files" in err
         code, _out, err = run_cli(capsys, "top", str(empty), "--follow")
         assert code == 2 and "--follow" in err
+        (empty / "x.jsonl").write_text("\n{not json\n", encoding="utf-8")
+        code, _out, err = run_cli(capsys, "top", str(empty))
+        assert code == 2 and "x.jsonl:2: not JSON" in err
+        (empty / "x.jsonl").write_text("", encoding="utf-8")
+        (empty / "y.jsonl").write_text("", encoding="utf-8")
+        code, out, _err = run_cli(capsys, "top", str(empty))
+        assert code == 0 and "(2 points)" in out
+
+    def test_cli_top_follow_repaints_until_interrupted(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.telemetry.top import CLEAR_SCREEN
+
+        path = str(tmp_path / "m.jsonl")
+        code, _out, _err = run_cli(
+            capsys, "run", "static_ring", "--set", "n=6", "horizon=10",
+            "--metrics", path,
+        )
+        assert code == 0
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("repro.cli.time.sleep", sleep)
+        code, out, _err = run_cli(capsys, "top", path, "--follow", "--interval", "0.5")
+        assert code == 0 and sleeps == [0.5]
+        assert out.count(CLEAR_SCREEN) == 1
+        assert "kernel.events_dispatched" in out
+
+    def test_cli_top_follow_errors(self, capsys, tmp_path):
+        code, _out, err = run_cli(capsys, "top", str(tmp_path / "nope"), "--follow")
+        assert code == 2 and "error" in err
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"v": 1}\n', encoding="utf-8")
+        code, _out, err = run_cli(capsys, "top", str(bad), "--follow")
+        assert code == 2 and f"error: {bad}:" in err
 
 
 class TestWorstMarginTime:

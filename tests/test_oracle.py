@@ -161,6 +161,18 @@ class TestOracleConstruction:
         oracle = StreamingOracle(params8)
         assert {m.name for m in oracle.monitors} == set(MONITOR_FACTORIES)
 
+    def test_render_lists_violations_up_to_its_limit(self):
+        cfg = replace(
+            configs.static_path(8, horizon=20.0, seed=1),
+            oracle=OracleRef("standard", {"bound_scale": 0.001}),
+        )
+        report = run_experiment(cfg).oracle_report
+        assert report.violation_count > 2
+        text = report.render(max_lines=2)
+        assert text.startswith("oracle VIOLATED: ")
+        assert text.count("\n  [") == 2  # one describe() line per shown violation
+        assert text.endswith(f"  ... and {report.violation_count - 2} more violations")
+
     def test_double_install_rejected(self, params8):
         cfg = configs.static_path(4, horizon=5.0)
         from repro.harness.runner import build_experiment

@@ -74,6 +74,24 @@ class TestStore:
         store.put(key, cfg, {"m": 2})
         assert store.get(key)["metrics"] == {"m": 2}
 
+    def test_unreadable_entry_is_a_miss(self, store):
+        key, _cfg = _key()
+        store.path_for(key).mkdir(parents=True)  # reading a directory fails
+        assert store.get(key) is None
+        assert store.evictions == 0
+
+    def test_an_entry_already_evicted_elsewhere_is_counted(self, store):
+        key, _cfg = _key()
+        store._evict(store.path_for(key))  # never written, or removed by a racer
+        assert store.evictions == 1
+
+    def test_a_failed_write_leaves_no_temporary_file(self, store):
+        key, cfg = _key()
+        with pytest.raises(TypeError):
+            store.put(key, cfg, {"m": object()})
+        assert list(store.path_for(key).parent.iterdir()) == []
+        assert store.writes == 0
+
     def test_wrong_shape_entry_evicted(self, store):
         key, cfg = _key()
         store.put(key, cfg, {"m": 1})

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import SystemParams
 from repro.core import skew_bounds as sb
 from repro.lowerbound import run_figure1_experiment, run_masking_experiment
+from repro.lowerbound.scenario import _value_at, settle_age
 
 
 class TestMaskingExperiment:
@@ -90,6 +93,32 @@ class TestFigure1Experiment:
             assert e.final_skew <= result.stable_skew + 1e-6
             assert e.reduction_time is not None
             assert e.reduction_time <= result.theory_reduction_ceiling + 1e-6
+
+    def test_max_reduction_time_is_the_slowest_settled_edge(self, result):
+        times = [e.reduction_time for e in result.new_edges]
+        assert result.max_reduction_time == max(times)
+        assert replace(result, new_edges=[]).max_reduction_time is None
+
+    def test_an_explicit_initial_skew_is_the_requested_one(self):
+        params = SystemParams.for_network(16, rho=0.05)
+        res = run_figure1_experiment(params, k=1, initial_skew=2.0, sample_interval=2.0)
+        assert res.requested_initial_skew == max(2.0, 1.5 * res.gap_slack)
+
+    @pytest.mark.parametrize(
+        "series,age",
+        [
+            ([], None),
+            ([(1.0, 0.1), (2.0, 0.1)], 0.0),  # never above: settled at the first sample
+            ([(1.0, 5.0), (2.0, 0.1), (3.0, 0.1)], 1.0),  # settled after the last excursion
+            ([(1.0, 0.1), (2.0, 5.0)], None),  # still above at the end
+        ],
+    )
+    def test_settle_age(self, series, age):
+        assert settle_age(series, 1.0, 1.0) == age
+
+    def test_value_at_an_empty_series_is_zero(self):
+        assert _value_at([], 3.0) == 0.0
+        assert _value_at([(1.0, 4.0), (3.5, 6.0)], 3.0) == 6.0
 
     def test_validation(self):
         params = SystemParams.for_network(16, rho=0.05)

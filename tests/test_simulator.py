@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.events import PRIORITY_SAMPLE, PRIORITY_TOPOLOGY
 from repro.sim.simulator import SimulationError, Simulator
+from repro.telemetry.registry import MetricsRegistry
 
 
 class TestScheduling:
@@ -90,6 +91,48 @@ class TestExecution:
         sim.run_until_idle()
         assert fired == [1, 2]
         assert sim.now == 2.0
+
+    def test_run_until_idle_stops_at_its_cap(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append(1))
+        sim.schedule_at(2.0, lambda: fired.append(2))
+        sim.run_until_idle(t_cap=1.5)
+        assert fired == [1] and sim.now == 1.5
+
+    def test_step_dispatches_one_event_at_a_time(self):
+        from repro.sim.events import KIND_CALLBACK, KIND_DELIVER
+
+        sim = Simulator(max_events=2)
+        sim.instrument(MetricsRegistry())
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_typed(2.0, 1, KIND_DELIVER, 0, 1, label="orphan")
+        assert sim.step() is True
+        assert sim.kind_counts[KIND_CALLBACK] == 1
+        with pytest.raises(SimulationError, match="no handler registered for event kind 1"):
+            sim.step()
+        assert sim.step() is False  # the queue is empty
+        sim.schedule_at(3.0, lambda: None)
+        with pytest.raises(SimulationError, match="exceeded max_events=2"):
+            sim.step()
+
+    def test_max_events_guard_counts_a_batch_run(self):
+        from repro.sim.events import KIND_DELIVER
+
+        sim = Simulator(max_events=2, batch=True)
+        sim.set_handler(KIND_DELIVER, lambda ev: None)
+        sim.set_batch_handler(KIND_DELIVER, lambda records: None)
+        for dst in range(3):
+            sim.schedule_typed(1.0, 1, KIND_DELIVER, 0, dst)
+        with pytest.raises(SimulationError, match="exceeded max_events=2"):
+            sim.run_until(2.0)
+
+    def test_a_run_start_hook_registered_mid_run_fires_at_once(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: sim.on_run_start(lambda: fired.append(sim.now)))
+        sim.run_until(2.0)
+        assert fired == [1.0]
 
     def test_max_events_guard(self):
         sim = Simulator(max_events=10)
@@ -205,6 +248,26 @@ class TestTypedDispatch:
         sim = Simulator()
         with pytest.raises(SimulationError, match="invalid handler kind"):
             sim.set_handler(KIND_CALLBACK, lambda ev: None)
+
+    def test_batch_handler_registration_is_checked(self):
+        from repro.sim.events import KIND_CALLBACK, KIND_DELIVER
+
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="invalid batch handler kind 0"):
+            sim.set_batch_handler(KIND_CALLBACK, lambda records: None)
+        first = lambda records: None  # noqa: E731
+        sim.set_batch_handler(KIND_DELIVER, first)
+        sim.set_batch_handler(KIND_DELIVER, first)  # idempotent
+        with pytest.raises(SimulationError, match="already has a batch handler"):
+            sim.set_batch_handler(KIND_DELIVER, lambda records: None)
+
+    def test_typed_records_cannot_be_scheduled_in_the_past(self):
+        from repro.sim.events import KIND_DELIVER
+
+        sim = Simulator()
+        sim.run_until(5.0)
+        with pytest.raises(SimulationError, match="cannot schedule at t=4.0 < now=5.0"):
+            sim.schedule_typed(4.0, 1, KIND_DELIVER, 0, 1)
 
     def test_unhandled_typed_kind_raises_at_dispatch(self):
         from repro.sim.events import KIND_DELIVER

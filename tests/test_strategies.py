@@ -55,6 +55,12 @@ class TestSeedDrivenLayer:
             strat.make_topology("moebius", 8)
 
 
+def test_hypothesis_layer_names_its_missing_dependency(monkeypatch):
+    monkeypatch.setattr(strat, "_HAVE_HYPOTHESIS", False)
+    with pytest.raises(ImportError, match="need the 'hypothesis' package"):
+        strat.topologies()
+
+
 class TestHypothesisLayer:
     @settings(max_examples=20, deadline=None)
     @given(params=strat.system_params(min_n=2, max_n=16))

@@ -19,6 +19,15 @@ class TestBasics:
         for a, b in zip(idx, idx[1:]):
             assert 1.5 <= xs[b] - xs[a] <= 2.5
 
+    @pytest.mark.parametrize(
+        "indices,message",
+        [([0, 1, 2, 3, 4, 5, 6], "exceeds bound"), ([0, 4], "between selected elements 0 and 1")],
+    )
+    def test_verify_refuses_what_breaks_the_lemma(self, indices, message):
+        xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        with pytest.raises(AssertionError, match=message):
+            verify_subsequence(xs, indices, 2.5, 1.0)
+
     def test_flat_sequence_selects_only_start(self):
         xs = [1.0] * 10
         idx = select_subsequence(xs, c=2.0, d=0.5)

@@ -124,6 +124,53 @@ class TestEngineBehaviour:
         with pytest.raises(ValueError, match="processes"):
             SweepEngine(processes=-1)
 
+    def test_result_reads_like_its_rows(self):
+        result = SweepEngine().run(
+            [configs.static_ring(5, horizon=10.0), configs.static_ring(6, horizon=10.0)]
+        )
+        assert list(result) == result.rows and result[1] is result.rows[1]
+        assert result.metric("events_dispatched") == [
+            row.metrics["events_dispatched"] for row in result.rows
+        ]
+
+    def test_telemetry_counts_cache_economics(self, tmp_path):
+        from repro.telemetry import get_registry
+
+        cfg = configs.static_ring(5, horizon=10.0)
+        store = ResultStore(tmp_path / "cache")
+        registry = get_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            SweepEngine(store=store).run([cfg, cfg])  # one run, one duplicate
+            SweepEngine(store=store).run([cfg])  # a store hit
+            snap = registry.snapshot()
+        finally:
+            registry.disable()
+            registry.reset()
+        counters, gauges = snap["counters"], snap["gauges"]
+        assert counters["sweep.points_executed"] == 1
+        assert counters["sweep.dedup_hits"] == 1
+        assert counters["sweep.cache_hits"] == 1
+        assert counters["sweep.exec_seconds"] > 0
+        assert gauges["sweep.points_total"] == 1 and gauges["sweep.points_done"] == 1
+        assert gauges["sweep.worker_utilization"] > 0
+
+    def test_pool_falls_back_where_fork_is_missing(self, monkeypatch):
+        import multiprocessing
+
+        from repro.sweep.engine import _pool_context
+
+        real = multiprocessing.get_context
+
+        def get_context(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        assert _pool_context() is real()
+
 
 class TestMetricsDir:
     def test_executed_points_write_one_frame_each(self, tmp_path):
@@ -158,6 +205,21 @@ class TestMetricsDir:
         result = SweepEngine(processes=2, metrics_dir=str(mdir)).run(cfgs)
         assert result.executed_count == 3
         assert len(list(mdir.glob("*.jsonl"))) == 3
+
+
+class TestSummary:
+    def test_untracked_run_has_no_envelope_and_an_oracle_verdict(self):
+        from repro.harness import OracleRef
+        from repro.sweep.engine import summarize_run
+
+        cfg = configs.static_ring(6, horizon=20.0)
+        cfg.track_edges = False
+        cfg.oracle = OracleRef("standard", {})
+        metrics = summarize_run(run_experiment(cfg))
+        for key in ("max_local_skew", "stable_local_skew", "envelope_samples",
+                    "envelope_violations", "envelope_worst_ratio", "envelope_compliant"):
+            assert metrics[key] is None
+        assert metrics["oracle_ok"] is True and metrics["oracle_checks"] > 0
 
 
 class TestAggregation:

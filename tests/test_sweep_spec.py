@@ -61,6 +61,12 @@ class TestNamedWorkloadExpansion:
         (cfg,) = spec.expand()
         assert "seed=3" in cfg.name
 
+    def test_a_named_sweep_labels_itself(self):
+        assert SweepSpec("static_path", name="mine").label == "mine"
+        spec = SweepSpec({**configs.static_path.spec, "n": 4, "name": ""})
+        assert spec.label == "spec"
+        assert [cfg.name for cfg in spec.expand()] == ["spec"]
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(KeyError, match="no_such"):
             SweepSpec("no_such_workload")

@@ -23,6 +23,7 @@ import gc
 import json
 import math
 import statistics
+import sys
 import time
 from contextlib import contextmanager
 
@@ -189,6 +190,18 @@ class TestSchema:
                 "bounds", [0.01, 0.001]
             ),
             lambda f: f["histograms"]["proc.gc_pause_s"].__setitem__("count", 99),
+            lambda f: f.__setitem__("t_wall", None),
+            lambda f: f.__setitem__("source", 7),
+            lambda f: f.__setitem__("counters", []),
+            lambda f: f.__setitem__("gauges", []),
+            lambda f: f.__setitem__("histograms", []),
+            lambda f: f["histograms"].__setitem__("h", []),
+            lambda f: f["histograms"]["proc.gc_pause_s"].pop("max"),
+            lambda f: f["histograms"]["proc.gc_pause_s"].__setitem__("bounds", []),
+            lambda f: f["histograms"]["proc.gc_pause_s"].__setitem__(
+                "counts", [2, 1, -1]
+            ),
+            lambda f: f["histograms"]["proc.gc_pause_s"].__setitem__("count", True),
         ],
         ids=[
             "missing-seq",
@@ -200,6 +213,16 @@ class TestSchema:
             "counts-length",
             "unsorted-bounds",
             "count-mismatch",
+            "null-t-wall",
+            "non-string-source",
+            "counters-not-object",
+            "gauges-not-object",
+            "histograms-not-object",
+            "histogram-not-object",
+            "histogram-missing-max",
+            "empty-bounds",
+            "negative-bucket",
+            "boolean-count",
         ],
     )
     def test_invalid_frames_fail(self, mutate):
@@ -207,6 +230,10 @@ class TestSchema:
         mutate(frame)
         with pytest.raises(FrameError):
             validate_frame(frame)
+
+    def test_a_frame_is_an_object(self):
+        with pytest.raises(FrameError, match="frame must be an object, got list"):
+            validate_frame([])
 
 
 # --------------------------------------------------------------------- #
@@ -226,6 +253,14 @@ class TestFlightRecorder:
         assert [f["seq"] for f in frames] == [0, 1]
         assert frames[-1]["counters"]["c"] == 5
         rec.close()  # idempotent
+        rec(build_frame(registry, 2, 1.0, "t"))  # a frame after close is dropped
+        assert rec.frames_written == 2 and len(read_frames(path)) == 2
+
+    def test_follow_frames_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n" + json.dumps(_valid_frame()) + "\n")
+        with open(path, "r", encoding="utf-8") as fh:
+            assert [f["seq"] for f in follow_frames(fh)] == [3]
 
     def test_follow_frames_buffers_partial_tail(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -344,7 +379,42 @@ class TestSampler:
 # --------------------------------------------------------------------- #
 
 
+def test_readbacks_report_flags_as_integers(registry):
+    registry.gauge_fn("flag", lambda: True)
+    assert registry.snapshot()["gauges"]["flag"] == 1
+
+
+class TestPeakRss:
+    """``proc.max_rss_kb`` on the platforms it knows, and none elsewhere."""
+
+    @pytest.mark.parametrize("platform,kib", [("linux", 2048.0 * 1024), ("darwin", 2048.0)])
+    def test_reading_is_kib(self, monkeypatch, platform, kib):
+        """``ru_maxrss`` is KiB on Linux and bytes on macOS."""
+        import resource
+
+        from repro.telemetry.sampler import _read_max_rss_kb
+
+        class Usage:
+            ru_maxrss = 2048 * 1024
+
+        monkeypatch.setattr(resource, "getrusage", lambda who: Usage())
+        monkeypatch.setattr("sys.platform", platform)
+        assert _read_max_rss_kb() == kib
+
+    def test_without_resource_there_is_no_reading(self, monkeypatch):
+        from repro.telemetry.sampler import _read_max_rss_kb
+
+        monkeypatch.setitem(sys.modules, "resource", None)  # import raises ImportError
+        assert _read_max_rss_kb() is None
+
+
 class TestRender:
+    def test_a_single_frame_has_no_rates(self):
+        frame = _valid_frame()
+        frame["counters"] = {"transport.sent": 4}
+        out = render_snapshot(frame, None)
+        assert "events/sec" not in out and "transport.sent" in out
+
     def test_snapshot_table_and_derived_lines(self):
         prev = _valid_frame()
         frame = _valid_frame()

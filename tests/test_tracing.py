@@ -56,6 +56,7 @@ from repro.tracing import (
     export_chrome_trace,
     trace_session,
 )
+from repro.tracing.forensics import CauseReport
 from repro.tracing.spans import STRIDE
 
 
@@ -82,6 +83,14 @@ class TestSpanTable:
         assert span.t1 == 1.25
         assert span.status == STATUS_DONE
         assert span.duration == pytest.approx(0.75)
+
+    def test_close_many_sets_status_and_end(self):
+        t = SpanTable()
+        ids = [t.append(SPAN_FLIGHT, 1, 2, 0.5, 9.9, -1, STATUS_PENDING) for _ in range(3)]
+        t.close_many(ids[:2], STATUS_DROPPED, 2.0)
+        assert [(s.status, s.t1) for s in t.rows()] == [
+            (STATUS_DROPPED, 2.0), (STATUS_DROPPED, 2.0), (STATUS_PENDING, 9.9)
+        ]
 
     def test_capacity_drops_and_counts(self):
         t = SpanTable(capacity=2)
@@ -502,6 +511,42 @@ class TestForensics:
         d = report.to_dict()
         assert d["causes"][0]["kind"] == "causal_chain"
         assert json.dumps(d)  # JSON-serialisable
+
+    def test_violations_and_dropped_flights_export(self, explained, tmp_path):
+        res, _ = explained
+        events = chrome_trace_events(res.spans)
+        marks = [e for e in events if e["name"] == "violation"]
+        assert len(marks) == res.spans.count(SPAN_VIOLATION)
+        assert all(e["ph"] == "i" and e["cat"] == "violation" for e in marks)
+        with trace_session() as tr:
+            churned = run_experiment(configs.flapping_edges(16, horizon=30.0, seed=2))
+        counts = export_chrome_trace(tr.table, str(tmp_path / "t.json"))
+        dropped = churned.transport_stats["dropped_removed"]
+        assert counts["flights_dropped"] >= dropped > 0
+
+    def test_every_cause_kind_on_a_churned_run(self):
+        """At a bound scale of 0.001, the backbone-churn run's violations
+        are blamed on every cause kind: the chain, information that never
+        arrived, slow flights, topology flips and jumps in the window."""
+        cfg = replace(
+            configs.backbone_churn(8, horizon=60.0, seed=1),
+            record=False, track_edges=False, track_max_estimates=False,
+            oracle=OracleRef("standard", {"bound_scale": 0.001}),
+        )
+        with trace_session():
+            res = run_experiment(cfg)
+        reports = explain_result(res, max_reports=50)
+        kinds = {cause.kind for report in reports for cause in report.causes}
+        assert kinds == {"causal_chain", "stale_information", "slow_flight", "churn", "jump"}
+        text = "\n".join(report.describe() for report in reports)
+        for phrase in ("no delivered flight chain", "topology flip(s)", "jumped its logical clock"):
+            assert phrase in text
+
+    def test_a_report_without_causes_says_so(self, explained):
+        _, reports = explained
+        bare = CauseReport(violation=reports[0].violation, causes=(), window=(0.0, 1.0))
+        assert bare.top is None
+        assert bare.describe().endswith("(no causes found in the trace)")
 
     def test_explain_without_violations_is_empty(self):
         with trace_session():
