@@ -176,10 +176,10 @@ def envelope_violations(
     record: RunRecord,
     params: SystemParams,
     *,
-    tolerance: float = 1e-9,
     grace: float = 0.0,
 ) -> EnvelopeCheck:
-    """Check every edge-episode sample against ``s(n, I, age)`` (Cor 6.13).
+    """Check every edge-episode sample against ``s(n, I, age)`` (Cor 6.13),
+    with the oracle's slack of ``1e-9``.
 
     ``grace`` discounts the first ``grace`` time units of each episode
     (useful when comparing baselines that violate instantly -- the DCSA
@@ -202,7 +202,7 @@ def envelope_violations(
                 worst_ratio = float(ratio)
                 worst_edge = (ep.u, ep.v)
                 worst_age = float(age)
-            if skew > bound + tolerance:
+            if skew > bound + 1e-9:
                 violations += 1
     return EnvelopeCheck(
         samples_checked=checked,

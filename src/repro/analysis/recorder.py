@@ -1,8 +1,9 @@
 """Sampling logical clocks and per-edge skews during a run.
 
-:class:`SkewRecorder` installs a periodic measurement callback (fired with
+:class:`SkewRecorder` is a consumer of the run's one
+:class:`~repro.core.batch.Sampler` (fired with
 :data:`~repro.sim.events.PRIORITY_SAMPLE`, i.e. *after* all model activity
-at each timestamp) that snapshots every node's logical clock.  With
+at each timestamp): it keeps every node's logical clock.  With
 ``track_edges=True`` its record also holds each *edge episode* -- one
 contiguous lifetime of an edge, keyed by ``(u, v, add_time)`` -- with the
 skew across the edge against the edge's age at every sample the episode
@@ -20,16 +21,13 @@ optionally ``max_estimate(t)`` from nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from ..core.batch import PopulationReader
+from ..core.batch import Sampler
 from ..network.graph import DynamicGraph
 from ..sim.simulator import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..network.transport import Transport
 
 __all__ = ["SkewRecorder", "RunRecord", "EdgeEpisode"]
 
@@ -114,11 +112,8 @@ class SkewRecorder:
     track_max_estimates:
         Also snapshot ``Lmax_u`` (requires nodes to expose
         ``max_estimate``); used by the max-propagation experiment.
-    start / end:
-        Sampling window (defaults: from now until the run's end).
-    transport:
-        The transport whose registered nodes are exactly ``nodes``, if
-        there is one (see :class:`~repro.core.batch.PopulationReader`).
+    end:
+        Last sample time (default: the run's end).
     """
 
     def __init__(
@@ -130,22 +125,16 @@ class SkewRecorder:
         *,
         track_edges: bool = False,
         track_max_estimates: bool = False,
-        start: float | None = None,
         end: float | None = None,
-        transport: "Transport | None" = None,
     ) -> None:
         self.sim = sim
         self.graph = graph
         self.nodes = nodes
         self.node_ids = sorted(nodes)
-        self._read = PopulationReader(
-            self.nodes, estimates=track_max_estimates, transport=transport
-        )
         self._dense_index = {nid: k for k, nid in enumerate(self.node_ids)}
         self.interval = float(interval)
         self.track_edges = track_edges
         self.track_max_estimates = track_max_estimates
-        self.start = start
         self.end = end
         self._times: list[float] = []
         self._clocks: list[np.ndarray] = []
@@ -155,19 +144,25 @@ class SkewRecorder:
     # Wiring
     # ------------------------------------------------------------------ #
 
+    def join(self, sampler: Sampler) -> None:
+        """Take this recorder's samples from ``sampler``'s schedule."""
+        sampler.add(self.interval, self.sample, end=self.end, estimates=self.track_max_estimates)
+
     def install(self) -> None:
-        """Arm the periodic sampling callback."""
-        self.sim.every(self.interval, self._sample, start=self.start, end=self.end)
+        """Arm the periodic sampling on a sampler of its own."""
+        sampler = Sampler(self.sim, self.nodes)
+        self.join(sampler)
+        sampler.install()
 
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
 
-    def _sample(self, t: float) -> None:
-        clocks, estimates = self._read(t)
+    def sample(self, t: float, clocks: np.ndarray, estimates: np.ndarray | None) -> None:
         self._times.append(t)
         self._clocks.append(clocks)
-        if estimates is not None:
+        if self.track_max_estimates:
+            assert estimates is not None
             self._lmax.append(estimates)
 
     # ------------------------------------------------------------------ #

@@ -38,16 +38,14 @@ class TextTable:
         headers: Sequence[str],
         *,
         title: str | None = None,
-        floatfmt: str = ".3f",
     ) -> None:
         self.headers = [str(h) for h in headers]
         self.title = title
-        self.floatfmt = floatfmt
         self.rows: list[list[str]] = []
 
     def add_row(self, cells: Iterable[Any]) -> None:
         """Append one row (formatted immediately)."""
-        row = [format_value(c, self.floatfmt) for c in cells]
+        row = [format_value(c) for c in cells]
         if len(row) != len(self.headers):
             raise ValueError(
                 f"row has {len(row)} cells; table has {len(self.headers)} columns"

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, repeat
 from math import inf
 from typing import (
@@ -89,6 +90,7 @@ __all__ = [
     "NodeArrayTable",
     "PopulationReader",
     "SEGMENT_CLOCKS",
+    "Sampler",
     "TABLE_CORES",
     "WaveRows",
     "kernel_plan",
@@ -1472,7 +1474,8 @@ class NodeArrayTable:
 
 class PopulationReader:
     """``L_u(t)`` and ``Lmax_u(t)`` of a node map as dense columns in id
-    order: what every sampler (oracle, recorder, shard worker) reads.
+    order: what every sampler (a run's :class:`Sampler`, a shard worker,
+    the live runtime) reads.
 
     ``transport`` registers exactly ``nodes`` (``None`` in a live
     session).  On its plan's table the columns are the table's fused ones,
@@ -1495,31 +1498,64 @@ class PopulationReader:
         self._clock_readers: list[Any] | None = None
         self._estimate_readers: list[Any] | None = None
 
-    def __call__(self, t: float) -> tuple[_F64, _F64 | None]:
+    def __call__(self, t: float, estimates: bool | None = None) -> tuple[_F64, _F64 | None]:
         """``(clocks, estimates)`` at ``t`` (``estimates`` is ``None``
-        unless they were asked for)."""
+        unless they were asked for: by the call, else by the reader)."""
+        estimates = self.estimates if estimates is None else estimates
         transport = self.transport
         table = None if transport is None else transport.plan.table
         if table is not None:
             return (
                 table.clock_column(t),
-                table.max_estimate_column(t) if self.estimates else None,
+                table.max_estimate_column(t) if estimates else None,
             )
         if self._clock_readers is None:
-            ids = sorted(self.nodes)
-            self._clock_readers = [self.nodes[i].logical_clock for i in ids]
-            if self.estimates:
-                self._estimate_readers = [self.nodes[i].max_estimate for i in ids]
+            self._clock_readers = [self.nodes[i].logical_clock for i in sorted(self.nodes)]
         n = len(self._clock_readers)
         clocks = np.fromiter(
             (read(t) for read in self._clock_readers), dtype=float, count=n
         )
-        readers = self._estimate_readers
-        if readers is None:
+        if not estimates:
             return clocks, None
+        if self._estimate_readers is None:
+            self._estimate_readers = [self.nodes[i].max_estimate for i in sorted(self.nodes)]
         return clocks, np.fromiter(
-            (read(t) for read in readers), dtype=float, count=n
+            (read(t) for read in self._estimate_readers), dtype=float, count=n
         )
+
+
+class Sampler:
+    """A run's sample schedule and its one :class:`PopulationReader`: one
+    record per grid ``(interval, end)``, whose firing reads once (estimates
+    if a consumer asked) and hands each consumer, in the order added, the
+    same columns; it counts as one sample per consumer."""
+
+    def __init__(
+        self, sim: Simulator, nodes: "Mapping[int, Any]", transport: "Transport | None" = None
+    ) -> None:
+        self.sim = sim
+        self.read = PopulationReader(nodes, estimates=False, transport=transport)
+        #: ``(interval, end) -> [estimates asked for, consumer, ...]``
+        self._grids: dict[tuple[float, float | None], list[Any]] = {}
+
+    def add(
+        self, interval: float, consumer: Any, *, end: float | None = None, estimates: bool = False
+    ) -> None:
+        """Feed ``consumer`` every ``interval`` from now until ``end``."""
+        grid = self._grids.setdefault((float(interval), end), [False])
+        grid[0] = grid[0] or estimates
+        grid.append(consumer)
+
+    def install(self) -> None:
+        """Arm one record per grid, in the order the grids were first added."""
+        for (interval, end), (estimates, *consumers) in self._grids.items():
+            fire = partial(self._fire, estimates, consumers)
+            self.sim.every(interval, fire, end=end, count=len(consumers))
+
+    def _fire(self, estimates: bool, consumers: list[Any], t: float) -> None:
+        clocks, lmax = self.read(t, estimates)
+        for consumer in consumers:
+            consumer(t, clocks, lmax)
 
 
 #: ``Decline.path`` -> the phrase ``summary()`` / ``--profile`` print for it.

@@ -25,7 +25,7 @@ import numpy.typing as npt
 from ..adversary.base import Adversary
 from ..analysis.metrics import max_global_skew, max_local_skew
 from ..analysis.recorder import RunRecord, SkewRecorder
-from ..core.batch import TABLE_CORES, Decline, NodeArrayTable
+from ..core.batch import TABLE_CORES, Decline, NodeArrayTable, Sampler
 from ..core.node import ClockSyncNode, Population
 from ..core.protocol import (
     DCSACore,
@@ -442,9 +442,9 @@ def _max_events(cfg: ExperimentConfig) -> int:
     the events its ticks cause -- per node and tick, the tick and one
     delivery per incident edge (``E_0``'s mean degree, at least 1), at the
     fastest drift's ``(1 + rho) / tick_interval`` ticks per unit of time
-    over the horizon and one interval more -- and its two samplers' events
-    (a ``sample_interval`` no sampler uses may be 0), plus a flat 10^6 for
-    churn and discoveries."""
+    over the horizon and one interval more -- and two sample events per
+    sample instant, one per consumer (a ``sample_interval`` nothing samples
+    on may be 0), plus a flat 10^6 for churn and discoveries."""
     p = cfg.params
     degree = max(2 * len(cfg.initial_edges) / p.n, 1.0)
     ticks = (cfg.horizon + p.tick_interval) * (1.0 + p.rho) / p.tick_interval
@@ -571,9 +571,10 @@ class Experiment:
                 )
                 self.transport.register_node(i, node)
             self.nodes = nodes
-        # 4. Recorder (reads its edge episodes off the graph's history at
-        #    the end); skipped for unbounded-horizon runs that rely on the
-        #    streaming oracle.
+        # 4. One sampler, one read per instant: the recorder (skipped for
+        #    unbounded-horizon runs), then the oracle (takes the graph before
+        #    churn seeds t=0 edges; its rng is out of band: resolve_oracle).
+        sampler = Sampler(self.sim, self.nodes, self.transport)
         self.recorder: SkewRecorder | None = None
         if cfg.record:
             self.recorder = SkewRecorder(
@@ -584,20 +585,16 @@ class Experiment:
                 track_edges=cfg.track_edges,
                 track_max_estimates=cfg.track_max_estimates,
                 end=cfg.horizon,
-                transport=self.transport,
             )
-            self.recorder.install()
-        # 4b. Streaming oracle (same vantage point as the recorder: it
-        #     takes the graph before churn seeds extra t=0 edges).  Its rng
-        #     is derived out of band, NOT via rngf.spawn (see resolve_oracle).
+            self.recorder.join(sampler)
         self.oracle, interval = resolve_oracle(
             cfg.oracle, params, cfg.seed, cfg.sample_interval
         )
         if self.oracle is not None:
-            self.oracle.install(
-                self.sim, self.graph, self.nodes,
-                interval=interval, end=cfg.horizon, transport=self.transport,
+            self.oracle.join(
+                sampler, self.graph, self.nodes, interval=interval, end=cfg.horizon
             )
+        sampler.install()
         # 5. Announce E_0 *before* churn seeds extra t=0 edges (those get
         #    their discover events from the graph-event path instead).
         self.transport.announce_initial_edges()

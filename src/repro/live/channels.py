@@ -20,6 +20,7 @@ event dispatch stays atomic (no task switch mid-handler).
 from __future__ import annotations
 
 import asyncio
+import ipaddress
 import json
 import math
 from typing import Any, Callable
@@ -119,20 +120,22 @@ class LoopbackChannel(LiveChannel):
 
 
 class _UdpNodeProtocol(asyncio.DatagramProtocol):
-    """Datagram endpoint for one node; forwards decoded frames upward."""
+    """Datagram endpoint for one node; forwards frames and their sender's
+    address upward."""
 
-    def __init__(self, channel: "UdpChannel") -> None:
+    def __init__(self, channel: "UdpChannel", node_id: int) -> None:
         self._channel = channel
+        self._node_id = node_id
 
     def datagram_received(self, data: bytes, addr: Any) -> None:
-        self._channel._on_datagram(data)
+        self._channel._on_datagram(self._node_id, data, addr)
 
     def error_received(self, exc: Exception) -> None:
         self._channel.errors += 1
 
 
 def _decode(
-    data: bytes, endpoints: dict[int, tuple[str, int]]
+    data: bytes, endpoints: dict[int, Any]
 ) -> tuple[int, int, tuple[float, float], tuple[int, int, int] | None] | None:
     """``(src, dst, payload, ctx)`` of a datagram :meth:`UdpChannel.send`
     could have written, else ``None``: a JSON object whose ``src`` and
@@ -164,6 +167,11 @@ def _decode(
 class UdpChannel(LiveChannel):
     """One UDP socket per node; JSON datagrams over a real network stack.
 
+    A datagram is input from outside the program: it is delivered only
+    when it arrives at the socket of the ``dst`` it names, from the
+    address the OS reported for the socket of the ``src`` it names, and
+    is otherwise counted in ``errors``.
+
     Parameters
     ----------
     host:
@@ -179,7 +187,9 @@ class UdpChannel(LiveChannel):
         self.errors = 0
         self._deliver: Deliver | None = None
         self._transports: dict[int, asyncio.DatagramTransport] = {}
-        self._addrs: dict[int, tuple[str, int]] = {}
+        #: Each endpoint's address as the OS reported it (``sockname``; a
+        #: wildcard host as the loopback address).
+        self._addrs: dict[int, Any] = {}
 
     async def open(self, deliver: Deliver, node_ids: list[int]) -> None:
         self._deliver = deliver
@@ -188,7 +198,7 @@ class UdpChannel(LiveChannel):
             port = 0 if self.base_port == 0 else self.base_port + i
             try:
                 transport, _protocol = await loop.create_datagram_endpoint(
-                    lambda: _UdpNodeProtocol(self),
+                    lambda: _UdpNodeProtocol(self, i),
                     local_addr=(self.host, port),
                 )
             except OSError as exc:
@@ -197,16 +207,27 @@ class UdpChannel(LiveChannel):
                     f"cannot bind UDP socket for node {i} on "
                     f"{self.host}:{port}: {exc}"
                 ) from exc
-            sockname = transport.get_extra_info("sockname")
             self._transports[i] = transport
-            self._addrs[i] = (self.host, int(sockname[1]))
+            host, port, *scope = transport.get_extra_info("sockname")
+            if ipaddress.ip_address(host).is_unspecified:
+                # A wildcard bind: the other endpoints, all on this host,
+                # reach it and hear from it through the loopback interface.
+                host = "::1" if scope else "127.0.0.1"
+            self._addrs[i] = (host, port, *scope)
 
-    def _on_datagram(self, data: bytes) -> None:
-        """Deliver a well-formed frame; count anything else in ``errors``
-        (a late datagram after :meth:`aclose` names no open endpoint)."""
+    def _on_datagram(self, node_id: int, data: bytes, addr: Any) -> None:
+        """Deliver a well-formed frame that node ``node_id``'s socket
+        received from the socket of the ``src`` it names and that names
+        ``node_id`` as its ``dst``; count anything else in ``errors`` (a
+        late datagram after :meth:`aclose` names no open endpoint)."""
         frame = _decode(data, self._addrs)
         deliver = self._deliver
-        if frame is None or deliver is None:
+        if (
+            frame is None
+            or deliver is None
+            or frame[1] != node_id
+            or addr != self._addrs[frame[0]]
+        ):
             self.errors += 1
             return
         deliver(*frame)

@@ -33,12 +33,12 @@ endpoints as discovery events.
 
 **Online conformance.**  A :class:`~repro.oracle.oracle.StreamingOracle`
 attaches through its driver-agnostic half
-(:meth:`~repro.oracle.oracle.StreamingOracle.attach`): the runtime samples
-it on a wall-clock cadence and feeds it graph events, so live runs are
-checked against the paper's bounds by the *same* monitor code as
-simulations.  Sampling uses the exact arithmetic map ``H_u(t) = rate_u *
-t`` for every node at one shared ``t``, so rate-floor checks see no
-sampling noise.
+(:meth:`~repro.oracle.oracle.StreamingOracle.attach`): the runtime hands
+it the views' columns on a wall-clock cadence and feeds it graph events,
+so live runs are checked against the paper's bounds by the *same* monitor
+code as simulations.  Sampling uses the exact arithmetic map ``H_u(t) =
+rate_u * t`` for every node at one shared ``t``, so rate-floor checks see
+no sampling noise.
 
 The whole session is wall-clock capped: no turn dispatches at or after
 ``duration``, and one ``call_at(epoch + duration)`` resolves the future
@@ -52,8 +52,9 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
+from ..core.batch import PopulationReader
 from ..core.protocol import (
     CancelTimer,
     DiscoverAdd,
@@ -571,9 +572,8 @@ class LiveRuntime:
                 self._discover(u, DiscoverRemove(v))
                 self._discover(v, DiscoverRemove(u))
 
-    async def _run_sampler(self) -> None:
-        oracle = self.oracle
-        if oracle is None:
+    async def _run_sampler(self, sample: Callable[[float], None] | None) -> None:
+        if sample is None:
             return
         next_t = self.sample_interval
         while next_t <= self.duration:
@@ -583,7 +583,7 @@ class LiveRuntime:
             t = self.now()
             if t > self.duration:
                 return
-            oracle.sample(t)
+            sample(t)
             next_t += self.sample_interval
 
     # ------------------------------------------------------------------ #
@@ -611,9 +611,13 @@ class LiveRuntime:
         self._done = loop.create_future()
         await self.channel.open(self._deliver, sorted(self.nodes))
         oracle = self.oracle
+        sample: Callable[[float], None] | None = None
         if oracle is not None:
             oracle.attach(self.views, interval=self.sample_interval)
             oracle.attach_graph(self.graph)
+            read = PopulationReader(self.views, estimates=oracle.needs_estimates)
+            check = oracle.sample
+            sample = lambda t: check(t, *read(t))
         # Per-node order: Start, E_0 (known to its endpoints from the start)
         # in edge order, then arrivals.  Turns first run at the await below.
         for _i, node in sorted(self.nodes.items()):
@@ -626,12 +630,12 @@ class LiveRuntime:
         # while) so the full duration belongs to protocol activity.
         self._t0 = loop.time()
         self._epoch_set = True
-        if oracle is not None:
-            oracle.sample(0.0)
+        if sample is not None:
+            sample(0.0)
         end = loop.call_at(self._t0 + self.duration, self._end)
         aux_tasks = [
             asyncio.ensure_future(self._run_churn()),
-            asyncio.ensure_future(self._run_sampler()),
+            asyncio.ensure_future(self._run_sampler(sample)),
         ]
         try:
             await self._done
@@ -653,9 +657,9 @@ class LiveRuntime:
                 if isinstance(outcome, Exception):
                     raise outcome
         elapsed = self.now()
-        if oracle is not None:
+        if sample is not None:
             # One last sample at session end, like the recorder's horizon.
-            oracle.sample(elapsed)
+            sample(elapsed)
         return LiveRunResult(
             params=self.params,
             elapsed=elapsed,

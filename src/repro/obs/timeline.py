@@ -260,19 +260,11 @@ class TimelineRecorder:
 _ACTIVE: TimelineRecorder | None = None
 
 
-def activate_timeline(
-    *,
-    row_budget: int = DEFAULT_ROW_BUDGET,
-    field_budget: int = DEFAULT_FIELD_BUDGET,
-    event_budget: int = DEFAULT_EVENT_BUDGET,
-) -> TimelineRecorder:
-    """Install a fresh ambient recorder; oracles pick it up at attach time."""
+def activate_timeline() -> TimelineRecorder:
+    """Install a fresh ambient recorder (default budgets); oracles pick it
+    up at attach time."""
     global _ACTIVE
-    _ACTIVE = TimelineRecorder(
-        row_budget=row_budget,
-        field_budget=field_budget,
-        event_budget=event_budget,
-    )
+    _ACTIVE = TimelineRecorder()
     return _ACTIVE
 
 
@@ -288,18 +280,9 @@ def active_timeline() -> TimelineRecorder | None:
 
 
 @contextmanager
-def timeline_session(
-    *,
-    row_budget: int = DEFAULT_ROW_BUDGET,
-    field_budget: int = DEFAULT_FIELD_BUDGET,
-    event_budget: int = DEFAULT_EVENT_BUDGET,
-) -> Iterator[TimelineRecorder]:
+def timeline_session() -> Iterator[TimelineRecorder]:
     """Scoped activation: ``with timeline_session() as tl: run_experiment(...)``."""
-    recorder = activate_timeline(
-        row_budget=row_budget,
-        field_budget=field_budget,
-        event_budget=event_budget,
-    )
+    recorder = activate_timeline()
     try:
         yield recorder
     finally:

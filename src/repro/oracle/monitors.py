@@ -264,7 +264,7 @@ class Monitor:
 class ProgressMonitor(Monitor):
     """Section 3.3: logical clocks never decrease and advance at rate >= 1/2.
 
-    Checks ``dL >= floor * dt`` between consecutive samples per node --
+    Checks ``dL >= RATE_FLOOR * dt`` between consecutive samples per node --
     exactly the offline ``check_rate_floor``/``check_monotone`` pair, in
     one comparison (the rate floor subsumes monotonicity for ``dt > 0``).
     State: the previous sample vector, O(n).
@@ -273,9 +273,8 @@ class ProgressMonitor(Monitor):
     name = "progress"
     aggregate_margin = False
 
-    def __init__(self, *, floor: float = RATE_FLOOR) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.floor = floor
         self._prev_t: float | None = None
         self._prev: np.ndarray | None = None
 
@@ -285,7 +284,7 @@ class ProgressMonitor(Monitor):
         if self._prev is not None and t > self._prev_t:
             dt = t - self._prev_t
             dl = clocks - self._prev
-            required = self.floor * dt
+            required = RATE_FLOOR * dt
             # One margin per node; aggregate extrema via the worst node.
             worst = int(np.argmin(dl))
             self.checks += len(dl) - 1  # the worst one goes through _check

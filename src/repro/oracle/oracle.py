@@ -1,8 +1,8 @@
 """The streaming conformance oracle itself.
 
-:class:`StreamingOracle` is installed on a run exactly like the
-:class:`~repro.analysis.recorder.SkewRecorder` -- a periodic
-:data:`~repro.sim.events.PRIORITY_SAMPLE` callback -- but instead of
+:class:`StreamingOracle` consumes the run's one
+:class:`~repro.core.batch.Sampler` beside the
+:class:`~repro.analysis.recorder.SkewRecorder`, but instead of
 accumulating history it feeds each sample to its
 :class:`~repro.oracle.monitors.Monitor` set and keeps only O(n) streaming
 state.  Its edge monitors and the skew timeline read the run's graph
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
 
-from ..core.batch import PopulationReader
+from ..core.batch import PopulationReader, Sampler
 from ..network.graph import DynamicGraph
 from ..params import SystemParams
 from ..sim.simulator import Simulator
@@ -44,7 +44,6 @@ from .monitors import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
     from ..harness.registry import OracleRef
-    from ..network.transport import Transport
     from ..obs.timeline import TimelineRecorder
     from ..telemetry.registry import MetricsRegistry
     from ..tracing.context import Tracer
@@ -206,7 +205,8 @@ class StreamingOracle:
         self.samples_seen = 0
         self._installed = False
         self._node_ids: list[int] = []
-        self._needs_estimates = any(m.requires_estimates for m in self.monitors)
+        #: Whether some monitor reads ``Lmax`` (a sample's estimates).
+        self.needs_estimates = any(m.requires_estimates for m in self.monitors)
         self._edge_monitors: list[Monitor] = []
         #: The run's graph (a weak proxy), once attach_graph() took it.
         self._graph: DynamicGraph | None = None
@@ -214,8 +214,9 @@ class StreamingOracle:
         self._envelope = next(
             (m for m in self.monitors if isinstance(m, EnvelopeMonitor)), None
         )
-        #: Reads the population's columns at a sample; bound by attach().
-        self._read: PopulationReader
+        #: The joined sampler's reader, for a sample off its schedule (not
+        #: the sampler: it holds the simulator, which would outlive the run).
+        self._probe: PopulationReader | None = None
         # Span tracer + per-monitor violation counts already anchored
         # (``None`` / unused when causal tracing is off).
         self._tracer: "Tracer | None" = None
@@ -247,11 +248,11 @@ class StreamingOracle:
     ) -> None:
         """Bind the monitors to a node set without arming any scheduler.
 
-        This is the driver-agnostic half of :meth:`install`: after
+        This is the driver-agnostic half of :meth:`join`: after
         attaching, the owner hands over its graph (:meth:`attach_graph`)
-        and calls :meth:`sample` periodically.  The :mod:`repro.live`
-        runtime uses this path to monitor real-time asyncio runs with the
-        exact same monitor code as simulations.
+        and calls :meth:`sample` periodically with the columns.  The
+        :mod:`repro.live` runtime uses this path to monitor real-time
+        asyncio runs with the exact same monitor code as simulations.
         """
         if self._installed:
             raise OracleError("oracle already installed")
@@ -263,7 +264,6 @@ class StreamingOracle:
                 f"sampling interval must be positive; got {self.interval!r}"
             )
         self._node_ids = sorted(nodes)
-        self._read = PopulationReader(nodes, estimates=self._needs_estimates)
         for monitor in self.monitors:
             monitor.bind(
                 self.params,
@@ -327,29 +327,31 @@ class StreamingOracle:
             if self._timeline is not None:
                 self._timeline.graph = graph
 
-    def install(
+    def join(
         self,
-        sim: Simulator,
+        sampler: Sampler,
         graph: DynamicGraph,
         nodes: Mapping[int, Any],
         *,
         interval: float | None = None,
         end: float | None = None,
-        transport: "Transport | None" = None,
     ) -> None:
-        """Arm periodic sampling and take the run's graph (sim driver).
-
-        Must be called at ``t = 0``; see :meth:`attach_graph` for the
-        edge-age convention.  ``transport`` is the transport whose
-        registered nodes are exactly ``nodes``: when its kernel plan holds
-        a table, samples read the table's fused columns instead of calling
-        each node.
-        """
+        """Ride ``sampler``'s schedule (its owner arms it) and take the
+        run's graph (sim driver).  Must be called at ``t = 0``; see
+        :meth:`attach_graph` for the edge-age convention."""
         self.attach(nodes, interval=interval)
         self.attach_graph(graph)
-        self._read.transport = transport
         assert self.interval is not None
-        sim.every(self.interval, self.sample, end=end)
+        self._probe = sampler.read
+        sampler.add(self.interval, self.sample, end=end, estimates=self.needs_estimates)
+
+    def install(
+        self, sim: Simulator, graph: DynamicGraph, nodes: Mapping[int, Any], **window: float | None
+    ) -> None:
+        """:meth:`join` (``window``: ``interval``, ``end``) a sampler of its own, and arm it."""
+        sampler = Sampler(sim, nodes)
+        self.join(sampler, graph, nodes, **window)
+        sampler.install()
 
     def instrument(self, registry: "MetricsRegistry") -> None:
         """Register oracle health as polled readbacks on ``registry``.
@@ -412,8 +414,13 @@ class StreamingOracle:
     # Sampling
     # ------------------------------------------------------------------ #
 
-    def sample(self, t: float) -> None:
-        clocks, estimates = self._read(t)
+    def sample(
+        self, t: float, clocks: np.ndarray | None = None, estimates: np.ndarray | None = None
+    ) -> None:
+        """Check one sample (without columns: read through the joined sampler)."""
+        if clocks is None:
+            assert self._probe is not None, "no sampler to read from"
+            clocks, estimates = self._probe(t, self.needs_estimates)
         for monitor in self.monitors:
             monitor.on_sample(t, clocks, estimates)
         self.samples_seen += 1

@@ -418,13 +418,11 @@ def validate_drift_columns(
     lo: npt.NDArray[np.float64],
     hi: npt.NDArray[np.float64],
     rho: float,
-    *,
-    tol: float = 1e-12,
 ) -> None:
     """Raise ``ValueError`` if clock ``i``'s rate bounds ``lo[i]`` /
-    ``hi[i]`` leave ``[1-rho, 1+rho]``; the message names the first node
-    out of bounds."""
-    bad = np.flatnonzero((lo < 1.0 - rho - tol) | (hi > 1.0 + rho + tol))
+    ``hi[i]`` leave ``[1-rho, 1+rho]`` by more than ``1e-12``; the message
+    names the first node out of bounds."""
+    bad = np.flatnonzero((lo < 1.0 - rho - 1e-12) | (hi > 1.0 + rho + 1e-12))
     if len(bad):
         i = int(bad[0])
         raise ValueError(

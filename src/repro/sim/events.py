@@ -69,7 +69,8 @@ KIND_DELIVER = 1
 KIND_TIMER = 2
 #: Graph mutation.  Payload: ``a=graph, b=added(bool), c=u, d=v``.
 KIND_TOPOLOGY = 3
-#: Periodic measurement.  Payload: ``fn=callback(now), b=interval, c=end``.
+#: Periodic measurement.  Payload: ``fn=callback(now), a=count, b=interval,
+#: c=end`` (``count``: the samples one firing stands for).
 KIND_SAMPLE = 4
 #: Edge discovery notification.  Payload: ``a=node_id, b=other, c=added,
 #: d=absence(bool)`` (absence = the dedicated failed-send discovery path).

@@ -476,10 +476,14 @@ class Simulator:
     # ------------------------------------------------------------------ #
 
     def _handle_sample(self, ev: ScheduledEvent) -> None:
-        """Fire a periodic measurement record and re-arm it in place."""
+        """Fire a periodic measurement record (``a`` samples) and re-arm it in place."""
         fn = ev.fn
         assert fn is not None  # every() always stores the callable
-        self.non_node_events += 1
+        count = ev.a
+        self.non_node_events += count
+        self.events_dispatched += count - 1  # the dispatch counted one
+        if self.kind_counts is not None:
+            self.kind_counts[KIND_SAMPLE] += count - 1
         fn(self.now)
         nxt = self.now + ev.b
         end = ev.c
@@ -505,6 +509,7 @@ class Simulator:
         *,
         start: float | None = None,
         end: float | None = None,
+        count: int = 1,
     ) -> None:
         """Install a periodic measurement callback.
 
@@ -512,8 +517,9 @@ class Simulator:
         start: now) with :data:`PRIORITY_SAMPLE` so it observes each
         timestamp *after* all model activity.  Re-arms itself until ``end``.
         A single :data:`~repro.sim.events.KIND_SAMPLE` record is reused for
-        the whole series.  ``end`` before the first firing is rejected --
-        it would silently install a sampler that never re-arms.
+        the whole series, counted as ``count`` samples.  ``end`` before
+        the first firing is rejected -- it would silently install a
+        sampler that never re-arms.
         """
         if interval <= 0.0:
             raise SimulationError(f"interval must be positive; got {interval!r}")
@@ -525,6 +531,6 @@ class Simulator:
                 f"firing at t={first!r}"
             )
         self.queue.push_typed(
-            first, PRIORITY_SAMPLE, KIND_SAMPLE, None, float(interval), end,
+            first, PRIORITY_SAMPLE, KIND_SAMPLE, count, float(interval), end,
             None, callback, "sample",
         )

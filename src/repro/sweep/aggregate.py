@@ -20,7 +20,7 @@ from .engine import SweepResult, SweepRow
 
 __all__ = ["DEFAULT_COORDS", "sweep_csv", "sweep_table", "tidy_rows"]
 
-#: Default config coordinates joined onto every tidy row: alias -> path.
+#: The config coordinates joined onto every tidy row: alias -> path.
 DEFAULT_COORDS: dict[str, str] = {
     "name": "name",
     "algorithm": "algorithm",
@@ -40,19 +40,13 @@ def _dig(config: Mapping[str, Any], path: str) -> Any:
     return cur
 
 
-def tidy_rows(
-    result: SweepResult | Iterable[SweepRow],
-    *,
-    coords: Mapping[str, str] | None = None,
-    metrics: Sequence[str] | None = None,
-) -> list[dict[str, Any]]:
+def tidy_rows(result: SweepResult | Iterable[SweepRow]) -> list[dict[str, Any]]:
     """One flat dict per sweep point: config coordinates + metrics.
 
-    ``coords`` maps output column name -> dotted config path (defaults to
-    :data:`DEFAULT_COORDS`); ``metrics`` selects and orders metric columns
-    (defaults to every metric present, in first-row order).  Rows keep the
-    sweep's expansion order, so downstream code can zip them against the
-    original spec.
+    The coordinates are :data:`DEFAULT_COORDS` (output column name ->
+    dotted config path), the metrics every metric of the row, in its
+    order.  Rows keep the sweep's expansion order, so downstream code can
+    zip them against the original spec.
 
     Adversarial configs additionally surface their adversary as
     coordinates: ``adversary`` (the builder name) plus one ``adv_<kwarg>``
@@ -60,11 +54,10 @@ def tidy_rows(
     land in tidy rows / CSV as plottable columns, not name suffixes.
     """
     rows = list(result.rows if isinstance(result, SweepResult) else result)
-    coords = dict(DEFAULT_COORDS) if coords is None else dict(coords)
     out: list[dict[str, Any]] = []
     for row in rows:
         tidy: dict[str, Any] = {}
-        for alias, path in coords.items():
+        for alias, path in DEFAULT_COORDS.items():
             tidy[alias] = _dig(row.config, path)
         adv = row.config.get("adversary")
         if isinstance(adv, Mapping):
@@ -72,9 +65,7 @@ def tidy_rows(
             for key, value in adv.get("kwargs", {}).items():
                 if value is None or isinstance(value, (bool, int, float, str)):
                     tidy[f"adv_{key}"] = value
-        keys = metrics if metrics is not None else list(row.metrics)
-        for key in keys:
-            tidy[key] = row.metrics.get(key)
+        tidy.update(row.metrics)
         tidy["cached"] = row.cached
         out.append(tidy)
     return out
@@ -110,12 +101,11 @@ def sweep_table(
     *,
     columns: Sequence[str] | None = None,
     title: str | None = None,
-    floatfmt: str = ".3f",
 ) -> TextTable:
     """Render tidy rows (or a sweep result) as a paper-style text table."""
     rows = _as_tidy(result)
     cols = _columns(rows, columns)
-    table = TextTable(cols, title=title, floatfmt=floatfmt)
+    table = TextTable(cols, title=title)
     for row in rows:
         table.add_row([row.get(c) for c in cols])
     return table

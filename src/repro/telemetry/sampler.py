@@ -103,8 +103,6 @@ class TelemetrySampler:
         Optional per-frame callback; ``None`` keeps frames in memory only.
     source:
         Label stamped into every frame (workload name).
-    watch_gc:
-        Install a :class:`GcWatcher` for the sampler's lifetime.
     keep_frames:
         Retain every frame in :attr:`frames` (tests; first/last are always
         kept regardless).
@@ -117,7 +115,6 @@ class TelemetrySampler:
         interval: float = 0.5,
         sink: FrameSink | None = None,
         source: str = "",
-        watch_gc: bool = True,
         keep_frames: bool = False,
     ) -> None:
         if interval <= 0.0:
@@ -130,7 +127,7 @@ class TelemetrySampler:
         self.last_frame: dict[str, Any] | None = None
         self.frames: list[dict[str, Any]] | None = [] if keep_frames else None
         self.frames_emitted = 0
-        self._gc_watcher = GcWatcher(registry) if watch_gc else None
+        self._gc_watcher = GcWatcher(registry)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._t0 = 0.0
@@ -163,8 +160,7 @@ class TelemetrySampler:
         """Install watchers, emit frame 0, and start the sampling thread."""
         if self._thread is not None:
             raise RuntimeError("sampler already started")
-        if self._gc_watcher is not None:
-            self._gc_watcher.install()
+        self._gc_watcher.install()
         self._t0 = time.monotonic()
         self._emit()
         self._thread = threading.Thread(
@@ -181,5 +177,4 @@ class TelemetrySampler:
         thread.join()
         self._thread = None
         self._emit()
-        if self._gc_watcher is not None:
-            self._gc_watcher.uninstall()
+        self._gc_watcher.uninstall()

@@ -26,11 +26,11 @@ __all__ = ["follow_frames", "read_frames", "render_snapshot", "render_sweep_dir"
 CLEAR_SCREEN = "\x1b[2J\x1b[H"
 
 
-def read_frames(path: str, *, validate: bool = True) -> list[dict[str, Any]]:
+def read_frames(path: str) -> list[dict[str, Any]]:
     """Load every frame of a JSONL metrics file (in stream order).
 
     Raises :class:`~repro.telemetry.schema.FrameError` on a malformed
-    frame when ``validate`` is set, ``ValueError`` on broken JSON.
+    frame, ``ValueError`` on broken JSON.
     """
     frames: list[dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -41,17 +41,16 @@ def read_frames(path: str, *, validate: bool = True) -> list[dict[str, Any]]:
                 frame = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
-            if validate:
-                try:
-                    validate_frame(frame)
-                except FrameError as exc:
-                    raise FrameError(f"{path}:{lineno}: {exc}") from exc
+            try:
+                validate_frame(frame)
+            except FrameError as exc:
+                raise FrameError(f"{path}:{lineno}: {exc}") from exc
             frames.append(frame)
     return frames
 
 
-def follow_frames(fh: TextIO, *, validate: bool = True) -> Iterator[dict[str, Any]]:
-    """Yield whatever complete frames are currently readable from ``fh``.
+def follow_frames(fh: TextIO) -> Iterator[dict[str, Any]]:
+    """Yield whatever complete (validated) frames are currently readable from ``fh``.
 
     A trailing partial line (a frame mid-write) stays buffered in the file
     position for the next call, so tailing a live file never tears frames.
@@ -82,8 +81,7 @@ def follow_frames(fh: TextIO, *, validate: bool = True) -> Iterator[dict[str, An
             frame = json.loads(line)
         except json.JSONDecodeError:
             continue  # Torn frame from a rotation race: skip, resume after.
-        if validate:
-            validate_frame(frame)
+        validate_frame(frame)
         yield frame
 
 

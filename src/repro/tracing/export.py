@@ -12,8 +12,8 @@ JSON that ``ui.perfetto.dev`` (and ``chrome://tracing``) open directly:
 * timers, jumps, discoveries, topology flips, drops and oracle violations
   are instant events (``"i"``) with their detail in ``args``.
 
-Timestamps are microseconds (``ts = sim_time * time_scale``; one model
-time unit = one second by default).  Every event carries ``ph`` and
+Timestamps are microseconds (``ts = sim_time * TIME_SCALE``; one model
+time unit = one second).  Every event carries ``ph`` and
 ``ts`` -- the CI smoke step validates exactly that.
 """
 
@@ -37,12 +37,10 @@ from .spans import (
 __all__ = ["chrome_trace_events", "export_chrome_trace"]
 
 #: Microseconds per model time unit (model unit = 1 s).
-DEFAULT_TIME_SCALE = 1e6
+TIME_SCALE = 1e6
 
 
-def chrome_trace_events(
-    table: SpanTable, *, time_scale: float = DEFAULT_TIME_SCALE
-) -> list[dict[str, Any]]:
+def chrome_trace_events(table: SpanTable) -> list[dict[str, Any]]:
     """Build the ``traceEvents`` list for ``table`` (see module docstring)."""
     events: list[dict[str, Any]] = []
     nodes: set[int] = set()
@@ -58,14 +56,14 @@ def chrome_trace_events(
         kind = kinds[i]
         node = node_col[i]
         peer = peer_col[i]
-        t0 = t0_col[i] * time_scale
+        t0 = t0_col[i] * TIME_SCALE
         status = status_col[i]
         nodes.add(node)
         if peer >= 0:
             nodes.add(peer)
         if kind == SPAN_FLIGHT:
             if status == STATUS_DONE:
-                t1 = t1_col[i] * time_scale
+                t1 = t1_col[i] * TIME_SCALE
                 events.append(
                     {
                         "ph": "X",
@@ -191,18 +189,13 @@ def chrome_trace_events(
     return meta + events
 
 
-def export_chrome_trace(
-    table: SpanTable,
-    path: str,
-    *,
-    time_scale: float = DEFAULT_TIME_SCALE,
-) -> dict[str, int]:
+def export_chrome_trace(table: SpanTable, path: str) -> dict[str, int]:
     """Write ``table`` as Chrome trace JSON to ``path``.
 
     Returns summary counts: total events, flow events, delivered and
     dropped flights (handy for CLI reporting and tests).
     """
-    events = chrome_trace_events(table, time_scale=time_scale)
+    events = chrome_trace_events(table)
     doc = {"traceEvents": events, "displayTimeUnit": "ms"}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)

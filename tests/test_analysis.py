@@ -208,19 +208,19 @@ class TestRecorderLive:
         equal byte for byte what a graph listener subscribed where the
         recorder is built, running the per-sample episode loop, records."""
         listener: list[ListenerRecorder] = []
-        init, sample = SkewRecorder.__init__, SkewRecorder._sample
+        init, sample = SkewRecorder.__init__, SkewRecorder.sample
 
         def subscribing_init(rec, sim, graph, nodes, *args, **kwargs):
             init(rec, sim, graph, nodes, *args, **kwargs)
             listener.append(ListenerRecorder(graph, nodes))
 
-        def looping_sample(rec, t):
-            sample(rec, t)
+        def looping_sample(rec, t, clocks, estimates):
+            sample(rec, t, clocks, estimates)
             listener[0].sample(t, rec._clocks[-1])
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SkewRecorder, "__init__", subscribing_init)
-            mp.setattr(SkewRecorder, "_sample", looping_sample)
+            mp.setattr(SkewRecorder, "sample", looping_sample)
             record = run_experiment(replace(cfg, record=True, track_edges=True)).record
         assert record.episodes
         assert [

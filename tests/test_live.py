@@ -283,11 +283,15 @@ class TestUdpDatagrams:
     three-integer trace context, and counts anything else in ``errors``."""
 
     @staticmethod
-    def _exchange(datagrams: list[bytes], sends: tuple = ()) -> tuple[list[tuple], int]:
-        """Send raw ``datagrams`` to node 1 of an open two-node channel,
+    def _exchange(
+        datagrams: list[bytes], sends: tuple = (), via: int | None = None
+    ) -> tuple[list[tuple], int]:
+        """Send raw ``datagrams`` to node 1 of an open two-node channel --
+        from an unbound socket, or from node ``via``'s own endpoint --
         then ``channel.send(*args)`` for each of ``sends``, then one
-        well-formed frame to node 0; return what reached ``deliver`` once
-        every datagram is accounted for, and the channel's error count."""
+        well-formed frame from node 1 to node 0; return what reached
+        ``deliver`` once every datagram is accounted for, and the
+        channel's error count."""
         import socket
 
         delivered: list[tuple] = []
@@ -298,11 +302,12 @@ class TestUdpDatagrams:
             await channel.open(lambda *frame: delivered.append(frame), [0, 1])
             try:
                 with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                    sendto = sock.sendto if via is None else channel._transports[via].sendto
                     for data in datagrams:
-                        sock.sendto(data, channel._addrs[1])
+                        sendto(data, channel._addrs[1])
                     for args in sends:
                         channel.send(*args)
-                    sock.sendto(b'{"src": 1, "dst": 0, "p": [3.0, 4.0]}', channel._addrs[0])
+                    channel.send(1, 0, (3.0, 4.0))
                 deadline = time.monotonic() + 5.0
                 while channel.errors + len(delivered) < total:
                     assert time.monotonic() < deadline, (channel.errors, delivered)
@@ -328,13 +333,52 @@ class TestUdpDatagrams:
             [b'{"src": 0, "dst": 1, "p": [1.5, 2.0]}'],
             sends=[(0, 1, (1.0, 2.0), (4, 5, 6)), (1, 0, (5.0, 6.0))],
         )
-        assert errors == 0
+        assert errors == 1  # the raw frame: a spoof of node 0
         assert sorted(delivered) == [
             (0, 1, (1.0, 2.0), (4, 5, 6)),
-            (0, 1, (1.5, 2.0), None),
             (1, 0, (3.0, 4.0), None),
             (1, 0, (5.0, 6.0), None),
         ]
+
+    def test_a_spoofed_source_is_counted_and_not_delivered(self):
+        """A frame naming ``src: 0`` from a socket that is not node 0's."""
+        delivered, errors = self._exchange([b'{"src": 0, "dst": 1, "p": [1.5, 2.0]}'])
+        assert delivered == [(1, 0, (3.0, 4.0), None)]
+        assert errors == 1
+
+    def test_a_frame_naming_another_destination_is_counted(self):
+        """Node 0's own endpoint sends node 1's socket a frame naming
+        ``dst: 0``: the socket that got it is not the one it names."""
+        delivered, errors = self._exchange(
+            [b'{"src": 0, "dst": 0, "p": [1.5, 2.0]}'], via=0
+        )
+        assert delivered == [(1, 0, (3.0, 4.0), None)]
+        assert errors == 1
+
+    def test_a_wildcard_bind_still_delivers(self):
+        """Bound to ``0.0.0.0``, endpoints still hear each other: their
+        datagrams come from the loopback address."""
+
+        async def session() -> tuple[list[tuple], int]:
+            delivered: list[tuple] = []
+            channel = UdpChannel(host="0.0.0.0")
+            await channel.open(lambda *frame: delivered.append(frame), [0, 1])
+            try:
+                channel.send(0, 1, (1.0, 2.0))
+                channel.send(1, 0, (3.0, 4.0))
+                deadline = time.monotonic() + 5.0
+                while len(delivered) + channel.errors < 2:
+                    assert time.monotonic() < deadline, (channel.errors, delivered)
+                    await asyncio.sleep(0.005)
+                return sorted(delivered), channel.errors
+            finally:
+                await channel.aclose()
+
+        try:
+            result = asyncio.run(session())
+        except ChannelError as exc:
+            pytest.skip(f"UDP sockets unavailable: {exc}")
+        assert result == ([(0, 1, (1.0, 2.0), None), (1, 0, (3.0, 4.0), None)], 0)
 
     def test_late_datagram_after_close_is_counted(self):
         async def session() -> tuple[list[tuple], int]:
@@ -342,7 +386,7 @@ class TestUdpDatagrams:
             channel = UdpChannel()
             await channel.open(lambda *frame: delivered.append(frame), [0, 1])
             await channel.aclose()
-            channel._on_datagram(b'{"src": 0, "dst": 1, "p": [1.0, 2.0]}')
+            channel._on_datagram(1, b'{"src": 0, "dst": 1, "p": [1.0, 2.0]}', None)
             return delivered, channel.errors
 
         try:
@@ -354,7 +398,7 @@ class TestUdpDatagrams:
         from repro.live.channels import _UdpNodeProtocol
 
         channel = UdpChannel()
-        _UdpNodeProtocol(channel).error_received(ConnectionRefusedError())
+        _UdpNodeProtocol(channel, 0).error_received(ConnectionRefusedError())
         assert channel.errors == 1
 
     def test_send_to_an_unknown_endpoint_is_refused(self):
