@@ -161,8 +161,7 @@ class SkewRecorder:
     def sample(self, t: float, clocks: np.ndarray, estimates: np.ndarray | None) -> None:
         self._times.append(t)
         self._clocks.append(clocks)
-        if self.track_max_estimates:
-            assert estimates is not None
+        if estimates is not None:  # the sampler hands them only if asked
             self._lmax.append(estimates)
 
     # ------------------------------------------------------------------ #
@@ -196,9 +195,7 @@ class SkewRecorder:
                 rows = clocks[lo:hi]
                 skews = np.abs(rows[:, index[u]] - rows[:, index[v]])
                 episodes.append(EdgeEpisode(u, v, add, times[lo:hi] - add, skews, end))
-        lmax = None
-        if self.track_max_estimates and self._lmax:
-            lmax = np.vstack(self._lmax)
+        lmax = np.vstack(self._lmax) if self._lmax else None
         return RunRecord(
             node_ids=list(self.node_ids),
             times=times,

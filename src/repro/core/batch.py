@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, repeat
 from math import inf
 from typing import (
@@ -90,6 +89,7 @@ __all__ = [
     "NodeArrayTable",
     "PopulationReader",
     "SEGMENT_CLOCKS",
+    "SampleGrid",
     "Sampler",
     "TABLE_CORES",
     "WaveRows",
@@ -1526,36 +1526,42 @@ class PopulationReader:
 
 class Sampler:
     """A run's sample schedule and its one :class:`PopulationReader`: one
-    record per grid ``(interval, end)``, whose firing reads once (estimates
-    if a consumer asked) and hands each consumer, in the order added, the
-    same columns; it counts as one sample per consumer."""
+    :class:`SampleGrid` record per grid ``(interval, end)``, in the order added."""
 
     def __init__(
         self, sim: Simulator, nodes: "Mapping[int, Any]", transport: "Transport | None" = None
     ) -> None:
         self.sim = sim
         self.read = PopulationReader(nodes, estimates=False, transport=transport)
-        #: ``(interval, end) -> [estimates asked for, consumer, ...]``
-        self._grids: dict[tuple[float, float | None], list[Any]] = {}
+        self._grids: dict[tuple[float, float | None], SampleGrid] = {}
 
     def add(
         self, interval: float, consumer: Any, *, end: float | None = None, estimates: bool = False
     ) -> None:
         """Feed ``consumer`` every ``interval`` from now until ``end``."""
-        grid = self._grids.setdefault((float(interval), end), [False])
-        grid[0] = grid[0] or estimates
-        grid.append(consumer)
+        grid = self._grids.setdefault((float(interval), end), SampleGrid(self.read))
+        grid.estimates |= estimates
+        grid.consumers.append((consumer, estimates))
 
     def install(self) -> None:
-        """Arm one record per grid, in the order the grids were first added."""
-        for (interval, end), (estimates, *consumers) in self._grids.items():
-            fire = partial(self._fire, estimates, consumers)
-            self.sim.every(interval, fire, end=end, count=len(consumers))
+        for (interval, end), grid in self._grids.items():
+            self.sim.every(interval, grid.fire, end=end, count=len(grid.consumers))
 
-    def _fire(self, estimates: bool, consumers: list[Any], t: float) -> None:
-        clocks, lmax = self.read(t, estimates)
-        for consumer in consumers:
-            consumer(t, clocks, lmax)
+
+class SampleGrid:
+    """One sample record, counted as one sample per consumer: :meth:`fire`
+    reads once and hands each consumer ``fn(t, clocks, estimates)``, in
+    the order added, the same columns (``Lmax`` only if it asked)."""
+
+    def __init__(self, read: PopulationReader) -> None:
+        self.read = read
+        self.estimates = False
+        self.consumers: list[tuple[Any, bool]] = []
+
+    def fire(self, t: float) -> None:
+        clocks, lmax = self.read(t, self.estimates)
+        for consumer, estimates in self.consumers:
+            consumer(t, clocks, lmax if estimates else None)
 
 
 #: ``Decline.path`` -> the phrase ``summary()`` / ``--profile`` print for it.

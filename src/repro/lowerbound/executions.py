@@ -157,8 +157,6 @@ def build_execution_pair(
     mask: DelayMask,
     reference: int,
     params: SystemParams,
-    *,
-    new_edge_fallback: float | None = None,
 ) -> ExecutionPair:
     """Construct matched alpha/beta clocks and delay policies.
 
@@ -171,9 +169,7 @@ def build_execution_pair(
     alpha_policy = AlphaDelayPolicy(mask, dists, edges)
     alpha_clocks: dict[int, HardwareClock] = {x: perfect_clock() for x in nodes}
     b_clocks = beta_clock_map(dists, params.rho, params.max_delay)
-    beta_policy = BetaDelayPolicy(
-        alpha_policy, b_clocks, fallback=new_edge_fallback
-    )
+    beta_policy = BetaDelayPolicy(alpha_policy, b_clocks)
     return ExecutionPair(
         mask=mask,
         reference=reference,

@@ -482,6 +482,10 @@ class Simulator:
         count = ev.a
         self.non_node_events += count
         self.events_dispatched += count - 1  # the dispatch counted one
+        if self.events_dispatched > self.max_events:
+            raise SimulationError(
+                f"exceeded max_events={self.max_events}; runaway simulation?"
+            )
         if self.kind_counts is not None:
             self.kind_counts[KIND_SAMPLE] += count - 1
         fn(self.now)

@@ -99,6 +99,8 @@ _SWEEP_WORKLOADS: tuple[str, ...] = (
     "backbone_churn",
     "adversarial_drift",
 )
+#: Most points a fuzzed sweep spec expands to.
+SWEEP_POINTS = 4
 
 #: ``pick(options)`` returns one element of a sequence: a hypothesis
 #: ``draw`` or a seeded generator's choice.  Every ingredient below is
@@ -129,16 +131,16 @@ def _chords(n: int, backbone: Sequence[Edge]) -> list[Edge]:
 
 
 def flip_script(
-    pick: Pick, pairs: Sequence[Edge], present: Sequence[Edge], max_flips: int = 8
+    pick: Pick, pairs: Sequence[Edge], present: Sequence[Edge]
 ) -> list[tuple[float, str, int, int]]:
-    """A legal add/remove script over ``pairs``: each flip toggles its
-    pair relative to its current state (``present`` at the start), at a
-    strictly later time than the one before (an edge never changes twice
-    at one instant)."""
+    """A legal add/remove script of up to 8 flips over ``pairs``: each
+    flip toggles its pair relative to its current state (``present`` at
+    the start), at a strictly later time than the one before (an edge
+    never changes twice at one instant)."""
     state = {(min(u, v), max(u, v)) for u, v in present}
     script = []
     t = 1.0
-    for _ in range(pick(range(max_flips + 1))):
+    for _ in range(pick(range(9))):
         t += pick((0.3, 0.7, 1.3, 2.9))
         edge = pick(pairs)
         script.append((t, "remove" if edge in state else "add", *edge))
@@ -241,10 +243,10 @@ def fuzz_config(
     )
 
 
-def fuzz_sweep_spec(seed: int, *, max_points: int = 4):
+def fuzz_sweep_spec(seed: int):
     """One random small :class:`~repro.sweep.spec.SweepSpec`.
 
-    Points are capped at ``max_points`` and every config is tiny, so a
+    Points are capped at :data:`SWEEP_POINTS` and every config is tiny, so a
     fuzzed sweep (serial or pooled) finishes in seconds.
     """
     from ..sweep.spec import SweepSpec, grid, seeds
@@ -255,9 +257,9 @@ def fuzz_sweep_spec(seed: int, *, max_points: int = 4):
         "n": int(rng.integers(4, 7)),
         "horizon": float(rng.integers(10, 26)),
     }
-    n_seeds = int(rng.integers(1, max_points + 1))
+    n_seeds = int(rng.integers(1, SWEEP_POINTS + 1))
     axes = [seeds(n_seeds)]
-    if n_seeds * 2 <= max_points and rng.integers(2):
+    if n_seeds * 2 <= SWEEP_POINTS and rng.integers(2):
         axes.append(grid(algorithm=["dcsa", "max"]))
     return SweepSpec(workload, base=base, axes=axes)
 
@@ -328,7 +330,7 @@ def experiment_configs(
     return _configs()
 
 
-def sweep_specs(max_points: int = 4):
+def sweep_specs():
     """Strategy for small serializable sweep specs (backend-parity food)."""
     _require_hypothesis()
     from ..sweep.spec import SweepSpec, grid, seeds
@@ -340,21 +342,16 @@ def sweep_specs(max_points: int = 4):
             "n": draw(st.integers(min_value=4, max_value=6)),
             "horizon": float(draw(st.integers(min_value=10, max_value=25))),
         }
-        n_seeds = draw(st.integers(min_value=1, max_value=max_points))
+        n_seeds = draw(st.integers(min_value=1, max_value=SWEEP_POINTS))
         axes = [seeds(n_seeds)]
-        if n_seeds * 2 <= max_points and draw(st.booleans()):
+        if n_seeds * 2 <= SWEEP_POINTS and draw(st.booleans()):
             axes.append(grid(algorithm=["dcsa", "max"]))
         return SweepSpec(workload, base=base, axes=axes)
 
     return _specs()
 
 
-def queue_operations(
-    max_ops: int = 60,
-    *,
-    max_time: float = 100.0,
-    max_priority: int = 3,
-):
+def queue_operations(max_ops: int = 60):
     """Strategy for typed-event-queue op scripts (kernel property tests).
 
     Generates a list of operations against one
@@ -381,8 +378,8 @@ def queue_operations(
     )
     push = st.tuples(
         st.just("push"),
-        st.floats(min_value=0.0, max_value=max_time, allow_nan=False),
-        st.integers(min_value=0, max_value=max_priority),
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
+        st.integers(min_value=0, max_value=3),
         kinds,
     )
     cancel = st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=255))

@@ -324,9 +324,20 @@ class TestUdpDatagrams:
 
     @pytest.mark.parametrize("name", sorted(MALFORMED))
     def test_malformed_datagram_is_counted_and_dropped(self, name):
-        delivered, errors = self._exchange([MALFORMED[name]])
+        """Sent from node 0's own endpoint, so that only the frame's
+        content can be what the channel rejects."""
+        delivered, errors = self._exchange([MALFORMED[name]], via=0)
         assert delivered == [(1, 0, (3.0, 4.0), None)]
         assert errors == 1
+
+    def test_a_raw_frame_from_its_source_is_delivered(self):
+        """The malformed cases' path: a well-formed frame sent from node
+        0's own endpoint reaches node 1."""
+        delivered, errors = self._exchange(
+            [b'{"src": 0, "dst": 1, "p": [1.5, 2.0]}'], via=0
+        )
+        assert errors == 0
+        assert sorted(delivered) == [(0, 1, (1.5, 2.0), None), (1, 0, (3.0, 4.0), None)]
 
     def test_well_formed_frames_are_delivered(self):
         delivered, errors = self._exchange(

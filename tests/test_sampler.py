@@ -145,8 +145,27 @@ def sharing_cases() -> list:
     )
     return cases + [
         pytest.param(lmax, id="track_max_estimates"),
+        pytest.param(recorder_estimates_only(), id="recorder_estimates_only"),
         pytest.param(grids, id="own_oracle_interval"),
     ]
+
+
+def recorder_estimates_only():
+    """The recorder tracks ``Lmax``; no monitor of the oracle reads it."""
+    return replace(
+        configs.backbone_churn(32, horizon=100.0, seed=3, track_max_estimates=True),
+        oracle=OracleRef("standard", {"monitors": ["progress", "global_skew"]}),
+    )
+
+
+def test_a_consumer_gets_estimates_only_if_it_asked():
+    """The shared read carries ``Lmax`` for the recorder; the oracle, which
+    asked for none, and the timeline it feeds see none."""
+    result, timeline, _, reads = run(recorder_estimates_only())
+    assert result.record.max_estimates is not None
+    assert len(reads) == len(result.record.times)
+    spread = timeline["columns"]["lmax_spread"]
+    assert spread and set(spread) == {None}
 
 
 @pytest.mark.parametrize("cfg", sharing_cases())

@@ -127,6 +127,17 @@ class TestExecution:
         with pytest.raises(SimulationError, match="exceeded max_events=2"):
             sim.run_until(2.0)
 
+    def test_max_events_guard_counts_a_shared_sample(self):
+        """A sample record of three consumers counts three: the first
+        firing fits a budget of 4; the second crosses it with its second
+        consumer and raises before it fires."""
+        sim = Simulator(max_events=4)
+        fired = []
+        sim.every(1.0, fired.append, count=3)
+        with pytest.raises(SimulationError, match="exceeded max_events=4"):
+            sim.run_until(1.5)
+        assert fired == [0.0] and sim.events_dispatched == 6
+
     def test_a_run_start_hook_registered_mid_run_fires_at_once(self):
         sim = Simulator()
         fired = []
