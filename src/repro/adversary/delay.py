@@ -19,8 +19,7 @@ mask at each message, which a precomputed pattern cannot do.
 
 The policy is deterministic (a pure function of simulator state), keeps
 every delay inside ``[0, max_delay]``, and can be restricted to a masked
-edge set (unmasked edges fall through to the run's configured policy, as
-with :class:`~repro.network.channels.PerEdgeDelay`).
+edge set (unmasked edges fall through to the run's configured policy).
 """
 
 from __future__ import annotations
@@ -72,11 +71,6 @@ class AdaptiveMaskingDelayPolicy(DelayPolicy):
         # behind: instant (its deficit is advertised immediately, keeping
         # the receiver's B-constraint pinned to the laggard).
         return self.max_delay if ahead else 0.0
-
-    def max_bound(self) -> float:
-        if self._fallback is None:
-            return self.max_delay
-        return max(self.max_delay, self._fallback.max_bound())
 
 
 class DelayAdversary(Adversary):

@@ -88,8 +88,3 @@ class DriftAdversary(PeriodicAdversary):
             # Trailing half runs slow, leading half fast: the two-sided
             # extremal schedule, re-targeted at the current leaders.
             self._clocks[u].set_rate(t, slow if rank < half else fast)
-
-    def rates_now(self) -> dict[int, float]:
-        """Current per-node rates (exposed for tests and reports)."""
-        assert self.sim is not None
-        return {u: c.rate_at(self.sim.now) for u, c in self._clocks.items()}

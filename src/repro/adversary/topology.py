@@ -204,7 +204,3 @@ class GreedyTopologyAdversary(PeriodicAdversary):
         self.sim.schedule_at(
             when, retract, priority=PRIORITY_TOPOLOGY, label="adversary_retract"
         )
-
-    def extras(self) -> set[Edge]:
-        """The adversary's current extra-edge set (copy)."""
-        return set(self._extras)

@@ -2,12 +2,9 @@
 
 from .metrics import (
     EnvelopeCheck,
-    drift_rate,
     envelope_violations,
-    episode_peak_skew,
     global_skew_series,
     gradient_profile,
-    local_skew_series,
     max_estimate_lag,
     max_global_skew,
     max_local_skew,
@@ -24,13 +21,10 @@ __all__ = [
     "SkewRecorder",
     "TextTable",
     "csv_text",
-    "drift_rate",
     "envelope_violations",
-    "episode_peak_skew",
     "format_value",
     "global_skew_series",
     "gradient_profile",
-    "local_skew_series",
     "max_estimate_lag",
     "max_global_skew",
     "max_local_skew",

@@ -31,16 +31,13 @@ from .recorder import EdgeEpisode, RunRecord
 __all__ = [
     "global_skew_series",
     "max_global_skew",
-    "local_skew_series",
     "max_local_skew",
     "stable_local_skew_measured",
     "gradient_profile",
     "envelope_violations",
     "EnvelopeCheck",
     "stabilization_age",
-    "episode_peak_skew",
     "max_estimate_lag",
-    "drift_rate",
 ]
 
 
@@ -65,24 +62,6 @@ def max_global_skew(record: RunRecord) -> float:
 # ---------------------------------------------------------------------- #
 # Local skew
 # ---------------------------------------------------------------------- #
-
-
-def local_skew_series(record: RunRecord) -> np.ndarray:
-    """Per-sample maximum skew across edges *present at that sample*.
-
-    Requires the record to have been taken with ``track_edges=True``;
-    samples with no live edge yield 0.
-    """
-    out = np.zeros(record.samples)
-    t_index = {t: i for i, t in enumerate(record.times.tolist())}
-    for ep in record.episodes:
-        for age, skew in zip(ep.ages, ep.skews):
-            i = t_index.get(ep.add_time + age)
-            if i is None:
-                # Float round-trip fallback: locate by nearest sample.
-                i = int(np.argmin(np.abs(record.times - (ep.add_time + age))))
-            out[i] = max(out[i], skew)
-    return out
 
 
 def max_local_skew(record: RunRecord) -> float:
@@ -238,11 +217,6 @@ def stabilization_age(
     return float(episode.ages[last_above + 1])
 
 
-def episode_peak_skew(episode: EdgeEpisode) -> float:
-    """Maximum skew observed during the episode (0.0 if unsampled)."""
-    return float(episode.skews.max()) if episode.skews.size else 0.0
-
-
 # ---------------------------------------------------------------------- #
 # Max-estimate propagation (Lemma 6.8)
 # ---------------------------------------------------------------------- #
@@ -263,18 +237,3 @@ def max_estimate_lag(record: RunRecord) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 # Sanity metrics
 # ---------------------------------------------------------------------- #
-
-
-def drift_rate(record: RunRecord) -> float:
-    """Least-squares slope of the *mean* logical clock against real time.
-
-    For any compliant algorithm this is within ``[1 - rho, 1 + rho]`` plus
-    jump contributions; for the free-running baseline it equals the mean
-    hardware rate.  Mostly a pipeline sanity check.
-    """
-    if record.samples < 2:
-        raise ValueError("need at least two samples")
-    mean_clock = record.clocks.mean(axis=1)
-    t = record.times
-    slope = np.polyfit(t, mean_clock, 1)[0]
-    return float(slope)

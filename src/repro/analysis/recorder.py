@@ -86,10 +86,6 @@ class RunRecord:
         """Number of samples taken."""
         return len(self.times)
 
-    def column(self, node_id: int) -> np.ndarray:
-        """The clock series of one node."""
-        return self.clocks[:, self.node_ids.index(node_id)]
-
     def episodes_for(self, u: int, v: int) -> list[EdgeEpisode]:
         """All episodes of a given (unordered) edge, in time order."""
         a, b = (u, v) if u <= v else (v, u)
@@ -147,12 +143,6 @@ class SkewRecorder:
     def join(self, sampler: Sampler) -> None:
         """Take this recorder's samples from ``sampler``'s schedule."""
         sampler.add(self.interval, self.sample, end=self.end, estimates=self.track_max_estimates)
-
-    def install(self) -> None:
-        """Arm the periodic sampling on a sampler of its own."""
-        sampler = Sampler(self.sim, self.nodes)
-        self.join(sampler)
-        sampler.install()
 
     # ------------------------------------------------------------------ #
     # Sampling

@@ -7,11 +7,11 @@
   simulator and the :mod:`repro.live` asyncio runtime;
 * :class:`BFunction` -- the decaying per-edge tolerance;
 * :class:`ClockSyncNode` -- the simulation driver of every core;
-* :mod:`repro.core.skew_bounds` -- every closed-form bound of Sections 4 & 6.
+* :mod:`repro.core.skew_bounds` -- the closed-form bounds of Sections 4 & 6.
 """
 
 from .bfunction import BFunction
-from .estimates import NeighborEstimate, NeighborTable
+from .estimates import NeighborEstimate
 from .node import ClockSyncNode
 from .protocol import (
     CancelTimer,
@@ -50,7 +50,6 @@ __all__ = [
     "MaxSyncCore",
     "MessageReceived",
     "NeighborEstimate",
-    "NeighborTable",
     "ProtocolCore",
     "ProtocolError",
     "RaiseLmax",

@@ -30,11 +30,11 @@ and every hand-over rule -- is made once, in ``docs/performance.md`` ("The
 batch kernel"; tracing in ``docs/observability.md``).
 
 **The kernel plan.**  Which paths a run takes is decided once, by
-:func:`kernel_plan`, where the simulator's first ``run_until`` / ``step``
+:func:`kernel_plan`, where the simulator's first ``run_until``
 begins -- after all ``t = 0`` wiring -- and holds for the whole run (an
-effect log attached to a covered node afterwards raises).  Anything the
-table does not provably fit runs ``handle()``; every path that declined
-is a :class:`Decline` of the plan.  The span tracer is a passenger, not a
+effect log attached to a covered node afterwards raises).  A touched node
+the table cannot run is refused; every path that declined is a
+:class:`Decline` of the plan.  The span tracer is a passenger, not a
 gate.
 """
 
@@ -72,7 +72,7 @@ from ..sim.events import (
     PRIORITY_TIMER,
     ScheduledEvent,
 )
-from ..sim.simulator import Simulator
+from ..sim.simulator import SimulationError, Simulator
 from ..tracing.spans import SPAN_DISCOVER, SPAN_FLIGHT, SPAN_TIMER, STATUS_DONE
 from .node import ClockSyncNode
 from .protocol import DCSACore, StaticGradientCore
@@ -495,8 +495,7 @@ class NodeArrayTable:
         return np.flatnonzero((col.live[slots] == 0) | (col.cut[slots] > sent)).tolist()
 
     def believe(self, v: int, u: int, yes: bool) -> None:
-        """Write ``u in Upsilon_v`` (a discovery, or a core's
-        :class:`~repro.core.estimates.SlotSet`)."""
+        """Write ``u in Upsilon_v`` (``yes``) or drop it: a discovery."""
         s = self.slot(v, u) if yes else self.row(v).get(u)
         if s is not None:
             self.ups[s] = yes
@@ -511,16 +510,6 @@ class NodeArrayTable:
             ups = self.ups
             dests = self.dests[v] = sorted([u for u, s in self.row(v).items() if ups[s]])
         return dests
-
-    def arm_lost(self, v: int, u: int, deadline: float) -> bool:
-        """(Re-)arm ``v``'s ``lost(u)`` at ``deadline`` (``+inf``: disarm) as a
-        delivery does (:meth:`lost_wake`); returns whether one was armed."""
-        s = self.slot(v, u)
-        armed = self.lost_dl[s] != inf
-        self.lost_dl[s] = deadline
-        self.lost_seq[s] = self.arms
-        self.arms += 1
-        return armed
 
     def _slots_of(self, owners: _I64, peers: _I64) -> _I64:
         """``slot(owners[i], peers[i])`` per entry: a seeded pair by one
@@ -891,15 +880,10 @@ class NodeArrayTable:
         ``live`` and no node is blocked once synced (idempotent: a run
         handed over loses nothing), so that AdjustClock is vacuous.  When
         traced, its rows are one column block: per row its
-        ``SPAN_DISCOVER`` row, then the greeting's flight parented on it
-        (the table must have room for all of them)."""
+        ``SPAN_DISCOVER`` row, then the greeting's flight parented on it."""
         tracer = self.transport._tracer
         m = len(rows)
-        if (
-            m < 2
-            or self.send_delay is None
-            or (tracer is not None and len(tracer.table) + 2 * m >= tracer.table.capacity)
-        ):
+        if m < 2 or self.send_delay is None:
             return False
         if type(rows) is WaveRows:
             who, others = rows.nids, rows.others
@@ -927,11 +911,10 @@ class NodeArrayTable:
         if tracer is not None:
             parent = np.arange(-1, 2 * m - 1)  # a flight's discover row precedes it
             parent[0::2] = -1
-            base = self._span_block(
+            sids = self._span_block(
                 tracer, np.tile(np.array([SPAN_DISCOVER, SPAN_FLIGHT]), m),
                 np.repeat(who, 2), np.repeat(payloads.dst, 2), parent,
-            )
-            sids = range(base + 1, base + 2 * m, 2)
+            )[1::2].tolist()
         self._push_burst(who.tolist(), others.tolist(), payloads, sids)
         self.transport.stats.discoveries_delivered += m
         self.array_lane_events += m
@@ -1122,12 +1105,8 @@ class NodeArrayTable:
         if k >= ARRAY_LANE_MIN and self.send_delay is not None:
             if plan is None or plan.key != self.edits:
                 plan = self._tick_plan(ids, plan)
-            tracer = self.transport._tracer
-            if tracer is None or len(tracer.table) + k + len(plan.us) + sum(
-                len(self.believed(ids[j])) for j, _ in plan.loose
-            ) < tracer.table.capacity:
-                self.array_lane_events += k
-                return self._tick_array(ids, plan, tracer), plan
+            self.array_lane_events += k
+            return self._tick_array(ids, plan, self.transport._tracer), plan
         burst = None if self.send_delay is None else _Burst()
         fires = [self._tick(i, burst) for i in ids]
         if burst is not None:
@@ -1225,11 +1204,11 @@ class NodeArrayTable:
                 sids = None
                 if tracer is not None and last > first:
                     r0, r1 = timer_at[first], timer_at[last]
-                    offset = self._span_block(
+                    block = self._span_block(
                         tracer, kind[r0:r1], node[r0:r1], peer[r0:r1], parent[r0:r1] - r0
-                    ) - r0
-                    timer_sids[first:last] = timer_at[first:last] + offset
-                    sids = (flight_at[start:end] + offset).tolist()
+                    )
+                    timer_sids[first:last] = block[timer_at[first:last] - r0]
+                    sids = block[flight_at[start:end] - r0].tolist()
                 if end > start:
                     cut = slice(start, end)
                     self._push_burst(
@@ -1287,26 +1266,35 @@ class NodeArrayTable:
 
     def _span_block(
         self, tracer: "Tracer", kind: _I64, node: _I64, peer: _I64, parent: _I64
-    ) -> int:
+    ) -> _I64:
         """Write an array-lane run's span rows as one column block of the
-        tracer's table; returns the block's first span id.  ``parent`` is
-        a row of the block (negative: none).  Every row is born ``DONE``
-        now, a flight closed optimistically at its delivery time, a
-        discovery an add.  The caller checked the table has room."""
+        tracer's table; returns each row's span id.  ``parent`` is a row
+        of the block (negative: none).  Every row is born ``DONE`` now, a
+        flight closed optimistically at its delivery time, a discovery an
+        add.  Past the table's capacity a row is counted in ``dropped``
+        and its id is -1, as a row written one at a time is (a row's
+        parent precedes it, so a written row's parent was written too)."""
         now = self.sim.now
         table = tracer.table
         base = len(table)
-        table.write_block((
-            kind,
-            node,
-            peer,
-            np.full(len(kind), now),
-            np.where(kind == SPAN_FLIGHT, now + cast(float, self.send_delay), now),
-            np.where(parent < 0, -1, parent + base),
-            np.full(len(kind), STATUS_DONE),
-            (kind == SPAN_DISCOVER).astype(np.float64),
-        ))
-        return base
+        k = len(kind)
+        fit = max(0, min(k, table.capacity - base))
+        ids = np.arange(base, base + k)
+        ids[fit:] = -1
+        table.dropped += k - fit
+        if fit:
+            kind, node, peer, parent = kind[:fit], node[:fit], peer[:fit], parent[:fit]
+            table.write_block((
+                kind,
+                node,
+                peer,
+                np.full(fit, now),
+                np.where(kind == SPAN_FLIGHT, now + cast(float, self.send_delay), now),
+                np.where(parent < 0, -1, parent + base),
+                np.full(fit, STATUS_DONE),
+                (kind == SPAN_DISCOVER).astype(np.float64),
+            ))
+        return ids
 
     def _tick(self, nid: int, burst: _Burst | None) -> float:
         """Node ``nid``'s tick on the scalar lane -- the statement of the
@@ -1394,14 +1382,9 @@ class NodeArrayTable:
         if sid + len(dests) >= table.capacity:
             # The table fills up within this driver's rows: go row by row
             # so every refused row is counted, as under scalar dispatch.
-            tracer.timer_fired(nid, now)
-            sid = tracer.current
-            sids.extend(
-                tracer.table.append(
-                    SPAN_FLIGHT, nid, v, now, t1, sid, STATUS_DONE
-                )
-                for v in dests
-            )
+            sid = table.append(SPAN_TIMER, nid, -1, now, now, -1, STATUS_DONE)
+            for v in dests:
+                sids.append(table.append(SPAN_FLIGHT, nid, v, now, t1, sid, STATUS_DONE))
             return sid
         rows: list[Any] = [SPAN_TIMER, nid, -1, now, now, -1, STATUS_DONE, 0.0]
         for v in dests:
@@ -1484,24 +1467,18 @@ class PopulationReader:
     """
 
     def __init__(
-        self,
-        nodes: "Mapping[int, Any]",
-        *,
-        estimates: bool,
-        transport: "Transport | None" = None,
+        self, nodes: "Mapping[int, Any]", transport: "Transport | None" = None
     ) -> None:
         self.nodes = nodes
-        self.estimates = estimates
         self.transport = transport
         # Bound on the first sample without a table (a table never needs
         # them): a sample then skips the dict and attribute lookups.
         self._clock_readers: list[Any] | None = None
         self._estimate_readers: list[Any] | None = None
 
-    def __call__(self, t: float, estimates: bool | None = None) -> tuple[_F64, _F64 | None]:
+    def __call__(self, t: float, estimates: bool) -> tuple[_F64, _F64 | None]:
         """``(clocks, estimates)`` at ``t`` (``estimates`` is ``None``
-        unless they were asked for: by the call, else by the reader)."""
-        estimates = self.estimates if estimates is None else estimates
+        unless the call asked for them)."""
         transport = self.transport
         table = None if transport is None else transport.plan.table
         if table is not None:
@@ -1532,7 +1509,7 @@ class Sampler:
         self, sim: Simulator, nodes: "Mapping[int, Any]", transport: "Transport | None" = None
     ) -> None:
         self.sim = sim
-        self.read = PopulationReader(nodes, estimates=False, transport=transport)
+        self.read = PopulationReader(nodes, transport)
         self._grids: dict[tuple[float, float | None], SampleGrid] = {}
 
     def add(
@@ -1629,79 +1606,81 @@ def _timer_runs_decline(transport: "Transport") -> Decline | None:
     return None
 
 
+def _refusal(nodes: Any, sim: Simulator) -> str | None:
+    """Why the table cannot run column population ``nodes`` -- a touched
+    node it cannot run, named -- or ``None`` when it can."""
+    if not sim.batch:
+        return (
+            "the handle() reference kernel was selected after set-up built the "
+            "table; select it before (REPRO_BATCH=0 / Simulator(batch=False))"
+        )
+    for d in nodes.touched():
+        i = d.node_id
+        if type(d.core) is not nodes._row_cls:
+            return (
+                f"node {i} runs a stand-alone {type(d.core).__name__}, not a view "
+                f"of its {nodes.core_cls.__name__} row"
+            )
+        if type(d.clock) not in SEGMENT_CLOCKS:
+            return (
+                f"node {i} clock is {type(d.clock).__name__}, not a "
+                "piecewise-linear class of repro.sim.clocks"
+            )
+        if d._effect_log is not None:
+            return f"node {i} has an effect log attached"
+        if d.core.params is not nodes.params:
+            return f"node {i} does not share the population's SystemParams"
+    return None
+
+
 def kernel_plan(transport: "Transport") -> KernelPlan:
     """Decide, once per simulator, which paths the run takes.
 
-    Called by the transport where the first ``run_until`` / ``step``
-    begins -- after ``t = 0`` wiring, so adversary clock swaps and effect
-    logs are visible.  A column population
-    (:class:`~repro.core.node.Population`) runs on the table it brought
-    from set-up unless one of the checks below, of the nodes something
-    touched, declines it; drivers registered one by one (a hand-wired
-    ``Simulator`` + ``Transport`` + drivers) pass the same checks, then
-    decline it.  The table's own paths need the policies checked after
-    it.  ``docs/performance.md`` ("The kernel plan") has the table of
-    paths, their needs and their ``declined_by``.
+    Called by the transport where the first ``run_until`` begins -- after
+    ``t = 0`` wiring, so adversary clock swaps are visible.  A column
+    population (:class:`~repro.core.node.Population`) runs on the table it
+    brought from set-up; a node something touched that the table cannot
+    run (a swapped core, a foreign clock, an effect log, foreign
+    ``SystemParams``) raises :class:`~repro.sim.simulator.SimulationError`
+    naming it -- the reference kernel (``REPRO_BATCH=0``) runs such a
+    population.  Drivers registered one by one (a non-table core, the
+    reference kernel, a hand-wired ``Simulator`` + ``Transport`` +
+    drivers) decline the table.  The table's own paths need the policies
+    checked after it.  ``docs/performance.md`` ("The kernel plan") has the
+    table of paths, their needs and their ``declined_by``.
     """
     from ..network.channels import ConstantDelay
 
     nodes: Any = transport._node_seq
     store = getattr(nodes, "store", None)
+    sim = transport.sim
+    if store is not None:
+        refusal = _refusal(nodes, sim)
+        if refusal is not None:
+            raise SimulationError(f"the batch table cannot run this population: {refusal}")
 
     def declined(by: str, reason: str) -> KernelPlan:
-        if store is not None:
-            nodes.decline()
         return KernelPlan(None, (Decline("array_step", by, reason),))
 
-    sim = transport.sim
-    if not sim.batch:
-        return declined(
-            "reference",
-            "the handle() reference kernel was selected "
-            "(REPRO_BATCH=0 / Simulator(batch=False))",
-        )
-    params: Any = None
-    core_cls: type | None = None
-    if store is not None:
-        covered = nodes.touched()
-        params, core_cls = nodes.params, nodes.core_cls
-    else:
-        covered = [d for d in nodes if isinstance(d, ClockSyncNode)]
-    for d in covered:
-        i = d.node_id
-        core = d.core
-        # A view's class is a row type in front of its core class.
-        view = hasattr(core, "_store")
-        plain = type(core).__mro__[2] if view else type(core)
-        if core_cls is None and plain in TABLE_CORES:
-            core_cls = plain
-        name = type(core).__name__
-        if plain is not core_cls:
-            wanted = (core_cls or DCSACore).__name__
-            return declined("core", f"node {i} runs {name}, not a plain {wanted}")
-        if store is not None and not view:
-            return declined("core", f"node {i} runs a stand-alone {name}, not a view of its row")
-        if type(d.clock) not in SEGMENT_CLOCKS:
-            name = type(d.clock).__name__
-            return declined(
-                "clock",
-                f"node {i} clock is {name}, not a piecewise-linear class of "
-                "repro.sim.clocks",
-            )
-        if d._effect_log is not None:
-            return declined("effect_log", f"node {i} has an effect log attached")
-        if params is None:
-            params = core.params
-        elif core.params is not params:
-            return declined(
-                "params", f"node {i} does not share the population's SystemParams"
-            )
     if store is None:
+        if not sim.batch:
+            return declined(
+                "reference",
+                "the handle() reference kernel was selected "
+                "(REPRO_BATCH=0 / Simulator(batch=False))",
+            )
+        for d in nodes:
+            if isinstance(d, ClockSyncNode) and type(d.core) not in TABLE_CORES:
+                return declined(
+                    "core", f"node {d.node_id} runs {type(d.core).__name__}, not a "
+                    "core the table runs (DCSACore, StaticGradientCore)"
+                )
         return declined(
             "population",
             "the nodes were registered one by one, not wired by Experiment as "
             "a column population, whose store the table is from set-up on",
         )
+    covered = nodes.touched()
     store.seat(covered)
     declines: list[Decline] = []
     slow_timers = _timer_runs_decline(transport)

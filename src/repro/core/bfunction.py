@@ -85,17 +85,6 @@ class BFunction:
         """Subjective age at which ``B`` first equals ``b0``."""
         return (self.intercept - self.b0) / self.slope
 
-    def age_at(self, value: float) -> float:
-        """Inverse on the decaying branch: the age where ``B(age) == value``.
-
-        ``value`` must lie in ``[b0, intercept]``.
-        """
-        if not (self.b0 <= value <= self.intercept):
-            raise ValueError(
-                f"value {value!r} outside [{self.b0!r}, {self.intercept!r}]"
-            )
-        return (self.intercept - value) / self.slope
-
     def __repr__(self) -> str:
         return (
             f"BFunction(b0={self.b0:.6g}, intercept={self.intercept:.6g}, "

@@ -54,10 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from copy import copy
-from math import inf
 from typing import TYPE_CHECKING, Any, Callable
-
-import numpy as np
 
 from ..params import SystemParams
 from ..sim.clocks import ConstantRateClock, HardwareClock
@@ -88,12 +85,6 @@ __all__ = ["ClockSyncNode", "NodeRow", "Population"]
 
 #: Optional per-node effect log entry: ``(now_h, event, effects)``.
 EffectLogEntry = tuple[float, Event, tuple[Effect, ...]]
-
-
-def _dispatch_timer(ev: ScheduledEvent) -> None:
-    """Reference kernel handler for ``KIND_TIMER`` records (``a=driver,
-    b=key``): what a population without a real transport registers."""
-    ev.a._fire_timer(ev.b)
 
 
 class ClockSyncNode:
@@ -132,20 +123,12 @@ class ClockSyncNode:
         self.transport = transport
         self.params = params
         self.core = core
-        #: Keyed timers.  On the batch table only a foreign key lives here:
-        #: a ``tick`` is a table record by node id, a ``lost`` deadline a slot.
+        #: Keyed timers (on the batch table a ``tick`` is a table record by
+        #: node id and a ``lost`` deadline a slot: nothing lives here).
         self._timers: dict[Any, ScheduledEvent] = {}
-        #: The batch table covering this node (set at birth in a column
-        #: population), whose slots hold its ``("lost", u)`` timers;
-        #: ``None`` off a table.
-        self._table: Any = None
         # One KIND_TIMER handler per simulator, registered idempotently by
-        # every driver (populations wired onto a test double have nowhere
-        # else to do it): the transport's, which routes table-covered
-        # fires to the array step, else the reference dispatcher.
-        sim.set_handler(
-            KIND_TIMER, getattr(transport, "_handle_timer", _dispatch_timer)
-        )
+        # every driver: the transport's.
+        sim.set_handler(KIND_TIMER, transport._handle_timer)
         self._effect_log: list[EffectLogEntry] | None = None
 
     @property
@@ -159,10 +142,10 @@ class ClockSyncNode:
         """Set to a list to capture ``(now_h, event, effects)`` per dispatch
         (used by the sim<->live parity tests; ``None`` = off, free).
 
-        A log must be attached before the run starts: it makes the kernel
-        plan decline the array step, and that verdict holds for the whole
-        run (on a table every in-run event would bypass ``handle()`` and
-        the log silently), so a late attachment raises.
+        A log records what ``handle()`` returns, which runs only off the
+        batch table: on a node of a population the table runs, a log makes
+        the run start raise (the reference kernel, ``REPRO_BATCH=0``, runs
+        it), and once the table is built a late attachment raises.
         """
         return self._effect_log
 
@@ -180,10 +163,6 @@ class ClockSyncNode:
     # ------------------------------------------------------------------ #
     # Clock reads
     # ------------------------------------------------------------------ #
-
-    def hardware_clock(self, t: float | None = None) -> float:
-        """``H_u(t)`` (defaults to the current simulation time)."""
-        return self.clock.value(self.sim.now if t is None else t)
 
     def logical_clock(self, t: float | None = None) -> float:
         """``L_u(t)`` -- read-only, does not mutate lazy state.
@@ -221,11 +200,6 @@ class ClockSyncNode:
     def jumps(self) -> int:
         """Number of discrete clock jumps so far."""
         return self.core.jumps
-
-    @property
-    def total_jump(self) -> float:
-        """Total jumped distance so far."""
-        return self.core.total_jump
 
     @property
     def messages_sent(self) -> int:
@@ -280,9 +254,6 @@ class ClockSyncNode:
         now = sim.now
         if fire_t < now:
             fire_t = now
-        if self._covers(key):
-            self._table.arm_lost(self.node_id, key[1], fire_t)
-            return
         prev = self._timers.pop(key, None)
         if prev is not None:
             sim.queue.cancel(prev)
@@ -297,18 +268,12 @@ class ClockSyncNode:
             None, "timer", e=1 if sim.in_run else 0,
         )
 
-    def _covers(self, key: Any) -> bool:
-        """Whether timer ``key`` is a slot of this node's batch table."""
-        return self._table is not None and type(key) is tuple and key[0] == "lost"
-
     def cancel_timer(self, key: Any) -> bool:
         """Cancel pending timer ``key`` (returns whether one was pending)."""
-        if self._covers(key):
-            return self._table.arm_lost(self.node_id, key[1], inf)  # type: ignore[no-any-return]
         handle = self._timers.pop(key, None)
         if handle is None:
             return False
-        return self.sim.cancel(handle)
+        return self.sim.queue.cancel(handle)
 
     def _fire_timer(self, key: Any) -> None:
         self._timers.pop(key, None)
@@ -430,9 +395,6 @@ class Population(Mapping[int, ClockSyncNode]):
         self._row_cls = row_type(type(core))
         #: The drivers built so far, by node id (like the store's columns).
         self._built: list[ClockSyncNode | None] = [None] * self.ids.stop
-        #: What a driver's ``lost`` timers are slots of (``None`` once the
-        #: kernel plan declined the table: then they are queue records).
-        self._table: "NodeArrayTable | None" = store
         self.materialised = 0
         #: Set on :meth:`readers`' copy: an unbuilt node reads as its row.
         self._rows = False
@@ -463,31 +425,12 @@ class Population(Mapping[int, ClockSyncNode]):
         )
         clock = store.clocks[i] or ConstantRateClock(store.rate[i])
         node = self._built[i] = ClockSyncNode(i, sim, clock, transport, self.params, core)
-        node._table = self._table
         self.materialised += 1
         return node
 
     def touched(self) -> list[ClockSyncNode]:
         """The drivers built so far, in id order."""
         return [d for d in self._built if d is not None]
-
-    def decline(self) -> None:
-        """The kernel plan declined the table, so every event runs
-        ``handle()`` on the views: from now on a driver's timers are queue
-        records, a ``lost`` timer armed before the run included."""
-        self._table = None
-        for d in self.touched():
-            d._table = None
-        store = self.store
-        sim = self._make[0]
-        armed = np.flatnonzero(store.np.lost_dl[: store.n_slots] != inf).tolist()
-        for s in sorted(armed, key=store.lost_seq.__getitem__):
-            d, key = self[store.owner[s]], ("lost", store.peer[s])
-            d._timers[key] = sim.queue.push_typed(
-                store.lost_dl[s], PRIORITY_TIMER, KIND_TIMER, d, key, None,
-                sim.now, None, "timer", e=0,
-            )
-            store.lost_dl[s] = inf
 
     def readers(self) -> "Population":
         """The nodes as a finished run hands them out: a built driver, or

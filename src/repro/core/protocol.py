@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Union
 
 from ..params import SystemParams
-from .estimates import NeighborTable, SlotSet, SlotTable
+from .estimates import NeighborEstimate
 
 __all__ = [
     "CancelTimer",
@@ -441,8 +441,8 @@ class DCSACore(ProtocolCore):
         params.validate()
         #: Upsilon_u -- nodes u believes it shares an edge with.
         self.upsilon: MutableSet[int] = set()
-        #: Gamma_u with C^v_u and L^v_u.
-        self.gamma = NeighborTable()
+        #: Gamma_u: neighbour id -> its C^v_u and L^v_u.
+        self.gamma: dict[int, NeighborEstimate] = {}
         self._tick_stagger = float(tick_stagger)
         # Hot-path constants: params exposes these as derived properties
         # whose arithmetic would otherwise be recomputed on every message
@@ -453,7 +453,8 @@ class DCSACore(ProtocolCore):
         self._delta_t_prime = params.delta_t_prime
 
     def _advance_estimates(self, dh: float) -> None:
-        self.gamma.advance(dh)
+        for row in self.gamma.values():
+            row.l_est += dh
 
     # ------------------------------------------------------------------ #
     # Event handlers (Algorithm 2)
@@ -471,7 +472,7 @@ class DCSACore(ProtocolCore):
 
     def _handle_discover_remove(self, v: int) -> None:
         """``when discover(remove({u, v}))``: forget entirely, adjust."""
-        if self.gamma.remove(v):
+        if self.gamma.pop(v, None) is not None:
             self._cancel_timer(("lost", v))
         self.upsilon.discard(v)
         self._adjust_clock()
@@ -483,9 +484,12 @@ class DCSACore(ProtocolCore):
         row = self.gamma.get(v)
         if row is None:
             # Lines 17-19: v (re-)enters Gamma; C^v_u := H_u now.
-            self.gamma.add(v, added_h=self.h_last, l_est=l_v)
+            self.gamma[v] = NeighborEstimate(self.h_last, l_v)
         elif l_v > row.l_est:
-            # NeighborTable.refresh, inlined: the estimate is monotone.
+            # FIFO delivery makes the newest message carry the largest value
+            # v reported, but drift asymmetry can make the locally advanced
+            # estimate exceed it: the estimate is monotone, which keeps
+            # Lemma 6.5's L^v_u(t) >= L_v(t - tau).
             row.l_est = l_v
         self._raise_max(lmax_v)
         self._adjust_clock()
@@ -509,7 +513,7 @@ class DCSACore(ProtocolCore):
 
     def _on_lost(self, v: int) -> None:
         """``when alarm(lost(v))``: silent too long -- stop trusting v."""
-        self.gamma.remove(v)
+        self.gamma.pop(v, None)
         self._adjust_clock()
 
     # ------------------------------------------------------------------ #
@@ -518,21 +522,6 @@ class DCSACore(ProtocolCore):
 
     def _update_payload(self) -> Update:
         return (self._L, self._Lmax)
-
-    def perceived_skew(self, v: int) -> float | None:
-        """``L_u - L^v_u`` for a tracked neighbour (``None`` if untracked)."""
-        row = self.gamma.get(v)
-        if row is None:
-            return None
-        return self._L - row.l_est
-
-    def tolerance(self, v: int) -> float | None:
-        """Current ``B(H_u - C^v_u)`` for a tracked neighbour."""
-        row = self.gamma.get(v)
-        if row is None:
-            return None
-        age = self.h_last - row.added_h
-        return max(self._b0, self._b_intercept - self._b_slope * age)
 
     def _adjust_clock(self) -> None:
         """Procedure ``AdjustClock`` -- the one-line clock rule.
@@ -549,7 +538,7 @@ class DCSACore(ProtocolCore):
         b0 = self._b0
         intercept = self._b_intercept
         slope = self._b_slope
-        for row in self.gamma.rows():
+        for row in self.gamma.values():
             b = intercept - slope * (h - row.added_h)
             if b < b0:
                 b = b0
@@ -580,19 +569,17 @@ class _Row:
     """The lazy state of a table-covered core, as a view.
 
     Mixed in front of the core's class (:func:`row_type`): ``L``,
-    ``Lmax``, ``h_last``, the send and jump tallies, Gamma and Upsilon
-    then *are* the store's columns (:class:`~repro.core.batch.NodeArrayTable`)
-    -- the instance keeps no copy -- and every method of the core,
-    ``handle()`` included, runs unchanged against them.
+    ``Lmax``, ``h_last`` and the send and jump tallies then *are* the
+    store's columns (:class:`~repro.core.batch.NodeArrayTable`) -- the
+    instance keeps no copy -- so the core's clock reads (``logical_clock_at``,
+    ``max_estimate_at``) read the run as it stands, and a write (the
+    driver's ``_raise_max`` / ``_jump_logical``) lands in the columns.  The
+    table runs every event of such a core; ``handle()`` does not run on a
+    view, which has no Gamma or Upsilon of its own.
     """
 
     _store: Any
     node_id: int
-
-    def __new__(cls, *args: Any, **kwargs: Any) -> Any:
-        """Calling a view's class builds a stand-alone core of its core
-        class (views themselves are made by the store, never called)."""
-        return cls.__mro__[2](*args, **kwargs)
 
     _L = _column("L")
     _Lmax = _column("Lmax")
@@ -600,16 +587,6 @@ class _Row:
     messages_sent = _column("messages_sent")
     jumps = _column("jumps")
     total_jump = _column("total_jump")
-
-    @property
-    def gamma(self) -> SlotTable:
-        return SlotTable(self._store, self.node_id)
-
-    @property
-    def upsilon(self) -> SlotSet:
-        return SlotSet(self._store, self.node_id)
-
-
 #: The core fields a row view reads from the store's columns.
 ROW_FIELDS = ("_L", "_Lmax", "h_last", "messages_sent", "jumps", "total_jump")
 

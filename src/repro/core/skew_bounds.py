@@ -1,7 +1,8 @@
 """Closed-form skew bounds and trade-offs proved in the paper.
 
-Every theorem and corollary of Sections 4 and 6 has a function here; the
-benchmark harness evaluates these side by side with measured skews, and the
+The bounds the paper's experiments and the conformance oracle check have a
+function here (the window ``W`` of Lemma 6.10 is ``SystemParams.w_window``);
+the paper runner evaluates them side by side with measured skews, and the
 property-based tests assert the algorithm never violates the upper bounds.
 
 ===========================  ==========================================
@@ -9,14 +10,11 @@ paper result                 function
 ===========================  ==========================================
 Theorem 6.9 (global skew)    :func:`global_skew_bound`
 Lemma 6.8 (max propagation)  :func:`max_propagation_bound`
-Lemma 6.10 (window ``W``)    :func:`blocking_window`
-Theorem 6.12 (local, subj.)  :func:`local_skew_bound_tracked`
 Corollary 6.13 (dynamic)     :func:`dynamic_local_skew`
 -- its limit                 :func:`stable_local_skew`
 -- convergence time          :func:`stabilization_time`
-Corollary 6.14 (trade-off)   :func:`tradeoff_b0`, :func:`adaptation_time`
 Lemma 4.2 (masking)          :func:`masking_skew_floor`
-Theorem 4.1 (lower bound)    :func:`lb_reduction_time`, :func:`lb_skew_retention`
+Theorem 4.1 (lower bound)    :func:`lb_reduction_time`
 ===========================  ==========================================
 """
 
@@ -31,18 +29,12 @@ from ..params import SystemParams
 __all__ = [
     "global_skew_bound",
     "max_propagation_bound",
-    "blocking_window",
-    "local_skew_bound_tracked",
     "dynamic_local_skew",
     "dynamic_local_skew_batch",
     "stable_local_skew",
     "stabilization_time",
-    "tradeoff_b0",
-    "adaptation_time",
     "masking_skew_floor",
     "lb_reduction_time",
-    "lb_skew_retention",
-    "lb_min_initial_skew",
 ]
 
 
@@ -69,30 +61,6 @@ def max_propagation_bound(params: SystemParams, n: int | None = None) -> float:
     skew.
     """
     return global_skew_bound(params, n)
-
-
-def blocking_window(params: SystemParams) -> float:
-    """Lemma 6.10: :math:`W = (4G(n)/B_0 + 1)\\tau`.
-
-    A neighbour must have been tracked continuously for ``W`` real time
-    before it can block a node -- the information-propagation delay that the
-    Theorem 4.1 lower bound says is unavoidable.
-    """
-    return params.w_window
-
-
-def local_skew_bound_tracked(params: SystemParams, edge_age_real: float) -> float:
-    """Theorem 6.12 evaluated conservatively in real time.
-
-    For ``v in Gamma_u(t)``:
-    ``L_u(t) - L_v(t) <= B^v_u(t - W) + 2 rho W``.  Given a *real* time
-    ``edge_age_real`` since the edge entered Gamma, the subjective age at
-    ``t - W`` is at least ``(1-rho) * (edge_age_real - W)``, whence the
-    bound below.
-    """
-    w = params.w_window
-    subjective = max((1.0 - params.rho) * (edge_age_real - w), 0.0)
-    return params.b_function(subjective) + 2.0 * params.rho * w
 
 
 def dynamic_local_skew(params: SystemParams, edge_age_real: float) -> float:
@@ -167,28 +135,6 @@ def stabilization_time(params: SystemParams) -> float:
 # ---------------------------------------------------------------------- #
 
 
-def tradeoff_b0(params: SystemParams, *, scale: float = 1.0) -> float:
-    """Corollary 6.14's choice :math:`B_0 = \\lambda\\sqrt{\\rho n}`.
-
-    Expressed in skew units via the per-hop global skew rate so the choice
-    is dimensionally consistent; clamped to the validity floor
-    ``2(1+rho)tau`` (times 1.05) below which the ``B`` definition breaks.
-    """
-    raw = scale * math.sqrt(params.rho * params.n) * params.global_skew_rate
-    floor = 2.0 * (1.0 + params.rho) * params.tau
-    return max(raw, 1.05 * floor)
-
-
-def adaptation_time(params: SystemParams) -> float:
-    """The :math:`O(n/B_0)` adaptation time of Corollary 6.14.
-
-    Reported as the dominant term ``5 G(n) (1+rho) tau / B_0`` of
-    :func:`stabilization_time` (the remaining terms do not scale with
-    ``n/B_0``); used for shape comparisons in the trade-off benchmark.
-    """
-    return 5.0 * params.global_skew_bound * (1.0 + params.rho) * params.tau / params.b0
-
-
 # ---------------------------------------------------------------------- #
 # Lower bounds (Section 4)
 # ---------------------------------------------------------------------- #
@@ -205,11 +151,6 @@ def masking_skew_floor(params: SystemParams, flexible_distance: int) -> float:
     return 0.25 * params.max_delay * flexible_distance
 
 
-def masking_min_time(params: SystemParams, flexible_distance: int) -> float:
-    """Earliest time at which :func:`masking_skew_floor` applies."""
-    return params.max_delay * flexible_distance * (1.0 + 1.0 / params.rho)
-
-
 def lb_reduction_time(params: SystemParams, stable_skew: float | None = None) -> float:
     """Theorem 4.1's time scale :math:`\\lambda\\, n/\\bar s(n)`.
 
@@ -221,21 +162,3 @@ def lb_reduction_time(params: SystemParams, stable_skew: float | None = None) ->
     s_bar = stable_local_skew(params) if stable_skew is None else stable_skew
     t = params.max_delay
     return (t * t / (128.0 * (1.0 + params.rho))) * (params.n / s_bar)
-
-
-def lb_skew_retention(params: SystemParams, initial_skew: float) -> float:
-    """Theorem 4.1's floor :math:`\\zeta I`: skew a new edge must still carry.
-
-    ``s(n, I, lambda n / s_bar) >= (n T / (32 G(n))) * I`` -- with
-    ``G(n) = Theta(n)`` the coefficient ``zeta`` is a constant independent
-    of ``n``.  Only meaningful for ``I`` above
-    :func:`lb_min_initial_skew`.
-    """
-    g = global_skew_bound(params)
-    return (params.n * params.max_delay / (32.0 * g)) * initial_skew
-
-
-def lb_min_initial_skew(params: SystemParams) -> float:
-    """Initial-skew threshold ``I > 32 G(n) s_bar / (T n)`` for Theorem 4.1."""
-    g = global_skew_bound(params)
-    return 32.0 * g * stable_local_skew(params) / (params.max_delay * params.n)

@@ -13,7 +13,6 @@ from .runner import (
     Experiment,
     ExperimentConfig,
     RunResult,
-    build_experiment,
     run_experiment,
 )
 
@@ -27,7 +26,6 @@ __all__ = [
     "ExperimentConfig",
     "RunResult",
     "SerializationError",
-    "build_experiment",
     "configs",
     "registry",
     "run_experiment",

@@ -171,10 +171,6 @@ class Workload:
     doc: str = ""
 
     @property
-    def __name__(self) -> str:
-        return self.key
-
-    @property
     def size(self) -> tuple[str, ...]:
         return TOPOLOGY[self.spec["topology"]][0]
 

@@ -64,7 +64,6 @@ __all__ = [
     "ALGORITHMS",
     "ExperimentConfig",
     "RunResult",
-    "build_experiment",
     "run_experiment",
 ]
 
@@ -658,11 +657,6 @@ class Experiment:
             if self.tracer is not None:
                 self.tracer.instrument(telemetry)
 
-    @property
-    def node_list(self) -> list[ClockSyncNode]:
-        """The drivers in id order (reading it touches every node)."""
-        return [self.nodes[i] for i in sorted(self.nodes)]
-
     def run(self) -> RunResult:
         """Run to the horizon and package the results.
 
@@ -714,11 +708,6 @@ class Experiment:
         finally:
             if gc_was_enabled:
                 gc.enable()
-
-
-def build_experiment(cfg: ExperimentConfig) -> Experiment:
-    """Wire an experiment without running it (for step-wise tests)."""
-    return Experiment(cfg)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:

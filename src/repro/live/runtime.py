@@ -615,9 +615,9 @@ class LiveRuntime:
         if oracle is not None:
             oracle.attach(self.views, interval=self.sample_interval)
             oracle.attach_graph(self.graph)
-            read = PopulationReader(self.views, estimates=oracle.needs_estimates)
-            check = oracle.sample
-            sample = lambda t: check(t, *read(t))
+            read = PopulationReader(self.views)
+            check, estimates = oracle.sample, oracle.needs_estimates
+            sample = lambda t: check(t, *read(t, estimates))
         # Per-node order: Start, E_0 (known to its endpoints from the start)
         # in edge order, then arrivals.  Turns first run at the await below.
         for _i, node in sorted(self.nodes.items()):

@@ -25,7 +25,7 @@ from .scenario import (
     run_masking_experiment,
     settle_age,
 )
-from .subsequence import select_subsequence, verify_subsequence
+from .subsequence import select_subsequence
 
 __all__ = [
     "AlphaDelayPolicy",
@@ -43,5 +43,4 @@ __all__ = [
     "run_masking_experiment",
     "select_subsequence",
     "settle_age",
-    "verify_subsequence",
 ]

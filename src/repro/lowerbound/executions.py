@@ -120,9 +120,6 @@ class BetaDelayPolicy(DelayPolicy):
             )
         return min(max(delay, 0.0), self.alpha.mask.max_delay)
 
-    def max_bound(self) -> float:
-        return self.alpha.mask.max_delay
-
 
 @dataclass
 class ExecutionPair:

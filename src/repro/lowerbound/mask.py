@@ -64,11 +64,6 @@ class DelayMask:
         """``P({u, v})`` (raises for unconstrained edges)."""
         return self.constrained[edge_key(u, v)]
 
-    def legal_range(self, u: int, v: int, rho: float) -> tuple[float, float]:
-        """The M-constrained delay window ``[P(e)/(1+rho), P(e)]`` (Def 4.2)."""
-        p = self.pattern(u, v)
-        return (p / (1.0 + rho), p)
-
     def __repr__(self) -> str:
         return (
             f"DelayMask({len(self.constrained)} constrained edges, "
@@ -176,6 +171,3 @@ class AlphaDelayPolicy(DelayPolicy):
     def has_direction(self, u: int, v: int) -> bool:
         """Whether this policy covers direction ``u -> v``."""
         return (u, v) in self._directed
-
-    def max_bound(self) -> float:
-        return self.mask.max_delay

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["select_subsequence", "verify_subsequence"]
+__all__ = ["select_subsequence"]
 
 
 def select_subsequence(xs: Sequence[float], c: float, d: float) -> list[int]:
@@ -62,20 +62,3 @@ def select_subsequence(xs: Sequence[float], c: float, d: float) -> list[int]:
             break
         selected.append(nxt)
     return selected
-
-
-def verify_subsequence(
-    xs: Sequence[float], indices: Sequence[int], c: float, d: float
-) -> None:
-    """Assert the two postconditions of Lemma 4.3 (raises on violation)."""
-    m = len(indices)
-    bound = (xs[-1] - xs[0]) / (c - d) + 1.0
-    if m > bound + 1e-9:
-        raise AssertionError(f"subsequence length {m} exceeds bound {bound}")
-    for j in range(m - 1):
-        gap = abs(xs[indices[j + 1]] - xs[indices[j]])
-        if not (c - d - 1e-9 <= gap <= c + 1e-9):
-            raise AssertionError(
-                f"gap {gap!r} between selected elements {j} and {j + 1} "
-                f"outside [{c - d!r}, {c!r}]"
-            )

@@ -10,13 +10,7 @@ contract tying them together (:class:`Transport`), plus topology builders
 and churn processes used by the experiments.
 """
 
-from .channels import (
-    ConstantDelay,
-    DelayPolicy,
-    DirectionalDelay,
-    PerEdgeDelay,
-    UniformDelay,
-)
+from .channels import ConstantDelay, DelayPolicy, UniformDelay
 from .churn import (
     ChurnProcess,
     EdgeFlapper,
@@ -28,13 +22,9 @@ from .churn import (
 from .discovery import ConstantDiscovery, DiscoveryPolicy, UniformDiscovery
 from .graph import DynamicGraph, GraphError, edge_key
 from .topology import (
-    binary_tree_edges,
-    complete_edges,
-    diameter_of,
     grid_edges,
     path_edges,
     random_geometric,
-    random_regular_edges,
     ring_edges,
     star_edges,
     two_chain_edges,
@@ -46,14 +36,12 @@ __all__ = [
     "ConstantDelay",
     "ConstantDiscovery",
     "DelayPolicy",
-    "DirectionalDelay",
     "DiscoveryPolicy",
     "DynamicGraph",
     "EdgeFlapper",
     "GraphError",
     "MobileGeometricChurn",
     "NodeInterface",
-    "PerEdgeDelay",
     "RandomRewirer",
     "RotatingBackboneChurn",
     "ScriptedChurn",
@@ -61,14 +49,10 @@ __all__ = [
     "TransportStats",
     "UniformDelay",
     "UniformDiscovery",
-    "binary_tree_edges",
-    "complete_edges",
-    "diameter_of",
     "edge_key",
     "grid_edges",
     "path_edges",
     "random_geometric",
-    "random_regular_edges",
     "ring_edges",
     "star_edges",
     "two_chain_edges",

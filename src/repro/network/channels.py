@@ -10,29 +10,18 @@ predecessor itself was delivered within its own bound).
 Policies provided:
 
 * :class:`ConstantDelay` -- fixed delay (0 for instant, ``T`` for worst-case);
-* :class:`UniformDelay` -- i.i.d. uniform in ``[lo, hi]``;
-* :class:`PerEdgeDelay` -- per-edge override with a fallback policy, used to
-  build adversarial patterns (the lower-bound delay masks subclass this
-  behaviour in :mod:`repro.lowerbound.mask`);
-* :class:`DirectionalDelay` -- different delays for the two directions of
-  selected edges, the standard shifting-technique ingredient.
+* :class:`UniformDelay` -- i.i.d. uniform in ``[lo, hi]``.
+
+The adversarial patterns are policies of their own: the lower-bound delay
+masks (:mod:`repro.lowerbound.mask`) and the adaptive masking adversary
+(:mod:`repro.adversary.delay`).
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
-from .graph import edge_key
-
-__all__ = [
-    "DelayPolicy",
-    "ConstantDelay",
-    "UniformDelay",
-    "PerEdgeDelay",
-    "DirectionalDelay",
-]
+__all__ = ["DelayPolicy", "ConstantDelay", "UniformDelay"]
 
 
 class DelayPolicy:
@@ -40,10 +29,6 @@ class DelayPolicy:
 
     def delay(self, u: int, v: int, t: float) -> float:
         """Delay for a message sent ``u -> v`` at time ``t``."""
-        raise NotImplementedError
-
-    def max_bound(self) -> float:
-        """An upper bound on every delay this policy can produce."""
         raise NotImplementedError
 
 
@@ -56,9 +41,6 @@ class ConstantDelay(DelayPolicy):
         self.value = float(value)
 
     def delay(self, u: int, v: int, t: float) -> float:
-        return self.value
-
-    def max_bound(self) -> float:
         return self.value
 
     def __repr__(self) -> str:
@@ -94,71 +76,5 @@ class UniformDelay(DelayPolicy):
             buf.extend(self._rng.uniform(self.lo, self.hi, size=self._BATCH)[::-1].tolist())
         return buf.pop()
 
-    def max_bound(self) -> float:
-        return self.hi
-
     def __repr__(self) -> str:
         return f"UniformDelay([{self.lo!r}, {self.hi!r}])"
-
-
-class PerEdgeDelay(DelayPolicy):
-    """Per-edge constant delays with a fallback policy for other edges.
-
-    ``overrides`` maps canonical edge keys to fixed delays; messages on any
-    other edge fall through to ``default``.
-    """
-
-    def __init__(
-        self,
-        overrides: Mapping[tuple[int, int], float],
-        default: DelayPolicy,
-    ) -> None:
-        self.overrides = {edge_key(*e): float(d) for e, d in overrides.items()}
-        for e, d in self.overrides.items():
-            if d < 0.0:
-                raise ValueError(f"negative delay {d!r} for edge {e}")
-        self.default = default
-
-    def delay(self, u: int, v: int, t: float) -> float:
-        d = self.overrides.get(edge_key(u, v))
-        if d is not None:
-            return d
-        return self.default.delay(u, v, t)
-
-    def max_bound(self) -> float:
-        bounds = list(self.overrides.values())
-        bounds.append(self.default.max_bound())
-        return max(bounds)
-
-
-class DirectionalDelay(DelayPolicy):
-    """Direction-dependent delays on selected edges.
-
-    ``directed`` maps ordered pairs ``(u, v)`` to the delay of messages sent
-    from ``u`` to ``v``.  Unlisted directions use ``default``.  This is the
-    shifting-technique workhorse: delaying one direction by ``T`` and the
-    other by 0 hides a hardware-clock shift of ``T`` between the endpoints
-    (Lemma 4.2's execution alpha).
-    """
-
-    def __init__(
-        self,
-        directed: Mapping[tuple[int, int], float],
-        default: DelayPolicy,
-    ) -> None:
-        self.directed = {(int(a), int(b)): float(d) for (a, b), d in directed.items()}
-        for pair, d in self.directed.items():
-            if d < 0.0:
-                raise ValueError(f"negative delay {d!r} for direction {pair}")
-        self.default = default
-
-    def delay(self, u: int, v: int, t: float) -> float:
-        d = self.directed.get((u, v))
-        if d is not None:
-            return d
-        return self.default.delay(u, v, t)
-
-    def max_bound(self) -> float:
-        bounds = list(self.directed.values())
-        bounds.append(self.default.max_bound())
-        return max(bounds)

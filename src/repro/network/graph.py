@@ -196,10 +196,6 @@ class DynamicGraph:
         self._adj.fill()
         return self._adj
 
-    def degree(self, u: int) -> int:
-        """Current degree of ``u``."""
-        return len(self._adj[u])
-
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is currently present."""
         try:
@@ -227,15 +223,6 @@ class DynamicGraph:
         ``u * size + v``, sorted: each node's neighbours, node by node."""
         us, vs = self.edge_columns()
         return np.sort(np.concatenate((us * self.size + vs, vs * self.size + us)))
-
-    def adjacency(self) -> tuple[_I64, _I64]:
-        """The current adjacency as two id columns, one entry per (node,
-        neighbour), in :meth:`pair_keys` order."""
-        return self._decode(self.pair_keys())
-
-    def edge_count(self) -> int:
-        """Number of current edges."""
-        return len(self.edge_columns()[0])
 
     # ------------------------------------------------------------------ #
     # Mutation

@@ -7,13 +7,11 @@ alive.
 
 The paper's constructions use paths and two-chain networks (Figure 1);
 wireless-flavoured experiments use random geometric graphs; scalability
-benches use rings, grids and random regular graphs.
+benches use rings and grids.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -22,13 +20,9 @@ __all__ = [
     "path_edges",
     "ring_edges",
     "star_edges",
-    "complete_edges",
     "grid_edges",
-    "binary_tree_edges",
     "random_geometric",
-    "random_regular_edges",
     "two_chain_edges",
-    "diameter_of",
 ]
 
 Edge = tuple[int, int]
@@ -55,13 +49,6 @@ def star_edges(n: int) -> list[Edge]:
     return [(0, i) for i in range(1, n)]
 
 
-def complete_edges(n: int) -> list[Edge]:
-    """Complete graph ``K_n`` (diameter 1)."""
-    if n < 2:
-        raise ValueError("K_n needs n >= 2")
-    return [(u, v) for u, v in itertools.combinations(range(n), 2)]
-
-
 def grid_edges(rows: int, cols: int) -> list[Edge]:
     """4-neighbour grid; node ``(r, c)`` has id ``r * cols + c``."""
     if rows < 1 or cols < 1:
@@ -75,13 +62,6 @@ def grid_edges(rows: int, cols: int) -> list[Edge]:
             if r + 1 < rows:
                 edges.append((u, u + cols))
     return edges
-
-
-def binary_tree_edges(n: int) -> list[Edge]:
-    """Complete binary tree shape on ``n`` nodes (heap indexing)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [((i - 1) // 2, i) for i in range(1, n)]
 
 
 def random_geometric(
@@ -128,19 +108,6 @@ def edges_within_radius(pos: np.ndarray, radius: float) -> list[Edge]:
     return [(int(a), int(b)) for a, b in zip(iu[mask], ju[mask])]
 
 
-def random_regular_edges(n: int, degree: int, rng: np.random.Generator) -> list[Edge]:
-    """A random ``degree``-regular graph via networkx (connected retries)."""
-    import networkx as nx
-
-    if n * degree % 2 != 0:
-        raise ValueError("n * degree must be even")
-    for attempt in range(100):
-        g = nx.random_regular_graph(degree, n, seed=int(rng.integers(2**31)))
-        if nx.is_connected(g):
-            return [(min(u, v), max(u, v)) for u, v in g.edges()]
-    raise RuntimeError("failed to sample a connected random regular graph")
-
-
 def two_chain_edges(n: int) -> tuple[list[Edge], dict[str, list[int]]]:
     """The two-chain network of the Figure 1 lower-bound construction.
 
@@ -165,32 +132,6 @@ def two_chain_edges(n: int) -> tuple[list[Edge], dict[str, list[int]]]:
     ]
     edges = [(min(u, v), max(u, v)) for u, v in edges]
     return edges, {"A": chain_a, "B": chain_b}
-
-
-def diameter_of(n: int, edges: Sequence[Edge]) -> int:
-    """Hop diameter of a static connected graph (BFS from every node)."""
-    adj: dict[int, list[int]] = {u: [] for u in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    diam = 0
-    for s in range(n):
-        dist = {s: 0}
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in dist:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        if len(dist) != n:
-            raise ValueError("graph is not connected")
-        diam = max(diam, max(dist.values()))
-    return diam
 
 
 def _is_connected(n: int, edges: Sequence[Edge]) -> bool:

@@ -63,7 +63,7 @@ from ..sim.events import (
     PRIORITY_DELIVERY,
     ScheduledEvent,
 )
-from ..sim.simulator import Simulator
+from ..sim.simulator import SimulationError, Simulator
 from ..tracing.spans import (
     SPAN_FLIGHT,
     STATUS_DONE,
@@ -190,7 +190,7 @@ class Transport:
         sim.set_handler(KIND_DELIVER, self._handle_deliver)
         sim.set_handler(KIND_DISCOVER, self._handle_discover)
         # Tick groups originate from the table's timer runs, and from a
-        # column population's first ticks (whose plan may yet decline).
+        # column population's first ticks (armed at set-up).
         sim.set_handler(KIND_TICK_BURST, self._handle_tick_burst)
         sim.on_run_start(self._start_run)
         graph.subscribe(self._on_graph_event)
@@ -269,10 +269,6 @@ class Transport:
         self._nodes = self._node_seq = population
         self._store = population.store
         self.sim.set_handler(KIND_TIMER, self._handle_timer)
-
-    def node(self, node_id: int) -> NodeInterface:
-        """The node implementation registered for ``node_id``."""
-        return self._nodes[node_id]
 
     def announce_initial_edges(self) -> None:
         """Deliver ``discover(add)`` for every edge of ``E_0`` at ``t = 0``,
@@ -420,7 +416,7 @@ class Transport:
 
     def _start_run(self) -> None:
         """Run-start hook: decide the kernel plan (once, where the first
-        ``run_until`` / ``step`` begins) and register the run, burst and
+        ``run_until`` begins) and register the run, burst and
         tick-group handlers, which exist only on a table."""
         t0 = perf_counter()
         plan = self.plan = kernel_plan(self)
@@ -448,7 +444,8 @@ class Transport:
         Registered by the drivers themselves (see
         :class:`~repro.core.node.ClockSyncNode`) or by a column population.
         On the plan's table a ``tick`` is one per-node body and a ``lost``
-        wake record fires the timers due now; anything else goes through
+        wake record fires the timers due now, and no other timer can run;
+        off a table every timer goes through
         :meth:`~repro.core.node.ClockSyncNode._fire_timer`.
         """
         table = self.plan.table
@@ -460,10 +457,11 @@ class Transport:
             if key == _LOST:
                 table.lost_wake(ev)
                 return
-        node = ev.a
-        if type(node) is int:
-            node = self._node_seq[node]
-        node._fire_timer(ev.b)
+            raise SimulationError(
+                f"node {ev.a.node_id}: timer {key!r} is not one the batch table "
+                "runs (a tick or a lost timer)"
+            )
+        ev.a._fire_timer(ev.b)
 
     def _handle_timer_batch(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for same-timestamp ``KIND_TIMER`` runs
@@ -473,10 +471,8 @@ class Transport:
     def _handle_tick_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_TICK_BURST`` records: re-expand the
         group's cardinality ``ev.e`` into the dispatch tallies (the kernel
-        counted one dispatch), then execute -- without a table (a column
-        population whose plan declined), as its members' ticks in order:
-        a group exists only under positive constant delays, so nothing a
-        tick pushes sorts between two of them."""
+        counted one dispatch), then execute it on the table (only a column
+        population, whose plan always has one, arms a group)."""
         sim = self.sim
         card = ev.e
         sim.events_dispatched += card - 1
@@ -484,12 +480,7 @@ class Transport:
         if kind_counts is not None:
             kind_counts[KIND_TICK_BURST] -= 1
             kind_counts[KIND_TIMER] += card
-        table = self.plan.table
-        if table is not None:
-            table.handle_tick_group(ev)
-            return
-        for i in ev.a:
-            self._node_seq[i]._fire_timer(_TICK)
+        self._table.handle_tick_group(ev)
 
     def _handle_deliver_burst(self, ev: ScheduledEvent) -> None:
         """Kernel handler for ``KIND_DELIVER_BURST`` records: re-expand the

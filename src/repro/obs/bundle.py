@@ -320,9 +320,7 @@ def assemble_bundle(
         trace = {
             "spans": len(table),
             "dropped": table.dropped,
-            "kinds": {
-                name: counts[k] for k, name in enumerate(SPAN_KIND_NAMES)
-            },
+            "kinds": dict(zip(SPAN_KIND_NAMES, counts)),
         }
     doc: dict[str, Any] = {
         "bundle_version": BUNDLE_VERSION,

@@ -17,7 +17,7 @@ Use through the harness (serializable config)::
     cfg = ExperimentConfig(..., record=False,
                            oracle=OracleRef("standard", {}))
     result = run_experiment(cfg)
-    assert result.oracle_report.ok, result.oracle_report.render()
+    assert result.oracle_report.ok, result.oracle_report.violations
 
 or standalone on any simulator/graph/node wiring via :meth:`install`.
 """
@@ -77,10 +77,6 @@ class OracleReport:
     worst_margin: float | None
     monitors: dict[str, MonitorSummary] = field(default_factory=dict)
 
-    def monitor(self, name: str) -> MonitorSummary:
-        """Summary of one monitor (raises ``KeyError`` if not installed)."""
-        return self.monitors[name]
-
     def to_metrics(self) -> dict[str, Any]:
         """The flat ``oracle_*`` columns stored per sweep point.
 
@@ -113,35 +109,6 @@ class OracleReport:
             },
             "violations": [v.to_dict() for v in self.violations],
         }
-
-    def render(self, *, max_lines: int = 20) -> str:
-        """Multi-line human-readable report (CLI output)."""
-        verdict = "OK" if self.ok else "VIOLATED"
-        lines = [
-            f"oracle {verdict}: {self.checks} checks, "
-            f"{self.violation_count} violations"
-            + (
-                f", worst margin {self.worst_margin:.6g}"
-                if self.worst_margin is not None
-                else ""
-            )
-        ]
-        for name in sorted(self.monitors):
-            s = self.monitors[name]
-            margin = (
-                f"{s.worst_margin:.6g}" if s.worst_margin is not None else "n/a"
-            )
-            lines.append(
-                f"  {name}: {s.checks} checks, {s.violations} violations, "
-                f"worst margin {margin}"
-            )
-        shown = self.violations[:max_lines]
-        for v in shown:
-            lines.append("  " + v.describe())
-        hidden = self.violation_count - len(shown)
-        if hidden > 0:
-            lines.append(f"  ... and {hidden} more violations")
-        return "\n".join(lines)
 
 
 class StreamingOracle:
@@ -222,7 +189,7 @@ class StreamingOracle:
         self._tracer: "Tracer | None" = None
         self._anchored: list[int] | None = None
         # Skew-timeline recorder (``None`` when the observatory is off);
-        # picked up ambiently at attach time, see ``attach_timeline``.
+        # picked up ambiently at attach time.
         self._timeline: "TimelineRecorder | None" = None
 
     @staticmethod
@@ -285,18 +252,6 @@ class StreamingOracle:
 
             self._timeline = active_timeline()
         if self._timeline is not None:
-            self._bind_timeline()
-
-    def attach_timeline(self, timeline: "TimelineRecorder") -> None:
-        """Record the skew timeline of this oracle's run into ``timeline``.
-
-        Mirrors :meth:`attach_tracer`: explicit wiring for standalone
-        use, while :meth:`attach` picks the ambient recorder up
-        automatically.  Binding resets the recorder's captured state
-        (last bound run wins -- bundle assembly happens per run).
-        """
-        self._timeline = timeline
-        if self._installed:
             self._bind_timeline()
 
     def _bind_timeline(self) -> None:

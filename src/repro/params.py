@@ -142,12 +142,6 @@ class SystemParams:
         p.validate()
         return p
 
-    def with_n(self, n: int) -> "SystemParams":
-        """Return a copy for a different network size (validated)."""
-        p = replace(self, n=int(n))
-        p.validate()
-        return p
-
     # ------------------------------------------------------------------ #
     # Validation
     # ------------------------------------------------------------------ #
@@ -299,22 +293,9 @@ class SystemParams:
         """
         return (self.b_intercept - self.b0) / self.b_slope
 
-    @property
-    def b_settle_real(self) -> float:
-        """Upper bound on the *real* time for ``B`` to reach ``B0``.
-
-        Subjective time accrues at rate at least ``1 - rho``, so the real
-        settling time is at most ``b_settle_subjective / (1 - rho)``.
-        """
-        return self.b_settle_subjective / (1.0 - self.rho)
-
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
-
-    def __getstate__(self) -> dict[str, Any]:
-        """Pickle the fields only, never the cached derived values."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_dict(self) -> dict[str, Any]:
         """Return the raw (non-derived) fields as a JSON-safe dict.
@@ -346,22 +327,3 @@ class SystemParams:
     # ------------------------------------------------------------------ #
     # Misc
     # ------------------------------------------------------------------ #
-
-    def describe(self) -> dict[str, Any]:
-        """Return a flat dict of all raw and derived values (for reports)."""
-        return {
-            "n": self.n,
-            "rho": self.rho,
-            "max_delay": self.max_delay,
-            "discovery_bound": self.discovery_bound,
-            "tick_interval": self.tick_interval,
-            "b0": self.b0,
-            "delta_t": self.delta_t,
-            "delta_t_prime": self.delta_t_prime,
-            "tau": self.tau,
-            "global_skew_bound": self.global_skew_bound,
-            "w_window": self.w_window,
-            "b_intercept": self.b_intercept,
-            "b_slope": self.b_slope,
-            "b_settle_real": self.b_settle_real,
-        }

@@ -12,11 +12,7 @@ from .clocks import (
     ConstantRateClock,
     HardwareClock,
     PiecewiseRateClock,
-    extremal_clock,
     perfect_clock,
-    random_walk_clock,
-    sinusoidal_clock,
-    two_phase_clock,
     validate_drift_columns,
 )
 from .events import (
@@ -43,10 +39,6 @@ __all__ = [
     "ScheduledEvent",
     "SimulationError",
     "Simulator",
-    "extremal_clock",
     "perfect_clock",
-    "random_walk_clock",
-    "sinusoidal_clock",
-    "two_phase_clock",
     "validate_drift_columns",
 ]

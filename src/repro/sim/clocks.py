@@ -16,9 +16,9 @@ Lemma 4.2 runs a node at rate ``1 + rho`` until its layer's skew target is
 reached and at rate ``1`` afterwards), and smooth drift processes are
 approximated to arbitrary precision by refining segments.
 
-Schedule builders at the bottom of the module generate common rate profiles:
-constant, two-phase (lower bound), bounded random walk, and sinusoidal
-(sampled).
+Schedule builders at the bottom of the module generate the rate profiles
+the clock table (``repro.harness.registry.CLOCK``) draws: perfect and a
+bounded random walk.
 """
 
 from __future__ import annotations
@@ -36,11 +36,7 @@ __all__ = [
     "PiecewiseRateClock",
     "SteerableClock",
     "perfect_clock",
-    "two_phase_clock",
-    "random_walk_clock",
     "random_walk_rates",
-    "sinusoidal_clock",
-    "extremal_clock",
     "validate_drift_columns",
 ]
 
@@ -73,14 +69,6 @@ class HardwareClock:
         """Return the real time ``t`` with ``H(t) = h`` (``h >= 0``)."""
         raise NotImplementedError
 
-    def rate_at(self, t: float) -> float:
-        """Return the instantaneous rate at real time ``t`` (right limit)."""
-        raise NotImplementedError
-
-    def rate_bounds(self) -> tuple[float, float]:
-        """Return ``(min rate, max rate)`` over the whole schedule."""
-        raise NotImplementedError
-
 
 class ConstantRateClock(HardwareClock):
     """A clock running at a fixed rate (rate 1.0 = perfect real time)."""
@@ -101,9 +89,6 @@ class ConstantRateClock(HardwareClock):
     def segment_at(self, t: float) -> Segment:
         """The single piece ``(rate, 0, 0, inf, inf)``."""
         return self.rate, 0.0, 0.0, math.inf, math.inf
-
-    def rate_at(self, t: float) -> float:
-        return self.rate
 
     def rate_bounds(self) -> tuple[float, float]:
         return (self.rate, self.rate)
@@ -175,12 +160,6 @@ class PiecewiseRateClock(HardwareClock):
         return self._times[i] + (h - values[i]) / self._rates[i]
 
     segment_at = _segment_at
-
-    def rate_at(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError(f"time must be non-negative; got {t!r}")
-        i = bisect_right(self._times, t) - 1
-        return self._rates[i]
 
     def rate_bounds(self) -> tuple[float, float]:
         return (min(self._rates), max(self._rates))
@@ -273,17 +252,6 @@ class SteerableClock(HardwareClock):
 
     segment_at = _segment_at
 
-    def rate_at(self, t: float) -> float:
-        if t < 0.0:
-            raise ValueError(f"time must be non-negative; got {t!r}")
-        i = bisect_right(self._times, t) - 1
-        return self._rates[i]
-
-    def rate_bounds(self) -> tuple[float, float]:
-        if self.rho is not None:
-            return (1.0 - self.rho, 1.0 + self.rho)
-        return (min(self._rates), max(self._rates))
-
     def __repr__(self) -> str:
         return (
             f"SteerableClock(segments={len(self._times)}, "
@@ -301,55 +269,6 @@ def perfect_clock() -> ConstantRateClock:
     return ConstantRateClock(1.0)
 
 
-def extremal_clock(rho: float, fast: bool) -> ConstantRateClock:
-    """A clock pinned at the drift envelope: rate ``1 + rho`` or ``1 - rho``.
-
-    These extremes are what adversarial lower-bound arguments use and what
-    maximises skew growth in bound-verification experiments.
-    """
-    return ConstantRateClock(1.0 + rho if fast else 1.0 - rho)
-
-
-def two_phase_clock(rho: float, switch_time: float) -> PiecewiseRateClock:
-    """Rate ``1 + rho`` until ``switch_time``, rate ``1`` afterwards.
-
-    This realises the closed form of the beta execution of Lemma 4.2:
-    ``H(t) = t + min(rho * t, rho * switch_time)``.  A node at flexible
-    distance ``d`` from the reference uses
-    ``switch_time = max_delay * d / rho`` so that
-    ``H(t) = t + min(rho t, max_delay * d)`` exactly as in Eq. (1).
-    """
-    if switch_time <= 0.0:
-        return PiecewiseRateClock([0.0], [1.0])
-    return PiecewiseRateClock([0.0, switch_time], [1.0 + rho, 1.0])
-
-
-def random_walk_clock(
-    rho: float,
-    horizon: float,
-    segment: float,
-    rng: np.random.Generator,
-    *,
-    persistence: float = 0.7,
-) -> PiecewiseRateClock:
-    """A bounded random-walk rate schedule in ``[1 - rho, 1 + rho]``.
-
-    The rate performs an AR(1)-style walk over segments of length
-    ``segment`` until ``horizon``; afterwards the last rate persists.  This
-    models oscillator drift that wanders but respects the drift bound --
-    realistic for crystal oscillators whose frequency moves with temperature.
-
-    Parameters
-    ----------
-    persistence:
-        AR(1) coefficient in [0, 1); higher values change rate more slowly.
-    """
-    times, rates = random_walk_rates(
-        rho, horizon, segment, rng, 1, persistence=persistence
-    )
-    return PiecewiseRateClock(times, rates[0])
-
-
 def random_walk_rates(
     rho: float,
     horizon: float,
@@ -359,13 +278,16 @@ def random_walk_rates(
     *,
     persistence: float = 0.7,
 ) -> tuple[list[float], npt.NDArray[np.float64]]:
-    """:func:`random_walk_clock`'s schedule for ``n`` clocks at once: the
-    segment start times and an ``(n, k)`` rate array, row ``i`` the rates
-    the ``i``-th of ``n`` successive calls would draw.
+    """A bounded random-walk rate schedule in ``[1 - rho, 1 + rho]`` for
+    ``n`` clocks: the segment start times and an ``(n, k)`` rate array, row
+    ``i`` node ``i``'s rates.
 
-    One ``(n, k + 1)`` draw consumes ``rng`` as those calls would, row
-    after row, and the AR(1) recurrence runs across rows in the same
-    operation order.
+    Each row performs an AR(1)-style walk (coefficient ``persistence`` in
+    ``[0, 1)``; higher changes the rate more slowly) over segments of
+    length ``segment`` until ``horizon``; afterwards the last rate
+    persists.  One ``(n, k + 1)`` draw consumes ``rng`` row after row.
+    This models oscillator drift that wanders but respects the drift
+    bound -- crystal oscillators whose frequency moves with temperature.
     """
     if not (0.0 <= persistence < 1.0):
         raise ValueError(f"persistence must be in [0, 1); got {persistence!r}")
@@ -381,37 +303,6 @@ def random_walk_rates(
         x = np.minimum(1.0, np.maximum(-1.0, x))
         rates[:, j] = 1.0 + rho * x
     return times, rates
-
-
-def sinusoidal_clock(
-    rho: float,
-    period: float,
-    horizon: float,
-    *,
-    phase: float = 0.0,
-    samples_per_period: int = 32,
-) -> PiecewiseRateClock:
-    """A sampled sinusoidal rate profile ``1 + rho * sin(2 pi t/period + phase)``.
-
-    The sinusoid is sampled into piecewise-constant segments so that clock
-    inversion stays exact.  Useful for modelling periodic (e.g. thermal)
-    drift; the peak-to-peak drift equals the full envelope ``2 rho``.
-    """
-    if period <= 0.0 or horizon <= 0.0:
-        raise ValueError("period and horizon must be positive")
-    if samples_per_period < 4:
-        raise ValueError("need at least 4 samples per period")
-    seg = period / samples_per_period
-    k = max(1, int(math.ceil(horizon / seg)))
-    times = [i * seg for i in range(k)]
-    # Sample at segment midpoints to reduce discretisation bias.
-    rates = [
-        1.0 + rho * math.sin(2.0 * math.pi * (t + 0.5 * seg) / period + phase)
-        for t in times
-    ]
-    # Guard against a rate of exactly 0 for rho ~ 1 (not admissible anyway).
-    rates = [max(r, 1e-9) for r in rates]
-    return PiecewiseRateClock(times, rates)
 
 
 def validate_drift_columns(

@@ -209,14 +209,6 @@ class ScheduledEvent:
         self.gen = 0
         self.label = label
 
-    @property
-    def sort_key(self) -> tuple[float, int, int]:
-        """Heap ordering key: ``(time, priority, seq)``."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return self.sort_key < other.sort_key
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
         lbl = f" {self.label!r}" if self.label else ""

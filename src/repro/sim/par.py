@@ -449,7 +449,7 @@ def _worker_main(
         block = np.frombuffer(cast(Any, shm), dtype=np.float64).reshape(2, n)
         sample_set = set(samples)
         local_ids = sorted(nodes)
-        read = PopulationReader(nodes, estimates=True, transport=transport)
+        read = PopulationReader(nodes, transport)
         horizon = float(cfg.horizon)
         busy = 0.0
         wait = 0.0
@@ -460,7 +460,7 @@ def _worker_main(
             t0 = time.perf_counter()
             sim.run_until(b)
             if b in sample_set:
-                block[0, lo:hi], block[1, lo:hi] = read(b)
+                block[0, lo:hi], block[1, lo:hi] = read(b, True)
             out = transport._envelopes
             transport._envelopes = []
             env_out += len(out)
@@ -491,11 +491,11 @@ def _worker_main(
                     t_d, PRIORITY_DELIVERY, key, KIND_DELIVER, u, v, payload,
                     st, None, "deliver", e=-1,
                 )
-        clock, maxe = read(horizon)
+        clock, maxe = read(horizon, True)
         store = getattr(nodes, "store", None)
         if store is None:  # drivers: a population the table cannot run
             state = {f: [getattr(nodes[i], f) for i in local_ids] for f in _TALLIES}
-            state["rate"] = [nodes[i].clock.rate_at(horizon) for i in local_ids]
+            state["rate"] = [nodes[i].clock.segment_at(horizon)[0] for i in local_ids]
         else:  # a column population: off its columns, building no node
             state = {f: getattr(store.np, f)[lo:hi].tolist() for f in ("rate", *_TALLIES)}
         done = {

@@ -252,19 +252,19 @@ class EventQueue:
     # Retrieval
     # ------------------------------------------------------------------ #
 
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or ``None`` if the queue is empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
     def pop(self) -> ScheduledEvent | None:
         """Remove and return the next live event (``None`` when empty)."""
-        self._drop_cancelled()
-        if not self._heap:
+        heap = self._heap
+        free = self._free
+        while heap and heap[0][3].cancelled:
+            ev = heapq.heappop(heap)[3]
+            ev.queued = False
+            if POOLABLE[ev.kind] and len(free) < POOL_CAP:
+                ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
+                free.append(ev)
+        if not heap:
             return None
-        ev = heapq.heappop(self._heap)[3]
+        ev = heapq.heappop(heap)[3]
         ev.queued = False
         self._live -= 1
         return ev
@@ -440,20 +440,3 @@ class EventQueue:
             ev = entry[3]
             if not ev.cancelled:
                 yield ev
-
-    def clear(self) -> None:
-        """Drop every pending event (records are not recycled)."""
-        for entry in self._heap:
-            entry[3].queued = False
-        self._heap.clear()
-        self._live = 0
-
-    def _drop_cancelled(self) -> None:
-        heap = self._heap
-        free = self._free
-        while heap and heap[0][3].cancelled:
-            ev = heapq.heappop(heap)[3]
-            ev.queued = False
-            if POOLABLE[ev.kind] and len(free) < POOL_CAP:
-                ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
-                free.append(ev)

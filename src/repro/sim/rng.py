@@ -30,16 +30,9 @@ class RngFactory:
 
     def __init__(self, seed: int | None = None) -> None:
         self._root = np.random.SeedSequence(seed)
-        self._count = 0
         self.seed = seed
 
     def spawn(self, name: str = "") -> np.random.Generator:
         """Return a fresh independent Generator (``name`` is for debugging)."""
         (child,) = self._root.spawn(1)
-        self._count += 1
         return np.random.Generator(np.random.PCG64(child))
-
-    @property
-    def streams_spawned(self) -> int:
-        """Number of streams handed out so far."""
-        return self._count

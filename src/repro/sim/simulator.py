@@ -14,9 +14,9 @@ per-kind dispatch table instead of calling a per-event closure.  Hot
 subsystems register their handler once (:meth:`Simulator.set_handler`) and
 schedule payload-carrying records via :meth:`Simulator.schedule_typed`; the
 queue recycles those records after dispatch, so the steady state allocates
-no event objects.  ``KIND_CALLBACK`` events (the :meth:`schedule_at` /
-:meth:`schedule_in` API) remain available for cold paths -- churn
-processes, adversaries, tests.
+no event objects.  ``KIND_CALLBACK`` events (the :meth:`schedule_at` API,
+whose handler is built in like the sample and topology ones) remain
+available for cold paths -- churn processes, adversaries, tests.
 
 The kernel is deliberately minimal -- no processes, no coroutines -- because
 the workloads here are callback-shaped and performance matters: a benchmark
@@ -111,6 +111,7 @@ class Simulator:
         #: Number of pre-popped runs dispatched through a batch handler.
         self.batch_dispatches = 0
         handlers: list[Handler | None] = [None] * N_KINDS
+        handlers[KIND_CALLBACK] = self._handle_callback
         handlers[KIND_SAMPLE] = self._handle_sample
         handlers[KIND_TOPOLOGY] = self._handle_topology
         self._handlers = handlers
@@ -118,7 +119,7 @@ class Simulator:
         #: Per-kind dispatch tally, allocated by :meth:`instrument`; the hot
         #: loop pays a single ``is not None`` check while telemetry is off.
         self.kind_counts: list[int] | None = None
-        #: Whether :meth:`run_until` / :meth:`step` has been entered at least
+        #: Whether :meth:`run_until` has been entered at least
         #: once.  Set (and never cleared) at the top of the first run so
         #: setup-phase scheduling is distinguishable from run-time
         #: scheduling -- the parallel shard backend keys timer provenance on
@@ -170,10 +171,10 @@ class Simulator:
 
         Each kind has exactly one handler per simulator; registering the
         same handler again is a no-op, a *different* handler raises (two
-        subsystems cannot share a kind).  ``KIND_CALLBACK`` is dispatched
-        by the kernel itself and cannot be overridden.
+        subsystems cannot share a kind; the callback, sample and topology
+        kinds have the kernel's own).
         """
-        if not 0 <= kind < N_KINDS or kind == KIND_CALLBACK:
+        if not 0 <= kind < N_KINDS:
             raise SimulationError(f"invalid handler kind {kind!r}")
         existing = self._handlers[kind]
         if existing is not None and existing != handler:
@@ -221,7 +222,7 @@ class Simulator:
         Registration follows the same one-handler-per-kind discipline as
         :meth:`set_handler`.
         """
-        if not 0 <= kind < N_KINDS or kind == KIND_CALLBACK:
+        if not 0 <= kind < N_KINDS:
             raise SimulationError(f"invalid batch handler kind {kind!r}")
         existing = self._batch_handlers[kind]
         if existing is not None and existing != handler:
@@ -235,7 +236,7 @@ class Simulator:
         """Call ``callback`` once, at the top of the first run.
 
         Fires where :attr:`in_run` flips -- inside the first
-        :meth:`run_until` / :meth:`step`, before any event dispatches --
+        :meth:`run_until`, before any event dispatches --
         in registration order; on a simulator already running it fires
         immediately.
         """
@@ -274,19 +275,6 @@ class Simulator:
             )
         return self.queue.push(time, priority, callback, label)
 
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[[], Any],
-        *,
-        priority: int = PRIORITY_TIMER,
-        label: str = "",
-    ) -> ScheduledEvent:
-        """Schedule ``callback`` after a non-negative real-time ``delay``."""
-        if delay < 0.0:
-            raise SimulationError(f"delay must be non-negative; got {delay!r}")
-        return self.queue.push(self.now + delay, priority, callback, label)
-
     def schedule_typed(
         self,
         time: float,
@@ -313,57 +301,9 @@ class Simulator:
             )
         return self.queue.push_typed(time, priority, kind, a, b, c, d, fn, label)
 
-    def cancel(self, event: ScheduledEvent, gen: int | None = None) -> bool:
-        """Cancel a scheduled event (returns whether it was still live).
-
-        Pass ``gen`` (captured from ``event.gen`` at push time) when the
-        handle may be stale -- see :meth:`EventQueue.cancel`.
-        """
-        return self.queue.cancel(event, gen)
-
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-
-    def _dispatch(self, ev: ScheduledEvent) -> None:
-        """Advance the clock to ``ev`` and run it through the dispatch table."""
-        self.now = ev.time
-        self.events_dispatched += 1
-        if self.events_dispatched > self.max_events:
-            raise SimulationError(
-                f"exceeded max_events={self.max_events}; runaway simulation?"
-            )
-        kind = ev.kind
-        if self.kind_counts is not None:
-            self.kind_counts[kind] += 1
-        if kind == KIND_CALLBACK:
-            fn = ev.fn
-            assert fn is not None  # schedule_at always stores the callable
-            self.non_node_events += 1
-            fn()
-        else:
-            handler = self._handlers[kind]
-            if handler is None:
-                raise SimulationError(
-                    f"no handler registered for event kind {kind} "
-                    f"(label={ev.label!r})"
-                )
-            handler(ev)
-            if not ev.queued:
-                self.queue.recycle(ev)
-
-    def step(self) -> bool:
-        """Dispatch the single next event.
-
-        Returns ``False`` when the queue is empty, ``True`` otherwise.
-        """
-        if not self.in_run:
-            self._begin_run()
-        ev = self.queue.pop()
-        if ev is None:
-            return False
-        self._dispatch(ev)
-        return True
 
     def run_until(self, t_end: float) -> None:
         """Dispatch every event with time ``<= t_end``; set ``now = t_end``.
@@ -383,9 +323,8 @@ class Simulator:
             )
         if not self.in_run:
             self._begin_run()
-        # The kernel's hottest loop: _dispatch, EventQueue.pop_until and
-        # EventQueue.recycle are inlined here (step() and the queue keep
-        # the single-step definitions for callers that need them).
+        # The kernel's hottest loop: EventQueue.pop_until and
+        # EventQueue.recycle are inlined here.
         queue = self.queue
         heap = queue._heap
         free = queue._free
@@ -442,38 +381,28 @@ class Simulator:
                 )
             if kind_counts is not None:
                 kind_counts[kind] += 1
-            if kind == KIND_CALLBACK:
-                fn = ev.fn
-                assert fn is not None  # schedule_at always stores the callable
-                self.non_node_events += 1
-                fn()
-            else:
-                handler = handlers[kind]
-                if handler is None:
-                    raise SimulationError(
-                        f"no handler registered for event kind {kind} "
-                        f"(label={ev.label!r})"
-                    )
-                handler(ev)
-                if not ev.queued and poolable[kind] and len(free) < POOL_CAP:
-                    ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
-                    free.append(ev)
+            handler = handlers[kind]
+            if handler is None:
+                raise SimulationError(
+                    f"no handler registered for event kind {kind} "
+                    f"(label={ev.label!r})"
+                )
+            handler(ev)
+            if not ev.queued and poolable[kind] and len(free) < POOL_CAP:
+                ev.fn = ev.a = ev.b = ev.c = ev.d = ev.e = None
+                free.append(ev)
         self.now = t_end
-
-    def run_until_idle(self, t_cap: float | None = None) -> None:
-        """Dispatch until the queue is empty (or ``t_cap`` reached)."""
-        while True:
-            nxt = self.queue.peek_time()
-            if nxt is None:
-                return
-            if t_cap is not None and nxt > t_cap:
-                self.now = t_cap
-                return
-            self.step()
 
     # ------------------------------------------------------------------ #
     # Built-in typed handlers
     # ------------------------------------------------------------------ #
+
+    def _handle_callback(self, ev: ScheduledEvent) -> None:
+        """Call a :meth:`schedule_at` record's callable."""
+        fn = ev.fn
+        assert fn is not None  # schedule_at always stores the callable
+        self.non_node_events += 1
+        fn()
 
     def _handle_sample(self, ev: ScheduledEvent) -> None:
         """Fire a periodic measurement record (``a`` samples) and re-arm it in place."""

@@ -188,12 +188,6 @@ class SweepResult:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, i: int) -> SweepRow:
-        return self.rows[i]
-
     @property
     def cached_count(self) -> int:
         """Points not simulated: store hits plus within-sweep duplicates."""
@@ -203,10 +197,6 @@ class SweepResult:
     def executed_count(self) -> int:
         """How many points were actually simulated."""
         return sum(1 for r in self.rows if not r.cached)
-
-    def metric(self, name: str) -> list[Any]:
-        """One metric across all rows, in expansion order."""
-        return [r.metrics.get(name) for r in self.rows]
 
 
 # --------------------------------------------------------------------- #

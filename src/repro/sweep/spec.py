@@ -48,9 +48,6 @@ class Axis:
         if not self.points:
             raise ValueError("an axis must contain at least one point")
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 def _as_range(name: str, values: Any) -> list[Any]:
     if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
@@ -186,9 +183,3 @@ class SweepSpec:
                 cfg = replace(cfg, name=self.label)
             out.append(cfg)
         return out
-
-    def __len__(self) -> int:
-        total = 1
-        for axis in self.axes:
-            total *= len(axis)
-        return total

@@ -98,9 +98,6 @@ class ResultStore:
             return None
         return entry
 
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
-
     def _evict(self, path: Path) -> None:
         try:
             path.unlink()
@@ -164,7 +161,4 @@ class ResultStore:
     def find(self, prefix: str) -> list[str]:
         """Stored hashes starting with ``prefix`` (for CLI `show`)."""
         return [k for k in self.keys() if k.startswith(prefix)]
-
-    def __len__(self) -> int:
-        return len(self.keys())
 

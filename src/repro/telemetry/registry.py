@@ -115,11 +115,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    @property
-    def mean(self) -> float | None:
-        """Mean observation, or ``None`` before the first one."""
-        return self.total / self.count if self.count else None
-
 
 def _clean(value: Any) -> float | int | None:
     """Coerce a metric reading to a JSON-safe number (``None`` if not one)."""

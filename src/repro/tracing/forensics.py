@@ -95,11 +95,6 @@ class CauseReport:
     causes: tuple[Cause, ...]
     window: tuple[float, float]
 
-    @property
-    def top(self) -> Cause | None:
-        """Highest-scored cause (``None`` only for an empty report)."""
-        return self.causes[0] if self.causes else None
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "violation": self.violation.to_dict(),

@@ -105,11 +105,6 @@ class Span:
     status: int
     detail: float
 
-    @property
-    def duration(self) -> float:
-        """``t1 - t0`` (0 for instantaneous spans, 0 for open flights)."""
-        return self.t1 - self.t0 if self.t1 >= self.t0 else 0.0
-
 
 class SpanTable:
     """Segmented, capacity-capped span storage (see module docstring)."""
@@ -287,7 +282,3 @@ class SpanTable:
         """Iterate every span as a materialized view, in id order."""
         for span_id, values in enumerate(zip(*map(self._column, range(STRIDE)))):
             yield Span(span_id, *values)
-
-    def count(self, kind: int) -> int:
-        """Retained spans of one kind (cold paths)."""
-        return self.kind_counts[kind]

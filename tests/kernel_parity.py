@@ -136,13 +136,13 @@ def run(
             hook(exp)
         if exp.sim.kind_counts is None:  # telemetry allocates its own
             exp.sim.kind_counts = [0] * N_KINDS
-        read = PopulationReader(exp.nodes, estimates=True, transport=exp.transport)
+        read = PopulationReader(exp.nodes, exp.transport)
         store = exp.nodes.store if untouched and isinstance(exp.nodes, Population) else None
         nodes = [exp.nodes[i] for i in sorted(exp.nodes)] if store is None else None
         stats = exp.transport.stats
 
         def sample(t):
-            clocks, estimates = read(t)
+            clocks, estimates = read(t, True)
             if store is None:
                 jumps = np.array([node.jumps for node in nodes])
             else:
@@ -202,6 +202,24 @@ def _delay_stream(policy) -> Any:
     return None
 
 
+def gamma_upsilon(exp, i: int) -> tuple[list | None, list[int]]:
+    """Node ``i``'s Gamma as sorted ``(u, repr(C^u), repr(L^u))`` rows
+    (``None`` for a core that keeps none) and its Upsilon, sorted: its
+    core's own, or -- a column population's -- read off the table's slot
+    columns, where ``l_est = inf`` is "not in Gamma"."""
+    store = getattr(exp.nodes, "store", None)
+    if store is None:
+        core = exp.nodes[i].core
+        if not hasattr(core, "gamma"):  # baseline cores keep no Gamma
+            return None, sorted(getattr(core, "upsilon", ()))
+        gamma = [(u, repr(e.added_h), repr(e.l_est)) for u, e in core.gamma.items()]
+        return sorted(gamma), sorted(core.upsilon)
+    slots = store.row(i).items()
+    gamma = [(u, repr(store.added_h[s]), repr(store.l_est[s]))
+             for u, s in slots if store.l_est[s] != np.inf]
+    return sorted(gamma), list(store.believed(i))
+
+
 def fingerprint(run: Run) -> list[tuple[float, str, bool, Any]]:
     """Every observable a kernel divergence could show up in, as entries
     ``(t, field, per_node, value)`` in time order: a per-node ``value`` is
@@ -227,15 +245,8 @@ def fingerprint(run: Run) -> list[tuple[float, str, bool, Any]]:
         (h, "h_last", True, np.array([c.h_last for c in cores], dtype=float)),
         (h, "total_jump", True, np.array([c.total_jump for c in cores], dtype=float)),
         (h, "messages_sent", True, np.array([c.messages_sent for c in cores])),
-        (h, "gamma", True, [
-            sorted(
-                (u, repr(row.added_h), repr(row.l_est)) for u, row in c.gamma.items()
-            )
-            if hasattr(c, "gamma")  # baseline cores keep no Gamma
-            else None
-            for c in cores
-        ]),
-        (h, "upsilon", True, [sorted(getattr(c, "upsilon", ())) for c in cores]),
+        (h, "gamma", True, [gamma_upsilon(exp, i)[0] for i in sorted(exp.nodes)]),
+        (h, "upsilon", True, [gamma_upsilon(exp, i)[1] for i in sorted(exp.nodes)]),
         (h, "lost_fires", False, sorted(run.lost_fires)),
         (h, "delay_stream", False, _delay_stream(exp.transport.delay_policy)),
         (h, "oracle", False, None if report is None else (
@@ -389,8 +400,8 @@ def _accounts_for_what_it_observed(run: Run) -> None:
         assert run.timeline.rows > 0
     assert all(p < i for i, p in enumerate(spans.parent))
     if spans.dropped == 0:
-        assert spans.count(SPAN_FLIGHT) == stats["sent"]
-        assert spans.count(SPAN_DISCOVER) == stats["discoveries_delivered"]
+        assert spans.kind_counts[SPAN_FLIGHT] == stats["sent"]
+        assert spans.kind_counts[SPAN_DISCOVER] == stats["discoveries_delivered"]
 
 
 # --------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ from repro.adversary import (
     GreedyTopologyAdversary,
     scan_interval_connectivity,
 )
-from repro.harness import AdversaryRef, build_experiment, configs, run_experiment
+from repro.harness import AdversaryRef, Experiment, configs, run_experiment
 from repro.sim.clocks import SteerableClock, validate_drift_columns
 from repro.sweep.engine import summarize_run
 
@@ -34,7 +34,7 @@ class TestSteerableClock:
         c = SteerableClock(1.5)
         assert c.value(0.0) == 0.0
         assert c.value(2.0) == 3.0
-        assert c.rate_at(1.0) == 1.5
+        assert c.segment_at(1.0)[0] == 1.5
 
     def test_value_is_continuous_across_rate_changes(self):
         c = SteerableClock(1.0)
@@ -55,7 +55,7 @@ class TestSteerableClock:
         c = SteerableClock(1.0)
         c.set_rate(2.0, 1.5)
         c.set_rate(2.0, 0.5)
-        assert c.rate_at(3.0) == 0.5
+        assert c.segment_at(3.0)[0] == 0.5
         assert c.value(4.0) == pytest.approx(2.0 + 2.0 * 0.5)
 
     def test_out_of_order_change_rejected(self):
@@ -66,7 +66,6 @@ class TestSteerableClock:
 
     def test_envelope_enforced_and_reported(self):
         c = SteerableClock(1.0, rho=0.05)
-        assert c.rate_bounds() == (0.95, 1.05)
         with pytest.raises(ValueError, match="envelope"):
             c.set_rate(1.0, 1.2)
         with pytest.raises(ValueError, match="envelope"):
@@ -85,13 +84,13 @@ class TestSteerableClock:
 class TestDriftAdversary:
     def test_replaces_clocks_and_splits_rates(self):
         cfg = configs.adversarial_drift(8, period=5.0, horizon=40.0)
-        exp = build_experiment(cfg)
+        exp = Experiment(cfg)
         adv = exp.adversary
         assert isinstance(adv, DriftAdversary)
         for node in exp.nodes.values():
             assert isinstance(node.clock, SteerableClock)
         exp.sim.run_until(20.0)
-        rates = sorted(adv.rates_now().values())
+        rates = sorted(node.clock.segment_at(20.0)[0] for node in exp.nodes.values())
         rho = cfg.params.rho
         assert rates[0] == pytest.approx(1.0 - rho)
         assert rates[-1] == pytest.approx(1.0 + rho)
@@ -100,9 +99,10 @@ class TestDriftAdversary:
 
     def test_all_rates_stay_in_envelope(self):
         cfg = configs.adversarial_drift(6, period=3.0, horizon=60.0)
-        exp = build_experiment(cfg)
+        exp = Experiment(cfg)
         exp.sim.run_until(60.0)
-        bounds = np.array([node.clock.rate_bounds() for node in exp.nodes.values()])
+        bounds = np.array([(min(c._rates), max(c._rates))
+                           for c in (node.clock for node in exp.nodes.values())])
         validate_drift_columns(bounds[:, 0], bounds[:, 1], cfg.params.rho)
 
     def test_strength_zero_is_perfect_clocks(self):
@@ -129,10 +129,10 @@ class TestDriftAdversary:
         cfg.adversary = AdversaryRef(
             "adaptive_drift", {"period": 15.0, "horizon": 10.0}
         )
-        exp = build_experiment(cfg)
+        exp = Experiment(cfg)
         exp.sim.run_until(40.0)
         assert exp.adversary.rounds == 0
-        assert all(r == 1.0 for r in exp.adversary.rates_now().values())
+        assert all(node.clock.segment_at(40.0)[0] == 1.0 for node in exp.nodes.values())
 
 
 # ---------------------------------------------------------------------- #
@@ -154,7 +154,6 @@ class TestDelayAdversary:
         policy = AdaptiveMaskingDelayPolicy(nodes, 1.0)
         assert policy.delay(0, 1, 0.0) == 1.0  # ahead sender: stale
         assert policy.delay(1, 0, 0.0) == 0.0  # behind sender: instant
-        assert policy.max_bound() == 1.0
 
     def test_policy_edge_restriction_falls_back(self):
         from repro.network.channels import ConstantDelay
@@ -168,7 +167,7 @@ class TestDelayAdversary:
 
     def test_installs_over_transport_and_run_stays_legal(self):
         cfg = configs.adversarial_delay(8, horizon=60.0)
-        exp = build_experiment(cfg)
+        exp = Experiment(cfg)
         assert isinstance(exp.transport.delay_policy, AdaptiveMaskingDelayPolicy)
         res = exp.run()
         # Transport validates every produced delay against max_delay.
@@ -196,7 +195,7 @@ class TestGreedyTopologyAdversary:
 
     def test_moves_committed_and_schedule_certifies(self):
         cfg = configs.greedy_topology(10, horizon=80.0)
-        exp = build_experiment(cfg)
+        exp = Experiment(cfg)
         res = exp.run()
         assert exp.adversary.moves > 0
         p = cfg.params
@@ -227,11 +226,11 @@ class TestGreedyTopologyAdversary:
 
     def test_hold_retracts_inserted_edges(self):
         cfg = configs.greedy_topology(8, period=5.0, hold=2.0, horizon=40.0)
-        exp = build_experiment(cfg)
+        exp = Experiment(cfg)
         exp.sim.run_until(40.0)
         adv = exp.adversary
         # Flash edges from earlier rounds are gone again.
-        assert len(adv.extras()) <= 1
+        assert len(adv._extras) <= 1
         assert adv.moves >= 8  # insert + retract per round
 
     def test_unprotected_run_stays_connected(self):

@@ -11,12 +11,9 @@ from hypothesis import given, settings
 
 from repro import SystemParams
 from repro.analysis.metrics import (
-    drift_rate,
     envelope_violations,
-    episode_peak_skew,
     global_skew_series,
     gradient_profile,
-    local_skew_series,
     max_estimate_lag,
     max_global_skew,
     max_local_skew,
@@ -25,11 +22,19 @@ from repro.analysis.metrics import (
 )
 from repro.analysis.recorder import EdgeEpisode, RunRecord, SkewRecorder
 from repro.analysis.report import TextTable, csv_text, format_value
+from repro.core.batch import Sampler
 from repro.harness import Experiment, configs, run_experiment
 from repro.network.graph import DynamicGraph
 from repro.network.topology import path_edges
 from repro.sim.simulator import Simulator
 from repro.testing.strategies import experiment_configs
+
+
+def installed(recorder: SkewRecorder) -> None:
+    """Arm ``recorder`` on a sampler of its own, reading every node."""
+    sampler = Sampler(recorder.sim, recorder.nodes)
+    recorder.join(sampler)
+    sampler.install()
 
 
 def synthetic_record() -> RunRecord:
@@ -59,15 +64,9 @@ class TestRecordBasics:
         assert global_skew_series(r).tolist() == pytest.approx([0.0, 0.3, 0.7, 0.3])
         assert max_global_skew(r) == pytest.approx(0.7)
 
-    def test_column(self):
-        r = synthetic_record()
-        assert r.column(1).tolist() == [0.0, 1.2, 2.5, 3.2]
-
     def test_local_skew(self):
         r = synthetic_record()
         assert max_local_skew(r) == pytest.approx(0.5)
-        series = local_skew_series(r)
-        assert series.tolist() == pytest.approx([0.0, 0.2, 0.5, 0.2])
 
     def test_episodes_for(self):
         r = synthetic_record()
@@ -100,12 +99,6 @@ class TestEpisodeMetrics:
             skews=np.array([0.5, 3.0, 0.5]),  # dips back up
         )
         assert stabilization_age(ep, threshold=1.0) == pytest.approx(2.0)
-
-    def test_peak(self):
-        ep = EdgeEpisode(0, 1, 0.0, ages=np.array([0.0]), skews=np.array([2.5]))
-        assert episode_peak_skew(ep) == 2.5
-        empty = EdgeEpisode(0, 1, 0.0, ages=np.empty(0), skews=np.empty(0))
-        assert episode_peak_skew(empty) == 0.0
 
     def test_stable_local_skew_measured(self):
         params = SystemParams.for_network(4)
@@ -169,7 +162,7 @@ class TestRecorderLive:
 
         nodes = {0: Dummy(1.0), 1: Dummy(1.1), 2: Dummy(0.9)}
         rec = SkewRecorder(sim, g, nodes, interval=1.0, track_edges=True, end=5.0)
-        rec.install()
+        installed(rec)
         sim.schedule_at(2.5, lambda: g.remove_edge(0, 1, sim.now))
         sim.schedule_at(3.5, lambda: g.add_edge(0, 1, sim.now))
         sim.run_until(5.0)
@@ -193,7 +186,7 @@ class TestRecorderLive:
             exp.sim, exp.graph, exp.nodes, cfg.sample_interval,
             track_max_estimates=True, end=cfg.horizon,
         )
-        loop.install()
+        installed(loop)
         result = exp.run()
         assert result.batch_gate_reason is None and result.array_events > 0
         by_loop = loop.result()
@@ -227,13 +220,6 @@ class TestRecorderLive:
             (e.u, e.v, e.add_time, e.end_time, e.ages.tobytes(), e.skews.tobytes())
             for e in record.episodes
         ] == listener[0].record()
-
-    def test_drift_rate(self):
-        r = synthetic_record()
-        assert drift_rate(r) == pytest.approx(1.0, abs=0.2)
-        with pytest.raises(ValueError):
-            drift_rate(RunRecord(node_ids=[0], times=np.array([0.0]),
-                                 clocks=np.zeros((1, 1))))
 
     def test_max_estimate_lag_requires_tracking(self):
         r = synthetic_record()

@@ -2,11 +2,10 @@
 contract -- what a reader of a table-covered node sees: the run as it
 stands, mid-run, in plain Python floats.
 
-The hand-over rules between the array and the scalar lane, the E_0 wave
-lane and the view contract's reference entry points (state fed before
-the run, a direct ``on_message``, writes through ``upsilon``) are rows of
-``test_kernel_parity.CASES``, each checked there against the ``handle()``
-reference; the tests below keep the names this file gave those cases.
+The hand-over rules between the array and the scalar lane and the E_0
+wave lane are rows of ``test_kernel_parity.CASES``, each checked there
+against the ``handle()`` reference; the tests below keep the names this
+file gave those cases.
 """
 
 from __future__ import annotations
@@ -18,19 +17,11 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from kernel_parity import (
-    CHURN_SCRIPT,
-    churned_sync_ring,
-    far_ahead,
-    fingerprint,
-    first_divergence,
-    run,
-)
+from kernel_parity import CHURN_SCRIPT, churned_sync_ring, far_ahead, gamma_upsilon, run
 from test_kernel_parity import holds, parity_configs
 
 from repro.core import batch as batch_mod
 from repro.core.batch import NodeArrayTable
-from repro.core.estimates import SlotSet
 from repro.core.protocol import DCSACore
 from repro.harness import configs
 from repro.harness.runner import Experiment, run_experiment
@@ -50,7 +41,7 @@ def test_slot_columns_grow_without_moving_a_slot(monkeypatch):
     exp.sim.run_until(3.0)
     table = exp.transport.plan.table
     before = {v: dict(table.row(v)) for v in exp.nodes}
-    gamma = {i: sorted(node.core.gamma) for i, node in exp.nodes.items()}
+    gamma = {i: gamma_upsilon(exp, i)[0] for i in exp.nodes}
     size = len(table.l_est)
     pairs = [(v, u) for v in range(8) for u in range(8) if u != v]
     fresh = [table.slot(v, u) for v, u in pairs]  # forces a doubling
@@ -61,9 +52,9 @@ def test_slot_columns_grow_without_moving_a_slot(monkeypatch):
         exp.graph.has_edge(v, u) for v, u in pairs
     ]
     assert all(table.row(v)[u] == s for v, row in before.items() for u, s in row.items())
-    assert {i: sorted(node.core.gamma) for i, node in exp.nodes.items()} == gamma
+    assert {i: gamma_upsilon(exp, i)[0] for i in exp.nodes} == gamma
     exp.sim.run_until(6.0)  # and the run goes on, on the new columns
-    assert exp.nodes[0].core.gamma.get(1).l_est > 3.0
+    assert table.l_est[table.row(0)[1]] > 3.0
 
 
 # --------------------------------------------------------------------- #
@@ -101,8 +92,9 @@ def _store(build, *, lane_min, eager, until=None):
     return {
         "rows": [list(table.row(v).items()) for v in range(len(table.slotmap))],
         "gamma": {
-            i: [(u, e.l_est, e.added_h) for u, e in node.core.gamma.items()]
-            for i, node in exp.nodes.items()
+            i: [(u, table.l_est[s], table.added_h[s])
+                for u, s in table.row(i).items() if table.l_est[s] != float("inf")]
+            for i in exp.nodes
         },
         "columns": {
             name: getattr(table, name)[: table.n_slots].tobytes()
@@ -175,11 +167,7 @@ def _observe(exp, log):
         row.append(
             (
                 node.logical_clock(), node.max_estimate(), core.h_last,
-                core.messages_sent, sorted(core.upsilon),
-                [
-                    (v, est.added_h, est.l_est, core.perceived_skew(v), core.tolerance(v))
-                    for v, est in sorted(core.gamma.items())
-                ],
+                core.messages_sent, core.jumps, core.total_jump,
             )
         )
     log.append(row)
@@ -212,14 +200,14 @@ def _plain_floats(value):
     ids=["lockstep", "churned", "drifting"],
 )
 def test_mid_run_reads_show_what_the_reference_shows(make, monkeypatch):
-    """A ``sim.every`` callback reads clocks, Gamma rows, perceived skews
-    and tolerances of every node every 0.7: same values, both kernels."""
+    """A ``sim.every`` callback reads the clocks and tallies of every node
+    every 0.7: same values, both kernels."""
     exp_s, res_s, log_s = _mid_run_reads(make(), False, monkeypatch)
     exp_b, res_b, log_b = _mid_run_reads(make(), True, monkeypatch)
     assert res_b.array_events > 0 and res_s.array_events == 0
     assert len(log_b) > 10 and log_b == log_s
     assert _plain_floats(log_b)
-    assert any(gamma for row in log_b for _, _, _, _, _, gamma in row[1:])
+    assert any(sent for row in log_b for _, _, _, sent, _, _ in row[1:])
 
 
 def test_result_nodes_stay_readable_after_the_experiment_is_dropped():
@@ -230,16 +218,13 @@ def test_result_nodes_stay_readable_after_the_experiment_is_dropped():
     assert type(node.logical_clock(cfg.horizon)) is float
     assert type(node.max_estimate(cfg.horizon)) is float
     assert node.logical_clock(cfg.horizon) <= node.max_estimate(cfg.horizon)
-    assert sorted(node.core.gamma) == [6, 8] and node.messages_sent > 0
-    assert type(node.core.gamma.get(6).l_est) is float
-    assert isinstance(node.core.upsilon, SlotSet) and node.core.upsilon == {6, 8}
+    assert node.messages_sent > 0 and type(node.core.h_last) is float
 
 
 def test_a_covered_core_keeps_no_copy_of_its_row(monkeypatch):
     """One store: a column population's core is born a view of its row --
     the instance holds neither ``L``, ``Lmax``, ``h_last``, the tallies nor
-    a Gamma row; writes through the view land in the columns, and
-    ``handle()``'s own methods run against them."""
+    a Gamma row -- and writes through the view land in the columns."""
     monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
     exp = Experiment(configs.huge_sync_ring(64, horizon=6.0))
     core = exp.nodes[3].core
@@ -307,76 +292,14 @@ def test_greedy_adversary_reads_the_same_clocks_on_both_kernels():
     holds("greedy_topology")
 
 
-def test_state_fed_before_the_run_moves_into_the_store():
-    holds("fed_before_run")
-
-
-def test_a_plan_declined_after_set_up_runs_the_reference():
-    """A column population whose plan declines once it is wired -- the
-    reference kernel switched on after set-up -- runs ``handle()`` on
-    views built as events reach them, its first ticks as one group, and a
-    ``lost`` timer armed before the run moves to the queue: the run is the
-    reference's, fingerprint for fingerprint (node 4 never writes to
-    node 0 again, so its ``lost`` fire is the one armed before the run)."""
-
-    def fed(exp):
-        exp.nodes[0].on_message(4, (5.0, 6.0))
-        exp.nodes[1].on_message(0, (0.25, 7.5))
-
-    def fed_then_declined(exp):
-        fed(exp)
-        exp.sim.batch = False
-
-    cfg = configs.huge_sync_ring(8, horizon=6.0)
-    declined = run(cfg, batch=True, hook=fed_then_declined)
-    reference = run(cfg, batch=False, hook=fed)
-    assert declined.res.batch_gate_reason is not None and declined.res.array_events == 0
-    assert (0, 4) in {(node, peer) for _t, node, peer in declined.lost_fires}
-    divergence = first_divergence(fingerprint(reference), fingerprint(declined))
-    assert divergence is None, divergence
-
-
 def test_long_rows_advance_in_one_numpy_pass():
     holds("long_rows")
-
-
-def test_a_direct_message_rearms_the_slot_not_the_queue():
-    holds("direct_message")
-
-
-def test_writes_through_the_view_send_what_the_reference_sends():
-    holds("upsilon_writes")
 
 
 def test_property_churned_tick_groups_on_the_array_lane():
     """The hand-picked flip script, and drawn ones at the lane constant 1."""
     holds("lane_churned_tick_groups")
     holds("any_config[lane_1]")
-
-
-# --------------------------------------------------------------------- #
-# Upsilon and adjacency as slot columns
-# --------------------------------------------------------------------- #
-
-
-def test_a_covered_cores_upsilon_is_a_view_of_the_ups_column(monkeypatch):
-    monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
-    exp = Experiment(configs.huge_sync_ring(64, horizon=6.0))
-    exp.sim.run_until(3.0)
-    table = exp.transport.plan.table
-    core = exp.nodes[3].core
-    ups = core.upsilon
-    assert isinstance(ups, SlotSet)
-    assert ups == {2, 4} and {2, 4} == ups and ups != {2} and sorted(ups) == [2, 4]
-    assert len(ups) == 2 and 2 in ups and 9 not in ups and set(ups) == {2, 4}
-    edits = table.edits
-    ups.add(9)
-    assert table.ups[table.row(3)[9]] and core.upsilon == {2, 4, 9}
-    assert table.edits > edits  # a tick group's plan is rebuilt
-    ups.discard(9)
-    ups.discard(11)  # never believed: nothing to write
-    assert core.upsilon == {2, 4} and not table.ups[table.row(3)[9]]
-    assert 11 not in table.row(3)
 
 
 # --------------------------------------------------------------------- #

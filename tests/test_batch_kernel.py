@@ -12,8 +12,9 @@ the lazy ``lost`` re-arm, and late effect logs.
 from __future__ import annotations
 
 import multiprocessing
+import re
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from math import inf
 
@@ -23,6 +24,7 @@ from test_kernel_parity import BURSTS, CASE, holds
 
 from repro.core.batch import NodeArrayTable
 from repro.core.node import ClockSyncNode
+from repro.core.estimates import NeighborEstimate
 from repro.core.protocol import DCSACore, JumpL
 from repro.harness import configs
 from repro.harness.registry import DELAY, DISCOVERY, AdversaryRef, ChurnRef, ClockRef
@@ -50,7 +52,7 @@ from repro.sim.events import (
 from repro.sim.par import run_par
 from repro.sim.queue import EventQueue
 from repro.sim.rng import RngFactory
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import SimulationError, Simulator
 from repro.tracing import trace_session
 
 
@@ -188,16 +190,15 @@ def _hand_wired(cfg):
         max_delay=params.max_delay, discovery_bound=params.discovery_bound,
     )
     rates, clocks = ClockRef(cfg.clock_spec)(params, rngf.spawn("clocks"), cfg.horizon)
+    nodes = {}
     for i in range(params.n):
         clock = clocks[i] or ConstantRateClock(rates[i])
-        transport.register_node(
-            i, ClockSyncNode(i, sim, clock, transport, params, DCSACore(i, params))
-        )
+        nodes[i] = ClockSyncNode(i, sim, clock, transport, params, DCSACore(i, params))
+        transport.register_node(i, nodes[i])
     transport.announce_initial_edges()
     for i in range(params.n):
-        transport.node(i).start()
+        nodes[i].start()
     sim.run_until(cfg.horizon)
-    nodes = {i: transport.node(i) for i in range(params.n)}
     return RunResult(
         config=cfg, record=RunRecord.empty(nodes), graph=graph, nodes=nodes,
         transport_stats=transport.stats.as_dict(), events_dispatched=sim.events_dispatched,
@@ -217,6 +218,19 @@ def _attach_log(exp):
 
 def _reference_switch(exp):
     exp.sim.batch = False  # what REPRO_BATCH=0 sets at construction
+
+
+def _swap_core(exp):
+    node = exp.nodes[5]
+    node.core = DCSACore(5, exp.cfg.params, tick_stagger=node.core._tick_stagger)
+
+
+@contextmanager
+def _reference_kernel():
+    """What ``REPRO_BATCH=0`` selects: the ``handle()`` reference kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator_mod, "BATCH_DEFAULT", False)
+        yield
 
 
 class _ForeignClock(ConstantRateClock):
@@ -241,14 +255,8 @@ def _row(id, make, path, declined_by, needle, *, mutate=None, shards=0,
 DECLINES = [
     _row("non_dcsa_core", lambda: _sync(algorithm="max"),
          "array_step", "core", "MaxSyncCore"),
-    _row("foreign_clock", _sync, "array_step", "clock", "node 3 clock is _ForeignClock",
-         mutate=_foreign_clock),
-    _row("effect_log", _sync, "array_step", "effect_log", "node 3 has an effect log",
-         mutate=_attach_log),
-    _row("foreign_params", _sync, "array_step", "params", "node 5 does not share",
-         mutate=_foreign_params),
     _row("reference", _sync, "array_step", "reference", "REPRO_BATCH=0",
-         mutate=_reference_switch),
+         ambient=_reference_kernel),
     _row("hand_wired", lambda: _hand_wired(_sync(oracle=None)),
          "array_step", "population", "registered one by one"),
     _row("uniform_delay_runs", lambda: _sync(delay_spec="uniform"),
@@ -313,6 +321,45 @@ def test_decline_table(make, mutate, shards, ambient, path, declined_by, needle)
     )
 
 
+#: Every touched node of a column population the table cannot run: the
+#: hook that touches it before the run, and a needle of the refusal.
+REFUSALS = {
+    "swapped_core": (_swap_core, "node 5 runs a stand-alone DCSACore, not a view"),
+    "foreign_clock": (_foreign_clock, "node 3 clock is _ForeignClock"),
+    "effect_log": (_attach_log, "node 3 has an effect log attached"),
+    "foreign_params": (_foreign_params, "node 5 does not share the population's SystemParams"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_table(name, monkeypatch):
+    """The default kernel refuses the hooked population at its first
+    ``run_until``, naming the node and the reason; the reference kernel
+    (``REPRO_BATCH=0``) runs the same hooked population."""
+    hook, needle = REFUSALS[name]
+    monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+    exp = Experiment(_sync())
+    hook(exp)
+    with pytest.raises(SimulationError, match=re.escape(needle)):
+        exp.run()
+    monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", False)
+    exp = Experiment(_sync())
+    hook(exp)
+    res = exp.run()
+    assert [d.declined_by for d in res.declines if d.path == "array_step"] == ["reference"]
+    assert res.events_dispatched > 0
+
+
+def test_a_reference_switch_after_set_up_is_refused(monkeypatch):
+    """A column population's table is built at set-up: selecting the
+    reference kernel afterwards cannot run it."""
+    monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+    exp = Experiment(_sync())
+    _reference_switch(exp)
+    with pytest.raises(SimulationError, match="selected after set-up"):
+        exp.run()
+
+
 class TestDecidedOnce:
     """``kernel_plan`` runs once per simulator, where its first run begins."""
 
@@ -333,7 +380,7 @@ class TestDecidedOnce:
     def test_once_per_experiment_run(self, calls):
         exp = Experiment(_sync())
         assert calls.value == 0 and exp.transport.plan.table is None
-        exp.sim.step()  # the first step decides ...
+        exp.sim.run_until(0.0)  # the first run decides ...
         assert calls.value == 1 and exp.transport.plan.table is not None
         res = exp.run()  # ... and no later run_until asks again
         assert calls.value == 1
@@ -503,18 +550,26 @@ class TestAdjustClocksBatch:
     def test_blocked_population_matches_the_reference_scan(self, monkeypatch):
         """In-place AdjustClock == ``DCSACore._adjust_clock`` + ``apply_jump``.
 
-        Two identical end-of-run populations whose ``Lmax`` is then raised
-        far ahead, so every core is held back by its Gamma rows alone.
+        An end-of-run population, and stand-alone cores holding what its
+        rows hold, whose ``Lmax`` is then raised far ahead, so every core
+        is held back by its Gamma rows alone.
         """
 
-        def blocked():
-            exp = run(configs.huge_sync_ring(16, horizon=10.0), batch=True).exp
-            cores = [exp.nodes[i].core for i in sorted(exp.nodes)]
-            for core in cores:
-                core.force_raise_max(core._L + 500.0)
-            return exp.transport.plan.table, cores
-
-        (table, a), (_, b) = blocked(), blocked()
+        exp = run(configs.huge_sync_ring(16, horizon=10.0), batch=True).exp
+        table = exp.transport.plan.table
+        a = [exp.nodes[i].core for i in sorted(exp.nodes)]  # views of the rows
+        b = []  # stand-alone cores holding what the rows hold
+        for i, view in enumerate(a):
+            core = DCSACore(i, exp.cfg.params)
+            for name in ("_L", "_Lmax", "h_last", "jumps", "total_jump"):
+                setattr(core, name, getattr(view, name))
+            core.gamma = {
+                u: NeighborEstimate(table.added_h[s], table.l_est[s])
+                for u, s in table.row(i).items() if table.l_est[s] != inf
+            }
+            b.append(core)
+        for core in a + b:
+            core.force_raise_max(core._L + 500.0)
         jumps_before = [c.jumps for c in a]
         for core in a:
             table._adjust_clock(core.node_id, None)
@@ -532,7 +587,7 @@ class TestAdjustClocksBatch:
 
 #: The general path's rows, under the names this file gave them.
 GENERAL_CASES = [
-    "ring64", "ring256", "churned", "zero_delay", "mixed", "mixed_static",
+    "ring64", "ring256", "churned", "zero_delay",
     "run_transient", "run_absence", "run_zero_delay", "run_lazy_lost",
     "rw_ring", "rw_sync_ring", "rw_churned_grid", "sinusoidal", "two_phase",
     "steered", "steered_churned", "blocked", "static",
@@ -598,14 +653,19 @@ class TestGeneralPathParity:
 
     @pytest.mark.parametrize("key", ["t", "xy", ("gone", 1), 7])
     def test_foreign_timer_key_is_rejected_as_on_the_reference(self, key, monkeypatch):
-        """Only ``tick`` / ``("lost", v)`` ride the table; the core rejects the rest."""
-        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
-        exp = Experiment(configs.huge_ring(16, horizon=4.0))
-        exp.sim.run_until(2.0)
-        assert exp.transport.plan.table is not None  # decided at run start
-        exp.nodes[3].set_subjective_timer(key, 0.01)
-        with pytest.raises(RuntimeError, match="unknown timer"):
-            exp.sim.run_until(2.5)
+        """Only ``tick`` / ``("lost", v)`` ride the table, which rejects the
+        rest, as the core does on the reference."""
+        for batch, error, needle in (
+            (True, SimulationError, "is not one the batch table runs"),
+            (False, RuntimeError, "unknown timer"),
+        ):
+            monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", batch)
+            exp = Experiment(configs.huge_ring(16, horizon=4.0))
+            exp.sim.run_until(2.0)
+            assert (exp.transport.plan.table is not None) == batch  # decided at run start
+            exp.nodes[3].set_subjective_timer(key, 0.01)
+            with pytest.raises(error, match=needle):
+                exp.sim.run_until(2.5)
 
 
 class _LateThenEarly:
@@ -679,12 +739,11 @@ class TestLateEffectLog:
         assert exp.nodes[3].effect_log is None
         exp.nodes[3].effect_log = None  # detaching nothing stays legal
 
-    def test_attach_before_run_declines_the_table(self, monkeypatch):
-        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+    def test_attach_before_run_logs_on_the_reference_kernel(self, monkeypatch):
+        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", False)
         exp = Experiment(configs.huge_ring(16, horizon=4.0))
         exp.nodes[3].effect_log = []
         res = exp.run()
-        assert res.batch_gate_reason == "node 3 has an effect log attached"
         assert res.array_events == 0
         kinds = {type(event).__name__ for _h, event, _effects in exp.nodes[3].effect_log}
         assert {"MessageReceived", "TimerFired"} <= kinds

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,16 +31,6 @@ class TestBFunction:
         b = BFunction.from_params(params8)
         assert b(b.settle_age) == pytest.approx(b.b0)
         assert b(b.settle_age * 0.99) > b.b0
-
-    def test_inverse_on_decay_branch(self, params8):
-        b = BFunction.from_params(params8)
-        mid = (b.intercept + b.b0) / 2.0
-        assert b(b.age_at(mid)) == pytest.approx(mid)
-
-    def test_inverse_out_of_range(self, params8):
-        b = BFunction.from_params(params8)
-        with pytest.raises(ValueError):
-            b.age_at(b.b0 / 2)
 
     def test_negative_age_rejected(self, params8):
         b = BFunction.from_params(params8)
@@ -95,37 +87,12 @@ class TestLocalSkewBounds:
         with pytest.raises(ValueError):
             sb.dynamic_local_skew(params16, -1.0)
 
-    def test_tracked_bound_weaker_than_envelope_tail(self, params16):
-        # Thm 6.12's per-tracked-edge form agrees with Cor 6.13 up to the
-        # Delta T + D discovery slack.
-        age = 2 * sb.stabilization_time(params16)
-        assert sb.local_skew_bound_tracked(params16, age) == pytest.approx(
-            sb.stable_local_skew(params16)
-        )
-
-    def test_blocking_window(self, params16):
-        assert sb.blocking_window(params16) == pytest.approx(params16.w_window)
-
 
 class TestTradeoff:
-    def test_adaptation_time_inverse_in_b0(self, params16):
-        t1 = sb.adaptation_time(params16)
-        t2 = sb.adaptation_time(params16.with_b0(2 * params16.b0))
-        assert t2 == pytest.approx(t1 / 2)
-
-    def test_adaptation_time_linear_in_n(self, params16):
-        t1 = sb.adaptation_time(params16)
-        t2 = sb.adaptation_time(params16.with_n(31))
-        assert t2 == pytest.approx(2.0 * t1)
-
-    def test_tradeoff_b0_clamped_to_floor(self, params16):
-        b0 = sb.tradeoff_b0(params16, scale=1e-6)
-        assert b0 > 2 * (1 + params16.rho) * params16.tau
-
     def test_stabilization_dominated_by_adaptation(self, params16):
         # For growing n the Theta(n/B0) term dominates stabilization time.
         small = sb.stabilization_time(params16)
-        big = sb.stabilization_time(params16.with_n(16 * 16))
+        big = sb.stabilization_time(replace(params16, n=16 * 16))
         assert big > 8 * small
 
 
@@ -137,31 +104,13 @@ class TestLowerBounds:
         with pytest.raises(ValueError):
             sb.masking_skew_floor(params8, -1)
 
-    def test_masking_min_time(self, params8):
-        t = sb.masking_min_time(params8, 4)
-        assert t == pytest.approx(params8.max_delay * 4 * (1 + 1 / params8.rho))
-
     def test_lb_reduction_time_scales_linearly_in_n(self):
         p1 = SystemParams.for_network(100, b0=60.0)
-        p2 = p1.with_n(200)
+        p2 = replace(p1, n=200)
         r = sb.lb_reduction_time(p2, stable_skew=50.0) / sb.lb_reduction_time(
             p1, stable_skew=50.0
         )
         assert r == pytest.approx(2.0)
-
-    def test_lb_retention_proportional_to_initial_skew(self, params16):
-        assert sb.lb_skew_retention(params16, 20.0) == pytest.approx(
-            2.0 * sb.lb_skew_retention(params16, 10.0)
-        )
-
-    def test_lb_zeta_constant_in_n(self, params16):
-        # zeta = n T / (32 G(n)) is ~constant because G is linear in n.
-        z1 = sb.lb_skew_retention(params16, 1.0)
-        z2 = sb.lb_skew_retention(params16.with_n(160), 1.0)
-        assert z2 == pytest.approx(z1, rel=0.12)  # (n-1) vs n wobble
-
-    def test_lb_min_initial_skew_positive(self, params16):
-        assert sb.lb_min_initial_skew(params16) > 0
 
 
 @given(st.floats(min_value=0.0, max_value=1e4))

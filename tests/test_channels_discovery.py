@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.channels import (
-    ConstantDelay,
-    DirectionalDelay,
-    PerEdgeDelay,
-    UniformDelay,
-)
+from repro.network.channels import ConstantDelay, UniformDelay
 from repro.network.discovery import ConstantDiscovery, UniformDiscovery
 
 
@@ -17,7 +12,6 @@ class TestConstantDelay:
     def test_value(self):
         p = ConstantDelay(0.7)
         assert p.delay(0, 1, 10.0) == 0.7
-        assert p.max_bound() == 0.7
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -30,7 +24,6 @@ class TestUniformDelay:
         for _ in range(200):
             d = p.delay(0, 1, 0.0)
             assert 0.2 <= d <= 0.9
-        assert p.max_bound() == 0.9
 
     def test_degenerate_range(self, rng):
         p = UniformDelay(0.5, 0.5, rng)
@@ -39,32 +32,6 @@ class TestUniformDelay:
     def test_bad_range_rejected(self, rng):
         with pytest.raises(ValueError):
             UniformDelay(0.9, 0.2, rng)
-
-
-class TestPerEdgeDelay:
-    def test_override_and_fallback(self):
-        p = PerEdgeDelay({(3, 1): 0.9}, default=ConstantDelay(0.1))
-        # Canonicalised: both orientations hit the override.
-        assert p.delay(1, 3, 0.0) == 0.9
-        assert p.delay(3, 1, 0.0) == 0.9
-        assert p.delay(0, 2, 0.0) == 0.1
-        assert p.max_bound() == 0.9
-
-    def test_negative_override_rejected(self):
-        with pytest.raises(ValueError):
-            PerEdgeDelay({(0, 1): -0.5}, default=ConstantDelay(0.0))
-
-
-class TestDirectionalDelay:
-    def test_asymmetric(self):
-        p = DirectionalDelay({(0, 1): 1.0, (1, 0): 0.0}, default=ConstantDelay(0.5))
-        assert p.delay(0, 1, 0.0) == 1.0
-        assert p.delay(1, 0, 0.0) == 0.0
-        assert p.delay(2, 3, 0.0) == 0.5
-
-    def test_max_bound_includes_default(self):
-        p = DirectionalDelay({(0, 1): 0.3}, default=ConstantDelay(0.8))
-        assert p.max_bound() == 0.8
 
 
 class TestDiscoveryPolicies:

@@ -41,7 +41,7 @@ class TestSweep:
         assert code == 0
         assert "4 configs: 4 executed, 0 cached" in out
         assert "max_global_skew" in out
-        assert len(ResultStore(store_dir)) == 4
+        assert len(ResultStore(store_dir).keys()) == 4
 
     def test_rerun_is_fully_cached(self, capsys, store_dir):
         run_cli(capsys, *SWEEP_ARGS, "--store", store_dir)

@@ -12,11 +12,8 @@ from repro.sim.clocks import (
     HardwareClock,
     PiecewiseRateClock,
     SteerableClock,
-    extremal_clock,
     perfect_clock,
-    random_walk_clock,
-    sinusoidal_clock,
-    two_phase_clock,
+    random_walk_rates,
     validate_drift_columns,
 )
 
@@ -41,12 +38,6 @@ class TestConstantRateClock:
         with pytest.raises(ValueError):
             ConstantRateClock(0.0)
 
-    def test_extremal_clocks(self):
-        fast = extremal_clock(0.1, fast=True)
-        slow = extremal_clock(0.1, fast=False)
-        assert fast.value(10.0) == pytest.approx(11.0)
-        assert slow.value(10.0) == pytest.approx(9.0)
-
 
 class TestPiecewiseRateClock:
     def test_two_segments_exact(self):
@@ -56,9 +47,11 @@ class TestPiecewiseRateClock:
         assert c.time_at(22.0) == pytest.approx(14.0)
 
     def test_rate_at(self):
+        """The rate at ``t`` is the first field of the piece holding it."""
         c = PiecewiseRateClock([0.0, 10.0], [2.0, 0.5])
-        assert c.rate_at(5.0) == 2.0
-        assert c.rate_at(10.0) == 0.5  # boundary belongs to the new segment
+        assert c.segment_at(5.0) == (2.0, 0.0, 0.0, 10.0, 20.0)
+        # The boundary belongs to the new segment.
+        assert c.segment_at(10.0) == (0.5, 10.0, 20.0, float("inf"), float("inf"))
 
     def test_rate_bounds(self):
         c = PiecewiseRateClock([0.0, 1.0, 2.0], [1.1, 0.9, 1.0])
@@ -76,17 +69,6 @@ class TestPiecewiseRateClock:
         c = PiecewiseRateClock([0.0], [1.0])
         with pytest.raises(ValueError):
             c.value(-1.0)
-
-    def test_two_phase_closed_form(self):
-        # H(t) = t + min(rho t, T d) for the beta execution of Lemma 4.2.
-        rho, t_bound, d = 0.05, 1.0, 4
-        c = two_phase_clock(rho, switch_time=t_bound * d / rho)
-        for t in (0.0, 10.0, 79.9, 80.0, 100.0, 500.0):
-            assert c.value(t) == pytest.approx(t + min(rho * t, t_bound * d))
-
-    def test_two_phase_zero_switch_is_perfect(self):
-        c = two_phase_clock(0.05, switch_time=0.0)
-        assert c.value(7.0) == pytest.approx(7.0)
 
 
 class TestChecks:
@@ -111,36 +93,24 @@ class TestChecks:
     )
     def test_negative_arguments_refused(self, clock):
         with pytest.raises(ValueError, match="time must be non-negative"):
-            clock.rate_at(-1.0)
+            clock.value(-1.0)
         with pytest.raises(ValueError, match="clock value must be non-negative"):
             clock.time_at(-1.0)
-        if isinstance(clock, SteerableClock):
-            with pytest.raises(ValueError, match="time must be non-negative"):
-                clock.value(-1.0)
-
-    def test_steerable_bounds_without_an_envelope_are_its_rates(self):
-        clock = SteerableClock(1.5)
-        clock.set_rate(2.0, 0.5)
-        assert clock.rate_bounds() == (0.5, 1.5)
-        assert SteerableClock(1.0, rho=0.1).rate_bounds() == (0.9, 1.1)
 
     def test_constant_rate_at(self):
-        assert ConstantRateClock(1.25).rate_at(7.0) == 1.25
+        assert ConstantRateClock(1.25).segment_at(7.0)[0] == 1.25
 
     @pytest.mark.parametrize(
         "build,message",
         [
-            (lambda rng: random_walk_clock(0.1, 10.0, 0.0, rng), "segment and horizon"),
-            (lambda rng: sinusoidal_clock(0.1, period=0.0, horizon=10.0), "period and horizon"),
+            (lambda rng: random_walk_rates(0.1, 10.0, 0.0, rng, 1), "segment and horizon"),
         ],
     )
     def test_builders_refuse_empty_schedules(self, build, message):
         with pytest.raises(ValueError, match=message):
             build(np.random.default_rng(0))
 
-    @pytest.mark.parametrize("method,args", [
-        ("value", (0.0,)), ("time_at", (0.0,)), ("rate_at", (0.0,)), ("rate_bounds", ()),
-    ])
+    @pytest.mark.parametrize("method,args", [("value", (0.0,)), ("time_at", (0.0,))])
     def test_the_interface_is_abstract(self, method, args):
         with pytest.raises(NotImplementedError):
             getattr(HardwareClock(), method)(*args)
@@ -157,20 +127,12 @@ class TestChecks:
 
 class TestScheduleBuilders:
     def test_random_walk_within_drift(self, rng):
-        c = random_walk_clock(0.03, horizon=100.0, segment=5.0, rng=rng)
-        _validate_drift(c, 0.03)
+        times, rates = random_walk_rates(0.03, horizon=100.0, segment=5.0, rng=rng, n=1)
+        _validate_drift(PiecewiseRateClock(times, rates[0]), 0.03)
 
     def test_random_walk_bad_persistence(self, rng):
         with pytest.raises(ValueError):
-            random_walk_clock(0.01, horizon=10.0, segment=1.0, rng=rng, persistence=1.0)
-
-    def test_sinusoidal_within_drift(self):
-        c = sinusoidal_clock(0.02, period=50.0, horizon=200.0)
-        _validate_drift(c, 0.02)
-
-    def test_sinusoidal_needs_samples(self):
-        with pytest.raises(ValueError):
-            sinusoidal_clock(0.02, period=50.0, horizon=100.0, samples_per_period=2)
+            random_walk_rates(0.01, horizon=10.0, segment=1.0, rng=rng, n=1, persistence=1.0)
 
     def test_validate_drift_rejects_violation(self):
         c = ConstantRateClock(1.2)

@@ -27,6 +27,9 @@ class SinkTransport:
     def send(self, u, v, payload):
         pass
 
+    def _handle_timer(self, ev):
+        ev.a._fire_timer(ev.b)
+
 
 def dcsa_node(sim, params):
     return ClockSyncNode(
@@ -129,7 +132,7 @@ def test_property_jumps_respect_constraints(script):
                 for v in node.core.gamma:
                     row = node.core.gamma.get(v)
                     bound = row.l_est + node.params.b_function(
-                        node.hardware_clock() - row.added_h
+                        node.clock.value(node.sim.now) - row.added_h
                     )
                     assert l_now <= bound + 1e-9, (
                         f"jump overshot constraint of neighbour {v}"

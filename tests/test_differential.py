@@ -25,7 +25,7 @@ def shortcut_config(n, *, seed):
     at 1.1x the Lemma 4.2 onset time and run one stabilization time past
     it."""
     params = SystemParams.for_network(n, rho=0.05)
-    t_insert = 1.1 * sb.masking_min_time(params, 1)
+    t_insert = 1.1 * params.max_delay * (1.0 + 1.0 / params.rho)
     horizon = t_insert + sb.stabilization_time(params)
     cfg = configs.edge_insertion(n, t_insert=t_insert, horizon=horizon, seed=seed)
     return replace(cfg, params=params)
@@ -71,7 +71,7 @@ class TestOrderings:
         dcsa = outcomes["dcsa"]
         params = dcsa.params
         floor = sb.masking_skew_floor(params, 1)
-        assert dcsa.record.times[-1] >= sb.masking_min_time(params, 1)
+        assert dcsa.record.times[-1] >= params.max_delay * (1.0 + 1.0 / params.rho)
         assert dcsa.max_local_skew >= floor - 1e-9
 
 

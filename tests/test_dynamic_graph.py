@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +22,7 @@ class TestBasics:
         g = DynamicGraph(range(4), [(0, 1), (1, 2)])
         assert g.has_edge(0, 1) and g.has_edge(2, 1)
         assert not g.has_edge(0, 2)
-        assert g.edge_count() == 2
+        assert len(list(g.edges())) == 2
 
     def test_edge_key_canonical(self):
         assert edge_key(3, 1) == (1, 3) == edge_key(1, 3)
@@ -73,7 +72,6 @@ class TestBasics:
 
     def test_neighbors_and_degree(self):
         g = DynamicGraph(range(4), ring_edges(4))
-        assert g.degree(0) == 2
         assert g.neighbors(0) == {1, 3}
 
     def test_listeners_invoked(self):
@@ -300,14 +298,8 @@ def test_property_columns_graph_equals_a_set_model(script):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     for u in range(n):
         assert list(g.neighbors(u)) == list(adj[u])  # same set, same order
-        assert g.degree(u) == len(adj[u])
     assert all(g.has_edge(u, v) == (v in adj[u]) for u, v in pairs)
-    assert g.edge_count() == len(model_edges)
     assert list(g.edges()) == sorted(model_edges)
-    owners, peers = g.adjacency()
-    assert Counter(zip(owners.tolist(), peers.tolist())) == Counter(
-        (u, v) for u in adj for v in adj[u]
-    )
     for u, v in pairs:
         assert g.history(u, v) == hist.get(edge_key(u, v), [])
     times = sorted({s for h in hist.values() for s, _ in h})

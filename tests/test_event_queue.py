@@ -49,13 +49,6 @@ class TestOrdering:
             q.push(1.0, 0, _noop, str(i))
         assert [q.pop().label for _ in range(10)] == [str(i) for i in range(10)]
 
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(5.0, 0, _noop)
-        q.push(2.0, 0, _noop)
-        assert q.peek_time() == 2.0
-
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
         assert EventQueue().pop_until(1.0) is None
@@ -90,29 +83,12 @@ class TestCancellation:
         assert len(q) == 1
         assert q.raw_size == 2  # lazy deletion keeps the heap entry
 
-    def test_peek_skips_cancelled_head(self):
+    def test_pop_skips_cancelled_head(self):
         q = EventQueue()
         h = q.push(1.0, 0, _noop)
         q.push(3.0, 0, _noop)
         q.cancel(h)
-        assert q.peek_time() == 3.0
-
-    def test_clear(self):
-        q = EventQueue()
-        q.push(1.0, 0, _noop)
-        q.clear()
-        assert len(q) == 0 and q.pop() is None
-
-
-class TestScheduledEvent:
-    def test_sort_key(self):
-        e = ScheduledEvent(1.5, 2, 7, _noop)
-        assert e.sort_key == (1.5, 2, 7)
-
-    def test_lt_uses_key(self):
-        a = ScheduledEvent(1.0, 0, 0, _noop)
-        b = ScheduledEvent(1.0, 0, 1, _noop)
-        assert a < b and not (b < a)
+        assert q.pop().time == 3.0
 
 
 @given(
@@ -135,7 +111,7 @@ def test_property_pop_sequence_sorted(items):
         ev = q.pop()
         if ev is None:
             break
-        keys.append(ev.sort_key)
+        keys.append((ev.time, ev.priority, ev.seq))
     assert keys == sorted(keys)
     assert len(keys) == len(items)
 
@@ -244,8 +220,7 @@ class TestTypedRecords:
             q.repush(ev, 2.0)
         assert q.pop() is ev
         q.repush(ev, 2.0)
-        assert q.peek_time() == 2.0
-        assert q.pop() is ev
+        assert q.pop() is ev and ev.time == 2.0
 
     def test_pop_until_respects_bound_and_recycles_cancelled(self):
         q = EventQueue()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import SystemParams
-from repro.harness import ExperimentConfig, build_experiment, configs, run_experiment
+from repro.harness import Experiment, ExperimentConfig, configs, run_experiment
 from repro.harness.registry import ClockRef
 from repro.harness.runner import _max_events
 from repro.network.topology import path_edges
@@ -28,28 +28,28 @@ class TestConfigs:
             configs.two_chain_insertion(10, t_insert=10.0, horizon=30.0),
         ]
         for cfg in cfgs:
-            exp = build_experiment(cfg)
+            exp = Experiment(cfg)
             assert len(exp.nodes) == cfg.params.n
 
     def test_unknown_algorithm_rejected(self):
         cfg = configs.static_path(4)
         cfg.algorithm = "nope"
         with pytest.raises(ValueError, match="unknown algorithm"):
-            build_experiment(cfg)
+            Experiment(cfg)
 
     def test_unknown_specs_rejected(self):
         cfg = configs.static_path(4)
         cfg.clock_spec = "warp"
         with pytest.raises(ValueError, match="clock spec"):
-            build_experiment(cfg)
+            Experiment(cfg)
         cfg = configs.static_path(4)
         cfg.delay_spec = "warp"
         with pytest.raises(ValueError, match="delay spec"):
-            build_experiment(cfg)
+            Experiment(cfg)
         cfg = configs.static_path(4)
         cfg.discovery_spec = "warp"
         with pytest.raises(ValueError, match="discovery spec"):
-            build_experiment(cfg)
+            Experiment(cfg)
 
     def test_drift_violating_clock_spec_rejected(self):
         cfg = ExperimentConfig(
@@ -59,7 +59,7 @@ class TestConfigs:
             horizon=10.0,
         )
         with pytest.raises(ValueError, match="drift"):
-            build_experiment(cfg)
+            Experiment(cfg)
 
 
 class TestRunResult:
@@ -177,7 +177,7 @@ class TestHugeWorkloads:
         twice what the run dispatches, and linear in n and in the horizon
         (a 10^6-node sync ring dispatches 54.5M events by horizon 10)."""
         cfg = configs.huge_sync_ring(4096, horizon=10.0)
-        exp = build_experiment(cfg)
+        exp = Experiment(cfg)
         assert exp.sim.max_events == _max_events(cfg)
         assert exp.sim.max_events >= 2 * exp.run().events_dispatched
 
@@ -192,7 +192,7 @@ class TestHugeWorkloads:
         assert per_node / 4096 * 10**6 > 2 * 54_500_003
 
     def test_a_run_past_its_guard_still_raises(self):
-        exp = build_experiment(configs.huge_sync_ring(64, horizon=10.0))
+        exp = Experiment(configs.huge_sync_ring(64, horizon=10.0))
         exp.sim.max_events = 1000
         with pytest.raises(SimulationError, match="max_events"):
             exp.run()
@@ -225,11 +225,3 @@ class TestEngineRegistry:
         cfg.runtime = "warp-drive"
         with pytest.raises(ValueError, match="unknown runtime"):
             run_experiment(cfg)
-
-
-class TestDenseNodeState:
-    def test_experiment_exposes_flat_node_list(self):
-        exp = build_experiment(configs.static_ring(6, horizon=5.0))
-        assert len(exp.node_list) == 6
-        for i, node in enumerate(exp.node_list):
-            assert exp.nodes[i] is node

@@ -13,7 +13,6 @@ import pytest
 
 from repro import SystemParams
 from repro.analysis import (
-    drift_rate,
     envelope_violations,
     gradient_profile,
     max_global_skew,
@@ -22,10 +21,8 @@ from repro.core import skew_bounds as sb
 from repro.harness import ExperimentConfig, run_experiment
 from repro.lowerbound import run_masking_experiment
 from repro.network.topology import (
-    binary_tree_edges,
     grid_edges,
     random_geometric,
-    random_regular_edges,
     ring_edges,
     star_edges,
 )
@@ -43,10 +40,9 @@ def _bundle(cfg: ExperimentConfig) -> None:
 
 TOPOLOGIES = [
     ("grid_3x4", lambda rng: grid_edges(3, 4), 12),
-    ("tree_13", lambda rng: binary_tree_edges(13), 13),
+    ("tree_13", lambda rng: [((i - 1) // 2, i) for i in range(1, 13)], 13),
     ("ring_11", lambda rng: ring_edges(11), 11),
     ("star_9", lambda rng: star_edges(9), 9),
-    ("regular_12_3", lambda rng: random_regular_edges(12, 3, rng), 12),
     ("geometric_12", lambda rng: random_geometric(12, 0.45, rng)[0], 12),
 ]
 
@@ -109,9 +105,7 @@ class TestFreeRunningCalibration:
             seed=0,
         )
         res = run_experiment(cfg)
-        # Half the clocks at 1+rho, half at 1-rho: the mean is ~1.
-        assert drift_rate(res.record) == pytest.approx(1.0, abs=2 * cfg.params.rho)
-        # And the skew grows at exactly 2 rho t.
+        # Half the clocks at 1+rho, half at 1-rho: the skew grows at exactly 2 rho t.
         expected = 2 * cfg.params.rho * 100.0
         assert res.max_global_skew == pytest.approx(expected, rel=0.02)
 

@@ -50,7 +50,7 @@ def edge_insertion_at_rho_0_05(n, *, seed, horizon):
     for hop skews to build, the shortcut inserted past the Lemma 4.2
     onset time."""
     params = SystemParams.for_network(n, rho=0.05)
-    t_insert = 1.1 * sb.masking_min_time(params, 1)
+    t_insert = 1.1 * params.max_delay * (1.0 + 1.0 / params.rho)
     cfg = configs.edge_insertion(n, t_insert=t_insert, horizon=horizon, seed=seed)
     return replace(cfg, params=params)
 
@@ -116,6 +116,7 @@ class TestCorollary613LocalSkew:
             (configs.two_chain_insertion, {"t_insert": 40.0, "horizon": 120.0}),
             (edge_insertion_at_rho_0_05, {}),
         ],
+        ids=lambda v: getattr(v, "key", None),  # a workload by its name
     )
     def test_envelope_never_violated(self, maker, kwargs):
         """The envelope, and the paper's orderings around it on the same
@@ -135,7 +136,7 @@ class TestCorollary613LocalSkew:
         assert res.max_local_skew <= max_sync.max_local_skew + 1e-9
         assert res.max_global_skew <= sb.global_skew_bound(params) + 1e-9
         if (cfg.clock_spec, cfg.delay_spec) == ("split", "max") and (
-            cfg.horizon >= sb.masking_min_time(params, 1)
+            cfg.horizon >= params.max_delay * (1.0 + 1.0 / params.rho)
         ):
             assert res.max_local_skew >= sb.masking_skew_floor(params, 1) - 1e-9
 
@@ -250,7 +251,7 @@ def test_property_full_bundle_random_workloads(cfg):
     check_rate_floor(res.record)
     assert max_global_skew(res.record) <= sb.global_skew_bound(params) + 1e-9
     assert envelope_violations(res.record, params).compliant
-    assert res.oracle_report.ok, res.oracle_report.render()
+    assert res.oracle_report.ok, res.oracle_report.violations
 
 
 @settings(max_examples=10, deadline=None)

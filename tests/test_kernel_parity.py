@@ -16,6 +16,7 @@ runs each check once per session.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -32,17 +33,16 @@ from kernel_parity import (
     check,
     churned_sync_ring,
     far_ahead,
+    gamma_upsilon,
 )
 
 from repro.core import batch as batch_mod
 from repro.core.batch import NodeArrayTable
-from repro.core.protocol import MaxSyncCore, StaticGradientCore
 from repro.harness import configs
 from repro.adversary.topology import GreedyTopologyAdversary
 from repro.harness.registry import AdversaryRef, ClockRef, OracleRef
 from repro.network.churn import ScriptedChurn
 from repro.params import SystemParams
-from repro.sim.clocks import sinusoidal_clock
 from repro.sim.events import KIND_DELIVER_BURST, PRIORITY_TOPOLOGY
 from repro.testing.strategies import experiment_configs, flip_script
 from repro.tracing import (
@@ -63,16 +63,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # --------------------------------------------------------------------- #
 
 
-def _swap_core_5(core_cls):
-    """Hook: swap node 5's freshly started DCSA core for a ``core_cls`` one."""
-
-    def hook(exp):
-        node = exp.nodes[5]
-        node.core = core_cls(5, exp.cfg.params, tick_stagger=node.core._tick_stagger)
-
-    return hook
-
-
 def _piecewise(cfg, pieces_of):
     """``cfg`` on explicit clocks: node ``i``'s ``[t, rate]`` pieces are
     ``pieces_of(i, n, rho)``."""
@@ -89,8 +79,11 @@ def _perfect_7_8(i, n, rho):
 def _sinusoidal(i, n, rho):
     """Segments of 1.6 / 32 = 0.05 up to 12.0, a tenth of a tick: nearly
     every timer inverse crosses segments and falls back to ``clock.time_at``."""
-    clock = sinusoidal_clock(rho, 1.6, 12.0, phase=float(i))
-    return [list(piece) for piece in zip(clock._times, clock._rates)]
+    seg = 1.6 / 32
+    times = [k * seg for k in range(math.ceil(12.0 / seg))]
+    # 1 + rho sin(2 pi t / 1.6 + i), sampled at each segment's midpoint.
+    return [[t, max(1.0 + rho * math.sin(2.0 * math.pi * (t + 0.5 * seg) / 1.6 + i), 1e-9)]
+            for t in times]
 
 
 def _two_phase(i, n, rho):
@@ -137,36 +130,6 @@ def _blocked_at_the_wave(exp):
     exp.sim.schedule_at(
         2.0, lambda: exp.nodes[0]._raise_max(3000.0), priority=PRIORITY_TOPOLOGY
     )
-
-
-def _heard_before_the_run(exp):
-    """Nodes 0 and 1 take a message before the run: a Gamma row and a
-    pending ``("lost", v)`` timer each -- in the reference's own
-    structures, or straight in a column population's row and slot."""
-    exp.nodes[0].on_message(1, (5.0, 6.0))
-    exp.nodes[1].on_message(0, (0.25, 7.5))
-    on_queue = [] if exp.sim.batch else [("lost", 1), "tick"]
-    assert sorted(exp.nodes[0]._timers, key=str) == on_queue
-
-
-def _direct_message(exp):
-    """At 5.123 node 0 takes a message from node 1 outside the transport:
-    ``handle()`` cancels and re-arms its ``("lost", 1)`` timer."""
-    nodes = exp.nodes
-    exp.sim.schedule_at(
-        5.123,
-        lambda: nodes[0].on_message(1, (nodes[1].logical_clock(), nodes[1].max_estimate())),
-    )
-
-
-def _believe_in_non_neighbours(exp):
-    """Node 3 comes to believe in 9 at 3.0 and in 7 at 4.0 (no edge to
-    either; the failed sends' absence discoveries take them out again),
-    through its core's own ``upsilon`` -- a set, or the view of a column."""
-    ups = lambda: exp.nodes[3].core.upsilon
-    exp.sim.schedule_at(3.0, lambda: ups().add(9))
-    exp.sim.schedule_at(4.0, lambda: ups().add(7))
-    exp.sim.schedule_at(5.0, lambda: ups().discard(9))
 
 
 def _spy(cls, name, record):
@@ -237,7 +200,7 @@ def greeted(r):
         k == SPAN_FLIGHT and p >= 0 and kinds[p] == SPAN_DISCOVER
         for k, p in zip(kinds, parents)
     )
-    return greetings == adds > 0 and spans.count(SPAN_JUMP) > 0
+    return greetings == adds > 0 and spans.kind_counts[SPAN_JUMP] > 0
 
 
 def singleton_parents(r):
@@ -343,7 +306,7 @@ CASES = [
     Case("regrown_upsilon", lambda: churned_sync_ring(
         [(3.2, "remove", 0, 1), (3.3, "add", 0, 5)], n=16, horizon=12.0,
     ), (
-        lambda r: r.default.exp.nodes[0].core.upsilon == {5, 15},
+        lambda r: gamma_upsilon(r.default.exp, 0)[1] == [5, 15],
         lambda r: {(0, 5), (0, 15)} == {
             (u, v) for t, us, vs in r.default.spied if t > 6.5
             for u, v in zip(us, vs) if u == 0
@@ -392,12 +355,6 @@ CASES = [
          (stat("dropped_no_edge"), stat("dropped_removed"))),
     # A tick's send lands at ``now`` and must dispatch before the next timer.
     Case("zero_delay", lambda: _ring(64, 12.0, delay_spec="zero")),
-    # One baseline core: the table declines, everything stays on handle().
-    Case("mixed", lambda: _ring(64, 12.0), (declined("MaxSyncCore"),),
-         hook=_swap_core_5(MaxSyncCore)),
-    # Two coefficient rows in one population: the table holds one.
-    Case("mixed_static", lambda: _ring(64, 12.0), (declined("StaticGradientCore"),),
-         hook=_swap_core_5(StaticGradientCore)),
     # Arbitrary drift: piecewise rates under singletons, under timer runs,
     # bursts and (dissolving) tick groups, and under churn on the grid;
     # test_batch_kernel.py::test_drift_cases_are_what_they_claim counts
@@ -488,22 +445,6 @@ CASES = [
          hook=_blocked_at_the_wave, spy=WAVE_LANE),
     Case("wave_reversed", lambda: churned_sync_ring([(1.0, "remove", 3, 4)], n=64, horizon=6.0),
          (lambda r: _first_wave(r.default, False),), spy=WAVE_LANE),
-    # The store's view contract, driven through the reference's own entry
-    # points: state fed before the run lands in the row and the slots; a
-    # direct ``on_message`` re-arms the slot, not the queue (a table's
-    # ticks are records by node id: no timer of a covered node is in its
-    # ``_timers``); writes through a covered core's ``upsilon`` send what
-    # the reference sends.
-    Case("fed_before_run", lambda: _sync(8, 6.0), (
-        JUMPS, lambda r: list(r.default.exp.nodes[0]._timers) == [],
-    ), hook=_heard_before_the_run),
-    Case("direct_message", lambda: _sync(16, 12.0), (
-        lambda r: list(r.default.exp.nodes[0]._timers) == [],
-    ), hook=_direct_message, handled={"MessageReceived": 1}),
-    Case("upsilon_writes", lambda: _sync(64, 8.0), (
-        stat("dropped_no_edge"),
-        lambda r: r.default.exp.nodes[3].core.upsilon == {2, 4},
-    ), hook=_believe_in_non_neighbours),
     # A dense population: rows past ``_LONG_ROW`` slots advance by one
     # fancy-indexed ``+=``.
     Case("long_rows", lambda: configs.mobile_network(24, horizon=40.0), (BLOCKED, lambda r: (

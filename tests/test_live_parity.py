@@ -24,8 +24,9 @@ from hypothesis import given, settings
 
 from repro.core.protocol import FreeRunningCore, JumpL, ProtocolCore
 from repro.harness import configs
-from repro.harness.runner import build_experiment
+from repro.harness.runner import Experiment
 from repro.live.driver import build_live_runtime
+from repro.sim import simulator as simulator_mod
 from repro.testing.strategies import experiment_configs
 
 
@@ -66,6 +67,18 @@ def assert_replay_matches(node_id: int, core: ProtocolCore, log) -> None:
     assert fresh.total_jump == core.total_jump
 
 
+def logged_experiment(cfg) -> Experiment:
+    """``cfg`` wired for the ``handle()`` reference kernel (what
+    ``REPRO_BATCH=0`` selects: the batch table cannot carry an effect
+    log), every node logging."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator_mod, "BATCH_DEFAULT", False)
+        exp = Experiment(cfg)
+    for node in exp.nodes.values():
+        node.effect_log = []
+    return exp
+
+
 class TestSimDriverParity:
     @given(experiment_configs(min_n=4, max_n=8, horizon=25.0, churny=True))
     @settings(max_examples=6, deadline=None)
@@ -77,9 +90,7 @@ class TestSimDriverParity:
         mutates no lazy state, so replaying from the first logged event is
         state-exact; the live-side test below covers Start too.
         """
-        exp = build_experiment(cfg)
-        for node in exp.nodes.values():
-            node.effect_log = []
+        exp = logged_experiment(cfg)
         exp.run()
         for i, node in exp.nodes.items():
             assert_replay_matches(i, node.core, node.effect_log)
@@ -87,9 +98,7 @@ class TestSimDriverParity:
     @pytest.mark.parametrize("algorithm", ["max", "static", "free"])
     def test_baseline_cores_replay_identically(self, algorithm):
         cfg = configs.static_ring(6, horizon=20.0, seed=4, algorithm=algorithm)
-        exp = build_experiment(cfg)
-        for node in exp.nodes.values():
-            node.effect_log = []
+        exp = logged_experiment(cfg)
         exp.run()
         for i, node in exp.nodes.items():
             assert_replay_matches(i, node.core, node.effect_log)

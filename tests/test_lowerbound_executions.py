@@ -22,6 +22,12 @@ from repro.network.topology import path_edges, two_chain_edges
 from repro.sim.clocks import ConstantRateClock
 
 
+def legal_window(mask, u, v, rho):
+    """The M-constrained delay window ``[P(e)/(1+rho), P(e)]`` (Def 4.2)."""
+    p = mask.pattern(u, v)
+    return p / (1.0 + rho), p
+
+
 class TestBetaDelayChecks:
     def _alpha(self):
         from repro.lowerbound.mask import AlphaDelayPolicy
@@ -29,9 +35,6 @@ class TestBetaDelayChecks:
         edges = path_edges(3)
         mask = DelayMask({}, 1.0)
         return AlphaDelayPolicy(mask, flexible_distances(range(3), edges, mask, 0), edges)
-
-    def test_its_bound_is_the_mask_bound(self):
-        assert BetaDelayPolicy(self._alpha(), {}).max_bound() == 1.0
 
     def test_a_fallback_outside_the_bound_is_refused(self):
         with pytest.raises(ValueError, match="fallback delay must lie in"):
@@ -101,7 +104,7 @@ class TestExecutionPair:
         pair, params = self._pair(prefix=3)
         for t in (0.0, 5.0, 40.0, 200.0):
             for e in list(pair.mask.constrained):
-                lo, hi = pair.mask.legal_range(*e, rho=params.rho)
+                lo, hi = legal_window(pair.mask, *e, params.rho)
                 for a, b in (e, (e[1], e[0])):
                     d = pair.beta_policy.delay(a, b, t)
                     assert lo - 1e-9 <= d <= hi + 1e-9
@@ -145,7 +148,7 @@ def test_property_beta_delays_always_legal_path(n, prefix, rho, t):
             d = pair.beta_policy.delay(a, b, t)
             assert -1e-9 <= d <= params.max_delay + 1e-9
             if mask.is_constrained(a, b):
-                lo, hi = mask.legal_range(a, b, params.rho)
+                lo, hi = legal_window(mask, a, b, params.rho)
                 assert lo - 1e-9 <= d <= hi + 1e-9
 
 

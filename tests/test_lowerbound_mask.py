@@ -20,12 +20,6 @@ class TestDelayMask:
         with pytest.raises(ValueError):
             DelayMask({(0, 1): 1.5}, max_delay=1.0)
 
-    def test_legal_range(self):
-        m = DelayMask({(0, 1): 0.8}, max_delay=1.0)
-        lo, hi = m.legal_range(0, 1, rho=0.25)
-        assert lo == pytest.approx(0.64)
-        assert hi == 0.8
-
 
 class TestFlexibleDistances:
     def test_unmasked_path_equals_hops(self):
@@ -130,7 +124,3 @@ class TestAlphaDelayPolicy:
         d = flexible_distances(range(4), edges, m, 0)
         assert d[1] == d[2] == 1
         AlphaDelayPolicy(m, d, edges)  # must not raise
-
-    def test_max_bound(self):
-        p, _ = self._policy()
-        assert p.max_bound() == 1.0

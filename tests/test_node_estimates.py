@@ -5,9 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro import SystemParams
-from repro.core.estimates import NeighborTable
 from repro.core.node import ClockSyncNode, NodeRow
-from repro.core.protocol import MessageReceived, ProtocolCore, TimerFired
+from repro.core.protocol import (
+    DCSACore,
+    DiscoverRemove,
+    JumpL,
+    MessageReceived,
+    ProtocolCore,
+    TimerFired,
+)
 from repro.harness import configs
 from repro.harness.runner import Experiment
 from repro.sim.clocks import ConstantRateClock, PiecewiseRateClock
@@ -56,6 +62,9 @@ class FakeTransport:
     def send(self, u, v, payload):
         self.sent.append((u, v, payload))
 
+    def _handle_timer(self, ev):
+        ev.a._fire_timer(ev.b)
+
 
 def make_node(rate=1.0, params=None):
     sim = Simulator()
@@ -101,7 +110,7 @@ class TestLazyClocks:
         sim.schedule_at(2.0, act)
         sim.run_until(3.0)
         assert node.jumps == 1
-        assert node.total_jump == pytest.approx(8.0)
+        assert node.core.total_jump == pytest.approx(8.0)
 
 
 @pytest.fixture(scope="module")
@@ -183,60 +192,40 @@ class TestSubjectiveTimers:
         assert node.timer_fires == [(14.0, "t")]
 
 
+def _fed(core, now_h, event):
+    """``core.handle`` with every deferred jump applied, as a driver does."""
+    for effect in core.handle(now_h, event):
+        if isinstance(effect, JumpL):
+            core.apply_jump(effect.new_value)
+
+
 class TestNeighborTable:
+    """Gamma: a DCSA core's dict of :class:`NeighborEstimate` rows."""
+
     def test_add_and_get(self):
-        t = NeighborTable()
-        t.add(3, added_h=1.0, l_est=5.0)
-        assert 3 in t and len(t) == 1
-        row = t.get(3)
+        core = DCSACore(0, SystemParams.for_network(4))
+        _fed(core, 1.0, MessageReceived(3, (5.0, 5.0)))
+        assert list(core.gamma) == [3]
+        row = core.gamma[3]
         assert row.added_h == 1.0 and row.l_est == 5.0
 
-    def test_double_add_rejected(self):
-        t = NeighborTable()
-        t.add(3, 1.0, 5.0)
-        with pytest.raises(ValueError):
-            t.add(3, 2.0, 6.0)
-
     def test_refresh_is_monotone(self):
-        t = NeighborTable()
-        t.add(3, 1.0, 5.0)
-        t.refresh(3, 7.0)
-        assert t.get(3).l_est == 7.0
-        t.refresh(3, 6.0)  # stale/lower report does not lower the estimate
-        assert t.get(3).l_est == 7.0
-
-    def test_refresh_unknown_rejected(self):
-        with pytest.raises(KeyError):
-            NeighborTable().refresh(1, 1.0)
+        core = DCSACore(0, SystemParams.for_network(4))
+        _fed(core, 1.0, MessageReceived(3, (5.0, 5.0)))
+        _fed(core, 1.0, MessageReceived(3, (7.0, 7.0)))
+        assert core.gamma[3].l_est == 7.0 and core.gamma[3].added_h == 1.0
+        _fed(core, 1.0, MessageReceived(3, (6.0, 7.0)))  # a lower report
+        assert core.gamma[3].l_est == 7.0
 
     def test_remove(self):
-        t = NeighborTable()
-        t.add(3, 1.0, 5.0)
-        assert t.remove(3) is True
-        assert t.remove(3) is False
-        assert 3 not in t
+        core = DCSACore(0, SystemParams.for_network(4))
+        _fed(core, 1.0, MessageReceived(3, (5.0, 5.0)))
+        _fed(core, 2.0, DiscoverRemove(3))
+        assert 3 not in core.gamma
 
     def test_advance(self):
-        t = NeighborTable()
-        t.add(1, 0.0, 5.0)
-        t.add(2, 0.0, 8.0)
-        t.advance(1.5)
-        assert t.get(1).l_est == 6.5
-        assert t.get(2).l_est == 9.5
-
-    def test_items_and_clear(self):
-        t = NeighborTable()
-        t.add(1, 0.0, 5.0)
-        assert [v for v, _ in t.items()] == [1]
-        t.clear()
-        assert len(t) == 0
-
-    def test_a_table_view_clears_its_slots(self):
-        exp = Experiment(configs.huge_sync_ring(8, horizon=3.0))
-        exp.run()
-        gamma = exp.nodes[0].core.gamma
-        assert type(gamma).__name__ == "SlotTable" and sorted(gamma) == [1, 7]
-        with pytest.raises(ValueError, match="neighbour 1 already tracked"):
-            gamma.add(1, 0.0, 0.0)
-        gamma.clear()
-        assert len(gamma) == 0 and len(exp.nodes[0].core.gamma) == 0
+        core = DCSACore(0, SystemParams.for_network(4))
+        _fed(core, 0.0, MessageReceived(1, (5.0, 5.0)))
+        _fed(core, 0.0, MessageReceived(2, (8.0, 8.0)))
+        core.sync_to(1.5)
+        assert core.gamma[1].l_est == 6.5 and core.gamma[2].l_est == 9.5

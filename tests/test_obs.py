@@ -31,7 +31,6 @@ from graph_listeners import ListenerModel
 from test_kernel_parity import holds
 
 import repro
-from repro import SystemParams
 from repro.cli import main
 from repro.core import skew_bounds
 from repro.harness import OracleRef, configs, run_experiment
@@ -242,19 +241,6 @@ class TestTimeline:
         with pytest.raises(ValueError, match="event_budget"):
             TimelineRecorder(event_budget=-1)
 
-    def test_a_timeline_attached_after_the_graph_reads_its_history(self):
-        """Explicit wiring after install: the timeline is bound to the
-        run's node ids and graph, so its events are the whole history."""
-        g = DynamicGraph(range(3), [(0, 1)])
-        oracle = StreamingOracle(SystemParams.for_network(3))
-        oracle.attach({i: None for i in range(3)}, interval=1.0)
-        oracle.attach_graph(g)
-        g.add_edge(1, 2, 1.0)
-        tl = TimelineRecorder()
-        oracle.attach_timeline(tl)
-        assert tl.bound
-        assert tl.to_dict()["events"] == [[0.0, 0, 1, 1], [1.0, 1, 2, 1]]
-
     def test_bad_budgets_rejected(self):
         with pytest.raises(ValueError):
             TimelineRecorder(row_budget=2)
@@ -412,7 +398,7 @@ class TestBundle:
         assert trace["spans"] == len(result.spans) > 0
         assert trace["dropped"] == 0
         assert sum(trace["kinds"].values()) == trace["spans"]
-        assert trace["kinds"]["flight"] == result.spans.count(SPAN_FLIGHT)
+        assert trace["kinds"]["flight"] == result.spans.kind_counts[SPAN_FLIGHT]
 
     def test_a_failed_write_leaves_no_temporary_file(self, tmp_path):
         with pytest.raises(TypeError):

@@ -59,7 +59,7 @@ class TestAgreement:
 
     def test_global_skew_peak_matches(self, monitored_run):
         res = monitored_run
-        online = res.oracle_report.monitor("global_skew")
+        online = res.oracle_report.monitors["global_skew"]
         assert online.worst_observed == pytest.approx(
             max_global_skew(res.record), abs=1e-12
         )
@@ -67,7 +67,7 @@ class TestAgreement:
 
     def test_estimate_lag_peak_matches(self, monitored_run):
         res = monitored_run
-        online = res.oracle_report.monitor("estimate_lag")
+        online = res.oracle_report.monitors["estimate_lag"]
         assert online.worst_observed == pytest.approx(
             float(max_estimate_lag(res.record).max()), abs=1e-12
         )
@@ -75,7 +75,7 @@ class TestAgreement:
     def test_envelope_agrees_sample_for_sample(self, monitored_run):
         res = monitored_run
         offline = envelope_violations(res.record, res.params)
-        online = res.oracle_report.monitor("envelope")
+        online = res.oracle_report.monitors["envelope"]
         assert online.checks == offline.samples_checked
         assert online.violations == offline.violations
         assert online.extras["worst_ratio"] == pytest.approx(
@@ -93,7 +93,7 @@ class TestAgreement:
         dt = np.diff(record.times)
         dl = np.diff(record.clocks, axis=0)
         offline_ok = bool(np.all(dl >= 0.5 * dt[:, None] - 1e-9))
-        online = res.oracle_report.monitor("progress")
+        online = res.oracle_report.monitors["progress"]
         assert (online.violations == 0) == offline_ok
         # Worst slack agrees with the recorded series.
         offline_margin = float((dl - 0.5 * dt[:, None]).min())
@@ -103,7 +103,7 @@ class TestAgreement:
         res = monitored_run
         record = res.record
         offline_ok = bool(np.all(record.max_estimates >= record.clocks - 1e-9))
-        online = res.oracle_report.monitor("lmax_dominates")
+        online = res.oracle_report.monitors["lmax_dominates"]
         assert (online.violations == 0) == offline_ok
         offline_margin = float((record.max_estimates - record.clocks).min())
         assert online.worst_margin == pytest.approx(offline_margin, abs=1e-12)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -58,11 +59,6 @@ class TestValidation:
         with pytest.raises(ParameterError):
             p.with_b0(0.01)
 
-    def test_with_n_copies(self):
-        p = SystemParams.for_network(8)
-        q = p.with_n(32)
-        assert q.n == 32 and q.b0 == p.b0 and q.rho == p.rho
-
 
 class TestDerivedQuantities:
     def test_delta_t_formula(self):
@@ -86,18 +82,13 @@ class TestDerivedQuantities:
 
     def test_global_skew_scales_linearly_in_n(self):
         p = SystemParams.for_network(10)
-        q = p.with_n(19)
+        q = replace(p, n=19)
         assert q.global_skew_bound == pytest.approx(2.0 * p.global_skew_bound)
 
     def test_w_window_lemma_6_10(self):
         p = SystemParams.for_network(8)
         expected = (4 * p.global_skew_bound / p.b0 + 1) * p.tau
         assert p.w_window == pytest.approx(expected)
-
-    def test_describe_contains_all_keys(self):
-        d = SystemParams.for_network(8).describe()
-        for key in ("n", "rho", "tau", "global_skew_bound", "w_window", "b0"):
-            assert key in d
 
 
 class TestBFunction:
@@ -124,10 +115,6 @@ class TestBFunction:
         a = p.b_settle_subjective / 4
         v0, v1 = p.b_function(a), p.b_function(a + 1.0)
         assert v0 - v1 == pytest.approx(p.b_slope)
-
-    def test_settle_real_accounts_for_drift(self):
-        p = SystemParams.for_network(8)
-        assert p.b_settle_real == pytest.approx(p.b_settle_subjective / (1 - p.rho))
 
     @given(st.floats(min_value=0.0, max_value=1e7))
     def test_b_never_below_floor(self, age):

@@ -36,13 +36,6 @@ class TestRngFactory:
             RngFactory(1).spawn().random(8), RngFactory(2).spawn().random(8)
         )
 
-    def test_counter(self):
-        f = RngFactory(0)
-        assert f.streams_spawned == 0
-        f.spawn()
-        f.spawn()
-        assert f.streams_spawned == 2
-
     def test_none_seed_allowed(self):
         f = RngFactory(None)
         assert f.spawn().random() >= 0.0

@@ -73,7 +73,7 @@ def run(cfg, *, shared: bool = True):
     reads = []
     read = PopulationReader.__call__
 
-    def spy(self, t, estimates=None):
+    def spy(self, t, estimates):
         reads.append(t)
         return read(self, t, estimates)
 
@@ -110,7 +110,7 @@ class TestOneReadPerInstant:
         instants = result.record.times.tolist()
         assert len(instants) > 0
         assert reads == instants
-        assert result.oracle_report.monitor("global_skew").checks == len(instants)
+        assert result.oracle_report.monitors["global_skew"].checks == len(instants)
         assert samples == 2 * len(instants)
 
     def test_each_grid_reads_once_per_firing(self):
@@ -122,7 +122,7 @@ class TestOneReadPerInstant:
         )
         result, _, samples, reads = run(cfg)
         recorded = result.record.times.tolist()
-        checked = result.oracle_report.monitor("global_skew").checks
+        checked = result.oracle_report.monitors["global_skew"].checks
         assert checked == int(cfg.horizon / 0.7) + 1
         assert len(reads) == len(recorded) + checked
         assert reads.count(0.0) == 2 and set(recorded) <= set(reads)

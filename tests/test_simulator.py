@@ -18,22 +18,11 @@ class TestScheduling:
         assert fired == [5.0]
         assert sim.now == 10.0
 
-    def test_schedule_in(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_in(2.5, lambda: fired.append(sim.now))
-        sim.run_until(3.0)
-        assert fired == [2.5]
-
     def test_past_scheduling_rejected(self):
         sim = Simulator()
         sim.run_until(5.0)
         with pytest.raises(SimulationError):
             sim.schedule_at(4.0, lambda: None)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().schedule_in(-1.0, lambda: None)
 
     def test_same_time_scheduling_allowed(self):
         sim = Simulator()
@@ -46,7 +35,7 @@ class TestScheduling:
         sim = Simulator()
         fired = []
         h = sim.schedule_at(1.0, lambda: fired.append("x"))
-        assert sim.cancel(h) is True
+        assert sim.queue.cancel(h) is True
         sim.run_until(2.0)
         assert fired == []
 
@@ -58,7 +47,7 @@ class TestExecution:
 
         def first():
             log.append(("first", sim.now))
-            sim.schedule_in(1.0, second)
+            sim.schedule_at(sim.now + 1.0, second)
 
         def second():
             log.append(("second", sim.now))
@@ -83,38 +72,16 @@ class TestExecution:
         with pytest.raises(SimulationError):
             sim.run_until(5.0)
 
-    def test_run_until_idle(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(1.0, lambda: fired.append(1))
-        sim.schedule_at(2.0, lambda: fired.append(2))
-        sim.run_until_idle()
-        assert fired == [1, 2]
-        assert sim.now == 2.0
-
-    def test_run_until_idle_stops_at_its_cap(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(1.0, lambda: fired.append(1))
-        sim.schedule_at(2.0, lambda: fired.append(2))
-        sim.run_until_idle(t_cap=1.5)
-        assert fired == [1] and sim.now == 1.5
-
-    def test_step_dispatches_one_event_at_a_time(self):
+    def test_a_callback_is_a_dispatch_table_entry(self):
         from repro.sim.events import KIND_CALLBACK, KIND_DELIVER
 
-        sim = Simulator(max_events=2)
+        sim = Simulator()
         sim.instrument(MetricsRegistry())
         sim.schedule_at(1.0, lambda: None)
         sim.schedule_typed(2.0, 1, KIND_DELIVER, 0, 1, label="orphan")
-        assert sim.step() is True
-        assert sim.kind_counts[KIND_CALLBACK] == 1
         with pytest.raises(SimulationError, match="no handler registered for event kind 1"):
-            sim.step()
-        assert sim.step() is False  # the queue is empty
-        sim.schedule_at(3.0, lambda: None)
-        with pytest.raises(SimulationError, match="exceeded max_events=2"):
-            sim.step()
+            sim.run_until(3.0)
+        assert sim.kind_counts[KIND_CALLBACK] == 1 and sim.non_node_events == 1
 
     def test_max_events_guard_counts_a_batch_run(self):
         from repro.sim.events import KIND_DELIVER
@@ -149,7 +116,7 @@ class TestExecution:
         sim = Simulator(max_events=10)
 
         def storm():
-            sim.schedule_in(0.001, storm)
+            sim.schedule_at(sim.now + 0.001, storm)
 
         sim.schedule_at(0.0, storm)
         with pytest.raises(SimulationError, match="max_events"):
@@ -257,15 +224,15 @@ class TestTypedDispatch:
         from repro.sim.events import KIND_CALLBACK
 
         sim = Simulator()
-        with pytest.raises(SimulationError, match="invalid handler kind"):
+        with pytest.raises(SimulationError, match="kind 0 already has a handler"):
             sim.set_handler(KIND_CALLBACK, lambda ev: None)
 
     def test_batch_handler_registration_is_checked(self):
-        from repro.sim.events import KIND_CALLBACK, KIND_DELIVER
+        from repro.sim.events import KIND_DELIVER, N_KINDS
 
         sim = Simulator()
-        with pytest.raises(SimulationError, match="invalid batch handler kind 0"):
-            sim.set_batch_handler(KIND_CALLBACK, lambda records: None)
+        with pytest.raises(SimulationError, match=f"invalid batch handler kind {N_KINDS}"):
+            sim.set_batch_handler(N_KINDS, lambda records: None)
         first = lambda records: None  # noqa: E731
         sim.set_batch_handler(KIND_DELIVER, first)
         sim.set_batch_handler(KIND_DELIVER, first)  # idempotent

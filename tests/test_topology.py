@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 
 from repro.network.topology import (
-    binary_tree_edges,
-    complete_edges,
-    diameter_of,
     grid_edges,
     path_edges,
     random_geometric,
-    random_regular_edges,
     ring_edges,
     star_edges,
     two_chain_edges,
@@ -38,32 +34,21 @@ class TestBasicShapes:
     def test_path(self):
         e = path_edges(5)
         assert e == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert diameter_of(5, e) == 4
 
     def test_ring(self):
         e = ring_edges(6)
         assert len(e) == 6
-        assert diameter_of(6, e) == 3
+        assert _is_connected(6, e)
 
     def test_star(self):
         e = star_edges(7)
         assert len(e) == 6
-        assert diameter_of(7, e) == 2
-
-    def test_complete(self):
-        e = complete_edges(5)
-        assert len(e) == 10
-        assert diameter_of(5, e) == 1
+        assert all(0 in edge for edge in e)
 
     def test_grid(self):
         e = grid_edges(3, 4)
         assert len(e) == 3 * 3 + 2 * 4  # horizontal + vertical
-        assert diameter_of(12, e) == 2 + 3
-
-    def test_binary_tree(self):
-        e = binary_tree_edges(7)
-        assert len(e) == 6
-        assert _is_connected(7, e)
+        assert _is_connected(12, e)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,19 +74,6 @@ class TestRandomTopologies:
         # A tiny radius cannot connect 12 random points; bridges must kick in.
         edges, pos = random_geometric(12, 0.01, rng, max_tries=2)
         assert _is_connected(12, edges)
-
-    def test_random_regular(self, rng):
-        edges = random_regular_edges(12, 3, rng)
-        deg = {u: 0 for u in range(12)}
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        assert all(d == 3 for d in deg.values())
-        assert _is_connected(12, edges)
-
-    def test_random_regular_parity(self, rng):
-        with pytest.raises(ValueError):
-            random_regular_edges(7, 3, rng)
 
 
 class TestTwoChain:
@@ -130,9 +102,3 @@ class TestTwoChain:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             two_chain_edges(5)
-
-
-class TestDiameter:
-    def test_disconnected_raises(self):
-        with pytest.raises(ValueError):
-            diameter_of(4, [(0, 1), (2, 3)])

@@ -36,6 +36,7 @@ from repro.harness import configs, run_experiment
 from repro.harness.registry import OracleRef
 from repro.harness.runner import Experiment
 from repro.sim import simulator as simulator_mod
+from repro.sim.simulator import SimulationError
 from repro.tracing import (
     SPAN_DISCOVER,
     SPAN_FLIGHT,
@@ -82,7 +83,7 @@ class TestSpanTable:
         span = t.row(sid)
         assert span.t1 == 1.25
         assert span.status == STATUS_DONE
-        assert span.duration == pytest.approx(0.75)
+        assert span.t1 - span.t0 == pytest.approx(0.75)
 
     def test_close_many_sets_status_and_end(self):
         t = SpanTable()
@@ -107,7 +108,7 @@ class TestSpanTable:
         assert t.kind == [SPAN_FLIGHT, SPAN_JUMP]
         assert t.node == [1, 2]
         assert t.detail[1] == 0.25
-        assert t.count(SPAN_FLIGHT) == 1
+        assert t.kind_counts[SPAN_FLIGHT] == 1
         assert t.kind_counts[SPAN_JUMP] == 1
         assert [s.kind for s in list(t.rows())] == [SPAN_FLIGHT, SPAN_JUMP]
 
@@ -136,7 +137,7 @@ class TestSpanTable:
         t.close_many([3, 2], STATUS_PENDING)
         assert t.status == [STATUS_DONE, STATUS_DONE, STATUS_PENDING, STATUS_PENDING]
         assert t.t1 == [1.0, 2.0, 2.25, 3.5]
-        assert t.kind_counts[SPAN_FLIGHT] == 2 and t.count(SPAN_TIMER) == 2
+        assert t.kind_counts[SPAN_FLIGHT] == 2 and t.kind_counts[SPAN_TIMER] == 2
 
 
 class TestTracerHooks:
@@ -295,8 +296,8 @@ class TestSimTracing:
         )
         assert timer_parented_flights > 0  # ticks cause sends
         assert delivery_parented > 0  # deliveries cause jumps/sends
-        assert table.count(SPAN_JUMP) > 0
-        assert table.count(SPAN_DISCOVER) > 0
+        assert table.kind_counts[SPAN_JUMP] > 0
+        assert table.kind_counts[SPAN_DISCOVER] > 0
 
     def test_untraced_run_records_nothing(self):
         res = run_experiment(configs.static_path(8, horizon=30.0, seed=3))
@@ -334,12 +335,35 @@ class TestBatchKernelSpans:
         # The capped tracer did not change the physics either.
         assert_same(run(cfg, batch=True), default, "capped tracer", physics_only=True)
 
+    def test_an_overflowing_table_moves_no_event_between_lanes(self):
+        """A span table too small for the run takes what fits and counts
+        the rest: the array lane runs what it runs untraced."""
+        cfg = configs.huge_sync_ring(256, horizon=20.0)
+        untraced = run(cfg, batch=True)
+        with trace_session(capacity=5000):
+            traced = run(cfg, batch=True)
+        assert traced.res.spans.dropped > 0 and len(traced.res.spans) == 5000
+        assert untraced.res.array_lane_events > 0
+        lanes = lambda r: (
+            r.res.declines, r.res.array_lane_events, r.res.scalar_lane_events,
+            r.exp.sim.batch_dispatches,
+        )
+        assert lanes(traced) == lanes(untraced)
+
     def test_remaining_observer_declines_name_the_observer(self, monkeypatch):
-        monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+        """An effect log is the one observer the table cannot carry: the
+        default kernel refuses it by name; the reference kernel runs it."""
         cfg = configs.huge_sync_ring(16, horizon=5.0)
-        exp = Experiment(cfg)
-        exp.nodes[3].effect_log = []
-        assert exp.run().batch_gate_reason == "node 3 has an effect log attached"
+        for batch in (True, False):
+            monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", batch)
+            exp = Experiment(cfg)
+            exp.nodes[3].effect_log = []
+            if batch:
+                with pytest.raises(SimulationError, match="node 3 has an effect log attached"):
+                    exp.run()
+            else:
+                assert exp.run().batch_gate_reason.startswith("the handle() reference kernel")
+                assert exp.nodes[3].effect_log
 
     # The span parity cases, under this file's names for their rows.
     @pytest.mark.parametrize("workload", [
@@ -390,7 +414,7 @@ class TestLiveTracing:
             )
         table = tr.table
         assert res.spans is table
-        flights = table.count(SPAN_FLIGHT)
+        flights = table.kind_counts[SPAN_FLIGHT]
         assert flights > 0
         # Loopback, no churn: every sent message is delivered and closed.
         kinds, status = table.kind, table.status
@@ -400,7 +424,7 @@ class TestLiveTracing:
             if kinds[i] == SPAN_FLIGHT and status[i] == STATUS_DONE
         )
         assert closed == res.transport_stats["delivered"]
-        assert table.count(SPAN_TIMER) > 0
+        assert table.kind_counts[SPAN_TIMER] > 0
 
 
 # --------------------------------------------------------------------- #
@@ -479,13 +503,12 @@ class TestForensics:
         rep = res.oracle_report
         assert rep is not None and not rep.ok
         assert res.spans is not None
-        assert res.spans.count(SPAN_VIOLATION) >= len(rep.violations)
+        assert res.spans.kind_counts[SPAN_VIOLATION] >= len(rep.violations)
 
     def test_top_cause_is_a_masked_causal_chain(self, explained):
         res, reports = explained
         assert reports and res.cause_reports == reports
-        top = reports[0].top
-        assert top is not None
+        top = reports[0].causes[0]
         assert top.kind == "causal_chain"
         # The adversary's fingerprint: flights on the last-contact path
         # held at max_delay.
@@ -516,7 +539,7 @@ class TestForensics:
         res, _ = explained
         events = chrome_trace_events(res.spans)
         marks = [e for e in events if e["name"] == "violation"]
-        assert len(marks) == res.spans.count(SPAN_VIOLATION)
+        assert len(marks) == res.spans.kind_counts[SPAN_VIOLATION]
         assert all(e["ph"] == "i" and e["cat"] == "violation" for e in marks)
         with trace_session() as tr:
             churned = run_experiment(configs.flapping_edges(16, horizon=30.0, seed=2))
@@ -545,7 +568,6 @@ class TestForensics:
     def test_a_report_without_causes_says_so(self, explained):
         _, reports = explained
         bare = CauseReport(violation=reports[0].violation, causes=(), window=(0.0, 1.0))
-        assert bare.top is None
         assert bare.describe().endswith("(no causes found in the trace)")
 
     def test_explain_without_violations_is_empty(self):
