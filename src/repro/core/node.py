@@ -354,7 +354,9 @@ class ClockSyncNode:
         """Run a core method outside event dispatch, applying its effects.
 
         Unit tests use this to poke algorithm internals (e.g. the DCSA's
-        ``AdjustClock``) without fabricating a full event.
+        ``AdjustClock``) without fabricating a full event.  A node of a
+        column population is a batch-table view and refuses it (run such a
+        population under the reference kernel, ``REPRO_BATCH=0``).
         """
         now_h = self.clock.value(self.sim.now)
         self.core.sync_to(now_h)

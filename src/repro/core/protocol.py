@@ -574,8 +574,8 @@ class _Row:
     instance keeps no copy -- so the core's clock reads (``logical_clock_at``,
     ``max_estimate_at``) read the run as it stands, and a write (the
     driver's ``_raise_max`` / ``_jump_logical``) lands in the columns.  The
-    table runs every event of such a core; ``handle()`` does not run on a
-    view, which has no Gamma or Upsilon of its own.
+    table runs every event of such a core; ``handle()`` and :meth:`act`
+    refuse a view, which has no Gamma or Upsilon of its own.
     """
 
     _store: Any
@@ -587,6 +587,16 @@ class _Row:
     messages_sent = _column("messages_sent")
     jumps = _column("jumps")
     total_jump = _column("total_jump")
+
+    def handle(self, *_args: Any) -> list[Effect]:
+        raise ProtocolError(
+            f"node {self.node_id}: handle() does not run on a batch-table view; "
+            "the reference kernel (REPRO_BATCH=0) runs it"
+        )
+
+    act = handle
+
+
 #: The core fields a row view reads from the store's columns.
 ROW_FIELDS = ("_L", "_Lmax", "h_last", "messages_sent", "jumps", "total_jump")
 

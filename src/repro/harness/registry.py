@@ -9,10 +9,10 @@ and every ingredient field holds a ref into its table (:class:`ClockRef`,
 :class:`AdversaryRef`, :class:`OracleRef`, :class:`RuntimeRef`): a frozen,
 JSON-safe ``(name, kwargs)`` pair that resolves against its table and *is
 itself* the constructor call the run makes.  The spec fields and
-``runtime`` may hold a bare entry name instead.  ``CLOCK["segments"]``
-(per-node ``[t, rate]`` pieces), ``CLOCK`` / ``DELAY["masked"]`` (Lemma
-4.2's executions, :func:`repro.lowerbound.masked_experiment`) and
-``DISCOVERY["constant"]`` take kwargs.
+``runtime`` may hold a bare entry name instead.  ``CLOCK`` /
+``DELAY["masked"]`` (Lemma 4.2's executions,
+:func:`repro.lowerbound.masked_experiment`) and ``DISCOVERY["constant"]``
+take kwargs.
 
 Each entry is an :class:`Ingredient`: the spec keys it takes with their
 defaults, how a spec (:func:`repro.harness.configs.build`) becomes the
@@ -56,12 +56,7 @@ from ..network.discovery import ConstantDiscovery, UniformDiscovery
 from ..network.topology import random_geometric, two_chain_edges
 from ..oracle.oracle import StreamingOracle
 from ..params import SystemParams
-from ..sim.clocks import (
-    ConstantRateClock,
-    PiecewiseRateClock,
-    random_walk_rates,
-    validate_drift_columns,
-)
+from ..sim.clocks import PiecewiseRateClock, random_walk_rates, validate_drift_columns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .runner import ExperimentConfig, RunResult
@@ -202,23 +197,6 @@ def _seated(clocks: Any, params: SystemParams) -> Any:
     return np.ones(params.n), column
 
 
-def _segments(
-    params: SystemParams,
-    rng: np.random.Generator,
-    horizon: float,
-    *,
-    segments: Sequence[Sequence[Sequence[float]]],
-) -> Any:
-    """Node ``i``'s clock from ``segments[i]``, its ``[t, rate]`` pieces
-    (the first at ``t = 0``): one piece is a constant rate, more a
-    piecewise one."""
-    return _seated([
-        ConstantRateClock(pieces[0][1]) if len(pieces) == 1
-        else PiecewiseRateClock([t for t, _ in pieces], [r for _, r in pieces])
-        for pieces in segments
-    ], params)
-
-
 def _execution(
     params: SystemParams,
     *,
@@ -257,7 +235,6 @@ CLOCK: dict[str, Ingredient] = {
     "uniform": _constant(
         lambda ids, rho, rng: 1.0 + rho * rng.uniform(-1.0, 1.0, len(ids))
     ),
-    "segments": Ingredient(_segments),
     # The Lemma 4.2 clocks, from DELAY["masked"]'s kwargs.
     "masked": Ingredient(
         lambda params, rng, horizon, **masked: _seated(_execution(params, **masked)[0], params)

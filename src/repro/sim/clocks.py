@@ -182,9 +182,7 @@ class SteerableClock(HardwareClock):
     hardware rate in reaction to the observed execution.
 
     When ``rho`` is given, every rate is validated against the drift
-    envelope ``[1 - rho, 1 + rho]`` and :meth:`rate_bounds` reports the full
-    envelope, so the drift check accepts the clock regardless of which
-    rates the adversary later chooses.
+    envelope ``[1 - rho, 1 + rho]``.
 
     Past values never change: ``value``/``time_at`` are exact over the
     segments laid down so far, and :meth:`set_rate` only appends (or

@@ -38,7 +38,6 @@ from .spans import (
     STATUS_DONE,
     STATUS_DROPPED,
     STATUS_PENDING,
-    Span,
     SpanTable,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "STATUS_PENDING",
     "Cause",
     "CauseReport",
-    "Span",
     "SpanTable",
     "TraceContext",
     "Tracer",

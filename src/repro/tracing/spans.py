@@ -27,9 +27,7 @@ Rows are kept in id order as *segments* of two kinds:
 Cold readers (exporter, forensics, tests) never touch a segment
 directly: the :attr:`~SpanTable.kind`, :attr:`~SpanTable.node`, ...
 properties materialize a fresh column list of Python ints and floats on
-access -- **bind them once before a loop**, each access is O(table) --
-and :meth:`~SpanTable.row` / :meth:`~SpanTable.rows` materialize
-per-object :class:`Span` views.
+access -- **bind them once before a loop**, each access is O(table).
 
 The table is *capacity-capped*: once full, appends count into
 :attr:`SpanTable.dropped` and return ``-1`` (a sentinel id every hook
@@ -41,9 +39,8 @@ tests pin that recording spans leaves runs bit-identical.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -59,7 +56,6 @@ __all__ = [
     "STATUS_DONE",
     "STATUS_DROPPED",
     "STATUS_PENDING",
-    "Span",
     "SpanTable",
 ]
 
@@ -89,21 +85,6 @@ DEFAULT_CAPACITY = 2_000_000
 #: row ``i`` of a list segment starts at ``i * STRIDE``, and a column
 #: block holds ``STRIDE`` columns.  The hot hooks rely on this layout.
 STRIDE = 8
-
-
-@dataclass(frozen=True)
-class Span:
-    """Materialized read-only view of one span row (cold paths only)."""
-
-    span_id: int
-    kind: int
-    node: int
-    peer: int
-    t0: float
-    t1: float
-    parent: int
-    status: int
-    detail: float
 
 
 class SpanTable:
@@ -242,11 +223,6 @@ class SpanTable:
         return self._column(4)
 
     @property
-    def parent(self) -> list[int]:
-        """Causal-parent column, -1 for roots (fresh list; bind once)."""
-        return self._column(5)
-
-    @property
     def status(self) -> list[int]:
         """Status column (fresh list; bind once before looping)."""
         return self._column(6)
@@ -268,17 +244,3 @@ class SpanTable:
             else:
                 counts += np.bincount(rows[0], minlength=len(counts))
         return counts.tolist()  # type: ignore[no-any-return]
-
-    def row(self, span_id: int) -> Span:
-        """Materialize one span (cold paths: export, forensics, tests)."""
-        rows, i = self._locate(span_id)
-        if type(rows) is list:
-            values = rows[i << 3 : (i + 1) << 3]
-        else:
-            values = [column[i].item() for column in rows]
-        return Span(span_id, *values)
-
-    def rows(self) -> Iterator[Span]:
-        """Iterate every span as a materialized view, in id order."""
-        for span_id, values in enumerate(zip(*map(self._column, range(STRIDE)))):
-            yield Span(span_id, *values)

@@ -164,6 +164,11 @@ def run(
 # --------------------------------------------------------------------- #
 
 
+def parents(table) -> list[int]:
+    """The span table's causal-parent column (slot 5), -1 for a root."""
+    return table._column(5)
+
+
 def canonical_spans(table) -> np.ndarray:
     """The span table as a kernel-independent sorted row array.
 
@@ -174,13 +179,13 @@ def canonical_spans(table) -> np.ndarray:
     their rows were written in.
     """
     columns = (table.kind, table.node, table.peer, table.t0, table.t1,
-               table.parent, table.status, table.detail)
+               parents(table), table.status, table.detail)
     rows = np.array(columns, dtype=float).T.reshape(-1, len(columns))
     content = rows[:, [3, 0, 1, 2, 4, 6, 7]]
     parent = rows[:, 5].astype(np.int64)
     rooted = parent < 0
-    parents = np.where(rooted[:, None], -np.inf, content[np.where(rooted, 0, parent)])
-    keys = [parents[:, j] for j in range(6, -1, -1)]
+    above = np.where(rooted[:, None], -np.inf, content[np.where(rooted, 0, parent)])
+    keys = [above[:, j] for j in range(6, -1, -1)]
     keys += [content[:, j] for j in range(6, -1, -1)]
     order = np.lexsort(keys)
     position = np.empty_like(order)
@@ -398,7 +403,7 @@ def _accounts_for_what_it_observed(run: Run) -> None:
     assert run.telemetry_events == res.events_dispatched
     if run.timeline.bound:
         assert run.timeline.rows > 0
-    assert all(p < i for i, p in enumerate(spans.parent))
+    assert all(p < i for i, p in enumerate(parents(spans)))
     if spans.dropped == 0:
         assert spans.kind_counts[SPAN_FLIGHT] == stats["sent"]
         assert spans.kind_counts[SPAN_DISCOVER] == stats["discoveries_delivered"]

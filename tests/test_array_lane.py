@@ -17,7 +17,14 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from kernel_parity import CHURN_SCRIPT, churned_sync_ring, far_ahead, gamma_upsilon, run
+from kernel_parity import (
+    CHURN_SCRIPT,
+    churned_sync_ring,
+    far_ahead,
+    gamma_upsilon,
+    parents,
+    run,
+)
 from test_kernel_parity import holds, parity_configs
 
 from repro.core import batch as batch_mod
@@ -167,7 +174,7 @@ def _observe(exp, log):
         row.append(
             (
                 node.logical_clock(), node.max_estimate(), core.h_last,
-                core.messages_sent, core.jumps, core.total_jump,
+                core.messages_sent, core.jumps, core.total_jump, gamma_upsilon(exp, i),
             )
         )
     log.append(row)
@@ -184,10 +191,11 @@ def _mid_run_reads(cfg, batch, monkeypatch):
 
 def _plain_floats(value):
     """No numpy scalar anywhere in ``value`` (``repr`` would print
-    ``np.float64(...)`` and every digest would move)."""
+    ``np.float64(...)`` and every digest would move); a Gamma row's
+    ``repr`` strings are equal to the reference's only if they are plain."""
     if isinstance(value, (list, tuple)):
         return all(_plain_floats(x) for x in value)
-    return type(value) in (float, int, bool, type(None))
+    return type(value) in (float, int, bool, str, type(None))
 
 
 @pytest.mark.parametrize(
@@ -200,14 +208,14 @@ def _plain_floats(value):
     ids=["lockstep", "churned", "drifting"],
 )
 def test_mid_run_reads_show_what_the_reference_shows(make, monkeypatch):
-    """A ``sim.every`` callback reads the clocks and tallies of every node
-    every 0.7: same values, both kernels."""
+    """A ``sim.every`` callback reads the clocks, tallies, Gamma rows and
+    Upsilon of every node every 0.7: same values, both kernels."""
     exp_s, res_s, log_s = _mid_run_reads(make(), False, monkeypatch)
     exp_b, res_b, log_b = _mid_run_reads(make(), True, monkeypatch)
     assert res_b.array_events > 0 and res_s.array_events == 0
     assert len(log_b) > 10 and log_b == log_s
     assert _plain_floats(log_b)
-    assert any(sent for row in log_b for _, _, _, sent, _, _ in row[1:])
+    assert any(gamma for row in log_b for *_, (gamma, _ups) in row[1:])
 
 
 def test_result_nodes_stay_readable_after_the_experiment_is_dropped():
@@ -265,7 +273,7 @@ def test_payloads_and_span_rows_carry_plain_floats(monkeypatch):
     assert all(type(x) is float for payload in seen for x in payload)
     spans = res.spans
     assert len(spans) > 1000 and spans.dropped == 0
-    ints = spans.kind + spans.node + spans.peer + spans.parent + spans.status
+    ints = spans.kind + spans.node + spans.peer + parents(spans) + spans.status
     floats = spans.t0 + spans.t1 + spans.detail
     assert {type(x) for x in ints} == {int} and {type(x) for x in floats} == {float}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from fakes import FakeTransport
 
 from repro import SystemParams
 from repro.core import ClockSyncNode, FreeRunningCore, MaxSyncCore, StaticGradientCore
@@ -10,17 +11,6 @@ from repro.harness import configs, run_experiment
 from repro.analysis import envelope_violations, max_global_skew
 from repro.sim.clocks import ConstantRateClock
 from repro.sim.simulator import Simulator
-
-
-class FakeTransport:
-    def __init__(self):
-        self.sent = []
-
-    def send(self, u, v, payload):
-        self.sent.append((u, v, payload))
-
-    def _handle_timer(self, ev):
-        ev.a._fire_timer(ev.b)
 
 
 def make_node(core_cls, rate=1.0, transport=None):

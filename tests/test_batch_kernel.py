@@ -25,7 +25,7 @@ from test_kernel_parity import BURSTS, CASE, holds
 from repro.core.batch import NodeArrayTable
 from repro.core.node import ClockSyncNode
 from repro.core.estimates import NeighborEstimate
-from repro.core.protocol import DCSACore, JumpL
+from repro.core.protocol import DCSACore, JumpL, ProtocolError
 from repro.harness import configs
 from repro.harness.registry import DELAY, DISCOVERY, AdversaryRef, ChurnRef, ClockRef
 from repro.analysis.recorder import RunRecord
@@ -358,6 +358,20 @@ def test_a_reference_switch_after_set_up_is_refused(monkeypatch):
     _reference_switch(exp)
     with pytest.raises(SimulationError, match="selected after set-up"):
         exp.run()
+
+
+def test_a_direct_call_on_a_view_is_refused_by_name(monkeypatch):
+    """A table node's core is a view without Gamma or Upsilon: a direct
+    ``on_message`` or ``run_core_action`` names the node and the kernel
+    that runs it."""
+    monkeypatch.setattr(simulator_mod, "BATCH_DEFAULT", True)
+    exp = Experiment(_sync())
+    node = exp.nodes[4]
+    needle = "node 4: handle() does not run on a batch-table view"
+    with pytest.raises(ProtocolError, match=re.escape(needle)):
+        node.on_message(3, (1.0, 2.0))
+    with pytest.raises(ProtocolError, match=re.escape(needle)):
+        node.run_core_action(lambda: None)
 
 
 class TestDecidedOnce:

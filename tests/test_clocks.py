@@ -72,8 +72,9 @@ class TestPiecewiseRateClock:
 
 
 class TestChecks:
-    """Clock schedules come from configs (``CLOCK["segments"]`` rows):
-    what a clock refuses, and the interface a new clock class fills in."""
+    """Clock schedules come from configs (``CLOCK["segments"]`` rows, which
+    ``conftest.py`` registers): what a clock refuses, and the interface a
+    new clock class fills in."""
 
     @pytest.mark.parametrize(
         "times,rates,message",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fakes import FakeTransport
 
 from repro import SystemParams
 from repro.core import ClockSyncNode, DCSACore
@@ -23,17 +24,9 @@ from repro.sim.clocks import ConstantRateClock
 from repro.sim.simulator import Simulator
 
 
-class SinkTransport:
-    def send(self, u, v, payload):
-        pass
-
-    def _handle_timer(self, ev):
-        ev.a._fire_timer(ev.b)
-
-
 def dcsa_node(sim, params):
     return ClockSyncNode(
-        0, sim, ConstantRateClock(1.0), SinkTransport(), params, core=DCSACore(0, params)
+        0, sim, ConstantRateClock(1.0), FakeTransport(), params, core=DCSACore(0, params)
     )
 
 

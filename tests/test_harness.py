@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from kernel_parity import parents
 
 from repro import SystemParams
 from repro.harness import Experiment, ExperimentConfig, configs, run_experiment
@@ -127,8 +128,10 @@ class TestDeterminism:
         for _ in range(2):
             with trace_session():
                 res = run_experiment(configs.static_path(5, horizon=20.0, seed=3))
-            tables.append(list(res.spans.rows()))
-        assert tables[0] and tables[0] == tables[1]
+            spans = res.spans
+            tables.append([spans.kind, spans.node, spans.peer, spans.t0, spans.t1,
+                           parents(spans), spans.status, spans.detail])
+        assert tables[0][0] and tables[0] == tables[1]
 
 
 class TestClockSpecs:

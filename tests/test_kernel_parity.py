@@ -34,6 +34,7 @@ from kernel_parity import (
     churned_sync_ring,
     far_ahead,
     gamma_upsilon,
+    parents,
 )
 
 from repro.core import batch as batch_mod
@@ -194,11 +195,11 @@ def greeted(r):
     """Every add's greeting flight is parented on its discover row, and
     the run has jumps to parent."""
     spans = r.default_on.res.spans
-    kinds, parents, detail = spans.kind, spans.parent, spans.detail
+    kinds, parent, detail = spans.kind, parents(spans), spans.detail
     adds = sum(k == SPAN_DISCOVER and d == 1.0 for k, d in zip(kinds, detail))
     greetings = sum(
         k == SPAN_FLIGHT and p >= 0 and kinds[p] == SPAN_DISCOVER
-        for k, p in zip(kinds, parents)
+        for k, p in zip(kinds, parent)
     )
     return greetings == adds > 0 and spans.kind_counts[SPAN_JUMP] > 0
 
@@ -208,14 +209,14 @@ def singleton_parents(r):
     discovery), a tick's per-message send on its timer row."""
     spans = r.default_on.res.spans
     kinds = spans.kind
-    parents = {
-        kind: {kinds[p] for k, p in zip(kinds, spans.parent) if k == kind}
+    causes = {
+        kind: {kinds[p] for k, p in zip(kinds, parents(spans)) if k == kind}
         for kind in (SPAN_JUMP, SPAN_FLIGHT)
     }
     return (
-        SPAN_FLIGHT in parents[SPAN_JUMP]
-        and parents[SPAN_JUMP] <= {SPAN_FLIGHT, SPAN_TIMER, SPAN_DISCOVER}
-        and parents[SPAN_FLIGHT] == {SPAN_TIMER, SPAN_DISCOVER}
+        SPAN_FLIGHT in causes[SPAN_JUMP]
+        and causes[SPAN_JUMP] <= {SPAN_FLIGHT, SPAN_TIMER, SPAN_DISCOVER}
+        and causes[SPAN_FLIGHT] == {SPAN_TIMER, SPAN_DISCOVER}
         and r.default.res.array_events > r.default.res.transport_stats["delivered"]
     )
 
@@ -223,14 +224,17 @@ def singleton_parents(r):
 def released_by_the_discovery(r):
     """Discovering that edge {2, 3} is gone drops node 2's last row and
     releases its jump inside the discovery's own dispatch."""
-    rows = list(r.default_on.res.spans.rows())
+    spans = r.default_on.res.spans
+    kind, node, peer, t0, parent, detail = (
+        spans.kind, spans.node, spans.peer, spans.t0, parents(spans), spans.detail
+    )
     (jump,) = [
-        s for s in rows
-        if s.kind == SPAN_JUMP and s.parent >= 0 and rows[s.parent].kind == SPAN_DISCOVER
+        i for i, k in enumerate(kind)
+        if k == SPAN_JUMP and parent[i] >= 0 and kind[parent[i]] == SPAN_DISCOVER
     ]
-    cause = rows[jump.parent]
-    return (cause.node, cause.peer, cause.detail) == (2, 3, 0.0) and (
-        jump.node == 2 and jump.t0 == cause.t0 == 4.3 + 0.5
+    cause = parent[jump]
+    return (node[cause], peer[cause], detail[cause]) == (2, 3, 0.0) and (
+        node[jump] == 2 and t0[jump] == t0[cause] == 4.3 + 0.5
     )
 
 

@@ -596,8 +596,7 @@ class TestLiveChurnValidation:
         assert live.transport_stats["discoveries_skipped"] == 2
         # Both ends of the eight ring edges at the start, then of 0 - 2 twice.
         assert live.transport_stats["discoveries_delivered"] == 16 + 4
-        flips = [s for s in tracer.table.rows() if s.kind == SPAN_EDGE]
-        assert len(flips) == 2
+        assert tracer.table.kind.count(SPAN_EDGE) == 2
         assert 3 not in live.nodes[0].core.upsilon
 
 
@@ -648,8 +647,7 @@ class TestRuntimeUnit:
         assert runtime.stats["discoveries_delivered"] == 1
         (event,) = runtime.nodes[0].pending
         assert isinstance(event, DiscoverRemove) and event.other == 2
-        kinds = [span.kind for span in tracer.table.rows()]
-        assert kinds == [SPAN_FLIGHT, SPAN_DISCOVER]
+        assert tracer.table.kind == [SPAN_FLIGHT, SPAN_DISCOVER]
 
     def test_arrival_over_a_removed_edge_is_a_traced_drop(self, runtime):
         runtime._tracer = tracer = Tracer()
@@ -662,7 +660,7 @@ class TestRuntimeUnit:
         runtime._deliver(*sent[0])
         assert runtime.stats["dropped_removed"] == 1
         assert runtime.stats["delivered"] == 0
-        assert [span.status for span in tracer.table.rows()] == [STATUS_DROPPED]
+        assert tracer.table.status == [STATUS_DROPPED]
 
     def test_telemetry_reads_nothing_before_the_epoch(self, runtime):
         registry = MetricsRegistry()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from fakes import FakeTransport
 
 from repro import SystemParams
 from repro.core.node import ClockSyncNode, NodeRow
@@ -53,17 +54,6 @@ class ProbeNode(ClockSyncNode):
             self.timer_fires.append((self.sim.now, event.key))
         elif isinstance(event, MessageReceived):
             self.msgs.append((self.sim.now, event.sender, event.payload))
-
-
-class FakeTransport:
-    def __init__(self):
-        self.sent = []
-
-    def send(self, u, v, payload):
-        self.sent.append((u, v, payload))
-
-    def _handle_timer(self, ev):
-        ev.a._fire_timer(ev.b)
 
 
 def make_node(rate=1.0, params=None):

@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from kernel_parity import assert_same, run
+from kernel_parity import assert_same, parents, run
 from test_kernel_parity import holds
 
 from repro.harness import configs, run_experiment
@@ -46,7 +46,6 @@ from repro.tracing import (
     STATUS_DONE,
     STATUS_DROPPED,
     STATUS_PENDING,
-    Span,
     SpanTable,
     Tracer,
     activate_tracing,
@@ -80,16 +79,15 @@ class TestSpanTable:
         t = SpanTable()
         sid = t.append(SPAN_FLIGHT, 1, 2, 0.5, 9.9, -1, STATUS_PENDING)
         t.close(sid, 1.25, STATUS_DONE)
-        span = t.row(sid)
-        assert span.t1 == 1.25
-        assert span.status == STATUS_DONE
-        assert span.t1 - span.t0 == pytest.approx(0.75)
+        assert t.t1 == [1.25]
+        assert t.status == [STATUS_DONE]
+        assert t.t1[sid] - t.t0[sid] == pytest.approx(0.75)
 
     def test_close_many_sets_status_and_end(self):
         t = SpanTable()
         ids = [t.append(SPAN_FLIGHT, 1, 2, 0.5, 9.9, -1, STATUS_PENDING) for _ in range(3)]
         t.close_many(ids[:2], STATUS_DROPPED, 2.0)
-        assert [(s.status, s.t1) for s in t.rows()] == [
+        assert list(zip(t.status, t.t1)) == [
             (STATUS_DROPPED, 2.0), (STATUS_DROPPED, 2.0), (STATUS_PENDING, 9.9)
         ]
 
@@ -110,7 +108,6 @@ class TestSpanTable:
         assert t.detail[1] == 0.25
         assert t.kind_counts[SPAN_FLIGHT] == 1
         assert t.kind_counts[SPAN_JUMP] == 1
-        assert [s.kind for s in list(t.rows())] == [SPAN_FLIGHT, SPAN_JUMP]
 
     def test_blocks_and_lists_read_as_one_table(self):
         """A column block takes the ids after the open list segment; the
@@ -127,13 +124,13 @@ class TestSpanTable:
         assert t.append(SPAN_FLIGHT, 3, 4, 3.0, 3.5, -1, STATUS_DONE) == 3
         assert t.base == 3 and len(t.data) == STRIDE
         assert t.kind == [SPAN_TIMER, SPAN_TIMER, SPAN_FLIGHT, SPAN_FLIGHT]
-        assert t.parent == [-1, -1, 1, -1]
-        assert {type(x) for x in t.node + t.parent} == {int}
+        assert parents(t) == [-1, -1, 1, -1]
+        assert {type(x) for x in t.node + parents(t)} == {int}
         assert {type(x) for x in t.t0 + t.t1} == {float}
-        assert t.row(2) == Span(2, SPAN_FLIGHT, 1, 2, 2.0, 2.5, 1, STATUS_DONE, 0.0)
-        assert [s.span_id for s in t.rows()] == [0, 1, 2, 3]
+        columns = (t.kind, t.node, t.peer, t.t0, t.t1, parents(t), t.status, t.detail)
+        assert [c[2] for c in columns] == [SPAN_FLIGHT, 1, 2, 2.0, 2.5, 1, STATUS_DONE, 0.0]
         t.close(2, 2.25, STATUS_DROPPED)
-        assert (t.row(2).t1, t.row(2).status) == (2.25, STATUS_DROPPED)
+        assert (t.t1[2], t.status[2]) == (2.25, STATUS_DROPPED)
         t.close_many([3, 2], STATUS_PENDING)
         assert t.status == [STATUS_DONE, STATUS_DONE, STATUS_PENDING, STATUS_PENDING]
         assert t.t1 == [1.0, 2.0, 2.25, 3.5]
@@ -145,9 +142,9 @@ class TestTracerHooks:
         tr = Tracer()
         sid = tr.flight_send(3, 4, 1.0, 1.5)
         assert sid == 0
-        assert tr.table.row(sid).status == STATUS_PENDING
+        assert tr.table.status[sid] == STATUS_PENDING
         tr.flight_deliver(sid, 1.5)
-        assert tr.table.row(sid).status == STATUS_DONE
+        assert tr.table.status[sid] == STATUS_DONE
         assert tr.current == sid  # delivery enters the causal scope
         tr.reset_current()
         assert tr.current == -1
@@ -156,9 +153,8 @@ class TestTracerHooks:
         tr = Tracer()
         sid = tr.flight_send(3, 4, 1.0, 1.5)
         tr.flight_drop(sid, 1.2)
-        span = tr.table.row(sid)
-        assert span.status == STATUS_DROPPED
-        assert span.t1 == 1.2
+        assert tr.table.status[sid] == STATUS_DROPPED
+        assert tr.table.t1[sid] == 1.2
 
     def test_capacity_returns_minus_one_and_closes_are_noops(self):
         tr = Tracer(capacity=1)
@@ -173,13 +169,13 @@ class TestTracerHooks:
         tr = Tracer()
         tr.timer_fired(5, 2.0)
         timer_sid = tr.current
-        assert tr.table.row(timer_sid).kind == SPAN_TIMER
+        assert tr.table.kind[timer_sid] == SPAN_TIMER
         flight = tr.flight_send(5, 6, 2.0, 2.5)
-        assert tr.table.row(flight).parent == timer_sid
+        assert parents(tr.table)[flight] == timer_sid
         tr.jump(5, 2.0, 0.125)
-        jump = tr.table.row(len(tr.table) - 1)
-        assert jump.kind == SPAN_JUMP and jump.parent == timer_sid
-        assert jump.detail == 0.125
+        jump = len(tr.table) - 1
+        assert tr.table.kind[jump] == SPAN_JUMP and parents(tr.table)[jump] == timer_sid
+        assert tr.table.detail[jump] == 0.125
 
     def test_ambient_activation(self):
         assert active_tracer() is None
@@ -281,18 +277,18 @@ class TestSimTracing:
         with trace_session() as tr:
             run_experiment(configs.static_path(8, horizon=60.0, seed=3))
         table = tr.table
-        kinds, parents = table.kind, table.parent
+        kinds, parent = table.kind, parents(table)
         timer_parented_flights = sum(
             1
             for i in range(len(table))
             if kinds[i] == SPAN_FLIGHT
-            and parents[i] >= 0
-            and kinds[parents[i]] == SPAN_TIMER
+            and parent[i] >= 0
+            and kinds[parent[i]] == SPAN_TIMER
         )
         delivery_parented = sum(
             1
             for i in range(len(table))
-            if parents[i] >= 0 and kinds[parents[i]] == SPAN_FLIGHT
+            if parent[i] >= 0 and kinds[parent[i]] == SPAN_FLIGHT
         )
         assert timer_parented_flights > 0  # ticks cause sends
         assert delivery_parented > 0  # deliveries cause jumps/sends
