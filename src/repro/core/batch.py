@@ -351,8 +351,9 @@ class NodeArrayTable:
         mate = col.mate[:first] = np.searchsorted(self.pair_keys, mirrored)
         for s in np.flatnonzero(self.pair_keys[mate] != mirrored).tolist():
             self.slot(self.peer[s], self.owner[s])
-        #: Bumped by every write of an ``ups`` or ``live`` slot: the key a
-        #: tick group's send plan is kept under.
+        #: Bumped by every write that changes an ``ups`` or ``live`` slot
+        #: (a flip of a pair with no slots is none): the key a tick group's
+        #: send plan is kept under.
         self.edits = 0
         #: Edge removals seen so far: while 0, no message can be lost in
         #: flight and the transport skips the drop rule.
@@ -495,10 +496,14 @@ class NodeArrayTable:
         return np.flatnonzero((col.live[slots] == 0) | (col.cut[slots] > sent)).tolist()
 
     def believe(self, v: int, u: int, yes: bool) -> None:
-        """Write ``u in Upsilon_v`` (``yes``) or drop it: a discovery."""
+        """Write ``u in Upsilon_v`` (``yes``) or drop it: a discovery.  Only
+        a write that changes the ``ups`` slot is an edit: dropping a pair
+        with no slot, or rewriting what the slot holds, keeps every send
+        plan and ``believed(v)``."""
         s = self.slot(v, u) if yes else self.row(v).get(u)
-        if s is not None:
-            self.ups[s] = yes
+        if s is None or self.ups[s] == yes:
+            return
+        self.ups[s] = yes
         self.edits += 1
         self.dests.pop(v, None)
 

@@ -310,6 +310,10 @@ def test_property_churned_tick_groups_on_the_array_lane():
     holds("any_config[lane_1]")
 
 
+def test_a_no_op_discovery_keeps_every_send_plan():
+    holds("lane_no_op_discovery")
+
+
 # --------------------------------------------------------------------- #
 # Tick runs regroup by deadline; a run imports nothing
 # --------------------------------------------------------------------- #

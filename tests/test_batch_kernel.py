@@ -599,6 +599,31 @@ class TestAdjustClocksBatch:
         assert all(c._L < c._Lmax for c in a)  # released up to a row, not to Lmax
 
 
+class TestBelieve:
+    """Only a discovery that changes an ``ups`` slot is an edit: the key of
+    every tick group's send plan, and what drops ``believed(v)``."""
+
+    @pytest.fixture
+    def table(self):
+        table = run(configs.huge_sync_ring(16, horizon=3.0), batch=True).exp.transport.plan.table
+        assert table.believed(0) == [1, 15] and table.row(0).get(5) is None
+        return table
+
+    def test_a_write_that_changes_no_slot_is_no_edit(self, table):
+        edits, dests = table.edits, table.dests[0]
+        table.believe(0, 5, False)  # a pair with no slot
+        table.believe(0, 1, True)  # a pair already believed
+        assert table.edits == edits and table.dests[0] is dests
+        assert table.row(0).get(5) is None
+
+    @pytest.mark.parametrize("v, u, yes", [(0, 1, False), (0, 5, True)])
+    def test_a_write_that_changes_a_slot_is_one_edit(self, table, v, u, yes):
+        edits = table.edits
+        table.believe(v, u, yes)
+        assert table.edits == edits + 1 and v not in table.dests
+        assert (u in table.believed(v)) == yes
+
+
 #: The general path's rows, under the names this file gave them.
 GENERAL_CASES = [
     "ring64", "ring256", "churned", "zero_delay",

@@ -429,6 +429,15 @@ CASES = [
         lambda r: any(loose for _, loose in r.default.spied),
         lambda r: any(now > 2.3 for now, _ in r.default.spied),
     ), spy=PLANS),
+    # A chord that lives 0.1, less than D = 2.0: its add's discovery is
+    # skipped, and the removal's, due at 4.4, drops a pair that has no
+    # slot -- no edit, so no tick group rebuilds its send plan after it.
+    Case("lane_no_op_discovery", lambda: churned_sync_ring(
+        [(2.3, "add", 3, 70), (2.4, "remove", 3, 70)], n=128, horizon=8.0,
+    ), (
+        lambda r: r.default.exp.transport.plan.table.n_slots == 256,
+        lambda r: all(now <= 4.4 for now, _ in r.default.spied),
+    ), spy=PLANS),
     # The same ring observed: the tracer keeps the tick groups with loose
     # members on the array lane, their span rows split around each loose
     # member as the burst is; node 0 far ahead makes the members jump.
