@@ -23,7 +23,7 @@ import argparse
 import json
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import zip_longest
 from pathlib import Path
@@ -37,9 +37,8 @@ import numpy as np
 
 import repro
 from repro import SystemParams
-from repro.analysis import max_estimate_lag
 from repro.core import skew_bounds as sb
-from repro.harness import ExperimentConfig, configs, run_experiment
+from repro.harness import ExperimentConfig, OracleRef, configs, run_experiment
 from repro.lowerbound import (
     DelayMask,
     build_execution_pair,
@@ -91,12 +90,12 @@ def key(name: str) -> Callable[[Result], Any]:
 
 
 def simulate(cfg: ExperimentConfig) -> Result:
-    """Run ``cfg``: the sweep engine's metrics plus ``n``, ``seed``, ``params``."""
-    res = run_experiment(cfg)
+    """Run ``cfg`` under the standard oracle: the sweep engine's metrics plus
+    the estimate lag (the oracle's peak), ``n``, ``seed`` and ``params``."""
+    res = run_experiment(replace(cfg, oracle=OracleRef("standard", {})))
     out = summarize_run(res)
-    out.update(n=cfg.params.n, seed=cfg.seed, params=cfg.params)
-    if cfg.track_max_estimates:
-        out["lag"] = float(max_estimate_lag(res.record).max())
+    lag = res.oracle_report.monitors["estimate_lag"].worst_observed
+    out.update(lag=lag, n=cfg.params.n, seed=cfg.seed, params=cfg.params)
     return out
 
 
@@ -269,17 +268,16 @@ def global_skew() -> Iterator[Entry]:
 
 def max_propagation() -> Iterator[Entry]:
     """Lemma 6.8, max-estimate propagation."""
-    track = {"track_max_estimates": True}
     regimes: dict[str, list[ExperimentConfig]] = {
         "static path, split clocks, max delays": [
-            configs.static_path(n, horizon=150.0, seed=1, delay_spec="max", **track)
+            configs.static_path(n, horizon=150.0, seed=1, delay_spec="max")
             for n in (8, 16, 32)
         ],
         "backbone churn": [
-            configs.backbone_churn(n, horizon=150.0, seed=2, **track) for n in (8, 16)
+            configs.backbone_churn(n, horizon=150.0, seed=2) for n in (8, 16)
         ],
         "rotating backbone, window 25": [
-            configs.rotating_backbone(n, horizon=220.0, window=25.0, seed=3, **track)
+            configs.rotating_backbone(n, horizon=220.0, window=25.0, seed=3)
             for n in (8, 16)
         ],
     }

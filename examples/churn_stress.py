@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from repro.adversary import scan_interval_connectivity
-from repro.analysis import TextTable, envelope_violations, global_skew_series
+from repro.analysis import TextTable, global_skew_series
 from repro.core import skew_bounds as sb
 from repro.harness import configs, run_experiment
 
@@ -28,7 +28,9 @@ from repro.harness import configs, run_experiment
 def main(n: int = 16, seed: int = 4) -> None:
     horizon = 300.0
     window = 30.0
-    cfg = configs.rotating_backbone(n, window=window, horizon=horizon, seed=seed)
+    cfg = configs.rotating_backbone(
+        n, window=window, horizon=horizon, seed=seed, oracle=True
+    )
     params = cfg.params
     interval = params.max_delay + params.discovery_bound
     print(
@@ -55,10 +57,10 @@ def main(n: int = 16, seed: int = 4) -> None:
     print(f"peak global skew: {series.max():.3f}  <=  G(n) = "
           f"{sb.global_skew_bound(params):.3f}")
 
-    chk = envelope_violations(res.record, params)
+    env = res.oracle_report.monitors["envelope"]
     print(
-        f"\nper-edge envelope: {chk.samples_checked} samples over "
-        f"{len(res.record.episodes)} edge episodes, {chk.violations} violations"
+        f"\nper-edge envelope: {env.checks} samples over "
+        f"{len(res.record.episodes)} edge episodes, {env.violations} violations"
     )
     lifetimes = [
         (ep.end_time - ep.add_time)

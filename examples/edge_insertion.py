@@ -22,14 +22,15 @@ import sys
 
 import numpy as np
 
-from repro.analysis import TextTable, envelope_violations, stabilization_age
+from repro.analysis import TextTable
 from repro.core import skew_bounds as sb
 from repro.harness import configs, run_experiment
+from repro.lowerbound import settle_age
 
 
 def main(n: int = 24, seed: int = 0) -> None:
     t_insert = 60.0
-    cfg = configs.edge_insertion(n, t_insert=t_insert, seed=seed)
+    cfg = configs.edge_insertion(n, t_insert=t_insert, seed=seed, oracle=True)
     print(
         f"path of {n} nodes, worst-case delays, split extremal clocks; "
         f"edge (0, {n - 1}) appears at t = {t_insert}"
@@ -56,16 +57,16 @@ def main(n: int = 24, seed: int = 0) -> None:
     print(table.render())
 
     stable = sb.stable_local_skew(params)
-    settled = stabilization_age(ep, stable)
+    settled = settle_age(list(zip(ep.ages, ep.skews)), 0.0, stable)
     print(f"stable local skew bound  : {stable:.3f}")
     print(f"measured settle age      : {settled if settled is None else round(settled, 2)}")
     print(f"guaranteed settle age    : {sb.stabilization_time(params):.2f}  (Cor 6.14: Theta(n/B0))")
     print(f"lower-bound time scale   : {sb.lb_reduction_time(params):.4f}  (Thm 4.1: Omega(n/s_bar))")
 
-    chk = envelope_violations(res.record, params)
+    env = res.oracle_report.monitors["envelope"]
     print(
-        f"\nenvelope check across ALL edges: {chk.samples_checked} samples, "
-        f"{chk.violations} violations (worst ratio {chk.worst_ratio:.3f})"
+        f"\nenvelope check across ALL edges: {env.checks} samples, "
+        f"{env.violations} violations (worst ratio {env.extras['worst_ratio']:.3f})"
     )
 
 

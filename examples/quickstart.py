@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis import TextTable, envelope_violations, gradient_profile
+from repro.analysis import TextTable, gradient_profile
 from repro.core import skew_bounds as sb
 from repro.harness import configs, run_experiment
 from repro.sweep import SweepEngine, SweepSpec, grid, seeds, sweep_table
@@ -31,6 +31,7 @@ def main(seed: int = 0) -> None:
         horizon=200.0,
         seed=seed,
         clock_spec="random_walk",
+        oracle=True,  # the streaming oracle judges the theorem bounds
     )
     print(f"running {cfg.name} for {cfg.horizon} time units ...")
     result = run_experiment(cfg)
@@ -52,11 +53,11 @@ def main(seed: int = 0) -> None:
     table.add_row(["max edge skew", l_meas, l_bound, l_bound / max(l_meas, 1e-12)])
     print(table.render())
 
-    chk = envelope_violations(result.record, params)
+    env = result.oracle_report.monitors["envelope"]
     print(
-        f"dynamic local skew envelope (Cor 6.13): {chk.samples_checked} edge "
-        f"samples checked, {chk.violations} violations, worst ratio "
-        f"{chk.worst_ratio:.3f}"
+        f"dynamic local skew envelope (Cor 6.13): {env.checks} edge "
+        f"samples checked, {env.violations} violations, worst ratio "
+        f"{env.extras['worst_ratio']:.3f}"
     )
 
     profile = gradient_profile(result.record, result.graph, cfg.horizon)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis import TextTable, max_global_skew
+from repro.analysis import TextTable
 from repro.core import skew_bounds as sb
 from repro.harness import configs, run_experiment
 
@@ -78,7 +78,7 @@ def main(seed: int = 1) -> None:
             [
                 algorithm,
                 local,
-                max_global_skew(res.record),
+                res.max_global_skew,
                 band,
                 f"{100 * slot_efficiency(band):.1f}%",
             ]

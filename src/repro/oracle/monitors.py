@@ -8,8 +8,10 @@ and scalar extrema.  Monitors never store sample history, which is what
 lets the :class:`~repro.oracle.oracle.StreamingOracle` follow arbitrarily
 long runs in bounded memory.
 
-The monitors are calibrated to agree exactly with the offline
-:mod:`repro.analysis.metrics` computations on the same run (the
+The monitors are the one place the paper's bounds are judged: the sweep
+rows, the paper runner, ``repro check``, bundles and the ledger all read
+their summaries.  They agree exactly with an independent offline reference
+over the recorder's history (``tests/offline_reference.py``; the
 online/offline agreement tests pin this): same sample times, same
 tolerances, same edge-age convention (real time since the edge's add
 event, initial edges aged from ``t = 0``).
@@ -106,8 +108,8 @@ class MonitorSummary:
     at that tightest check -- the run's max global skew for the
     global-skew monitor (its bound is constant, so the tightest check is
     the peak), the minimum per-node slack for the floor monitors -- which
-    is what the online/offline agreement tests compare against
-    :mod:`repro.analysis.metrics`.
+    is what the online/offline agreement tests compare against the
+    offline reference.
     """
 
     name: str
@@ -357,8 +359,7 @@ class EstimateLagMonitor(Monitor):
 
     ``Lmax(t) - min_u Lmax_u(t)`` is what the lemma bounds; the largest
     estimate in the network is ``max_u Lmax_u(t)``, so the observed
-    quantity is the estimate spread -- identical to the offline
-    :func:`repro.analysis.metrics.max_estimate_lag` series.
+    quantity is the estimate spread, and ``worst_observed`` is its peak.
     """
 
     name = "estimate_lag"
@@ -396,6 +397,12 @@ class EnvelopeMonitor(Monitor):
     matching the recorder's episode convention).  State is O(current
     edges); nothing is kept per sample.
 
+    Beside the checks it measures Theorem 6.12's quantity: ``stable_skew``
+    is the peak ``|dL|`` over live edges at least
+    :func:`~repro.core.skew_bounds.stabilization_time` old, the measured
+    counterpart of ``s_bar(n)``.  It adds no check and is not scaled by
+    ``bound_scale``.
+
     The per-sample check is fully vectorised over dense endpoint-index and
     add-time arrays, re-read from
     :meth:`~repro.network.graph.DynamicGraph.live_edges` only when the
@@ -425,6 +432,8 @@ class EnvelopeMonitor(Monitor):
         self.worst_ratio = 0.0
         self.worst_edge: tuple[int, int] | None = None
         self.worst_age = 0.0
+        self.stable_skew = 0.0
+        self._stable_age = np.inf
         #: The latest sample's pass (``None``: no live edge then), kept
         #: for the skew timeline, which records the same quantities.
         self.last_pass: EnvelopePass | None = None
@@ -434,6 +443,7 @@ class EnvelopeMonitor(Monitor):
         ids = np.fromiter(node_ids, np.intp, len(node_ids))
         self._position = np.full(ids.max(initial=-1) + 1, -1, np.intp)
         self._position[ids] = np.arange(len(ids))
+        self._stable_age = skew_bounds.stabilization_time(params)
 
     def _rebuild(self) -> None:
         """Re-read the live edges off the graph."""
@@ -460,6 +470,10 @@ class EnvelopeMonitor(Monitor):
             self.params, ages
         )
         observed = np.abs(clocks[self._eu] - clocks[self._ev])
+        if ages[0] >= self._stable_age:  # live_edges() lists the oldest first
+            self.stable_skew = float(
+                np.max(observed, where=ages >= self._stable_age, initial=self.stable_skew)
+            )
         margins = bounds - observed
         # Accounting identical to m sequential _check calls: all checks
         # count, and the running worst updates to the first (in insertion
@@ -495,6 +509,7 @@ class EnvelopeMonitor(Monitor):
             "worst_ratio": self.worst_ratio,
             "worst_edge": self.worst_edge,
             "worst_age": self.worst_age,
+            "stable_skew": self.stable_skew,
         }
 
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from ..adversary.connectivity import scan_interval_connectivity
-from ..analysis.metrics import envelope_violations, stable_local_skew_measured
 from ..core import skew_bounds
 from ..harness.runner import ExperimentConfig, RunResult, run_experiment
 from ..telemetry.registry import Counter, Gauge, active_registry, get_registry
@@ -48,8 +47,10 @@ def summarize_run(result: RunResult) -> dict[str, Any]:
     stored per config.
 
     Everything here is a pure function of the simulation, so identical
-    configs produce identical dicts on any backend; edge-level metrics are
-    ``None`` when the run did not track edges.
+    configs produce identical dicts on any backend.  ``max_local_skew`` is
+    a recorder reading, ``None`` when the run did not track edges; the
+    stable-edge skew and the envelope columns are the oracle's ``envelope``
+    monitor's, ``None`` when the run had none.
     """
     params = result.params
     metrics: dict[str, Any] = {
@@ -63,25 +64,17 @@ def summarize_run(result: RunResult) -> dict[str, Any]:
         "messages_delivered": result.transport_stats.get("delivered", 0),
         "jumps": result.total_jumps(),
     }
-    if result.config.track_edges and result.config.record:
-        check = envelope_violations(result.record, params)
-        metrics.update(
-            max_local_skew=result.max_local_skew,
-            stable_local_skew=stable_local_skew_measured(result.record, params),
-            envelope_samples=check.samples_checked,
-            envelope_violations=check.violations,
-            envelope_worst_ratio=check.worst_ratio,
-            envelope_compliant=check.compliant,
-        )
-    else:
-        metrics.update(
-            max_local_skew=None,
-            stable_local_skew=None,
-            envelope_samples=None,
-            envelope_violations=None,
-            envelope_worst_ratio=None,
-            envelope_compliant=None,
-        )
+    tracked = result.config.track_edges and result.config.record
+    metrics["max_local_skew"] = result.max_local_skew if tracked else None
+    oracle = result.oracle_report
+    envelope = None if oracle is None else oracle.monitors.get("envelope")
+    metrics.update(
+        stable_local_skew=envelope and envelope.extras["stable_skew"],
+        envelope_samples=envelope and envelope.checks,
+        envelope_violations=envelope and envelope.violations,
+        envelope_worst_ratio=envelope and envelope.extras["worst_ratio"],
+        envelope_compliant=envelope and envelope.violations == 0,
+    )
     if result.config.adversary is not None:
         # Adversary-generated schedules must stay within the model: certify
         # (T+D)-interval connectivity -- the premise of Theorem 6.9 -- over
@@ -100,10 +93,10 @@ def summarize_run(result: RunResult) -> dict[str, Any]:
         metrics.update(
             tic_interval=None, tic_ok=None, tic_windows=None, tic_violations=None
         )
-    if result.oracle_report is not None:
+    if oracle is not None:
         # Streaming conformance verdict (see repro.oracle): pass/fail plus
         # the worst slack against any theorem bound, per sweep point.
-        metrics.update(result.oracle_report.to_metrics())
+        metrics.update(oracle.to_metrics())
     else:
         metrics.update(
             oracle_ok=None,

@@ -31,7 +31,9 @@ from typing import Any, Iterator, Mapping
 
 __all__ = ["ResultStore", "config_hash"]
 
-_ENTRY_VERSION = 1
+#: Bumped when a stored metric changes meaning, so an older entry is
+#: evicted, not misread (2: the envelope columns are the oracle's).
+_ENTRY_VERSION = 2
 
 
 def canonical_json(data: Mapping[str, Any]) -> str:

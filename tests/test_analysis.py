@@ -1,4 +1,5 @@
-"""Tests for the recorder, metrics and report modules."""
+"""Tests for the recorder, metrics and report modules, and the offline
+reference checkers the oracle is compared against."""
 
 from __future__ import annotations
 
@@ -8,22 +9,24 @@ import numpy as np
 import pytest
 from graph_listeners import ListenerRecorder
 from hypothesis import given, settings
+from offline_reference import (
+    envelope_violations,
+    max_estimate_lag,
+    stable_local_skew_measured,
+)
 
 from repro import SystemParams
 from repro.analysis.metrics import (
-    envelope_violations,
     global_skew_series,
     gradient_profile,
-    max_estimate_lag,
     max_global_skew,
     max_local_skew,
-    stabilization_age,
-    stable_local_skew_measured,
 )
 from repro.analysis.recorder import EdgeEpisode, RunRecord, SkewRecorder
 from repro.analysis.report import TextTable, csv_text, format_value
 from repro.core.batch import Sampler
 from repro.harness import Experiment, configs, run_experiment
+from repro.lowerbound import settle_age
 from repro.network.graph import DynamicGraph
 from repro.network.topology import path_edges
 from repro.sim.simulator import Simulator
@@ -77,6 +80,11 @@ class TestRecordBasics:
         r = RunRecord(node_ids=[0], times=np.empty(0), clocks=np.empty((0, 1)))
         assert max_global_skew(r) == 0.0
         assert global_skew_series(r).size == 0
+
+
+def stabilization_age(episode: EdgeEpisode, threshold: float) -> float | None:
+    """An episode's settle age, by the one rule (:func:`settle_age`)."""
+    return settle_age(list(zip(episode.ages, episode.skews)), 0.0, threshold)
 
 
 class TestEpisodeMetrics:

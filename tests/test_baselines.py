@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 from fakes import FakeTransport
+from offline_reference import envelope_violations
 
 from repro import SystemParams
 from repro.core import ClockSyncNode, FreeRunningCore, MaxSyncCore, StaticGradientCore
 from repro.harness import configs, run_experiment
-from repro.analysis import envelope_violations, max_global_skew
+from repro.analysis import max_global_skew
 from repro.sim.clocks import ConstantRateClock
 from repro.sim.simulator import Simulator
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from offline_reference import envelope_violations
 
 from repro import SystemParams
-from repro.analysis import envelope_violations
 from repro.core import skew_bounds as sb
 from repro.harness import ALGORITHMS, configs, run_experiment
 

@@ -12,11 +12,9 @@ import numpy as np
 import pytest
 
 from repro import SystemParams
-from repro.analysis import (
-    envelope_violations,
-    gradient_profile,
-    max_global_skew,
-)
+from offline_reference import envelope_violations
+
+from repro.analysis import gradient_profile, max_global_skew
 from repro.core import skew_bounds as sb
 from repro.harness import ExperimentConfig, run_experiment
 from repro.lowerbound import run_masking_experiment

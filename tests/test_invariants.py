@@ -24,10 +24,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from offline_reference import envelope_violations, max_estimate_lag
 
 from repro import SystemParams
 from repro.adversary import scan_interval_connectivity
-from repro.analysis import envelope_violations, max_estimate_lag, max_global_skew
+from repro.analysis import max_global_skew
 from repro.core import skew_bounds as sb
 from repro.harness import ALGORITHMS, OracleRef, configs, run_experiment
 from repro.network.topology import path_edges

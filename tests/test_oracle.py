@@ -16,6 +16,7 @@ import pytest
 from graph_listeners import ListenerModel
 
 from repro import SystemParams
+from repro.core import skew_bounds as sb
 from repro.harness import ExperimentConfig, OracleRef, configs, run_experiment
 from repro.network.graph import DynamicGraph
 from repro.network.topology import path_edges
@@ -123,6 +124,17 @@ class TestMonitorsUnit:
         m.on_sample(2.0, np.array([0.0, 0.0, 0.25]), None)
         assert len(reads) == 2 and m.checks == 1 + 1 + 2
         assert m.last_pass[0].tolist() == [0.0, 0.25] and m.worst_age == 0.5
+
+    def test_envelope_stable_skew_reads_only_edges_past_stabilization(self, params8):
+        """Thm 6.12's measurement: a young edge's large skew is left out,
+        an old edge's small one is the peak; no check is added for it."""
+        t = sb.stabilization_time(params8) + 10.0
+        g = DynamicGraph(range(3), [(0, 1)])
+        m = self._watching(EnvelopeMonitor(), g, params8, [0, 1, 2])
+        g.add_edge(1, 2, t - 1.0)
+        m.on_sample(t, np.array([0.0, 0.5, 5.5]), None)
+        assert m.checks == 2
+        assert m.summary().extras["stable_skew"] == 0.5
 
     def test_violation_record_shape(self):
         v = Violation("global_skew", 3.0, (1, 2), 5.0, 7.5, -2.5, detail="x")

@@ -2,18 +2,24 @@
 
 For a matrix of workloads -- static, churned, and all four adversarial --
 one run carries *both* the offline recorder and the streaming oracle at
-the same sampling interval.  Every verdict and worst margin the oracle
-reports must match what the offline :mod:`repro.analysis.metrics`
-computations find in the recorded history; any divergence means one of the
-two checkers is wrong.
+the same sampling interval.  Every verdict, peak and worst margin the
+oracle reports must match what the offline reference
+(``offline_reference.py``) finds in the recorded history; any divergence
+means one of the two checkers is wrong.  If you add a monitor, add its
+agreement test.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from offline_reference import (
+    envelope_violations,
+    max_estimate_lag,
+    stable_local_skew_measured,
+)
 
-from repro.analysis import envelope_violations, max_estimate_lag, max_global_skew
+from repro.analysis import max_global_skew
 from repro.core import skew_bounds as sb
 from repro.harness import OracleRef, configs, run_experiment
 
@@ -86,6 +92,13 @@ class TestAgreement:
             assert online.extras["worst_age"] == pytest.approx(
                 offline.worst_age, abs=1e-12
             )
+
+    def test_stable_edge_peak_matches(self, monitored_run):
+        res = monitored_run
+        online = res.oracle_report.monitors["envelope"]
+        assert online.extras["stable_skew"] == stable_local_skew_measured(
+            res.record, res.params
+        )
 
     def test_progress_agrees_with_offline_rate_floor(self, monitored_run):
         res = monitored_run

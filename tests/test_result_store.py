@@ -108,10 +108,11 @@ class TestStore:
         assert store.get(key) is None
         assert store.evictions == 1
 
-    def test_version_mismatch_evicted(self, store):
+    @pytest.mark.parametrize("version", [0, 1])
+    def test_version_mismatch_evicted(self, store, version):
         key, cfg = _key()
         entry = store.put(key, cfg, {"m": 1})
-        stale = dict(entry, version=0)
+        stale = dict(entry, version=version)
         store.path_for(key).write_text(json.dumps(stale), encoding="utf-8")
         assert store.get(key) is None
         assert store.evictions == 1

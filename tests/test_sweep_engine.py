@@ -205,17 +205,35 @@ class TestMetricsDir:
 
 
 class TestSummary:
-    def test_untracked_run_has_no_envelope_and_an_oracle_verdict(self):
-        from repro.harness import OracleRef
+    ENVELOPE_KEYS = ("stable_local_skew", "envelope_samples", "envelope_violations",
+                     "envelope_worst_ratio", "envelope_compliant")
+
+    def test_run_without_an_oracle_has_no_envelope(self):
         from repro.sweep.engine import summarize_run
 
         cfg = configs.static_ring(6, horizon=20.0)
+        assert cfg.oracle is None and cfg.track_edges
+        metrics = summarize_run(run_experiment(cfg))
+        assert metrics["max_local_skew"] is not None
+        for key in self.ENVELOPE_KEYS + ("oracle_ok",):
+            assert metrics[key] is None
+
+    def test_untracked_run_reads_the_oracles_envelope(self):
+        from repro.harness import OracleRef
+        from repro.sweep.engine import summarize_run
+
+        cfg = configs.static_ring(6, horizon=120.0)
         cfg.track_edges = False
         cfg.oracle = OracleRef("standard", {})
-        metrics = summarize_run(run_experiment(cfg))
-        for key in ("max_local_skew", "stable_local_skew", "envelope_samples",
-                    "envelope_violations", "envelope_worst_ratio", "envelope_compliant"):
-            assert metrics[key] is None
+        result = run_experiment(cfg)
+        metrics = summarize_run(result)
+        assert metrics["max_local_skew"] is None
+        envelope = result.oracle_report.monitors["envelope"]
+        assert envelope.checks > 0 and envelope.extras["stable_skew"] > 0.0
+        assert [metrics[key] for key in self.ENVELOPE_KEYS] == [
+            envelope.extras["stable_skew"], envelope.checks, envelope.violations,
+            envelope.extras["worst_ratio"], envelope.violations == 0,
+        ]
         assert metrics["oracle_ok"] is True and metrics["oracle_checks"] > 0
 
 
