@@ -2,17 +2,21 @@
 
 :class:`LiveRuntime` is the second driver for the protocol cores of
 :mod:`repro.core.protocol` (the first being the discrete-event simulator).
-No node owns a coroutine: each keeps a FIFO of pending events and a table
-of subjective-timer deadlines, driven by plain event-loop callbacks.
+No node owns a coroutine or a loop handle: each keeps a FIFO of pending
+events and a table of subjective-timer deadlines, and the runtime drives
+them with a ready deque of nodes and a ``heapq`` of wake-ups.
 
 1. Posting an event (``Start``, a message, a discovery) appends it to the
-   destination's FIFO and queues one ``loop.call_soon`` *turn* for that
-   node, unless one is already queued.
-2. A turn fires the node's due timers, then drains its FIFO: each event is
-   stamped with the hardware reading ``H_u(t) = rate_u * t`` at dispatch
-   (``t`` = seconds since the shared session epoch) and fed to the core.
-   It ends by re-arming the node's one ``loop.call_at`` *wake-up*, only if
-   its earliest deadline moved.
+   destination's FIFO and the node, unless already there, to the ready
+   deque.  A post from outside a *pump* kicks one ``loop.call_soon`` of
+   it, unless one is kicked; a post inside a pump kicks nothing.
+2. A pump marks every due wake-up ready, then runs turns until the deque
+   is empty.  A turn fires the node's due timers, then drains its FIFO:
+   each event is stamped with the hardware reading ``H_u(t) = rate_u * t``
+   at dispatch (``t`` = seconds since the shared session epoch) and fed to
+   the core.  It pushes a wake-up only if its earliest deadline moved (an
+   entry is live while it equals the node's ``wake``); the pump then arms
+   the one loop timer at the first live entry.
 3. Effects apply synchronously inside the dispatch: sends through the
    pluggable :class:`~repro.live.channels.LiveChannel`, timers into the
    deadline table (subjective delays converted through the clock's exact
@@ -42,13 +46,14 @@ no sampling noise.
 
 The whole session is wall-clock capped: no turn dispatches at or after
 ``duration``, and one ``call_at(epoch + duration)`` resolves the future
-:meth:`LiveRuntime.run_async` awaits.  A turn that raises resolves it too,
-or the loop's callback handler would log the exception and carry on.
+:meth:`LiveRuntime.run_async` awaits.  A pump whose turn raises resolves it
+too, or the loop's callback handler would log the exception and carry on.
 """
 
 from __future__ import annotations
 
 import asyncio
+import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -152,9 +157,9 @@ class _LiveNode:
         self.pending: deque[Event] = deque()
         #: key -> absolute session-time deadline of the pending timer.
         self.timers: dict[Any, float] = {}
-        #: A ``call_soon`` turn is queued / the armed ``call_at`` wake-up.
+        #: In the runtime's ready deque / the deadline of its live heap entry.
         self.queued = False
-        self.wake: asyncio.TimerHandle | None = None
+        self.wake: float | None = None
         self.events_handled = 0
         #: Set to a list to capture ``(now_h, event, effects)`` per dispatch.
         self.effect_log: list[EffectLogEntry] | None = None
@@ -167,7 +172,9 @@ class _LiveNode:
             runtime.queue_depth_max = len(self.pending)
         if not self.queued:
             self.queued = True
-            runtime._loop.call_soon(self.turn)
+            runtime._ready.append(self)
+            if runtime._kick is None and not runtime._pumping:
+                runtime._kick = runtime._loop.call_soon(runtime._pump)
 
     def dispatch(self, t: float, event: Event) -> None:
         """Feed one event to the core at session time ``t``; apply effects."""
@@ -236,38 +243,23 @@ class _LiveNode:
                 lag_hist.observe(lag)
             self.dispatch(t, TimerFired(key))
 
-    def turn(self, woken: bool = False) -> None:
-        """One loop callback: due timers, then the FIFO, then the wake-up."""
+    def turn(self) -> None:
+        """One turn inside a pump: due timers, then the FIFO, then the wake-up."""
+        self.queued = False
         runtime = self.runtime
-        if woken:
-            # asyncio may run a timer handle a clock resolution before its
-            # ``when``: the handle is spent, so the re-arm below must cover
-            # a deadline this turn finds not yet due.
-            self.wake = None
-        else:
-            self.queued = False
-        if runtime._done.done():
-            return
         duration = runtime.duration
-        try:
-            t = runtime.now()
-            if t >= duration:
-                return
-            self._fire_due_timers(t)
-            pending = self.pending
-            while pending and (t := runtime.now()) < duration:
-                self.dispatch(t, pending.popleft())
-        except Exception as exc:
-            # The loop would only log it: fail the session instead.
-            runtime._done.set_exception(exc)
+        t = runtime.now()
+        if t >= duration:
             return
+        self._fire_due_timers(t)
+        pending = self.pending
+        while pending and (t := runtime.now()) < duration:
+            self.dispatch(t, pending.popleft())
         # Deadlines at or past ``duration`` never fire: teardown cancels.
-        when = runtime._t0 + min(self.timers.values(), default=duration)
-        wake = self.wake
-        if wake is None or wake.when() != when:
-            if wake is not None:
-                wake.cancel()
-            self.wake = runtime._loop.call_at(when, self.turn, True)
+        when = min(self.timers.values(), default=duration)
+        if when != self.wake:
+            self.wake = when
+            heapq.heappush(runtime._wakes, (when, self.node_id))
 
 
 @dataclass
@@ -340,7 +332,7 @@ class LiveRuntime:
         Record per-node ``(now_h, event, effects)`` logs (parity tests).
     """
 
-    #: Bound by :meth:`run_async`: the loop the turns run on, and the
+    #: Bound by :meth:`run_async`: the loop the pumps run on, and the
     #: future the end-of-session timer (or a failing turn) resolves.
     _loop: asyncio.AbstractEventLoop
     _done: asyncio.Future[None]
@@ -399,6 +391,12 @@ class LiveRuntime:
         }
         self._t0 = 0.0
         self._epoch_set = False
+        #: Turns due, ``(deadline, node_id)`` wake-ups, kick, timer, pumping.
+        self._ready: deque[_LiveNode] = deque()
+        self._wakes: list[tuple[float, int]] = []
+        self._kick: asyncio.Handle | None = None
+        self._timer: asyncio.TimerHandle | None = None
+        self._pumping = False
         #: Run cost (one compare per timer fire / per post, no registry).
         self.timer_lag_max = 0.0
         self.queue_depth_max = 0
@@ -468,13 +466,55 @@ class LiveRuntime:
         self._tele_timer_lag = registry.histogram("live.timer_lag_s")
 
     # ------------------------------------------------------------------ #
-    # Session clock
+    # Session clock and scheduler
     # ------------------------------------------------------------------ #
 
     def now(self) -> float:
         """Seconds since the session epoch (shared by every node), on the
         loop's own clock -- the one its ``call_at`` deadlines are read on."""
         return self._loop.time() - self._t0
+
+    def _pump(self) -> None:
+        """Run every ready turn, then arm the timer at the earliest wake-up."""
+        self._kick = None
+        t = self.now()
+        if self._done.done() or t >= self.duration:
+            return
+        ready, wakes, nodes = self._ready, self._wakes, self.nodes
+        while wakes and wakes[0][0] <= t:
+            when, i = heapq.heappop(wakes)
+            node = nodes[i]
+            if node.wake == when:
+                node.wake = None
+                if not node.queued:
+                    node.queued = True
+                    ready.append(node)
+        self._pumping = True
+        try:
+            while ready:
+                ready.popleft().turn()
+        except Exception as exc:
+            # The loop would only log it.  ``_pumping`` stays set: a failed
+            # session kicks no further pump.
+            self._done.set_exception(exc)
+            return
+        self._pumping = False
+        while wakes and nodes[wakes[0][1]].wake != wakes[0][0]:
+            heapq.heappop(wakes)
+        if wakes:
+            when = self._t0 + wakes[0][0]
+            timer = self._timer
+            if timer is None or timer.when() != when:
+                if timer is not None:
+                    timer.cancel()
+                self._timer = self._loop.call_at(when, self._woken)
+
+    def _woken(self) -> None:
+        """The timer's callback.  asyncio may run it a clock resolution early:
+        spent either way, so a pump that finds nothing due arms a fresh one."""
+        self._timer = None
+        if self._kick is None:  # else the kicked pump runs soon
+            self._pump()
 
     # ------------------------------------------------------------------ #
     # Message fabric
@@ -619,7 +659,7 @@ class LiveRuntime:
             check, estimates = oracle.sample, oracle.needs_estimates
             sample = lambda t: check(t, *read(t, estimates))
         # Per-node order: Start, E_0 (known to its endpoints from the start)
-        # in edge order, then arrivals.  Turns first run at the await below.
+        # in edge order, then arrivals.  The first pump runs at the await below.
         for _i, node in sorted(self.nodes.items()):
             node.post(Start())
         for u, v in self.graph.edges():
@@ -640,11 +680,10 @@ class LiveRuntime:
         try:
             await self._done
         finally:
-            # Leave nothing on the loop (a turn still queued is a no-op).
-            end.cancel()
-            for node in self.nodes.values():
-                if node.wake is not None:
-                    node.wake.cancel()
+            # Leave nothing on the loop.
+            for handle in (end, self._timer, self._kick):
+                if handle is not None:
+                    handle.cancel()
             for task in aux_tasks:
                 task.cancel()
             settled = await asyncio.gather(*aux_tasks, return_exceptions=True)

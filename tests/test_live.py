@@ -31,6 +31,7 @@ from repro.live import (
     UdpChannel,
     build_live_runtime,
 )
+from repro.live.runtime import _LiveNode
 from repro.telemetry import get_registry
 from repro.telemetry.registry import MetricsRegistry
 from repro.tracing import trace_session
@@ -213,6 +214,140 @@ class TestScheduler:
             assert rest[: len(e0)] == e0
             assert all(isinstance(e, MessageReceived) for e in rest[len(e0) :])
             assert len(rest) > len(e0)
+
+    def test_one_wake_up_handle_at_a_time(self):
+        """Every wake-up shares one loop timer: no ``call_at`` of it is made
+        while an earlier one is still armed (neither fired nor cancelled).
+        Jittered deliveries kick pumps between timer firings, so some pumps
+        move the earliest wake-up under an armed timer and must cancel it."""
+        runtime = build_live_runtime(
+            configs.live_ring(32, duration=0.5, seed=3, jitter=0.01)
+        )
+        armed: list[asyncio.TimerHandle] = []
+        fired: set[int] = set()
+        live_at_arm: list[int] = []
+
+        async def session():
+            loop = asyncio.get_running_loop()
+            call_at = loop.call_at
+
+            def spy(when, callback, *args, **kwargs):
+                if callback != runtime._woken:
+                    return call_at(when, callback, *args, **kwargs)
+                live_at_arm.append(
+                    sum(id(h) not in fired and not h.cancelled() for h in armed)
+                )
+
+                def fire():
+                    fired.add(id(handle))
+                    callback()
+
+                handle = call_at(when, fire)
+                armed.append(handle)
+                return handle
+
+            loop.call_at = spy
+            return await runtime.run_async()
+
+        live = asyncio.run(session())
+        assert live.events_handled > 0 and len(armed) > 10
+        assert max(live_at_arm) == 0
+        assert all(id(h) in fired or h.cancelled() for h in armed)
+        assert any(h.cancelled() for h in armed)
+
+    def test_an_early_timer_leaves_a_fresh_handle_for_its_deadline(self):
+        """asyncio runs a timer handle up to one clock resolution before its
+        ``when``: the pump then finds nothing due, and must arm a new handle
+        for the same ``when`` rather than keep the spent one."""
+        runtime = build_live_runtime(
+            configs.live_ring(2, duration=5.0, seed=1, oracle=False, topology="none"),
+            capture_effects=True,
+        )
+        clock = [100.0]
+        loop = asyncio.new_event_loop()
+        loop.time = lambda: clock[0]
+
+        def ticked():
+            return [
+                i for i, node in runtime.nodes.items()
+                for _h, event, _fx in node.effect_log if event == TimerFired("tick")
+            ]
+
+        try:
+            runtime._loop, runtime._done = loop, loop.create_future()
+            runtime._t0, runtime._epoch_set = clock[0], True
+            for node in runtime.nodes.values():
+                node.post(Start())
+            loop.run_until_complete(asyncio.sleep(0))  # the kicked pump
+            spent = runtime._timer
+            when = spent.when()
+            assert when > clock[0] + 2e-3
+            loop._clock_resolution = 2e-3
+            clock[0] = when - 1e-3
+            loop.run_until_complete(asyncio.sleep(0))  # runs ``spent`` early
+            assert all(h is not spent for h in loop._scheduled)
+            assert ticked() == []
+            armed = runtime._timer
+            assert armed is not spent and any(h is armed for h in loop._scheduled)
+            assert armed.when() == when and not armed.cancelled()
+            clock[0] = when + 1e-3
+            loop.run_until_complete(asyncio.sleep(0))
+            assert ticked()  # the node whose deadline it was has ticked
+        finally:
+            loop.close()
+
+    # Jittered loopback: every delivery is a ``call_later`` callback outside
+    # any pump.  Zero jitter: deliveries are posts inside the sender's pump.
+    @pytest.mark.parametrize("jitter", [0.0, 0.01])
+    def test_posts_kick_a_pump_only_from_outside_one(self, monkeypatch, jitter):
+        chord = [(0.15, "add", 0, 4), (0.3, "remove", 0, 4)]
+        runtime = build_live_runtime(
+            configs.live_ring(
+                8, duration=0.45, seed=5, jitter=jitter, churn="scripted", events=chord
+            )
+        )
+        kicks: list[object] = []
+        posts: list[tuple[bool, int, object, bool, int]] = []
+        real_post = _LiveNode.post
+
+        def post(node, event):
+            inside, idle, before = runtime._pumping, runtime._kick is None, len(kicks)
+            real_post(node, event)
+            posts.append((inside, node.node_id, event, idle, len(kicks) - before))
+            assert runtime._pumping or runtime._kick is not None
+
+        monkeypatch.setattr(_LiveNode, "post", post)
+
+        async def session():
+            loop = asyncio.get_running_loop()
+            call_soon = loop.call_soon
+
+            def spy(callback, *args, **kwargs):
+                if callback == runtime._pump:
+                    kicks.append(callback)
+                return call_soon(callback, *args, **kwargs)
+
+            loop.call_soon = spy
+            return await runtime.run_async()
+
+        live = asyncio.run(session())
+        assert live.transport_stats["delivered"] > 0
+        for inside, _i, _event, idle, made in posts:
+            assert made == (0 if inside else int(idle))
+        outside = [(i, e) for inside, i, e, _idle, _made in posts if not inside]
+        churned = {
+            (0, DiscoverAdd(4)), (4, DiscoverAdd(0)),
+            (0, DiscoverRemove(4)), (4, DiscoverRemove(0)),
+        }
+        assert churned <= set(outside)
+        inside_messages = sum(
+            inside and isinstance(e, MessageReceived) for inside, _i, e, _d, _m in posts
+        )
+        if jitter:
+            assert inside_messages == 0
+            assert any(isinstance(e, MessageReceived) for _i, e in outside)
+        else:
+            assert inside_messages == live.transport_stats["delivered"]
 
 
 class TestLiveChurn:
