@@ -228,13 +228,13 @@ def _cli_forms(tmp: str) -> None:
         ("explain", "adversarial_delay", "--set", "n=8", "horizon=120", "seed=1",
          "--bound-scale", "0.3"),
         ("run", "large_ring", "--set", "n=16", "horizon=30", "--bundle", "{tmp}/bundle",
-         "--ledger", "{tmp}/ledger", "--json"),
+         *store, "--json"),
         ("run", "large_ring", "--set", "n=16", "horizon=30", "seed=1", "--bundle",
-         "{tmp}/bundle-1", "--ledger", "{tmp}/ledger"),
+         "{tmp}/bundle-1", *store),
         ("report", "{tmp}/bundle", "-o", "{tmp}/report.html"),
-        ("history", "--ledger", "{tmp}/ledger"),
+        ("history", *store),
         ("run", "flapping_edges", "--set", "n=16", "horizon=30", "oracle=true",
-         "--bundle", "{tmp}/bundle-churn", "--json"),
+         "--bundle", "{tmp}/bundle-churn", *store, "--json"),
         ("check", "static_ring", "--set", "n=6", "horizon=20"),
         ("check", "static_ring", "--set", "n=6", "horizon=20", "--bound-scale", "0.01"),
         ("check", "greedy_topology", "--set", "n=16", "horizon=300"),
@@ -261,10 +261,10 @@ def _cli_forms(tmp: str) -> None:
     # `repro show` and `repro diff` take ids the commands above printed.
     (entry, *_) = json.loads(_cli(tmp, "ls", *store, "--json"))["entries"]
     _cli(tmp, "show", entry["hash"][:8], *store)
-    records = json.loads(_cli(tmp, "history", "--ledger", "{tmp}/ledger", "--json"))
-    run_a, run_b = (record["run_id"][:6] for record in records["records"][:2])
-    _cli(tmp, "diff", run_a, run_b, "--ledger", "{tmp}/ledger")
-    _cli(tmp, "diff", run_a, run_b, "--ledger", "{tmp}/ledger", "--json")
+    records = json.loads(_cli(tmp, "history", *store, "--json"))
+    run_a, run_b = (record["run_id"][:8] for record in records["records"][:2])
+    _cli(tmp, "diff", run_a, run_b, *store)
+    _cli(tmp, "diff", run_a, run_b, *store, "--json")
     # `repro top --follow` tails until interrupted: stop it after a second.
     timer = threading.Timer(1.0, _thread.interrupt_main)
     timer.start()

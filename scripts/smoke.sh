@@ -119,12 +119,12 @@ if top["kind"] != "causal_chain" or top["data"]["masked_count"] < 1:
     sys.exit(f"FAIL: adversary not attributed: {top}")
 '
 
-echo "== run bundle + observatory + ledger =="
-# A bundled run must leave a schema-valid bundle, a ledger record, and a
-# self-contained HTML report whose embedded JSON round-trips through the
-# bundle validator (docs/observability.md).
+echo "== run bundle + observatory + run history =="
+# A bundled run must leave a schema-valid bundle, its row in the result
+# store, and a self-contained HTML report whose embedded JSON round-trips
+# through the bundle validator (docs/observability.md).
 python -m repro run large_ring --set n=16 horizon=30 \
-    --bundle "$store/bundle" --ledger "$store/ledger" --json > /dev/null
+    --bundle "$store/bundle" --store "$store/runs" --json > /dev/null
 python -m repro report "$store/bundle" -o "$store/report.html" > /dev/null
 python -c '
 import json, re, sys
@@ -142,13 +142,13 @@ if embedded != load_bundle(sys.argv[2]):
 if embedded["timeline"]["rows"] <= 0:
     sys.exit("FAIL: bundled run captured no timeline rows")
 ' "$store/report.html" "$store/bundle"
-python -m repro history --ledger "$store/ledger" --json | python -c '
+python -m repro history --store "$store/runs" --json | python -c '
 import json, sys
 records = json.load(sys.stdin)["records"]
 if len(records) != 1:
-    sys.exit(f"FAIL: expected 1 ledger record, got {len(records)}")
+    sys.exit(f"FAIL: expected 1 bundled run, got {len(records)}")
 if records[0]["oracle_ok"] is not True:
-    sys.exit(f"FAIL: smoke ledger record not oracle_ok: {records[0]}")
+    sys.exit(f"FAIL: smoke run row not oracle_ok: {records[0]}")
 '
 
 echo "== streaming conformance oracle =="

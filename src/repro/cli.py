@@ -11,8 +11,9 @@ tracing and observatory subsystems from the shell (plus ``--version``):
     out.jsonl`` streams flight-recorder frames while the run executes,
     ``--stats`` prints the end-of-run telemetry table, ``--trace-out
     t.json`` exports the run's causal spans as Chrome-trace/Perfetto
-    JSON, and ``--bundle DIR`` captures the skew timeline and writes a
-    run bundle + ledger record (see docs/observability.md).
+    JSON, and ``--bundle DIR`` captures the skew timeline, writes a run
+    bundle and keeps the bundle's run row in the result store (see
+    docs/observability.md).
 
 ``sweep WORKLOAD``
     Expand a named workload from :data:`repro.harness.configs.WORKLOADS`
@@ -57,21 +58,25 @@ tracing and observatory subsystems from the shell (plus ``--version``):
     linked to cause reports, telemetry sparklines (:mod:`repro.obs`).
 
 ``history``
-    List the cross-run ledger that every bundled run appends to
-    (``benchmarks/.ledger`` by default): verdicts, worst margins,
+    List the bundled runs the result store keeps (the entries whose row
+    carries ``recorded_unix``), oldest first: verdicts, worst margins,
     throughput, wall time -- the repo's performance trajectory.
 
-``diff RUN_A RUN_B``
-    Direction-aware comparison of two ledger records; exits 1 on any
-    regression (oracle flipping to violated, throughput or margins
-    shrinking), which is what CI gates on.
+``diff A B``
+    Direction-aware comparison of two store entries' rows; exits 1 on
+    any regression (oracle flipping to violated, throughput or margins
+    shrinking).
 
 ``ls``
-    List what the store already holds (``--json`` for scripts).
+    List what the store holds, sweep points and bundled runs alike
+    (``--json`` for scripts).
 
 ``show PREFIX``
-    Dump one stored entry (config + metrics) as JSON, addressed by any
-    unambiguous hash prefix.
+    Dump one stored entry (config + metrics) as JSON.
+
+``show``, ``diff`` and ``history`` address entries by any unambiguous
+hash prefix (exit 2 when a prefix names no entry or several); ``ls`` and
+``history`` report on stderr how many unreadable entries they evicted.
 
 Axis values are comma-separated and auto-typed (int -> float -> bool ->
 string), so::
@@ -295,22 +300,16 @@ def _bundle_finish(
     timeline: Any,
     sampler: Any,
 ) -> dict[str, Any] | None:
-    """Assemble + write the run bundle and append its ledger record.
+    """Assemble + write the run bundle and keep its run row in the store.
 
-    Returns ``{"bundle": path, "run_id": id, "ledger": root}`` for the
+    Returns ``{"bundle": path, "run_id": key, "store": root}`` for the
     caller's summary output, or ``None`` when ``--bundle`` was not given.
     Must run after the :func:`_observing` block exits so the sampler's
     final frame is in ``sampler.frames``.
     """
     if not getattr(args, "bundle", None):
         return None
-    from .obs import (
-        append_record,
-        assemble_bundle,
-        default_ledger_root,
-        ledger_record,
-        write_bundle,
-    )
+    from .obs import assemble_bundle, write_bundle
 
     frames = None
     if sampler is not None and getattr(sampler, "frames", None):
@@ -324,10 +323,10 @@ def _bundle_finish(
         frames=frames,
     )
     path = write_bundle(doc, args.bundle)
-    ledger_root = getattr(args, "ledger", None) or default_ledger_root()
-    record = ledger_record(doc, bundle_path=os.path.abspath(args.bundle))
-    run_id = append_record(record, ledger_root)
-    return {"bundle": path, "run_id": run_id, "ledger": ledger_root}
+    store = _store_from_args(args)
+    row = dict(doc["run"], bundle_path=os.path.abspath(args.bundle))
+    run_id = store.put_run(result.config.to_dict(), row)
+    return {"bundle": path, "run_id": run_id, "store": str(store.root)}
 
 
 def _trace_export(args: argparse.Namespace, result: Any) -> dict[str, int] | None:
@@ -541,7 +540,7 @@ def _observed_run(args: argparse.Namespace, cfg: Any, kind: str) -> int:
         print(f"error: bundle: {exc}", file=sys.stderr)
         return 2
     events_per_sec = result.events_dispatched / max(elapsed, 1e-9)
-    # ``elapsed`` and the ledger's throughput over it contain set-up.
+    # ``elapsed`` and the bundled row's throughput over it contain set-up.
     setup_s = result.setup_s
     report = result.oracle_report
     if args.json:
@@ -593,7 +592,7 @@ def _observed_run(args: argparse.Namespace, cfg: Any, kind: str) -> int:
         if bundle_info is not None:
             print(
                 f"  bundle: wrote {bundle_info['bundle']} "
-                f"(ledger {bundle_info['run_id']})"
+                f"(run {bundle_info['run_id'][:16]})"
             )
         if report is not None and not report.ok:
             print(report.render(max_lines=CHECK_MAX_VIOLATIONS))
@@ -656,7 +655,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     summaries = []
     try:
         # Only the named (non-fuzz) run is bundled: fuzz configs are
-        # throwaway regression probes, not runs worth a ledger entry.
+        # throwaway regression probes, not runs worth a history entry.
         with _observing(args) as (_sampler, timeline):
             ok, summary, result, elapsed = _check_one(cfg, args)
         bundle_info = _bundle_finish(
@@ -697,7 +696,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if bundle_info is not None:
             print(
                 f"bundle: wrote {bundle_info['bundle']} "
-                f"(ledger {bundle_info['run_id']})"
+                f"(run {bundle_info['run_id'][:16]})"
             )
         verdict = "conformance OK" if all_ok else "conformance VIOLATED"
         print(f"{verdict} ({len(summaries)} run{'s' if len(summaries) != 1 else ''})")
@@ -880,40 +879,45 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_history(args: argparse.Namespace) -> int:
-    """List the cross-run ledger, oldest first."""
-    from .obs import LedgerError, default_ledger_root, read_ledger
+def _report_evictions(store: ResultStore) -> None:
+    """Say on stderr how many unreadable entries a listing evicted."""
+    if store.evictions:
+        print(
+            f"store {store.root}: evicted {store.evictions} unreadable "
+            f"entr{'y' if store.evictions == 1 else 'ies'}",
+            file=sys.stderr,
+        )
 
-    root = args.ledger or default_ledger_root()
-    try:
-        records = read_ledger(root)
-    except LedgerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+def _cmd_history(args: argparse.Namespace) -> int:
+    """List the bundled runs the store keeps, oldest first."""
+    store = _store_from_args(args)
+    records = [{"run_id": e["hash"], **e["metrics"]} for e in store.runs()]
+    _report_evictions(store)
     if args.workload:
         records = [r for r in records if r.get("workload") == args.workload]
     if args.limit is not None:
         records = records[-args.limit :] if args.limit > 0 else []
     if args.json:
-        print(json.dumps({"ledger": root, "records": records}, sort_keys=True))
+        print(json.dumps({"store": str(store.root), "records": records}, sort_keys=True))
         return 0
     if not records:
-        print(f"ledger {root}: no matching runs")
+        print(f"store {store.root}: no matching runs")
         return 0
     from .analysis.report import TextTable
 
     table = TextTable(
         ["run", "kind", "name", "n", "seed", "oracle", "margin", "events/s", "wall s"],
-        title=f"ledger {root} ({len(records)} run{'s' if len(records) != 1 else ''})",
+        title=f"store {store.root} ({len(records)} run{'s' if len(records) != 1 else ''})",
     )
     for rec in records:
         ok = rec.get("oracle_ok")
         margin = rec.get("oracle_worst_margin")
         ev_rate = rec.get("events_per_sec")
-        wall = rec.get("wall_seconds")
+        wall = rec.get("elapsed_seconds")
         table.add_row(
             (
-                str(rec.get("run_id", ""))[:12],
+                rec["run_id"][:12],
                 str(rec.get("kind", "")),
                 str(rec.get("name") or rec.get("workload") or ""),
                 "" if rec.get("n") is None else str(rec["n"]),
@@ -929,26 +933,27 @@ def _cmd_history(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    """Compare two ledger records (abbreviated run ids accepted).
+    """Compare two store entries' rows (abbreviated hashes accepted).
 
     Exit 1 when any compared field regressed.
     """
-    from .obs import LedgerError, diff_records, find_record
+    from .obs import diff_records
 
+    store = _store_from_args(args)
     try:
-        rec_a = find_record(args.run_a, args.ledger)
-        rec_b = find_record(args.run_b, args.ledger)
-    except LedgerError as exc:
+        entry_a = store.resolve(args.run_a)
+        entry_b = store.resolve(args.run_b)
+    except LookupError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = diff_records(rec_a, rec_b)
+    rows = diff_records(entry_a["metrics"], entry_b["metrics"])
     regressions = sum(1 for r in rows if r["verdict"] == "regression")
     if args.json:
         print(
             json.dumps(
                 {
-                    "a": rec_a["run_id"],
-                    "b": rec_b["run_id"],
+                    "a": entry_a["hash"],
+                    "b": entry_b["hash"],
                     "rows": rows,
                     "regressions": regressions,
                 },
@@ -960,7 +965,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     table = TextTable(
         ["field", "a", "b", "delta", "verdict"],
-        title=f"ledger diff {rec_a['run_id'][:12]} -> {rec_b['run_id'][:12]}",
+        title=f"diff {entry_a['hash'][:12]} -> {entry_b['hash'][:12]}",
     )
     for row in rows:
         delta = row.get("delta")
@@ -999,6 +1004,7 @@ def _fmt_diff_value(value: Any) -> str:
 def _cmd_ls(args: argparse.Namespace) -> int:
     store = _store_from_args(args)
     entries = list(store.entries())
+    _report_evictions(store)
     if not entries:
         if args.json:
             print(json.dumps({"store": str(store.root), "entries": []}))
@@ -1031,19 +1037,12 @@ def _cmd_ls(args: argparse.Namespace) -> int:
 
 def _cmd_show(args: argparse.Namespace) -> int:
     store = _store_from_args(args)
-    matches = store.find(args.prefix)
-    if not matches:
-        print(f"error: no entry matches {args.prefix!r} in {store.root}", file=sys.stderr)
-        return 1
-    if len(matches) > 1:
-        print(
-            f"error: {args.prefix!r} is ambiguous ({len(matches)} matches):",
-            file=sys.stderr,
-        )
-        for key in matches[:10]:
-            print(f"  {key}", file=sys.stderr)
-        return 1
-    print(json.dumps(store.get(matches[0]), sort_keys=True, indent=2))
+    try:
+        entry = store.resolve(args.prefix)
+    except LookupError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(json.dumps(entry, sort_keys=True, indent=2))
     return 0
 
 
@@ -1328,15 +1327,9 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="DIR",
             default=None,
             help="write a versioned run bundle (timeline + telemetry + "
-            "oracle report) to DIR and append its summary to the ledger; "
-            "render with `repro report DIR` (docs/observability.md)",
-        )
-        p.add_argument(
-            "--ledger",
-            metavar="DIR",
-            default=None,
-            help="ledger directory for the --bundle record (default: "
-            "$REPRO_LEDGER or benchmarks/.ledger)",
+            "oracle report) to DIR and keep its run row in the result "
+            "store (--store); render with `repro report DIR` "
+            "(docs/observability.md)",
         )
 
     p_report = sub.add_parser(
@@ -1365,17 +1358,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_history = sub.add_parser(
         "history",
-        help="list the cross-run ledger",
+        help="list the bundled runs the result store keeps",
         description=(
-            "List every bundled run recorded in the ledger, oldest first: "
+            "List every bundled run the result store keeps, oldest first: "
             "run id, verdict, worst margin, throughput, wall time."
         ),
-    )
-    p_history.add_argument(
-        "--ledger",
-        metavar="DIR",
-        default=None,
-        help="ledger directory (default: $REPRO_LEDGER or benchmarks/.ledger)",
     )
     p_history.add_argument(
         "--workload",
@@ -1396,22 +1383,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_diff = sub.add_parser(
         "diff",
-        help="compare two ledger records (direction-aware)",
+        help="compare two store entries' rows (direction-aware)",
         description=(
-            "Field-by-field comparison of two ledger records addressed by "
-            "(abbreviated) run id. Exit 1 when any field regressed: "
-            "oracle_ok flipping false, throughput or margins shrinking, "
-            "violations or wall time growing."
+            "Field-by-field comparison of two result-store rows addressed "
+            "by (abbreviated) hash, e.g. two run ids from `repro history`. "
+            "Exit 1 when any field regressed: oracle_ok flipping false, "
+            "throughput or margins shrinking, violations or wall time "
+            "growing."
         ),
     )
-    p_diff.add_argument("run_a", help="baseline run id (prefix ok)")
-    p_diff.add_argument("run_b", help="candidate run id (prefix ok)")
-    p_diff.add_argument(
-        "--ledger",
-        metavar="DIR",
-        default=None,
-        help="ledger directory (default: $REPRO_LEDGER or benchmarks/.ledger)",
-    )
+    p_diff.add_argument("run_a", help="baseline hash (prefix ok)")
+    p_diff.add_argument("run_b", help="candidate hash (prefix ok)")
     p_diff.add_argument(
         "--json", action="store_true", help="print the diff rows as JSON"
     )
@@ -1454,10 +1436,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ls.set_defaults(func=_cmd_ls)
 
     p_show = sub.add_parser("show", help="print one cached entry as JSON")
-    p_show.add_argument("prefix", help="config-hash prefix (must be unambiguous)")
+    p_show.add_argument("prefix", help="hash prefix (must be unambiguous)")
     p_show.set_defaults(func=_cmd_show)
 
-    for p in (p_sweep, p_ls, p_show):
+    for p in (p_sweep, p_run, p_live, p_check, p_history, p_diff, p_ls, p_show):
         p.add_argument(
             "--store",
             metavar="DIR",

@@ -1,4 +1,4 @@
-"""Skew observatory: timeline capture, run bundles, HTML reports, ledger.
+"""Skew observatory: timeline capture, run bundles, HTML reports, run diffs.
 
 The observability capstone (see ``docs/observability.md``): every run can
 leave a durable, comparable artifact.
@@ -9,8 +9,9 @@ leave a durable, comparable artifact.
   (``repro run/live/check --bundle DIR``) and its schema validator;
 * :mod:`repro.obs.html` -- the dependency-free single-file HTML
   observatory (``repro report BUNDLE``);
-* :mod:`repro.obs.ledger` -- the content-addressed cross-run ledger under
-  ``benchmarks/.ledger`` (``repro history`` / ``repro diff``).
+* :mod:`repro.obs.ledger` -- the direction-aware diff of two rows of the
+  result store, where every bundled run keeps its row (``repro history``
+  / ``repro diff``).
 
 Like telemetry and tracing, everything here is an *observer*: never part
 of :class:`~repro.harness.runner.ExperimentConfig`, no RNG draws,
@@ -27,16 +28,7 @@ from .bundle import (
     write_bundle,
 )
 from .html import render_report
-from .ledger import (
-    LEDGER_VERSION,
-    LedgerError,
-    append_record,
-    default_ledger_root,
-    diff_records,
-    find_record,
-    ledger_record,
-    read_ledger,
-)
+from .ledger import diff_records
 from .timeline import (
     TIMELINE_VERSION,
     TimelineRecorder,
@@ -49,21 +41,14 @@ from .timeline import (
 __all__ = [
     "BUNDLE_VERSION",
     "BundleError",
-    "LEDGER_VERSION",
-    "LedgerError",
     "TIMELINE_VERSION",
     "TimelineRecorder",
     "activate_timeline",
     "active_timeline",
-    "append_record",
     "assemble_bundle",
     "deactivate_timeline",
-    "default_ledger_root",
     "diff_records",
-    "find_record",
-    "ledger_record",
     "load_bundle",
-    "read_ledger",
     "render_report",
     "timeline_session",
     "validate_bundle",

@@ -7,8 +7,10 @@ identity (workload, config hash, seed, runtime), its
 kept in memory, and compact trace/forensics summaries.  ``repro
 run/live/check --bundle DIR`` assembles one per run; ``repro report``
 renders it to the single-file HTML observatory
-(:mod:`repro.obs.html`); the ledger (:mod:`repro.obs.ledger`) derives
-its cross-run summary record from it.
+(:mod:`repro.obs.html`).  The ``run`` block is the run's row -- its
+config identity, :func:`repro.sweep.engine.summarize_run`'s row, the
+timings and the transport counters -- and is what a bundled run keeps in
+the result store (``repro history`` / ``repro diff``).
 
 Validation is hand-rolled in the style of
 :mod:`repro.telemetry.schema` -- explicit checks with precise error
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from typing import TYPE_CHECKING, Any, Mapping, NoReturn
 
 from .._version import __version__
@@ -280,16 +281,17 @@ def assemble_bundle(
     before being returned, so a malformed assembly fails here rather than
     at report time.
     """
-    from ..sweep.store import config_hash  # local: avoid harness cycle
+    # Local: the sweep package imports the harness.
+    from ..sweep.engine import summarize_run
+    from ..sweep.store import config_hash
 
     cfg = result.config
     # The sim runtime is the plain string "sim"; live runs carry a
     # RuntimeRef("live", ...) -- the bundle stores just the name.
     runtime = cfg.runtime
     runtime_name = runtime if isinstance(runtime, str) else str(runtime.name)
-    events = result.events_dispatched
     events_per_sec = (
-        events / elapsed_seconds
+        result.events_dispatched / elapsed_seconds
         if elapsed_seconds is not None and elapsed_seconds > 0
         else None
     )
@@ -302,11 +304,10 @@ def assemble_bundle(
         "seed": int(cfg.seed),
         "horizon": float(cfg.horizon),
         "config_hash": config_hash(cfg.to_dict()),
-        "global_skew_bound": float(cfg.params.global_skew_bound),
+        **summarize_run(result),
+        "kind": kind,
         "elapsed_seconds": elapsed_seconds,
-        "events_dispatched": int(events),
         "events_per_sec": events_per_sec,
-        "jumps": int(result.total_jumps()),
         "transport": {k: int(v) for k, v in result.transport_stats.items()},
     }
     report = result.oracle_report
@@ -349,23 +350,11 @@ def assemble_bundle(
 
 
 def write_bundle(doc: Mapping[str, Any], directory: str) -> str:
-    """Write ``doc`` to ``directory/bundle.json`` atomically; returns the path.
+    """Write ``doc`` to ``directory/bundle.json`` atomically; returns the path."""
+    from ..sweep.store import write_json_atomic  # local, as in assemble_bundle
 
-    The write goes through a temp file + ``os.replace`` so a crash never
-    leaves a torn bundle behind.
-    """
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, BUNDLE_FILENAME)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_json_atomic(path, doc)
     return path
 
 

@@ -9,7 +9,7 @@ lets the :class:`~repro.oracle.oracle.StreamingOracle` follow arbitrarily
 long runs in bounded memory.
 
 The monitors are the one place the paper's bounds are judged: the sweep
-rows, the paper runner, ``repro check``, bundles and the ledger all read
+rows (bundled runs' too), the paper runner and ``repro check`` all read
 their summaries.  They agree exactly with an independent offline reference
 over the recorder's history (``tests/offline_reference.py``; the
 online/offline agreement tests pin this): same sample times, same
@@ -118,7 +118,7 @@ class MonitorSummary:
     worst_margin: float | None
     worst_observed: float | None
     #: Sample time of the tightest check (``None`` before any check) --
-    #: the deep-link target dashboards and the ledger use to locate the
+    #: the deep-link target dashboards and run rows use to locate the
     #: worst moment on the captured timeline.
     worst_margin_time: float | None = None
     extras: dict[str, Any] = field(default_factory=dict)

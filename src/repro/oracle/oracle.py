@@ -78,12 +78,13 @@ class OracleReport:
     monitors: dict[str, MonitorSummary] = field(default_factory=dict)
 
     def to_metrics(self) -> dict[str, Any]:
-        """The flat ``oracle_*`` columns stored per sweep point.
+        """The flat ``oracle_*`` columns stored per run row.
 
-        Beside the aggregates, each monitor contributes the sample time
-        at which its worst margin occurred
-        (``oracle_<name>_worst_margin_time``) so dashboards and the
-        cross-run ledger can deep-link into the captured timeline.
+        Beside the aggregates, each monitor contributes its worst margin
+        (``oracle_<name>_worst_margin``) and the sample time at which it
+        occurred (``oracle_<name>_worst_margin_time``), so ``repro diff``
+        can judge each bound and dashboards can deep-link into the
+        captured timeline.
         """
         out: dict[str, Any] = {
             "oracle_ok": self.ok,
@@ -91,10 +92,9 @@ class OracleReport:
             "oracle_violations": self.violation_count,
             "oracle_worst_margin": self.worst_margin,
         }
-        for name in sorted(self.monitors):
-            out[f"oracle_{name}_worst_margin_time"] = self.monitors[
-                name
-            ].worst_margin_time
+        for name, summary in sorted(self.monitors.items()):
+            out[f"oracle_{name}_worst_margin"] = summary.worst_margin
+            out[f"oracle_{name}_worst_margin_time"] = summary.worst_margin_time
         return out
 
     def to_dict(self) -> dict[str, Any]:

@@ -44,7 +44,8 @@ ProgressFn = Callable[[int, int, "SweepRow"], None]
 
 def summarize_run(result: RunResult) -> dict[str, Any]:
     """Reduce a :class:`RunResult` to the flat, deterministic metrics dict
-    stored per config.
+    stored per config -- the one run row, which a bundle's ``run`` block
+    also carries (:func:`repro.obs.bundle.assemble_bundle`).
 
     Everything here is a pure function of the simulation, so identical
     configs produce identical dicts on any backend.  ``max_local_skew`` is

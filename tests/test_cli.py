@@ -258,13 +258,13 @@ class TestLsShow:
 
     def test_show_missing_prefix_errors(self, capsys, store_dir):
         code, _, err = run_cli(capsys, "show", "ffff", "--store", store_dir)
-        assert code == 1
+        assert code == 2
         assert "no entry" in err
 
     def test_show_ambiguous_prefix_errors(self, capsys, store_dir):
         run_cli(capsys, *SWEEP_ARGS, "--store", store_dir)
         code, _, err = run_cli(capsys, "show", "", "--store", store_dir)
-        assert code == 1
+        assert code == 2
         assert "ambiguous" in err
 
 
@@ -655,7 +655,7 @@ class TestArgumentsAndFailures:
         taken.write_text("")
         code, _, err = run_cli(
             capsys, "run", "static_ring", "--set", "n=6", "horizon=5",
-            "--bundle", str(taken / "b"),
+            "--bundle", str(taken / "b"), "--store", str(tmp_path / "s"),
         )
         assert code == 2 and "error: bundle:" in err
 
@@ -679,7 +679,7 @@ class TestArgumentsAndFailures:
     def test_run_json_names_its_bundle(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "run", "static_ring", "--set", "n=6", "horizon=5",
-            "--bundle", str(tmp_path / "b"), "--ledger", str(tmp_path / "l"), "--json",
+            "--bundle", str(tmp_path / "b"), "--store", str(tmp_path / "s"), "--json",
         )
         assert code == 0
         assert json.loads(out)["bundle"]["bundle"] == str(tmp_path / "b" / "bundle.json")
@@ -688,7 +688,7 @@ class TestArgumentsAndFailures:
         code, out, _ = run_cli(
             capsys, "check", "static_ring", "--set", "n=6", "horizon=20",
             "--interval", "0.5", "--bundle", str(tmp_path / "b"),
-            "--ledger", str(tmp_path / "l"), "--json",
+            "--store", str(tmp_path / "s"), "--json",
         )
         assert code == 0
         payload = json.loads(out)

@@ -1,4 +1,4 @@
-"""Tests for the skew observatory (repro.obs): timeline, bundles, ledger.
+"""Tests for the skew observatory (repro.obs): timeline, bundles, run rows.
 
 The load-bearing guarantees:
 
@@ -11,8 +11,10 @@ The load-bearing guarantees:
   bundle schema, and the JSON embedded in a rendered report round-trips
   through the same validator (the HTML page *is* the machine-readable
   artifact).
-* **Ledger** -- records are content-addressed (bit-identical reruns
-  dedupe), resolvable by abbreviated id, and diffed direction-aware.
+* **Run rows** -- a bundled run keeps its ``run`` block in the one result
+  store, content-addressed (bit-identical reruns dedupe, a timed row
+  never serves a sweep point), resolvable by abbreviated id, and diffed
+  direction-aware.
 """
 
 from __future__ import annotations
@@ -37,26 +39,21 @@ from repro.harness import OracleRef, configs, run_experiment
 from repro.network.graph import DynamicGraph
 from repro.obs import (
     BundleError,
-    LedgerError,
     TimelineRecorder,
     active_timeline,
-    append_record,
     assemble_bundle,
     deactivate_timeline,
     diff_records,
-    find_record,
-    ledger_record,
     load_bundle,
-    read_ledger,
     render_report,
     timeline_session,
     validate_bundle,
     write_bundle,
 )
-from repro.obs.ledger import record_id
 from repro.tracing import trace_session
 from repro.tracing.spans import SPAN_FLIGHT
-from repro.oracle import StreamingOracle
+from repro.oracle import MONITOR_FACTORIES, StreamingOracle
+from repro.sweep import ResultStore, config_hash, summarize_run
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -281,7 +278,7 @@ class TestTimeline:
             "--metrics", str(metrics),
             "--trace-out", str(tmp_path / "t.json"),
             "--bundle", str(tmp_path / "bundle"),
-            "--ledger", str(tmp_path / "ledger"),
+            "--store", str(tmp_path / "store"),
         )
         assert code == 2 and "boom mid-run" in err
         assert len(seen) == 1 and None not in seen[0]
@@ -400,11 +397,6 @@ class TestBundle:
         assert sum(trace["kinds"].values()) == trace["spans"]
         assert trace["kinds"]["flight"] == result.spans.kind_counts[SPAN_FLIGHT]
 
-    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path):
-        with pytest.raises(TypeError):
-            write_bundle({"bad": object()}, str(tmp_path / "b"))
-        assert list((tmp_path / "b").iterdir()) == []
-
     def test_run_without_timeline_bundles_null_timeline(self):
         cfg = _armed_config()
         result = run_experiment(cfg)  # no ambient recorder active
@@ -448,7 +440,7 @@ class TestReport:
         code, _out, _err = run_cli(
             capsys,
             "run", "static_path", "--set", "n=8", "horizon=40",
-            "--bundle", bundle, "--ledger", str(tmp_path / "ledger"),
+            "--bundle", bundle, "--store", str(tmp_path / "store"),
         )
         assert code == 0
         out_html = str(tmp_path / "report.html")
@@ -470,7 +462,7 @@ class TestReport:
             "check", "adversarial_delay",
             "--set", "n=8", "horizon=120", "seed=1",
             "--bound-scale", "0.3",
-            "--bundle", bundle, "--ledger", str(tmp_path / "ledger"),
+            "--bundle", bundle, "--store", str(tmp_path / "store"),
         )
         assert code == 1  # seeded run violates the tightened bounds
         code, _out, _err = run_cli(capsys, "report", bundle)
@@ -509,60 +501,84 @@ class TestReport:
 
 
 # --------------------------------------------------------------------- #
-# Ledger
+# Run rows in the one store
 # --------------------------------------------------------------------- #
 
 
-class TestLedger:
-    def test_record_is_content_addressed(self, bundle_doc, tmp_path):
-        root = str(tmp_path / "ledger")
-        rec = ledger_record(bundle_doc, bundle_path="/tmp/b")
-        assert rec["run_id"] == record_id(rec)
-        rid = append_record(rec, root)
-        # A bit-identical rerun dedupes onto the same file.
-        rec2 = ledger_record(bundle_doc, bundle_path="/tmp/b")
-        assert append_record(rec2, root) == rid
-        records = read_ledger(root)
-        assert len(records) == 1
-        assert records[0]["workload"] == "backbone_churn"
-        assert records[0]["oracle_ok"] is True
-        assert records[0]["margin_envelope"] is not None
-        assert records[0]["margin_time_envelope"] is not None
+def _row(bundle_doc, **changes):
+    return dict(bundle_doc["run"], bundle_path="/tmp/b", **changes)
 
-    def test_find_record_prefix_resolution(self, bundle_doc, tmp_path):
-        root = str(tmp_path / "ledger")
-        rec = ledger_record(bundle_doc)
-        rid = append_record(rec, root)
-        assert find_record(rid[:6], root)["run_id"] == rid
-        with pytest.raises(LedgerError, match="no ledger record"):
-            find_record("zzzz", root)
-        other = dict(rec, seed=999)
-        other["run_id"] = record_id(other)
-        append_record(other, root)
-        with pytest.raises(LedgerError, match="ambiguous"):
-            find_record("", root)
+
+class TestLedger:
+    def test_record_is_content_addressed(self, bundle_doc, armed_run, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        config = armed_run[0].config.to_dict()
+        key = store.put_run(config, _row(bundle_doc))
+        # A bit-identical rerun dedupes onto the same entry; the stamp is
+        # not part of the address.
+        assert store.put_run(config, _row(bundle_doc)) == key
+        assert store.keys() == [key] and key != config_hash(config)
+        (entry,) = store.runs()
+        row = entry["metrics"]
+        assert row["workload"] == "backbone_churn" and row["kind"] == "run"
+        assert row["oracle_ok"] is True
+        assert row["oracle_envelope_worst_margin"] is not None
+        assert row["oracle_envelope_worst_margin_time"] is not None
+        assert key == config_hash({k: v for k, v in row.items() if k != "recorded_unix"})
+        # Any change in outcome mints a new entry.
+        assert store.put_run(config, _row(bundle_doc, jumps=-1)) != key
+        assert len(store.runs()) == 2
+
+    def test_the_run_block_is_summarize_runs_row(self, bundle_doc, armed_run):
+        result, _tl = armed_run
+        row = summarize_run(result)
+        assert {k: bundle_doc["run"][k] for k in row} == row
+        assert set(bundle_doc["run"]) - set(row) == {
+            "workload", "name", "algorithm", "runtime", "n", "seed", "horizon",
+            "config_hash", "kind", "elapsed_seconds", "events_per_sec", "transport",
+        }
+
+    def test_a_timed_row_never_serves_a_sweep_point(self, capsys, tmp_path):
+        store = str(tmp_path / "store")
+        sweep = (
+            "sweep", "static_ring", "--set", "n=6", "horizon=20", "--seeds", "2",
+            "--store", store, "--json",
+        )
+        code, out, _err = run_cli(capsys, *sweep)
+        assert code == 0 and json.loads(out)["executed"] == 2
+        code, _out, _err = run_cli(
+            capsys, "run", "static_ring", "--set", "n=6", "horizon=20", "seed=0",
+            "--bundle", str(tmp_path / "b"), "--store", store,
+        )
+        assert code == 0
+        code, out, _err = run_cli(capsys, "history", "--store", store, "--json")
+        (record,) = json.loads(out)["records"]
+        assert record["kind"] == "run" and record["seed"] == 0
+        assert record["bundle_path"] == str(tmp_path / "b")
+        assert len(ResultStore(store).keys()) == 3
+        code, out, _err = run_cli(capsys, *sweep)
+        payload = json.loads(out)
+        assert (payload["executed"], payload["cached"]) == (0, 2)
+        assert all(row.get("elapsed_seconds") is None for row in payload["rows"])
 
     def test_diff_is_direction_aware(self, bundle_doc):
-        a = ledger_record(bundle_doc)
+        a = _row(bundle_doc, recorded_unix=1.0)
         b = dict(a)
         b["events_per_sec"] = a["events_per_sec"] / 2  # slower: regression
-        b["wall_seconds"] = a["wall_seconds"] / 2  # faster: improvement
+        b["elapsed_seconds"] = a["elapsed_seconds"] / 2  # faster: improvement
         b["oracle_ok"] = False
         b["oracle_violations"] = 3
-        # A margin that shrinks regresses; *when* it was tightest is context.
-        for field in ("oracle_worst_margin", "margin_envelope"):
-            b[field] = a[field] - 1.0
-        b["margin_time_envelope"] = a["margin_time_envelope"] + 1.0
         b["recorded_unix"] = a["recorded_unix"] + 60.0
+        b["bundle_path"] = "/elsewhere"
+        b["transport"] = {}
+        b["workload"] = "other"
         rows = {r["field"]: r for r in diff_records(a, b)}
         assert rows["events_per_sec"]["verdict"] == "regression"
-        assert rows["wall_seconds"]["verdict"] == "improvement"
+        assert rows["elapsed_seconds"]["verdict"] == "improvement"
         assert rows["oracle_ok"]["verdict"] == "regression"
         assert rows["oracle_violations"]["verdict"] == "regression"
-        assert rows["oracle_worst_margin"]["verdict"] == "regression"
-        assert rows["margin_envelope"]["verdict"] == "regression"
-        assert rows["margin_time_envelope"]["verdict"] == "neutral"
-        assert "recorded_unix" not in rows and "run_id" not in rows
+        assert rows["workload"]["verdict"] == "neutral"
+        assert not {"recorded_unix", "bundle_path", "transport"} & set(rows)
         # Regressions sort first for the human reader.
         verdicts = [r["verdict"] for r in diff_records(a, b)]
         assert verdicts == sorted(
@@ -570,43 +586,63 @@ class TestLedger:
             key=["regression", "improvement", "neutral"].index,
         )
 
+    @pytest.mark.parametrize("monitor", [None, *MONITOR_FACTORIES])
+    def test_a_shrinking_margin_regresses_and_its_time_is_context(
+        self, bundle_doc, monitor
+    ):
+        """Every monitor of the ``standard`` oracle: a shrinking worst
+        margin is a regression, *when* it was tightest is neutral."""
+        field = "oracle_worst_margin" if monitor is None else f"oracle_{monitor}_worst_margin"
+        a = _row(bundle_doc)
+        assert a[field] is not None
+        rows = {r["field"]: r for r in diff_records(a, dict(a, **{field: a[field] - 1.0}))}
+        assert rows[field]["verdict"] == "regression"
+        rows = {r["field"]: r for r in diff_records(a, dict(a, **{field: a[field] + 1.0}))}
+        assert rows[field]["verdict"] == "improvement"
+        if monitor is not None:
+            when = f"{field}_time"
+            (row,) = diff_records(a, dict(a, **{when: a[when] + 1.0}))
+            assert row["field"] == when and row["verdict"] == "neutral"
+
     def test_cli_history_and_diff(self, capsys, tmp_path):
-        ledger = str(tmp_path / "ledger")
+        store = str(tmp_path / "store")
         for seed in ("1", "2"):
             code, _out, _err = run_cli(
                 capsys,
                 "run", "static_path", "--set", "n=8", "horizon=40",
                 f"seed={seed}",
-                "--bundle", str(tmp_path / f"b{seed}"), "--ledger", ledger,
+                "--bundle", str(tmp_path / f"b{seed}"), "--store", store,
             )
             assert code == 0
-        code, out, _err = run_cli(capsys, "history", "--ledger", ledger, "--json")
+        code, out, _err = run_cli(capsys, "history", "--store", store, "--json")
         assert code == 0
         records = json.loads(out)["records"]
         assert len(records) == 2
+        assert records[0]["recorded_unix"] <= records[1]["recorded_unix"]
         ids = [r["run_id"] for r in records]
+        assert [r["seed"] for r in records] == [1, 2]
         code, out, _err = run_cli(
-            capsys, "diff", ids[0][:8], ids[1][:8], "--ledger", ledger, "--json"
+            capsys, "diff", ids[0][:8], ids[1][:8], "--store", store, "--json"
         )
         payload = json.loads(out)
         assert payload["a"] == ids[0] and payload["b"] == ids[1]
         assert code == (1 if payload["regressions"] else 0)
         # Text mode renders a table and the regression verdict line.
-        code, out, _err = run_cli(capsys, "diff", ids[0], ids[1], "--ledger", ledger)
+        code, out, _err = run_cli(capsys, "diff", ids[0], ids[1], "--store", store)
         assert "regression" in out
         code, out, _err = run_cli(
-            capsys, "history", "--ledger", ledger, "--workload", "nope"
+            capsys, "history", "--store", store, "--workload", "nope"
         )
         assert code == 0 and "no matching runs" in out
-        code, out, _err = run_cli(capsys, "history", "--ledger", ledger)
+        code, out, _err = run_cli(capsys, "history", "--store", store)
         assert code == 0
-        assert f"ledger {ledger} (2 runs)" in out
+        assert f"store {store} (2 runs)" in out
         assert ids[0][:12] in out and ids[1][:12] in out and "static_path(n=8, dcsa)" in out
-        code, out, _err = run_cli(capsys, "history", "--ledger", ledger, "--limit", "1")
+        code, out, _err = run_cli(capsys, "history", "--store", store, "--limit", "1")
         assert "(1 run)" in out and ids[1][:12] in out and ids[0][:12] not in out
-        code, out, _err = run_cli(capsys, "history", "--ledger", ledger, "--limit", "0")
+        code, out, _err = run_cli(capsys, "history", "--store", store, "--limit", "0")
         assert "no matching runs" in out
-        code, out, _err = run_cli(capsys, "diff", ids[0], ids[0], "--ledger", ledger)
+        code, out, _err = run_cli(capsys, "diff", ids[0], ids[0], "--store", store)
         assert code == 0 and out == "no differing fields\nno regressions\n"
 
     def test_diff_values_print_compactly(self):
@@ -618,43 +654,33 @@ class TestLedger:
         ]
 
     def test_a_flag_that_turns_true_improves(self, bundle_doc):
-        a = dict(ledger_record(bundle_doc), oracle_ok=False)
+        a = _row(bundle_doc, oracle_ok=False)
         b = dict(a, oracle_ok=True)
         (row,) = diff_records(a, b)
         assert row["field"] == "oracle_ok" and row["verdict"] == "improvement"
 
-    def test_reader_refuses_what_is_not_a_record(self, capsys, tmp_path):
-        root = tmp_path / "ledger"
-        root.mkdir()
-        (root / "notes.txt").write_text("not a record", encoding="utf-8")
-        assert read_ledger(str(root)) == []
-        (root / "a.json").write_text("{torn", encoding="utf-8")
-        with pytest.raises(LedgerError, match="unreadable ledger record"):
-            read_ledger(str(root))
-        (root / "a.json").write_text('{"run_id": "a"}', encoding="utf-8")
-        with pytest.raises(LedgerError, match="a.json: not a ledger record"):
-            read_ledger(str(root))
-        code, _out, err = run_cli(capsys, "history", "--ledger", str(root))
-        assert code == 2 and "not a ledger record" in err
-
-    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path):
-        root = tmp_path / "ledger"
-        with pytest.raises(TypeError):
-            append_record({"run_id": "x", "bad": object()}, str(root))
-        assert list(root.iterdir()) == []
+    def test_reader_refuses_what_is_not_a_record(self, capsys, tmp_path, bundle_doc):
+        """An unreadable entry is evicted and counted, never listed: the
+        history still exits 0 and says on stderr what it dropped."""
+        store = ResultStore(tmp_path / "store")
+        kept = store.put_run({}, _row(bundle_doc))
+        torn = store.put_run({}, _row(bundle_doc, seed=999))
+        (store.root / "notes.txt").write_text("not an entry", encoding="utf-8")
+        store.path_for(torn).write_text("{torn", encoding="utf-8")
+        code, out, err = run_cli(capsys, "history", "--store", str(store.root), "--json")
+        assert code == 0
+        assert [r["run_id"] for r in json.loads(out)["records"]] == [kept]
+        assert err == f"store {store.root}: evicted 1 unreadable entry\n"
+        assert not store.path_for(torn).exists()
+        code, _out, err = run_cli(capsys, "history", "--store", str(store.root))
+        assert code == 0 and err == ""
 
     def test_cli_history_empty_and_bad_prefix(self, capsys, tmp_path):
-        ledger = str(tmp_path / "ledger")
-        code, out, _err = run_cli(capsys, "history", "--ledger", ledger)
+        store = str(tmp_path / "store")
+        code, out, _err = run_cli(capsys, "history", "--store", store)
         assert code == 0 and "no matching runs" in out
-        code, _out, err = run_cli(capsys, "diff", "aa", "bb", "--ledger", ledger)
-        assert code == 2 and "error" in err
-
-    def test_env_override_sets_default_root(self, monkeypatch, tmp_path):
-        from repro.obs import default_ledger_root
-
-        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "env-ledger"))
-        assert default_ledger_root() == str(tmp_path / "env-ledger")
+        code, _out, err = run_cli(capsys, "diff", "aa", "bb", "--store", store)
+        assert code == 2 and "error: no entry matches 'aa'" in err
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ import pytest
 
 from repro.harness import configs
 from repro.sweep import ResultStore, config_hash
+from repro.sweep.store import write_json_atomic
 
 
 @pytest.fixture
@@ -85,7 +86,15 @@ class TestStore:
         store._evict(store.path_for(key))  # never written, or removed by a racer
         assert store.evictions == 1
 
-    def test_a_failed_write_leaves_no_temporary_file(self, store):
+    def test_a_failed_write_leaves_no_temporary_file(self, store, tmp_path):
+        """The one atomic writer (store entries and run bundles): a failed
+        write removes its temp file and leaves the old file as it was."""
+        path = tmp_path / "d" / "doc.json"
+        write_json_atomic(path, {"a": 1})
+        with pytest.raises(TypeError):
+            write_json_atomic(path, {"bad": object()})
+        assert list(path.parent.iterdir()) == [path]
+        assert json.loads(path.read_text(encoding="utf-8")) == {"a": 1}
         key, cfg = _key()
         with pytest.raises(TypeError):
             store.put(key, cfg, {"m": object()})
@@ -108,7 +117,7 @@ class TestStore:
         assert store.get(key) is None
         assert store.evictions == 1
 
-    @pytest.mark.parametrize("version", [0, 1])
+    @pytest.mark.parametrize("version", [0, 1, 2])
     def test_version_mismatch_evicted(self, store, version):
         key, cfg = _key()
         entry = store.put(key, cfg, {"m": 1})
@@ -125,8 +134,22 @@ class TestStore:
         assert store.keys() == sorted(k for k, _ in pairs)
         assert {e["hash"] for e in store.entries()} == {k for k, _ in pairs}
         key0 = pairs[0][0]
-        assert store.find(key0[:8]) == [key0]
-        assert store.find("") == store.keys()
+        assert store.resolve(key0[:8]) == store.get(key0)
+
+    def test_resolve_names_one_entry_or_fails(self, store):
+        pairs = [_key(seed) for seed in range(2)]
+        for key, cfg in pairs:
+            store.put(key, cfg, {"seed": cfg["seed"]})
+        key0 = pairs[0][0]
+        assert store.resolve(key0)["hash"] == key0
+        with pytest.raises(LookupError, match="no entry matches 'zz'"):
+            store.resolve("zz")
+        with pytest.raises(LookupError, match=r"'' is ambiguous \(2 matches"):
+            store.resolve("")
+        store.path_for(key0).write_text("{torn", encoding="utf-8")
+        with pytest.raises(LookupError, match="unreadable and was evicted"):
+            store.resolve(key0[:8])
+        assert store.evictions == 1
 
     def test_empty_store_enumerates_empty(self, store):
         assert store.keys() == []
