@@ -397,6 +397,17 @@ class TestBundle:
         assert sum(trace["kinds"].values()) == trace["spans"]
         assert trace["kinds"]["flight"] == result.spans.kind_counts[SPAN_FLIGHT]
 
+    def test_a_failed_write_leaves_no_temporary_file(self, tmp_path, bundle_doc):
+        with pytest.raises(TypeError):
+            write_bundle({"bad": object()}, str(tmp_path / "b"))
+        assert list((tmp_path / "b").iterdir()) == []
+        # A failed overwrite keeps the bundle that was there.
+        path = write_bundle(bundle_doc, str(tmp_path / "b"))
+        with pytest.raises(TypeError):
+            write_bundle({"bad": object()}, str(tmp_path / "b"))
+        assert list((tmp_path / "b").iterdir()) == [Path(path)]
+        assert load_bundle(path) == bundle_doc
+
     def test_run_without_timeline_bundles_null_timeline(self):
         cfg = _armed_config()
         result = run_experiment(cfg)  # no ambient recorder active
@@ -674,6 +685,14 @@ class TestLedger:
         assert not store.path_for(torn).exists()
         code, _out, err = run_cli(capsys, "history", "--store", str(store.root))
         assert code == 0 and err == ""
+
+    def test_a_failed_write_leaves_no_temporary_file(self, bundle_doc, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(TypeError):
+            store.put_run({"bad": object()}, _row(bundle_doc))
+        key = config_hash(_row(bundle_doc))
+        assert list(store.path_for(key).parent.iterdir()) == []
+        assert store.keys() == [] and store.writes == 0
 
     def test_cli_history_empty_and_bad_prefix(self, capsys, tmp_path):
         store = str(tmp_path / "store")
