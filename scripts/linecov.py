@@ -61,6 +61,10 @@ _FUNCTION = 0x01 | 0x02  # CO_OPTIMIZED | CO_NEWLOCALS: a function's own frame
 #: ``filename -> lines executed`` while the plugin was installed.
 reached: dict[str, set[int]] = defaultdict(set)
 _in_scope: dict[CodeType, bool] = {}
+#: ``filename -> source`` as it was when the tracer first saw the file's
+#: code run (its import), so that a file edited during a run is reported
+#: by the lines its traced code has.
+_sources: dict[str, str] = {}
 
 
 def _local(frame: FrameType, event: str, arg: Any) -> Callable[..., Any]:
@@ -74,7 +78,18 @@ def _trace(frame: FrameType, event: str, arg: Any) -> Callable[..., Any] | None:
     scope = _in_scope.get(code)
     if scope is None:
         scope = _in_scope[code] = code.co_filename.startswith(str(SRC))
+        if scope and code.co_filename not in _sources:
+            _sources[code.co_filename] = Path(code.co_filename).read_text(encoding="utf-8")
     return _local if scope else None
+
+
+def _compiled(path: Path) -> CodeType:
+    """``path`` compiled from the source its traced code ran (as on disk
+    now when none of it ran)."""
+    source = _sources.get(str(path))
+    if source is None:
+        source = path.read_text(encoding="utf-8")
+    return compile(source, str(path), "exec")
 
 
 def _functions(code: CodeType) -> Iterator[CodeType]:
@@ -97,7 +112,7 @@ def unreached() -> dict[str, tuple[list[int], int, list[tuple[int, str]]]]:
     ``src/repro``."""
     report = {}
     for path in sorted(SRC.rglob("*.py")):
-        module = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        module = _compiled(path)
         hit = reached.get(str(path), set())
         body: set[int] = set()
         never = []
@@ -334,7 +349,7 @@ def check_keep(report: dict[str, tuple[list[int], int, list[tuple[int, str]]]],
             if path not in UNCHECKED and key not in keep:
                 problems.append(f"not kept: {path}:{line} {name}")
     for path in sorted(report):
-        module = compile((SRC.parent / path).read_text(encoding="utf-8"), path, "exec")
+        module = _compiled(SRC.parent / path)
         functions.update(f"{path} {fn.co_qualname}" for fn in _functions(module))
     problems += [f"no such function: {key}" for key in sorted(keep) if key not in functions]
     return problems

@@ -30,11 +30,11 @@ tracing and observatory subsystems from the shell (plus ``--version``):
     :mod:`repro.testing.strategies`.
 
 ``explain WORKLOAD``
-    Run one workload with causal tracing and the oracle armed, then walk
-    the happens-before DAG backwards from each violation to a ranked
-    causal chain (:mod:`repro.tracing.forensics`): the message flights
-    that carried the stale estimate, adversary-masked delays along them,
-    churn and jumps in the window.  ``--bound-scale 0.5`` tightens the
+    Run one workload with causal tracing and the oracle armed, then relax
+    last-contact paths over the delivered flights back from each violation
+    to a ranked causal chain (:mod:`repro.tracing.forensics`): the message
+    flights that carried the stale estimate, adversary-masked delays along
+    them, churn and jumps in the window.  ``--bound-scale 0.5`` tightens the
     bounds to provoke violations; ``--trace-out`` also exports the trace.
 
 ``live``
@@ -1202,9 +1202,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="trace a workload and explain its oracle violations causally",
         description=(
             "Run one workload with causal tracing and the conformance "
-            "oracle armed, then walk the happens-before DAG backwards from "
-            "each violation to a ranked causal chain (repro.tracing): which "
-            "message flights carried the stale estimate, whether an "
+            "oracle armed, then relax last-contact paths over the delivered "
+            "flights back from each violation to a ranked causal chain "
+            "(repro.tracing): which message flights carried the stale estimate, whether an "
             "adversary masked delays along the way, what churned. Exits 0 "
             "whenever the forensics ran (use `check` for a pass/fail "
             "verdict). Workloads: " + ", ".join(sorted(WORKLOADS))

@@ -73,7 +73,7 @@ from ..sim.events import (
     ScheduledEvent,
 )
 from ..sim.simulator import SimulationError, Simulator
-from ..tracing.spans import SPAN_DISCOVER, SPAN_FLIGHT, SPAN_TIMER, STATUS_DONE
+from ..tracing.spans import SPAN_DISCOVER, SPAN_FLIGHT, SPAN_TIMER, STATUS_DONE, STRIDE
 from .node import ClockSyncNode
 from .protocol import DCSACore, StaticGradientCore
 
@@ -599,8 +599,7 @@ class NodeArrayTable:
         The reference scan -- ``b = intercept - slope * (h - added_h)``,
         ``max(b, b0)``, ``l_est + b``, running ``min`` against ``Lmax``, in
         that association order -- entered only when ``Lmax > L`` (nothing
-        else can release ``L``).  When traced the jump row is parented on
-        ``tracer.current`` (the discovery or timer row the caller wrote).
+        else can release ``L``).  When traced it writes the jump's row.
         """
         L = self.L[i]
         ceiling = self.Lmax[i]
@@ -630,16 +629,14 @@ class NodeArrayTable:
     # Deliveries
     # ------------------------------------------------------------------ #
 
-    def deliver_one(self, u: int, v: int, payload: Any, sid: int | None) -> None:
+    def deliver_one(self, u: int, v: int, payload: Any) -> None:
         """Deliver one message ``u -> v`` the transport cleared: the
         statement of the per-message rule outside numpy.
 
         Sync ``v`` (a later message of the same timestamp finds ``dh =
         0``); Gamma track / refresh; raise ``Lmax``; AdjustClock (only when
         ``Lmax > L``); re-arm ``lost(u)`` -- :meth:`DCSACore.handle`'s
-        order.  A run calls it per message, in record order.  When traced,
-        a jump's ``SPAN_JUMP`` row is parented on ``sid``, the delivering
-        flight's span id (``None``: pushed before the tracer was attached).
+        order.  A run calls it per message, in record order.
         """
         self.scalar_lane_events += 1
         now = self.sim.now
@@ -661,13 +658,7 @@ class NodeArrayTable:
             self.Lmax[v] = lmax_v
         if self.Lmax[v] > self.L[v]:
             self.blocked_rows += 1
-            tracer = self.transport._tracer
-            if tracer is None:
-                self._adjust_clock(v, None)
-            else:
-                tracer.current = -1 if sid is None else sid
-                self._adjust_clock(v, tracer)
-                tracer.current = -1
+            self._adjust_clock(v, self.transport._tracer)
         # Re-arm lost(u): two writes (see :meth:`lost_wake`).
         self.lost_dl[s] = self._deadline(v, h + self.delta_t_prime, now)
         self.lost_seq[s] = self.arms
@@ -675,38 +666,23 @@ class NodeArrayTable:
 
     def deliver_batch(self, records: list[ScheduledEvent]) -> None:
         """Execute a same-timestamp run of individual ``KIND_DELIVER``
-        records (the transport dropped those whose link failed in flight;
-        a record's flight span id, when traced, is its observer slot)."""
+        records (the transport dropped those whose link failed in flight)."""
         if len(records) >= ARRAY_LANE_MIN:
             self._deliver(
                 [ev.a for ev in records],
                 [ev.b for ev in records],
                 [ev.c for ev in records],
-                [ev.e for ev in records],
             )
             return
         deliver = self.deliver_one
         for ev in records:
-            deliver(ev.a, ev.b, ev.c, ev.e)
+            deliver(ev.a, ev.b, ev.c)
 
-    def deliver_burst(
-        self,
-        us: list[int],
-        vs: list[int],
-        payloads: Any,
-        sids: list[int] | None,
-    ) -> None:
-        """Execute one burst record's constituent deliveries; ``sids`` are
-        their flight span ids (``None`` untraced)."""
-        self._deliver(us, vs, payloads, sids)
+    def deliver_burst(self, us: list[int], vs: list[int], payloads: Any) -> None:
+        """Execute one burst record's constituent deliveries."""
+        self._deliver(us, vs, payloads)
 
-    def _deliver(
-        self,
-        us: Sequence[int],
-        vs: Sequence[int],
-        payloads: Any,
-        sids: Sequence[int | None] | None,
-    ) -> None:
+    def _deliver(self, us: Sequence[int], vs: Sequence[int], payloads: Any) -> None:
         """Deliver the same-timestamp messages ``us[i] -> vs[i]``: on the
         array lane from :data:`ARRAY_LANE_MIN` up, which leaves ``rest``
         (message positions, in record order) to :meth:`deliver_one`."""
@@ -717,7 +693,7 @@ class NodeArrayTable:
             self.array_lane_events += m - len(rest)
         deliver = self.deliver_one
         for i in rest:
-            deliver(us[i], vs[i], payloads[i], None if sids is None else sids[i])
+            deliver(us[i], vs[i], payloads[i])
 
     def _deliver_array(
         self,
@@ -819,7 +795,7 @@ class NodeArrayTable:
         one burst record (a greeting's edge was just tested present);
         otherwise each goes through :meth:`Transport.send`.  When traced,
         each delivered discovery writes its ``SPAN_DISCOVER`` row, the
-        greeting's flight and any jump parented on it.
+        greeting's flight and any jump.
         """
         if len(rows) >= ARRAY_LANE_MIN and self._discover_array(rows):
             return
@@ -859,8 +835,7 @@ class NodeArrayTable:
                     if tracer is not None:
                         s_list.append(
                             tracer.table.append(
-                                SPAN_FLIGHT, nid, other, now, t_deliver,
-                                tracer.current, STATUS_DONE,
+                                SPAN_FLIGHT, nid, other, now, t_deliver, STATUS_DONE
                             )
                         )
             else:
@@ -876,8 +851,6 @@ class NodeArrayTable:
         stats.discoveries_skipped += skipped
         stats.discoveries_delivered += delivered
         self.scalar_lane_events += delivered
-        if tracer is not None:
-            tracer.current = -1
 
     def _discover_array(self, rows: DiscoveryRows) -> bool:
         """The array lane of a discovery run (the E_0 wave); returns
@@ -885,7 +858,7 @@ class NodeArrayTable:
         ``live`` and no node is blocked once synced (idempotent: a run
         handed over loses nothing), so that AdjustClock is vacuous.  When
         traced, its rows are one column block: per row its
-        ``SPAN_DISCOVER`` row, then the greeting's flight parented on it."""
+        ``SPAN_DISCOVER`` row, then the greeting's flight."""
         tracer = self.transport._tracer
         m = len(rows)
         if m < 2 or self.send_delay is None:
@@ -914,11 +887,9 @@ class NodeArrayTable:
         payloads = _Payloads(col.L[who], col.Lmax[who], col.peer[slots], col.mate[slots])
         sids = None
         if tracer is not None:
-            parent = np.arange(-1, 2 * m - 1)  # a flight's discover row precedes it
-            parent[0::2] = -1
             sids = self._span_block(
                 tracer, np.tile(np.array([SPAN_DISCOVER, SPAN_FLIGHT]), m),
-                np.repeat(who, 2), np.repeat(payloads.dst, 2), parent,
+                np.repeat(who, 2), np.repeat(payloads.dst, 2),
             )[1::2].tolist()
         self._push_burst(who.tolist(), others.tolist(), payloads, sids)
         self.transport.stats.discoveries_delivered += m
@@ -974,8 +945,6 @@ class NodeArrayTable:
         self._sync(nid, now)
         self.l_est[slot] = self.lost_dl[slot] = inf
         self._adjust_clock(nid, tracer)
-        if tracer is not None:
-            tracer.current = -1
 
     # ------------------------------------------------------------------ #
     # Ticks
@@ -1197,8 +1166,7 @@ class NodeArrayTable:
         us = plan.us
         m = len(us)
         if tracer is not None:
-            kind, node, peer, parent, timer_at, flight_at = self._tick_spans(plan)
-            timer_sids = np.empty(len(members), np.int64)
+            kind, node, peer, timer_at, flight_at = self._tick_spans(plan)
         if m or plan.loose or tracer is not None:
             l_out = col.L[plan.src]
             lmax_out = col.Lmax[plan.src]
@@ -1209,10 +1177,7 @@ class NodeArrayTable:
                 sids = None
                 if tracer is not None and last > first:
                     r0, r1 = timer_at[first], timer_at[last]
-                    block = self._span_block(
-                        tracer, kind[r0:r1], node[r0:r1], peer[r0:r1], parent[r0:r1] - r0
-                    )
-                    timer_sids[first:last] = block[timer_at[first:last] - r0]
+                    block = self._span_block(tracer, kind[r0:r1], node[r0:r1], peer[r0:r1])
                     sids = block[flight_at[start:end] - r0].tolist()
                 if end > start:
                     cut = slice(start, end)
@@ -1228,29 +1193,22 @@ class NodeArrayTable:
                 if j >= 0:
                     nid = members[j]
                     if tracer is not None:
-                        tracer.current = timer_sids[j] = self._trace_tick(
-                            tracer, nid, (), now, []
-                        )
+                        self._trace_tick(tracer, nid, (), now, [])
                     self._send_each(
                         nid, (self.L[nid], self.Lmax[nid]), self.believed(nid)
                     )
                 first = last + 1
         for j in np.flatnonzero(col.Lmax[ids] > col.L[ids]).tolist():
-            if tracer is not None:
-                tracer.current = int(timer_sids[j])
             self._adjust_clock(members[j], tracer)
-        if tracer is not None:
-            tracer.current = -1
         return fire.tolist()  # type: ignore[no-any-return]
 
     def _tick_spans(self, plan: _TickPlan) -> tuple[Any, ...]:
         """The span rows of ``plan``'s tick run in scalar order, as a
         template kept with the plan: per member its ``SPAN_TIMER`` row,
-        then one flight row per bulk send, parented on it
-        (:meth:`_trace_tick`'s rows).  Holds the kind, node, peer and
-        parent (a template row, -1: none) columns, then per member its
-        timer row (and the row count after the last) and per message its
-        flight row."""
+        then one flight row per bulk send (:meth:`_trace_tick`'s rows).
+        Holds the kind, node and peer columns, then per member its timer
+        row (and the row count after the last) and per message its flight
+        row."""
         if plan.spans is None:
             k = len(plan.ids)
             m = len(plan.us)
@@ -1264,21 +1222,15 @@ class NodeArrayTable:
             node[flight_at] = plan.src
             peer = np.full(k + m, -1)
             peer[flight_at] = plan.dst
-            parent = np.full(k + m, -1)
-            parent[flight_at] = timer_at[member]
-            plan.spans = (kind, node, peer, parent, timer_at, flight_at)
+            plan.spans = (kind, node, peer, timer_at, flight_at)
         return plan.spans
 
-    def _span_block(
-        self, tracer: "Tracer", kind: _I64, node: _I64, peer: _I64, parent: _I64
-    ) -> _I64:
+    def _span_block(self, tracer: "Tracer", kind: _I64, node: _I64, peer: _I64) -> _I64:
         """Write an array-lane run's span rows as one column block of the
-        tracer's table; returns each row's span id.  ``parent`` is a row
-        of the block (negative: none).  Every row is born ``DONE`` now, a
-        flight closed optimistically at its delivery time, a discovery an
-        add.  Past the table's capacity a row is counted in ``dropped``
-        and its id is -1, as a row written one at a time is (a row's
-        parent precedes it, so a written row's parent was written too)."""
+        tracer's table; returns each row's span id.  Every row is born
+        ``DONE`` now, a flight closed optimistically at its delivery time,
+        a discovery an add.  Past the table's capacity a row is counted in
+        ``dropped`` and its id is -1, as a row written one at a time is."""
         now = self.sim.now
         table = tracer.table
         base = len(table)
@@ -1288,14 +1240,13 @@ class NodeArrayTable:
         ids[fit:] = -1
         table.dropped += k - fit
         if fit:
-            kind, node, peer, parent = kind[:fit], node[:fit], peer[:fit], parent[:fit]
+            kind, node, peer = kind[:fit], node[:fit], peer[:fit]
             table.write_block((
                 kind,
                 node,
                 peer,
                 np.full(fit, now),
                 np.where(kind == SPAN_FLIGHT, now + cast(float, self.send_delay), now),
-                np.where(parent < 0, -1, parent + base),
                 np.full(fit, STATUS_DONE),
                 (kind == SPAN_DISCOVER).astype(np.float64),
             ))
@@ -1312,9 +1263,7 @@ class NodeArrayTable:
         bulk-send rule; a shard's ``boundary`` senders never do); otherwise
         the burst built so far is pushed and they go through the transport,
         per message.  When traced, the ``SPAN_TIMER`` row and the bulk
-        sends' flight rows are written here (:meth:`_trace_tick`); the
-        timer's span id stays ``tracer.current`` across the sends and
-        parents a jump.
+        sends' flight rows are written here (:meth:`_trace_tick`).
         """
         self.scalar_lane_events += 1
         now = self.sim.now
@@ -1329,9 +1278,9 @@ class NodeArrayTable:
         tracer = self.transport._tracer
         if tracer is not None:
             if bulk is None:
-                tracer.current = self._trace_tick(tracer, nid, (), now, [])
+                self._trace_tick(tracer, nid, (), now, [])
             else:
-                tracer.current = self._trace_tick(
+                self._trace_tick(
                     tracer, nid, dests, now + cast(float, self.send_delay), bulk.sids
                 )
         if dests:
@@ -1355,8 +1304,6 @@ class NodeArrayTable:
                 self._wake(s)
         if self.Lmax[nid] > self.L[nid]:
             self._adjust_clock(nid, tracer)
-        if tracer is not None:
-            tracer.current = -1
         return fire_t
 
     def _flush(self, burst: _Burst) -> None:
@@ -1375,28 +1322,27 @@ class NodeArrayTable:
         dests: Sequence[int],
         t1: float,
         sids: list[int],
-    ) -> int:
-        """Write ``nid``'s ``SPAN_TIMER`` row and, parented on it, one
-        optimistically-closed flight row per bulk send (``Transport.send``'s
-        row; ``t1`` is the delivery time) in one ``list.extend``.  Appends
-        the flights' span ids to ``sids`` and returns the timer's."""
+    ) -> None:
+        """Write ``nid``'s ``SPAN_TIMER`` row and one optimistically-closed
+        flight row per bulk send (``Transport.send``'s row; ``t1`` is the
+        delivery time) in one ``list.extend``.  Appends the flights' span
+        ids to ``sids``."""
         now = self.sim.now
         table = tracer.table
         data = table.data
-        sid = table.base + (len(data) >> 3)
+        sid = table.base + len(data) // STRIDE
         if sid + len(dests) >= table.capacity:
             # The table fills up within this driver's rows: go row by row
             # so every refused row is counted, as under scalar dispatch.
-            sid = table.append(SPAN_TIMER, nid, -1, now, now, -1, STATUS_DONE)
+            table.append(SPAN_TIMER, nid, -1, now, now, STATUS_DONE)
             for v in dests:
-                sids.append(table.append(SPAN_FLIGHT, nid, v, now, t1, sid, STATUS_DONE))
-            return sid
-        rows: list[Any] = [SPAN_TIMER, nid, -1, now, now, -1, STATUS_DONE, 0.0]
+                sids.append(table.append(SPAN_FLIGHT, nid, v, now, t1, STATUS_DONE))
+            return
+        rows: list[Any] = [SPAN_TIMER, nid, -1, now, now, STATUS_DONE, 0.0]
         for v in dests:
-            rows += (SPAN_FLIGHT, nid, v, now, t1, sid, STATUS_DONE, 0.0)
+            rows += (SPAN_FLIGHT, nid, v, now, t1, STATUS_DONE, 0.0)
         data.extend(rows)
         sids.extend(range(sid + 1, sid + 1 + len(dests)))
-        return sid
 
     def _send_each(self, nid: int, payload: Any, dests: list[int]) -> None:
         """Send ``payload`` from ``nid`` to each of ``dests`` (its believed

@@ -60,7 +60,7 @@ from ..params import SystemParams
 from ..sim.clocks import ConstantRateClock, HardwareClock
 from ..sim.events import KIND_TIMER, PRIORITY_TIMER, ScheduledEvent
 from ..sim.simulator import Simulator
-from ..tracing.spans import SPAN_TIMER, STATUS_DONE
+from ..tracing.spans import SPAN_TIMER, STATUS_DONE, STRIDE
 from .protocol import (
     ROW_FIELDS,
     CancelTimer,
@@ -279,25 +279,18 @@ class ClockSyncNode:
         self._timers.pop(key, None)
         tracer = self._tracer
         if tracer is not None:
-            # Inline timer_fired + reset_current (per-timer hot path; see
-            # Tracer's class docstring).
+            # Inline timer_fired (per-timer hot path; see Tracer's class
+            # docstring).
             now = self.sim.now
             table = tracer.table
             tdata = table.data
-            sid = table.base + (len(tdata) >> 3)
-            if sid < table.capacity:
+            if table.base + len(tdata) // STRIDE < table.capacity:
                 tdata.extend(
-                    (SPAN_TIMER, self.node_id, -1, now, now, -1,
-                     STATUS_DONE, 0.0)
+                    (SPAN_TIMER, self.node_id, -1, now, now, STATUS_DONE, 0.0)
                 )
             else:
                 table.dropped += 1
-                sid = -1
-            tracer.current = sid
-            self._dispatch(TimerFired(key))
-            tracer.current = -1
-        else:
-            self._dispatch(TimerFired(key))
+        self._dispatch(TimerFired(key))
 
     # ------------------------------------------------------------------ #
     # Transport entry points

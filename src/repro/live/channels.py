@@ -30,9 +30,9 @@ import numpy as np
 __all__ = ["ChannelError", "LiveChannel", "LoopbackChannel", "UdpChannel"]
 
 #: Delivery callback the runtime hands to channels:
-#: ``(src, dst, payload, ctx)`` where ``ctx`` is the trace context the
+#: ``(src, dst, payload, ctx)`` where ``ctx`` is the flight span id the
 #: sender attached (``None`` when tracing is off or the peer is untraced).
-Deliver = Callable[[int, int, Any, "tuple[int, int, int] | None"], None]
+Deliver = Callable[[int, int, Any, "int | None"], None]
 
 
 class ChannelError(RuntimeError):
@@ -51,9 +51,9 @@ class LiveChannel:
         src: int,
         dst: int,
         payload: Any,
-        ctx: tuple[int, int, int] | None = None,
+        ctx: int | None = None,
     ) -> None:
-        """Transmit ``payload`` (and trace context); must not block."""
+        """Transmit ``payload`` (and its flight span id); must not block."""
         raise NotImplementedError
 
     async def aclose(self) -> None:
@@ -92,7 +92,7 @@ class LoopbackChannel(LiveChannel):
         src: int,
         dst: int,
         payload: Any,
-        ctx: tuple[int, int, int] | None = None,
+        ctx: int | None = None,
     ) -> None:
         deliver = self._deliver
         if deliver is None:
@@ -136,12 +136,12 @@ class _UdpNodeProtocol(asyncio.DatagramProtocol):
 
 def _decode(
     data: bytes, endpoints: dict[int, Any]
-) -> tuple[int, int, tuple[float, float], tuple[int, int, int] | None] | None:
+) -> tuple[int, int, tuple[float, float], int | None] | None:
     """``(src, dst, payload, ctx)`` of a datagram :meth:`UdpChannel.send`
     could have written, else ``None``: a JSON object whose ``src`` and
     ``dst`` are integers in ``endpoints``, whose ``p`` is exactly two
     finite floats (JSON's ``Infinity`` and ``NaN`` parse as floats too), and
-    whose ``tc``, when present, is three integers."""
+    whose ``tc``, when present, is an integer (not a bool)."""
     try:
         frame = json.loads(data)
     except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
@@ -157,11 +157,9 @@ def _decode(
         return None
     if any(type(x) is not float or not math.isfinite(x) for x in p):
         return None
-    if tc is None:
-        return src, dst, (p[0], p[1]), None
-    if not isinstance(tc, list) or len(tc) != 3 or any(type(x) is not int for x in tc):
+    if tc is not None and type(tc) is not int:
         return None
-    return src, dst, (p[0], p[1]), (tc[0], tc[1], tc[2])
+    return src, dst, (p[0], p[1]), tc
 
 
 class UdpChannel(LiveChannel):
@@ -237,7 +235,7 @@ class UdpChannel(LiveChannel):
         src: int,
         dst: int,
         payload: Any,
-        ctx: tuple[int, int, int] | None = None,
+        ctx: int | None = None,
     ) -> None:
         transport = self._transports.get(src)
         addr = self._addrs.get(dst)
@@ -245,7 +243,7 @@ class UdpChannel(LiveChannel):
             raise ChannelError(f"unknown endpoint for send {src} -> {dst}")
         doc: dict[str, Any] = {"src": src, "dst": dst, "p": list(payload)}
         if ctx is not None:
-            doc["tc"] = list(ctx)
+            doc["tc"] = ctx
         frame = json.dumps(doc).encode("utf-8")
         transport.sendto(frame, addr)
 

@@ -180,14 +180,12 @@ class _LiveNode:
         """Feed one event to the core at session time ``t``; apply effects."""
         tracer = self.runtime._tracer
         if tracer is not None:
-            # Enter the event's causal scope: a delivered message closes
-            # its flight span (mapped at enqueue time), a timer firing
-            # opens a timer span; effects below parent onto it.
-            sid = self.runtime._event_spans.pop(id(event), -1)
-            if sid >= 0:
-                if type(event) is MessageReceived:
+            # A delivered message closes its flight span (mapped at
+            # enqueue time); a timer firing writes a timer span.
+            if type(event) is MessageReceived:
+                sid = self.runtime._event_spans.pop(id(event), -1)
+                if sid >= 0:
                     tracer.flight_deliver(sid, t)
-                tracer.current = sid
             elif type(event) is TimerFired:
                 tracer.timer_fired(self.node_id, t)
         now_h = self.clock.h_at(t)
@@ -215,8 +213,6 @@ class _LiveNode:
                     )
                 self.core.apply_jump(eff.new_value)
             # RaiseLmax is informational: already applied by the core.
-        if tracer is not None:
-            tracer.reset_current()
 
     def _fire_due_timers(self, t: float) -> None:
         """Dispatch every timer due at ``t``, in ``(deadline, repr(key))`` order."""
@@ -406,8 +402,8 @@ class LiveRuntime:
         self._tele_heartbeat: Gauge | None = None
         #: Span tracer, picked up from the ambient slot in :meth:`run_async`.
         self._tracer: Tracer | None = None
-        #: ``id(queued event) -> span id`` for events whose span was opened
-        #: at enqueue time (flights, discoveries); popped at dispatch.
+        #: ``id(queued message) -> flight span id`` for flights that close
+        #: at dispatch; popped there.
         self._event_spans: dict[int, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -536,8 +532,7 @@ class LiveRuntime:
             return
         if tracer is not None:
             t = self.now() if self._epoch_set else 0.0
-            sid = tracer.flight_send(src, dst, t, t)
-            self.channel.send(src, dst, payload, (sid, src, tracer.current))
+            self.channel.send(src, dst, payload, tracer.flight_send(src, dst, t, t))
         else:
             self.channel.send(src, dst, payload)
 
@@ -546,37 +541,34 @@ class LiveRuntime:
         src: int,
         dst: int,
         payload: Any,
-        ctx: tuple[int, int, int] | None = None,
+        ctx: int | None = None,
     ) -> None:
-        """Channel callback: queue a received message for ``dst``'s turn."""
+        """Channel callback: queue a received message for ``dst``'s turn;
+        ``ctx`` is its flight span id."""
         tracer = self._tracer
         if not self.graph.has_edge(src, dst):
             self.stats["dropped_removed"] += 1
             if tracer is not None and ctx is not None:
-                tracer.flight_drop(
-                    ctx[0], self.now() if self._epoch_set else 0.0
-                )
+                tracer.flight_drop(ctx, self.now() if self._epoch_set else 0.0)
             return
         self.stats["delivered"] += 1
         event = MessageReceived(src, payload)
         if tracer is not None and ctx is not None:
             # The flight closes at dispatch time (when the receiving core
             # actually processes it), so map the queued event to its span.
-            self._event_spans[id(event)] = ctx[0]
+            self._event_spans[id(event)] = ctx
         self.nodes[dst].post(event)
 
     def _discover(self, node_id: int, event: DiscoverAdd | DiscoverRemove) -> None:
         self.stats["discoveries_delivered"] += 1
         tracer = self._tracer
         if tracer is not None:
-            sid = tracer.discover_queued(
+            tracer.discover(
                 node_id,
                 event.other,
                 self.now() if self._epoch_set else 0.0,
                 isinstance(event, DiscoverAdd),
             )
-            if sid >= 0:
-                self._event_spans[id(event)] = sid
         self.nodes[node_id].post(event)
 
     # ------------------------------------------------------------------ #

@@ -69,6 +69,7 @@ from ..tracing.spans import (
     STATUS_DONE,
     STATUS_DROPPED,
     STATUS_PENDING,
+    STRIDE,
 )
 from .channels import DelayPolicy
 from .discovery import ConstantDiscovery, DiscoveryPolicy
@@ -360,11 +361,10 @@ class Transport:
             # :meth:`finalize_tracing`.
             sid = -1
             if tracer is not None:
-                sid = tbase + (len(tdata) >> 3)
+                sid = tbase + len(tdata) // STRIDE
                 if sid < table.capacity:
                     tdata.extend(
-                        (SPAN_FLIGHT, u, v, now, t_deliver, tracer.current,
-                         STATUS_DONE, 0.0)
+                        (SPAN_FLIGHT, u, v, now, t_deliver, STATUS_DONE, 0.0)
                     )
                 else:
                     table.dropped += 1
@@ -388,7 +388,7 @@ class Transport:
             self._drop(u, v, ev.d, ev.e)
         else:
             self.stats.delivered += 1
-            table.deliver_one(u, v, ev.c, ev.e)
+            table.deliver_one(u, v, ev.c)
 
     def _handle_deliver_batch(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for same-timestamp ``KIND_DELIVER`` runs:
@@ -507,9 +507,7 @@ class Transport:
             us = [us[i] for i in live]
             vs = [vs[i] for i in live]
             payloads = [payloads[i] for i in live]
-            if sids is not None:
-                sids = [sids[i] for i in live]
-        table.deliver_burst(us, vs, payloads, sids)
+        table.deliver_burst(us, vs, payloads)
         self.stats.delivered += len(us)
 
     def _deliver(self, u: int, v: int, payload: Any, send_time: float, sid: int) -> None:
@@ -519,15 +517,8 @@ class Transport:
         self.stats.delivered += 1
         node = self._node_seq[v]
         assert node is not None
-        tracer = self._tracer
-        if tracer is not None:
-            # The span was closed optimistically at send time (its t1 is
-            # exact); delivery only enters/leaves the causal scope.
-            tracer.current = sid
-            node.on_message(u, payload)
-            tracer.current = -1
-        else:
-            node.on_message(u, payload)
+        # The span was closed optimistically at send time (its t1 is exact).
+        node.on_message(u, payload)
 
     def finalize_tracing(self) -> None:
         """Re-mark the spans of still-queued deliveries, once after the run.
@@ -668,8 +659,6 @@ class Transport:
                 node.on_discover_add(other)
             else:
                 node.on_discover_remove(other)
-            if tracer is not None:
-                tracer.reset_current()
 
     def _handle_discover_batch(self, records: list[ScheduledEvent]) -> None:
         """Kernel batch handler for same-timestamp ``KIND_DISCOVER`` runs:

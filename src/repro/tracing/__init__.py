@@ -1,11 +1,11 @@
-"""Causal tracing: happens-before spans, Perfetto export, forensics.
+"""Causal tracing: span rows, Perfetto export, forensics.
 
 This package is the *causal* observability pillar (PR 7), sibling to the
 metrics pillar in :mod:`repro.telemetry` (PR 6), and the one event trace
 of a run (sends, drops, deliveries, churn, discoveries, jumps):
 
 * :mod:`repro.tracing.spans` — the span table, in id-ordered segments:
-  flat stride-8 lists for rows written one at a time, numpy column
+  flat lists of seven-slot rows written one at a time, numpy column
   blocks for the rows of an array-lane run;
 * :mod:`repro.tracing.context` — the :class:`Tracer` hooks both runtimes
   call, and the ambient activation (``repro run --trace-out``);
@@ -17,7 +17,6 @@ See docs/observability.md ("Tracing & forensics").
 """
 
 from .context import (
-    TraceContext,
     Tracer,
     activate_tracing,
     active_tracer,
@@ -56,7 +55,6 @@ __all__ = [
     "Cause",
     "CauseReport",
     "SpanTable",
-    "TraceContext",
     "Tracer",
     "activate_tracing",
     "active_tracer",

@@ -1,6 +1,6 @@
 """The :class:`Tracer`: hot-path span hooks plus the ambient activation.
 
-One tracer accumulates one run's happens-before DAG into a
+One tracer accumulates one run's span rows into a
 :class:`~repro.tracing.spans.SpanTable`.  Like PR 6's telemetry registry,
 tracing is **ambient, not config**: the :class:`ExperimentConfig` dict is
 the sweep cache's content address and a pure observer must not change it,
@@ -17,17 +17,14 @@ returns it, delivery closes it by id:
   slot (``ScheduledEvent.e``), which physics never reads.  That is what
   keeps tracing provably neutral: payloads, effect objects, RNG draws
   and event ordering are untouched.
-* In the live runtime deliveries ride real channels, so the context is
-  explicit on the wire: the channel carries ``(span_id, origin, parent)``
-  beside the payload (the ``"tc"`` field of UDP frames) and the receiver
-  closes the span by id.
+* In the live runtime deliveries ride real channels, so the span id is
+  explicit on the wire: the channel carries it beside the payload (the
+  integer ``"tc"`` field of UDP frames) and the receiver closes the span
+  by id.
 
-``current`` is the active causal span (-1 = none): runtimes set it while
-dispatching a delivery/timer/discovery to a node, so spans created by the
-handler (sends, jumps) record it as their parent.
-
-Hooks never draw RNG and never schedule events; the neutrality tests pin
-golden workloads bit-identical with tracing on.
+Every hook writes one row and keeps no state between calls.  Hooks never
+draw RNG and never schedule events; the neutrality tests pin golden
+workloads bit-identical with tracing on.
 """
 
 from __future__ import annotations
@@ -60,9 +57,6 @@ __all__ = [
     "trace_session",
 ]
 
-#: Wire/live trace context: ``(span_id, origin_node, parent_span)``.
-TraceContext = tuple[int, int, int]
-
 
 class Tracer:
     """Accumulate spans from one run (see module docstring).
@@ -77,12 +71,10 @@ class Tracer:
     (:meth:`SpanTable.write_block`).
     """
 
-    __slots__ = ("table", "current")
+    __slots__ = ("table",)
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.table = SpanTable(capacity)
-        #: Active causal span id (-1 = none); parents new spans.
-        self.current = -1
 
     # ------------------------------------------------------------------ #
     # Flight hooks (carried span id; both runtimes)
@@ -98,74 +90,47 @@ class Tracer:
         the span via :meth:`flight_deliver` / :meth:`flight_drop`.  Returns
         -1 when the table is at capacity (the flight goes unrecorded).
         """
-        return self.table.append(
-            SPAN_FLIGHT, u, v, t0, t1, self.current, STATUS_PENDING
-        )
+        return self.table.append(SPAN_FLIGHT, u, v, t0, t1, STATUS_PENDING)
 
     def flight_fail(self, u: int, v: int, t: float) -> None:
         """A send on a non-existent edge was dropped at send time."""
-        self.table.append(
-            SPAN_FLIGHT, u, v, t, t, self.current, STATUS_DROPPED
-        )
+        self.table.append(SPAN_FLIGHT, u, v, t, t, STATUS_DROPPED)
 
     def flight_deliver(self, span_id: int, t: float) -> None:
-        """The flight arrived: close its span and make it ``current``."""
+        """The flight arrived: close its span."""
         if span_id >= 0:
             self.table.close(span_id, t, STATUS_DONE)
-        self.current = span_id
 
     def flight_drop(self, span_id: int, t: float) -> None:
         """The flight was dropped in transit (edge removed / socket gone)."""
         if span_id >= 0:
             self.table.close(span_id, t, STATUS_DROPPED)
 
-    def discover_queued(self, node: int, other: int, t: float, added: bool) -> int:
-        """Live variant of :meth:`discover`: the discovery is *enqueued*
-        here but dispatched later, so ``current`` is left untouched (the
-        runtime sets it at dispatch via the returned span id)."""
-        return self.table.append(
-            SPAN_DISCOVER, node, other, t, t, -1, STATUS_DONE,
-            1.0 if added else 0.0,
-        )
-
     # ------------------------------------------------------------------ #
     # Shared hooks (both runtimes)
     # ------------------------------------------------------------------ #
 
     def timer_fired(self, node: int, t: float) -> None:
-        """A subjective timer fired on ``node``; it becomes ``current``."""
-        self.current = self.table.append(
-            SPAN_TIMER, node, -1, t, t, -1, STATUS_DONE
-        )
+        """A subjective timer fired on ``node``."""
+        self.table.append(SPAN_TIMER, node, -1, t, t, STATUS_DONE)
 
     def jump(self, node: int, t: float, delta: float) -> None:
         """``node`` discretely raised its logical clock by ``delta``."""
-        self.table.append(
-            SPAN_JUMP, node, -1, t, t, self.current, STATUS_DONE, delta
-        )
+        self.table.append(SPAN_JUMP, node, -1, t, t, STATUS_DONE, delta)
 
     def edge_flip(self, t: float, u: int, v: int, added: bool) -> None:
         """Edge ``{u, v}`` was added (detail=1) or removed (detail=0)."""
-        self.table.append(
-            SPAN_EDGE, u, v, t, t, -1, STATUS_DONE, 1.0 if added else 0.0
-        )
+        self.table.append(SPAN_EDGE, u, v, t, t, STATUS_DONE, 1.0 if added else 0.0)
 
     def discover(self, node: int, other: int, t: float, added: bool) -> None:
-        """``node`` learned edge ``{node, other}`` changed; becomes ``current``."""
-        self.current = self.table.append(
-            SPAN_DISCOVER, node, other, t, t, -1, STATUS_DONE,
-            1.0 if added else 0.0,
+        """``node`` learned edge ``{node, other}`` changed."""
+        self.table.append(
+            SPAN_DISCOVER, node, other, t, t, STATUS_DONE, 1.0 if added else 0.0
         )
 
     def violation(self, t: float, node: int) -> int:
-        """Anchor an oracle violation in the DAG; returns the anchor id."""
-        return self.table.append(
-            SPAN_VIOLATION, node, -1, t, t, -1, STATUS_DONE
-        )
-
-    def reset_current(self) -> None:
-        """Leave dispatch scope: new spans are roots again."""
-        self.current = -1
+        """Anchor an oracle violation in the table; returns the anchor id."""
+        return self.table.append(SPAN_VIOLATION, node, -1, t, t, STATUS_DONE)
 
     # ------------------------------------------------------------------ #
     # Telemetry

@@ -1,4 +1,4 @@
-"""Violation forensics: walk the span DAG backwards from a violation.
+"""Violation forensics: last-contact paths back from a violation.
 
 The paper's skew bounds are causal: a node's estimate of a neighbour is
 only as fresh as the latest *time-respecting path* of message flights

@@ -1,26 +1,27 @@
-"""Pooled happens-before span table.
+"""Pooled span table: the run's occurrences as flat rows.
 
-A *span* is one causally meaningful occurrence of a run: a message flight
-(send -> deliver/drop), a timer firing, a discrete clock jump, a topology
-flip, a discovery delivery, or an oracle violation.  Spans carry a
-``parent`` edge -- the span whose dispatch caused them -- so the table as
-a whole is the run's happens-before DAG: a flight's parent is the timer
-(or earlier flight) whose handler emitted the send, a jump's parent is
-the flight that delivered the triggering message, and so on.
+A *span* is one occurrence of a run: a message flight (send ->
+deliver/drop), a timer firing, a discrete clock jump, a topology flip, a
+discovery delivery, or an oracle violation.  A row is ``(kind, node,
+peer, t0, t1, status, detail)``; its id is its position in the table.
+Rows carry no causal links: who heard from whom, and when, is the flight
+rows' send and delivery times, which is what :mod:`~repro.tracing.forensics`
+relaxes its last-contact paths over.
 
 Rows are kept in id order as *segments* of two kinds:
 
-* a **list segment** holds rows written one at a time, eight slots per
-  row in one flat list (``data[i * 8]`` is the kind, ``data[i * 8 + 4]``
-  the end time, ...).  Recording such a span is a single ``list.extend``
-  of one tuple -- no per-span object, no dict, no per-column attribute
-  walk -- which is what keeps the per-message hooks inside their overhead
-  budget (``test_observer_overhead`` in ``tests/test_telemetry.py``); a
-  typed buffer's append costs several times as much per row.  Only the
-  last segment is open: the hooks extend :attr:`SpanTable.data` and a
-  row's id is :attr:`SpanTable.base` plus its position there.
+* a **list segment** holds rows written one at a time, :data:`STRIDE`
+  slots per row in one flat list (``data[i * STRIDE]`` is the kind,
+  ``data[i * STRIDE + 4]`` the end time, ...).  Recording such a span is
+  a single ``list.extend`` of one tuple -- no per-span object, no dict,
+  no per-column attribute walk -- which is what keeps the per-message
+  hooks inside their overhead budget (``test_observer_overhead`` in
+  ``tests/test_telemetry.py``); a typed buffer's append costs several
+  times as much per row.  Only the last segment is open: the hooks extend
+  :attr:`SpanTable.data`, and the row they write next gets id
+  ``base + len(data) // STRIDE`` (:attr:`SpanTable.base`).
 * a **column block** holds the rows of one array-lane run (a tick run,
-  the E_0 wave) as eight numpy columns, written by a few column
+  the E_0 wave) as :data:`STRIDE` numpy columns, written by a few column
   assignments (:meth:`SpanTable.write_block`), so that tracing a run costs
   what the run's own column passes cost and never moves it off the lane.
 
@@ -56,6 +57,7 @@ __all__ = [
     "STATUS_DONE",
     "STATUS_DROPPED",
     "STATUS_PENDING",
+    "STRIDE",
     "SpanTable",
 ]
 
@@ -70,21 +72,22 @@ SPAN_VIOLATION = 5
 #: Kind -> human-readable name (export, reports).
 SPAN_KIND_NAMES = ("flight", "timer", "jump", "edge", "discover", "violation")
 
-# Span statuses (slot 6 of each row).  Flights start PENDING and close to
+# Span statuses (slot 5 of each row).  Flights start PENDING and close to
 # DONE (delivered) or DROPPED (edge vanished / send failed); instantaneous
 # spans are born DONE.
 STATUS_PENDING = 0
 STATUS_DONE = 1
 STATUS_DROPPED = 2
 
-#: Default retention cap: ~8 machine words per span, so the default tops
+#: Default retention cap: ~7 machine words per span, so the default tops
 #: out around a few hundred MB on a pathological run instead of unbounded.
 DEFAULT_CAPACITY = 2_000_000
 
-#: Slots per span row (kind, node, peer, t0, t1, parent, status, detail):
-#: row ``i`` of a list segment starts at ``i * STRIDE``, and a column
-#: block holds ``STRIDE`` columns.  The hot hooks rely on this layout.
-STRIDE = 8
+#: Slots per span row (kind, node, peer, t0, t1, status, detail): row
+#: ``i`` of a list segment starts at ``i * STRIDE``, and a column block
+#: holds ``STRIDE`` columns.  The hot hooks rely on this layout.
+STRIDE = 7
+_KIND, _NODE, _PEER, _T0, _T1, _STATUS, _DETAIL = range(STRIDE)
 
 
 class SpanTable:
@@ -95,12 +98,12 @@ class SpanTable:
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive; got {capacity!r}")
-        #: The open list segment (stride-8 rows); hot hooks extend it.
+        #: The open list segment (flat rows); hot hooks extend it.
         self.data: list[Any] = []
         #: Span id of the open segment's first row.
         self.base = 0
-        #: ``(first span id, rows)`` per segment in id order: a stride-8
-        #: list, or a column block (eight equal-length numpy columns).
+        #: ``(first span id, rows)`` per segment in id order: a flat row
+        #: list, or a column block (``STRIDE`` equal-length numpy columns).
         self.segments: list[tuple[int, Any]] = [(0, self.data)]
         self.capacity = capacity
         #: Spans refused because the table hit ``capacity``.
@@ -113,24 +116,23 @@ class SpanTable:
         peer: int,
         t0: float,
         t1: float,
-        parent: int,
         status: int,
         detail: float = 0.0,
     ) -> int:
         """Append one span row; returns its id, or ``-1`` when at capacity."""
         data = self.data
-        span_id = self.base + (len(data) >> 3)
+        span_id = self.base + len(data) // STRIDE
         if span_id >= self.capacity:
             self.dropped += 1
             return -1
-        data.extend((kind, node, peer, t0, t1, parent, status, detail))
+        data.extend((kind, node, peer, t0, t1, status, detail))
         return span_id
 
     def write_block(self, columns: Sequence[np.ndarray]) -> int:
         """Append one run's rows as a column block; returns its first id.
 
-        ``columns`` are the eight columns in slot order (kind, node, peer,
-        t0, t1, parent, status, detail), of equal length; the block keeps
+        ``columns`` are the ``STRIDE`` columns in slot order (kind, node,
+        peer, t0, t1, status, detail), of equal length; the block keeps
         them, so ``t1`` and ``status`` must be its own (:meth:`close`
         writes them) and the rest must not change.  The caller checked
         that the rows fit under ``capacity``.
@@ -156,11 +158,11 @@ class SpanTable:
         """Finish an open span (flight delivery/drop)."""
         rows, i = self._locate(span_id)
         if type(rows) is list:
-            rows[(i << 3) + 4] = t1
-            rows[(i << 3) + 6] = status
+            rows[i * STRIDE + _T1] = t1
+            rows[i * STRIDE + _STATUS] = status
         else:
-            rows[4][i] = t1
-            rows[6][i] = status
+            rows[_T1][i] = t1
+            rows[_STATUS][i] = status
 
     def close_many(
         self, span_ids: Sequence[int], status: int, t1: float | None = None
@@ -176,16 +178,16 @@ class SpanTable:
             at = ids[lo:hi] - base
             if type(rows) is list:
                 for i in at.tolist():
-                    rows[(i << 3) + 6] = status
+                    rows[i * STRIDE + _STATUS] = status
                     if t1 is not None:
-                        rows[(i << 3) + 4] = t1
+                        rows[i * STRIDE + _T1] = t1
             else:
-                rows[6][at] = status
+                rows[_STATUS][at] = status
                 if t1 is not None:
-                    rows[4][at] = t1
+                    rows[_T1][at] = t1
 
     def __len__(self) -> int:
-        return self.base + (len(self.data) >> 3)
+        return self.base + len(self.data) // STRIDE
 
     # ------------------------------------------------------------------ #
     # Cold column views: each access copies the column -- bind once.
@@ -194,43 +196,43 @@ class SpanTable:
     def _column(self, slot: int) -> list[Any]:
         out: list[Any] = []
         for _, rows in self.segments:
-            out += rows[slot::8] if type(rows) is list else rows[slot].tolist()
+            out += rows[slot::STRIDE] if type(rows) is list else rows[slot].tolist()
         return out
 
     @property
     def kind(self) -> list[int]:
         """Kind column (fresh list; bind once before looping)."""
-        return self._column(0)
+        return self._column(_KIND)
 
     @property
     def node(self) -> list[int]:
         """Primary-node column (fresh list; bind once before looping)."""
-        return self._column(1)
+        return self._column(_NODE)
 
     @property
     def peer(self) -> list[int]:
         """Peer-node column, -1 when unary (fresh list; bind once)."""
-        return self._column(2)
+        return self._column(_PEER)
 
     @property
     def t0(self) -> list[float]:
         """Start-time column (fresh list; bind once before looping)."""
-        return self._column(3)
+        return self._column(_T0)
 
     @property
     def t1(self) -> list[float]:
         """End-time column (fresh list; bind once before looping)."""
-        return self._column(4)
+        return self._column(_T1)
 
     @property
     def status(self) -> list[int]:
         """Status column (fresh list; bind once before looping)."""
-        return self._column(6)
+        return self._column(_STATUS)
 
     @property
     def detail(self) -> list[float]:
         """Detail column (jump delta, flip direction; fresh list)."""
-        return self._column(7)
+        return self._column(_DETAIL)
 
     @property
     def kind_counts(self) -> list[int]:
@@ -239,8 +241,8 @@ class SpanTable:
         counts = np.zeros(len(SPAN_KIND_NAMES), np.int64)
         for _, rows in self.segments:
             if type(rows) is list:
-                kinds = rows[0::8]
+                kinds = rows[_KIND::STRIDE]
                 counts += [kinds.count(k) for k in range(len(counts))]
             else:
-                counts += np.bincount(rows[0], minlength=len(counts))
+                counts += np.bincount(rows[_KIND], minlength=len(counts))
         return counts.tolist()  # type: ignore[no-any-return]

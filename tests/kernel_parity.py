@@ -164,36 +164,17 @@ def run(
 # --------------------------------------------------------------------- #
 
 
-def parents(table) -> list[int]:
-    """The span table's causal-parent column (slot 5), -1 for a root."""
-    return table._column(5)
-
-
 def canonical_spans(table) -> np.ndarray:
-    """The span table as a kernel-independent sorted row array.
-
-    Rows sort by their content ``(t0, kind, node, peer, t1, status,
-    detail)`` -- ties by the parent's content, a root first -- and each
-    ``parent`` becomes its parent's sorted position, so two tables
-    holding the same happens-before DAG compare equal whatever order
-    their rows were written in.
-    """
-    columns = (table.kind, table.node, table.peer, table.t0, table.t1,
-               parents(table), table.status, table.detail)
-    rows = np.array(columns, dtype=float).T.reshape(-1, len(columns))
-    content = rows[:, [3, 0, 1, 2, 4, 6, 7]]
-    parent = rows[:, 5].astype(np.int64)
-    rooted = parent < 0
-    above = np.where(rooted[:, None], -np.inf, content[np.where(rooted, 0, parent)])
-    keys = [above[:, j] for j in range(6, -1, -1)]
-    keys += [content[:, j] for j in range(6, -1, -1)]
-    order = np.lexsort(keys)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    moved = parent[order]
-    return np.column_stack(
-        [content[order], np.where(moved < 0, -1, position[np.maximum(moved, 0)])]
+    """The span table as a kernel-independent sorted row array: its rows'
+    content ``(t0, kind, node, peer, t1, status, detail)`` in lexicographic
+    order, so two tables holding the same rows compare equal whatever
+    order their rows were written in."""
+    rows = np.array(
+        (table.t0, table.kind, table.node, table.peer, table.t1, table.status,
+         table.detail),
+        dtype=float,
     )
+    return rows.T[np.lexsort(rows[::-1])]
 
 
 def _delay_stream(policy) -> Any:
@@ -403,7 +384,6 @@ def _accounts_for_what_it_observed(run: Run) -> None:
     assert run.telemetry_events == res.events_dispatched
     if run.timeline.bound:
         assert run.timeline.rows > 0
-    assert all(p < i for i, p in enumerate(parents(spans)))
     if spans.dropped == 0:
         assert spans.kind_counts[SPAN_FLIGHT] == stats["sent"]
         assert spans.kind_counts[SPAN_DISCOVER] == stats["discoveries_delivered"]

@@ -22,7 +22,6 @@ from kernel_parity import (
     churned_sync_ring,
     far_ahead,
     gamma_upsilon,
-    parents,
     run,
 )
 from test_kernel_parity import holds, parity_configs
@@ -261,9 +260,9 @@ def test_payloads_and_span_rows_carry_plain_floats(monkeypatch):
         seen.append(payload)
         send(self, u, vs, payload)
 
-    def spying_scalar(self, u, v, payload, sid):
+    def spying_scalar(self, u, v, payload):
         seen.append(payload)
-        scalar(self, u, v, payload, sid)
+        scalar(self, u, v, payload)
 
     monkeypatch.setattr(Transport, "send_many", spying_send)
     monkeypatch.setattr(NodeArrayTable, "deliver_one", spying_scalar)
@@ -273,7 +272,7 @@ def test_payloads_and_span_rows_carry_plain_floats(monkeypatch):
     assert all(type(x) is float for payload in seen for x in payload)
     spans = res.spans
     assert len(spans) > 1000 and spans.dropped == 0
-    ints = spans.kind + spans.node + spans.peer + parents(spans) + spans.status
+    ints = spans.kind + spans.node + spans.peer + spans.status
     floats = spans.t0 + spans.t1 + spans.detail
     assert {type(x) for x in ints} == {int} and {type(x) for x in floats} == {float}
 

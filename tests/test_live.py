@@ -407,15 +407,16 @@ MALFORMED = {
     "negative_src": b'{"src": -1, "dst": 1, "p": [1.0, 2.0]}',
     "float_src": b'{"src": 0.5, "dst": 1, "p": [1.0, 2.0]}',
     "string_dst": b'{"src": 0, "dst": "1", "p": [1.0, 2.0]}',
-    "short_context": b'{"src": 0, "dst": 1, "p": [1.0, 2.0], "tc": [1, 2]}',
-    "float_context": b'{"src": 0, "dst": 1, "p": [1.0, 2.0], "tc": [1, 2, 3.5]}',
+    "list_context": b'{"src": 0, "dst": 1, "p": [1.0, 2.0], "tc": [1, 2, 3]}',
+    "float_context": b'{"src": 0, "dst": 1, "p": [1.0, 2.0], "tc": 3.5}',
+    "bool_context": b'{"src": 0, "dst": 1, "p": [1.0, 2.0], "tc": true}',
 }
 
 
 class TestUdpDatagrams:
     """A datagram is input from outside the program: the channel delivers
     exactly two finite floats between opened endpoints, with an optional
-    three-integer trace context, and counts anything else in ``errors``."""
+    integer flight span id, and counts anything else in ``errors``."""
 
     @staticmethod
     def _exchange(
@@ -477,11 +478,11 @@ class TestUdpDatagrams:
     def test_well_formed_frames_are_delivered(self):
         delivered, errors = self._exchange(
             [b'{"src": 0, "dst": 1, "p": [1.5, 2.0]}'],
-            sends=[(0, 1, (1.0, 2.0), (4, 5, 6)), (1, 0, (5.0, 6.0))],
+            sends=[(0, 1, (1.0, 2.0), 4), (1, 0, (5.0, 6.0))],
         )
         assert errors == 1  # the raw frame: a spoof of node 0
         assert sorted(delivered) == [
-            (0, 1, (1.0, 2.0), (4, 5, 6)),
+            (0, 1, (1.0, 2.0), 4),
             (1, 0, (3.0, 4.0), None),
             (1, 0, (5.0, 6.0), None),
         ]

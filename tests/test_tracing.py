@@ -29,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from kernel_parity import assert_same, parents, run
+from kernel_parity import assert_same, run
 from test_kernel_parity import holds
 
 from repro.harness import configs, run_experiment
@@ -68,16 +68,17 @@ from repro.tracing.spans import STRIDE
 class TestSpanTable:
     def test_flat_stride8_layout(self):
         t = SpanTable()
-        sid = t.append(SPAN_FLIGHT, 1, 2, 0.5, 1.5, -1, STATUS_PENDING)
+        sid = t.append(SPAN_FLIGHT, 1, 2, 0.5, 1.5, STATUS_PENDING)
         assert sid == 0
         assert len(t) == 1
         assert len(t.data) == STRIDE
         assert t.data[0] == SPAN_FLIGHT
         assert t.data[3] == 0.5 and t.data[4] == 1.5
+        assert STRIDE == 7 and t.data[5] == STATUS_PENDING
 
     def test_close_updates_t1_and_status(self):
         t = SpanTable()
-        sid = t.append(SPAN_FLIGHT, 1, 2, 0.5, 9.9, -1, STATUS_PENDING)
+        sid = t.append(SPAN_FLIGHT, 1, 2, 0.5, 9.9, STATUS_PENDING)
         t.close(sid, 1.25, STATUS_DONE)
         assert t.t1 == [1.25]
         assert t.status == [STATUS_DONE]
@@ -85,7 +86,7 @@ class TestSpanTable:
 
     def test_close_many_sets_status_and_end(self):
         t = SpanTable()
-        ids = [t.append(SPAN_FLIGHT, 1, 2, 0.5, 9.9, -1, STATUS_PENDING) for _ in range(3)]
+        ids = [t.append(SPAN_FLIGHT, 1, 2, 0.5, 9.9, STATUS_PENDING) for _ in range(3)]
         t.close_many(ids[:2], STATUS_DROPPED, 2.0)
         assert list(zip(t.status, t.t1)) == [
             (STATUS_DROPPED, 2.0), (STATUS_DROPPED, 2.0), (STATUS_PENDING, 9.9)
@@ -93,16 +94,16 @@ class TestSpanTable:
 
     def test_capacity_drops_and_counts(self):
         t = SpanTable(capacity=2)
-        assert t.append(SPAN_TIMER, 0, -1, 0.0, 0.0, -1, STATUS_DONE) == 0
-        assert t.append(SPAN_TIMER, 0, -1, 1.0, 1.0, -1, STATUS_DONE) == 1
-        assert t.append(SPAN_TIMER, 0, -1, 2.0, 2.0, -1, STATUS_DONE) == -1
+        assert t.append(SPAN_TIMER, 0, -1, 0.0, 0.0, STATUS_DONE) == 0
+        assert t.append(SPAN_TIMER, 0, -1, 1.0, 1.0, STATUS_DONE) == 1
+        assert t.append(SPAN_TIMER, 0, -1, 2.0, 2.0, STATUS_DONE) == -1
         assert len(t) == 2
         assert t.dropped == 1
 
     def test_columns_and_counts(self):
         t = SpanTable()
-        t.append(SPAN_FLIGHT, 1, 2, 0.0, 1.0, -1, STATUS_DONE)
-        t.append(SPAN_JUMP, 2, -1, 1.0, 1.0, 0, STATUS_DONE, 0.25)
+        t.append(SPAN_FLIGHT, 1, 2, 0.0, 1.0, STATUS_DONE)
+        t.append(SPAN_JUMP, 2, -1, 1.0, 1.0, STATUS_DONE, 0.25)
         assert t.kind == [SPAN_FLIGHT, SPAN_JUMP]
         assert t.node == [1, 2]
         assert t.detail[1] == 0.25
@@ -114,21 +115,19 @@ class TestSpanTable:
         list rows written after it continue from its end, and readers,
         closes and counts see one table of Python ints and floats."""
         t = SpanTable()
-        t.append(SPAN_TIMER, 0, -1, 1.0, 1.0, -1, STATUS_DONE)
+        t.append(SPAN_TIMER, 0, -1, 1.0, 1.0, STATUS_DONE)
         block = (
             np.array([SPAN_TIMER, SPAN_FLIGHT]), np.array([1, 1]), np.array([-1, 2]),
-            np.full(2, 2.0), np.array([2.0, 2.5]), np.array([-1, 1]),
-            np.full(2, STATUS_DONE), np.zeros(2),
+            np.full(2, 2.0), np.array([2.0, 2.5]), np.full(2, STATUS_DONE), np.zeros(2),
         )
         assert t.write_block(block) == 1 and len(t) == 3
-        assert t.append(SPAN_FLIGHT, 3, 4, 3.0, 3.5, -1, STATUS_DONE) == 3
+        assert t.append(SPAN_FLIGHT, 3, 4, 3.0, 3.5, STATUS_DONE) == 3
         assert t.base == 3 and len(t.data) == STRIDE
         assert t.kind == [SPAN_TIMER, SPAN_TIMER, SPAN_FLIGHT, SPAN_FLIGHT]
-        assert parents(t) == [-1, -1, 1, -1]
-        assert {type(x) for x in t.node + parents(t)} == {int}
+        assert {type(x) for x in t.node + t.peer + t.status} == {int}
         assert {type(x) for x in t.t0 + t.t1} == {float}
-        columns = (t.kind, t.node, t.peer, t.t0, t.t1, parents(t), t.status, t.detail)
-        assert [c[2] for c in columns] == [SPAN_FLIGHT, 1, 2, 2.0, 2.5, 1, STATUS_DONE, 0.0]
+        columns = (t.kind, t.node, t.peer, t.t0, t.t1, t.status, t.detail)
+        assert [c[2] for c in columns] == [SPAN_FLIGHT, 1, 2, 2.0, 2.5, STATUS_DONE, 0.0]
         t.close(2, 2.25, STATUS_DROPPED)
         assert (t.t1[2], t.status[2]) == (2.25, STATUS_DROPPED)
         t.close_many([3, 2], STATUS_PENDING)
@@ -145,9 +144,7 @@ class TestTracerHooks:
         assert tr.table.status[sid] == STATUS_PENDING
         tr.flight_deliver(sid, 1.5)
         assert tr.table.status[sid] == STATUS_DONE
-        assert tr.current == sid  # delivery enters the causal scope
-        tr.reset_current()
-        assert tr.current == -1
+        assert tr.table.t1[sid] == 1.5
 
     def test_flight_drop(self):
         tr = Tracer()
@@ -164,18 +161,6 @@ class TestTracerHooks:
         assert tr.table.dropped == 1
         tr.flight_deliver(sid, 1.0)  # must not raise
         assert len(tr.table) == 1
-
-    def test_timer_parents_spans(self):
-        tr = Tracer()
-        tr.timer_fired(5, 2.0)
-        timer_sid = tr.current
-        assert tr.table.kind[timer_sid] == SPAN_TIMER
-        flight = tr.flight_send(5, 6, 2.0, 2.5)
-        assert parents(tr.table)[flight] == timer_sid
-        tr.jump(5, 2.0, 0.125)
-        jump = len(tr.table) - 1
-        assert tr.table.kind[jump] == SPAN_JUMP and parents(tr.table)[jump] == timer_sid
-        assert tr.table.detail[jump] == 0.125
 
     def test_ambient_activation(self):
         assert active_tracer() is None
@@ -272,28 +257,6 @@ class TestSimTracing:
         flights = [i for i in range(len(table)) if table.kind[i] == SPAN_FLIGHT]
         assert table.status[flights[-1]] == STATUS_PENDING
         assert table.status[sid] == STATUS_DROPPED  # first verdict sticks
-
-    def test_dag_has_parented_spans(self):
-        with trace_session() as tr:
-            run_experiment(configs.static_path(8, horizon=60.0, seed=3))
-        table = tr.table
-        kinds, parent = table.kind, parents(table)
-        timer_parented_flights = sum(
-            1
-            for i in range(len(table))
-            if kinds[i] == SPAN_FLIGHT
-            and parent[i] >= 0
-            and kinds[parent[i]] == SPAN_TIMER
-        )
-        delivery_parented = sum(
-            1
-            for i in range(len(table))
-            if parent[i] >= 0 and kinds[parent[i]] == SPAN_FLIGHT
-        )
-        assert timer_parented_flights > 0  # ticks cause sends
-        assert delivery_parented > 0  # deliveries cause jumps/sends
-        assert table.kind_counts[SPAN_JUMP] > 0
-        assert table.kind_counts[SPAN_DISCOVER] > 0
 
     def test_untraced_run_records_nothing(self):
         res = run_experiment(configs.static_path(8, horizon=30.0, seed=3))
