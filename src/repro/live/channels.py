@@ -4,9 +4,10 @@ A channel moves opaque payloads between node ids; the runtime decides what
 exists (edges, drops, discovery) and the channel decides how bytes travel:
 
 * :class:`LoopbackChannel` -- in-process delivery into the destination's
-  inbox, optionally after a seeded uniform jitter delay.  With
-  ``jitter=0`` delivery is immediate and FIFO per sender, which is the
-  deterministic configuration CI uses.
+  inbox, optionally after a seeded uniform jitter delay.  The channel only
+  draws the delay: the runtime holds the frame as an entry of its one
+  heap, not as a loop timer.  With ``jitter=0`` delivery is immediate and
+  FIFO per sender, which is the deterministic configuration CI uses.
 * :class:`UdpChannel` -- one real UDP socket per node on localhost (or a
   configurable host), JSON datagrams, asyncio datagram endpoints.  This is
   the "real network" configuration: delays, reordering and drops are
@@ -30,9 +31,11 @@ import numpy as np
 __all__ = ["ChannelError", "LiveChannel", "LoopbackChannel", "UdpChannel"]
 
 #: Delivery callback the runtime hands to channels:
-#: ``(src, dst, payload, ctx)`` where ``ctx`` is the flight span id the
-#: sender attached (``None`` when tracing is off or the peer is untraced).
-Deliver = Callable[[int, int, Any, "int | None"], None]
+#: ``(src, dst, payload, ctx[, delay])`` where ``ctx`` is the flight span
+#: id the sender attached (``None`` when tracing is off or the peer is
+#: untraced) and ``delay`` the seconds the frame has still to travel
+#: (default 0).
+Deliver = Callable[..., None]
 
 
 class ChannelError(RuntimeError):
@@ -80,12 +83,9 @@ class LoopbackChannel(LiveChannel):
         self.jitter = float(jitter)
         self._rng = np.random.default_rng([seed, 0x11AE])
         self._deliver: Deliver | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._pending: set[asyncio.TimerHandle] = set()
 
     async def open(self, deliver: Deliver, node_ids: list[int]) -> None:
         self._deliver = deliver
-        self._loop = asyncio.get_running_loop()
 
     def send(
         self,
@@ -97,25 +97,10 @@ class LoopbackChannel(LiveChannel):
         deliver = self._deliver
         if deliver is None:
             raise ChannelError("channel not opened")
-        if self.jitter == 0.0:
-            deliver(src, dst, payload, ctx)
-            return
-        assert self._loop is not None
-        delay = float(self._rng.uniform(0.0, self.jitter))
-        handle: asyncio.TimerHandle | None = None
-
-        def fire() -> None:
-            if handle is not None:
-                self._pending.discard(handle)
-            deliver(src, dst, payload, ctx)
-
-        handle = self._loop.call_later(delay, fire)
-        self._pending.add(handle)
+        delay = float(self._rng.uniform(0.0, self.jitter)) if self.jitter else 0.0
+        deliver(src, dst, payload, ctx, delay)
 
     async def aclose(self) -> None:
-        for handle in self._pending:
-            handle.cancel()
-        self._pending.clear()
         self._deliver = None
 
 

@@ -45,7 +45,6 @@ from ..core.protocol import ProtocolCore
 from ..network.churn import ScriptedChurn
 from ..oracle.oracle import resolve_oracle
 from ..sim.rng import RngFactory
-from ..tracing.context import active_tracer
 from .channels import LiveChannel, LoopbackChannel, UdpChannel
 from .clocks import LiveClock
 from .runtime import ChurnEvent, LiveRunResult, LiveRuntime
@@ -143,9 +142,6 @@ def build_live_runtime(
 
 
 def _to_run_result(cfg: ExperimentConfig, live: LiveRunResult) -> RunResult:
-    # Causal tracing is ambient (same slot the runtime read at startup),
-    # so a traced live session surfaces its span table here too.
-    tracer = active_tracer()
     return RunResult(
         config=cfg,
         record=RunRecord.empty(live.nodes),
@@ -154,7 +150,7 @@ def _to_run_result(cfg: ExperimentConfig, live: LiveRunResult) -> RunResult:
         transport_stats=live.transport_stats,
         events_dispatched=live.events_handled,
         oracle_report=live.oracle_report,
-        spans=tracer.table if tracer is not None else None,
+        spans=live.spans,
         live=live,
     )
 

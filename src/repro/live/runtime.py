@@ -4,19 +4,23 @@
 :mod:`repro.core.protocol` (the first being the discrete-event simulator).
 No node owns a coroutine or a loop handle: each keeps a FIFO of pending
 events and a table of subjective-timer deadlines, and the runtime drives
-them with a ready deque of nodes and a ``heapq`` of wake-ups.
+them with a ready deque of nodes and one ``heapq`` of everything timed in
+the session: node wake-ups, scripted churn flips, oracle samples and
+jittered loopback frames.
 
 1. Posting an event (``Start``, a message, a discovery) appends it to the
    destination's FIFO and the node, unless already there, to the ready
-   deque.  A post from outside a *pump* kicks one ``loop.call_soon`` of
-   it, unless one is kicked; a post inside a pump kicks nothing.
-2. A pump marks every due wake-up ready, then runs turns until the deque
-   is empty.  A turn fires the node's due timers, then drains its FIFO:
-   each event is stamped with the hardware reading ``H_u(t) = rate_u * t``
-   at dispatch (``t`` = seconds since the shared session epoch) and fed to
-   the core.  It pushes a wake-up only if its earliest deadline moved (an
-   entry is live while it equals the node's ``wake``); the pump then arms
-   the one loop timer at the first live entry.
+   deque.  A post from outside a *pump* (the session start's, a UDP
+   datagram's) kicks one ``loop.call_soon`` of it, unless one is kicked; a
+   post inside a pump kicks nothing.
+2. A pump runs every due heap entry (a wake-up readies its node), then
+   turns until the deque is empty.  A turn fires the node's due timers,
+   then drains its FIFO: each event is stamped with the hardware reading
+   ``H_u(t) = rate_u * t`` at dispatch (``t`` = seconds since the shared
+   session epoch) and fed to the core.  It pushes a wake-up only if its
+   earliest deadline moved (one is live while it equals the node's
+   ``wake``); the pump then arms the one loop timer at the first live
+   entry or the session's end, whichever comes first.
 3. Effects apply synchronously inside the dispatch: sends through the
    pluggable :class:`~repro.live.channels.LiveChannel`, timers into the
    deadline table (subjective delays converted through the clock's exact
@@ -32,7 +36,7 @@ like the simulator's ``PRIORITY_SAMPLE`` convention.
 :class:`~repro.network.graph.DynamicGraph` (real-time timestamps).  Sends
 on absent edges are dropped and surface to the sender as a
 ``DiscoverRemove`` (the model's MAC-ack abstraction); scripted churn
-events are replayed at their wall-clock offsets and surface to both
+events are heap entries at their wall-clock offsets and surface to both
 endpoints as discovery events.
 
 **Online conformance.**  A :class:`~repro.oracle.oracle.StreamingOracle`
@@ -45,9 +49,10 @@ rate_u * t`` for every node at one shared ``t``, so rate-floor checks see
 no sampling noise.
 
 The whole session is wall-clock capped: no turn dispatches at or after
-``duration``, and one ``call_at(epoch + duration)`` resolves the future
-:meth:`LiveRuntime.run_async` awaits.  A pump whose turn raises resolves it
-too, or the loop's callback handler would log the exception and carry on.
+``duration``, and the pump that finds ``duration`` reached resolves the
+future :meth:`LiveRuntime.run_async` awaits.  A pump whose turn, flip or
+sample raises resolves it too, with the exception, or the loop's callback
+handler would log it and carry on.
 """
 
 from __future__ import annotations
@@ -79,6 +84,7 @@ from ..oracle.oracle import OracleReport, StreamingOracle
 from ..params import SystemParams
 from ..telemetry.registry import Gauge, Histogram, MetricsRegistry, active_registry
 from ..tracing.context import Tracer, active_tracer
+from ..tracing.spans import SpanTable
 from .channels import LiveChannel
 from .clocks import LiveClock
 
@@ -255,7 +261,7 @@ class _LiveNode:
         when = min(self.timers.values(), default=duration)
         if when != self.wake:
             self.wake = when
-            heapq.heappush(runtime._wakes, (when, self.node_id))
+            heapq.heappush(runtime._heap, (when, self.node_id))
 
 
 @dataclass
@@ -277,6 +283,8 @@ class LiveRunResult:
     cpu_seconds: float = 0.0
     timer_lag_max: float = 0.0
     queue_depth_max: int = 0
+    #: The span table of the tracer the session ran under, if any.
+    spans: SpanTable | None = None
 
     def total_jumps(self) -> int:
         """Total discrete clock jumps across all nodes."""
@@ -329,7 +337,7 @@ class LiveRuntime:
     """
 
     #: Bound by :meth:`run_async`: the loop the pumps run on, and the
-    #: future the end-of-session timer (or a failing turn) resolves.
+    #: future the pump at the session's end (or a failing one) resolves.
     _loop: asyncio.AbstractEventLoop
     _done: asyncio.Future[None]
 
@@ -351,8 +359,8 @@ class LiveRuntime:
             raise ValueError(f"duration must be positive; got {duration!r}")
         if sorted(cores) != list(range(len(cores))):
             raise ValueError("core ids must be exactly 0..n-1")
-        if sorted(clocks) != sorted(cores):
-            raise ValueError("clocks and cores must cover the same node ids")
+        if not cores or sorted(clocks) != sorted(cores):
+            raise ValueError("clocks and cores must cover the same node ids, one at least")
         self.params = params
         self.channel = channel
         self.duration = float(duration)
@@ -369,14 +377,18 @@ class LiveRuntime:
             i: LiveNodeView(i, node.core, node.clock)
             for i, node in self.nodes.items()
         }
-        self._churn_events: list[ChurnEvent] = sorted(
-            churn_events, key=lambda e: e[0]
-        )
-        for t, op, _u, _v in self._churn_events:
+        #: Turns due; the timed entries: ``(t, node_id)`` wake-ups and
+        #: ``(t, seq, action, args)`` flips, samples and frames.
+        self._ready: deque[_LiveNode] = deque()
+        self._heap: list[tuple[Any, ...]] = []
+        self._seq = 0
+        for t, op, u, v in churn_events:
             if op not in ("add", "remove"):
                 raise ValueError(f"bad churn op {op!r}")
             if t < 0.0:
                 raise ValueError(f"negative churn event time {t!r}")
+            if t < self.duration:  # the session never reaches the others
+                self._at(t, self._flip, op == "add", u, v)
         self.stats = {
             "sent": 0,
             "delivered": 0,
@@ -387,9 +399,6 @@ class LiveRuntime:
         }
         self._t0 = 0.0
         self._epoch_set = False
-        #: Turns due, ``(deadline, node_id)`` wake-ups, kick, timer, pumping.
-        self._ready: deque[_LiveNode] = deque()
-        self._wakes: list[tuple[float, int]] = []
         self._kick: asyncio.Handle | None = None
         self._timer: asyncio.TimerHandle | None = None
         self._pumping = False
@@ -470,40 +479,52 @@ class LiveRuntime:
         loop's own clock -- the one its ``call_at`` deadlines are read on."""
         return self._loop.time() - self._t0
 
+    def _at(self, t: float, action: Callable[..., None], *args: Any) -> None:
+        """Put ``action(*args)`` on the heap at session time ``t``."""
+        self._seq += 1
+        heapq.heappush(self._heap, (t, self._seq, action, args))
+
     def _pump(self) -> None:
-        """Run every ready turn, then arm the timer at the earliest wake-up."""
+        """Run every due entry and ready turn, then arm the timer at the
+        earliest live entry or the session's end."""
         self._kick = None
-        t = self.now()
-        if self._done.done() or t >= self.duration:
+        done = self._done
+        if done.done():
             return
-        ready, wakes, nodes = self._ready, self._wakes, self.nodes
-        while wakes and wakes[0][0] <= t:
-            when, i = heapq.heappop(wakes)
-            node = nodes[i]
-            if node.wake == when:
-                node.wake = None
-                if not node.queued:
-                    node.queued = True
-                    ready.append(node)
+        t = self.now()
+        if t >= self.duration:
+            done.set_result(None)
+            return
+        ready, heap, nodes = self._ready, self._heap, self.nodes
         self._pumping = True
         try:
+            while heap and heap[0][0] <= t:
+                entry = heapq.heappop(heap)
+                if len(entry) == 2:
+                    node = nodes[entry[1]]
+                    if node.wake == entry[0]:
+                        node.wake = None
+                        if not node.queued:
+                            node.queued = True
+                            ready.append(node)
+                else:
+                    entry[2](*entry[3])
             while ready:
                 ready.popleft().turn()
         except Exception as exc:
             # The loop would only log it.  ``_pumping`` stays set: a failed
             # session kicks no further pump.
-            self._done.set_exception(exc)
+            done.set_exception(exc)
             return
         self._pumping = False
-        while wakes and nodes[wakes[0][1]].wake != wakes[0][0]:
-            heapq.heappop(wakes)
-        if wakes:
-            when = self._t0 + wakes[0][0]
-            timer = self._timer
-            if timer is None or timer.when() != when:
-                if timer is not None:
-                    timer.cancel()
-                self._timer = self._loop.call_at(when, self._woken)
+        while heap and len(heap[0]) == 2 and nodes[heap[0][1]].wake != heap[0][0]:
+            heapq.heappop(heap)
+        when = self._t0 + (min(heap[0][0], self.duration) if heap else self.duration)
+        timer = self._timer
+        if timer is None or timer.when() != when:
+            if timer is not None:
+                timer.cancel()
+            self._timer = self._loop.call_at(when, self._woken)
 
     def _woken(self) -> None:
         """The timer's callback.  asyncio may run it a clock resolution early:
@@ -542,9 +563,13 @@ class LiveRuntime:
         dst: int,
         payload: Any,
         ctx: int | None = None,
+        delay: float = 0.0,
     ) -> None:
         """Channel callback: queue a received message for ``dst``'s turn;
-        ``ctx`` is its flight span id."""
+        ``ctx`` is its flight span id.  A ``delay`` puts it on the heap."""
+        if delay > 0.0:
+            self._at(self.now() + delay, self._deliver, src, dst, payload, ctx)
+            return
         tracer = self._tracer
         if not self.graph.has_edge(src, dst):
             self.stats["dropped_removed"] += 1
@@ -572,60 +597,36 @@ class LiveRuntime:
         self.nodes[node_id].post(event)
 
     # ------------------------------------------------------------------ #
-    # Auxiliary tasks
+    # Timed session inputs
     # ------------------------------------------------------------------ #
 
-    async def _run_churn(self) -> None:
-        for t_ev, op, u, v in self._churn_events:
-            delay = t_ev - self.now()
-            if delay > 0.0:
-                await asyncio.sleep(delay)
-            t = self.now()
-            if t >= self.duration:
-                return
-            # Tolerant replay (unlike the sim's exact ScriptedChurn):
-            # wall-clock scheduling may race a previous toggle.
-            if op == "add":
-                if self.graph.has_edge(u, v):
-                    self.stats["discoveries_skipped"] += 1
-                    continue
-                self.graph.add_edge(u, v, t)
-                if self._tracer is not None:
-                    self._tracer.edge_flip(t, u, v, True)
-                self._discover(u, DiscoverAdd(v))
-                self._discover(v, DiscoverAdd(u))
-            else:
-                if not self.graph.has_edge(u, v):
-                    self.stats["discoveries_skipped"] += 1
-                    continue
-                self.graph.remove_edge(u, v, t)
-                if self._tracer is not None:
-                    self._tracer.edge_flip(t, u, v, False)
-                self._discover(u, DiscoverRemove(v))
-                self._discover(v, DiscoverRemove(u))
-
-    async def _run_sampler(self, sample: Callable[[float], None] | None) -> None:
-        if sample is None:
+    def _flip(self, add: bool, u: int, v: int) -> None:
+        """One scripted churn event, replayed tolerantly (unlike the sim's
+        exact ScriptedChurn): wall-clock scheduling may race a previous
+        toggle, so a flip to what already holds is skipped."""
+        graph = self.graph
+        if graph.has_edge(u, v) == add:
+            self.stats["discoveries_skipped"] += 1
             return
-        next_t = self.sample_interval
-        while next_t <= self.duration:
-            delay = next_t - self.now()
-            if delay > 0.0:
-                await asyncio.sleep(delay)
-            t = self.now()
-            if t > self.duration:
-                return
-            sample(t)
-            next_t += self.sample_interval
+        t = self.now()
+        (graph.add_edge if add else graph.remove_edge)(u, v, t)
+        if self._tracer is not None:
+            self._tracer.edge_flip(t, u, v, add)
+        found = DiscoverAdd if add else DiscoverRemove
+        self._discover(u, found(v))
+        self._discover(v, found(u))
+
+    def _sample(self, sample: Callable[[float], None], k: int) -> None:
+        """The ``k``-th oracle sample, read at ``now()``; the next one joins
+        the heap while it falls before the end."""
+        sample(self.now())
+        k += 1
+        if k * self.sample_interval < self.duration:
+            self._at(k * self.sample_interval, self._sample, sample, k)
 
     # ------------------------------------------------------------------ #
     # Session lifecycle
     # ------------------------------------------------------------------ #
-
-    def _end(self) -> None:
-        """The end-of-session timer (a failed turn may have got there first)."""
-        if not self._done.done():
-            self._done.set_result(None)
 
     async def run_async(self) -> LiveRunResult:
         """Run the session on the current event loop."""
@@ -664,29 +665,16 @@ class LiveRuntime:
         self._epoch_set = True
         if sample is not None:
             sample(0.0)
-        end = loop.call_at(self._t0 + self.duration, self._end)
-        aux_tasks = [
-            asyncio.ensure_future(self._run_churn()),
-            asyncio.ensure_future(self._run_sampler(sample)),
-        ]
+            if self.sample_interval < self.duration:
+                self._at(self.sample_interval, self._sample, sample, 1)
         try:
             await self._done
         finally:
             # Leave nothing on the loop.
-            for handle in (end, self._timer, self._kick):
+            for handle in (self._timer, self._kick):
                 if handle is not None:
                     handle.cancel()
-            for task in aux_tasks:
-                task.cancel()
-            settled = await asyncio.gather(*aux_tasks, return_exceptions=True)
             await self.channel.aclose()
-            # A dead churn script or oracle sampler must fail the session
-            # loudly -- a vacuous oracle_ok would defeat the whole gate.
-            # (CancelledError subclasses BaseException, so end-of-session
-            # cancellations fall through this filter.)
-            for outcome in settled:
-                if isinstance(outcome, Exception):
-                    raise outcome
         elapsed = self.now()
         if sample is not None:
             # One last sample at session end, like the recorder's horizon.
@@ -707,6 +695,7 @@ class LiveRuntime:
             cpu_seconds=time.process_time() - cpu0,
             timer_lag_max=self.timer_lag_max,
             queue_depth_max=self.queue_depth_max,
+            spans=self._tracer.table if self._tracer is not None else None,
         )
 
     def run(self) -> LiveRunResult:

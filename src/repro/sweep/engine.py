@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping, Sequence
 from ..adversary.connectivity import scan_interval_connectivity
 from ..core import skew_bounds
 from ..harness.runner import ExperimentConfig, RunResult, run_experiment
-from ..telemetry.registry import Counter, Gauge, active_registry, get_registry
+from ..telemetry.registry import get_registry
 from .spec import SweepSpec
 from .store import ResultStore, config_hash
 
@@ -243,12 +243,6 @@ class SweepEngine:
         self.store = store
         self.progress = progress
         self.metrics_dir = metrics_dir
-        # Telemetry instruments (wired per run() when telemetry is on).
-        self._tele_cache_hits: Counter | None = None
-        self._tele_dedup_hits: Counter | None = None
-        self._tele_executed: Counter | None = None
-        self._tele_exec_seconds: Counter | None = None
-        self._tele_done: Gauge | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -269,17 +263,6 @@ class SweepEngine:
         rows: list[SweepRow | None] = [None] * total
         done = 0
 
-        # Telemetry (cache economics + worker utilization); pure observer.
-        telemetry = active_registry()
-        t_run0 = time.perf_counter()
-        if telemetry is not None:
-            self._tele_cache_hits = telemetry.counter("sweep.cache_hits")
-            self._tele_dedup_hits = telemetry.counter("sweep.dedup_hits")
-            self._tele_executed = telemetry.counter("sweep.points_executed")
-            self._tele_exec_seconds = telemetry.counter("sweep.exec_seconds")
-            self._tele_done = telemetry.gauge("sweep.points_done")
-            telemetry.gauge("sweep.points_total").set(total)
-
         def resolve(i: int, metrics: dict, cached: bool, elapsed: float | None) -> None:
             nonlocal done
             rows[i] = SweepRow(
@@ -292,8 +275,6 @@ class SweepEngine:
                 elapsed=elapsed,
             )
             done += 1
-            if self._tele_done is not None:
-                self._tele_done.set(done)
             if self.progress is not None:
                 self.progress(done, total, rows[i])
 
@@ -306,8 +287,6 @@ class SweepEngine:
                 else None
             )
             if entry is not None:
-                if self._tele_cache_hits is not None:
-                    self._tele_cache_hits.inc()
                 resolve(i, dict(entry["metrics"]), cached=True, elapsed=None)
             else:
                 # Identical configs share one execution.
@@ -323,14 +302,6 @@ class SweepEngine:
             else:
                 self._run_serial(order, config_dicts, keys, resolve)
 
-        if telemetry is not None and self._tele_exec_seconds is not None:
-            # Busy-time over wall-time x workers: ~1.0 means the pool was
-            # saturated, ~1/k means serial-shaped work on k workers.
-            wall = time.perf_counter() - t_run0
-            workers = max(1, self.processes or 1)
-            telemetry.gauge("sweep.worker_utilization").set(
-                self._tele_exec_seconds.value / max(wall * workers, 1e-9)
-            )
         assert all(r is not None for r in rows)
         return SweepResult(rows=list(rows))  # type: ignore[arg-type]
 
@@ -347,12 +318,6 @@ class SweepEngine:
         first = idxs[0]
         if self.store is not None:
             self.store.put(keys[first], config_dicts[first], outcome["metrics"])
-        if self._tele_executed is not None:
-            self._tele_executed.inc()
-            if self._tele_exec_seconds is not None:
-                self._tele_exec_seconds.inc(float(outcome["elapsed"]))
-            if self._tele_dedup_hits is not None and len(idxs) > 1:
-                self._tele_dedup_hits.inc(len(idxs) - 1)
         for i in idxs:
             resolve(i, dict(outcome["metrics"]), cached=i != first,
                     elapsed=outcome["elapsed"] if i == first else None)

@@ -216,12 +216,16 @@ class TestScheduler:
             assert len(rest) > len(e0)
 
     def test_one_wake_up_handle_at_a_time(self):
-        """Every wake-up shares one loop timer: no ``call_at`` of it is made
-        while an earlier one is still armed (neither fired nor cancelled).
-        Jittered deliveries kick pumps between timer firings, so some pumps
-        move the earliest wake-up under an armed timer and must cancel it."""
+        """Wake-ups, churn flips, oracle samples and jittered frames share
+        one loop timer: no ``call_at`` or ``call_later`` of any callback is
+        made while an earlier handle is still armed (neither fired nor
+        cancelled)."""
+        chord = [(0.15, "add", 0, 16), (0.3, "remove", 0, 16)]
         runtime = build_live_runtime(
-            configs.live_ring(32, duration=0.5, seed=3, jitter=0.01)
+            configs.live_ring(
+                32, duration=0.5, seed=3, jitter=0.01, sample_interval=0.05,
+                churn="scripted", events=chord,
+            )
         )
         armed: list[asyncio.TimerHandle] = []
         fired: set[int] = set()
@@ -232,28 +236,30 @@ class TestScheduler:
             call_at = loop.call_at
 
             def spy(when, callback, *args, **kwargs):
-                if callback != runtime._woken:
-                    return call_at(when, callback, *args, **kwargs)
                 live_at_arm.append(
                     sum(id(h) not in fired and not h.cancelled() for h in armed)
                 )
 
                 def fire():
                     fired.add(id(handle))
-                    callback()
+                    callback(*args)
 
-                handle = call_at(when, fire)
+                handle = call_at(when, fire, **kwargs)
                 armed.append(handle)
                 return handle
 
             loop.call_at = spy
+            loop.call_later = lambda delay, callback, *args, **kwargs: spy(
+                loop.time() + delay, callback, *args, **kwargs
+            )
             return await runtime.run_async()
 
         live = asyncio.run(session())
-        assert live.events_handled > 0 and len(armed) > 10
+        assert live.transport_stats["delivered"] > 0 and len(armed) > 10
+        assert live.graph.edge_events == 32 + 2
+        assert live.oracle_report is not None and live.oracle_report.checks > 0
         assert max(live_at_arm) == 0
         assert all(id(h) in fired or h.cancelled() for h in armed)
-        assert any(h.cancelled() for h in armed)
 
     def test_an_early_timer_leaves_a_fresh_handle_for_its_deadline(self):
         """asyncio runs a timer handle up to one clock resolution before its
@@ -296,8 +302,8 @@ class TestScheduler:
         finally:
             loop.close()
 
-    # Jittered loopback: every delivery is a ``call_later`` callback outside
-    # any pump.  Zero jitter: deliveries are posts inside the sender's pump.
+    # Deliveries, jittered or not, and churn flips all post inside a pump:
+    # on loopback only the session start posts from outside one.
     @pytest.mark.parametrize("jitter", [0.0, 0.01])
     def test_posts_kick_a_pump_only_from_outside_one(self, monkeypatch, jitter):
         chord = [(0.15, "add", 0, 4), (0.3, "remove", 0, 4)]
@@ -309,6 +315,7 @@ class TestScheduler:
         kicks: list[object] = []
         posts: list[tuple[bool, int, object, bool, int]] = []
         real_post = _LiveNode.post
+        ring = [(i, DiscoverAdd(j)) for u, v in runtime.graph.edges() for i, j in ((u, v), (v, u))]
 
         def post(node, event):
             inside, idle, before = runtime._pumping, runtime._kick is None, len(kicks)
@@ -332,22 +339,22 @@ class TestScheduler:
 
         live = asyncio.run(session())
         assert live.transport_stats["delivered"] > 0
+        assert len(kicks) == 1
         for inside, _i, _event, idle, made in posts:
             assert made == (0 if inside else int(idle))
         outside = [(i, e) for inside, i, e, _idle, _made in posts if not inside]
+        start = [(i, Start()) for i in range(8)]
+        assert sorted(outside, key=repr) == sorted(start + ring, key=repr)
         churned = {
             (0, DiscoverAdd(4)), (4, DiscoverAdd(0)),
             (0, DiscoverRemove(4)), (4, DiscoverRemove(0)),
         }
-        assert churned <= set(outside)
+        inside_posts = {(i, e) for inside, i, e, _d, _m in posts if inside}
+        assert churned <= inside_posts
         inside_messages = sum(
             inside and isinstance(e, MessageReceived) for inside, _i, e, _d, _m in posts
         )
-        if jitter:
-            assert inside_messages == 0
-            assert any(isinstance(e, MessageReceived) for _i, e in outside)
-        else:
-            assert inside_messages == live.transport_stats["delivered"]
+        assert inside_messages == live.transport_stats["delivered"]
 
 
 class TestLiveChurn:
@@ -360,14 +367,35 @@ class TestLiveChurn:
         assert not res.graph.has_edge(0, 4)
 
     def test_failed_churn_event_fails_the_session_loudly(self):
-        """A dead auxiliary task must not yield a vacuous oracle_ok."""
+        """A churn flip that raises fails the session at once, not at its
+        end, and leaves nothing scheduled: no vacuous oracle_ok."""
         from repro.network.graph import GraphError
 
         cfg = configs.live_ring(  # unknown node
-            4, duration=0.3, churn="scripted", events=[(0.05, "add", 0, 99)]
+            4, duration=5.0, churn="scripted", events=[(0.05, "add", 0, 99)]
         )
-        with pytest.raises(GraphError):
-            build_live_runtime(cfg).run()
+        _fails_promptly(build_live_runtime(cfg), GraphError)
+
+    def test_failed_oracle_sample_fails_the_session_loudly(self):
+        """The same for an oracle sample that raises at its third call."""
+
+        class Boom(RuntimeError):
+            pass
+
+        runtime = build_live_runtime(
+            configs.live_ring(4, duration=5.0, sample_interval=0.05)
+        )
+        real_sample, calls = runtime.oracle.sample, []
+
+        def sample(t, *columns):
+            calls.append(t)
+            if len(calls) == 3:
+                raise Boom("third sample")
+            return real_sample(t, *columns)
+
+        runtime.oracle.sample = sample
+        _fails_promptly(runtime, Boom)
+        assert len(calls) == 3
 
     def test_churn_discoveries_reach_the_cores(self):
         cfg = configs.live_churn_ring(8, duration=0.8, seed=3)
@@ -689,7 +717,7 @@ class TestLiveChurnValidation:
             8, duration=0.2, churn="scripted", events=[(0.1, "add", 0, 2)]
         )
         runtime = build_live_runtime(cfg)  # valid script builds fine
-        assert runtime._churn_events == [(0.1, "add", 0, 2)]
+        assert runtime._heap == [(0.1, 1, runtime._flip, (True, 0, 2))]
 
     @pytest.mark.parametrize(
         "events,message",
@@ -736,6 +764,20 @@ class TestLiveChurnValidation:
         assert 3 not in live.nodes[0].core.upsilon
 
 
+def _fails_promptly(runtime: LiveRuntime, error: type[Exception]) -> None:
+    """``runtime``'s session raises ``error`` in well under a second and
+    leaves no live handle on its loop."""
+    loop = asyncio.new_event_loop()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(error):
+            loop.run_until_complete(runtime.run_async())
+        assert time.monotonic() - t0 < 1.0
+        assert [h for h in loop._scheduled if not h.cancelled()] == []
+    finally:
+        loop.close()
+
+
 def _runtime_like(runtime: LiveRuntime, **overrides) -> LiveRuntime:
     """A fresh ``LiveRuntime`` with ``runtime``'s cores and clocks."""
     kwargs = {
@@ -765,6 +807,7 @@ class TestRuntimeUnit:
             ({"duration": 0.0}, "duration must be positive"),
             ({"cores": {}}, "clocks and cores must cover the same node ids"),
             ({"clocks": {}}, "clocks and cores must cover the same node ids"),
+            ({"cores": {}, "clocks": {}}, "one at least"),
         ],
     )
     def test_constructor_checks(self, runtime, overrides, message):

@@ -130,29 +130,6 @@ class TestEngineBehaviour:
         )
         assert len(result) == len(result.rows) == 2
 
-    def test_telemetry_counts_cache_economics(self, tmp_path):
-        from repro.telemetry import get_registry
-
-        cfg = configs.static_ring(5, horizon=10.0)
-        store = ResultStore(tmp_path / "cache")
-        registry = get_registry()
-        registry.reset()
-        registry.enable()
-        try:
-            SweepEngine(store=store).run([cfg, cfg])  # one run, one duplicate
-            SweepEngine(store=store).run([cfg])  # a store hit
-            snap = registry.snapshot()
-        finally:
-            registry.disable()
-            registry.reset()
-        counters, gauges = snap["counters"], snap["gauges"]
-        assert counters["sweep.points_executed"] == 1
-        assert counters["sweep.dedup_hits"] == 1
-        assert counters["sweep.cache_hits"] == 1
-        assert counters["sweep.exec_seconds"] > 0
-        assert gauges["sweep.points_total"] == 1 and gauges["sweep.points_done"] == 1
-        assert gauges["sweep.worker_utilization"] > 0
-
     def test_pool_falls_back_where_fork_is_missing(self, monkeypatch):
         import multiprocessing
 

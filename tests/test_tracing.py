@@ -66,7 +66,7 @@ from repro.tracing.spans import STRIDE
 
 
 class TestSpanTable:
-    def test_flat_stride8_layout(self):
+    def test_flat_stride7_layout(self):
         t = SpanTable()
         sid = t.append(SPAN_FLIGHT, 1, 2, 0.5, 1.5, STATUS_PENDING)
         assert sid == 0
@@ -339,7 +339,7 @@ class TestBatchKernelSpans:
     def test_batch_spans_equal_scalar_spans(self, workload):
         holds(workload[1])
 
-    def test_jump_released_by_a_discovery_is_parented_on_it(self):
+    def test_jump_released_by_a_discovery_spans_equal_scalar(self):
         holds("discovery_releases_jump")
 
     def test_singleton_spans_equal_scalar_spans(self):
@@ -384,6 +384,19 @@ class TestLiveTracing:
         )
         assert closed == res.transport_stats["delivered"]
         assert table.kind_counts[SPAN_TIMER] > 0
+
+    def test_result_carries_the_table_its_session_wrote(self):
+        """The run result reads the tracer the session picked up at its
+        start, not whichever one is ambient when the result is built."""
+        from repro.live.driver import _to_run_result, build_live_runtime
+
+        cfg = configs.live_ring(4, duration=0.2, seed=1)
+        runtime = build_live_runtime(cfg)
+        with trace_session() as tr:
+            live = runtime.run()
+        with trace_session():
+            res = _to_run_result(cfg, live)
+        assert res.spans is tr.table and len(tr.table) > 0
 
 
 # --------------------------------------------------------------------- #
